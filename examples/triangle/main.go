@@ -45,7 +45,8 @@ func main() {
 	}
 
 	// Read through published snapshots (Result()/ViewOf() are live handles;
-	// snapshots are the concurrency-safe read path).
+	// snapshots are the concurrency-safe read path). An epoch carries the
+	// result; the views below it are published once Catalog asks for them.
 	cPlain, _ := plain.Snapshot().Result().Get(fivm.Tuple{})
 	cInd, _ := indexed.Snapshot().Result().Get(fivm.Tuple{})
 	fmt.Printf("triangles: %d (plain) = %d (with indicator): %v\n", cPlain, cInd, cPlain == cInd)
@@ -53,7 +54,7 @@ func main() {
 	// The indicator bounds the intermediate view at C.
 	sizeAt := func(e *fivm.Engine[int64], v string) int {
 		size := -1
-		snap := e.Snapshot()
+		snap := e.Catalog()
 		e.Tree().Walk(func(n *fivm.ViewNode) {
 			if n.Var == v {
 				if rel := snap.ViewOf(n); rel != nil {

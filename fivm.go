@@ -306,11 +306,13 @@ func SplitRelation[P any](r *Relation[P], col string, n int) ([]*Relation[P], er
 // ordered iteration, and prefix scans over leading variables.
 type RelationSnapshot[P any] = data.RelationSnapshot[P]
 
-// ViewSnapshot is one published epoch of a maintainer's state: the query
-// result plus a named catalog of materialized views, all mutually
-// consistent — exactly the state after some whole applied batch. Every
-// Maintainer publishes one per batch once serving is enabled (first
-// Snapshot call), via a single atomic epoch-pointer swap.
+// ViewSnapshot is one published epoch of a maintainer's state — exactly the
+// state after some whole applied batch. It carries the query result, always;
+// an Engine adds the catalogue of its materialized views to the epochs it
+// publishes after Engine.Catalog asked for it (consistent with the result,
+// from the next batch on). Every Maintainer publishes one epoch per batch
+// once serving is enabled (first Snapshot call), via a single atomic
+// epoch-pointer swap.
 type ViewSnapshot[P any] = ivm.ViewSnapshot[P]
 
 // SnapshotSource is anything that publishes view snapshots; every
@@ -318,7 +320,7 @@ type ViewSnapshot[P any] = ivm.ViewSnapshot[P]
 type SnapshotSource[P any] = serve.Source[P]
 
 // Reader is a lock-free read handle pinned to one snapshot epoch: point
-// lookups by group-by key, prefix scans, view-catalog access, and explicit
+// lookups by group-by key, prefix scans over the result, and explicit
 // Refresh with monotonic (never regressing) epochs. One Reader per reading
 // goroutine.
 type Reader[P any] = serve.Reader[P]

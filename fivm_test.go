@@ -328,6 +328,15 @@ func TestServingReads(t *testing.T) {
 		t.Fatalf("scan visited %d of %d", scanned, rd.Len())
 	}
 	var snap *fivm.ViewSnapshot[int64] = rd.Snapshot()
+	if len(snap.Views()) != 0 {
+		t.Fatalf("epoch carries a catalogue nobody asked for: %v", snap.Views())
+	}
+	// Asking is the switch: the current epoch is republished with every
+	// materialized view in it.
+	snap = eng.Catalog()
+	if snap.Epoch != rd.Epoch() || snap.Result() != rd.Result() {
+		t.Fatalf("Catalog moved the epoch: %d vs %d", snap.Epoch, rd.Epoch())
+	}
 	for _, name := range snap.Views() {
 		if snap.View(name) == nil || eng.ViewByName(name) == nil {
 			t.Fatalf("catalog name %q does not resolve", name)

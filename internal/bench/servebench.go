@@ -284,8 +284,9 @@ func waitFollowerApplied(f *replica.Follower, want uint64, timeout time.Duration
 }
 
 // stalenessSampler polls both epoch pointers and records when each applied
-// count was first observed on each side; the per-count difference is the
-// replication staleness distribution.
+// count it sees was published on each side (Epoch.At, stamped by the side
+// itself — not the poll time, which a small stream often makes equal for
+// both); the per-count difference is the replication staleness distribution.
 type stalenessSampler struct {
 	p      *db.DB
 	f      *replica.Follower
@@ -313,24 +314,28 @@ func (s *stalenessSampler) run() {
 		case <-s.done:
 			return
 		case <-tick.C:
-			now := time.Now()
-			pa := s.p.Epoch().Applied
-			fa := s.f.DB().Epoch().Applied
-			s.mu.Lock()
-			if _, ok := s.pSeen[pa]; !ok {
-				s.pSeen[pa] = now
-			}
-			if _, ok := s.fSeen[fa]; !ok {
-				s.fSeen[fa] = now
-			}
-			s.mu.Unlock()
+			s.sample()
 		}
 	}
 }
 
+func (s *stalenessSampler) sample() {
+	pe, fe := s.p.Epoch(), s.f.DB().Epoch()
+	s.mu.Lock()
+	if _, ok := s.pSeen[pe.Applied]; !ok {
+		s.pSeen[pe.Applied] = pe.At
+	}
+	if _, ok := s.fSeen[fe.Applied]; !ok {
+		s.fSeen[fe.Applied] = fe.At
+	}
+	s.mu.Unlock()
+}
+
 // stop ends sampling and returns the p50/p99 staleness over every applied
-// count observed on both sides.
+// count observed on both sides. It samples once more first, so the converged
+// final count is always among them however few ticks the stream lasted.
 func (s *stalenessSampler) stop() (p50, p99 time.Duration) {
+	s.sample()
 	s.mu.Lock()
 	if !s.closed {
 		s.closed = true

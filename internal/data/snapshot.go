@@ -158,6 +158,21 @@ func (r *Relation[P]) markInserted(e *Entry[P]) {
 	}
 }
 
+// DirtyKeys returns how many key changes the next Snapshot call will patch in
+// (every live key after a Clear; a key deleted and re-inserted counts twice)
+// and whether the relation tracks changes at all — false until its first
+// Snapshot. Same goroutine as the mutations.
+func (r *Relation[P]) DirtyKeys() (n int, tracking bool) {
+	s := r.snap
+	switch {
+	case s == nil:
+		return 0, false
+	case s.fullDirty:
+		return r.entries.len(), true
+	}
+	return len(s.dirtyKeys), true
+}
+
 // Snapshot publishes an immutable copy of the relation's current contents.
 // The first call is O(n) and attaches dirty tracking; every later call costs
 // O(keys changed since the previous call) and shares all unchanged storage

@@ -100,6 +100,14 @@ type DB struct {
 	mu    sync.RWMutex
 	views map[string]registeredView
 	order []string
+	// names and slot are the catalogue every epoch shares until view DDL
+	// changes it (publish rebuilds them after DDL set slot to nil): the view
+	// names in creation order and each name's index. Never mutated once built.
+	names []string
+	slot  map[string]int
+	// stamp is the publication time of the last view epoch the batch in
+	// flight produced (zero: none yet); the DB epoch reuses it.
+	stamp time.Time
 
 	cur     atomic.Pointer[Epoch]
 	seq     uint64 // published epochs (bumped by Apply and view DDL)
@@ -142,8 +150,7 @@ type registeredView interface {
 	queryRels() []string
 	observe(batch []data.BaseUpdate) error
 	latestSnapshot() any // *ivm.ViewSnapshot[P]
-	stats() ViewStats
-	viewCount() int
+	stats() ViewStats    // everything but MemoryBytes
 	memoryBytes() int
 	closeView()
 }
@@ -186,7 +193,7 @@ func Open(cat Catalog, opts Options) (*DB, error) {
 		// compacted lazily, so there is no eager merge path to hook).
 		d.stats = data.NewStats()
 	}
-	d.publish()
+	d.publish(time.Now())
 	if du := opts.Durability; du != nil {
 		d.sqlViews = make(map[string]wal.ViewDef)
 		d.ckptEvery = du.CheckpointEvery
@@ -270,13 +277,18 @@ type ViewStats struct {
 	// Maintain is the total wall time spent maintaining the view (delta
 	// conversion plus strategy propagation plus snapshot publication).
 	Maintain time.Duration
-	// ViewCount and MemoryBytes describe the materialized state.
+	// PublishedKeys is the total publish work: the dirty keys patched into
+	// the view's snapshots, summed over its epochs (ivm.ViewSnapshot.Patched).
+	PublishedKeys uint64
+	// ViewCount and MemoryBytes describe the materialized state. MemoryBytes
+	// walks it, so only ViewStatsOf fills it in.
 	ViewCount   int
 	MemoryBytes int
 }
 
 // ViewStatsOf returns a view's maintenance accounting (zero value for
-// unknown names). Maintenance-goroutine only: it reads live state.
+// unknown names). Maintenance-goroutine only: it reads live state. Other
+// goroutines read Epoch.Stats.
 func (d *DB) ViewStatsOf(name string) ViewStats {
 	d.mu.RLock()
 	v := d.views[name]
@@ -285,7 +297,6 @@ func (d *DB) ViewStatsOf(name string) ViewStats {
 		return ViewStats{}
 	}
 	st := v.stats()
-	st.ViewCount = v.viewCount()
 	st.MemoryBytes = v.memoryBytes()
 	return st
 }
@@ -358,6 +369,7 @@ func (d *DB) applyBase(batch []data.BaseUpdate, logIt bool) error {
 	}
 	d.convSeq++
 	d.conv.seq = d.convSeq
+	d.stamp = time.Time{}
 	// Advance the shared store once, then fan out to the views through the
 	// store's observe hooks.
 	if err := d.store.ApplyBatch(batch); err != nil {
@@ -374,7 +386,12 @@ func (d *DB) applyBase(batch []data.BaseUpdate, logIt bool) error {
 			data.ObserveDeltaTuples(d.stats, u.Rel, sch, u.Tuples, mult)
 		}
 	}
-	d.publish()
+	// One clock reading per batch: the last view to publish stamped it.
+	at := d.stamp
+	if at.IsZero() {
+		at = time.Now()
+	}
+	d.publish(at)
 	if d.ckptEvery > 0 && !d.recovering {
 		// The batch above is applied and durable regardless: a checkpoint
 		// failure here reports the checkpoint's error, not the batch's.
@@ -421,7 +438,8 @@ func (d *DB) DropView(name string) error {
 		}
 	}
 	d.mu.Unlock()
-	d.publish()
+	d.slot = nil
+	d.publish(time.Now())
 	return nil
 }
 
@@ -448,29 +466,37 @@ func (d *DB) registerView(v registeredView) {
 	d.views[v.viewName()] = v
 	d.order = append(d.order, v.viewName())
 	d.mu.Unlock()
+	d.slot = nil
 	d.store.Attach(v.viewName(), v.queryRels(), v.observe)
-	d.publish()
+	d.publish(time.Now())
 }
 
-// publish assembles and swaps in the next cross-view Epoch from every
-// registered view's latest snapshot. Called at the end of Open, Apply, and
-// view DDL, on the maintenance goroutine.
-func (d *DB) publish() {
-	d.mu.RLock()
-	snaps := make(map[string]any, len(d.views))
-	names := make([]string, len(d.order))
-	copy(names, d.order)
-	for name, v := range d.views {
-		snaps[name] = v.latestSnapshot()
+// publish assembles and swaps in the next cross-view Epoch, stamped at, from
+// every registered view's latest snapshot and accounting. Called at the end
+// of Open, Apply, and view DDL, on the maintenance goroutine — the only
+// writer of the registry, so it reads it without mu. Per batch it allocates
+// the epoch and its view slice; the name catalogue is shared.
+func (d *DB) publish(at time.Time) {
+	if d.slot == nil {
+		d.names = append([]string(nil), d.order...)
+		d.slot = make(map[string]int, len(d.names))
+		for i, name := range d.names {
+			d.slot[name] = i
+		}
 	}
-	d.mu.RUnlock()
+	views := make([]epochView, len(d.names))
+	for i, name := range d.names {
+		v := d.views[name]
+		views[i] = epochView{snap: v.latestSnapshot(), stats: v.stats()}
+	}
 	d.seq++
 	d.cur.Store(&Epoch{
 		Seq:     d.seq,
 		Applied: d.applied,
-		At:      time.Now(),
-		snaps:   snaps,
-		names:   names,
+		At:      at,
+		names:   d.names,
+		slot:    d.slot,
+		views:   views,
 	})
 }
 
@@ -490,8 +516,17 @@ type Epoch struct {
 	// At is the publication wall time.
 	At time.Time
 
-	snaps map[string]any
+	// names and slot are shared with the neighbouring epochs (see DB.names);
+	// views is this epoch's own, indexed like names.
 	names []string
+	slot  map[string]int
+	views []epochView
+}
+
+// epochView is one view's share of an epoch.
+type epochView struct {
+	snap  any // *ivm.ViewSnapshot[P]
+	stats ViewStats
 }
 
 // Views returns the epoch's view names in creation order (a copy: epochs
@@ -504,6 +539,17 @@ func (e *Epoch) Views() []string {
 
 // Has reports whether the epoch carries the named view.
 func (e *Epoch) Has(name string) bool {
-	_, ok := e.snaps[name]
+	_, ok := e.slot[name]
 	return ok
+}
+
+// Stats returns the named view's cumulative maintenance accounting as of
+// this epoch (MemoryBytes excepted), and whether the epoch carries the view.
+// Unlike DB.ViewStatsOf it is safe from any goroutine.
+func (e *Epoch) Stats(name string) (ViewStats, bool) {
+	i, ok := e.slot[name]
+	if !ok {
+		return ViewStats{}, false
+	}
+	return e.views[i].stats, true
 }

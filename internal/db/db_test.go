@@ -77,6 +77,9 @@ func TestDBBasicLifecycle(t *testing.T) {
 	if got, _ := s.Result().Get(tup(1)); got != 1 {
 		t.Errorf("cnt[1] = %d, want 1", got)
 	}
+	if !e.At.Equal(s.At) {
+		t.Errorf("the batch was stamped twice: epoch at %v, its view at %v", e.At, s.At)
+	}
 
 	// Typed reader pinned at the epoch.
 	rd, err := ReaderFor[int64](d, "cnt")
@@ -100,6 +103,9 @@ func TestDBBasicLifecycle(t *testing.T) {
 	if got, ok := SnapshotOf[int64](d.Epoch(), "cnt").Result().Get(tup(1)); ok {
 		t.Errorf("cnt[1] still %d after delete", got)
 	}
+	if e2 := d.Epoch(); &e2.names[0] != &e.names[0] {
+		t.Error("epochs between view DDL do not share their name catalogue")
+	}
 
 	// The reader advances monotonically.
 	if !rd.Refresh() {
@@ -111,8 +117,11 @@ func TestDBBasicLifecycle(t *testing.T) {
 	if err := d.DropView("cnt"); err != nil {
 		t.Fatal(err)
 	}
-	if d.Epoch().Has("cnt") {
+	if d.Epoch().Has("cnt") || len(d.Epoch().Views()) != 0 {
 		t.Error("dropped view still in epoch")
+	}
+	if !e.Has("cnt") || len(e.Views()) != 1 {
+		t.Error("the drop reached an epoch published before it")
 	}
 	if pinned.Result().Len() == 0 {
 		t.Error("pinned snapshot lost its entries")
@@ -248,7 +257,17 @@ func TestDBMultiRingViews(t *testing.T) {
 		t.Fatal("missing typed snapshots")
 	}
 	st := d.ViewStatsOf("cnt")
-	if st.Batches != 20 || st.Keys == 0 || st.Maintain <= 0 {
+	if st.Batches != 20 || st.Keys == 0 || st.Maintain <= 0 || st.PublishedKeys == 0 || st.MemoryBytes == 0 {
 		t.Errorf("stats = %+v", st)
+	}
+	// The epoch carries the same accounting for readers off the maintenance
+	// goroutine, minus the state walk.
+	es, ok := e.Stats("cnt")
+	st.MemoryBytes = 0
+	if !ok || es != st {
+		t.Errorf("epoch stats = %+v (%v), want %+v", es, ok, st)
+	}
+	if _, ok := e.Stats("nosuch"); ok {
+		t.Errorf("epoch stats of an unknown view")
 	}
 }

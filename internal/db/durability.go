@@ -149,7 +149,7 @@ func (d *DB) recoverFrom(rec *wal.Recovery) error {
 		}
 		d.applied = ck.Applied
 		d.seq = ck.Seq
-		d.publish() // re-seed the epoch at the recovered applied count
+		d.publish(time.Now()) // re-seed the epoch at the recovered applied count
 		for _, def := range ck.Views {
 			if err := d.recoverView(def); err != nil {
 				return fmt.Errorf("db: recover view %q: %w", def.Name, err)

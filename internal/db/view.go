@@ -254,9 +254,13 @@ func scalePayload[P any](r ring.Ring[P], n int64) P {
 
 func (v *View[P]) viewName() string    { return v.name }
 func (v *View[P]) queryRels() []string { return v.updRels }
-func (v *View[P]) viewCount() int      { return v.m.ViewCount() }
 func (v *View[P]) memoryBytes() int    { return v.m.MemoryBytes() }
-func (v *View[P]) stats() ViewStats    { return v.vstats }
+
+func (v *View[P]) stats() ViewStats {
+	st := v.vstats
+	st.ViewCount = v.m.ViewCount()
+	return st
+}
 
 func (v *View[P]) closeView() { closeMaintainer(v.m) }
 
@@ -281,11 +285,18 @@ func (v *View[P]) observe(batch []data.BaseUpdate) error {
 		}
 		tuples += uint64(len(u.Tuples))
 	}
-	err := v.m.ApplyDeltas(v.scratch)
+	if err := v.m.ApplyDeltas(v.scratch); err != nil {
+		return err
+	}
+	// The epoch the batch just published closes the accounting: its stamp is
+	// the end of this view's maintenance, and the DB epoch reuses it.
+	s := v.m.Snapshot()
+	v.db.stamp = s.At
 	v.vstats.Batches++
 	v.vstats.Keys += tuples
-	v.vstats.Maintain += time.Since(start)
-	return err
+	v.vstats.Maintain += s.At.Sub(start)
+	v.vstats.PublishedKeys += uint64(s.Patched)
+	return nil
 }
 
 // convert lifts one relation's updates of the batch into the view's ring,
@@ -372,7 +383,11 @@ func SnapshotOf[P any](e *Epoch, view string) *ivm.ViewSnapshot[P] {
 	if e == nil {
 		return nil
 	}
-	s, _ := e.snaps[view].(*ivm.ViewSnapshot[P])
+	i, ok := e.slot[view]
+	if !ok {
+		return nil
+	}
+	s, _ := e.views[i].snap.(*ivm.ViewSnapshot[P])
 	return s
 }
 

@@ -379,15 +379,19 @@ type ResultSnapshot struct {
 // Snapshot pins the engine's current published epoch. The first call
 // enables snapshot publication and must come from the maintenance
 // goroutine (typically right after Init); afterwards Snapshot may be called
-// from any goroutine.
+// from any goroutine. FactPayloads is the one representation that lives in
+// the views below the root, so it asks the engine for its view catalogue.
 func (r *Result) Snapshot() *ResultSnapshot {
 	s := &ResultSnapshot{Mode: r.Mode, Output: r.Output}
-	if r.keysEng != nil {
+	switch {
+	case r.keysEng != nil:
 		s.keys = r.keysEng.Snapshot()
-		return s
+	case r.Mode == FactPayloads:
+		s.tree = r.relEng.Tree()
+		s.rel = r.relEng.Catalog()
+	default:
+		s.rel = r.relEng.Snapshot()
 	}
-	s.tree = r.relEng.Tree()
-	s.rel = r.relEng.Snapshot()
 	return s
 }
 

@@ -1,6 +1,7 @@
 package factorized
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"fivm/internal/data"
 	"fivm/internal/query"
 	"fivm/internal/ring"
+	"fivm/internal/viewtree"
 	"fivm/internal/vorder"
 )
 
@@ -396,5 +398,118 @@ func TestSnapshotEnumerationMatchesLive(t *testing.T) {
 		if eq(after, before) {
 			t.Fatalf("%v: update did not change the enumerated result", mode)
 		}
+	}
+}
+
+// TestCatalogueUpgradeMatchesLive is the property behind FactPayloads
+// snapshots now that an engine epoch carries only the result until someone
+// asks for the view catalogue: over seeded random insert/delete histories,
+// result-only publication runs from the start and the catalogue is requested
+// at a random batch k. Before k no epoch carries a view; from k on, every
+// epoch's ViewOf(n) equals the live view at that batch boundary and snapshot
+// enumeration equals live enumeration. A reader goroutine keeps re-walking
+// every pinned catalogue epoch while maintenance streams on (run under
+// -race), checking each still enumerates its own batch.
+func TestCatalogueUpgradeMatchesLive(t *testing.T) {
+	type pin struct {
+		snap *ResultSnapshot
+		want []string
+	}
+	snapTuples := func(s *ResultSnapshot) []string {
+		var out []string
+		s.Enumerate(func(tu data.Tuple) bool {
+			out = append(out, tu.String())
+			return true
+		})
+		sort.Strings(out)
+		return out
+	}
+	q := paperCQ()
+	names := q.RelNames()
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const batches = 40
+		k := 1 + rng.Intn(batches-10)
+		r := newResult(t, FactPayloads, nil)
+		if err := r.Init(); err != nil {
+			t.Fatal(err)
+		}
+		eng := r.relEng
+		eng.Snapshot() // result-only publication from epoch 0
+
+		pins := make(chan pin, batches) // one send per batch at most: never blocks maintenance
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			var held []pin
+			for p := range pins {
+				held = append(held, p)
+				for _, h := range held {
+					if got := snapTuples(h.snap); fmt.Sprint(got) != fmt.Sprint(h.want) {
+						t.Errorf("seed %d: pinned epoch %d enumerates %v, want %v", seed, h.snap.Epoch(), got, h.want)
+						return
+					}
+				}
+			}
+		}()
+
+		live := make(map[string][]data.Tuple)
+		for b := 1; b <= batches; b++ {
+			rel := names[rng.Intn(len(names))]
+			rd, _ := q.Rel(rel)
+			d := data.NewRelation[int64](ring.Int{}, rd.Schema)
+			for i := 0; i < 1+rng.Intn(4); i++ {
+				if n := len(live[rel]); n > 0 && rng.Intn(3) == 0 {
+					j := rng.Intn(n)
+					d.Merge(live[rel][j], -1)
+					live[rel] = append(live[rel][:j], live[rel][j+1:]...)
+					continue
+				}
+				tup := make(data.Tuple, len(rd.Schema))
+				for j := range tup {
+					tup[j] = data.Int(int64(rng.Intn(3)))
+				}
+				d.Merge(tup, 1)
+				live[rel] = append(live[rel], tup)
+			}
+			if err := r.ApplyDelta(rel, d); err != nil {
+				t.Fatalf("seed %d batch %d: %v", seed, b, err)
+			}
+			if b < k {
+				if s := eng.Snapshot(); s.Epoch != uint64(b) || len(s.Views()) != 0 || s.ViewOf(eng.Tree()) != nil {
+					t.Fatalf("seed %d batch %d: epoch %d carries views %v before anyone asked", seed, b, s.Epoch, s.Views())
+				}
+				continue
+			}
+			s := r.Snapshot() // the request at b == k, one atomic load afterwards
+			if s.Epoch() != uint64(b) {
+				t.Fatalf("seed %d batch %d (k=%d): catalogue epoch %d", seed, b, k, s.Epoch())
+			}
+			eng.Tree().Walk(func(n *viewtree.Node) {
+				lv, sv := eng.ViewOf(n), s.rel.ViewOf(n)
+				if (lv == nil) != (sv == nil) {
+					t.Fatalf("seed %d batch %d: view %s live=%v snapshot=%v", seed, b, n.Name(), lv != nil, sv != nil)
+				}
+				if lv == nil {
+					return
+				}
+				if lv.Len() != sv.Len() {
+					t.Fatalf("seed %d batch %d: view %s has %d keys live, %d in the snapshot", seed, b, n.Name(), lv.Len(), sv.Len())
+				}
+				lv.Iterate(func(tu data.Tuple, p *data.Multiset) bool {
+					if sp, ok := sv.Get(tu); !ok || sp.String() != p.String() {
+						t.Fatalf("seed %d batch %d: view %s key %v is %v live, %v (%v) in the snapshot", seed, b, n.Name(), tu, p, sp, ok)
+					}
+					return true
+				})
+			})
+			want := enumerate(r)
+			if got := snapTuples(s); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("seed %d batch %d: snapshot enumerates %v, live %v", seed, b, got, want)
+			}
+			pins <- pin{snap: s, want: want}
+		}
+		close(pins)
+		<-done
 	}
 }

@@ -41,10 +41,12 @@ type Maintainer[P any] interface {
 	// which is race-free and observes only whole applied batches. Result
 	// remains for quiescent single-goroutine use and internal reductions.
 	Result() *data.Relation[P]
-	// Snapshot returns the latest published consistent snapshot: the state
-	// after some whole applied batch, never mid-batch. The first call
-	// enables publication and must come from the maintenance goroutine
-	// (typically right after Init); afterwards every applied batch
+	// Snapshot returns the latest published consistent snapshot of the
+	// result: its state after some whole applied batch, never mid-batch.
+	// Only the result is published — whatever else the strategy stores is
+	// maintenance state (Engine.Catalog adds an engine's views on request).
+	// The first call enables publication and must come from the maintenance
+	// goroutine (typically right after Init); afterwards every applied batch
 	// publishes a fresh epoch and Snapshot is safe from any goroutine.
 	Snapshot() *ViewSnapshot[P]
 	// ViewCount reports how many views the strategy materializes.
@@ -124,10 +126,15 @@ type Engine[P any] struct {
 	mat       map[*viewtree.Node]bool
 	views     map[*viewtree.Node]*data.IndexedRelation[P]
 	plans     map[*viewtree.Node]*deltaPlan[P]
-	// snapshot catalog: stable view names and the epoch publisher.
-	names  map[*viewtree.Node]string
-	byName map[string]*viewtree.Node
-	pub    publisher[P]
+	// Stable view names and the epoch publisher. catalog is set by the first
+	// Catalog call: epochs then carry every materialized view, not just the
+	// root. catNames caches the sorted catalogue across epochs; plan drops it
+	// (a replan renames views), and a length mismatch rebuilds it.
+	names    map[*viewtree.Node]string
+	byName   map[string]*viewtree.Node
+	pub      publisher[P]
+	catalog  bool
+	catNames []string
 	// indicator machinery
 	indLeaves map[string][]*viewtree.Node // base relation -> indicator leaves
 	trackers  map[*viewtree.Node]*viewtree.IndicatorTracker
@@ -249,7 +256,7 @@ func (e *Engine[P]) plan(o *vorder.Order) error {
 
 	e.mat = e.materialization()
 	e.nameViews()
-	e.pub.invalidateNames()
+	e.catNames = nil
 	// Build delta plans for every leaf that can emit deltas.
 	for _, leaf := range root.Leaves() {
 		if !e.updatable[leaf.Rel] {
@@ -342,7 +349,7 @@ func (e *Engine[P]) Materialized(n *viewtree.Node) bool { return e.mat[n] }
 // ViewOf returns the materialized contents of a view, or nil. The returned
 // relation is a live handle that delta propagation keeps mutating: it is not
 // safe to read while another goroutine applies deltas. Concurrent readers
-// must pin an epoch via Snapshot and read ViewSnapshot.ViewOf / View.
+// must pin an epoch via Catalog and read ViewSnapshot.ViewOf / View.
 func (e *Engine[P]) ViewOf(n *viewtree.Node) *data.Relation[P] {
 	if v, ok := e.views[n]; ok {
 		return v.Relation

@@ -20,9 +20,6 @@ type NaiveReEval[P any] struct {
 	bases  map[string]*data.Relation[P]
 	result *data.Relation[P]
 	pub    publisher[P]
-	// seal caches the snapshot of the current result relation, which is
-	// replaced (never mutated) by each recomputation.
-	seal sealCache[P]
 }
 
 // NewNaiveReEval builds the naive re-evaluation maintainer.

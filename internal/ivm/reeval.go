@@ -23,9 +23,6 @@ type ReEval[P any] struct {
 	bases  map[string]*data.Relation[P]
 	result *data.Relation[P]
 	pub    publisher[P]
-	// seal caches the snapshot of the current result relation, which is
-	// replaced (never mutated) by each recomputation.
-	seal sealCache[P]
 }
 
 // NewReEval builds a re-evaluation maintainer over the given variable order.

@@ -10,13 +10,21 @@ import (
 	"fivm/internal/viewtree"
 )
 
-// ViewSnapshot is one published epoch of a maintainer's state: an immutable,
-// mutually consistent set of relation snapshots — the query result plus a
-// named catalog of the materialized views — taken after some whole applied
-// batch, never mid-batch. Snapshots are published with a single atomic
-// pointer swap, so any number of reader goroutines can pin an epoch and read
-// it lock-free while maintenance keeps streaming; see internal/serve for
-// reader handles.
+// ViewSnapshot is one published epoch of a maintainer's state, taken after
+// some whole applied batch, never mid-batch. An epoch carries exactly what a
+// reader can name:
+//
+//   - the query result, always;
+//   - the catalogue of an engine's materialized views (View, Views, ViewOf),
+//     only in epochs published after the engine was asked for it
+//     (Engine.Catalog). The views below the root are maintenance state:
+//     until someone asks, they are never snapshotted and pay no dirty
+//     tracking on the write path.
+//
+// Everything in one epoch is mutually consistent. Snapshots are published
+// with a single atomic pointer swap, so any number of reader goroutines can
+// pin an epoch and read it lock-free while maintenance keeps streaming; see
+// internal/serve for reader handles.
 type ViewSnapshot[P any] struct {
 	// Epoch counts published snapshots: 0 at enablement, +1 per applied
 	// batch. Within one maintainer it is strictly monotonic.
@@ -24,8 +32,13 @@ type ViewSnapshot[P any] struct {
 	// At is the publication wall time, the reference point of the
 	// freshness-lag metric (time.Since(s.At) bounds a reader's staleness).
 	At time.Time
+	// Patched is the publish work this epoch cost: the dirty keys patched
+	// into its relation snapshots (every key, for a result resealed
+	// wholesale).
+	Patched int
 
 	result *data.RelationSnapshot[P]
+	// The catalogue; all nil in result-only epochs.
 	views  map[string]*data.RelationSnapshot[P]
 	byNode map[*viewtree.Node]*data.RelationSnapshot[P]
 	names  []string
@@ -34,17 +47,30 @@ type ViewSnapshot[P any] struct {
 // Result returns the snapshot of the maintained query result.
 func (s *ViewSnapshot[P]) Result() *data.RelationSnapshot[P] { return s.result }
 
-// View returns the snapshot of the named materialized view, or nil. Names
-// come from the maintainer's catalog (ViewNames).
+// View returns the snapshot of the named materialized view, or nil — always
+// nil in an epoch without the catalogue. Names are Engine.ViewNames.
 func (s *ViewSnapshot[P]) View(name string) *data.RelationSnapshot[P] { return s.views[name] }
 
-// Views returns the sorted catalog of view names in this snapshot.
+// Views returns the sorted catalogue of view names in this snapshot (empty
+// without the catalogue). Shared across epochs: do not modify.
 func (s *ViewSnapshot[P]) Views() []string { return s.names }
 
-// ViewOf returns the snapshot of a view-tree node's materialization, or nil.
-// Only engine-published snapshots carry the node catalog; the factorized
-// result representation enumerates through it.
+// ViewOf returns the snapshot of a view-tree node's materialization, or nil
+// (always nil without the catalogue). The factorized result representation
+// enumerates through it.
 func (s *ViewSnapshot[P]) ViewOf(n *viewtree.Node) *data.RelationSnapshot[P] { return s.byNode[n] }
+
+// liveEpoch starts an epoch from a result relation maintained in place: its
+// incremental snapshot, O(keys changed since the last one).
+func liveEpoch[P any](r *data.Relation[P]) *ViewSnapshot[P] {
+	n, _ := r.DirtyKeys()
+	return &ViewSnapshot[P]{Patched: n, result: r.Snapshot()}
+}
+
+// sealedEpoch starts an epoch from a result rebuilt wholesale per batch.
+func sealedEpoch[P any](rs *data.RelationSnapshot[P]) *ViewSnapshot[P] {
+	return &ViewSnapshot[P]{Patched: rs.Len(), result: rs}
+}
 
 // publisher is the epoch machinery every maintainer embeds: an atomic
 // pointer to the latest published snapshot. A nil pointer means publication
@@ -52,6 +78,9 @@ func (s *ViewSnapshot[P]) ViewOf(n *viewtree.Node) *data.RelationSnapshot[P] { r
 //
 // The publication contract, shared by every maintainer:
 //
+//   - An epoch carries the result. Nothing else a maintainer stores — base
+//     copies, per-aggregate results, shard-local or internal views — is
+//     published; only Engine can add its view catalogue, on request.
 //   - The first Snapshot call must not race ApplyDelta/ApplyDeltas: call it
 //     once from the maintenance goroutine (typically right after Init) to
 //     enable publication.
@@ -62,87 +91,51 @@ func (s *ViewSnapshot[P]) ViewOf(n *viewtree.Node) *data.RelationSnapshot[P] { r
 //     maintenance path beyond one atomic load per applied batch.
 type publisher[P any] struct {
 	cur atomic.Pointer[ViewSnapshot[P]]
-	// names caches the sorted catalog across epochs (the catalog only
-	// changes when views appear or a replan renames them); maintainers
-	// whose catalog changed call invalidateNames, and a length mismatch
-	// invalidates automatically.
-	names []string
 }
 
 // enabled reports whether publication has been switched on.
 func (p *publisher[P]) enabled() bool { return p.cur.Load() != nil }
 
-// invalidateNames drops the cached catalog, forcing the next publish to
-// rebuild it (engine replans rename views without changing their count).
-func (p *publisher[P]) invalidateNames() { p.names = nil }
-
-// publish installs the next epoch and returns it.
-func (p *publisher[P]) publish(result *data.RelationSnapshot[P], views map[string]*data.RelationSnapshot[P], byNode map[*viewtree.Node]*data.RelationSnapshot[P]) *ViewSnapshot[P] {
-	var epoch uint64
+// publish stamps s as the next epoch and installs it.
+func (p *publisher[P]) publish(s *ViewSnapshot[P]) *ViewSnapshot[P] {
 	if prev := p.cur.Load(); prev != nil {
-		epoch = prev.Epoch + 1
+		s.Epoch = prev.Epoch + 1
 	}
-	if len(p.names) != len(views) {
-		names := make([]string, 0, len(views))
-		for name := range views {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		p.names = names
-	}
-	s := &ViewSnapshot[P]{Epoch: epoch, At: time.Now(), result: result, views: views, byNode: byNode, names: p.names}
+	s.At = time.Now()
 	p.cur.Store(s)
 	return s
 }
 
-// basesViews snapshots every stored base relation into a fresh catalog map
-// with room for the result view.
-func basesViews[P any](bases map[string]*data.Relation[P]) map[string]*data.RelationSnapshot[P] {
-	views := make(map[string]*data.RelationSnapshot[P], len(bases)+1)
-	for rel, b := range bases {
-		views[rel] = b.Snapshot()
-	}
-	return views
-}
-
-// putResult adds the result snapshot to the catalog under the query's name,
-// suffixing "#result" when a base relation already claims that name (a
-// query may legally share its name with one of its relations).
-func putResult[P any](views map[string]*data.RelationSnapshot[P], name string, res *data.RelationSnapshot[P]) {
-	for {
-		if _, taken := views[name]; !taken {
-			views[name] = res
-			return
-		}
-		name += "#result"
-	}
-}
-
-// sealCache memoizes the sealed snapshot of a result relation that is
-// replaced (never mutated) per recomputation, keyed by relation identity.
-type sealCache[P any] struct {
-	from *data.Relation[P]
-	snap *data.RelationSnapshot[P]
-}
-
-func (c *sealCache[P]) of(r *data.Relation[P]) *data.RelationSnapshot[P] {
-	if c.from != r {
-		c.snap = r.Seal()
-		c.from = r
-	}
-	return c.snap
-}
-
 // --- engine ------------------------------------------------------------------
 
-// Snapshot returns the latest published consistent snapshot of the engine's
-// materialized views, enabling publication on first use (see publisher for
-// the concurrency contract).
+// Snapshot returns the latest published snapshot of the query result,
+// enabling publication on first use (see publisher for the concurrency
+// contract). Only the root view is snapshotted; see Catalog.
 func (e *Engine[P]) Snapshot() *ViewSnapshot[P] {
 	if s := e.pub.cur.Load(); s != nil {
 		return s
 	}
 	return e.publishSnapshot()
+}
+
+// Catalog returns the latest published snapshot with the catalogue of every
+// materialized view in it. The first call is the request: like the first
+// Snapshot call it must come from the maintenance goroutine, between batches.
+// It snapshots the views as they stand, republishes the current epoch with
+// them attached (same Epoch and At: the state is the same), and from the
+// next batch on every epoch carries the catalogue, at the cost of dirty
+// tracking on every view. Afterwards Catalog is one atomic load from any
+// goroutine. A reader pinned before the request keeps its result-only epoch.
+func (e *Engine[P]) Catalog() *ViewSnapshot[P] {
+	s := e.Snapshot()
+	if s.byNode != nil {
+		return s
+	}
+	e.catalog = true
+	up := &ViewSnapshot[P]{Epoch: s.Epoch, At: s.At, Patched: s.Patched, result: s.result}
+	e.fillCatalog(up)
+	e.pub.cur.Store(up)
+	return up
 }
 
 // maybePublish publishes a fresh epoch if serving is enabled; maintainers
@@ -153,23 +146,37 @@ func (e *Engine[P]) maybePublish() {
 	}
 }
 
-// publishSnapshot snapshots every materialized view (O(changed keys) per
-// view via relation dirty tracking) and swaps in the new epoch.
+// publishSnapshot snapshots the root view (O(changed keys), via relation
+// dirty tracking) — plus every other materialized view once the catalogue
+// was requested — and swaps in the new epoch.
 func (e *Engine[P]) publishSnapshot() *ViewSnapshot[P] {
-	views := make(map[string]*data.RelationSnapshot[P], len(e.views))
-	byNode := make(map[*viewtree.Node]*data.RelationSnapshot[P], len(e.views))
+	// Before Init, Result is an empty relation: a well-formed empty epoch.
+	s := liveEpoch(e.Result())
+	if e.catalog {
+		e.fillCatalog(s)
+	}
+	return e.pub.publish(s)
+}
+
+// fillCatalog snapshots every materialized view below the root into s, whose
+// result is already set.
+func (e *Engine[P]) fillCatalog(s *ViewSnapshot[P]) {
+	s.views = make(map[string]*data.RelationSnapshot[P], len(e.views))
+	s.byNode = make(map[*viewtree.Node]*data.RelationSnapshot[P], len(e.views))
 	for node, ir := range e.views {
-		s := ir.Snapshot()
-		views[e.names[node]] = s
-		byNode[node] = s
+		rs := s.result
+		if node != e.root {
+			n, _ := ir.DirtyKeys()
+			s.Patched += n
+			rs = ir.Snapshot()
+		}
+		s.views[e.names[node]] = rs
+		s.byNode[node] = rs
 	}
-	result := byNode[e.root]
-	if result == nil {
-		// Snapshot before Init (or of an engine whose root was never built):
-		// an empty result, so readers see a well-formed epoch.
-		result = data.NewRelation(e.ring, e.root.Keys).Seal()
+	if len(e.catNames) != len(e.views) {
+		e.catNames = e.ViewNames()
 	}
-	return e.pub.publish(result, views, byNode)
+	s.names = e.catNames
 }
 
 // nameViews assigns every view-tree node its catalog name — Node.Name, made
@@ -196,7 +203,7 @@ func (e *Engine[P]) nameViews() {
 
 // ViewNames returns the catalog of view names the engine materializes, in
 // sorted order. Every name resolves through ViewByName and appears in every
-// published ViewSnapshot.
+// ViewSnapshot that carries the catalogue.
 func (e *Engine[P]) ViewNames() []string {
 	out := make([]string, 0, len(e.views))
 	for node := range e.views {
@@ -209,7 +216,7 @@ func (e *Engine[P]) ViewNames() []string {
 // ViewByName returns the live materialized relation of the named view
 // (Node.Name form, e.g. "V@C[A,B]" or a leaf's relation name), or nil if
 // the name is unknown or the view is not materialized. Like Result and
-// ViewOf, the returned relation is a live handle — use Snapshot().View(name)
+// ViewOf, the returned relation is a live handle — use Catalog().View(name)
 // for a consistent, concurrency-safe read.
 func (e *Engine[P]) ViewByName(name string) *data.Relation[P] {
 	node, ok := e.byName[name]
@@ -219,11 +226,9 @@ func (e *Engine[P]) ViewByName(name string) *data.Relation[P] {
 	return e.ViewOf(node)
 }
 
-// --- first-order -------------------------------------------------------------
+// --- the other maintainers: result-only epochs (see publisher) ---------------
 
-// Snapshot returns the latest published snapshot: the maintained result
-// under the query's name plus the stored base relations under theirs. See
-// publisher for the concurrency contract.
+// Snapshot returns the latest published snapshot of the maintained result.
 func (m *FirstOrder[P]) Snapshot() *ViewSnapshot[P] {
 	if s := m.pub.cur.Load(); s != nil {
 		return s
@@ -238,22 +243,10 @@ func (m *FirstOrder[P]) maybePublish() {
 }
 
 func (m *FirstOrder[P]) publishSnapshot() *ViewSnapshot[P] {
-	views := basesViews(m.bases)
-	var res *data.RelationSnapshot[P]
-	if m.result != nil {
-		res = m.result.Snapshot()
-	} else {
-		res = data.NewRelation(m.ring, m.root.Keys).Seal()
-	}
-	putResult(views, m.q.Name, res)
-	return m.pub.publish(res, views, nil)
+	return m.pub.publish(liveEpoch(m.Result()))
 }
 
-// --- recursive ---------------------------------------------------------------
-
-// Snapshot returns the latest published snapshot: every view of the
-// recursive hierarchy under its signature name, the root as the result. See
-// publisher for the concurrency contract.
+// Snapshot returns the latest published snapshot of the hierarchy's root.
 func (m *Recursive[P]) Snapshot() *ViewSnapshot[P] {
 	if s := m.pub.cur.Load(); s != nil {
 		return s
@@ -268,19 +261,12 @@ func (m *Recursive[P]) maybePublish() {
 }
 
 func (m *Recursive[P]) publishSnapshot() *ViewSnapshot[P] {
-	views := make(map[string]*data.RelationSnapshot[P], len(m.order))
-	for _, v := range m.order {
-		views[v.sig] = v.rel.Snapshot()
-	}
-	return m.pub.publish(views[m.root.sig], views, nil)
+	return m.pub.publish(liveEpoch(m.Result()))
 }
 
-// --- re-evaluation -----------------------------------------------------------
-
-// Snapshot returns the latest published snapshot. The result is recomputed
-// wholesale per batch, so its snapshot is sealed from each fresh result
-// relation; the stored bases snapshot incrementally. See publisher for the
-// concurrency contract.
+// Snapshot returns the latest published snapshot. The result relation is
+// replaced (never mutated) per batch, so each epoch seals the fresh one,
+// sharing its entries.
 func (m *ReEval[P]) Snapshot() *ViewSnapshot[P] {
 	if s := m.pub.cur.Load(); s != nil {
 		return s
@@ -295,21 +281,11 @@ func (m *ReEval[P]) maybePublish() {
 }
 
 func (m *ReEval[P]) publishSnapshot() *ViewSnapshot[P] {
-	views := basesViews(m.bases)
-	var res *data.RelationSnapshot[P]
-	if m.result != nil {
-		// The result relation is replaced (never mutated) per batch, so the
-		// snapshot can share its entries; sealCache memoizes per pointer.
-		res = m.seal.of(m.result)
-	} else {
-		res = data.NewRelation(m.ring, m.root.Keys).Seal()
-	}
-	putResult(views, m.q.Name, res)
-	return m.pub.publish(res, views, nil)
+	return m.pub.publish(sealedEpoch(m.Result().Seal()))
 }
 
 // Snapshot returns the latest published snapshot; like ReEval, the result is
-// sealed per recomputation. See publisher for the concurrency contract.
+// sealed per recomputation.
 func (m *NaiveReEval[P]) Snapshot() *ViewSnapshot[P] {
 	if s := m.pub.cur.Load(); s != nil {
 		return s
@@ -324,25 +300,11 @@ func (m *NaiveReEval[P]) maybePublish() {
 }
 
 func (m *NaiveReEval[P]) publishSnapshot() *ViewSnapshot[P] {
-	views := basesViews(m.bases)
-	var res *data.RelationSnapshot[P]
-	if m.result != nil {
-		res = m.seal.of(m.result)
-	} else {
-		res = data.NewRelation(m.ring, m.q.Free).Seal()
-	}
-	putResult(views, m.q.Name, res)
-	return m.pub.publish(res, views, nil)
+	return m.pub.publish(sealedEpoch(m.Result().Seal()))
 }
 
-// --- scalar multi-aggregate maintainers --------------------------------------
-
-// aggName names the i-th scalar aggregate view in multi-aggregate catalogs.
-func aggName(i int) string { return "agg" + strconv.Itoa(i) }
-
-// Snapshot returns the latest published snapshot: one view per scalar
-// aggregate ("agg0", "agg1", ...) plus the shared bases, with the count
-// aggregate as the result. See publisher for the concurrency contract.
+// Snapshot returns the latest published snapshot of the first (count)
+// aggregate, the maintainer's Result.
 func (m *MultiFirstOrder) Snapshot() *ViewSnapshot[float64] {
 	if s := m.pub.cur.Load(); s != nil {
 		return s
@@ -357,22 +319,11 @@ func (m *MultiFirstOrder) maybePublish() {
 }
 
 func (m *MultiFirstOrder) publishSnapshot() *ViewSnapshot[float64] {
-	views := make(map[string]*data.RelationSnapshot[float64], len(m.results)+len(m.bases))
-	for rel, b := range m.bases {
-		views[rel] = b.Snapshot()
-	}
-	for i, r := range m.results {
-		views[aggName(i)] = r.Snapshot()
-	}
-	res := views[aggName(0)]
-	if res == nil {
-		res = m.Result().Seal()
-	}
-	return m.pub.publish(res, views, nil)
+	return m.pub.publish(liveEpoch(m.Result()))
 }
 
-// Snapshot returns the latest published snapshot: one view per scalar
-// aggregate hierarchy root. See publisher for the concurrency contract.
+// Snapshot returns the latest published snapshot of the first aggregate's
+// hierarchy root, the maintainer's Result.
 func (m *MultiRecursive) Snapshot() *ViewSnapshot[float64] {
 	if s := m.pub.cur.Load(); s != nil {
 		return s
@@ -387,20 +338,12 @@ func (m *MultiRecursive) maybePublish() {
 }
 
 func (m *MultiRecursive) publishSnapshot() *ViewSnapshot[float64] {
-	views := make(map[string]*data.RelationSnapshot[float64], len(m.instances))
-	for i, inst := range m.instances {
-		views[aggName(i)] = inst.root.rel.Snapshot()
-	}
-	return m.pub.publish(views[aggName(0)], views, nil)
+	return m.pub.publish(liveEpoch(m.Result()))
 }
-
-// --- parallel ----------------------------------------------------------------
 
 // Snapshot returns the latest published snapshot. A sharded maintainer
 // reduces the shard results key-wise after each batch and seals the reduced
-// relation — shard-local views are per-shard state and are not cataloged;
-// the sequential fallback delegates to its inner maintainer. See publisher
-// for the concurrency contract.
+// relation; the sequential fallback delegates to its inner maintainer.
 func (p *Parallel[P]) Snapshot() *ViewSnapshot[P] {
 	if !p.Sharded() {
 		return p.shards[0].Snapshot()
@@ -426,7 +369,5 @@ func (p *Parallel[P]) publishSnapshot() *ViewSnapshot[P] {
 	for _, m := range p.shards {
 		p.reduceParts = append(p.reduceParts, m.Result())
 	}
-	res := data.ReduceSealed(p.ring, p.reduceParts[0].Schema(), p.reduceParts)
-	views := map[string]*data.RelationSnapshot[P]{p.q.Name: res}
-	return p.pub.publish(res, views, nil)
+	return p.pub.publish(sealedEpoch(data.ReduceSealed(p.ring, p.reduceParts[0].Schema(), p.reduceParts)))
 }

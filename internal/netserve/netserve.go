@@ -194,12 +194,25 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	d := s.cfg.DB()
+	// Per-view publish work, read from the pinned epoch (the live counters
+	// belong to the maintenance goroutine).
+	type viewStats struct {
+		PublishedKeys     uint64 `json:"published_keys"`
+		ViewsMaterialized int    `json:"views_materialized"`
+	}
+	names := e.Views()
+	perView := make(map[string]viewStats, len(names))
+	for _, name := range names {
+		st, _ := e.Stats(name)
+		perView[name] = viewStats{PublishedKeys: st.PublishedKeys, ViewsMaterialized: st.ViewCount}
+	}
 	resp := map[string]any{
-		"epoch":    e.Seq,
-		"applied":  e.Applied,
-		"lag":      time.Since(e.At).String(),
-		"views":    e.Views(),
-		"follower": d.Follower(),
+		"epoch":      e.Seq,
+		"applied":    e.Applied,
+		"lag":        time.Since(e.At).String(),
+		"views":      names,
+		"view_stats": perView,
+		"follower":   d.Follower(),
 	}
 	if d.Follower() {
 		resp["repl_lsn"] = d.ReplLSN()

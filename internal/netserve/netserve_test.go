@@ -141,6 +141,14 @@ func TestServeLookupScanHeaders(t *testing.T) {
 
 	getJSON(t, ts.URL+"/view/nosuch/lookup?key=1", http.StatusNotFound)
 	getJSON(t, ts.URL+"/view/sums/lookup?key=i:notanint", http.StatusBadRequest)
+
+	// Publish work per view: the R batch changed no result key (S was empty),
+	// the S batch patched groups 1 and 2 into the result snapshot.
+	m, _ = getJSON(t, ts.URL+"/stats", http.StatusOK)
+	st, _ := m["view_stats"].(map[string]any)["sums"].(map[string]any)
+	if st["published_keys"] != float64(2) || st["views_materialized"].(float64) < 1 {
+		t.Fatalf("stats view_stats: %v", m["view_stats"])
+	}
 }
 
 func TestServeMinEpoch(t *testing.T) {

@@ -1,16 +1,18 @@
 // Package serve is the read path over live-maintained views: epoch-pinned
 // reader handles with snapshot isolation.
 //
-// The maintenance strategies in internal/ivm keep their views continuously
-// up to date, but their Result/ViewOf accessors hand out live relations that
-// are unsafe to read while deltas stream in. serve closes that gap: once a
+// The maintenance strategies in internal/ivm keep their results continuously
+// up to date, but their Result accessors hand out live relations that are
+// unsafe to read while deltas stream in. serve closes that gap: once a
 // maintainer's snapshot publication is enabled (one Snapshot call from the
 // maintenance goroutine, typically right after Init), every applied batch
-// publishes an immutable ViewSnapshot with an atomic pointer swap, and any
-// number of Reader goroutines can pin an epoch and read it lock-free — point
-// lookups by group-by key, ordered prefix scans, and whole-view iteration —
-// each read observing exactly the state after some whole batch, never a
-// torn mid-batch state.
+// publishes an immutable ViewSnapshot of the result with an atomic pointer
+// swap, and any number of Reader goroutines can pin an epoch and read it
+// lock-free — point lookups by group-by key, ordered prefix scans, and
+// whole-result iteration — each read observing exactly the state after some
+// whole batch, never a torn mid-batch state. A Reader reads the result; an
+// engine's internal views are reachable only through the ViewSnapshot of an
+// engine that was asked for its catalogue (ivm.Engine.Catalog).
 //
 // Readers never block maintenance and maintenance never blocks readers; the
 // only coordination is the atomic epoch-pointer load in Refresh. A pinned
@@ -31,7 +33,7 @@ type Source[P any] interface {
 	Snapshot() *ivm.ViewSnapshot[P]
 }
 
-// Reader is a handle over one pinned epoch of a Source's published views.
+// Reader is a handle over one pinned epoch of a Source's published result.
 // It is owned by a single goroutine (it carries key-encoding scratch); spawn
 // one Reader per reading goroutine. All reads between two Refresh calls
 // observe one consistent epoch.
@@ -109,33 +111,12 @@ func (r *Reader[P]) Lag() time.Duration { return time.Since(r.snap.At) }
 // Result returns the pinned snapshot of the query result.
 func (r *Reader[P]) Result() *data.RelationSnapshot[P] { return r.snap.Result() }
 
-// View returns the pinned snapshot of a named materialized view, or nil.
-func (r *Reader[P]) View(name string) *data.RelationSnapshot[P] { return r.snap.View(name) }
-
-// Views returns the pinned epoch's view catalog.
-func (r *Reader[P]) Views() []string { return r.snap.Views() }
-
 // Lookup returns the result payload of a group-by key tuple (over the
 // result schema, in schema order) and whether it is present. Steady-state
 // lookups do not allocate.
 func (r *Reader[P]) Lookup(group data.Tuple) (P, bool) {
-	return r.lookupIn(r.snap.Result(), group)
-}
-
-// LookupView is Lookup against a named materialized view. The bool result is
-// false for unknown view names.
-func (r *Reader[P]) LookupView(view string, key data.Tuple) (P, bool) {
-	v := r.snap.View(view)
-	if v == nil {
-		var zero P
-		return zero, false
-	}
-	return r.lookupIn(v, key)
-}
-
-func (r *Reader[P]) lookupIn(s *data.RelationSnapshot[P], key data.Tuple) (P, bool) {
-	r.keyBuf = key.AppendKey(r.keyBuf[:0])
-	if e := s.Lookup(r.keyBuf); e != nil {
+	r.keyBuf = group.AppendKey(r.keyBuf[:0])
+	if e := r.snap.Result().Lookup(r.keyBuf); e != nil {
 		return e.Payload, true
 	}
 	var zero P
@@ -147,20 +128,8 @@ func (r *Reader[P]) lookupIn(s *data.RelationSnapshot[P], key data.Tuple) (P, bo
 // result), until f returns false. The prefix binds values for the first
 // len(prefix) variables of the result schema.
 func (r *Reader[P]) Scan(prefix data.Tuple, f func(t data.Tuple, p P) bool) {
-	r.scanIn(r.snap.Result(), prefix, f)
-}
-
-// ScanView is Scan against a named materialized view; unknown names visit
-// nothing.
-func (r *Reader[P]) ScanView(view string, prefix data.Tuple, f func(t data.Tuple, p P) bool) {
-	if v := r.snap.View(view); v != nil {
-		r.scanIn(v, prefix, f)
-	}
-}
-
-func (r *Reader[P]) scanIn(s *data.RelationSnapshot[P], prefix data.Tuple, f func(t data.Tuple, p P) bool) {
 	r.keyBuf = prefix.AppendKey(r.keyBuf[:0])
-	s.ScanPrefix(r.keyBuf, func(e *data.Entry[P]) bool {
+	r.snap.Result().ScanPrefix(r.keyBuf, func(e *data.Entry[P]) bool {
 		return f(e.Tuple, e.Payload)
 	})
 }

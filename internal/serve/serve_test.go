@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"testing"
 
 	"fivm/internal/data"
@@ -110,66 +109,5 @@ func TestReaderScanPrefix(t *testing.T) {
 	rd.Scan(nil, func(data.Tuple, int64) bool { n++; return true })
 	if n != rd.Len() || n != 12 {
 		t.Fatalf("full scan visited %d, Len=%d, want 12", n, rd.Len())
-	}
-}
-
-// TestReaderViewCatalog: every cataloged view is readable through the
-// snapshot and matches the engine's live view after quiescence; ViewByName
-// resolves the same names live.
-func TestReaderViewCatalog(t *testing.T) {
-	eng := testEngine(t)
-	rd := NewReader[int64](eng)
-	names := rd.Views()
-	if len(names) == 0 {
-		t.Fatalf("empty view catalog")
-	}
-	if got, want := fmt.Sprint(names), fmt.Sprint(eng.ViewNames()); got != want {
-		t.Fatalf("snapshot catalog %v != engine catalog %v", got, want)
-	}
-	for _, name := range names {
-		snap := rd.View(name)
-		live := eng.ViewByName(name)
-		if snap == nil || live == nil {
-			t.Fatalf("view %q: snapshot=%v live=%v", name, snap, live)
-		}
-		if snap.Len() != live.Len() {
-			t.Fatalf("view %q: snapshot Len %d != live Len %d", name, snap.Len(), live.Len())
-		}
-		snap.Iterate(func(tu data.Tuple, p int64) bool {
-			if lp, ok := live.Get(tu); !ok || lp != p {
-				t.Fatalf("view %q: tuple %v snapshot=%d live=%d,%v", name, tu, p, lp, ok)
-			}
-			return true
-		})
-	}
-	if eng.ViewByName("no-such-view") != nil {
-		t.Fatalf("ViewByName of unknown name is non-nil")
-	}
-	if rd.View("no-such-view") != nil {
-		t.Fatalf("View of unknown name is non-nil")
-	}
-}
-
-// TestReaderLookupView: point lookups against every cataloged view agree
-// with the view's own iteration.
-func TestReaderLookupView(t *testing.T) {
-	eng := testEngine(t)
-	rd := NewReader[int64](eng)
-	checked := 0
-	for _, name := range rd.Views() {
-		rd.View(name).Iterate(func(tu data.Tuple, want int64) bool {
-			got, ok := rd.LookupView(name, tu)
-			if !ok || got != want {
-				t.Fatalf("LookupView(%s, %v) = %d,%v want %d", name, tu, got, ok, want)
-			}
-			checked++
-			return true
-		})
-	}
-	if checked == 0 {
-		t.Fatalf("no view entries checked; catalog %v", rd.Views())
-	}
-	if _, ok := rd.LookupView("no-such-view", data.Ints(0)); ok {
-		t.Fatalf("LookupView on unknown view reported ok")
 	}
 }
