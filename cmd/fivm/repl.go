@@ -216,8 +216,9 @@ func replCommand(d *db.DB, out io.Writer, line string, stream []datasets.Batch, 
 		}
 		for _, name := range names {
 			st := d.ViewStatsOf(name)
-			fmt.Fprintf(out, "  %-16s %d inner views, %s, %d batches, %d keys published, maintain %v\n",
-				name, st.ViewCount, fmtBytes(st.MemoryBytes), st.Batches, st.PublishedKeys, st.Maintain.Round(time.Microsecond))
+			fmt.Fprintf(out, "  %-16s %d inner views, %s, %d batches, %d keys published, maintain %v; pool %d free, %d reclaimed, scratch keys %s\n",
+				name, st.ViewCount, fmtBytes(st.MemoryBytes), st.Batches, st.PublishedKeys, st.Maintain.Round(time.Microsecond),
+				st.PoolFree, st.Reclaimed, fmtBytes(st.ScratchKeyBytes))
 		}
 	case ".show":
 		if len(fields) < 2 {

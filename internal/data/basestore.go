@@ -114,6 +114,9 @@ func (s *BaseStore) Base(rel string) *Relation[int64] {
 			}
 		}
 		s.pending[rel] = pend[:0]
+		// Whoever read m before this compaction is past its lease (see
+		// above), so the entries it cancelled are reusable from here on.
+		m.Reclaim()
 	}
 	return m
 }
@@ -251,22 +254,18 @@ func (s *BaseStore) Tuples() int {
 }
 
 // MemoryBytes estimates the bytes held by the stored base relations, merged
-// contents and pending log alike (log tuples are shared slices; their
-// backing storage is charged here as it is kept alive).
+// contents (Relation.MemoryBytes) and pending log alike (log tuples are
+// shared slices; their backing storage is charged here as it is kept alive).
 func (s *BaseStore) MemoryBytes() int {
 	total := 0
 	for _, r := range s.merged {
-		total += 48
-		r.Iterate(func(t Tuple, _ int64) bool {
-			total += 48 + len(t)*24 + 8
-			return true
-		})
+		total += r.MemoryBytes()
 	}
 	for _, pend := range s.pending {
 		for _, u := range pend {
 			total += 48
 			for _, t := range u.Tuples {
-				total += len(t) * 24
+				total += 24 + len(t)*valueBytes
 			}
 		}
 	}

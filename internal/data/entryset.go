@@ -16,6 +16,7 @@ const setSmallMax = 16
 type EntrySet[P any] struct {
 	small []*Entry[P] // linear mode; nil once promoted
 	tab   entryTable[P]
+	key   []byte // the owning directory node's key bytes (see Index.Add)
 }
 
 // Len returns the number of entries in the set.

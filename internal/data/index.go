@@ -1,6 +1,9 @@
 package data
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Index is a secondary hash index over a relation: it maps the encoded
 // projection of each key onto an index schema to the set of entries sharing
@@ -12,11 +15,16 @@ import "fmt"
 // The bucket directory is the same group-probed table as the primary
 // storage (see swiss.go), with one directory node per distinct projected
 // key whose payload is the bucket set; buckets themselves are hybrid
-// slice/table EntrySets (see entryset.go).
+// slice/table EntrySets (see entryset.go). A node whose bucket runs empty
+// leaves the directory and waits in free, bucket storage and key bytes
+// included, for the next key that appears: nothing outside the index holds a
+// node, and a bucket handed out by Probe is only valid until the relation's
+// next mutation anyway, so reuse is immediate.
 type Index[P any] struct {
 	on     Schema
 	proj   Projector
 	dir    entryTable[*EntrySet[P]]
+	free   []*Entry[*EntrySet[P]]
 	keyBuf []byte
 }
 
@@ -38,7 +46,16 @@ func (ix *Index[P]) Add(e *Entry[P]) {
 	h := hashBytes(ix.keyBuf)
 	node := ix.dir.getBytes(h, ix.keyBuf)
 	if node == nil {
-		node = &Entry[*EntrySet[P]]{key: string(ix.keyBuf), hash: h, Payload: &EntrySet[P]{}}
+		if n := len(ix.free); n > 0 {
+			node, ix.free = ix.free[n-1], ix.free[:n-1]
+		} else {
+			node = &Entry[*EntrySet[P]]{Payload: &EntrySet[P]{}}
+		}
+		// The node's key is a string over bytes its bucket owns, so a reused
+		// node re-keys without allocating.
+		set := node.Payload
+		set.key = append(set.key[:0], ix.keyBuf...)
+		node.key, node.hash = unsafe.String(unsafe.SliceData(set.key), len(set.key)), h
 		ix.dir.insert(node)
 	}
 	node.Payload.add(e)
@@ -54,6 +71,7 @@ func (ix *Index[P]) Remove(e *Entry[P]) {
 	node.Payload.remove(e)
 	if node.Payload.Len() == 0 {
 		ix.dir.del(node)
+		ix.free = append(ix.free, node)
 	}
 }
 
@@ -116,7 +134,12 @@ func (ir *IndexedRelation[P]) Lookup(on Schema) *Index[P] {
 // MergeIndexed merges payload p under tuple t and keeps all indexes
 // consistent with key appearance and disappearance.
 func (ir *IndexedRelation[P]) MergeIndexed(t Tuple, p P) {
-	en, existed, exists := ir.mergeEntry(t, p)
+	ir.reindex(ir.mergeEntry(t, p))
+}
+
+// reindex applies a merge's presence transition to every index. A removed
+// entry is parked by then but intact: Remove still reads its tuple.
+func (ir *IndexedRelation[P]) reindex(en *Entry[P], existed, exists bool) {
 	switch {
 	case !existed && exists:
 		for _, ix := range ir.indexes {
@@ -129,94 +152,25 @@ func (ir *IndexedRelation[P]) MergeIndexed(t Tuple, p P) {
 	}
 }
 
-// mergeIndexedRef is MergeIndexed for a heap-resident source payload (another
-// entry's stored payload): the source is read through its pointer, so wide
-// payloads are never copied at the interface boundary. Requires ir.mut != nil.
-func (ir *IndexedRelation[P]) mergeIndexedRef(t Tuple, p *P) {
-	if en := ir.lookup(t); en != nil {
-		ir.touchEntry(en)
-		ir.addIntoEntry(en, p)
-		if ir.isZeroRef(&en.Payload) {
-			ir.removeEntry(en)
-			for _, ix := range ir.indexes {
-				ix.Remove(en)
-			}
-		}
-		return
-	}
-	if ir.isZeroRef(p) {
-		return
-	}
-	key := string(ir.keyBuf) // lookup left t's encoding in the scratch buffer
-	en := ir.insertEntry(key, t)
-	ir.setPayloadRef(en, p)
-	for _, ix := range ir.indexes {
-		ix.Add(en)
-	}
-}
-
-// mergeProjectedIndexed is MergeIndexed for a projected tuple, materializing
-// the projection only on insert. p must point at heap-resident storage and is
-// only read.
-func (ir *IndexedRelation[P]) mergeProjectedIndexed(proj Projector, t Tuple, p *P) {
-	ir.keyBuf = proj.AppendKey(ir.keyBuf[:0], t)
-	if en := ir.lookupScratch(); en != nil {
-		var zero bool
-		if ir.mut != nil {
-			ir.touchEntry(en)
-			ir.addIntoEntry(en, p)
-			zero = ir.isZeroRef(&en.Payload)
-		} else {
-			s := ir.ring.Add(en.Payload, *p)
-			zero = ir.ring.IsZero(s)
-			if !zero {
-				ir.markEntry(en)
-				en.Payload = s
-			}
-		}
-		if zero {
-			ir.removeEntry(en)
-			for _, ix := range ir.indexes {
-				ix.Remove(en)
-			}
-		}
-		return
-	}
-	if ir.isZeroRef(p) {
-		return
-	}
-	key := string(ir.keyBuf)
-	en := ir.insertEntry(key, proj.Apply(t))
-	ir.setPayloadRef(en, p)
-	for _, ix := range ir.indexes {
-		ix.Add(en)
-	}
-}
-
 // MergeAllIndexed merges every entry of o, maintaining indexes. Source
-// payloads are entry-resident, so rings with pointer-source accumulation
-// merge them without copying.
+// payloads are entry-resident and read through their pointers; with equal
+// schemas the source's cached key and hash are reused as well (mergeFrom),
+// otherwise each tuple is projected and the projection materialized only on
+// insert.
 func (ir *IndexedRelation[P]) MergeAllIndexed(o *Relation[P]) {
-	if !ir.Schema().Equal(o.Schema()) && !ir.Schema().SameSet(o.Schema()) {
-		panic(fmt.Sprintf("data: merge of incompatible schemas %v and %v", ir.Schema(), o.Schema()))
-	}
 	if ir.Schema().Equal(o.Schema()) {
-		if ir.mut != nil {
-			o.entries.all(func(e *Entry[P]) bool {
-				ir.mergeIndexedRef(e.Tuple, &e.Payload)
-				return true
-			})
-			return
-		}
 		o.entries.all(func(e *Entry[P]) bool {
-			ir.MergeIndexed(e.Tuple, e.Payload)
+			ir.reindex(ir.mergeFrom(e, o.scratch))
 			return true
 		})
 		return
 	}
+	if !ir.Schema().SameSet(o.Schema()) {
+		panic(fmt.Sprintf("data: merge of incompatible schemas %v and %v", ir.Schema(), o.Schema()))
+	}
 	proj := MustProjector(o.Schema(), ir.Schema())
 	o.entries.all(func(e *Entry[P]) bool {
-		ir.mergeProjectedIndexed(proj, e.Tuple, &e.Payload)
+		ir.reindex(ir.mergeProjectedRef(proj, e.Tuple, &e.Payload))
 		return true
 	})
 }

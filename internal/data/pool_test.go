@@ -1,0 +1,367 @@
+package data
+
+import (
+	"math"
+	"math/rand"
+	"os"
+	"testing"
+
+	"fivm/internal/ring"
+)
+
+// TestMain runs the package with the poison hook on: reclaimed entries are
+// scribbled and rewound key slabs overwritten, so any code that keeps storage
+// past its owner's reclaim point fails the suite instead of reading garbage
+// once in a while.
+func TestMain(m *testing.M) {
+	PoisonReclaimed(true)
+	os.Exit(m.Run())
+}
+
+// tableModel checks an entryTable against a map after every step.
+func checkTable(t *testing.T, tab *entryTable[int64], model map[string]*Entry[int64]) {
+	t.Helper()
+	if tab.len() != len(model) {
+		t.Fatalf("len %d, model %d", tab.len(), len(model))
+	}
+	for k, e := range model {
+		if got := tab.getString(hashString(k), k); got != e {
+			t.Fatalf("key %q: got %p, want %p", k, got, e)
+		}
+	}
+	seen := 0
+	tab.all(func(e *Entry[int64]) bool {
+		if model[e.key] != e {
+			t.Fatalf("iteration yields stranger %q", e.key)
+		}
+		seen++
+		return true
+	})
+	if seen != len(model) {
+		t.Fatalf("iteration saw %d of %d", seen, len(model))
+	}
+}
+
+// TestCompactInPlace churns a table at a fixed live size so that it fills
+// with tombstones again and again: compaction must keep every entry
+// reachable, and must not allocate.
+func TestCompactInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var tab entryTable[int64]
+	model := map[string]*Entry[int64]{}
+	var live []*Entry[int64]
+	add := func(i int) {
+		k := Ints(int64(i)).Key()
+		e := &Entry[int64]{key: k, hash: hashString(k)}
+		tab.insert(e)
+		model[k] = e
+		live = append(live, e)
+	}
+	next := 0
+	for ; next < 100; next++ {
+		add(next)
+	}
+	var arrays *uint64
+	compactions := 0
+	for step := 0; step < 20000; step++ {
+		if step == 1000 {
+			// By now the table has the size it keeps: one whose load bound the
+			// live entries fill less than half of.
+			arrays = &tab.ctrl[0]
+		}
+		i := rng.Intn(len(live))
+		e := live[i]
+		live[i] = live[len(live)-1]
+		live = live[:len(live)-1]
+		tab.del(e)
+		delete(model, e.key)
+		dead := tab.dead
+		add(next)
+		next++
+		if tab.dead < dead {
+			compactions++
+			checkTable(t, &tab, model)
+		}
+	}
+	checkTable(t, &tab, model)
+	if compactions < 10 {
+		t.Fatalf("only %d compactions in 20000 replacements", compactions)
+	}
+	if arrays != &tab.ctrl[0] {
+		t.Error("a table churning at constant size replaced its arrays")
+	}
+	if tab.dead != 0 && tab.live+tab.dead >= tableMaxLoadNum*len(tab.ctrl) {
+		t.Errorf("table over its load bound: live %d dead %d groups %d", tab.live, tab.dead, len(tab.ctrl))
+	}
+}
+
+func TestAllocGuardTableChurn(t *testing.T) {
+	var tab entryTable[int64]
+	es := make([]*Entry[int64], 4096)
+	for i := range es {
+		k := Ints(int64(i)).Key()
+		es[i] = &Entry[int64]{key: k, hash: hashString(k)}
+	}
+	for _, e := range es[:300] {
+		tab.insert(e)
+	}
+	i := 0
+	guardZeroAllocs(t, "entryTable delete+insert at constant size", func() {
+		tab.del(es[i%len(es)])
+		tab.insert(es[(i+300)%len(es)])
+		i++
+	})
+}
+
+// TestAllocGuardIndexChurn: buckets that run empty and keys that appear go
+// through the index's node freelist, bucket storage and key bytes included.
+func TestAllocGuardIndexChurn(t *testing.T) {
+	ir := NewIndexedRelation(NewRelation[int64](ring.Int{}, NewSchema("A", "B")))
+	ir.EnsureIndex(NewSchema("A"))
+	// One-tuple deltas, built once: a view that takes a key from a delta
+	// relation which outlives it shares the key string, so the relation's own
+	// entries cost nothing here and what is left is the index.
+	plus := make([]*Relation[int64], 256)
+	minus := make([]*Relation[int64], len(plus))
+	for i := range plus {
+		plus[i] = Singleton[int64](ring.Int{}, ir.Schema(), Ints(int64(i), 1), 1)
+		minus[i] = plus[i].Negate()
+	}
+	for _, d := range plus[:32] {
+		ir.MergeAllIndexed(d)
+	}
+	ir.Reclaim()
+	i := 0
+	guardZeroAllocs(t, "index bucket churn", func() {
+		ir.MergeAllIndexed(minus[i%len(plus)])
+		ir.Reclaim()
+		ir.MergeAllIndexed(plus[(i+32)%len(plus)])
+		i++
+	})
+	if ir.Len() != 32 || ir.Lookup(NewSchema("A")).Len() != 32 {
+		t.Fatalf("after churn: %d entries, %d buckets", ir.Len(), ir.Lookup(NewSchema("A")).Len())
+	}
+}
+
+// TestPoolReusesOnlyAfterReclaim pins the pool's one rule.
+func TestPoolReusesOnlyAfterReclaim(t *testing.T) {
+	r := NewRelation[float64](ring.Float{}, NewSchema("A"))
+	r.Merge(Ints(1), 5)
+	r.Reclaim() // the owner has a reclaim point: pooled from here on
+	e, _ := r.EntryKey(Ints(1).Key())
+	r.Merge(Ints(1), -5)
+	if r.Len() != 0 {
+		t.Fatal("not removed")
+	}
+	// Mid-batch: the removed entry is intact and is not handed out.
+	if e.Key() != Ints(1).Key() || !e.Tuple.Equal(Ints(1)) {
+		t.Fatalf("parked entry scribbled before the reclaim point: %q %v", e.Key(), e.Tuple)
+	}
+	r.Merge(Ints(2), 7)
+	if e2, _ := r.EntryKey(Ints(2).Key()); e2 == e {
+		t.Fatal("entry reused in the batch that removed it")
+	}
+	if ps := r.PoolStats(); ps.Free != 1 || ps.Reclaimed != 0 {
+		t.Fatalf("before reclaim: %+v", ps)
+	}
+	r.Reclaim()
+	if e.Key() != poisonKey || !math.IsNaN(e.Payload) {
+		t.Fatalf("reclaimed entry not poisoned: %q %v", e.Key(), e.Payload)
+	}
+	r.Merge(Ints(3), 9)
+	if e3, _ := r.EntryKey(Ints(3).Key()); e3 != e {
+		t.Fatal("reclaimed entry not reused")
+	}
+	if p, _ := r.Get(Ints(3)); p != 9 {
+		t.Fatalf("reused entry payload = %v", p)
+	}
+	if ps := r.PoolStats(); ps.Free != 0 || ps.Reclaimed != 1 {
+		t.Fatalf("after reuse: %+v", ps)
+	}
+	// A relation nobody reclaims does not pool.
+	u := NewRelation[float64](ring.Float{}, NewSchema("A"))
+	u.Merge(Ints(1), 5)
+	u.Merge(Ints(1), -5)
+	if ps := u.PoolStats(); ps.Free != 0 {
+		t.Fatalf("unpooled relation parked an entry: %+v", ps)
+	}
+}
+
+// sameTriple compares count and sums, enough to tell a value from its
+// overwritten or poisoned storage.
+func sameTriple(a, b ring.Triple) bool {
+	if a.C != b.C || len(a.S) != len(b.S) {
+		return false
+	}
+	for i := range a.S {
+		if a.S[i] != b.S[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func triple(vars ...int32) ring.Triple {
+	k := len(vars)
+	tr := ring.Triple{C: 1, Vars: vars, S: make([]float64, k), Q: make([]float64, k*k)}
+	for i := range tr.S {
+		tr.S[i] = float64(i + 1)
+	}
+	return tr
+}
+
+// TestPoolPayloadStorage: a reclaimed entry keeps its payload storage for the
+// next insert unless the relation publishes snapshots, whose pinned epochs
+// share that storage.
+func TestPoolPayloadStorage(t *testing.T) {
+	cf := ring.Cofactor{}
+	r := NewRelation[ring.Triple](cf, NewSchema("A"))
+	r.Reclaim()
+	r.Merge(Ints(1), triple(0, 1, 2))
+	e, _ := r.EntryKey(Ints(1).Key())
+	storage := &e.Payload.S[0]
+	r.Merge(Ints(1), cf.Neg(triple(0, 1, 2)))
+	r.Reclaim()
+	r.Merge(Ints(2), triple(0, 1, 2))
+	if e2, _ := r.EntryKey(Ints(2).Key()); e2 != e || &e2.Payload.S[0] != storage {
+		t.Fatal("payload storage not reused")
+	}
+	if got, _ := r.Get(Ints(2)); !sameTriple(got, triple(0, 1, 2)) {
+		t.Fatalf("reused storage holds %v", got)
+	}
+
+	// Published: the pinned snapshot must keep reading the old values while
+	// the entry is removed, reclaimed and reused.
+	snap := r.Snapshot()
+	defer snap.Release()
+	r.Merge(Ints(2), cf.Neg(triple(0, 1, 2)))
+	r.Reclaim()
+	if e.Payload.S != nil {
+		t.Fatal("a snapshotting relation kept published payload storage in its pool")
+	}
+	r.Merge(Ints(3), triple(0, 1, 2))
+	r.Merge(Ints(3), triple(0, 1, 2))
+	if e3, _ := r.EntryKey(Ints(3).Key()); e3 != e {
+		t.Fatal("entry struct not reused")
+	}
+	if got, ok := snap.Get(Ints(2)); !ok || !sameTriple(got, triple(0, 1, 2)) {
+		t.Fatalf("pinned snapshot changed under entry reuse: %v %v", got, ok)
+	}
+}
+
+// TestScratchKeysRewind is the written contract of RecycleCleared, and the
+// deliberately broken consumer: whoever keeps a scratch relation's key past
+// its next Clear reads the next batch's bytes (0xFF under the poison hook),
+// while MergeAll, MergeAllIndexed, Clone and Negate copied theirs.
+func TestScratchKeysRewind(t *testing.T) {
+	sch := NewSchema("A", "B")
+	s := NewRelation[int64](ring.Int{}, sch)
+	s.RecycleCleared()
+	fill := func(base int64) {
+		s.Clear()
+		for i := int64(0); i < 100; i++ {
+			s.Merge(Ints(base+i, i), 1)
+		}
+	}
+	fill(0)
+	e0, _ := s.EntryKey(Ints(0, 0).Key())
+	kept := e0.Key() // the bug: a scratch key retained across Clear
+	want := Ints(0, 0).Key()
+	if kept != want {
+		t.Fatalf("scratch key %q, want %q", kept, want)
+	}
+
+	plain := NewRelation[int64](ring.Int{}, sch)
+	plain.MergeAll(s)
+	ir := NewIndexedRelation(NewRelation[int64](ring.Int{}, sch))
+	ir.EnsureIndex(NewSchema("A"))
+	ir.MergeAllIndexed(s)
+	clone, neg := s.Clone(), s.Negate()
+
+	slab := s.PoolStats().KeyBytes
+	fill(1000)
+	if kept == want {
+		t.Fatal("a key retained across Clear still reads its old bytes: the slab was not rewound")
+	}
+	for name, r := range map[string]*Relation[int64]{"MergeAll": plain, "MergeAllIndexed": ir.Relation, "Clone": clone, "Negate": neg} {
+		if r.Len() != 100 {
+			t.Fatalf("%s: %d entries", name, r.Len())
+		}
+		r.IterateEntries(func(e *Entry[int64]) bool {
+			if e.Key() != e.Tuple.Key() {
+				t.Fatalf("%s kept a scratch key: %q for %v", name, e.Key(), e.Tuple)
+			}
+			return true
+		})
+		if p, ok := r.GetKey(want); !ok || (p != 1 && p != -1) {
+			t.Fatalf("%s lost key: %v %v", name, p, ok)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		fill(int64(2000 + 1000*i))
+	}
+	if got := s.PoolStats().KeyBytes; got > 2*slab || got == 0 {
+		t.Errorf("key slab grew from %d to %d bytes over same-size refills", slab, got)
+	}
+	if got := s.MemoryBytes(); got < s.PoolStats().KeyBytes+100*int(valueBytes) {
+		t.Errorf("MemoryBytes %d does not cover slab and tuples", got)
+	}
+}
+
+// TestAllocGuardScratchRefill: refilling a scratch relation allocates
+// nothing — entries, keys and mutable payload storage all come back.
+func TestAllocGuardScratchRefill(t *testing.T) {
+	cf := ring.Cofactor{}
+	s := NewRelation[ring.Triple](cf, NewSchema("A", "B"))
+	s.RecycleCleared()
+	tups := make([]Tuple, 200)
+	for i := range tups {
+		tups[i] = Ints(int64(i), int64(i%7))
+	}
+	p := triple(0, 1, 2)
+	guardZeroAllocs(t, "scratch Clear+refill", func() {
+		s.Clear()
+		for _, tup := range tups {
+			s.Merge(tup, p)
+		}
+	})
+}
+
+// TestAllocGuardMergeFromCachedKey: merging a same-schema delta into an
+// indexed view probes with the key and hash the source entries carry.
+func TestAllocGuardMergeFromCachedKey(t *testing.T) {
+	sch := NewSchema("A", "B")
+	ir := NewIndexedRelation(NewRelation[float64](ring.Float{}, sch))
+	ir.EnsureIndex(NewSchema("A"))
+	delta := NewRelation[float64](ring.Float{}, sch)
+	for i := 0; i < 200; i++ {
+		delta.Merge(Ints(int64(i%20), int64(i)), 1)
+	}
+	ir.MergeAllIndexed(delta)
+	guardZeroAllocs(t, "MergeAllIndexed onto existing keys", func() { ir.MergeAllIndexed(delta) })
+}
+
+func TestMemoryBytesCountsPool(t *testing.T) {
+	r := NewRelation[int64](ring.Int{}, NewSchema("A"))
+	r.Reclaim()
+	for i := int64(0); i < 1000; i++ {
+		r.Merge(Ints(i), 1)
+	}
+	full := r.MemoryBytes()
+	if min := 1000 * (valueBytes + 9); full < min {
+		t.Fatalf("MemoryBytes %d < %d for 1000 one-column tuples", full, min)
+	}
+	for i := int64(0); i < 1000; i++ {
+		r.Merge(Ints(i), -1)
+	}
+	r.Reclaim()
+	if ps := r.PoolStats(); ps.Free != 1000 || ps.Reclaimed != 1000 {
+		t.Fatalf("pool after emptying: %+v", ps)
+	}
+	// Under the poison hook every free entry points at the shared poison key
+	// and tuple, which the estimate charges like any other.
+	poisoned := 1000 * (len(poisonKey) + valueBytes)
+	if empty := r.MemoryBytes() - poisoned; empty < 1000*48 || empty >= full {
+		t.Errorf("emptied relation reports %d bytes (full: %d): the pool must show, keys and tuples must not", empty, full)
+	}
+}

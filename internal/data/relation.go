@@ -3,6 +3,7 @@ package data
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 
 	"fivm/internal/ring"
 )
@@ -53,6 +54,34 @@ func (e *Entry[P]) Key() string { return e.key }
 // of the current contents at O(changed-since-last-snapshot) cost; sealed
 // snapshot entries are never mutated in place, so pinned snapshots stay
 // valid while the live relation keeps changing.
+//
+// Ownership. Storage has one owner and one reclaim point; a relation whose
+// owner has none (nobody calls Reclaim or RecycleCleared) never reuses
+// anything and leaves removed entries to the collector.
+//
+//	                 entry struct          key bytes            tuple               payload storage
+//	view             relation; parked on   immutable heap       immutable, shared   relation; a reused entry
+//	(Reclaim at      removal, reusable     string; shared       with whoever        keeps it and the next
+//	batch end)       after Reclaim         freely               supplied it         insert overwrites it
+//	snapshotting     as a view             as a view (pinned    as a view           shared with pinned epochs
+//	view (Snapshot                         epochs hold it)                          under the gen rule; dropped
+//	was called)                                                                     at reclaim, never reused
+//	scratch          relation; reusable    relation's slab,     supplier's, or a    as a view: overwritten by
+//	(RecycleCleared, after the next Clear  rewound by Clear     fresh immutable     the next batch's inserts
+//	Clear per batch)                                            projection
+//	base store       as a view; reclaim    as a view            the update log's    inline (int64)
+//	(BaseStore.Base) point is the next
+//	                 log compaction
+//
+// Who may retain what: nobody retains an *Entry, or a mutable-ring payload
+// read through one, past the owner's reclaim point (work items, index
+// buckets and iterators all die with the batch). Keys and tuples of a view
+// or base-store relation may be kept forever. From a scratch relation
+// nothing but tuples survives its next Clear: consumers copy the keys and
+// payloads they keep (MergeAll, MergeAllIndexed, Clone and Negate do). Tuples
+// are shared and immutable everywhere — a stored tuple is never written
+// again or reused, because who supplied it (the caller's batch, the update
+// log, another relation's projection) is not a property of the relation.
 type Relation[P any] struct {
 	schema  Schema
 	ring    ring.Ring[P]
@@ -64,13 +93,20 @@ type Relation[P any] struct {
 	// looked up by string); insertEntry stores it into the fresh entry, so a
 	// probe-then-insert pair hashes the key exactly once.
 	keyHash uint64
-	// recycle marks delta-scratch relations whose entries Clear moves onto
-	// the freelist for reuse; see RecycleCleared.
-	recycle bool
+	// The entry pool — the relation's one reuse mechanism (ownership table
+	// above). pooled is set once the owner has a reclaim point; removed
+	// entries then wait in parked until it (Reclaim for views, Clear for
+	// scratch relations) and are handed out again by insertEntry from free.
+	pooled       bool
+	free, parked []*Entry[P]
+	reclaimed    uint64
+	// scratch marks a delta-scratch relation (RecycleCleared): Clear is its
+	// reclaim point and its encoded keys live in keys, a slab Clear rewinds.
+	scratch bool
+	keys    keySlab
 	// shareProjected lets projected merges store prefix subslices of the
 	// source tuple instead of fresh copies; see ShareProjectedTuples.
 	shareProjected bool
-	free           []*Entry[P]
 	// stats, when non-nil, receives every insert/delete transition; see
 	// CollectStats.
 	stats *RelStats
@@ -82,18 +118,6 @@ type Relation[P any] struct {
 // NewRelation creates an empty relation over the given ring and schema.
 func NewRelation[P any](r ring.Ring[P], schema Schema) *Relation[P] {
 	return &Relation[P]{schema: schema, ring: r, mut: ring.MutableOf(r), mutRef: ring.MutableRefOf(r)}
-}
-
-// owned returns the payload to store for a fresh entry: a deep copy when the
-// ring supports in-place accumulation (so later merges may mutate it), the
-// value itself otherwise (immutable by the ring contract).
-func (r *Relation[P]) owned(p P) P {
-	if r.mut == nil {
-		return p
-	}
-	var o P
-	r.mut.CopyInto(&o, p)
-	return o
 }
 
 // Schema returns the relation's schema.
@@ -111,18 +135,15 @@ func (r *Relation[P]) Reserve(n int) {
 	r.entries.reserve(n)
 }
 
-// Clear removes every entry, retaining the table's capacity for reuse in
-// steady-state delta scratch relations (and, after RecycleCleared, the
-// entry structs and their payload storage too).
+// Clear removes every entry, retaining the table's capacity. On a pooled
+// relation the entries are parked like any other removal; on a scratch
+// relation Clear is also the reclaim point: every parked entry becomes
+// reusable and the key slab rewinds, so nothing read out of the relation —
+// entry, key, mutable payload — may be used past this call.
 func (r *Relation[P]) Clear() {
-	if r.recycle && r.snap == nil {
-		// Recycling is disabled once the relation publishes snapshots:
-		// pinned snapshots may still reference the cleared entries and
-		// their payload storage. (Recycling scratch relations are never
-		// snapshotted, so this guard changes nothing in practice.)
+	if r.pooled {
 		r.entries.all(func(e *Entry[P]) bool {
-			e.Tuple = nil // tuples may be retained by consumers; never reused
-			r.free = append(r.free, e)
+			r.parked = append(r.parked, e)
 			return true
 		})
 	}
@@ -135,13 +156,18 @@ func (r *Relation[P]) Clear() {
 		r.snap.dirtyKeys = r.snap.dirtyKeys[:0]
 	}
 	r.entries.clear()
+	if r.scratch {
+		r.reclaim()
+		r.keys.rewind()
+	}
 }
 
 // ShareProjectedTuples lets MergeProjected and MergeMulProjected store, for
 // prefix projections, a subslice of the source tuple instead of a fresh
 // copy. Callers must guarantee every projected source tuple's backing array
-// is immutable for the relation's lifetime (true for delta-relation tuples,
-// false for arena-backed scratch tuples).
+// is immutable for as long as anything holds the stored tuple — views keep
+// the tuples they take from a delta relation (true for tuples stored in
+// relations, false for the delta plans' arena-backed join tuples).
 func (r *Relation[P]) ShareProjectedTuples() { r.shareProjected = true }
 
 // projApply materializes the projection of t for storage, honoring the
@@ -181,26 +207,89 @@ func (r *Relation[P]) noteDelete() {
 	}
 }
 
-// RecycleCleared makes Clear feed removed entries into a freelist that
-// fresh stores pop from, reusing the Entry struct and (for rings with
-// in-place accumulation) its payload storage. Safe only for relations whose
-// consumers never hold an *Entry, or a mutable-ring payload read from one,
-// across a Clear — the delta-propagation scratch relations qualify: views
-// copy what they keep. Stored tuples are never reused.
-func (r *Relation[P]) RecycleCleared() { r.recycle = true }
+// RecycleCleared declares the relation delta scratch: a relation refilled
+// per batch whose owner calls Clear before each refill (the scratch row of
+// the ownership table). Clear then recycles entry structs, mutable payload
+// storage and key bytes, so a steady-state refill allocates nothing; the
+// price is that consumers must copy what they keep past the next Clear —
+// MergeAll, MergeAllIndexed, Clone and Negate do, for keys and payloads.
+// Stored tuples are never reused (ShareProjectedTuples).
+func (r *Relation[P]) RecycleCleared() { r.pooled, r.scratch = true, true }
 
-// removeEntry deletes an entry and reports the transition to the
-// statistics collector and the snapshot dirty list.
+// Reclaim is the reclaim point of a relation that lives across batches (a
+// maintained view): its owner calls it when the batch that removed entries
+// has finished and no work item, index bucket or iterator can still hold
+// one. Every entry removed since the last call becomes reusable by later
+// inserts. The first call is also what switches the relation to pooling —
+// a relation nobody reclaims leaves its removed entries to the collector.
+func (r *Relation[P]) Reclaim() {
+	r.pooled = true
+	r.reclaim()
+}
+
+// reclaim moves the parked entries to the freelist. An entry keeps its
+// payload storage for the next insert to overwrite (CopyInto/MulInto reuse
+// destination capacity) unless the ring has no in-place form or the relation
+// publishes snapshots: published storage is shared with pinned epochs under
+// the gen rule and is dropped instead.
+func (r *Relation[P]) reclaim() {
+	keep := r.mut != nil && r.snap == nil
+	for _, e := range r.parked {
+		e.key, e.Tuple = "", nil
+		if !keep {
+			var zero P
+			e.Payload = zero
+		}
+		if poison {
+			poisonEntry(e)
+		}
+	}
+	r.free = append(r.free, r.parked...)
+	r.reclaimed += uint64(len(r.parked))
+	clear(r.parked)
+	r.parked = r.parked[:0]
+}
+
+// removeEntry deletes an entry, reports the transition to the statistics
+// collector and the snapshot dirty list, and parks the struct for reuse
+// after the owner's reclaim point. Until then its fields stay intact: index
+// maintenance and work items of the running batch may still read them.
 func (r *Relation[P]) removeEntry(e *Entry[P]) {
 	r.entries.del(e)
 	r.noteDelete()
 	r.markEntry(e)
+	if r.pooled {
+		r.parked = append(r.parked, e)
+	}
+}
+
+// ownKey returns an encoded key (typically the scratch buffer's) as a string
+// the relation owns: a heap copy, or on a scratch relation a slab slice that
+// lives until the next Clear.
+func (r *Relation[P]) ownKey(key []byte) string {
+	if r.scratch {
+		return internKey(&r.keys, key)
+	}
+	return string(key)
+}
+
+// keepKey returns a key a source entry carries in a form r may store:
+// the string itself, shared, unless the source is scratch (volatile), whose
+// key bytes die at its next Clear and are copied.
+func (r *Relation[P]) keepKey(key string, volatile bool) string {
+	switch {
+	case !volatile:
+		return key
+	case r.scratch:
+		return internKey(&r.keys, key)
+	}
+	return strings.Clone(key)
 }
 
 // insertEntry stores a fresh entry under key (which must be absent and must
-// be the key whose hash a lookup just left in keyHash), reusing a recycled
-// entry when available. The caller must set Payload (recycled entries hold
-// stale payloads whose storage CopyInto/MulInto may reuse).
+// be the key whose hash a lookup just left in keyHash), reusing a reclaimed
+// entry when available. The caller must set Payload (reclaimed entries may
+// hold stale payloads whose storage CopyInto/MulInto reuse).
 func (r *Relation[P]) insertEntry(key string, t Tuple) *Entry[P] {
 	var e *Entry[P]
 	if n := len(r.free); n > 0 {
@@ -326,18 +415,27 @@ func (r *Relation[P]) Set(t Tuple, p P) {
 	if r.ring.IsZero(p) {
 		return
 	}
-	key := string(r.keyBuf) // lookup left t's encoding in the scratch buffer
-	r.setPayload(r.insertEntry(key, t), p)
+	// lookup left t's encoding in the scratch buffer
+	r.setPayload(r.insertEntry(r.ownKey(r.keyBuf), t), p)
 }
 
 // setPayload assigns p to a freshly inserted entry, deep-copying into the
-// entry's (possibly recycled) storage for rings with in-place accumulation.
+// entry's (possibly reclaimed) storage for rings with in-place accumulation.
 func (r *Relation[P]) setPayload(e *Entry[P], p P) {
 	if r.mut != nil {
 		r.mut.CopyInto(&e.Payload, p)
 		return
 	}
 	e.Payload = p
+}
+
+// setPayloadRef is setPayload for a heap-resident source payload.
+func (r *Relation[P]) setPayloadRef(e *Entry[P], p *P) {
+	if r.mutRef != nil {
+		r.mutRef.CopyIntoRef(&e.Payload, p)
+		return
+	}
+	r.setPayload(e, *p)
 }
 
 // isZeroRef reports whether *p is zero, reading through the pointer when the
@@ -350,25 +448,64 @@ func (r *Relation[P]) isZeroRef(p *P) bool {
 	return r.ring.IsZero(*p)
 }
 
-// addIntoEntry accumulates *p into e's payload in place, with a pointer
-// source when the ring supports it. p must point at heap-resident storage
-// (another entry's payload, an owned accumulator field) — see
-// ring.MutableRef. Requires r.mut != nil.
-func (r *Relation[P]) addIntoEntry(e *Entry[P], p *P) {
-	if r.mutRef != nil {
-		r.mutRef.AddIntoRef(&e.Payload, p)
-		return
+// addInto accumulates p into stored entry e — in place when the ring allows
+// it — and removes e when the sum vanishes. It reports whether e is still
+// stored. Every merge onto an existing key ends here or in addIntoRef.
+func (r *Relation[P]) addInto(e *Entry[P], p P) bool {
+	if r.mut != nil {
+		r.touchEntry(e)
+		r.mut.AddInto(&e.Payload, p)
+		if !r.isZeroRef(&e.Payload) {
+			return true
+		}
+	} else {
+		s := r.ring.Add(e.Payload, p)
+		if !r.ring.IsZero(s) {
+			r.markEntry(e)
+			e.Payload = s
+			return true
+		}
 	}
-	r.mut.AddInto(&e.Payload, *p)
+	r.removeEntry(e)
+	return false
 }
 
-// setPayloadRef is setPayload for a heap-resident source payload.
-func (r *Relation[P]) setPayloadRef(e *Entry[P], p *P) {
-	if r.mutRef != nil {
-		r.mutRef.CopyIntoRef(&e.Payload, p)
-		return
+// addIntoRef is addInto for a source read through its pointer, so wide
+// payloads are never copied at the interface boundary. p must point at
+// heap-resident storage (another entry's payload, an owned accumulator
+// field) — see ring.MutableRef.
+func (r *Relation[P]) addIntoRef(e *Entry[P], p *P) bool {
+	if r.mutRef == nil {
+		return r.addInto(e, *p)
 	}
-	r.setPayload(e, *p)
+	r.touchEntry(e)
+	r.mutRef.AddIntoRef(&e.Payload, p)
+	if r.isZeroRef(&e.Payload) {
+		r.removeEntry(e)
+		return false
+	}
+	return true
+}
+
+// mulAddInto accumulates (*a)*(*b) into stored entry e, removing it when the
+// sum vanishes. Requires r.mut != nil.
+func (r *Relation[P]) mulAddInto(e *Entry[P], a, b *P) {
+	r.touchEntry(e)
+	r.mut.MulAddInto(&e.Payload, a, b)
+	if r.isZeroRef(&e.Payload) {
+		r.removeEntry(e)
+	}
+}
+
+// insertMul stores (*a)*(*b) under the key encoded in the scratch buffer,
+// computing the product directly into the entry's storage; a zero product is
+// removed again (and parked like any removal). Requires r.mut != nil.
+func (r *Relation[P]) insertMul(t Tuple, a, b *P) {
+	e := r.insertEntry(r.ownKey(r.keyBuf), t)
+	r.mut.MulInto(&e.Payload, a, b)
+	if r.isZeroRef(&e.Payload) {
+		r.removeEntry(e)
+	}
 }
 
 // mergeEntry adds p to the payload of tuple t and reports the affected entry
@@ -376,29 +513,12 @@ func (r *Relation[P]) setPayloadRef(e *Entry[P], p *P) {
 // index maintenance can react to appearance and disappearance.
 func (r *Relation[P]) mergeEntry(t Tuple, p P) (en *Entry[P], existed, exists bool) {
 	if e := r.lookup(t); e != nil {
-		if r.mut != nil {
-			r.touchEntry(e)
-			r.mut.AddInto(&e.Payload, p)
-			if r.isZeroRef(&e.Payload) {
-				r.removeEntry(e)
-				return e, true, false
-			}
-			return e, true, true
-		}
-		s := r.ring.Add(e.Payload, p)
-		if r.ring.IsZero(s) {
-			r.removeEntry(e)
-			return e, true, false
-		}
-		r.markEntry(e)
-		e.Payload = s
-		return e, true, true
+		return e, true, r.addInto(e, p)
 	}
 	if r.ring.IsZero(p) {
 		return nil, false, false
 	}
-	key := string(r.keyBuf) // lookup left t's encoding in the scratch buffer
-	e := r.insertEntry(key, t)
+	e := r.insertEntry(r.ownKey(r.keyBuf), t) // lookup left t's encoding in the scratch buffer
 	r.setPayload(e, p)
 	return e, false, true
 }
@@ -425,28 +545,26 @@ func (r *Relation[P]) Merge(t Tuple, p P) P {
 func (r *Relation[P]) MergeProjected(proj Projector, t Tuple, p P) {
 	r.keyBuf = proj.AppendKey(r.keyBuf[:0], t)
 	if e := r.lookupScratch(); e != nil {
-		if r.mut != nil {
-			r.touchEntry(e)
-			r.mut.AddInto(&e.Payload, p)
-			if r.isZeroRef(&e.Payload) {
-				r.removeEntry(e)
-			}
-			return
-		}
-		s := r.ring.Add(e.Payload, p)
-		if r.ring.IsZero(s) {
-			r.removeEntry(e)
-			return
-		}
-		r.markEntry(e)
-		e.Payload = s
-		return
+		r.addInto(e, p)
+	} else if !r.ring.IsZero(p) {
+		r.setPayload(r.insertEntry(r.ownKey(r.keyBuf), r.projApply(proj, t)), p)
 	}
-	if r.ring.IsZero(p) {
-		return
+}
+
+// mergeProjectedRef is MergeProjected for a heap-resident source payload,
+// reporting the presence transition like mergeEntry. The stored tuple is
+// always a fresh copy.
+func (r *Relation[P]) mergeProjectedRef(proj Projector, t Tuple, p *P) (en *Entry[P], existed, exists bool) {
+	r.keyBuf = proj.AppendKey(r.keyBuf[:0], t)
+	if e := r.lookupScratch(); e != nil {
+		return e, true, r.addIntoRef(e, p)
 	}
-	key := string(r.keyBuf)
-	r.setPayload(r.insertEntry(key, r.projApply(proj, t)), p)
+	if r.isZeroRef(p) {
+		return nil, false, false
+	}
+	e := r.insertEntry(r.ownKey(r.keyBuf), proj.Apply(t))
+	r.setPayloadRef(e, p)
+	return e, false, true
 }
 
 // MergeMul merges the product (*a)*(*b) under tuple t. For rings with
@@ -456,31 +574,10 @@ func (r *Relation[P]) MergeProjected(proj Projector, t Tuple, p P) {
 func (r *Relation[P]) MergeMul(t Tuple, a, b *P) {
 	if r.mut == nil {
 		r.Merge(t, r.ring.Mul(*a, *b))
-		return
-	}
-	if e := r.lookup(t); e != nil {
-		r.touchEntry(e)
-		r.mut.MulAddInto(&e.Payload, a, b)
-		if r.isZeroRef(&e.Payload) {
-			r.removeEntry(e)
-		}
-		return
-	}
-	key := string(r.keyBuf) // lookup left t's encoding in the scratch buffer
-	e := r.insertEntry(key, t)
-	r.mut.MulInto(&e.Payload, a, b)
-	if r.isZeroRef(&e.Payload) {
-		r.dropFresh(e)
-	}
-}
-
-// dropFresh removes an entry that was just inserted but whose payload
-// turned out zero, returning it to the freelist when recycling.
-func (r *Relation[P]) dropFresh(e *Entry[P]) {
-	r.removeEntry(e)
-	if r.recycle {
-		e.Tuple = nil
-		r.free = append(r.free, e)
+	} else if e := r.lookup(t); e != nil {
+		r.mulAddInto(e, a, b)
+	} else {
+		r.insertMul(t, a, b)
 	}
 }
 
@@ -496,18 +593,9 @@ func (r *Relation[P]) MergeMulProjected(proj Projector, t Tuple, a, b *P) {
 	}
 	r.keyBuf = proj.AppendKey(r.keyBuf[:0], t)
 	if e := r.lookupScratch(); e != nil {
-		r.touchEntry(e)
-		r.mut.MulAddInto(&e.Payload, a, b)
-		if r.isZeroRef(&e.Payload) {
-			r.removeEntry(e)
-		}
-		return
-	}
-	key := string(r.keyBuf)
-	e := r.insertEntry(key, r.projApply(proj, t))
-	r.mut.MulInto(&e.Payload, a, b)
-	if r.isZeroRef(&e.Payload) {
-		r.dropFresh(e)
+		r.mulAddInto(e, a, b)
+	} else {
+		r.insertMul(r.projApply(proj, t), a, b)
 	}
 }
 
@@ -520,69 +608,39 @@ func (r *Relation[P]) MergeMulProjected(proj Projector, t Tuple, a, b *P) {
 func (r *Relation[P]) MergeProjectedKey(key []byte, proj Projector, t Tuple, p *P) {
 	r.keyHash = hashBytes(key)
 	if e := r.entries.getBytes(r.keyHash, key); e != nil {
-		if r.mut != nil {
-			r.touchEntry(e)
-			r.addIntoEntry(e, p)
-			if r.isZeroRef(&e.Payload) {
-				r.removeEntry(e)
-			}
-			return
-		}
-		s := r.ring.Add(e.Payload, *p)
-		if r.ring.IsZero(s) {
-			r.removeEntry(e)
-			return
-		}
-		r.markEntry(e)
-		e.Payload = s
-		return
+		r.addIntoRef(e, p)
+	} else if !r.isZeroRef(p) {
+		r.setPayloadRef(r.insertEntry(r.ownKey(key), r.projApply(proj, t)), p)
 	}
-	if r.isZeroRef(p) {
-		return
-	}
-	r.setPayloadRef(r.insertEntry(string(key), r.projApply(proj, t)), p)
 }
 
-// MergeKey is Merge for a pre-encoded key.
+// MergeKey is Merge for a pre-encoded key, which the relation stores as
+// given: it must stay immutable for the relation's lifetime (never a key
+// read out of a scratch relation).
 func (r *Relation[P]) MergeKey(key string, t Tuple, p P) {
 	if e := r.lookupString(key); e != nil {
-		if r.mut != nil {
-			r.touchEntry(e)
-			r.mut.AddInto(&e.Payload, p)
-			if r.isZeroRef(&e.Payload) {
-				r.removeEntry(e)
-			}
-			return
-		}
-		s := r.ring.Add(e.Payload, p)
-		if r.ring.IsZero(s) {
-			r.removeEntry(e)
-			return
-		}
-		r.markEntry(e)
-		e.Payload = s
-		return
-	}
-	if !r.ring.IsZero(p) {
+		r.addInto(e, p)
+	} else if !r.ring.IsZero(p) {
 		r.setPayload(r.insertEntry(key, t), p)
 	}
 }
 
-// mergeKeyRef is MergeKey for a heap-resident source payload: the source is
-// read through its pointer, so wide payloads are never copied at the
-// interface boundary. Requires r.mut != nil.
-func (r *Relation[P]) mergeKeyRef(key string, t Tuple, p *P) {
-	if e := r.lookupString(key); e != nil {
-		r.touchEntry(e)
-		r.addIntoEntry(e, p)
-		if r.isZeroRef(&e.Payload) {
-			r.removeEntry(e)
-		}
-		return
+// mergeFrom merges a source entry — another relation's, same schema — by
+// the key and hash it already carries (no re-encoding, no re-hashing) and
+// reports the presence transition like mergeEntry. The payload is read
+// through its pointer; key and tuple are shared with the source on insert,
+// except that a volatile source's key (a scratch relation's) is copied.
+func (r *Relation[P]) mergeFrom(src *Entry[P], volatile bool) (en *Entry[P], existed, exists bool) {
+	r.keyHash = src.hash
+	if e := r.entries.getString(src.hash, src.key); e != nil {
+		return e, true, r.addIntoRef(e, &src.Payload)
 	}
-	if !r.isZeroRef(p) {
-		r.setPayloadRef(r.insertEntry(key, t), p)
+	if r.isZeroRef(&src.Payload) {
+		return nil, false, false
 	}
+	e := r.insertEntry(r.keepKey(src.key, volatile), src.Tuple)
+	r.setPayloadRef(e, &src.Payload)
+	return e, false, true
 }
 
 // MergeAll merges every entry of o into r: r := r ⊎ o. The relations must
@@ -590,15 +648,8 @@ func (r *Relation[P]) mergeKeyRef(key string, t Tuple, p *P) {
 // entry-resident, so rings with pointer-source accumulation merge them
 // without copying.
 func (r *Relation[P]) MergeAll(o *Relation[P]) {
-	if r.mut != nil {
-		o.entries.all(func(e *Entry[P]) bool {
-			r.mergeKeyRef(e.key, e.Tuple, &e.Payload)
-			return true
-		})
-		return
-	}
 	o.entries.all(func(e *Entry[P]) bool {
-		r.MergeKey(e.key, e.Tuple, e.Payload)
+		r.mergeFrom(e, o.scratch)
 		return true
 	})
 }
@@ -630,35 +681,22 @@ func (r *Relation[P]) Entries() []Entry[P] {
 // SortedEntries returns the entries ordered by encoded key, for
 // deterministic output in tests and tools.
 func (r *Relation[P]) SortedEntries() []Entry[P] {
-	out := make([]Entry[P], 0, r.entries.len())
-	r.entries.all(func(e *Entry[P]) bool {
-		out = append(out, *e)
-		return true
-	})
+	out := r.Entries()
 	radixSortEntries(out)
 	return out
 }
 
-// Clone returns a copy sharing tuples but no entry or table structure.
-// Payloads are shared for immutable rings and deep-copied for rings with
-// in-place accumulation, so later merges into either relation never bleed
-// into the other.
+// Clone returns a copy sharing tuples and keys (copied keys, when r is
+// scratch) but no entry or table structure. Payloads are shared for
+// immutable rings and deep-copied for rings with in-place accumulation, so
+// later merges into either relation never bleed into the other.
 func (r *Relation[P]) Clone() *Relation[P] {
 	out := &Relation[P]{schema: r.schema, ring: r.ring, mut: r.mut, mutRef: r.mutRef}
 	out.entries.reserve(r.entries.len())
 	r.entries.all(func(e *Entry[P]) bool {
-		c := *e
-		c.gen = 0
-		if r.mutRef != nil {
-			var o P
-			r.mutRef.CopyIntoRef(&o, &e.Payload)
-			c.Payload = o
-		} else if r.mut != nil {
-			var o P
-			r.mut.CopyInto(&o, e.Payload)
-			c.Payload = o
-		}
-		out.adopt(&c)
+		c := &Entry[P]{key: out.keepKey(e.key, r.scratch), hash: e.hash, Tuple: e.Tuple}
+		out.setPayloadRef(c, &e.Payload)
+		out.adopt(c)
 		return true
 	})
 	return out
@@ -671,10 +709,58 @@ func (r *Relation[P]) Negate() *Relation[P] {
 	out := &Relation[P]{schema: r.schema, ring: r.ring, mut: r.mut, mutRef: r.mutRef}
 	out.entries.reserve(r.entries.len())
 	r.entries.all(func(e *Entry[P]) bool {
-		out.adopt(&Entry[P]{key: e.key, hash: e.hash, Tuple: e.Tuple, Payload: r.ring.Neg(e.Payload)})
+		out.adopt(&Entry[P]{key: out.keepKey(e.key, r.scratch), hash: e.hash, Tuple: e.Tuple, Payload: r.ring.Neg(e.Payload)})
 		return true
 	})
 	return out
+}
+
+// PoolStats is a relation's retained-but-free storage: Free entries parked
+// or reusable, Reclaimed entries ever handed back for reuse, KeyBytes of
+// scratch key slab.
+type PoolStats struct {
+	Free      int
+	Reclaimed uint64
+	KeyBytes  int
+}
+
+// Add accumulates o into s.
+func (s *PoolStats) Add(o PoolStats) {
+	s.Free += o.Free
+	s.Reclaimed += o.Reclaimed
+	s.KeyBytes += o.KeyBytes
+}
+
+// PoolStats reports the relation's pool and key slab.
+func (r *Relation[P]) PoolStats() PoolStats {
+	return PoolStats{Free: len(r.free) + len(r.parked), Reclaimed: r.reclaimed, KeyBytes: r.keys.bytes()}
+}
+
+// valueBytes is the size of one tuple column.
+const valueBytes = int(unsafe.Sizeof(Value{}))
+
+// MemoryBytes estimates the heap bytes the relation holds: table slots,
+// every entry — stored, parked or free — with its key bytes, tuple and
+// payload (ring.Sized when available, the inline header otherwise), and the
+// key slab. Tuples and keys shared with another relation are charged to
+// each holder; secondary indexes are not charged.
+func (r *Relation[P]) MemoryBytes() int {
+	sized, _ := r.ring.(ring.Sized[P])
+	total := int(unsafe.Sizeof(*r)) + 8*(len(r.entries.ctrl)+len(r.entries.slots)+cap(r.free)+cap(r.parked)) + r.keys.bytes()
+	charge := func(e *Entry[P]) bool {
+		total += int(unsafe.Sizeof(*e)) + len(e.key) + len(e.Tuple)*valueBytes
+		if sized != nil {
+			total += sized.Bytes(e.Payload) - int(unsafe.Sizeof(e.Payload))
+		}
+		return true
+	}
+	r.entries.all(charge)
+	for _, pool := range [][]*Entry[P]{r.free, r.parked} {
+		for _, e := range pool {
+			charge(e)
+		}
+	}
+	return total
 }
 
 // Equal reports whether two relations have the same schema variables and

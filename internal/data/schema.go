@@ -138,10 +138,6 @@ func NewProjector(from, to Schema) (Projector, error) {
 	return Projector{idx: idx, prefix: prefix}, nil
 }
 
-// IsPrefix reports whether the projection keeps a leading subsequence of
-// the source columns in order.
-func (p Projector) IsPrefix() bool { return p.prefix }
-
 // SharedApply projects the tuple, returning a capacity-capped subslice of t
 // for prefix projections (no allocation; the result shares t's backing and
 // is safe only while t's storage is immutable) and a fresh tuple otherwise.

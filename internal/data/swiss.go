@@ -12,7 +12,7 @@ import (
 // string and its hash live inside the entry, where Get/Merge need them
 // anyway), probes eight slots per control-word comparison, re-inserts by the
 // entry's cached hash on growth (no key re-hashing), and gives Relation
-// exact control over Reserve, Clear-with-recycling, and iteration.
+// exact control over Reserve, Clear, in-place compaction, and iteration.
 //
 // Layout: slots are grouped eight at a time. Each group owns one 64-bit
 // control word holding one metadata byte per slot:
@@ -30,7 +30,7 @@ import (
 
 // tableSeed is the process-wide hash seed. One shared seed keeps an entry's
 // cached key hash valid across every table it may move through (relation
-// clones, negations, recycled scratch entries).
+// clones, negations, entries merged by cached hash).
 var tableSeed = maphash.MakeSeed()
 
 // hashBytes and hashString hash an encoded tuple key. They agree on equal
@@ -205,18 +205,23 @@ func (t *entryTable[P]) del(e *Entry[P]) {
 	}
 }
 
-// rehash grows (or, when mostly tombstones, compacts in place at the same
-// size) and re-inserts every live entry by its cached hash — no key bytes
-// are touched.
+// rehash makes room for an insert: a table at least half full of live
+// entries doubles, one that filled up with tombstones is compacted in place.
 func (t *entryTable[P]) rehash() {
-	groups := len(t.ctrl)
-	switch {
+	switch groups := len(t.ctrl); {
 	case groups == 0:
 		t.alloc(1)
-		return
 	case t.live >= tableMaxLoadNum*groups/2:
-		groups *= 2
+		t.grow(2 * groups)
+	default:
+		t.compact()
 	}
+}
+
+// grow moves the table into fresh arrays of the given group count (a power
+// of two), re-inserting every live entry by its cached hash — no key bytes
+// are touched.
+func (t *entryTable[P]) grow(groups int) {
 	old := t.slots
 	t.alloc(groups)
 	for _, e := range old {
@@ -237,6 +242,47 @@ func (t *entryTable[P]) alloc(groups int) {
 	t.dead = 0
 }
 
+// compact drops every tombstone without allocating, the way abseil's
+// swiss table rehashes in place. First every full slot is marked pending
+// (the tombstone byte, its pointer kept) and every tombstone empty. Then
+// each pending entry moves to the first group of its probe sequence with a
+// free slot — free counts empty and pending — which is where a fresh insert
+// into the settled part of the table would put it: staying put if that is
+// its own group, moving into an empty slot, or swapping with another pending
+// entry, which is settled next from the same slot. A group is only ever
+// probed past once it holds eight settled entries, and settled entries never
+// move, so every entry stays reachable from its hash.
+func (t *entryTable[P]) compact() {
+	for g, w := range t.ctrl {
+		full := ^w & msbWord
+		t.ctrl[g] = w&msbWord | (full|(full-full>>7))&^(full>>7) // full -> 0xFE, rest -> 0x80
+	}
+	mask := uint64(len(t.ctrl) - 1)
+	for i := range t.slots {
+		g, j := uint64(i/groupSlots), i%groupSlots
+		for uint8(t.ctrl[g]>>(j*8)) == ctrlDeleted {
+			e := t.slots[i]
+			to := h1(e.hash) & mask
+			for step := uint64(1); matchFree(t.ctrl[to]) == 0; step++ {
+				to = (to + step) & mask
+			}
+			if to == g {
+				t.setCtrl(g, j, h2(e.hash))
+				break
+			}
+			k := matchFree(t.ctrl[to]).first()
+			dst := int(to)*groupSlots + k
+			pending := uint8(t.ctrl[to]>>(k*8)) == ctrlDeleted
+			t.setCtrl(to, k, h2(e.hash))
+			t.slots[i], t.slots[dst] = t.slots[dst], e
+			if !pending {
+				t.setCtrl(g, j, ctrlEmpty)
+			}
+		}
+	}
+	t.dead = 0
+}
+
 // reserve grows the table to hold at least n entries without rehashing
 // again. Existing entries are re-inserted by cached hash.
 func (t *entryTable[P]) reserve(n int) {
@@ -244,15 +290,8 @@ func (t *entryTable[P]) reserve(n int) {
 	for need*groupSlots*tableMaxLoadNum/8 < n {
 		need *= 2
 	}
-	if need <= len(t.ctrl) {
-		return
-	}
-	old := t.slots
-	t.alloc(need)
-	for _, e := range old {
-		if e != nil {
-			t.insertFresh(e)
-		}
+	if need > len(t.ctrl) {
+		t.grow(need)
 	}
 }
 

@@ -296,6 +296,13 @@ func (v *View[P]) observe(batch []data.BaseUpdate) error {
 	v.vstats.Keys += tuples
 	v.vstats.Maintain += s.At.Sub(start)
 	v.vstats.PublishedKeys += uint64(s.Patched)
+	if pr, ok := v.m.(interface{ PoolStats() data.PoolStats }); ok {
+		ps := pr.PoolStats()
+		for _, nd := range v.scratch {
+			ps.KeyBytes += nd.Delta.PoolStats().KeyBytes
+		}
+		v.vstats.PoolFree, v.vstats.Reclaimed, v.vstats.ScratchKeyBytes = ps.Free, ps.Reclaimed, ps.KeyBytes
+	}
 	return nil
 }
 

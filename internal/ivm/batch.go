@@ -92,7 +92,7 @@ func (e *Engine[P]) ApplyDeltas(batch []NamedDelta[P]) error {
 			return err
 		}
 	}
-	e.maybePublish()
+	e.endBatch()
 	return nil
 }
 

@@ -567,30 +567,32 @@ func (e *Engine[P]) ViewCount() int {
 	return n
 }
 
-// MemoryBytes estimates the heap bytes held by all materialized views,
-// using the ring's Sized implementation when available.
+// MemoryBytes estimates the heap bytes held by all materialized views
+// (data.Relation.MemoryBytes: pooled entries included).
 func (e *Engine[P]) MemoryBytes() int {
 	total := 0
 	for _, v := range e.views {
-		total += relationBytes(v.Relation)
+		total += v.MemoryBytes()
 	}
 	return total
 }
 
-// relationBytes estimates the footprint of a relation's entries.
-func relationBytes[P any](r *data.Relation[P]) int {
-	sized, _ := r.Ring().(ring.Sized[P])
-	total := 48
-	r.Iterate(func(t data.Tuple, p P) bool {
-		total += 48 + len(t)*24
-		if sized != nil {
-			total += sized.Bytes(p)
-		} else {
-			total += 16
+// PoolStats reports the storage the engine retains for reuse: the entry
+// pools of its views (Free, Reclaimed) and the key slabs of its delta plans'
+// scratch relations (KeyBytes). Maintenance-goroutine only.
+func (e *Engine[P]) PoolStats() data.PoolStats {
+	var ps data.PoolStats
+	for _, v := range e.views {
+		ps.Add(v.PoolStats())
+	}
+	for _, plan := range e.plans {
+		for _, st := range plan.steps {
+			if st.out != nil {
+				ps.KeyBytes += st.out.PoolStats().KeyBytes
+			}
 		}
-		return true
-	})
-	return total
+	}
+	return ps
 }
 
 // ApplyDelta propagates an update to one relation along its leaf-to-root
@@ -602,8 +604,20 @@ func (e *Engine[P]) ApplyDelta(rel string, delta *data.Relation[P]) error {
 	if err := e.applyDelta(rel, delta); err != nil {
 		return err
 	}
-	e.maybePublish()
+	e.endBatch()
 	return nil
+}
+
+// endBatch closes an applied batch: publish the epoch, then — the batch's
+// work items, index probes and fuser runs all being dead — let every view
+// reclaim the entries the batch removed (data.Relation.Reclaim). The loop
+// runs over whatever e.views holds now, so views built by Init and by a
+// mid-stream replan are pooled alike from their first batch on.
+func (e *Engine[P]) endBatch() {
+	e.maybePublish()
+	for _, v := range e.views {
+		v.Reclaim()
+	}
 }
 
 // applyDelta is ApplyDelta without the per-batch snapshot publication, so

@@ -149,10 +149,10 @@ func (m *MultiFirstOrder) ViewCount() int { return len(m.bases) + len(m.specs) }
 func (m *MultiFirstOrder) MemoryBytes() int {
 	total := 0
 	for _, b := range m.bases {
-		total += relationBytes(b)
+		total += b.MemoryBytes()
 	}
 	for _, r := range m.results {
-		total += relationBytes(r)
+		total += r.MemoryBytes()
 	}
 	return total
 }

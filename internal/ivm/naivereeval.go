@@ -101,10 +101,10 @@ func (m *NaiveReEval[P]) ViewCount() int { return len(m.bases) + 1 }
 func (m *NaiveReEval[P]) MemoryBytes() int {
 	total := 0
 	for _, b := range m.bases {
-		total += relationBytes(b)
+		total += b.MemoryBytes()
 	}
 	if m.result != nil {
-		total += relationBytes(m.result)
+		total += m.result.MemoryBytes()
 	}
 	return total
 }

@@ -384,6 +384,11 @@ func (p *Parallel[P]) ApplyDeltas(batch []NamedDelta[P]) error {
 				if err != nil {
 					return err
 				}
+				for s := 0; s < n; s++ {
+					// Routing scratch: refilled per batch, cleared above after
+					// the previous batch's cross-shard barrier.
+					route.Shard(s).RecycleCleared()
+				}
 				p.attachRouteStats(nd.Rel, route)
 				p.routes[nd.Rel] = route
 			}
@@ -451,6 +456,23 @@ func (p *Parallel[P]) Result() *data.Relation[P] {
 // ViewCount reports the logical view count (every shard materializes the
 // same view structure).
 func (p *Parallel[P]) ViewCount() int { return p.shards[0].ViewCount() }
+
+// PoolStats sums the shards' pools and the routing scratch's key slabs (see
+// Engine.PoolStats). Maintenance-goroutine only, between batches.
+func (p *Parallel[P]) PoolStats() data.PoolStats {
+	var ps data.PoolStats
+	for _, m := range p.shards {
+		if r, ok := m.(interface{ PoolStats() data.PoolStats }); ok {
+			ps.Add(r.PoolStats())
+		}
+	}
+	for _, route := range p.routes {
+		for s := 0; s < route.N(); s++ {
+			ps.KeyBytes += route.Shard(s).PoolStats().KeyBytes
+		}
+	}
+	return ps
+}
 
 // MemoryBytes sums the shards' materialized state (broadcast relations are
 // replicated and counted once per shard, as they are truly held per shard).

@@ -412,7 +412,7 @@ func (m *Recursive[P]) ViewCount() int { return len(m.views) }
 func (m *Recursive[P]) MemoryBytes() int {
 	total := 0
 	for _, v := range m.order {
-		total += relationBytes(v.rel.Relation)
+		total += v.rel.MemoryBytes()
 	}
 	return total
 }

@@ -95,10 +95,10 @@ func (m *ReEval[P]) ViewCount() int { return len(m.bases) + 1 }
 func (m *ReEval[P]) MemoryBytes() int {
 	total := 0
 	for _, b := range m.bases {
-		total += relationBytes(b)
+		total += b.MemoryBytes()
 	}
 	if m.result != nil {
-		total += relationBytes(m.result)
+		total += m.result.MemoryBytes()
 	}
 	return total
 }

@@ -106,17 +106,31 @@ func (p *publisher[P]) publish(s *ViewSnapshot[P]) *ViewSnapshot[P] {
 	return s
 }
 
+// snapshot is every maintainer's Snapshot: the latest epoch, or — the call
+// that enables publication — a first one built by epoch.
+func (p *publisher[P]) snapshot(epoch func() *ViewSnapshot[P]) *ViewSnapshot[P] {
+	if s := p.cur.Load(); s != nil {
+		return s
+	}
+	return p.publish(epoch())
+}
+
+// next is every maintainer's maybePublish, called exactly once at the end of
+// every applied batch: a fresh epoch if publication is enabled.
+func (p *publisher[P]) next(epoch func() *ViewSnapshot[P]) {
+	if p.enabled() {
+		p.publish(epoch())
+	}
+}
+
 // --- engine ------------------------------------------------------------------
 
 // Snapshot returns the latest published snapshot of the query result,
 // enabling publication on first use (see publisher for the concurrency
 // contract). Only the root view is snapshotted; see Catalog.
-func (e *Engine[P]) Snapshot() *ViewSnapshot[P] {
-	if s := e.pub.cur.Load(); s != nil {
-		return s
-	}
-	return e.publishSnapshot()
-}
+func (e *Engine[P]) Snapshot() *ViewSnapshot[P] { return e.pub.snapshot(e.epoch) }
+
+func (e *Engine[P]) maybePublish() { e.pub.next(e.epoch) }
 
 // Catalog returns the latest published snapshot with the catalogue of every
 // materialized view in it. The first call is the request: like the first
@@ -138,24 +152,16 @@ func (e *Engine[P]) Catalog() *ViewSnapshot[P] {
 	return up
 }
 
-// maybePublish publishes a fresh epoch if serving is enabled; maintainers
-// call it exactly once at the end of every applied batch.
-func (e *Engine[P]) maybePublish() {
-	if e.pub.enabled() {
-		e.publishSnapshot()
-	}
-}
-
-// publishSnapshot snapshots the root view (O(changed keys), via relation
-// dirty tracking) — plus every other materialized view once the catalogue
-// was requested — and swaps in the new epoch.
-func (e *Engine[P]) publishSnapshot() *ViewSnapshot[P] {
+// epoch snapshots the root view (O(changed keys), via relation dirty
+// tracking) — plus every other materialized view once the catalogue was
+// requested — into the next epoch.
+func (e *Engine[P]) epoch() *ViewSnapshot[P] {
 	// Before Init, Result is an empty relation: a well-formed empty epoch.
 	s := liveEpoch(e.Result())
 	if e.catalog {
 		e.fillCatalog(s)
 	}
-	return e.pub.publish(s)
+	return s
 }
 
 // fillCatalog snapshots every materialized view below the root into s, whose
@@ -227,119 +233,35 @@ func (e *Engine[P]) ViewByName(name string) *data.Relation[P] {
 }
 
 // --- the other maintainers: result-only epochs (see publisher) ---------------
+//
+// Results maintained in place publish their incremental snapshot (liveEpoch);
+// ReEval and NaiveReEval replace the result per batch and seal the fresh one.
 
-// Snapshot returns the latest published snapshot of the maintained result.
-func (m *FirstOrder[P]) Snapshot() *ViewSnapshot[P] {
-	if s := m.pub.cur.Load(); s != nil {
-		return s
-	}
-	return m.publishSnapshot()
-}
+func (m *FirstOrder[P]) Snapshot() *ViewSnapshot[P] { return m.pub.snapshot(m.epoch) }
+func (m *FirstOrder[P]) maybePublish()              { m.pub.next(m.epoch) }
+func (m *FirstOrder[P]) epoch() *ViewSnapshot[P]    { return liveEpoch(m.Result()) }
 
-func (m *FirstOrder[P]) maybePublish() {
-	if m.pub.enabled() {
-		m.publishSnapshot()
-	}
-}
+func (m *Recursive[P]) Snapshot() *ViewSnapshot[P] { return m.pub.snapshot(m.epoch) }
+func (m *Recursive[P]) maybePublish()              { m.pub.next(m.epoch) }
+func (m *Recursive[P]) epoch() *ViewSnapshot[P]    { return liveEpoch(m.Result()) }
 
-func (m *FirstOrder[P]) publishSnapshot() *ViewSnapshot[P] {
-	return m.pub.publish(liveEpoch(m.Result()))
-}
+func (m *ReEval[P]) Snapshot() *ViewSnapshot[P] { return m.pub.snapshot(m.epoch) }
+func (m *ReEval[P]) maybePublish()              { m.pub.next(m.epoch) }
+func (m *ReEval[P]) epoch() *ViewSnapshot[P]    { return sealedEpoch(m.Result().Seal()) }
 
-// Snapshot returns the latest published snapshot of the hierarchy's root.
-func (m *Recursive[P]) Snapshot() *ViewSnapshot[P] {
-	if s := m.pub.cur.Load(); s != nil {
-		return s
-	}
-	return m.publishSnapshot()
-}
+func (m *NaiveReEval[P]) Snapshot() *ViewSnapshot[P] { return m.pub.snapshot(m.epoch) }
+func (m *NaiveReEval[P]) maybePublish()              { m.pub.next(m.epoch) }
+func (m *NaiveReEval[P]) epoch() *ViewSnapshot[P]    { return sealedEpoch(m.Result().Seal()) }
 
-func (m *Recursive[P]) maybePublish() {
-	if m.pub.enabled() {
-		m.publishSnapshot()
-	}
-}
+// MultiFirstOrder and MultiRecursive publish the first (count) aggregate,
+// their Result.
+func (m *MultiFirstOrder) Snapshot() *ViewSnapshot[float64] { return m.pub.snapshot(m.epoch) }
+func (m *MultiFirstOrder) maybePublish()                    { m.pub.next(m.epoch) }
+func (m *MultiFirstOrder) epoch() *ViewSnapshot[float64]    { return liveEpoch(m.Result()) }
 
-func (m *Recursive[P]) publishSnapshot() *ViewSnapshot[P] {
-	return m.pub.publish(liveEpoch(m.Result()))
-}
-
-// Snapshot returns the latest published snapshot. The result relation is
-// replaced (never mutated) per batch, so each epoch seals the fresh one,
-// sharing its entries.
-func (m *ReEval[P]) Snapshot() *ViewSnapshot[P] {
-	if s := m.pub.cur.Load(); s != nil {
-		return s
-	}
-	return m.publishSnapshot()
-}
-
-func (m *ReEval[P]) maybePublish() {
-	if m.pub.enabled() {
-		m.publishSnapshot()
-	}
-}
-
-func (m *ReEval[P]) publishSnapshot() *ViewSnapshot[P] {
-	return m.pub.publish(sealedEpoch(m.Result().Seal()))
-}
-
-// Snapshot returns the latest published snapshot; like ReEval, the result is
-// sealed per recomputation.
-func (m *NaiveReEval[P]) Snapshot() *ViewSnapshot[P] {
-	if s := m.pub.cur.Load(); s != nil {
-		return s
-	}
-	return m.publishSnapshot()
-}
-
-func (m *NaiveReEval[P]) maybePublish() {
-	if m.pub.enabled() {
-		m.publishSnapshot()
-	}
-}
-
-func (m *NaiveReEval[P]) publishSnapshot() *ViewSnapshot[P] {
-	return m.pub.publish(sealedEpoch(m.Result().Seal()))
-}
-
-// Snapshot returns the latest published snapshot of the first (count)
-// aggregate, the maintainer's Result.
-func (m *MultiFirstOrder) Snapshot() *ViewSnapshot[float64] {
-	if s := m.pub.cur.Load(); s != nil {
-		return s
-	}
-	return m.publishSnapshot()
-}
-
-func (m *MultiFirstOrder) maybePublish() {
-	if m.pub.enabled() {
-		m.publishSnapshot()
-	}
-}
-
-func (m *MultiFirstOrder) publishSnapshot() *ViewSnapshot[float64] {
-	return m.pub.publish(liveEpoch(m.Result()))
-}
-
-// Snapshot returns the latest published snapshot of the first aggregate's
-// hierarchy root, the maintainer's Result.
-func (m *MultiRecursive) Snapshot() *ViewSnapshot[float64] {
-	if s := m.pub.cur.Load(); s != nil {
-		return s
-	}
-	return m.publishSnapshot()
-}
-
-func (m *MultiRecursive) maybePublish() {
-	if m.pub.enabled() {
-		m.publishSnapshot()
-	}
-}
-
-func (m *MultiRecursive) publishSnapshot() *ViewSnapshot[float64] {
-	return m.pub.publish(liveEpoch(m.Result()))
-}
+func (m *MultiRecursive) Snapshot() *ViewSnapshot[float64] { return m.pub.snapshot(m.epoch) }
+func (m *MultiRecursive) maybePublish()                    { m.pub.next(m.epoch) }
+func (m *MultiRecursive) epoch() *ViewSnapshot[float64]    { return liveEpoch(m.Result()) }
 
 // Snapshot returns the latest published snapshot. A sharded maintainer
 // reduces the shard results key-wise after each batch and seals the reduced
@@ -348,19 +270,12 @@ func (p *Parallel[P]) Snapshot() *ViewSnapshot[P] {
 	if !p.Sharded() {
 		return p.shards[0].Snapshot()
 	}
-	if s := p.pub.cur.Load(); s != nil {
-		return s
-	}
-	return p.publishSnapshot()
+	return p.pub.snapshot(p.epoch)
 }
 
-func (p *Parallel[P]) maybePublish() {
-	if p.pub.enabled() {
-		p.publishSnapshot()
-	}
-}
+func (p *Parallel[P]) maybePublish() { p.pub.next(p.epoch) }
 
-func (p *Parallel[P]) publishSnapshot() *ViewSnapshot[P] {
+func (p *Parallel[P]) epoch() *ViewSnapshot[P] {
 	// Reduce straight into a sealed snapshot: one radix sort over the
 	// gathered shard entries instead of a merge through a fresh hash
 	// relation (payloads are copied, so the live shard results stay free to
@@ -369,5 +284,5 @@ func (p *Parallel[P]) publishSnapshot() *ViewSnapshot[P] {
 	for _, m := range p.shards {
 		p.reduceParts = append(p.reduceParts, m.Result())
 	}
-	return p.pub.publish(sealedEpoch(data.ReduceSealed(p.ring, p.reduceParts[0].Schema(), p.reduceParts)))
+	return sealedEpoch(data.ReduceSealed(p.ring, p.reduceParts[0].Schema(), p.reduceParts))
 }

@@ -199,12 +199,16 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	type viewStats struct {
 		PublishedKeys     uint64 `json:"published_keys"`
 		ViewsMaterialized int    `json:"views_materialized"`
+		PoolFree          int    `json:"pool_free"`
+		Reclaimed         uint64 `json:"reclaimed"`
+		ScratchKeyBytes   int    `json:"scratch_key_bytes"`
 	}
 	names := e.Views()
 	perView := make(map[string]viewStats, len(names))
 	for _, name := range names {
 		st, _ := e.Stats(name)
-		perView[name] = viewStats{PublishedKeys: st.PublishedKeys, ViewsMaterialized: st.ViewCount}
+		perView[name] = viewStats{PublishedKeys: st.PublishedKeys, ViewsMaterialized: st.ViewCount,
+			PoolFree: st.PoolFree, Reclaimed: st.Reclaimed, ScratchKeyBytes: st.ScratchKeyBytes}
 	}
 	resp := map[string]any{
 		"epoch":      e.Seq,

@@ -149,6 +149,15 @@ func TestServeLookupScanHeaders(t *testing.T) {
 	if st["published_keys"] != float64(2) || st["views_materialized"].(float64) < 1 {
 		t.Fatalf("stats view_stats: %v", m["view_stats"])
 	}
+	// Retained storage: deleting R(1,2) cancels result group 1 (and a key of
+	// every stored view under it), which goes to the pool; the view's scratch
+	// relations hold key slabs by now.
+	postJSON(t, ts.URL+"/apply", applyBody("R", -1, []any{1, 2}), http.StatusOK)
+	m, _ = getJSON(t, ts.URL+"/stats", http.StatusOK)
+	st, _ = m["view_stats"].(map[string]any)["sums"].(map[string]any)
+	if st["pool_free"].(float64) < 1 || st["reclaimed"].(float64) < 1 || st["scratch_key_bytes"].(float64) <= 0 {
+		t.Fatalf("stats view_stats after a delete: %v", st)
+	}
 }
 
 func TestServeMinEpoch(t *testing.T) {
