@@ -162,7 +162,9 @@ func replSQL(d *db.DB, out io.Writer, sql string, vopts db.ViewOptions, tempView
 			fmt.Fprintln(out, err)
 			return
 		}
-		showSnapshot(out, v.Snapshot().Result(), 20)
+		snap := v.Snapshot()
+		showSnapshot(out, snap.Result(), 20)
+		snap.Release()
 		if err := d.DropView(name); err != nil {
 			fmt.Fprintln(out, err)
 		}
@@ -208,7 +210,7 @@ func replCommand(d *db.DB, out io.Writer, line string, stream []datasets.Batch, 
 		}
 		el := time.Since(start)
 		fmt.Fprintf(out, "applied %d tuples in %v (%.0f tuples/s); %d/%d batches done, epoch %d\n",
-			tuples, el.Round(time.Microsecond), float64(tuples)/el.Seconds(), *at, len(stream), d.Epoch().Seq)
+			tuples, el.Round(time.Microsecond), float64(tuples)/el.Seconds(), *at, len(stream), epochSeq(d))
 	case ".views":
 		names := d.Views()
 		if len(names) == 0 {
@@ -216,9 +218,10 @@ func replCommand(d *db.DB, out io.Writer, line string, stream []datasets.Batch, 
 		}
 		for _, name := range names {
 			st := d.ViewStatsOf(name)
-			fmt.Fprintf(out, "  %-16s %d inner views, %s, %d batches, %d keys published, maintain %v; pool %d free, %d reclaimed, scratch keys %s\n",
+			fmt.Fprintf(out, "  %-16s %d inner views, %s, %d batches, %d keys published, maintain %v; pool %d free, %d reclaimed, scratch keys %s; arena %d blocks, %d free, %d generations open, %d forgotten leases\n",
 				name, st.ViewCount, fmtBytes(st.MemoryBytes), st.Batches, st.PublishedKeys, st.Maintain.Round(time.Microsecond),
-				st.PoolFree, st.Reclaimed, fmtBytes(st.ScratchKeyBytes))
+				st.PoolFree, st.Reclaimed, fmtBytes(st.ScratchKeyBytes),
+				st.Arena.BlocksLive, st.Arena.BlocksFree, st.Arena.GenerationsOpen, st.Arena.BackstopReclaims)
 		}
 	case ".show":
 		if len(fields) < 2 {
@@ -231,7 +234,9 @@ func replCommand(d *db.DB, out io.Writer, line string, stream []datasets.Batch, 
 				limit = k
 			}
 		}
-		s := db.SnapshotOf[float64](d.Epoch(), fields[1])
+		e := d.Epoch()
+		defer e.Release()
+		s := db.SnapshotOf[float64](e, fields[1])
 		if s == nil {
 			fmt.Fprintf(out, "unknown view %q (SQL-created views only)\n", fields[1])
 			return false
@@ -239,7 +244,7 @@ func replCommand(d *db.DB, out io.Writer, line string, stream []datasets.Batch, 
 		showSnapshot(out, s.Result(), limit)
 	case ".stats":
 		fmt.Fprintf(out, "applied batches: %d, epoch %d, base tuples: %d, memory %s\n",
-			d.Applied(), d.Epoch().Seq, baseTuples(d), fmtBytes(d.MemoryBytes()))
+			d.Applied(), epochSeq(d), baseTuples(d), fmtBytes(d.MemoryBytes()))
 		if lsn, ok := d.WALStats(); ok {
 			fmt.Fprintf(out, "wal: lsn %d\n", lsn)
 		}
@@ -265,6 +270,13 @@ func replCatalog(d *db.DB) sqlparse.Catalog {
 		cat[rel] = sch
 	}
 	return cat
+}
+
+// epochSeq reads the current epoch's sequence number.
+func epochSeq(d *db.DB) uint64 {
+	e := d.Epoch()
+	defer e.Release()
+	return e.Seq
 }
 
 func baseTuples(d *db.DB) int {

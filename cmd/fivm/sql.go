@@ -78,7 +78,9 @@ func runSQL(ds *datasets.Dataset, sql string, batchSize, group int) error {
 
 	fmt.Printf("maintained %d tuples in %v (%.0f tuples/sec) across %d views\n",
 		tuples, elapsed.Round(time.Microsecond), float64(tuples)/elapsed.Seconds(), eng.ViewCount())
-	res := eng.Snapshot().Result()
+	snap := eng.Snapshot()
+	defer snap.Release()
+	res := snap.Result()
 	fmt.Printf("result (%d groups):\n", res.Len())
 	shown := 0
 	for _, e := range res.SortedEntries() {

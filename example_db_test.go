@@ -59,8 +59,10 @@ func ExampleDB_Apply() {
 		fivm.DeleteFrom("R", fivm.Tuple{fivm.Int(1), fivm.Int(11)}),
 	})
 
-	s := fivm.ViewSnapshotOf[int64](d.Epoch(), "byA")
-	cnt, _ := s.Result().Get(fivm.Tuple{fivm.Int(1)})
+	// An epoch is a lease on one consistent state of every view.
+	e := d.Epoch()
+	defer e.Release()
+	cnt, _ := fivm.ViewSnapshotOf[int64](e, "byA").Result().Get(fivm.Tuple{fivm.Int(1)})
 	fmt.Println(cnt)
 	// Output: 1
 }

@@ -71,6 +71,7 @@ func main() {
 	// Read everything from one cross-view epoch: all views at the same
 	// applied prefix, lock-free, while maintenance could keep streaming.
 	e := d.Epoch()
+	defer e.Release() // an epoch is a lease; its snapshots are valid until here
 	fmt.Printf("epoch after %d batches, views %v\n", e.Applied, e.Views())
 	cnt := fivm.ViewSnapshotOf[int64](e, "cntByA").Result()
 	for _, en := range cnt.SortedEntries() {
@@ -91,11 +92,14 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	defer rd.Close()
 	if sum, ok := rd.Lookup(fivm.Ints(1, 5)); ok {
 		fmt.Printf("reader: sums[1,5] = %g\n", sum)
 	}
 	must(d.DropView("cntByA"))
-	fmt.Printf("after drop: views %v\n", d.Epoch().Views())
+	after := d.Epoch()
+	defer after.Release()
+	fmt.Printf("after drop: views %v\n", after.Views())
 }
 
 func must(err error) {

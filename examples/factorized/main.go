@@ -58,8 +58,11 @@ func main() {
 
 	// Pin one epoch of each representation: all counting and enumeration
 	// below reads that consistent snapshot (safe even if another goroutine
-	// kept streaming updates).
+	// kept streaming updates). A snapshot is a lease: Release gives the
+	// epoch's storage back.
 	factSnap, listSnap := fact.Snapshot(), list.Snapshot()
+	defer factSnap.Release()
+	defer listSnap.Release()
 	fmt.Printf("result tuples:      %d (both representations agree: %v)\n",
 		factSnap.Count(), factSnap.Count() == listSnap.Count())
 	fmt.Printf("listing memory:     ~%d KiB\n", list.MemoryBytes()/1024)
@@ -82,6 +85,8 @@ func main() {
 	if err := fact.ApplyDelta("R1", d); err != nil {
 		panic(err)
 	}
+	now := fact.Snapshot()
+	defer now.Release()
 	fmt.Printf("after deleting key 0's R1 tuples: %d tuples (pinned epoch still had %d)\n",
-		fact.Snapshot().Count(), factSnap.Count())
+		now.Count(), factSnap.Count())
 }

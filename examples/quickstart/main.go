@@ -66,6 +66,7 @@ func main() {
 	// goroutine keeps applying deltas (eng.Result() would be a live,
 	// unsynchronized handle).
 	reader := fivm.NewReader[int64](eng)
+	defer reader.Close() // gives the pinned epoch's storage back
 	fmt.Printf("after inserts (epoch %d):\n", reader.Epoch())
 	for _, e := range reader.Snapshot().Result().SortedEntries() {
 		fmt.Printf("  (A,C)=%v -> SUM(B*D*E)=%d\n", e.Tuple, e.Payload)

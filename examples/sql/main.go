@@ -55,10 +55,16 @@ func main() {
 		fivm.Ints(101, 2, 4), // region 2: 4×25
 	)
 
-	fmt.Println("revenue per region:")
-	for _, e := range eng.Snapshot().Result().SortedEntries() {
-		fmt.Printf("  region %v -> %d\n", e.Tuple, e.Payload)
+	// A snapshot is a lease on one published epoch: read, then Release.
+	show := func() {
+		snap := eng.Snapshot()
+		defer snap.Release()
+		for _, e := range snap.Result().SortedEntries() {
+			fmt.Printf("  region %v -> %d\n", e.Tuple, e.Payload)
+		}
 	}
+	fmt.Println("revenue per region:")
+	show()
 
 	// A price change is a delete+insert pair on Items; the views absorb it.
 	upd := fivm.NewRelation[int64](fivm.IntRing{}, catalog["Items"])
@@ -68,7 +74,5 @@ func main() {
 		panic(err)
 	}
 	fmt.Println("after repricing item 2 to 30:")
-	for _, e := range eng.Snapshot().Result().SortedEntries() {
-		fmt.Printf("  region %v -> %d\n", e.Tuple, e.Payload)
-	}
+	show()
 }

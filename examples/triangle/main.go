@@ -47,14 +47,21 @@ func main() {
 	// Read through published snapshots (Result()/ViewOf() are live handles;
 	// snapshots are the concurrency-safe read path). An epoch carries the
 	// result; the views below it are published once Catalog asks for them.
-	cPlain, _ := plain.Snapshot().Result().Get(fivm.Tuple{})
-	cInd, _ := indexed.Snapshot().Result().Get(fivm.Tuple{})
+	// A snapshot is a lease: Release it once read.
+	count := func(e *fivm.Engine[int64]) int64 {
+		snap := e.Snapshot()
+		defer snap.Release()
+		c, _ := snap.Result().Get(fivm.Tuple{})
+		return c
+	}
+	cPlain, cInd := count(plain), count(indexed)
 	fmt.Printf("triangles: %d (plain) = %d (with indicator): %v\n", cPlain, cInd, cPlain == cInd)
 
 	// The indicator bounds the intermediate view at C.
 	sizeAt := func(e *fivm.Engine[int64], v string) int {
 		size := -1
 		snap := e.Catalog()
+		defer snap.Release()
 		e.Tree().Walk(func(n *fivm.ViewNode) {
 			if n.Var == v {
 				if rel := snap.ViewOf(n); rel != nil {

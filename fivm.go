@@ -27,9 +27,9 @@
 //	    fivm.Rel("S", fivm.NewSchema("A", "C")))
 //	v, _ := fivm.CreateView[int64](d, "byA", q, fivm.IntRing{}, fivm.CountLift, fivm.ViewOptions{})
 //	_ = d.Apply([]fivm.DBUpdate{fivm.InsertInto("R", fivm.Ints(1, 10))})
-//	// read via d.Epoch() + fivm.ViewSnapshotOf / fivm.ViewReader; views can
-//	// be created (with backfill) and dropped mid-stream, also via SQL DDL
-//	// (d.Exec("CREATE VIEW ... AS SELECT ...")).
+//	// read via e := d.Epoch() + fivm.ViewSnapshotOf, then e.Release(), or
+//	// via fivm.ViewReader; views can be created (with backfill) and dropped
+//	// mid-stream, also via SQL DDL (d.Exec("CREATE VIEW ... AS SELECT ...")).
 //	_ = v
 //
 // The per-engine layer underneath (fivm.NewEngine and friends) remains
@@ -37,6 +37,15 @@
 // eng.Snapshot() or a fivm.NewReader handle for concurrent serving —
 // eng.Result() is a deprecated live handle, only safe quiescently on the
 // maintenance goroutine.
+//
+// Every published epoch is a lease (ViewSnapshot, DBEpoch, Reader,
+// CQResultSnapshot): the publication pointer holds one reference while the
+// epoch is current and every handle you are given one more; Release (Close
+// on a Reader) returns the epoch's storage at the writer's next publish.
+// Releasing is optional — a forgotten handle stays readable while reachable
+// and costs a full garbage-collection cycle to reclaim — but an *Entry, or a
+// payload of a ring that accumulates in place, read from an epoch is valid
+// until that Release, not "while reachable": copy out what must outlive it.
 package fivm
 
 import (
@@ -303,7 +312,8 @@ func SplitRelation[P any](r *Relation[P], col string, n int) ([]*Relation[P], er
 
 // RelationSnapshot is an immutable point-in-time copy of a Relation,
 // readable lock-free from any number of goroutines: point lookups by key,
-// ordered iteration, and prefix scans over leading variables.
+// ordered iteration, and prefix scans over leading variables. Reached through
+// a ViewSnapshot, it is valid until that epoch's Release.
 type RelationSnapshot[P any] = data.RelationSnapshot[P]
 
 // ViewSnapshot is one published epoch of a maintainer's state — exactly the
@@ -312,7 +322,8 @@ type RelationSnapshot[P any] = data.RelationSnapshot[P]
 // publishes after Engine.Catalog asked for it (consistent with the result,
 // from the next batch on). Every Maintainer publishes one epoch per batch
 // once serving is enabled (first Snapshot call), via a single atomic
-// epoch-pointer swap.
+// epoch-pointer swap. Snapshot and Catalog return leases: Release them (see
+// the package comment).
 type ViewSnapshot[P any] = ivm.ViewSnapshot[P]
 
 // SnapshotSource is anything that publishes view snapshots; every
@@ -322,7 +333,7 @@ type SnapshotSource[P any] = serve.Source[P]
 // Reader is a lock-free read handle pinned to one snapshot epoch: point
 // lookups by group-by key, prefix scans over the result, and explicit
 // Refresh with monotonic (never regressing) epochs. One Reader per reading
-// goroutine.
+// goroutine; it owns a lease on the epoch it pins, which Close gives back.
 type Reader[P any] = serve.Reader[P]
 
 // NewReader pins the source's current epoch. Enable publication first by
@@ -334,7 +345,7 @@ func NewReader[P any](src SnapshotSource[P]) *Reader[P] {
 
 // CQResultSnapshot is an epoch-pinned conjunctive query result: counting and
 // (factorized) enumeration against one consistent snapshot, safe under
-// concurrent maintenance. Obtain one from CQResult.Snapshot.
+// concurrent maintenance. Obtain one from CQResult.Snapshot; Release it.
 type CQResultSnapshot = factorized.ResultSnapshot
 
 // Competitor strategies (first-order IVM, DBToaster-style recursive IVM,
@@ -380,6 +391,7 @@ type View[P any] = db.View[P]
 
 // DBEpoch is one published cross-view state: an immutable set of per-view
 // snapshots all reflecting the same applied prefix of the update stream.
+// DB.Epoch returns a lease: Release it once read (see the package comment).
 type DBEpoch = db.Epoch
 
 // DBUpdate is one element of an applied batch: tuples of a base relation
@@ -418,14 +430,14 @@ func CreateSQLView(d *DB, name, sql string, opts ViewOptions) (*View[float64], e
 
 // ViewSnapshotOf returns the named view's snapshot within a cross-view
 // epoch, or nil when the epoch does not carry it (or the payload type does
-// not match).
+// not match). The snapshot is the epoch's: valid until the epoch's Release.
 func ViewSnapshotOf[P any](e *DBEpoch, view string) *ViewSnapshot[P] {
 	return db.SnapshotOf[P](e, view)
 }
 
 // ViewReader returns a serve.Reader over the named DB view pinned at the
 // latest cross-view epoch; Refresh advances through the view's live
-// publications. One reader per reading goroutine.
+// publications, Close gives the pin back. One reader per reading goroutine.
 func ViewReader[P any](d *DB, view string) (*Reader[P], error) {
 	return db.ReaderFor[P](d, view)
 }

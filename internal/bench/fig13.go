@@ -153,7 +153,9 @@ func TriangleIndicator(cfg Fig13Config) *Table {
 	}
 	for _, ind := range []bool{false, true} {
 		e, res := build(ind)
-		count, _ := e.Snapshot().Result().Get(data.Tuple{})
+		snap := e.Snapshot()
+		count, _ := snap.Result().Get(data.Tuple{})
+		snap.Release()
 		name := "plain"
 		if ind {
 			name = "with ∃_{A,B}R"

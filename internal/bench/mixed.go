@@ -62,7 +62,7 @@ func RunMixed[P any](name string, m ivm.Maintainer[P], toDelta func(b datasets.B
 	if opts.Readers <= 0 {
 		return MixedResult{RunResult: RunStream(name, Adapt(m, toDelta), stream, opts)}
 	}
-	m.Snapshot() // enable publication from the maintenance goroutine
+	m.Snapshot().Release() // enable publication from the maintenance goroutine
 
 	var (
 		stop   atomic.Bool
@@ -74,6 +74,7 @@ func RunMixed[P any](name string, m ivm.Maintainer[P], toDelta func(b datasets.B
 		go func(st *readerState) {
 			defer wg.Done()
 			rd := serve.NewReader[P](m)
+			defer rd.Close()
 			st.lags = append(st.lags, rd.Lag())
 			keys := sampleKeys(rd, nil)
 			for n := int64(0); ; n++ {

@@ -263,7 +263,7 @@ func runMultiViewSeparate(ds *datasets.Dataset, specs []viewSpec, stream []datas
 		if err := m.Init(); err != nil {
 			return 0, per, err
 		}
-		m.Snapshot() // publication on, as the DB side has it
+		m.Snapshot().Release() // publication on, as the DB side has it
 		engines[i] = m
 		toDeltas[i] = floatDelta(q)
 	}

@@ -205,7 +205,7 @@ func ServeBench(cfg ServeBenchConfig) []ScenarioResult {
 	ingestElapsed := time.Since(ingestStart)
 
 	// Let the follower fully converge, then stop the samplers and readers.
-	wantApplied := d.Epoch().Applied
+	wantApplied := appliedOf(d)
 	convergeErr := waitFollowerApplied(fol, wantApplied, 10*time.Second)
 	replElapsed := time.Since(ingestStart)
 	time.Sleep(window)
@@ -275,12 +275,19 @@ func httpGet(c *http.Client, url string) bool {
 func waitFollowerApplied(f *replica.Follower, want uint64, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		if f.DB().Epoch().Applied >= want {
+		if appliedOf(f.DB()) >= want {
 			return nil
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
-	return fmt.Errorf("follower stuck at applied=%d, want %d", f.DB().Epoch().Applied, want)
+	return fmt.Errorf("follower stuck at applied=%d, want %d", appliedOf(f.DB()), want)
+}
+
+// appliedOf reads the batch count of d's current epoch, giving the lease back.
+func appliedOf(d *db.DB) uint64 {
+	e := d.Epoch()
+	defer e.Release()
+	return e.Applied
 }
 
 // stalenessSampler polls both epoch pointers and records when each applied
@@ -321,6 +328,8 @@ func (s *stalenessSampler) run() {
 
 func (s *stalenessSampler) sample() {
 	pe, fe := s.p.Epoch(), s.f.DB().Epoch()
+	defer pe.Release()
+	defer fe.Release()
 	s.mu.Lock()
 	if _, ok := s.pSeen[pe.Applied]; !ok {
 		s.pSeen[pe.Applied] = pe.At

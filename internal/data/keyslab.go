@@ -70,7 +70,9 @@ func (s *keySlab) bytes() int {
 // consumer that kept an entry, a mutable payload or a scratch key past its
 // owner's reclaim point fails the test suites loudly: reclaimed entries get
 // their key and tuple scribbled and the payload storage they keep NaN-filled,
-// rewound key slabs are filled with 0xFF. Test hook, off in production.
+// rewound key slabs are filled with 0xFF, and a snapshot arena block no
+// generation pins any more has its sealed entries overwritten (a read through
+// a Released snapshot). Test hook, off in production.
 var poison bool
 
 // PoisonReclaimed switches the poison hook; tests call it from TestMain
@@ -80,6 +82,24 @@ func PoisonReclaimed(on bool) { poison = on }
 const poisonKey = "\xff<reclaimed>"
 
 var poisonTuple = Tuple{String(poisonKey)}
+
+// poisonRun scribbles the sealed entries of an arena block nobody pins any
+// more. Only the entry VALUES are overwritten: the payload storage a sealed
+// entry points at is shared with the live relation under the gen rule.
+func poisonRun[P any](es []Entry[P]) {
+	var dead P
+	switch p := any(&dead).(type) {
+	case *float64:
+		*p = math.NaN()
+	case *int64:
+		*p = math.MinInt64
+	case *ring.Triple:
+		p.C = math.NaN()
+	}
+	for i := range es {
+		es[i] = Entry[P]{key: poisonKey, Tuple: poisonTuple, Payload: dead}
+	}
+}
 
 // poisonEntry scribbles a reclaimed entry. What a later insert overwrites
 // anyway (CopyInto, MulInto) may hold anything; what it would wrongly

@@ -717,11 +717,12 @@ func (r *Relation[P]) Negate() *Relation[P] {
 
 // PoolStats is a relation's retained-but-free storage: Free entries parked
 // or reusable, Reclaimed entries ever handed back for reuse, KeyBytes of
-// scratch key slab.
+// scratch key slab, and the snapshot arena once the relation publishes.
 type PoolStats struct {
 	Free      int
 	Reclaimed uint64
 	KeyBytes  int
+	Arena     ArenaStats
 }
 
 // Add accumulates o into s.
@@ -729,11 +730,15 @@ func (s *PoolStats) Add(o PoolStats) {
 	s.Free += o.Free
 	s.Reclaimed += o.Reclaimed
 	s.KeyBytes += o.KeyBytes
+	s.Arena.BlocksLive += o.Arena.BlocksLive
+	s.Arena.BlocksFree += o.Arena.BlocksFree
+	s.Arena.GenerationsOpen += o.Arena.GenerationsOpen
+	s.Arena.BackstopReclaims += o.Arena.BackstopReclaims
 }
 
-// PoolStats reports the relation's pool and key slab.
+// PoolStats reports the relation's pool, key slab and snapshot arena.
 func (r *Relation[P]) PoolStats() PoolStats {
-	return PoolStats{Free: len(r.free) + len(r.parked), Reclaimed: r.reclaimed, KeyBytes: r.keys.bytes()}
+	return PoolStats{Free: len(r.free) + len(r.parked), Reclaimed: r.reclaimed, KeyBytes: r.keys.bytes(), Arena: r.arenaStats()}
 }
 
 // valueBytes is the size of one tuple column.

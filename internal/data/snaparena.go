@@ -17,7 +17,7 @@ import (
 //
 // Reclamation is reference-counted at block granularity, because snapshot
 // lifetime is reader-controlled: a pinned reader may hold an old snapshot
-// arbitrarily long (see serve.Registry). Block references are taken per
+// arbitrarily long (see serve.Reader). Block references are taken per
 // publish GENERATION — a group of up to genSpan consecutive publishes — not
 // per snapshot: each block referenced by any of the generation's snapshots
 // holds one reference for the whole generation, and the generation's pin
@@ -93,6 +93,28 @@ type bumpBlock[T any] struct {
 	owner *bumpArena[T]
 }
 
+// ArenaStats is a snapshotting relation's arena accounting (PoolStats.Arena):
+// blocks some generation still pins and blocks parked for reuse, publish
+// generations not yet drained, and generations whose death the GC backstop
+// reported instead of Release — each of those is a lease somebody forgot.
+type ArenaStats struct {
+	BlocksLive, BlocksFree, GenerationsOpen int
+	BackstopReclaims                        uint64
+}
+
+// arenaStats reports the relation's snapshot arena (zero before the first
+// Snapshot).
+func (r *Relation[P]) arenaStats() ArenaStats {
+	if r.snap == nil {
+		return ArenaStats{}
+	}
+	a := &r.snap.arena
+	a.deadMu.Lock()
+	backstops := a.backstops
+	a.deadMu.Unlock()
+	return ArenaStats{a.runs.live + a.dirs.live, len(a.runs.free) + len(a.dirs.free), a.sets - len(a.freeSets), backstops}
+}
+
 // release drops one reference; the last reference returns the block to the
 // owner's freelist. The buffer is NOT wiped: a recycled block is overwritten
 // as it is reused and a discarded one is garbage wholesale, so the only cost
@@ -105,8 +127,12 @@ func (b *bumpBlock[T]) release() {
 	if b.rc != 0 {
 		return
 	}
-	b.buf = b.buf[:0]
 	a := b.owner
+	if a.scribble != nil {
+		a.scribble(b.buf)
+	}
+	b.buf = b.buf[:0]
+	a.live--
 	if len(a.free) < arenaFreeMax {
 		a.free = append(a.free, b)
 	}
@@ -125,6 +151,10 @@ type bumpArena[T any] struct {
 	lastBlk   *bumpBlock[T]
 	lastStart int
 	free      []*bumpBlock[T]
+	// live counts blocks taken and not yet given back; scribble (set under
+	// PoisonReclaimed only) overwrites a dead block's contents.
+	live     int
+	scribble func([]T)
 }
 
 // alloc returns an empty run with the given strict capacity bound and the
@@ -171,6 +201,7 @@ func (a *bumpArena[T]) take() *bumpBlock[T] {
 		b.buf = make([]T, 0, a.blockCap)
 	}
 	b.rc = 1
+	a.live++
 	return b
 }
 
@@ -245,21 +276,28 @@ type snapArena[P any] struct {
 	// goroutine and only touches the dead list.
 	onDead func(deadNote[P])
 
-	deadMu sync.Mutex
-	dead   []*pinSet[P] // generations whose snapshots are all dead
+	deadMu    sync.Mutex
+	dead      []*pinSet[P] // generations whose snapshots are all dead
+	backstops uint64       // generations the GC backstop, not Release, reported
 
 	drainScratch []*pinSet[P]
 	freeSets     []*pinSet[P]
+	sets         int // pin sets ever allocated (open = sets - len(freeSets))
 }
 
 func (a *snapArena[P]) init() {
 	a.runs.blockCap = runBlockCap
 	a.dirs.blockCap = dirBlockCap
+	if poison {
+		a.runs.scribble = poisonRun[P]
+		a.dirs.scribble = func(cs []snapChunk[P]) { clear(cs) } // Lookup and ScanPrefix panic
+	}
 	a.onDead = func(n deadNote[P]) {
 		a.deadMu.Lock()
 		if n.set.genID == n.gen && !n.set.dead {
 			n.set.dead = true
 			a.dead = append(a.dead, n.set)
+			a.backstops++
 		}
 		a.deadMu.Unlock()
 	}
@@ -285,6 +323,7 @@ func (a *snapArena[P]) takeSet() *pinSet[P] {
 		a.freeSets = a.freeSets[:n-1]
 		return s
 	}
+	a.sets++
 	return &pinSet[P]{owner: a}
 }
 

@@ -31,16 +31,16 @@ const (
 // storage) of every key range that did not change between publishes:
 // publishing costs O(changed keys · chunk size + chunk count), not
 // O(relation size). Chunk storage is recycled through a block arena (see
-// snaparena.go), so entry pointers obtained from a snapshot (Lookup,
-// ScanPrefix, IterateEntries) are valid only while the snapshot itself is
-// reachable — copy the entry out before dropping the snapshot.
+// snaparena.go), so an *Entry obtained from a snapshot (Lookup, ScanPrefix,
+// IterateEntries), or an in-place ring's payload, is valid until the
+// snapshot's last Release, not merely "while reachable" — copy it out first.
 //
-// Snapshots are reference counted: call Release when done with a snapshot
-// obtained from Relation.Snapshot, and Retain before handing it to an
-// additional independent owner. Releasing is optional — forgotten snapshots
-// are reclaimed by a GC backstop — but a high-rate publish loop that skips
-// Release makes storage reclamation wait on full collection cycles and
-// loses the arena's recycling entirely (see snaparena.go).
+// A snapshot is a lease: the publishing relation holds one reference while it
+// is the latest and every Relation.Snapshot call one more (Retain adds one
+// for another owner). Release is optional — a forgotten snapshot stays
+// readable while reachable and is reclaimed by a GC backstop, counted in
+// ArenaStats.BackstopReclaims — but a high-rate publish loop that skips it
+// waits on full collection cycles and loses the arena's recycling entirely.
 type RelationSnapshot[P any] struct {
 	schema Schema
 	ring   ring.Ring[P]
@@ -395,8 +395,8 @@ func (s *RelationSnapshot[P]) findChunk(key []byte) int {
 
 // Lookup returns the entry stored under an encoded tuple key, or nil. The
 // key bytes may live in a caller-owned scratch buffer; the lookup does not
-// allocate or retain them. The returned entry is valid only while the
-// snapshot is reachable; copy it out before dropping the snapshot.
+// allocate or retain them. The returned entry is valid until the snapshot is
+// Released; copy it out first.
 func (s *RelationSnapshot[P]) Lookup(key []byte) *Entry[P] {
 	if len(s.chunks) == 0 {
 		return nil
@@ -438,8 +438,8 @@ func (s *RelationSnapshot[P]) GetKey(key string) (P, bool) {
 // of values for a leading subset of the schema's variables (Tuple.AppendKey
 // of a prefix tuple); an empty prefix scans the whole snapshot. The
 // self-delimiting key encoding guarantees a byte-prefix match is exactly a
-// leading-variable value match. Entries passed to f are valid only while the
-// snapshot is reachable.
+// leading-variable value match. Entries passed to f are valid until the
+// snapshot is Released.
 func (s *RelationSnapshot[P]) ScanPrefix(prefix []byte, f func(e *Entry[P]) bool) {
 	if len(s.chunks) == 0 {
 		return
@@ -474,8 +474,8 @@ func (s *RelationSnapshot[P]) Iterate(f func(t Tuple, p P) bool) {
 }
 
 // IterateEntries calls f for each entry in encoded-key order until f returns
-// false. Entries are immutable, must not be modified, and are valid only
-// while the snapshot is reachable.
+// false. Entries are immutable, must not be modified, and are valid until the
+// snapshot is Released.
 func (s *RelationSnapshot[P]) IterateEntries(f func(e *Entry[P]) bool) {
 	for _, c := range s.chunks {
 		for i := range c.es {

@@ -18,7 +18,7 @@
 // After every applied batch the DB publishes one cross-view Epoch: an
 // immutable set of per-view snapshots all reflecting the same prefix of the
 // update stream. Readers pin an Epoch (or a per-view serve.Reader on one)
-// and read lock-free while maintenance streams on.
+// and read lock-free while maintenance streams on, then Release it (Epoch).
 //
 // Concurrency contract: Open, CreateView, Apply, DropView, and Exec are
 // single-writer — call them from one maintenance goroutine. Epoch, the
@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"fivm/internal/data"
+	"fivm/internal/ivm"
 	"fivm/internal/sqlparse"
 	"fivm/internal/wal"
 )
@@ -149,8 +150,8 @@ type registeredView interface {
 	viewName() string
 	queryRels() []string
 	observe(batch []data.BaseUpdate) error
-	latestSnapshot() any // *ivm.ViewSnapshot[P]
-	stats() ViewStats    // everything but MemoryBytes
+	latestSnapshot() viewLease // a retained *ivm.ViewSnapshot[P]
+	stats() ViewStats          // everything but MemoryBytes
 	memoryBytes() int
 	closeView()
 }
@@ -289,6 +290,9 @@ type ViewStats struct {
 	PoolFree        int
 	Reclaimed       uint64
 	ScratchKeyBytes int
+	// Arena is the snapshot arena of the relations the view publishes, as of
+	// its last batch; Arena.BackstopReclaims counts forgotten leases.
+	Arena data.ArenaStats
 	// ViewCount and MemoryBytes describe the materialized state. MemoryBytes
 	// walks it, so only ViewStatsOf fills it in.
 	ViewCount   int
@@ -484,7 +488,9 @@ func (d *DB) registerView(v registeredView) {
 // every registered view's latest snapshot and accounting. Called at the end
 // of Open, Apply, and view DDL, on the maintenance goroutine — the only
 // writer of the registry, so it reads it without mu. Per batch it allocates
-// the epoch and its view slice; the name catalogue is shared.
+// the epoch and its view slice; the name catalogue is shared. The epoch
+// retains each view's current snapshot; the one it replaces loses the
+// publication pointer's reference.
 func (d *DB) publish(at time.Time) {
 	if d.slot == nil {
 		d.names = append([]string(nil), d.order...)
@@ -499,24 +505,39 @@ func (d *DB) publish(at time.Time) {
 		views[i] = epochView{snap: v.latestSnapshot(), stats: v.stats()}
 	}
 	d.seq++
-	d.cur.Store(&Epoch{
+	e := &Epoch{
 		Seq:     d.seq,
 		Applied: d.applied,
 		At:      at,
 		names:   d.names,
 		slot:    d.slot,
 		views:   views,
-	})
+	}
+	e.lease.Open()
+	d.cur.Swap(e).Release()
 }
 
-// Epoch returns the latest published cross-view epoch: one consistent
-// snapshot per registered view, all reflecting the same applied prefix of
-// the update stream. Safe from any goroutine; pin it and read lock-free.
-func (d *DB) Epoch() *Epoch { return d.cur.Load() }
+// Epoch returns a lease on the latest published cross-view epoch: one
+// consistent snapshot per registered view, all reflecting the same applied
+// prefix of the update stream. Safe from any goroutine; read, then Release.
+func (d *DB) Epoch() *Epoch {
+	for {
+		if e := d.cur.Load(); e.lease.TryRetain() {
+			return e
+		}
+	}
+}
 
 // Epoch is one published cross-view state: an immutable set of per-view
 // snapshots taken after the same applied batch (plus the DDL operations up
 // to it). Within one DB, Seq is strictly monotonic.
+//
+// An Epoch is a lease on the ivm.ViewSnapshot of every view, under the same
+// contract: the publication pointer holds one reference while it is current
+// and every DB.Epoch call one more; Release is optional (a forgotten epoch
+// stays readable while reachable, costs a GC cycle and shows in
+// ViewStats.Arena.BackstopReclaims), but nothing read through the epoch — a
+// snapshot, an *Entry, an in-place ring's payload — may be used after it.
 type Epoch struct {
 	// Seq counts published epochs (Apply and view DDL each publish one).
 	Seq uint64
@@ -530,12 +551,27 @@ type Epoch struct {
 	names []string
 	slot  map[string]int
 	views []epochView
+	lease ivm.Lease
 }
+
+// viewLease is the ring-erased *ivm.ViewSnapshot[P] an epoch retains.
+type viewLease interface{ Release() }
 
 // epochView is one view's share of an epoch.
 type epochView struct {
-	snap  any // *ivm.ViewSnapshot[P]
+	snap  viewLease
 	stats ViewStats
+}
+
+// Release drops one reference to the epoch (nil-safe, any goroutine); the
+// last one releases the view snapshots it retained.
+func (e *Epoch) Release() {
+	if e == nil || !e.lease.Drop() {
+		return
+	}
+	for _, v := range e.views {
+		v.snap.Release()
+	}
 }
 
 // Views returns the epoch's view names in creation order (a copy: epochs

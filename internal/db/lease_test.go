@@ -1,0 +1,243 @@
+package db
+
+import (
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+
+	"fivm/internal/data"
+	"fivm/internal/ivm"
+	"fivm/internal/query"
+	"fivm/internal/ring"
+	"fivm/internal/vorder"
+)
+
+// TestPublishLoopRecyclesArena: two views of 4096 groups each, batches that
+// update 32 groups spread over the whole key range in place, and a reader
+// that takes and releases the cross-view epoch of every batch. What a batch
+// allocates must be a constant that does not contain the snapshot chunks it
+// dirtied (2 views × 32 chunks of 64..128 entries: some 380 KiB per batch
+// when epochs are left to the collector) — also when a second reader holds
+// every 7th epoch for 50 batches.
+func TestPublishLoopRecyclesArena(t *testing.T) {
+	const keys, warm, batches, bound = 4096, 200, 300, 8 << 10
+	sch := data.NewSchema("A", "B")
+	for _, hold := range []bool{false, true} {
+		d, err := Open(Catalog{"R": sch}, Options{DisableStats: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		for name, free := range map[string]data.Schema{"byA": data.NewSchema("A"), "byAB": sch} {
+			q := query.MustNew(name, free, query.RelDef{Name: "R", Schema: sch})
+			if _, err := CreateView[int64](d, name, q, ring.Int{}, countLift, ViewOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		load := make([]data.Tuple, keys)
+		for a := range load {
+			load[a] = tup(int64(a), 0)
+		}
+		if err := d.Apply([]Update{Insert("R", load...)}); err != nil {
+			t.Fatal(err)
+		}
+		held := make([]*Epoch, 0, 16)
+		batch := make([]Update, 1)
+		var before, after runtime.MemStats
+		for b := 0; b < warm+batches; b++ {
+			if b == warm {
+				runtime.ReadMemStats(&before)
+			}
+			ts := make([]data.Tuple, 32)
+			for i := range ts {
+				ts[i] = load[(i*keys/32+b*7)%keys]
+			}
+			batch[0] = Insert("R", ts...)
+			if err := d.Apply(batch); err != nil {
+				t.Fatal(err)
+			}
+			e := d.Epoch()
+			if n, _ := SnapshotOf[int64](e, "byA").Result().Get(load[b*7%keys][:1]); n < 2 {
+				t.Fatalf("batch %d: group %d counts %d", b, b*7%keys, n)
+			}
+			if hold && b%7 == 0 {
+				held = append(held, d.Epoch())
+			}
+			applied := e.Applied
+			e.Release()
+			if len(held) > 0 && held[0].Applied+50 <= applied {
+				held[0].Release()
+				held = append(held[:0], held[1:]...)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perBatch := (after.TotalAlloc - before.TotalAlloc) / batches
+		for _, name := range d.Views() {
+			as := d.ViewStatsOf(name).Arena
+			t.Logf("hold=%v: view %s arena %+v", hold, name, as)
+			if as.BackstopReclaims != 0 || as.BlocksFree == 0 {
+				t.Errorf("hold=%v: view %s arena %+v, want recycled blocks and no backstop reclaim", hold, name, as)
+			}
+		}
+		t.Logf("hold=%v: %d B per batch", hold, perBatch)
+		if perBatch > bound {
+			t.Errorf("hold=%v: %d B allocated per batch, want at most %d: epochs do not give their blocks back", hold, perBatch, bound)
+		}
+	}
+}
+
+// TestLeasesUnderChurn: four readers acquire cross-view epochs through
+// DB.Epoch, hold each for a random 0..40 batches and release it — except a
+// random tenth, which they forget — while the writer deletes and re-inserts
+// the very groups those epochs pin. Every read of every held epoch must
+// equal the re-evaluation oracle's result at that epoch's batch, in both
+// views.
+func TestLeasesUnderChurn(t *testing.T) {
+	const nKeys, fan, batches, readers = 5, 3, 120, 4
+	d, err := Open(testCatalog(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	order := func() *vorder.Order {
+		return vorder.MustNew(vorder.V("A", vorder.V("B"), vorder.V("C", vorder.V("D"))))
+	}
+	qCnt, qSum := testQuery("cnt", "A"), testQuery("sum", "A", "C")
+	if _, err := CreateView[int64](d, "cnt", qCnt, ring.Int{}, countLift, ViewOptions{Order: order}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CreateView[float64](d, "sum", qSum, ring.Float{}, propSumLift, ViewOptions{Order: order}); err != nil {
+		t.Fatal(err)
+	}
+	reCnt, err := ivm.NewReEval[int64](qCnt, order(), ring.Int{}, countLift)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reSum, err := ivm.NewReEval[float64](qSum, order(), ring.Float{}, propSumLift)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oCnt := &oracle[int64]{m: reCnt, q: qCnt, ring: ring.Int{}}
+	oSum := &oracle[float64]{m: reSum, q: qSum, ring: ring.Float{}}
+	if err := reCnt.Init(); err != nil {
+		t.Fatal(err)
+	}
+	if err := reSum.Init(); err != nil {
+		t.Fatal(err)
+	}
+
+	// wants[applied] is what an epoch after that many batches must read.
+	var (
+		mu    sync.Mutex
+		wants = map[uint64][2]string{}
+		wg    sync.WaitGroup
+		stop  = make(chan struct{})
+	)
+	check := func(e *Epoch) {
+		mu.Lock()
+		w, ok := wants[e.Applied]
+		mu.Unlock()
+		if !ok {
+			return // published, its expectation not recorded yet
+		}
+		if got := fpEntries(SnapshotOf[int64](e, "cnt").Result().SortedEntries()); got != w[0] {
+			t.Errorf("cnt after %d batches:\n epoch  %s\n oracle %s", e.Applied, got, w[0])
+		}
+		if got := fpEntries(SnapshotOf[float64](e, "sum").Result().SortedEntries()); got != w[1] {
+			t.Errorf("sum after %d batches:\n epoch  %s\n oracle %s", e.Applied, got, w[1])
+		}
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			type lease struct {
+				e     *Epoch
+				until uint64
+			}
+			var held []lease
+			for {
+				select {
+				case <-stop:
+					for _, l := range held {
+						check(l.e)
+						l.e.Release()
+					}
+					return
+				default:
+				}
+				e := d.Epoch()
+				now := e.Applied
+				check(e)
+				if rng.Intn(10) != 0 { // a tenth is forgotten: the collector's to reclaim
+					held = append(held, lease{e, now + uint64(rng.Intn(41))})
+				}
+				keep := held[:0]
+				for _, l := range held {
+					check(l.e)
+					if l.until <= now {
+						l.e.Release()
+					} else {
+						keep = append(keep, l)
+					}
+				}
+				held = keep
+				runtime.Gosched()
+			}
+		}(int64(r + 1))
+	}
+
+	// slice is the part of the database under join key A = a.
+	slice := func(a int, mult int64) []Update {
+		var rs, ss []data.Tuple
+		for i := 0; i < fan; i++ {
+			rs = append(rs, tup(int64(a), int64(i)))
+			for c := 0; c < nKeys; c++ {
+				ss = append(ss, tup(int64(a), int64(c)))
+			}
+		}
+		return []Update{{Rel: "R", Tuples: rs, Mult: mult}, {Rel: "S", Tuples: ss, Mult: mult}}
+	}
+	apply := func(ups []Update) {
+		t.Helper()
+		oCnt.apply(t, ups)
+		oSum.apply(t, ups)
+		w := [2]string{fpEntries(reCnt.Result().Seal().SortedEntries()), fpEntries(reSum.Result().Seal().SortedEntries())}
+		mu.Lock()
+		wants[d.Applied()+1] = w
+		mu.Unlock()
+		if err := d.Apply(ups); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var load []Update
+	for c := 0; c < nKeys; c++ {
+		load = append(load, Insert("T", tup(int64(c), int64(10+c)), tup(int64(c), int64(20+c))))
+	}
+	for a := 0; a < nKeys; a++ {
+		load = append(load, slice(a, 1)...)
+	}
+	apply(load)
+	for b := 0; b < batches; b++ {
+		// Delete the slice under key a, put back the one deleted last batch.
+		ups := slice(b%nKeys, -1)
+		if b > 0 {
+			ups = append(ups, slice((b+nKeys-1)%nKeys, 1)...)
+		}
+		apply(ups)
+		if b%16 == 0 {
+			runtime.GC() // let forgotten leases reach the backstop mid-run
+		}
+	}
+	close(stop)
+	wg.Wait()
+	for _, name := range d.Views() {
+		st := d.ViewStatsOf(name)
+		t.Logf("view %s: arena %+v, %d entries reclaimed", name, st.Arena, st.Reclaimed)
+		if st.Reclaimed < batches {
+			t.Errorf("view %s: the churn never went through the pool: %+v", name, st)
+		}
+	}
+}

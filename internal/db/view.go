@@ -184,7 +184,7 @@ func CreateView[P any](d *DB, name string, q query.Query, r ring.Ring[P], lift d
 	}
 	// Enable snapshot publication: every applied batch now publishes an
 	// epoch, which the DB's cross-view Epoch picks up.
-	m.Snapshot()
+	m.Snapshot().Release()
 
 	d.registerView(v)
 	return v, nil
@@ -296,12 +296,14 @@ func (v *View[P]) observe(batch []data.BaseUpdate) error {
 	v.vstats.Keys += tuples
 	v.vstats.Maintain += s.At.Sub(start)
 	v.vstats.PublishedKeys += uint64(s.Patched)
+	s.Release()
 	if pr, ok := v.m.(interface{ PoolStats() data.PoolStats }); ok {
 		ps := pr.PoolStats()
 		for _, nd := range v.scratch {
 			ps.KeyBytes += nd.Delta.PoolStats().KeyBytes
 		}
 		v.vstats.PoolFree, v.vstats.Reclaimed, v.vstats.ScratchKeyBytes = ps.Free, ps.Reclaimed, ps.KeyBytes
+		v.vstats.Arena = ps.Arena
 	}
 	return nil
 }
@@ -371,21 +373,25 @@ func (v *View[P]) Query() query.Query { return v.q }
 // introspection). Maintenance-goroutine only.
 func (v *View[P]) Maintainer() ivm.Maintainer[P] { return v.m }
 
-// Snapshot returns the view's latest published snapshot (safe from any
-// goroutine). For a set of views consistent at one applied batch, go through
-// DB.Epoch and SnapshotOf instead.
+// Snapshot returns a lease on the view's latest published snapshot (safe
+// from any goroutine; Release it when done). For a set of views consistent
+// at one applied batch, go through DB.Epoch and SnapshotOf instead.
 func (v *View[P]) Snapshot() *ivm.ViewSnapshot[P] { return v.m.Snapshot() }
 
 // Reader returns a serve.Reader pinned to the view's snapshot in the DB's
 // latest cross-view epoch (falling back to the view's own latest snapshot if
-// the epoch predates the view). One reader per reading goroutine.
+// the epoch predates the view). One reader per reading goroutine; Close it
+// when done.
 func (v *View[P]) Reader() *serve.Reader[P] {
-	return serve.NewReaderAt[P](v.m, SnapshotOf[P](v.db.Epoch(), v.name))
+	e := v.db.Epoch()
+	defer e.Release()
+	return serve.NewReaderAt[P](v.m, SnapshotOf[P](e, v.name))
 }
 
 // SnapshotOf returns the named view's snapshot in a cross-view epoch, or nil
 // when the epoch does not carry it (unknown name, dropped view, or a payload
-// type mismatch).
+// type mismatch). The snapshot is the epoch's, not a lease of its own: it is
+// valid until the epoch is Released (Retain it to keep it longer).
 func SnapshotOf[P any](e *Epoch, view string) *ivm.ViewSnapshot[P] {
 	if e == nil {
 		return nil
@@ -400,7 +406,8 @@ func SnapshotOf[P any](e *Epoch, view string) *ivm.ViewSnapshot[P] {
 
 // ReaderFor returns a serve.Reader over the named view pinned at the DB's
 // latest cross-view epoch. Safe from any goroutine; Refresh advances through
-// the view's live publications. The payload type must match the view's.
+// the view's live publications, Close gives the pin back. The payload type
+// must match the view's.
 func ReaderFor[P any](d *DB, view string) (*serve.Reader[P], error) {
 	d.mu.RLock()
 	rv := d.views[view]
@@ -412,8 +419,8 @@ func ReaderFor[P any](d *DB, view string) (*serve.Reader[P], error) {
 	if !ok {
 		return nil, fmt.Errorf("db: view %q has payload type %T, not the requested one", view, rv)
 	}
-	return serve.NewReaderAt[P](v.m, SnapshotOf[P](d.Epoch(), view)), nil
+	return v.Reader(), nil
 }
 
 // latestSnapshot implements registeredView.
-func (v *View[P]) latestSnapshot() any { return v.m.Snapshot() }
+func (v *View[P]) latestSnapshot() viewLease { return v.m.Snapshot() }

@@ -381,6 +381,8 @@ type ResultSnapshot struct {
 // goroutine (typically right after Init); afterwards Snapshot may be called
 // from any goroutine. FactPayloads is the one representation that lives in
 // the views below the root, so it asks the engine for its view catalogue.
+// The snapshot is a lease on that epoch: Release it when done (optional; a
+// forgotten one is left to the garbage collector, see ivm.ViewSnapshot).
 func (r *Result) Snapshot() *ResultSnapshot {
 	s := &ResultSnapshot{Mode: r.Mode, Output: r.Output}
 	switch {
@@ -393,6 +395,12 @@ func (r *Result) Snapshot() *ResultSnapshot {
 		s.rel = r.relEng.Snapshot()
 	}
 	return s
+}
+
+// Release gives the pinned epoch back; the snapshot must not be read after.
+func (s *ResultSnapshot) Release() {
+	s.keys.Release()
+	s.rel.Release()
 }
 
 // Epoch returns the pinned epoch number.

@@ -578,8 +578,9 @@ func (e *Engine[P]) MemoryBytes() int {
 }
 
 // PoolStats reports the storage the engine retains for reuse: the entry
-// pools of its views (Free, Reclaimed) and the key slabs of its delta plans'
-// scratch relations (KeyBytes). Maintenance-goroutine only.
+// pools of its views (Free, Reclaimed), the snapshot arenas of the views it
+// publishes (Arena) and the key slabs of its delta plans' scratch relations
+// (KeyBytes). Maintenance-goroutine only.
 func (e *Engine[P]) PoolStats() data.PoolStats {
 	var ps data.PoolStats
 	for _, v := range e.views {

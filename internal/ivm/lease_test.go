@@ -1,0 +1,372 @@
+package ivm
+
+import (
+	"math"
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"fivm/internal/data"
+	"fivm/internal/query"
+	"fivm/internal/ring"
+	"fivm/internal/vorder"
+)
+
+// countByA builds a COUNT(*) GROUP BY A engine over R(A,B) holding one group
+// per key in [0, keys), publication on.
+func countByA(t testing.TB, keys int) *Engine[int64] {
+	t.Helper()
+	sch := data.NewSchema("A", "B")
+	q := query.MustNew("Q", data.NewSchema("A"), query.RelDef{Name: "R", Schema: sch})
+	e, err := New[int64](q, vorder.MustNew(vorder.V("A", vorder.V("B"))), ring.Int{}, countLift, Options[int64]{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := data.NewRelation[int64](ring.Int{}, sch)
+	for a := 0; a < keys; a++ {
+		load.Merge(data.Ints(int64(a), 0), 1)
+	}
+	if err := e.Load("R", load); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Init(); err != nil {
+		t.Fatal(err)
+	}
+	e.Snapshot().Release()
+	return e
+}
+
+// spreadBatch refills d with one more copy of R(a,0) for 32 keys a spread
+// over the whole key range, a different set per batch: every one is an
+// in-place update of a stored group, each in a snapshot chunk of its own.
+func spreadBatch(d *data.Relation[int64], keys, batch int) []NamedDelta[int64] {
+	d.Clear()
+	for i := 0; i < 32; i++ {
+		d.Merge(data.Ints(int64((i*keys/32+batch*7)%keys), 0), 1)
+	}
+	return []NamedDelta[int64]{{Rel: "R", Delta: d}}
+}
+
+// TestPublishLoopRecyclesArena: a publish loop whose reader takes and
+// releases the epoch of every batch allocates a constant per batch that does
+// not contain the chunks the batch dirtied (32 chunks of 64..128 entries of
+// 64 bytes: some 190 KiB per batch when nobody gives an epoch back) — also
+// when a second reader holds every 7th epoch for 50 batches.
+func TestPublishLoopRecyclesArena(t *testing.T) {
+	const keys, warm, batches, bound = 4096, 200, 300, 4 << 10
+	for _, hold := range []bool{false, true} {
+		e := countByA(t, keys)
+		d := data.NewRelation[int64](ring.Int{}, data.NewSchema("A", "B"))
+		d.RecycleCleared()
+		held := make([]*ViewSnapshot[int64], 0, 16)
+		var before, after runtime.MemStats
+		for b := 0; b < warm+batches; b++ {
+			if b == warm {
+				runtime.ReadMemStats(&before)
+			}
+			if err := e.ApplyDeltas(spreadBatch(d, keys, b)); err != nil {
+				t.Fatal(err)
+			}
+			s := e.Snapshot()
+			if n, _ := s.Result().Get(data.Ints(int64(b * 7 % keys))); n < 2 {
+				t.Fatalf("batch %d: group %d counts %d", b, b*7%keys, n)
+			}
+			if hold && b%7 == 0 {
+				s.Retain()
+				held = append(held, s)
+			}
+			epoch := s.Epoch
+			s.Release()
+			if len(held) > 0 && held[0].Epoch+50 <= epoch {
+				held[0].Release()
+				held = append(held[:0], held[1:]...)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perBatch := (after.TotalAlloc - before.TotalAlloc) / batches
+		as := e.PoolStats().Arena
+		t.Logf("hold=%v: %d B per batch; arena %+v", hold, perBatch, as)
+		if perBatch > bound {
+			t.Errorf("hold=%v: %d B allocated per batch, want at most %d: epochs do not give their blocks back", hold, perBatch, bound)
+		}
+		if as.BackstopReclaims != 0 || as.BlocksFree == 0 {
+			t.Errorf("hold=%v: arena %+v, want recycled blocks and no backstop reclaim", hold, as)
+		}
+	}
+}
+
+// TestForgottenLeaseFallsBackToCollector: a handle nobody releases stays
+// readable for as long as it is reachable, however many publishes go by; once
+// dropped, the collector's cleanup reports its generation (and is counted, as
+// the one forgotten lease) and the next publish takes the blocks back.
+func TestForgottenLeaseFallsBackToCollector(t *testing.T) {
+	const keys = 4096
+	e := countByA(t, keys)
+	d := data.NewRelation[int64](ring.Int{}, data.NewSchema("A", "B"))
+	publish := func(b int) {
+		t.Helper()
+		if err := e.ApplyDeltas(spreadBatch(d, keys, b)); err != nil {
+			t.Fatal(err)
+		}
+		e.Snapshot().Release()
+	}
+	publish(0)
+	forgotten := e.Snapshot()
+	want := dumpSnapshot(forgotten.Result(), ring.Int{})
+	for b := 1; b < 200; b++ {
+		publish(b)
+	}
+	if !sameDump(dumpSnapshot(forgotten.Result(), ring.Int{}), want, eqInt) {
+		t.Fatal("an epoch still held changed under 200 publishes")
+	}
+	if as := e.PoolStats().Arena; as.BackstopReclaims != 0 || as.GenerationsOpen < 2 {
+		t.Fatalf("arena %+v while the lease is held, want its generation open and no backstop reclaim", as)
+	}
+	forgotten = nil
+	deadline := time.Now().Add(10 * time.Second)
+	for b := 200; ; b++ {
+		runtime.GC()
+		runtime.GC()
+		publish(b)
+		as := e.PoolStats().Arena
+		if as.BackstopReclaims == 1 && as.GenerationsOpen <= 2 {
+			break
+		}
+		if as.BackstopReclaims > 1 || time.Now().After(deadline) {
+			t.Fatalf("arena %+v, want exactly one backstop reclaim and the generation drained", as)
+		}
+	}
+}
+
+// TestReadAfterReleaseIsPoisoned is the deliberately broken reader: it keeps
+// reading a result after releasing its lease. Within two generation spans of
+// publishes the epoch's blocks go back to the arena, and under the poison
+// hook (see TestMain) the stale snapshot then reads scribbled entries — not
+// the plausible ones of whichever epoch took the storage over.
+func TestReadAfterReleaseIsPoisoned(t *testing.T) {
+	const keys, lap = 4096, 4096 / 64
+	e := countByA(t, keys)
+	d := data.NewRelation[int64](ring.Int{}, data.NewSchema("A", "B"))
+	publish := func(b int) {
+		t.Helper()
+		if err := e.ApplyDeltas(spreadBatch(d, keys, b)); err != nil {
+			t.Fatal(err)
+		}
+		e.Snapshot().Release()
+	}
+	for b := 0; b < 2*lap; b++ { // until every chunk lives in an arena block
+		publish(b)
+	}
+	s := e.Snapshot()
+	stale := s.Result()
+	s.Release()
+	caughtAt := -1
+	for b := 0; b < 2*16+lap && caughtAt < 0; b++ { // 2×genSpan, plus a refresh lap
+		publish(2*lap + b)
+		func() {
+			defer func() {
+				if recover() != nil {
+					caughtAt = b // Lookup through a scribbled chunk directory
+				}
+			}()
+			seen := 0
+			stale.Iterate(func(tu data.Tuple, n int64) bool {
+				if seen++; n == math.MinInt64 {
+					caughtAt = b
+				} else if m, ok := stale.Get(tu); !ok || m != n {
+					caughtAt = b
+				}
+				return caughtAt < 0
+			})
+			if seen != stale.Len() {
+				caughtAt = b // a scribbled directory iterates nothing
+			}
+		}()
+	}
+	if caughtAt < 0 {
+		t.Fatal("reads through a released snapshot went unnoticed")
+	}
+	t.Logf("stale read caught %d publishes after the release", caughtAt+1)
+}
+
+// TestLeasesUnderChurn: four readers acquire epochs through Engine.Snapshot
+// (Catalog, once it was asked for), hold each for a random 0..40 batches and
+// release it — except a random tenth, which they forget — while the writer
+// deletes and re-inserts the very groups those epochs pin. Every read of
+// every held epoch, root and (after Catalog) internal views alike, must equal
+// what the ReEval oracle and the live views held at that epoch's batch.
+func TestLeasesUnderChurn(t *testing.T) {
+	const nKeys, fan, batches, catalogAt, readers = 5, 3, 120, 40, 4
+	cf := ring.Cofactor{}
+	q := paperQuery("A")
+	e, err := New[ring.Triple](q, paperOrder(), cf, cofactorLift, Options[ring.Triple]{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := NewReEval[ring.Triple](q, paperOrder(), cf, cofactorLift)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maintainers := []Maintainer[ring.Triple]{e, oracle}
+	for _, m := range maintainers {
+		if err := m.Init(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slice := func(rd string, a int) *data.Relation[ring.Triple] {
+		sch, _ := q.Rel(rd)
+		d := data.NewRelation[ring.Triple](cf, sch.Schema)
+		for i := 0; i < fan; i++ {
+			switch rd {
+			case "R":
+				d.Merge(data.Ints(int64(a), int64(i)), cf.One())
+			case "T":
+				d.Merge(data.Ints(int64(a), int64(10+i)), cf.One())
+			case "S":
+				for c := 0; c < nKeys; c++ {
+					d.Merge(data.Ints(int64(a), int64(c), int64(i)), cf.One())
+				}
+			}
+		}
+		return d
+	}
+	e.Snapshot().Release()
+
+	// wants[epoch] is what that epoch must read: the oracle's result and,
+	// from the catalogue on, the live dump of every internal view.
+	type expect struct {
+		result map[string]ring.Triple
+		views  map[string]map[string]ring.Triple
+	}
+	var (
+		mu         sync.Mutex
+		wants      = map[uint64]expect{}
+		applied    uint64 // batches applied so far (guarded by mu)
+		catalogued bool   // the writer has asked for the catalogue (guarded by mu)
+		wg         sync.WaitGroup
+		stop       = make(chan struct{})
+	)
+	check := func(s *ViewSnapshot[ring.Triple]) {
+		mu.Lock()
+		w, ok := wants[s.Epoch]
+		mu.Unlock()
+		if !ok {
+			return // published, its expectation not recorded yet
+		}
+		if !sameDump(dumpSnapshot(s.Result(), cf), w.result, sameTriple) {
+			t.Errorf("result of epoch %d differs from the oracle at its batch", s.Epoch)
+		}
+		for _, name := range s.Views() {
+			if wv, ok := w.views[name]; ok && !sameDump(dumpSnapshot(s.View(name), cf), wv, sameTriple) {
+				t.Errorf("view %s of epoch %d differs from the live view at its batch", name, s.Epoch)
+			}
+		}
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			type lease struct {
+				s     *ViewSnapshot[ring.Triple]
+				until uint64
+			}
+			var held []lease
+			for {
+				select {
+				case <-stop:
+					for _, l := range held {
+						check(l.s)
+						l.s.Release()
+					}
+					return
+				default:
+				}
+				mu.Lock()
+				now, viaCatalog := applied, catalogued && rng.Intn(2) == 0
+				mu.Unlock()
+				s := e.Snapshot()
+				if viaCatalog {
+					s.Release()
+					s = e.Catalog()
+				}
+				check(s)
+				if rng.Intn(10) == 0 {
+					s = nil // forgotten: the collector's to reclaim
+				} else {
+					held = append(held, lease{s, now + uint64(rng.Intn(41))})
+				}
+				keep := held[:0]
+				for _, l := range held {
+					check(l.s)
+					if l.until <= now {
+						l.s.Release()
+					} else {
+						keep = append(keep, l)
+					}
+				}
+				held = keep
+				runtime.Gosched()
+			}
+		}(int64(r + 1))
+	}
+
+	apply := func(batch []NamedDelta[ring.Triple]) {
+		t.Helper()
+		for _, m := range maintainers {
+			if err := m.ApplyDeltas(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := e.Snapshot()
+		w := expect{result: copyDump(dumpResult(oracle.Result(), cf))}
+		if len(s.Views()) > 0 {
+			w.views = map[string]map[string]ring.Triple{}
+			for _, name := range s.Views() {
+				if node := e.byName[name]; node != e.root {
+					w.views[name] = copyDump(dumpResult(e.ViewOf(node), cf))
+				}
+			}
+		}
+		mu.Lock()
+		wants[s.Epoch] = w
+		applied++
+		mu.Unlock()
+		s.Release()
+	}
+	var load []NamedDelta[ring.Triple]
+	for a := 0; a < nKeys; a++ {
+		for _, rd := range q.Rels {
+			load = append(load, NamedDelta[ring.Triple]{Rel: rd.Name, Delta: slice(rd.Name, a)})
+		}
+	}
+	apply(load)
+	for b := 0; b < batches; b++ {
+		a, prev := b%nKeys, (b+nKeys-1)%nKeys
+		var batch []NamedDelta[ring.Triple]
+		for _, rd := range q.Rels {
+			batch = append(batch, NamedDelta[ring.Triple]{Rel: rd.Name, Delta: slice(rd.Name, a).Negate()})
+			if b > 0 {
+				batch = append(batch, NamedDelta[ring.Triple]{Rel: rd.Name, Delta: slice(rd.Name, prev)})
+			}
+		}
+		apply(batch)
+		if b == catalogAt {
+			e.Catalog().Release()
+			mu.Lock()
+			catalogued = true
+			mu.Unlock()
+		}
+		if b%16 == 0 {
+			runtime.GC() // let forgotten leases reach the backstop mid-run
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if ps := e.PoolStats(); ps.Reclaimed < batches {
+		t.Fatalf("the churn never went through the pool: %+v", ps)
+	}
+	t.Logf("arena after %d batches: %+v", batches, e.PoolStats().Arena)
+}

@@ -25,6 +25,14 @@ import (
 // with a single atomic pointer swap, so any number of reader goroutines can
 // pin an epoch and read it lock-free while maintenance keeps streaming; see
 // internal/serve for reader handles.
+//
+// An epoch is a lease. The publication pointer holds one reference while the
+// epoch is current and every handle from Snapshot or Catalog one more; the
+// last Release returns the epoch's arena blocks at the writer's next publish.
+// Release is optional: a forgotten handle stays readable while reachable and
+// costs a full GC cycle to reclaim (data.ArenaStats.BackstopReclaims counts
+// those). An *Entry or an in-place ring's payload read from the epoch is
+// valid until that Release, not merely "while reachable".
 type ViewSnapshot[P any] struct {
 	// Epoch counts published snapshots: 0 at enablement, +1 per applied
 	// batch. Within one maintainer it is strictly monotonic.
@@ -37,12 +45,61 @@ type ViewSnapshot[P any] struct {
 	// wholesale).
 	Patched int
 
+	lease      Lease
+	superseded atomic.Bool // the maintainer has published past this epoch
+
 	result *data.RelationSnapshot[P]
 	// The catalogue; all nil in result-only epochs.
 	views  map[string]*data.RelationSnapshot[P]
 	byNode map[*viewtree.Node]*data.RelationSnapshot[P]
 	names  []string
 }
+
+// Lease is the acquisition protocol of a published epoch (ViewSnapshot,
+// db.Epoch): a reference count that never leaves zero. The epoch struct is
+// collector memory, so touching a dead epoch's count is safe; only what the
+// last Drop gives back is not.
+type Lease struct{ refs atomic.Int32 }
+
+// Open sets the count to one: the publication pointer's reference.
+func (l *Lease) Open() { l.refs.Store(1) }
+
+// TryRetain adds a reference unless the last one is gone. A reader loops:
+// load the publication pointer, TryRetain, reload on failure.
+func (l *Lease) TryRetain() bool {
+	n := l.refs.Load()
+	for n > 0 && !l.refs.CompareAndSwap(n, n+1) {
+		n = l.refs.Load()
+	}
+	return n > 0
+}
+
+// Drop removes a reference and reports whether it was the last.
+func (l *Lease) Drop() bool { return l.refs.Add(-1) == 0 }
+
+// Retain adds a reference for another owner; the caller must hold one itself.
+func (s *ViewSnapshot[P]) Retain() {
+	if s != nil {
+		s.lease.TryRetain()
+	}
+}
+
+// Release drops one reference, the last one the epoch's relation snapshots
+// with it. Safe from any goroutine, nil-safe.
+func (s *ViewSnapshot[P]) Release() {
+	if s == nil || !s.lease.Drop() {
+		return
+	}
+	s.result.Release()
+	for _, rs := range s.byNode {
+		if rs != s.result {
+			rs.Release()
+		}
+	}
+}
+
+// Superseded reports whether a later epoch was published: one atomic load.
+func (s *ViewSnapshot[P]) Superseded() bool { return s.superseded.Load() }
 
 // Result returns the snapshot of the maintained query result.
 func (s *ViewSnapshot[P]) Result() *data.RelationSnapshot[P] { return s.result }
@@ -86,48 +143,59 @@ func sealedEpoch[P any](rs *data.RelationSnapshot[P]) *ViewSnapshot[P] {
 //     enable publication.
 //   - Once enabled, the maintainer publishes a fresh epoch at the end of
 //     every ApplyDelta/ApplyDeltas call, and Snapshot may be called from any
-//     goroutine: it is a single atomic load.
+//     goroutine: an atomic load plus the lease acquisition. Installing the
+//     next epoch drops the pointer's reference on the one it replaces.
 //   - Maintainers that were never asked for a Snapshot pay nothing on the
 //     maintenance path beyond one atomic load per applied batch.
 type publisher[P any] struct {
 	cur atomic.Pointer[ViewSnapshot[P]]
 }
 
-// enabled reports whether publication has been switched on.
-func (p *publisher[P]) enabled() bool { return p.cur.Load() != nil }
-
 // publish stamps s as the next epoch and installs it.
-func (p *publisher[P]) publish(s *ViewSnapshot[P]) *ViewSnapshot[P] {
+func (p *publisher[P]) publish(s *ViewSnapshot[P]) {
 	if prev := p.cur.Load(); prev != nil {
 		s.Epoch = prev.Epoch + 1
 	}
 	s.At = time.Now()
-	p.cur.Store(s)
-	return s
+	p.install(s)
 }
 
-// snapshot is every maintainer's Snapshot: the latest epoch, or — the call
-// that enables publication — a first one built by epoch.
-func (p *publisher[P]) snapshot(epoch func() *ViewSnapshot[P]) *ViewSnapshot[P] {
-	if s := p.cur.Load(); s != nil {
-		return s
+// install swaps s in and drops the pointer's reference on what it replaces.
+func (p *publisher[P]) install(s *ViewSnapshot[P]) {
+	s.lease.Open()
+	if prev := p.cur.Swap(s); prev != nil {
+		prev.superseded.Store(true)
+		prev.Release()
 	}
-	return p.publish(epoch())
+}
+
+// snapshot is every maintainer's Snapshot: a lease on the latest epoch, or —
+// the call that enables publication — on a first one built by epoch.
+func (p *publisher[P]) snapshot(epoch func() *ViewSnapshot[P]) *ViewSnapshot[P] {
+	for {
+		s := p.cur.Load()
+		if s == nil {
+			p.publish(epoch())
+		} else if s.lease.TryRetain() {
+			return s
+		}
+	}
 }
 
 // next is every maintainer's maybePublish, called exactly once at the end of
 // every applied batch: a fresh epoch if publication is enabled.
 func (p *publisher[P]) next(epoch func() *ViewSnapshot[P]) {
-	if p.enabled() {
+	if p.cur.Load() != nil {
 		p.publish(epoch())
 	}
 }
 
 // --- engine ------------------------------------------------------------------
 
-// Snapshot returns the latest published snapshot of the query result,
-// enabling publication on first use (see publisher for the concurrency
-// contract). Only the root view is snapshotted; see Catalog.
+// Snapshot returns a lease (see ViewSnapshot) on the latest published
+// snapshot of the query result, enabling publication on first use (see
+// publisher for the concurrency contract). Only the root view is
+// snapshotted; see Catalog.
 func (e *Engine[P]) Snapshot() *ViewSnapshot[P] { return e.pub.snapshot(e.epoch) }
 
 func (e *Engine[P]) maybePublish() { e.pub.next(e.epoch) }
@@ -138,7 +206,7 @@ func (e *Engine[P]) maybePublish() { e.pub.next(e.epoch) }
 // It snapshots the views as they stand, republishes the current epoch with
 // them attached (same Epoch and At: the state is the same), and from the
 // next batch on every epoch carries the catalogue, at the cost of dirty
-// tracking on every view. Afterwards Catalog is one atomic load from any
+// tracking on every view. Afterwards Catalog is Snapshot, a lease, from any
 // goroutine. A reader pinned before the request keeps its result-only epoch.
 func (e *Engine[P]) Catalog() *ViewSnapshot[P] {
 	s := e.Snapshot()
@@ -147,9 +215,11 @@ func (e *Engine[P]) Catalog() *ViewSnapshot[P] {
 	}
 	e.catalog = true
 	up := &ViewSnapshot[P]{Epoch: s.Epoch, At: s.At, Patched: s.Patched, result: s.result}
+	up.result.Retain() // the upgraded epoch shares the result with the one it replaces
 	e.fillCatalog(up)
-	e.pub.cur.Store(up)
-	return up
+	e.pub.install(up)
+	s.Release()
+	return e.Snapshot()
 }
 
 // epoch snapshots the root view (O(changed keys), via relation dirty

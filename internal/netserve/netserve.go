@@ -18,7 +18,9 @@
 // Connections are stateful only as an optimization: each accepted
 // connection carries reusable serve.Reader handles (key-encoding scratch
 // kept warm across requests) re-pinned to the request's epoch, so
-// steady-state lookups do not allocate on the read path itself.
+// steady-state lookups do not allocate on the read path itself. A request
+// releases its epoch, and the reader's pin with it, before it returns: an
+// idle connection holds no snapshot storage.
 package netserve
 
 import (
@@ -79,11 +81,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{cfg: cfg}
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /stats", s.handleStats)
-	mux.HandleFunc("GET /views", s.handleViews)
-	mux.HandleFunc("GET /view/{name}/lookup", s.handleLookup)
-	mux.HandleFunc("GET /view/{name}/scan", s.handleScan)
+	mux.HandleFunc("GET /healthz", s.read(s.handleHealthz))
+	mux.HandleFunc("GET /stats", s.read(s.handleStats))
+	mux.HandleFunc("GET /views", s.read(s.handleViews))
+	mux.HandleFunc("GET /view/{name}/lookup", s.read(s.handleLookup))
+	mux.HandleFunc("GET /view/{name}/scan", s.read(s.handleScan))
 	mux.HandleFunc("POST /exec", s.handleExec)
 	mux.HandleFunc("POST /select", s.handleSelect)
 	mux.HandleFunc("POST /apply", s.handleApply)
@@ -110,13 +112,13 @@ func (s *Server) Serve(l net.Listener) error { return s.hs.Serve(l) }
 // waits for in-flight requests to finish (bounded by ctx).
 func (s *Server) Shutdown(ctx context.Context) error { return s.hs.Shutdown(ctx) }
 
-// connReaders is the per-connection serve.Reader cache: one pinned reader
-// per payload type, re-pinned to each request's epoch. The mutex is for the
-// HTTP/2 case where one connection multiplexes concurrent requests.
+// connReaders is the per-connection serve.Reader cache: one reader per
+// payload type, pinned to a request's epoch for the request only. The mutex
+// is for the HTTP/2 case where one connection multiplexes concurrent requests.
 type connReaders struct {
 	mu sync.Mutex
-	f  *serve.Reader[float64]
-	i  *serve.Reader[int64]
+	f  serve.Reader[float64]
+	i  serve.Reader[int64]
 }
 
 type readersKey struct{}
@@ -148,51 +150,57 @@ func setEpochHeaders(w http.ResponseWriter, e *db.Epoch) {
 	h.Set("X-Fivm-Lag", time.Since(e.At).String())
 }
 
-// pinEpoch loads the current epoch, stamps the consistency headers, and
-// enforces ?min_epoch. A false return means the response is already written.
-func (s *Server) pinEpoch(w http.ResponseWriter, r *http.Request) (*db.Epoch, bool) {
-	e := s.cfg.DB().Epoch()
-	setEpochHeaders(w, e)
-	if me := r.URL.Query().Get("min_epoch"); me != "" {
-		min, err := strconv.ParseUint(me, 10, 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad min_epoch %q", me)
-			return nil, false
+// read wraps a read handler: the request leases the current epoch — stamped
+// on the consistency headers and checked against ?min_epoch — for exactly as
+// long as the handler runs.
+func (s *Server) read(h func(http.ResponseWriter, *http.Request, *db.Epoch)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		e := s.cfg.DB().Epoch()
+		defer e.Release()
+		setEpochHeaders(w, e)
+		if me := r.URL.Query().Get("min_epoch"); me != "" {
+			min, err := strconv.ParseUint(me, 10, 64)
+			if err != nil {
+				httpError(w, http.StatusBadRequest, "bad min_epoch %q", me)
+				return
+			}
+			if e.Seq < min {
+				httpError(w, http.StatusPreconditionFailed,
+					"serving epoch %d is behind requested min_epoch %d", e.Seq, min)
+				return
+			}
 		}
-		if e.Seq < min {
-			httpError(w, http.StatusPreconditionFailed,
-				"serving epoch %d is behind requested min_epoch %d", e.Seq, min)
-			return nil, false
-		}
+		h(w, r, e)
 	}
-	return e, true
 }
 
+// decodeBody decodes the request's one JSON value into v: 413 for a body
+// over 32 MiB, 400 for anything else that is not exactly one value.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 32<<20))
-	dec.UseNumber()
-	if err := dec.Decode(v); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 32<<20))
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		} else if err == nil {
+			err = errors.New("trailing data after the JSON value")
+		}
 	}
-	return true
+	status := http.StatusBadRequest
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, status, "bad request body: %v", err)
+	return false
 }
 
 // --- read path ------------------------------------------------------------
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.pinEpoch(w, r)
-	if !ok {
-		return
-	}
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, e *db.Epoch) {
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "epoch": e.Seq})
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.pinEpoch(w, r)
-	if !ok {
-		return
-	}
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, e *db.Epoch) {
 	d := s.cfg.DB()
 	// Per-view publish work, read from the pinned epoch (the live counters
 	// belong to the maintenance goroutine).
@@ -202,13 +210,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		PoolFree          int    `json:"pool_free"`
 		Reclaimed         uint64 `json:"reclaimed"`
 		ScratchKeyBytes   int    `json:"scratch_key_bytes"`
+		ArenaBlocks       int    `json:"arena_blocks"`
+		ArenaFree         int    `json:"arena_free"`
+		BackstopReclaims  uint64 `json:"backstop_reclaims"`
 	}
 	names := e.Views()
 	perView := make(map[string]viewStats, len(names))
 	for _, name := range names {
 		st, _ := e.Stats(name)
 		perView[name] = viewStats{PublishedKeys: st.PublishedKeys, ViewsMaterialized: st.ViewCount,
-			PoolFree: st.PoolFree, Reclaimed: st.Reclaimed, ScratchKeyBytes: st.ScratchKeyBytes}
+			PoolFree: st.PoolFree, Reclaimed: st.Reclaimed, ScratchKeyBytes: st.ScratchKeyBytes,
+			ArenaBlocks: st.Arena.BlocksLive, ArenaFree: st.Arena.BlocksFree,
+			BackstopReclaims: st.Arena.BackstopReclaims}
 	}
 	resp := map[string]any{
 		"epoch":      e.Seq,
@@ -231,11 +244,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleViews(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.pinEpoch(w, r)
-	if !ok {
-		return
-	}
+func (s *Server) handleViews(w http.ResponseWriter, r *http.Request, e *db.Epoch) {
 	type viewInfo struct {
 		Name    string `json:"name"`
 		Payload string `json:"payload"`
@@ -259,11 +268,7 @@ type row struct {
 	Value any   `json:"value"`
 }
 
-func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.pinEpoch(w, r)
-	if !ok {
-		return
-	}
+func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request, e *db.Epoch) {
 	name := r.PathValue("name")
 	key, err := tupleFromQuery(r.URL.Query()["key"])
 	if err != nil {
@@ -276,19 +281,13 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	var value any
 	var found bool
 	if sf := db.SnapshotOf[float64](e, name); sf != nil {
-		if cr.f == nil {
-			cr.f = serve.NewPinned(sf)
-		} else {
-			cr.f.PinAt(sf)
-		}
+		cr.f.PinAt(sf)
 		value, found = cr.f.Lookup(key)
+		cr.f.Close()
 	} else if si := db.SnapshotOf[int64](e, name); si != nil {
-		if cr.i == nil {
-			cr.i = serve.NewPinned(si)
-		} else {
-			cr.i.PinAt(si)
-		}
+		cr.i.PinAt(si)
 		value, found = cr.i.Lookup(key)
+		cr.i.Close()
 	} else if e.Has(name) {
 		httpError(w, http.StatusNotImplemented, "view %q has a non-scalar payload", name)
 		return
@@ -301,11 +300,7 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.pinEpoch(w, r)
-	if !ok {
-		return
-	}
+func (s *Server) handleScan(w http.ResponseWriter, r *http.Request, e *db.Epoch) {
 	name := r.PathValue("name")
 	q := r.URL.Query()
 	prefix, err := tupleFromQuery(q["key"])
@@ -338,19 +333,13 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	cr.mu.Lock()
 	defer cr.mu.Unlock()
 	if sf := db.SnapshotOf[float64](e, name); sf != nil {
-		if cr.f == nil {
-			cr.f = serve.NewPinned(sf)
-		} else {
-			cr.f.PinAt(sf)
-		}
+		cr.f.PinAt(sf)
 		cr.f.Scan(prefix, func(t data.Tuple, p float64) bool { return visit(t, p) })
+		cr.f.Close()
 	} else if si := db.SnapshotOf[int64](e, name); si != nil {
-		if cr.i == nil {
-			cr.i = serve.NewPinned(si)
-		} else {
-			cr.i.PinAt(si)
-		}
+		cr.i.PinAt(si)
 		cr.i.Scan(prefix, func(t data.Tuple, p int64) bool { return visit(t, p) })
+		cr.i.Close()
 	} else if e.Has(name) {
 		httpError(w, http.StatusNotImplemented, "view %q has a non-scalar payload", name)
 		return
@@ -395,9 +384,9 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	}
 	var req struct {
 		Updates []struct {
-			Rel    string  `json:"rel"`
-			Mult   int64   `json:"mult"`
-			Tuples [][]any `json:"tuples"`
+			Rel    string     `json:"rel"`
+			Mult   int64      `json:"mult"`
+			Tuples wireTuples `json:"tuples"`
 		} `json:"updates"`
 	}
 	if !decodeBody(w, r, &req) {
@@ -410,23 +399,15 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	batch := make([]db.Update, 0, len(req.Updates))
 	tuples := 0
 	for _, u := range req.Updates {
-		up := db.Update{Rel: u.Rel, Mult: u.Mult}
-		for _, tv := range u.Tuples {
-			t, err := tupleFromJSON(tv)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, "relation %s: %v", u.Rel, err)
-				return
-			}
-			up.Tuples = append(up.Tuples, t)
-		}
-		tuples += len(up.Tuples)
-		batch = append(batch, up)
+		tuples += len(u.Tuples)
+		batch = append(batch, db.Update{Rel: u.Rel, Mult: u.Mult, Tuples: u.Tuples})
 	}
 	if err := s.cfg.Queue.TryApply(batch); err != nil {
 		s.writeError(w, err)
 		return
 	}
 	e := s.cfg.DB().Epoch()
+	defer e.Release()
 	setEpochHeaders(w, e)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"applied": e.Applied, "epoch": e.Seq, "tuples": tuples,
@@ -458,6 +439,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e := s.cfg.DB().Epoch()
+	defer e.Release()
 	setEpochHeaders(w, e)
 	writeJSON(w, http.StatusOK, map[string]any{"status": status, "epoch": e.Seq})
 }
@@ -495,6 +477,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		snap = d.Epoch()
 		return d.DropView(tmp)
 	})
+	defer snap.Release()
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -507,8 +490,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	}
 	rows := []row{}
 	truncated := false
-	rd := serve.NewPinned(sf)
-	rd.Scan(nil, func(t data.Tuple, p float64) bool {
+	sf.Result().Iterate(func(t data.Tuple, p float64) bool {
 		if len(rows) == limit {
 			truncated = true
 			return false

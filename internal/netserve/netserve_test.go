@@ -6,9 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +20,13 @@ import (
 	"fivm/internal/data"
 	"fivm/internal/db"
 )
+
+// TestMain runs the package under data's poison hook (data.PoisonReclaimed):
+// a read through a released epoch fails the suite loudly.
+func TestMain(m *testing.M) {
+	data.PoisonReclaimed(true)
+	os.Exit(m.Run())
+}
 
 func testCatalog() db.Catalog {
 	return db.Catalog{
@@ -158,6 +169,130 @@ func TestServeLookupScanHeaders(t *testing.T) {
 	if st["pool_free"].(float64) < 1 || st["reclaimed"].(float64) < 1 || st["scratch_key_bytes"].(float64) <= 0 {
 		t.Fatalf("stats view_stats after a delete: %v", st)
 	}
+
+	// netserve forgets no lease: 200 lookups and scans over 40 writes (more
+	// than two publish generations, so every one of them closes) and a
+	// one-shot SELECT, then two forced collections and a write to drain what
+	// the collector found — no generation may have needed the backstop.
+	for i := 0; i < 200; i++ {
+		getJSON(t, fmt.Sprintf("%s/view/sums/lookup?key=%d", ts.URL, i%3), http.StatusOK)
+		getJSON(t, ts.URL+"/view/sums/scan?limit=2", http.StatusOK)
+		if i%5 == 0 {
+			postJSON(t, ts.URL+"/apply", applyBody("R", 1, []any{2, i}), http.StatusOK)
+		}
+	}
+	postJSON(t, ts.URL+"/select", map[string]any{"sql": "SELECT A, SUM(B * C) FROM R NATURAL JOIN S GROUP BY A"}, http.StatusOK)
+	runtime.GC()
+	runtime.GC()
+	postJSON(t, ts.URL+"/apply", applyBody("R", 1, []any{2, 1000}), http.StatusOK)
+	m, _ = getJSON(t, ts.URL+"/stats", http.StatusOK)
+	st, _ = m["view_stats"].(map[string]any)["sums"].(map[string]any)
+	if st["backstop_reclaims"] != float64(0) || st["arena_blocks"].(float64) < 1 || st["arena_free"] == nil {
+		t.Fatalf("stats view_stats after 200 reads: %v", st)
+	}
+}
+
+// A body over the limit is 413, not a truncated-JSON 400; bytes after the one
+// JSON value are rejected.
+func TestServeBodyLimits(t *testing.T) {
+	_, _, ts := newTestServer(t, 8)
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/apply", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		return resp.StatusCode
+	}
+	apply := `{"updates":[{"rel":"R","mult":1,"tuples":[[1,2]]}]}`
+	if got := post(apply + " \n"); got != http.StatusOK {
+		t.Fatalf("trailing white space: status %d", got)
+	}
+	for _, tail := range []string{"x", "{}", " 1", `{"updates":[]}`} {
+		if got := post(apply + tail); got != http.StatusBadRequest {
+			t.Fatalf("trailing %q: status %d, want 400", tail, got)
+		}
+	}
+	big := `{"updates":[{"rel":"R","mult":1,"tuples":[` + strings.Repeat("[1,2],", 33<<20/6) + `[1,2]]}]}`
+	if got := post(big); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("33 MiB body: status %d, want 413", got)
+	}
+	if got := post(strings.Repeat(" ", 33<<20) + apply); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("33 MiB of leading space: status %d, want 413", got)
+	}
+}
+
+// applyTupleOracle is the decoder POST /apply had before wireTuples: the
+// tuples as [][]any with UseNumber, then one value at a time.
+func applyTupleOracle(body []byte) ([]data.Tuple, error) {
+	var tuples [][]any
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.UseNumber()
+	if err := dec.Decode(&tuples); err != nil {
+		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("trailing data")
+	}
+	out := make([]data.Tuple, 0, len(tuples))
+	for _, vals := range tuples {
+		t := make(data.Tuple, 0, len(vals))
+		for _, v := range vals {
+			switch x := v.(type) {
+			case json.Number:
+				if n, err := strconv.ParseInt(x.String(), 10, 64); err == nil {
+					t = append(t, data.Int(n))
+				} else if f, err := x.Float64(); err == nil {
+					t = append(t, data.Float(f))
+				} else {
+					return nil, fmt.Errorf("bad number %q: %w", x.String(), err)
+				}
+			case string:
+				t = append(t, data.String(x))
+			default:
+				return nil, fmt.Errorf("unsupported key value %T (want number or string)", v)
+			}
+		}
+		out = append(out, t)
+	}
+	return out, nil
+}
+
+// FuzzApplyTupleJSON: wireTuples accepts exactly what the []any path
+// accepted and builds the same tuples.
+func FuzzApplyTupleJSON(f *testing.F) {
+	for _, seed := range []string{
+		`[[1,2],[3,4]]`, `[]`, `null`, `[null]`, `[[]]`, ` [ [ 1 , "a" ] , [ -2.5e3 , "\u00e9\"\\" ] ] `,
+		`[[9223372036854775807,9223372036854775808,-0,1e999,0.1]]`, `[[1,null]]`, `[[1,{"a":[1]}]]`, `[[[1]]]`,
+		`[[true]]`, `[5]`, `5`, `"x"`, `{"a":1}`, `[["[",",","]"]]`, `[["\ud800"]]`, "[[\"\xff\"]]", `[[1,2]`, `[[1 2]]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		want, wantErr := applyTupleOracle(body)
+		var got wireTuples
+		gotErr := json.Unmarshal(body, &got)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("%q: wireTuples error %v, oracle error %v", body, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			return
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%q: %d tuples, oracle %d", body, len(got), len(want))
+		}
+		for i := range want {
+			if len(got[i]) != len(want[i]) || cap(got[i]) != len(got[i]) {
+				t.Fatalf("%q: tuple %d is %v (cap %d), oracle %v", body, i, got[i], cap(got[i]), want[i])
+			}
+			for j := range want[i] {
+				if got[i][j] != want[i][j] {
+					t.Fatalf("%q: tuple %d value %d is %#v, oracle %#v", body, i, j, got[i][j], want[i][j])
+				}
+			}
+		}
+	})
 }
 
 func TestServeMinEpoch(t *testing.T) {

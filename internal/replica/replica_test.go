@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +15,13 @@ import (
 	"fivm/internal/db"
 	"fivm/internal/wal"
 )
+
+// TestMain runs the package under data's poison hook (data.PoisonReclaimed):
+// a read through a released epoch fails the suite loudly.
+func TestMain(m *testing.M) {
+	data.PoisonReclaimed(true)
+	os.Exit(m.Run())
+}
 
 func testCatalog() db.Catalog {
 	return db.Catalog{
@@ -69,27 +78,57 @@ func startFollower(t *testing.T, cfg FollowerConfig) (*Follower, context.CancelF
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { defer close(done); f.Run(ctx) }()
-	t.Cleanup(func() {
-		cancel()
-		f.Close()
-		<-done
-	})
-	return f, cancel
+	// The returned stop waits for Run to return: Close must not race the
+	// stream goroutine's last record (it closes the follower's WAL).
+	stop := func() { cancel(); <-done }
+	t.Cleanup(func() { stop(); f.Close() })
+	return f, stop
+}
+
+// appliedOf reads the batch count of d's current epoch (the race-safe path),
+// giving the lease back.
+func appliedOf(d *db.DB) uint64 {
+	e := d.Epoch()
+	defer e.Release()
+	return e.Applied
 }
 
 // waitConverged polls until the follower reflects the primary's applied
 // count (reads via the race-safe Epoch pointer only).
 func waitConverged(t *testing.T, p *db.DB, f *Follower) {
 	t.Helper()
-	want := p.Epoch().Applied
+	want := appliedOf(p)
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if f.DB().Epoch().Applied >= want {
+		if appliedOf(f.DB()) >= want {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("follower stuck at applied=%d, want %d", f.DB().Epoch().Applied, want)
+	t.Fatalf("follower stuck at applied=%d, want %d", appliedOf(f.DB()), want)
+}
+
+// assertNoForgottenLeases forces two collections, replicates one more batch
+// so both sides drain what the collector found, and requires that no view on
+// either side ever needed the arena's GC backstop: the replication path gives
+// back every epoch it takes.
+func assertNoForgottenLeases(t *testing.T, p *db.DB, f *Follower) {
+	t.Helper()
+	runtime.GC()
+	runtime.GC()
+	if err := p.Apply([]db.Update{db.Insert("R", tup(1, 1)), db.Insert("S", tup(1, 1))}); err != nil {
+		t.Fatal(err)
+	}
+	waitConverged(t, p, f)
+	for side, d := range map[string]*db.DB{"primary": p, "follower": f.DB()} {
+		e := d.Epoch()
+		for _, name := range e.Views() {
+			if st, _ := e.Stats(name); st.Arena.BackstopReclaims != 0 || st.Arena.BlocksLive == 0 {
+				t.Errorf("%s view %s: arena %+v, want live blocks and no backstop reclaim", side, name, st.Arena)
+			}
+		}
+		e.Release()
+	}
 }
 
 // viewString renders a view's sorted contents for byte-identity checks.
@@ -110,6 +149,8 @@ func viewString(e *db.Epoch, name string) string {
 func assertIdentical(t *testing.T, p *db.DB, f *Follower) {
 	t.Helper()
 	pe, fe := p.Epoch(), f.DB().Epoch()
+	defer pe.Release()
+	defer fe.Release()
 	if pe.Applied != fe.Applied {
 		t.Fatalf("applied: primary %d, follower %d", pe.Applied, fe.Applied)
 	}
@@ -142,6 +183,7 @@ func TestReplicationConverges(t *testing.T) {
 	if f.DB().ReplLSN() != p.WAL().LSN() {
 		t.Fatalf("follower LSN %d != primary %d", f.DB().ReplLSN(), p.WAL().LSN())
 	}
+	assertNoForgottenLeases(t, p, f)
 }
 
 // A follower connecting after the primary pruned its WAL bootstraps from a
@@ -314,4 +356,5 @@ func TestReplicationRandomStreamWithKills(t *testing.T) {
 	if f.DB().ReplLSN() != p.WAL().LSN() {
 		t.Fatalf("LSN parity lost: %d != %d", f.DB().ReplLSN(), p.WAL().LSN())
 	}
+	assertNoForgottenLeases(t, p, f)
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -159,9 +160,11 @@ func runConcurrentReaderProperty[P any](t *testing.T, mk func() (ivm.Maintainer[
 	if c, ok := any(serving).(interface{ Close() error }); ok {
 		defer c.Close()
 	}
-	if e := serving.Snapshot().Epoch; e != 0 {
-		t.Fatalf("epoch after enable = %d, want 0", e)
+	first := serving.Snapshot()
+	if first.Epoch != 0 {
+		t.Fatalf("epoch after enable = %d, want 0", first.Epoch)
 	}
+	first.Release()
 
 	var (
 		done    atomic.Bool
@@ -181,6 +184,7 @@ func runConcurrentReaderProperty[P any](t *testing.T, mk func() (ivm.Maintainer[
 		go func(id int) {
 			defer wg.Done()
 			rd := NewReader[P](serving)
+			defer rd.Close()
 			last := uint64(0)
 			checks := 0
 			for {
@@ -226,8 +230,19 @@ func runConcurrentReaderProperty[P any](t *testing.T, mk func() (ivm.Maintainer[
 	if failure != "" {
 		t.Fatal(failure)
 	}
-	if e := serving.Snapshot().Epoch; e != nBatches {
-		t.Fatalf("final epoch = %d, want %d", e, nBatches)
+	final := serving.Snapshot()
+	if final.Epoch != nBatches {
+		t.Fatalf("final epoch = %d, want %d", final.Epoch, nBatches)
+	}
+	final.Release()
+	// Every reader gave its pins back: no publish generation was left for
+	// the collector's backstop to find.
+	runtime.GC()
+	runtime.GC()
+	if ps, ok := any(serving).(interface{ PoolStats() data.PoolStats }); ok {
+		if as := ps.PoolStats().Arena; as.BackstopReclaims != 0 {
+			t.Fatalf("arena %+v: a reader forgot a lease", as)
+		}
 	}
 }
 

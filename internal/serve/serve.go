@@ -15,10 +15,13 @@
 // engine that was asked for its catalogue (ivm.Engine.Catalog).
 //
 // Readers never block maintenance and maintenance never blocks readers; the
-// only coordination is the atomic epoch-pointer load in Refresh. A pinned
-// epoch stays valid indefinitely (snapshots are immutable and garbage
-// collected once no reader holds them); freshness is the reader's choice of
-// when to Refresh, and Lag reports how far behind the pinned epoch is.
+// only coordination is the lease a Reader owns on the epoch it pins (see
+// ivm.ViewSnapshot): Refresh, PinAt and Close give it back, which returns its
+// arena blocks at the writer's next publish. Closing is optional — a dropped
+// reader leaves its epoch to the garbage collector, a full cycle later — but
+// an *Entry or an in-place ring's payload read through the reader is valid
+// only until the pin moves. Freshness is the reader's choice of when to
+// Refresh, and Lag reports how far behind the pinned epoch is.
 package serve
 
 import (
@@ -36,7 +39,7 @@ type Source[P any] interface {
 // Reader is a handle over one pinned epoch of a Source's published result.
 // It is owned by a single goroutine (it carries key-encoding scratch); spawn
 // one Reader per reading goroutine. All reads between two Refresh calls
-// observe one consistent epoch.
+// observe one consistent epoch, on which the reader holds a lease until Close.
 type Reader[P any] struct {
 	src    Source[P]
 	snap   *ivm.ViewSnapshot[P]
@@ -57,11 +60,13 @@ func NewReader[P any](src Source[P]) *Reader[P] {
 // snapshot per view at the same applied batch and hands each out via
 // NewReaderAt, so every reader of the set observes the same prefix of the
 // update stream. Refresh still advances through the live source (and never
-// regresses). A nil snapshot falls back to the source's current epoch.
+// regresses). A nil snapshot falls back to the source's current epoch. The
+// reader retains snap; the caller keeps (and releases) its own reference.
 func NewReaderAt[P any](src Source[P], snap *ivm.ViewSnapshot[P]) *Reader[P] {
 	if snap == nil {
 		return NewReader(src)
 	}
+	snap.Retain()
 	return &Reader[P]{src: src, snap: snap}
 }
 
@@ -69,39 +74,52 @@ func NewReaderAt[P any](src Source[P], snap *ivm.ViewSnapshot[P]) *Reader[P] {
 // source behind it: Refresh is a no-op and the pin moves only through PinAt.
 // This is the network-serving shape — a connection-scoped reader (keeping
 // its key-encoding scratch warm across requests) re-pinned once per request
-// to that request's epoch.
+// to that request's epoch and Closed at its end. The reader retains snap.
 func NewPinned[P any](snap *ivm.ViewSnapshot[P]) *Reader[P] {
+	snap.Retain()
 	return &Reader[P]{snap: snap}
 }
 
 // PinAt re-pins the reader to an explicitly chosen snapshot (nil keeps the
-// current pin). Unlike Refresh it may move backwards: the caller owns the
-// epoch choice.
+// current pin), retaining it and releasing the one it held. Unlike Refresh
+// it may move backwards: the caller owns the epoch choice.
 func (r *Reader[P]) PinAt(snap *ivm.ViewSnapshot[P]) {
-	if snap != nil {
+	if snap != nil && snap != r.snap {
+		snap.Retain()
+		r.snap.Release()
 		r.snap = snap
 	}
+}
+
+// Close releases the pinned epoch. The reader keeps its scratch and, like
+// the zero Reader, may be pinned with PinAt; any other use is an error.
+func (r *Reader[P]) Close() {
+	r.snap.Release()
+	r.snap = nil
 }
 
 // Epoch returns the pinned epoch number. Epochs are strictly monotonic per
 // source; within one Reader they never regress.
 func (r *Reader[P]) Epoch() uint64 { return r.snap.Epoch }
 
-// Snapshot returns the pinned snapshot itself.
+// Snapshot returns the pinned snapshot itself: the reader's lease, not a new one.
 func (r *Reader[P]) Snapshot() *ivm.ViewSnapshot[P] { return r.snap }
 
 // Refresh re-pins the reader to the latest published epoch and reports
 // whether it advanced. A reader never moves backwards: if the loaded
-// snapshot is not newer than the pinned one, the pin is kept.
+// snapshot is not newer than the pinned one, the pin is kept. A refresh that
+// finds nothing new is one atomic load.
 func (r *Reader[P]) Refresh() bool {
-	if r.src == nil {
+	if r.src == nil || !r.snap.Superseded() {
 		return false
 	}
-	if s := r.src.Snapshot(); s != nil && s.Epoch > r.snap.Epoch {
-		r.snap = s
-		return true
+	s := r.src.Snapshot()
+	defer s.Release()
+	if s.Epoch <= r.snap.Epoch {
+		return false
 	}
-	return false
+	r.PinAt(s)
+	return true
 }
 
 // Lag returns the age of the pinned snapshot: the time since its

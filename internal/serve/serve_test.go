@@ -111,3 +111,38 @@ func TestReaderScanPrefix(t *testing.T) {
 		t.Fatalf("full scan visited %d, Len=%d, want 12", n, rd.Len())
 	}
 }
+
+// TestReaderOwnsOneLease: a reader keeps its epoch's publish generation
+// alive exactly as long as it pins it. Refresh, PinAt and Close give the pin
+// back, after which the generation drains at the writer's next publish —
+// with no help from the collector's backstop.
+func TestReaderOwnsOneLease(t *testing.T) {
+	eng := testEngine(t)
+	old := NewReader[int64](eng) // stays on epoch 0
+	rd := NewReader[int64](eng)  // follows the stream
+	pinned := NewPinned(rd.Snapshot())
+	open := func() int { return eng.PoolStats().Arena.GenerationsOpen }
+	for b := int64(0); b < 48; b++ { // three publish generations
+		must(t, eng.ApplyDelta("R", delta(data.NewSchema("A", "B"), data.Ints(b%4, b%3))))
+		if !rd.Refresh() || rd.Epoch() != uint64(b+1) {
+			t.Fatalf("batch %d: reader at epoch %d", b, rd.Epoch())
+		}
+		if rd.Refresh() {
+			t.Fatalf("batch %d: idle Refresh advanced", b)
+		}
+		pinned.PinAt(rd.Snapshot())
+	}
+	if p, _ := old.Lookup(data.Ints(1, 1)); p != 1 || old.Epoch() != 0 {
+		t.Fatalf("epoch-0 reader reads %d at epoch %d", p, old.Epoch())
+	}
+	if n := open(); n < 3 {
+		t.Fatalf("%d generations open with epoch 0 pinned, want the first one kept", n)
+	}
+	old.Close()
+	pinned.Close()
+	must(t, eng.ApplyDelta("R", delta(data.NewSchema("A", "B"), data.Ints(0, 0))))
+	if as := eng.PoolStats().Arena; as.GenerationsOpen > 2 || as.BackstopReclaims != 0 {
+		t.Fatalf("arena %+v after the pins were given back, want the old generations drained by Release alone", as)
+	}
+	rd.Close()
+}
