@@ -58,10 +58,13 @@ type ScenarioResult struct {
 	// StalenessP50Ns / StalenessP99Ns are replication-lag percentiles of the
 	// serve scenario's follower: the delay between the primary publishing an
 	// applied count and the follower publishing the same one (zero
-	// elsewhere).
-	StalenessP50Ns int64  `json:"staleness_p50_ns,omitempty"`
-	StalenessP99Ns int64  `json:"staleness_p99_ns,omitempty"`
-	Status         string `json:"status"`
+	// elsewhere). StalenessSamples counts the batches both sides stamped;
+	// those the follower published first are in the count and not in the
+	// percentiles.
+	StalenessP50Ns   int64  `json:"staleness_p50_ns,omitempty"`
+	StalenessP99Ns   int64  `json:"staleness_p99_ns,omitempty"`
+	StalenessSamples int    `json:"staleness_samples,omitempty"`
+	Status           string `json:"status"`
 }
 
 // MicroResult is one hot-path microbenchmark measurement (see micro.go).

@@ -117,7 +117,10 @@ func ServeBench(cfg ServeBenchConfig) []ScenarioResult {
 	}
 	go prim.Serve()
 	defer prim.Close()
-	fol, err := replica.NewFollower(replica.FollowerConfig{Primary: rl.Addr().String(), Catalog: cat})
+	// Staleness: both sides record (Applied, At) of every epoch as they
+	// publish it; the per-count difference is the follower's lag for that batch.
+	lag := newStalenessLog()
+	fol, err := replica.NewFollower(replica.FollowerConfig{Primary: rl.Addr().String(), Catalog: cat, OnApply: lag.follower})
 	if err != nil {
 		return fail(err)
 	}
@@ -143,11 +146,6 @@ func ServeBench(cfg ServeBenchConfig) []ScenarioResult {
 	if len(keys) == 0 {
 		return fail(fmt.Errorf("no lookup keys in stream"))
 	}
-
-	// Staleness sampler: first-seen publication times per applied count on
-	// both sides; the difference is the follower's lag for that batch.
-	sampler := newStalenessSampler(d, fol)
-	go sampler.run()
 
 	// Readers: lookups and scans over keep-alive connections, running
 	// through ingest plus a fixed tail window.
@@ -201,10 +199,15 @@ func ServeBench(cfg ServeBenchConfig) []ScenarioResult {
 		}
 		lats = append(lats, time.Since(bs))
 		tuples += len(b.Tuples)
+		// One writer, and Apply returns once its batch is published: the
+		// current epoch is this batch's.
+		e := d.Epoch()
+		lag.primary(e)
+		e.Release()
 	}
 	ingestElapsed := time.Since(ingestStart)
 
-	// Let the follower fully converge, then stop the samplers and readers.
+	// Let the follower fully converge, then stop the readers.
 	wantApplied := appliedOf(d)
 	convergeErr := waitFollowerApplied(fol, wantApplied, 10*time.Second)
 	replElapsed := time.Since(ingestStart)
@@ -212,7 +215,7 @@ func ServeBench(cfg ServeBenchConfig) []ScenarioResult {
 	close(stopRead)
 	readWG.Wait()
 	readElapsed := time.Since(readStart)
-	p50, p99 := sampler.stop()
+	p50, p99, lagSamples := lag.percentiles()
 
 	var peakMem int
 	_ = q.Do(func(d *db.DB) error { peakMem = d.MemoryBytes(); return nil })
@@ -252,11 +255,12 @@ func ServeBench(cfg ServeBenchConfig) []ScenarioResult {
 	staleness := ScenarioResult{
 		Scenario: "serve", Case: "follower-staleness",
 		Batch: cfg.BatchSize, Workers: max(1, cfg.Workers),
-		Tuples:         tuples,
-		ThroughputTPS:  float64(tuples) / replElapsed.Seconds(),
-		StalenessP50Ns: p50.Nanoseconds(),
-		StalenessP99Ns: p99.Nanoseconds(),
-		Status:         status(convergeErr),
+		Tuples:           tuples,
+		ThroughputTPS:    float64(tuples) / replElapsed.Seconds(),
+		StalenessP50Ns:   p50.Nanoseconds(),
+		StalenessP99Ns:   p99.Nanoseconds(),
+		StalenessSamples: lagSamples,
+		Status:           status(convergeErr),
 	}
 	return []ScenarioResult{ingest, lookup, scan, staleness}
 }
@@ -290,73 +294,53 @@ func appliedOf(d *db.DB) uint64 {
 	return e.Applied
 }
 
-// stalenessSampler polls both epoch pointers and records when each applied
-// count it sees was published on each side (Epoch.At, stamped by the side
-// itself — not the poll time, which a small stream often makes equal for
-// both); the per-count difference is the replication staleness distribution.
-type stalenessSampler struct {
-	p      *db.DB
-	f      *replica.Follower
-	done   chan struct{}
-	mu     sync.Mutex
-	pSeen  map[uint64]time.Time
-	fSeen  map[uint64]time.Time
-	closed bool
+// stalenessLog joins the publication stamps of both sides on the applied
+// count: the ingest loop records every primary epoch after q.Apply, the
+// follower's OnApply hook every epoch the follower publishes (Epoch.At, stamped
+// by the side itself), so a batch is a sample whether or not anyone happened
+// to look while its epoch was current.
+type stalenessLog struct {
+	mu   sync.Mutex
+	p, f map[uint64]time.Time
 }
 
-func newStalenessSampler(p *db.DB, f *replica.Follower) *stalenessSampler {
-	return &stalenessSampler{
-		p: p, f: f,
-		done:  make(chan struct{}),
-		pSeen: map[uint64]time.Time{},
-		fSeen: map[uint64]time.Time{},
-	}
+func newStalenessLog() *stalenessLog {
+	return &stalenessLog{p: map[uint64]time.Time{}, f: map[uint64]time.Time{}}
 }
 
-func (s *stalenessSampler) run() {
-	tick := time.NewTicker(200 * time.Microsecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-tick.C:
-			s.sample()
-		}
-	}
-}
-
-func (s *stalenessSampler) sample() {
-	pe, fe := s.p.Epoch(), s.f.DB().Epoch()
-	defer pe.Release()
-	defer fe.Release()
+func (s *stalenessLog) primary(e *db.Epoch) {
 	s.mu.Lock()
-	if _, ok := s.pSeen[pe.Applied]; !ok {
-		s.pSeen[pe.Applied] = pe.At
-	}
-	if _, ok := s.fSeen[fe.Applied]; !ok {
-		s.fSeen[fe.Applied] = fe.At
+	s.p[e.Applied] = e.At
+	s.mu.Unlock()
+}
+
+// follower keeps the first stamp per applied count: a DDL record publishes an
+// epoch at the count of the batch before it.
+func (s *stalenessLog) follower(e *db.Epoch) {
+	s.mu.Lock()
+	if _, ok := s.f[e.Applied]; !ok {
+		s.f[e.Applied] = e.At
 	}
 	s.mu.Unlock()
 }
 
-// stop ends sampling and returns the p50/p99 staleness over every applied
-// count observed on both sides. It samples once more first, so the converged
-// final count is always among them however few ticks the stream lasted.
-func (s *stalenessSampler) stop() (p50, p99 time.Duration) {
-	s.sample()
+// percentiles returns the p50/p99 staleness and the number of samples:
+// applied counts stamped on both sides. A follower that maintains fewer views
+// than the primary can publish a batch before the primary has (the frame ships
+// when the WAL has it); such non-positive lags count as samples and stay out
+// of the percentiles.
+func (s *stalenessLog) percentiles() (p50, p99 time.Duration, samples int) {
 	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.done)
-	}
+	defer s.mu.Unlock()
 	var lags []time.Duration
-	for a, ft := range s.fSeen {
-		if pt, ok := s.pSeen[a]; ok && ft.After(pt) {
-			lags = append(lags, ft.Sub(pt))
+	for a, ft := range s.f {
+		if pt, ok := s.p[a]; ok {
+			samples++
+			if ft.After(pt) {
+				lags = append(lags, ft.Sub(pt))
+			}
 		}
 	}
-	s.mu.Unlock()
 	sort.Slice(lags, func(i, j int) bool { return lags[i] < lags[j] })
-	return percentile(lags, 0.50), percentile(lags, 0.99)
+	return percentile(lags, 0.50), percentile(lags, 0.99), samples
 }

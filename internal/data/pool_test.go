@@ -308,6 +308,160 @@ func TestScratchKeysRewind(t *testing.T) {
 	}
 }
 
+// TestScratchTuplesRewind is the same contract for tuples, and the same
+// broken consumer: a tuple a scratch relation projected for itself lives in
+// its tuple slab and reads poison (the next batch's values, in production)
+// once kept across Clear, while MergeAll, MergeAllIndexed, Clone and Negate
+// copied theirs — and a tuple the relation was handed is the supplier's, is
+// stored as given and is copied by nobody.
+func TestScratchTuplesRewind(t *testing.T) {
+	from, sch := NewSchema("X", "A", "B"), NewSchema("B", "A")
+	proj := MustProjector(from, sch) // not a prefix: nothing to share
+	if proj.IsPrefix() || !MustProjector(from, NewSchema("X", "A")).IsPrefix() {
+		t.Fatal("IsPrefix")
+	}
+	s := NewRelation[int64](ring.Int{}, sch)
+	s.RecycleCleared()
+	var acc int64 = 1
+	fill := func(base int64) {
+		s.Clear()
+		for i := int64(0); i < 100; i++ {
+			src := Ints(7, base+i, i)
+			switch i % 3 {
+			case 0:
+				s.MergeProjected(proj, src, 1)
+			case 1:
+				s.MergeMulProjected(proj, src, &acc, &acc)
+			default:
+				s.MergeProjectedKey(proj.AppendKey(nil, src), proj, src, &acc)
+			}
+		}
+	}
+	fill(0)
+	if !s.VolatileTuples() {
+		t.Fatal("a scratch relation that projected reports durable tuples")
+	}
+	e0, _ := s.EntryKey(Ints(5, 5).Key())
+	kept := e0.Tuple // the bug: a slab tuple retained across Clear
+	if !kept.Equal(Ints(5, 5)) {
+		t.Fatalf("projected tuple %v", kept)
+	}
+
+	plain := NewRelation[int64](ring.Int{}, sch)
+	plain.MergeAll(s)
+	ir := NewIndexedRelation(NewRelation[int64](ring.Int{}, sch))
+	ir.EnsureIndex(NewSchema("A"))
+	ir.MergeAllIndexed(s)
+	scratch := NewRelation[int64](ring.Int{}, sch)
+	scratch.RecycleCleared()
+	scratch.MergeAll(s) // copies into its own slab, and says so
+	if !scratch.VolatileTuples() {
+		t.Fatal("a scratch relation that adopted slab tuples reports durable tuples")
+	}
+	fromScratch := scratch.Clone()
+	clone, neg := s.Clone(), s.Negate()
+
+	slab := s.PoolStats().TupleBytes
+	if slab < 200*valueBytes {
+		t.Fatalf("tuple slab of %d bytes under 100 two-column tuples", slab)
+	}
+	fill(1000)
+	scratch.Clear()
+	if kept.Equal(Ints(5, 5)) {
+		t.Fatal("a tuple retained across Clear still reads its old values: the slab was not rewound")
+	}
+	for name, r := range map[string]*Relation[int64]{"MergeAll": plain, "MergeAllIndexed": ir.Relation,
+		"Clone": clone, "Negate": neg, "Clone of a scratch adopter": fromScratch} {
+		if r.Len() != 100 {
+			t.Fatalf("%s: %d entries", name, r.Len())
+		}
+		r.IterateEntries(func(e *Entry[int64]) bool {
+			if e.Key() != e.Tuple.Key() {
+				t.Fatalf("%s kept a slab tuple: %v under key %q", name, e.Tuple, e.Key())
+			}
+			return true
+		})
+	}
+	for i := 0; i < 5; i++ {
+		fill(int64(2000 + 1000*i))
+	}
+	if got := s.PoolStats().TupleBytes; got > 2*slab {
+		t.Errorf("tuple slab grew from %d to %d bytes over same-size refills", slab, got)
+	}
+
+	// Handed tuples: stored as given, shared by consumers, never in the slab.
+	h := NewRelation[int64](ring.Int{}, sch)
+	h.RecycleCleared()
+	given := Ints(1, 2)
+	h.Merge(given, 1)
+	h.MergeKey(Ints(3, 4).Key(), Ints(3, 4), 1)
+	taker := NewRelation[int64](ring.Int{}, sch)
+	taker.MergeAll(h)
+	he, _ := h.EntryKey(given.Key())
+	te, _ := taker.EntryKey(given.Key())
+	if &he.Tuple[0] != &given[0] || &te.Tuple[0] != &given[0] {
+		t.Error("a handed tuple was copied")
+	}
+	if h.VolatileTuples() || h.PoolStats().TupleBytes != 0 {
+		t.Errorf("handed tuples touched the slab: %+v", h.PoolStats())
+	}
+
+	// Sharing: prefix subslices of the source, no slab; anything else panics.
+	sh := NewRelation[int64](ring.Int{}, NewSchema("X", "A"))
+	sh.RecycleCleared()
+	sh.ShareProjectedTuples()
+	src := Ints(7, 8, 9)
+	sh.MergeProjected(MustProjector(from, sh.Schema()), src, 1)
+	se, _ := sh.EntryKey(Ints(7, 8).Key())
+	if &se.Tuple[0] != &src[0] || cap(se.Tuple) != 2 || sh.VolatileTuples() {
+		t.Errorf("shared projection %v (cap %d), volatile %v", se.Tuple, cap(se.Tuple), sh.VolatileTuples())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("SharedApply of a non-prefix projection did not panic")
+			}
+		}()
+		proj.SharedApply(src)
+	}()
+}
+
+// TestAllocGuardProjectedRefill: a scratch relation refilled through each of
+// the three projecting merges, with a projector that is no prefix, allocates
+// nothing once its slabs have their size (the first refill grows them, the
+// Clear after it makes them one chunk each).
+func TestAllocGuardProjectedRefill(t *testing.T) {
+	from := NewSchema("X", "A", "B")
+	proj := MustProjector(from, NewSchema("B", "A"))
+	srcs := make([]Tuple, 300)
+	keys := make([][]byte, len(srcs))
+	for i := range srcs {
+		srcs[i] = Tuple{Int(1), String("group-" + string(rune('a'+i%26))), Int(int64(i))}
+		keys[i] = proj.AppendKey(nil, srcs[i])
+	}
+	one := 1.0
+	for name, merge := range map[string]func(s *Relation[float64], i int){
+		"MergeProjected":    func(s *Relation[float64], i int) { s.MergeProjected(proj, srcs[i], 1) },
+		"MergeMulProjected": func(s *Relation[float64], i int) { s.MergeMulProjected(proj, srcs[i], &one, &one) },
+		"MergeProjectedKey": func(s *Relation[float64], i int) { s.MergeProjectedKey(keys[i], proj, srcs[i], &one) },
+	} {
+		s := NewRelation[float64](ring.Float{}, NewSchema("B", "A"))
+		s.RecycleCleared()
+		refill := func() {
+			s.Clear()
+			for i := range srcs {
+				merge(s, i)
+			}
+		}
+		refill()
+		refill()
+		guardZeroAllocs(t, "scratch Clear+"+name+" refill", refill)
+		if s.Len() != len(srcs) || s.PoolStats().TupleBytes < 2*len(srcs)*valueBytes {
+			t.Fatalf("%s: %d entries, pool %+v", name, s.Len(), s.PoolStats())
+		}
+	}
+}
+
 // TestAllocGuardScratchRefill: refilling a scratch relation allocates
 // nothing — entries, keys and mutable payload storage all come back.
 func TestAllocGuardScratchRefill(t *testing.T) {
@@ -363,5 +517,24 @@ func TestMemoryBytesCountsPool(t *testing.T) {
 	poisoned := 1000 * (len(poisonKey) + valueBytes)
 	if empty := r.MemoryBytes() - poisoned; empty < 1000*48 || empty >= full {
 		t.Errorf("emptied relation reports %d bytes (full: %d): the pool must show, keys and tuples must not", empty, full)
+	}
+
+	// A scratch relation charges the tuples it projected once, through the
+	// slab's capacity: a second relation holding the same entries with handed
+	// tuples costs the slab less and a tuple per entry more.
+	proj := MustProjector(NewSchema("A", "B"), NewSchema("B", "A"))
+	slabbed, handed := NewRelation[int64](ring.Int{}, NewSchema("B", "A")), NewRelation[int64](ring.Int{}, NewSchema("B", "A"))
+	slabbed.RecycleCleared()
+	handed.RecycleCleared()
+	for i := int64(0); i < 1000; i++ {
+		slabbed.MergeProjected(proj, Ints(i, 1), 1)
+		handed.Merge(Ints(1, i), 1)
+	}
+	ps := slabbed.PoolStats()
+	if ps.TupleBytes < 2000*valueBytes || handed.PoolStats().TupleBytes != 0 {
+		t.Fatalf("tuple slabs: %+v, %+v", ps, handed.PoolStats())
+	}
+	if got, want := slabbed.MemoryBytes()-ps.TupleBytes, handed.MemoryBytes()-2000*valueBytes; got != want {
+		t.Errorf("MemoryBytes less the slab = %d, with handed tuples less the tuples = %d: slab tuples are charged twice, or not at all", got, want)
 	}
 }

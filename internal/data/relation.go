@@ -66,9 +66,10 @@ func (e *Entry[P]) Key() string { return e.key }
 //	snapshotting     as a view             as a view (pinned    as a view           shared with pinned epochs
 //	view (Snapshot                         epochs hold it)                          under the gen rule; dropped
 //	was called)                                                                     at reclaim, never reused
-//	scratch          relation; reusable    relation's slab,     supplier's, or a    as a view: overwritten by
-//	(RecycleCleared, after the next Clear  rewound by Clear     fresh immutable     the next batch's inserts
-//	Clear per batch)                                            projection
+//	scratch          relation; reusable    relation's slab,     relation's slab     as a view: overwritten by
+//	(RecycleCleared, after the next Clear  rewound by Clear     when the relation   the next batch's inserts
+//	Clear per batch)                                            projected it, the
+//	                                                            supplier's otherwise
 //	base store       as a view; reclaim    as a view            the update log's    inline (int64)
 //	(BaseStore.Base) point is the next
 //	                 log compaction
@@ -76,12 +77,13 @@ func (e *Entry[P]) Key() string { return e.key }
 // Who may retain what: nobody retains an *Entry, or a mutable-ring payload
 // read through one, past the owner's reclaim point (work items, index
 // buckets and iterators all die with the batch). Keys and tuples of a view
-// or base-store relation may be kept forever. From a scratch relation
-// nothing but tuples survives its next Clear: consumers copy the keys and
-// payloads they keep (MergeAll, MergeAllIndexed, Clone and Negate do). Tuples
-// are shared and immutable everywhere — a stored tuple is never written
-// again or reused, because who supplied it (the caller's batch, the update
-// log, another relation's projection) is not a property of the relation.
+// or base-store relation may be kept forever. Nothing a scratch relation made
+// survives its next Clear: consumers copy the keys and payloads they keep,
+// and the tuples too once the relation has projected one into its slab since
+// its last Clear (MergeAll, MergeAllIndexed, Clone and Negate do; the test is
+// per relation, not per entry). A tuple a relation was handed (Merge, Set,
+// MergeKey, mergeFrom) is stored as given and stays the supplier's: shared,
+// immutable, never written again.
 type Relation[P any] struct {
 	schema  Schema
 	ring    ring.Ring[P]
@@ -101,11 +103,13 @@ type Relation[P any] struct {
 	free, parked []*Entry[P]
 	reclaimed    uint64
 	// scratch marks a delta-scratch relation (RecycleCleared): Clear is its
-	// reclaim point and its encoded keys live in keys, a slab Clear rewinds.
+	// reclaim point, and its encoded keys and the tuples it projects live in
+	// keys and tuples, slabs Clear rewinds.
 	scratch bool
-	keys    keySlab
+	keys    slab[byte]
+	tuples  slab[Value]
 	// shareProjected lets projected merges store prefix subslices of the
-	// source tuple instead of fresh copies; see ShareProjectedTuples.
+	// source tuple instead of copies; see ShareProjectedTuples.
 	shareProjected bool
 	// stats, when non-nil, receives every insert/delete transition; see
 	// CollectStats.
@@ -138,8 +142,9 @@ func (r *Relation[P]) Reserve(n int) {
 // Clear removes every entry, retaining the table's capacity. On a pooled
 // relation the entries are parked like any other removal; on a scratch
 // relation Clear is also the reclaim point: every parked entry becomes
-// reusable and the key slab rewinds, so nothing read out of the relation —
-// entry, key, mutable payload — may be used past this call.
+// reusable and the key and tuple slabs rewind, so nothing read out of the
+// relation — entry, key, mutable payload, projected tuple — may be used past
+// this call.
 func (r *Relation[P]) Clear() {
 	if r.pooled {
 		r.entries.all(func(e *Entry[P]) bool {
@@ -158,25 +163,34 @@ func (r *Relation[P]) Clear() {
 	r.entries.clear()
 	if r.scratch {
 		r.reclaim()
-		r.keys.rewind()
+		r.keys.rewind(0xFF)
+		r.tuples.rewind(poisonTuple[0])
 	}
 }
 
-// ShareProjectedTuples lets MergeProjected and MergeMulProjected store, for
-// prefix projections, a subslice of the source tuple instead of a fresh
-// copy. Callers must guarantee every projected source tuple's backing array
-// is immutable for as long as anything holds the stored tuple — views keep
-// the tuples they take from a delta relation (true for tuples stored in
-// relations, false for the delta plans' arena-backed join tuples).
+// ShareProjectedTuples makes the projecting merges (MergeProjected,
+// MergeMulProjected, MergeProjectedKey) store a subslice of the source tuple
+// instead of a copy. Every projector must then be a prefix projection
+// (Projector.IsPrefix; SharedApply panics otherwise), and every source tuple
+// must be durable — immutable and never reused — because consumers keep a
+// shared tuple without copying it: a tuple the caller's batch or the update
+// log supplied qualifies, a tuple in another scratch relation's slab or in a
+// delta plan's join arena does not.
 func (r *Relation[P]) ShareProjectedTuples() { r.shareProjected = true }
 
-// projApply materializes the projection of t for storage, honoring the
-// tuple-sharing mode.
+// projApply materializes the projection of t for storage: shared with t, or
+// copied into the relation's tuple slab (scratch) or a heap tuple.
 func (r *Relation[P]) projApply(proj Projector, t Tuple) Tuple {
 	if r.shareProjected {
 		return proj.SharedApply(t)
 	}
-	return proj.Apply(t)
+	var dst Tuple
+	if r.scratch {
+		dst = r.tuples.take(proj.Len())
+	} else {
+		dst = make(Tuple, proj.Len())
+	}
+	return proj.AppendTo(dst[:0], t)
 }
 
 // CollectStats attaches a statistics collector: from now on every insert
@@ -210,10 +224,12 @@ func (r *Relation[P]) noteDelete() {
 // RecycleCleared declares the relation delta scratch: a relation refilled
 // per batch whose owner calls Clear before each refill (the scratch row of
 // the ownership table). Clear then recycles entry structs, mutable payload
-// storage and key bytes, so a steady-state refill allocates nothing; the
-// price is that consumers must copy what they keep past the next Clear —
-// MergeAll, MergeAllIndexed, Clone and Negate do, for keys and payloads.
-// Stored tuples are never reused (ShareProjectedTuples).
+// storage, key bytes and the tuples the relation projected for itself, so a
+// steady-state refill allocates nothing; the price is that consumers must
+// copy what they keep past the next Clear — MergeAll, MergeAllIndexed, Clone
+// and Negate do: keys and payloads always, tuples once the relation has
+// projected one since its last Clear. Tuples it was handed are stored as
+// given and never reused.
 func (r *Relation[P]) RecycleCleared() { r.pooled, r.scratch = true, true }
 
 // Reclaim is the reclaim point of a relation that lives across batches (a
@@ -285,6 +301,26 @@ func (r *Relation[P]) keepKey(key string, volatile bool) string {
 	}
 	return strings.Clone(key)
 }
+
+// keepTuple is keepKey for the tuple: shared unless the source relation is
+// VolatileTuples, whose slab tuples die at its next Clear.
+func (r *Relation[P]) keepTuple(t Tuple, volatile bool) Tuple {
+	switch {
+	case !volatile:
+		return t
+	case r.scratch:
+		c := Tuple(r.tuples.take(len(t)))
+		copy(c, t)
+		return c
+	}
+	return t.Clone()
+}
+
+// VolatileTuples reports whether consumers must copy the tuples they keep:
+// r is scratch and has put a tuple into its slab since its last Clear. The
+// test is per relation — a handed tuple stored beside a slab tuple is copied
+// with it.
+func (r *Relation[P]) VolatileTuples() bool { return r.scratch && r.tuples.used() }
 
 // insertEntry stores a fresh entry under key (which must be absent and must
 // be the key whose hash a lookup just left in keyHash), reusing a reclaimed
@@ -629,8 +665,9 @@ func (r *Relation[P]) MergeKey(key string, t Tuple, p P) {
 // the key and hash it already carries (no re-encoding, no re-hashing) and
 // reports the presence transition like mergeEntry. The payload is read
 // through its pointer; key and tuple are shared with the source on insert,
-// except that a volatile source's key (a scratch relation's) is copied.
-func (r *Relation[P]) mergeFrom(src *Entry[P], volatile bool) (en *Entry[P], existed, exists bool) {
+// except that a scratch source's key is copied (volKey) and so is its tuple
+// when it may be the source's own (volTuple: see VolatileTuples).
+func (r *Relation[P]) mergeFrom(src *Entry[P], volKey, volTuple bool) (en *Entry[P], existed, exists bool) {
 	r.keyHash = src.hash
 	if e := r.entries.getString(src.hash, src.key); e != nil {
 		return e, true, r.addIntoRef(e, &src.Payload)
@@ -638,7 +675,7 @@ func (r *Relation[P]) mergeFrom(src *Entry[P], volatile bool) (en *Entry[P], exi
 	if r.isZeroRef(&src.Payload) {
 		return nil, false, false
 	}
-	e := r.insertEntry(r.keepKey(src.key, volatile), src.Tuple)
+	e := r.insertEntry(r.keepKey(src.key, volKey), r.keepTuple(src.Tuple, volTuple))
 	r.setPayloadRef(e, &src.Payload)
 	return e, false, true
 }
@@ -648,8 +685,9 @@ func (r *Relation[P]) mergeFrom(src *Entry[P], volatile bool) (en *Entry[P], exi
 // entry-resident, so rings with pointer-source accumulation merge them
 // without copying.
 func (r *Relation[P]) MergeAll(o *Relation[P]) {
+	volKey, volTuple := o.scratch, o.VolatileTuples()
 	o.entries.all(func(e *Entry[P]) bool {
-		r.mergeFrom(e, o.scratch)
+		r.mergeFrom(e, volKey, volTuple)
 		return true
 	})
 }
@@ -686,15 +724,17 @@ func (r *Relation[P]) SortedEntries() []Entry[P] {
 	return out
 }
 
-// Clone returns a copy sharing tuples and keys (copied keys, when r is
-// scratch) but no entry or table structure. Payloads are shared for
-// immutable rings and deep-copied for rings with in-place accumulation, so
-// later merges into either relation never bleed into the other.
+// Clone returns a copy sharing tuples and keys (copies, where r is scratch
+// and they are its own: keepKey, keepTuple) but no entry or table structure.
+// Payloads are shared for immutable rings and deep-copied for rings with
+// in-place accumulation, so later merges into either relation never bleed
+// into the other.
 func (r *Relation[P]) Clone() *Relation[P] {
 	out := &Relation[P]{schema: r.schema, ring: r.ring, mut: r.mut, mutRef: r.mutRef}
 	out.entries.reserve(r.entries.len())
+	volTuple := r.VolatileTuples()
 	r.entries.all(func(e *Entry[P]) bool {
-		c := &Entry[P]{key: out.keepKey(e.key, r.scratch), hash: e.hash, Tuple: e.Tuple}
+		c := &Entry[P]{key: out.keepKey(e.key, r.scratch), hash: e.hash, Tuple: out.keepTuple(e.Tuple, volTuple)}
 		out.setPayloadRef(c, &e.Payload)
 		out.adopt(c)
 		return true
@@ -708,37 +748,48 @@ func (r *Relation[P]) Clone() *Relation[P] {
 func (r *Relation[P]) Negate() *Relation[P] {
 	out := &Relation[P]{schema: r.schema, ring: r.ring, mut: r.mut, mutRef: r.mutRef}
 	out.entries.reserve(r.entries.len())
+	volTuple := r.VolatileTuples()
 	r.entries.all(func(e *Entry[P]) bool {
-		out.adopt(&Entry[P]{key: out.keepKey(e.key, r.scratch), hash: e.hash, Tuple: e.Tuple, Payload: r.ring.Neg(e.Payload)})
+		out.adopt(&Entry[P]{key: out.keepKey(e.key, r.scratch), hash: e.hash, Tuple: out.keepTuple(e.Tuple, volTuple), Payload: r.ring.Neg(e.Payload)})
 		return true
 	})
 	return out
 }
 
 // PoolStats is a relation's retained-but-free storage: Free entries parked
-// or reusable, Reclaimed entries ever handed back for reuse, KeyBytes of
-// scratch key slab, and the snapshot arena once the relation publishes.
+// or reusable, Reclaimed entries ever handed back for reuse, KeyBytes and
+// TupleBytes of scratch key and tuple slab (capacity), and the snapshot arena
+// once the relation publishes.
 type PoolStats struct {
-	Free      int
-	Reclaimed uint64
-	KeyBytes  int
-	Arena     ArenaStats
+	Free       int
+	Reclaimed  uint64
+	KeyBytes   int
+	TupleBytes int
+	Arena      ArenaStats
+}
+
+// AddSlabs accumulates the slabs of o, a scratch relation's stats, into s:
+// its entries are refilled per batch and are not pool.
+func (s *PoolStats) AddSlabs(o PoolStats) {
+	s.KeyBytes += o.KeyBytes
+	s.TupleBytes += o.TupleBytes
 }
 
 // Add accumulates o into s.
 func (s *PoolStats) Add(o PoolStats) {
 	s.Free += o.Free
 	s.Reclaimed += o.Reclaimed
-	s.KeyBytes += o.KeyBytes
+	s.AddSlabs(o)
 	s.Arena.BlocksLive += o.Arena.BlocksLive
 	s.Arena.BlocksFree += o.Arena.BlocksFree
 	s.Arena.GenerationsOpen += o.Arena.GenerationsOpen
 	s.Arena.BackstopReclaims += o.Arena.BackstopReclaims
 }
 
-// PoolStats reports the relation's pool, key slab and snapshot arena.
+// PoolStats reports the relation's pool, slabs and snapshot arena.
 func (r *Relation[P]) PoolStats() PoolStats {
-	return PoolStats{Free: len(r.free) + len(r.parked), Reclaimed: r.reclaimed, KeyBytes: r.keys.bytes(), Arena: r.arenaStats()}
+	return PoolStats{Free: len(r.free) + len(r.parked), Reclaimed: r.reclaimed,
+		KeyBytes: r.keys.bytes(), TupleBytes: r.tuples.bytes(), Arena: r.arenaStats()}
 }
 
 // valueBytes is the size of one tuple column.
@@ -747,13 +798,19 @@ const valueBytes = int(unsafe.Sizeof(Value{}))
 // MemoryBytes estimates the heap bytes the relation holds: table slots,
 // every entry — stored, parked or free — with its key bytes, tuple and
 // payload (ring.Sized when available, the inline header otherwise), and the
-// key slab. Tuples and keys shared with another relation are charged to
-// each holder; secondary indexes are not charged.
+// key and tuple slabs. Tuples and keys shared with another relation are
+// charged to each holder, and a relation that has projected into its tuple
+// slab charges its tuples once, through the slab's capacity, not again per
+// entry; secondary indexes are not charged.
 func (r *Relation[P]) MemoryBytes() int {
 	sized, _ := r.ring.(ring.Sized[P])
-	total := int(unsafe.Sizeof(*r)) + 8*(len(r.entries.ctrl)+len(r.entries.slots)+cap(r.free)+cap(r.parked)) + r.keys.bytes()
+	total := int(unsafe.Sizeof(*r)) + 8*(len(r.entries.ctrl)+len(r.entries.slots)+cap(r.free)+cap(r.parked)) + r.keys.bytes() + r.tuples.bytes()
+	perTuple := valueBytes
+	if r.tuples.used() {
+		perTuple = 0
+	}
 	charge := func(e *Entry[P]) bool {
-		total += int(unsafe.Sizeof(*e)) + len(e.key) + len(e.Tuple)*valueBytes
+		total += int(unsafe.Sizeof(*e)) + len(e.key) + len(e.Tuple)*perTuple
 		if sized != nil {
 			total += sized.Bytes(e.Payload) - int(unsafe.Sizeof(e.Payload))
 		}

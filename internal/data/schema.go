@@ -138,14 +138,20 @@ func NewProjector(from, to Schema) (Projector, error) {
 	return Projector{idx: idx, prefix: prefix}, nil
 }
 
-// SharedApply projects the tuple, returning a capacity-capped subslice of t
-// for prefix projections (no allocation; the result shares t's backing and
-// is safe only while t's storage is immutable) and a fresh tuple otherwise.
+// IsPrefix reports whether the projection keeps the first Len columns of
+// the source in order, the only kind SharedApply serves.
+func (p Projector) IsPrefix() bool { return p.prefix }
+
+// SharedApply projects the tuple without copying: the result is a
+// capacity-capped subslice of t, shares its backing and is safe only while
+// t's storage is immutable. Only a prefix projection can be served this way;
+// any other panics — who wants to share decides so when the projector is
+// built (IsPrefix), not per tuple.
 func (p Projector) SharedApply(t Tuple) Tuple {
-	if p.prefix {
-		return t[:len(p.idx):len(p.idx)]
+	if !p.prefix {
+		panic("data: SharedApply of a non-prefix projection")
 	}
-	return p.Apply(t)
+	return t[:len(p.idx):len(p.idx)]
 }
 
 // MustProjector is NewProjector that panics on error, for statically known

@@ -1,0 +1,146 @@
+package data
+
+import (
+	"math"
+	"unsafe"
+
+	"fivm/internal/ring"
+)
+
+// slab bump-allocates what a scratch relation makes for itself — the encoded
+// keys of its entries (slab[byte]) and the tuples it projects (slab[Value]) —
+// out of relation-owned chunks and takes everything back at once (rewind,
+// from Relation.Clear). A key is a string header over slab bytes and a tuple
+// a slice of slab values, so the contract of the scratch row of Relation's
+// ownership table is physical: after the rewind the storage belongs to the
+// next batch, and whoever kept a key or a tuple reads that batch's.
+//
+// A chunk is never grown in place — live keys and tuples point into it — so
+// a request that does not fit opens a new chunk of at least twice the size
+// and retires the old one. The rewind replaces several chunks by one as large
+// as all of them, after which a batch of the same shape allocates nothing.
+type slab[T any] struct {
+	cur     []T   // the open chunk; len is the bump pointer
+	retired [][]T // chunks filled since the last rewind, pinned by what points into them
+}
+
+// slabMinBytes is the size of a slab's first chunk.
+const slabMinBytes = 1 << 10
+
+// take returns n fresh elements, capacity-capped and — for n = 0 too, a
+// zero-column tuple stays a non-nil one — never nil.
+func (s *slab[T]) take(n int) []T {
+	if s.cur == nil || len(s.cur)+n > cap(s.cur) {
+		if s.cur != nil {
+			s.retired = append(s.retired, s.cur)
+		}
+		var zero T
+		s.cur = make([]T, 0, max(slabMinBytes/int(unsafe.Sizeof(zero)), 2*cap(s.cur), n))
+	}
+	off := len(s.cur)
+	s.cur = s.cur[:off+n]
+	return s.cur[off : off+n : off+n]
+}
+
+// internKey copies key into the slab and returns the copy as a string.
+func internKey[K string | []byte](s *slab[byte], key K) string {
+	if len(key) == 0 {
+		return ""
+	}
+	b := s.take(len(key))
+	copy(b, key)
+	return unsafe.String(&b[0], len(b))
+}
+
+// used reports whether anything was taken since the last rewind (a chunk is
+// only ever opened by a take that lands in it).
+func (s *slab[T]) used() bool { return len(s.cur) > 0 }
+
+// rewind frees everything at once; under the poison hook the freed storage
+// is filled with dead first.
+func (s *slab[T]) rewind(dead T) {
+	if poison {
+		for _, c := range s.retired {
+			fill(c, dead)
+		}
+		fill(s.cur, dead)
+	}
+	if len(s.retired) > 0 {
+		var zero T
+		s.cur = make([]T, 0, s.bytes()/int(unsafe.Sizeof(zero)))
+		clear(s.retired)
+		s.retired = s.retired[:0]
+	}
+	s.cur = s.cur[:0]
+}
+
+func fill[T any](c []T, v T) {
+	for i := range c {
+		c[i] = v
+	}
+}
+
+// bytes is the capacity the slab holds.
+func (s *slab[T]) bytes() int {
+	n := cap(s.cur)
+	for _, c := range s.retired {
+		n += cap(c)
+	}
+	var zero T
+	return n * int(unsafe.Sizeof(zero))
+}
+
+// poison makes reclaimed storage unusable instead of merely reusable, so a
+// consumer that kept an entry, a mutable payload, a scratch key or a scratch
+// relation's own tuple past its owner's reclaim point fails the test suites
+// loudly: reclaimed entries get their key and tuple scribbled and the payload
+// storage they keep NaN-filled, rewound key slabs are filled with 0xFF and
+// rewound tuple slabs with the poison value, and a snapshot arena block no
+// generation pins any more has its sealed entries overwritten (a read through
+// a Released snapshot). Test hook, off in production.
+var poison bool
+
+// PoisonReclaimed switches the poison hook; tests call it from TestMain
+// before any relation exists.
+func PoisonReclaimed(on bool) { poison = on }
+
+const poisonKey = "\xff<reclaimed>"
+
+var poisonTuple = Tuple{String(poisonKey)}
+
+// poisonRun scribbles the sealed entries of an arena block nobody pins any
+// more. Only the entry VALUES are overwritten: the payload storage a sealed
+// entry points at is shared with the live relation under the gen rule.
+func poisonRun[P any](es []Entry[P]) {
+	var dead P
+	switch p := any(&dead).(type) {
+	case *float64:
+		*p = math.NaN()
+	case *int64:
+		*p = math.MinInt64
+	case *ring.Triple:
+		p.C = math.NaN()
+	}
+	for i := range es {
+		es[i] = Entry[P]{key: poisonKey, Tuple: poisonTuple, Payload: dead}
+	}
+}
+
+// poisonEntry scribbles a reclaimed entry. What a later insert overwrites
+// anyway (CopyInto, MulInto) may hold anything; what it would wrongly
+// accumulate onto now yields NaN.
+func poisonEntry[P any](e *Entry[P]) {
+	e.key, e.Tuple = poisonKey, poisonTuple
+	nan := math.NaN()
+	switch p := any(&e.Payload).(type) {
+	case *float64:
+		*p = nan
+	case *ring.Triple:
+		p.C = nan
+		for _, fs := range [][]float64{p.S[:cap(p.S)], p.Q[:cap(p.Q)]} {
+			for i := range fs {
+				fs[i] = nan
+			}
+		}
+	}
+}

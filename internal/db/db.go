@@ -281,15 +281,16 @@ type ViewStats struct {
 	// PublishedKeys is the total publish work: the dirty keys patched into
 	// the view's snapshots, summed over its epochs (ivm.ViewSnapshot.Patched).
 	PublishedKeys uint64
-	// PoolFree, Reclaimed and ScratchKeyBytes are the storage the view
-	// retains for reuse, as of its last batch (data.PoolStats): entries its
-	// relations hold parked or free, entries handed back for reuse so far,
-	// and the key-slab bytes of the scratch relations that feed it and that
-	// its delta plans fill. They show in MemoryBytes too. Zero for
-	// strategies that do not pool.
-	PoolFree        int
-	Reclaimed       uint64
-	ScratchKeyBytes int
+	// PoolFree, Reclaimed, ScratchKeyBytes and ScratchTupleBytes are the
+	// storage the view retains for reuse, as of its last batch
+	// (data.PoolStats): entries its relations hold parked or free, entries
+	// handed back for reuse so far, and the key-slab and tuple-slab bytes of
+	// the scratch relations that feed it and that its delta plans fill. Zero
+	// for strategies that do not pool.
+	PoolFree          int
+	Reclaimed         uint64
+	ScratchKeyBytes   int
+	ScratchTupleBytes int
 	// Arena is the snapshot arena of the relations the view publishes, as of
 	// its last batch; Arena.BackstopReclaims counts forgotten leases.
 	Arena data.ArenaStats

@@ -300,9 +300,10 @@ func (v *View[P]) observe(batch []data.BaseUpdate) error {
 	if pr, ok := v.m.(interface{ PoolStats() data.PoolStats }); ok {
 		ps := pr.PoolStats()
 		for _, nd := range v.scratch {
-			ps.KeyBytes += nd.Delta.PoolStats().KeyBytes
+			ps.AddSlabs(nd.Delta.PoolStats())
 		}
-		v.vstats.PoolFree, v.vstats.Reclaimed, v.vstats.ScratchKeyBytes = ps.Free, ps.Reclaimed, ps.KeyBytes
+		v.vstats.PoolFree, v.vstats.Reclaimed = ps.Free, ps.Reclaimed
+		v.vstats.ScratchKeyBytes, v.vstats.ScratchTupleBytes = ps.KeyBytes, ps.TupleBytes
 		v.vstats.Arena = ps.Arena
 	}
 	return nil

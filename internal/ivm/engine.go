@@ -579,8 +579,8 @@ func (e *Engine[P]) MemoryBytes() int {
 
 // PoolStats reports the storage the engine retains for reuse: the entry
 // pools of its views (Free, Reclaimed), the snapshot arenas of the views it
-// publishes (Arena) and the key slabs of its delta plans' scratch relations
-// (KeyBytes). Maintenance-goroutine only.
+// publishes (Arena) and the key and tuple slabs of its delta plans' scratch
+// relations (KeyBytes, TupleBytes). Maintenance-goroutine only.
 func (e *Engine[P]) PoolStats() data.PoolStats {
 	var ps data.PoolStats
 	for _, v := range e.views {
@@ -589,7 +589,7 @@ func (e *Engine[P]) PoolStats() data.PoolStats {
 	for _, plan := range e.plans {
 		for _, st := range plan.steps {
 			if st.out != nil {
-				ps.KeyBytes += st.out.PoolStats().KeyBytes
+				ps.AddSlabs(st.out.PoolStats())
 			}
 		}
 	}
@@ -643,8 +643,14 @@ func (e *Engine[P]) applyDelta(rel string, delta *data.Relation[P]) error {
 	if !delta.Schema().SameSet(leaf.Keys) {
 		return fmt.Errorf("ivm: delta schema %v does not match %v", delta.Schema(), leaf.Keys)
 	}
-	if !delta.Schema().Equal(leaf.Keys) {
+	switch {
+	case !delta.Schema().Equal(leaf.Keys):
 		delta = data.Project(delta, leaf.Keys)
+	case delta.VolatileTuples():
+		// Scratch that projected its own tuples (nothing in this tree hands
+		// one in): the plan's sharing steps and the views behind them keep
+		// subslices of the leaf delta's tuples, so those must outlive it.
+		delta = delta.Clone()
 	}
 
 	// Derive indicator deltas from the leaf's presence transitions before

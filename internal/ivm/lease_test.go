@@ -320,6 +320,7 @@ func TestLeasesUnderChurn(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		checkViewTuples[ring.Triple](t, "after a batch", e)
 		s := e.Snapshot()
 		w := expect{result: copyDump(dumpResult(oracle.Result(), cf))}
 		if len(s.Views()) > 0 {

@@ -457,7 +457,7 @@ func (p *Parallel[P]) Result() *data.Relation[P] {
 // same view structure).
 func (p *Parallel[P]) ViewCount() int { return p.shards[0].ViewCount() }
 
-// PoolStats sums the shards' pools and the routing scratch's key slabs (see
+// PoolStats sums the shards' pools and the routing scratch's slabs (see
 // Engine.PoolStats). Maintenance-goroutine only, between batches.
 func (p *Parallel[P]) PoolStats() data.PoolStats {
 	var ps data.PoolStats
@@ -468,7 +468,7 @@ func (p *Parallel[P]) PoolStats() data.PoolStats {
 	}
 	for _, route := range p.routes {
 		for s := 0; s < route.N(); s++ {
-			ps.KeyBytes += route.Shard(s).PoolStats().KeyBytes
+			ps.AddSlabs(route.Shard(s).PoolStats())
 		}
 	}
 	return ps

@@ -29,9 +29,10 @@ type planStep[P any] struct {
 	// and refilled per call), so steady-state propagation does not allocate
 	// per step. Plans are engine-owned and single-threaded; the output
 	// relation is consumed (merged and iterated) before the next exec of the
-	// same step, and its tuples/payloads may be retained by views, which is
-	// safe because tuples are immutable and views copy payloads they intend
-	// to mutate (rings with in-place accumulation store owned deep copies).
+	// same step, and nothing it made outlives that: it is delta scratch
+	// (data.Relation.RecycleCleared), so views copy the keys and payloads
+	// they adopt from it, and the tuples too unless the step shares its
+	// input's (shareOut).
 	items, spare []workItem[P]
 	keyBuf       []byte
 	out          *data.Relation[P]
@@ -64,10 +65,14 @@ type planStep[P any] struct {
 	// instead of one per item; see runFuser.
 	fuse runFuser[P]
 
-	// allFullSibs marks steps whose every sibling is probed by full key, so
-	// work items keep their (relation-stored, immutable) input tuples and
-	// the output relation may store prefix subslices instead of copies.
-	allFullSibs bool
+	// shareOut marks the steps whose output stores prefix subslices of the
+	// input delta's tuples instead of projecting into its own tuple slab
+	// (data.Relation.ShareProjectedTuples). Decided by buildPlan: every
+	// sibling is probed by full key, so work items keep the input's stored
+	// tuples; outProj is a prefix projection; and the input is durable — the
+	// leaf delta, or the output of a step that shares. Any other step's
+	// output is slab-backed and dies with its next exec.
+	shareOut bool
 }
 
 // liftCacheMax bounds the per-step lift-product cache.
@@ -96,6 +101,10 @@ type planSibling struct {
 func (e *Engine[P]) buildPlan(leaf *viewtree.Node) (*deltaPlan[P], error) {
 	plan := &deltaPlan[P]{leaf: leaf}
 	cur := leaf
+	// Whether the tuples of the delta a step consumes outlive the batch: the
+	// leaf delta's do (applyDelta sees to it), a step output's only when the
+	// step shared them.
+	durable := true
 	for node := cur.Parent(); node != nil; node = node.Parent() {
 		st := &planStep[P]{node: node}
 		acc := cur.Keys.Clone()
@@ -162,18 +171,16 @@ func (e *Engine[P]) buildPlan(leaf *viewtree.Node) (*deltaPlan[P], error) {
 			st.margProj = data.MustProjector(acc, acc.Intersect(allMarg))
 			st.liftCache = make(map[string]*P)
 		}
-		st.allFullSibs = true
-		for _, sib := range st.siblings {
-			if !sib.full {
-				st.allFullSibs = false
-				break
-			}
-		}
 		var err error
 		st.outProj, err = data.NewProjector(acc, node.Keys)
 		if err != nil {
 			return nil, fmt.Errorf("ivm: %s: %v", node.Name(), err)
 		}
+		st.shareOut = durable && st.outProj.IsPrefix()
+		for _, sib := range st.siblings {
+			st.shareOut = st.shareOut && sib.full
+		}
+		durable = st.shareOut
 		plan.steps = append(plan.steps, st)
 		cur = node
 	}
@@ -281,7 +288,7 @@ func (st *planStep[P]) exec(e *Engine[P], delta *data.Relation[P]) *data.Relatio
 	if st.out == nil {
 		st.out = data.NewRelation(e.ring, st.node.Keys)
 		st.out.RecycleCleared()
-		if st.allFullSibs {
+		if st.shareOut {
 			st.out.ShareProjectedTuples()
 		}
 		st.out.Reserve(len(items))

@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"fivm/internal/data"
+	"fivm/internal/query"
 	"fivm/internal/ring"
+	"fivm/internal/vorder"
 )
 
 // TestMain runs the package under data's poison hook: reclaimed entries are
@@ -124,7 +126,7 @@ func churnCycleBytes[P any](t *testing.T, rg ring.Ring[P], lift data.LiftFunc[P]
 		cycle()
 	}
 	runtime.ReadMemStats(&m1)
-	if ps := e.PoolStats(); ps.Free == 0 || ps.Reclaimed == 0 || ps.KeyBytes == 0 {
+	if ps := e.PoolStats(); ps.Free == 0 || ps.Reclaimed == 0 || ps.KeyBytes == 0 || ps.TupleBytes == 0 {
 		t.Fatalf("pool unused after %d cycles: %+v", cycles+1, ps)
 	}
 	return (m1.TotalAlloc - m0.TotalAlloc) / cycles, tuples
@@ -133,18 +135,21 @@ func churnCycleBytes[P any](t *testing.T, rg ring.Ring[P], lift data.LiftFunc[P]
 // TestChurnSteadyStateAllocs: once warm, a cycle that inserts the database
 // and retracts it again allocates what publication and batch bookkeeping cost
 // per batch — a figure that does not depend on how many tuples the batches
-// carry, because entry structs, payload storage, scratch keys, table slots
-// and index buckets are all reused. The cycle runs at 1× and 4× the tuples
+// carry, because entry structs, payload storage, scratch keys and tuples,
+// table slots and index buckets are all reused. The cycle runs at 1× and 4× the tuples
 // over the same batches and join keys, fed the way db.View feeds its engines,
 // through recycling scratch relations (where the parent commit allocates a
 // key string per tuple and batch: 24.7 and 52.4 KB a cycle on the float ring,
 // 63.8 KB at 4× on the cofactor ring), and once more from delta relations
-// that outlive the batches.
+// that outlive the batches. The bound is the cofactor ring's reading, 10062 B
+// a cycle at every size, plus a third (the float ring reads 4846 B; with one
+// heap tuple per distinct step-output key and batch they were 15774 and
+// 10558).
 func TestChurnSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc guards run in the non-race pass")
 	}
-	const perCycle = 24 << 10 // 16 batches a cycle: epochs, arena runs, batch maps
+	const perCycle = 10062 + 10062/3 // 16 batches a cycle: epochs, arena runs, batch maps
 	check := func(t *testing.T, bytes func(fan int, scratch bool) (uint64, int)) {
 		small, n1 := bytes(2, true)
 		large, n4 := bytes(8, true)
@@ -310,6 +315,7 @@ func TestPoolRespectsPinnedEpochs(t *testing.T) {
 			}
 		}
 		apply(batch)
+		checkViewTuples[ring.Triple](t, "batch "+strconv.Itoa(b), e)
 		if b == catalogAt {
 			e.Catalog()
 		}
@@ -341,5 +347,87 @@ func TestPoolRespectsPinnedEpochs(t *testing.T) {
 	}
 	if ps := e.PoolStats(); ps.Reclaimed < batches {
 		t.Fatalf("the churn never went through the pool: %+v", ps)
+	}
+}
+
+// TestAllocGuardStepOutputTuples: on the shape of the benchmark's
+// v_by_locn_date — a two-way join whose sibling is probed by part of its key,
+// so the step's join tuples live in its arena and its output cannot share
+// them — a batch that only touches groups the views already hold allocates no
+// tuple: the step output projects into its slab and no view adopts from it.
+// Measured as bytes per batch with publication off (patching an epoch costs
+// some 13 B per dirty key), at 24 tuples into 60 groups and at 96 tuples into
+// all 240: both must stay under the size of one tuple, where the parent commit
+// allocates one projected tuple of 64 B per output key and batch (3.8 and
+// 15.4 KB).
+func TestAllocGuardStepOutputTuples(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc guards run in the non-race pass")
+	}
+	const nL, nD, batches = 12, 20, 50
+	facts, dims := data.NewSchema("L", "K"), data.NewSchema("L", "D")
+	q := query.MustNew("Q", data.NewSchema("L", "D"),
+		query.RelDef{Name: "I", Schema: facts}, query.RelDef{Name: "W", Schema: dims})
+	perBatch := func(locns int) uint64 {
+		e, err := New[float64](q, vorder.MustNew(vorder.V("L", vorder.V("K"), vorder.V("D"))), ring.Float{}, floatLift, Options[float64]{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, w := data.NewRelation[float64](ring.Float{}, facts), data.NewRelation[float64](ring.Float{}, dims)
+		for l := int64(0); l < nL; l++ {
+			base.Merge(data.Ints(l, 1<<20), 1)
+			for d := int64(0); d < nD; d++ {
+				w.Merge(data.Ints(l, d), 1)
+			}
+		}
+		for rel, r := range map[string]*data.Relation[float64]{"I": base, "W": w} {
+			if err := e.Load(rel, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Init(); err != nil {
+			t.Fatal(err)
+		}
+		if st := e.plans[e.root.LeafOf("I")].steps; len(st) != 2 || !st[0].shareOut || st[1].shareOut || st[1].siblings[0].full {
+			t.Fatalf("fixture: not the v_by_locn_date shape\n%s", e.Tree())
+		}
+		tuples := make([]data.Tuple, 8*locns)
+		for i := range tuples {
+			tuples[i] = data.Ints(int64(i%locns), int64(i))
+		}
+		feed := data.NewRelation[float64](ring.Float{}, facts)
+		feed.RecycleCleared()
+		batch := []NamedDelta[float64]{{Rel: "I", Delta: feed}}
+		apply := func(mult float64) {
+			feed.Clear()
+			for _, tu := range tuples {
+				feed.Merge(tu, mult)
+			}
+			if err := e.ApplyDeltas(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 4; i++ { // warm: tables, pools, slabs
+			apply(1)
+			apply(-1)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < batches; i++ {
+			apply(1)
+			apply(-1)
+		}
+		runtime.ReadMemStats(&m1)
+		if e.Result().Len() != nL*nD || e.PoolStats().TupleBytes == 0 {
+			t.Fatalf("%d groups, pool %+v", e.Result().Len(), e.PoolStats())
+		}
+		checkViewTuples[float64](t, "after the churn", e)
+		return (m1.TotalAlloc - m0.TotalAlloc) / (2 * batches)
+	}
+	small, large := perBatch(nL/4), perBatch(nL)
+	t.Logf("%d B per batch of %d tuples into %d groups, %d B per batch of %d tuples into %d groups", small, 2*nL, nL/4*nD, large, 8*nL, nL*nD)
+	if small >= 64 || large >= 64 {
+		t.Errorf("a batch into %d groups allocates %d B, one into %d groups %d B, want under one tuple's 64 B whatever the size",
+			nL/4*nD, small, nL*nD, large)
 	}
 }

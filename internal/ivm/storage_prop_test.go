@@ -127,6 +127,7 @@ func driveStorageProperty[P any](t *testing.T, rg ring.Ring[P], lift data.LiftFu
 			if err := m.ApplyDeltas(batch); err != nil {
 				t.Fatalf("round %d %s: %v", round, names[i], err)
 			}
+			checkViewTuples(t, names[i], m)
 		}
 
 		want := dumpResult(ms[0].Result(), rg)

@@ -210,6 +210,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, e *db.Epoch
 		PoolFree          int    `json:"pool_free"`
 		Reclaimed         uint64 `json:"reclaimed"`
 		ScratchKeyBytes   int    `json:"scratch_key_bytes"`
+		ScratchTupleBytes int    `json:"scratch_tuple_bytes"`
 		ArenaBlocks       int    `json:"arena_blocks"`
 		ArenaFree         int    `json:"arena_free"`
 		BackstopReclaims  uint64 `json:"backstop_reclaims"`
@@ -219,7 +220,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, e *db.Epoch
 	for _, name := range names {
 		st, _ := e.Stats(name)
 		perView[name] = viewStats{PublishedKeys: st.PublishedKeys, ViewsMaterialized: st.ViewCount,
-			PoolFree: st.PoolFree, Reclaimed: st.Reclaimed, ScratchKeyBytes: st.ScratchKeyBytes,
+			PoolFree: st.PoolFree, Reclaimed: st.Reclaimed,
+			ScratchKeyBytes: st.ScratchKeyBytes, ScratchTupleBytes: st.ScratchTupleBytes,
 			ArenaBlocks: st.Arena.BlocksLive, ArenaFree: st.Arena.BlocksFree,
 			BackstopReclaims: st.Arena.BackstopReclaims}
 	}

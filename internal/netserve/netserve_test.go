@@ -169,6 +169,18 @@ func TestServeLookupScanHeaders(t *testing.T) {
 	if st["pool_free"].(float64) < 1 || st["reclaimed"].(float64) < 1 || st["scratch_key_bytes"].(float64) <= 0 {
 		t.Fatalf("stats view_stats after a delete: %v", st)
 	}
+	// Every step of sums shares the batch's own tuples, so its plans' tuple
+	// slabs stay empty; a view grouped by a sibling's column joins through part
+	// of that sibling's key and must project its step outputs somewhere.
+	postJSON(t, ts.URL+"/exec",
+		map[string]string{"sql": "CREATE VIEW pairs AS SELECT A, C, SUM(B) FROM R NATURAL JOIN S GROUP BY A, C"}, http.StatusOK)
+	postJSON(t, ts.URL+"/apply", applyBody("R", 1, []any{2, 7}), http.StatusOK)
+	m, _ = getJSON(t, ts.URL+"/stats", http.StatusOK)
+	pairs, _ := m["view_stats"].(map[string]any)["pairs"].(map[string]any)
+	st, _ = m["view_stats"].(map[string]any)["sums"].(map[string]any)
+	if st["scratch_tuple_bytes"] != float64(0) || pairs["scratch_tuple_bytes"].(float64) <= 0 {
+		t.Fatalf("stats scratch_tuple_bytes: sums %v, pairs %v", st, pairs)
+	}
 
 	// netserve forgets no lease: 200 lookups and scans over 40 writes (more
 	// than two publish generations, so every one of them closes) and a

@@ -32,6 +32,12 @@ type FollowerConfig struct {
 	RedialWait time.Duration
 	// Dial overrides the dialer (tests); nil uses net.Dialer.
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
+	// OnApply, when set, is called on the stream goroutine after every
+	// replicated record that was applied, with the epoch the follower is at
+	// then: an every-epoch source for lag measurement (Applied and At of one
+	// epoch against the primary's), where polling DB().Epoch() sees only some.
+	// The epoch is the follower's lease; it is released when OnApply returns.
+	OnApply func(e *db.Epoch)
 }
 
 // Follower is a read replica: a follower-mode db.DB kept in sync by
@@ -177,6 +183,11 @@ func (f *Follower) stream(ctx context.Context) {
 			// A gap means this stream cannot continue; reconnect and let
 			// the handshake decide (typically checkpoint transfer).
 			return
+		}
+		if f.cfg.OnApply != nil {
+			e := d.Epoch()
+			f.cfg.OnApply(e)
+			e.Release()
 		}
 	}
 }
