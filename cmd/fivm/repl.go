@@ -223,6 +223,7 @@ func replCommand(d *db.DB, out io.Writer, line string, stream []datasets.Batch, 
 				st.PoolFree, st.Reclaimed, fmtBytes(st.ScratchKeyBytes), fmtBytes(st.ScratchTupleBytes),
 				st.Arena.BlocksLive, st.Arena.BlocksFree, st.Arena.GenerationsOpen, st.Arena.BackstopReclaims)
 		}
+		showStorage(d, out)
 	case ".show":
 		if len(fields) < 2 {
 			fmt.Fprintln(out, "usage: .show <view> [limit]")
@@ -248,6 +249,7 @@ func replCommand(d *db.DB, out io.Writer, line string, stream []datasets.Batch, 
 		if lsn, ok := d.WALStats(); ok {
 			fmt.Fprintf(out, "wal: lsn %d\n", lsn)
 		}
+		showStorage(d, out)
 	case ".checkpoint":
 		start := time.Now()
 		if err := d.Checkpoint(); err != nil {
@@ -270,6 +272,23 @@ func replCatalog(d *db.DB) sqlparse.Catalog {
 		cat[rel] = sch
 	}
 	return cat
+}
+
+// showStorage prints the base store and the last checkpoint as the current
+// epoch carries them (what GET /stats reports as base_store and checkpoint).
+func showStorage(d *db.DB, out io.Writer) {
+	e := d.Epoch()
+	defer e.Release()
+	rels, bases := e.BaseStats()
+	for i, rel := range rels {
+		b := bases[i]
+		fmt.Fprintf(out, "  base %-12s %d tuples, %s; pool %d free, %d reclaimed, recycled keys %s\n",
+			rel, b.Tuples, fmtBytes(b.MemoryBytes), b.PoolFree, b.Reclaimed, fmtBytes(b.FreeKeyBytes))
+	}
+	if ck := e.Checkpoint; ck.Writes > 0 {
+		fmt.Fprintf(out, "  checkpoint at lsn %d: %d rows, %s in %d writes, %v\n",
+			ck.LSN, ck.Rows, fmtBytes(int(ck.Bytes)), ck.Writes, ck.Duration.Round(time.Microsecond))
+	}
 }
 
 // epochSeq reads the current epoch's sequence number.

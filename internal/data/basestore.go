@@ -2,6 +2,8 @@ package data
 
 import (
 	"fmt"
+	"iter"
+	"unsafe"
 
 	"fivm/internal/ring"
 )
@@ -15,12 +17,36 @@ type BaseUpdate struct {
 	// Mult is the signed multiplicity applied per tuple (never 0 inside the
 	// store; callers' 0 defaults to +1 before reaching it).
 	Mult int64
+
+	// keyed and first are set by BaseStore.ApplyBatch: the batch's encoded
+	// keys and hashes, and where this update's tuples start in them. Observers
+	// merge by them (MergeUpdate) instead of encoding every tuple again.
+	keyed *batchKeys
+	first int
+}
+
+// batchKeys holds what ApplyBatch computes once per tuple: the encoded key
+// (bytes up to ends[i]) and its table hash, numbered across the whole batch.
+// Store-owned scratch, overwritten by the next batch.
+type batchKeys struct {
+	bytes  []byte
+	ends   []int
+	hashes []uint64
+}
+
+func (k *batchKeys) key(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = k.ends[i-1]
+	}
+	return k.bytes[start:k.ends[i]]
 }
 
 // BaseObserver receives, once per applied batch, the batch's updates
 // restricted to the relations the observer registered for. Updates are
-// shared and read-only; observers must not retain the slice beyond the call
-// (the tuples themselves stay alive in the store's log).
+// shared and read-only; observers must not retain the slice, or the keys the
+// updates carry, beyond the call (a tuple they keep stays the caller's:
+// immutable, shared with the store while its row is live).
 type BaseObserver func(batch []BaseUpdate) error
 
 // BaseStore is the shared base-relation store: the canonical multiplicity
@@ -32,29 +58,32 @@ type BaseObserver func(batch []BaseUpdate) error
 // This inverts the pre-DB data ownership: instead of every maintainer
 // privately ingesting and copying the same update stream, the store ingests
 // it once and fans it out. The stored contents are what late-registered
-// consumers backfill from.
+// consumers backfill from and what checkpoints serialize.
 //
-// Internally each relation is a lazily compacted update log: ApplyBatch
-// appends the batch's tuple slices (shared, no copying or re-encoding) and
-// the merged multiset is materialized only when someone asks for it (Base,
-// typically a view backfill). The hot ingest path therefore does no
-// per-tuple work at all — the coalescing cost is deferred to the rare
-// reader that needs the merged view, and paid once.
+// Each relation is a pooled Relation[int64] merged in place: ApplyBatch
+// encodes and hashes every tuple's key once, inserts, bumps or cancels the
+// row under it, and reclaims the cancelled entries at the end of the batch
+// (the base-store row of Relation's ownership table). Memory therefore
+// follows the state: an inserted tuple is held exactly while its row is
+// live, a deleted one is only a probe key and is held by nobody, and a
+// cancelled row's entry and key bytes serve the next insert. The keys and
+// hashes travel with the batch to the observers, so the ingest path still
+// encodes each tuple exactly once however many views consume it.
 //
 // A BaseStore is single-writer: ApplyBatch, Base, and the lifecycle methods
 // must come from one goroutine at a time (the maintenance goroutine).
 // Observers run synchronously on that goroutine, in attach order.
 type BaseStore struct {
-	schemas map[string]Schema
-	merged  map[string]*Relation[int64]
-	pending map[string][]BaseUpdate
-	names   []string // registration order
+	rels  map[string]*Relation[int64]
+	names []string // registration order
 
 	obs []baseObserver
 
-	// obsScratch is reused across ApplyBatch calls for per-observer
-	// filtered views of the batch.
+	// Scratch reused across calls: the batch's keys and hashes, per-observer
+	// filtered views of the batch, and the entry pointers Rows sorts.
+	keyed      batchKeys
 	obsScratch []BaseUpdate
+	sorted     []*Entry[int64]
 }
 
 type baseObserver struct {
@@ -65,21 +94,16 @@ type baseObserver struct {
 
 // NewBaseStore creates an empty store; relations are added with Register.
 func NewBaseStore() *BaseStore {
-	return &BaseStore{
-		schemas: make(map[string]Schema),
-		merged:  make(map[string]*Relation[int64]),
-		pending: make(map[string][]BaseUpdate),
-	}
+	return &BaseStore{rels: make(map[string]*Relation[int64])}
 }
 
 // Register adds a base relation with its schema. Registering the same name
 // twice is an error (schemas are canonical).
 func (s *BaseStore) Register(rel string, schema Schema) error {
-	if _, ok := s.schemas[rel]; ok {
+	if _, ok := s.rels[rel]; ok {
 		return fmt.Errorf("data: base relation %q already registered", rel)
 	}
-	s.schemas[rel] = schema
-	s.merged[rel] = NewRelation[int64](ring.Int{}, schema)
+	s.rels[rel] = NewRelation[int64](ring.Int{}, schema)
 	s.names = append(s.names, rel)
 	return nil
 }
@@ -89,53 +113,32 @@ func (s *BaseStore) Relations() []string { return s.names }
 
 // Schema returns the canonical schema of a registered relation.
 func (s *BaseStore) Schema(rel string) (Schema, bool) {
-	sch, ok := s.schemas[rel]
-	return sch, ok
+	r, ok := s.rels[rel]
+	if !ok {
+		return nil, false
+	}
+	return r.Schema(), true
 }
 
-// Base returns the merged multiplicity relation of a registered base
-// relation (nil for unknown names), compacting the relation's pending
-// update log first. It is owned by the store: callers may read it until the
-// next ApplyBatch but must never mutate it. Maintenance-goroutine only.
-func (s *BaseStore) Base(rel string) *Relation[int64] {
-	m := s.merged[rel]
-	if m == nil {
-		return nil
-	}
-	if pend := s.pending[rel]; len(pend) > 0 {
-		n := 0
-		for _, u := range pend {
-			n += len(u.Tuples)
-		}
-		m.Reserve(m.Len() + n)
-		for _, u := range pend {
-			for _, t := range u.Tuples {
-				m.Merge(t, u.Mult)
-			}
-		}
-		s.pending[rel] = pend[:0]
-		// Whoever read m before this compaction is past its lease (see
-		// above), so the entries it cancelled are reusable from here on.
-		m.Reclaim()
-	}
-	return m
-}
+// Base returns the multiplicity relation of a registered base relation (nil
+// for unknown names). It is owned by the store: callers may read it until the
+// next ApplyBatch — which reuses the entries, key bytes included, of the rows
+// it cancels — and must never mutate it.
+func (s *BaseStore) Base(rel string) *Relation[int64] { return s.rels[rel] }
 
-// AdoptBase replaces the merged contents of a registered relation with r,
-// discarding any pending log entries. It is the checkpoint-restore path: a
-// recovery layer hands the store a freshly decoded multiplicity relation and
-// the store owns it from then on. The relation's schema must equal the
-// registered one.
+// AdoptBase replaces the contents of a registered relation with r. It is the
+// checkpoint-restore path: a recovery layer hands the store a freshly decoded
+// multiplicity relation and the store owns it from then on. The relation's
+// schema must equal the registered one.
 func (s *BaseStore) AdoptBase(rel string, r *Relation[int64]) error {
-	sch, ok := s.schemas[rel]
+	sch, ok := s.Schema(rel)
 	if !ok {
 		return fmt.Errorf("data: base relation %q not registered", rel)
 	}
 	if !sch.Equal(r.Schema()) {
 		return fmt.Errorf("data: adopt %q: schema %v does not match registered %v", rel, r.Schema(), sch)
 	}
-	s.merged[rel] = r
-	s.pending[rel] = nil
+	s.rels[rel] = r
 	return nil
 }
 
@@ -179,12 +182,13 @@ func (s *BaseStore) Observers() []string {
 	return out
 }
 
-// ApplyBatch advances the store by one batch of per-relation updates —
-// appended to each relation's pending log at pointer cost — and fans the
-// batch out to every attached observer. Zero multiplicities default to +1;
-// unknown relations and arity mismatches are errors, detected before any
-// state changes. The batch slice itself may be reused by the caller after
-// the call; tuple storage is adopted.
+// ApplyBatch advances the store by one batch of per-relation updates — each
+// tuple merged in place into its relation under a key encoded and hashed
+// once — and fans the batch, keys included, out to every attached observer.
+// Zero multiplicities default to +1; unknown relations and arity mismatches
+// are errors, detected before any state changes. The batch slice itself may
+// be reused by the caller after the call; the tuples of rows the batch
+// leaves live are adopted.
 //
 // Observer errors abort the fan-out and are returned; the store itself has
 // already advanced, so the caller must treat the batch as torn and discard
@@ -192,7 +196,7 @@ func (s *BaseStore) Observers() []string {
 func (s *BaseStore) ApplyBatch(batch []BaseUpdate) error {
 	for i := range batch {
 		u := &batch[i]
-		sch, ok := s.schemas[u.Rel]
+		sch, ok := s.Schema(u.Rel)
 		if !ok {
 			return fmt.Errorf("data: base relation %q not registered", u.Rel)
 		}
@@ -205,11 +209,22 @@ func (s *BaseStore) ApplyBatch(batch []BaseUpdate) error {
 			u.Mult = 1
 		}
 	}
-	for _, u := range batch {
-		if len(u.Tuples) == 0 {
-			continue
+	k := &s.keyed
+	k.bytes, k.ends, k.hashes = k.bytes[:0], k.ends[:0], k.hashes[:0]
+	for i := range batch {
+		u := &batch[i]
+		u.keyed, u.first = k, len(k.ends)
+		m := s.rels[u.Rel]
+		for _, t := range u.Tuples {
+			start := len(k.bytes)
+			k.bytes = t.AppendKey(k.bytes)
+			h := hashBytes(k.bytes[start:])
+			k.ends, k.hashes = append(k.ends, len(k.bytes)), append(k.hashes, h)
+			m.mergeKeyed(k.bytes[start:], h, t, u.Mult)
 		}
-		s.pending[u.Rel] = append(s.pending[u.Rel], u)
+		// Nothing outside this loop held an entry: the rows the update
+		// cancelled are reusable from here on.
+		m.Reclaim()
 	}
 	for _, o := range s.obs {
 		sub := batch
@@ -232,42 +247,90 @@ func (s *BaseStore) ApplyBatch(batch []BaseUpdate) error {
 	return nil
 }
 
+// MergeUpdate merges every tuple of u — an update as a BaseObserver receives
+// it — into dst with payload p, under the key and hash the store computed:
+// no re-encoding, no re-hashing. dst must have the base relation's schema.
+func MergeUpdate[P any](dst *Relation[P], u BaseUpdate, p P) {
+	for i, t := range u.Tuples {
+		dst.mergeKeyed(u.keyed.key(u.first+i), u.keyed.hashes[u.first+i], t, p)
+	}
+}
+
 // LiftFrom fills dst with src's tuples, each mapped through lift from its
-// multiplicity. It shares src's encoded keys and tuple storage (no
-// re-encoding), which is what makes backfilling a view from a compacted
-// base relation cheap; dst should be empty and share src's schema.
+// multiplicity. It merges by the key and hash src's entries carry (no
+// re-encoding, no re-hashing) and shares their tuples; the key bytes are
+// copied, like every key a relation stores — src overwrites its own when it
+// reuses the entry. dst should be empty and share src's schema.
 func LiftFrom[P any](dst *Relation[P], src *Relation[int64], lift func(n int64) P) {
 	src.entries.all(func(e *Entry[int64]) bool {
-		dst.MergeKey(e.key, e.Tuple, lift(e.Payload))
+		dst.mergeKeyed(keyView(e.key), e.hash, e.Tuple, lift(e.Payload))
 		return true
 	})
 }
 
-// Tuples reports the total number of distinct tuples currently stored
-// (compacting every pending log). Maintenance-goroutine only.
+// Rows returns rel's rows in encoded-key order — the deterministic order a
+// checkpoint is written in — as a sequence over the live entries: nothing is
+// copied. Ranging over it sorts a store-owned scratch of entry pointers, so
+// it must finish before the next ApplyBatch or Rows call; the row count up
+// front is Base(rel).Len().
+func (s *BaseStore) Rows(rel string) iter.Seq2[Tuple, int64] {
+	return func(yield func(Tuple, int64) bool) {
+		r := s.rels[rel]
+		es := s.sorted[:0]
+		if cap(es) < r.Len() {
+			es = make([]*Entry[int64], 0, r.Len()) // to size at once, not by doubling
+		}
+		r.entries.all(func(e *Entry[int64]) bool {
+			es = append(es, e)
+			return true
+		})
+		radixSortEntryPtrs(es)
+		s.sorted = es
+		defer clear(es) // the scratch pins no entry between checkpoints
+		for _, e := range es {
+			if !yield(e.Tuple, e.Payload) {
+				return
+			}
+		}
+	}
+}
+
+// Tuples reports the total number of distinct tuples currently stored.
 func (s *BaseStore) Tuples() int {
 	n := 0
-	for _, rel := range s.names {
-		n += s.Base(rel).Len()
+	for _, r := range s.rels {
+		n += r.Len()
 	}
 	return n
 }
 
-// MemoryBytes estimates the bytes held by the stored base relations, merged
-// contents (Relation.MemoryBytes) and pending log alike (log tuples are
-// shared slices; their backing storage is charged here as it is kept alive).
+// BaseStats is one base relation's storage, from counters alone: live rows,
+// the bytes they and the pool hold (exact for int64 multiplicities), entries
+// free for the next insert or ever reclaimed, and the key bytes the free
+// entries keep for the next keys.
+type BaseStats struct {
+	Tuples       int    `json:"tuples"`
+	MemoryBytes  int    `json:"memory_bytes"`
+	PoolFree     int    `json:"pool_free"`
+	Reclaimed    uint64 `json:"reclaimed"`
+	FreeKeyBytes int    `json:"recycled_key_bytes"`
+}
+
+// Stats reports a registered relation's storage; O(1).
+func (s *BaseStore) Stats(rel string) BaseStats {
+	r := s.rels[rel]
+	ps := r.PoolStats()
+	return BaseStats{Tuples: r.Len(), MemoryBytes: r.flatBytes(),
+		PoolFree: ps.Free, Reclaimed: ps.Reclaimed, FreeKeyBytes: ps.KeyBytes}
+}
+
+// MemoryBytes estimates the bytes held by the stored base relations and the
+// store's per-batch and checkpoint scratch; O(relations).
 func (s *BaseStore) MemoryBytes() int {
-	total := 0
-	for _, r := range s.merged {
-		total += r.MemoryBytes()
-	}
-	for _, pend := range s.pending {
-		for _, u := range pend {
-			total += 48
-			for _, t := range u.Tuples {
-				total += 24 + len(t)*valueBytes
-			}
-		}
+	total := cap(s.keyed.bytes) + 8*(cap(s.keyed.ends)+cap(s.keyed.hashes)) +
+		cap(s.obsScratch)*int(unsafe.Sizeof(BaseUpdate{})) + 8*cap(s.sorted)
+	for _, r := range s.rels {
+		total += r.flatBytes()
 	}
 	return total
 }

@@ -54,12 +54,12 @@ func TestBaseStoreApplyAndObserve(t *testing.T) {
 	if sawR != 3 || sawAll != 4 {
 		t.Errorf("observers saw R=%d all=%d, want 3 and 4", sawR, sawAll)
 	}
-	// Base compacts the log lazily: the duplicate insert coalesced to 2.
+	// The duplicate insert bumped the row in place.
 	if got, _ := s.Base("R").Get(bsTuple(3, 4)); got != 2 {
 		t.Errorf("R[3,4] = %d, want 2", got)
 	}
 
-	// Deletion drives multiplicity to zero and drops the key at compaction.
+	// Deletion drives multiplicity to zero and drops the row.
 	if err := s.ApplyBatch([]BaseUpdate{
 		{Rel: "R", Tuples: []Tuple{bsTuple(1, 2)}, Mult: -1},
 	}); err != nil {
@@ -119,5 +119,92 @@ func TestLiftFrom(t *testing.T) {
 	}
 	if got, _ := dst.Get(bsTuple(2)); got != -1 {
 		t.Errorf("dst[2] = %g", got)
+	}
+}
+
+// slideWindow applies one step of a sliding window over R(A,B): insert the
+// 100 rows after hi, delete the 100 oldest.
+func slideWindow(t *testing.T, s *BaseStore, lo, hi *int64) {
+	t.Helper()
+	ins, del := make([]Tuple, 100), make([]Tuple, 100)
+	for i := range ins {
+		ins[i], del[i] = bsTuple(*hi+int64(i), 7), bsTuple(*lo+int64(i), 7)
+	}
+	*hi, *lo = *hi+100, *lo+100
+	if err := s.ApplyBatch([]BaseUpdate{{Rel: "R", Tuples: ins}, {Rel: "R", Tuples: del, Mult: -1}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBaseStoreMemoryFollowsState: a window of 1000 live rows sliding over
+// fifty times its size leaves the store where two window lengths left it —
+// its memory is a function of the live rows, not of the batches applied.
+func TestBaseStoreMemoryFollowsState(t *testing.T) {
+	const live = 1000
+	s := NewBaseStore()
+	if err := s.Register("R", NewSchema("A", "B")); err != nil {
+		t.Fatal(err)
+	}
+	var lo, hi int64
+	for hi < live {
+		ins := make([]Tuple, 100)
+		for i := range ins {
+			ins[i] = bsTuple(hi+int64(i), 7)
+		}
+		hi += 100
+		if err := s.ApplyBatch([]BaseUpdate{{Rel: "R", Tuples: ins}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for hi < 3*live {
+		slideWindow(t, s, &lo, &hi)
+	}
+	mem, pool := s.MemoryBytes(), s.Base("R").PoolStats()
+	for hi < 51*live {
+		slideWindow(t, s, &lo, &hi)
+	}
+	if got := s.Base("R").Len(); got != live {
+		t.Fatalf("%d live rows, want %d", got, live)
+	}
+	if got := s.MemoryBytes(); got > mem+mem/8 {
+		t.Errorf("MemoryBytes grew from %d to %d over 48 more window lengths", mem, got)
+	}
+	if got := s.Base("R").PoolStats(); got.Free > pool.Free+100 || got.KeyBytes > pool.KeyBytes+100*keyCap(18) {
+		t.Errorf("pool grew from %+v to %+v", pool, got)
+	}
+	if st := s.Stats("R"); st.Tuples != live || st.MemoryBytes != s.Base("R").MemoryBytes() || st.Reclaimed < 50*live {
+		t.Errorf("Stats %+v: want %d tuples, the walked %d bytes, every deleted row through the pool", st, live, s.Base("R").MemoryBytes())
+	}
+}
+
+// TestAllocGuardBaseStoreChurn: an insert batch and its retraction, observed
+// by a consumer that lifts them into a scratch delta by the store's keys,
+// allocate nothing once the pools are warm.
+func TestAllocGuardBaseStoreChurn(t *testing.T) {
+	s := NewBaseStore()
+	if err := s.Register("R", NewSchema("A", "B")); err != nil {
+		t.Fatal(err)
+	}
+	delta := NewRelation[float64](ring.Float{}, NewSchema("A", "B"))
+	delta.RecycleCleared()
+	s.Attach("view", []string{"R"}, func(batch []BaseUpdate) error {
+		delta.Clear()
+		for _, u := range batch {
+			MergeUpdate(delta, u, float64(u.Mult))
+		}
+		return nil
+	})
+	tups := make([]Tuple, 100)
+	for i := range tups {
+		tups[i] = Tuple{Int(int64(i)), String("row")}
+	}
+	ins, del := []BaseUpdate{{Rel: "R", Tuples: tups, Mult: 1}}, []BaseUpdate{{Rel: "R", Tuples: tups, Mult: -1}}
+	guardZeroAllocs(t, "insert batch + retraction", func() {
+		if s.ApplyBatch(ins) != nil || s.ApplyBatch(del) != nil {
+			t.Fatal("ApplyBatch failed")
+		}
+	})
+	if s.Tuples() != 0 || delta.Len() != len(tups) {
+		t.Fatalf("%d rows left, delta of %d", s.Tuples(), delta.Len())
 	}
 }

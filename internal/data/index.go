@@ -159,9 +159,9 @@ func (ir *IndexedRelation[P]) reindex(en *Entry[P], existed, exists bool) {
 // insert.
 func (ir *IndexedRelation[P]) MergeAllIndexed(o *Relation[P]) {
 	if ir.Schema().Equal(o.Schema()) {
-		volKey, volTuple := o.scratch, o.VolatileTuples()
+		volTuple := o.VolatileTuples()
 		o.entries.all(func(e *Entry[P]) bool {
-			ir.reindex(ir.mergeFrom(e, volKey, volTuple))
+			ir.reindex(ir.mergeFrom(e, volTuple))
 			return true
 		})
 		return

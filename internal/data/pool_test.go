@@ -4,7 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"fivm/internal/ring"
 )
@@ -149,6 +151,7 @@ func TestPoolReusesOnlyAfterReclaim(t *testing.T) {
 	r.Merge(Ints(1), 5)
 	r.Reclaim() // the owner has a reclaim point: pooled from here on
 	e, _ := r.EntryKey(Ints(1).Key())
+	keyStorage := unsafe.StringData(e.Key())
 	r.Merge(Ints(1), -5)
 	if r.Len() != 0 {
 		t.Fatal("not removed")
@@ -165,12 +168,15 @@ func TestPoolReusesOnlyAfterReclaim(t *testing.T) {
 		t.Fatalf("before reclaim: %+v", ps)
 	}
 	r.Reclaim()
-	if e.Key() != poisonKey || !math.IsNaN(e.Payload) {
+	if e.Key() != strings.Repeat("\xff", len(Ints(1).Key())) || !math.IsNaN(e.Payload) {
 		t.Fatalf("reclaimed entry not poisoned: %q %v", e.Key(), e.Payload)
 	}
 	r.Merge(Ints(3), 9)
 	if e3, _ := r.EntryKey(Ints(3).Key()); e3 != e {
 		t.Fatal("reclaimed entry not reused")
+	}
+	if unsafe.StringData(e.Key()) != keyStorage {
+		t.Fatal("reclaimed entry's key storage not reused")
 	}
 	if p, _ := r.Get(Ints(3)); p != 9 {
 		t.Fatalf("reused entry payload = %v", p)
@@ -394,7 +400,7 @@ func TestScratchTuplesRewind(t *testing.T) {
 	h.RecycleCleared()
 	given := Ints(1, 2)
 	h.Merge(given, 1)
-	h.MergeKey(Ints(3, 4).Key(), Ints(3, 4), 1)
+	h.mergeKeyed([]byte(Ints(3, 4).Key()), hashString(Ints(3, 4).Key()), Ints(3, 4), 1)
 	taker := NewRelation[int64](ring.Int{}, sch)
 	taker.MergeAll(h)
 	he, _ := h.EntryKey(given.Key())
@@ -424,6 +430,137 @@ func TestScratchTuplesRewind(t *testing.T) {
 		}()
 		proj.SharedApply(src)
 	}()
+}
+
+// TestRecycledKeysDieAtReclaim is the same contract for the key bytes an entry
+// owns, and the same broken consumer: a key string kept from a pooled relation
+// that publishes nothing — an internal view, a base-store relation — reads
+// poison (the next key the entry holds, in production) past the owner's
+// reclaim point, while MergeAll, MergeAllIndexed, Clone, Negate and LiftFrom
+// copied theirs and a snapshotting relation never reuses the bytes its pinned
+// epochs read.
+func TestRecycledKeysDieAtReclaim(t *testing.T) {
+	sch := NewSchema("A", "B")
+	tups := make([]Tuple, 100)
+	for i := range tups {
+		tups[i] = Tuple{Int(int64(i)), String("k")}
+	}
+	view := NewRelation[int64](ring.Int{}, sch)
+	view.Reclaim() // pooled, as ivm.Engine has every view from its first batch on
+	store := NewBaseStore()
+	if err := store.Register("R", sch); err != nil {
+		t.Fatal(err)
+	}
+	for _, tup := range tups {
+		view.Merge(tup, 1)
+	}
+	if err := store.ApplyBatch([]BaseUpdate{{Rel: "R", Tuples: tups}}); err != nil {
+		t.Fatal(err)
+	}
+	want := tups[5].Key()
+	ve, _ := view.EntryKey(want)
+	be, _ := store.Base("R").EntryKey(want)
+	keptView, keptBase := ve.Key(), be.Key() // the bug: entry keys retained across the reclaim point
+	if keptView != want || keptBase != want {
+		t.Fatalf("keys %q and %q, want %q", keptView, keptBase, want)
+	}
+
+	plain := NewRelation[int64](ring.Int{}, sch)
+	plain.MergeAll(view)
+	ir := NewIndexedRelation(NewRelation[int64](ring.Int{}, sch))
+	ir.EnsureIndex(NewSchema("A"))
+	ir.MergeAllIndexed(view)
+	clone, neg := view.Clone(), view.Negate()
+	lifted := NewRelation[int64](ring.Int{}, sch)
+	LiftFrom(lifted, store.Base("R"), func(n int64) int64 { return n })
+	root := NewRelation[int64](ring.Int{}, sch)
+	root.Reclaim()
+	root.MergeAll(view)
+	pinned := root.Snapshot()
+	defer pinned.Release()
+
+	// Every row goes, every owner passes its reclaim point, and other rows
+	// take the entries over.
+	other := make([]Tuple, len(tups))
+	for i := range other {
+		other[i] = Tuple{Int(int64(1000 + i)), String("o")}
+	}
+	for _, r := range []*Relation[int64]{view, root} {
+		r.MergeAll(neg)
+		r.Reclaim()
+		if ps := r.PoolStats(); ps.Free != len(tups) || (r == view) != (ps.KeyBytes > 0) {
+			t.Fatalf("pool after emptying (publishes: %v): %+v", r != view, ps)
+		}
+		for _, tup := range other {
+			r.Merge(tup, 1)
+		}
+	}
+	if err := store.ApplyBatch([]BaseUpdate{{Rel: "R", Tuples: tups, Mult: -1}, {Rel: "R", Tuples: other}}); err != nil {
+		t.Fatal(err)
+	}
+	if keptView == want || keptBase == want {
+		t.Fatalf("keys retained across the reclaim point still read their old bytes: %q, %q", keptView, keptBase)
+	}
+	for name, r := range map[string]*Relation[int64]{"MergeAll": plain, "MergeAllIndexed": ir.Relation,
+		"Clone": clone, "Negate": neg, "LiftFrom": lifted, "the reusing view": view, "the base store": store.Base("R")} {
+		if r.Len() != len(tups) {
+			t.Fatalf("%s: %d entries", name, r.Len())
+		}
+		r.IterateEntries(func(e *Entry[int64]) bool {
+			if e.Key() != e.Tuple.Key() {
+				t.Fatalf("%s holds another relation's key bytes: %q for %v", name, e.Key(), e.Tuple)
+			}
+			return true
+		})
+	}
+	if pinned.Len() != len(tups) {
+		t.Fatalf("pinned epoch: %d entries", pinned.Len())
+	}
+	pinned.IterateEntries(func(e *Entry[int64]) bool {
+		if e.Key() != e.Tuple.Key() {
+			t.Fatalf("pinned epoch reads reused key bytes: %q for %v", e.Key(), e.Tuple)
+		}
+		return true
+	})
+	if p, ok := pinned.Get(tups[5]); !ok || p != 1 {
+		t.Fatalf("pinned epoch lost %v: %v %v", tups[5], p, ok)
+	}
+}
+
+// TestReduceSealedOwnsRecycledKeys: the sealed reduction of pooled relations
+// (Parallel's per-batch publication over its shards' results) outlives the
+// batch that built it, so it copies the keys of inputs that reuse theirs.
+func TestReduceSealedOwnsRecycledKeys(t *testing.T) {
+	sch := NewSchema("A")
+	parts := []*Relation[int64]{NewRelation[int64](ring.Int{}, sch), NewRelation[int64](ring.Int{}, sch)}
+	for i, p := range parts {
+		p.Reclaim()
+		for k := int64(0); k < 50; k++ {
+			p.Merge(Ints(2*k+int64(i)), 1)
+		}
+	}
+	sealed := ReduceSealed[int64](ring.Int{}, sch, parts)
+	for i, p := range parts {
+		for k := int64(0); k < 50; k++ {
+			p.Merge(Ints(2*k+int64(i)), -1)
+		}
+		p.Reclaim()
+		for k := int64(0); k < 50; k++ {
+			p.Merge(Ints(1000+2*k+int64(i)), 1)
+		}
+	}
+	if sealed.Len() != 100 {
+		t.Fatalf("sealed %d keys", sealed.Len())
+	}
+	sealed.IterateEntries(func(e *Entry[int64]) bool {
+		if e.Key() != e.Tuple.Key() {
+			t.Fatalf("published reduction reads reused key bytes: %q for %v", e.Key(), e.Tuple)
+		}
+		return true
+	})
+	if p, ok := sealed.Get(Ints(7)); !ok || p != 1 {
+		t.Fatalf("published reduction lost key 7: %v %v", p, ok)
+	}
 }
 
 // TestAllocGuardProjectedRefill: a scratch relation refilled through each of
@@ -512,11 +649,14 @@ func TestMemoryBytesCountsPool(t *testing.T) {
 	if ps := r.PoolStats(); ps.Free != 1000 || ps.Reclaimed != 1000 {
 		t.Fatalf("pool after emptying: %+v", ps)
 	}
-	// Under the poison hook every free entry points at the shared poison key
-	// and tuple, which the estimate charges like any other.
-	poisoned := 1000 * (len(poisonKey) + valueBytes)
-	if empty := r.MemoryBytes() - poisoned; empty < 1000*48 || empty >= full {
-		t.Errorf("emptied relation reports %d bytes (full: %d): the pool must show, keys and tuples must not", empty, full)
+	// The pool shows — entry structs and the key bytes they keep — the tuples,
+	// which went back to whoever supplied them, do not.
+	lists := 8 * (cap(r.free) + cap(r.parked))
+	if empty, want := r.MemoryBytes()-lists, full-1000*valueBytes; empty != want {
+		t.Errorf("emptied relation reports %d bytes beside its pool lists, want %d (full %d less the tuples)", empty, want, full)
+	}
+	if ps := r.PoolStats(); ps.KeyBytes != 1000*keyCap(9) {
+		t.Errorf("free entries hold %d key bytes, want %d", ps.KeyBytes, 1000*keyCap(9))
 	}
 
 	// A scratch relation charges the tuples it projected once, through the

@@ -1,6 +1,10 @@
 package data
 
-import "fivm/internal/ring"
+import (
+	"strings"
+
+	"fivm/internal/ring"
+)
 
 // ReduceSealed reduces several relations key-wise into one sealed snapshot:
 // the disjoint union of their keys where keys do not repeat, the ring sum of
@@ -14,9 +18,10 @@ import "fivm/internal/ring"
 //
 // The inputs must share a schema (same variables in the same order, so equal
 // tuples have equal encoded keys) and stay unmodified for the duration of
-// the call only: entry values are copied out, and payloads of rings with
-// in-place accumulation are deep-copied, so later mutation of the inputs
-// never bleeds into the returned snapshot. Keys whose payloads sum to zero
+// the call only: entry values are copied out, payloads of rings with in-place
+// accumulation are deep-copied and so are the keys of an input that reuses
+// its entries' key bytes (a pooled relation that publishes nothing itself),
+// so later mutation of the inputs never bleeds into the returned snapshot. Keys whose payloads sum to zero
 // are dropped, matching Relation.Merge semantics. Where payloads are summed,
 // the combination order is sorted-key encounter order, which differs from
 // any sequential update order — non-integral float payloads may round
@@ -29,8 +34,12 @@ func ReduceSealed[P any](rg ring.Ring[P], schema Schema, parts []*Relation[P]) *
 	}
 	es := make([]Entry[P], 0, total)
 	for _, p := range parts {
+		ownKeys := p.pooled && p.snap == nil
 		p.entries.all(func(e *Entry[P]) bool {
 			c := sealed(e)
+			if ownKeys {
+				c.key = strings.Clone(c.key)
+			}
 			if mut != nil {
 				var o P
 				mut.CopyInto(&o, e.Payload)

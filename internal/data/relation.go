@@ -26,8 +26,29 @@ type Entry[P any] struct {
 	gen uint64
 }
 
-// Key returns the entry's encoded tuple key.
+// Key returns the entry's encoded tuple key. The bytes are the entry's own
+// (ownership table below): unless the relation publishes snapshots they are
+// overwritten when the entry is reused, so a key kept past the owner's
+// reclaim point must be copied.
 func (e *Entry[P]) Key() string { return e.key }
+
+// keyCap is the key storage an entry holds for a key of n bytes: the length
+// rounded up to the allocator's granularity, so an entry needs no capacity
+// field and every key of a fixed-width schema fits the storage of any other.
+func keyCap(n int) int { return (n + 7) &^ 7 }
+
+// keyStore returns the key bytes e owns, capacity included (nil: none). Only
+// valid on an entry of a non-scratch relation, whose keys setKey allocated.
+func (e *Entry[P]) keyStore() []byte {
+	if len(e.key) == 0 {
+		return nil
+	}
+	return unsafe.Slice(unsafe.StringData(e.key), keyCap(len(e.key)))
+}
+
+// keyView reads a key string as bytes without copying; the result is never
+// written through.
+func keyView(key string) []byte { return unsafe.Slice(unsafe.StringData(key), len(key)) }
 
 // Relation is a finite-support function from tuples over a schema to
 // payloads in a ring D: the paper's relations R : Dom(S) -> D. Keys with
@@ -60,30 +81,36 @@ func (e *Entry[P]) Key() string { return e.key }
 // anything and leaves removed entries to the collector.
 //
 //	                 entry struct          key bytes            tuple               payload storage
-//	view             relation; parked on   immutable heap       immutable, shared   relation; a reused entry
-//	(Reclaim at      removal, reusable     string; shared       with whoever        keeps it and the next
-//	batch end)       after Reclaim         freely               supplied it         insert overwrites it
-//	snapshotting     as a view             as a view (pinned    as a view           shared with pinned epochs
-//	view (Snapshot                         epochs hold it)                          under the gen rule; dropped
-//	was called)                                                                     at reclaim, never reused
+//	view             relation; parked on   the entry's own: a   immutable, shared   relation; a reused entry
+//	(Reclaim at      removal, reusable     reused entry keeps   with whoever        keeps it and the next
+//	batch end)       after Reclaim         them and the next    supplied it         insert overwrites it
+//	                                       key that fits
+//	                                       overwrites them
+//	snapshotting     as a view             the entry's own and  as a view           shared with pinned epochs
+//	view (Snapshot                         immutable (pinned                        under the gen rule; dropped
+//	was called)                            epochs hold them);                       at reclaim, never reused
+//	                                       dropped at reclaim,
+//	                                       never reused
 //	scratch          relation; reusable    relation's slab,     relation's slab     as a view: overwritten by
 //	(RecycleCleared, after the next Clear  rewound by Clear     when the relation   the next batch's inserts
 //	Clear per batch)                                            projected it, the
 //	                                                            supplier's otherwise
-//	base store       as a view; reclaim    as a view            the update log's    inline (int64)
-//	(BaseStore.Base) point is the next
-//	                 log compaction
+//	base store       as a view; reclaim    as a view            the batch's, held   inline (int64)
+//	(BaseStore.Base) point is the end of                        while the row is
+//	                 every ApplyBatch                           live
 //
-// Who may retain what: nobody retains an *Entry, or a mutable-ring payload
-// read through one, past the owner's reclaim point (work items, index
-// buckets and iterators all die with the batch). Keys and tuples of a view
-// or base-store relation may be kept forever. Nothing a scratch relation made
-// survives its next Clear: consumers copy the keys and payloads they keep,
-// and the tuples too once the relation has projected one into its slab since
-// its last Clear (MergeAll, MergeAllIndexed, Clone and Negate do; the test is
-// per relation, not per entry). A tuple a relation was handed (Merge, Set,
-// MergeKey, mergeFrom) is stored as given and stays the supplier's: shared,
-// immutable, never written again.
+// Who may retain what: nobody retains an *Entry, a key read through one, or a
+// mutable-ring payload read through one, past the owner's reclaim point (work
+// items, index buckets and iterators all die with the batch). Every insert
+// copies its key into the entry (setKey), so no relation ever holds another's
+// key bytes; only the keys of a snapshotting relation may be kept forever.
+// Tuples of a view or base-store relation may be kept forever. Nothing a
+// scratch relation made survives its next Clear: consumers copy the payloads
+// they keep, and the tuples too once the relation has projected one into its
+// slab since its last Clear (MergeAll, MergeAllIndexed, Clone and Negate do;
+// the test is per relation, not per entry). A tuple a relation was handed
+// (Merge, Set, mergeKeyed, mergeFrom) is stored as given and stays the
+// supplier's: shared, immutable, never written again.
 type Relation[P any] struct {
 	schema  Schema
 	ring    ring.Ring[P]
@@ -102,6 +129,11 @@ type Relation[P any] struct {
 	pooled       bool
 	free, parked []*Entry[P]
 	reclaimed    uint64
+	// keyBytes is the key storage the entries own — stored, parked or free —
+	// outside the slab; freeKeyBytes the part of it free entries hold for the
+	// next insert. Counted where storage is allocated or dropped, so
+	// flatBytes and PoolStats never walk the entries.
+	keyBytes, freeKeyBytes int
 	// scratch marks a delta-scratch relation (RecycleCleared): Clear is its
 	// reclaim point, and its encoded keys and the tuples it projects live in
 	// keys and tuples, slabs Clear rewinds.
@@ -151,6 +183,8 @@ func (r *Relation[P]) Clear() {
 			r.parked = append(r.parked, e)
 			return true
 		})
+	} else {
+		r.keyBytes = 0
 	}
 	if r.stats != nil {
 		r.stats.Live -= r.entries.len()
@@ -243,16 +277,27 @@ func (r *Relation[P]) Reclaim() {
 	r.reclaim()
 }
 
-// reclaim moves the parked entries to the freelist. An entry keeps its
-// payload storage for the next insert to overwrite (CopyInto/MulInto reuse
-// destination capacity) unless the ring has no in-place form or the relation
-// publishes snapshots: published storage is shared with pinned epochs under
-// the gen rule and is dropped instead.
+// reclaim moves the parked entries to the freelist. An entry keeps its key
+// bytes for the next insert to overwrite (setKey) unless they are the slab's
+// or the relation publishes snapshots, whose pinned epochs hold them; it
+// keeps its payload storage (CopyInto/MulInto reuse destination capacity)
+// unless the ring has no in-place form or, again, the relation publishes:
+// published storage is shared under the gen rule and is dropped instead.
 func (r *Relation[P]) reclaim() {
-	keep := r.mut != nil && r.snap == nil
+	keepKey := !r.scratch && r.snap == nil
+	keepPayload := r.mut != nil && r.snap == nil
 	for _, e := range r.parked {
-		e.key, e.Tuple = "", nil
-		if !keep {
+		e.Tuple = nil
+		switch {
+		case keepKey:
+			r.freeKeyBytes += keyCap(len(e.key))
+		case r.scratch:
+			e.key = "" // the slab's
+		default:
+			r.keyBytes -= keyCap(len(e.key))
+			e.key = "" // a pinned epoch's
+		}
+		if !keepPayload {
 			var zero P
 			e.Payload = zero
 		}
@@ -276,34 +321,34 @@ func (r *Relation[P]) removeEntry(e *Entry[P]) {
 	r.markEntry(e)
 	if r.pooled {
 		r.parked = append(r.parked, e)
+	} else if !r.scratch {
+		r.keyBytes -= keyCap(len(e.key)) // the entry is the collector's now, key intact
 	}
 }
 
-// ownKey returns an encoded key (typically the scratch buffer's) as a string
-// the relation owns: a heap copy, or on a scratch relation a slab slice that
-// lives until the next Clear.
-func (r *Relation[P]) ownKey(key []byte) string {
+// setKey makes e own a copy of key. On a scratch relation the copy lives in
+// the key slab until the next Clear; elsewhere in the entry's own storage —
+// what a reclaimed entry kept from its last key when key fits it (always,
+// for a fixed-width schema), a fresh allocation otherwise. No relation ever
+// stores key bytes it was handed, so overwriting an entry's never reaches
+// another relation.
+func (r *Relation[P]) setKey(e *Entry[P], key []byte) {
 	if r.scratch {
-		return internKey(&r.keys, key)
+		e.key = internKey(&r.keys, key)
+		return
 	}
-	return string(key)
+	buf := e.keyStore()
+	if len(key) > len(buf) || len(key) == 0 {
+		r.keyBytes += keyCap(len(key)) - len(buf)
+		buf = make([]byte, keyCap(len(key)))
+	}
+	copy(buf, key)
+	e.key = unsafe.String(unsafe.SliceData(buf), len(key))
 }
 
-// keepKey returns a key a source entry carries in a form r may store:
-// the string itself, shared, unless the source is scratch (volatile), whose
-// key bytes die at its next Clear and are copied.
-func (r *Relation[P]) keepKey(key string, volatile bool) string {
-	switch {
-	case !volatile:
-		return key
-	case r.scratch:
-		return internKey(&r.keys, key)
-	}
-	return strings.Clone(key)
-}
-
-// keepTuple is keepKey for the tuple: shared unless the source relation is
-// VolatileTuples, whose slab tuples die at its next Clear.
+// keepTuple returns a tuple a source entry carries in a form r may store:
+// shared, unless the source relation is VolatileTuples, whose slab tuples die
+// at its next Clear.
 func (r *Relation[P]) keepTuple(t Tuple, volatile bool) Tuple {
 	switch {
 	case !volatile:
@@ -322,31 +367,27 @@ func (r *Relation[P]) keepTuple(t Tuple, volatile bool) Tuple {
 // with it.
 func (r *Relation[P]) VolatileTuples() bool { return r.scratch && r.tuples.used() }
 
-// insertEntry stores a fresh entry under key (which must be absent and must
-// be the key whose hash a lookup just left in keyHash), reusing a reclaimed
-// entry when available. The caller must set Payload (reclaimed entries may
-// hold stale payloads whose storage CopyInto/MulInto reuse).
-func (r *Relation[P]) insertEntry(key string, t Tuple) *Entry[P] {
+// insertEntry stores a fresh entry under a copy of key (which must be absent
+// and must be the key whose hash a lookup just left in keyHash), reusing a
+// reclaimed entry — struct, key bytes, payload storage — when available. The
+// caller must set Payload (reclaimed entries may hold stale payloads whose
+// storage CopyInto/MulInto reuse).
+func (r *Relation[P]) insertEntry(key []byte, t Tuple) *Entry[P] {
 	var e *Entry[P]
 	if n := len(r.free); n > 0 {
 		e = r.free[n-1]
 		r.free = r.free[:n-1]
-		e.key = key
-		e.Tuple = t
+		r.freeKeyBytes -= len(e.keyStore())
 	} else {
-		e = &Entry[P]{key: key, Tuple: t}
+		e = new(Entry[P])
 	}
+	r.setKey(e, key)
+	e.Tuple = t
 	e.hash = r.keyHash
 	r.entries.insert(e)
 	r.noteInsert(t)
 	r.markInserted(e)
 	return e
-}
-
-// adopt inserts an externally built entry whose key, hash, and payload are
-// already set (relation clones and negations).
-func (r *Relation[P]) adopt(e *Entry[P]) {
-	r.entries.insert(e)
 }
 
 // lookup returns the entry stored under tuple t, encoding the key into the
@@ -452,7 +493,7 @@ func (r *Relation[P]) Set(t Tuple, p P) {
 		return
 	}
 	// lookup left t's encoding in the scratch buffer
-	r.setPayload(r.insertEntry(r.ownKey(r.keyBuf), t), p)
+	r.setPayload(r.insertEntry(r.keyBuf, t), p)
 }
 
 // setPayload assigns p to a freshly inserted entry, deep-copying into the
@@ -537,7 +578,7 @@ func (r *Relation[P]) mulAddInto(e *Entry[P], a, b *P) {
 // computing the product directly into the entry's storage; a zero product is
 // removed again (and parked like any removal). Requires r.mut != nil.
 func (r *Relation[P]) insertMul(t Tuple, a, b *P) {
-	e := r.insertEntry(r.ownKey(r.keyBuf), t)
+	e := r.insertEntry(r.keyBuf, t)
 	r.mut.MulInto(&e.Payload, a, b)
 	if r.isZeroRef(&e.Payload) {
 		r.removeEntry(e)
@@ -554,7 +595,7 @@ func (r *Relation[P]) mergeEntry(t Tuple, p P) (en *Entry[P], existed, exists bo
 	if r.ring.IsZero(p) {
 		return nil, false, false
 	}
-	e := r.insertEntry(r.ownKey(r.keyBuf), t) // lookup left t's encoding in the scratch buffer
+	e := r.insertEntry(r.keyBuf, t) // lookup left t's encoding in the scratch buffer
 	r.setPayload(e, p)
 	return e, false, true
 }
@@ -583,7 +624,7 @@ func (r *Relation[P]) MergeProjected(proj Projector, t Tuple, p P) {
 	if e := r.lookupScratch(); e != nil {
 		r.addInto(e, p)
 	} else if !r.ring.IsZero(p) {
-		r.setPayload(r.insertEntry(r.ownKey(r.keyBuf), r.projApply(proj, t)), p)
+		r.setPayload(r.insertEntry(r.keyBuf, r.projApply(proj, t)), p)
 	}
 }
 
@@ -598,7 +639,7 @@ func (r *Relation[P]) mergeProjectedRef(proj Projector, t Tuple, p *P) (en *Entr
 	if r.isZeroRef(p) {
 		return nil, false, false
 	}
-	e := r.insertEntry(r.ownKey(r.keyBuf), proj.Apply(t))
+	e := r.insertEntry(r.keyBuf, proj.Apply(t))
 	r.setPayloadRef(e, p)
 	return e, false, true
 }
@@ -646,15 +687,18 @@ func (r *Relation[P]) MergeProjectedKey(key []byte, proj Projector, t Tuple, p *
 	if e := r.entries.getBytes(r.keyHash, key); e != nil {
 		r.addIntoRef(e, p)
 	} else if !r.isZeroRef(p) {
-		r.setPayloadRef(r.insertEntry(r.ownKey(key), r.projApply(proj, t)), p)
+		r.setPayloadRef(r.insertEntry(key, r.projApply(proj, t)), p)
 	}
 }
 
-// MergeKey is Merge for a pre-encoded key, which the relation stores as
-// given: it must stay immutable for the relation's lifetime (never a key
-// read out of a scratch relation).
-func (r *Relation[P]) MergeKey(key string, t Tuple, p P) {
-	if e := r.lookupString(key); e != nil {
+// mergeKeyed is Merge for a caller-encoded key and its hash: key must be t's
+// encoding (Tuple.AppendKey) and h its hashBytes. Whoever encodes a tuple
+// once for several relations — the base store for itself and its observers,
+// LiftFrom through a source entry — merges into each of them this way. The
+// key bytes are copied on insert; t is stored as given.
+func (r *Relation[P]) mergeKeyed(key []byte, h uint64, t Tuple, p P) {
+	r.keyHash = h
+	if e := r.entries.getBytes(h, key); e != nil {
 		r.addInto(e, p)
 	} else if !r.ring.IsZero(p) {
 		r.setPayload(r.insertEntry(key, t), p)
@@ -664,10 +708,10 @@ func (r *Relation[P]) MergeKey(key string, t Tuple, p P) {
 // mergeFrom merges a source entry — another relation's, same schema — by
 // the key and hash it already carries (no re-encoding, no re-hashing) and
 // reports the presence transition like mergeEntry. The payload is read
-// through its pointer; key and tuple are shared with the source on insert,
-// except that a scratch source's key is copied (volKey) and so is its tuple
-// when it may be the source's own (volTuple: see VolatileTuples).
-func (r *Relation[P]) mergeFrom(src *Entry[P], volKey, volTuple bool) (en *Entry[P], existed, exists bool) {
+// through its pointer; on insert the key is copied like any other and the
+// tuple shared with the source, or copied when it may be the source's own
+// (volTuple: see VolatileTuples).
+func (r *Relation[P]) mergeFrom(src *Entry[P], volTuple bool) (en *Entry[P], existed, exists bool) {
 	r.keyHash = src.hash
 	if e := r.entries.getString(src.hash, src.key); e != nil {
 		return e, true, r.addIntoRef(e, &src.Payload)
@@ -675,7 +719,7 @@ func (r *Relation[P]) mergeFrom(src *Entry[P], volKey, volTuple bool) (en *Entry
 	if r.isZeroRef(&src.Payload) {
 		return nil, false, false
 	}
-	e := r.insertEntry(r.keepKey(src.key, volKey), r.keepTuple(src.Tuple, volTuple))
+	e := r.insertEntry(keyView(src.key), r.keepTuple(src.Tuple, volTuple))
 	r.setPayloadRef(e, &src.Payload)
 	return e, false, true
 }
@@ -685,9 +729,9 @@ func (r *Relation[P]) mergeFrom(src *Entry[P], volKey, volTuple bool) (en *Entry
 // entry-resident, so rings with pointer-source accumulation merge them
 // without copying.
 func (r *Relation[P]) MergeAll(o *Relation[P]) {
-	volKey, volTuple := o.scratch, o.VolatileTuples()
+	volTuple := o.VolatileTuples()
 	o.entries.all(func(e *Entry[P]) bool {
-		r.mergeFrom(e, volKey, volTuple)
+		r.mergeFrom(e, volTuple)
 		return true
 	})
 }
@@ -724,42 +768,43 @@ func (r *Relation[P]) SortedEntries() []Entry[P] {
 	return out
 }
 
-// Clone returns a copy sharing tuples and keys (copies, where r is scratch
-// and they are its own: keepKey, keepTuple) but no entry or table structure.
-// Payloads are shared for immutable rings and deep-copied for rings with
-// in-place accumulation, so later merges into either relation never bleed
-// into the other.
+// Clone returns a copy sharing tuples (copies, where r is scratch and they are
+// its own: keepTuple) but no key bytes, entry or table structure. Payloads are
+// shared for immutable rings and deep-copied for rings with in-place
+// accumulation, so later merges into either relation never bleed into the
+// other.
 func (r *Relation[P]) Clone() *Relation[P] {
-	out := &Relation[P]{schema: r.schema, ring: r.ring, mut: r.mut, mutRef: r.mutRef}
-	out.entries.reserve(r.entries.len())
-	volTuple := r.VolatileTuples()
-	r.entries.all(func(e *Entry[P]) bool {
-		c := &Entry[P]{key: out.keepKey(e.key, r.scratch), hash: e.hash, Tuple: out.keepTuple(e.Tuple, volTuple)}
-		out.setPayloadRef(c, &e.Payload)
-		out.adopt(c)
-		return true
-	})
-	return out
+	return r.cloneWith(func(dst, src *Entry[P]) { r.setPayloadRef(dst, &src.Payload) })
 }
 
 // Negate returns a relation mapping every key of r to the additive inverse
 // of its payload. A deletion of the tuples of r is expressed as merging
 // r.Negate().
 func (r *Relation[P]) Negate() *Relation[P] {
+	return r.cloneWith(func(dst, src *Entry[P]) { dst.Payload = r.ring.Neg(src.Payload) })
+}
+
+// cloneWith copies r entry by entry — own key bytes, cached hash, kept tuple
+// — leaving the payload to set.
+func (r *Relation[P]) cloneWith(set func(dst, src *Entry[P])) *Relation[P] {
 	out := &Relation[P]{schema: r.schema, ring: r.ring, mut: r.mut, mutRef: r.mutRef}
 	out.entries.reserve(r.entries.len())
 	volTuple := r.VolatileTuples()
 	r.entries.all(func(e *Entry[P]) bool {
-		out.adopt(&Entry[P]{key: out.keepKey(e.key, r.scratch), hash: e.hash, Tuple: out.keepTuple(e.Tuple, volTuple), Payload: r.ring.Neg(e.Payload)})
+		c := &Entry[P]{hash: e.hash, Tuple: out.keepTuple(e.Tuple, volTuple)}
+		out.setKey(c, keyView(e.key))
+		set(c, e)
+		out.entries.insert(c)
 		return true
 	})
 	return out
 }
 
 // PoolStats is a relation's retained-but-free storage: Free entries parked
-// or reusable, Reclaimed entries ever handed back for reuse, KeyBytes and
-// TupleBytes of scratch key and tuple slab (capacity), and the snapshot arena
-// once the relation publishes.
+// or reusable, Reclaimed entries ever handed back for reuse, KeyBytes kept for
+// the next keys (a scratch relation's key slab, by capacity, or the key
+// storage free entries of a pooled relation hold), TupleBytes of the scratch
+// tuple slab (capacity), and the snapshot arena once the relation publishes.
 type PoolStats struct {
 	Free       int
 	Reclaimed  uint64
@@ -789,31 +834,24 @@ func (s *PoolStats) Add(o PoolStats) {
 // PoolStats reports the relation's pool, slabs and snapshot arena.
 func (r *Relation[P]) PoolStats() PoolStats {
 	return PoolStats{Free: len(r.free) + len(r.parked), Reclaimed: r.reclaimed,
-		KeyBytes: r.keys.bytes(), TupleBytes: r.tuples.bytes(), Arena: r.arenaStats()}
+		KeyBytes: r.keys.bytes() + r.freeKeyBytes, TupleBytes: r.tuples.bytes(), Arena: r.arenaStats()}
 }
 
 // valueBytes is the size of one tuple column.
 const valueBytes = int(unsafe.Sizeof(Value{}))
 
-// MemoryBytes estimates the heap bytes the relation holds: table slots,
-// every entry — stored, parked or free — with its key bytes, tuple and
-// payload (ring.Sized when available, the inline header otherwise), and the
-// key and tuple slabs. Tuples and keys shared with another relation are
-// charged to each holder, and a relation that has projected into its tuple
-// slab charges its tuples once, through the slab's capacity, not again per
-// entry; secondary indexes are not charged.
+// MemoryBytes estimates the heap bytes the relation holds: flatBytes plus
+// the payload storage outside the entries (ring.Sized), which it walks every
+// entry — stored, parked or free — to sum. Tuples shared with another
+// relation are charged to each holder; secondary indexes are not charged.
 func (r *Relation[P]) MemoryBytes() int {
-	sized, _ := r.ring.(ring.Sized[P])
-	total := int(unsafe.Sizeof(*r)) + 8*(len(r.entries.ctrl)+len(r.entries.slots)+cap(r.free)+cap(r.parked)) + r.keys.bytes() + r.tuples.bytes()
-	perTuple := valueBytes
-	if r.tuples.used() {
-		perTuple = 0
+	total := r.flatBytes()
+	sized, ok := r.ring.(ring.Sized[P])
+	if !ok {
+		return total
 	}
 	charge := func(e *Entry[P]) bool {
-		total += int(unsafe.Sizeof(*e)) + len(e.key) + len(e.Tuple)*perTuple
-		if sized != nil {
-			total += sized.Bytes(e.Payload) - int(unsafe.Sizeof(e.Payload))
-		}
+		total += sized.Bytes(e.Payload) - int(unsafe.Sizeof(e.Payload))
 		return true
 	}
 	r.entries.all(charge)
@@ -821,6 +859,22 @@ func (r *Relation[P]) MemoryBytes() int {
 		for _, e := range pool {
 			charge(e)
 		}
+	}
+	return total
+}
+
+// flatBytes is MemoryBytes without the walk, from counters alone: table
+// slots, pool lists, every entry struct with its inline payload header, the
+// key storage the entries own (keyBytes) or the key slab, and the tuples —
+// the tuple slab's capacity once the relation has projected into it, a
+// schema-wide tuple per stored entry otherwise. It is the whole figure for a
+// ring whose payloads hold nothing outside the entry (the base store's).
+func (r *Relation[P]) flatBytes() int {
+	pooled := len(r.free) + len(r.parked)
+	total := int(unsafe.Sizeof(*r)) + 8*(len(r.entries.ctrl)+len(r.entries.slots)+cap(r.free)+cap(r.parked)) +
+		(r.entries.len()+pooled)*int(unsafe.Sizeof(Entry[P]{})) + r.keyBytes + r.keys.bytes() + r.tuples.bytes()
+	if !r.tuples.used() {
+		total += r.entries.len() * len(r.schema) * valueBytes
 	}
 	return total
 }

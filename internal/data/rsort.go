@@ -273,22 +273,28 @@ func insertionKeyed[T any](keys [][]byte, vals []T, depth int) {
 // order RadixSortKeys produces. Entries move by value, so the sort is
 // allocation-free and leaves the run ready for snapshot chunking.
 func radixSortEntries[P any](es []Entry[P]) {
-	msdEntries(es, 0)
+	msdBy(es, func(e *Entry[P]) string { return e.key }, 0)
 }
 
-func msdEntries[P any](es []Entry[P], depth int) {
+// radixSortEntryPtrs is radixSortEntries for entries left in place and
+// ordered through their pointers (the base store's checkpoint order).
+func radixSortEntryPtrs[P any](es []*Entry[P]) {
+	msdBy(es, func(e **Entry[P]) string { return (*e).key }, 0)
+}
+
+func msdBy[T any](es []T, key func(*T) string, depth int) {
 	for {
 		n := len(es)
 		if n < 2 {
 			return
 		}
 		if n <= radixSortCutoff {
-			insertionEntries(es, depth)
+			insertionBy(es, key, depth)
 			return
 		}
 		var counts [257]int
 		for i := range es {
-			counts[keyBucket(es[i].key, depth)]++
+			counts[keyBucket(key(&es[i]), depth)]++
 		}
 		if counts[0] == n {
 			return // relation keys are unique, but equal runs are sorted anyway
@@ -319,7 +325,7 @@ func msdEntries[P any](es []Entry[P], depth int) {
 		starts := pos
 		for b := 0; b <= 256; b++ {
 			for pos[b] < ends[b] {
-				bb := keyBucket(es[pos[b]].key, depth)
+				bb := keyBucket(key(&es[pos[b]]), depth)
 				if bb == b {
 					pos[b]++
 					continue
@@ -330,19 +336,19 @@ func msdEntries[P any](es []Entry[P], depth int) {
 		}
 		for b := 1; b <= 256; b++ {
 			if ends[b]-starts[b] > 1 {
-				msdEntries(es[starts[b]:ends[b]], depth+1)
+				msdBy(es[starts[b]:ends[b]], key, depth+1)
 			}
 		}
 		return
 	}
 }
 
-func insertionEntries[P any](es []Entry[P], depth int) {
+func insertionBy[T any](es []T, key func(*T) string, depth int) {
 	for i := 1; i < len(es); i++ {
+		ks := key(&es[i])[depth:]
 		e := es[i]
-		ks := e.key[depth:]
 		j := i
-		for j > 0 && es[j-1].key[depth:] > ks {
+		for j > 0 && key(&es[j-1])[depth:] > ks {
 			es[j] = es[j-1]
 			j--
 		}

@@ -93,9 +93,9 @@ func (s *slab[T]) bytes() int {
 // poison makes reclaimed storage unusable instead of merely reusable, so a
 // consumer that kept an entry, a mutable payload, a scratch key or a scratch
 // relation's own tuple past its owner's reclaim point fails the test suites
-// loudly: reclaimed entries get their key and tuple scribbled and the payload
-// storage they keep NaN-filled, rewound key slabs are filled with 0xFF and
-// rewound tuple slabs with the poison value, and a snapshot arena block no
+// loudly: reclaimed entries get their tuple scribbled, the key storage they
+// keep filled with 0xFF and the payload storage they keep NaN-filled, rewound
+// key slabs are filled with 0xFF and rewound tuple slabs with the poison value, and a snapshot arena block no
 // generation pins any more has its sealed entries overwritten (a read through
 // a Released snapshot). Test hook, off in production.
 var poison bool
@@ -127,10 +127,12 @@ func poisonRun[P any](es []Entry[P]) {
 }
 
 // poisonEntry scribbles a reclaimed entry. What a later insert overwrites
-// anyway (CopyInto, MulInto) may hold anything; what it would wrongly
-// accumulate onto now yields NaN.
+// anyway (setKey, CopyInto, MulInto) may hold anything: the key storage the
+// entry keeps reads 0xFF to whoever kept the key string, and what an insert
+// would wrongly accumulate onto now yields NaN.
 func poisonEntry[P any](e *Entry[P]) {
-	e.key, e.Tuple = poisonKey, poisonTuple
+	fill(e.keyStore(), 0xFF)
+	e.Tuple = poisonTuple
 	nan := math.NaN()
 	switch p := any(&e.Payload).(type) {
 	case *float64:

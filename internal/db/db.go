@@ -69,9 +69,10 @@ type Options struct {
 
 // Update is one element of an applied batch: tuples of a base relation with
 // a signed multiplicity (negative deletes; zero defaults to +1). Tuple
-// storage is adopted by the DB — the shared store's log and the views keep
-// the slices — so callers must not mutate tuples (or reuse their backing
-// arrays) after Apply.
+// storage is adopted by the DB — the shared store keeps an inserted tuple
+// while its row is live and the views keep the tuples of keys they adopt —
+// so callers must not mutate tuples (or reuse their backing arrays) after
+// Apply.
 type Update struct {
 	Rel    string
 	Tuples []data.Tuple
@@ -190,8 +191,7 @@ func Open(cat Catalog, opts Options) (*DB, error) {
 	}
 	if !opts.DisableStats {
 		// Cardinalities, sketches, and delta rates are observed from the
-		// coalesced batch stream in Apply (the store's merged contents are
-		// compacted lazily, so there is no eager merge path to hook).
+		// batch stream in Apply, after the whole batch has succeeded.
 		d.stats = data.NewStats()
 	}
 	d.publish(time.Now())
@@ -241,10 +241,10 @@ func (d *DB) Relations() []string { return d.store.Relations() }
 // Schema returns the canonical schema of a base relation.
 func (d *DB) Schema(rel string) (data.Schema, bool) { return d.store.Schema(rel) }
 
-// Base returns the shared multiplicity relation of a base relation,
-// compacting the store's pending delta log for it first. It is owned by the
-// DB: safe to read only from the maintenance goroutine between Apply calls,
-// never to mutate.
+// Base returns the shared multiplicity relation of a base relation. It is
+// owned by the DB: safe to read only from the maintenance goroutine between
+// Apply calls — the next Apply reuses the entries, keys included, of the rows
+// it deletes — and never to mutate.
 func (d *DB) Base(rel string) *data.Relation[int64] { return d.store.Base(rel) }
 
 // Stats returns the shared statistics collector (nil when disabled). Owned
@@ -333,9 +333,10 @@ func (d *DB) MemoryBytes() int {
 // Apply ingests one batch of updates: it is validated, logged to the WAL
 // (when durability is enabled — before any in-memory state advances, so a
 // failed or torn append changes nothing and recovery never sees a state the
-// log does not), appended to the shared base store's update log exactly once
-// (tuple storage shared, no per-tuple work; the merged bases compact lazily
-// on demand), fanned out to every registered view — which lift it into their
+// log does not), merged in place into the shared base store exactly once
+// (each tuple's key encoded and hashed once; a deleted row's entry is reused
+// by the next insert, so the store's memory follows its contents), fanned
+// out with those keys to every registered view — which lift it into their
 // rings once per distinct ring, not once per view — and one cross-view Epoch
 // is published at the end. It is the DB's only write path; deletions are
 // updates with negative Mult.
@@ -489,7 +490,8 @@ func (d *DB) registerView(v registeredView) {
 // every registered view's latest snapshot and accounting. Called at the end
 // of Open, Apply, and view DDL, on the maintenance goroutine — the only
 // writer of the registry, so it reads it without mu. Per batch it allocates
-// the epoch and its view slice; the name catalogue is shared. The epoch
+// the epoch, its view slice and its base-store counters; the name catalogues
+// are shared. The epoch
 // retains each view's current snapshot; the one it replaces loses the
 // publication pointer's reference.
 func (d *DB) publish(at time.Time) {
@@ -505,6 +507,11 @@ func (d *DB) publish(at time.Time) {
 		v := d.views[name]
 		views[i] = epochView{snap: v.latestSnapshot(), stats: v.stats()}
 	}
+	rels := d.store.Relations()
+	bases := make([]data.BaseStats, len(rels))
+	for i, rel := range rels {
+		bases[i] = d.store.Stats(rel)
+	}
 	d.seq++
 	e := &Epoch{
 		Seq:     d.seq,
@@ -513,6 +520,11 @@ func (d *DB) publish(at time.Time) {
 		names:   d.names,
 		slot:    d.slot,
 		views:   views,
+		rels:    rels,
+		bases:   bases,
+	}
+	if d.log != nil {
+		e.Checkpoint = d.log.LastCheckpoint()
 	}
 	e.lease.Open()
 	d.cur.Swap(e).Release()
@@ -546,12 +558,19 @@ type Epoch struct {
 	Applied uint64
 	// At is the publication wall time.
 	At time.Time
+	// Checkpoint is the last checkpoint written before this epoch (zero: none
+	// since Open, or no durability).
+	Checkpoint wal.CheckpointStats
 
 	// names and slot are shared with the neighbouring epochs (see DB.names);
-	// views is this epoch's own, indexed like names.
+	// views is this epoch's own, indexed like names. rels is the DB's base
+	// relations, shared by every epoch, and bases this epoch's view of the
+	// shared store, indexed like rels.
 	names []string
 	slot  map[string]int
 	views []epochView
+	rels  []string
+	bases []data.BaseStats
 	lease ivm.Lease
 }
 
@@ -588,6 +607,12 @@ func (e *Epoch) Has(name string) bool {
 	_, ok := e.slot[name]
 	return ok
 }
+
+// BaseStats returns the shared base store's storage as of this epoch — per
+// relation, in registration order, from counters the store keeps anyway
+// (data.BaseStore.Stats). Both slices are shared and read-only. Safe from any
+// goroutine, unlike the store itself.
+func (e *Epoch) BaseStats() (rels []string, stats []data.BaseStats) { return e.rels, e.bases }
 
 // Stats returns the named view's cumulative maintenance accounting as of
 // this epoch (MemoryBytes excepted), and whether the epoch carries the view.

@@ -68,17 +68,24 @@ func (d *DB) WALStats() (lsn uint64, enabled bool) {
 
 // Checkpoint serializes the current base relations and the persisted SQL
 // view catalog into a checkpoint file, then prunes the WAL records it
-// covers. The DB must be at a batch boundary (maintenance goroutine).
-// Recovery after a checkpoint loads it and replays only the tail.
+// covers. The rows are streamed from the live relations in encoded-key order
+// (data.BaseStore.Rows) — nothing is copied or materialized for the file — so
+// the DB must be at a batch boundary (maintenance goroutine). Recovery after
+// a checkpoint loads it and replays only the tail.
 func (d *DB) Checkpoint() error {
 	if d.log == nil {
 		return fmt.Errorf("db: durability not enabled")
 	}
+	rels := d.store.Relations()
 	ck := &wal.Checkpoint{
 		Applied: d.applied,
 		Seq:     d.seq,
 		Views:   d.sqlViewDefs(),
-		Bases:   d.baseTables(),
+		Bases:   make([]wal.BaseTable, len(rels)),
+	}
+	for i, rel := range rels {
+		base := d.store.Base(rel)
+		ck.Bases[i] = wal.BaseTable{Rel: rel, Schema: base.Schema(), Len: base.Len(), All: d.store.Rows(rel)}
 	}
 	if err := d.log.WriteCheckpoint(ck); err != nil {
 		return fmt.Errorf("db: checkpoint: %w", err)
@@ -99,29 +106,6 @@ func (d *DB) sqlViewDefs() []wal.ViewDef {
 		}
 	}
 	return defs
-}
-
-// baseTables serializes every base relation's merged contents in sorted-key
-// order (deterministic bytes for identical states).
-func (d *DB) baseTables() []wal.BaseTable {
-	rels := d.store.Relations()
-	tables := make([]wal.BaseTable, 0, len(rels))
-	for _, rel := range rels {
-		base := d.store.Base(rel)
-		entries := base.SortedEntries()
-		t := wal.BaseTable{
-			Rel:    rel,
-			Schema: base.Schema(),
-			Rows:   make([]data.Tuple, len(entries)),
-			Mults:  make([]int64, len(entries)),
-		}
-		for i := range entries {
-			t.Rows[i] = entries[i].Tuple
-			t.Mults[i] = entries[i].Payload
-		}
-		tables = append(tables, t)
-	}
-	return tables
 }
 
 // recover seeds the DB from what wal.Open found: adopt the checkpoint's

@@ -211,6 +211,9 @@ func TestLeasesUnderChurn(t *testing.T) {
 		if err := d.Apply(ups); err != nil {
 			t.Fatal(err)
 		}
+		for _, rel := range d.Relations() {
+			checkOwnKeys(t, "base "+rel, d.Base(rel))
+		}
 	}
 	var load []Update
 	for c := 0; c < nKeys; c++ {
@@ -239,5 +242,55 @@ func TestLeasesUnderChurn(t *testing.T) {
 		if st.Reclaimed < batches {
 			t.Errorf("view %s: the churn never went through the pool: %+v", name, st)
 		}
+	}
+}
+
+// checkOwnKeys asserts that every tuple of r still encodes to the key its
+// entry holds: a relation that stored key bytes another owns breaks it as
+// soon as the owner reuses the entry (poisoned at the reclaim point under
+// this package's TestMain).
+func checkOwnKeys[P any](t testing.TB, what string, r *data.Relation[P]) {
+	t.Helper()
+	r.IterateEntries(func(e *data.Entry[P]) bool {
+		if string(e.Tuple.AppendKey(nil)) != e.Key() {
+			t.Fatalf("%s holds tuple %v under key %q", what, e.Tuple, e.Key())
+		}
+		return true
+	})
+}
+
+// TestBackfillOwnsItsKeys: what a view backfill (and a one-shot SELECT, which
+// is one) lifts out of a base relation keeps its own copy of every key, so
+// the base store reusing the entries of deleted rows — poisoned here — does
+// not reach it.
+func TestBackfillOwnsItsKeys(t *testing.T) {
+	d, err := Open(testCatalog(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	var rows, other []data.Tuple
+	for i := int64(0); i < 50; i++ {
+		rows, other = append(rows, tup(i, i%7)), append(other, tup(1000+i, i%5))
+	}
+	if err := d.Apply([]Update{Insert("S", rows...)}); err != nil {
+		t.Fatal(err)
+	}
+	lifted := data.NewRelation[float64](ring.Float{}, d.Base("S").Schema())
+	fillLifted(lifted, d.Base("S"), ring.Float{})
+	kept := d.Base("S").Entries()[0] // the bug: a base entry's key kept across Apply
+	if err := d.Apply([]Update{Delete("S", rows...), Insert("S", other...)}); err != nil {
+		t.Fatal(err)
+	}
+	if kept.Key() == string(kept.Tuple.AppendKey(nil)) {
+		t.Fatal("a base key retained across Apply still reads its old bytes: the store did not reuse the entry")
+	}
+	if lifted.Len() != len(rows) {
+		t.Fatalf("lifted %d rows, want %d", lifted.Len(), len(rows))
+	}
+	checkOwnKeys(t, "backfilled delta", lifted)
+	checkOwnKeys(t, "base S", d.Base("S"))
+	if st := d.store.Stats("S"); st.Tuples != len(other) || st.Reclaimed != uint64(len(rows)) {
+		t.Fatalf("base S after the swap: %+v", st)
 	}
 }

@@ -55,8 +55,9 @@ type View[P any] struct {
 
 // convCache shares converted deltas across views: within one applied batch,
 // every view over the same payload ring receives the identical delta
-// relation for a given base relation, so the conversion (key re-encoding and
-// payload lifting) runs once per (ring, relation) instead of once per view.
+// relation for a given base relation, so the conversion (coalescing under the
+// keys the base store encoded, payload lifting) runs once per (ring, relation)
+// instead of once per view.
 // Entries persist across batches as cleared scratch; seq tags which batch a
 // conversion belongs to.
 type convCache struct {
@@ -206,7 +207,8 @@ func closeMaintainer(m any) {
 }
 
 // fillLifted writes src's tuples into dst with payload n·1 in dst's ring,
-// sharing src's encoded keys (no re-encoding on the fan-out path).
+// probing by the keys and hashes src's entries carry (no re-encoding on the
+// backfill path); dst gets its own copy of every key it stores.
 func fillLifted[P any](dst *data.Relation[P], src *data.Relation[int64], r ring.Ring[P]) {
 	one := r.One()
 	negOne := r.Neg(one)
@@ -309,9 +311,10 @@ func (v *View[P]) observe(batch []data.BaseUpdate) error {
 	return nil
 }
 
-// convert lifts one relation's updates of the batch into the view's ring,
-// sharing the result with every other view over the same ring type via the
-// DB's conversion cache.
+// convert lifts one relation's updates of the batch into the view's ring —
+// merging by the keys and hashes the base store computed for the batch, not
+// encoding the tuples again — and shares the result with every other view
+// over the same ring type via the DB's conversion cache.
 func (v *View[P]) convert(rel string, batch []data.BaseUpdate) *data.Relation[P] {
 	if v.db.conv.m == nil {
 		v.db.conv.m = make(map[convKey]*convEntry)
@@ -354,9 +357,7 @@ func (v *View[P]) convert(rel string, batch []data.BaseUpdate) *data.Relation[P]
 		default:
 			p = scalePayload(v.ring, u.Mult)
 		}
-		for _, t := range u.Tuples {
-			out.Merge(t, p)
-		}
+		data.MergeUpdate(out, u, p)
 	}
 	e.seq = v.db.conv.seq
 	return out

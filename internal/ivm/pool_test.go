@@ -141,15 +141,16 @@ func churnCycleBytes[P any](t *testing.T, rg ring.Ring[P], lift data.LiftFunc[P]
 // through recycling scratch relations (where the parent commit allocates a
 // key string per tuple and batch: 24.7 and 52.4 KB a cycle on the float ring,
 // 63.8 KB at 4× on the cofactor ring), and once more from delta relations
-// that outlive the batches. The bound is the cofactor ring's reading, 10062 B
-// a cycle at every size, plus a third (the float ring reads 4846 B; with one
-// heap tuple per distinct step-output key and batch they were 15774 and
-// 10558).
+// that outlive the batches. The bound is the cofactor ring's reading, 8930 B
+// a cycle at every size, plus a third (the float ring reads 3698 B; with one
+// heap key string per key a view adopted — entries now keep their key bytes
+// across reuse — they were 10062 and 4846, and with one heap tuple per
+// distinct step-output key and batch on top 15774 and 10558).
 func TestChurnSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc guards run in the non-race pass")
 	}
-	const perCycle = 10062 + 10062/3 // 16 batches a cycle: epochs, arena runs, batch maps
+	const perCycle = 8930 + 8930/3 // 16 batches a cycle: epochs, arena runs, batch maps
 	check := func(t *testing.T, bytes func(fan int, scratch bool) (uint64, int)) {
 		small, n1 := bytes(2, true)
 		large, n4 := bytes(8, true)

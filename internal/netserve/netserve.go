@@ -60,6 +60,16 @@ type Config struct {
 	MaxScan int
 }
 
+// Connection limits, fixed: a client gets readHeaderTimeout to finish sending
+// a request's headers and a kept-alive connection idleTimeout to send the
+// next request, after which the server closes it. Neither bounds a request
+// body or a response, whose sizes vary by orders of magnitude (POST /apply
+// bodies are capped in bytes instead).
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Server is the HTTP server. Create with New, start with Serve, stop with
 // Shutdown (which drains in-flight requests before returning).
 type Server struct {
@@ -90,7 +100,9 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("POST /select", s.handleSelect)
 	mux.HandleFunc("POST /apply", s.handleApply)
 	s.hs = &http.Server{
-		Handler: mux,
+		Handler:           mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 		// Each accepted connection gets its own reader cache; see readersOf.
 		ConnContext: func(ctx context.Context, _ net.Conn) context.Context {
 			return context.WithValue(ctx, readersKey{}, &connReaders{})
@@ -225,12 +237,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, e *db.Epoch
 			ArenaBlocks: st.Arena.BlocksLive, ArenaFree: st.Arena.BlocksFree,
 			BackstopReclaims: st.Arena.BackstopReclaims}
 	}
+	// The shared base store, from the same epoch: what the live rows and the
+	// pool behind them hold, relation by relation.
+	rels, bases := e.BaseStats()
+	perBase := make(map[string]data.BaseStats, len(rels))
+	for i, rel := range rels {
+		perBase[rel] = bases[i]
+	}
 	resp := map[string]any{
 		"epoch":      e.Seq,
 		"applied":    e.Applied,
 		"lag":        time.Since(e.At).String(),
 		"views":      names,
 		"view_stats": perView,
+		"base_store": perBase,
 		"follower":   d.Follower(),
 	}
 	if d.Follower() {
@@ -238,6 +258,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, e *db.Epoch
 	}
 	if l := d.WAL(); l != nil {
 		resp["wal_lsn"] = l.LSN()
+		resp["checkpoint"] = e.Checkpoint
 	}
 	if q := s.cfg.Queue; q != nil {
 		resp["queue_len"] = q.Len()

@@ -19,6 +19,7 @@ import (
 
 	"fivm/internal/data"
 	"fivm/internal/db"
+	"fivm/internal/wal"
 )
 
 // TestMain runs the package under data's poison hook (data.PoisonReclaimed):
@@ -169,6 +170,22 @@ func TestServeLookupScanHeaders(t *testing.T) {
 	if st["pool_free"].(float64) < 1 || st["reclaimed"].(float64) < 1 || st["scratch_key_bytes"].(float64) <= 0 {
 		t.Fatalf("stats view_stats after a delete: %v", st)
 	}
+	// The base store in the same epoch: R lost one of its two rows, whose
+	// entry — key bytes included — waits in the pool; S never deleted anything.
+	// No WAL, no checkpoint object.
+	bs, _ := m["base_store"].(map[string]any)
+	br, _ := bs["R"].(map[string]any)
+	bss, _ := bs["S"].(map[string]any)
+	if br["tuples"] != float64(1) || br["pool_free"] != float64(1) || br["reclaimed"] != float64(1) ||
+		br["recycled_key_bytes"].(float64) <= 0 || br["memory_bytes"].(float64) <= 0 {
+		t.Fatalf("stats base_store R after a delete: %v", br)
+	}
+	if bss["tuples"] != float64(2) || bss["pool_free"] != float64(0) || bss["recycled_key_bytes"] != float64(0) {
+		t.Fatalf("stats base_store S: %v", bss)
+	}
+	if _, ok := m["checkpoint"]; ok {
+		t.Fatalf("stats of an in-memory DB report a checkpoint: %v", m["checkpoint"])
+	}
 	// Every step of sums shares the batch's own tuples, so its plans' tuple
 	// slabs stay empty; a view grouped by a sibling's column joins through part
 	// of that sibling's key and must project its step outputs somewhere.
@@ -201,6 +218,84 @@ func TestServeLookupScanHeaders(t *testing.T) {
 	st, _ = m["view_stats"].(map[string]any)["sums"].(map[string]any)
 	if st["backstop_reclaims"] != float64(0) || st["arena_blocks"].(float64) < 1 || st["arena_free"] == nil {
 		t.Fatalf("stats view_stats after 200 reads: %v", st)
+	}
+}
+
+// TestServeStatsCheckpoint: a durable DB reports its last checkpoint with the
+// epoch published after it.
+func TestServeStatsCheckpoint(t *testing.T) {
+	d, err := db.Open(testCatalog(), db.Options{Durability: &db.DurabilityOptions{
+		Dir: "wal", FS: wal.NewMemFS(), Fsync: wal.FsyncNever, CheckpointEvery: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := db.NewApplyQueue(d, 8)
+	s, err := New(Config{DB: func() *db.DB { return d }, Queue: q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer func() { ts.Close(); q.Close(); d.Close() }()
+	m, _ := getJSON(t, ts.URL+"/stats", http.StatusOK)
+	if ck, _ := m["checkpoint"].(map[string]any); ck == nil || ck["writes"] != float64(0) {
+		t.Fatalf("stats checkpoint before any: %v", m["checkpoint"])
+	}
+	for i := 0; i < 3; i++ { // the second batch checkpoints; the third publishes what it wrote
+		postJSON(t, ts.URL+"/apply", applyBody("R", 1, []any{i, 2}, []any{i, 3}), http.StatusOK)
+	}
+	m, _ = getJSON(t, ts.URL+"/stats", http.StatusOK)
+	ck, _ := m["checkpoint"].(map[string]any)
+	if ck["lsn"] != float64(2) || ck["rows"] != float64(4) || ck["bytes"].(float64) <= 0 || ck["writes"] != float64(1) {
+		t.Fatalf("stats checkpoint: %v", ck)
+	}
+	if ck["duration_ns"].(float64) <= 0 {
+		t.Fatalf("checkpoint duration: %v", ck)
+	}
+}
+
+// TestServeClosesUnfinishedHeaders: a client that never finishes its request
+// headers is disconnected when the header timeout runs out, instead of
+// holding a connection (and its goroutine) for as long as it likes.
+func TestServeClosesUnfinishedHeaders(t *testing.T) {
+	d, err := db.Open(testCatalog(), db.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	s, err := New(Config{DB: func() *db.DB { return d }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.hs.ReadHeaderTimeout != readHeaderTimeout || s.hs.IdleTimeout != idleTimeout || readHeaderTimeout <= 0 || idleTimeout <= 0 {
+		t.Fatalf("server timeouts: header %v, idle %v", s.hs.ReadHeaderTimeout, s.hs.IdleTimeout)
+	}
+	s.hs.ReadHeaderTimeout = 50 * time.Millisecond // the constant is seconds: too long for a test to wait out
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(l) }()
+	defer func() {
+		s.Shutdown(context.Background())
+		<-served
+	}()
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HTTP/1.1\r\nHost: x\r\nX-Slow: ")); err != nil {
+		t.Fatal(err)
+	}
+	// The deadline only bounds a hang: the outcome is the server's close.
+	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	rest, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("the server kept a connection whose headers never completed: %v", err)
+	}
+	if bytes.Contains(rest, []byte("200 OK")) {
+		t.Fatalf("an unfinished request was answered: %q", rest)
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"iter"
 	"path"
 	"sort"
 	"strings"
+	"time"
 
 	"fivm/internal/data"
 )
@@ -21,6 +23,10 @@ import (
 const (
 	ckptMagic  = "FIVMCKP1"
 	ckptHdrLen = 16
+
+	// ckptFlushBytes is how much encoded checkpoint WriteCheckpoint gathers
+	// in the log's buffer between two writes to the file.
+	ckptFlushBytes = 64 << 10
 )
 
 // BaseTable is one base relation's serialized contents: rows with signed
@@ -29,8 +35,29 @@ const (
 type BaseTable struct {
 	Rel    string
 	Schema data.Schema
-	Rows   []data.Tuple
-	Mults  []int64
+	// Rows and Mults are the decoded contents; a decoded checkpoint has
+	// nothing else.
+	Rows  []data.Tuple
+	Mults []int64
+	// Len and All are what WriteCheckpoint streams in their place when All is
+	// set: exactly Len rows, in encoded-key order, read from wherever they
+	// live — nothing is materialized for the writer.
+	Len int
+	All iter.Seq2[data.Tuple, int64]
+}
+
+// rows returns the table's row count and rows for the writer.
+func (t *BaseTable) rows() (int, iter.Seq2[data.Tuple, int64]) {
+	if t.All != nil {
+		return t.Len, t.All
+	}
+	return len(t.Rows), func(yield func(data.Tuple, int64) bool) {
+		for i, row := range t.Rows {
+			if !yield(row, t.Mults[i]) {
+				return
+			}
+		}
+	}
 }
 
 // Checkpoint is the decoded (or to-be-written) checkpoint state.
@@ -50,12 +77,53 @@ type Checkpoint struct {
 
 func ckptFileName(lsn uint64) string { return fmt.Sprintf("ckpt-%016x.ck", lsn) }
 
-func encodeCheckpoint(ck *Checkpoint) []byte {
-	b := make([]byte, 0, 4096)
+// CheckpointStats describes the last checkpoint a Log wrote.
+type CheckpointStats struct {
+	// LSN is the last log sequence number the checkpoint covers.
+	LSN uint64 `json:"lsn"`
+	// Rows and Bytes are the base rows serialized and the file's size; Writes
+	// the Write calls that carried it.
+	Rows   int   `json:"rows"`
+	Bytes  int64 `json:"bytes"`
+	Writes int   `json:"writes"`
+	// Duration is the whole WriteCheckpoint call: log sync, serialization,
+	// file sync, publication, rotation and pruning.
+	Duration time.Duration `json:"duration_ns"`
+}
+
+// ckptWriter streams a checkpoint into its file: encode appends to a buffer
+// and, at a row boundary once limit bytes have gathered, flushes — folding
+// the buffered bytes into the running CRC-32C and writing them out. The last
+// flush carries the checksum.
+type ckptWriter struct {
+	f     File
+	limit int
+	crc   uint32
+	st    CheckpointStats
+}
+
+// flush writes b out (with the checksum of everything so far behind it, when
+// it is the last) and returns it emptied.
+func (w *ckptWriter) flush(b []byte, last bool) ([]byte, error) {
+	w.crc = crc32.Update(w.crc, castagnoli, b)
+	if last {
+		b = binary.LittleEndian.AppendUint32(b, w.crc)
+	}
+	_, err := w.f.Write(b)
+	w.st.Writes++
+	w.st.Bytes += int64(len(b))
+	return b[:0], err
+}
+
+// encode streams ck through b, which it returns for reuse: header, catalog,
+// every base table row by row, and the trailing CRC-32C of everything before
+// it. The file is byte for byte what encoding the whole checkpoint into one
+// buffer produced.
+func (w *ckptWriter) encode(ck *Checkpoint, b []byte) ([]byte, error) {
 	var hdr [ckptHdrLen]byte
 	copy(hdr[:8], ckptMagic)
 	hdr[8] = segVersion
-	b = append(b, hdr[:]...)
+	b = append(b[:0], hdr[:]...)
 	b = appendUvarint(b, ck.LSN)
 	b = appendUvarint(b, ck.Applied)
 	b = appendUvarint(b, ck.Seq)
@@ -66,23 +134,35 @@ func encodeCheckpoint(ck *Checkpoint) []byte {
 		b = appendFrame(b, encodeCreateViewBody(nil, 0, def))
 	}
 	b = appendUvarint(b, uint64(len(ck.Bases)))
-	for _, t := range ck.Bases {
+	for i := range ck.Bases {
+		t := &ck.Bases[i]
 		b = appendString(b, t.Rel)
 		b = appendUvarint(b, uint64(len(t.Schema)))
 		for _, attr := range t.Schema {
 			b = appendString(b, attr)
 		}
-		b = appendUvarint(b, uint64(len(t.Rows)))
-		for i, row := range t.Rows {
-			b = appendVarint(b, t.Mults[i])
+		n, rows := t.rows()
+		b = appendUvarint(b, uint64(n))
+		seen := 0
+		for row, mult := range rows {
+			b = appendVarint(b, mult)
 			for _, v := range row {
 				b = data.AppendValue(b, v)
 			}
+			seen++
+			if len(b) >= w.limit {
+				var err error
+				if b, err = w.flush(b, false); err != nil {
+					return b, err
+				}
+			}
 		}
+		if seen != n {
+			return b, fmt.Errorf("wal: checkpoint table %q announced %d rows and yielded %d", t.Rel, n, seen)
+		}
+		w.st.Rows += n
 	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(b, castagnoli))
-	return append(b, crc[:]...)
+	return w.flush(b, true)
 }
 
 func decodeCheckpoint(b []byte) (*Checkpoint, error) {
@@ -142,7 +222,7 @@ func decodeCheckpoint(b []byte) (*Checkpoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		if arity > 1<<16 {
+		if arity > uint64(len(body)-r.at) { // an attribute name takes a byte at least
 			return nil, fmt.Errorf("wal: implausible arity %d", arity)
 		}
 		t.Schema = make(data.Schema, arity)
@@ -155,7 +235,7 @@ func decodeCheckpoint(b []byte) (*Checkpoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		if nRows > uint64(len(body)) {
+		if nRows > uint64(len(body)-r.at)/(1+2*arity) { // a multiplicity byte and two per value at least
 			return nil, fmt.Errorf("wal: implausible row count %d", nRows)
 		}
 		t.Rows = make([]data.Tuple, 0, nRows)
@@ -181,26 +261,28 @@ func decodeCheckpoint(b []byte) (*Checkpoint, error) {
 }
 
 // WriteCheckpoint persists ck (stamping it with the log's current LSN),
-// publishes it atomically via temp-file rename, then rotates to a fresh
-// segment and prunes everything the checkpoint makes redundant: older
+// streaming it through the log's buffer into a temp file published by
+// rename — a torn temp file is never read as a checkpoint — then rotates to
+// a fresh segment and prunes everything the checkpoint makes redundant: older
 // segments and older checkpoints. The log must be healthy.
 func (l *Log) WriteCheckpoint(ck *Checkpoint) error {
 	if err := l.usable(); err != nil {
 		return err
 	}
+	start := l.opts.now()
 	ck.LSN = l.lsn
 	// Everything covered must be durable before the checkpoint claims it.
 	if err := l.Sync(); err != nil {
 		return err
 	}
 
-	enc := encodeCheckpoint(ck)
 	tmp := path.Join(l.dir, "ckpt.tmp")
 	f, err := l.opts.FS.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("wal: create checkpoint: %w", err)
 	}
-	if _, err := f.Write(enc); err != nil {
+	w := ckptWriter{f: f, limit: l.ckptFlush, st: CheckpointStats{LSN: ck.LSN}}
+	if l.ckptBuf, err = w.encode(ck, l.ckptBuf); err != nil {
 		_ = f.Close()
 		return fmt.Errorf("wal: write checkpoint: %w", err)
 	}
@@ -223,8 +305,14 @@ func (l *Log) WriteCheckpoint(ck *Checkpoint) error {
 		return err
 	}
 	l.prune(ck.LSN)
+	w.st.Duration = l.opts.now().Sub(start)
+	l.lastCkpt = w.st
 	return nil
 }
+
+// LastCheckpoint reports the last checkpoint this Log wrote (zero: none
+// since Open). Same goroutine as WriteCheckpoint.
+func (l *Log) LastCheckpoint() CheckpointStats { return l.lastCkpt }
 
 // prune removes segments older than the current one and checkpoints older
 // than the one covering lsn. Best-effort: pruning failures leave garbage,

@@ -1,0 +1,317 @@
+package wal
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"iter"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"fivm/internal/data"
+)
+
+// encodeCheckpointRef is the checkpoint encoder as it stood before
+// WriteCheckpoint streamed: the whole file built in one buffer, the CRC taken
+// over it at the end. Kept as the reference the streamed writer is pinned
+// against, byte for byte.
+func encodeCheckpointRef(ck *Checkpoint) []byte {
+	b := make([]byte, 0, 4096)
+	var hdr [ckptHdrLen]byte
+	copy(hdr[:8], ckptMagic)
+	hdr[8] = segVersion
+	b = append(b, hdr[:]...)
+	b = appendUvarint(b, ck.LSN)
+	b = appendUvarint(b, ck.Applied)
+	b = appendUvarint(b, ck.Seq)
+	b = appendUvarint(b, uint64(len(ck.Views)))
+	for _, def := range ck.Views {
+		b = appendFrame(b, encodeCreateViewBody(nil, 0, def))
+	}
+	b = appendUvarint(b, uint64(len(ck.Bases)))
+	for _, t := range ck.Bases {
+		b = appendString(b, t.Rel)
+		b = appendUvarint(b, uint64(len(t.Schema)))
+		for _, attr := range t.Schema {
+			b = appendString(b, attr)
+		}
+		b = appendUvarint(b, uint64(len(t.Rows)))
+		for i, row := range t.Rows {
+			b = appendVarint(b, t.Mults[i])
+			for _, v := range row {
+				b = data.AppendValue(b, v)
+			}
+		}
+	}
+	var crc [4]byte
+	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(b, castagnoli))
+	return append(b, crc[:]...)
+}
+
+// fixtureCheckpoint is the state TestCheckpointRoundTripAndPruning writes,
+// with base R widened to n rows so a lowered flush limit cuts it into many
+// writes.
+func fixtureCheckpoint(applied uint64, n int) *Checkpoint {
+	ck := &Checkpoint{
+		Applied: applied,
+		Seq:     3 * applied,
+		Views: []ViewDef{
+			{Name: "v1", SQL: "SELECT A, SUM(B) FROM R GROUP BY A", Workers: 2, ComposeChains: true},
+			{Name: "v2", SQL: "SELECT SUM(B) FROM R", CostMaterialize: true},
+		},
+		Bases: []BaseTable{
+			{Rel: "R", Schema: data.NewSchema("A", "B")},
+			{Rel: "S", Schema: data.NewSchema("A", "C"),
+				Rows:  []data.Tuple{{data.Int(1), data.String("x")}},
+				Mults: []int64{1}},
+		},
+	}
+	for i := 0; i < n; i++ {
+		ck.Bases[0].Rows = append(ck.Bases[0].Rows, data.Ints(int64(i), int64(applied)))
+		ck.Bases[0].Mults = append(ck.Bases[0].Mults, int64(i%3)-5)
+	}
+	return ck
+}
+
+// streamed returns ck with every table handed to the writer the way the DB
+// hands its own: a row count and a sequence, no Rows or Mults.
+func streamed(ck *Checkpoint) *Checkpoint {
+	out := *ck
+	out.Bases = make([]BaseTable, len(ck.Bases))
+	for i, t := range ck.Bases {
+		n, rows := t.rows()
+		out.Bases[i] = BaseTable{Rel: t.Rel, Schema: t.Schema, Len: n, All: rows}
+	}
+	return &out
+}
+
+// TestStreamedCheckpointIsByteIdentical pins the streamed file against the
+// buffered encoder's output for the same state: written from Rows/Mults or
+// from sequences, in one write or in many.
+func TestStreamedCheckpointIsByteIdentical(t *testing.T) {
+	for _, rows := range []int{2, 500} {
+		for _, flush := range []int{ckptFlushBytes, 64} {
+			for _, seqs := range []bool{false, true} {
+				fs := NewMemFS()
+				l, _ := openMem(t, fs, FsyncNever)
+				l.ckptFlush = flush
+				for i := int64(1); i <= 3; i++ {
+					l.AppendBatch(uint64(i), testBatch(i))
+				}
+				ck := fixtureCheckpoint(3, rows)
+				in := ck
+				if seqs {
+					in = streamed(ck)
+				}
+				if err := l.WriteCheckpoint(in); err != nil {
+					t.Fatal(err)
+				}
+				ck.LSN = in.LSN
+				got, err := fs.ReadFile("wal/" + ckptFileName(ck.LSN))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := encodeCheckpointRef(ck)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%d rows, flush at %d, sequences %v: streamed file (%d bytes) differs from the reference (%d bytes)",
+						rows, flush, seqs, len(got), len(want))
+				}
+				st := l.LastCheckpoint()
+				if st.LSN != 3 || st.Rows != rows+1 || st.Bytes != int64(len(want)) || st.Writes < 1 || (flush == 64 && st.Writes < rows/8) {
+					t.Errorf("LastCheckpoint %+v for a file of %d bytes, %d rows", st, len(want), rows+1)
+				}
+				l.Close()
+			}
+		}
+	}
+	// A table that yields fewer rows than it announced is refused before
+	// anything is published.
+	fs := NewMemFS()
+	l, _ := openMem(t, fs, FsyncNever)
+	defer l.Close()
+	short := streamed(fixtureCheckpoint(1, 10))
+	short.Bases[0].Len++
+	if err := l.WriteCheckpoint(short); err == nil {
+		t.Fatal("WriteCheckpoint accepted a table shorter than announced")
+	}
+	if _, ck, _ := LatestCheckpointBytes(fs, "wal"); ck != nil {
+		t.Fatalf("a refused checkpoint was published: %+v", ck)
+	}
+}
+
+// TestCheckpointTornAtEveryByte: a checkpoint is written in several Write
+// calls, so a crash can leave any prefix of ckpt.tmp behind. Whatever byte
+// the power cut lands on — inside the temp file or in the segment header
+// that follows its publication — recovery must find either the previous
+// checkpoint with its tail or the new one whole, and the new one whenever
+// WriteCheckpoint reported success.
+func TestCheckpointTornAtEveryByte(t *testing.T) {
+	ck1, ck2 := fixtureCheckpoint(2, 3), fixtureCheckpoint(3, 40)
+	run := func(cut int64) (*MemVFS, error) {
+		mem := NewMemFS()
+		ffs := NewFaultFS(mem)
+		l, _, err := Open(Options{Dir: "wal", FS: ffs, Fsync: FsyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.ckptFlush = 48
+		for i := int64(1); i <= 2; i++ {
+			if err := l.AppendBatch(uint64(i), testBatch(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.WriteCheckpoint(streamed(ck1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AppendBatch(3, testBatch(3)); err != nil {
+			t.Fatal(err)
+		}
+		if cut >= 0 {
+			ffs.CrashAfterBytes(cut)
+		}
+		err = l.WriteCheckpoint(streamed(ck2))
+		if l.LastCheckpoint().Writes < 5 && err == nil {
+			t.Fatalf("the second checkpoint took %d writes: nothing to tear", l.LastCheckpoint().Writes)
+		}
+		l.Close()
+		mem.Crash()
+		return mem, err
+	}
+	ref, err := run(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := ref.FileSize("wal/"+ckptFileName(3)) + segHdrLen
+	for cut := int64(0); cut <= total; cut++ {
+		mem, werr := run(cut)
+		l, rec, err := Open(Options{Dir: "wal", FS: mem, Fsync: FsyncAlways})
+		if err != nil {
+			t.Fatalf("cut %d: recovery failed: %v", cut, err)
+		}
+		l.Close()
+		got := rec.Checkpoint
+		if got == nil {
+			t.Fatalf("cut %d: no checkpoint recovered", cut)
+		}
+		want := ck1
+		if got.Applied == 3 {
+			want = ck2
+		} else if werr == nil {
+			t.Fatalf("cut %d: WriteCheckpoint succeeded and recovery found applied=%d", cut, got.Applied)
+		}
+		want.LSN = want.Applied
+		if dec, err := decodeCheckpoint(encodeCheckpointRef(want)); err != nil || !reflect.DeepEqual(got, dec) {
+			t.Fatalf("cut %d: recovered checkpoint %+v, want %+v (%v)", cut, got, dec, err)
+		}
+		if tail := len(rec.Records); tail != int(3-got.Applied) {
+			t.Fatalf("cut %d: checkpoint applied=%d with a tail of %d records", cut, got.Applied, tail)
+		}
+	}
+}
+
+// FuzzDecodeCheckpoint: arbitrary bytes — as they come, and again with a
+// valid checksum sealed over them, which is what gets a mutation past the
+// first check and into the decoder — decode to an error or to a checkpoint
+// that survives re-encoding: never a panic, and never more rows than the
+// input has bytes for (the caps that keep a hostile count from sizing an
+// allocation).
+func FuzzDecodeCheckpoint(f *testing.F) {
+	real := encodeCheckpointRef(fixtureCheckpoint(7, 20))
+	f.Add(real)
+	f.Add(real[:len(real)-4]) // sealed again by the target: the decoder's own input
+	f.Add(real[:len(real)/2])
+	f.Add(real[:ckptHdrLen+4])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		sealed := binary.LittleEndian.AppendUint32(append([]byte(nil), b...), crc32.Checksum(b, castagnoli))
+		for _, in := range [][]byte{b, sealed} {
+			ck, err := decodeCheckpoint(in)
+			if err != nil {
+				continue
+			}
+			rows := 0
+			for _, tab := range ck.Bases {
+				rows += len(tab.Rows)
+				if len(tab.Rows) != len(tab.Mults) {
+					t.Fatalf("table %q: %d rows, %d multiplicities", tab.Rel, len(tab.Rows), len(tab.Mults))
+				}
+			}
+			if rows > len(in) || len(ck.Views) > len(in) || len(ck.Bases) > len(in) {
+				t.Fatalf("%d bytes decoded to %d rows, %d views, %d tables", len(in), rows, len(ck.Views), len(ck.Bases))
+			}
+			again, err := decodeCheckpoint(encodeCheckpointRef(ck))
+			if err != nil || !reflect.DeepEqual(ck, again) {
+				t.Fatalf("decoded checkpoint does not survive re-encoding: %v", err)
+			}
+		}
+	})
+}
+
+// TestDecodeCheckpointCapsCounts: counts no input of that size could back are
+// refused before they size an allocation.
+func TestDecodeCheckpointCapsCounts(t *testing.T) {
+	seal := func(body []byte) []byte {
+		return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
+	}
+	hdr := func() []byte {
+		var h [ckptHdrLen]byte
+		copy(h[:8], ckptMagic)
+		h[8] = segVersion
+		b := append([]byte(nil), h[:]...)
+		for i := 0; i < 4; i++ { // LSN, applied, seq, no views
+			b = appendUvarint(b, 0)
+		}
+		return appendString(appendUvarint(b, 1), "R") // one table, R
+	}
+	wide := appendUvarint(hdr(), 1<<15) // an arity the remaining bytes cannot name
+	if _, err := decodeCheckpoint(seal(wide)); err == nil {
+		t.Error("an arity of 32768 over an empty body decoded")
+	}
+	long := appendUvarint(appendString(appendUvarint(hdr(), 1), "A"), 1000) // 1000 rows, no bytes
+	if _, err := decodeCheckpoint(seal(long)); err == nil {
+		t.Error("1000 rows over an empty body decoded")
+	}
+}
+
+// TestAllocGuardCheckpoint: once the log's buffer has its size, writing a
+// checkpoint allocates a few file names and a closure or two — under 4 KiB,
+// whether the state has five thousand rows or fifty thousand.
+func TestAllocGuardCheckpoint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc guards run in the non-race pass")
+	}
+	for _, n := range []int{5_000, 50_000} {
+		rows := make([]data.Tuple, n)
+		for i := range rows {
+			rows[i] = data.Tuple{data.Int(int64(i)), data.Float(float64(i) / 2), data.String("row")}
+		}
+		var all iter.Seq2[data.Tuple, int64] = func(yield func(data.Tuple, int64) bool) {
+			for _, row := range rows {
+				if !yield(row, 1) {
+					return
+				}
+			}
+		}
+		l, _, err := Open(Options{Dir: t.TempDir(), Fsync: FsyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck := &Checkpoint{Applied: 1, Bases: []BaseTable{{Rel: "R", Schema: data.NewSchema("A", "B", "C"), Len: n, All: all}}}
+		write := func() uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := l.WriteCheckpoint(ck); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		first, second := write(), write()
+		t.Logf("%d rows, %d bytes: first checkpoint allocated %d bytes, second %d", n, l.LastCheckpoint().Bytes, first, second)
+		if second >= 4<<10 {
+			t.Errorf("%d rows: a second checkpoint allocated %d bytes, want < 4096", n, second)
+		}
+		l.Close()
+	}
+}

@@ -128,17 +128,23 @@ type Recovery struct {
 // Log is a segmented write-ahead log. Single-writer: the DB's maintenance
 // goroutine appends; Open-time recovery happens before any appends.
 type Log struct {
-	opts     Options
-	dir      string
-	seg      File
-	segSeq   uint64
-	segSize  int64
-	lsn      uint64 // last assigned LSN
-	frame    []byte // reused frame scratch (header + body copy)
-	body     []byte // reused body-encoding scratch
-	lastSync time.Time
-	failed   error // sticky append failure
-	closed   bool
+	opts    Options
+	dir     string
+	seg     File
+	segSeq  uint64
+	segSize int64
+	lsn     uint64 // last assigned LSN
+	frame   []byte // reused frame scratch (header + body copy)
+	body    []byte // reused body-encoding scratch
+	// ckptBuf is the reused checkpoint-streaming buffer (see ckptWriter) and
+	// ckptFlush how much of it fills between writes: ckptFlushBytes, lowered
+	// only by tests that tear a small checkpoint at every write boundary.
+	ckptBuf   []byte
+	ckptFlush int
+	lastCkpt  CheckpointStats
+	lastSync  time.Time
+	failed    error // sticky append failure
+	closed    bool
 
 	// Live frame subscribers (stream.go). subMu alone guards them: Subscribe
 	// and Close may race with the appender's notify.
@@ -219,6 +225,8 @@ func Open(opts Options) (*Log, *Recovery, error) {
 		lsn:    lastLSN,
 		frame:  make([]byte, 0, 64<<10),
 		body:   make([]byte, 0, 64<<10),
+
+		ckptFlush: ckptFlushBytes,
 	}
 	if ck != nil && ck.LSN > l.lsn {
 		l.lsn = ck.LSN
