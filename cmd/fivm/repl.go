@@ -274,17 +274,27 @@ func replCatalog(d *db.DB) sqlparse.Catalog {
 	return cat
 }
 
-// showStorage prints the base store and the last checkpoint as the current
-// epoch carries them (what GET /stats reports as base_store and checkpoint).
+// showStorage prints the base store, the views' adoption copies, the batch
+// intake and the last checkpoint as the current epoch carries them (what GET
+// /stats reports as base_store, view_stats.*.tuples_copied, ingest and
+// checkpoint).
 func showStorage(d *db.DB, out io.Writer) {
 	e := d.Epoch()
 	defer e.Release()
 	rels, bases := e.BaseStats()
 	for i, rel := range rels {
 		b := bases[i]
-		fmt.Fprintf(out, "  base %-12s %d tuples, %s; pool %d free, %d reclaimed, recycled keys %s\n",
-			rel, b.Tuples, fmtBytes(b.MemoryBytes), b.PoolFree, b.Reclaimed, fmtBytes(b.FreeKeyBytes))
+		sch, _ := d.Schema(rel)
+		fmt.Fprintf(out, "  base %-12s %d tuples, %s; pool %d free, %d reclaimed, recycled keys %s, tuples %s\n",
+			rel, b.Tuples, fmtBytes(b.MemoryBytes), b.PoolFree, b.Reclaimed, fmtBytes(b.FreeKeyBytes),
+			fmtBytes(b.FreeTupleBytes(len(sch))))
 	}
+	for _, name := range e.Views() {
+		st, _ := e.Stats(name)
+		fmt.Fprintf(out, "  view %-12s %d tuples copied on adoption\n", name, st.TuplesCopied)
+	}
+	fmt.Fprintf(out, "  ingest: last batch arena %s; frames leased %d, allocated %d\n",
+		fmtBytes(e.Ingest.ArenaBytes), e.Ingest.FramesLeased, e.Ingest.FramesAllocated)
 	if ck := e.Checkpoint; ck.Writes > 0 {
 		fmt.Fprintf(out, "  checkpoint at lsn %d: %d rows, %s in %d writes, %v\n",
 			ck.LSN, ck.Rows, fmtBytes(int(ck.Bytes)), ck.Writes, ck.Duration.Round(time.Microsecond))

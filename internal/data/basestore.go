@@ -9,8 +9,12 @@ import (
 )
 
 // BaseUpdate is one relation's slice of a base-store batch: tuples applied
-// with a signed multiplicity (negative = deletions). Tuple storage is shared
-// with the caller and must not be mutated afterwards.
+// with a signed multiplicity (negative = deletions). The store copies the
+// tuples of the rows it keeps; the views behind it share the tuples of the
+// keys they adopt, so a caller must not mutate them (or reuse their backing
+// arrays) afterwards — unless the update was built in a BatchArena, whose
+// tuples every consumer copies and which may be rewound once the batch is
+// applied.
 type BaseUpdate struct {
 	Rel    string
 	Tuples []Tuple
@@ -23,6 +27,9 @@ type BaseUpdate struct {
 	// merge by them (MergeUpdate) instead of encoding every tuple again.
 	keyed *batchKeys
 	first int
+	// arena, set by BatchArena.Update, marks the tuples as dying with the
+	// batch: the arena they, Tuples and the batch slice itself live in.
+	arena *BatchArena
 }
 
 // batchKeys holds what ApplyBatch computes once per tuple: the encoded key
@@ -45,8 +52,9 @@ func (k *batchKeys) key(i int) []byte {
 // BaseObserver receives, once per applied batch, the batch's updates
 // restricted to the relations the observer registered for. Updates are
 // shared and read-only; observers must not retain the slice, or the keys the
-// updates carry, beyond the call (a tuple they keep stays the caller's:
-// immutable, shared with the store while its row is live).
+// updates carry, beyond the call. A tuple they keep stays the caller's,
+// immutable — the store shares none — unless the batch is volatile (built in
+// a BatchArena): MergeUpdate then marks its destination, whose consumers copy.
 type BaseObserver func(batch []BaseUpdate) error
 
 // BaseStore is the shared base-relation store: the canonical multiplicity
@@ -64,9 +72,9 @@ type BaseObserver func(batch []BaseUpdate) error
 // encodes and hashes every tuple's key once, inserts, bumps or cancels the
 // row under it, and reclaims the cancelled entries at the end of the batch
 // (the base-store row of Relation's ownership table). Memory therefore
-// follows the state: an inserted tuple is held exactly while its row is
-// live, a deleted one is only a probe key and is held by nobody, and a
-// cancelled row's entry and key bytes serve the next insert. The keys and
+// follows the state: an inserted tuple is copied into its row's own cells and
+// the caller's is held by nobody, a deleted one is only a probe key, and a
+// cancelled row's entry, key bytes and tuple cells serve the next insert. The keys and
 // hashes travel with the batch to the observers, so the ingest path still
 // encodes each tuple exactly once however many views consume it.
 //
@@ -103,7 +111,10 @@ func (s *BaseStore) Register(rel string, schema Schema) error {
 	if _, ok := s.rels[rel]; ok {
 		return fmt.Errorf("data: base relation %q already registered", rel)
 	}
-	s.rels[rel] = NewRelation[int64](ring.Int{}, schema)
+	r := NewRelation[int64](ring.Int{}, schema)
+	r.ownTuples = true
+	r.tuples.maxChunk = 1 << 20 / valueBytes // rows are added 1 MiB of cells at a time
+	s.rels[rel] = r
 	s.names = append(s.names, rel)
 	return nil
 }
@@ -122,23 +133,25 @@ func (s *BaseStore) Schema(rel string) (Schema, bool) {
 
 // Base returns the multiplicity relation of a registered base relation (nil
 // for unknown names). It is owned by the store: callers may read it until the
-// next ApplyBatch — which reuses the entries, key bytes included, of the rows
-// it cancels — and must never mutate it.
+// next ApplyBatch — which reuses the entries, key bytes and tuple cells
+// included, of the rows it cancels — and must never mutate it.
 func (s *BaseStore) Base(rel string) *Relation[int64] { return s.rels[rel] }
 
-// AdoptBase replaces the contents of a registered relation with r. It is the
-// checkpoint-restore path: a recovery layer hands the store a freshly decoded
-// multiplicity relation and the store owns it from then on. The relation's
-// schema must equal the registered one.
-func (s *BaseStore) AdoptBase(rel string, r *Relation[int64]) error {
-	sch, ok := s.Schema(rel)
+// Restore fills a registered, still empty relation with decoded checkpoint
+// rows and their multiplicities — the recovery path. The store copies the
+// rows like any it keeps; the schema must equal the registered one.
+func (s *BaseStore) Restore(rel string, schema Schema, rows []Tuple, mults []int64) error {
+	r, ok := s.rels[rel]
 	if !ok {
 		return fmt.Errorf("data: base relation %q not registered", rel)
 	}
-	if !sch.Equal(r.Schema()) {
-		return fmt.Errorf("data: adopt %q: schema %v does not match registered %v", rel, r.Schema(), sch)
+	if !r.schema.Equal(schema) {
+		return fmt.Errorf("data: restore %q: schema %v does not match registered %v", rel, schema, r.schema)
 	}
-	s.rels[rel] = r
+	r.Reserve(len(rows))
+	for i, row := range rows {
+		r.Merge(row, mults[i])
+	}
 	return nil
 }
 
@@ -187,8 +200,8 @@ func (s *BaseStore) Observers() []string {
 // once — and fans the batch, keys included, out to every attached observer.
 // Zero multiplicities default to +1; unknown relations and arity mismatches
 // are errors, detected before any state changes. The batch slice itself may
-// be reused by the caller after the call; the tuples of rows the batch
-// leaves live are adopted.
+// be reused by the caller after the call, and so may its tuples as far as
+// the store is concerned: it copies the rows the batch leaves live.
 //
 // Observer errors abort the fan-out and are returned; the store itself has
 // already advanced, so the caller must treat the batch as torn and discard
@@ -220,7 +233,7 @@ func (s *BaseStore) ApplyBatch(batch []BaseUpdate) error {
 			k.bytes = t.AppendKey(k.bytes)
 			h := hashBytes(k.bytes[start:])
 			k.ends, k.hashes = append(k.ends, len(k.bytes)), append(k.hashes, h)
-			m.mergeKeyed(k.bytes[start:], h, t, u.Mult)
+			m.mergeKeyed(k.bytes[start:], h, t, false, u.Mult) // insertEntry copies t (ownTuple)
 		}
 		// Nothing outside this loop held an entry: the rows the update
 		// cancelled are reusable from here on.
@@ -249,21 +262,27 @@ func (s *BaseStore) ApplyBatch(batch []BaseUpdate) error {
 
 // MergeUpdate merges every tuple of u — an update as a BaseObserver receives
 // it — into dst with payload p, under the key and hash the store computed:
-// no re-encoding, no re-hashing. dst must have the base relation's schema.
+// no re-encoding, no re-hashing. dst must have the base relation's schema; it
+// stores the tuples as given, and when they are a BatchArena's it is marked
+// (MarkVolatile: dst is then the per-batch scratch its consumers copy from).
 func MergeUpdate[P any](dst *Relation[P], u BaseUpdate, p P) {
+	if u.arena != nil {
+		dst.MarkVolatile()
+	}
 	for i, t := range u.Tuples {
-		dst.mergeKeyed(u.keyed.key(u.first+i), u.keyed.hashes[u.first+i], t, p)
+		dst.mergeKeyed(u.keyed.key(u.first+i), u.keyed.hashes[u.first+i], t, false, p)
 	}
 }
 
 // LiftFrom fills dst with src's tuples, each mapped through lift from its
 // multiplicity. It merges by the key and hash src's entries carry (no
-// re-encoding, no re-hashing) and shares their tuples; the key bytes are
-// copied, like every key a relation stores — src overwrites its own when it
-// reuses the entry. dst should be empty and share src's schema.
+// re-encoding, no re-hashing); key bytes and tuples are copied, like
+// everything read out of a base-store relation and kept — src overwrites both
+// when it reuses the entry. dst should be empty and share src's schema.
 func LiftFrom[P any](dst *Relation[P], src *Relation[int64], lift func(n int64) P) {
+	volTuple := src.VolatileTuples()
 	src.entries.all(func(e *Entry[int64]) bool {
-		dst.mergeKeyed(keyView(e.key), e.hash, e.Tuple, lift(e.Payload))
+		dst.mergeKeyed(keyView(e.key), e.hash, e.Tuple, volTuple, lift(e.Payload))
 		return true
 	})
 }
@@ -306,8 +325,9 @@ func (s *BaseStore) Tuples() int {
 
 // BaseStats is one base relation's storage, from counters alone: live rows,
 // the bytes they and the pool hold (exact for int64 multiplicities), entries
-// free for the next insert or ever reclaimed, and the key bytes the free
-// entries keep for the next keys.
+// free for the next insert or ever reclaimed, the key bytes the free entries
+// keep for the next keys, and — as a product, FreeTupleBytes — the tuple cells
+// they keep for the next rows.
 type BaseStats struct {
 	Tuples       int    `json:"tuples"`
 	MemoryBytes  int    `json:"memory_bytes"`
@@ -315,6 +335,11 @@ type BaseStats struct {
 	Reclaimed    uint64 `json:"reclaimed"`
 	FreeKeyBytes int    `json:"recycled_key_bytes"`
 }
+
+// FreeTupleBytes is the tuple storage the free entries of a relation of the
+// given arity keep for the next rows (recycled_tuple_bytes in GET /stats):
+// every pooled entry of the store held a row once and kept its cells.
+func (b BaseStats) FreeTupleBytes(arity int) int { return b.PoolFree * arity * valueBytes }
 
 // Stats reports a registered relation's storage; O(1).
 func (s *BaseStore) Stats(rel string) BaseStats {

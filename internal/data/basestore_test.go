@@ -169,11 +169,123 @@ func TestBaseStoreMemoryFollowsState(t *testing.T) {
 	if got := s.MemoryBytes(); got > mem+mem/8 {
 		t.Errorf("MemoryBytes grew from %d to %d over 48 more window lengths", mem, got)
 	}
-	if got := s.Base("R").PoolStats(); got.Free > pool.Free+100 || got.KeyBytes > pool.KeyBytes+100*keyCap(18) {
+	got := s.Base("R").PoolStats()
+	if got.Free > pool.Free+100 || got.KeyBytes > pool.KeyBytes+100*keyCap(18) {
 		t.Errorf("pool grew from %+v to %+v", pool, got)
 	}
-	if st := s.Stats("R"); st.Tuples != live || st.MemoryBytes != s.Base("R").MemoryBytes() || st.Reclaimed < 50*live {
+	// The rows' tuples are the store's own and counted: cells for every live
+	// and every pooled row, taken while the pool was cold and reused since.
+	rowBytes := 2 * valueBytes
+	if got.TupleBytes != pool.TupleBytes || got.TupleBytes < (live+got.Free)*rowBytes {
+		t.Errorf("tuple storage went from %d to %d bytes for %d live and %d pooled rows", pool.TupleBytes, got.TupleBytes, live, got.Free)
+	}
+	st := s.Stats("R")
+	if st.Tuples != live || st.MemoryBytes != s.Base("R").MemoryBytes() || st.Reclaimed < 50*live {
 		t.Errorf("Stats %+v: want %d tuples, the walked %d bytes, every deleted row through the pool", st, live, s.Base("R").MemoryBytes())
+	}
+	if st.FreeTupleBytes(2) != st.PoolFree*rowBytes || st.MemoryBytes < got.TupleBytes {
+		t.Errorf("Stats %+v: recycled tuple bytes %d for %d pooled rows, %d bytes of tuple slab uncharged", st, st.FreeTupleBytes(2), st.PoolFree, got.TupleBytes)
+	}
+}
+
+// TestBaseStoreOwnsItsTuples: the store keeps no tuple it is handed. A caller
+// that overwrites its tuples after ApplyBatch — a heap batch, or an arena
+// rewound (and poisoned) — changes nothing in the store, in a view fed from
+// the conversion scratch, or in a lifted copy; and the cells of a deleted row
+// serve the next insert.
+func TestBaseStoreOwnsItsTuples(t *testing.T) {
+	sch := NewSchema("A", "B")
+	s := NewBaseStore()
+	if err := s.Register("R", sch); err != nil {
+		t.Fatal(err)
+	}
+	delta := NewRelation[float64](ring.Float{}, sch)
+	delta.RecycleCleared()
+	view := NewRelation[float64](ring.Float{}, sch)
+	s.Attach("view", nil, func(batch []BaseUpdate) error {
+		delta.Clear()
+		for _, u := range batch {
+			MergeUpdate(delta, u, float64(u.Mult))
+		}
+		view.MergeAll(delta)
+		return nil
+	})
+	check := func(what string, want int) {
+		t.Helper()
+		lifted := NewRelation[float64](ring.Float{}, sch)
+		LiftFrom(lifted, s.Base("R"), func(n int64) float64 { return float64(n) })
+		for name, n := range map[string]int{"store": s.Base("R").Len(), "view": view.Len(), "lifted copy": lifted.Len()} {
+			if n != want {
+				t.Fatalf("%s: the %s holds %d rows, want %d", what, name, n, want)
+			}
+		}
+		ok := func(name string) func(tu Tuple, key string) {
+			return func(tu Tuple, key string) {
+				if string(tu.AppendKey(nil)) != key {
+					t.Fatalf("%s: the %s holds tuple %v under key %q", what, name, tu, key)
+				}
+			}
+		}
+		s.Base("R").IterateEntries(func(e *Entry[int64]) bool { ok("store")(e.Tuple, e.Key()); return true })
+		view.IterateEntries(func(e *Entry[float64]) bool { ok("view")(e.Tuple, e.Key()); return true })
+		lifted.IterateEntries(func(e *Entry[float64]) bool { ok("lifted copy")(e.Tuple, e.Key()); return true })
+	}
+
+	// A heap batch whose caller scribbles over its tuples afterwards. The
+	// view shares a heap batch's tuples by contract, so only the store and
+	// what is lifted from it are checked against that caller.
+	hs := NewBaseStore()
+	hs.Register("R", sch)
+	heap := []Tuple{bsTuple(1, 10), bsTuple(2, 20)}
+	if err := hs.ApplyBatch([]BaseUpdate{{Rel: "R", Tuples: heap}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tu := range heap {
+		tu[0], tu[1] = String("scribbled"), Int(-1)
+	}
+	if e, _ := hs.Base("R").EntryKey(bsTuple(1, 10).Key()); e == nil || e.Tuple[0] != Int(1) {
+		t.Fatal("the store kept the tuple it was handed")
+	}
+
+	// Arena batches, rewound after every ApplyBatch.
+	var arena BatchArena
+	apply := func(mult int64, rows ...[2]int64) []Tuple {
+		ts := arena.Tuples(len(rows))
+		for _, r := range rows {
+			tu := arena.Tuple(2)
+			tu[0], tu[1] = Int(r[0]), Int(r[1])
+			ts = append(ts, tu)
+		}
+		batch := append(arena.Updates(1), arena.Update("R", mult, ts))
+		if ArenaBytes(batch) != arena.Bytes() || arena.Bytes() < len(rows)*2*valueBytes {
+			t.Fatalf("arena of %d bytes behind a batch reporting %d", arena.Bytes(), ArenaBytes(batch))
+		}
+		if err := s.ApplyBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if !delta.VolatileTuples() {
+			t.Fatal("the conversion scratch does not report an arena batch volatile")
+		}
+		arena.Rewind()
+		return ts
+	}
+	kept := apply(1, [2]int64{3, 30}, [2]int64{4, 40})
+	if kept[0][0] != poisonTuple[0] {
+		t.Fatalf("a tuple kept from a rewound arena reads %v, not poison", kept[0])
+	}
+	check("after two arena inserts", 2)
+
+	// The cells of a deleted row serve the next insert.
+	e, _ := s.Base("R").EntryKey(bsTuple(3, 30).Key())
+	cells := &e.Tuple[0]
+	apply(-1, [2]int64{3, 30})
+	apply(1, [2]int64{5, 50})
+	if e, _ := s.Base("R").EntryKey(bsTuple(5, 50).Key()); e == nil || &e.Tuple[0] != cells {
+		t.Fatal("the insert after a delete did not reuse the deleted row's tuple cells")
+	}
+	check("after the swap", 2)
+	if view.PoolStats().TuplesCopied < 3 {
+		t.Fatalf("the view counts %d copied tuples after adopting 3 arena rows", view.PoolStats().TuplesCopied)
 	}
 }
 

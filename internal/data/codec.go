@@ -49,18 +49,17 @@ func DecodeValue(b []byte) (Value, int, error) {
 	}
 }
 
-// DecodeTuple decodes arity consecutive values from the front of b into a
-// fresh tuple, returning it and the bytes consumed.
-func DecodeTuple(b []byte, arity int) (Tuple, int, error) {
-	t := make(Tuple, arity)
+// DecodeTuple decodes len(t) consecutive values from the front of b into the
+// caller's tuple (heap or BatchArena storage) and returns the bytes consumed.
+func DecodeTuple(t Tuple, b []byte) (int, error) {
 	at := 0
-	for i := 0; i < arity; i++ {
+	for i := range t {
 		v, n, err := DecodeValue(b[at:])
 		if err != nil {
-			return nil, 0, fmt.Errorf("data: decode tuple value %d: %w", i, err)
+			return 0, fmt.Errorf("data: decode tuple value %d: %w", i, err)
 		}
 		t[i] = v
 		at += n
 	}
-	return t, at, nil
+	return at, nil
 }

@@ -14,7 +14,8 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	for _, tup := range tuples {
 		enc := tup.AppendKey(nil)
-		got, n, err := DecodeTuple(enc, len(tup))
+		got := make(Tuple, len(tup))
+		n, err := DecodeTuple(got, enc)
 		if err != nil {
 			t.Fatalf("%v: %v", tup, err)
 		}
@@ -36,7 +37,7 @@ func TestCodecTruncatedAndMalformed(t *testing.T) {
 	enc := Tuple{Int(12345), String("abc"), Float(2.5)}.AppendKey(nil)
 	// Every proper prefix must fail cleanly, never panic.
 	for cut := 0; cut < len(enc); cut++ {
-		if _, _, err := DecodeTuple(enc[:cut], 3); err == nil {
+		if _, err := DecodeTuple(make(Tuple, 3), enc[:cut]); err == nil {
 			t.Errorf("prefix of %d bytes decoded without error", cut)
 		}
 	}

@@ -400,7 +400,7 @@ func TestScratchTuplesRewind(t *testing.T) {
 	h.RecycleCleared()
 	given := Ints(1, 2)
 	h.Merge(given, 1)
-	h.mergeKeyed([]byte(Ints(3, 4).Key()), hashString(Ints(3, 4).Key()), Ints(3, 4), 1)
+	h.mergeKeyed([]byte(Ints(3, 4).Key()), hashString(Ints(3, 4).Key()), Ints(3, 4), false, 1)
 	taker := NewRelation[int64](ring.Int{}, sch)
 	taker.MergeAll(h)
 	he, _ := h.EntryKey(given.Key())
@@ -415,7 +415,7 @@ func TestScratchTuplesRewind(t *testing.T) {
 	// Sharing: prefix subslices of the source, no slab; anything else panics.
 	sh := NewRelation[int64](ring.Int{}, NewSchema("X", "A"))
 	sh.RecycleCleared()
-	sh.ShareProjectedTuples()
+	sh.ShareProjectedTuples(true)
 	src := Ints(7, 8, 9)
 	sh.MergeProjected(MustProjector(from, sh.Schema()), src, 1)
 	se, _ := sh.EntryKey(Ints(7, 8).Key())

@@ -95,22 +95,38 @@ func keyView(key string) []byte { return unsafe.Slice(unsafe.StringData(key), le
 //	(RecycleCleared, after the next Clear  rewound by Clear     when the relation   the next batch's inserts
 //	Clear per batch)                                            projected it, the
 //	                                                            supplier's otherwise
-//	base store       as a view; reclaim    as a view            the batch's, held   inline (int64)
-//	(BaseStore.Base) point is the end of                        while the row is
-//	                 every ApplyBatch                           live
+//	base store       as a view; reclaim    as a view            the entry's own,    inline (int64)
+//	(BaseStore.Base) point is the end of                        like its key: every
+//	                 every ApplyBatch                           insert copies the
+//	                                                            row in, a reused
+//	                                                            entry keeps the
+//	                                                            cells (the arity is
+//	                                                            fixed: they fit)
+//	volatile batch   —                     —                    the BatchArena's,   —
+//	(BaseUpdate from                                            dead at its Rewind:
+//	a BatchArena)                                               the store copies as
+//	                                                            always, a scratch
+//	                                                            relation handed one
+//	                                                            reports volatile, a
+//	                                                            view copies what it
+//	                                                            adopts
 //
 // Who may retain what: nobody retains an *Entry, a key read through one, or a
 // mutable-ring payload read through one, past the owner's reclaim point (work
 // items, index buckets and iterators all die with the batch). Every insert
 // copies its key into the entry (setKey), so no relation ever holds another's
 // key bytes; only the keys of a snapshotting relation may be kept forever.
-// Tuples of a view or base-store relation may be kept forever. Nothing a
-// scratch relation made survives its next Clear: consumers copy the payloads
-// they keep, and the tuples too once the relation has projected one into its
-// slab since its last Clear (MergeAll, MergeAllIndexed, Clone and Negate do;
-// the test is per relation, not per entry). A tuple a relation was handed
+// Tuples of a view may be kept forever; a base-store relation overwrites a
+// removed row's when it reuses the entry, so what is read out of it is copied
+// by whoever keeps it (LiftFrom, Clone, MergeAll do). Nothing a scratch
+// relation made survives its next Clear: consumers copy the payloads they
+// keep, and the tuples too once the relation has projected one into its slab,
+// or was handed one of a volatile batch, since its last Clear (MergeAll,
+// MergeAllIndexed, Clone and Negate do; the test is per relation, not per
+// entry: VolatileTuples). A tuple a view or scratch relation was handed
 // (Merge, Set, mergeKeyed, mergeFrom) is stored as given and stays the
-// supplier's: shared, immutable, never written again.
+// supplier's: shared, immutable, never written again — the base store alone
+// takes no tuple it is handed.
 type Relation[P any] struct {
 	schema  Schema
 	ring    ring.Ring[P]
@@ -143,6 +159,13 @@ type Relation[P any] struct {
 	// shareProjected lets projected merges store prefix subslices of the
 	// source tuple instead of copies; see ShareProjectedTuples.
 	shareProjected bool
+	// ownTuples marks a base-store relation: an entry owns its tuple's cells
+	// as it owns its key bytes (ownTuple). handedVolatile marks a scratch
+	// relation handed a tuple of a volatile batch since its last Clear
+	// (MarkVolatile). copied counts the tuples keepTuple copied on adoption.
+	ownTuples      bool
+	handedVolatile bool
+	copied         uint64
 	// stats, when non-nil, receives every insert/delete transition; see
 	// CollectStats.
 	stats *RelStats
@@ -196,6 +219,7 @@ func (r *Relation[P]) Clear() {
 	}
 	r.entries.clear()
 	if r.scratch {
+		r.handedVolatile = false
 		r.reclaim()
 		r.keys.rewind(0xFF)
 		r.tuples.rewind(poisonTuple[0])
@@ -204,13 +228,14 @@ func (r *Relation[P]) Clear() {
 
 // ShareProjectedTuples makes the projecting merges (MergeProjected,
 // MergeMulProjected, MergeProjectedKey) store a subslice of the source tuple
-// instead of a copy. Every projector must then be a prefix projection
-// (Projector.IsPrefix; SharedApply panics otherwise), and every source tuple
-// must be durable — immutable and never reused — because consumers keep a
-// shared tuple without copying it: a tuple the caller's batch or the update
-// log supplied qualifies, a tuple in another scratch relation's slab or in a
-// delta plan's join arena does not.
-func (r *Relation[P]) ShareProjectedTuples() { r.shareProjected = true }
+// instead of a copy, until it is switched off again (a plan step decides per
+// run, on a cleared relation). Every projector must then be a prefix
+// projection (Projector.IsPrefix; SharedApply panics otherwise), and every
+// source tuple must be durable — immutable and never reused — because
+// consumers keep a shared tuple without copying it: a tuple of a caller's heap
+// batch qualifies, a tuple of a BatchArena, of another scratch relation's slab
+// or of a delta plan's join arena does not.
+func (r *Relation[P]) ShareProjectedTuples(on bool) { r.shareProjected = on }
 
 // projApply materializes the projection of t for storage: shared with t, or
 // copied into the relation's tuple slab (scratch) or a heap tuple.
@@ -282,12 +307,15 @@ func (r *Relation[P]) Reclaim() {
 // or the relation publishes snapshots, whose pinned epochs hold them; it
 // keeps its payload storage (CopyInto/MulInto reuse destination capacity)
 // unless the ring has no in-place form or, again, the relation publishes:
-// published storage is shared under the gen rule and is dropped instead.
+// published storage is shared under the gen rule and is dropped instead. The
+// tuple is the entry's to keep only in a base-store relation (ownTuple).
 func (r *Relation[P]) reclaim() {
 	keepKey := !r.scratch && r.snap == nil
 	keepPayload := r.mut != nil && r.snap == nil
 	for _, e := range r.parked {
-		e.Tuple = nil
+		if !r.ownTuples {
+			e.Tuple = nil
+		}
 		switch {
 		case keepKey:
 			r.freeKeyBytes += keyCap(len(e.key))
@@ -302,7 +330,7 @@ func (r *Relation[P]) reclaim() {
 			e.Payload = zero
 		}
 		if poison {
-			poisonEntry(e)
+			poisonEntry(e, r.ownTuples)
 		}
 	}
 	r.free = append(r.free, r.parked...)
@@ -347,13 +375,14 @@ func (r *Relation[P]) setKey(e *Entry[P], key []byte) {
 }
 
 // keepTuple returns a tuple a source entry carries in a form r may store:
-// shared, unless the source relation is VolatileTuples, whose slab tuples die
-// at its next Clear.
+// shared, unless the source relation is VolatileTuples, whose tuples die
+// before r's do.
 func (r *Relation[P]) keepTuple(t Tuple, volatile bool) Tuple {
-	switch {
-	case !volatile:
+	if !volatile {
 		return t
-	case r.scratch:
+	}
+	r.copied++
+	if r.scratch {
 		c := Tuple(r.tuples.take(len(t)))
 		copy(c, t)
 		return c
@@ -361,11 +390,33 @@ func (r *Relation[P]) keepTuple(t Tuple, volatile bool) Tuple {
 	return t.Clone()
 }
 
-// VolatileTuples reports whether consumers must copy the tuples they keep:
-// r is scratch and has put a tuple into its slab since its last Clear. The
-// test is per relation — a handed tuple stored beside a slab tuple is copied
-// with it.
-func (r *Relation[P]) VolatileTuples() bool { return r.scratch && r.tuples.used() }
+// VolatileTuples reports whether consumers must copy the tuples they keep: r
+// is scratch and since its last Clear has put a tuple into its slab or was
+// handed one of a volatile batch (MarkVolatile), or r is a base-store
+// relation, which overwrites a removed row's tuple on reuse. The test is per
+// relation — a durable tuple stored beside a volatile one is copied with it.
+func (r *Relation[P]) VolatileTuples() bool {
+	return r.ownTuples || r.scratch && (r.handedVolatile || r.tuples.used())
+}
+
+// MarkVolatile declares that a tuple handed to scratch relation r since its
+// last Clear dies with its batch (a BatchArena's, or another volatile
+// relation's stored as given), so r reports VolatileTuples until then.
+func (r *Relation[P]) MarkVolatile() { r.handedVolatile = true }
+
+// ownTuple copies t into cells e owns (the base-store row of the ownership
+// table): those a reclaimed entry kept from its last row — a relation's arity
+// is fixed, so they fit — or, while the pool is cold, fresh ones from the
+// relation's tuple slab, which only a scratch relation ever rewinds.
+func (r *Relation[P]) ownTuple(e *Entry[P], t Tuple) Tuple {
+	dst := e.Tuple
+	if dst == nil || cap(dst) < len(t) {
+		dst = r.tuples.take(len(t))
+	}
+	dst = dst[:len(t)]
+	copy(dst, t)
+	return dst
+}
 
 // insertEntry stores a fresh entry under a copy of key (which must be absent
 // and must be the key whose hash a lookup just left in keyHash), reusing a
@@ -382,6 +433,9 @@ func (r *Relation[P]) insertEntry(key []byte, t Tuple) *Entry[P] {
 		e = new(Entry[P])
 	}
 	r.setKey(e, key)
+	if r.ownTuples {
+		t = r.ownTuple(e, t)
+	}
 	e.Tuple = t
 	e.hash = r.keyHash
 	r.entries.insert(e)
@@ -695,13 +749,14 @@ func (r *Relation[P]) MergeProjectedKey(key []byte, proj Projector, t Tuple, p *
 // encoding (Tuple.AppendKey) and h its hashBytes. Whoever encodes a tuple
 // once for several relations — the base store for itself and its observers,
 // LiftFrom through a source entry — merges into each of them this way. The
-// key bytes are copied on insert; t is stored as given.
-func (r *Relation[P]) mergeKeyed(key []byte, h uint64, t Tuple, p P) {
+// key bytes are copied on insert; t is stored as given, or copied when it may
+// die before r's entry does (volTuple: keepTuple).
+func (r *Relation[P]) mergeKeyed(key []byte, h uint64, t Tuple, volTuple bool, p P) {
 	r.keyHash = h
 	if e := r.entries.getBytes(h, key); e != nil {
 		r.addInto(e, p)
 	} else if !r.ring.IsZero(p) {
-		r.setPayload(r.insertEntry(key, t), p)
+		r.setPayload(r.insertEntry(key, r.keepTuple(t, volTuple)), p)
 	}
 }
 
@@ -803,14 +858,16 @@ func (r *Relation[P]) cloneWith(set func(dst, src *Entry[P])) *Relation[P] {
 // PoolStats is a relation's retained-but-free storage: Free entries parked
 // or reusable, Reclaimed entries ever handed back for reuse, KeyBytes kept for
 // the next keys (a scratch relation's key slab, by capacity, or the key
-// storage free entries of a pooled relation hold), TupleBytes of the scratch
-// tuple slab (capacity), and the snapshot arena once the relation publishes.
+// storage free entries of a pooled relation hold), TupleBytes of the tuple
+// slab (capacity), and the snapshot arena once the relation publishes.
+// TuplesCopied counts the adoptions that copied a tuple (keepTuple) so far.
 type PoolStats struct {
-	Free       int
-	Reclaimed  uint64
-	KeyBytes   int
-	TupleBytes int
-	Arena      ArenaStats
+	Free         int
+	Reclaimed    uint64
+	KeyBytes     int
+	TupleBytes   int
+	TuplesCopied uint64
+	Arena        ArenaStats
 }
 
 // AddSlabs accumulates the slabs of o, a scratch relation's stats, into s:
@@ -824,6 +881,7 @@ func (s *PoolStats) AddSlabs(o PoolStats) {
 func (s *PoolStats) Add(o PoolStats) {
 	s.Free += o.Free
 	s.Reclaimed += o.Reclaimed
+	s.TuplesCopied += o.TuplesCopied
 	s.AddSlabs(o)
 	s.Arena.BlocksLive += o.Arena.BlocksLive
 	s.Arena.BlocksFree += o.Arena.BlocksFree
@@ -834,7 +892,8 @@ func (s *PoolStats) Add(o PoolStats) {
 // PoolStats reports the relation's pool, slabs and snapshot arena.
 func (r *Relation[P]) PoolStats() PoolStats {
 	return PoolStats{Free: len(r.free) + len(r.parked), Reclaimed: r.reclaimed,
-		KeyBytes: r.keys.bytes() + r.freeKeyBytes, TupleBytes: r.tuples.bytes(), Arena: r.arenaStats()}
+		KeyBytes: r.keys.bytes() + r.freeKeyBytes, TupleBytes: r.tuples.bytes(), TuplesCopied: r.copied,
+		Arena: r.arenaStats()}
 }
 
 // valueBytes is the size of one tuple column.
@@ -866,9 +925,11 @@ func (r *Relation[P]) MemoryBytes() int {
 // flatBytes is MemoryBytes without the walk, from counters alone: table
 // slots, pool lists, every entry struct with its inline payload header, the
 // key storage the entries own (keyBytes) or the key slab, and the tuples —
-// the tuple slab's capacity once the relation has projected into it, a
-// schema-wide tuple per stored entry otherwise. It is the whole figure for a
-// ring whose payloads hold nothing outside the entry (the base store's).
+// the tuple slab's capacity once the relation has taken cells from it (a
+// scratch relation's projections, the rows a base-store relation owns, free
+// entries' included), a schema-wide tuple per stored entry otherwise. It is
+// the whole figure for a ring whose payloads hold nothing outside the entry
+// (the base store's).
 func (r *Relation[P]) flatBytes() int {
 	pooled := len(r.free) + len(r.parked)
 	total := int(unsafe.Sizeof(*r)) + 8*(len(r.entries.ctrl)+len(r.entries.slots)+cap(r.free)+cap(r.parked)) +

@@ -13,7 +13,10 @@ import (
 // from Relation.Clear). A key is a string header over slab bytes and a tuple
 // a slice of slab values, so the contract of the scratch row of Relation's
 // ownership table is physical: after the rewind the storage belongs to the
-// next batch, and whoever kept a key or a tuple reads that batch's.
+// next batch, and whoever kept a key or a tuple reads that batch's. A
+// BatchArena is three slabs under the same contract, rewound per batch; a
+// base-store relation takes the cells of a cold pool's tuples from its tuple
+// slab and never rewinds it.
 //
 // A chunk is never grown in place — live keys and tuples point into it — so
 // a request that does not fit opens a new chunk of at least twice the size
@@ -22,6 +25,10 @@ import (
 type slab[T any] struct {
 	cur     []T   // the open chunk; len is the bump pointer
 	retired [][]T // chunks filled since the last rewind, pinned by what points into them
+	// maxChunk, when set, stops the doubling at that many elements: a slab
+	// that is never rewound (a base-store relation's) would otherwise end on
+	// a chunk as large as everything before it, mostly unused.
+	maxChunk int
 }
 
 // slabMinBytes is the size of a slab's first chunk.
@@ -35,7 +42,11 @@ func (s *slab[T]) take(n int) []T {
 			s.retired = append(s.retired, s.cur)
 		}
 		var zero T
-		s.cur = make([]T, 0, max(slabMinBytes/int(unsafe.Sizeof(zero)), 2*cap(s.cur), n))
+		grow := 2 * cap(s.cur)
+		if s.maxChunk > 0 {
+			grow = min(grow, s.maxChunk)
+		}
+		s.cur = make([]T, 0, max(slabMinBytes/int(unsafe.Sizeof(zero)), grow, n))
 	}
 	off := len(s.cur)
 	s.cur = s.cur[:off+n]
@@ -130,9 +141,13 @@ func poisonRun[P any](es []Entry[P]) {
 // anyway (setKey, CopyInto, MulInto) may hold anything: the key storage the
 // entry keeps reads 0xFF to whoever kept the key string, and what an insert
 // would wrongly accumulate onto now yields NaN.
-func poisonEntry[P any](e *Entry[P]) {
+func poisonEntry[P any](e *Entry[P], ownTuple bool) {
 	fill(e.keyStore(), 0xFF)
-	e.Tuple = poisonTuple
+	if ownTuple {
+		fill(e.Tuple, poisonTuple[0])
+	} else {
+		e.Tuple = poisonTuple
+	}
 	nan := math.NaN()
 	switch p := any(&e.Payload).(type) {
 	case *float64:

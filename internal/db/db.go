@@ -67,18 +67,15 @@ type Options struct {
 	Bootstrap *wal.Checkpoint
 }
 
-// Update is one element of an applied batch: tuples of a base relation with
-// a signed multiplicity (negative deletes; zero defaults to +1). Tuple
-// storage is adopted by the DB — the shared store keeps an inserted tuple
-// while its row is live and the views keep the tuples of keys they adopt —
-// so callers must not mutate tuples (or reuse their backing arrays) after
-// Apply.
-type Update struct {
-	Rel    string
-	Tuples []data.Tuple
-	// Mult is the signed multiplicity applied per tuple; 0 means +1.
-	Mult int64
-}
+// Update is one element of an applied batch: tuples of a base relation
+// (Rel, Tuples) with a signed multiplicity (Mult: negative deletes, zero
+// defaults to +1). The shared store copies the rows it keeps, but the views
+// keep the caller's tuples for the keys they adopt, so callers must not mutate
+// tuples (or reuse their backing arrays) after Apply. The exception is a
+// batch decoded into a data.BatchArena (POST /apply, a follower's shipped
+// frames): its updates carry the arena's mark, every consumer copies what
+// outlives the batch, and the arena is rewound once Apply has returned.
+type Update = data.BaseUpdate
 
 // Insert builds an insertion update.
 func Insert(rel string, tuples ...data.Tuple) Update {
@@ -102,11 +99,9 @@ type DB struct {
 	mu    sync.RWMutex
 	views map[string]registeredView
 	order []string
-	// names and slot are the catalogue every epoch shares until view DDL
-	// changes it (publish rebuilds them after DDL set slot to nil): the view
-	// names in creation order and each name's index. Never mutated once built.
-	names []string
-	slot  map[string]int
+	// cat is the catalogue every epoch shares until view DDL changes it
+	// (publish rebuilds it after DDL set it to nil). Never mutated once built.
+	cat *epochCatalog
 	// stamp is the publication time of the last view epoch the batch in
 	// flight produced (zero: none yet); the DB epoch reuses it.
 	stamp time.Time
@@ -124,6 +119,8 @@ type DB struct {
 
 	// Apply scratch, reused across calls (the store copies what it keeps).
 	baseBatch []data.BaseUpdate
+	// ingest is the intake accounting the next epoch carries (publish).
+	ingest IngestStats
 
 	// Durability state (nil/zero when Options.Durability is nil).
 	log       *wal.Log
@@ -243,8 +240,8 @@ func (d *DB) Schema(rel string) (data.Schema, bool) { return d.store.Schema(rel)
 
 // Base returns the shared multiplicity relation of a base relation. It is
 // owned by the DB: safe to read only from the maintenance goroutine between
-// Apply calls — the next Apply reuses the entries, keys included, of the rows
-// it deletes — and never to mutate.
+// Apply calls — the next Apply reuses the entries, keys and tuples included,
+// of the rows it deletes — and never to mutate.
 func (d *DB) Base(rel string) *data.Relation[int64] { return d.store.Base(rel) }
 
 // Stats returns the shared statistics collector (nil when disabled). Owned
@@ -285,12 +282,15 @@ type ViewStats struct {
 	// storage the view retains for reuse, as of its last batch
 	// (data.PoolStats): entries its relations hold parked or free, entries
 	// handed back for reuse so far, and the key-slab and tuple-slab bytes of
-	// the scratch relations that feed it and that its delta plans fill. Zero
-	// for strategies that do not pool.
+	// the scratch relations that feed it and that its delta plans fill.
+	// TuplesCopied counts the keys its views adopted by copying the tuple
+	// (a volatile batch's, a slab-backed step output's) instead of sharing it.
+	// Zero for strategies that do not pool.
 	PoolFree          int
 	Reclaimed         uint64
 	ScratchKeyBytes   int
 	ScratchTupleBytes int
+	TuplesCopied      uint64
 	// Arena is the snapshot arena of the relations the view publishes, as of
 	// its last batch; Arena.BackstopReclaims counts forgotten leases.
 	Arena data.ArenaStats
@@ -334,8 +334,9 @@ func (d *DB) MemoryBytes() int {
 // (when durability is enabled — before any in-memory state advances, so a
 // failed or torn append changes nothing and recovery never sees a state the
 // log does not), merged in place into the shared base store exactly once
-// (each tuple's key encoded and hashed once; a deleted row's entry is reused
-// by the next insert, so the store's memory follows its contents), fanned
+// (each tuple's key encoded and hashed once; an inserted row is copied into
+// the entry, key bytes and tuple cells a deleted row left behind, so the
+// store's memory follows its contents and it keeps no caller's tuple), fanned
 // out with those keys to every registered view — which lift it into their
 // rings once per distinct ring, not once per view — and one cross-view Epoch
 // is published at the end. It is the DB's only write path; deletions are
@@ -368,7 +369,7 @@ func (d *DB) Apply(batch []Update) error {
 				return fmt.Errorf("db: %q tuple %v does not match schema %v", u.Rel, t, sch)
 			}
 		}
-		d.baseBatch = append(d.baseBatch, data.BaseUpdate{Rel: u.Rel, Tuples: u.Tuples, Mult: u.Mult})
+		d.baseBatch = append(d.baseBatch, u) // the arena mark travels with it
 	}
 	return d.applyBase(d.baseBatch, true)
 }
@@ -385,6 +386,7 @@ func (d *DB) applyBase(batch []data.BaseUpdate, logIt bool) error {
 	d.convSeq++
 	d.conv.seq = d.convSeq
 	d.stamp = time.Time{}
+	d.ingest.ArenaBytes = data.ArenaBytes(batch)
 	// Advance the shared store once, then fan out to the views through the
 	// store's observe hooks.
 	if err := d.store.ApplyBatch(batch); err != nil {
@@ -453,7 +455,7 @@ func (d *DB) DropView(name string) error {
 		}
 	}
 	d.mu.Unlock()
-	d.slot = nil
+	d.cat = nil
 	d.publish(time.Now())
 	return nil
 }
@@ -481,7 +483,7 @@ func (d *DB) registerView(v registeredView) {
 	d.views[v.viewName()] = v
 	d.order = append(d.order, v.viewName())
 	d.mu.Unlock()
-	d.slot = nil
+	d.cat = nil
 	d.store.Attach(v.viewName(), v.queryRels(), v.observe)
 	d.publish(time.Now())
 }
@@ -495,21 +497,21 @@ func (d *DB) registerView(v registeredView) {
 // retains each view's current snapshot; the one it replaces loses the
 // publication pointer's reference.
 func (d *DB) publish(at time.Time) {
-	if d.slot == nil {
-		d.names = append([]string(nil), d.order...)
-		d.slot = make(map[string]int, len(d.names))
-		for i, name := range d.names {
-			d.slot[name] = i
+	if d.cat == nil {
+		c := &epochCatalog{names: append([]string(nil), d.order...), slot: make(map[string]int, len(d.order)),
+			rels: d.store.Relations()}
+		for i, name := range c.names {
+			c.slot[name] = i
 		}
+		d.cat = c
 	}
-	views := make([]epochView, len(d.names))
-	for i, name := range d.names {
+	views := make([]epochView, len(d.cat.names))
+	for i, name := range d.cat.names {
 		v := d.views[name]
 		views[i] = epochView{snap: v.latestSnapshot(), stats: v.stats()}
 	}
-	rels := d.store.Relations()
-	bases := make([]data.BaseStats, len(rels))
-	for i, rel := range rels {
+	bases := make([]data.BaseStats, len(d.cat.rels))
+	for i, rel := range d.cat.rels {
 		bases[i] = d.store.Stats(rel)
 	}
 	d.seq++
@@ -517,14 +519,14 @@ func (d *DB) publish(at time.Time) {
 		Seq:     d.seq,
 		Applied: d.applied,
 		At:      at,
-		names:   d.names,
-		slot:    d.slot,
+		cat:     d.cat,
 		views:   views,
-		rels:    rels,
 		bases:   bases,
+		Ingest:  d.ingest,
 	}
 	if d.log != nil {
 		e.Checkpoint = d.log.LastCheckpoint()
+		e.Ingest.FramesLeased, e.Ingest.FramesAllocated = d.log.FrameStats()
 	}
 	e.lease.Open()
 	d.cur.Swap(e).Release()
@@ -561,17 +563,36 @@ type Epoch struct {
 	// Checkpoint is the last checkpoint written before this epoch (zero: none
 	// since Open, or no durability).
 	Checkpoint wal.CheckpointStats
+	// Ingest is the batch intake as of this epoch.
+	Ingest IngestStats
 
-	// names and slot are shared with the neighbouring epochs (see DB.names);
-	// views is this epoch's own, indexed like names. rels is the DB's base
-	// relations, shared by every epoch, and bases this epoch's view of the
-	// shared store, indexed like rels.
-	names []string
-	slot  map[string]int
+	// cat is shared with the neighbouring epochs (see DB.cat); views is this
+	// epoch's own, indexed like cat.names, and bases its view of the shared
+	// store, indexed like cat.rels.
+	cat   *epochCatalog
 	views []epochView
-	rels  []string
 	bases []data.BaseStats
 	lease ivm.Lease
+}
+
+// epochCatalog is what consecutive epochs have in common: the view names in
+// creation order, each name's index, and the DB's base relations. One pointer
+// per epoch instead of three headers.
+type epochCatalog struct {
+	names []string
+	slot  map[string]int
+	rels  []string
+}
+
+// IngestStats is how batches reach the DB, carried on the epoch like the
+// base-store counters: ArenaBytes is the size of the data.BatchArena the last
+// applied batch was decoded into (0 when it came as heap tuples); FramesLeased
+// and FramesAllocated count the WAL frames handed to live subscribers in a
+// buffer from the log's free list and in a fresh one (wal.Log.FrameStats).
+type IngestStats struct {
+	ArenaBytes      int    `json:"arena_bytes"`
+	FramesLeased    uint64 `json:"frames_leased"`
+	FramesAllocated uint64 `json:"frames_allocated"`
 }
 
 // viewLease is the ring-erased *ivm.ViewSnapshot[P] an epoch retains.
@@ -597,14 +618,14 @@ func (e *Epoch) Release() {
 // Views returns the epoch's view names in creation order (a copy: epochs
 // are immutable and shared across goroutines).
 func (e *Epoch) Views() []string {
-	out := make([]string, len(e.names))
-	copy(out, e.names)
+	out := make([]string, len(e.cat.names))
+	copy(out, e.cat.names)
 	return out
 }
 
 // Has reports whether the epoch carries the named view.
 func (e *Epoch) Has(name string) bool {
-	_, ok := e.slot[name]
+	_, ok := e.cat.slot[name]
 	return ok
 }
 
@@ -612,13 +633,13 @@ func (e *Epoch) Has(name string) bool {
 // relation, in registration order, from counters the store keeps anyway
 // (data.BaseStore.Stats). Both slices are shared and read-only. Safe from any
 // goroutine, unlike the store itself.
-func (e *Epoch) BaseStats() (rels []string, stats []data.BaseStats) { return e.rels, e.bases }
+func (e *Epoch) BaseStats() (rels []string, stats []data.BaseStats) { return e.cat.rels, e.bases }
 
 // Stats returns the named view's cumulative maintenance accounting as of
 // this epoch (MemoryBytes excepted), and whether the epoch carries the view.
 // Unlike DB.ViewStatsOf it is safe from any goroutine.
 func (e *Epoch) Stats(name string) (ViewStats, bool) {
-	i, ok := e.slot[name]
+	i, ok := e.cat.slot[name]
 	if !ok {
 		return ViewStats{}, false
 	}

@@ -103,8 +103,8 @@ func TestDBBasicLifecycle(t *testing.T) {
 	if got, ok := SnapshotOf[int64](d.Epoch(), "cnt").Result().Get(tup(1)); ok {
 		t.Errorf("cnt[1] still %d after delete", got)
 	}
-	if e2 := d.Epoch(); &e2.names[0] != &e.names[0] {
-		t.Error("epochs between view DDL do not share their name catalogue")
+	if e2 := d.Epoch(); e2.cat != e.cat {
+		t.Error("epochs between view DDL do not share their catalogue")
 	}
 
 	// The reader advances monotonically.

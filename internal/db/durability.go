@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"fivm/internal/data"
-	"fivm/internal/ring"
 	"fivm/internal/wal"
 )
 
@@ -122,12 +120,7 @@ func (d *DB) recoverFrom(rec *wal.Recovery) error {
 		info.FromCheckpoint = true
 		info.CheckpointApplied = ck.Applied
 		for _, t := range ck.Bases {
-			r := data.NewRelation[int64](ring.Int{}, t.Schema)
-			r.Reserve(len(t.Rows))
-			for i, row := range t.Rows {
-				r.Merge(row, t.Mults[i])
-			}
-			if err := d.store.AdoptBase(t.Rel, r); err != nil {
+			if err := d.store.Restore(t.Rel, t.Schema, t.Rows, t.Mults); err != nil {
 				return fmt.Errorf("db: recover checkpoint: %w", err)
 			}
 		}

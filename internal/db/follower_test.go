@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"fivm/internal/data"
 	"fivm/internal/wal"
 )
 
@@ -24,11 +25,14 @@ func followerPair(t *testing.T) (primary *DB, primaryFS *wal.MemVFS, follower *D
 }
 
 // shipAll scans the primary's WAL from the follower's position and applies
-// every record — an in-process stand-in for the network transport.
+// every record — an in-process stand-in for the network transport, which
+// decodes each frame into one arena and rewinds it once the record is applied.
 func shipAll(t *testing.T, primaryFS *wal.MemVFS, f *DB) {
 	t.Helper()
+	var arena data.BatchArena
 	_, gap, err := wal.ScanFramesAfter(primaryFS, "p", f.ReplLSN(), func(lsn uint64, frame []byte) error {
-		rec, _, err := wal.DecodeFrame(frame)
+		defer arena.Rewind()
+		rec, _, err := wal.DecodeFrameInto(frame, &arena)
 		if err != nil {
 			return err
 		}

@@ -208,7 +208,7 @@ func closeMaintainer(m any) {
 
 // fillLifted writes src's tuples into dst with payload n·1 in dst's ring,
 // probing by the keys and hashes src's entries carry (no re-encoding on the
-// backfill path); dst gets its own copy of every key it stores.
+// backfill path); dst gets its own copy of every key and tuple it stores.
 func fillLifted[P any](dst *data.Relation[P], src *data.Relation[int64], r ring.Ring[P]) {
 	one := r.One()
 	negOne := r.Neg(one)
@@ -306,6 +306,7 @@ func (v *View[P]) observe(batch []data.BaseUpdate) error {
 		}
 		v.vstats.PoolFree, v.vstats.Reclaimed = ps.Free, ps.Reclaimed
 		v.vstats.ScratchKeyBytes, v.vstats.ScratchTupleBytes = ps.KeyBytes, ps.TupleBytes
+		v.vstats.TuplesCopied = ps.TuplesCopied
 		v.vstats.Arena = ps.Arena
 	}
 	return nil
@@ -314,7 +315,10 @@ func (v *View[P]) observe(batch []data.BaseUpdate) error {
 // convert lifts one relation's updates of the batch into the view's ring —
 // merging by the keys and hashes the base store computed for the batch, not
 // encoding the tuples again — and shares the result with every other view
-// over the same ring type via the DB's conversion cache.
+// over the same ring type via the DB's conversion cache. The delta stores the
+// batch's tuples as handed and, for a batch built in a data.BatchArena,
+// reports them volatile: the engines then copy the tuples of the keys they
+// adopt and their plan steps share none.
 func (v *View[P]) convert(rel string, batch []data.BaseUpdate) *data.Relation[P] {
 	if v.db.conv.m == nil {
 		v.db.conv.m = make(map[convKey]*convEntry)
@@ -398,7 +402,7 @@ func SnapshotOf[P any](e *Epoch, view string) *ivm.ViewSnapshot[P] {
 	if e == nil {
 		return nil
 	}
-	i, ok := e.slot[view]
+	i, ok := e.cat.slot[view]
 	if !ok {
 		return nil
 	}

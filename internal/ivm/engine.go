@@ -643,14 +643,8 @@ func (e *Engine[P]) applyDelta(rel string, delta *data.Relation[P]) error {
 	if !delta.Schema().SameSet(leaf.Keys) {
 		return fmt.Errorf("ivm: delta schema %v does not match %v", delta.Schema(), leaf.Keys)
 	}
-	switch {
-	case !delta.Schema().Equal(leaf.Keys):
+	if !delta.Schema().Equal(leaf.Keys) {
 		delta = data.Project(delta, leaf.Keys)
-	case delta.VolatileTuples():
-		// Scratch that projected its own tuples (nothing in this tree hands
-		// one in): the plan's sharing steps and the views behind them keep
-		// subslices of the leaf delta's tuples, so those must outlive it.
-		delta = delta.Clone()
 	}
 
 	// Derive indicator deltas from the leaf's presence transitions before

@@ -446,7 +446,8 @@ func TestMemoryBytesGrowsWithData(t *testing.T) {
 // been durable (V@Z: full-key sibling, prefix projection, slab-backed input) —
 // through 60 churn batches fed the way db.View feeds an engine, from refilled
 // scratch relations (every fourth batch from ones that hold copies of the
-// tuples in their own slabs), against the ReEval oracle. After every batch every view
+// tuples in their own slabs, every fourth from ones handed the tuples of a
+// batch arena rewound right after), against the ReEval oracle. After every batch every view
 // entry must still hold the tuple of its key: a view that adopted a step
 // output's tuple without copying it reads the next batch's values here.
 func TestStepOutputOwnership(t *testing.T) {
@@ -490,6 +491,7 @@ func TestStepOutputOwnership(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	feeds := map[string]*data.Relation[int64]{}
 	var history []NamedDelta[int64]
+	var arena data.BatchArena
 	for b := 0; b < 60; b++ {
 		var batch []NamedDelta[int64]
 		for _, rd := range q.Rels {
@@ -514,11 +516,18 @@ func TestStepOutputOwnership(t *testing.T) {
 			feed.Clear()
 			ident := data.MustProjector(rd.Schema, rd.Schema)
 			d.Iterate(func(tu data.Tuple, p int64) bool {
-				if b%4 == 3 {
+				switch b % 4 {
+				case 3:
 					// A feed that projected its own tuples: not even the leaf
-					// delta's outlive the batch, and applyDelta must notice.
+					// delta's outlive the batch, and the plan run must notice.
 					feed.MergeProjected(ident, tu, p)
-				} else {
+				case 2:
+					// A feed handed the tuples of a batch arena, as db.View's
+					// conversion is by POST /apply: marked, and dead at the
+					// rewind below.
+					feed.Merge(append(arena.Tuple(len(tu))[:0], tu...), p)
+					feed.MarkVolatile()
+				default:
 					feed.Merge(tu, p)
 				}
 				return true
@@ -530,6 +539,7 @@ func TestStepOutputOwnership(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		arena.Rewind()
 		checkViewTuples[int64](t, "batch "+strconv.Itoa(b), e)
 		if !sameDump(dumpResult(e.Result(), ring.Int{}), dumpResult(oracle.Result(), ring.Int{}), eqInt) {
 			t.Fatalf("batch %d: result differs from re-evaluation", b)

@@ -404,6 +404,12 @@ func (p *Parallel[P]) ApplyDeltas(batch []NamedDelta[P]) error {
 			route.Merge(t, pl)
 			return true
 		})
+		if d.VolatileTuples() {
+			// The shards store d's tuples as handed; they die when d's do.
+			for s := 0; s < n; s++ {
+				route.Shard(s).MarkVolatile()
+			}
+		}
 	}
 	// Assemble per-shard batches from the routed relations (only now are
 	// same-relation deltas fully coalesced per shard).

@@ -65,13 +65,15 @@ type planStep[P any] struct {
 	// instead of one per item; see runFuser.
 	fuse runFuser[P]
 
-	// shareOut marks the steps whose output stores prefix subslices of the
+	// shareOut marks the steps whose output may store prefix subslices of the
 	// input delta's tuples instead of projecting into its own tuple slab
 	// (data.Relation.ShareProjectedTuples). Decided by buildPlan: every
 	// sibling is probed by full key, so work items keep the input's stored
-	// tuples; outProj is a prefix projection; and the input is durable — the
-	// leaf delta, or the output of a step that shares. Any other step's
-	// output is slab-backed and dies with its next exec.
+	// tuples; outProj is a prefix projection; and the input is the leaf delta
+	// or the output of a step that shares. Whether a run does share is up to
+	// the leaf delta it is given (deltaPlan.run): a volatile one lends
+	// nothing. Any other step's output is slab-backed and dies with its next
+	// exec.
 	shareOut bool
 }
 
@@ -101,9 +103,9 @@ type planSibling struct {
 func (e *Engine[P]) buildPlan(leaf *viewtree.Node) (*deltaPlan[P], error) {
 	plan := &deltaPlan[P]{leaf: leaf}
 	cur := leaf
-	// Whether the tuples of the delta a step consumes outlive the batch: the
-	// leaf delta's do (applyDelta sees to it), a step output's only when the
-	// step shared them.
+	// Whether the tuples of the delta a step consumes can outlive the batch:
+	// the leaf delta's may (run asks it), a step output's only when the step
+	// shared them.
 	durable := true
 	for node := cur.Parent(); node != nil; node = node.Parent() {
 		st := &planStep[P]{node: node}
@@ -210,9 +212,14 @@ func (p *deltaPlan[P]) run(e *Engine[P], delta *data.Relation[P]) error {
 	if v := e.views[p.leaf]; v != nil {
 		v.MergeAllIndexed(delta)
 	}
+	// A delta whose tuples die with its batch — a BatchArena's, handed through
+	// the conversion scratch, or a scratch relation's own — lends none to the
+	// step outputs: every step of this run projects into its slab, and the
+	// views copy what they adopt from there (data.Relation.keepTuple).
+	durable := !delta.VolatileTuples()
 	cur := delta
 	for _, st := range p.steps {
-		next := st.exec(e, cur)
+		next := st.exec(e, cur, st.shareOut && durable)
 		if v := e.views[st.node]; v != nil {
 			v.MergeAllIndexed(next)
 		}
@@ -237,8 +244,9 @@ type workItem[P any] struct {
 // lifts and marginalizes the node's bound variables, and projects onto the
 // node's keys. Work-item slices and the probe-key buffer are reused across
 // calls, and index probes yield entries directly, so the steady-state join
-// allocates only for freshly extended tuples.
-func (st *planStep[P]) exec(e *Engine[P], delta *data.Relation[P]) *data.Relation[P] {
+// allocates only for freshly extended tuples. share says whether this run's
+// output stores subslices of delta's tuples (shareOut, and delta's are durable).
+func (st *planStep[P]) exec(e *Engine[P], delta *data.Relation[P], share bool) *data.Relation[P] {
 	items := st.items[:0]
 	delta.IterateEntries(func(en *data.Entry[P]) bool {
 		items = append(items, workItem[P]{t: en.Tuple, p: &en.Payload})
@@ -288,14 +296,12 @@ func (st *planStep[P]) exec(e *Engine[P], delta *data.Relation[P]) *data.Relatio
 	if st.out == nil {
 		st.out = data.NewRelation(e.ring, st.node.Keys)
 		st.out.RecycleCleared()
-		if st.shareOut {
-			st.out.ShareProjectedTuples()
-		}
 		st.out.Reserve(len(items))
 	} else {
 		st.out.Clear()
 	}
 	out := st.out
+	out.ShareProjectedTuples(share)
 	timed := len(st.margVars) > 0 && e.opts.PayloadTransform == nil && st.fuse.eligible(st.prods.mut, len(items))
 	var start time.Time
 	if timed {

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"fivm/internal/data"
+	"fivm/internal/db"
 )
 
 // Key values travel in two shapes: as repeated ?key= query parameters on
@@ -58,30 +61,138 @@ func tupleFromQuery(keys []string) (data.Tuple, error) {
 	return t, nil
 }
 
-// wireTuples is the "tuples" member of a POST /apply update, parsed from the
-// array text straight into exactly-sized key tuples (encoding/json hands
-// UnmarshalJSON syntactically valid text only): numbers become int64 when
-// they parse exactly and float64 otherwise, strings stay strings, anything
-// else is an error; a null tuple is an empty one.
-type wireTuples []data.Tuple
+// POST /apply limits, fixed like the 32 MiB body cap beside them: a batch of
+// more than maxApplyTuples tuples is 413 (split it), a string value longer
+// than maxApplyStringBytes is 400. Both are enforced while the tuples are
+// scanned, before anything reaches the queue.
+const (
+	maxApplyBody        = 32 << 20
+	maxApplyTuples      = 1 << 18
+	maxApplyStringBytes = 64 << 10
+)
 
-func (ts *wireTuples) UnmarshalJSON(b []byte) error {
+var (
+	errTooManyTuples = fmt.Errorf("more than %d tuples in one batch", maxApplyTuples)
+	errStringTooLong = fmt.Errorf("string value longer than %d bytes", maxApplyStringBytes)
+)
+
+// applyReq is the body of POST /apply as encoding/json sees it: the envelope
+// is decoded by reflection, the tuple arrays by wireTuples.
+type applyReq struct {
+	Updates []applyUpdate `json:"updates"`
+}
+
+type applyUpdate struct {
+	Rel    string     `json:"rel"`
+	Mult   int64      `json:"mult"`
+	Tuples wireTuples `json:"tuples"`
+}
+
+// wireTuples is the "tuples" member of a POST /apply update, scanned from the
+// array text (encoding/json hands UnmarshalJSON syntactically valid text
+// only) straight into the arena its request primed it with. Unmarshal decodes
+// into the elements a slice already has without zeroing them, which is how
+// the arena gets here; an element Unmarshal had to grow the slice for has
+// none and scans into heap tuples (a nil arena), correct all the same.
+type wireTuples struct {
+	ts    []data.Tuple
+	arena *data.BatchArena
+}
+
+func (w *wireTuples) UnmarshalJSON(b []byte) error {
 	if string(b) == "null" {
 		return nil
 	}
-	if b[0] != '[' {
-		return fmt.Errorf("tuples %.20q is not an array", b)
+	ts, err := scanTuples(b, w.arena)
+	if err == nil {
+		w.ts = ts
 	}
-	out := make(wireTuples, 0, bytes.Count(b, []byte{'['})-1)
-	for i := nextElem(b, 1); b[i] != ']'; i = nextElem(b, i) {
-		t, end, err := parseTuple(b, i)
-		if err != nil {
-			return err
+	return err
+}
+
+// applyState is what one POST /apply decodes into, pooled by the server: the
+// body bytes, the envelope and the arena holding the batch's updates, tuple
+// lists and tuples until the batch is applied.
+type applyState struct {
+	body  bytes.Buffer
+	req   applyReq
+	arena data.BatchArena
+}
+
+func newApplyState() *applyState {
+	st := &applyState{req: applyReq{Updates: make([]applyUpdate, 0, 4)}}
+	st.reset()
+	return st
+}
+
+// reset rewinds the arena — the batch is applied, or was never queued — and
+// primes every element the envelope's slice has room for.
+func (st *applyState) reset() {
+	st.arena.Rewind()
+	us := st.req.Updates[:cap(st.req.Updates)]
+	for i := range us {
+		us[i] = applyUpdate{Tuples: wireTuples{arena: &st.arena}}
+	}
+	st.req.Updates = us[:0]
+}
+
+// decode reads one request body and returns its batch, built in the arena,
+// and the number of tuples in it.
+func (st *applyState) decode(body io.Reader) ([]db.Update, int, error) {
+	st.body.Reset()
+	if _, err := st.body.ReadFrom(body); err != nil {
+		return nil, 0, err
+	}
+	if err := json.Unmarshal(st.body.Bytes(), &st.req); err != nil {
+		return nil, 0, err
+	}
+	batch, tuples := st.arena.Updates(len(st.req.Updates)), 0
+	for i := range st.req.Updates {
+		u := &st.req.Updates[i]
+		if tuples += len(u.Tuples.ts); tuples > maxApplyTuples {
+			return nil, 0, errTooManyTuples
 		}
-		out, i = append(out, t), end
+		batch = append(batch, u.Tuples.arena.Update(u.Rel, u.Mult, u.Tuples.ts))
 	}
-	*ts = out
-	return nil
+	return batch, tuples, nil
+}
+
+// scanTuples parses the text of a JSON array of key tuples — arrays of
+// numbers and strings; a null tuple is an empty one — into tuples taken from
+// a. Numbers become int64 when they parse exactly and float64 otherwise,
+// strings stay (heap) strings, anything else is an error. b is syntactically
+// valid JSON, so the scan never runs off its end.
+func scanTuples(b []byte, a *data.BatchArena) ([]data.Tuple, error) {
+	if b[0] != '[' {
+		return nil, fmt.Errorf("tuples %.20q is not an array", b)
+	}
+	// Every tuple opens a bracket; brackets inside strings only overestimate.
+	out := a.Tuples(min(bytes.Count(b, []byte{'['})-1, maxApplyTuples))
+	var buf [16]data.Value
+	for i := nextElem(b, 1); b[i] != ']'; i = nextElem(b, i) {
+		if len(out) == maxApplyTuples {
+			return nil, errTooManyTuples
+		}
+		if b[i] == 'n' {
+			out, i = append(out, nil), i+len("null")
+			continue
+		}
+		if b[i] != '[' {
+			return nil, fmt.Errorf("tuple %.20q is not an array", b[i:])
+		}
+		vals := buf[:0]
+		for i = nextElem(b, i+1); b[i] != ']'; i = nextElem(b, i) {
+			v, end, err := scanValue(b, i)
+			if err != nil {
+				return nil, err
+			}
+			vals, i = append(vals, v), end
+		}
+		t := a.Tuple(len(vals))
+		copy(t, vals)
+		out, i = append(out, t), i+1
+	}
+	return out, nil
 }
 
 // nextElem skips the white space and the comma before an array element (or
@@ -93,49 +204,44 @@ func nextElem(b []byte, i int) int {
 	return i
 }
 
-// parseTuple parses the JSON array of numbers and strings at b[i] and
-// returns the index just past it.
-func parseTuple(b []byte, i int) (data.Tuple, int, error) {
-	if b[i] == 'n' {
-		return nil, i + len("null"), nil
-	}
-	if b[i] != '[' {
-		return nil, i, fmt.Errorf("tuple %.20q is not an array", b[i:])
-	}
-	var buf [16]data.Value
-	vals := buf[:0]
-	for i = nextElem(b, i+1); b[i] != ']'; i = nextElem(b, i) {
-		j := i + 1
-		switch c := b[i]; {
-		case c == '"':
-			for ; b[j] != '"'; j++ {
-				if b[j] == '\\' {
-					j++
-				}
-			}
-			j++
-			var s string
-			if err := json.Unmarshal(b[i:j], &s); err != nil {
-				return nil, i, err
-			}
-			vals = append(vals, data.String(s))
-		case c == '-' || '0' <= c && c <= '9':
-			for b[j] > ' ' && b[j] != ',' && b[j] != ']' {
+// scanValue parses the JSON number or string at b[i] and returns the index
+// just past it.
+func scanValue(b []byte, i int) (data.Value, int, error) {
+	j := i + 1
+	switch c := b[i]; {
+	case c == '"':
+		plain := true // no escape: the text between the quotes is the value
+		for ; b[j] != '"'; j++ {
+			if b[j] == '\\' {
+				plain = false
 				j++
 			}
-			if n, err := strconv.ParseInt(string(b[i:j]), 10, 64); err == nil {
-				vals = append(vals, data.Int(n))
-			} else if f, err := strconv.ParseFloat(string(b[i:j]), 64); err == nil {
-				vals = append(vals, data.Float(f))
-			} else {
-				return nil, i, fmt.Errorf("bad number %q: %w", b[i:j], err)
-			}
-		default:
-			return nil, i, fmt.Errorf("unsupported key value %.20q (want number or string)", b[i:])
 		}
-		i = j
+		j++
+		var s string
+		if plain && utf8.Valid(b[i+1:j-1]) {
+			s = string(b[i+1 : j-1])
+		} else if err := json.Unmarshal(b[i:j], &s); err != nil {
+			return data.Value{}, i, err
+		}
+		if len(s) > maxApplyStringBytes {
+			return data.Value{}, i, errStringTooLong
+		}
+		return data.String(s), j, nil
+	case c == '-' || '0' <= c && c <= '9':
+		for b[j] > ' ' && b[j] != ',' && b[j] != ']' {
+			j++
+		}
+		if n, err := strconv.ParseInt(string(b[i:j]), 10, 64); err == nil {
+			return data.Int(n), j, nil
+		}
+		f, err := strconv.ParseFloat(string(b[i:j]), 64)
+		if err != nil {
+			return data.Value{}, i, fmt.Errorf("bad number %q: %w", b[i:j], err)
+		}
+		return data.Float(f), j, nil
 	}
-	return append(make(data.Tuple, 0, len(vals)), vals...), i + 1, nil
+	return data.Value{}, i, fmt.Errorf("unsupported key value %.20q (want number or string)", b[i:])
 }
 
 // jsonTuple renders a key tuple as a JSON-encodable array, preserving the

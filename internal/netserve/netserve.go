@@ -13,7 +13,10 @@
 //
 // Backpressure: writes go through a bounded db.ApplyQueue. When the queue
 // is full, POST /apply fails fast with 429 Too Many Requests and a
-// Retry-After header instead of queueing unbounded work.
+// Retry-After header instead of queueing unbounded work. A batch lives in its
+// request: the body is read into a pooled buffer and its tuples scanned into
+// a pooled data.BatchArena, which is rewound as soon as the queue reports the
+// batch applied — the store and the views have copied what they keep by then.
 //
 // Connections are stateful only as an optimization: each accepted
 // connection carries reusable serve.Reader handles (key-encoding scratch
@@ -61,12 +64,14 @@ type Config struct {
 }
 
 // Connection limits, fixed: a client gets readHeaderTimeout to finish sending
-// a request's headers and a kept-alive connection idleTimeout to send the
-// next request, after which the server closes it. Neither bounds a request
-// body or a response, whose sizes vary by orders of magnitude (POST /apply
-// bodies are capped in bytes instead).
+// a request's headers, readTimeout to finish sending the whole request — a
+// body is capped in bytes (maxApplyBody) and, by this, in time — and a
+// kept-alive connection idleTimeout to send the next request, after which the
+// server closes it. Nothing bounds a response, whose size varies by orders of
+// magnitude.
 const (
 	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
 	idleTimeout       = 2 * time.Minute
 )
 
@@ -76,6 +81,10 @@ type Server struct {
 	cfg    Config
 	hs     *http.Server
 	selSeq atomic.Uint64
+	// applyStates pools what POST /apply decodes into (*applyState): body
+	// buffer, envelope and batch arena, taken per request and given back,
+	// rewound, once the batch is applied.
+	applyStates sync.Pool
 }
 
 // New builds a Server over the given configuration.
@@ -102,6 +111,7 @@ func New(cfg Config) (*Server, error) {
 	s.hs = &http.Server{
 		Handler:           mux,
 		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
 		IdleTimeout:       idleTimeout,
 		// Each accepted connection gets its own reader cache; see readersOf.
 		ConnContext: func(ctx context.Context, _ net.Conn) context.Context {
@@ -186,10 +196,11 @@ func (s *Server) read(h func(http.ResponseWriter, *http.Request, *db.Epoch)) htt
 	}
 }
 
-// decodeBody decodes the request's one JSON value into v: 413 for a body
-// over 32 MiB, 400 for anything else that is not exactly one value.
+// decodeBody decodes the request's one JSON value into v (POST /exec and
+// /select; /apply has its own decoder): 413 for a body over 32 MiB, 400 for
+// anything else that is not exactly one value.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 32<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxApplyBody))
 	err := dec.Decode(v)
 	if err == nil {
 		if _, err = dec.Token(); err == io.EOF {
@@ -198,12 +209,18 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 			err = errors.New("trailing data after the JSON value")
 		}
 	}
+	badBody(w, err)
+	return false
+}
+
+// badBody answers a request whose body could not be taken: 413 when it is
+// over a size limit (bytes, or tuples in a batch), 400 otherwise.
+func badBody(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
-	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) || errors.Is(err, errTooManyTuples) {
 		status = http.StatusRequestEntityTooLarge
 	}
 	httpError(w, status, "bad request body: %v", err)
-	return false
 }
 
 // --- read path ------------------------------------------------------------
@@ -223,6 +240,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, e *db.Epoch
 		Reclaimed         uint64 `json:"reclaimed"`
 		ScratchKeyBytes   int    `json:"scratch_key_bytes"`
 		ScratchTupleBytes int    `json:"scratch_tuple_bytes"`
+		TuplesCopied      uint64 `json:"tuples_copied"`
 		ArenaBlocks       int    `json:"arena_blocks"`
 		ArenaFree         int    `json:"arena_free"`
 		BackstopReclaims  uint64 `json:"backstop_reclaims"`
@@ -234,15 +252,21 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, e *db.Epoch
 		perView[name] = viewStats{PublishedKeys: st.PublishedKeys, ViewsMaterialized: st.ViewCount,
 			PoolFree: st.PoolFree, Reclaimed: st.Reclaimed,
 			ScratchKeyBytes: st.ScratchKeyBytes, ScratchTupleBytes: st.ScratchTupleBytes,
-			ArenaBlocks: st.Arena.BlocksLive, ArenaFree: st.Arena.BlocksFree,
+			TuplesCopied: st.TuplesCopied,
+			ArenaBlocks:  st.Arena.BlocksLive, ArenaFree: st.Arena.BlocksFree,
 			BackstopReclaims: st.Arena.BackstopReclaims}
 	}
 	// The shared base store, from the same epoch: what the live rows and the
 	// pool behind them hold, relation by relation.
+	type baseStats struct {
+		data.BaseStats
+		FreeTupleBytes int `json:"recycled_tuple_bytes"`
+	}
 	rels, bases := e.BaseStats()
-	perBase := make(map[string]data.BaseStats, len(rels))
+	perBase := make(map[string]baseStats, len(rels))
 	for i, rel := range rels {
-		perBase[rel] = bases[i]
+		sch, _ := d.Schema(rel)
+		perBase[rel] = baseStats{bases[i], bases[i].FreeTupleBytes(len(sch))}
 	}
 	resp := map[string]any{
 		"epoch":      e.Seq,
@@ -251,6 +275,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, e *db.Epoch
 		"views":      names,
 		"view_stats": perView,
 		"base_store": perBase,
+		"ingest":     e.Ingest,
 		"follower":   d.Follower(),
 	}
 	if d.Follower() {
@@ -405,25 +430,25 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	if !s.requireQueue(w) {
 		return
 	}
-	var req struct {
-		Updates []struct {
-			Rel    string     `json:"rel"`
-			Mult   int64      `json:"mult"`
-			Tuples wireTuples `json:"tuples"`
-		} `json:"updates"`
+	// The batch lives in the request's arena: TryApply returns once it is
+	// applied and its epoch published, by when the store and the views have
+	// copied what they keep, and the deferred reset rewinds it.
+	st, _ := s.applyStates.Get().(*applyState)
+	if st == nil {
+		st = newApplyState()
 	}
-	if !decodeBody(w, r, &req) {
+	defer func() {
+		st.reset()
+		s.applyStates.Put(st)
+	}()
+	batch, tuples, err := st.decode(http.MaxBytesReader(w, r.Body, maxApplyBody))
+	if err != nil {
+		badBody(w, err)
 		return
 	}
-	if len(req.Updates) == 0 {
+	if len(batch) == 0 {
 		httpError(w, http.StatusBadRequest, "empty batch")
 		return
-	}
-	batch := make([]db.Update, 0, len(req.Updates))
-	tuples := 0
-	for _, u := range req.Updates {
-		tuples += len(u.Tuples)
-		batch = append(batch, db.Update{Rel: u.Rel, Mult: u.Mult, Tuples: u.Tuples})
 	}
 	if err := s.cfg.Queue.TryApply(batch); err != nil {
 		s.writeError(w, err)

@@ -177,26 +177,39 @@ func TestServeLookupScanHeaders(t *testing.T) {
 	br, _ := bs["R"].(map[string]any)
 	bss, _ := bs["S"].(map[string]any)
 	if br["tuples"] != float64(1) || br["pool_free"] != float64(1) || br["reclaimed"] != float64(1) ||
-		br["recycled_key_bytes"].(float64) <= 0 || br["memory_bytes"].(float64) <= 0 {
+		br["recycled_key_bytes"].(float64) <= 0 || br["recycled_tuple_bytes"] != float64(2*32) || br["memory_bytes"].(float64) <= 0 {
 		t.Fatalf("stats base_store R after a delete: %v", br)
 	}
-	if bss["tuples"] != float64(2) || bss["pool_free"] != float64(0) || bss["recycled_key_bytes"] != float64(0) {
+	if bss["tuples"] != float64(2) || bss["pool_free"] != float64(0) || bss["recycled_key_bytes"] != float64(0) ||
+		bss["recycled_tuple_bytes"] != float64(0) {
 		t.Fatalf("stats base_store S: %v", bss)
+	}
+	// How the batch arrived: the one tuple of the last POST was scanned into
+	// the request's arena (a cell array, a tuple list, an update), and an
+	// in-memory DB ships no frames.
+	if in, _ := m["ingest"].(map[string]any); in["arena_bytes"].(float64) < 32 || in["frames_leased"] != float64(0) ||
+		in["frames_allocated"] != float64(0) {
+		t.Fatalf("stats ingest: %v", m["ingest"])
 	}
 	if _, ok := m["checkpoint"]; ok {
 		t.Fatalf("stats of an in-memory DB report a checkpoint: %v", m["checkpoint"])
 	}
-	// Every step of sums shares the batch's own tuples, so its plans' tuple
-	// slabs stay empty; a view grouped by a sibling's column joins through part
-	// of that sibling's key and must project its step outputs somewhere.
+	// A batch that arrives over HTTP dies with its request, so no step of any
+	// view shares its tuples: step outputs are projected into the plans' tuple
+	// slabs and every key a view adopted so far came with a copy of its tuple
+	// (sums stores R, S and the result; the four POSTs inserted 2 + 2 + 2 keys
+	// that were new to a view). A view created now backfills from the base
+	// store, copying too; its next batch fills its own plans' slabs.
+	if st["scratch_tuple_bytes"].(float64) <= 0 || st["tuples_copied"] != float64(6) {
+		t.Fatalf("stats view_stats of sums over volatile batches: %v", st)
+	}
 	postJSON(t, ts.URL+"/exec",
 		map[string]string{"sql": "CREATE VIEW pairs AS SELECT A, C, SUM(B) FROM R NATURAL JOIN S GROUP BY A, C"}, http.StatusOK)
-	postJSON(t, ts.URL+"/apply", applyBody("R", 1, []any{2, 7}), http.StatusOK)
+	postJSON(t, ts.URL+"/apply", applyBody("S", 1, []any{2, 30}), http.StatusOK)
 	m, _ = getJSON(t, ts.URL+"/stats", http.StatusOK)
 	pairs, _ := m["view_stats"].(map[string]any)["pairs"].(map[string]any)
-	st, _ = m["view_stats"].(map[string]any)["sums"].(map[string]any)
-	if st["scratch_tuple_bytes"] != float64(0) || pairs["scratch_tuple_bytes"].(float64) <= 0 {
-		t.Fatalf("stats scratch_tuple_bytes: sums %v, pairs %v", st, pairs)
+	if pairs["scratch_tuple_bytes"].(float64) <= 0 || pairs["tuples_copied"].(float64) < 1 {
+		t.Fatalf("stats view_stats of pairs: %v", pairs)
 	}
 
 	// netserve forgets no lease: 200 lookups and scans over 40 writes (more
@@ -366,8 +379,10 @@ func applyTupleOracle(body []byte) ([]data.Tuple, error) {
 	return out, nil
 }
 
-// FuzzApplyTupleJSON: wireTuples accepts exactly what the []any path
-// accepted and builds the same tuples.
+// FuzzApplyTupleJSON: the tuple-array scanner behind wireTuples (heap tuples
+// here: no arena primed) accepts exactly what the []any path accepted and
+// builds the same, exactly-sized tuples. FuzzApplyBody holds the whole request
+// decoder, arena included, to the decoder it replaced.
 func FuzzApplyTupleJSON(f *testing.F) {
 	for _, seed := range []string{
 		`[[1,2],[3,4]]`, `[]`, `null`, `[null]`, `[[]]`, ` [ [ 1 , "a" ] , [ -2.5e3 , "\u00e9\"\\" ] ] `,
@@ -378,8 +393,9 @@ func FuzzApplyTupleJSON(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		want, wantErr := applyTupleOracle(body)
-		var got wireTuples
-		gotErr := json.Unmarshal(body, &got)
+		var w wireTuples
+		gotErr := json.Unmarshal(body, &w)
+		got := w.ts
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("%q: wireTuples error %v, oracle error %v", body, gotErr, wantErr)
 		}

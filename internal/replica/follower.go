@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fivm/internal/data"
 	"fivm/internal/db"
 	"fivm/internal/wal"
 )
@@ -51,6 +52,9 @@ type Follower struct {
 	mu     sync.Mutex
 	conn   net.Conn
 	closed atomic.Bool
+
+	// arena holds the shipped batch being applied; Run's goroutine only.
+	arena data.BatchArena
 }
 
 // NewFollower opens the follower's DB (recovering a durable one from its
@@ -175,21 +179,33 @@ func (f *Follower) stream(ctx context.Context) {
 		if frame, err = readFrame(conn, frame); err != nil {
 			return
 		}
-		rec, _, err := wal.DecodeFrame(frame)
-		if err != nil {
-			return
-		}
-		if err := d.ApplyReplicated(rec); err != nil {
+		if err := f.applyFrame(d, frame); err != nil {
 			// A gap means this stream cannot continue; reconnect and let
 			// the handshake decide (typically checkpoint transfer).
 			return
 		}
-		if f.cfg.OnApply != nil {
-			e := d.Epoch()
-			f.cfg.OnApply(e)
-			e.Release()
-		}
 	}
+}
+
+// applyFrame applies one shipped frame: the record is decoded into the
+// follower's arena — a batch's updates and tuples live there, not on the heap
+// — and dies with it, rewound once the record is applied, its epoch published
+// and OnApply has seen it.
+func (f *Follower) applyFrame(d *db.DB, frame []byte) error {
+	defer f.arena.Rewind()
+	rec, _, err := wal.DecodeFrameInto(frame, &f.arena)
+	if err != nil {
+		return err
+	}
+	if err := d.ApplyReplicated(rec); err != nil {
+		return err
+	}
+	if f.cfg.OnApply != nil {
+		e := d.Epoch()
+		f.cfg.OnApply(e)
+		e.Release()
+	}
+	return nil
 }
 
 // rebootstrap replaces the follower DB with one seeded from a shipped

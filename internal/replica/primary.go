@@ -195,13 +195,19 @@ func (p *Primary) serveConn(conn net.Conn) {
 					continue
 				}
 				if f.LSN <= last {
+					f.Release()
 					continue // already sent by the disk scan
 				}
 				if f.LSN > last+1 {
+					f.Release()
 					rescan = true // defensive: refill from disk
 					continue
 				}
-				if err := send(f.LSN, f.Bytes); err != nil {
+				// The write copies the bytes (into bw, or straight onto the
+				// connection): the log may have the buffer back.
+				err := send(f.LSN, f.Bytes)
+				f.Release()
+				if err != nil {
 					sub.Close()
 					return
 				}

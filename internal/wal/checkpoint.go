@@ -196,7 +196,7 @@ func decodeCheckpoint(b []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("wal: implausible view count %d", nViews)
 	}
 	for i := uint64(0); i < nViews; i++ {
-		rec, n, err := decodeRecord(r.b[r.at:])
+		rec, n, err := decodeRecord(r.b[r.at:], nil)
 		if err != nil {
 			return nil, fmt.Errorf("wal: checkpoint view %d: %w", i, err)
 		}
@@ -245,8 +245,8 @@ func decodeCheckpoint(b []byte) (*Checkpoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			row, err := r.tuple(int(arity))
-			if err != nil {
+			row := make(data.Tuple, arity)
+			if err := r.tuple(row); err != nil {
 				return nil, err
 			}
 			t.Rows = append(t.Rows, row)

@@ -89,7 +89,9 @@ func appendString(b []byte, s string) []byte {
 }
 
 // encodeBatchBody appends the recBatch body (type byte + payload) to b.
-// Allocation-free in steady state given a reused buffer.
+// Allocation-free in steady state given a reused buffer. Every tuple of an
+// update must have the first one's arity (checkArity): the record declares it
+// once.
 func encodeBatchBody(b []byte, lsn, applied uint64, batch []data.BaseUpdate) []byte {
 	b = append(b, recBatch)
 	b = appendUvarint(b, lsn)
@@ -115,6 +117,21 @@ func encodeBatchBody(b []byte, lsn, applied uint64, batch []data.BaseUpdate) []b
 		}
 	}
 	return b
+}
+
+// checkArity rejects a batch the record format cannot frame: an update whose
+// tuples disagree with the arity its first one declares would decode as
+// garbage, if at all, and tuples of no columns take no bytes a decoder could
+// count them by.
+func checkArity(batch []data.BaseUpdate) error {
+	for _, u := range batch {
+		for _, t := range u.Tuples {
+			if len(t) != len(u.Tuples[0]) || len(t) == 0 {
+				return fmt.Errorf("wal: %q tuple %v does not have the arity %d (at least 1) its update declares", u.Rel, t, len(u.Tuples[0]))
+			}
+		}
+	}
+	return nil
 }
 
 func encodeCreateViewBody(b []byte, lsn uint64, def ViewDef) []byte {
@@ -153,7 +170,7 @@ func RecordBoundaries(seg []byte) []int64 {
 	var bounds []int64
 	at := segHdrLen
 	for at < len(seg) {
-		_, n, err := decodeRecord(seg[at:])
+		_, n, err := decodeRecord(seg[at:], nil)
 		if err != nil {
 			break
 		}
@@ -200,13 +217,11 @@ func (r *recordReader) str() (string, error) {
 	return s, nil
 }
 
-func (r *recordReader) tuple(arity int) (data.Tuple, error) {
-	t, n, err := data.DecodeTuple(r.b[r.at:], arity)
-	if err != nil {
-		return nil, err
-	}
+// tuple decodes the next len(t) values into t.
+func (r *recordReader) tuple(t data.Tuple) error {
+	n, err := data.DecodeTuple(t, r.b[r.at:])
 	r.at += n
-	return t, nil
+	return err
 }
 
 func (r *recordReader) done() error {
@@ -220,7 +235,13 @@ func (r *recordReader) done() error {
 // record, the total bytes consumed, and an error. A frame that extends past
 // the end of b (or an incomplete header) reports errTorn — the caller decides
 // whether that is a legitimate torn tail or mid-log corruption.
-func decodeRecord(b []byte) (Record, int, error) {
+//
+// A batch record's updates, tuple lists and tuples are taken from a: the
+// caller's per-batch arena, or the heap when a is nil (recovery, which keeps
+// many records at once). Either way nothing is allocated on a count the frame
+// merely claims: the bytes that remain bound every one (an update takes at
+// least 4, a value at least 2).
+func decodeRecord(b []byte, a *data.BatchArena) (Record, int, error) {
 	if len(b) < 8 {
 		return Record{}, 0, errTorn
 	}
@@ -251,17 +272,21 @@ func decodeRecord(b []byte) (Record, int, error) {
 		if err != nil {
 			return Record{}, 0, err
 		}
-		if nUpd > uint64(len(body)) {
+		if nUpd > uint64(len(r.b)-r.at)/4 {
 			return Record{}, 0, fmt.Errorf("wal: implausible update count %d", nUpd)
 		}
-		rec.Batch = make([]data.BaseUpdate, 0, nUpd)
+		rec.Batch = a.Updates(int(nUpd))
 		for i := uint64(0); i < nUpd; i++ {
-			var u data.BaseUpdate
-			if u.Rel, err = r.str(); err != nil {
+			rel, err := r.str()
+			if err != nil {
 				return Record{}, 0, err
 			}
-			if u.Mult, err = r.varint(); err != nil {
+			mult, err := r.varint()
+			if err != nil {
 				return Record{}, 0, err
+			}
+			if mult == 0 { // the encoder writes a caller's 0 as the +1 it means
+				return Record{}, 0, fmt.Errorf("wal: update %d has multiplicity 0", i)
 			}
 			arity, err := r.uvarint()
 			if err != nil {
@@ -271,18 +296,21 @@ func decodeRecord(b []byte) (Record, int, error) {
 			if err != nil {
 				return Record{}, 0, err
 			}
-			if arity > 1<<16 || nTup > uint64(len(body)) {
-				return Record{}, 0, fmt.Errorf("wal: implausible tuple shape %d x %d", nTup, arity)
+			// What the encoder writes (checkArity): an arity taken from the
+			// first tuple, so none without tuples, and never tuples of none.
+			left := uint64(len(r.b) - r.at)
+			if (nTup == 0) != (arity == 0) || arity > 1<<16 || nTup > left/max(1, 2*arity) {
+				return Record{}, 0, fmt.Errorf("wal: implausible tuple shape %d x %d with %d bytes left", nTup, arity, left)
 			}
-			u.Tuples = make([]data.Tuple, 0, nTup)
+			tuples := a.Tuples(int(nTup))
 			for j := uint64(0); j < nTup; j++ {
-				t, err := r.tuple(int(arity))
-				if err != nil {
+				t := a.Tuple(int(arity))
+				if err := r.tuple(t); err != nil {
 					return Record{}, 0, err
 				}
-				u.Tuples = append(u.Tuples, t)
+				tuples = append(tuples, t)
 			}
-			rec.Batch = append(rec.Batch, u)
+			rec.Batch = append(rec.Batch, a.Update(rel, mult, tuples))
 		}
 	case recCreateView:
 		def := &ViewDef{}

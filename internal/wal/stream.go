@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
+
+	"fivm/internal/data"
 )
 
 // WAL streaming: the primary side of replication follows its own log live.
@@ -26,11 +28,51 @@ import (
 // and even re-log shipped bytes with the machinery it already has.
 
 // Frame is one appended record in its on-the-wire framing (length + CRC +
-// body). Bytes is an immutable copy owned by the subscriber.
+// body). Bytes is a lease on a buffer of the log's, shared read-only by every
+// subscriber the frame was delivered to: each calls Release once it has sent
+// or copied the bytes, and must not touch them afterwards — the last Release
+// hands the buffer to a later append. A frame never released (an overflowed
+// or abandoned subscription's) just leaves its buffer to the collector.
 type Frame struct {
 	LSN   uint64
 	Bytes []byte
+	lease *frameLease
 }
+
+// frameLease is one shared frame buffer and the deliveries still holding it.
+type frameLease struct {
+	log  *Log
+	buf  []byte
+	refs atomic.Int32
+}
+
+// maxFreeFrames bounds the log's free list of frame buffers; one draining
+// subscriber keeps a handful in flight.
+const maxFreeFrames = 32
+
+// Release gives up this delivery's hold on the frame's bytes.
+func (f Frame) Release() {
+	switch n := f.lease.refs.Add(-1); {
+	case n < 0:
+		panic("wal: frame released twice")
+	case n == 0:
+		l := f.lease.log
+		l.subMu.Lock()
+		l.recycle(f.lease)
+		l.subMu.Unlock()
+	}
+}
+
+// recycle puts a buffer nobody holds any more on the free list. Needs subMu.
+func (l *Log) recycle(fl *frameLease) {
+	if len(l.frameFree) < maxFreeFrames {
+		l.frameFree = append(l.frameFree, fl)
+	}
+}
+
+// FrameStats counts the frames notify delivered in a buffer from the free
+// list and in a freshly allocated one. Appender goroutine only.
+func (l *Log) FrameStats() (leased, allocated uint64) { return l.framesLeased, l.framesAllocated }
 
 // FrameSub is one live subscription to a Log's appends.
 type FrameSub struct {
@@ -77,16 +119,28 @@ func (l *Log) SubscribeFrames(buf int) *FrameSub {
 
 // notify fans one just-appended frame out to the live subscribers. Called by
 // the Append* methods after the LSN advances; the reused frame scratch is
-// copied once, shared by every subscriber. A subscriber whose buffer is full
-// is marked overflowed and dropped — its consumer rescans from disk.
+// copied once, into a buffer leased from the free list and shared by every
+// subscriber. A subscriber whose buffer is full is marked overflowed and
+// dropped — its consumer rescans from disk.
 func (l *Log) notify(lsn uint64) {
 	l.subMu.Lock()
 	defer l.subMu.Unlock()
 	if len(l.subs) == 0 {
 		return
 	}
-	bytes := append([]byte(nil), l.frame...)
-	f := Frame{LSN: lsn, Bytes: bytes}
+	var fl *frameLease
+	if n := len(l.frameFree); n > 0 {
+		fl, l.frameFree = l.frameFree[n-1], l.frameFree[:n-1]
+		l.framesLeased++
+	} else {
+		fl = &frameLease{log: l}
+		l.framesAllocated++
+	}
+	fl.buf = append(fl.buf[:0], l.frame...)
+	// One hold per subscriber up front: a delivered frame may be released
+	// before this loop ends.
+	fl.refs.Store(int32(len(l.subs)))
+	f := Frame{LSN: lsn, Bytes: fl.buf, lease: fl}
 	kept := l.subs[:0]
 	for _, s := range l.subs {
 		select {
@@ -96,6 +150,9 @@ func (l *Log) notify(lsn uint64) {
 			s.overflowed.Store(true)
 			s.closed.Store(true)
 			close(s.ch)
+			if fl.refs.Add(-1) == 0 {
+				l.recycle(fl)
+			}
 		}
 	}
 	for i := len(kept); i < len(l.subs); i++ {
@@ -229,9 +286,16 @@ func ScanFramesAfter(fs VFS, dir string, afterLSN uint64, fn func(lsn uint64, fr
 
 // DecodeFrame decodes one framed record from the front of b, returning the
 // record and the bytes consumed. It is the exported face of the WAL's record
-// codec for replication followers decoding shipped frames.
+// codec; the record's tuples are heap tuples, the caller's to keep.
 func DecodeFrame(b []byte) (Record, int, error) {
-	return decodeRecord(b)
+	return decodeRecord(b, nil)
+}
+
+// DecodeFrameInto is DecodeFrame with a batch record's updates and tuples
+// taken from the caller's arena: they die at its next Rewind, which a
+// replication follower calls once the record is applied.
+func DecodeFrameInto(b []byte, a *data.BatchArena) (Record, int, error) {
+	return decodeRecord(b, a)
 }
 
 // LatestCheckpointBytes returns the newest valid checkpoint's raw file bytes

@@ -16,8 +16,8 @@ func streamBatch(n int) []data.BaseUpdate {
 }
 
 // Live subscribers receive every appended frame, in order, decodable with
-// the record codec, and the bytes are stable copies (the log's scratch is
-// reused across appends).
+// the record codec, and the bytes are stable while the lease is held (the
+// log's scratch is reused across appends; a frame buffer only once released).
 func TestSubscribeFramesDeliversAppends(t *testing.T) {
 	fs := NewMemFS()
 	l, _, err := Open(Options{Dir: "w", FS: fs})
@@ -244,5 +244,131 @@ func TestScanFramesAfterGapAndCheckpoint(t *testing.T) {
 	}
 	if last != 5 || len(got) != 2 {
 		t.Fatalf("tail scan: last=%d frames=%v", last, got)
+	}
+}
+
+// frameLSN decodes a held frame's bytes: what a subscriber that has not
+// released it yet must still be able to do.
+func frameLSN(t *testing.T, f Frame) uint64 {
+	t.Helper()
+	rec, used, err := DecodeFrame(f.Bytes)
+	if err != nil || used != len(f.Bytes) {
+		t.Fatalf("frame %d no longer decodes: %v (%d of %d bytes)", f.LSN, err, used, len(f.Bytes))
+	}
+	return rec.LSN
+}
+
+// TestFrameLeases: a frame's bytes are a lease shared by the subscribers it
+// was delivered to. The buffer serves a later append only once every one of
+// them has released it — a slow subscriber's frames stay intact however many
+// appends a fast one drains meanwhile — a second Release of one delivery is a
+// bug and panics, frames nobody releases are simply never reused, and the
+// free list stays small.
+func TestFrameLeases(t *testing.T) {
+	l, _, err := Open(Options{Dir: "w", FS: NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	fast, slow := l.SubscribeFrames(64), l.SubscribeFrames(64)
+	defer fast.Close()
+	defer slow.Close()
+	var held []Frame
+	for i := 1; i <= 40; i++ {
+		if err := l.AppendBatch(uint64(i), streamBatch(i)); err != nil {
+			t.Fatal(err)
+		}
+		f := <-fast.C()
+		if frameLSN(t, f) != uint64(i) {
+			t.Fatalf("fast subscriber: frame %d carries record %d", i, frameLSN(t, f))
+		}
+		f.Release()
+		if i <= 3 { // the slow one takes three frames and sits on them
+			held = append(held, <-slow.C())
+		}
+	}
+	for i, f := range held {
+		if got := frameLSN(t, f); got != uint64(i+1) {
+			t.Fatalf("a held frame was reused: frame %d now carries record %d", i+1, got)
+		}
+	}
+	if leased, allocated := l.FrameStats(); leased != 0 || allocated != 40 {
+		t.Fatalf("with one subscriber holding on: %d frames leased, %d allocated", leased, allocated)
+	}
+	// The slow subscriber catches up: every buffer comes back, the list keeps
+	// a bounded number, and the next appends are served from it.
+	for _, f := range held {
+		f.Release()
+	}
+	for i := 4; i <= 40; i++ {
+		f := <-slow.C()
+		if frameLSN(t, f) != uint64(i) {
+			t.Fatalf("slow subscriber: frame %d carries record %d", i, frameLSN(t, f))
+		}
+		f.Release()
+	}
+	if n := len(l.frameFree); n != maxFreeFrames {
+		t.Fatalf("free list holds %d buffers after 40 came back, want %d", n, maxFreeFrames)
+	}
+	for i := 41; i <= 45; i++ {
+		if err := l.AppendBatch(uint64(i), streamBatch(i)); err != nil {
+			t.Fatal(err)
+		}
+		(<-fast.C()).Release()
+		(<-slow.C()).Release()
+	}
+	if leased, allocated := l.FrameStats(); leased != 5 || allocated != 40 {
+		t.Fatalf("after the catch-up: %d frames leased, %d allocated", leased, allocated)
+	}
+
+	// One delivery, one Release.
+	if err := l.AppendBatch(46, streamBatch(46)); err != nil {
+		t.Fatal(err)
+	}
+	(<-slow.C()).Release()
+	f := <-fast.C()
+	f.Release()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a frame released twice by one subscriber did not panic")
+			}
+		}()
+		f.Release()
+	}()
+}
+
+// TestAllocGuardNotify: appending with one subscriber that drains and
+// releases allocates nothing once the frame buffer has made its first trip.
+func TestAllocGuardNotify(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc guards run in the non-race pass")
+	}
+	l, _, err := Open(Options{Dir: t.TempDir(), Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	sub := l.SubscribeFrames(4)
+	defer sub.Close()
+	ts := make([]data.Tuple, 200)
+	for i := range ts {
+		ts[i] = data.Ints(int64(i), 2, 3, 4)
+	}
+	batch := []data.BaseUpdate{{Rel: "Inventory", Tuples: ts, Mult: 1}}
+	applied := uint64(0)
+	appendOne := func() {
+		applied++
+		if err := l.AppendBatch(applied, batch); err != nil {
+			t.Fatal(err)
+		}
+		(<-sub.C()).Release()
+	}
+	appendOne()
+	if allocs := testing.AllocsPerRun(200, appendOne); allocs != 0 {
+		t.Errorf("append + notify + release: %.1f allocs/op, want 0", allocs)
+	}
+	if leased, allocated := l.FrameStats(); allocated != 1 || leased != applied-1 {
+		t.Errorf("%d appends: %d frames leased, %d allocated", applied, leased, allocated)
 	}
 }

@@ -146,11 +146,16 @@ type Log struct {
 	failed    error // sticky append failure
 	closed    bool
 
-	// Live frame subscribers (stream.go). subMu alone guards them: Subscribe
-	// and Close may race with the appender's notify.
+	// Live frame subscribers (stream.go). subMu alone guards them and the free
+	// list of frame buffers: Subscribe, Close and Frame.Release may race with
+	// the appender's notify. framesLeased and framesAllocated are the
+	// appender's own counters (FrameStats).
 	subMu      sync.Mutex
 	subs       []*FrameSub
 	subsClosed bool
+	frameFree  []*frameLease
+
+	framesLeased, framesAllocated uint64
 }
 
 // Open opens (creating if needed) the WAL in opts.Dir, scans all segments —
@@ -269,7 +274,7 @@ func scanSegment(fs VFS, name string, final bool) ([]Record, int64, error) {
 	var recs []Record
 	at := segHdrLen
 	for at < len(b) {
-		r, n, err := decodeRecord(b[at:])
+		r, n, err := decodeRecord(b[at:], nil)
 		if err != nil {
 			if final && (errors.Is(err, errTorn) || errors.Is(err, errBadCRC)) {
 				// Torn tail: discard it on disk so the file is clean.
@@ -371,6 +376,9 @@ func (l *Log) usable() error {
 // log refuses further appends.
 func (l *Log) AppendBatch(applied uint64, batch []data.BaseUpdate) error {
 	if err := l.usable(); err != nil {
+		return err
+	}
+	if err := checkArity(batch); err != nil {
 		return err
 	}
 	lsn := l.lsn + 1

@@ -117,7 +117,7 @@ func TestTornTailTruncationEveryOffset(t *testing.T) {
 	var bounds []int
 	at := segHdrLen
 	for at < len(full) {
-		_, n, err := decodeRecord(full[at:])
+		_, n, err := decodeRecord(full[at:], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
