@@ -381,28 +381,7 @@ func BenchmarkFig13Triangle(b *testing.B) {
 	})
 }
 
-// --- core micro-benchmarks ----------------------------------------------------------
-
-func BenchmarkCofactorRingMul(b *testing.B) {
-	cf := ring.Cofactor{}
-	x := cf.Add(ring.LiftValue(0, 2), ring.LiftValue(0, 3))
-	for j := 1; j < 10; j++ {
-		x = cf.Mul(x, ring.LiftValue(j, float64(j)))
-	}
-	y := ring.LiftValue(11, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = cf.Mul(x, y)
-	}
-}
-
-func BenchmarkRelationMerge(b *testing.B) {
-	r := data.NewRelation[int64](ring.Int{}, data.NewSchema("A", "B"))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Merge(data.Ints(int64(i%1000), int64(i%97)), 1)
-	}
-}
+// --- the O(1) single-tuple path -------------------------------------------------
 
 func BenchmarkEngineSingleTupleUpdate(b *testing.B) {
 	// The O(1) path: single-tuple updates to S in the paper query fix all

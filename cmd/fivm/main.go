@@ -49,8 +49,6 @@ Experiments (paper artifact each regenerates):
                       update batches into every registered view at once;
                       -wal-dir makes the session durable (segmented WAL +
                       .checkpoint, recovered on restart)
-  multiview           shared-ingest DB vs N separate engines over one
-                      stream (-views N concurrent views)
   serve               HTTP server over a DB: lookups, scans, one-shot
                       SELECT, DDL, backpressured writes (-listen); with
                       -wal-dir + -replication-listen it is a replication
@@ -58,10 +56,6 @@ Experiments (paper artifact each regenerates):
   follow              read replica: streams a primary's WAL
                       (-primary host:port), serves read-only HTTP
                       (-listen); -wal-dir makes it durable across restarts
-  bench               continuous-benchmark suite: fig7/fig13/mixed/fig7wal/
-                      multiview at CI scale plus hot-path microbenchmarks, as
-                      machine-readable JSON (-o, default BENCH_6.json) for
-                      cmd/benchdiff; -cpuprofile/-memprofile for pprof
   all                 everything above at default scale
 
 Flags:
@@ -80,17 +74,11 @@ func main() {
 	batch := fs.Int("batch", 1000, "update batch size")
 	group := fs.Int("group", 1, "stream batches applied per batched ApplyDeltas call")
 	workers := fs.Int("workers", 1, "shard/worker count for parallel maintenance (fig7, fig13)")
-	readers := fs.Int("readers", 0, "concurrent snapshot-reader goroutines served while maintenance streams (fig7, fig13)")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-strategy timeout (the paper's 1h limit, scaled)")
 	scale := fs.Int("scale", 1, "dataset scale multiplier")
 	noScalar := fs.Bool("no-scalar", false, "skip the per-aggregate scalar competitors (DBT, 1-IVM)")
 	autoOrder := fs.Bool("auto-order", false, "let the cost-based optimizer choose variable orders (fig7, fig13, explain) instead of the handpicked ones")
-	views := fs.Int("views", 4, "concurrent views for the multiview experiment")
-	benchOut := fs.String("o", "BENCH_6.json", "output path for the bench report (bench)")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the bench suite to this file (bench)")
-	memprofile := fs.String("memprofile", "", "write a heap profile taken after the bench suite to this file (bench)")
-	noMicro := fs.Bool("no-micro", false, "skip the hot-path microbenchmarks (bench)")
-	walDir := fs.String("wal-dir", "", "enable durability: segmented WAL and checkpoints in this directory, recovered on start (repl); parent dir for the fig7wal scenario's WAL (bench)")
+	walDir := fs.String("wal-dir", "", "enable durability: segmented WAL and checkpoints in this directory, recovered on start (repl)")
 	fsyncName := fs.String("fsync", "never", "WAL fsync policy: always, interval, or never")
 	ckptEvery := fs.Uint64("checkpoint-every", 0, "write an automatic checkpoint every N applied batches (repl; 0 = manual .checkpoint only)")
 	listen := fs.String("listen", "127.0.0.1:8080", "HTTP listen address (serve, follow)")
@@ -99,8 +87,6 @@ func main() {
 	catalogSpec := fs.String("catalog", "", `base relations as "R(A,B);S(A,C)" (serve, follow); default: the -dataset's catalog`)
 	queueDepth := fs.Int("queue-depth", 256, "bounded ingest queue depth; a full queue returns 429 (serve)")
 	fs.Parse(os.Args[2:])
-	flagSet := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { flagSet[f.Name] = true })
 
 	fsync, err := wal.ParseFsync(*fsyncName)
 	if err != nil {
@@ -132,7 +118,6 @@ func main() {
 		cfg.Timeout = *timeout
 		cfg.Group = *group
 		cfg.Workers = *workers
-		cfg.Readers = *readers
 		cfg.Retailer = retailer
 		cfg.Housing = housing
 		cfg.IncludeScalar = !*noScalar
@@ -185,7 +170,6 @@ func main() {
 		cfg.BatchSize = *batch
 		cfg.Timeout = *timeout
 		cfg.Workers = *workers
-		cfg.Readers = *readers
 		cfg.Twitter = twitter
 		cfg.AutoOrder = *autoOrder
 		cfg.IncludeScalar = !*noScalar
@@ -249,47 +233,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-	case "bench":
-		if err := runBench(*benchOut, *cpuprofile, *memprofile, func(cfg *bench.SuiteConfig) {
-			// The committed baseline uses DefaultSuite verbatim; flags only
-			// override when explicitly set so plain `fivm bench` stays
-			// comparable to it.
-			if flagSet["batch"] {
-				cfg.BatchSize = *batch
-			}
-			if flagSet["timeout"] {
-				cfg.Timeout = *timeout
-			}
-			if flagSet["workers"] {
-				cfg.Workers = *workers
-			}
-			if flagSet["readers"] {
-				cfg.Readers = *readers
-			}
-			if flagSet["views"] {
-				cfg.Views = *views
-			}
-			if flagSet["wal-dir"] {
-				cfg.WALDir = *walDir
-			}
-			if flagSet["fsync"] {
-				cfg.WALFsync = fsync
-			}
-			if *noMicro {
-				cfg.Micro = false
-			}
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case "multiview":
-		cfg := bench.DefaultMultiView()
-		cfg.Views = *views
-		cfg.BatchSize = *batch
-		cfg.Group = *group
-		cfg.Workers = *workers
-		cfg.Retailer = retailer
-		print(bench.MultiView(cfg)...)
 	case "sql":
 		if fs.NArg() < 1 {
 			fmt.Fprintln(os.Stderr, `usage: fivm sql [-dataset retailer|housing] "SELECT ..."`)

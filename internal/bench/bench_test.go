@@ -284,103 +284,3 @@ func TestFormatHelpers(t *testing.T) {
 		t.Error("fmtDur")
 	}
 }
-
-func TestFig7MixedReaders(t *testing.T) {
-	cfg := Fig7Config{
-		Dataset:   "retailer",
-		BatchSize: 50,
-		Timeout:   2 * time.Second,
-		Retailer:  tinyRetailer(),
-		Readers:   2,
-	}
-	tables := Fig7(cfg)
-	if len(tables) != 4 {
-		t.Fatalf("tables = %d, want 4 (summary, traces, readers)", len(tables))
-	}
-	readers := tables[3]
-	if !strings.Contains(readers.Title, "concurrent readers") {
-		t.Fatalf("reader table title = %q", readers.Title)
-	}
-	if len(readers.Rows) == 0 {
-		t.Fatalf("reader table is empty")
-	}
-	for _, row := range readers.Rows {
-		if row[1] != "2" {
-			t.Errorf("%s: readers column = %s, want 2", row[0], row[1])
-		}
-		if row[2] == "0.0/s" {
-			t.Errorf("%s: no reader throughput", row[0])
-		}
-	}
-}
-
-func TestRunMixedEpochsAdvance(t *testing.T) {
-	ds := datasets.GenRetailer(tinyRetailer())
-	cs := newCofactorStrategies(ds.Query)
-	m, err := cs.FIVM(ds.NewOrder(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Init(); err != nil {
-		t.Fatal(err)
-	}
-	stream := datasets.RoundRobinStream(ds, ds.Query.RelNames(), 50)
-	mr := RunMixed("F-IVM", m, tripleDelta(ds.Query), stream, RunOptions{Readers: 2})
-	if mr.Reader.Ops == 0 {
-		t.Fatalf("readers performed no operations")
-	}
-	if mr.Reader.FinalEpoch == 0 {
-		t.Fatalf("readers never observed a published epoch")
-	}
-	if mr.Err != nil {
-		t.Fatalf("maintenance error: %v", mr.Err)
-	}
-}
-
-// BenchmarkMultiView is the shared-ingest compile-and-run smoke for CI: one
-// DB fanning a stream out to 4 concurrent views versus 4 separate engines.
-func BenchmarkMultiView(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := DefaultMultiView()
-		cfg.Views = 4
-		cfg.BatchSize = 50
-		cfg.Retailer = tinyRetailer()
-		for _, tbl := range MultiView(cfg) {
-			if len(tbl.Rows) == 0 {
-				b.Fatalf("empty table %q", tbl.Title)
-			}
-		}
-	}
-}
-
-// TestMultiViewRuns checks both sides complete without maintenance errors.
-func TestMultiViewRuns(t *testing.T) {
-	cfg := DefaultMultiView()
-	cfg.Views = 3
-	cfg.BatchSize = 100
-	cfg.Retailer = tinyRetailer()
-	tables := MultiView(cfg)
-	if len(tables) != 2 {
-		t.Fatalf("tables = %d", len(tables))
-	}
-	for _, row := range tables[1].Rows {
-		if row[len(row)-1] != "ok" {
-			t.Errorf("run %q ended %q", row[0], row[len(row)-1])
-		}
-	}
-}
-
-// BenchmarkFig7MixedReaders is the mixed-workload compile-and-run smoke for
-// CI: maintenance streaming with concurrent snapshot readers.
-func BenchmarkFig7MixedReaders(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := Fig7Config{
-			Dataset:   "retailer",
-			BatchSize: 50,
-			Timeout:   2 * time.Second,
-			Retailer:  tinyRetailer(),
-			Readers:   2,
-		}
-		Fig7(cfg)
-	}
-}

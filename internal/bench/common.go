@@ -172,35 +172,63 @@ func analyze(ds *datasets.Dataset) *data.Stats {
 	return st
 }
 
-// parallelize wraps a maintainer factory in a sharded parallel maintainer
-// over the given worker count; workers <= 1 returns the plain maintainer.
-// The caller should closeMaintainer the result after its run to stop the
-// worker pool.
-func parallelize[P any](q query.Query, r ring.Ring[P], workers int, factory func() (ivm.Maintainer[P], error)) (ivm.Maintainer[P], error) {
-	if workers <= 1 {
-		return factory()
-	}
-	return ivm.NewParallel[P](q, r, workers, factory)
+// scenario is one strategy's run in a figure: open builds the strategy and
+// brings it to the state its stream starts from, and returns what stops it
+// again (a parallel maintainer's worker pool; a no-op otherwise).
+type scenario struct {
+	name   string
+	open   func() (l Loader, stop func(), err error)
+	stream []datasets.Batch
 }
 
-// attachRouterStats hooks the ANALYZE collector into a parallel
-// maintainer's routing path, so the collector's delta rates stay current
-// across the run (no-op for sequential maintainers or absent stats).
-func attachRouterStats[P any](m ivm.Maintainer[P], st *data.Stats) {
-	if st == nil {
-		return
+// runScenarios opens, streams and stops each scenario in turn, one RunResult
+// per scenario in table order.
+func runScenarios(scs []scenario, opts RunOptions) []RunResult {
+	results := make([]RunResult, 0, len(scs))
+	for _, sc := range scs {
+		l, stop, err := sc.open()
+		must(err)
+		results = append(results, RunStream(sc.name, l, sc.stream, opts))
+		stop()
 	}
-	if p, ok := m.(*ivm.Parallel[P]); ok {
-		p.CollectStats(st)
-	}
+	return results
 }
 
-// closeMaintainer stops a parallel maintainer's worker pool; plain
-// maintainers are left untouched.
-func closeMaintainer(m any) {
-	if c, ok := m.(interface{ Close() error }); ok {
-		c.Close()
+// strategy is the scenario of a maintainer over payload P. mk builds the
+// maintainer; workers > 1 shards it (ivm.NewParallel calls mk once per shard,
+// partitioning the database by the best-covered join variable). Every
+// relation of ds the stream does not deliver is loaded before Init: none for
+// a full stream, all but one in the ONE scenarios. routerStats, when set, is
+// fed by a parallel maintainer's routing path, so the ANALYZE collector's
+// delta rates stay current across the run.
+func strategy[P any](name string, ds *datasets.Dataset, r ring.Ring[P], workers int, routerStats *data.Stats,
+	mk func() (ivm.Maintainer[P], error), toDelta func(b datasets.Batch) *data.Relation[P],
+	stream []datasets.Batch) scenario {
+	streamed := make(map[string]bool)
+	for _, b := range stream {
+		streamed[b.Rel] = true
 	}
+	open := func() (Loader, func(), error) {
+		var m ivm.Maintainer[P]
+		stop := func() {}
+		if workers <= 1 {
+			var err error
+			if m, err = mk(); err != nil {
+				return nil, nil, err
+			}
+		} else {
+			p, err := ivm.NewParallel[P](ds.Query, r, workers, mk)
+			if err != nil {
+				return nil, nil, err
+			}
+			if routerStats != nil {
+				p.CollectStats(routerStats)
+			}
+			m, stop = p, func() { p.Close() }
+		}
+		return Adapt(m, toDelta), stop, preload(m, ds, toDelta, streamed)
+	}
+	return scenario{name: name, open: open, stream: stream}
 }
 
 // preload loads every relation except those in skip into the maintainer and
@@ -216,6 +244,3 @@ func preload[P any](m ivm.Maintainer[P], ds *datasets.Dataset, toDelta func(b da
 	}
 	return m.Init()
 }
-
-// initEmpty runs Init with no preloaded data (the full-stream scenario).
-func initEmpty[P any](m ivm.Maintainer[P]) error { return m.Init() }

@@ -19,9 +19,6 @@ type Fig13Config struct {
 	// 1, sequential); the triangle shards on one edge variable with the
 	// third relation broadcast.
 	Workers int
-	// Readers runs N concurrent snapshot-reader goroutines against every
-	// strategy while it streams (the -readers CLI flag).
-	Readers int
 	Twitter datasets.TwitterConfig
 	// AutoOrder replaces the handpicked A-B-C order with an
 	// optimizer-chosen one (engines self-plan from dataset statistics).
@@ -48,22 +45,6 @@ func DefaultFig13() Fig13Config {
 // scalar DBT is worst; 1-IVM declines linearly; F-IVM-ONE (updates to R
 // only) is orders of magnitude faster at the cost of the stored join view.
 func Fig13(cfg Fig13Config) []*Table {
-	results, served := fig13Run(cfg)
-	title := "Figure 13: cofactor over the triangle query (Twitter)"
-	if cfg.AutoOrder {
-		title += ", auto-order"
-	}
-	opts := RunOptions{Workers: cfg.Workers}
-	tables := fig7Tables(workersTitle(title, opts), results)
-	if len(served) > 0 {
-		tables = append(tables, mixedTable(workersTitle(title, opts), served))
-	}
-	return tables
-}
-
-// fig13Run executes the Figure 13 strategy runs and returns the raw results,
-// shared by the table renderer and the machine-readable suite runner.
-func fig13Run(cfg Fig13Config) ([]RunResult, []MixedResult) {
 	ds := datasets.GenTwitter(cfg.Twitter)
 	cs := newCofactorStrategies(ds.Query)
 	ord := ds.NewOrder
@@ -71,51 +52,36 @@ func fig13Run(cfg Fig13Config) ([]RunResult, []MixedResult) {
 		cs.stats = analyze(ds)
 		ord = func() *vorder.Order { return nil }
 	}
-	stream := datasets.RoundRobinStream(ds, ds.Query.RelNames(), cfg.BatchSize)
+	q, w := ds.Query, cfg.Workers
+	triple, float := tripleDelta(q), floatDelta(q)
+	stream := datasets.RoundRobinStream(ds, q.RelNames(), cfg.BatchSize)
 	oneStream := datasets.SingleRelationStream(ds, "R", cfg.BatchSize)
-	opts := RunOptions{Timeout: cfg.Timeout, Workers: cfg.Workers, Readers: cfg.Readers}
 
-	var results []RunResult
-	var served []MixedResult
-
-	{
-		m, err := parallelize[ring.Triple](ds.Query, ring.Cofactor{}, cfg.Workers,
-			func() (ivm.Maintainer[ring.Triple], error) { return cs.FIVM(ord(), nil) })
-		must(err)
-		attachRouterStats(m, cs.stats)
-		must(m.Init())
-		runServed(&results, &served, "F-IVM", m, tripleDelta(ds.Query), stream, opts)
-		closeMaintainer(m)
-	}
-	{
-		m, err := parallelize[ring.Triple](ds.Query, ring.Cofactor{}, cfg.Workers,
-			func() (ivm.Maintainer[ring.Triple], error) { return cs.DBTRing(nil) })
-		must(err)
-		must(m.Init())
-		runServed(&results, &served, "DBT-RING", m, tripleDelta(ds.Query), stream, opts)
-		closeMaintainer(m)
+	// Only the two cofactor-ring strategies shard; the scalar competitors and
+	// the ONE variant run sequentially whatever cfg.Workers says.
+	scs := []scenario{
+		strategy("F-IVM", ds, ring.Cofactor{}, w, cs.stats,
+			func() (ivm.Maintainer[ring.Triple], error) { return cs.FIVM(ord(), nil) }, triple, stream),
+		strategy("DBT-RING", ds, ring.Cofactor{}, w, nil,
+			func() (ivm.Maintainer[ring.Triple], error) { return cs.DBTRing(nil) }, triple, stream),
 	}
 	if cfg.IncludeScalar {
-		{
-			m, err := cs.DBTScalar(nil)
-			must(err)
-			must(m.Init())
-			runServed(&results, &served, "DBT", m, floatDelta(ds.Query), stream, opts)
-		}
-		{
-			m, err := cs.FirstOrderScalar(ord())
-			must(err)
-			must(m.Init())
-			runServed(&results, &served, "1-IVM", m, floatDelta(ds.Query), stream, opts)
-		}
+		scs = append(scs,
+			strategy("DBT", ds, ring.Float{}, 1, nil,
+				func() (ivm.Maintainer[float64], error) { return cs.DBTScalar(nil) }, float, stream),
+			strategy("1-IVM", ds, ring.Float{}, 1, nil,
+				func() (ivm.Maintainer[float64], error) { return cs.FirstOrderScalar(ord()) }, float, stream))
 	}
-	{
-		m, err := cs.FIVM(ord(), []string{"R"})
-		must(err)
-		must(preload(m, ds, tripleDelta(ds.Query), map[string]bool{"R": true}))
-		runServed(&results, &served, "F-IVM ONE", m, tripleDelta(ds.Query), oneStream, opts)
+	scs = append(scs,
+		strategy("F-IVM ONE", ds, ring.Cofactor{}, 1, nil,
+			func() (ivm.Maintainer[ring.Triple], error) { return cs.FIVM(ord(), []string{"R"}) }, triple, oneStream))
+	results := runScenarios(scs, RunOptions{Timeout: cfg.Timeout})
+
+	title := "Figure 13: cofactor over the triangle query (Twitter)"
+	if cfg.AutoOrder {
+		title += ", auto-order"
 	}
-	return results, served
+	return fig7Tables(workersTitle(title, w), results)
 }
 
 // TriangleIndicator demonstrates Appendix B: the indicator projection

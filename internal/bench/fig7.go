@@ -24,12 +24,7 @@ type Fig7Config struct {
 	// Workers is the shard/worker count for parallel maintenance (default 1,
 	// sequential). Strategies are wrapped in ivm.NewParallel, partitioning
 	// the database by the best-covered join variable.
-	Workers int
-	// Readers runs N concurrent snapshot-reader goroutines against every
-	// strategy while it streams (the -readers CLI flag): maintenance
-	// publishes an epoch per batch and readers issue lookups and prefix
-	// scans against it, reported in an extra serving table.
-	Readers  int
+	Workers  int
 	Retailer datasets.RetailerConfig
 	Housing  datasets.HousingConfig
 	// IncludeScalar adds the per-aggregate DBT and 1-IVM competitors
@@ -68,24 +63,6 @@ func fig7Dataset(cfg Fig7Config) *datasets.Dataset {
 // and 1-IVM are orders of magnitude slower (timing out on scaled streams
 // just as they time out at one hour in the paper).
 func Fig7(cfg Fig7Config) []*Table {
-	ds, results, served := fig7Run(cfg)
-	title := fmt.Sprintf("Figure 7: cofactor maintenance, %s, batches of %d", ds.Name, cfg.BatchSize)
-	if cfg.AutoOrder {
-		title += ", auto-order"
-	}
-	opts := RunOptions{Workers: cfg.Workers}
-	tables := fig7Tables(workersTitle(title, opts), results)
-	if len(served) > 0 {
-		tables = append(tables, mixedTable(workersTitle(title, opts), served))
-	}
-	return tables
-}
-
-// fig7Run executes the Figure 7 strategy runs and returns the raw results
-// (one RunResult per strategy, plus reader-side stats when cfg.Readers > 0),
-// shared by the table renderer above and the machine-readable suite runner
-// (see suite.go).
-func fig7Run(cfg Fig7Config) (*datasets.Dataset, []RunResult, []MixedResult) {
 	ds := fig7Dataset(cfg)
 	cs := newCofactorStrategies(ds.Query)
 	ord := ds.NewOrder
@@ -93,107 +70,54 @@ func fig7Run(cfg Fig7Config) (*datasets.Dataset, []RunResult, []MixedResult) {
 		cs.stats = analyze(ds)
 		ord = func() *vorder.Order { return nil }
 	}
-	stream := datasets.RoundRobinStream(ds, ds.Query.RelNames(), cfg.BatchSize)
+	q, w := ds.Query, cfg.Workers
+	triple, degMap, float := tripleDelta(q), degMapDelta(q), floatDelta(q)
+	// The full stream delivers every relation; the ONE variants stream the
+	// largest relation only, into a database preloaded with all the others.
+	stream := datasets.RoundRobinStream(ds, q.RelNames(), cfg.BatchSize)
 	oneStream := datasets.SingleRelationStream(ds, ds.Largest, cfg.BatchSize)
-	opts := RunOptions{Timeout: cfg.Timeout, Group: cfg.Group, Workers: cfg.Workers, Readers: cfg.Readers}
+	largest := []string{ds.Largest}
 
-	var results []RunResult
-	var served []MixedResult
-
-	// F-IVM: one view tree, cofactor-ring payloads.
-	{
-		m, err := parallelize[ring.Triple](ds.Query, ring.Cofactor{}, cfg.Workers,
-			func() (ivm.Maintainer[ring.Triple], error) { return cs.FIVM(ord(), nil) })
-		if err != nil {
-			panic(err)
-		}
-		attachRouterStats(m, cs.stats)
-		must(m.Init())
-		runServed(&results, &served, "F-IVM", m, tripleDelta(ds.Query), stream, opts)
-		closeMaintainer(m)
-	}
-	// SQL-OPT: same views, degree-indexed aggregate encoding.
-	{
-		m, err := parallelize[ring.DegMap](ds.Query, ring.DegreeMap{}, cfg.Workers,
-			func() (ivm.Maintainer[ring.DegMap], error) { return cs.SQLOPT(ord(), nil) })
-		if err != nil {
-			panic(err)
-		}
-		must(m.Init())
-		runServed(&results, &served, "SQL-OPT", m, degMapDelta(ds.Query), stream, opts)
-		closeMaintainer(m)
-	}
-	// DBT-RING: recursive hierarchies, cofactor-ring payloads.
-	{
-		m, err := parallelize[ring.Triple](ds.Query, ring.Cofactor{}, cfg.Workers,
-			func() (ivm.Maintainer[ring.Triple], error) { return cs.DBTRing(nil) })
-		if err != nil {
-			panic(err)
-		}
-		must(m.Init())
-		runServed(&results, &served, "DBT-RING", m, tripleDelta(ds.Query), stream, opts)
-		closeMaintainer(m)
+	scs := []scenario{
+		// F-IVM: one view tree, cofactor-ring payloads.
+		strategy("F-IVM", ds, ring.Cofactor{}, w, cs.stats,
+			func() (ivm.Maintainer[ring.Triple], error) { return cs.FIVM(ord(), nil) }, triple, stream),
+		// SQL-OPT: same views, degree-indexed aggregate encoding.
+		strategy("SQL-OPT", ds, ring.DegreeMap{}, w, nil,
+			func() (ivm.Maintainer[ring.DegMap], error) { return cs.SQLOPT(ord(), nil) }, degMap, stream),
+		// DBT-RING: recursive hierarchies, cofactor-ring payloads.
+		strategy("DBT-RING", ds, ring.Cofactor{}, w, nil,
+			func() (ivm.Maintainer[ring.Triple], error) { return cs.DBTRing(nil) }, triple, stream),
 	}
 	if cfg.IncludeScalar {
-		// DBT: one scalar hierarchy per aggregate, no sharing.
-		m, err := parallelize[float64](ds.Query, ring.Float{}, cfg.Workers,
-			func() (ivm.Maintainer[float64], error) { return cs.DBTScalar(nil) })
-		if err != nil {
-			panic(err)
-		}
-		must(m.Init())
-		runServed(&results, &served, "DBT", m, floatDelta(ds.Query), stream, opts)
-		closeMaintainer(m)
+		scs = append(scs,
+			// DBT: one scalar hierarchy per aggregate, no sharing.
+			strategy("DBT", ds, ring.Float{}, w, nil,
+				func() (ivm.Maintainer[float64], error) { return cs.DBTScalar(nil) }, float, stream),
+			// 1-IVM: one delta query per aggregate per update.
+			strategy("1-IVM", ds, ring.Float{}, w, nil,
+				func() (ivm.Maintainer[float64], error) { return cs.FirstOrderScalar(ord()) }, float, stream))
+	}
+	scs = append(scs,
+		strategy("F-IVM ONE", ds, ring.Cofactor{}, w, nil,
+			func() (ivm.Maintainer[ring.Triple], error) { return cs.FIVM(ord(), largest) }, triple, oneStream),
+		strategy("SQL-OPT ONE", ds, ring.DegreeMap{}, w, nil,
+			func() (ivm.Maintainer[ring.DegMap], error) { return cs.SQLOPT(ord(), largest) }, degMap, oneStream),
+		strategy("DBT-RING ONE", ds, ring.Cofactor{}, w, nil,
+			func() (ivm.Maintainer[ring.Triple], error) { return cs.DBTRing(largest) }, triple, oneStream))
+	results := runScenarios(scs, RunOptions{Timeout: cfg.Timeout, Group: cfg.Group})
 
-		// 1-IVM: one delta query per aggregate per update.
-		fo, err := parallelize[float64](ds.Query, ring.Float{}, cfg.Workers,
-			func() (ivm.Maintainer[float64], error) { return cs.FirstOrderScalar(ord()) })
-		if err != nil {
-			panic(err)
-		}
-		must(fo.Init())
-		runServed(&results, &served, "1-IVM", fo, floatDelta(ds.Query), stream, opts)
-		closeMaintainer(fo)
+	title := fmt.Sprintf("Figure 7: cofactor maintenance, %s, batches of %d", ds.Name, cfg.BatchSize)
+	if cfg.AutoOrder {
+		title += ", auto-order"
 	}
-	// ONE variants: updates to the largest relation only.
-	skip := map[string]bool{ds.Largest: true}
-	{
-		m, err := parallelize[ring.Triple](ds.Query, ring.Cofactor{}, cfg.Workers,
-			func() (ivm.Maintainer[ring.Triple], error) { return cs.FIVM(ord(), []string{ds.Largest}) })
-		if err != nil {
-			panic(err)
-		}
-		must(preload(m, ds, tripleDelta(ds.Query), skip))
-		runServed(&results, &served, "F-IVM ONE", m, tripleDelta(ds.Query), oneStream, opts)
-		closeMaintainer(m)
-	}
-	{
-		m, err := parallelize[ring.DegMap](ds.Query, ring.DegreeMap{}, cfg.Workers,
-			func() (ivm.Maintainer[ring.DegMap], error) { return cs.SQLOPT(ord(), []string{ds.Largest}) })
-		if err != nil {
-			panic(err)
-		}
-		must(preload(m, ds, degMapDelta(ds.Query), skip))
-		runServed(&results, &served, "SQL-OPT ONE", m, degMapDelta(ds.Query), oneStream, opts)
-		closeMaintainer(m)
-	}
-	{
-		m, err := parallelize[ring.Triple](ds.Query, ring.Cofactor{}, cfg.Workers,
-			func() (ivm.Maintainer[ring.Triple], error) { return cs.DBTRing([]string{ds.Largest}) })
-		if err != nil {
-			panic(err)
-		}
-		must(preload(m, ds, tripleDelta(ds.Query), skip))
-		runServed(&results, &served, "DBT-RING ONE", m, tripleDelta(ds.Query), oneStream, opts)
-		closeMaintainer(m)
-	}
-	return ds, results, served
+	return fig7Tables(workersTitle(title, w), results)
 }
 
 // workersTitle annotates a figure title with the run's worker count.
-func workersTitle(title string, opts RunOptions) string {
-	if opts.Workers > 1 {
-		title += fmt.Sprintf(", %d workers", opts.Workers)
+func workersTitle(title string, workers int) string {
+	if workers > 1 {
+		title += fmt.Sprintf(", %d workers", workers)
 	}
 	return title
 }

@@ -71,14 +71,6 @@ type RunOptions struct {
 	// the batched ApplyDeltas path: deltas to the same relation coalesce and
 	// each maintenance plan runs once per group.
 	Group int
-	// Workers records the shard/worker count the driven maintainer was
-	// built with (informational — parallelism is a property of the
-	// maintainer, constructed via ivm.NewParallel, not of the stream loop).
-	Workers int
-	// Readers is the number of concurrent snapshot-reader goroutines to run
-	// against the maintainer while it streams (RunMixed); zero keeps the
-	// run write-only with snapshot publication disabled.
-	Readers int
 }
 
 // Loader abstracts the subset of a maintenance strategy the harness drives.

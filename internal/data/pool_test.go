@@ -333,13 +333,10 @@ func TestScratchTuplesRewind(t *testing.T) {
 		s.Clear()
 		for i := int64(0); i < 100; i++ {
 			src := Ints(7, base+i, i)
-			switch i % 3 {
-			case 0:
+			if i%2 == 0 {
 				s.MergeProjected(proj, src, 1)
-			case 1:
+			} else {
 				s.MergeMulProjected(proj, src, &acc, &acc)
-			default:
-				s.MergeProjectedKey(proj.AppendKey(nil, src), proj, src, &acc)
 			}
 		}
 	}
@@ -564,23 +561,20 @@ func TestReduceSealedOwnsRecycledKeys(t *testing.T) {
 }
 
 // TestAllocGuardProjectedRefill: a scratch relation refilled through each of
-// the three projecting merges, with a projector that is no prefix, allocates
+// the two projecting merges, with a projector that is no prefix, allocates
 // nothing once its slabs have their size (the first refill grows them, the
 // Clear after it makes them one chunk each).
 func TestAllocGuardProjectedRefill(t *testing.T) {
 	from := NewSchema("X", "A", "B")
 	proj := MustProjector(from, NewSchema("B", "A"))
 	srcs := make([]Tuple, 300)
-	keys := make([][]byte, len(srcs))
 	for i := range srcs {
 		srcs[i] = Tuple{Int(1), String("group-" + string(rune('a'+i%26))), Int(int64(i))}
-		keys[i] = proj.AppendKey(nil, srcs[i])
 	}
 	one := 1.0
 	for name, merge := range map[string]func(s *Relation[float64], i int){
 		"MergeProjected":    func(s *Relation[float64], i int) { s.MergeProjected(proj, srcs[i], 1) },
 		"MergeMulProjected": func(s *Relation[float64], i int) { s.MergeMulProjected(proj, srcs[i], &one, &one) },
-		"MergeProjectedKey": func(s *Relation[float64], i int) { s.MergeProjectedKey(keys[i], proj, srcs[i], &one) },
 	} {
 		s := NewRelation[float64](ring.Float{}, NewSchema("B", "A"))
 		s.RecycleCleared()

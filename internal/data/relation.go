@@ -227,7 +227,7 @@ func (r *Relation[P]) Clear() {
 }
 
 // ShareProjectedTuples makes the projecting merges (MergeProjected,
-// MergeMulProjected, MergeProjectedKey) store a subslice of the source tuple
+// MergeMulProjected) store a subslice of the source tuple
 // instead of a copy, until it is switched off again (a plan step decides per
 // run, on a cleared relation). Every projector must then be a prefix
 // projection (Projector.IsPrefix; SharedApply panics otherwise), and every
@@ -727,21 +727,6 @@ func (r *Relation[P]) MergeMulProjected(proj Projector, t Tuple, a, b *P) {
 		r.mulAddInto(e, a, b)
 	} else {
 		r.insertMul(r.projApply(proj, t), a, b)
-	}
-}
-
-// MergeProjectedKey is MergeProjected for a caller-encoded key: key must be
-// the encoding of proj applied to t (as produced by proj.AppendKey). The
-// fused delta-application path encodes every output key once for sorting and
-// reuses it here, skipping the re-encode MergeProjected would do. The key
-// bytes are copied on insert, never retained. p must point at heap-resident
-// storage (the fuser's owned accumulator qualifies) and is only read.
-func (r *Relation[P]) MergeProjectedKey(key []byte, proj Projector, t Tuple, p *P) {
-	r.keyHash = hashBytes(key)
-	if e := r.entries.getBytes(r.keyHash, key); e != nil {
-		r.addIntoRef(e, p)
-	} else if !r.isZeroRef(p) {
-		r.setPayloadRef(r.insertEntry(key, r.projApply(proj, t)), p)
 	}
 }
 

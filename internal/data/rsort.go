@@ -167,108 +167,6 @@ func insertionKeys(keys []string, depth int, dedup bool) int {
 	return w
 }
 
-// RadixSortKeyedBytes sorts keys in place into byte-lexicographic order,
-// permuting vals in tandem so vals[i] still belongs to keys[i] afterwards.
-// The fused delta-application path uses it to bring equal output keys
-// back-to-back so a whole run accumulates into one owned payload before a
-// single merge. Same American-flag structure as RadixSortKeys; the tandem
-// moves double the swap cost, which the comparator-free distribution still
-// amortizes well past the insertion cutoff.
-func RadixSortKeyedBytes[T any](keys [][]byte, vals []T) {
-	if len(keys) != len(vals) {
-		panic("data: RadixSortKeyedBytes: length mismatch")
-	}
-	msdKeyed(keys, vals, 0)
-}
-
-// keyBucketBytes is keyBucket for []byte keys.
-func keyBucketBytes(k []byte, depth int) int {
-	if len(k) == depth {
-		return 0
-	}
-	return 1 + int(k[depth])
-}
-
-func msdKeyed[T any](keys [][]byte, vals []T, depth int) {
-	for {
-		n := len(keys)
-		if n < 2 {
-			return
-		}
-		if n <= radixSortCutoff {
-			insertionKeyed(keys, vals, depth)
-			return
-		}
-		var counts [257]int
-		for _, k := range keys {
-			counts[keyBucketBytes(k, depth)]++
-		}
-		if counts[0] == n {
-			return // all keys exhausted here, hence equal
-		}
-		if counts[0] == 0 {
-			single := false
-			for b := 1; b <= 256; b++ {
-				if counts[b] == n {
-					single = true
-					break
-				}
-				if counts[b] != 0 {
-					break
-				}
-			}
-			if single {
-				depth++
-				continue
-			}
-		}
-		var pos, ends [257]int
-		at := 0
-		for b := 0; b <= 256; b++ {
-			pos[b] = at
-			at += counts[b]
-			ends[b] = at
-		}
-		starts := pos
-		for b := 0; b <= 256; b++ {
-			for pos[b] < ends[b] {
-				k := keys[pos[b]]
-				bb := keyBucketBytes(k, depth)
-				if bb == b {
-					pos[b]++
-					continue
-				}
-				keys[pos[b]] = keys[pos[bb]]
-				keys[pos[bb]] = k
-				vals[pos[b]], vals[pos[bb]] = vals[pos[bb]], vals[pos[b]]
-				pos[bb]++
-			}
-		}
-		for b := 1; b <= 256; b++ {
-			if ends[b]-starts[b] > 1 {
-				msdKeyed(keys[starts[b]:ends[b]], vals[starts[b]:ends[b]], depth+1)
-			}
-		}
-		return
-	}
-}
-
-func insertionKeyed[T any](keys [][]byte, vals []T, depth int) {
-	for i := 1; i < len(keys); i++ {
-		k := keys[i]
-		v := vals[i]
-		ks := k[depth:]
-		j := i
-		for j > 0 && string(keys[j-1][depth:]) > string(ks) {
-			keys[j] = keys[j-1]
-			vals[j] = vals[j-1]
-			j--
-		}
-		keys[j] = k
-		vals[j] = v
-	}
-}
-
 // radixSortEntries sorts an entry run in place by encoded key, the same
 // order RadixSortKeys produces. Entries move by value, so the sort is
 // allocation-free and leaves the run ready for snapshot chunking.

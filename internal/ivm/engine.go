@@ -610,10 +610,10 @@ func (e *Engine[P]) ApplyDelta(rel string, delta *data.Relation[P]) error {
 }
 
 // endBatch closes an applied batch: publish the epoch, then — the batch's
-// work items, index probes and fuser runs all being dead — let every view
-// reclaim the entries the batch removed (data.Relation.Reclaim). The loop
-// runs over whatever e.views holds now, so views built by Init and by a
-// mid-stream replan are pooled alike from their first batch on.
+// work items and index probes all being dead — let every view reclaim the
+// entries the batch removed (data.Relation.Reclaim). The loop runs over
+// whatever e.views holds now, so views built by Init and by a mid-stream
+// replan are pooled alike from their first batch on.
 func (e *Engine[P]) endBatch() {
 	e.maybePublish()
 	for _, v := range e.views {

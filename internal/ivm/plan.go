@@ -2,7 +2,6 @@ package ivm
 
 import (
 	"fmt"
-	"time"
 
 	"fivm/internal/data"
 	"fivm/internal/viewtree"
@@ -57,13 +56,6 @@ type planStep[P any] struct {
 	margProj  data.Projector
 	liftCache map[string]*P
 	liftKey   []byte
-	liftFn    func(t data.Tuple) *P
-
-	// fuse holds the sorted-run accumulation state: marginalizing steps whose
-	// work items mostly collapse onto few output keys are executed by sorting
-	// the items by output key and merging one accumulated payload per run
-	// instead of one per item; see runFuser.
-	fuse runFuser[P]
 
 	// shareOut marks the steps whose output may store prefix subslices of the
 	// input delta's tuples instead of projecting into its own tuple slab
@@ -302,20 +294,6 @@ func (st *planStep[P]) exec(e *Engine[P], delta *data.Relation[P], share bool) *
 	}
 	out := st.out
 	out.ShareProjectedTuples(share)
-	timed := len(st.margVars) > 0 && e.opts.PayloadTransform == nil && st.fuse.eligible(st.prods.mut, len(items))
-	var start time.Time
-	if timed {
-		start = time.Now()
-		if st.fuse.chooseFused() {
-			if st.liftFn == nil {
-				st.liftFn = func(t data.Tuple) *P { return st.liftProduct(e, t) }
-			}
-			distinct := st.fuse.run(st.prods.mut, items, st.outProj, out, st.liftFn)
-			st.fuse.noteCost(true, len(items), time.Since(start))
-			st.fuse.note(len(items), distinct)
-			return out
-		}
-	}
 	for _, it := range items {
 		// Multiply the liftings together first: lift values are small ring
 		// elements, while the accumulated payload can be large (a wide
@@ -337,12 +315,6 @@ func (st *planStep[P]) exec(e *Engine[P], delta *data.Relation[P], share bool) *
 			p = e.opts.PayloadTransform(st.node, p)
 		}
 		out.MergeProjected(st.outProj, it.t, p)
-	}
-	if timed {
-		st.fuse.noteCost(false, len(items), time.Since(start))
-	}
-	if len(st.margVars) > 0 {
-		st.fuse.note(len(items), out.Len())
 	}
 	return out
 }

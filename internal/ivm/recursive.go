@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"fivm/internal/data"
 	"fivm/internal/query"
@@ -38,7 +37,6 @@ type Recursive[P any] struct {
 	items, spare []workItem[P]
 	prods        prodBuf[P]
 	keyBuf       []byte
-	liftScratch  P
 }
 
 type recView[P any] struct {
@@ -54,10 +52,6 @@ type recDelta[P any] struct {
 	acc     data.Schema
 	marg    []margVar
 	outProj data.Projector
-
-	// Sorted-run accumulation state for marginalizing deltas; see runFuser.
-	fuse   runFuser[P]
-	liftFn func(t data.Tuple) *P
 }
 
 type recComp[P any] struct {
@@ -360,27 +354,6 @@ func (m *Recursive[P]) viewDelta(v *recView[P], rel string, rd query.RelDef, del
 	m.items, m.spare = items, spare
 	out := data.NewRelation(m.ring, v.free)
 	out.Reserve(len(items))
-	timed := len(d.marg) > 0 && d.fuse.eligible(m.prods.mut, len(items))
-	var start time.Time
-	if timed {
-		start = time.Now()
-		if d.fuse.chooseFused() {
-			if d.liftFn == nil {
-				d.liftFn = func(t data.Tuple) *P {
-					lp := m.lift(d.marg[0].name, t[d.marg[0].idx])
-					for _, mv := range d.marg[1:] {
-						lp = m.ring.Mul(lp, m.lift(mv.name, t[mv.idx]))
-					}
-					m.liftScratch = lp
-					return &m.liftScratch
-				}
-			}
-			distinct := d.fuse.run(m.prods.mut, items, d.outProj, out, d.liftFn)
-			d.fuse.noteCost(true, len(items), time.Since(start))
-			d.fuse.note(len(items), distinct)
-			return out
-		}
-	}
 	for _, it := range items {
 		if len(d.marg) > 0 {
 			lp := m.lift(d.marg[0].name, it.t[d.marg[0].idx])
@@ -391,12 +364,6 @@ func (m *Recursive[P]) viewDelta(v *recView[P], rel string, rd query.RelDef, del
 		} else {
 			out.MergeProjected(d.outProj, it.t, *it.p)
 		}
-	}
-	if timed {
-		d.fuse.noteCost(false, len(items), time.Since(start))
-	}
-	if len(d.marg) > 0 {
-		d.fuse.note(len(items), out.Len())
 	}
 	return out
 }

@@ -38,7 +38,8 @@ type ViewSnapshot[P any] struct {
 	// batch. Within one maintainer it is strictly monotonic.
 	Epoch uint64
 	// At is the publication wall time, the reference point of the
-	// freshness-lag metric (time.Since(s.At) bounds a reader's staleness).
+	// freshness-lag metric (the time elapsed since At bounds a reader's
+	// staleness).
 	At time.Time
 	// Patched is the publish work this epoch cost: the dirty keys patched
 	// into its relation snapshots (every key, for a result resealed

@@ -167,7 +167,11 @@ func assertIdentical(t *testing.T, p *db.DB, f *Follower) {
 
 func TestReplicationConverges(t *testing.T) {
 	p, pr := newPrimary(t, &db.DurabilityOptions{Dir: "p", FS: wal.NewMemFS()})
-	f, _ := startFollower(t, FollowerConfig{Primary: pr.Addr().String()})
+	// OnApply is the every-epoch source lag measurement stands on: it must see
+	// each applied batch count once the record is applied, in order.
+	var seen []uint64 // the stream goroutine's until stop returns
+	f, stop := startFollower(t, FollowerConfig{Primary: pr.Addr().String(),
+		OnApply: func(e *db.Epoch) { seen = append(seen, e.Applied) }})
 
 	if err := p.Apply([]db.Update{db.Insert("R", tup(1, 2), tup(2, 3)), db.Insert("S", tup(1, 10))}); err != nil {
 		t.Fatal(err)
@@ -184,6 +188,19 @@ func TestReplicationConverges(t *testing.T) {
 		t.Fatalf("follower LSN %d != primary %d", f.DB().ReplLSN(), p.WAL().LSN())
 	}
 	assertNoForgottenLeases(t, p, f)
+	stop()
+	next := uint64(1)
+	for i, a := range seen {
+		if i > 0 && a < seen[i-1] {
+			t.Fatalf("OnApply saw applied counts out of order: %v", seen)
+		}
+		if a == next {
+			next++
+		}
+	}
+	if want := appliedOf(p); next != want+1 {
+		t.Fatalf("OnApply saw applied counts %v, want every one of 1..%d", seen, want)
+	}
 }
 
 // A follower connecting after the primary pruned its WAL bootstraps from a

@@ -76,3 +76,47 @@ func BenchmarkTripleMulAddInto(b *testing.B) {
 		dst.MulAddInto(&p, &l)
 	}
 }
+
+// BenchmarkCofactorAxpy measures the dense scaled-accumulate path of the
+// cofactor ring: d += c*b for a constant c and a width-16 triple b whose
+// variables d already covers, which is one axpy over the 16-entry sum vector
+// and one over the 256-entry cofactor matrix (the scaleScatterAdd fast path
+// behind every scalar-weighted payload merge).
+func BenchmarkCofactorAxpy(b *testing.B) {
+	cf := Cofactor{}
+	w := cf.One()
+	for j := 0; j < 16; j++ {
+		w = cf.Mul(w, LiftValue(j, float64(j)+0.5))
+	}
+	scalar := Triple{C: 2}
+	var d Triple
+	cf.MulInto(&d, &scalar, &w) // d now covers w's variables
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cf.MulAddInto(&d, &scalar, &w)
+	}
+}
+
+// BenchmarkRank1SymUpdate measures the symmetric rank-1 outer-product kernel:
+// d += x*y for two width-16 triples over the same variables as d, whose
+// dominant cost is the sa·sbᵀ + sb·saᵀ update of the 16×16 cofactor matrix
+// (the inner loop of every pairwise view product in regression maintenance).
+func BenchmarkRank1SymUpdate(b *testing.B) {
+	cf := Cofactor{}
+	mk := func(off float64) Triple {
+		t := cf.One()
+		for j := 0; j < 16; j++ {
+			t = cf.Mul(t, LiftValue(j, off+float64(j)))
+		}
+		return t
+	}
+	x, y := mk(0.5), mk(1.25)
+	var d Triple
+	cf.MulInto(&d, &x, &y)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cf.MulAddInto(&d, &x, &y)
+	}
+}

@@ -276,7 +276,11 @@ func TestDecodeCheckpointCapsCounts(t *testing.T) {
 
 // TestAllocGuardCheckpoint: once the log's buffer has its size, writing a
 // checkpoint allocates a few file names and a closure or two — under 4 KiB,
-// whether the state has five thousand rows or fifty thousand.
+// whether the state has five thousand rows or fifty thousand. TotalAlloc is
+// process-wide and a write goes through os.ReadDir, whose 8 KiB dirent buffer
+// sits in a sync.Pool that a collection may empty at any moment, so one
+// window can read 8 KiB high; noise only adds, hence the minimum of five
+// writes after the warm-up one.
 func TestAllocGuardCheckpoint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc guards run in the non-race pass")
@@ -308,7 +312,10 @@ func TestAllocGuardCheckpoint(t *testing.T) {
 			return after.TotalAlloc - before.TotalAlloc
 		}
 		first, second := write(), write()
-		t.Logf("%d rows, %d bytes: first checkpoint allocated %d bytes, second %d", n, l.LastCheckpoint().Bytes, first, second)
+		for range 4 {
+			second = min(second, write())
+		}
+		t.Logf("%d rows, %d bytes: first checkpoint allocated %d bytes, the least of five more %d", n, l.LastCheckpoint().Bytes, first, second)
 		if second >= 4<<10 {
 			t.Errorf("%d rows: a second checkpoint allocated %d bytes, want < 4096", n, second)
 		}
