@@ -217,8 +217,9 @@ func triple(vars ...int32) ring.Triple {
 }
 
 // TestPoolPayloadStorage: a reclaimed entry keeps its payload storage for the
-// next insert unless the relation publishes snapshots, whose pinned epochs
-// share that storage.
+// next insert; in a relation that publishes snapshots the storage a pinned
+// epoch reads is retired instead, and serves the writer again only after the
+// epoch's last Release.
 func TestPoolPayloadStorage(t *testing.T) {
 	cf := ring.Cofactor{}
 	r := NewRelation[ring.Triple](cf, NewSchema("A"))
@@ -236,22 +237,52 @@ func TestPoolPayloadStorage(t *testing.T) {
 		t.Fatalf("reused storage holds %v", got)
 	}
 
-	// Published: the pinned snapshot must keep reading the old values while
-	// the entry is removed, reclaimed and reused.
+	// Published: the pinned snapshot reads storage; it must keep reading the
+	// old values while the entry is removed, reclaimed and reused.
 	snap := r.Snapshot()
-	defer snap.Release()
 	r.Merge(Ints(2), cf.Neg(triple(0, 1, 2)))
 	r.Reclaim()
 	if e.Payload.S != nil {
-		t.Fatal("a snapshotting relation kept published payload storage in its pool")
+		t.Fatal("a reclaimed entry of a snapshotting relation kept payload storage")
 	}
 	r.Merge(Ints(3), triple(0, 1, 2))
 	r.Merge(Ints(3), triple(0, 1, 2))
-	if e3, _ := r.EntryKey(Ints(3).Key()); e3 != e {
+	e3, _ := r.EntryKey(Ints(3).Key())
+	if e3 != e {
 		t.Fatal("entry struct not reused")
+	}
+	if &e3.Payload.S[0] == storage {
+		t.Fatal("storage a pinned snapshot reads was handed to an insert")
 	}
 	if got, ok := snap.Get(Ints(2)); !ok || !sameTriple(got, triple(0, 1, 2)) {
 		t.Fatalf("pinned snapshot changed under entry reuse: %v %v", got, ok)
+	}
+
+	// Released — by the reader and, at its next publish, by the relation —
+	// the storage serves the next entry that has to leave its own.
+	stale, _ := snap.Get(Ints(2))
+	snap.Release()
+	r.Snapshot().Release()
+	if r.snap.sweep(); !math.IsNaN(stale.S[0]) {
+		t.Fatal("a payload kept past its snapshot's release still reads plausibly once its storage is a spare")
+	}
+	spares := map[*float64]bool{}
+	for _, p := range r.snap.spares {
+		spares[&p.S[:1][0]] = true
+	}
+	if !spares[storage] {
+		t.Fatal("payload storage not a spare after the last release of the snapshot that read it")
+	}
+	r.Merge(Ints(3), triple(0, 1, 2))
+	if !spares[&e3.Payload.S[0]] {
+		t.Fatal("an entry leaving published storage did not move into a spare")
+	}
+	three := cf.Add(triple(0, 1, 2), cf.Add(triple(0, 1, 2), triple(0, 1, 2)))
+	if got, _ := r.Get(Ints(3)); !sameTriple(got, three) {
+		t.Fatalf("reused storage holds %v", got)
+	}
+	if as := r.PoolStats().Arena; as.PayloadsReused == 0 || as.PayloadsDropped != 0 {
+		t.Fatalf("arena %+v, want payloads reused and none dropped", as)
 	}
 }
 

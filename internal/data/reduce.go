@@ -40,12 +40,11 @@ func ReduceSealed[P any](rg ring.Ring[P], schema Schema, parts []*Relation[P]) *
 			if ownKeys {
 				c.key = strings.Clone(c.key)
 			}
-			if mut != nil {
-				var o P
-				mut.CopyInto(&o, e.Payload)
-				c.Payload = o
-			}
 			es = append(es, c)
+			if mut != nil {
+				var none P
+				copyFresh(mut, &es[len(es)-1].Payload, none, e.Payload)
+			}
 			return true
 		})
 	}

@@ -20,9 +20,9 @@ type Entry[P any] struct {
 	Payload P
 	// gen guards snapshot sharing of mutable payload storage: when it is
 	// older than the relation's publish generation, the storage is shared
-	// with a published snapshot and must be privatized before the next
-	// in-place mutation (see Relation.ensureOwned). Zero on relations that
-	// were never snapshotted.
+	// with the snapshots published since and the entry must leave it before
+	// the next in-place mutation (see Relation.touchEntry). Zero on relations
+	// that were never snapshotted.
 	gen uint64
 }
 
@@ -86,11 +86,11 @@ func keyView(key string) []byte { return unsafe.Slice(unsafe.StringData(key), le
 //	batch end)       after Reclaim         them and the next    supplied it         insert overwrites it
 //	                                       key that fits
 //	                                       overwrites them
-//	snapshotting     as a view             the entry's own and  as a view           shared with pinned epochs
-//	view (Snapshot                         immutable (pinned                        under the gen rule; dropped
-//	was called)                            epochs hold them);                       at reclaim, never reused
-//	                                       dropped at reclaim,
-//	                                       never reused
+//	snapshotting     as a view             the entry's own and  as a view           relation; what pinned epochs
+//	view (Snapshot                         immutable (pinned                        read is retired when the entry
+//	was called)                            epochs hold them);                       leaves it (touch, Set, reclaim)
+//	                                       dropped at reclaim,                      and written again only after
+//	                                       never reused                             their last Release
 //	scratch          relation; reusable    relation's slab,     relation's slab     as a view: overwritten by
 //	(RecycleCleared, after the next Clear  rewound by Clear     when the relation   the next batch's inserts
 //	Clear per batch)                                            projected it, the
@@ -307,12 +307,18 @@ func (r *Relation[P]) Reclaim() {
 // or the relation publishes snapshots, whose pinned epochs hold them; it
 // keeps its payload storage (CopyInto/MulInto reuse destination capacity)
 // unless the ring has no in-place form or, again, the relation publishes:
-// published storage is shared under the gen rule and is dropped instead. The
-// tuple is the entry's to keep only in a base-store relation (ownTuple).
+// pinned epochs may read that storage, so it is retired like a touched entry's
+// (under e.gen, which removeEntry left alone) and comes back to an insert as a
+// spare. The tuple is the entry's to keep only in a base-store relation
+// (ownTuple).
 func (r *Relation[P]) reclaim() {
 	keepKey := !r.scratch && r.snap == nil
 	keepPayload := r.mut != nil && r.snap == nil
+	retire := r.snap != nil && r.snap.shares
 	for _, e := range r.parked {
+		if retire {
+			r.snap.retire(e.Payload, e.gen)
+		}
 		if !r.ownTuples {
 			e.Tuple = nil
 		}
@@ -346,7 +352,9 @@ func (r *Relation[P]) reclaim() {
 func (r *Relation[P]) removeEntry(e *Entry[P]) {
 	r.entries.del(e)
 	r.noteDelete()
-	r.markEntry(e)
+	if s := r.snap; s != nil && e.gen != s.gen {
+		s.dirtyKeys = append(s.dirtyKeys, e.key) // e.gen stays: reclaim retires the payload under it
+	}
 	if r.pooled {
 		r.parked = append(r.parked, e)
 	} else if !r.scratch {
@@ -435,6 +443,9 @@ func (r *Relation[P]) insertEntry(key []byte, t Tuple) *Entry[P] {
 	r.setKey(e, key)
 	if r.ownTuples {
 		t = r.ownTuple(e, t)
+	}
+	if s := r.snap; s != nil && s.shares {
+		e.Payload = s.spare() // reclaim took what the entry held
 	}
 	e.Tuple = t
 	e.hash = r.keyHash
@@ -525,22 +536,17 @@ func (r *Relation[P]) Set(t Tuple, p P) {
 			r.removeEntry(e)
 			return
 		}
-		if r.mut != nil {
-			if s := r.snap; s != nil && e.gen != s.gen {
-				// Storage shared with a snapshot: overwrite into fresh storage
-				// (no point privatizing the old payload just to discard it).
-				var o P
-				r.mut.CopyInto(&o, p)
-				e.Payload = o
-				e.gen = s.gen
-				s.dirtyKeys = append(s.dirtyKeys, e.key)
-				return
-			}
-			r.mut.CopyInto(&e.Payload, p) // reuse the owned payload's storage
-			return
+		switch s := r.snap; {
+		case r.mut == nil:
+			e.Payload = p
+		case s != nil && s.shares && e.gen != s.gen:
+			// Storage shared with a snapshot: overwrite into other storage
+			// (no point copying the old payload out just to discard it).
+			r.unshare(e, p)
+		default:
+			r.mut.CopyInto(&e.Payload, p) // the entry's own storage, or none outside it
 		}
 		r.markEntry(e)
-		e.Payload = p
 		return
 	}
 	if r.ring.IsZero(p) {
@@ -872,6 +878,8 @@ func (s *PoolStats) Add(o PoolStats) {
 	s.Arena.BlocksFree += o.Arena.BlocksFree
 	s.Arena.GenerationsOpen += o.Arena.GenerationsOpen
 	s.Arena.BackstopReclaims += o.Arena.BackstopReclaims
+	s.Arena.PayloadsReused += o.Arena.PayloadsReused
+	s.Arena.PayloadsDropped += o.Arena.PayloadsDropped
 }
 
 // PoolStats reports the relation's pool, slabs and snapshot arena.
@@ -886,7 +894,8 @@ const valueBytes = int(unsafe.Sizeof(Value{}))
 
 // MemoryBytes estimates the heap bytes the relation holds: flatBytes plus
 // the payload storage outside the entries (ring.Sized), which it walks every
-// entry — stored, parked or free — to sum. Tuples shared with another
+// entry — stored, parked or free — and a publishing relation's spare and
+// retired payloads to sum. Tuples shared with another
 // relation are charged to each holder; secondary indexes are not charged.
 func (r *Relation[P]) MemoryBytes() int {
 	total := r.flatBytes()
@@ -902,6 +911,14 @@ func (r *Relation[P]) MemoryBytes() int {
 	for _, pool := range [][]*Entry[P]{r.free, r.parked} {
 		for _, e := range pool {
 			charge(e)
+		}
+	}
+	if s := r.snap; s != nil { // storage kept for reuse, or for pinned epochs to read
+		for _, p := range s.spares {
+			total += sized.Bytes(p)
+		}
+		for _, rp := range s.retired {
+			total += sized.Bytes(rp.p)
 		}
 	}
 	return total

@@ -148,16 +148,19 @@ func poisonEntry[P any](e *Entry[P], ownTuple bool) {
 	} else {
 		e.Tuple = poisonTuple
 	}
+	poisonPayload(&e.Payload)
+}
+
+// poisonPayload NaN-fills payload storage kept for reuse: an entry's at
+// reclaim, a publishing relation's spare once no unreleased snapshot reads it.
+func poisonPayload[P any](p *P) {
 	nan := math.NaN()
-	switch p := any(&e.Payload).(type) {
+	switch p := any(p).(type) {
 	case *float64:
 		*p = nan
 	case *ring.Triple:
 		p.C = nan
-		for _, fs := range [][]float64{p.S[:cap(p.S)], p.Q[:cap(p.Q)]} {
-			for i := range fs {
-				fs[i] = nan
-			}
-		}
+		fill(p.S[:cap(p.S)], nan)
+		fill(p.Q[:cap(p.Q)], nan)
 	}
 }

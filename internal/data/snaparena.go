@@ -2,6 +2,7 @@ package data
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -97,9 +98,13 @@ type bumpBlock[T any] struct {
 // blocks some generation still pins and blocks parked for reuse, publish
 // generations not yet drained, and generations whose death the GC backstop
 // reported instead of Release — each of those is a lease somebody forgot.
+// PayloadsReused counts the payload storages released epochs gave up that the
+// writer wrote into again, PayloadsDropped those the collector got because the
+// retired list was full (snapState.retire): look for a reader that pins.
 type ArenaStats struct {
 	BlocksLive, BlocksFree, GenerationsOpen int
 	BackstopReclaims                        uint64
+	PayloadsReused, PayloadsDropped         uint64
 }
 
 // arenaStats reports the relation's snapshot arena (zero before the first
@@ -112,7 +117,8 @@ func (r *Relation[P]) arenaStats() ArenaStats {
 	a.deadMu.Lock()
 	backstops := a.backstops
 	a.deadMu.Unlock()
-	return ArenaStats{a.runs.live + a.dirs.live, len(a.runs.free) + len(a.dirs.free), a.sets - len(a.freeSets), backstops}
+	return ArenaStats{a.runs.live + a.dirs.live, len(a.runs.free) + len(a.dirs.free), len(a.open), backstops,
+		r.snap.reused, r.snap.dropped}
 }
 
 // release drops one reference; the last reference returns the block to the
@@ -232,11 +238,14 @@ type genSentinel struct{ _ *genSentinel }
 // later generation.
 type pinSet[P any] struct {
 	owner *snapArena[P]
-	// live counts reasons the generation cannot be reclaimed: one held by
-	// the writer while the generation is open, one per published snapshot
-	// whose references have not all been dropped. The decrement that reaches
-	// zero reports the generation dead (any goroutine).
-	live atomic.Int32
+	// base is the sequence number (snapState.gen at its publish) of the
+	// generation's first snapshot. live holds one bit per reason the
+	// generation cannot be reclaimed: bit i while snapshot base+i has
+	// references left, writerStake while the generation is open. Whoever
+	// clears the last bit reports the generation dead (any goroutine); the
+	// writer reads them to learn who may still read a retired payload (pinned).
+	base uint64
+	live atomic.Uint32
 	// genID distinguishes incarnations of a recycled set, so a backstop
 	// cleanup queued for a previous incarnation cannot kill the current one;
 	// dead marks the set as already on the dead list. Both are guarded by
@@ -282,8 +291,12 @@ type snapArena[P any] struct {
 
 	drainScratch []*pinSet[P]
 	freeSets     []*pinSet[P]
-	sets         int // pin sets ever allocated (open = sets - len(freeSets))
+	open         []*pinSet[P] // generations not yet drained, the current one included
 }
+
+// writerStake is the pinSet.live bit the writer holds while a generation is
+// open; the genSpan bits below it are the generation's snapshots.
+const writerStake = 1 << genSpan
 
 func (a *snapArena[P]) init() {
 	a.runs.blockCap = runBlockCap
@@ -304,8 +317,8 @@ func (a *snapArena[P]) init() {
 }
 
 // reportDead puts a generation's pin set on the dead list (idempotently) for
-// the writer to drain at the next publish. Called from the decrement that
-// took the set's live count to zero — any goroutine.
+// the writer to drain at the next publish. Called by whoever cleared the last
+// of the set's live bits — any goroutine.
 func (a *snapArena[P]) reportDead(set *pinSet[P]) {
 	a.deadMu.Lock()
 	if !set.dead {
@@ -315,16 +328,35 @@ func (a *snapArena[P]) reportDead(set *pinSet[P]) {
 	a.deadMu.Unlock()
 }
 
-// takeSet pops a recycled pin set or allocates a fresh one.
-func (a *snapArena[P]) takeSet() *pinSet[P] {
+// takeSet opens a generation whose first snapshot is numbered base, on a
+// recycled pin set or a fresh one.
+func (a *snapArena[P]) takeSet(base uint64) *pinSet[P] {
+	s := &pinSet[P]{owner: a}
 	if n := len(a.freeSets); n > 0 {
-		s := a.freeSets[n-1]
+		s = a.freeSets[n-1]
 		a.freeSets[n-1] = nil
 		a.freeSets = a.freeSets[:n-1]
-		return s
 	}
-	a.sets++
-	return &pinSet[P]{owner: a}
+	s.base = base
+	s.live.Store(writerStake)
+	a.open = append(a.open, s)
+	return s
+}
+
+// pinned reports whether a snapshot numbered in [lo, hi] still has references
+// (writer goroutine). A generation the backstop reported reads as pinned until
+// it is drained: late, never early.
+func (a *snapArena[P]) pinned(lo, hi uint64) bool {
+	for _, set := range a.open {
+		if hi < set.base || lo >= set.base+genSpan {
+			continue
+		}
+		from, to := max(lo, set.base)-set.base, min(hi, set.base+genSpan-1)-set.base
+		if set.live.Load()&(uint32(2)<<to-uint32(1)<<from) != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // drain releases the blocks of generations reported dead since the last
@@ -347,7 +379,7 @@ func (a *snapArena[P]) drain() {
 	a.deadMu.Unlock()
 	for i, set := range dead {
 		set.stop.Stop()
-		set.live.Store(0)
+		a.open = slices.DeleteFunc(a.open, func(o *pinSet[P]) bool { return o == set })
 		for _, b := range set.runs {
 			b.release()
 		}
@@ -364,26 +396,26 @@ func (a *snapArena[P]) drain() {
 	a.drainScratch = dead[:0]
 }
 
-// publish enrolls s in the current generation — opening one if needed,
-// pinning each block of s not already pinned by this generation, counting s
-// against the generation's live count with one reference held by the
+// publish enrolls s, the relation's seq-th snapshot, in the current generation
+// — opening one if needed, pinning each block of s not already pinned by this
+// generation, setting s's live bit with one reference held by the
 // publishing relation — and then drops the writer reference on blocks
 // retired while building s. The order matters: retired blocks may hold runs
 // that belong to s. Every genSpan publishes the generation closes: the
 // backstop cleanup is armed on the sentinel and the writer's live stake is
 // dropped, after which the generation dies with its last snapshot.
-func (a *snapArena[P]) publish(s *RelationSnapshot[P]) {
+func (a *snapArena[P]) publish(s *RelationSnapshot[P], seq uint64) {
 	a.drain()
 	if a.cur == nil {
 		a.gen++
 		a.cur = &genSentinel{}
-		a.curSet = a.takeSet()
-		a.curSet.live.Store(1) // writer stake while the generation is open
+		a.curSet = a.takeSet(seq)
 	}
 	s.keep = a.cur
 	s.set = a.curSet
+	s.bit = 1 << a.n
 	s.refs.Store(1) // the relation's own reference, dropped at the next publish
-	a.curSet.live.Add(1)
+	a.curSet.live.Add(s.bit)
 	for i := range s.chunks {
 		b := s.chunks[i].blk
 		if b != nil && b.mark != a.gen {
@@ -402,7 +434,7 @@ func (a *snapArena[P]) publish(s *RelationSnapshot[P]) {
 		set := a.curSet
 		set.stop = runtime.AddCleanup(a.cur, a.onDead, deadNote[P]{set: set, gen: set.genID})
 		a.cur, a.curSet, a.n = nil, nil, 0
-		if set.live.Add(-1) == 0 {
+		if set.live.Add(^uint32(writerStake-1)) == 0 { // subtracting a set bit clears it
 			a.reportDead(set)
 		}
 	}
@@ -434,9 +466,7 @@ func (s *RelationSnapshot[P]) Release() {
 	if s.refs.Add(-1) != 0 {
 		return
 	}
-	set := s.set
-	if set.live.Add(-1) != 0 {
-		return
+	if set := s.set; set.live.Add(-s.bit) == 0 {
+		set.owner.reportDead(set)
 	}
-	set.owner.reportDead(set)
 }

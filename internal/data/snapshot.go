@@ -1,6 +1,7 @@
 package data
 
 import (
+	"reflect"
 	"sort"
 	"sync/atomic"
 
@@ -55,9 +56,11 @@ type RelationSnapshot[P any] struct {
 	keep *genSentinel
 	// refs counts the snapshot's owners (the publishing relation plus one
 	// per handle returned by Snapshot); set is the publish generation's pin
-	// set the last Release reports to. Both nil/unused for snapshots not
-	// backed by the arena (Seal, ReduceSealed).
+	// set and bit the snapshot's bit of set.live, which the last Release
+	// clears. All nil/unused for snapshots not backed by the arena (Seal,
+	// ReduceSealed).
 	refs atomic.Int32
+	bit  uint32
 	set  *pinSet[P]
 }
 
@@ -98,48 +101,143 @@ type snapState[P any] struct {
 	// generation pins once the cursor has lapped it and is reclaimed as
 	// those generations die.
 	refresh int
-	// gen is the publish generation, bumped after every published snapshot.
-	// An entry whose gen is current has already been recorded dirty this
-	// epoch and (for mutable rings) owns private payload storage; an older
-	// gen means the entry is untouched since the last publish and its
-	// mutable payload storage is shared with it, so publishing never
-	// deep-copies payloads — the copy happens on the first re-touch of a
-	// sealed key, and not at all for keys written once (insert-heavy
-	// streams publish with no payload copying).
+	// gen is the publish generation, bumped after every published snapshot:
+	// the sequence number the next snapshot will carry. An entry whose gen is
+	// current has already been recorded dirty this epoch and (for mutable
+	// rings) owns private payload storage; an older gen means the entry is
+	// untouched since the last publish and the snapshots numbered e.gen to
+	// gen-1 read its payload storage, so publishing never deep-copies payloads
+	// — the first re-touch of a sealed key moves the entry to other storage
+	// (unshare), and keys written once are never copied (insert-heavy streams
+	// publish with no payload copying).
 	gen uint64
+	// The relation owns the payload storage its snapshots share. shares: there
+	// is such storage — the ring accumulates in place and a P is not just a
+	// number, whose sealed copy is the whole payload; nothing below is used
+	// otherwise. Storage the writer moved an entry out of waits in retired,
+	// with the snapshot numbers that can reach it, until none of those has
+	// references left; sweep — once an epoch: swept is the gen it last ran in —
+	// then makes it a spare, which the next unshare or insert writes into. A
+	// reader that pins an epoch delays this, one that never releases defeats
+	// it: the writer allocates as if there were no spares and retired, being
+	// bounded, overflows to the collector.
+	shares          bool
+	spares          []P
+	retired         []retiredPayload[P]
+	swept           uint64
+	reused, dropped uint64
+}
+
+// retiredPayload is payload storage the live relation has left, which the
+// snapshots numbered lo to hi still read (none, if lo > hi).
+type retiredPayload[P any] struct {
+	p      P
+	lo, hi uint64
+}
+
+// payloadsMax bounds snapState.retired and snapState.spares, each: whatever
+// its readers do, a relation retains a constant number of payloads for reuse.
+const payloadsMax = 256
+
+// retire takes payload storage the live relation no longer uses, last made
+// private in epoch lo. When the list is full its older half — whatever a
+// long-pinned epoch holds is there — goes to the collector: forgetting a
+// retired payload is always safe, handing one back early never is.
+func (s *snapState[P]) retire(p P, lo uint64) {
+	if len(s.retired) == payloadsMax {
+		s.retired = append(s.retired[:0], s.retired[payloadsMax/2:]...)
+		clear(s.retired[len(s.retired):payloadsMax])
+		s.dropped += payloadsMax / 2
+	}
+	s.retired = append(s.retired, retiredPayload[P]{p, lo, s.gen - 1})
+}
+
+// sweep turns the retired storage no unreleased snapshot reads into spares,
+// NaN-filled under the poison hook so that a read through a released snapshot
+// fails loudly.
+func (s *snapState[P]) sweep() {
+	keep := s.retired[:0]
+	for _, rp := range s.retired {
+		switch {
+		case rp.lo <= rp.hi && s.arena.pinned(rp.lo, rp.hi):
+			keep = append(keep, rp)
+		case len(s.spares) < payloadsMax:
+			s.spares = append(s.spares, rp.p)
+			if poison {
+				poisonPayload(&s.spares[len(s.spares)-1])
+			}
+		}
+	}
+	clear(s.retired[len(keep):])
+	s.retired = keep
+}
+
+// spare returns payload storage to write into — capacity only, the contents
+// are dead — or the zero P when no released epoch has given any up.
+func (s *snapState[P]) spare() (p P) {
+	if s.swept != s.gen {
+		s.swept = s.gen
+		s.sweep()
+	}
+	if n := len(s.spares); n > 0 {
+		var zero P
+		p, s.spares[n-1] = s.spares[n-1], zero
+		s.spares = s.spares[:n-1]
+		s.reused++
+	}
+	return p
+}
+
+// copyFresh sets *dst to a deep copy of src in storage of its own — spare's
+// where it fits, new otherwise — never what *dst held, which a snapshot may
+// read: the one way published payload storage is replaced. dst must be heap-
+// resident (an entry's field); the address of a local escapes through the
+// interface call, a heap cell per copy.
+func copyFresh[P any](mut ring.Mutable[P], dst *P, spare, src P) {
+	*dst = spare
+	mut.CopyInto(dst, src)
+}
+
+// unshare points stored entry e, whose payload storage snapshots read, at
+// storage they do not — holding a deep copy of src — and retires the old.
+func (r *Relation[P]) unshare(e *Entry[P], src P) {
+	s := r.snap
+	old := e.Payload
+	copyFresh(r.mut, &e.Payload, s.spare(), src)
+	s.retire(old, e.gen)
 }
 
 // sealed returns the snapshot-owned copy of a live entry: the entry value
 // sharing the (immutable) tuple and the payload. For rings with in-place
 // accumulation the shared payload storage is protected by the entry's
-// generation — the live side privatizes it on the next touch (touchEntry) —
-// so sealing is O(1) regardless of payload size, and entry values land
-// directly in arena runs instead of individual heap allocations.
+// generation — the live side leaves it on the next touch (touchEntry) and
+// writes into it again only after the snapshot's last Release — so sealing is
+// O(1) regardless of payload size, and entry values land directly in arena
+// runs instead of individual heap allocations.
 func sealed[P any](e *Entry[P]) Entry[P] {
 	return Entry[P]{key: e.key, hash: e.hash, Tuple: e.Tuple, Payload: e.Payload}
 }
 
 // touchEntry prepares a stored entry for an in-place payload mutation: on
 // its first touch per publish epoch it records the key in the dirty list
-// and, for rings with in-place accumulation, privatizes payload storage
-// shared with the last published snapshot. Later touches in the same epoch
-// cost one comparison; relations never snapshotted pay a nil check.
+// and, for rings with in-place accumulation, moves the payload out of storage
+// shared with published snapshots (a number shares none). Later touches
+// in the same epoch cost one comparison; relations never snapshotted pay a nil
+// check.
 func (r *Relation[P]) touchEntry(e *Entry[P]) {
 	s := r.snap
 	if s == nil || e.gen == s.gen {
 		return
 	}
-	if r.mut != nil {
-		var o P
-		r.mut.CopyInto(&o, e.Payload)
-		e.Payload = o
+	if s.shares {
+		r.unshare(e, e.Payload)
 	}
 	e.gen = s.gen
 	s.dirtyKeys = append(s.dirtyKeys, e.key)
 }
 
 // markEntry records an entry's key in the dirty list without touching its
-// payload storage (removals: the storage stays with the snapshots).
+// payload storage (a payload assigned whole, or overwritten where it is).
 func (r *Relation[P]) markEntry(e *Entry[P]) {
 	if s := r.snap; s != nil && e.gen != s.gen {
 		e.gen = s.gen
@@ -183,10 +281,11 @@ func (r *Relation[P]) DirtyKeys() (n int, tracking bool) {
 // the relation's arena instead of waiting on the garbage collector.
 func (r *Relation[P]) Snapshot() *RelationSnapshot[P] {
 	if r.snap == nil {
-		r.snap = &snapState[P]{gen: 1}
+		k := reflect.TypeFor[P]().Kind()
+		r.snap = &snapState[P]{gen: 1, shares: r.mut != nil && (k < reflect.Bool || k > reflect.Complex128)}
 		r.snap.arena.init()
 		r.snap.last = r.buildSnapshot()
-		r.snap.arena.publish(r.snap.last)
+		r.snap.arena.publish(r.snap.last, 1)
 		r.snap.gen++
 	} else if s := r.snap; s.fullDirty || len(s.dirtyKeys) > 0 {
 		var next *RelationSnapshot[P]
@@ -200,7 +299,7 @@ func (r *Relation[P]) Snapshot() *RelationSnapshot[P] {
 		}
 		// Publish (pinning the blocks next shares with the previous
 		// snapshot) before dropping the relation's reference on it.
-		s.arena.publish(next)
+		s.arena.publish(next, s.gen)
 		s.last.Release()
 		s.last = next
 		s.gen++

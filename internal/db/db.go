@@ -292,7 +292,9 @@ type ViewStats struct {
 	ScratchTupleBytes int
 	TuplesCopied      uint64
 	// Arena is the snapshot arena of the relations the view publishes, as of
-	// its last batch; Arena.BackstopReclaims counts forgotten leases.
+	// its last batch; Arena.BackstopReclaims counts forgotten leases,
+	// Arena.PayloadsDropped the payload storage the collector got because a
+	// reader held or forgot an epoch, Arena.PayloadsReused what came back.
 	Arena data.ArenaStats
 	// ViewCount and MemoryBytes describe the materialized state. MemoryBytes
 	// walks it, so only ViewStatsOf fills it in.

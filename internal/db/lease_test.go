@@ -1,8 +1,10 @@
 package db
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -91,8 +93,8 @@ func TestPublishLoopRecyclesArena(t *testing.T) {
 // DB.Epoch, hold each for a random 0..40 batches and release it — except a
 // random tenth, which they forget — while the writer deletes and re-inserts
 // the very groups those epochs pin. Every read of every held epoch must
-// equal the re-evaluation oracle's result at that epoch's batch, in both
-// views.
+// equal the re-evaluation oracle's result at that epoch's batch, in all
+// three views (count, float sum, cofactor).
 func TestLeasesUnderChurn(t *testing.T) {
 	const nKeys, fan, batches, readers = 5, 3, 120, 4
 	d, err := Open(testCatalog(), Options{})
@@ -118,19 +120,37 @@ func TestLeasesUnderChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oCnt := &oracle[int64]{m: reCnt, q: qCnt, ring: ring.Int{}}
-	oSum := &oracle[float64]{m: reSum, q: qSum, ring: ring.Float{}}
-	if err := reCnt.Init(); err != nil {
+	// The cofactor view is the one whose payloads live outside their entries:
+	// what its released epochs give up the writer writes into again.
+	qCof := testQuery("cof", "A")
+	if _, err := CreateView[ring.Triple](d, "cof", qCof, ring.Cofactor{}, propCofLift, ViewOptions{Order: order}); err != nil {
 		t.Fatal(err)
 	}
-	if err := reSum.Init(); err != nil {
+	reCof, err := ivm.NewReEval[ring.Triple](qCof, order(), ring.Cofactor{}, propCofLift)
+	if err != nil {
 		t.Fatal(err)
+	}
+	oCnt := &oracle[int64]{m: reCnt, q: qCnt, ring: ring.Int{}}
+	oSum := &oracle[float64]{m: reSum, q: qSum, ring: ring.Float{}}
+	oCof := &oracle[ring.Triple]{m: reCof, q: qCof, ring: ring.Cofactor{}}
+	for _, m := range []interface{ Init() error }{reCnt, reSum, reCof} {
+		if err := m.Init(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// fpCof renders triples in the dense form, whatever variables each covers.
+	fpCof := func(es []data.Entry[ring.Triple]) string {
+		var b strings.Builder
+		for _, e := range es {
+			fmt.Fprintf(&b, "%v->%v %v %v;", e.Tuple, e.Payload.C, e.Payload.ExpandSum(4), e.Payload.ExpandQ(4))
+		}
+		return b.String()
 	}
 
 	// wants[applied] is what an epoch after that many batches must read.
 	var (
 		mu    sync.Mutex
-		wants = map[uint64][2]string{}
+		wants = map[uint64][3]string{}
 		wg    sync.WaitGroup
 		stop  = make(chan struct{})
 	)
@@ -146,6 +166,9 @@ func TestLeasesUnderChurn(t *testing.T) {
 		}
 		if got := fpEntries(SnapshotOf[float64](e, "sum").Result().SortedEntries()); got != w[1] {
 			t.Errorf("sum after %d batches:\n epoch  %s\n oracle %s", e.Applied, got, w[1])
+		}
+		if got := fpCof(SnapshotOf[ring.Triple](e, "cof").Result().SortedEntries()); got != w[2] {
+			t.Errorf("cof after %d batches:\n epoch  %s\n oracle %s", e.Applied, got, w[2])
 		}
 	}
 	for r := 0; r < readers; r++ {
@@ -204,7 +227,9 @@ func TestLeasesUnderChurn(t *testing.T) {
 		t.Helper()
 		oCnt.apply(t, ups)
 		oSum.apply(t, ups)
-		w := [2]string{fpEntries(reCnt.Result().Seal().SortedEntries()), fpEntries(reSum.Result().Seal().SortedEntries())}
+		oCof.apply(t, ups)
+		w := [3]string{fpEntries(reCnt.Result().Seal().SortedEntries()), fpEntries(reSum.Result().Seal().SortedEntries()),
+			fpCof(reCof.Result().Seal().SortedEntries())}
 		mu.Lock()
 		wants[d.Applied()+1] = w
 		mu.Unlock()
@@ -241,6 +266,9 @@ func TestLeasesUnderChurn(t *testing.T) {
 		t.Logf("view %s: arena %+v, %d entries reclaimed", name, st.Arena, st.Reclaimed)
 		if st.Reclaimed < batches {
 			t.Errorf("view %s: the churn never went through the pool: %+v", name, st)
+		}
+		if reused := st.Arena.PayloadsReused; (reused > 0) != (name == "cof") {
+			t.Errorf("view %s: %d payloads reused, want some of the cofactor view's and none of a scalar view's", name, reused)
 		}
 	}
 }

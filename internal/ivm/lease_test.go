@@ -196,7 +196,9 @@ func TestReadAfterReleaseIsPoisoned(t *testing.T) {
 // release it — except a random tenth, which they forget — while the writer
 // deletes and re-inserts the very groups those epochs pin. Every read of
 // every held epoch, root and (after Catalog) internal views alike, must equal
-// what the ReEval oracle and the live views held at that epoch's batch.
+// what the ReEval oracle and the live views held at that epoch's batch — and
+// so must the epoch a three-shard Parallel reduces from the same batches —
+// while payload storage the released epochs gave up is written into again.
 func TestLeasesUnderChurn(t *testing.T) {
 	const nKeys, fan, batches, catalogAt, readers = 5, 3, 120, 40, 4
 	cf := ring.Cofactor{}
@@ -209,12 +211,24 @@ func TestLeasesUnderChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maintainers := []Maintainer[ring.Triple]{e, oracle}
+	// par reduces three shard results into a sealed epoch per batch.
+	par, err := NewParallel[ring.Triple](q, cf, 3, func() (Maintainer[ring.Triple], error) {
+		return New[ring.Triple](q, paperOrder(), cf, cofactorLift, Options[ring.Triple]{})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer par.Close()
+	maintainers := []Maintainer[ring.Triple]{e, oracle, par}
 	for _, m := range maintainers {
 		if err := m.Init(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if !par.Sharded() {
+		t.Fatal("fixture: the parallel maintainer does not shard")
+	}
+	par.Snapshot().Release()
 	slice := func(rd string, a int) *data.Relation[ring.Triple] {
 		sch, _ := q.Rel(rd)
 		d := data.NewRelation[ring.Triple](cf, sch.Schema)
@@ -323,6 +337,11 @@ func TestLeasesUnderChurn(t *testing.T) {
 		checkViewTuples[ring.Triple](t, "after a batch", e)
 		s := e.Snapshot()
 		w := expect{result: copyDump(dumpResult(oracle.Result(), cf))}
+		ps := par.Snapshot()
+		if !sameDump(dumpSnapshot(ps.Result(), cf), w.result, sameTriple) {
+			t.Errorf("shard reduction of epoch %d differs from the oracle", ps.Epoch)
+		}
+		ps.Release()
 		if len(s.Views()) > 0 {
 			w.views = map[string]map[string]ring.Triple{}
 			for _, name := range s.Views() {
@@ -366,8 +385,8 @@ func TestLeasesUnderChurn(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if ps := e.PoolStats(); ps.Reclaimed < batches {
-		t.Fatalf("the churn never went through the pool: %+v", ps)
+	if ps := e.PoolStats(); ps.Reclaimed < batches || ps.Arena.PayloadsReused == 0 {
+		t.Fatalf("the churn never went through the pool, or no released epoch's payload storage came back: %+v", ps)
 	}
 	t.Logf("arena after %d batches: %+v", batches, e.PoolStats().Arena)
 }

@@ -212,7 +212,9 @@ func copyDump(in map[string]ring.Triple) map[string]ring.Triple {
 // again, so the views' pools hand the pinned entries' structs out again while
 // the epochs are still being read. Every pinned epoch must keep equal to the
 // re-evaluation oracle taken at its batch; run under -race, a payload buffer
-// reused while an epoch shares it is also a reported race.
+// reused while an epoch shares it is also a reported race. The epochs of the
+// first half stay pinned to the end; those of the second are released three
+// batches later, and the payload storage they give up must come back.
 func TestPoolRespectsPinnedEpochs(t *testing.T) {
 	const nKeys, fan, batches, catalogAt = 5, 3, 60, 20
 	cf := ring.Cofactor{}
@@ -256,11 +258,16 @@ func TestPoolRespectsPinnedEpochs(t *testing.T) {
 		want map[string]ring.Triple
 		what string
 	}
-	var (
-		mu   sync.Mutex
+	type lease struct {
+		s    *ViewSnapshot[ring.Triple]
 		pins []pin
-		done = make(chan struct{})
-		wg   sync.WaitGroup
+	}
+	var (
+		mu      sync.Mutex
+		pins    []pin
+		passing []lease
+		done    = make(chan struct{})
+		wg      sync.WaitGroup
 	)
 	verify := func(p pin) bool {
 		return sameDump(dumpSnapshot(p.snap, cf), p.want, sameTriple)
@@ -335,9 +342,24 @@ func TestPoolRespectsPinnedEpochs(t *testing.T) {
 		if b > catalogAt && len(held) != e.ViewCount() {
 			t.Fatalf("batch %d: pinned %d of %d views", b, len(held), e.ViewCount())
 		}
-		mu.Lock()
-		pins = append(pins, held...)
-		mu.Unlock()
+		if b < batches/2 {
+			mu.Lock()
+			pins = append(pins, held...)
+			mu.Unlock()
+			continue
+		}
+		// Second half: epochs come and go around the ones pinned for good,
+		// each read once more by the writer before it gives the lease back.
+		passing = append(passing, lease{s, held})
+		if len(passing) > 3 {
+			for _, p := range passing[0].pins {
+				if !verify(p) {
+					t.Errorf("%s moved before its release", p.what)
+				}
+			}
+			passing[0].s.Release()
+			passing = passing[1:]
+		}
 	}
 	close(done)
 	wg.Wait()
@@ -346,8 +368,8 @@ func TestPoolRespectsPinnedEpochs(t *testing.T) {
 			t.Errorf("%s differs from the oracle taken at its batch", p.what)
 		}
 	}
-	if ps := e.PoolStats(); ps.Reclaimed < batches {
-		t.Fatalf("the churn never went through the pool: %+v", ps)
+	if ps := e.PoolStats(); ps.Reclaimed < batches || ps.Arena.PayloadsReused == 0 {
+		t.Fatalf("the churn never went through the pool, or no released epoch's payload storage came back: %+v", ps)
 	}
 }
 

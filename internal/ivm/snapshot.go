@@ -28,11 +28,13 @@ import (
 //
 // An epoch is a lease. The publication pointer holds one reference while the
 // epoch is current and every handle from Snapshot or Catalog one more; the
-// last Release returns the epoch's arena blocks at the writer's next publish.
-// Release is optional: a forgotten handle stays readable while reachable and
-// costs a full GC cycle to reclaim (data.ArenaStats.BackstopReclaims counts
-// those). An *Entry or an in-place ring's payload read from the epoch is
-// valid until that Release, not merely "while reachable".
+// last Release returns the epoch's arena blocks at the writer's next publish
+// and lets the writer write again into the payload storage only this epoch
+// still read. Release is optional: a forgotten handle stays readable while
+// reachable and costs a full GC cycle to reclaim, and the payload storage it
+// reads goes to the collector (data.ArenaStats.BackstopReclaims and
+// PayloadsDropped count those). An *Entry or an in-place ring's payload read
+// from the epoch is valid until that Release, not merely "while reachable".
 type ViewSnapshot[P any] struct {
 	// Epoch counts published snapshots: 0 at enablement, +1 per applied
 	// batch. Within one maintainer it is strictly monotonic.

@@ -244,6 +244,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, e *db.Epoch
 		ArenaBlocks       int    `json:"arena_blocks"`
 		ArenaFree         int    `json:"arena_free"`
 		BackstopReclaims  uint64 `json:"backstop_reclaims"`
+		PayloadsReused    uint64 `json:"payloads_reused"`
+		PayloadsDropped   uint64 `json:"payloads_dropped"`
 	}
 	names := e.Views()
 	perView := make(map[string]viewStats, len(names))
@@ -254,7 +256,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, e *db.Epoch
 			ScratchKeyBytes: st.ScratchKeyBytes, ScratchTupleBytes: st.ScratchTupleBytes,
 			TuplesCopied: st.TuplesCopied,
 			ArenaBlocks:  st.Arena.BlocksLive, ArenaFree: st.Arena.BlocksFree,
-			BackstopReclaims: st.Arena.BackstopReclaims}
+			BackstopReclaims: st.Arena.BackstopReclaims,
+			PayloadsReused:   st.Arena.PayloadsReused, PayloadsDropped: st.Arena.PayloadsDropped}
 	}
 	// The shared base store, from the same epoch: what the live rows and the
 	// pool behind them hold, relation by relation.

@@ -232,6 +232,10 @@ func TestServeLookupScanHeaders(t *testing.T) {
 	if st["backstop_reclaims"] != float64(0) || st["arena_blocks"].(float64) < 1 || st["arena_free"] == nil {
 		t.Fatalf("stats view_stats after 200 reads: %v", st)
 	}
+	// A float view has no payload storage to retire: both counters stay zero.
+	if st["payloads_reused"] != float64(0) || st["payloads_dropped"] != float64(0) {
+		t.Fatalf("stats view_stats payload counters of a float view: %v", st)
+	}
 }
 
 // TestServeStatsCheckpoint: a durable DB reports its last checkpoint with the
