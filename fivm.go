@@ -287,9 +287,9 @@ func NewParallel[P any](q Query, r Ring[P], workers int, factory func() (Maintai
 }
 
 // MutableRing is the optional ring extension for allocation-free in-place
-// payload accumulation (implemented by IntRing, FloatRing, CofactorRing,
-// DegreeMapRing, and products of them). Relations detect it automatically
-// and switch to owned, zero-alloc payload accumulation.
+// payload accumulation (implemented by IntRing, FloatRing, CofactorRing and
+// DegreeMapRing). Relations detect it automatically and switch to owned,
+// zero-alloc payload accumulation.
 type MutableRing[T any] = ring.Mutable[T]
 
 // ShardedRelation is a relation hash-partitioned on one column; shards of

@@ -90,9 +90,6 @@ func degMapLift(vars data.Schema) data.LiftFunc[ring.DegMap] {
 	}
 }
 
-// oneFloatLift maps everything to 1 (COUNT in the Float ring).
-func oneFloatLift(string, data.Value) float64 { return 1 }
-
 // sumLift sums the given variable (SUM(target) in the Float ring).
 func sumLift(target string) data.LiftFunc[float64] {
 	return func(v string, x data.Value) float64 {
@@ -151,7 +148,7 @@ func (c cofactorStrategies) DBTScalar(updatable []string) (*ivm.MultiRecursive, 
 }
 
 // FirstOrderScalar builds first-order IVM with one delta query per aggregate.
-func (c cofactorStrategies) FirstOrderScalar(o *vorder.Order) (*ivm.MultiFirstOrder, error) {
+func (c cofactorStrategies) FirstOrderScalar(o *vorder.Order) (*ivm.Baseline[float64], error) {
 	return ivm.NewMultiFirstOrder(c.q, o, ivm.CofactorAggSpecs(c.vars))
 }
 

@@ -152,26 +152,20 @@ func (ir *IndexedRelation[P]) reindex(en *Entry[P], existed, exists bool) {
 	}
 }
 
-// MergeAllIndexed merges every entry of o, maintaining indexes. Source
-// payloads are entry-resident and read through their pointers; with equal
-// schemas the source's cached key and hash are reused as well (mergeFrom),
-// otherwise each tuple is projected and the projection materialized only on
-// insert.
+// MergeAllIndexed merges every entry of o, maintaining indexes, by the key
+// and hash each source entry already carries (mergeFrom). A source over the
+// same variables in another order is projected first; every maintenance path
+// hands in the view's own order.
 func (ir *IndexedRelation[P]) MergeAllIndexed(o *Relation[P]) {
-	if ir.Schema().Equal(o.Schema()) {
-		volTuple := o.VolatileTuples()
-		o.entries.all(func(e *Entry[P]) bool {
-			ir.reindex(ir.mergeFrom(e, volTuple))
-			return true
-		})
-		return
+	if !ir.Schema().Equal(o.Schema()) {
+		if !ir.Schema().SameSet(o.Schema()) {
+			panic(fmt.Sprintf("data: merge of incompatible schemas %v and %v", ir.Schema(), o.Schema()))
+		}
+		o = Project(o, ir.Schema())
 	}
-	if !ir.Schema().SameSet(o.Schema()) {
-		panic(fmt.Sprintf("data: merge of incompatible schemas %v and %v", ir.Schema(), o.Schema()))
-	}
-	proj := MustProjector(o.Schema(), ir.Schema())
+	volTuple := o.VolatileTuples()
 	o.entries.all(func(e *Entry[P]) bool {
-		ir.reindex(ir.mergeProjectedRef(proj, e.Tuple, &e.Payload))
+		ir.reindex(ir.mergeFrom(e, volTuple))
 		return true
 	})
 }

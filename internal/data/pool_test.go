@@ -644,14 +644,23 @@ func TestAllocGuardScratchRefill(t *testing.T) {
 }
 
 // TestAllocGuardMergeFromCachedKey: merging a same-schema delta into an
-// indexed view probes with the key and hash the source entries carry.
+// indexed view probes with the key and hash the source entries carry, and
+// adds each entry-resident payload — a number, or a warmed cofactor triple
+// passed by its header — in place.
 func TestAllocGuardMergeFromCachedKey(t *testing.T) {
+	cf := ring.Cofactor{}
+	mergeFromCachedKey[float64](t, ring.Float{}, 1)
+	mergeFromCachedKey[ring.Triple](t, cf, cf.Mul(ring.LiftValue(0, 2), cf.Mul(ring.LiftValue(1, 3), ring.LiftValue(2, 4))))
+}
+
+func mergeFromCachedKey[P any](t *testing.T, r ring.Ring[P], p P) {
+	t.Helper()
 	sch := NewSchema("A", "B")
-	ir := NewIndexedRelation(NewRelation[float64](ring.Float{}, sch))
+	ir := NewIndexedRelation(NewRelation(r, sch))
 	ir.EnsureIndex(NewSchema("A"))
-	delta := NewRelation[float64](ring.Float{}, sch)
+	delta := NewRelation(r, sch)
 	for i := 0; i < 200; i++ {
-		delta.Merge(Ints(int64(i%20), int64(i)), 1)
+		delta.Merge(Ints(int64(i%20), int64(i)), p)
 	}
 	ir.MergeAllIndexed(delta)
 	guardZeroAllocs(t, "MergeAllIndexed onto existing keys", func() { ir.MergeAllIndexed(delta) })

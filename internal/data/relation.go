@@ -130,8 +130,7 @@ func keyView(key string) []byte { return unsafe.Slice(unsafe.StringData(key), le
 type Relation[P any] struct {
 	schema  Schema
 	ring    ring.Ring[P]
-	mut     ring.Mutable[P]    // non-nil when the ring supports in-place accumulation
-	mutRef  ring.MutableRef[P] // non-nil when the ring additionally takes pointer sources
+	mut     ring.Mutable[P] // non-nil when the ring supports in-place accumulation
 	entries entryTable[P]
 	keyBuf  []byte
 	// keyHash is the hash of the key most recently encoded into keyBuf (or
@@ -176,7 +175,7 @@ type Relation[P any] struct {
 
 // NewRelation creates an empty relation over the given ring and schema.
 func NewRelation[P any](r ring.Ring[P], schema Schema) *Relation[P] {
-	return &Relation[P]{schema: schema, ring: r, mut: ring.MutableOf(r), mutRef: ring.MutableRefOf(r)}
+	return &Relation[P]{schema: schema, ring: r, mut: ring.MutableOf(r)}
 }
 
 // Schema returns the relation's schema.
@@ -566,33 +565,16 @@ func (r *Relation[P]) setPayload(e *Entry[P], p P) {
 	e.Payload = p
 }
 
-// setPayloadRef is setPayload for a heap-resident source payload.
-func (r *Relation[P]) setPayloadRef(e *Entry[P], p *P) {
-	if r.mutRef != nil {
-		r.mutRef.CopyIntoRef(&e.Payload, p)
-		return
-	}
-	r.setPayload(e, *p)
-}
-
-// isZeroRef reports whether *p is zero, reading through the pointer when the
-// ring supports it (a by-value IsZero copies the payload header — 80 bytes
-// for a cofactor triple — per call).
-func (r *Relation[P]) isZeroRef(p *P) bool {
-	if r.mutRef != nil {
-		return r.mutRef.IsZeroRef(p)
-	}
-	return r.ring.IsZero(*p)
-}
-
 // addInto accumulates p into stored entry e — in place when the ring allows
 // it — and removes e when the sum vanishes. It reports whether e is still
-// stored. Every merge onto an existing key ends here or in addIntoRef.
+// stored. Every sum merged onto an existing key ends here, every product in
+// mulAddInto; an entry-resident source is passed as src.Payload (a header
+// copy: see ring.Mutable).
 func (r *Relation[P]) addInto(e *Entry[P], p P) bool {
 	if r.mut != nil {
 		r.touchEntry(e)
 		r.mut.AddInto(&e.Payload, p)
-		if !r.isZeroRef(&e.Payload) {
+		if !r.ring.IsZero(e.Payload) {
 			return true
 		}
 	} else {
@@ -607,29 +589,12 @@ func (r *Relation[P]) addInto(e *Entry[P], p P) bool {
 	return false
 }
 
-// addIntoRef is addInto for a source read through its pointer, so wide
-// payloads are never copied at the interface boundary. p must point at
-// heap-resident storage (another entry's payload, an owned accumulator
-// field) — see ring.MutableRef.
-func (r *Relation[P]) addIntoRef(e *Entry[P], p *P) bool {
-	if r.mutRef == nil {
-		return r.addInto(e, *p)
-	}
-	r.touchEntry(e)
-	r.mutRef.AddIntoRef(&e.Payload, p)
-	if r.isZeroRef(&e.Payload) {
-		r.removeEntry(e)
-		return false
-	}
-	return true
-}
-
 // mulAddInto accumulates (*a)*(*b) into stored entry e, removing it when the
 // sum vanishes. Requires r.mut != nil.
 func (r *Relation[P]) mulAddInto(e *Entry[P], a, b *P) {
 	r.touchEntry(e)
 	r.mut.MulAddInto(&e.Payload, a, b)
-	if r.isZeroRef(&e.Payload) {
+	if r.ring.IsZero(e.Payload) {
 		r.removeEntry(e)
 	}
 }
@@ -640,7 +605,7 @@ func (r *Relation[P]) mulAddInto(e *Entry[P], a, b *P) {
 func (r *Relation[P]) insertMul(t Tuple, a, b *P) {
 	e := r.insertEntry(r.keyBuf, t)
 	r.mut.MulInto(&e.Payload, a, b)
-	if r.isZeroRef(&e.Payload) {
+	if r.ring.IsZero(e.Payload) {
 		r.removeEntry(e)
 	}
 }
@@ -686,22 +651,6 @@ func (r *Relation[P]) MergeProjected(proj Projector, t Tuple, p P) {
 	} else if !r.ring.IsZero(p) {
 		r.setPayload(r.insertEntry(r.keyBuf, r.projApply(proj, t)), p)
 	}
-}
-
-// mergeProjectedRef is MergeProjected for a heap-resident source payload,
-// reporting the presence transition like mergeEntry. The stored tuple is
-// always a fresh copy.
-func (r *Relation[P]) mergeProjectedRef(proj Projector, t Tuple, p *P) (en *Entry[P], existed, exists bool) {
-	r.keyBuf = proj.AppendKey(r.keyBuf[:0], t)
-	if e := r.lookupScratch(); e != nil {
-		return e, true, r.addIntoRef(e, p)
-	}
-	if r.isZeroRef(p) {
-		return nil, false, false
-	}
-	e := r.insertEntry(r.keyBuf, proj.Apply(t))
-	r.setPayloadRef(e, p)
-	return e, false, true
 }
 
 // MergeMul merges the product (*a)*(*b) under tuple t. For rings with
@@ -753,27 +702,24 @@ func (r *Relation[P]) mergeKeyed(key []byte, h uint64, t Tuple, volTuple bool, p
 
 // mergeFrom merges a source entry — another relation's, same schema — by
 // the key and hash it already carries (no re-encoding, no re-hashing) and
-// reports the presence transition like mergeEntry. The payload is read
-// through its pointer; on insert the key is copied like any other and the
-// tuple shared with the source, or copied when it may be the source's own
-// (volTuple: see VolatileTuples).
+// reports the presence transition like mergeEntry. On insert the key is
+// copied like any other and the tuple shared with the source, or copied when
+// it may be the source's own (volTuple: see VolatileTuples).
 func (r *Relation[P]) mergeFrom(src *Entry[P], volTuple bool) (en *Entry[P], existed, exists bool) {
 	r.keyHash = src.hash
 	if e := r.entries.getString(src.hash, src.key); e != nil {
-		return e, true, r.addIntoRef(e, &src.Payload)
+		return e, true, r.addInto(e, src.Payload)
 	}
-	if r.isZeroRef(&src.Payload) {
+	if r.ring.IsZero(src.Payload) {
 		return nil, false, false
 	}
 	e := r.insertEntry(keyView(src.key), r.keepTuple(src.Tuple, volTuple))
-	r.setPayloadRef(e, &src.Payload)
+	r.setPayload(e, src.Payload)
 	return e, false, true
 }
 
 // MergeAll merges every entry of o into r: r := r ⊎ o. The relations must
-// share a schema (same variables in the same order). Source payloads are
-// entry-resident, so rings with pointer-source accumulation merge them
-// without copying.
+// share a schema (same variables in the same order).
 func (r *Relation[P]) MergeAll(o *Relation[P]) {
 	volTuple := o.VolatileTuples()
 	o.entries.all(func(e *Entry[P]) bool {
@@ -820,7 +766,7 @@ func (r *Relation[P]) SortedEntries() []Entry[P] {
 // accumulation, so later merges into either relation never bleed into the
 // other.
 func (r *Relation[P]) Clone() *Relation[P] {
-	return r.cloneWith(func(dst, src *Entry[P]) { r.setPayloadRef(dst, &src.Payload) })
+	return r.cloneWith(func(dst, src *Entry[P]) { r.setPayload(dst, src.Payload) })
 }
 
 // Negate returns a relation mapping every key of r to the additive inverse
@@ -833,7 +779,7 @@ func (r *Relation[P]) Negate() *Relation[P] {
 // cloneWith copies r entry by entry — own key bytes, cached hash, kept tuple
 // — leaving the payload to set.
 func (r *Relation[P]) cloneWith(set func(dst, src *Entry[P])) *Relation[P] {
-	out := &Relation[P]{schema: r.schema, ring: r.ring, mut: r.mut, mutRef: r.mutRef}
+	out := &Relation[P]{schema: r.schema, ring: r.ring, mut: r.mut}
 	out.entries.reserve(r.entries.len())
 	volTuple := r.VolatileTuples()
 	r.entries.all(func(e *Entry[P]) bool {

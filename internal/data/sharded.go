@@ -14,8 +14,7 @@ import (
 // that one worker may own privately; Sharded itself is not safe for
 // concurrent mutation.
 type Sharded[P any] struct {
-	col    string
-	idx    int
+	idx    int // position of the shard column in the schema
 	shards []*Relation[P]
 	stats  *RelStats
 }
@@ -30,15 +29,12 @@ func NewSharded[P any](r ring.Ring[P], schema Schema, col string, n int) (*Shard
 	if n < 1 {
 		return nil, fmt.Errorf("data: shard count %d < 1", n)
 	}
-	s := &Sharded[P]{col: col, idx: idx, shards: make([]*Relation[P], n)}
+	s := &Sharded[P]{idx: idx, shards: make([]*Relation[P], n)}
 	for i := range s.shards {
 		s.shards[i] = NewRelation(r, schema)
 	}
 	return s, nil
 }
-
-// Column returns the shard column name.
-func (s *Sharded[P]) Column() string { return s.col }
 
 // N returns the shard count.
 func (s *Sharded[P]) N() int { return len(s.shards) }

@@ -173,18 +173,6 @@ func (st *Stats) TotalDeltaTuples() int64 {
 	return n
 }
 
-// TotalCard sums the estimated cardinalities across relations.
-func (st *Stats) TotalCard() float64 {
-	if st == nil {
-		return 0
-	}
-	total := 0.0
-	for _, rs := range st.rels {
-		total += rs.Card()
-	}
-	return total
-}
-
 // ObserveRelation bulk-observes a relation's current contents under the
 // given name — the ANALYZE path used to seed a collector from loaded data.
 func ObserveRelation[P any](st *Stats, name string, r *Relation[P]) {

@@ -180,11 +180,29 @@ func (d *DB) recoverFrom(rec *wal.Recovery) error {
 // base relations — the same LoadOwned path a mid-stream CreateView takes, so
 // the recovered contents equal an uninterrupted run's.
 func (d *DB) recoverView(def wal.ViewDef) error {
-	_, err := CreateViewSQL(d, def.Name, def.SQL, ViewOptions{
+	_, err := CreateViewSQL(d, def.Name, def.SQL, viewOptionsOf(def))
+	return err
+}
+
+// viewOptionsOf and viewDefOf are the one mapping between a SQL view's
+// options and its persisted catalog entry: what a ViewDef does not carry
+// (Order, Updatable) a SQL-created view leaves at its default.
+func viewOptionsOf(def wal.ViewDef) ViewOptions {
+	return ViewOptions{
 		Workers:         def.Workers,
 		ComposeChains:   def.ComposeChains,
 		CostMaterialize: def.CostMaterialize,
 		AutoReoptimize:  def.AutoReoptimize,
-	})
-	return err
+	}
+}
+
+func viewDefOf(name, sql string, opts ViewOptions) wal.ViewDef {
+	return wal.ViewDef{
+		Name:            name,
+		SQL:             sql,
+		Workers:         opts.Workers,
+		ComposeChains:   opts.ComposeChains,
+		CostMaterialize: opts.CostMaterialize,
+		AutoReoptimize:  opts.AutoReoptimize,
+	}
 }

@@ -58,13 +58,7 @@ func (d *DB) ApplyReplicated(rec wal.Record) error {
 	defer func() { d.replicating = false }()
 	switch {
 	case rec.Create != nil:
-		def := *rec.Create
-		if _, err := CreateViewSQL(d, def.Name, def.SQL, ViewOptions{
-			Workers:         def.Workers,
-			ComposeChains:   def.ComposeChains,
-			CostMaterialize: def.CostMaterialize,
-			AutoReoptimize:  def.AutoReoptimize,
-		}); err != nil {
+		if _, err := CreateViewSQL(d, rec.Create.Name, rec.Create.SQL, viewOptionsOf(*rec.Create)); err != nil {
 			return err
 		}
 	case rec.Drop != "":

@@ -5,7 +5,6 @@ import (
 
 	"fivm/internal/ring"
 	"fivm/internal/sqlparse"
-	"fivm/internal/wal"
 )
 
 // CreateViewSQL registers a view from SQL text — either a full
@@ -39,14 +38,7 @@ func CreateViewSQL(d *DB, name, sql string, opts ViewOptions) (*View[float64], e
 		return nil, err
 	}
 	if d.log != nil {
-		def := wal.ViewDef{
-			Name:            name,
-			SQL:             sql,
-			Workers:         opts.Workers,
-			ComposeChains:   opts.ComposeChains,
-			CostMaterialize: opts.CostMaterialize,
-			AutoReoptimize:  opts.AutoReoptimize,
-		}
+		def := viewDefOf(name, sql, opts)
 		if !d.recovering {
 			// Log the creation; if the append fails the view cannot be made
 			// durable, so undo it rather than let memory and log diverge.

@@ -174,7 +174,7 @@ func CreateView[P any](d *DB, name string, q query.Query, r ring.Ring[P], lift d
 		conv := data.NewRelation[P](r, base.Schema())
 		conv.Reserve(base.Len())
 		fillLifted(conv, base, r)
-		if err := loadOwned(m, rel, conv); err != nil {
+		if err := ivm.LoadOwned(m, rel, conv); err != nil {
 			closeMaintainer(m)
 			return nil, err
 		}
@@ -189,15 +189,6 @@ func CreateView[P any](d *DB, name string, q query.Query, r ring.Ring[P], lift d
 
 	d.registerView(v)
 	return v, nil
-}
-
-// loadOwned hands a relation to the maintainer with ownership transfer when
-// it supports adoption (Engine and Parallel do), falling back to Load.
-func loadOwned[P any](m ivm.Maintainer[P], rel string, r *data.Relation[P]) error {
-	if a, ok := m.(ivm.BaseAdopter[P]); ok {
-		return a.LoadOwned(rel, r)
-	}
-	return m.Load(rel, r)
 }
 
 func closeMaintainer(m any) {

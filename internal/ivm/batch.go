@@ -81,107 +81,67 @@ func coalesceBatch[P any](batch []NamedDelta[P]) []NamedDelta[P] {
 	return out
 }
 
+// driver is the strategy-independent half of the Maintainer contract,
+// written once and embedded by every strategy that maintains its state on
+// one goroutine (Parallel routes across shards and keeps its own): a single
+// delta is a batch of one, a batch is coalesced per relation and applied
+// delta by delta, then closed, and one epoch is published for all of it.
+// What differs between F-IVM, 1-IVM, DBT and re-evaluation is the update
+// rule, which the strategy supplies at construction.
+type driver[P any] struct {
+	pub publisher[P]
+	// apply is the update rule: how one delta changes the stored state. It
+	// validates rel and the delta's schema and publishes nothing.
+	apply func(rel string, delta *data.Relation[P]) error
+	// epoch snapshots the result for publication.
+	epoch func() *ViewSnapshot[P]
+	// At most one end-of-batch hook, and on which side of the publication
+	// matters. seal runs before: a re-evaluating strategy recomputes the
+	// result its epoch then carries. reclaim runs after: the engine hands
+	// removed entries back for reuse, which overwrites key bytes the
+	// publication still reads through the dirty-key list.
+	seal, reclaim func()
+}
+
+// ApplyDelta maintains the result under an update to one relation, a batch
+// of one. Deletions are encoded as entries with additively inverted payloads.
+func (d *driver[P]) ApplyDelta(rel string, delta *data.Relation[P]) error {
+	if err := d.apply(rel, delta); err != nil {
+		return err
+	}
+	d.endBatch()
+	return nil
+}
+
 // ApplyDeltas maintains the result under a batch of updates to any mix of
-// relations. Deltas to the same relation are merged and each affected
-// leaf-to-root plan is traversed once, so a batch of k single-tuple updates
-// to one relation costs one propagation instead of k. With publication
-// enabled, one snapshot epoch is published for the whole batch.
-func (e *Engine[P]) ApplyDeltas(batch []NamedDelta[P]) error {
+// relations. Deltas to the same relation are merged and the update rule runs
+// once per distinct relation, so a batch of k single-tuple updates to one
+// relation costs one propagation instead of k. An empty or all-nil batch
+// changes nothing and is still a batch: with publication enabled, exactly one
+// epoch is published per call.
+func (d *driver[P]) ApplyDeltas(batch []NamedDelta[P]) error {
 	for _, nd := range coalesceBatch(batch) {
-		if err := e.applyDelta(nd.Rel, nd.Delta); err != nil {
+		if err := d.apply(nd.Rel, nd.Delta); err != nil {
 			return err
 		}
 	}
-	e.endBatch()
+	d.endBatch()
 	return nil
 }
 
-// ApplyDeltas evaluates one first-order delta query per distinct relation in
-// the batch, publishing one snapshot epoch for the whole batch.
-func (m *FirstOrder[P]) ApplyDeltas(batch []NamedDelta[P]) error {
-	for _, nd := range coalesceBatch(batch) {
-		if err := m.applyDelta(nd.Rel, nd.Delta); err != nil {
-			return err
-		}
+// endBatch closes an applied batch: seal, publish if anyone ever asked for a
+// snapshot, reclaim.
+func (d *driver[P]) endBatch() {
+	if d.seal != nil {
+		d.seal()
 	}
-	m.maybePublish()
-	return nil
+	d.pub.next(d.epoch)
+	if d.reclaim != nil {
+		d.reclaim()
+	}
 }
 
-// ApplyDeltas maintains every affected view hierarchy once per distinct
-// relation in the batch, publishing one snapshot epoch for the whole batch.
-func (m *Recursive[P]) ApplyDeltas(batch []NamedDelta[P]) error {
-	for _, nd := range coalesceBatch(batch) {
-		if err := m.applyDelta(nd.Rel, nd.Delta); err != nil {
-			return err
-		}
-	}
-	m.maybePublish()
-	return nil
-}
-
-// ApplyDeltas merges the whole batch into the base relations and recomputes
-// the result once, instead of once per update.
-func (m *ReEval[P]) ApplyDeltas(batch []NamedDelta[P]) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	for _, nd := range batch {
-		if nd.Delta == nil {
-			continue
-		}
-		if err := m.absorb(nd.Rel, nd.Delta); err != nil {
-			return err
-		}
-	}
-	m.result = evalTree(m.root, m.q, m.ring, m.lift, m.bases)
-	m.maybePublish()
-	return nil
-}
-
-// ApplyDeltas merges the whole batch into the base relations and recomputes
-// the full join once.
-func (m *NaiveReEval[P]) ApplyDeltas(batch []NamedDelta[P]) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	for _, nd := range batch {
-		if nd.Delta == nil {
-			continue
-		}
-		if err := m.absorb(nd.Rel, nd.Delta); err != nil {
-			return err
-		}
-	}
-	m.result = m.recompute()
-	m.maybePublish()
-	return nil
-}
-
-// ApplyDeltas recomputes each aggregate's delta query once per distinct
-// relation in the batch, publishing one snapshot epoch for the whole batch.
-func (m *MultiFirstOrder) ApplyDeltas(batch []NamedDelta[float64]) error {
-	for _, nd := range coalesceBatch(batch) {
-		if err := m.applyDelta(nd.Rel, nd.Delta); err != nil {
-			return err
-		}
-	}
-	m.maybePublish()
-	return nil
-}
-
-// ApplyDeltas coalesces the batch once and drives every per-aggregate
-// hierarchy with the merged deltas, publishing one snapshot epoch for the
-// whole batch.
-func (m *MultiRecursive) ApplyDeltas(batch []NamedDelta[float64]) error {
-	batch = coalesceBatch(batch)
-	for _, inst := range m.instances {
-		for _, nd := range batch {
-			if err := inst.ApplyDelta(nd.Rel, nd.Delta); err != nil {
-				return err
-			}
-		}
-	}
-	m.maybePublish()
-	return nil
-}
+// Snapshot returns a lease (see ViewSnapshot) on the latest published epoch
+// of the result, enabling publication on first use; see publisher for the
+// concurrency contract.
+func (d *driver[P]) Snapshot() *ViewSnapshot[P] { return d.pub.snapshot(d.epoch) }

@@ -1,6 +1,7 @@
 package ivm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -187,5 +188,180 @@ func TestCoalesceBatchCopyOnWrite(t *testing.T) {
 	out2 := coalesceBatch(batch2)
 	if len(out2) != 2 || out2[0].Delta != d1 || out2[1].Delta != d2 {
 		t.Error("unique-relation batch should pass through unchanged")
+	}
+}
+
+// contractStrategies is every way this package builds a maintainer — the
+// seven constructors, plus Parallel over the engine — at float payloads (the
+// per-aggregate strategies have no other).
+func contractStrategies(q query.Query) map[string]func() (Maintainer[float64], error) {
+	one := func(string, data.Value) float64 { return 1 }
+	specs := CofactorAggSpecs(data.NewSchema("B"))
+	engine := func() (Maintainer[float64], error) {
+		return New[float64](q, paperOrder(), ring.Float{}, one, Options[float64]{})
+	}
+	return map[string]func() (Maintainer[float64], error){
+		"F-IVM": engine,
+		"DBT": func() (Maintainer[float64], error) {
+			return NewRecursive[float64](q, ring.Float{}, one, nil)
+		},
+		"1-IVM": func() (Maintainer[float64], error) {
+			return NewFirstOrder[float64](q, paperOrder(), ring.Float{}, one)
+		},
+		"RE-EVAL": func() (Maintainer[float64], error) {
+			return NewReEval[float64](q, paperOrder(), ring.Float{}, one)
+		},
+		"NAIVE-RE-EVAL": func() (Maintainer[float64], error) {
+			return NewNaiveReEval[float64](q, ring.Float{}, one), nil
+		},
+		"MULTI-1-IVM": func() (Maintainer[float64], error) {
+			return NewMultiFirstOrder(q, paperOrder(), specs)
+		},
+		"MULTI-DBT": func() (Maintainer[float64], error) {
+			return NewMultiRecursive(q, specs, nil)
+		},
+		"PARALLEL": func() (Maintainer[float64], error) {
+			return newParallel[float64](q, ring.Float{}, 3, engine)
+		},
+	}
+}
+
+// renderEntries prints key-sorted entries, the common form of a live result
+// and of a published one.
+func renderEntries[P any](es []data.Entry[P]) string {
+	out := ""
+	for _, e := range es {
+		out += fmt.Sprintf("%v->%v ", e.Tuple, e.Payload)
+	}
+	return out
+}
+
+// TestMaintainerContract is the strategy-independent half of the Maintainer
+// contract, one table over every strategy: what is rejected (and leaves the
+// state alone), what an empty batch is, and what Snapshot shows when.
+func TestMaintainerContract(t *testing.T) {
+	q := paperQuery("A")
+	rng := rand.New(rand.NewSource(11))
+	loaded := map[string]*data.Relation[float64]{}
+	for _, rd := range q.Rels {
+		loaded[rd.Name] = floatDeltaR(rng, rd.Schema, 3, 6)
+	}
+	rdR, _ := q.Rel("R")
+	rdS, _ := q.Rel("S")
+	wide := floatDeltaR(rng, data.NewSchema("A", "B", "C"), 3, 4) // R(A,B) plus a column
+	deltaS := floatDeltaR(rng, rdS.Schema, 3, 5)
+
+	live := func(m Maintainer[float64]) string { return renderEntries(m.Result().SortedEntries()) }
+	// published leases the latest epoch, checks it carries the live result,
+	// and returns its number.
+	published := func(t *testing.T, m Maintainer[float64]) uint64 {
+		t.Helper()
+		s := m.Snapshot()
+		defer s.Release()
+		if got, want := renderEntries(s.Result().SortedEntries()), live(m); got != want {
+			t.Fatalf("epoch %d publishes %s, live result is %s", s.Epoch, got, want)
+		}
+		return s.Epoch
+	}
+
+	rows := []struct {
+		name string
+		run  func(t *testing.T, m Maintainer[float64])
+	}{
+		{"unknown relation", func(t *testing.T, m Maintainer[float64]) {
+			before := live(m)
+			if err := m.Load("nope", loaded["R"]); err == nil {
+				t.Error("Load of an unknown relation accepted")
+			}
+			if err := m.ApplyDelta("nope", floatDeltaR(rng, rdR.Schema, 3, 2)); err == nil {
+				t.Error("ApplyDelta to an unknown relation accepted")
+			}
+			if err := m.ApplyDeltas([]NamedDelta[float64]{{Rel: "nope", Delta: floatDeltaR(rng, rdR.Schema, 3, 2)}}); err == nil {
+				t.Error("ApplyDeltas to an unknown relation accepted")
+			}
+			if got := live(m); got != before {
+				t.Errorf("rejected updates changed the result: %s vs %s", got, before)
+			}
+		}},
+		{"wrong-schema Load", func(t *testing.T, m Maintainer[float64]) {
+			if err := m.Load("R", wide); err == nil {
+				t.Errorf("Load of %v into R%v accepted", wide.Schema(), rdR.Schema)
+			}
+		}},
+		{"wrong-schema delta", func(t *testing.T, m Maintainer[float64]) {
+			before := live(m)
+			if err := m.ApplyDelta("R", wide); err == nil {
+				t.Errorf("delta over %v to R%v accepted", wide.Schema(), rdR.Schema)
+			}
+			if got := live(m); got != before {
+				t.Errorf("rejected delta changed the result: %s vs %s", got, before)
+			}
+		}},
+		{"empty and all-nil batches", func(t *testing.T, m Maintainer[float64]) {
+			// Unpublished first: nothing to publish must not be an excuse to
+			// skip anything else.
+			before := live(m)
+			for _, batch := range [][]NamedDelta[float64]{nil, {{Rel: "S"}, {Rel: "R"}}} {
+				if err := m.ApplyDeltas(batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			epoch := published(t, m)
+			for _, batch := range [][]NamedDelta[float64]{nil, {}, {{Rel: "S"}, {Rel: "R"}}} {
+				if err := m.ApplyDeltas(batch); err != nil {
+					t.Fatal(err)
+				}
+				if got := published(t, m); got != epoch+1 {
+					t.Fatalf("batch %v: epoch %d -> %d, want exactly one new epoch", batch, epoch, got)
+				}
+				epoch++
+			}
+			if got := live(m); got != before {
+				t.Errorf("empty batches changed the result: %s vs %s", got, before)
+			}
+		}},
+		{"Snapshot before and after the first batch", func(t *testing.T, m Maintainer[float64]) {
+			first := m.Snapshot() // the enabling call: the state as loaded
+			defer first.Release()
+			pinned := renderEntries(first.Result().SortedEntries())
+			if first.Epoch != 0 || pinned != live(m) || first.Superseded() {
+				t.Fatalf("first snapshot: epoch %d, superseded %v, %s vs live %s", first.Epoch, first.Superseded(), pinned, live(m))
+			}
+			if err := m.ApplyDelta("S", deltaS); err != nil {
+				t.Fatal(err)
+			}
+			if live(m) == pinned {
+				t.Fatal("the batch changed nothing: the row tests nothing")
+			}
+			if got := published(t, m); got != 1 {
+				t.Errorf("epoch after the first batch = %d, want 1", got)
+			}
+			if got := renderEntries(first.Result().SortedEntries()); got != pinned || !first.Superseded() {
+				t.Errorf("pinned epoch 0 after the batch: superseded %v, %s, was %s", first.Superseded(), got, pinned)
+			}
+		}},
+	}
+	for name, mk := range contractStrategies(q) {
+		for _, row := range rows {
+			t.Run(name+"/"+row.name, func(t *testing.T) {
+				m, err := mk()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c, ok := m.(interface{ Close() error }); ok {
+					defer c.Close() // Parallel's workers
+				}
+				for rel, r := range loaded {
+					if err := m.Load(rel, r.Clone()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := m.Init(); err != nil {
+					t.Fatal(err)
+				}
+				row.run(t, m)
+				checkViewTuples(t, name, m)
+			})
+		}
 	}
 }

@@ -114,6 +114,8 @@ type Options[P any] struct {
 // views materialized according to µ(τ, U) and deltas propagated along
 // leaf-to-root paths with factorized (aggregate-pushing) computation.
 type Engine[P any] struct {
+	driver[P] // ApplyDelta, ApplyDeltas, Snapshot over applyDelta, epoch and reclaim
+
 	q    query.Query
 	ring ring.Ring[P]
 	lift data.LiftFunc[P]
@@ -126,13 +128,12 @@ type Engine[P any] struct {
 	mat       map[*viewtree.Node]bool
 	views     map[*viewtree.Node]*data.IndexedRelation[P]
 	plans     map[*viewtree.Node]*deltaPlan[P]
-	// Stable view names and the epoch publisher. catalog is set by the first
-	// Catalog call: epochs then carry every materialized view, not just the
-	// root. catNames caches the sorted catalogue across epochs; plan drops it
-	// (a replan renames views), and a length mismatch rebuilds it.
+	// Stable view names. catalog is set by the first Catalog call: epochs
+	// then carry every materialized view, not just the root. catNames caches
+	// the sorted catalogue across epochs; plan drops it (a replan renames
+	// views), and a length mismatch rebuilds it.
 	names    map[*viewtree.Node]string
 	byName   map[string]*viewtree.Node
-	pub      publisher[P]
 	catalog  bool
 	catNames []string
 	// indicator machinery
@@ -170,6 +171,7 @@ func New[P any](q query.Query, o *vorder.Order, r ring.Ring[P], lift data.LiftFu
 		updatable: make(map[string]bool),
 		bases:     make(map[string]*data.Relation[P]),
 	}
+	e.driver = driver[P]{apply: e.applyDelta, epoch: e.epoch, reclaim: e.reclaim}
 	upd := opts.Updatable
 	if len(upd) == 0 {
 		upd = q.RelNames()
@@ -343,9 +345,6 @@ func (e *Engine[P]) materialization() map[*viewtree.Node]bool {
 // Tree returns the engine's view tree.
 func (e *Engine[P]) Tree() *viewtree.Node { return e.root }
 
-// Materialized reports whether a view is materialized.
-func (e *Engine[P]) Materialized(n *viewtree.Node) bool { return e.mat[n] }
-
 // ViewOf returns the materialized contents of a view, or nil. The returned
 // relation is a live handle that delta propagation keeps mutating: it is not
 // safe to read while another goroutine applies deltas. Concurrent readers
@@ -361,12 +360,8 @@ func (e *Engine[P]) ViewOf(n *viewtree.Node) *data.Relation[P] {
 // relation's schema must match the query's definition. The relation stays
 // owned by the caller: Init copies it into the leaf view.
 func (e *Engine[P]) Load(rel string, r *data.Relation[P]) error {
-	rd, ok := e.q.Rel(rel)
-	if !ok {
-		return fmt.Errorf("ivm: unknown relation %q", rel)
-	}
-	if !r.Schema().SameSet(rd.Schema) {
-		return fmt.Errorf("ivm: relation %q schema %v does not match %v", rel, r.Schema(), rd.Schema)
+	if _, err := checkRel(e.q, rel, r); err != nil {
+		return err
 	}
 	e.bases[rel] = r
 	return nil
@@ -596,33 +591,21 @@ func (e *Engine[P]) PoolStats() data.PoolStats {
 	return ps
 }
 
-// ApplyDelta propagates an update to one relation along its leaf-to-root
-// path (Figure 4), maintaining every materialized view on the way, then
-// propagates any induced indicator deltas in sequence. The update counts as
-// one batch: with publication enabled, a fresh snapshot epoch is published
-// at the end.
-func (e *Engine[P]) ApplyDelta(rel string, delta *data.Relation[P]) error {
-	if err := e.applyDelta(rel, delta); err != nil {
-		return err
-	}
-	e.endBatch()
-	return nil
-}
-
-// endBatch closes an applied batch: publish the epoch, then — the batch's
-// work items and index probes all being dead — let every view reclaim the
-// entries the batch removed (data.Relation.Reclaim). The loop runs over
+// reclaim is the engine's end-of-batch hook, after the epoch is published:
+// the batch's work items and index probes all being dead, every view reclaims
+// the entries the batch removed (data.Relation.Reclaim). The loop runs over
 // whatever e.views holds now, so views built by Init and by a mid-stream
 // replan are pooled alike from their first batch on.
-func (e *Engine[P]) endBatch() {
-	e.maybePublish()
+func (e *Engine[P]) reclaim() {
 	for _, v := range e.views {
 		v.Reclaim()
 	}
 }
 
-// applyDelta is ApplyDelta without the per-batch snapshot publication, so
-// batched updates publish once per batch instead of once per relation.
+// applyDelta is the engine's update rule: it propagates an update to one
+// relation along its leaf-to-root path (Figure 4), maintaining every
+// materialized view on the way, then propagates any induced indicator deltas
+// in sequence.
 func (e *Engine[P]) applyDelta(rel string, delta *data.Relation[P]) error {
 	if !e.ready {
 		return fmt.Errorf("ivm: ApplyDelta before Init")

@@ -36,11 +36,7 @@ func checkViewTuples[P any](t testing.TB, what string, m Maintainer[P]) {
 		for node, v := range m.views {
 			check("view "+node.Name(), v.Relation)
 		}
-	case *FirstOrder[P]:
-		bases(m.bases)
-	case *ReEval[P]:
-		bases(m.bases)
-	case *NaiveReEval[P]:
+	case *Baseline[P]:
 		bases(m.bases)
 	case *Recursive[P]:
 		bases(m.bases)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fivm/internal/data"
-	"fivm/internal/datasets"
 	"fivm/internal/query"
 	"fivm/internal/ring"
 	"fivm/internal/vorder"
@@ -185,60 +184,6 @@ func TestRecursiveRestrictedUpdatable(t *testing.T) {
 	// Updates outside the updatable set are rejected.
 	if err := one.ApplyDelta("R", randomDelta(rng, data.NewSchema("A", "B"), 3, 1)); err == nil {
 		t.Error("update to non-updatable relation should fail")
-	}
-}
-
-// TestTriggerSet exercises the trigger dispatcher over plain and windowed
-// streams.
-func TestTriggerSet(t *testing.T) {
-	q := paperQuery()
-	e, err := New[int64](q, paperOrder(), ring.Int{}, countLift, Options[int64]{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Init(); err != nil {
-		t.Fatal(err)
-	}
-	ts := NewTriggers[int64](e, q, ring.Int{}, func(string, data.Tuple) int64 { return 1 })
-
-	if err := ts.Insert("R", data.Ints(1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ts.Insert("S", data.Ints(1, 2, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ts.Insert("T", data.Ints(2, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if p, _ := e.Result().Get(data.Tuple{}); p != 1 {
-		t.Fatalf("count = %d, want 1", p)
-	}
-	if err := ts.Delete("R", data.Ints(1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if p, _ := e.Result().Get(data.Tuple{}); p != 0 {
-		t.Fatalf("count after delete = %d, want 0", p)
-	}
-	if err := ts.Insert("Nope"); err == nil {
-		t.Error("unknown relation should fail")
-	}
-	if ts.Maintainer() == nil {
-		t.Error("Maintainer accessor")
-	}
-
-	// Windowed batches negate deletes.
-	wb := []struct {
-		del bool
-		tup data.Tuple
-	}{{false, data.Ints(2, 2)}, {true, data.Ints(2, 2)}}
-	for _, w := range wb {
-		b := datasets.WindowedBatch{Batch: datasets.Batch{Rel: "R", Tuples: []data.Tuple{w.tup}}, Delete: w.del}
-		if err := ts.ApplyWindowed(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if p, _ := e.Result().Get(data.Tuple{}); p != 0 {
-		t.Fatalf("count after windowed insert+delete = %d, want 0", p)
 	}
 }
 

@@ -180,10 +180,6 @@ func (p *Parallel[P]) Sharded() bool { return len(p.shards) > 1 }
 // Workers returns the number of shards (1 for the sequential fallback).
 func (p *Parallel[P]) Workers() int { return len(p.shards) }
 
-// ShardVar returns the variable the database is partitioned on ("" when the
-// query has no variables).
-func (p *Parallel[P]) ShardVar() string { return p.shardVar }
-
 // Close stops the worker pool. The maintainer must not be used afterwards.
 func (p *Parallel[P]) Close() error {
 	if p.jobs != nil && !p.closed {
@@ -246,38 +242,22 @@ func (p *Parallel[P]) allShards() []int {
 // the caller's relation — so per-relation scratch state never crosses
 // goroutines and later caller-side mutations of r cannot skew one shard's
 // snapshot against the others'.
-func (p *Parallel[P]) Load(rel string, r *data.Relation[P]) error {
-	if !p.Sharded() {
-		return p.shards[0].Load(rel, r)
-	}
-	if r.Schema().Contains(p.shardVar) {
-		parts, err := data.Split(r, p.shardVar, len(p.shards))
-		if err != nil {
-			return err
-		}
-		for s, part := range parts {
-			if err := p.shards[s].Load(rel, part); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, m := range p.shards {
-		if err := m.Load(rel, r.Clone()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (p *Parallel[P]) Load(rel string, r *data.Relation[P]) error { return p.load(rel, r, false) }
 
 // LoadOwned is Load with ownership transfer (see Engine.LoadOwned). Shard
 // partitions are fresh relations and are always handed over owned; broadcast
 // relations give the original to the first shard and owned clones to the
 // rest, so no shard re-copies at Init. Inner maintainers that do not adopt
 // bases fall back to plain Load.
-func (p *Parallel[P]) LoadOwned(rel string, r *data.Relation[P]) error {
+func (p *Parallel[P]) LoadOwned(rel string, r *data.Relation[P]) error { return p.load(rel, r, true) }
+
+func (p *Parallel[P]) load(rel string, r *data.Relation[P], owned bool) error {
+	give := Maintainer[P].Load
+	if owned {
+		give = LoadOwned[P]
+	}
 	if !p.Sharded() {
-		return loadMaybeOwned(p.shards[0], rel, r)
+		return give(p.shards[0], rel, r)
 	}
 	if r.Schema().Contains(p.shardVar) {
 		parts, err := data.Split(r, p.shardVar, len(p.shards))
@@ -285,18 +265,18 @@ func (p *Parallel[P]) LoadOwned(rel string, r *data.Relation[P]) error {
 			return err
 		}
 		for s, part := range parts {
-			if err := loadMaybeOwned(p.shards[s], rel, part); err != nil {
+			if err := give(p.shards[s], rel, part); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	for s, m := range p.shards {
-		in := r
-		if s > 0 {
-			in = r.Clone()
+	for s := range p.shards {
+		part := r
+		if s > 0 || !owned {
+			part = r.Clone()
 		}
-		if err := loadMaybeOwned(m, rel, in); err != nil {
+		if err := give(p.shards[s], rel, part); err != nil {
 			return err
 		}
 	}
@@ -306,14 +286,14 @@ func (p *Parallel[P]) LoadOwned(rel string, r *data.Relation[P]) error {
 // BaseAdopter is the optional Maintainer extension for ownership-transfer
 // loading: LoadOwned adopts the relation as view backing storage instead of
 // copying it, and the caller must not touch it afterwards. Engine and
-// Parallel implement it; loaders probe for it and fall back to Load.
+// Parallel implement it; LoadOwned probes for it.
 type BaseAdopter[P any] interface {
 	LoadOwned(rel string, r *data.Relation[P]) error
 }
 
-// loadMaybeOwned hands a relation to a maintainer with ownership transfer
-// when supported.
-func loadMaybeOwned[P any](m Maintainer[P], rel string, r *data.Relation[P]) error {
+// LoadOwned hands a relation to a maintainer with ownership transfer when it
+// is a BaseAdopter, through plain Load otherwise.
+func LoadOwned[P any](m Maintainer[P], rel string, r *data.Relation[P]) error {
 	if a, ok := m.(BaseAdopter[P]); ok {
 		return a.LoadOwned(rel, r)
 	}
@@ -429,7 +409,7 @@ func (p *Parallel[P]) ApplyDeltas(batch []NamedDelta[P]) error {
 		}
 	}
 	if len(work) == 0 {
-		p.maybePublish()
+		p.pub.next(p.epoch)
 		return nil
 	}
 	if err := p.dispatch(work, func(s int) error { return p.shards[s].ApplyDeltas(p.batches[s]) }); err != nil {
@@ -437,7 +417,7 @@ func (p *Parallel[P]) ApplyDeltas(batch []NamedDelta[P]) error {
 	}
 	// Publication happens after the cross-shard barrier, on the routing
 	// goroutine: the epoch reflects the whole batch across every shard.
-	p.maybePublish()
+	p.pub.next(p.epoch)
 	return nil
 }
 

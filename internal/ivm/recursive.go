@@ -19,6 +19,8 @@ import (
 // per relation — typically many more views than F-IVM's single view tree,
 // which is the space/time gap the paper measures.
 type Recursive[P any] struct {
+	driver[P] // ApplyDelta, ApplyDeltas, Snapshot over applyDelta
+
 	q         query.Query
 	ring      ring.Ring[P]
 	lift      data.LiftFunc[P]
@@ -31,7 +33,6 @@ type Recursive[P any] struct {
 
 	bases map[string]*data.Relation[P]
 	ready bool
-	pub   publisher[P]
 
 	// Reusable scratch for viewDelta (single-threaded per maintainer).
 	items, spare []workItem[P]
@@ -76,6 +77,7 @@ func NewRecursive[P any](q query.Query, r ring.Ring[P], lift data.LiftFunc[P], u
 		affected:  make(map[string][]*recView[P]),
 		bases:     make(map[string]*data.Relation[P]),
 	}
+	m.driver = driver[P]{apply: m.applyDelta, epoch: func() *ViewSnapshot[P] { return liveEpoch(m.Result()) }}
 	if len(updatable) == 0 {
 		updatable = q.RelNames()
 	}
@@ -226,12 +228,8 @@ func connectedComponents(rels []query.RelDef, fixed data.Schema) [][]query.RelDe
 
 // Load installs the initial contents of a relation.
 func (m *Recursive[P]) Load(rel string, r *data.Relation[P]) error {
-	rd, ok := m.q.Rel(rel)
-	if !ok {
-		return fmt.Errorf("ivm: unknown relation %q", rel)
-	}
-	if !r.Schema().SameSet(rd.Schema) {
-		return fmt.Errorf("ivm: relation %q schema %v does not match %v", rel, r.Schema(), rd.Schema)
+	if _, err := checkRel(m.q, rel, r); err != nil {
+		return err
 	}
 	m.bases[rel] = r
 	return nil
@@ -272,31 +270,20 @@ func (m *Recursive[P]) Init() error {
 	return nil
 }
 
-// ApplyDelta maintains every view whose relation set contains the updated
-// relation. Component views never contain the updated relation, so each
-// affected view's delta can be computed and merged independently.
-func (m *Recursive[P]) ApplyDelta(rel string, delta *data.Relation[P]) error {
-	if err := m.applyDelta(rel, delta); err != nil {
-		return err
-	}
-	m.maybePublish()
-	return nil
-}
-
-// applyDelta is ApplyDelta without the per-batch snapshot publication.
+// applyDelta is the update rule: it maintains every view whose relation set
+// contains the updated relation. Component views never contain the updated
+// relation, so each affected view's delta can be computed and merged
+// independently.
 func (m *Recursive[P]) applyDelta(rel string, delta *data.Relation[P]) error {
 	if !m.ready {
 		return fmt.Errorf("ivm: ApplyDelta before Init")
 	}
-	rd, ok := m.q.Rel(rel)
-	if !ok {
-		return fmt.Errorf("ivm: unknown relation %q", rel)
+	rd, err := checkRel(m.q, rel, delta)
+	if err != nil {
+		return err
 	}
 	if !m.updatable[rel] {
 		return fmt.Errorf("ivm: relation %q is not updatable", rel)
-	}
-	if !delta.Schema().SameSet(rd.Schema) {
-		return fmt.Errorf("ivm: delta schema %v does not match %v", delta.Schema(), rd.Schema)
 	}
 	if !delta.Schema().Equal(rd.Schema) {
 		delta = data.Project(delta, rd.Schema)

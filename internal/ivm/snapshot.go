@@ -132,9 +132,10 @@ func sealedEpoch[P any](rs *data.RelationSnapshot[P]) *ViewSnapshot[P] {
 	return &ViewSnapshot[P]{Patched: rs.Len(), result: rs}
 }
 
-// publisher is the epoch machinery every maintainer embeds: an atomic
-// pointer to the latest published snapshot. A nil pointer means publication
-// is not enabled; the first Snapshot call on a maintainer enables it.
+// publisher is the epoch machinery every maintainer holds (through its
+// driver, or directly for Parallel): an atomic pointer to the latest
+// published snapshot. A nil pointer means publication is not enabled; the
+// first Snapshot call on a maintainer enables it.
 //
 // The publication contract, shared by every maintainer:
 //
@@ -173,7 +174,9 @@ func (p *publisher[P]) install(s *ViewSnapshot[P]) {
 }
 
 // snapshot is every maintainer's Snapshot: a lease on the latest epoch, or —
-// the call that enables publication — on a first one built by epoch.
+// the call that enables publication — on a first one built by epoch. Results
+// maintained in place publish their incremental snapshot (liveEpoch), results
+// replaced per batch a sealed one (sealedEpoch).
 func (p *publisher[P]) snapshot(epoch func() *ViewSnapshot[P]) *ViewSnapshot[P] {
 	for {
 		s := p.cur.Load()
@@ -185,8 +188,8 @@ func (p *publisher[P]) snapshot(epoch func() *ViewSnapshot[P]) *ViewSnapshot[P] 
 	}
 }
 
-// next is every maintainer's maybePublish, called exactly once at the end of
-// every applied batch: a fresh epoch if publication is enabled.
+// next is called exactly once at the end of every applied batch: a fresh
+// epoch if publication is enabled.
 func (p *publisher[P]) next(epoch func() *ViewSnapshot[P]) {
 	if p.cur.Load() != nil {
 		p.publish(epoch())
@@ -194,14 +197,6 @@ func (p *publisher[P]) next(epoch func() *ViewSnapshot[P]) {
 }
 
 // --- engine ------------------------------------------------------------------
-
-// Snapshot returns a lease (see ViewSnapshot) on the latest published
-// snapshot of the query result, enabling publication on first use (see
-// publisher for the concurrency contract). Only the root view is
-// snapshotted; see Catalog.
-func (e *Engine[P]) Snapshot() *ViewSnapshot[P] { return e.pub.snapshot(e.epoch) }
-
-func (e *Engine[P]) maybePublish() { e.pub.next(e.epoch) }
 
 // Catalog returns the latest published snapshot with the catalogue of every
 // materialized view in it. The first call is the request: like the first
@@ -305,36 +300,7 @@ func (e *Engine[P]) ViewByName(name string) *data.Relation[P] {
 	return e.ViewOf(node)
 }
 
-// --- the other maintainers: result-only epochs (see publisher) ---------------
-//
-// Results maintained in place publish their incremental snapshot (liveEpoch);
-// ReEval and NaiveReEval replace the result per batch and seal the fresh one.
-
-func (m *FirstOrder[P]) Snapshot() *ViewSnapshot[P] { return m.pub.snapshot(m.epoch) }
-func (m *FirstOrder[P]) maybePublish()              { m.pub.next(m.epoch) }
-func (m *FirstOrder[P]) epoch() *ViewSnapshot[P]    { return liveEpoch(m.Result()) }
-
-func (m *Recursive[P]) Snapshot() *ViewSnapshot[P] { return m.pub.snapshot(m.epoch) }
-func (m *Recursive[P]) maybePublish()              { m.pub.next(m.epoch) }
-func (m *Recursive[P]) epoch() *ViewSnapshot[P]    { return liveEpoch(m.Result()) }
-
-func (m *ReEval[P]) Snapshot() *ViewSnapshot[P] { return m.pub.snapshot(m.epoch) }
-func (m *ReEval[P]) maybePublish()              { m.pub.next(m.epoch) }
-func (m *ReEval[P]) epoch() *ViewSnapshot[P]    { return sealedEpoch(m.Result().Seal()) }
-
-func (m *NaiveReEval[P]) Snapshot() *ViewSnapshot[P] { return m.pub.snapshot(m.epoch) }
-func (m *NaiveReEval[P]) maybePublish()              { m.pub.next(m.epoch) }
-func (m *NaiveReEval[P]) epoch() *ViewSnapshot[P]    { return sealedEpoch(m.Result().Seal()) }
-
-// MultiFirstOrder and MultiRecursive publish the first (count) aggregate,
-// their Result.
-func (m *MultiFirstOrder) Snapshot() *ViewSnapshot[float64] { return m.pub.snapshot(m.epoch) }
-func (m *MultiFirstOrder) maybePublish()                    { m.pub.next(m.epoch) }
-func (m *MultiFirstOrder) epoch() *ViewSnapshot[float64]    { return liveEpoch(m.Result()) }
-
-func (m *MultiRecursive) Snapshot() *ViewSnapshot[float64] { return m.pub.snapshot(m.epoch) }
-func (m *MultiRecursive) maybePublish()                    { m.pub.next(m.epoch) }
-func (m *MultiRecursive) epoch() *ViewSnapshot[float64]    { return liveEpoch(m.Result()) }
+// --- parallel ----------------------------------------------------------------
 
 // Snapshot returns the latest published snapshot. A sharded maintainer
 // reduces the shard results key-wise after each batch and seals the reduced
@@ -345,8 +311,6 @@ func (p *Parallel[P]) Snapshot() *ViewSnapshot[P] {
 	}
 	return p.pub.snapshot(p.epoch)
 }
-
-func (p *Parallel[P]) maybePublish() { p.pub.next(p.epoch) }
 
 func (p *Parallel[P]) epoch() *ViewSnapshot[P] {
 	// Reduce straight into a sealed snapshot: one radix sort over the

@@ -161,31 +161,6 @@ func (Cofactor) CopyInto(dst *Triple, src Triple) { dst.CopyFrom(&src) }
 // IsOne reports whether *a is the multiplicative identity (1, 0, 0).
 func (Cofactor) IsOne(a *Triple) bool { return a.C == 1 && len(a.Vars) == 0 }
 
-// AddIntoRef accumulates *src into *dst: the pointer-source form of AddInto
-// (MutableRef), skipping the 80-byte header copy at the interface boundary.
-func (Cofactor) AddIntoRef(dst, src *Triple) { dst.AddInto(src) }
-
-// CopyIntoRef sets *dst to a deep copy of *src.
-func (Cofactor) CopyIntoRef(dst, src *Triple) { dst.CopyFrom(src) }
-
-// IsZeroRef reports whether *a is the zero triple (see IsZero).
-func (Cofactor) IsZeroRef(a *Triple) bool {
-	if a.C != 0 {
-		return false
-	}
-	for _, v := range a.S {
-		if v != 0 {
-			return false
-		}
-	}
-	for _, v := range a.Q {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // scatterBufLen bounds the stack-allocated position buffers; triples wider
 // than this fall back to a heap-allocated index slice.
 const scatterBufLen = 48

@@ -213,16 +213,6 @@ func (DegreeMap) CopyInto(dst *DegMap, src DegMap) {
 	}
 }
 
-// AddIntoRef accumulates *src into *dst (MutableRef; a map header copy is
-// cheap, so this simply delegates).
-func (r DegreeMap) AddIntoRef(dst, src *DegMap) { r.AddInto(dst, *src) }
-
-// CopyIntoRef sets *dst to a deep copy of *src.
-func (r DegreeMap) CopyIntoRef(dst, src *DegMap) { r.CopyInto(dst, *src) }
-
-// IsZeroRef reports whether *p holds no non-zero aggregate.
-func (DegreeMap) IsZeroRef(p *DegMap) bool { return len(*p) == 0 }
-
 // LiftDegMap returns the lifting of value x for variable j:
 // {SUM(1): 1, SUM(X_j): x, SUM(X_j*X_j): x²}.
 func LiftDegMap(j int, x float64) DegMap {

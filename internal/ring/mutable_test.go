@@ -19,9 +19,6 @@ func TestMutableOf(t *testing.T) {
 	if MutableOf[DegMap](DegreeMap{}) == nil {
 		t.Error("DegreeMap should be Mutable")
 	}
-	if MutableOf[PairVal[int64, Triple]](NewProduct[int64, Triple](Int{}, Cofactor{})) == nil {
-		t.Error("Product should be Mutable")
-	}
 }
 
 // checkMutableMatchesImmutable drives the in-place operations of a ring
@@ -108,15 +105,6 @@ func TestFloatMutableMatchesImmutable(t *testing.T) {
 
 func TestDegreeMapMutableMatchesImmutable(t *testing.T) {
 	checkMutableMatchesImmutable[DegMap](t, DegreeMap{}, genDegMap, degMapEq)
-}
-
-func TestProductMutableMatchesImmutable(t *testing.T) {
-	r := NewProduct[int64, Triple](Int{}, Cofactor{})
-	checkMutableMatchesImmutable[PairVal[int64, Triple]](t, r,
-		func(rng *rand.Rand) PairVal[int64, Triple] {
-			return PairVal[int64, Triple]{A: int64(rng.Intn(9) - 4), B: genTriple(rng)}
-		},
-		func(a, b PairVal[int64, Triple]) bool { return a.A == b.A && tripleEq(a.B, b.B) })
 }
 
 // TestCopyIntoIsDeep checks that mutating a copy leaves the source intact —

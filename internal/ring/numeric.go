@@ -40,15 +40,6 @@ func (Int) CopyInto(dst *int64, src int64) { *dst = src }
 // IsOne reports *a == 1.
 func (Int) IsOne(a *int64) bool { return *a == 1 }
 
-// AddIntoRef accumulates *src into *dst (MutableRef).
-func (Int) AddIntoRef(dst, src *int64) { *dst += *src }
-
-// CopyIntoRef sets *dst = *src.
-func (Int) CopyIntoRef(dst, src *int64) { *dst = *src }
-
-// IsZeroRef reports *p == 0.
-func (Int) IsZeroRef(p *int64) bool { return *p == 0 }
-
 // Float is the ring R of float64 values with the usual arithmetic. Strictly
 // a ring only up to floating-point rounding; the engine relies on exact
 // cancellation only for payloads produced by matching insert/delete pairs,
@@ -90,12 +81,3 @@ func (Float) CopyInto(dst *float64, src float64) { *dst = src }
 
 // IsOne reports *a == 1.
 func (Float) IsOne(a *float64) bool { return *a == 1 }
-
-// AddIntoRef accumulates *src into *dst (MutableRef).
-func (Float) AddIntoRef(dst, src *float64) { *dst += *src }
-
-// CopyIntoRef sets *dst = *src.
-func (Float) CopyIntoRef(dst, src *float64) { *dst = *src }
-
-// IsZeroRef reports *p == 0 (exact).
-func (Float) IsZeroRef(p *float64) bool { return *p == 0 }

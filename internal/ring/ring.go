@@ -16,6 +16,12 @@
 //
 // The relational data ring F[Z] (paper Definition 6.4) lives in package
 // internal/data because its elements are relations.
+//
+// A payload reaches a stored entry through one of two tiers: the immutable
+// operations of Ring, which every ring has and oracles, initial evaluation
+// and tests use, and the in-place operations of Mutable, which relations
+// and delta plans use when the ring offers them. Sized is orthogonal: memory
+// accounting only.
 package ring
 
 // Ring is a commutative-enough ring over payload type T. Implementations
@@ -44,27 +50,31 @@ type Ring[T any] interface {
 	IsZero(a T) bool
 }
 
-// Mutable is an optional extension implemented by rings whose payloads can
-// be accumulated in place without allocating. The immutable Ring operations
-// return fresh values on every call, which on hot maintenance paths means a
-// fresh slice (or map) per payload merge; the Mutable forms instead write
-// into a destination the caller exclusively owns, reusing its storage.
+// Mutable is the second and last tier of the ring contract (Ring's
+// immutable operations are the first): in-place accumulation for the hot
+// maintenance paths, where a fresh slice or map per payload merge is what
+// Add and Mul would cost. Every ring in this package implements it; a ring
+// that does not is driven through Ring alone.
 //
 // Contract: *dst must be exclusively owned by the caller (no other live
 // value shares its backing storage), and after the call *dst still shares no
 // storage with src, a, or b. Relations detect Mutable at construction and
 // switch to owned accumulation: stored payloads are deep copies (CopyInto)
 // mutated in place by later merges (AddInto/MulAddInto), so payloads read
-// out of a relation are snapshots only until its next update.
-// All operands are passed by pointer: payloads can be wide (a cofactor
-// triple is 80 bytes of header plus its blocks), and the point of these
-// operations is to avoid moving payloads around. Operands are never written
-// through — only *dst is.
+// out of a relation are snapshots only until its next update. Operands are
+// never written through — only *dst is.
+//
+// The sources of AddInto and CopyInto are passed by value, the operands of
+// the products by pointer. By value, because a merge source is as often a
+// local or a parameter as an entry's field, and the address of a local
+// handed through an interface call escapes: one heap cell per merge. The
+// copy it costs instead is the payload's header — 80 bytes for a cofactor
+// triple, beside an add over its blocks — so an entry-resident source is
+// passed as src.Payload and there is no pointer-source twin of these two.
+// Product operands are always heap-resident already (entries, product
+// slots, the lift cache), so they travel by pointer.
 type Mutable[T any] interface {
-	// AddInto accumulates src into *dst in place: *dst += src. src is taken
-	// by value: merge sources usually arrive as by-value parameters, and
-	// passing their address through an interface call would force them to
-	// escape (one heap allocation per merge).
+	// AddInto accumulates src into *dst in place: *dst += src.
 	AddInto(dst *T, src T)
 	// MulInto sets *dst = *a * *b, reusing dst's storage where possible.
 	// dst must not alias a or b.
@@ -72,8 +82,7 @@ type Mutable[T any] interface {
 	// MulAddInto accumulates a product: *dst += *a * *b. dst must not alias
 	// a or b.
 	MulAddInto(dst, a, b *T)
-	// CopyInto sets *dst to a deep copy of src, reusing dst's storage (by
-	// value for the same escape reason as AddInto).
+	// CopyInto sets *dst to a deep copy of src, reusing dst's storage.
 	CopyInto(dst *T, src T)
 	// IsOne reports whether *a is the multiplicative identity, letting hot
 	// paths skip products by one entirely (sharing the other operand is
@@ -86,61 +95,6 @@ type Mutable[T any] interface {
 func MutableOf[T any](r Ring[T]) Mutable[T] {
 	m, _ := r.(Mutable[T])
 	return m
-}
-
-// MutableRef is an optional refinement of Mutable for rings with wide
-// payloads: the same operations with source operands passed by pointer,
-// skipping the by-value copy at the interface boundary (an 80-byte header
-// copy per call for cofactor triples). Sources are only read.
-//
-// Callers must only pass sources that are already heap-resident — another
-// relation entry's stored payload, an owned accumulator field — because
-// taking the address of a local variable for one of these calls forces it to
-// escape, which is exactly the per-merge allocation Mutable's by-value forms
-// exist to avoid.
-type MutableRef[T any] interface {
-	// AddIntoRef accumulates *src into *dst in place: *dst += *src.
-	AddIntoRef(dst, src *T)
-	// CopyIntoRef sets *dst to a deep copy of *src, reusing dst's storage.
-	CopyIntoRef(dst, src *T)
-	// IsZeroRef reports whether *p is the additive identity.
-	IsZeroRef(p *T) bool
-}
-
-// MutableRefOf returns the ring's pointer-source extension, or nil.
-func MutableRefOf[T any](r Ring[T]) MutableRef[T] {
-	m, _ := r.(MutableRef[T])
-	return m
-}
-
-// Sub returns a - b, a convenience over Add and Neg.
-func Sub[T any](r Ring[T], a, b T) T { return r.Add(a, r.Neg(b)) }
-
-// Sum folds Add over the given values, starting from Zero.
-func Sum[T any](r Ring[T], vs ...T) T {
-	acc := r.Zero()
-	for _, v := range vs {
-		acc = r.Add(acc, v)
-	}
-	return acc
-}
-
-// Prod folds Mul over the given values, starting from One.
-func Prod[T any](r Ring[T], vs ...T) T {
-	acc := r.One()
-	for _, v := range vs {
-		acc = r.Mul(acc, v)
-	}
-	return acc
-}
-
-// Pow returns a multiplied by itself n times; Pow(a, 0) is One.
-func Pow[T any](r Ring[T], a T, n int) T {
-	acc := r.One()
-	for i := 0; i < n; i++ {
-		acc = r.Mul(acc, a)
-	}
-	return acc
 }
 
 // Sized is implemented by rings that can estimate the in-memory footprint of

@@ -83,25 +83,6 @@ func TestFloatRingAxioms(t *testing.T) {
 		func(a, b float64) bool { return a == b })
 }
 
-func TestFloatSubPowSum(t *testing.T) {
-	r := Float{}
-	if got := Sub[float64](r, 10, 4); got != 6 {
-		t.Errorf("Sub = %v, want 6", got)
-	}
-	if got := Pow[float64](r, 2, 10); got != 1024 {
-		t.Errorf("Pow = %v, want 1024", got)
-	}
-	if got := Sum[float64](r, 1, 2, 3, 4); got != 10 {
-		t.Errorf("Sum = %v, want 10", got)
-	}
-	if got := Prod[float64](r, 2, 3, 4); got != 24 {
-		t.Errorf("Prod = %v, want 24", got)
-	}
-	if got := Pow[float64](r, 5, 0); got != 1 {
-		t.Errorf("Pow(_,0) = %v, want 1", got)
-	}
-}
-
 // --- Cofactor ring -------------------------------------------------------
 
 // genTriple builds a random sparse triple over variables 0..3 with small

@@ -25,8 +25,6 @@
 package serve
 
 import (
-	"time"
-
 	"fivm/internal/data"
 	"fivm/internal/ivm"
 )
@@ -121,10 +119,6 @@ func (r *Reader[P]) Refresh() bool {
 	r.PinAt(s)
 	return true
 }
-
-// Lag returns the age of the pinned snapshot: the time since its
-// publication. It bounds how stale this reader's view of the result is.
-func (r *Reader[P]) Lag() time.Duration { return time.Since(r.snap.At) }
 
 // Result returns the pinned snapshot of the query result.
 func (r *Reader[P]) Result() *data.RelationSnapshot[P] { return r.snap.Result() }
