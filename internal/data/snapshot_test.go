@@ -3,27 +3,24 @@ package data
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fivm/internal/ring"
 )
 
-// fingerprint renders a snapshot's sorted contents for equality checks.
-func snapFingerprint[P any](s *RelationSnapshot[P]) string {
-	out := ""
-	for _, e := range s.SortedEntries() {
-		out += fmt.Sprintf("%v=%v;", e.Tuple, e.Payload)
+// fingerprint renders sorted contents for equality checks.
+func fingerprint[P any](entries []Entry[P]) string {
+	var out strings.Builder
+	for _, e := range entries {
+		fmt.Fprintf(&out, "%v=%v;", e.Tuple, e.Payload)
 	}
-	return out
+	return out.String()
 }
 
-func relFingerprint[P any](r *Relation[P]) string {
-	out := ""
-	for _, e := range r.SortedEntries() {
-		out += fmt.Sprintf("%v=%v;", e.Tuple, e.Payload)
-	}
-	return out
-}
+func snapFingerprint[P any](s *RelationSnapshot[P]) string { return fingerprint(s.SortedEntries()) }
+
+func relFingerprint[P any](r *Relation[P]) string { return fingerprint(r.SortedEntries()) }
 
 // TestSnapshotMatchesRelation drives a relation through random merges and
 // deletions, publishing snapshots along the way: every snapshot must equal

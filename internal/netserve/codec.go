@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"net/url"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -47,18 +49,100 @@ func parseValue(s string) (data.Value, error) {
 	return data.String(s), nil
 }
 
-// tupleFromQuery assembles the repeated ?key= parameters, in order, into a
-// key tuple.
-func tupleFromQuery(keys []string) (data.Tuple, error) {
-	t := make(data.Tuple, 0, len(keys))
-	for _, k := range keys {
-		v, err := parseValue(k)
-		if err != nil {
-			return nil, err
+// readState is what a request on a hot route parses its query into and builds
+// its reply in, pooled by the server: with at most eight keys and no escaped
+// pair, nothing in it is allocated per request.
+type readState struct {
+	key             data.Tuple // the key= values in order; bindKey adds those given by column name
+	keyErr          error      // the first key= value parseValue refused
+	named           []param    // every pair with another name, in order
+	minEpoch, limit string     // the first min_epoch and limit
+	seenMin         bool
+	seenLimit       bool
+
+	n         int // rows visit has appended to rows
+	truncated bool
+	buf, rows []byte
+
+	vals  [8]data.Value
+	pairs [8]param
+}
+
+type param struct{ name, value string }
+
+// reset drops what the last request left (key strings point into its URL) and
+// keeps the reply buffers.
+func (q *readState) reset() *readState {
+	*q = readState{buf: q.buf[:0], rows: q.rows[:0]}
+	q.key, q.named = q.vals[:0], q.pairs[:0]
+	return q
+}
+
+// parse reads a raw query string in one pass, pair by pair as url.ParseQuery
+// does: an empty pair is skipped, one with a ';' or a bad escape is dropped.
+// QueryUnescape returns its argument when that has no '%' and no '+'.
+func (q *readState) parse(query string) {
+	for query != "" {
+		var pair string
+		pair, query, _ = strings.Cut(query, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
 		}
-		t = append(t, v)
+		name, value, _ := strings.Cut(pair, "=")
+		name, err := url.QueryUnescape(name)
+		if err != nil {
+			continue
+		}
+		if value, err = url.QueryUnescape(value); err != nil {
+			continue
+		}
+		switch name {
+		case "key":
+			v, err := parseValue(value)
+			if err != nil && q.keyErr == nil {
+				q.keyErr = err
+			}
+			q.key = append(q.key, v)
+		case "min_epoch":
+			if !q.seenMin {
+				q.minEpoch, q.seenMin = value, true
+			}
+		case "limit":
+			if !q.seenLimit {
+				q.limit, q.seenLimit = value, true
+			}
+		default:
+			q.named = append(q.named, param{name, value})
+		}
 	}
-	return t, nil
+}
+
+// bindKey completes the key with the parameters named after a column of the
+// view's result schema — they must bind a prefix of it, each column once, and
+// not be mixed with key= — and checks its length: a lookup needs a value for
+// every column, a scan at most that many.
+func (q *readState) bindKey(view string, schema data.Schema, scan bool) error {
+	positional := len(q.key)
+	for i, col := range schema {
+		for _, p := range q.named {
+			if p.name != col {
+				continue
+			}
+			if positional > 0 || len(q.key) != i {
+				return fmt.Errorf("view %q: keys given by column name bind a prefix of (%s), each column once, and do not mix with key=",
+					view, strings.Join(schema, ", "))
+			}
+			v, err := parseValue(p.value)
+			if err != nil {
+				return err
+			}
+			q.key = append(q.key, v)
+		}
+	}
+	if len(q.key) > len(schema) || !scan && len(q.key) < len(schema) {
+		return fmt.Errorf("view %q is keyed by (%s): %d key values given", view, strings.Join(schema, ", "), len(q.key))
+	}
+	return nil
 }
 
 // POST /apply limits, fixed like the 32 MiB body cap beside them: a batch of
@@ -117,6 +201,7 @@ type applyState struct {
 	body  bytes.Buffer
 	req   applyReq
 	arena data.BatchArena
+	out   []byte // the reply
 }
 
 func newApplyState() *applyState {
@@ -244,19 +329,120 @@ func scanValue(b []byte, i int) (data.Value, int, error) {
 	return data.Value{}, i, fmt.Errorf("unsupported key value %.20q (want number or string)", b[i:])
 }
 
-// jsonTuple renders a key tuple as a JSON-encodable array, preserving the
-// value kinds (ints stay integral, floats stay floats, strings strings).
-func jsonTuple(t data.Tuple) []any {
-	out := make([]any, len(t))
+// The reply side appends, into the request's pooled buffer, the bytes
+// encoding/json writes for a map[string]any of the same members (sorted names,
+// HTML-safe strings, its float format, a trailing newline) — except that a
+// non-finite float, which encoding/json refuses, is null.
+
+func appendInt(b []byte, n int64) []byte { return strconv.AppendInt(b, n, 10) }
+
+func appendFloat(b []byte, f float64) []byte {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return append(b, "null"...)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2], b = b[n-1], b[:n-1] // e-09 is e-9
+	}
+	return b
+}
+
+// appendTuple renders a key tuple as a JSON array, preserving the value kinds
+// (ints stay integral, floats stay floats, strings strings).
+func appendTuple(b []byte, t data.Tuple) []byte {
+	b = append(b, '[')
 	for i, v := range t {
+		if i > 0 {
+			b = append(b, ',')
+		}
 		switch v.Kind() {
 		case data.KindInt:
-			out[i] = v.AsInt()
+			b = appendInt(b, v.AsInt())
 		case data.KindFloat:
-			out[i] = v.AsFloat()
+			b = appendFloat(b, v.AsFloat())
 		default:
-			out[i] = v.AsString()
+			b = appendString(b, v.AsString())
 		}
 	}
-	return out
+	return append(b, ']')
+}
+
+func appendString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c, size := rune(s[i]), 1
+		if c >= utf8.RuneSelf {
+			c, size = utf8.DecodeRuneInString(s[i:])
+		}
+		if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' &&
+			c != '\u2028' && c != '\u2029' && (c != utf8.RuneError || size > 1) {
+			i += size
+			continue
+		}
+		b = append(b, s[start:i]...)
+		switch c {
+		case '"', '\\':
+			b = append(b, '\\', byte(c))
+		case '\b', '\f', '\n', '\r', '\t':
+			b = append(b, '\\', "btn_fr"[c-'\b']) // \b \t \n \v \f \r are 8 to 13
+		case utf8.RuneError:
+			b = append(b, `\ufffd`...)
+		default: // a control byte, an HTML-unsafe one, U+2028 or U+2029
+			b = append(b, '\\', 'u', hex[c>>12], '0', hex[c>>4&0xF], hex[c&0xF])
+		}
+		i += size
+		start = i
+	}
+	return append(append(b, s[start:]...), '"')
+}
+
+// lookupBody builds the reply of a point lookup in q.buf.
+func lookupBody[P any](q *readState, view string, p P, found bool, appendP func([]byte, P) []byte) {
+	b := append(q.buf, `{"found":`...)
+	b = strconv.AppendBool(b, found)
+	b = appendTuple(append(b, `,"key":`...), q.key)
+	b = appendP(append(b, `,"value":`...), p)
+	b = appendString(append(b, `,"view":`...), view)
+	q.buf = append(b, "}\n"...)
+}
+
+// visit returns the row visitor of a scan or a one-shot SELECT: the first
+// limit rows are appended to q.rows as they are visited, one more marks the
+// reply truncated.
+func visit[P any](q *readState, limit int, appendP func([]byte, P) []byte) func(data.Tuple, P) bool {
+	return func(t data.Tuple, p P) bool {
+		if q.n == limit {
+			q.truncated = true
+			return false
+		}
+		b := q.rows
+		if q.n > 0 {
+			b = append(b, ',')
+		}
+		b = appendTuple(append(b, `{"key":`...), t)
+		b = appendP(append(b, `,"value":`...), p)
+		q.rows, q.n = append(b, '}'), q.n+1
+		return true
+	}
+}
+
+// rowsBody builds, in q.buf, the reply around the rows visit appended: a
+// scan's names its view and the prefix scanned, a SELECT's neither.
+func (q *readState) rowsBody(view string, scan bool) {
+	b := appendInt(append(q.buf, `{"count":`...), int64(q.n))
+	if scan {
+		b = appendTuple(append(b, `,"prefix":`...), q.key)
+	}
+	b = append(append(b, `,"rows":[`...), q.rows...)
+	b = strconv.AppendBool(append(b, `],"truncated":`...), q.truncated)
+	if scan {
+		b = appendString(append(b, `,"view":`...), view)
+	}
+	q.buf = append(b, "}\n"...)
 }

@@ -20,10 +20,16 @@
 //
 // Connections are stateful only as an optimization: each accepted
 // connection carries reusable serve.Reader handles (key-encoding scratch
-// kept warm across requests) re-pinned to the request's epoch, so
-// steady-state lookups do not allocate on the read path itself. A request
+// kept warm across requests) re-pinned to the request's epoch. A request
 // releases its epoch, and the reader's pin with it, before it returns: an
 // idle connection holds no snapshot storage.
+//
+// Allocation: a lookup or a scan allocates what net/http allocates for any
+// request that sets a response header (about 2.2 KiB: reading the request,
+// the first insert into the header map, the header clone at WriteHeader)
+// plus the X-Fivm-Lag string. The query is parsed in one pass into a pooled
+// per-request struct, the reply appended into its buffer, and the epoch's
+// header values are formatted once per epoch.
 package netserve
 
 import (
@@ -85,6 +91,10 @@ type Server struct {
 	// buffer, envelope and batch arena, taken per request and given back,
 	// rewound, once the batch is applied.
 	applyStates sync.Pool
+	// readStates pools the *readState of the read routes and /select.
+	readStates sync.Pool
+	// hdrs caches the epoch header values of the last epoch served.
+	hdrs atomic.Pointer[epochHeaders]
 }
 
 // New builds a Server over the given configuration.
@@ -99,12 +109,13 @@ func New(cfg Config) (*Server, error) {
 		cfg.MaxScan = 10000
 	}
 	s := &Server{cfg: cfg}
+	s.readStates.New = func() any { return new(readState).reset() }
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.read(s.handleHealthz))
 	mux.HandleFunc("GET /stats", s.read(s.handleStats))
 	mux.HandleFunc("GET /views", s.read(s.handleViews))
-	mux.HandleFunc("GET /view/{name}/lookup", s.read(s.handleLookup))
-	mux.HandleFunc("GET /view/{name}/scan", s.read(s.handleScan))
+	mux.HandleFunc("GET /view/{name}/lookup", s.read(s.handleView(false)))
+	mux.HandleFunc("GET /view/{name}/scan", s.read(s.handleView(true)))
 	mux.HandleFunc("POST /exec", s.handleExec)
 	mux.HandleFunc("POST /select", s.handleSelect)
 	mux.HandleFunc("POST /apply", s.handleApply)
@@ -154,36 +165,63 @@ func readersOf(r *http.Request) *connReaders {
 
 // --- request plumbing -----------------------------------------------------
 
+// jsonContentType is every response's Content-Type, assigned, not copied: a
+// response header's values are never written in place.
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(v)
+}
+
+// writeBody sends the 200 a hot route appended into its request's buffer.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // a write fails when the client has gone
 }
 
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-func setEpochHeaders(w http.ResponseWriter, e *db.Epoch) {
+// epochHeaders holds the X-Fivm-Epoch and X-Fivm-Applied values of one epoch,
+// formatted once and shared by every response from it. The numbers are the
+// key, so a follower's swapped DB cannot be served another's.
+type epochHeaders struct {
+	seq, applied         uint64
+	seqText, appliedText []string
+}
+
+func (s *Server) setEpochHeaders(w http.ResponseWriter, e *db.Epoch) {
+	c := s.hdrs.Load()
+	if c == nil || c.seq != e.Seq || c.applied != e.Applied {
+		c = &epochHeaders{e.Seq, e.Applied,
+			[]string{strconv.FormatUint(e.Seq, 10)}, []string{strconv.FormatUint(e.Applied, 10)}}
+		s.hdrs.Store(c)
+	}
 	h := w.Header()
-	h.Set("X-Fivm-Epoch", strconv.FormatUint(e.Seq, 10))
-	h.Set("X-Fivm-Applied", strconv.FormatUint(e.Applied, 10))
-	h.Set("X-Fivm-Lag", time.Since(e.At).String())
+	h["X-Fivm-Epoch"], h["X-Fivm-Applied"] = c.seqText, c.appliedText
+	h["X-Fivm-Lag"] = []string{time.Since(e.At).String()}
 }
 
 // read wraps a read handler: the request leases the current epoch — stamped
-// on the consistency headers and checked against ?min_epoch — for exactly as
-// long as the handler runs.
-func (s *Server) read(h func(http.ResponseWriter, *http.Request, *db.Epoch)) http.HandlerFunc {
+// on the consistency headers and checked against ?min_epoch — and a readState
+// holding its parsed query for exactly as long as the handler runs.
+func (s *Server) read(h func(http.ResponseWriter, *http.Request, *db.Epoch, *readState)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		e := s.cfg.DB().Epoch()
 		defer e.Release()
-		setEpochHeaders(w, e)
-		if me := r.URL.Query().Get("min_epoch"); me != "" {
-			min, err := strconv.ParseUint(me, 10, 64)
+		q := s.readStates.Get().(*readState)
+		defer func() { s.readStates.Put(q.reset()) }()
+		s.setEpochHeaders(w, e)
+		q.parse(r.URL.RawQuery)
+		if q.minEpoch != "" {
+			min, err := strconv.ParseUint(q.minEpoch, 10, 64)
 			if err != nil {
-				httpError(w, http.StatusBadRequest, "bad min_epoch %q", me)
+				httpError(w, http.StatusBadRequest, "bad min_epoch %q", q.minEpoch)
 				return
 			}
 			if e.Seq < min {
@@ -192,7 +230,7 @@ func (s *Server) read(h func(http.ResponseWriter, *http.Request, *db.Epoch)) htt
 				return
 			}
 		}
-		h(w, r, e)
+		h(w, r, e, q)
 	}
 }
 
@@ -225,11 +263,11 @@ func badBody(w http.ResponseWriter, err error) {
 
 // --- read path ------------------------------------------------------------
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, e *db.Epoch) {
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, e *db.Epoch, _ *readState) {
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "epoch": e.Seq})
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, e *db.Epoch) {
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, e *db.Epoch, _ *readState) {
 	d := s.cfg.DB()
 	// Per-view publish work, read from the pinned epoch (the live counters
 	// belong to the maintenance goroutine).
@@ -295,7 +333,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, e *db.Epoch
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleViews(w http.ResponseWriter, r *http.Request, e *db.Epoch) {
+func (s *Server) handleViews(w http.ResponseWriter, r *http.Request, e *db.Epoch, _ *readState) {
 	type viewInfo struct {
 		Name    string `json:"name"`
 		Payload string `json:"payload"`
@@ -314,94 +352,65 @@ func (s *Server) handleViews(w http.ResponseWriter, r *http.Request, e *db.Epoch
 	writeJSON(w, http.StatusOK, map[string]any{"views": views})
 }
 
-type row struct {
-	Key   []any `json:"key"`
-	Value any   `json:"value"`
-}
-
-func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request, e *db.Epoch) {
-	name := r.PathValue("name")
-	key, err := tupleFromQuery(r.URL.Query()["key"])
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	cr := readersOf(r)
-	cr.mu.Lock()
-	defer cr.mu.Unlock()
-	var value any
-	var found bool
-	if sf := db.SnapshotOf[float64](e, name); sf != nil {
-		cr.f.PinAt(sf)
-		value, found = cr.f.Lookup(key)
-		cr.f.Close()
-	} else if si := db.SnapshotOf[int64](e, name); si != nil {
-		cr.i.PinAt(si)
-		value, found = cr.i.Lookup(key)
-		cr.i.Close()
-	} else if e.Has(name) {
-		httpError(w, http.StatusNotImplemented, "view %q has a non-scalar payload", name)
-		return
-	} else {
-		httpError(w, http.StatusNotFound, "unknown view %q", name)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"view": name, "key": jsonTuple(key), "found": found, "value": value,
-	})
-}
-
-func (s *Server) handleScan(w http.ResponseWriter, r *http.Request, e *db.Epoch) {
-	name := r.PathValue("name")
-	q := r.URL.Query()
-	prefix, err := tupleFromQuery(q["key"])
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	limit := s.cfg.MaxScan
-	if ls := q.Get("limit"); ls != "" {
-		n, err := strconv.Atoi(ls)
-		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, "bad limit %q", ls)
+// handleView answers a point lookup (scan false: the whole key) or an ordered
+// scan (a key prefix) of a scalar view from the request's epoch.
+func (s *Server) handleView(scan bool) func(http.ResponseWriter, *http.Request, *db.Epoch, *readState) {
+	return func(w http.ResponseWriter, r *http.Request, e *db.Epoch, q *readState) {
+		name := r.PathValue("name")
+		if q.keyErr != nil {
+			httpError(w, http.StatusBadRequest, "%v", q.keyErr)
 			return
 		}
-		if n < limit {
-			limit = n
+		limit := s.cfg.MaxScan
+		if scan && q.limit != "" {
+			n, err := strconv.Atoi(q.limit)
+			if err != nil || n < 1 {
+				httpError(w, http.StatusBadRequest, "bad limit %q", q.limit)
+				return
+			}
+			limit = min(limit, n)
 		}
-	}
-	rows := []row{}
-	truncated := false
-	visit := func(t data.Tuple, p any) bool {
-		if len(rows) == limit {
-			truncated = true
-			return false
+		cr := readersOf(r)
+		cr.mu.Lock()
+		defer cr.mu.Unlock()
+		var err error
+		if sf := db.SnapshotOf[float64](e, name); sf != nil {
+			cr.f.PinAt(sf)
+			err = answer(q, &cr.f, name, scan, limit, appendFloat)
+			cr.f.Close()
+		} else if si := db.SnapshotOf[int64](e, name); si != nil {
+			cr.i.PinAt(si)
+			err = answer(q, &cr.i, name, scan, limit, appendInt)
+			cr.i.Close()
+		} else if e.Has(name) {
+			httpError(w, http.StatusNotImplemented, "view %q has a non-scalar payload", name)
+			return
+		} else {
+			httpError(w, http.StatusNotFound, "unknown view %q", name)
+			return
 		}
-		rows = append(rows, row{Key: jsonTuple(t), Value: p})
-		return true
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		writeBody(w, q.buf)
 	}
-	cr := readersOf(r)
-	cr.mu.Lock()
-	defer cr.mu.Unlock()
-	if sf := db.SnapshotOf[float64](e, name); sf != nil {
-		cr.f.PinAt(sf)
-		cr.f.Scan(prefix, func(t data.Tuple, p float64) bool { return visit(t, p) })
-		cr.f.Close()
-	} else if si := db.SnapshotOf[int64](e, name); si != nil {
-		cr.i.PinAt(si)
-		cr.i.Scan(prefix, func(t data.Tuple, p int64) bool { return visit(t, p) })
-		cr.i.Close()
-	} else if e.Has(name) {
-		httpError(w, http.StatusNotImplemented, "view %q has a non-scalar payload", name)
-		return
+}
+
+// answer binds the request's key to the pinned view's schema and builds the
+// lookup's or the scan's reply in q.buf.
+func answer[P any](q *readState, rd *serve.Reader[P], view string, scan bool, limit int, appendP func([]byte, P) []byte) error {
+	if err := q.bindKey(view, rd.Result().Schema(), scan); err != nil {
+		return err
+	}
+	if scan {
+		rd.Scan(q.key, visit(q, limit, appendP))
+		q.rowsBody(view, true)
 	} else {
-		httpError(w, http.StatusNotFound, "unknown view %q", name)
-		return
+		p, found := rd.Lookup(q.key)
+		lookupBody(q, view, p, found, appendP)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"view": name, "prefix": jsonTuple(prefix),
-		"rows": rows, "count": len(rows), "truncated": truncated,
-	})
+	return nil
 }
 
 // --- write path -----------------------------------------------------------
@@ -459,10 +468,12 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	}
 	e := s.cfg.DB().Epoch()
 	defer e.Release()
-	setEpochHeaders(w, e)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"applied": e.Applied, "epoch": e.Seq, "tuples": tuples,
-	})
+	s.setEpochHeaders(w, e)
+	b := strconv.AppendUint(append(st.out[:0], `{"applied":`...), e.Applied, 10)
+	b = strconv.AppendUint(append(b, `,"epoch":`...), e.Seq, 10)
+	b = appendInt(append(b, `,"tuples":`...), int64(tuples))
+	st.out = append(b, "}\n"...)
+	writeBody(w, st.out)
 }
 
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
@@ -491,7 +502,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	}
 	e := s.cfg.DB().Epoch()
 	defer e.Release()
-	setEpochHeaders(w, e)
+	s.setEpochHeaders(w, e)
 	writeJSON(w, http.StatusOK, map[string]any{"status": status, "epoch": e.Seq})
 }
 
@@ -533,23 +544,15 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	setEpochHeaders(w, snap)
+	s.setEpochHeaders(w, snap)
 	sf := db.SnapshotOf[float64](snap, tmp)
 	if sf == nil {
 		httpError(w, http.StatusInternalServerError, "select result snapshot missing")
 		return
 	}
-	rows := []row{}
-	truncated := false
-	sf.Result().Iterate(func(t data.Tuple, p float64) bool {
-		if len(rows) == limit {
-			truncated = true
-			return false
-		}
-		rows = append(rows, row{Key: jsonTuple(t), Value: p})
-		return true
-	})
-	writeJSON(w, http.StatusOK, map[string]any{
-		"rows": rows, "count": len(rows), "truncated": truncated,
-	})
+	q := s.readStates.Get().(*readState)
+	defer func() { s.readStates.Put(q.reset()) }()
+	sf.Result().Iterate(visit(q, limit, appendFloat))
+	q.rowsBody("", false)
+	writeBody(w, q.buf)
 }
