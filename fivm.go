@@ -279,9 +279,10 @@ func NewEngine[P any](q Query, o *Order, r Ring[P], lift LiftFunc[P], opts Engin
 type ParallelEngine[P any] = ivm.Parallel[P]
 
 // NewParallel builds a sharded parallel maintainer over `workers` shards,
-// each an independent maintainer produced by factory. With workers <= 1 (or
-// a query with nothing to shard on) it degenerates to a zero-overhead
-// sequential delegate.
+// each an independent maintainer produced by factory. workers <= 1 (or a
+// query with nothing to shard on) is one shard through the same routing,
+// dispatch and reduction; the count is not clamped to the host's cores —
+// each batch's dispatch runs at most GOMAXPROCS shards at a time.
 func NewParallel[P any](q Query, r Ring[P], workers int, factory func() (Maintainer[P], error)) (*ParallelEngine[P], error) {
 	return ivm.NewParallel[P](q, r, workers, factory)
 }

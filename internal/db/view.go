@@ -21,7 +21,9 @@ type ViewOptions struct {
 	// statistics at creation time.
 	Order func() *vorder.Order
 	// Workers > 1 maintains the view with the sharded parallel engine over
-	// that many shards (clamped to the host's cores).
+	// that many shards — as asked, not clamped to the host's cores: a batch
+	// runs at most GOMAXPROCS of them at a time. Otherwise the view's
+	// maintainer is the bare engine.
 	Workers int
 	// Updatable restricts which base relations this view expects deltas
 	// from (ivm.Options.Updatable); empty means all of the query's.

@@ -165,7 +165,7 @@ func runParallelAutoEquivalence[P any](t *testing.T, r ring.Ring[P], lift data.L
 	t.Helper()
 	q := paperQuery("A")
 	rng := rand.New(rand.NewSource(4242))
-	par, err := newParallel[P](q, r, 8,
+	par, err := NewParallel[P](q, r, 8,
 		func() (Maintainer[P], error) { return New[P](q, nil, r, lift, Options[P]{}) })
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +297,7 @@ func TestNilOrderThroughFacadePaths(t *testing.T) {
 // the Sharded routing path, broadcast relations directly.
 func TestParallelRouterStats(t *testing.T) {
 	q := paperQuery()
-	par, err := newParallel[int64](q, ring.Int{}, 4,
+	par, err := NewParallel[int64](q, ring.Int{}, 4,
 		func() (Maintainer[int64], error) {
 			return New[int64](q, paperOrder(), ring.Int{}, countLift, Options[int64]{})
 		})

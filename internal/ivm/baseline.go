@@ -15,7 +15,7 @@ import (
 // one copy of the base relations and k results; they differ in two functions.
 // They are the figures' comparators and the tests' oracles.
 type Baseline[P any] struct {
-	driver[P] // ApplyDelta, ApplyDeltas, Snapshot over apply, epoch and seal
+	driver[P] // ApplyDelta, ApplyDeltas, Snapshot over check, apply, epoch and seal
 
 	q       query.Query
 	bases   map[string]*data.Relation[P]
@@ -40,7 +40,7 @@ func newBaseline[P any](q query.Query, r ring.Ring[P], keys data.Schema, k int) 
 	for i := 0; i < k; i++ {
 		m.results = append(m.results, data.NewRelation(r, keys))
 	}
-	m.driver = driver[P]{apply: m.apply, epoch: m.epoch, seal: m.seal}
+	m.driver = driver[P]{check: m.check, apply: m.apply, epoch: m.epoch, seal: m.seal}
 	return m
 }
 
@@ -124,6 +124,21 @@ func checkRel[P any](q query.Query, rel string, r *data.Relation[P]) (query.RelD
 	return rd, nil
 }
 
+// checkUpdate is the admission rule of the strategies that take deltas only
+// once initialized and only for an updatable set: checkRel, plus those two.
+func checkUpdate[P any](ready bool, q query.Query, updatable map[string]bool, rel string, d *data.Relation[P]) error {
+	if !ready {
+		return fmt.Errorf("ivm: ApplyDelta before Init")
+	}
+	if _, err := checkRel(q, rel, d); err != nil {
+		return err
+	}
+	if !updatable[rel] {
+		return fmt.Errorf("ivm: relation %q is not updatable", rel)
+	}
+	return nil
+}
+
 // Load installs the initial contents of a relation (a copy).
 func (m *Baseline[P]) Load(rel string, r *data.Relation[P]) error {
 	if _, err := checkRel(m.q, rel, r); err != nil {
@@ -145,12 +160,15 @@ func (m *Baseline[P]) reeval() {
 	}
 }
 
+// check is the admission rule: a relation of the query, over its variables.
+func (m *Baseline[P]) check(rel string, d *data.Relation[P]) error {
+	_, err := checkRel(m.q, rel, d)
+	return err
+}
+
 // apply is the update rule: merge each delta query into its result, then the
 // update into the stored relation.
 func (m *Baseline[P]) apply(rel string, d *data.Relation[P]) error {
-	if _, err := checkRel(m.q, rel, d); err != nil {
-		return err
-	}
 	if m.delta != nil {
 		for i, res := range m.results {
 			res.MergeAll(m.delta(i, rel, d))
@@ -166,10 +184,11 @@ func (m *Baseline[P]) apply(rel string, d *data.Relation[P]) error {
 
 // seal re-evaluates at the end of a batch, before its epoch, when there is no
 // delta query to have kept the results current.
-func (m *Baseline[P]) seal() {
+func (m *Baseline[P]) seal() error {
 	if m.delta == nil {
 		m.reeval()
 	}
+	return nil
 }
 
 // epoch publishes the first result: patched where it is maintained in place,

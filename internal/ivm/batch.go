@@ -82,63 +82,80 @@ func coalesceBatch[P any](batch []NamedDelta[P]) []NamedDelta[P] {
 }
 
 // driver is the strategy-independent half of the Maintainer contract,
-// written once and embedded by every strategy that maintains its state on
-// one goroutine (Parallel routes across shards and keeps its own): a single
-// delta is a batch of one, a batch is coalesced per relation and applied
-// delta by delta, then closed, and one epoch is published for all of it.
-// What differs between F-IVM, 1-IVM, DBT and re-evaluation is the update
-// rule, which the strategy supplies at construction.
+// written once and embedded by every strategy: a single delta is a batch of
+// one, a batch is coalesced per relation, checked as a whole, applied delta by
+// delta, then closed, and one epoch is published for all of it. What differs
+// between F-IVM, 1-IVM, DBT, re-evaluation and the sharded Parallel is the
+// update rule, which the strategy supplies at construction.
 type driver[P any] struct {
 	pub publisher[P]
-	// apply is the update rule: how one delta changes the stored state. It
-	// validates rel and the delta's schema and publishes nothing.
+	// check is the admission rule: whether rel names a relation the strategy
+	// takes deltas for, in a state that takes them, and delta covers its
+	// schema. It changes nothing; a batch one of whose deltas fails it is
+	// rejected before any of them is applied.
+	check func(rel string, delta *data.Relation[P]) error
+	// apply is the update rule: how one checked delta changes the stored
+	// state. It publishes nothing.
 	apply func(rel string, delta *data.Relation[P]) error
 	// epoch snapshots the result for publication.
 	epoch func() *ViewSnapshot[P]
 	// At most one end-of-batch hook, and on which side of the publication
 	// matters. seal runs before: a re-evaluating strategy recomputes the
-	// result its epoch then carries. reclaim runs after: the engine hands
-	// removed entries back for reuse, which overwrites key bytes the
-	// publication still reads through the dirty-key list.
-	seal, reclaim func()
+	// result its epoch then carries, Parallel runs the shards on what apply
+	// routed; a batch whose seal fails publishes nothing. reclaim runs after:
+	// the engine hands removed entries back for reuse, which overwrites key
+	// bytes the publication still reads through the dirty-key list.
+	seal    func() error
+	reclaim func()
 }
 
 // ApplyDelta maintains the result under an update to one relation, a batch
 // of one. Deletions are encoded as entries with additively inverted payloads.
 func (d *driver[P]) ApplyDelta(rel string, delta *data.Relation[P]) error {
+	if err := d.check(rel, delta); err != nil {
+		return err
+	}
 	if err := d.apply(rel, delta); err != nil {
 		return err
 	}
-	d.endBatch()
-	return nil
+	return d.endBatch()
 }
 
 // ApplyDeltas maintains the result under a batch of updates to any mix of
 // relations. Deltas to the same relation are merged and the update rule runs
 // once per distinct relation, so a batch of k single-tuple updates to one
-// relation costs one propagation instead of k. An empty or all-nil batch
-// changes nothing and is still a batch: with publication enabled, exactly one
-// epoch is published per call.
+// relation costs one propagation instead of k. The batch is all or nothing
+// as far as check can tell: one bad delta rejects it before anything is
+// applied. An empty or all-nil batch changes nothing and is still a batch:
+// with publication enabled, exactly one epoch is published per call.
 func (d *driver[P]) ApplyDeltas(batch []NamedDelta[P]) error {
-	for _, nd := range coalesceBatch(batch) {
+	batch = coalesceBatch(batch)
+	for _, nd := range batch {
+		if err := d.check(nd.Rel, nd.Delta); err != nil {
+			return err
+		}
+	}
+	for _, nd := range batch {
 		if err := d.apply(nd.Rel, nd.Delta); err != nil {
 			return err
 		}
 	}
-	d.endBatch()
-	return nil
+	return d.endBatch()
 }
 
 // endBatch closes an applied batch: seal, publish if anyone ever asked for a
 // snapshot, reclaim.
-func (d *driver[P]) endBatch() {
+func (d *driver[P]) endBatch() error {
 	if d.seal != nil {
-		d.seal()
+		if err := d.seal(); err != nil {
+			return err
+		}
 	}
 	d.pub.next(d.epoch)
 	if d.reclaim != nil {
 		d.reclaim()
 	}
+	return nil
 }
 
 // Snapshot returns a lease (see ViewSnapshot) on the latest published epoch

@@ -192,19 +192,21 @@ func TestCoalesceBatchCopyOnWrite(t *testing.T) {
 }
 
 // contractStrategies is every way this package builds a maintainer — the
-// seven constructors, plus Parallel over the engine — at float payloads (the
-// per-aggregate strategies have no other).
+// seven constructors, plus Parallel over the engine at three shards and at
+// one, and over Recursive (the shared δ-join, sharded) — at float payloads
+// (the per-aggregate strategies have no other).
 func contractStrategies(q query.Query) map[string]func() (Maintainer[float64], error) {
 	one := func(string, data.Value) float64 { return 1 }
 	specs := CofactorAggSpecs(data.NewSchema("B"))
 	engine := func() (Maintainer[float64], error) {
 		return New[float64](q, paperOrder(), ring.Float{}, one, Options[float64]{})
 	}
+	dbt := func() (Maintainer[float64], error) {
+		return NewRecursive[float64](q, ring.Float{}, one, nil)
+	}
 	return map[string]func() (Maintainer[float64], error){
 		"F-IVM": engine,
-		"DBT": func() (Maintainer[float64], error) {
-			return NewRecursive[float64](q, ring.Float{}, one, nil)
-		},
+		"DBT":   dbt,
 		"1-IVM": func() (Maintainer[float64], error) {
 			return NewFirstOrder[float64](q, paperOrder(), ring.Float{}, one)
 		},
@@ -221,7 +223,13 @@ func contractStrategies(q query.Query) map[string]func() (Maintainer[float64], e
 			return NewMultiRecursive(q, specs, nil)
 		},
 		"PARALLEL": func() (Maintainer[float64], error) {
-			return newParallel[float64](q, ring.Float{}, 3, engine)
+			return NewParallel[float64](q, ring.Float{}, 3, engine)
+		},
+		"PARALLEL/1": func() (Maintainer[float64], error) {
+			return NewParallel[float64](q, ring.Float{}, 1, engine)
+		},
+		"PARALLEL/DBT": func() (Maintainer[float64], error) {
+			return NewParallel[float64](q, ring.Float{}, 3, dbt)
 		},
 	}
 }
@@ -295,6 +303,27 @@ func TestMaintainerContract(t *testing.T) {
 			}
 			if got := live(m); got != before {
 				t.Errorf("rejected delta changed the result: %s vs %s", got, before)
+			}
+		}},
+		{"mixed batch: one bad delta rejects all of it, result and next epoch unchanged", func(t *testing.T, m Maintainer[float64]) {
+			before, epoch := live(m), published(t, m)
+			bad := []NamedDelta[float64]{{Rel: "S", Delta: deltaS}, {Rel: "nope", Delta: floatDeltaR(rng, rdR.Schema, 3, 2)}}
+			if err := m.ApplyDeltas(bad); err == nil {
+				t.Fatal("batch with an unknown relation accepted")
+			}
+			if got := live(m); got != before {
+				t.Errorf("rejected batch changed the result: %s vs %s", got, before)
+			}
+			if got := published(t, m); got != epoch {
+				t.Errorf("rejected batch published epoch %d after %d", got, epoch)
+			}
+			// What the good half would have changed must not ride along with
+			// the next batch.
+			if err := m.ApplyDeltas(nil); err != nil {
+				t.Fatal(err)
+			}
+			if got := published(t, m); got != epoch+1 || live(m) != before {
+				t.Errorf("empty batch after the rejected one: epoch %d -> %d, result %s, was %s", epoch, got, live(m), before)
 			}
 		}},
 		{"empty and all-nil batches", func(t *testing.T, m Maintainer[float64]) {

@@ -95,7 +95,7 @@ func (e *Engine[P]) describePlans(b *strings.Builder) string {
 				if sib.full {
 					op = "lookup"
 				}
-				fmt.Fprintf(b, " %s %s on %v;", op, sib.node.Name(), sib.common)
+				fmt.Fprintf(b, " %s %s on %v;", op, sib.name, sib.common)
 			}
 			if len(st.margVars) > 0 {
 				names := make([]string, len(st.margVars))

@@ -102,19 +102,13 @@ type Options[P any] struct {
 	// per-view collection would be redundant work. Incompatible with
 	// AutoReoptimize, which needs a live collector to detect drift.
 	NoLiveStats bool
-	// ReoptEvery is the drift-check cadence in ApplyDelta calls (default 64).
-	ReoptEvery int
-	// DriftFactor is the per-relation cardinality growth/shrink factor that
-	// triggers a re-plan check (default 2; delta-rate share shifts of 0.2
-	// also trigger).
-	DriftFactor float64
 }
 
 // Engine is the F-IVM maintainer: one view tree for all relations, with
 // views materialized according to µ(τ, U) and deltas propagated along
 // leaf-to-root paths with factorized (aggregate-pushing) computation.
 type Engine[P any] struct {
-	driver[P] // ApplyDelta, ApplyDeltas, Snapshot over applyDelta, epoch and reclaim
+	driver[P] // ApplyDelta, ApplyDeltas, Snapshot over check, applyDelta, epoch and reclaim
 
 	q    query.Query
 	ring ring.Ring[P]
@@ -171,7 +165,7 @@ func New[P any](q query.Query, o *vorder.Order, r ring.Ring[P], lift data.LiftFu
 		updatable: make(map[string]bool),
 		bases:     make(map[string]*data.Relation[P]),
 	}
-	e.driver = driver[P]{apply: e.applyDelta, epoch: e.epoch, reclaim: e.reclaim}
+	e.driver = driver[P]{check: e.check, apply: e.applyDelta, epoch: e.epoch, reclaim: e.reclaim}
 	upd := opts.Updatable
 	if len(upd) == 0 {
 		upd = q.RelNames()
@@ -445,7 +439,7 @@ func (e *Engine[P]) Init() error {
 
 	// Register the probe indexes required by the delta plans.
 	for _, plan := range e.plans {
-		plan.registerIndexes(e)
+		plan.bind()
 	}
 	if e.opts.NoLiveStats {
 		// Planning is done; a centrally collected feed (the DB's) replaces
@@ -484,7 +478,7 @@ func (e *Engine[P]) attachLeafStats() {
 func (e *Engine[P]) evalFromChildren(n *viewtree.Node, eval func(*viewtree.Node) *data.Relation[P]) *data.Relation[P] {
 	if n.IsLeaf() {
 		if n.Indicator {
-			return e.indicatorContents(n)
+			return indicatorContents(e.ring, n.Keys, e.bases[n.Rel])
 		}
 		if base, ok := e.bases[n.Rel]; ok {
 			// Normalize to the declared schema order.
@@ -517,23 +511,6 @@ func (e *Engine[P]) evalFromChildren(n *viewtree.Node, eval func(*viewtree.Node)
 		})
 		out = xf
 	}
-	return out
-}
-
-// indicatorContents builds the current relation of an indicator leaf from
-// its tracker: every live key maps to the multiplicative identity.
-func (e *Engine[P]) indicatorContents(leaf *viewtree.Node) *data.Relation[P] {
-	out := data.NewRelation(e.ring, leaf.Keys)
-	base := e.bases[leaf.Rel]
-	if base == nil {
-		return out
-	}
-	one := e.ring.One()
-	proj := data.MustProjector(base.Schema(), leaf.Keys)
-	base.Iterate(func(t data.Tuple, _ P) bool {
-		out.Set(proj.Apply(t), one)
-		return true
-	})
 	return out
 }
 
@@ -602,30 +579,21 @@ func (e *Engine[P]) reclaim() {
 	}
 }
 
+// check is the engine's admission rule (checkUpdate).
+func (e *Engine[P]) check(rel string, delta *data.Relation[P]) error {
+	return checkUpdate(e.ready, e.q, e.updatable, rel, delta)
+}
+
 // applyDelta is the engine's update rule: it propagates an update to one
 // relation along its leaf-to-root path (Figure 4), maintaining every
 // materialized view on the way, then propagates any induced indicator deltas
 // in sequence.
 func (e *Engine[P]) applyDelta(rel string, delta *data.Relation[P]) error {
-	if !e.ready {
-		return fmt.Errorf("ivm: ApplyDelta before Init")
-	}
-	if !e.updatable[rel] {
-		return fmt.Errorf("ivm: relation %q is not updatable", rel)
-	}
+	// Every updatable relation has a leaf, and plan compiled its delta plan.
 	leaf := e.root.LeafOf(rel)
-	if leaf == nil {
-		return fmt.Errorf("ivm: relation %q has no leaf in the view tree", rel)
-	}
 	plan := e.plans[leaf]
-	if plan == nil {
-		return fmt.Errorf("ivm: no delta plan for relation %q", rel)
-	}
 
 	// Normalize the delta to the leaf's schema order.
-	if !delta.Schema().SameSet(leaf.Keys) {
-		return fmt.Errorf("ivm: delta schema %v does not match %v", delta.Schema(), leaf.Keys)
-	}
 	if !delta.Schema().Equal(leaf.Keys) {
 		delta = data.Project(delta, leaf.Keys)
 	}
@@ -722,7 +690,7 @@ func (e *Engine[P]) indicatorDeltas(rel string, delta *data.Relation[P]) []indic
 				panic(err)
 			}
 			e.plans[leaf] = p
-			p.registerIndexes(e)
+			p.bind()
 			plan = p
 		}
 		out = append(out, indicatorDelta[P]{plan: plan, delta: d})

@@ -24,26 +24,16 @@ func evalTreeSubst[P any](root *viewtree.Node, q query.Query, r ring.Ring[P], li
 	var eval func(n *viewtree.Node) *data.Relation[P]
 	eval = func(n *viewtree.Node) *data.Relation[P] {
 		if n.IsLeaf() {
-			var src *data.Relation[P]
-			if n.Rel == subst && !n.Indicator {
+			if n.Indicator {
+				return indicatorContents(r, n.Keys, bases[n.Rel])
+			}
+			src := bases[n.Rel]
+			if n.Rel == subst {
 				src = substRel
-			} else {
-				src = bases[n.Rel]
 			}
 			rd, _ := q.Rel(n.Rel)
 			if src == nil {
 				return data.NewRelation(r, rd.Schema)
-			}
-			if n.Indicator {
-				// Build the indicator contents from the base relation.
-				out := data.NewRelation(r, n.Keys)
-				one := r.One()
-				proj := data.MustProjector(src.Schema(), n.Keys)
-				src.Iterate(func(t data.Tuple, _ P) bool {
-					out.Set(proj.Apply(t), one)
-					return true
-				})
-				return out
 			}
 			if src.Schema().Equal(rd.Schema) {
 				return src
@@ -59,6 +49,23 @@ func evalTreeSubst[P any](root *viewtree.Node, q query.Query, r ring.Ring[P], li
 		return data.Project(agg, n.Keys)
 	}
 	return eval(root)
+}
+
+// indicatorContents builds the relation of an indicator leaf over keys from
+// the contents of its base relation (nil: empty): every distinct projection
+// maps to the multiplicative identity.
+func indicatorContents[P any](r ring.Ring[P], keys data.Schema, base *data.Relation[P]) *data.Relation[P] {
+	out := data.NewRelation(r, keys)
+	if base == nil {
+		return out
+	}
+	one := r.One()
+	proj := data.MustProjector(base.Schema(), keys)
+	base.Iterate(func(t data.Tuple, _ P) bool {
+		out.Set(proj.Apply(t), one)
+		return true
+	})
+	return out
 }
 
 // buildTree prepares a variable order and constructs the collapsed view

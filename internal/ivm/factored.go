@@ -81,8 +81,7 @@ func (e *Engine[P]) ApplyFactoredDelta(rel string, fd FactoredDelta[P]) error {
 	for _, st := range plan.steps {
 		// Join each sibling view with the factors it overlaps.
 		for _, sib := range st.siblings {
-			view := e.views[sib.node]
-			factors = joinSiblingFactored(e, factors, view.Relation, view)
+			factors = joinSiblingFactored(e, factors, sib.view.Relation, sib.view)
 		}
 		// Marginalize each bound variable inside its own factor.
 		for _, mv := range st.margVars {

@@ -225,8 +225,8 @@ func TestLeasesUnderChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !par.Sharded() {
-		t.Fatal("fixture: the parallel maintainer does not shard")
+	if par.Workers() != 3 {
+		t.Fatalf("fixture: the parallel maintainer has %d shards, want 3", par.Workers())
 	}
 	par.Snapshot().Release()
 	slice := func(rd string, a int) *data.Relation[ring.Triple] {

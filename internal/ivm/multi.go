@@ -61,7 +61,12 @@ type MultiRecursive struct {
 // NewMultiRecursive builds one recursive hierarchy per aggregate.
 func NewMultiRecursive(q query.Query, specs []AggSpec, updatable []string) (*MultiRecursive, error) {
 	m := &MultiRecursive{}
-	m.driver = driver[float64]{apply: m.applyDelta, epoch: func() *ViewSnapshot[float64] { return liveEpoch(m.Result()) }}
+	m.driver = driver[float64]{
+		// Every hierarchy is over the same query: the first one's verdict is all of theirs.
+		check: func(rel string, d *data.Relation[float64]) error { return m.instances[0].check(rel, d) },
+		apply: m.applyDelta,
+		epoch: func() *ViewSnapshot[float64] { return liveEpoch(m.Result()) },
+	}
 	for _, s := range specs {
 		inst, err := NewRecursive[float64](q, ring.Float{}, s.Lift, updatable)
 		if err != nil {

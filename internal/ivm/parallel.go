@@ -28,8 +28,14 @@ import (
 //
 // The shard variable is the query variable covered by the most relation
 // schemas (the root of the paper's variable orders for the snowflake and
-// star workloads). When the query has no variables to shard on, or workers
-// is 1, Parallel degenerates to a zero-overhead sequential delegate.
+// star workloads). One shard is not a mode: workers <= 1, or a query with no
+// variable to shard on, is a Parallel of one shard that routes, propagates
+// and reduces like any other. A caller that wants the bare maintainer builds
+// it itself.
+//
+// Parallel is an update rule under the common driver: apply routes a delta
+// into per-shard scratch, seal runs every shard with work on its batch behind
+// a barrier, and the epoch is the key-wise reduction of the shard results.
 //
 // Floating-point caveat: shard results are reduced key-wise (Result in
 // fixed shard order, published snapshots in sorted-entry encounter order),
@@ -37,6 +43,8 @@ import (
 // float payloads may round differently than a single-threaded run. Integer
 // and integral-float workloads (and the paper's benchmarks) are exact.
 type Parallel[P any] struct {
+	driver[P] // ApplyDelta, ApplyDeltas, Snapshot over check, route, propagate and epoch
+
 	q        query.Query
 	ring     ring.Ring[P]
 	shardVar string
@@ -48,25 +56,23 @@ type Parallel[P any] struct {
 	// effect per dispatch; allocated lazily, only when shards exceed cores.
 	sem chan struct{}
 
-	// Routing scratch, reused across ApplyDeltas calls: one Sharded routing
-	// relation per updated relation name, the per-shard batches assembled
-	// from them, and the per-shard error slots for one dispatch.
+	// Routing scratch, filled by route and emptied by propagate: one Sharded
+	// routing relation per relation that carries the shard variable (built
+	// with the maintainer, over the query's column order), the names routed
+	// in this batch, the per-shard batches, and the per-shard error slots for
+	// one dispatch.
 	routes  map[string]*data.Sharded[P]
 	order   []string
 	batches [][]NamedDelta[P]
 	errs    []error
-	one     []NamedDelta[P]
 
 	// stats, when attached via CollectStats, observes the routing path:
 	// partitioned deltas through the Sharded routing relations, broadcast
 	// deltas directly. Router-owned (same goroutine as ApplyDeltas).
 	stats *data.Stats
 
-	// pub publishes the key-wise reduced result after each batch once
-	// serving is enabled (sharded mode only; the sequential fallback
-	// delegates to its inner maintainer's publisher). reduceParts is the
-	// reusable shard-result list handed to data.ReduceSealed per publish.
-	pub         publisher[P]
+	// reduceParts is the reusable shard-result list handed to
+	// data.ReduceSealed per publish.
 	reduceParts []*data.Relation[P]
 }
 
@@ -80,22 +86,13 @@ type Parallel[P any] struct {
 func (p *Parallel[P]) CollectStats(st *data.Stats) {
 	p.stats = st
 	for rel, route := range p.routes {
-		p.attachRouteStats(rel, route)
-	}
-}
-
-// attachRouteStats hooks the collector into one routing relation, provided
-// the collector's column order matches (a relation re-registered under a
-// permuted schema keeps its first registration; mismatched sketches would
-// misalign).
-func (p *Parallel[P]) attachRouteStats(rel string, route *data.Sharded[P]) {
-	if p.stats == nil {
-		return
-	}
-	sch := route.Shard(0).Schema()
-	rs := p.stats.Rel(rel, sch)
-	if rs.Schema.Equal(sch) {
-		route.CollectStats(rs)
+		// Only where the collector's column order matches: a relation it first
+		// saw under a permuted schema keeps that registration, and mismatched
+		// sketches would misalign.
+		sch := route.Shard(0).Schema()
+		if rs := st.Rel(rel, sch); rs.Schema.Equal(sch) {
+			route.CollectStats(rs)
+		}
 	}
 }
 
@@ -120,9 +117,10 @@ func pickShardVar(q query.Query) string {
 
 // NewParallel builds a sharded parallel maintainer over workers shards,
 // each an independent maintainer built by factory (strategies hold
-// per-instance state, so every shard needs its own). workers <= 1, or a
-// query with nothing to shard on, yields a sequential single-shard
-// delegate.
+// per-instance state, so every shard needs its own). workers <= 1 is one
+// shard, and so is a query with nothing to shard on: every delta of it is a
+// broadcast, and n shards that all hold everything would sum n copies of the
+// result.
 //
 // The shard count is NOT clamped to the host's core count at construction:
 // partitioning is a data layout decision that must stay stable for the
@@ -132,36 +130,39 @@ func pickShardVar(q query.Query) string {
 // GOMAXPROCS value in effect for each batch, so an 8-shard maintainer on a
 // 4-core budget runs 4 shards at a time rather than thrashing 8.
 func NewParallel[P any](q query.Query, r ring.Ring[P], workers int, factory func() (Maintainer[P], error)) (*Parallel[P], error) {
-	return newParallel(q, r, workers, factory)
-}
-
-// newParallel is the shared constructor behind NewParallel, kept separate
-// for tests that exercise the sharding math at fixed shard counts.
-func newParallel[P any](q query.Query, r ring.Ring[P], workers int, factory func() (Maintainer[P], error)) (*Parallel[P], error) {
 	shardVar := pickShardVar(q)
 	if workers < 1 || shardVar == "" {
 		workers = 1
 	}
-	p := &Parallel[P]{q: q, ring: r, shardVar: shardVar}
-	if workers == 1 {
-		m, err := factory()
+	p := &Parallel[P]{
+		q: q, ring: r, shardVar: shardVar,
+		routes:  make(map[string]*data.Sharded[P]),
+		batches: make([][]NamedDelta[P], workers),
+		errs:    make([]error, workers),
+	}
+	p.driver = driver[P]{check: p.check, apply: p.route, seal: p.propagate, epoch: p.epoch}
+	for _, rd := range q.Rels {
+		if !rd.Schema.Contains(shardVar) {
+			continue
+		}
+		route, err := data.NewSharded[P](r, rd.Schema, shardVar, workers)
 		if err != nil {
 			return nil, err
 		}
-		p.shards = []Maintainer[P]{m}
-		return p, nil
+		for s := 0; s < workers; s++ {
+			// Routing scratch: refilled per batch, cleared by propagate after
+			// the batch's cross-shard barrier.
+			route.Shard(s).RecycleCleared()
+		}
+		p.routes[rd.Name] = route
 	}
 	for i := 0; i < workers; i++ {
 		m, err := factory()
 		if err != nil {
-			p.Close()
 			return nil, err
 		}
 		p.shards = append(p.shards, m)
 	}
-	p.routes = make(map[string]*data.Sharded[P])
-	p.batches = make([][]NamedDelta[P], workers)
-	p.errs = make([]error, workers)
 	p.jobs = make(chan func(), workers)
 	for i := 0; i < workers; i++ {
 		go func() {
@@ -173,16 +174,12 @@ func newParallel[P any](q query.Query, r ring.Ring[P], workers int, factory func
 	return p, nil
 }
 
-// Sharded reports whether the maintainer actually partitions work (false
-// for the sequential single-shard fallback).
-func (p *Parallel[P]) Sharded() bool { return len(p.shards) > 1 }
-
-// Workers returns the number of shards (1 for the sequential fallback).
+// Workers returns the number of shards.
 func (p *Parallel[P]) Workers() int { return len(p.shards) }
 
 // Close stops the worker pool. The maintainer must not be used afterwards.
 func (p *Parallel[P]) Close() error {
-	if p.jobs != nil && !p.closed {
+	if !p.closed {
 		close(p.jobs)
 		p.closed = true
 	}
@@ -256,9 +253,6 @@ func (p *Parallel[P]) load(rel string, r *data.Relation[P], owned bool) error {
 	if owned {
 		give = LoadOwned[P]
 	}
-	if !p.Sharded() {
-		return give(p.shards[0], rel, r)
-	}
 	if r.Schema().Contains(p.shardVar) {
 		parts, err := data.Split(r, p.shardVar, len(p.shards))
 		if err != nil {
@@ -302,134 +296,90 @@ func LoadOwned[P any](m Maintainer[P], rel string, r *data.Relation[P]) error {
 
 // Init initializes every shard in parallel.
 func (p *Parallel[P]) Init() error {
-	if !p.Sharded() {
-		return p.shards[0].Init()
-	}
 	return p.dispatch(p.allShards(), func(s int) error { return p.shards[s].Init() })
 }
 
-// ApplyDelta routes one relation's delta to its shards and propagates in
-// parallel.
-func (p *Parallel[P]) ApplyDelta(rel string, delta *data.Relation[P]) error {
-	if !p.Sharded() {
-		return p.shards[0].ApplyDelta(rel, delta)
-	}
-	p.one = append(p.one[:0], NamedDelta[P]{Rel: rel, Delta: delta})
-	return p.ApplyDeltas(p.one)
+// check is the admission rule, run at the router so that no shard ever sees
+// a relation the query does not have or a delta over other variables. What
+// only the inner strategy knows (an updatable set) its own check rejects, in
+// every shard alike and before any of them applies anything.
+func (p *Parallel[P]) check(rel string, delta *data.Relation[P]) error {
+	_, err := checkRel(p.q, rel, delta)
+	return err
 }
 
-// ApplyDeltas routes a batch: deltas of shard-variable relations are
-// hash-partitioned tuple by tuple, deltas of broadcast relations go to
-// every shard (shared read-only — maintainers only iterate input deltas),
-// then every shard with work propagates concurrently on the worker pool.
-func (p *Parallel[P]) ApplyDeltas(batch []NamedDelta[P]) error {
-	if !p.Sharded() {
-		return p.shards[0].ApplyDeltas(batch)
+// route is the update rule's first half: a delta of a shard-variable
+// relation is hash-partitioned tuple by tuple into the relation's routing
+// scratch, a delta of a broadcast relation goes to every shard's batch as it
+// is (shared read-only — maintainers only iterate input deltas). Nothing
+// reaches a shard before propagate.
+func (p *Parallel[P]) route(rel string, d *data.Relation[P]) error {
+	if d.Len() == 0 {
+		return nil
 	}
-	n := len(p.shards)
-	for s := range p.batches {
-		p.batches[s] = p.batches[s][:0]
+	route := p.routes[rel]
+	if route == nil {
+		if p.stats != nil {
+			data.ObserveDeltaRelation(p.stats, rel, d.Schema(), d)
+		}
+		for s := range p.batches {
+			p.batches[s] = append(p.batches[s], NamedDelta[P]{Rel: rel, Delta: d})
+		}
+		return nil
 	}
-	p.order = p.order[:0]
-	for _, nd := range batch {
-		if nd.Delta == nil || nd.Delta.Len() == 0 {
-			continue
-		}
-		if !nd.Delta.Schema().Contains(p.shardVar) {
-			if p.stats != nil {
-				data.ObserveDeltaRelation(p.stats, nd.Rel, nd.Delta.Schema(), nd.Delta)
-			}
-			for s := range p.batches {
-				p.batches[s] = append(p.batches[s], nd)
-			}
-			continue
-		}
-		seen := false
-		for _, prev := range p.order {
-			if prev == nd.Rel {
-				seen = true
-				break
-			}
-		}
-		route := p.routes[nd.Rel]
-		if !seen {
-			// First occurrence of this relation in the batch: reset or
-			// (re)build its routing scratch. Later occurrences accumulate
-			// into the same scratch, coalescing per shard.
-			if route != nil && route.N() == n && route.Shard(0).Schema().Equal(nd.Delta.Schema()) {
-				route.Clear()
-			} else {
-				var err error
-				route, err = data.NewSharded[P](p.ring, nd.Delta.Schema(), p.shardVar, n)
-				if err != nil {
-					return err
-				}
-				for s := 0; s < n; s++ {
-					// Routing scratch: refilled per batch, cleared above after
-					// the previous batch's cross-shard barrier.
-					route.Shard(s).RecycleCleared()
-				}
-				p.attachRouteStats(nd.Rel, route)
-				p.routes[nd.Rel] = route
-			}
-			p.order = append(p.order, nd.Rel)
-		}
-		d := nd.Delta
-		if rs := route.Shard(0).Schema(); !rs.Equal(d.Schema()) {
-			// A repeated relation arrived with a differently ordered schema;
-			// normalize to the routing schema before partitioning.
-			d = data.Project(d, rs)
-		}
-		d.Iterate(func(t data.Tuple, pl P) bool {
-			route.Merge(t, pl)
-			return true
-		})
-		if d.VolatileTuples() {
-			// The shards store d's tuples as handed; they die when d's do.
-			for s := 0; s < n; s++ {
-				route.Shard(s).MarkVolatile()
-			}
+	if rs := route.Shard(0).Schema(); !rs.Equal(d.Schema()) {
+		d = data.Project(d, rs)
+	}
+	d.Iterate(func(t data.Tuple, pl P) bool {
+		route.Merge(t, pl)
+		return true
+	})
+	if d.VolatileTuples() {
+		// The shards store d's tuples as handed; they die when d's do.
+		for s := range p.shards {
+			route.Shard(s).MarkVolatile()
 		}
 	}
-	// Assemble per-shard batches from the routed relations (only now are
-	// same-relation deltas fully coalesced per shard).
-	for _, rel := range p.order {
-		route := p.routes[rel]
-		for s := 0; s < n; s++ {
-			if d := route.Shard(s); d.Len() > 0 {
+	p.order = append(p.order, rel)
+	return nil
+}
+
+// propagate is the second half, the driver's seal: it completes the per-shard
+// batches from the routed relations, runs every shard with work on its batch
+// concurrently on the worker pool, and empties the routing scratch whatever
+// came of it — a failed batch leaves nothing behind for the next. The epoch
+// the driver publishes afterwards, on the routing goroutine, reflects the
+// whole batch across every shard.
+func (p *Parallel[P]) propagate() error {
+	var idx [64]int
+	work := idx[:0]
+	for s := range p.shards {
+		for _, rel := range p.order {
+			if d := p.routes[rel].Shard(s); d.Len() > 0 {
 				p.batches[s] = append(p.batches[s], NamedDelta[P]{Rel: rel, Delta: d})
 			}
 		}
-	}
-	var idx [64]int
-	work := idx[:0]
-	for s := 0; s < n; s++ {
 		if len(p.batches[s]) > 0 {
 			work = append(work, s)
 		}
 	}
-	if len(work) == 0 {
-		p.pub.next(p.epoch)
-		return nil
+	err := p.dispatch(work, func(s int) error { return p.shards[s].ApplyDeltas(p.batches[s]) })
+	for _, rel := range p.order {
+		p.routes[rel].Clear()
 	}
-	if err := p.dispatch(work, func(s int) error { return p.shards[s].ApplyDeltas(p.batches[s]) }); err != nil {
-		return err
+	p.order = p.order[:0]
+	for s := range p.batches {
+		p.batches[s] = p.batches[s][:0]
 	}
-	// Publication happens after the cross-shard barrier, on the routing
-	// goroutine: the epoch reflects the whole batch across every shard.
-	p.pub.next(p.epoch)
-	return nil
+	return err
 }
 
 // Result merges the shard results key-wise: the disjoint union of shard
 // outputs when the shard variable is free, the payload sum when it is
 // aggregated away. The merge reads every shard's live result, so it must
-// not race ApplyDeltas; concurrent readers go through Snapshot, which
-// publishes the reduction after each batch.
+// not race ApplyDeltas; concurrent readers go through Snapshot: the driver
+// publishes epoch, the same reduction sealed, after each batch.
 func (p *Parallel[P]) Result() *data.Relation[P] {
-	if !p.Sharded() {
-		return p.shards[0].Result()
-	}
 	first := p.shards[0].Result()
 	out := data.NewRelation(p.ring, first.Schema())
 	out.Reserve(first.Len())

@@ -42,7 +42,7 @@ func runParallelEquivalence[P any](t *testing.T, q query.Query, r ring.Ring[P], 
 		for _, workers := range []int{1, 2, 8} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(len(name))*313 + int64(workers)))
-				par, err := newParallel[P](q, r, workers, mk)
+				par, err := NewParallel[P](q, r, workers, mk)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -51,8 +51,8 @@ func runParallelEquivalence[P any](t *testing.T, q query.Query, r ring.Ring[P], 
 				if err != nil {
 					t.Fatal(err)
 				}
-				if workers > 1 && !par.Sharded() {
-					t.Fatalf("expected sharding for workers=%d", workers)
+				if par.Workers() != workers {
+					t.Fatalf("Workers() = %d, want %d", par.Workers(), workers)
 				}
 
 				// Preload some contents so Init's split/replicate path is
@@ -178,7 +178,7 @@ func TestParallelAggregateRoot(t *testing.T) {
 	mk := func() (Maintainer[int64], error) {
 		return New[int64](q, paperOrder(), ring.Int{}, countLift, Options[int64]{})
 	}
-	par, err := newParallel[int64](q, ring.Int{}, 4, mk)
+	par, err := NewParallel[int64](q, ring.Int{}, 4, mk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,29 +213,93 @@ func TestParallelShardVar(t *testing.T) {
 	}
 }
 
-// TestParallelSequentialFallback checks that workers=1 produces a direct
-// delegate with no sharding machinery.
+// TestParallelSequentialFallback checks that workers=1 is one shard through
+// the common route/propagate/reduce path, equal to the bare engine after a
+// batch.
 func TestParallelSequentialFallback(t *testing.T) {
 	q := paperQuery("A")
-	par, err := NewParallel[int64](q, ring.Int{}, 1, func() (Maintainer[int64], error) {
+	mk := func() (Maintainer[int64], error) {
 		return New[int64](q, paperOrder(), ring.Int{}, countLift, Options[int64]{})
-	})
+	}
+	par, err := NewParallel[int64](q, ring.Int{}, 1, mk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer par.Close()
-	if par.Sharded() {
-		t.Fatal("workers=1 should not shard")
-	}
 	if par.Workers() != 1 {
 		t.Fatalf("Workers() = %d, want 1", par.Workers())
 	}
-	if err := par.Init(); err != nil {
+	bare, _ := mk()
+	rng := rand.New(rand.NewSource(3))
+	var batch []NamedDelta[int64]
+	for _, rd := range q.Rels {
+		batch = append(batch, NamedDelta[int64]{Rel: rd.Name, Delta: randomDelta(rng, rd.Schema, 3, 4)})
+	}
+	for _, m := range []Maintainer[int64]{par, bare} {
+		if err := m.Init(); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.ApplyDeltas(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := par.Result().String(), bare.Result().String(); got != want || bare.Result().Len() == 0 {
+		t.Fatalf("one shard %s vs the bare engine %s", got, want)
+	}
+}
+
+// TestParallelRejectedBatchLeavesNoRoutes: a batch the router rejects, and one
+// the shards reject after it was routed, leave no routed tuples behind — the
+// next good batch brings the result to exactly the sequential oracle's.
+func TestParallelRejectedBatchLeavesNoRoutes(t *testing.T) {
+	q := paperQuery("A")
+	mk := func() (Maintainer[int64], error) {
+		// T is not updatable: only the shards know, so its delta is routed
+		// (T carries no A: broadcast) next to R's before they reject it.
+		return New[int64](q, paperOrder(), ring.Int{}, countLift, Options[int64]{Updatable: []string{"R", "S"}})
+	}
+	par, err := NewParallel[int64](q, ring.Int{}, 3, mk)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rd, _ := q.Rel("R")
-	rng := rand.New(rand.NewSource(3))
-	if err := par.ApplyDelta("R", randomDelta(rng, rd.Schema, 3, 4)); err != nil {
-		t.Fatal(err)
+	defer par.Close()
+	seq, _ := mk()
+	rng := rand.New(rand.NewSource(5))
+	delta := func(rel string) NamedDelta[int64] {
+		rd, _ := q.Rel(rel)
+		return NamedDelta[int64]{Rel: rel, Delta: randomDelta(rng, rd.Schema, 3, 6)}
+	}
+	loadT, first := delta("T").Delta, []NamedDelta[int64]{delta("R"), delta("S")}
+	for _, m := range []Maintainer[int64]{par, seq} {
+		if err := m.Load("T", loadT); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Init(); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.ApplyDeltas(first); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := par.Result().String()
+	for _, bad := range [][]NamedDelta[int64]{
+		{delta("R"), {Rel: "nope", Delta: delta("S").Delta}}, // rejected at the router
+		{delta("R"), delta("S"), delta("T")},                 // rejected by every shard
+	} {
+		if err := par.ApplyDeltas(bad); err == nil {
+			t.Fatalf("batch with %q accepted", bad[len(bad)-1].Rel)
+		}
+		if got := par.Result().String(); got != before {
+			t.Fatalf("rejected batch changed the result: %s vs %s", got, before)
+		}
+	}
+	good := []NamedDelta[int64]{delta("S"), delta("R")}
+	for _, m := range []Maintainer[int64]{par, seq} {
+		if err := m.ApplyDeltas(good); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := par.Result().String(), seq.Result().String(); got != want || got == before {
+		t.Fatalf("after a good batch: parallel %s vs sequential %s (before: %s)", got, want, before)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"fivm/internal/data"
+	"fivm/internal/ring"
 	"fivm/internal/viewtree"
 )
 
@@ -16,22 +17,51 @@ type deltaPlan[P any] struct {
 	steps []*planStep[P]
 }
 
+// planStep is one ancestor view on a delta plan's path: the engine's shell
+// around the δ-join that computes the view's delta.
 type planStep[P any] struct {
-	node      *viewtree.Node
-	siblings  []*planSibling
-	accSchema data.Schema
-	margVars  []margVar
-	outProj   data.Projector
+	node *viewtree.Node
+	// shareOut marks the steps whose output may store prefix subslices of the
+	// input delta's tuples instead of projecting into its own tuple slab
+	// (data.Relation.ShareProjectedTuples). Decided by buildPlan: every
+	// sibling is probed by full key, so work items keep the input's stored
+	// tuples; outProj is a prefix projection; and the input is the leaf delta
+	// or the output of a step that shares. Whether a run does share is up to
+	// the leaf delta it is given (deltaPlan.run): a volatile one lends
+	// nothing. Any other step's output is slab-backed and dies with its next
+	// exec.
+	shareOut bool
+	joinStep[P]
+}
+
+// joinStep is the δ-join, the computation over the keys that is the same for
+// every strategy (they differ in which views they store): the delta of one
+// view given the delta of one of its inputs, joined with the stored views of
+// the other inputs, lifted and marginalized over the bound variables and
+// projected onto the view's keys. The engine runs one per ancestor of an
+// updatable leaf (planStep), Recursive one per view and updatable relation.
+// The caller fills ring, lift, keys, the siblings' name, keys and stored, and
+// optionally xform; compile derives the rest, bind resolves the storage.
+type joinStep[P any] struct {
+	ring ring.Ring[P]
+	lift data.LiftFunc[P]
+	// xform, when set, maps every output payload (Options.PayloadTransform
+	// bound to the output view).
+	xform    func(P) P
+	keys     data.Schema // of the output view
+	siblings []*joinSibling[P]
+	margVars []margVar
+	outProj  data.Projector
 
 	// Reusable scratch for exec: two work-item slices swapped between join
 	// stages, a key-encoding buffer, and the output delta relation (cleared
 	// and refilled per call), so steady-state propagation does not allocate
-	// per step. Plans are engine-owned and single-threaded; the output
-	// relation is consumed (merged and iterated) before the next exec of the
-	// same step, and nothing it made outlives that: it is delta scratch
+	// per step. Steps are owned by one maintainer and single-threaded; the
+	// output relation is consumed (merged and iterated) before the next exec
+	// of the same step, and nothing it made outlives that: it is delta scratch
 	// (data.Relation.RecycleCleared), so views copy the keys and payloads
 	// they adopt from it, and the tuples too unless the step shares its
-	// input's (shareOut).
+	// input's (exec's share).
 	items, spare []workItem[P]
 	keyBuf       []byte
 	out          *data.Relation[P]
@@ -56,17 +86,6 @@ type planStep[P any] struct {
 	margProj  data.Projector
 	liftCache map[string]*P
 	liftKey   []byte
-
-	// shareOut marks the steps whose output may store prefix subslices of the
-	// input delta's tuples instead of projecting into its own tuple slab
-	// (data.Relation.ShareProjectedTuples). Decided by buildPlan: every
-	// sibling is probed by full key, so work items keep the input's stored
-	// tuples; outProj is a prefix projection; and the input is the leaf delta
-	// or the output of a step that shares. Whether a run does share is up to
-	// the leaf delta it is given (deltaPlan.run): a volatile one lends
-	// nothing. Any other step's output is slab-backed and dies with its next
-	// exec.
-	shareOut bool
 }
 
 // liftCacheMax bounds the per-step lift-product cache.
@@ -77,8 +96,16 @@ type margVar struct {
 	idx  int
 }
 
-type planSibling struct {
-	node *viewtree.Node
+// joinSibling is one stored view a joinStep joins its input delta with.
+type joinSibling[P any] struct {
+	name string // for Describe and bind's panic
+	keys data.Schema
+	// stored resolves the sibling's storage; bind calls it, so a view that is
+	// built (Init) or replaced (a replan) after compile is picked up there.
+	stored func() *data.IndexedRelation[P]
+	view   *data.IndexedRelation[P]
+	index  *data.Index[P] // on common; nil when full
+
 	// common is the probe key: the sibling variables bound by the
 	// accumulated tuple at this point of the join.
 	common    data.Schema
@@ -91,6 +118,64 @@ type planSibling struct {
 	extraProj data.Projector
 }
 
+// compile orders the siblings greedily by overlap with the accumulated join
+// schema, starting from the input delta's schema in, and derives every
+// projector of the step: probe and extension per sibling, the marginalized
+// variables' positions and lift-cache key, and the projection onto keys.
+func (st *joinStep[P]) compile(in, marg data.Schema) error {
+	acc := in.Clone()
+	pending := st.siblings
+	st.siblings = make([]*joinSibling[P], 0, len(pending))
+	for len(pending) > 0 {
+		best, bestOverlap := 0, -1
+		for i, s := range pending {
+			if ov := len(s.keys.Intersect(acc)); ov > bestOverlap {
+				best, bestOverlap = i, ov
+			}
+		}
+		s := pending[best]
+		pending = append(pending[:best], pending[best+1:]...)
+
+		s.common = s.keys.Intersect(acc)
+		s.probeProj = data.MustProjector(acc, s.common)
+		s.full = s.common.SameSet(s.keys)
+		s.extra = s.keys.Minus(s.common)
+		s.extraProj = data.MustProjector(s.keys, s.extra)
+		st.siblings = append(st.siblings, s)
+		acc = acc.Union(s.extra)
+	}
+	for _, mv := range marg {
+		i := acc.IndexOf(mv)
+		if i < 0 {
+			return fmt.Errorf("marginalized variable %q missing from join schema %v", mv, acc)
+		}
+		st.margVars = append(st.margVars, margVar{name: mv, idx: i})
+	}
+	if len(st.margVars) > 0 {
+		st.margProj = data.MustProjector(acc, acc.Intersect(marg))
+		st.liftCache = make(map[string]*P)
+	}
+	st.prods = newProdBuf(st.ring)
+	var err error
+	st.outProj, err = data.NewProjector(acc, st.keys)
+	return err
+}
+
+// bind resolves every sibling's stored relation and creates the secondary
+// index the step probes it by. Siblings must be stored; for the engine the µ
+// rule guarantees it, because the delta path's subtree contains an updatable
+// relation.
+func (st *joinStep[P]) bind() {
+	for _, sib := range st.siblings {
+		if sib.view = sib.stored(); sib.view == nil {
+			panic(fmt.Sprintf("ivm: sibling view %s of the delta step for %v is not materialized", sib.name, st.keys))
+		}
+		if !sib.full {
+			sib.index = sib.view.EnsureIndex(sib.common)
+		}
+	}
+}
+
 // buildPlan compiles the leaf-to-root delta schedule for a leaf.
 func (e *Engine[P]) buildPlan(leaf *viewtree.Node) (*deltaPlan[P], error) {
 	plan := &deltaPlan[P]{leaf: leaf}
@@ -100,8 +185,10 @@ func (e *Engine[P]) buildPlan(leaf *viewtree.Node) (*deltaPlan[P], error) {
 	// shared them.
 	durable := true
 	for node := cur.Parent(); node != nil; node = node.Parent() {
-		st := &planStep[P]{node: node}
-		acc := cur.Keys.Clone()
+		st := &planStep[P]{node: node, joinStep: joinStep[P]{ring: e.ring, lift: e.lift, keys: node.Keys}}
+		if xf := e.opts.PayloadTransform; xf != nil {
+			st.xform = func(p P) P { return xf(node, p) }
+		}
 
 		// Collect the sibling views to join with. A sibling the
 		// materialization policy chose not to store (cost-demoted) is
@@ -109,15 +196,17 @@ func (e *Engine[P]) buildPlan(leaf *viewtree.Node) (*deltaPlan[P], error) {
 		// marginalized variables join this step's lift-and-marginalize set —
 		// V = ⊕_{V.Marg}(⨝ children) substituted into the step's join, which
 		// is exact because lifting products commute across the join.
-		var sibs []*viewtree.Node
-		var inlineMarg data.Schema
+		allMarg := node.Marg.Clone()
 		var expand func(s *viewtree.Node)
 		expand = func(s *viewtree.Node) {
 			if s.IsLeaf() || e.mat[s] {
-				sibs = append(sibs, s)
+				st.siblings = append(st.siblings, &joinSibling[P]{
+					name: s.Name(), keys: s.Keys,
+					stored: func() *data.IndexedRelation[P] { return e.views[s] },
+				})
 				return
 			}
-			inlineMarg = append(inlineMarg, s.Marg...)
+			allMarg = append(allMarg, s.Marg...)
 			for _, c := range s.Children {
 				expand(c)
 			}
@@ -127,47 +216,7 @@ func (e *Engine[P]) buildPlan(leaf *viewtree.Node) (*deltaPlan[P], error) {
 				expand(c)
 			}
 		}
-		for len(sibs) > 0 {
-			best, bestOverlap := 0, -1
-			for i, s := range sibs {
-				if ov := len(s.Keys.Intersect(acc)); ov > bestOverlap {
-					best, bestOverlap = i, ov
-				}
-			}
-			s := sibs[best]
-			sibs = append(sibs[:best], sibs[best+1:]...)
-
-			common := s.Keys.Intersect(acc)
-			ps := &planSibling{
-				node:      s,
-				common:    common,
-				probeProj: data.MustProjector(acc, common),
-				full:      common.SameSet(s.Keys),
-				extra:     s.Keys.Minus(common),
-			}
-			ps.extraProj = data.MustProjector(s.Keys, ps.extra)
-			st.siblings = append(st.siblings, ps)
-			acc = acc.Union(ps.extra)
-		}
-		st.accSchema = acc
-		allMarg := node.Marg
-		if len(inlineMarg) > 0 {
-			allMarg = append(node.Marg.Clone(), inlineMarg...)
-		}
-		for _, mv := range allMarg {
-			i := acc.IndexOf(mv)
-			if i < 0 {
-				return nil, fmt.Errorf("ivm: marginalized variable %q missing from join schema %v at %s", mv, acc, node.Name())
-			}
-			st.margVars = append(st.margVars, margVar{name: mv, idx: i})
-		}
-		if len(st.margVars) > 0 {
-			st.margProj = data.MustProjector(acc, acc.Intersect(allMarg))
-			st.liftCache = make(map[string]*P)
-		}
-		var err error
-		st.outProj, err = data.NewProjector(acc, node.Keys)
-		if err != nil {
+		if err := st.compile(cur.Keys, allMarg); err != nil {
 			return nil, fmt.Errorf("ivm: %s: %v", node.Name(), err)
 		}
 		st.shareOut = durable && st.outProj.IsPrefix()
@@ -181,20 +230,10 @@ func (e *Engine[P]) buildPlan(leaf *viewtree.Node) (*deltaPlan[P], error) {
 	return plan, nil
 }
 
-// registerIndexes creates the secondary indexes the plan probes. Sibling
-// views must be materialized; the µ rule guarantees this because the delta
-// path's subtree contains an updatable relation.
-func (p *deltaPlan[P]) registerIndexes(e *Engine[P]) {
+// bind binds every step of the plan to the engine's stored views.
+func (p *deltaPlan[P]) bind() {
 	for _, st := range p.steps {
-		for _, sib := range st.siblings {
-			v := e.views[sib.node]
-			if v == nil {
-				panic(fmt.Sprintf("ivm: sibling view %s of delta path for %s is not materialized", sib.node.Name(), p.leaf.Name()))
-			}
-			if !sib.full {
-				v.EnsureIndex(sib.common)
-			}
-		}
+		st.bind()
 	}
 }
 
@@ -211,7 +250,7 @@ func (p *deltaPlan[P]) run(e *Engine[P], delta *data.Relation[P]) error {
 	durable := !delta.VolatileTuples()
 	cur := delta
 	for _, st := range p.steps {
-		next := st.exec(e, cur, st.shareOut && durable)
+		next := st.exec(cur, st.shareOut && durable)
 		if v := e.views[st.node]; v != nil {
 			v.MergeAllIndexed(next)
 		}
@@ -231,14 +270,15 @@ type workItem[P any] struct {
 	p *P
 }
 
-// exec computes the delta of st.node given the delta of the child it came
-// from: it joins the child delta with the sibling views by index probes,
-// lifts and marginalizes the node's bound variables, and projects onto the
-// node's keys. Work-item slices and the probe-key buffer are reused across
+// exec computes the delta of the step's view given the delta of the input it
+// was compiled for: it joins that delta with the sibling views by lookups and
+// index probes, lifts and marginalizes the bound variables, and projects onto
+// the view's keys. Work-item slices and the probe-key buffer are reused across
 // calls, and index probes yield entries directly, so the steady-state join
-// allocates only for freshly extended tuples. share says whether this run's
-// output stores subslices of delta's tuples (shareOut, and delta's are durable).
-func (st *planStep[P]) exec(e *Engine[P], delta *data.Relation[P], share bool) *data.Relation[P] {
+// allocates nothing per tuple. share says whether this run's output stores
+// subslices of delta's tuples (the caller knows every sibling is full, outProj
+// a prefix and delta's tuples durable).
+func (st *joinStep[P]) exec(delta *data.Relation[P], share bool) *data.Relation[P] {
 	items := st.items[:0]
 	delta.IterateEntries(func(en *data.Entry[P]) bool {
 		items = append(items, workItem[P]{t: en.Tuple, p: &en.Payload})
@@ -246,28 +286,23 @@ func (st *planStep[P]) exec(e *Engine[P], delta *data.Relation[P], share bool) *
 	})
 
 	spare := st.spare
-	if st.prods.r == nil {
-		st.prods = newProdBuf[P](e.ring)
-	}
 	st.prods.reset()
 	arena := st.tupArena[:0]
 	for _, sib := range st.siblings {
 		if len(items) == 0 {
 			break
 		}
-		view := e.views[sib.node]
 		next := spare[:0]
 		if sib.full {
 			for _, it := range items {
-				if en := view.LookupProjected(sib.probeProj, it.t); en != nil {
+				if en := sib.view.LookupProjected(sib.probeProj, it.t); en != nil {
 					next = append(next, workItem[P]{t: it.t, p: st.prods.product(it.p, &en.Payload)})
 				}
 			}
 		} else {
-			ix := view.EnsureIndex(sib.common)
 			for _, it := range items {
 				st.keyBuf = sib.probeProj.AppendKey(st.keyBuf[:0], it.t)
-				for en := range ix.ProbeBytes(st.keyBuf).All() {
+				for en := range sib.index.ProbeBytes(st.keyBuf).All() {
 					start := len(arena)
 					arena = append(arena, it.t...)
 					arena = sib.extraProj.AppendTo(arena, en.Tuple)
@@ -286,7 +321,7 @@ func (st *planStep[P]) exec(e *Engine[P], delta *data.Relation[P], share bool) *
 	// output is recycling scratch: its entries live only until the next exec
 	// of this step, and every consumer copies what it keeps.
 	if st.out == nil {
-		st.out = data.NewRelation(e.ring, st.node.Keys)
+		st.out = data.NewRelation(st.ring, st.keys)
 		st.out.RecycleCleared()
 		st.out.Reserve(len(items))
 	} else {
@@ -302,17 +337,17 @@ func (st *planStep[P]) exec(e *Engine[P], delta *data.Relation[P], share bool) *
 		// in-place accumulation, directly inside the output's stored payload
 		// via the fused multiply-merge (zero allocations on existing keys).
 		if len(st.margVars) > 0 {
-			lp := st.liftProduct(e, it.t)
-			if e.opts.PayloadTransform != nil {
-				out.MergeProjected(st.outProj, it.t, e.opts.PayloadTransform(st.node, e.ring.Mul(*it.p, *lp)))
+			lp := st.liftProduct(it.t)
+			if st.xform != nil {
+				out.MergeProjected(st.outProj, it.t, st.xform(st.ring.Mul(*it.p, *lp)))
 			} else {
 				out.MergeMulProjected(st.outProj, it.t, it.p, lp)
 			}
 			continue
 		}
 		p := *it.p
-		if e.opts.PayloadTransform != nil {
-			p = e.opts.PayloadTransform(st.node, p)
+		if st.xform != nil {
+			p = st.xform(p)
 		}
 		out.MergeProjected(st.outProj, it.t, p)
 	}
@@ -324,13 +359,13 @@ func (st *planStep[P]) exec(e *Engine[P], delta *data.Relation[P], share bool) *
 // (lifting functions are pure, and marginalized variables range over small
 // domains). The returned pointer is read-only and valid until the cache is
 // reset.
-func (st *planStep[P]) liftProduct(e *Engine[P], t data.Tuple) *P {
+func (st *joinStep[P]) liftProduct(t data.Tuple) *P {
 	st.liftKey = st.margProj.AppendKey(st.liftKey[:0], t)
 	lp, ok := st.liftCache[string(st.liftKey)]
 	if !ok {
-		v := e.lift(st.margVars[0].name, t[st.margVars[0].idx])
+		v := st.lift(st.margVars[0].name, t[st.margVars[0].idx])
 		for _, mv := range st.margVars[1:] {
-			v = e.ring.Mul(v, e.lift(mv.name, t[mv.idx]))
+			v = st.ring.Mul(v, st.lift(mv.name, t[mv.idx]))
 		}
 		lp = &v
 		if len(st.liftCache) >= liftCacheMax {

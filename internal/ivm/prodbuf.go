@@ -3,8 +3,7 @@ package ivm
 import "fivm/internal/ring"
 
 // prodBuf is the append-only product-slot buffer backing the payloads of
-// join-extended work items, shared by the engine's delta plans and the
-// recursive maintainer's view deltas.
+// join-extended work items of a joinStep.
 //
 // Invariants: slots are append-only for the lifetime of one propagation
 // call (never truncated or overwritten while work items may reference

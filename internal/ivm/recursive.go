@@ -19,7 +19,7 @@ import (
 // per relation — typically many more views than F-IVM's single view tree,
 // which is the space/time gap the paper measures.
 type Recursive[P any] struct {
-	driver[P] // ApplyDelta, ApplyDeltas, Snapshot over applyDelta
+	driver[P] // ApplyDelta, ApplyDeltas, Snapshot over check and applyDelta
 
 	q         query.Query
 	ring      ring.Ring[P]
@@ -33,35 +33,17 @@ type Recursive[P any] struct {
 
 	bases map[string]*data.Relation[P]
 	ready bool
-
-	// Reusable scratch for viewDelta (single-threaded per maintainer).
-	items, spare []workItem[P]
-	prods        prodBuf[P]
-	keyBuf       []byte
 }
 
 type recView[P any] struct {
-	sig    string
-	rels   []string // sorted relation names
-	free   data.Schema
-	rel    *data.IndexedRelation[P]
-	deltas map[string]*recDelta[P]
-}
-
-type recDelta[P any] struct {
-	comps   []recComp[P]
-	acc     data.Schema
-	marg    []margVar
-	outProj data.Projector
-}
-
-type recComp[P any] struct {
-	view      *recView[P]
-	common    data.Schema
-	probeProj data.Projector
-	full      bool
-	extra     data.Schema
-	extraProj data.Projector
+	sig  string
+	rels []string // sorted relation names
+	free data.Schema
+	rel  *data.IndexedRelation[P]
+	// deltas holds δ_R V per updatable relation R of the view: the δ-join of
+	// an update to R with the views of the components the rest of V falls
+	// into once R's variables are fixed (none, for a single-relation view).
+	deltas map[string]*joinStep[P]
 }
 
 // NewRecursive builds the recursive view hierarchy for a query. The
@@ -77,7 +59,7 @@ func NewRecursive[P any](q query.Query, r ring.Ring[P], lift data.LiftFunc[P], u
 		affected:  make(map[string][]*recView[P]),
 		bases:     make(map[string]*data.Relation[P]),
 	}
-	m.driver = driver[P]{apply: m.applyDelta, epoch: func() *ViewSnapshot[P] { return liveEpoch(m.Result()) }}
+	m.driver = driver[P]{check: m.check, apply: m.applyDelta, epoch: func() *ViewSnapshot[P] { return liveEpoch(m.Result()) }}
 	if len(updatable) == 0 {
 		updatable = q.RelNames()
 	}
@@ -111,7 +93,7 @@ func (m *Recursive[P]) getView(rels []string, free data.Schema) *recView[P] {
 		rels:   rels,
 		free:   free.Clone(),
 		rel:    data.NewIndexedRelation(data.NewRelation(m.ring, free.Clone())),
-		deltas: make(map[string]*recDelta[P]),
+		deltas: make(map[string]*joinStep[P]),
 	}
 	m.views[sig] = v
 
@@ -120,9 +102,6 @@ func (m *Recursive[P]) getView(rels []string, free data.Schema) *recView[P] {
 			continue
 		}
 		m.affected[rname] = append(m.affected[rname], v)
-		if len(rels) == 1 {
-			continue // single-relation views aggregate the delta directly
-		}
 		rd, _ := m.q.Rel(rname)
 
 		// Split the remaining relations into components connected through
@@ -134,10 +113,8 @@ func (m *Recursive[P]) getView(rels []string, free data.Schema) *recView[P] {
 				others = append(others, od)
 			}
 		}
-		comps := connectedComponents(others, rd.Schema)
-
-		d := &recDelta[P]{acc: rd.Schema.Clone()}
-		for _, comp := range comps {
+		d := &joinStep[P]{ring: m.ring, lift: m.lift, keys: v.free}
+		for _, comp := range connectedComponents(others, rd.Schema) {
 			var compVars data.Schema
 			compNames := make([]string, 0, len(comp))
 			for _, c := range comp {
@@ -145,37 +122,17 @@ func (m *Recursive[P]) getView(rels []string, free data.Schema) *recView[P] {
 				compNames = append(compNames, c.Name)
 			}
 			sort.Strings(compNames)
-			freeC := compVars.Intersect(rd.Schema.Union(free))
-			d.comps = append(d.comps, recComp[P]{view: m.getView(compNames, freeC)})
+			cv := m.getView(compNames, compVars.Intersect(rd.Schema.Union(free)))
+			d.siblings = append(d.siblings, &joinSibling[P]{
+				name: cv.sig, keys: cv.free,
+				stored: func() *data.IndexedRelation[P] { return cv.rel },
+			})
 		}
-
-		// Order components greedily by overlap with the accumulated schema
-		// and precompute probe/extension projections.
-		acc := rd.Schema.Clone()
-		pending := d.comps
-		d.comps = nil
-		for len(pending) > 0 {
-			best, bestOverlap := 0, -1
-			for i, c := range pending {
-				if ov := len(c.view.free.Intersect(acc)); ov > bestOverlap {
-					best, bestOverlap = i, ov
-				}
-			}
-			c := pending[best]
-			pending = append(pending[:best], pending[best+1:]...)
-			c.common = c.view.free.Intersect(acc)
-			c.probeProj = data.MustProjector(acc, c.common)
-			c.full = c.common.SameSet(c.view.free)
-			c.extra = c.view.free.Minus(c.common)
-			c.extraProj = data.MustProjector(c.view.free, c.extra)
-			d.comps = append(d.comps, c)
-			acc = acc.Union(c.extra)
+		// Every variable of R or of a component's free set is in the join,
+		// so a compile error is a bug in the construction above.
+		if err := d.compile(rd.Schema, rd.Schema.Minus(free)); err != nil {
+			panic(fmt.Sprintf("ivm: δ_%s of view %s: %v", rname, sig, err))
 		}
-		d.acc = acc
-		for _, x := range rd.Schema.Minus(free) {
-			d.marg = append(d.marg, margVar{name: x, idx: acc.IndexOf(x)})
-		}
-		d.outProj = data.MustProjector(acc, free)
 		v.deltas[rname] = d
 	}
 	m.order = append(m.order, v)
@@ -258,11 +215,7 @@ func (m *Recursive[P]) Init() error {
 	}
 	for _, v := range m.order {
 		for _, d := range v.deltas {
-			for _, c := range d.comps {
-				if !c.full {
-					c.view.rel.EnsureIndex(c.common)
-				}
-			}
+			d.bind()
 		}
 	}
 	m.bases = nil
@@ -270,89 +223,23 @@ func (m *Recursive[P]) Init() error {
 	return nil
 }
 
+// check is the admission rule (checkUpdate).
+func (m *Recursive[P]) check(rel string, delta *data.Relation[P]) error {
+	return checkUpdate(m.ready, m.q, m.updatable, rel, delta)
+}
+
 // applyDelta is the update rule: it maintains every view whose relation set
 // contains the updated relation. Component views never contain the updated
 // relation, so each affected view's delta can be computed and merged
 // independently.
 func (m *Recursive[P]) applyDelta(rel string, delta *data.Relation[P]) error {
-	if !m.ready {
-		return fmt.Errorf("ivm: ApplyDelta before Init")
-	}
-	rd, err := checkRel(m.q, rel, delta)
-	if err != nil {
-		return err
-	}
-	if !m.updatable[rel] {
-		return fmt.Errorf("ivm: relation %q is not updatable", rel)
-	}
-	if !delta.Schema().Equal(rd.Schema) {
+	if rd, _ := m.q.Rel(rel); !delta.Schema().Equal(rd.Schema) {
 		delta = data.Project(delta, rd.Schema)
 	}
 	for _, v := range m.affected[rel] {
-		dv := m.viewDelta(v, rel, rd, delta)
-		v.rel.MergeAllIndexed(dv)
+		v.rel.MergeAllIndexed(v.deltas[rel].exec(delta, false))
 	}
 	return nil
-}
-
-// viewDelta computes δ_rel V for one view.
-func (m *Recursive[P]) viewDelta(v *recView[P], rel string, rd query.RelDef, delta *data.Relation[P]) *data.Relation[P] {
-	if len(v.rels) == 1 {
-		agg := data.MarginalizeVars(delta, rd.Schema.Minus(v.free), m.lift)
-		return data.Project(agg, v.free)
-	}
-	d := v.deltas[rel]
-	items := m.items[:0]
-	delta.IterateEntries(func(en *data.Entry[P]) bool {
-		items = append(items, workItem[P]{t: en.Tuple, p: &en.Payload})
-		return true
-	})
-	spare := m.spare
-	if m.prods.r == nil {
-		m.prods = newProdBuf[P](m.ring)
-	}
-	m.prods.reset()
-	for _, c := range d.comps {
-		if len(items) == 0 {
-			break
-		}
-		next := spare[:0]
-		if c.full {
-			for _, it := range items {
-				if en := c.view.rel.LookupProjected(c.probeProj, it.t); en != nil {
-					next = append(next, workItem[P]{t: it.t, p: m.prods.product(it.p, &en.Payload)})
-				}
-			}
-		} else {
-			ix := c.view.rel.EnsureIndex(c.common)
-			extraLen := c.extraProj.Len()
-			for _, it := range items {
-				m.keyBuf = c.probeProj.AppendKey(m.keyBuf[:0], it.t)
-				for en := range ix.ProbeBytes(m.keyBuf).All() {
-					tt := make(data.Tuple, 0, len(it.t)+extraLen)
-					tt = append(tt, it.t...)
-					tt = c.extraProj.AppendTo(tt, en.Tuple)
-					next = append(next, workItem[P]{t: tt, p: m.prods.product(it.p, &en.Payload)})
-				}
-			}
-		}
-		items, spare = next, items
-	}
-	m.items, m.spare = items, spare
-	out := data.NewRelation(m.ring, v.free)
-	out.Reserve(len(items))
-	for _, it := range items {
-		if len(d.marg) > 0 {
-			lp := m.lift(d.marg[0].name, it.t[d.marg[0].idx])
-			for _, mv := range d.marg[1:] {
-				lp = m.ring.Mul(lp, m.lift(mv.name, it.t[mv.idx]))
-			}
-			out.MergeMulProjected(d.outProj, it.t, it.p, &lp)
-		} else {
-			out.MergeProjected(d.outProj, it.t, *it.p)
-		}
-	}
-	return out
 }
 
 // Result returns the root view as a live handle; see the Maintainer

@@ -9,7 +9,9 @@ import (
 	"fivm/internal/vorder"
 )
 
-// Adaptive re-optimization defaults.
+// Adaptive re-optimization thresholds: the drift-check cadence in applied
+// deltas, and the per-relation cardinality growth/shrink factor and the
+// delta-rate share shift either of which triggers a re-plan check.
 const (
 	defaultReoptEvery  = 64
 	defaultDriftFactor = 2.0
@@ -32,7 +34,7 @@ func (e *Engine[P]) Order() *vorder.Order { return e.order }
 func (e *Engine[P]) Stats() *data.Stats { return e.stats }
 
 // maybeReoptimize is called after every applied delta on adaptive engines:
-// at the configured cadence it measures statistics drift against the
+// every defaultReoptEvery deltas it measures statistics drift against the
 // snapshot taken at plan time and, when the drift is large and a freshly
 // chosen order is estimated sufficiently cheaper, re-plans and migrates.
 func (e *Engine[P]) maybeReoptimize() error {
@@ -40,19 +42,11 @@ func (e *Engine[P]) maybeReoptimize() error {
 	if e.stats == nil || e.root == nil {
 		return nil
 	}
-	every := e.opts.ReoptEvery
-	if every <= 0 {
-		every = defaultReoptEvery
-	}
-	if e.ticks%every != 0 {
+	if e.ticks%defaultReoptEvery != 0 {
 		return nil
 	}
-	factor := e.opts.DriftFactor
-	if factor <= 1 {
-		factor = defaultDriftFactor
-	}
 	cardFactor, shareDelta := e.stats.DriftFrom(e.planSnap)
-	if cardFactor < factor && shareDelta < defaultShareDrift {
+	if cardFactor < defaultDriftFactor && shareDelta < defaultShareDrift {
 		return nil
 	}
 
@@ -146,7 +140,7 @@ func (e *Engine[P]) replan(o *vorder.Order) error {
 	e.bases = saved
 
 	for _, plan := range e.plans {
-		plan.registerIndexes(e)
+		plan.bind()
 	}
 	e.attachLeafStats()
 	e.planSnap = e.stats.Snapshot()

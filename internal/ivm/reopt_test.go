@@ -138,7 +138,7 @@ func TestAdaptiveReoptimizationMigrates(t *testing.T) {
 	// once C gets wide: C(A(B)) stores the pairwise R⋈S view keyed [C,A].
 	badStart := mustOrderCAB
 	adaptive, err := New[int64](q, badStart(), ring.Int{}, countLift,
-		Options[int64]{AutoReoptimize: true, ReoptEvery: 8, DriftFactor: 1.5})
+		Options[int64]{AutoReoptimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

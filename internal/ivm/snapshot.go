@@ -132,10 +132,10 @@ func sealedEpoch[P any](rs *data.RelationSnapshot[P]) *ViewSnapshot[P] {
 	return &ViewSnapshot[P]{Patched: rs.Len(), result: rs}
 }
 
-// publisher is the epoch machinery every maintainer holds (through its
-// driver, or directly for Parallel): an atomic pointer to the latest
-// published snapshot. A nil pointer means publication is not enabled; the
-// first Snapshot call on a maintainer enables it.
+// publisher is the epoch machinery every maintainer holds through its
+// driver: an atomic pointer to the latest published snapshot. A nil pointer
+// means publication is not enabled; the first Snapshot call on a maintainer
+// enables it.
 //
 // The publication contract, shared by every maintainer:
 //
@@ -302,16 +302,8 @@ func (e *Engine[P]) ViewByName(name string) *data.Relation[P] {
 
 // --- parallel ----------------------------------------------------------------
 
-// Snapshot returns the latest published snapshot. A sharded maintainer
-// reduces the shard results key-wise after each batch and seals the reduced
-// relation; the sequential fallback delegates to its inner maintainer.
-func (p *Parallel[P]) Snapshot() *ViewSnapshot[P] {
-	if !p.Sharded() {
-		return p.shards[0].Snapshot()
-	}
-	return p.pub.snapshot(p.epoch)
-}
-
+// epoch is what a Parallel publishes: the shard results reduced key-wise and
+// sealed.
 func (p *Parallel[P]) epoch() *ViewSnapshot[P] {
 	// Reduce straight into a sealed snapshot: one radix sort over the
 	// gathered shard entries instead of a merge through a fresh hash

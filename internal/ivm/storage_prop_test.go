@@ -81,7 +81,7 @@ func storageStrategies[P any](t *testing.T, rg ring.Ring[P], lift data.LiftFunc[
 	rec, err := NewRecursive[P](q, rg, lift, nil)
 	add("DBT", rec, err)
 	add("RE-EVAL", NewNaiveReEval[P](q, rg, lift), nil)
-	par, err := newParallel[P](q, rg, 8, func() (Maintainer[P], error) {
+	par, err := NewParallel[P](q, rg, 8, func() (Maintainer[P], error) {
 		return New[P](q, paperOrder(), rg, lift, Options[P]{})
 	})
 	add("F-IVM x8", par, err)
