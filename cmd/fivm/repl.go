@@ -296,6 +296,8 @@ func showStorage(d *db.DB, out io.Writer) {
 	}
 	fmt.Fprintf(out, "  ingest: last batch arena %s; frames leased %d, allocated %d\n",
 		fmtBytes(e.Ingest.ArenaBytes), e.Ingest.FramesLeased, e.Ingest.FramesAllocated)
+	fmt.Fprintf(out, "  epoch headers: %d reused, %d allocated (allocated climbing: a reader pins or forgets leases)\n",
+		e.Recycled.Reused, e.Recycled.Allocated)
 	if ck := e.Checkpoint; ck.Writes > 0 {
 		fmt.Fprintf(out, "  checkpoint at lsn %d: %d rows, %s in %d writes, %v\n",
 			ck.LSN, ck.Rows, fmtBytes(int(ck.Bytes)), ck.Writes, ck.Duration.Round(time.Microsecond))

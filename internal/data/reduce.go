@@ -67,5 +67,7 @@ func ReduceSealed[P any](rg ring.Ring[P], schema Schema, parts []*Relation[P]) *
 		i = j
 	}
 	es = es[:w]
-	return &RelationSnapshot[P]{schema: schema, ring: rg, n: len(es), chunks: appendChunked(nil, es, nil)}
+	s := newSnapshot(nil, schema, rg, len(es))
+	s.chunks = appendChunked(nil, es, nil)
+	return s
 }

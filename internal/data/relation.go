@@ -826,6 +826,8 @@ func (s *PoolStats) Add(o PoolStats) {
 	s.Arena.BackstopReclaims += o.Arena.BackstopReclaims
 	s.Arena.PayloadsReused += o.Arena.PayloadsReused
 	s.Arena.PayloadsDropped += o.Arena.PayloadsDropped
+	s.Arena.Headers.Reused += o.Arena.Headers.Reused
+	s.Arena.Headers.Allocated += o.Arena.Headers.Allocated
 }
 
 // PoolStats reports the relation's pool, slabs and snapshot arena.

@@ -14,7 +14,7 @@ import (
 // (entry runs and directories are separate typed arenas of the same shape)
 // out of fixed-size blocks and recycles a block onto a freelist once no
 // snapshot references it, so steady-state Snapshot() publishing hands the
-// garbage collector almost nothing but the snapshot struct itself.
+// garbage collector almost nothing: the snapshot struct itself comes back too.
 //
 // Reclamation is reference-counted at block granularity, because snapshot
 // lifetime is reader-controlled: a pinned reader may hold an old snapshot
@@ -101,10 +101,13 @@ type bumpBlock[T any] struct {
 // PayloadsReused counts the payload storages released epochs gave up that the
 // writer wrote into again, PayloadsDropped those the collector got because the
 // retired list was full (snapState.retire): look for a reader that pins.
+// Headers counts the structs of the relation's snapshots — and, summed in by
+// their publishers, of the epochs that carry them — as recycled or new.
 type ArenaStats struct {
 	BlocksLive, BlocksFree, GenerationsOpen int
 	BackstopReclaims                        uint64
 	PayloadsReused, PayloadsDropped         uint64
+	Headers                                 Recycled
 }
 
 // arenaStats reports the relation's snapshot arena (zero before the first
@@ -118,7 +121,7 @@ func (r *Relation[P]) arenaStats() ArenaStats {
 	backstops := a.backstops
 	a.deadMu.Unlock()
 	return ArenaStats{a.runs.live + a.dirs.live, len(a.runs.free) + len(a.dirs.free), len(a.open), backstops,
-		r.snap.reused, r.snap.dropped}
+		r.snap.reused, r.snap.dropped, a.headers.Stats()}
 }
 
 // release drops one reference; the last reference returns the block to the
@@ -292,6 +295,8 @@ type snapArena[P any] struct {
 	drainScratch []*pinSet[P]
 	freeSets     []*pinSet[P]
 	open         []*pinSet[P] // generations not yet drained, the current one included
+	// headers holds the snapshot structs whose last Release has come (newSnapshot).
+	headers Recycler[RelationSnapshot[P]]
 }
 
 // writerStake is the pinSet.live bit the writer holds while a generation is
@@ -331,11 +336,13 @@ func (a *snapArena[P]) reportDead(set *pinSet[P]) {
 // takeSet opens a generation whose first snapshot is numbered base, on a
 // recycled pin set or a fresh one.
 func (a *snapArena[P]) takeSet(base uint64) *pinSet[P] {
-	s := &pinSet[P]{owner: a}
+	var s *pinSet[P]
 	if n := len(a.freeSets); n > 0 {
 		s = a.freeSets[n-1]
 		a.freeSets[n-1] = nil
 		a.freeSets = a.freeSets[:n-1]
+	} else {
+		s = &pinSet[P]{owner: a}
 	}
 	s.base = base
 	s.live.Store(writerStake)
@@ -443,22 +450,24 @@ func (a *snapArena[P]) publish(s *RelationSnapshot[P], seq uint64) {
 }
 
 // Retain adds a reference to the snapshot, for handing it to an additional
-// independent owner; each owner must balance its reference with Release.
-// Snapshots not backed by the publish arena (Seal, ReduceSealed) need no
-// lifetime management and ignore both calls.
+// independent owner; each owner must balance its reference with Release. The
+// caller must hold a reference itself: a count found at zero is a snapshot
+// already given back, and panics. Snapshots not backed by the publish arena
+// (Seal, ReduceSealed) need no lifetime management and ignore both calls.
 func (s *RelationSnapshot[P]) Retain() {
-	if s != nil && s.set != nil {
-		s.refs.Add(1)
+	if s != nil && s.set != nil && s.refs.Add(1) == 1 {
+		panic("data: Retain on a RelationSnapshot whose last reference was released")
 	}
 }
 
 // Release drops one reference to the snapshot. Dropping the last reference
 // of the last snapshot of a publish generation returns the generation's
 // storage to the relation's arena at its next publish — the deterministic
-// reclamation path high-rate publish loops need (see the package comment).
+// reclamation path high-rate publish loops need (see the package comment) —
+// and the snapshot struct itself, scribbled, for the relation's next publish.
 // Releasing is optional for correctness: unreleased snapshots are reclaimed
-// by the GC backstop once unreachable. Safe from any goroutine; releasing
-// more times than retained corrupts the count.
+// by the GC backstop once unreachable, never recycled. Safe from any
+// goroutine; releasing more times than retained corrupts the count.
 func (s *RelationSnapshot[P]) Release() {
 	if s == nil || s.set == nil {
 		return
@@ -466,7 +475,12 @@ func (s *RelationSnapshot[P]) Release() {
 	if s.refs.Add(-1) != 0 {
 		return
 	}
-	if set := s.set; set.live.Add(-s.bit) == 0 {
-		set.owner.reportDead(set)
+	set := s.set
+	a := set.owner
+	if set.live.Add(-s.bit) == 0 {
+		a.reportDead(set)
 	}
+	// A parked header must not keep its generation's sentinel from the backstop.
+	s.chunks, s.dirBlk, s.keep, s.n = nil, nil, nil, -1
+	a.headers.Put(s)
 }

@@ -42,6 +42,8 @@ const (
 // readable while reachable and is reclaimed by a GC backstop, counted in
 // ArenaStats.BackstopReclaims — but a high-rate publish loop that skips it
 // waits on full collection cycles and loses the arena's recycling entirely.
+// The last Release also gives this struct back: the relation builds a later
+// snapshot in it, so nothing of a released snapshot may be read, not even Len.
 type RelationSnapshot[P any] struct {
 	schema Schema
 	ring   ring.Ring[P]
@@ -333,12 +335,25 @@ func (r *Relation[P]) buildSnapshot() *RelationSnapshot[P] {
 		return true
 	})
 	radixSortEntries(es)
-	s := &RelationSnapshot[P]{schema: r.schema, ring: r.ring, n: len(es)}
 	if r.snap == nil {
+		s := newSnapshot(nil, r.schema, r.ring, len(es))
 		s.chunks = appendChunked(nil, es, blk)
 		return s
 	}
+	s := newSnapshot(&r.snap.arena.headers, r.schema, r.ring, len(es))
 	r.finishDir(s, appendChunked(r.snap.dirScratch[:0], es, blk))
+	return s
+}
+
+// newSnapshot is where every snapshot header comes from: one a last Release
+// gave back to the relation's arena or, none there or no arena (Seal,
+// ReduceSealed), a new one.
+func newSnapshot[P any](from *Recycler[RelationSnapshot[P]], schema Schema, rg ring.Ring[P], n int) *RelationSnapshot[P] {
+	s := from.Take()
+	if s == nil {
+		s = &RelationSnapshot[P]{}
+	}
+	s.schema, s.ring, s.n = schema, rg, n
 	return s
 }
 
@@ -361,8 +376,8 @@ func (r *Relation[P]) finishDir(s *RelationSnapshot[P], out []snapChunk[P]) {
 func (prev *RelationSnapshot[P]) patch(r *Relation[P], keys []string) *RelationSnapshot[P] {
 	keys = radixSortKeysDedup(keys)
 
-	next := &RelationSnapshot[P]{schema: prev.schema, ring: prev.ring, n: r.entries.len()}
 	arena := &r.snap.arena
+	next := newSnapshot(&arena.headers, prev.schema, prev.ring, r.entries.len())
 	if len(prev.chunks) == 0 {
 		buf, blk := arena.runs.alloc(len(keys))
 		for _, k := range keys {

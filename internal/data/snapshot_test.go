@@ -253,3 +253,42 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 		r.Snapshot()
 	}
 }
+
+// TestSnapshotHeaderComesBack: the struct of a snapshot whose last reference
+// is gone is scribbled, refuses Retain, and is what a later publish is built
+// in; one somebody still holds is left alone.
+func TestSnapshotHeaderComesBack(t *testing.T) {
+	r := NewRelation[int64](ring.Int{}, NewSchema("A"))
+	r.Merge(Ints(1), 1)
+	s1 := r.Snapshot()
+	s1.Release() // the relation's reference is the last
+	r.Merge(Ints(2), 1)
+	s2 := r.Snapshot() // held from here on
+	want2 := snapFingerprint(s2)
+	if s1.n != -1 || s1.chunks != nil || s1.keep != nil {
+		t.Fatalf("released snapshot still reads: n %d, %d chunks", s1.n, len(s1.chunks))
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Retain on a released snapshot did not panic")
+			}
+		}()
+		s1.Retain()
+	}()
+	r.Merge(Ints(3), 1)
+	s3 := r.Snapshot()
+	defer s3.Release()
+	if s3 != s1 {
+		t.Error("the third snapshot is not built in the first one's struct")
+	}
+	if got, want := snapFingerprint(s3), relFingerprint(r); got != want {
+		t.Errorf("recycled snapshot reads %s, the relation %s", got, want)
+	}
+	if got := snapFingerprint(s2); got != want2 {
+		t.Errorf("held snapshot moved from %s to %s", want2, got)
+	}
+	if h := r.PoolStats().Arena.Headers; h != (Recycled{Reused: 1, Allocated: 2}) {
+		t.Errorf("headers %+v, want one reused and two allocated", h)
+	}
+}

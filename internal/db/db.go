@@ -107,8 +107,9 @@ type DB struct {
 	stamp time.Time
 
 	cur     atomic.Pointer[Epoch]
-	seq     uint64 // published epochs (bumped by Apply and view DDL)
-	applied uint64 // applied update batches
+	free    data.Recycler[Epoch] // epoch structs whose last Release has come
+	seq     uint64               // published epochs (bumped by Apply and view DDL)
+	applied uint64               // applied update batches
 
 	conv convCache
 	// convSeq tags conversion-cache entries per fan-out attempt. It is
@@ -490,14 +491,25 @@ func (d *DB) registerView(v registeredView) {
 	d.publish(time.Now())
 }
 
+// header returns the struct the next epoch is built in: one a last Release
+// gave back, its slices emptied, or a new one.
+func (d *DB) header() *Epoch {
+	e := d.free.Take()
+	if e == nil {
+		e = &Epoch{home: &d.free}
+	}
+	return e
+}
+
 // publish assembles and swaps in the next cross-view Epoch, stamped at, from
 // every registered view's latest snapshot and accounting. Called at the end
 // of Open, Apply, and view DDL, on the maintenance goroutine — the only
-// writer of the registry, so it reads it without mu. Per batch it allocates
-// the epoch, its view slice and its base-store counters; the name catalogues
-// are shared. The epoch
-// retains each view's current snapshot; the one it replaces loses the
-// publication pointer's reference.
+// writer of the registry, so it reads it without mu. The name catalogues are
+// shared and the epoch is built in a struct a released one gave back, so with
+// every lease released a batch allocates nothing here (TestAllocGuardPublish).
+// The epoch retains each view's current snapshot; it is swapped in and then
+// opened (see ivm.Lease), and the one it replaces loses the publication
+// pointer's reference.
 func (d *DB) publish(at time.Time) {
 	if d.cat == nil {
 		c := &epochCatalog{names: append([]string(nil), d.order...), slot: make(map[string]int, len(d.order)),
@@ -507,31 +519,27 @@ func (d *DB) publish(at time.Time) {
 		}
 		d.cat = c
 	}
-	views := make([]epochView, len(d.cat.names))
-	for i, name := range d.cat.names {
+	e := d.header()
+	e.Recycled = d.free.Stats()
+	for _, name := range d.cat.names {
 		v := d.views[name]
-		views[i] = epochView{snap: v.latestSnapshot(), stats: v.stats()}
+		st := v.stats()
+		e.views = append(e.views, epochView{snap: v.latestSnapshot(), stats: st})
+		e.Recycled.Reused += st.Arena.Headers.Reused
+		e.Recycled.Allocated += st.Arena.Headers.Allocated
 	}
-	bases := make([]data.BaseStats, len(d.cat.rels))
-	for i, rel := range d.cat.rels {
-		bases[i] = d.store.Stats(rel)
+	for _, rel := range d.cat.rels {
+		e.bases = append(e.bases, d.store.Stats(rel))
 	}
 	d.seq++
-	e := &Epoch{
-		Seq:     d.seq,
-		Applied: d.applied,
-		At:      at,
-		cat:     d.cat,
-		views:   views,
-		bases:   bases,
-		Ingest:  d.ingest,
-	}
+	e.Seq, e.Applied, e.At, e.cat, e.Ingest = d.seq, d.applied, at, d.cat, d.ingest
 	if d.log != nil {
 		e.Checkpoint = d.log.LastCheckpoint()
 		e.Ingest.FramesLeased, e.Ingest.FramesAllocated = d.log.FrameStats()
 	}
+	prev := d.cur.Swap(e)
 	e.lease.Open()
-	d.cur.Swap(e).Release()
+	prev.Release()
 }
 
 // Epoch returns a lease on the latest published cross-view epoch: one
@@ -551,10 +559,13 @@ func (d *DB) Epoch() *Epoch {
 //
 // An Epoch is a lease on the ivm.ViewSnapshot of every view, under the same
 // contract: the publication pointer holds one reference while it is current
-// and every DB.Epoch call one more; Release is optional (a forgotten epoch
-// stays readable while reachable, costs a GC cycle and shows in
-// ViewStats.Arena.BackstopReclaims), but nothing read through the epoch — a
-// snapshot, an *Entry, an in-place ring's payload — may be used after it.
+// and every DB.Epoch call one more; nothing read through the epoch — a
+// snapshot, an *Entry, an in-place ring's payload — may be used after Release,
+// and neither may the epoch: the last Release gives the struct back and a
+// later epoch is built in it, so not even Seq may be read afterwards. Release
+// stays optional: a forgotten epoch stays readable while reachable, is
+// collected, not recycled, costs a GC cycle and shows in
+// ViewStats.Arena.BackstopReclaims and as Recycled.Allocated climbing.
 type Epoch struct {
 	// Seq counts published epochs (Apply and view DDL each publish one).
 	Seq uint64
@@ -567,6 +578,9 @@ type Epoch struct {
 	Checkpoint wal.CheckpointStats
 	// Ingest is the batch intake as of this epoch.
 	Ingest IngestStats
+	// Recycled counts the header structs all epochs so far were built in — the
+	// DB's own and its views' ivm.ViewSnapshot and data.RelationSnapshot.
+	Recycled data.Recycled
 
 	// cat is shared with the neighbouring epochs (see DB.cat); views is this
 	// epoch's own, indexed like cat.names, and bases its view of the shared
@@ -575,6 +589,7 @@ type Epoch struct {
 	views []epochView
 	bases []data.BaseStats
 	lease ivm.Lease
+	home  *data.Recycler[Epoch]
 }
 
 // epochCatalog is what consecutive epochs have in common: the view names in
@@ -607,7 +622,8 @@ type epochView struct {
 }
 
 // Release drops one reference to the epoch (nil-safe, any goroutine); the
-// last one releases the view snapshots it retained.
+// last one releases the view snapshots it retained and puts the struct,
+// scribbled, where the next publish takes it.
 func (e *Epoch) Release() {
 	if e == nil || !e.lease.Drop() {
 		return
@@ -615,6 +631,10 @@ func (e *Epoch) Release() {
 	for _, v := range e.views {
 		v.snap.Release()
 	}
+	clear(e.views)
+	e.views, e.bases, e.cat = e.views[:0], e.bases[:0], nil
+	e.Seq, e.Applied = ^uint64(0), ^uint64(0)
+	e.home.Put(e)
 }
 
 // Views returns the epoch's view names in creation order (a copy: epochs

@@ -270,6 +270,16 @@ func TestLeasesUnderChurn(t *testing.T) {
 		if reused := st.Arena.PayloadsReused; (reused > 0) != (name == "cof") {
 			t.Errorf("view %s: %d payloads reused, want some of the cofactor view's and none of a scalar view's", name, reused)
 		}
+		// Recycling the epoch headers leaves what the writer alone decides as
+		// it was in the commit before it, and each of a view's 122 epochs took
+		// two headers (its ivm.ViewSnapshot, its data.RelationSnapshot) whoever
+		// released them.
+		if want := map[string]uint64{"cnt": 960, "sum": 1920, "cof": 960}[name]; st.Reclaimed != want {
+			t.Errorf("view %s: %d entries reclaimed, want %d", name, st.Reclaimed, want)
+		}
+		if h := st.Arena.Headers; h.Reused == 0 || h.Allocated == 0 || h.Reused+h.Allocated != 2*122 {
+			t.Errorf("view %s: headers %+v, want %d taken, some of them reused", name, h, 2*122)
+		}
 	}
 }
 

@@ -193,11 +193,12 @@ func (m *Baseline[P]) seal() error {
 
 // epoch publishes the first result: patched where it is maintained in place,
 // sealed where each batch replaces it.
-func (m *Baseline[P]) epoch() *ViewSnapshot[P] {
+func (m *Baseline[P]) epoch(s *ViewSnapshot[P]) {
 	if m.delta == nil {
-		return sealedEpoch(m.Result().Seal())
+		s.sealed(m.Result().Seal())
+	} else {
+		s.live(m.Result())
 	}
-	return liveEpoch(m.Result())
 }
 
 // Result returns the (first) maintained result as a live handle; see the

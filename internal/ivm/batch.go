@@ -97,8 +97,8 @@ type driver[P any] struct {
 	// apply is the update rule: how one checked delta changes the stored
 	// state. It publishes nothing.
 	apply func(rel string, delta *data.Relation[P]) error
-	// epoch snapshots the result for publication.
-	epoch func() *ViewSnapshot[P]
+	// epoch snapshots the result for publication, into the header it is given.
+	epoch func(*ViewSnapshot[P])
 	// At most one end-of-batch hook, and on which side of the publication
 	// matters. seal runs before: a re-evaluating strategy recomputes the
 	// result its epoch then carries, Parallel runs the shards on what apply

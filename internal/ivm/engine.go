@@ -555,6 +555,7 @@ func (e *Engine[P]) MemoryBytes() int {
 // relations (KeyBytes, TupleBytes). Maintenance-goroutine only.
 func (e *Engine[P]) PoolStats() data.PoolStats {
 	var ps data.PoolStats
+	ps.Arena.Headers = e.pub.free.Stats()
 	for _, v := range e.views {
 		ps.Add(v.PoolStats())
 	}

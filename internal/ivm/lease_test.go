@@ -385,8 +385,65 @@ func TestLeasesUnderChurn(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if ps := e.PoolStats(); ps.Reclaimed < batches || ps.Arena.PayloadsReused == 0 {
+	ps := e.PoolStats()
+	if ps.Reclaimed < batches || ps.Arena.PayloadsReused == 0 {
 		t.Fatalf("the churn never went through the pool, or no released epoch's payload storage came back: %+v", ps)
 	}
-	t.Logf("arena after %d batches: %+v", batches, e.PoolStats().Arena)
+	t.Logf("arena after %d batches: %+v", batches, ps.Arena)
+	// Recycling the epoch headers leaves what the writer alone decides as it
+	// was in the commit before it — the entry pools and the slabs — and every
+	// publish takes one header per snapshot, whoever releases: those the
+	// readers released were built in again, the forgotten tenth and whatever
+	// was still held when the writer came by were not.
+	h := ps.Arena.Headers
+	ps.Arena = data.ArenaStats{}
+	if want := (data.PoolStats{Free: 9, Reclaimed: 1080, KeyBytes: 8192, TupleBytes: 2048, TuplesCopied: 10}); ps != want {
+		t.Errorf("pool stats %+v, want %+v", ps, want)
+	}
+	if h.Reused == 0 || h.Allocated == 0 || h.Reused+h.Allocated != 565 {
+		t.Errorf("headers %+v, want 565 taken, some of them reused", h)
+	}
+}
+
+// TestEpochHeaderComesBack: an epoch whose last reference is gone reads ^0,
+// refuses Retain — a caller that held no reference used to retain nothing
+// silently and underflow the count on its Release — and is the struct the
+// next epoch is built in, while an epoch somebody holds keeps reading its own.
+func TestEpochHeaderComesBack(t *testing.T) {
+	const keys = 64
+	e := countByA(t, keys)
+	d := data.NewRelation[int64](ring.Int{}, data.NewSchema("A", "B"))
+	s0 := e.Snapshot()
+	s0.Release()
+	if err := e.ApplyDeltas(spreadBatch(d, keys, 0)); err != nil { // epoch 1 supersedes s0: its last reference
+		t.Fatal(err)
+	}
+	if s0.Epoch != ^uint64(0) || s0.result != nil {
+		t.Fatalf("released epoch still reads epoch %d", s0.Epoch)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Retain on a released epoch did not panic")
+			}
+		}()
+		s0.Retain()
+	}()
+	held := e.Snapshot()
+	defer held.Release()
+	want := dumpSnapshot(held.Result(), ring.Int{})
+	if err := e.ApplyDeltas(spreadBatch(d, keys, 1)); err != nil {
+		t.Fatal(err)
+	}
+	s2 := e.Snapshot()
+	defer s2.Release()
+	if s2 != s0 || s2.Epoch != 2 || s2.Superseded() || !held.Superseded() {
+		t.Errorf("epoch 2 is not built in epoch 0's struct: epoch %d at %p, epoch 0 was at %p", s2.Epoch, s2, s0)
+	}
+	if held.Epoch != 1 || !sameDump(dumpSnapshot(held.Result(), ring.Int{}), want, func(a, b int64) bool { return a == b }) {
+		t.Errorf("the held epoch moved: it reads epoch %d", held.Epoch)
+	}
+	if h := e.PoolStats().Arena.Headers; h.Reused != 2 || h.Allocated != 4 {
+		t.Errorf("headers %+v, want the epoch and its relation snapshot reused once and allocated twice each", h)
+	}
 }

@@ -65,7 +65,7 @@ func NewMultiRecursive(q query.Query, specs []AggSpec, updatable []string) (*Mul
 		// Every hierarchy is over the same query: the first one's verdict is all of theirs.
 		check: func(rel string, d *data.Relation[float64]) error { return m.instances[0].check(rel, d) },
 		apply: m.applyDelta,
-		epoch: func() *ViewSnapshot[float64] { return liveEpoch(m.Result()) },
+		epoch: func(s *ViewSnapshot[float64]) { s.live(m.Result()) },
 	}
 	for _, s := range specs {
 		inst, err := NewRecursive[float64](q, ring.Float{}, s.Lift, updatable)

@@ -397,6 +397,7 @@ func (p *Parallel[P]) ViewCount() int { return p.shards[0].ViewCount() }
 // Engine.PoolStats). Maintenance-goroutine only, between batches.
 func (p *Parallel[P]) PoolStats() data.PoolStats {
 	var ps data.PoolStats
+	ps.Arena.Headers = p.pub.free.Stats()
 	for _, m := range p.shards {
 		if r, ok := m.(interface{ PoolStats() data.PoolStats }); ok {
 			ps.Add(r.PoolStats())

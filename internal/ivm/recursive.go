@@ -59,7 +59,7 @@ func NewRecursive[P any](q query.Query, r ring.Ring[P], lift data.LiftFunc[P], u
 		affected:  make(map[string][]*recView[P]),
 		bases:     make(map[string]*data.Relation[P]),
 	}
-	m.driver = driver[P]{check: m.check, apply: m.applyDelta, epoch: func() *ViewSnapshot[P] { return liveEpoch(m.Result()) }}
+	m.driver = driver[P]{check: m.check, apply: m.applyDelta, epoch: func(s *ViewSnapshot[P]) { s.live(m.Result()) }}
 	if len(updatable) == 0 {
 		updatable = q.RelNames()
 	}

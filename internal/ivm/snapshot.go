@@ -28,13 +28,15 @@ import (
 //
 // An epoch is a lease. The publication pointer holds one reference while the
 // epoch is current and every handle from Snapshot or Catalog one more; the
-// last Release returns the epoch's arena blocks at the writer's next publish
-// and lets the writer write again into the payload storage only this epoch
-// still read. Release is optional: a forgotten handle stays readable while
-// reachable and costs a full GC cycle to reclaim, and the payload storage it
-// reads goes to the collector (data.ArenaStats.BackstopReclaims and
-// PayloadsDropped count those). An *Entry or an in-place ring's payload read
-// from the epoch is valid until that Release, not merely "while reachable".
+// last Release returns the epoch's arena blocks at the writer's next publish,
+// lets the writer write again into the payload storage only this epoch still
+// read, and gives this struct back for a later epoch to be built in: after it
+// not even Epoch may be read. Release is optional: a forgotten handle stays
+// readable while reachable, is collected, not recycled, at the cost of a full
+// GC cycle, and the payload storage it reads goes to the collector
+// (data.ArenaStats.BackstopReclaims and PayloadsDropped count those). An
+// *Entry or an in-place ring's payload read from the epoch is valid until
+// that Release, not merely "while reachable".
 type ViewSnapshot[P any] struct {
 	// Epoch counts published snapshots: 0 at enablement, +1 per applied
 	// batch. Within one maintainer it is strictly monotonic.
@@ -49,7 +51,8 @@ type ViewSnapshot[P any] struct {
 	Patched int
 
 	lease      Lease
-	superseded atomic.Bool // the maintainer has published past this epoch
+	superseded atomic.Bool                     // the maintainer has published past this epoch
+	home       *data.Recycler[ViewSnapshot[P]] // where the last Release puts the struct
 
 	result *data.RelationSnapshot[P]
 	// The catalogue; all nil in result-only epochs.
@@ -59,9 +62,14 @@ type ViewSnapshot[P any] struct {
 }
 
 // Lease is the acquisition protocol of a published epoch (ViewSnapshot,
-// db.Epoch): a reference count that never leaves zero. The epoch struct is
-// collector memory, so touching a dead epoch's count is safe; only what the
-// last Drop gives back is not.
+// db.Epoch): a reference count. The last Drop gives the epoch struct back to
+// its publisher, which builds a later epoch in it, so a reader may TryRetain
+// through a pointer it loaded long ago and find another epoch there. That is
+// safe because a count leaves zero in one place only: the publisher Opens the
+// struct fully built and already installed (Swap it in, Open it, Release the
+// one it replaced). A stale TryRetain thus succeeds only on an epoch current
+// after the pointer was loaded — no reader goes backwards — and one that
+// lands between Swap and Open reloads.
 type Lease struct{ refs atomic.Int32 }
 
 // Open sets the count to one: the publication pointer's reference.
@@ -81,14 +89,16 @@ func (l *Lease) TryRetain() bool {
 func (l *Lease) Drop() bool { return l.refs.Add(-1) == 0 }
 
 // Retain adds a reference for another owner; the caller must hold one itself.
+// A count found at zero is an epoch already given back, and panics.
 func (s *ViewSnapshot[P]) Retain() {
-	if s != nil {
-		s.lease.TryRetain()
+	if s != nil && !s.lease.TryRetain() {
+		panic("ivm: Retain on a ViewSnapshot whose last reference was released")
 	}
 }
 
 // Release drops one reference, the last one the epoch's relation snapshots
-// with it. Safe from any goroutine, nil-safe.
+// with it, and puts the struct, scribbled, where the next publish takes it.
+// Safe from any goroutine, nil-safe.
 func (s *ViewSnapshot[P]) Release() {
 	if s == nil || !s.lease.Drop() {
 		return
@@ -99,6 +109,10 @@ func (s *ViewSnapshot[P]) Release() {
 			rs.Release()
 		}
 	}
+	clear(s.views)
+	clear(s.byNode)
+	s.Epoch, s.result, s.names = ^uint64(0), nil, nil
+	s.home.Put(s)
 }
 
 // Superseded reports whether a later epoch was published: one atomic load.
@@ -120,17 +134,15 @@ func (s *ViewSnapshot[P]) Views() []string { return s.names }
 // enumerates through it.
 func (s *ViewSnapshot[P]) ViewOf(n *viewtree.Node) *data.RelationSnapshot[P] { return s.byNode[n] }
 
-// liveEpoch starts an epoch from a result relation maintained in place: its
+// live fills an epoch from a result relation maintained in place: its
 // incremental snapshot, O(keys changed since the last one).
-func liveEpoch[P any](r *data.Relation[P]) *ViewSnapshot[P] {
-	n, _ := r.DirtyKeys()
-	return &ViewSnapshot[P]{Patched: n, result: r.Snapshot()}
+func (s *ViewSnapshot[P]) live(r *data.Relation[P]) {
+	s.Patched, _ = r.DirtyKeys()
+	s.result = r.Snapshot()
 }
 
-// sealedEpoch starts an epoch from a result rebuilt wholesale per batch.
-func sealedEpoch[P any](rs *data.RelationSnapshot[P]) *ViewSnapshot[P] {
-	return &ViewSnapshot[P]{Patched: rs.Len(), result: rs}
-}
+// sealed fills an epoch from a result rebuilt wholesale per batch.
+func (s *ViewSnapshot[P]) sealed(rs *data.RelationSnapshot[P]) { s.Patched, s.result = rs.Len(), rs }
 
 // publisher is the epoch machinery every maintainer holds through its
 // driver: an atomic pointer to the latest published snapshot. A nil pointer
@@ -152,11 +164,25 @@ func sealedEpoch[P any](rs *data.RelationSnapshot[P]) *ViewSnapshot[P] {
 //   - Maintainers that were never asked for a Snapshot pay nothing on the
 //     maintenance path beyond one atomic load per applied batch.
 type publisher[P any] struct {
-	cur atomic.Pointer[ViewSnapshot[P]]
+	cur  atomic.Pointer[ViewSnapshot[P]]
+	free data.Recycler[ViewSnapshot[P]]
 }
 
-// publish stamps s as the next epoch and installs it.
-func (p *publisher[P]) publish(s *ViewSnapshot[P]) {
+// header returns the struct the next epoch is built in: one a last Release
+// gave back, or a new one.
+func (p *publisher[P]) header() *ViewSnapshot[P] {
+	s := p.free.Take()
+	if s == nil {
+		s = &ViewSnapshot[P]{home: &p.free}
+	}
+	s.superseded.Store(false)
+	return s
+}
+
+// publish has fill build the next epoch, stamps it and installs it.
+func (p *publisher[P]) publish(fill func(*ViewSnapshot[P])) {
+	s := p.header()
+	fill(s)
 	if prev := p.cur.Load(); prev != nil {
 		s.Epoch = prev.Epoch + 1
 	}
@@ -164,24 +190,26 @@ func (p *publisher[P]) publish(s *ViewSnapshot[P]) {
 	p.install(s)
 }
 
-// install swaps s in and drops the pointer's reference on what it replaces.
+// install swaps s in, opens its lease — in that order, see Lease — and drops
+// the pointer's reference on what it replaces.
 func (p *publisher[P]) install(s *ViewSnapshot[P]) {
+	prev := p.cur.Swap(s)
 	s.lease.Open()
-	if prev := p.cur.Swap(s); prev != nil {
+	if prev != nil {
 		prev.superseded.Store(true)
 		prev.Release()
 	}
 }
 
 // snapshot is every maintainer's Snapshot: a lease on the latest epoch, or —
-// the call that enables publication — on a first one built by epoch. Results
-// maintained in place publish their incremental snapshot (liveEpoch), results
-// replaced per batch a sealed one (sealedEpoch).
-func (p *publisher[P]) snapshot(epoch func() *ViewSnapshot[P]) *ViewSnapshot[P] {
+// the call that enables publication — on a first one built by fill. Results
+// maintained in place publish their incremental snapshot (live), results
+// replaced per batch a sealed one (sealed).
+func (p *publisher[P]) snapshot(fill func(*ViewSnapshot[P])) *ViewSnapshot[P] {
 	for {
 		s := p.cur.Load()
 		if s == nil {
-			p.publish(epoch())
+			p.publish(fill)
 		} else if s.lease.TryRetain() {
 			return s
 		}
@@ -190,9 +218,9 @@ func (p *publisher[P]) snapshot(epoch func() *ViewSnapshot[P]) *ViewSnapshot[P] 
 
 // next is called exactly once at the end of every applied batch: a fresh
 // epoch if publication is enabled.
-func (p *publisher[P]) next(epoch func() *ViewSnapshot[P]) {
+func (p *publisher[P]) next(fill func(*ViewSnapshot[P])) {
 	if p.cur.Load() != nil {
-		p.publish(epoch())
+		p.publish(fill)
 	}
 }
 
@@ -208,11 +236,12 @@ func (p *publisher[P]) next(epoch func() *ViewSnapshot[P]) {
 // goroutine. A reader pinned before the request keeps its result-only epoch.
 func (e *Engine[P]) Catalog() *ViewSnapshot[P] {
 	s := e.Snapshot()
-	if s.byNode != nil {
+	if s.names != nil {
 		return s
 	}
 	e.catalog = true
-	up := &ViewSnapshot[P]{Epoch: s.Epoch, At: s.At, Patched: s.Patched, result: s.result}
+	up := e.pub.header()
+	up.Epoch, up.At, up.Patched, up.result = s.Epoch, s.At, s.Patched, s.result
 	up.result.Retain() // the upgraded epoch shares the result with the one it replaces
 	e.fillCatalog(up)
 	e.pub.install(up)
@@ -223,20 +252,21 @@ func (e *Engine[P]) Catalog() *ViewSnapshot[P] {
 // epoch snapshots the root view (O(changed keys), via relation dirty
 // tracking) — plus every other materialized view once the catalogue was
 // requested — into the next epoch.
-func (e *Engine[P]) epoch() *ViewSnapshot[P] {
+func (e *Engine[P]) epoch(s *ViewSnapshot[P]) {
 	// Before Init, Result is an empty relation: a well-formed empty epoch.
-	s := liveEpoch(e.Result())
+	s.live(e.Result())
 	if e.catalog {
 		e.fillCatalog(s)
 	}
-	return s
 }
 
 // fillCatalog snapshots every materialized view below the root into s, whose
-// result is already set.
+// result is already set; a recycled s brings its maps, emptied.
 func (e *Engine[P]) fillCatalog(s *ViewSnapshot[P]) {
-	s.views = make(map[string]*data.RelationSnapshot[P], len(e.views))
-	s.byNode = make(map[*viewtree.Node]*data.RelationSnapshot[P], len(e.views))
+	if s.views == nil {
+		s.views = make(map[string]*data.RelationSnapshot[P], len(e.views))
+		s.byNode = make(map[*viewtree.Node]*data.RelationSnapshot[P], len(e.views))
+	}
 	for node, ir := range e.views {
 		rs := s.result
 		if node != e.root {
@@ -304,7 +334,7 @@ func (e *Engine[P]) ViewByName(name string) *data.Relation[P] {
 
 // epoch is what a Parallel publishes: the shard results reduced key-wise and
 // sealed.
-func (p *Parallel[P]) epoch() *ViewSnapshot[P] {
+func (p *Parallel[P]) epoch(s *ViewSnapshot[P]) {
 	// Reduce straight into a sealed snapshot: one radix sort over the
 	// gathered shard entries instead of a merge through a fresh hash
 	// relation (payloads are copied, so the live shard results stay free to
@@ -313,5 +343,5 @@ func (p *Parallel[P]) epoch() *ViewSnapshot[P] {
 	for _, m := range p.shards {
 		p.reduceParts = append(p.reduceParts, m.Result())
 	}
-	return sealedEpoch(data.ReduceSealed(p.ring, p.reduceParts[0].Schema(), p.reduceParts))
+	s.sealed(data.ReduceSealed(p.ring, p.reduceParts[0].Schema(), p.reduceParts))
 }

@@ -317,6 +317,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, e *db.Epoch
 		"view_stats": perView,
 		"base_store": perBase,
 		"ingest":     e.Ingest,
+		"recycled":   e.Recycled, // epoch headers: allocated climbing means a reader pins or forgets leases
 		"follower":   d.Follower(),
 	}
 	if d.Follower() {

@@ -194,6 +194,11 @@ func TestServeLookupScanHeaders(t *testing.T) {
 	if _, ok := m["checkpoint"]; ok {
 		t.Fatalf("stats of an in-memory DB report a checkpoint: %v", m["checkpoint"])
 	}
+	// Every request released its epoch, so the epochs of the later POSTs were
+	// built in the structs of the earlier ones.
+	if rc, _ := m["recycled"].(map[string]any); rc["reused"].(float64) < 3 || rc["allocated"].(float64) < 3 {
+		t.Fatalf("stats recycled: %v", m["recycled"])
+	}
 	// A batch that arrives over HTTP dies with its request, so no step of any
 	// view shares its tuples: step outputs are projected into the plans' tuple
 	// slabs and every key a view adopted so far came with a copy of its tuple
