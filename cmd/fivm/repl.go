@@ -292,7 +292,8 @@ func showStorage(d *db.DB, out io.Writer) {
 	}
 	for _, name := range e.Views() {
 		st, _ := e.Stats(name)
-		fmt.Fprintf(out, "  view %-12s %d tuples copied on adoption\n", name, st.TuplesCopied)
+		fmt.Fprintf(out, "  view %-12s %d tuples copied on adoption; index tables %s, %d slab chunks (both constant after a workload's first cycle)\n",
+			name, st.TuplesCopied, fmtBytes(st.IndexTableBytes), st.SlabChunks)
 	}
 	fmt.Fprintf(out, "  ingest: last batch arena %s; frames leased %d, allocated %d\n",
 		fmtBytes(e.Ingest.ArenaBytes), e.Ingest.FramesLeased, e.Ingest.FramesAllocated)

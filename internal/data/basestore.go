@@ -297,7 +297,8 @@ func (s *BaseStore) Rows(rel string) iter.Seq2[Tuple, int64] {
 		r := s.rels[rel]
 		es := s.sorted[:0]
 		if cap(es) < r.Len() {
-			es = make([]*Entry[int64], 0, r.Len()) // to size at once, not by doubling
+			// At once, with room: a store that grew a little must not re-make it every checkpoint.
+			es = make([]*Entry[int64], 0, max(r.Len(), 2*cap(es)))
 		}
 		r.entries.all(func(e *Entry[int64]) bool {
 			es = append(es, e)

@@ -1,6 +1,10 @@
 package data
 
-import "iter"
+import (
+	"iter"
+	"math/bits"
+	"unsafe"
+)
 
 // setSmallMax is the bucket size up to which an EntrySet stays a plain
 // slice: a linear scan of at most 16 pointers is one or two cache lines,
@@ -13,8 +17,12 @@ const setSmallMax = 16
 // cached key hash (entries in one bucket share a projected key but have
 // distinct full keys, so the cached hash is already a well-distributed,
 // collision-checked identity). A nil *EntrySet is an empty set.
+//
+// A set is as large as its contents need: slice and table arrays come from the
+// index's stock (tab.stock, set by Index.Add) one size class at a time and go
+// back to it when the set outgrows them or runs empty (release).
 type EntrySet[P any] struct {
-	small []*Entry[P] // linear mode; nil once promoted
+	small []*Entry[P] // linear mode: the table has no arrays; kept, emptied, once promoted
 	tab   entryTable[P]
 	key   []byte // the owning directory node's key bytes (see Index.Add)
 }
@@ -24,7 +32,7 @@ func (s *EntrySet[P]) Len() int {
 	if s == nil {
 		return 0
 	}
-	if s.small != nil || s.tab.ctrl == nil {
+	if s.tab.ctrl == nil {
 		return len(s.small)
 	}
 	return s.tab.len()
@@ -33,8 +41,13 @@ func (s *EntrySet[P]) Len() int {
 // add inserts e, which must not already be present and must have its key
 // hash cached (true for every entry stored in a relation).
 func (s *EntrySet[P]) add(e *Entry[P]) {
-	if s.small != nil || s.tab.ctrl == nil {
-		if len(s.small) < setSmallMax {
+	if s.tab.ctrl == nil {
+		if n := len(s.small); n < setSmallMax {
+			if n == cap(s.small) { // the next class up, like append's doubling
+				grown := append(s.tab.stock.slots.take(max(1, 2*n))[:0], s.small...)
+				s.tab.stock.slots.put(s.small)
+				s.small = grown
+			}
 			s.small = append(s.small, e)
 			return
 		}
@@ -43,14 +56,22 @@ func (s *EntrySet[P]) add(e *Entry[P]) {
 		for _, o := range s.small {
 			s.tab.insert(o)
 		}
-		s.small = nil
+		clear(s.small)
+		s.small = s.small[:0]
 	}
 	s.tab.insert(e)
 }
 
+// release leaves the storage of a set that ran empty to the stock.
+func (s *EntrySet[P]) release() {
+	s.tab.release()
+	s.tab.stock.slots.put(s.small)
+	s.small = nil
+}
+
 // remove deletes e if present.
 func (s *EntrySet[P]) remove(e *Entry[P]) {
-	if s.small != nil || s.tab.ctrl == nil {
+	if s.tab.ctrl == nil {
 		for i, o := range s.small {
 			if o == e {
 				last := len(s.small) - 1
@@ -73,13 +94,10 @@ func (s *EntrySet[P]) All() iter.Seq[*Entry[P]] {
 		if s == nil {
 			return
 		}
-		for _, e := range s.small {
+		for _, e := range s.small { // empty once promoted
 			if !yield(e) {
 				return
 			}
-		}
-		if s.small != nil {
-			return
 		}
 		for _, e := range s.tab.slots {
 			if e != nil && !yield(e) {
@@ -87,4 +105,59 @@ func (s *EntrySet[P]) All() iter.Seq[*Entry[P]] {
 			}
 		}
 	}
+}
+
+// tableStock is an index's stock of bucket storage: the arrays its buckets
+// left behind — the class they outgrew, everything when they ran empty — for
+// the next bucket that needs that class. An array is bought only when its class
+// is out of stock, so a class never holds more than its buckets used at their
+// high-water, and after one full cycle of a workload no bucket buys storage
+// again, whichever directory node serves which key. A nil stock is the heap.
+type tableStock[P any] struct {
+	ctrl  sizeClasses[uint64]
+	slots sizeClasses[*Entry[P]] // table slots and linear slices alike
+}
+
+func (s *tableStock[P]) take(groups int) ([]uint64, []*Entry[P]) {
+	if s == nil {
+		return make([]uint64, groups), make([]*Entry[P], groups*groupSlots)
+	}
+	return s.ctrl.take(groups), s.slots.take(groups * groupSlots)
+}
+
+func (s *tableStock[P]) put(ctrl []uint64, slots []*Entry[P]) {
+	if s != nil {
+		s.ctrl.put(ctrl)
+		s.slots.put(slots)
+	}
+}
+
+// sizeClasses keeps zeroed arrays whose length is a power of two, listed by
+// its log2; bytes counts every array bought, handed out or in stock.
+type sizeClasses[T any] struct {
+	free  [][][]T
+	bytes int
+}
+
+func (c *sizeClasses[T]) take(n int) []T {
+	if k := bits.TrailingZeros(uint(n)); k < len(c.free) && len(c.free[k]) > 0 {
+		l := c.free[k]
+		c.free[k] = l[:len(l)-1]
+		return l[len(l)-1]
+	}
+	var zero T
+	c.bytes += n * int(unsafe.Sizeof(zero))
+	return make([]T, n)
+}
+
+func (c *sizeClasses[T]) put(a []T) {
+	if a = a[:cap(a)]; len(a) == 0 {
+		return
+	}
+	clear(a)
+	k := bits.TrailingZeros(uint(len(a)))
+	for len(c.free) <= k {
+		c.free = append(c.free, nil)
+	}
+	c.free[k] = append(c.free[k], a)
 }

@@ -16,15 +16,18 @@ import (
 // storage (see swiss.go), with one directory node per distinct projected
 // key whose payload is the bucket set; buckets themselves are hybrid
 // slice/table EntrySets (see entryset.go). A node whose bucket runs empty
-// leaves the directory and waits in free, bucket storage and key bytes
-// included, for the next key that appears: nothing outside the index holds a
-// node, and a bucket handed out by Probe is only valid until the relation's
-// next mutation anyway, so reuse is immediate.
+// leaves the directory and waits in free, key bytes included, for the next
+// key that appears; the bucket's storage goes to stock, by size class, for
+// whichever bucket next needs that much (tableStock), so a table is sized for
+// its bucket, not for the largest one its node ever hosted. Nothing outside
+// the index holds either, and a bucket handed out by Probe is only valid until
+// the relation's next mutation anyway, so reuse is immediate.
 type Index[P any] struct {
 	on     Schema
 	proj   Projector
 	dir    entryTable[*EntrySet[P]]
 	free   []*Entry[*EntrySet[P]]
+	stock  tableStock[P]
 	keyBuf []byte
 }
 
@@ -49,7 +52,7 @@ func (ix *Index[P]) Add(e *Entry[P]) {
 		if n := len(ix.free); n > 0 {
 			node, ix.free = ix.free[n-1], ix.free[:n-1]
 		} else {
-			node = &Entry[*EntrySet[P]]{Payload: &EntrySet[P]{}}
+			node = &Entry[*EntrySet[P]]{Payload: &EntrySet[P]{tab: entryTable[P]{stock: &ix.stock}}}
 		}
 		// The node's key is a string over bytes its bucket owns, so a reused
 		// node re-keys without allocating.
@@ -71,6 +74,7 @@ func (ix *Index[P]) Remove(e *Entry[P]) {
 	node.Payload.remove(e)
 	if node.Payload.Len() == 0 {
 		ix.dir.del(node)
+		node.Payload.release()
 		ix.free = append(ix.free, node)
 	}
 }
@@ -124,6 +128,15 @@ func (ir *IndexedRelation[P]) EnsureIndex(on Schema) *Index[P] {
 	})
 	ir.indexes[name] = ix
 	return ix
+}
+
+// PoolStats is the relation's, with the bucket storage of its indexes.
+func (ir *IndexedRelation[P]) PoolStats() PoolStats {
+	ps := ir.Relation.PoolStats()
+	for _, ix := range ir.indexes {
+		ps.TableBytes += ix.stock.ctrl.bytes + ix.stock.slots.bytes
+	}
+	return ps
 }
 
 // Lookup returns the index on the given variables, or nil if absent.

@@ -685,7 +685,7 @@ func TestMemoryBytesCountsPool(t *testing.T) {
 	}
 	// The pool shows — entry structs and the key bytes they keep — the tuples,
 	// which went back to whoever supplied them, do not.
-	lists := 8 * (cap(r.free) + cap(r.parked))
+	lists := 8 * cap(r.pool)
 	if empty, want := r.MemoryBytes()-lists, full-1000*valueBytes; empty != want {
 		t.Errorf("emptied relation reports %d bytes beside its pool lists, want %d (full %d less the tuples)", empty, want, full)
 	}

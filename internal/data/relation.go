@@ -2,6 +2,7 @@ package data
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"unsafe"
 
@@ -139,11 +140,14 @@ type Relation[P any] struct {
 	keyHash uint64
 	// The entry pool — the relation's one reuse mechanism (ownership table
 	// above). pooled is set once the owner has a reclaim point; removed
-	// entries then wait in parked until it (Reclaim for views, Clear for
-	// scratch relations) and are handed out again by insertEntry from free.
-	pooled       bool
-	free, parked []*Entry[P]
-	reclaimed    uint64
+	// entries then wait at the end of pool, parked, until it (Reclaim for
+	// views, Clear for scratch relations) makes them pool[:free], which
+	// insertEntry hands out again. One list: reclaiming moves a mark, not
+	// the entries.
+	pooled    bool
+	pool      []*Entry[P]
+	free      int
+	reclaimed uint64
 	// keyBytes is the key storage the entries own — stored, parked or free —
 	// outside the slab; freeKeyBytes the part of it free entries hold for the
 	// next insert. Counted where storage is allocated or dropped, so
@@ -202,7 +206,7 @@ func (r *Relation[P]) Reserve(n int) {
 func (r *Relation[P]) Clear() {
 	if r.pooled {
 		r.entries.all(func(e *Entry[P]) bool {
-			r.parked = append(r.parked, e)
+			r.pool = append(r.pool, e)
 			return true
 		})
 	} else {
@@ -301,7 +305,7 @@ func (r *Relation[P]) Reclaim() {
 	r.reclaim()
 }
 
-// reclaim moves the parked entries to the freelist. An entry keeps its key
+// reclaim makes the parked entries free ones. An entry keeps its key
 // bytes for the next insert to overwrite (setKey) unless they are the slab's
 // or the relation publishes snapshots, whose pinned epochs hold them; it
 // keeps its payload storage (CopyInto/MulInto reuse destination capacity)
@@ -314,7 +318,7 @@ func (r *Relation[P]) reclaim() {
 	keepKey := !r.scratch && r.snap == nil
 	keepPayload := r.mut != nil && r.snap == nil
 	retire := r.snap != nil && r.snap.shares
-	for _, e := range r.parked {
+	for _, e := range r.pool[r.free:] {
 		if retire {
 			r.snap.retire(e.Payload, e.gen)
 		}
@@ -338,10 +342,8 @@ func (r *Relation[P]) reclaim() {
 			poisonEntry(e, r.ownTuples)
 		}
 	}
-	r.free = append(r.free, r.parked...)
-	r.reclaimed += uint64(len(r.parked))
-	clear(r.parked)
-	r.parked = r.parked[:0]
+	r.reclaimed += uint64(len(r.pool) - r.free)
+	r.free = len(r.pool)
 }
 
 // removeEntry deletes an entry, reports the transition to the statistics
@@ -355,7 +357,7 @@ func (r *Relation[P]) removeEntry(e *Entry[P]) {
 		s.dirtyKeys = append(s.dirtyKeys, e.key) // e.gen stays: reclaim retires the payload under it
 	}
 	if r.pooled {
-		r.parked = append(r.parked, e)
+		r.pool = append(r.pool, e)
 	} else if !r.scratch {
 		r.keyBytes -= keyCap(len(e.key)) // the entry is the collector's now, key intact
 	}
@@ -432,12 +434,18 @@ func (r *Relation[P]) ownTuple(e *Entry[P], t Tuple) Tuple {
 // storage CopyInto/MulInto reuse).
 func (r *Relation[P]) insertEntry(key []byte, t Tuple) *Entry[P] {
 	var e *Entry[P]
-	if n := len(r.free); n > 0 {
-		e = r.free[n-1]
-		r.free = r.free[:n-1]
+	if r.free > 0 {
+		r.free--
+		last := len(r.pool) - 1
+		e, r.pool[r.free] = r.pool[r.free], r.pool[last] // a parked entry, if any, closes the gap
+		r.pool[last] = nil
+		r.pool = r.pool[:last]
 		r.freeKeyBytes -= len(e.keyStore())
 	} else {
 		e = new(Entry[P])
+		if r.scratch { // bought with its place in the pool: Clear parks every entry and never grows the list
+			r.pool = slices.Grow(r.pool, r.entries.len()+1)
+		}
 	}
 	r.setKey(e, key)
 	if r.ownTuples {
@@ -796,13 +804,19 @@ func (r *Relation[P]) cloneWith(set func(dst, src *Entry[P])) *Relation[P] {
 // or reusable, Reclaimed entries ever handed back for reuse, KeyBytes kept for
 // the next keys (a scratch relation's key slab, by capacity, or the key
 // storage free entries of a pooled relation hold), TupleBytes of the tuple
-// slab (capacity), and the snapshot arena once the relation publishes.
-// TuplesCopied counts the adoptions that copied a tuple (keepTuple) so far.
+// slab (capacity), SlabChunks the chunks the two slabs hold, and the snapshot
+// arena once the relation publishes. TuplesCopied counts the adoptions that
+// copied a tuple (keepTuple) so far. TableBytes is the bucket storage of an
+// IndexedRelation's indexes, in buckets or in stock (tableStock): what
+// MemoryBytes does not charge. Bytes and chunks stop moving after a workload's
+// first full cycle.
 type PoolStats struct {
 	Free         int
 	Reclaimed    uint64
 	KeyBytes     int
 	TupleBytes   int
+	SlabChunks   int
+	TableBytes   int
 	TuplesCopied uint64
 	Arena        ArenaStats
 }
@@ -812,6 +826,7 @@ type PoolStats struct {
 func (s *PoolStats) AddSlabs(o PoolStats) {
 	s.KeyBytes += o.KeyBytes
 	s.TupleBytes += o.TupleBytes
+	s.SlabChunks += o.SlabChunks
 }
 
 // Add accumulates o into s.
@@ -819,6 +834,7 @@ func (s *PoolStats) Add(o PoolStats) {
 	s.Free += o.Free
 	s.Reclaimed += o.Reclaimed
 	s.TuplesCopied += o.TuplesCopied
+	s.TableBytes += o.TableBytes
 	s.AddSlabs(o)
 	s.Arena.BlocksLive += o.Arena.BlocksLive
 	s.Arena.BlocksFree += o.Arena.BlocksFree
@@ -832,9 +848,9 @@ func (s *PoolStats) Add(o PoolStats) {
 
 // PoolStats reports the relation's pool, slabs and snapshot arena.
 func (r *Relation[P]) PoolStats() PoolStats {
-	return PoolStats{Free: len(r.free) + len(r.parked), Reclaimed: r.reclaimed,
+	return PoolStats{Free: len(r.pool), Reclaimed: r.reclaimed,
 		KeyBytes: r.keys.bytes() + r.freeKeyBytes, TupleBytes: r.tuples.bytes(), TuplesCopied: r.copied,
-		Arena: r.arenaStats()}
+		SlabChunks: len(r.keys.chunks) + len(r.tuples.chunks), Arena: r.arenaStats()}
 }
 
 // valueBytes is the size of one tuple column.
@@ -844,7 +860,8 @@ const valueBytes = int(unsafe.Sizeof(Value{}))
 // the payload storage outside the entries (ring.Sized), which it walks every
 // entry — stored, parked or free — and a publishing relation's spare and
 // retired payloads to sum. Tuples shared with another
-// relation are charged to each holder; secondary indexes are not charged.
+// relation are charged to each holder; secondary indexes are not charged
+// here but reported: PoolStats.TableBytes of the IndexedRelation.
 func (r *Relation[P]) MemoryBytes() int {
 	total := r.flatBytes()
 	sized, ok := r.ring.(ring.Sized[P])
@@ -856,10 +873,8 @@ func (r *Relation[P]) MemoryBytes() int {
 		return true
 	}
 	r.entries.all(charge)
-	for _, pool := range [][]*Entry[P]{r.free, r.parked} {
-		for _, e := range pool {
-			charge(e)
-		}
+	for _, e := range r.pool {
+		charge(e)
 	}
 	if s := r.snap; s != nil { // storage kept for reuse, or for pinned epochs to read
 		for _, p := range s.spares {
@@ -881,9 +896,8 @@ func (r *Relation[P]) MemoryBytes() int {
 // the whole figure for a ring whose payloads hold nothing outside the entry
 // (the base store's).
 func (r *Relation[P]) flatBytes() int {
-	pooled := len(r.free) + len(r.parked)
-	total := int(unsafe.Sizeof(*r)) + 8*(len(r.entries.ctrl)+len(r.entries.slots)+cap(r.free)+cap(r.parked)) +
-		(r.entries.len()+pooled)*int(unsafe.Sizeof(Entry[P]{})) + r.keyBytes + r.keys.bytes() + r.tuples.bytes()
+	total := int(unsafe.Sizeof(*r)) + 8*(len(r.entries.ctrl)+len(r.entries.slots)+cap(r.pool)) +
+		(r.entries.len()+len(r.pool))*int(unsafe.Sizeof(Entry[P]{})) + r.keyBytes + r.keys.bytes() + r.tuples.bytes()
 	if !r.tuples.used() {
 		total += r.entries.len() * len(r.schema) * valueBytes
 	}

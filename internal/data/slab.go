@@ -19,12 +19,15 @@ import (
 // slab and never rewinds it.
 //
 // A chunk is never grown in place — live keys and tuples point into it — so
-// a request that does not fit opens a new chunk of at least twice the size
-// and retires the old one. The rewind replaces several chunks by one as large
-// as all of them, after which a batch of the same shape allocates nothing.
+// a request that does not fit the open chunk opens the next one: a chunk kept
+// from before the last rewind or, past the last of those, a new one of at
+// least twice the size. The rewind keeps every chunk and reopens the first, so
+// a batch of the same shape takes the same chunks in the same order and
+// allocates nothing; the slab ends at under twice the largest batch.
 type slab[T any] struct {
-	cur     []T   // the open chunk; len is the bump pointer
-	retired [][]T // chunks filled since the last rewind, pinned by what points into them
+	cur    []T   // the open chunk, chunks[at]; len is the bump pointer
+	chunks [][]T // every chunk bought, in the order take opens them
+	at     int
 	// maxChunk, when set, stops the doubling at that many elements: a slab
 	// that is never rewound (a base-store relation's) would otherwise end on
 	// a chunk as large as everything before it, mostly unused.
@@ -37,16 +40,19 @@ const slabMinBytes = 1 << 10
 // take returns n fresh elements, capacity-capped and — for n = 0 too, a
 // zero-column tuple stays a non-nil one — never nil.
 func (s *slab[T]) take(n int) []T {
-	if s.cur == nil || len(s.cur)+n > cap(s.cur) {
+	for s.cur == nil || len(s.cur)+n > cap(s.cur) { // a kept chunk may be too small for n
 		if s.cur != nil {
-			s.retired = append(s.retired, s.cur)
+			s.at++
 		}
-		var zero T
-		grow := 2 * cap(s.cur)
-		if s.maxChunk > 0 {
-			grow = min(grow, s.maxChunk)
+		if s.at == len(s.chunks) {
+			var zero T
+			grow := 2 * cap(s.cur)
+			if s.maxChunk > 0 {
+				grow = min(grow, s.maxChunk)
+			}
+			s.chunks = append(s.chunks, make([]T, 0, max(slabMinBytes/int(unsafe.Sizeof(zero)), grow, n)))
 		}
-		s.cur = make([]T, 0, max(slabMinBytes/int(unsafe.Sizeof(zero)), grow, n))
+		s.cur = s.chunks[s.at]
 	}
 	off := len(s.cur)
 	s.cur = s.cur[:off+n]
@@ -67,22 +73,18 @@ func internKey[K string | []byte](s *slab[byte], key K) string {
 // only ever opened by a take that lands in it).
 func (s *slab[T]) used() bool { return len(s.cur) > 0 }
 
-// rewind frees everything at once; under the poison hook the freed storage
-// is filled with dead first.
+// rewind frees everything at once and reopens the first chunk; under the
+// poison hook the freed storage is filled with dead first.
 func (s *slab[T]) rewind(dead T) {
+	if s.cur == nil {
+		return
+	}
 	if poison {
-		for _, c := range s.retired {
-			fill(c, dead)
+		for _, c := range s.chunks[:s.at+1] {
+			fill(c[:cap(c)], dead)
 		}
-		fill(s.cur, dead)
 	}
-	if len(s.retired) > 0 {
-		var zero T
-		s.cur = make([]T, 0, s.bytes()/int(unsafe.Sizeof(zero)))
-		clear(s.retired)
-		s.retired = s.retired[:0]
-	}
-	s.cur = s.cur[:0]
+	s.at, s.cur = 0, s.chunks[0]
 }
 
 func fill[T any](c []T, v T) {
@@ -93,8 +95,8 @@ func fill[T any](c []T, v T) {
 
 // bytes is the capacity the slab holds.
 func (s *slab[T]) bytes() int {
-	n := cap(s.cur)
-	for _, c := range s.retired {
+	n := 0
+	for _, c := range s.chunks {
 		n += cap(c)
 	}
 	var zero T

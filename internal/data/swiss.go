@@ -84,12 +84,18 @@ func matchEmpty(w uint64) bitset { return bitset(w &^ (w << 1) & msbWord) }
 func matchFree(w uint64) bitset { return bitset(w & msbWord) }
 
 // entryTable is the table backing a Relation's primary storage and an
-// Index's bucket directory. The zero value is an empty table ready for use.
+// Index's bucket directory and buckets. The zero value is an empty table
+// ready for use.
+//
+// Capacity follows the live entries alone: tombstones never grow a table
+// (rehash), a table that runs empty forgets them (del), and the arrays a
+// table leaves go back to its stock (grow, release).
 type entryTable[P any] struct {
-	ctrl  []uint64    // one control word per group; len is a power of two
-	slots []*Entry[P] // len(ctrl) * groupSlots entries
-	live  int         // stored entries
-	dead  int         // tombstones
+	ctrl  []uint64       // one control word per group; len is a power of two
+	slots []*Entry[P]    // len(ctrl) * groupSlots entries
+	live  int            // stored entries
+	dead  int            // tombstones
+	stock *tableStock[P] // where the arrays come from and go back to: an Index's for its buckets, nil for the heap
 }
 
 func (t *entryTable[P]) len() int { return t.live }
@@ -175,7 +181,8 @@ func (t *entryTable[P]) setCtrl(g uint64, i int, v uint8) {
 
 // del removes e, which must be stored. The slot becomes empty when its group
 // still has an empty slot (no probe chain can pass the group, so nothing is
-// cut short) and a tombstone otherwise.
+// cut short) and a tombstone otherwise — until the last entry goes: the
+// tombstones of an empty table cut no chain, and all become empty.
 func (t *entryTable[P]) del(e *Entry[P]) {
 	mask := uint64(len(t.ctrl) - 1)
 	g := h1(e.hash) & mask
@@ -196,6 +203,10 @@ func (t *entryTable[P]) del(e *Entry[P]) {
 				t.setCtrl(g, i, ctrlDeleted)
 				t.dead++
 			}
+			if t.live == 0 && t.dead > 0 {
+				fill(t.ctrl, emptyWord)
+				t.dead = 0
+			}
 			return
 		}
 		if matchEmpty(w) != 0 {
@@ -205,41 +216,47 @@ func (t *entryTable[P]) del(e *Entry[P]) {
 	}
 }
 
-// rehash makes room for an insert: a table at least half full of live
-// entries doubles, one that filled up with tombstones is compacted in place.
+// rehash makes room for an insert. The table doubles only when its live
+// entries alone need the room — more than 25/32 of the slots, abseil's bound,
+// which leaves a compacted table 3/32 of its slots before the next rehash;
+// one that filled up with tombstones is compacted in place.
 func (t *entryTable[P]) rehash() {
 	switch groups := len(t.ctrl); {
 	case groups == 0:
 		t.alloc(1)
-	case t.live >= tableMaxLoadNum*groups/2:
+	case 32*t.live > 25*len(t.slots):
 		t.grow(2 * groups)
 	default:
 		t.compact()
 	}
 }
 
-// grow moves the table into fresh arrays of the given group count (a power
+// grow moves the table into empty arrays of the given group count (a power
 // of two), re-inserting every live entry by its cached hash — no key bytes
-// are touched.
+// are touched — and leaves the old arrays to the stock.
 func (t *entryTable[P]) grow(groups int) {
-	old := t.slots
+	ctrl, slots := t.ctrl, t.slots
 	t.alloc(groups)
-	for _, e := range old {
+	for _, e := range slots {
 		if e != nil {
 			t.insertFresh(e)
 		}
 	}
+	t.stock.put(ctrl, slots)
 }
 
 // alloc replaces the backing arrays with empty ones of the given group count
 // (a power of two).
 func (t *entryTable[P]) alloc(groups int) {
-	t.ctrl = make([]uint64, groups)
-	for i := range t.ctrl {
-		t.ctrl[i] = emptyWord
-	}
-	t.slots = make([]*Entry[P], groups*groupSlots)
+	t.ctrl, t.slots = t.stock.take(groups)
+	fill(t.ctrl, emptyWord)
 	t.dead = 0
+}
+
+// release empties the table and leaves its arrays to the stock.
+func (t *entryTable[P]) release() {
+	t.stock.put(t.ctrl, t.slots)
+	t.ctrl, t.slots, t.live, t.dead = nil, nil, 0, 0
 }
 
 // compact drops every tombstone without allocating, the way abseil's
@@ -298,9 +315,7 @@ func (t *entryTable[P]) reserve(n int) {
 // clear removes every entry, keeping capacity. O(capacity), like clearing a
 // built-in map.
 func (t *entryTable[P]) clear() {
-	for i := range t.ctrl {
-		t.ctrl[i] = emptyWord
-	}
+	fill(t.ctrl, emptyWord)
 	clear(t.slots)
 	t.live = 0
 	t.dead = 0

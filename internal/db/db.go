@@ -286,12 +286,17 @@ type ViewStats struct {
 	// the scratch relations that feed it and that its delta plans fill.
 	// TuplesCopied counts the keys its views adopted by copying the tuple
 	// (a volatile batch's, a slab-backed step output's) instead of sharing it.
+	// IndexTableBytes is the bucket storage of its secondary indexes, held or
+	// in stock, and SlabChunks the chunks behind the scratch slabs: bought in
+	// the first cycle of a workload, constant after it.
 	// Zero for strategies that do not pool.
 	PoolFree          int
 	Reclaimed         uint64
 	ScratchKeyBytes   int
 	ScratchTupleBytes int
 	TuplesCopied      uint64
+	IndexTableBytes   int
+	SlabChunks        int
 	// Arena is the snapshot arena of the relations the view publishes, as of
 	// its last batch; Arena.BackstopReclaims counts forgotten leases,
 	// Arena.PayloadsDropped the payload storage the collector got because a

@@ -300,6 +300,7 @@ func (v *View[P]) observe(batch []data.BaseUpdate) error {
 		v.vstats.PoolFree, v.vstats.Reclaimed = ps.Free, ps.Reclaimed
 		v.vstats.ScratchKeyBytes, v.vstats.ScratchTupleBytes = ps.KeyBytes, ps.TupleBytes
 		v.vstats.TuplesCopied = ps.TuplesCopied
+		v.vstats.IndexTableBytes, v.vstats.SlabChunks = ps.TableBytes, ps.SlabChunks
 		v.vstats.Arena = ps.Arena
 	}
 	return nil

@@ -285,13 +285,14 @@ func (st *joinStep[P]) exec(delta *data.Relation[P], share bool) *data.Relation[
 		return true
 	})
 
-	spare := st.spare
+	spare, swaps := st.spare, 0
 	st.prods.reset()
 	arena := st.tupArena[:0]
 	for _, sib := range st.siblings {
 		if len(items) == 0 {
 			break
 		}
+		swaps++
 		next := spare[:0]
 		if sib.full {
 			for _, it := range items {
@@ -313,7 +314,12 @@ func (st *joinStep[P]) exec(delta *data.Relation[P], share bool) *data.Relation[
 		}
 		items, spare = next, items
 	}
-	st.items, st.spare = items, spare
+	// Each buffer keeps its join levels from run to run (the delta and every
+	// second level, the levels between), so each is bought once, for its
+	// largest level, not again whenever the two have traded places.
+	if st.items, st.spare = items, spare; swaps%2 == 1 {
+		st.items, st.spare = spare, items
+	}
 	st.tupArena = arena
 
 	// Reserve only on first use: Clear retains the map's capacity, which a

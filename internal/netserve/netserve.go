@@ -279,6 +279,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, e *db.Epoch
 		ScratchKeyBytes   int    `json:"scratch_key_bytes"`
 		ScratchTupleBytes int    `json:"scratch_tuple_bytes"`
 		TuplesCopied      uint64 `json:"tuples_copied"`
+		IndexTableBytes   int    `json:"index_table_bytes"`
+		SlabChunks        int    `json:"slab_chunks"`
 		ArenaBlocks       int    `json:"arena_blocks"`
 		ArenaFree         int    `json:"arena_free"`
 		BackstopReclaims  uint64 `json:"backstop_reclaims"`
@@ -292,8 +294,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, e *db.Epoch
 		perView[name] = viewStats{PublishedKeys: st.PublishedKeys, ViewsMaterialized: st.ViewCount,
 			PoolFree: st.PoolFree, Reclaimed: st.Reclaimed,
 			ScratchKeyBytes: st.ScratchKeyBytes, ScratchTupleBytes: st.ScratchTupleBytes,
-			TuplesCopied: st.TuplesCopied,
-			ArenaBlocks:  st.Arena.BlocksLive, ArenaFree: st.Arena.BlocksFree,
+			TuplesCopied: st.TuplesCopied, IndexTableBytes: st.IndexTableBytes, SlabChunks: st.SlabChunks,
+			ArenaBlocks: st.Arena.BlocksLive, ArenaFree: st.Arena.BlocksFree,
 			BackstopReclaims: st.Arena.BackstopReclaims,
 			PayloadsReused:   st.Arena.PayloadsReused, PayloadsDropped: st.Arena.PayloadsDropped}
 	}

@@ -282,6 +282,9 @@ func (l *Log) WriteCheckpoint(ck *Checkpoint) error {
 		return fmt.Errorf("wal: create checkpoint: %w", err)
 	}
 	w := ckptWriter{f: f, limit: l.ckptFlush, st: CheckpointStats{LSN: ck.LSN}}
+	if cap(l.ckptBuf) < l.ckptFlush { // once, with room for the row that crosses the limit, not by doubling up to it
+		l.ckptBuf = make([]byte, 0, l.ckptFlush+l.ckptFlush/8)
+	}
 	if l.ckptBuf, err = w.encode(ck, l.ckptBuf); err != nil {
 		_ = f.Close()
 		return fmt.Errorf("wal: write checkpoint: %w", err)

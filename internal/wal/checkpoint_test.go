@@ -319,6 +319,39 @@ func TestAllocGuardCheckpoint(t *testing.T) {
 		if second >= 4<<10 {
 			t.Errorf("%d rows: a second checkpoint allocated %d bytes, want < 4096", n, second)
 		}
+		// The streaming buffer is bought once, at its size, not by doubling up to it.
+		if n == 50_000 && first >= 2*ckptFlushBytes {
+			t.Errorf("the first checkpoint allocated %d bytes, want under twice the %d-byte buffer", first, ckptFlushBytes)
+		}
+
+		// A checkpoint of a grown store, from the live relation (BaseStore.Rows):
+		// the row scratch is bought with room, so a store a tenth larger than at
+		// the last checkpoint, and larger again, costs no new one — 8 bytes a
+		// row, 240 KB and more here. A grown store cannot be checkpointed five
+		// times for the least reading, so the bound leaves the package's other
+		// goroutines their ten-odd KB.
+		if n >= 50_000 {
+			store := data.NewBaseStore()
+			if err := store.Register("R", data.NewSchema("A", "B", "C")); err != nil {
+				t.Fatal(err)
+			}
+			insert := func(rows []data.Tuple) {
+				if err := store.ApplyBatch([]data.BaseUpdate{{Rel: "R", Tuples: rows, Mult: 1}}); err != nil {
+					t.Fatal(err)
+				}
+				ck.Bases[0].Len, ck.Bases[0].All = store.Base("R").Len(), store.Rows("R")
+			}
+			insert(rows[:n/2])
+			write()
+			insert(rows[n/2 : n/2+n/20]) // the first checkpoint sized the scratch exactly: this one doubles it
+			write()
+			for _, part := range [][]data.Tuple{rows[n/2+n/20 : n/2+n/10], rows[n/2+n/10 : n/2+n/5], rows[n/2+n/5 : n]} {
+				insert(part)
+				if grown := write(); grown >= 32<<10 {
+					t.Errorf("a checkpoint of a store grown to %d rows allocated %d bytes, want < 32 KiB", store.Base("R").Len(), grown)
+				}
+			}
+		}
 		l.Close()
 	}
 }
