@@ -9,12 +9,12 @@ import (
 )
 
 // BaseUpdate is one relation's slice of a base-store batch: tuples applied
-// with a signed multiplicity (negative = deletions). The store copies the
-// tuples of the rows it keeps; the views behind it share the tuples of the
-// keys they adopt, so a caller must not mutate them (or reuse their backing
-// arrays) afterwards — unless the update was built in a BatchArena, whose
-// tuples every consumer copies and which may be rewound once the batch is
-// applied.
+// with a signed multiplicity (negative = deletions). The store and the ivm
+// views behind it copy the tuples of the rows they keep; an observer that is
+// no pooled relation may share them, so a caller must not mutate them (or
+// reuse their backing arrays) afterwards — unless the update was built in a
+// BatchArena, whose tuples every consumer copies and which may be rewound
+// once the batch is applied.
 type BaseUpdate struct {
 	Rel    string
 	Tuples []Tuple
@@ -71,7 +71,7 @@ type BaseObserver func(batch []BaseUpdate) error
 // Each relation is a pooled Relation[int64] merged in place: ApplyBatch
 // encodes and hashes every tuple's key once, inserts, bumps or cancels the
 // row under it, and reclaims the cancelled entries at the end of the batch
-// (the base-store row of Relation's ownership table). Memory therefore
+// (the pooled row of Relation's ownership table). Memory therefore
 // follows the state: an inserted tuple is copied into its row's own cells and
 // the caller's is held by nobody, a deleted one is only a probe key, and a
 // cancelled row's entry, key bytes and tuple cells serve the next insert. The keys and
@@ -112,8 +112,7 @@ func (s *BaseStore) Register(rel string, schema Schema) error {
 		return fmt.Errorf("data: base relation %q already registered", rel)
 	}
 	r := NewRelation[int64](ring.Int{}, schema)
-	r.ownTuples = true
-	r.tuples.maxChunk = 1 << 20 / valueBytes // rows are added 1 MiB of cells at a time
+	r.Reclaim() // pooled before its first row: every row it holds is its own
 	s.rels[rel] = r
 	s.names = append(s.names, rel)
 	return nil

@@ -4,6 +4,8 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"fivm/internal/ring"
@@ -134,12 +136,15 @@ func TestPayloadsRespectPinnedEpochs(t *testing.T) {
 		s.Release()
 	}
 	r.Snapshot().Release()
-	before, known := r.PoolStats().Arena.PayloadsReused, len(seen)
+	// A key inserted again lands in a row a released epoch gave back, with the
+	// payload storage that row kept; every other key moves into a spare.
+	ps := r.PoolStats()
+	before, known := ps.Arena.PayloadsReused+ps.RowsReused, len(seen)
 	round(100)
 	check(100, nil)
-	if as := r.PoolStats().Arena; len(seen) != known || as.PayloadsReused != before+keys {
-		t.Fatalf("after the pin's release %d keys moved into new storage; arena %+v, %d payloads reused before",
-			len(seen)-known, as, before)
+	if ps := r.PoolStats(); len(seen) != known || ps.Arena.PayloadsReused+ps.RowsReused != before+keys {
+		t.Fatalf("after the pin's release %d keys moved into new storage; pool %+v, %d payloads and rows reused before",
+			len(seen)-known, ps, before)
 	}
 	r.Snapshot().Release()
 	r.Reclaim()
@@ -159,6 +164,168 @@ func TestPayloadsRespectPinnedEpochs(t *testing.T) {
 	}
 	if as := r.PoolStats().Arena; as.PayloadsDropped == 0 {
 		t.Fatalf("arena %+v: %d epochs forgotten and no payload dropped", as, len(forgotten))
+	}
+}
+
+// TestRowsRespectPinnedEpochs: a pooled relation that publishes, whose writer
+// deletes keys and inserts others in every epoch, under the three readers of
+// TestPayloadsRespectPinnedEpochs — one that pins an epoch for 3·genSpan
+// publishes, one that takes every epoch and releases it two publishes later,
+// one that forgets every seventh. Every epoch a reader holds must read its
+// keys and tuples bit for bit as when it was published, and no live entry may
+// sit in cells one of them reads under another key; the rows that wait are
+// those the unreleased epochs read, no more. Once everything is
+// released (the forgotten epochs through the collector's backstop), no row
+// waits and inserts land in rows seen before: the tuple slab opens no chunk.
+func TestRowsRespectPinnedEpochs(t *testing.T) {
+	const keys, live, churn = 48, 24, 6
+	r := NewRelation[float64](ring.Float{}, NewSchema("A", "B"))
+	r.Reclaim()
+	tuples := make([]Tuple, keys)
+	for k := range tuples {
+		tuples[k] = Tuple{Int(int64(k)), String("row-" + strconv.Itoa(k))}
+	}
+	in := map[int]bool{}
+	var order []int // live keys, oldest first
+	next := 0
+	seen := map[*Value]bool{} // the cells every live entry ever had
+	insert := func(k int) {
+		r.Merge(tuples[k], float64(k+1))
+		in[k] = true
+		order = append(order, k)
+	}
+	for k := 0; k < live; k++ {
+		insert(k)
+	}
+	round := func() {
+		for _, k := range order[:churn] {
+			r.Merge(tuples[k], -float64(k+1)) // parked, intact until Reclaim
+			delete(in, k)
+		}
+		order = order[churn:]
+		for n := 0; n < churn; next = (next + 1) % keys {
+			if !in[next] {
+				insert(next)
+				n++
+			}
+		}
+		r.IterateEntries(func(e *Entry[float64]) bool {
+			seen[&e.Tuple[0]] = true
+			return true
+		})
+	}
+	type pin struct {
+		snap  *RelationSnapshot[float64]
+		rows  map[string]Tuple
+		cells map[*Value]string
+	}
+	pinNow := func() pin {
+		p := pin{r.Snapshot(), map[string]Tuple{}, map[*Value]string{}}
+		p.snap.IterateEntries(func(e *Entry[float64]) bool {
+			p.rows[strings.Clone(e.key)] = slices.Clone(e.Tuple)
+			p.cells[&e.Tuple[0]] = strings.Clone(e.key)
+			return true
+		})
+		return p
+	}
+	verify := func(i int, p pin) {
+		t.Helper()
+		n := 0
+		p.snap.IterateEntries(func(e *Entry[float64]) bool {
+			if n++; !slices.Equal(e.Tuple, p.rows[e.key]) || e.Tuple.Key() != e.key {
+				t.Fatalf("round %d: pinned epoch reads %v under %q, read %v when pinned", i, e.Tuple, e.key, p.rows[e.key])
+			}
+			return true
+		})
+		if n != len(p.rows) {
+			t.Fatalf("round %d: pinned epoch has %d keys, had %d when pinned", i, n, len(p.rows))
+		}
+	}
+	check := func(i int, pins []pin) {
+		t.Helper()
+		if r.Len() != live {
+			t.Fatalf("round %d: %d keys stored, want %d", i, r.Len(), live)
+		}
+		r.IterateEntries(func(e *Entry[float64]) bool {
+			if e.Tuple.Key() != e.key {
+				t.Fatalf("round %d: %v stored under %q", i, e.Tuple, e.key)
+			}
+			for _, p := range pins {
+				if k, ok := p.cells[&e.Tuple[0]]; ok && k != e.key {
+					t.Fatalf("round %d: %v lives in cells a pinned epoch reads under %q", i, e.Tuple, k)
+				}
+			}
+			return true
+		})
+	}
+
+	for i := 0; i < 8; i++ {
+		round()
+		r.Snapshot().Release()
+		r.Reclaim()
+		check(i, nil)
+	}
+	k := pinNow()
+	var held []pin
+	forgotten := map[*Value]bool{} // the cells the forgotten epochs read
+	for i := 8; i < 8+3*genSpan+5; i++ {
+		round()
+		if p := pinNow(); i%7 != 3 {
+			held = append(held, p)
+		} else {
+			for c := range p.cells {
+				forgotten[c] = true
+			}
+		}
+		r.Reclaim()
+		if len(held) > 2 {
+			verify(i, held[0])
+			held[0].snap.Release()
+			held = held[1:]
+		}
+		check(i, append([]pin{k}, held...))
+		verify(i, k)
+	}
+	// A pin holds the rows it reads and no other: every row k reads was
+	// deleted since and waits, and every row that waits is one k, a held
+	// epoch or a forgotten one the collector has not reported yet reads.
+	ps := r.PoolStats()
+	retired := map[*Value]bool{}
+	for _, e := range r.pool[r.free:r.ret] {
+		retired[&e.Tuple[0]] = true
+		read := forgotten[&e.Tuple[0]]
+		for _, p := range append([]pin{k}, held...) {
+			_, in := p.cells[&e.Tuple[0]]
+			read = read || in
+		}
+		if !read {
+			t.Fatalf("%+v: row %v waits on no epoch a reader holds", ps, e.Tuple)
+		}
+	}
+	for c, key := range k.cells {
+		if !retired[c] {
+			t.Fatalf("%+v: the row the pinned epoch reads under %q is not retired", ps, key)
+		}
+	}
+	k.snap.Release()
+	for _, p := range held {
+		p.snap.Release()
+	}
+	// The forgotten epochs come back through the backstop: late, never early.
+	for try := 0; r.PoolStats().RowsRetired > 0; try++ {
+		if try == 200 {
+			t.Fatalf("%+v: rows still retired with every epoch released or collected", r.PoolStats())
+		}
+		runtime.GC()
+		round()
+		r.Snapshot().Release()
+		r.Reclaim()
+	}
+	before, known := r.PoolStats(), len(seen)
+	round()
+	if ps := r.PoolStats(); len(seen) != known || ps.TuplesCopied != before.TuplesCopied || ps.SlabChunks != before.SlabChunks ||
+		ps.RowsReused != before.RowsReused+churn {
+		t.Fatalf("after the last release %d inserts landed in new cells: pool %+v, was %+v", len(seen)-known, ps, before)
 	}
 }
 

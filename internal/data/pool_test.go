@@ -217,8 +217,9 @@ func triple(vars ...int32) ring.Triple {
 }
 
 // TestPoolPayloadStorage: a reclaimed entry keeps its payload storage for the
-// next insert; in a relation that publishes snapshots the storage a pinned
-// epoch reads is retired instead, and serves the writer again only after the
+// next insert; in a relation that publishes snapshots a removed entry a
+// pinned epoch reads is retired with it, and a live entry's published storage
+// alone when the entry leaves it: both serve the writer again only after the
 // epoch's last Release.
 func TestPoolPayloadStorage(t *testing.T) {
 	cf := ring.Cofactor{}
@@ -237,45 +238,48 @@ func TestPoolPayloadStorage(t *testing.T) {
 		t.Fatalf("reused storage holds %v", got)
 	}
 
-	// Published: the pinned snapshot reads storage; it must keep reading the
-	// old values while the entry is removed, reclaimed and reused.
+	// Published: the pinned snapshot reads the entry — key, tuple, payload
+	// storage. Removed and reclaimed, the entry is retired whole, and inserts
+	// take other entries while the epoch is pinned.
 	snap := r.Snapshot()
-	r.Merge(Ints(2), cf.Neg(triple(0, 1, 2)))
+	r.Merge(Ints(2), cf.Neg(triple(0, 1, 2))) // leaves the published storage first, then goes
 	r.Reclaim()
-	if e.Payload.S != nil {
-		t.Fatal("a reclaimed entry of a snapshotting relation kept payload storage")
+	kept := &e.Payload.S[0]
+	if kept == storage || r.PoolStats().RowsRetired != 1 {
+		t.Fatalf("a removed entry of a snapshotting relation not retired, or in storage the epoch reads: %+v", r.PoolStats())
 	}
-	r.Merge(Ints(3), triple(0, 1, 2))
 	r.Merge(Ints(3), triple(0, 1, 2))
 	e3, _ := r.EntryKey(Ints(3).Key())
-	if e3 != e {
-		t.Fatal("entry struct not reused")
-	}
-	if &e3.Payload.S[0] == storage {
-		t.Fatal("storage a pinned snapshot reads was handed to an insert")
+	if e3 == e {
+		t.Fatal("an entry a pinned snapshot reads was handed to an insert")
 	}
 	if got, ok := snap.Get(Ints(2)); !ok || !sameTriple(got, triple(0, 1, 2)) {
 		t.Fatalf("pinned snapshot changed under entry reuse: %v %v", got, ok)
 	}
 
 	// Released — by the reader and, at its next publish, by the relation —
-	// the storage serves the next entry that has to leave its own.
+	// the entry is free from the next epoch's sweep on and serves the next
+	// insert, payload storage included.
 	stale, _ := snap.Get(Ints(2))
 	snap.Release()
 	r.Snapshot().Release()
-	if r.snap.sweep(); !math.IsNaN(stale.S[0]) {
+	if r.sweep(); !math.IsNaN(stale.S[0]) {
 		t.Fatal("a payload kept past its snapshot's release still reads plausibly once its storage is a spare")
 	}
-	spares := map[*float64]bool{}
-	for _, p := range r.snap.spares {
-		spares[&p.S[:1][0]] = true
+	r.Merge(Ints(4), triple(0, 1, 2))
+	if e4, _ := r.EntryKey(Ints(4).Key()); e4 != e || &e4.Payload.S[0] != kept || r.PoolStats().RowsRetired != 0 {
+		t.Fatal("retired entry not reused after the last release of the snapshot that read it")
 	}
-	if !spares[storage] {
-		t.Fatal("payload storage not a spare after the last release of the snapshot that read it")
-	}
+
+	// A live entry that leaves published storage retires the storage alone: a
+	// spare once the epoch is released, which the next entry to leave its own
+	// moves into.
+	published := &e3.Payload.S[0]
 	r.Merge(Ints(3), triple(0, 1, 2))
-	if !spares[&e3.Payload.S[0]] {
-		t.Fatal("an entry leaving published storage did not move into a spare")
+	r.Snapshot().Release()
+	r.Merge(Ints(3), triple(0, 1, 2))
+	if &e3.Payload.S[0] != published {
+		t.Fatal("an entry leaving published storage did not move into the spare a released epoch gave up")
 	}
 	three := cf.Add(triple(0, 1, 2), cf.Add(triple(0, 1, 2), triple(0, 1, 2)))
 	if got, _ := r.Get(Ints(3)); !sameTriple(got, three) {
@@ -683,11 +687,11 @@ func TestMemoryBytesCountsPool(t *testing.T) {
 	if ps := r.PoolStats(); ps.Free != 1000 || ps.Reclaimed != 1000 {
 		t.Fatalf("pool after emptying: %+v", ps)
 	}
-	// The pool shows — entry structs and the key bytes they keep — the tuples,
-	// which went back to whoever supplied them, do not.
+	// The pool shows: entry structs, the key bytes and the cells they keep for
+	// the next rows — the relation holds all it held full beside its pool list.
 	lists := 8 * cap(r.pool)
-	if empty, want := r.MemoryBytes()-lists, full-1000*valueBytes; empty != want {
-		t.Errorf("emptied relation reports %d bytes beside its pool lists, want %d (full %d less the tuples)", empty, want, full)
+	if empty := r.MemoryBytes() - lists; empty != full || r.PoolStats().TupleBytes < 1000*valueBytes {
+		t.Errorf("emptied relation reports %d bytes beside its pool lists, want %d as full; pool %+v", empty, full, r.PoolStats())
 	}
 	if ps := r.PoolStats(); ps.KeyBytes != 1000*keyCap(9) {
 		t.Errorf("free entries hold %d key bytes, want %d", ps.KeyBytes, 1000*keyCap(9))

@@ -1,10 +1,6 @@
 package data
 
-import (
-	"strings"
-
-	"fivm/internal/ring"
-)
+import "fivm/internal/ring"
 
 // ReduceSealed reduces several relations key-wise into one sealed snapshot:
 // the disjoint union of their keys where keys do not repeat, the ring sum of
@@ -14,14 +10,14 @@ import (
 // same keys when it is aggregated away (payload summation) — and replaces
 // the merge-into-a-fresh-hash-relation reduce with one radix sort over the
 // gathered entry values: no intermediate relation, no per-key hashing, no
-// per-entry allocations beyond the single gathered run.
+// per-entry allocations: the run, its tuple cells and a slab of its keys.
 //
 // The inputs must share a schema (same variables in the same order, so equal
 // tuples have equal encoded keys) and stay unmodified for the duration of
 // the call only: entry values are copied out, payloads of rings with in-place
-// accumulation are deep-copied and so are the keys of an input that reuses
-// its entries' key bytes (a pooled relation that publishes nothing itself),
-// so later mutation of the inputs never bleeds into the returned snapshot. Keys whose payloads sum to zero
+// accumulation are deep-copied and so are every key and tuple — a pooled
+// input overwrites both when it reuses an entry — so later mutation of the
+// inputs never bleeds into the returned snapshot. Keys whose payloads sum to zero
 // are dropped, matching Relation.Merge semantics. Where payloads are summed,
 // the combination order is sorted-key encounter order, which differs from
 // any sequential update order — non-integral float payloads may round
@@ -33,13 +29,14 @@ func ReduceSealed[P any](rg ring.Ring[P], schema Schema, parts []*Relation[P]) *
 		total += p.Len()
 	}
 	es := make([]Entry[P], 0, total)
+	var keys slab[byte]
+	cells := make(Tuple, 0, total*len(schema))
 	for _, p := range parts {
-		ownKeys := p.pooled && p.snap == nil
 		p.entries.all(func(e *Entry[P]) bool {
 			c := sealed(e)
-			if ownKeys {
-				c.key = strings.Clone(c.key)
-			}
+			c.key = internKey(&keys, e.key)
+			cells = append(cells, e.Tuple...)
+			c.Tuple = cells[len(cells)-len(e.Tuple) : len(cells) : len(cells)]
 			es = append(es, c)
 			if mut != nil {
 				var none P

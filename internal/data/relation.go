@@ -22,9 +22,10 @@ type Entry[P any] struct {
 	// gen guards snapshot sharing of mutable payload storage: when it is
 	// older than the relation's publish generation, the storage is shared
 	// with the snapshots published since and the entry must leave it before
-	// the next in-place mutation (see Relation.touchEntry). Zero on relations
-	// that were never snapshotted.
-	gen uint64
+	// the next in-place mutation (see Relation.touchEntry). born is the first
+	// snapshot that reads the entry's key bytes and tuple; once it is removed,
+	// gen is the last (park). Both zero on relations never snapshotted.
+	gen, born uint64
 }
 
 // Key returns the entry's encoded tuple key. The bytes are the entry's own
@@ -79,55 +80,49 @@ func keyView(key string) []byte { return unsafe.Slice(unsafe.StringData(key), le
 //
 // Ownership. Storage has one owner and one reclaim point; a relation whose
 // owner has none (nobody calls Reclaim or RecycleCleared) never reuses
-// anything and leaves removed entries to the collector.
+// anything, stores the tuples it is handed and leaves removed entries to the
+// collector.
 //
-//	                 entry struct          key bytes            tuple               payload storage
-//	view             relation; parked on   the entry's own: a   immutable, shared   relation; a reused entry
-//	(Reclaim at      removal, reusable     reused entry keeps   with whoever        keeps it and the next
-//	batch end)       after Reclaim         them and the next    supplied it         insert overwrites it
-//	                                       key that fits
-//	                                       overwrites them
-//	snapshotting     as a view             the entry's own and  as a view           relation; what pinned epochs
-//	view (Snapshot                         immutable (pinned                        read is retired when the entry
-//	was called)                            epochs hold them);                       leaves it (touch, Set, reclaim)
-//	                                       dropped at reclaim,                      and written again only after
-//	                                       never reused                             their last Release
-//	scratch          relation; reusable    relation's slab,     relation's slab     as a view: overwritten by
+//	                 entry struct          key bytes            tuple cells         payload storage
+//	pooled           relation; parked on   the entry's own,     the entry's own:    relation; a reused entry
+//	(Reclaim: every  removal, free after   like its cells: a    every insert        keeps it and the next
+//	ivm view, the    the reclaim point,    reused entry keeps   copies the row in   insert overwrites it
+//	base store at    with its key bytes,   them for the next    (ownTuple), a
+//	each batch end)  cells and payload     key that fits        reused entry keeps
+//	                                                            them (the arity is
+//	                                                            fixed: they fit)
+//	publishing       as pooled, but a      as pooled            as pooled           as pooled; what pinned epochs
+//	pooled (Snapshot removed entry is                                               read of a live entry is retired
+//	was called)      retired, whole, at                                             when the entry leaves it (touch,
+//	                 the reclaim point                                              Set) and written again only after
+//	                 and free only after                                            their last Release
+//	                 the last Release of
+//	                 every epoch that
+//	                 could read it
+//	scratch          relation; reusable    relation's slab,     relation's slab     as pooled: overwritten by
 //	(RecycleCleared, after the next Clear  rewound by Clear     when the relation   the next batch's inserts
 //	Clear per batch)                                            projected it, the
 //	                                                            supplier's otherwise
-//	base store       as a view; reclaim    as a view            the entry's own,    inline (int64)
-//	(BaseStore.Base) point is the end of                        like its key: every
-//	                 every ApplyBatch                           insert copies the
-//	                                                            row in, a reused
-//	                                                            entry keeps the
-//	                                                            cells (the arity is
-//	                                                            fixed: they fit)
 //	volatile batch   —                     —                    the BatchArena's,   —
 //	(BaseUpdate from                                            dead at its Rewind:
-//	a BatchArena)                                               the store copies as
-//	                                                            always, a scratch
-//	                                                            relation handed one
-//	                                                            reports volatile, a
-//	                                                            view copies what it
-//	                                                            adopts
+//	a BatchArena)                                               a pooled relation
+//	                                                            copies as always, a
+//	                                                            scratch relation
+//	                                                            handed one reports
+//	                                                            volatile
 //
-// Who may retain what: nobody retains an *Entry, a key read through one, or a
+// Who may retain what: nobody retains an *Entry, or a key, a tuple or a
 // mutable-ring payload read through one, past the owner's reclaim point (work
-// items, index buckets and iterators all die with the batch). Every insert
-// copies its key into the entry (setKey), so no relation ever holds another's
-// key bytes; only the keys of a snapshotting relation may be kept forever.
-// Tuples of a view may be kept forever; a base-store relation overwrites a
-// removed row's when it reuses the entry, so what is read out of it is copied
-// by whoever keeps it (LiftFrom, Clone, MergeAll do). Nothing a scratch
-// relation made survives its next Clear: consumers copy the payloads they
-// keep, and the tuples too once the relation has projected one into its slab,
-// or was handed one of a volatile batch, since its last Clear (MergeAll,
-// MergeAllIndexed, Clone and Negate do; the test is per relation, not per
-// entry: VolatileTuples). A tuple a view or scratch relation was handed
-// (Merge, Set, mergeKeyed, mergeFrom) is stored as given and stays the
-// supplier's: shared, immutable, never written again — the base store alone
-// takes no tuple it is handed.
+// items, index buckets and iterators all die with the batch); what must live
+// longer is copied (LiftFrom, Clone, MergeAll, ReduceSealed do) or read through
+// a snapshot, which holds it until its last Release. Every insert copies its
+// key into the entry (setKey), and a pooled relation its tuple too, so no such
+// relation holds another's bytes. Nothing a scratch relation made survives its
+// next Clear: consumers copy the payloads they keep, and the tuples too once
+// the relation has projected one into its slab, or was handed one of a
+// volatile batch, since its last Clear (the test is per relation, not per
+// entry: VolatileTuples). A tuple a scratch or unpooled relation was handed is
+// stored as given and stays the supplier's: never written again.
 type Relation[P any] struct {
 	schema  Schema
 	ring    ring.Ring[P]
@@ -142,11 +137,12 @@ type Relation[P any] struct {
 	// above). pooled is set once the owner has a reclaim point; removed
 	// entries then wait at the end of pool, parked, until it (Reclaim for
 	// views, Clear for scratch relations) makes them pool[:free], which
-	// insertEntry hands out again. One list: reclaiming moves a mark, not
-	// the entries.
+	// insertEntry hands out again — or, in a publishing relation,
+	// pool[free:ret], retired, until sweep finds no epoch that can read them.
+	// One list: reclaiming and sweeping move marks, not the entries.
 	pooled    bool
 	pool      []*Entry[P]
-	free      int
+	free, ret int
 	reclaimed uint64
 	// keyBytes is the key storage the entries own — stored, parked or free —
 	// outside the slab; freeKeyBytes the part of it free entries hold for the
@@ -162,13 +158,12 @@ type Relation[P any] struct {
 	// shareProjected lets projected merges store prefix subslices of the
 	// source tuple instead of copies; see ShareProjectedTuples.
 	shareProjected bool
-	// ownTuples marks a base-store relation: an entry owns its tuple's cells
-	// as it owns its key bytes (ownTuple). handedVolatile marks a scratch
-	// relation handed a tuple of a volatile batch since its last Clear
-	// (MarkVolatile). copied counts the tuples keepTuple copied on adoption.
-	ownTuples      bool
-	handedVolatile bool
-	copied         uint64
+	// handedVolatile marks a scratch relation handed a tuple of a volatile
+	// batch since its last Clear (MarkVolatile). copied counts the rows whose
+	// cells were bought new (ownTuple, keepTuple), rowsReused those written
+	// into the cells of a reused entry.
+	handedVolatile     bool
+	copied, rowsReused uint64
 	// stats, when non-nil, receives every insert/delete transition; see
 	// CollectStats.
 	stats *RelStats
@@ -206,7 +201,7 @@ func (r *Relation[P]) Reserve(n int) {
 func (r *Relation[P]) Clear() {
 	if r.pooled {
 		r.entries.all(func(e *Entry[P]) bool {
-			r.pool = append(r.pool, e)
+			r.park(e)
 			return true
 		})
 	} else {
@@ -298,52 +293,65 @@ func (r *Relation[P]) RecycleCleared() { r.pooled, r.scratch = true, true }
 // maintained view): its owner calls it when the batch that removed entries
 // has finished and no work item, index bucket or iterator can still hold
 // one. Every entry removed since the last call becomes reusable by later
-// inserts. The first call is also what switches the relation to pooling —
-// a relation nobody reclaims leaves its removed entries to the collector.
+// inserts. The first call declares the reclaim point — a relation nobody
+// reclaims leaves its removed entries to the collector — and with it the
+// ownership of the rows: the tuples stored so far, which may be shared with
+// whoever handed them in, are copied into cells of the relation's own, so no
+// reuse ever writes into a tuple the relation was handed. Declaring it before
+// the first insert costs nothing.
 func (r *Relation[P]) Reclaim() {
-	r.pooled = true
+	if !r.pooled {
+		r.pooled = true
+		r.tuples.maxChunk = 1 << 16 / valueBytes // rows come 64 KiB of cells at a time: the most a tail leaves unused
+		r.entries.all(func(e *Entry[P]) bool {
+			e.Tuple = r.ownTuple(nil, e.Tuple)
+			return true
+		})
+	}
 	r.reclaim()
 }
 
-// reclaim makes the parked entries free ones. An entry keeps its key
-// bytes for the next insert to overwrite (setKey) unless they are the slab's
-// or the relation publishes snapshots, whose pinned epochs hold them; it
-// keeps its payload storage (CopyInto/MulInto reuse destination capacity)
-// unless the ring has no in-place form or, again, the relation publishes:
-// pinned epochs may read that storage, so it is retired like a touched entry's
-// (under e.gen, which removeEntry left alone) and comes back to an insert as a
-// spare. The tuple is the entry's to keep only in a base-store relation
-// (ownTuple).
+// ownsRows reports whether r copies every tuple it stores into cells of its
+// own (ownTuple): a pooled relation that is not scratch.
+func (r *Relation[P]) ownsRows() bool { return r.pooled && !r.scratch }
+
+// reclaim hands the parked entries back: free at once where no epoch can read
+// them — a scratch relation's give up key and tuple, the slab's or the
+// supplier's — and retired in a publishing relation until none does.
 func (r *Relation[P]) reclaim() {
-	keepKey := !r.scratch && r.snap == nil
-	keepPayload := r.mut != nil && r.snap == nil
-	retire := r.snap != nil && r.snap.shares
-	for _, e := range r.pool[r.free:] {
-		if retire {
-			r.snap.retire(e.Payload, e.gen)
-		}
-		if !r.ownTuples {
-			e.Tuple = nil
-		}
-		switch {
-		case keepKey:
-			r.freeKeyBytes += keyCap(len(e.key))
-		case r.scratch:
-			e.key = "" // the slab's
-		default:
-			r.keyBytes -= keyCap(len(e.key))
-			e.key = "" // a pinned epoch's
-		}
-		if !keepPayload {
-			var zero P
-			e.Payload = zero
-		}
-		if poison {
-			poisonEntry(e, r.ownTuples)
+	for _, e := range r.pool[r.ret:] {
+		if r.scratch {
+			e.key, e.Tuple = "", nil
 		}
 	}
-	r.reclaimed += uint64(len(r.pool) - r.free)
-	r.free = len(r.pool)
+	r.reclaimed += uint64(len(r.pool) - r.ret)
+	r.ret = len(r.pool)
+	r.sweepRows()
+}
+
+// freeEntry makes e, at pool[free], free: it keeps its key bytes for the next
+// insert to overwrite (setKey), its cells (ownTuple) and, when the ring
+// accumulates in place, its payload storage (CopyInto/MulInto reuse
+// destination capacity). Under the poison hook all of it is scribbled.
+func (r *Relation[P]) freeEntry(e *Entry[P]) {
+	r.freeKeyBytes += keyCap(len(e.key))
+	if r.mut == nil {
+		var zero P
+		e.Payload = zero
+	}
+	if poison {
+		poisonEntry(e, r.ownsRows())
+	}
+	r.free++
+}
+
+// park puts a removed entry at the end of the pool; in a publishing relation
+// its gen becomes the last snapshot that can read it.
+func (r *Relation[P]) park(e *Entry[P]) {
+	if s := r.snap; s != nil {
+		e.gen = s.gen - 1
+	}
+	r.pool = append(r.pool, e)
 }
 
 // removeEntry deletes an entry, reports the transition to the statistics
@@ -354,10 +362,10 @@ func (r *Relation[P]) removeEntry(e *Entry[P]) {
 	r.entries.del(e)
 	r.noteDelete()
 	if s := r.snap; s != nil && e.gen != s.gen {
-		s.dirtyKeys = append(s.dirtyKeys, e.key) // e.gen stays: reclaim retires the payload under it
+		s.dirtyKeys = append(s.dirtyKeys, e.key)
 	}
 	if r.pooled {
-		r.pool = append(r.pool, e)
+		r.park(e)
 	} else if !r.scratch {
 		r.keyBytes -= keyCap(len(e.key)) // the entry is the collector's now, key intact
 	}
@@ -385,9 +393,9 @@ func (r *Relation[P]) setKey(e *Entry[P], key []byte) {
 
 // keepTuple returns a tuple a source entry carries in a form r may store:
 // shared, unless the source relation is VolatileTuples, whose tuples die
-// before r's do.
+// before r's do — or as it is to a pooled r, whose insert copies it anyway.
 func (r *Relation[P]) keepTuple(t Tuple, volatile bool) Tuple {
-	if !volatile {
+	if !volatile || r.ownsRows() {
 		return t
 	}
 	r.copied++
@@ -400,12 +408,12 @@ func (r *Relation[P]) keepTuple(t Tuple, volatile bool) Tuple {
 }
 
 // VolatileTuples reports whether consumers must copy the tuples they keep: r
-// is scratch and since its last Clear has put a tuple into its slab or was
-// handed one of a volatile batch (MarkVolatile), or r is a base-store
-// relation, which overwrites a removed row's tuple on reuse. The test is per
-// relation — a durable tuple stored beside a volatile one is copied with it.
+// is pooled, and overwrites a removed row's cells on reuse, or r is scratch
+// and since its last Clear has put a tuple into its slab or was handed one of
+// a volatile batch (MarkVolatile). The test is per relation — a durable tuple
+// stored beside a volatile one is copied with it.
 func (r *Relation[P]) VolatileTuples() bool {
-	return r.ownTuples || r.scratch && (r.handedVolatile || r.tuples.used())
+	return r.ownsRows() || r.scratch && (r.handedVolatile || r.tuples.used())
 }
 
 // MarkVolatile declares that a tuple handed to scratch relation r since its
@@ -413,14 +421,16 @@ func (r *Relation[P]) VolatileTuples() bool {
 // relation's stored as given), so r reports VolatileTuples until then.
 func (r *Relation[P]) MarkVolatile() { r.handedVolatile = true }
 
-// ownTuple copies t into cells e owns (the base-store row of the ownership
-// table): those a reclaimed entry kept from its last row — a relation's arity
-// is fixed, so they fit — or, while the pool is cold, fresh ones from the
-// relation's tuple slab, which only a scratch relation ever rewinds.
-func (r *Relation[P]) ownTuple(e *Entry[P], t Tuple) Tuple {
-	dst := e.Tuple
+// ownTuple copies t into cells of the relation's own: dst, the cells a reused
+// entry kept from its last row — a relation's arity is fixed, so they fit —
+// or, while the pool is cold, fresh ones from the relation's tuple slab, which
+// only a scratch relation ever rewinds.
+func (r *Relation[P]) ownTuple(dst, t Tuple) Tuple {
 	if dst == nil || cap(dst) < len(t) {
 		dst = r.tuples.take(len(t))
+		r.copied++
+	} else {
+		r.rowsReused++
 	}
 	dst = dst[:len(t)]
 	copy(dst, t)
@@ -429,16 +439,23 @@ func (r *Relation[P]) ownTuple(e *Entry[P], t Tuple) Tuple {
 
 // insertEntry stores a fresh entry under a copy of key (which must be absent
 // and must be the key whose hash a lookup just left in keyHash), reusing a
-// reclaimed entry — struct, key bytes, payload storage — when available. The
-// caller must set Payload (reclaimed entries may hold stale payloads whose
+// free entry — struct, key bytes, cells, payload storage — when available.
+// The caller must set Payload (reused entries may hold stale payloads whose
 // storage CopyInto/MulInto reuse).
 func (r *Relation[P]) insertEntry(key []byte, t Tuple) *Entry[P] {
+	s := r.snap
+	if s != nil {
+		r.sweep()
+	}
 	var e *Entry[P]
 	if r.free > 0 {
+		// The last free entry leaves the list: a retired entry moves into its
+		// slot and the last parked one into the retired entry's.
 		r.free--
+		r.ret--
 		last := len(r.pool) - 1
-		e, r.pool[r.free] = r.pool[r.free], r.pool[last] // a parked entry, if any, closes the gap
-		r.pool[last] = nil
+		e, r.pool[r.free] = r.pool[r.free], r.pool[r.ret]
+		r.pool[r.ret], r.pool[last] = r.pool[last], nil
 		r.pool = r.pool[:last]
 		r.freeKeyBytes -= len(e.keyStore())
 	} else {
@@ -446,13 +463,13 @@ func (r *Relation[P]) insertEntry(key []byte, t Tuple) *Entry[P] {
 		if r.scratch { // bought with its place in the pool: Clear parks every entry and never grows the list
 			r.pool = slices.Grow(r.pool, r.entries.len()+1)
 		}
+		if s != nil && s.shares {
+			e.Payload = s.spare()
+		}
 	}
 	r.setKey(e, key)
-	if r.ownTuples {
-		t = r.ownTuple(e, t)
-	}
-	if s := r.snap; s != nil && s.shares {
-		e.Payload = s.spare() // reclaim took what the entry held
+	if r.ownsRows() {
+		t = r.ownTuple(e.Tuple, t)
 	}
 	e.Tuple = t
 	e.hash = r.keyHash
@@ -768,8 +785,8 @@ func (r *Relation[P]) SortedEntries() []Entry[P] {
 	return out
 }
 
-// Clone returns a copy sharing tuples (copies, where r is scratch and they are
-// its own: keepTuple) but no key bytes, entry or table structure. Payloads are
+// Clone returns a copy sharing tuples (copies, where r is VolatileTuples:
+// keepTuple) but no key bytes, entry or table structure. Payloads are
 // shared for immutable rings and deep-copied for rings with in-place
 // accumulation, so later merges into either relation never bleed into the
 // other.
@@ -800,19 +817,23 @@ func (r *Relation[P]) cloneWith(set func(dst, src *Entry[P])) *Relation[P] {
 	return out
 }
 
-// PoolStats is a relation's retained-but-free storage: Free entries parked
-// or reusable, Reclaimed entries ever handed back for reuse, KeyBytes kept for
-// the next keys (a scratch relation's key slab, by capacity, or the key
-// storage free entries of a pooled relation hold), TupleBytes of the tuple
-// slab (capacity), SlabChunks the chunks the two slabs hold, and the snapshot
-// arena once the relation publishes. TuplesCopied counts the adoptions that
-// copied a tuple (keepTuple) so far. TableBytes is the bucket storage of an
-// IndexedRelation's indexes, in buckets or in stock (tableStock): what
-// MemoryBytes does not charge. Bytes and chunks stop moving after a workload's
-// first full cycle.
+// PoolStats is a relation's retained-but-free storage: Free entries parked,
+// retired or reusable, Reclaimed entries ever handed back for reuse,
+// RowsRetired the removed entries that wait for an epoch to be released (a
+// reader that pins shows as this climbing), KeyBytes kept for the next keys (a
+// scratch relation's key slab, by capacity, or the key storage free entries of
+// a pooled relation hold), TupleBytes of the tuple slab (capacity), SlabChunks
+// the chunks the two slabs hold, and the snapshot arena once the relation
+// publishes. TuplesCopied counts the rows whose cells were bought new so far
+// (0 a cycle once a pool is warm), RowsReused those written into cells a
+// reused entry kept. TableBytes is the bucket storage of an IndexedRelation's
+// indexes, in buckets or in stock (tableStock): what MemoryBytes does not
+// charge. Bytes and chunks stop moving after a workload's first full cycle.
 type PoolStats struct {
 	Free         int
 	Reclaimed    uint64
+	RowsRetired  int
+	RowsReused   uint64
 	KeyBytes     int
 	TupleBytes   int
 	SlabChunks   int
@@ -833,6 +854,8 @@ func (s *PoolStats) AddSlabs(o PoolStats) {
 func (s *PoolStats) Add(o PoolStats) {
 	s.Free += o.Free
 	s.Reclaimed += o.Reclaimed
+	s.RowsRetired += o.RowsRetired
+	s.RowsReused += o.RowsReused
 	s.TuplesCopied += o.TuplesCopied
 	s.TableBytes += o.TableBytes
 	s.AddSlabs(o)
@@ -846,9 +869,11 @@ func (s *PoolStats) Add(o PoolStats) {
 	s.Arena.Headers.Allocated += o.Arena.Headers.Allocated
 }
 
-// PoolStats reports the relation's pool, slabs and snapshot arena.
+// PoolStats reports the relation's pool, slabs and snapshot arena, after
+// freeing the retired rows released epochs gave back (writer goroutine).
 func (r *Relation[P]) PoolStats() PoolStats {
-	return PoolStats{Free: len(r.pool), Reclaimed: r.reclaimed,
+	r.sweepRows()
+	return PoolStats{Free: len(r.pool), Reclaimed: r.reclaimed, RowsRetired: r.ret - r.free, RowsReused: r.rowsReused,
 		KeyBytes: r.keys.bytes() + r.freeKeyBytes, TupleBytes: r.tuples.bytes(), TuplesCopied: r.copied,
 		SlabChunks: len(r.keys.chunks) + len(r.tuples.chunks), Arena: r.arenaStats()}
 }
@@ -891,8 +916,8 @@ func (r *Relation[P]) MemoryBytes() int {
 // slots, pool lists, every entry struct with its inline payload header, the
 // key storage the entries own (keyBytes) or the key slab, and the tuples —
 // the tuple slab's capacity once the relation has taken cells from it (a
-// scratch relation's projections, the rows a base-store relation owns, free
-// entries' included), a schema-wide tuple per stored entry otherwise. It is
+// scratch relation's projections, the rows a pooled relation owns, free and
+// retired entries' included), a schema-wide tuple per stored entry otherwise. It is
 // the whole figure for a ring whose payloads hold nothing outside the entry
 // (the base store's).
 func (r *Relation[P]) flatBytes() int {

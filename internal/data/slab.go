@@ -15,8 +15,8 @@ import (
 // ownership table is physical: after the rewind the storage belongs to the
 // next batch, and whoever kept a key or a tuple reads that batch's. A
 // BatchArena is three slabs under the same contract, rewound per batch; a
-// base-store relation takes the cells of a cold pool's tuples from its tuple
-// slab and never rewinds it.
+// pooled relation takes the cells of a cold pool's rows from its tuple slab
+// and never rewinds it.
 //
 // A chunk is never grown in place — live keys and tuples point into it — so
 // a request that does not fit the open chunk opens the next one: a chunk kept
@@ -29,7 +29,7 @@ type slab[T any] struct {
 	chunks [][]T // every chunk bought, in the order take opens them
 	at     int
 	// maxChunk, when set, stops the doubling at that many elements: a slab
-	// that is never rewound (a base-store relation's) would otherwise end on
+	// that is never rewound (a pooled relation's) would otherwise end on
 	// a chunk as large as everything before it, mostly unused.
 	maxChunk int
 }
@@ -104,9 +104,10 @@ func (s *slab[T]) bytes() int {
 }
 
 // poison makes reclaimed storage unusable instead of merely reusable, so a
-// consumer that kept an entry, a mutable payload, a scratch key or a scratch
-// relation's own tuple past its owner's reclaim point fails the test suites
-// loudly: reclaimed entries get their tuple scribbled, the key storage they
+// consumer that kept an entry, a mutable payload, a key or a tuple past its
+// owner's reclaim point — or a pinned epoch's retired row past its Release —
+// fails the test suites loudly: freed entries get their tuple scribbled (a
+// pooled relation's cells filled with the poison value), the key storage they
 // keep filled with 0xFF and the payload storage they keep NaN-filled, rewound
 // key slabs are filled with 0xFF and rewound tuple slabs with the poison value, and a snapshot arena block no
 // generation pins any more has its sealed entries overwritten (a read through

@@ -116,13 +116,13 @@ type snapState[P any] struct {
 	// The relation owns the payload storage its snapshots share. shares: there
 	// is such storage — the ring accumulates in place and a P is not just a
 	// number, whose sealed copy is the whole payload; nothing below is used
-	// otherwise. Storage the writer moved an entry out of waits in retired,
-	// with the snapshot numbers that can reach it, until none of those has
-	// references left; sweep — once an epoch: swept is the gen it last ran in —
-	// then makes it a spare, which the next unshare or insert writes into. A
-	// reader that pins an epoch delays this, one that never releases defeats
-	// it: the writer allocates as if there were no spares and retired, being
-	// bounded, overflows to the collector.
+	// otherwise. Storage the writer moved a live entry out of waits in
+	// retired (a removed entry keeps its own), with the snapshot numbers that
+	// can reach it, until none of those has references left; sweep — once an
+	// epoch: swept is the gen it last ran in — then makes it a spare, which the
+	// next unshare or new entry writes into. A reader that pins an epoch delays
+	// this, one that never releases defeats it: the writer allocates as if
+	// there were no spares and retired, being bounded, overflows to the collector.
 	shares          bool
 	spares          []P
 	retired         []retiredPayload[P]
@@ -174,13 +174,33 @@ func (s *snapState[P]) sweep() {
 	s.retired = keep
 }
 
+// sweep runs once an epoch, before its first insert or unshare takes storage:
+// retired payloads no unreleased snapshot reads become spares, and retired
+// rows free ones (sweepRows).
+func (r *Relation[P]) sweep() {
+	if s := r.snap; s.swept != s.gen {
+		s.swept = s.gen
+		s.sweep()
+		r.sweepRows()
+	}
+}
+
+// sweepRows frees the retired rows — pool[free:ret] — that no unreleased
+// snapshot reads: all of them in a relation that never published, otherwise
+// those no snapshot numbered born to gen (park) still pins, moved to the
+// front. So a pinned epoch holds only rows it reads, at most its own size.
+func (r *Relation[P]) sweepRows() {
+	for n := r.free; n < r.ret; n++ {
+		if e := r.pool[n]; r.snap == nil || e.born > e.gen || !r.snap.arena.pinned(e.born, e.gen) {
+			r.pool[n], r.pool[r.free] = r.pool[r.free], e
+			r.freeEntry(e)
+		}
+	}
+}
+
 // spare returns payload storage to write into — capacity only, the contents
 // are dead — or the zero P when no released epoch has given any up.
 func (s *snapState[P]) spare() (p P) {
-	if s.swept != s.gen {
-		s.swept = s.gen
-		s.sweep()
-	}
 	if n := len(s.spares); n > 0 {
 		var zero P
 		p, s.spares[n-1] = s.spares[n-1], zero
@@ -204,18 +224,19 @@ func copyFresh[P any](mut ring.Mutable[P], dst *P, spare, src P) {
 // storage they do not — holding a deep copy of src — and retires the old.
 func (r *Relation[P]) unshare(e *Entry[P], src P) {
 	s := r.snap
+	r.sweep()
 	old := e.Payload
 	copyFresh(r.mut, &e.Payload, s.spare(), src)
 	s.retire(old, e.gen)
 }
 
 // sealed returns the snapshot-owned copy of a live entry: the entry value
-// sharing the (immutable) tuple and the payload. For rings with in-place
-// accumulation the shared payload storage is protected by the entry's
-// generation — the live side leaves it on the next touch (touchEntry) and
-// writes into it again only after the snapshot's last Release — so sealing is
-// O(1) regardless of payload size, and entry values land directly in arena
-// runs instead of individual heap allocations.
+// sharing key bytes, tuple and payload (a removed entry is retired whole). For
+// rings with in-place accumulation the shared payload storage is protected by
+// the entry's generation — the live side leaves it on the next touch
+// (touchEntry) and writes into it again only after the snapshot's last Release
+// — so sealing is O(1) regardless of payload size, and entry values land
+// directly in arena runs instead of individual heap allocations.
 func sealed[P any](e *Entry[P]) Entry[P] {
 	return Entry[P]{key: e.key, hash: e.hash, Tuple: e.Tuple, Payload: e.Payload}
 }
@@ -250,10 +271,11 @@ func (r *Relation[P]) markEntry(e *Entry[P]) {
 // markInserted records a freshly inserted entry: its key goes in the dirty
 // list unconditionally (a recycled entry struct may carry a current gen for
 // a different key) and its generation is made current — fresh payload
-// storage is writer-owned until the next publish seals it.
+// storage is writer-owned until the next publish seals it, the first to read
+// its key and tuple (born).
 func (r *Relation[P]) markInserted(e *Entry[P]) {
 	if s := r.snap; s != nil {
-		e.gen = s.gen
+		e.gen, e.born = s.gen, s.gen
 		s.dirtyKeys = append(s.dirtyKeys, e.key)
 	}
 }
@@ -314,8 +336,9 @@ func (r *Relation[P]) Snapshot() *RelationSnapshot[P] {
 // Seal wraps a relation that will never be mutated again into a snapshot,
 // copying its entry values (but not tuples or payload storage) into sorted
 // chunks. It is the cheap publication path for results rebuilt wholesale per
-// batch (re-evaluation, parallel shard reduction). Mutating the relation
-// after Seal corrupts the snapshot.
+// batch (re-evaluation). Mutating the relation after Seal corrupts the
+// snapshot, and so does a pooled relation's reclaim point: reuse overwrites
+// the keys and tuples it shares (ReduceSealed copies them).
 func (r *Relation[P]) Seal() *RelationSnapshot[P] {
 	return r.buildSnapshot()
 }

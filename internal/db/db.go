@@ -281,17 +281,20 @@ type ViewStats struct {
 	PublishedKeys uint64
 	// PoolFree, Reclaimed, ScratchKeyBytes and ScratchTupleBytes are the
 	// storage the view retains for reuse, as of its last batch
-	// (data.PoolStats): entries its relations hold parked or free, entries
-	// handed back for reuse so far, and the key-slab and tuple-slab bytes of
-	// the scratch relations that feed it and that its delta plans fill.
-	// TuplesCopied counts the keys its views adopted by copying the tuple
-	// (a volatile batch's, a slab-backed step output's) instead of sharing it.
+	// (data.PoolStats): entries its relations hold parked, retired or free,
+	// entries handed back for reuse so far, the key-slab bytes of the scratch
+	// relations that feed it and that its delta plans fill, and the tuple-slab
+	// bytes of those and of its views' rows. TuplesCopied counts the rows its
+	// views bought cells for, RowsReused those written into a reused entry's,
+	// RowsRetired the removed rows waiting for an epoch a reader still holds.
 	// IndexTableBytes is the bucket storage of its secondary indexes, held or
-	// in stock, and SlabChunks the chunks behind the scratch slabs: bought in
-	// the first cycle of a workload, constant after it.
+	// in stock, and SlabChunks the chunks behind the slabs: bought in the
+	// first cycle of a workload, constant after it.
 	// Zero for strategies that do not pool.
 	PoolFree          int
 	Reclaimed         uint64
+	RowsRetired       int
+	RowsReused        uint64
 	ScratchKeyBytes   int
 	ScratchTupleBytes int
 	TuplesCopied      uint64

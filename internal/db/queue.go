@@ -88,20 +88,31 @@ func (q *ApplyQueue) enqueue(it queueItem) error {
 	}
 }
 
+// replies holds the items' reply channels: one goes back only once its one
+// reply was received (await), or unused when its item was refused.
+var replies = sync.Pool{New: func() any { return make(chan error, 1) }}
+
+func await(it queueItem) error {
+	err := <-it.res
+	replies.Put(it.res)
+	return err
+}
+
 // TryApply enqueues a batch if the queue has room — ErrQueueFull otherwise —
 // and waits for it to be applied. This is the backpressure write path.
 func (q *ApplyQueue) TryApply(batch []Update) error {
-	it := queueItem{batch: batch, res: make(chan error, 1)}
+	it := queueItem{batch: batch, res: replies.Get().(chan error)}
 	if err := q.enqueue(it); err != nil {
+		replies.Put(it.res)
 		return err
 	}
-	return <-it.res
+	return await(it)
 }
 
 // Apply enqueues a batch, waiting for room if the queue is full, and then
 // for the batch to be applied. Use TryApply to shed load instead.
 func (q *ApplyQueue) Apply(batch []Update) error {
-	return q.wait(queueItem{batch: batch, res: make(chan error, 1)})
+	return q.wait(queueItem{batch: batch, res: replies.Get().(chan error)})
 }
 
 // Do runs fn on the maintenance goroutine, after everything enqueued before
@@ -109,7 +120,7 @@ func (q *ApplyQueue) Apply(batch []Update) error {
 // single-writer operation (checkpoints, one-shot SELECT views). fn's
 // side effects are visible to the caller when Do returns.
 func (q *ApplyQueue) Do(fn func(*DB) error) error {
-	return q.wait(queueItem{fn: fn, res: make(chan error, 1)})
+	return q.wait(queueItem{fn: fn, res: replies.Get().(chan error)})
 }
 
 // wait enqueues blocking-ly: it retries with a small backoff rather than
@@ -119,9 +130,10 @@ func (q *ApplyQueue) wait(it queueItem) error {
 	for backoff := 50 * time.Microsecond; ; {
 		err := q.enqueue(it)
 		if err == nil {
-			return <-it.res
+			return await(it)
 		}
 		if err != ErrQueueFull {
+			replies.Put(it.res)
 			return err
 		}
 		time.Sleep(backoff)

@@ -126,3 +126,50 @@ func TestApplyQueueCloseDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAllocGuardQueue: a TryApply round trip allocates nothing beyond what the
+// Apply it runs does — the reply channel is the queue's, recycled once its one
+// reply is received — and a refused item hands its channel back unused.
+func TestAllocGuardQueue(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc guards run in the non-race pass")
+	}
+	d, err := Open(testCatalog(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	dashboard(t, d)
+	q := NewApplyQueue(d, 4)
+	defer q.Close()
+	batches := [2][]Update{{Insert("R", tup(1, 2), tup(2, 3))}, {Delete("R", tup(1, 2), tup(2, 3))}}
+	i := 0
+	alternate := func(apply func([]Update) error) func() {
+		return func() {
+			if err := apply(batches[i%2]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+	}
+	// Between round trips the maintenance goroutine waits on the queue, so
+	// applying from here is the single writer too.
+	direct, queued := alternate(d.Apply), alternate(q.TryApply)
+	for range 200 {
+		direct()
+		queued()
+	}
+	want := testing.AllocsPerRun(400, direct)
+	if got := testing.AllocsPerRun(400, queued); got > want {
+		t.Errorf("a TryApply round trip allocates %.2f objects, the Apply it runs %.2f", got, want)
+	}
+	q.Close()
+	refused := func() {
+		if err := q.TryApply(batches[0]); !errors.Is(err, ErrQueueClosed) {
+			t.Fatalf("TryApply on a closed queue: %v", err)
+		}
+	}
+	if got := testing.AllocsPerRun(100, refused); got != 0 {
+		t.Errorf("a refused TryApply allocates %.2f objects: its reply channel did not go back", got)
+	}
+}

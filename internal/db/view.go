@@ -167,13 +167,14 @@ func CreateView[P any](d *DB, name string, q query.Query, r ring.Ring[P], lift d
 
 	// Backfill from the shared base store: lift each base relation's
 	// multiplicities into the view's ring and hand the fresh relation over
-	// owned, so Init adopts it without another copy.
+	// owned, so Init adopts it without another copy: pooled from the start.
 	for _, rel := range v.rels {
 		base := d.store.Base(rel)
 		if base == nil || base.Len() == 0 {
 			continue
 		}
 		conv := data.NewRelation[P](r, base.Schema())
+		conv.Reclaim()
 		conv.Reserve(base.Len())
 		fillLifted(conv, base, r)
 		if err := ivm.LoadOwned(m, rel, conv); err != nil {
@@ -298,6 +299,7 @@ func (v *View[P]) observe(batch []data.BaseUpdate) error {
 			ps.AddSlabs(nd.Delta.PoolStats())
 		}
 		v.vstats.PoolFree, v.vstats.Reclaimed = ps.Free, ps.Reclaimed
+		v.vstats.RowsRetired, v.vstats.RowsReused = ps.RowsRetired, ps.RowsReused
 		v.vstats.ScratchKeyBytes, v.vstats.ScratchTupleBytes = ps.KeyBytes, ps.TupleBytes
 		v.vstats.TuplesCopied = ps.TuplesCopied
 		v.vstats.IndexTableBytes, v.vstats.SlabChunks = ps.TableBytes, ps.SlabChunks

@@ -15,11 +15,13 @@ import (
 // recycling scratch relations the way db.View feeds it, and then its
 // retraction in the same order — the dimensions go while Inventory is full, so
 // a step output is at its largest in the retract half. The first cycle buys
-// tables, index buckets, slab chunks, pool lists and payload storage; from the
-// second on a cycle allocates nothing: no table grows (tombstones never grow
-// one, an index's bucket tables come back by size class whichever directory
-// node serves which key), no slab opens a chunk (the rewind keeps them), and
-// what the engine holds is the same at every top and every bottom.
+// tables, index buckets, slab chunks, pool lists, payload storage and the
+// views' rows; from the second on a cycle allocates nothing: no table grows
+// (tombstones never grow one, an index's bucket tables come back by size class
+// whichever directory node serves which key), no slab opens a chunk (the
+// rewind keeps them), every row a view adopts lands in the cells of an entry a
+// removal gave back, and what the engine holds is the same at every top and
+// every bottom.
 func TestAllocGuardCycle(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc guards run in the non-race pass")
@@ -59,28 +61,18 @@ func TestAllocGuardCycle(t *testing.T) {
 			}
 		}
 	}
-	// What the engine holds (the cumulative counters aside), and the bytes of
-	// the tuples its views adopted by copy: a key that arrives in a slab-backed
-	// step output costs its view one heap tuple (keepTuple), 32 bytes a
-	// column — ROADMAP's open keepTuple item, the one thing a cycle still buys.
+	// What the engine holds, the cumulative counters aside.
 	type held struct {
 		pool data.PoolStats
 		mem  int
 	}
 	holds := func() held {
 		ps := e.PoolStats()
-		ps.Reclaimed, ps.TuplesCopied = 0, 0
+		ps.Reclaimed, ps.TuplesCopied, ps.RowsReused = 0, 0, 0
 		return held{ps, e.MemoryBytes()}
-	}
-	adopted := func() (bytes uint64) {
-		for _, v := range e.views {
-			bytes += v.PoolStats().TuplesCopied * uint64(len(v.Schema())) * 32
-		}
-		return bytes
 	}
 	cycle := func() (top, bottom held, bytes uint64) {
 		var m0, m1 runtime.MemStats
-		copied := adopted()
 		runtime.ReadMemStats(&m0)
 		half(cf.One())
 		runtime.ReadMemStats(&m1)
@@ -96,23 +88,30 @@ func TestAllocGuardCycle(t *testing.T) {
 		if e.Result().Len() != 0 {
 			t.Fatalf("empty database: result has %d keys", e.Result().Len())
 		}
-		return top, holds(), bytes - (adopted() - copied)
+		return top, holds(), bytes
 	}
 	_, _, first := cycle()
 	// The retract half buys too (a dimension retracted against the full
 	// Inventory is the largest step output there is): what a full cycle has
 	// bought is what the second cycle holds.
+	bought := e.PoolStats()
 	top2, bottom2, second := cycle()
 	if top2.pool.TableBytes == 0 || top2.pool.SlabChunks == 0 || bottom2.pool.Free == 0 {
 		t.Fatalf("fixture: no index bucket, slab chunk or pooled entry after two cycles: %+v, %+v", top2.pool, bottom2.pool)
 	}
 	if second != 0 {
-		t.Errorf("cycle 2 allocated %d bytes beside the tuples its views adopted (the first: %d), want 0", second, first)
+		t.Errorf("cycle 2 allocated %d bytes (the first: %d), want 0", second, first)
+	}
+	// The counters behind the rows: none bought, every one re-created in a
+	// reused entry — as many as the cycle removed.
+	if ps := e.PoolStats(); ps.TuplesCopied != bought.TuplesCopied || ps.RowsReused-bought.RowsReused != ps.Reclaimed-bought.Reclaimed {
+		t.Errorf("cycle 2 bought %d rows and reused %d for %d it removed, want none bought and all reused",
+			ps.TuplesCopied-bought.TuplesCopied, ps.RowsReused-bought.RowsReused, ps.Reclaimed-bought.Reclaimed)
 	}
 	for c := 3; c <= 6; c++ {
 		top, bottom, bytes := cycle()
 		if bytes != 0 {
-			t.Errorf("cycle %d allocated %d bytes beside the tuples its views adopted, want 0", c, bytes)
+			t.Errorf("cycle %d allocated %d bytes, want 0", c, bytes)
 		}
 		// The counters behind the zero: a table that grew would show in
 		// MemoryBytes (primary tables, pool lists) or TableBytes (index

@@ -415,8 +415,7 @@ func (e *Engine[P]) Init() error {
 	build = func(n *viewtree.Node) *data.Relation[P] {
 		rel := e.evalFromChildren(n, build)
 		if e.mat[n] {
-			ir := data.NewIndexedRelation(rel)
-			e.views[n] = ir
+			e.views[n] = newView(rel)
 		}
 		return rel
 	}
@@ -569,11 +568,17 @@ func (e *Engine[P]) PoolStats() data.PoolStats {
 	return ps
 }
 
+// newView wraps a relation Init or a replan evaluated as a materialized view,
+// declaring its reclaim point, and with it its own rows, before any insert.
+func newView[P any](rel *data.Relation[P]) *data.IndexedRelation[P] {
+	ir := data.NewIndexedRelation(rel)
+	ir.Reclaim()
+	return ir
+}
+
 // reclaim is the engine's end-of-batch hook, after the epoch is published:
 // the batch's work items and index probes all being dead, every view reclaims
-// the entries the batch removed (data.Relation.Reclaim). The loop runs over
-// whatever e.views holds now, so views built by Init and by a mid-stream
-// replan are pooled alike from their first batch on.
+// the entries the batch removed (data.Relation.Reclaim).
 func (e *Engine[P]) reclaim() {
 	for _, v := range e.views {
 		v.Reclaim()

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -199,6 +200,8 @@ func TestReadAfterReleaseIsPoisoned(t *testing.T) {
 // what the ReEval oracle and the live views held at that epoch's batch — and
 // so must the epoch a three-shard Parallel reduces from the same batches —
 // while payload storage the released epochs gave up is written into again.
+// The rows the epochs hold bound the pool: it never holds more than a lease
+// window's removals, and with every lease gone a further cycle buys nothing.
 func TestLeasesUnderChurn(t *testing.T) {
 	const nKeys, fan, batches, catalogAt, readers = 5, 3, 120, 40, 4
 	cf := ring.Cofactor{}
@@ -261,6 +264,10 @@ func TestLeasesUnderChurn(t *testing.T) {
 		catalogued bool   // the writer has asked for the catalogue (guarded by mu)
 		wg         sync.WaitGroup
 		stop       = make(chan struct{})
+		// passed[r] is the applied count reader r's last full pass began at: the
+		// writer waits for every reader to pass once per batch, so a lease ends
+		// at most one batch after its until.
+		passed [readers]atomic.Uint64
 	)
 	check := func(s *ViewSnapshot[ring.Triple]) {
 		mu.Lock()
@@ -280,9 +287,9 @@ func TestLeasesUnderChurn(t *testing.T) {
 	}
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
-		go func(seed int64) {
+		go func(r int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
+			rng := rand.New(rand.NewSource(int64(r + 1)))
 			type lease struct {
 				s     *ViewSnapshot[ring.Triple]
 				until uint64
@@ -321,10 +328,12 @@ func TestLeasesUnderChurn(t *testing.T) {
 						keep = append(keep, l)
 					}
 				}
+				clear(held[len(keep):]) // a stale slot would keep a recycled struct, forgotten as a later epoch, from the backstop
 				held = keep
+				passed[r].Store(now)
 				runtime.Gosched()
 			}
-		}(int64(r + 1))
+		}(r)
 	}
 
 	apply := func(batch []NamedDelta[ring.Triple]) {
@@ -363,7 +372,10 @@ func TestLeasesUnderChurn(t *testing.T) {
 		}
 	}
 	apply(load)
-	for b := 0; b < batches; b++ {
+	// churn(b) deletes the slice under key b mod nKeys and puts back the one
+	// batch b-1 deleted.
+	churn := func(b int) {
+		t.Helper()
 		a, prev := b%nKeys, (b+nKeys-1)%nKeys
 		var batch []NamedDelta[ring.Triple]
 		for _, rd := range q.Rels {
@@ -373,14 +385,22 @@ func TestLeasesUnderChurn(t *testing.T) {
 			}
 		}
 		apply(batch)
+	}
+	for b := 0; b < batches; b++ {
+		churn(b)
 		if b == catalogAt {
 			e.Catalog().Release()
 			mu.Lock()
 			catalogued = true
 			mu.Unlock()
 		}
-		if b%16 == 0 {
-			runtime.GC() // let forgotten leases reach the backstop mid-run
+		for r := range passed {
+			for passed[r].Load() < uint64(b+2) { // the load and b+1 batches
+				runtime.Gosched()
+			}
+		}
+		if b%4 == 0 {
+			runtime.GC() // forgotten leases reach the backstop within four batches of their generation's end
 		}
 	}
 	close(stop)
@@ -389,20 +409,54 @@ func TestLeasesUnderChurn(t *testing.T) {
 	if ps.Reclaimed < batches || ps.Arena.PayloadsReused == 0 {
 		t.Fatalf("the churn never went through the pool, or no released epoch's payload storage came back: %+v", ps)
 	}
-	t.Logf("arena after %d batches: %+v", batches, ps.Arena)
-	// Recycling the epoch headers leaves what the writer alone decides as it
-	// was in the commit before it — the entry pools and the slabs — and every
-	// publish takes one header per snapshot, whoever releases: those the
-	// readers released were built in again, the forgotten tenth and whatever
-	// was still held when the writer came by were not.
+	t.Logf("pool after %d batches: %+v", batches, ps)
+	// The writer alone decides how many entries it removed and how many rows
+	// it inserted, each one reused or bought; and every publish takes one
+	// header per snapshot, whoever releases: those the readers released were
+	// built in again, the forgotten tenth and whatever was still held when the
+	// writer came by were not.
 	h := ps.Arena.Headers
-	ps.Arena = data.ArenaStats{}
-	ps.TableBytes = 0 // which buckets need a class at once follows the process's hash seed
-	if want := (data.PoolStats{Free: 9, Reclaimed: 1080, KeyBytes: 8192, TupleBytes: 2048, SlabChunks: 10, TuplesCopied: 10}); ps != want {
-		t.Errorf("pool stats %+v, want %+v", ps, want)
+	if ps.Reclaimed != 1080 || ps.TuplesCopied+ps.RowsReused != 1116 {
+		t.Errorf("pool stats %+v, want 1080 entries reclaimed and 1116 rows inserted", ps)
+	}
+	// Which removed rows waited, retired, and which were free for the next
+	// insert is up to the readers; how long a row can wait is not. A lease
+	// ends at most 41+1 batches after its epoch (the writer waits for every
+	// reader to pass once a batch), a forgotten one with its generation — 16
+	// publishes and their leases — plus 4 batches to the next collection and 1
+	// to the drain: 64 batches at most. So the pool holds no more than the
+	// entries 64 batches remove, 9 a batch, and the views no more rows than
+	// that beside the 36 live ones. Their slabs follow: at most twice the cells
+	// those rows take (3 a row at most, 32 bytes a cell) plus a first 1 KiB
+	// chunk each, beside the 2 KiB and 10 chunks of the delta scratch slabs;
+	// a slab that doubles from 1 KiB passes twice that in 7 chunks.
+	const window, removed, live = 64, 1080 / batches, 1116 - 1080
+	rowsMax := window*removed + live
+	if ps.Free > window*removed || int(ps.TuplesCopied) > rowsMax ||
+		ps.TupleBytes > 2*rowsMax*3*32+e.ViewCount()*1024+2048 || ps.SlabChunks > 7*e.ViewCount()+10 {
+		t.Errorf("pool stats %+v: past the ceiling of %d batches' removals and %d rows", ps, window, rowsMax)
 	}
 	if h.Reused == 0 || h.Allocated == 0 || h.Reused+h.Allocated != 565 {
 		t.Errorf("headers %+v, want 565 taken, some of them reused", h)
+	}
+	// Every lease released and the forgotten ones collected, no row waits; and
+	// a further cycle of the churn buys nothing: every row lands in a pooled
+	// entry, and no slab grows.
+	b := batches
+	for ; e.PoolStats().RowsRetired > 0; b++ {
+		if b == batches+50 {
+			t.Fatalf("%+v: rows still retired with every lease released or collected", e.PoolStats())
+		}
+		runtime.GC()
+		churn(b)
+	}
+	before := e.PoolStats()
+	for end := b + nKeys; b < end; b++ {
+		churn(b)
+	}
+	if ps := e.PoolStats(); ps.TuplesCopied != before.TuplesCopied || ps.RowsRetired != 0 ||
+		ps.TupleBytes != before.TupleBytes || ps.SlabChunks != before.SlabChunks || ps.Free != before.Free {
+		t.Errorf("a cycle with no lease held grew the pool: %+v, was %+v", ps, before)
 	}
 }
 

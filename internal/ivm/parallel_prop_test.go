@@ -3,6 +3,7 @@ package ivm
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fivm/internal/data"
@@ -301,5 +302,74 @@ func TestParallelRejectedBatchLeavesNoRoutes(t *testing.T) {
 	}
 	if got, want := par.Result().String(), seq.Result().String(); got != want || got == before {
 		t.Fatalf("after a good batch: parallel %s vs sequential %s (before: %s)", got, want, before)
+	}
+}
+
+// TestParallelEpochOutlivesShardReuse: a Parallel's epoch is its shards'
+// results reduced and sealed, and a reader holds one across batches that
+// delete every key it reads and insert others — which the shards' result views
+// store in the entries those keys left, key bytes and tuple cells included.
+// Under the poison hook the held epoch must still read each key, its tuple and
+// its payload as published: the reduction owns what it sealed.
+func TestParallelEpochOutlivesShardReuse(t *testing.T) {
+	q := paperQuery("A")
+	par, err := NewParallel[int64](q, ring.Int{}, 3, func() (Maintainer[int64], error) {
+		return New[int64](q, paperOrder(), ring.Int{}, countLift, Options[int64]{})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer par.Close()
+	if err := par.Init(); err != nil {
+		t.Fatal(err)
+	}
+	// groups(from, mult) joins into one result key a, with count 1, for every
+	// a in [from, from+12): each relation holds the row whose values all read a.
+	groups := func(from, mult int64) []NamedDelta[int64] {
+		var b []NamedDelta[int64]
+		for _, rd := range q.Rels {
+			d := data.NewRelation[int64](ring.Int{}, rd.Schema)
+			for a := from; a < from+12; a++ {
+				tu := make(data.Tuple, len(rd.Schema))
+				for i := range tu {
+					tu[i] = data.Int(a)
+				}
+				d.Merge(tu, mult)
+			}
+			b = append(b, NamedDelta[int64]{Rel: rd.Name, Delta: d})
+		}
+		return b
+	}
+	apply := func(b []NamedDelta[int64]) {
+		t.Helper()
+		if err := par.ApplyDeltas(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply(groups(0, 1))
+	held := par.Snapshot()
+	defer held.Release()
+	want := map[string]int64{}
+	held.Result().IterateEntries(func(e *data.Entry[int64]) bool {
+		want[strings.Clone(e.Key())] = e.Payload
+		return true
+	})
+	if len(want) != 12 {
+		t.Fatalf("fixture: the held epoch reads %d keys, want 12", len(want))
+	}
+	for round := int64(1); round <= 4; round++ {
+		apply(groups(12*(round-1), -1))
+		apply(groups(12*round, 1))
+		n := 0
+		held.Result().IterateEntries(func(e *data.Entry[int64]) bool {
+			n++
+			if p, ok := want[e.Key()]; !ok || p != e.Payload || string(e.Tuple.AppendKey(nil)) != e.Key() {
+				t.Fatalf("round %d: the held epoch reads %v -> %d under %q", round, e.Tuple, e.Payload, e.Key())
+			}
+			return true
+		})
+		if n != len(want) {
+			t.Fatalf("round %d: the held epoch reads %d keys, want %d", round, n, len(want))
+		}
 	}
 }

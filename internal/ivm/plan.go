@@ -245,8 +245,8 @@ func (p *deltaPlan[P]) run(e *Engine[P], delta *data.Relation[P]) error {
 	}
 	// A delta whose tuples die with its batch — a BatchArena's, handed through
 	// the conversion scratch, or a scratch relation's own — lends none to the
-	// step outputs: every step of this run projects into its slab, and the
-	// views copy what they adopt from there (data.Relation.keepTuple).
+	// step outputs: every step of this run projects into its slab. The views
+	// copy every row they adopt, from anywhere, into cells of their own.
 	durable := !delta.VolatileTuples()
 	cur := delta
 	for _, st := range p.steps {

@@ -209,12 +209,13 @@ func copyDump(in map[string]ring.Triple) map[string]ring.Triple {
 // TestPoolRespectsPinnedEpochs: readers hold root snapshots — and, once the
 // catalogue was asked for, snapshots of every internal view — across churn
 // batches that delete exactly the keys those epochs pin and insert them
-// again, so the views' pools hand the pinned entries' structs out again while
-// the epochs are still being read. Every pinned epoch must keep equal to the
-// re-evaluation oracle taken at its batch; run under -race, a payload buffer
-// reused while an epoch shares it is also a reported race. The epochs of the
-// first half stay pinned to the end; those of the second are released three
-// batches later, and the payload storage they give up must come back.
+// again, so the views' pools would hand the pinned rows — entry, key bytes,
+// tuple cells — out again while the epochs are still being read. Every pinned
+// epoch must keep its keys and tuples and equal the re-evaluation oracle taken
+// at its batch; run under -race, a payload buffer reused while an epoch shares
+// it is also a reported race. The epochs of the first half stay pinned to the
+// end; those of the second are released three batches later, and the payload
+// storage they give up must come back.
 func TestPoolRespectsPinnedEpochs(t *testing.T) {
 	const nKeys, fan, batches, catalogAt = 5, 3, 60, 20
 	cf := ring.Cofactor{}
@@ -269,8 +270,15 @@ func TestPoolRespectsPinnedEpochs(t *testing.T) {
 		done    = make(chan struct{})
 		wg      sync.WaitGroup
 	)
+	// An epoch reads its keys and its tuples (the dump is keyed by the tuple's
+	// encoding) as they were: the rows it reads wait, retired, until it goes.
 	verify := func(p pin) bool {
-		return sameDump(dumpSnapshot(p.snap, cf), p.want, sameTriple)
+		rows := true
+		p.snap.IterateEntries(func(en *data.Entry[ring.Triple]) bool {
+			rows = string(en.Tuple.AppendKey(nil)) == en.Key()
+			return rows
+		})
+		return rows && sameDump(dumpSnapshot(p.snap, cf), p.want, sameTriple)
 	}
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
@@ -372,16 +380,39 @@ func TestPoolRespectsPinnedEpochs(t *testing.T) {
 	if ps.Reclaimed < batches || ps.Arena.PayloadsReused == 0 {
 		t.Fatalf("the churn never went through the pool, or no released epoch's payload storage came back: %+v", ps)
 	}
-	// Recycling the epoch headers changes nothing else the pools count: these
-	// are the figures of the commit before it, the writer alone deciding them.
+	// A held epoch holds the rows it reads and no other: what waits retired is
+	// exactly the rows the epochs still held read and the views no longer store.
+	read := map[*data.Value]bool{}
+	for _, l := range append(passing, lease{pins: pins}) {
+		for _, p := range l.pins {
+			p.snap.IterateEntries(func(en *data.Entry[ring.Triple]) bool {
+				read[&en.Tuple[0]] = true
+				return true
+			})
+		}
+	}
+	for _, v := range e.views {
+		v.IterateEntries(func(en *data.Entry[ring.Triple]) bool {
+			delete(read, &en.Tuple[0])
+			return true
+		})
+	}
+	if ps.RowsRetired != len(read) {
+		t.Errorf("%d rows retired, want the %d removed rows the held epochs read", ps.RowsRetired, len(read))
+	}
+	// The writer alone decides these figures. The first half's epochs, pinned
+	// to the end, and the last three of the second hold 155 rows retired; the
+	// inserts that would have reused them bought theirs (200 rows bought, 376
+	// re-created in reused entries), and a removed key's payload storage waits
+	// with its row instead of coming back as a spare.
 	h := ps.Arena.Headers
 	ps.Arena.Headers = data.Recycled{}
 	if ps.TableBytes == 0 {
 		t.Errorf("no index bucket storage reported: %+v", ps)
 	}
 	ps.TableBytes = 0 // which buckets need a class at once follows the process's hash seed
-	if want := (data.PoolStats{Free: 9, Reclaimed: 540, KeyBytes: 8192, TupleBytes: 2048, SlabChunks: 10, TuplesCopied: 10,
-		Arena: data.ArenaStats{BlocksLive: 11, GenerationsOpen: 11, PayloadsReused: 608}}); ps != want {
+	if want := (data.PoolStats{Free: 164, Reclaimed: 540, RowsRetired: 155, RowsReused: 376, KeyBytes: 8376, TupleBytes: 15360,
+		SlabChunks: 18, TuplesCopied: 200, Arena: data.ArenaStats{BlocksLive: 11, GenerationsOpen: 11, PayloadsReused: 374}}); ps != want {
 		t.Errorf("pool stats %+v, want %+v", ps, want)
 	}
 	// The epochs of the first half stay pinned and so do their headers; the

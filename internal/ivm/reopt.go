@@ -132,7 +132,7 @@ func (e *Engine[P]) replan(o *vorder.Order) error {
 		}
 		rel := e.evalFromChildren(n, build)
 		if e.mat[n] {
-			e.views[n] = data.NewIndexedRelation(rel)
+			e.views[n] = newView(rel)
 		}
 		return rel
 	}

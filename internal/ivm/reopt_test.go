@@ -152,6 +152,7 @@ func TestAdaptiveReoptimizationMigrates(t *testing.T) {
 	if err := ref.Init(); err != nil {
 		t.Fatal(err)
 	}
+	adaptive.Snapshot().Release() // publishing, like a db view: removed root rows retire
 
 	rng := rand.New(rand.NewSource(31))
 	apply := func(rel string, wideC bool) {
@@ -194,9 +195,14 @@ func TestAdaptiveReoptimizationMigrates(t *testing.T) {
 	if adaptive.Replans() == 0 {
 		t.Fatal("no re-plan despite hard statistics drift")
 	}
-	// Post-migration maintenance must remain correct for every relation.
+	// Post-migration maintenance must remain correct for every relation, and
+	// with no epoch held no view may keep a removed row waiting.
 	for i := 0; i < 24; i++ {
 		apply(q.RelNames()[i%3], i%2 == 0)
+	}
+	checkViewTuples[int64](t, "after the replans", adaptive)
+	if ps := adaptive.PoolStats(); ps.RowsRetired != 0 {
+		t.Errorf("%d removed rows wait on epochs nobody holds: %+v", ps.RowsRetired, ps)
 	}
 }
 

@@ -276,6 +276,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, e *db.Epoch
 		ViewsMaterialized int    `json:"views_materialized"`
 		PoolFree          int    `json:"pool_free"`
 		Reclaimed         uint64 `json:"reclaimed"`
+		RowsRetired       int    `json:"rows_retired"`
+		RowsReused        uint64 `json:"rows_reused"`
 		ScratchKeyBytes   int    `json:"scratch_key_bytes"`
 		ScratchTupleBytes int    `json:"scratch_tuple_bytes"`
 		TuplesCopied      uint64 `json:"tuples_copied"`
@@ -292,7 +294,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, e *db.Epoch
 	for _, name := range names {
 		st, _ := e.Stats(name)
 		perView[name] = viewStats{PublishedKeys: st.PublishedKeys, ViewsMaterialized: st.ViewCount,
-			PoolFree: st.PoolFree, Reclaimed: st.Reclaimed,
+			PoolFree: st.PoolFree, Reclaimed: st.Reclaimed, RowsRetired: st.RowsRetired, RowsReused: st.RowsReused,
 			ScratchKeyBytes: st.ScratchKeyBytes, ScratchTupleBytes: st.ScratchTupleBytes,
 			TuplesCopied: st.TuplesCopied, IndexTableBytes: st.IndexTableBytes, SlabChunks: st.SlabChunks,
 			ArenaBlocks: st.Arena.BlocksLive, ArenaFree: st.Arena.BlocksFree,
