@@ -277,8 +277,8 @@ func replCatalog(d *db.DB) sqlparse.Catalog {
 
 // showStorage prints the base store, the views' rows, the batch intake and the
 // last checkpoint as the current epoch carries them (what GET /stats reports
-// as base_store, view_stats.*.tuples_copied/rows_reused/rows_retired, ingest
-// and checkpoint).
+// as base_store, view_stats.*.tuples_copied/rows_reused/rows_retired/
+// arena_retired, ingest and checkpoint).
 func showStorage(d *db.DB, out io.Writer) {
 	e := d.Epoch()
 	defer e.Release()
@@ -292,8 +292,8 @@ func showStorage(d *db.DB, out io.Writer) {
 	}
 	for _, name := range e.Views() {
 		st, _ := e.Stats(name)
-		fmt.Fprintf(out, "  view %-12s rows %d bought, %d reused, %d retired (climbing: a reader pins epochs); index tables %s, %d slab chunks (both constant after a workload's first cycle)\n",
-			name, st.TuplesCopied, st.RowsReused, st.RowsRetired, fmtBytes(st.IndexTableBytes), st.SlabChunks)
+		fmt.Fprintf(out, "  view %-12s rows %d bought, %d reused, %d retired, arena blocks %d retired (climbing: a reader pins epochs); index tables %s, %d slab chunks (both constant after a workload's first cycle)\n",
+			name, st.TuplesCopied, st.RowsReused, st.RowsRetired, st.Arena.BlocksRetired, fmtBytes(st.IndexTableBytes), st.SlabChunks)
 	}
 	fmt.Fprintf(out, "  ingest: last batch arena %s; frames leased %d, allocated %d\n",
 		fmtBytes(e.Ingest.ArenaBytes), e.Ingest.FramesLeased, e.Ingest.FramesAllocated)

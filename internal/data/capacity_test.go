@@ -212,9 +212,17 @@ func TestIndexBucketTablesBySize(t *testing.T) {
 	first := cycle()
 	held = ir.PoolStats().TableBytes
 	for c := 2; c <= 4; c++ {
-		if bytes := cycle(); bytes != 0 || ir.PoolStats().TableBytes != held {
-			t.Errorf("cycle %d allocated %d bytes (the first: %d) and holds %d table bytes (after the first: %d), want 0 and the same",
-				c, bytes, first, ir.PoolStats().TableBytes, held)
+		// The runtime allocates on its own now and then (starting a thread,
+		// say): of three runs of a cycle the least is the index's.
+		bytes := ^uint64(0)
+		for range 3 {
+			bytes = min(bytes, cycle())
+			if tb := ir.PoolStats().TableBytes; tb != held {
+				t.Errorf("cycle %d holds %d table bytes (after the first: %d), want the same", c, tb, held)
+			}
+		}
+		if bytes != 0 {
+			t.Errorf("cycle %d allocated %d bytes at the least (the first: %d), want 0", c, bytes, first)
 		}
 	}
 }

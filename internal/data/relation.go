@@ -861,6 +861,7 @@ func (s *PoolStats) Add(o PoolStats) {
 	s.AddSlabs(o)
 	s.Arena.BlocksLive += o.Arena.BlocksLive
 	s.Arena.BlocksFree += o.Arena.BlocksFree
+	s.Arena.BlocksRetired += o.Arena.BlocksRetired
 	s.Arena.GenerationsOpen += o.Arena.GenerationsOpen
 	s.Arena.BackstopReclaims += o.Arena.BackstopReclaims
 	s.Arena.PayloadsReused += o.Arena.PayloadsReused

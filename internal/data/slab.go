@@ -110,7 +110,7 @@ func (s *slab[T]) bytes() int {
 // pooled relation's cells filled with the poison value), the key storage they
 // keep filled with 0xFF and the payload storage they keep NaN-filled, rewound
 // key slabs are filled with 0xFF and rewound tuple slabs with the poison value, and a snapshot arena block no
-// generation pins any more has its sealed entries overwritten (a read through
+// unreleased snapshot reads any more has its sealed entries overwritten (a read through
 // a Released snapshot). Test hook, off in production.
 var poison bool
 

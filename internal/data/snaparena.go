@@ -13,38 +13,44 @@ import (
 // are dropped — a textbook arena workload. The arena bump-allocates both
 // (entry runs and directories are separate typed arenas of the same shape)
 // out of fixed-size blocks and recycles a block onto a freelist once no
-// snapshot references it, so steady-state Snapshot() publishing hands the
-// garbage collector almost nothing: the snapshot struct itself comes back too.
+// snapshot that reads it has references left, so steady-state Snapshot()
+// publishing hands the garbage collector almost nothing: the snapshot struct
+// itself comes back too.
 //
-// Reclamation is reference-counted at block granularity, because snapshot
-// lifetime is reader-controlled: a pinned reader may hold an old snapshot
-// arbitrarily long (see serve.Reader). Block references are taken per
-// publish GENERATION — a group of up to genSpan consecutive publishes — not
-// per snapshot: each block referenced by any of the generation's snapshots
-// holds one reference for the whole generation, and the generation's pin
-// set goes to a lock-guarded dead list (drained by the writer at each
-// publish) once every snapshot of the generation is dead. Generations
-// amortize the per-publish liveness bookkeeping to 1/genSpan of its cost.
+// A block retires like a row (sweepRows): by span. The snapshots that read a
+// block are numbered born to last — a patch never reads a superseded run
+// again, so once the latest snapshot reads nothing in a block the writer has
+// stopped filling, no later one will, and the span is contiguous or wider than
+// the true set, which is safe. Each publish stamps last on the blocks the new
+// snapshot reads and retires the others (one nothing ever read goes straight
+// back); a retired block goes back at the first publish that finds no
+// snapshot numbered born to last pinned. So a reader that pins an epoch holds
+// the blocks that epoch reads and no others, and the refresh cursor
+// (snapState.refresh) keeps one long-clean chunk from holding its block's
+// span open for ever.
 //
-// A generation's death is detected two ways, and the distinction is what
-// makes the arena actually recycle:
+// Snapshot lifetime is reader-controlled — a pinned reader may hold an old
+// snapshot arbitrarily long (see serve.Reader) — so which numbers are pinned
+// is tracked per publish GENERATION, a group of genSpan consecutive
+// publishes: a pin set holds one live bit per snapshot, which pinned reads.
+// Generations carry only those bits and the backstop, and amortize the
+// backstop to 1/genSpan of the publishes. A snapshot's death is seen two ways:
 //
-//   - Explicitly: every snapshot carries a reference count, Release drops a
-//     reference, and the last Release of the generation's last snapshot
-//     reports the generation dead immediately. The publishing relation
-//     itself holds (and releases, at the next publish) a reference on its
-//     previous snapshot, so a steady publish loop whose consumers Release
-//     reclaims each generation within genSpan publishes — deterministically,
-//     with no garbage collector involvement.
-//   - As a GC backstop: when the generation closes, a runtime.AddCleanup on
-//     a sentinel object (strongly referenced by every snapshot of the
-//     generation) reports death once all unreleased snapshots are collected.
-//     Snapshots that are never Released are therefore safe — merely slow to
-//     reclaim, because cleanup latency is a full GC cycle, and dead-but-
-//     unreclaimed blocks inflate the collector's heap target, which grows
-//     the cycle further: a high-rate publish loop relying on the backstop
-//     degenerates to plain allocation with extra steps. Release is the fast
-//     path, not a nicety.
+//   - Explicitly: every snapshot carries a reference count and the last
+//     Release clears its live bit. The publishing relation itself holds (and
+//     releases, at the next publish) a reference on its previous snapshot, so
+//     a steady publish loop whose consumers Release gets each block back
+//     within a publish of its last reader — deterministically, with no
+//     garbage collector involvement.
+//   - As a GC backstop: when a generation closes, a runtime.AddCleanup on a
+//     sentinel object (strongly referenced by every snapshot of the
+//     generation) reports it dead once all its unreleased snapshots are
+//     collected; the writer then stops reading its bits. Snapshots that are
+//     never Released are therefore safe — merely slow to reclaim, because
+//     cleanup latency is a full GC cycle, and dead-but-unreclaimed blocks
+//     inflate the collector's heap target, which grows the cycle further: a
+//     high-rate publish loop relying on the backstop degenerates to plain
+//     allocation with extra steps. Release is the fast path, not a nicety.
 //
 // The backstop is a GC cleanup, not a weak.Pointer poll, for a subtle
 // reason beyond cost: polling weak pointers from the publish path resurrects
@@ -56,13 +62,11 @@ import (
 // exactly the benchmark this arena exists for). Cleanups run strictly after
 // the GC has proven death, so they cannot resurrect anything.
 //
-// The trade: blocks are reclaimed at generation granularity, so one pinned
-// reader holds the blocks its whole generation touched (bounded by genSpan
-// epochs' worth of runs), and a relation that stops publishing retains its
-// dead generations' blocks until it publishes again or becomes unreachable
-// itself. Blocks and freelists are writer-goroutine-only (no atomics, no
-// locks); the only cross-goroutine state is the snapshot reference counts
-// and the dead list guarded by deadMu.
+// A relation that stops publishing retains its retired blocks until it
+// publishes again or becomes unreachable itself. Blocks and freelists are
+// writer-goroutine-only (no atomics, no locks); the only cross-goroutine
+// state is the snapshot reference counts, the live bits and the dead list
+// guarded by deadMu.
 const (
 	// runBlockCap is the entry-run block size in entries. Runs larger than a
 	// block — wholesale rebuilds, huge dirty ranges — fall back to plain GC
@@ -74,40 +78,39 @@ const (
 	// dirBlockCap is the directory block size in chunk descriptors.
 	dirBlockCap = 512
 	// arenaFreeMax caps each freelist; blocks beyond it go back to the GC.
-	// Generation death is explicit-release-driven (genSpan publishes per
-	// generation, a handful of blocks each), so the freelist stays small in
-	// steady state; the cap only matters when the GC backstop reclaims a
-	// burst of generations leaked by callers that never Release.
+	// Released snapshots give their blocks back a publish later, so the
+	// freelist stays small in steady state; the cap only matters when the GC
+	// backstop reclaims a burst of generations leaked by callers that never
+	// Release.
 	arenaFreeMax = 256
 	// genSpan is the number of publishes grouped under one liveness sentinel.
 	genSpan = 16
 )
 
-// bumpBlock is one fixed-capacity allocation block of a bumpArena. rc counts
-// the publish generations whose snapshots have runs in buf, plus one for the
-// writer while the block is still being filled; mark dedupes the per-publish
-// reference bookkeeping. All fields are writer-goroutine owned.
+// bumpBlock is one fixed-capacity allocation block of a bumpArena: the
+// snapshots numbered born to last read runs in buf (born 0: none yet).
+// Writer-goroutine owned.
 type bumpBlock[T any] struct {
-	rc    int
-	mark  uint64
-	buf   []T
-	owner *bumpArena[T]
+	born, last uint64
+	buf        []T
 }
 
 // ArenaStats is a snapshotting relation's arena accounting (PoolStats.Arena):
-// blocks some generation still pins and blocks parked for reuse, publish
-// generations not yet drained, and generations whose death the GC backstop
-// reported instead of Release — each of those is a lease somebody forgot.
+// blocks taken (the retired ones included) and blocks parked for reuse, blocks
+// retired that wait for a pinned epoch that reads them (a reader that pins
+// shows as this climbing, like PoolStats.RowsRetired), publish generations not
+// yet drained, and generations whose death the GC backstop reported instead of
+// Release — each of those is a lease somebody forgot.
 // PayloadsReused counts the payload storages released epochs gave up that the
 // writer wrote into again, PayloadsDropped those the collector got because the
 // retired list was full (snapState.retire): look for a reader that pins.
 // Headers counts the structs of the relation's snapshots — and, summed in by
 // their publishers, of the epochs that carry them — as recycled or new.
 type ArenaStats struct {
-	BlocksLive, BlocksFree, GenerationsOpen int
-	BackstopReclaims                        uint64
-	PayloadsReused, PayloadsDropped         uint64
-	Headers                                 Recycled
+	BlocksLive, BlocksFree, BlocksRetired, GenerationsOpen int
+	BackstopReclaims                                       uint64
+	PayloadsReused, PayloadsDropped                        uint64
+	Headers                                                Recycled
 }
 
 // arenaStats reports the relation's snapshot arena (zero before the first
@@ -120,41 +123,18 @@ func (r *Relation[P]) arenaStats() ArenaStats {
 	a.deadMu.Lock()
 	backstops := a.backstops
 	a.deadMu.Unlock()
-	return ArenaStats{a.runs.live + a.dirs.live, len(a.runs.free) + len(a.dirs.free), len(a.open), backstops,
-		r.snap.reused, r.snap.dropped, a.headers.Stats()}
-}
-
-// release drops one reference; the last reference returns the block to the
-// owner's freelist. The buffer is NOT wiped: a recycled block is overwritten
-// as it is reused and a discarded one is garbage wholesale, so the only cost
-// of keeping the stale contents is that a block parked on the freelist
-// retains references to the keys and payloads of its dead runs until reuse —
-// bounded by arenaFreeMax blocks of entries that in steady state mostly
-// still live in the relation anyway.
-func (b *bumpBlock[T]) release() {
-	b.rc--
-	if b.rc != 0 {
-		return
-	}
-	a := b.owner
-	if a.scribble != nil {
-		a.scribble(b.buf)
-	}
-	b.buf = b.buf[:0]
-	a.live--
-	if len(a.free) < arenaFreeMax {
-		a.free = append(a.free, b)
-	}
+	return ArenaStats{a.runs.live + a.dirs.live, len(a.runs.free) + len(a.dirs.free), len(a.runs.retired) + len(a.dirs.retired),
+		len(a.open), backstops, r.snap.reused, r.snap.dropped, a.headers.Stats()}
 }
 
 // bumpArena bump-allocates fixed-capacity runs of T out of recycled blocks.
 type bumpArena[T any] struct {
 	blockCap int
 	cur      *bumpBlock[T]
-	// pending holds filled blocks whose writer reference is dropped at the
-	// next publish — not before, because runs already handed out of them
-	// belong to the snapshot still being built.
-	pending []*bumpBlock[T]
+	// held lists the blocks taken and not retired: cur, those filled since the
+	// last publish and those the latest snapshot reads; retired, those a
+	// snapshot that reads them may still pin.
+	held, retired []*bumpBlock[T]
 	// lastBlk/lastStart remember the most recent allocation so trim can give
 	// unused capacity back to the bump pointer.
 	lastBlk   *bumpBlock[T]
@@ -169,16 +149,13 @@ type bumpArena[T any] struct {
 // alloc returns an empty run with the given strict capacity bound and the
 // block it lives in (nil for zero-size and oversize runs, which are plain
 // allocations). Callers must never append beyond the capacity — that would
-// silently move the run out of the block and break reference attribution.
+// silently move the run out of the block and break its span.
 func (a *bumpArena[T]) alloc(capacity int) ([]T, *bumpBlock[T]) {
 	if capacity == 0 || capacity > a.blockCap {
 		return make([]T, 0, capacity), nil
 	}
 	b := a.cur
 	if b == nil || len(b.buf)+capacity > cap(b.buf) {
-		if b != nil {
-			a.pending = append(a.pending, b)
-		}
 		b = a.take()
 		a.cur = b
 	}
@@ -197,8 +174,7 @@ func (a *bumpArena[T]) trim(run []T, blk *bumpBlock[T]) {
 	a.lastBlk = nil
 }
 
-// take pops a recycled block or allocates a fresh one, holding the writer
-// reference.
+// take pops a recycled block or allocates a fresh one, held.
 func (a *bumpArena[T]) take() *bumpBlock[T] {
 	var b *bumpBlock[T]
 	if n := len(a.free); n > 0 {
@@ -206,22 +182,65 @@ func (a *bumpArena[T]) take() *bumpBlock[T] {
 		a.free[n-1] = nil
 		a.free = a.free[:n-1]
 	} else {
-		b = &bumpBlock[T]{owner: a}
-		b.buf = make([]T, 0, a.blockCap)
+		b = &bumpBlock[T]{buf: make([]T, 0, a.blockCap)}
 	}
-	b.rc = 1
 	a.live++
+	a.held = append(a.held, b)
 	return b
 }
 
-// releasePending drops the writer reference on blocks retired since the last
-// publish.
-func (a *bumpArena[T]) releasePending() {
-	for _, b := range a.pending {
-		b.release()
+// put returns a block no snapshot reads to the freelist. The buffer is NOT
+// wiped: a recycled block is overwritten as it is reused and a discarded one
+// is garbage wholesale, so the only cost of keeping the stale contents is that
+// a block parked on the freelist retains references to the keys and payloads
+// of its dead runs until reuse — bounded by arenaFreeMax blocks of entries
+// that in steady state mostly still live in the relation anyway.
+func (a *bumpArena[T]) put(b *bumpBlock[T]) {
+	if a.scribble != nil {
+		a.scribble(b.buf)
 	}
-	clear(a.pending)
-	a.pending = a.pending[:0]
+	b.buf, b.born, b.last = b.buf[:0], 0, 0
+	a.live--
+	if len(a.free) < arenaFreeMax {
+		a.free = append(a.free, b)
+	}
+}
+
+// read records that snapshot seq reads a run in b (nil: a plain allocation).
+func (b *bumpBlock[T]) read(seq uint64) {
+	if b != nil {
+		if b.born == 0 {
+			b.born = seq
+		}
+		b.last = seq
+	}
+}
+
+// retire runs at the publish of snapshot seq, once its blocks are read: a held
+// block seq does not read, other than cur, retires, and the retired blocks no
+// snapshot numbered born to last pins go back — one nothing ever read (0 to 0)
+// at once.
+func (a *bumpArena[T]) retire(seq uint64, pinned func(lo, hi uint64) bool) {
+	held := a.held[:0]
+	for _, b := range a.held {
+		if b == a.cur || b.last == seq {
+			held = append(held, b)
+		} else {
+			a.retired = append(a.retired, b)
+		}
+	}
+	clear(a.held[len(held):])
+	a.held = held
+	retired := a.retired[:0]
+	for _, b := range a.retired {
+		if pinned(b.born, b.last) {
+			retired = append(retired, b)
+		} else {
+			a.put(b)
+		}
+	}
+	clear(a.retired[len(retired):])
+	a.retired = retired
 }
 
 // genSentinel is one publish generation's liveness anchor: every snapshot of
@@ -235,10 +254,8 @@ func (a *bumpArena[T]) releasePending() {
 // generation's cleanup could be deferred indefinitely.
 type genSentinel struct{ _ *genSentinel }
 
-// pinSet records the blocks one publish generation holds references on,
-// plus the generation's liveness accounting. Sets are pooled: draining a
-// dead generation recycles its set (and the set's slice capacity) for a
-// later generation.
+// pinSet is one publish generation's liveness accounting. Sets are pooled:
+// draining a dead generation recycles its set for a later generation.
 type pinSet[P any] struct {
 	owner *snapArena[P]
 	// base is the sequence number (snapState.gen at its publish) of the
@@ -246,7 +263,8 @@ type pinSet[P any] struct {
 	// generation cannot be reclaimed: bit i while snapshot base+i has
 	// references left, writerStake while the generation is open. Whoever
 	// clears the last bit reports the generation dead (any goroutine); the
-	// writer reads them to learn who may still read a retired payload (pinned).
+	// writer reads them to learn who may still read a retired block, row or
+	// payload (pinned).
 	base uint64
 	live atomic.Uint32
 	// genID distinguishes incarnations of a recycled set, so a backstop
@@ -258,9 +276,6 @@ type pinSet[P any] struct {
 	// stop cancels the incarnation's backstop cleanup; set at generation
 	// close, stopped on drain. Writer-only.
 	stop runtime.Cleanup
-
-	runs []*bumpBlock[Entry[P]]
-	dirs []*bumpBlock[snapChunk[P]]
 }
 
 // deadNote is the backstop cleanup's argument: the generation's pin set and
@@ -271,14 +286,12 @@ type deadNote[P any] struct {
 }
 
 // snapArena allocates snapshot storage for one relation: entry runs, chunk
-// directories, and the generation bookkeeping that returns their blocks to
-// the freelists when every snapshot of a generation dies. Writer-goroutine
-// only, except the dead list (see deadMu).
+// directories, and the generation bookkeeping that says which snapshots are
+// still pinned. Writer-goroutine only, except the dead list (see deadMu).
 type snapArena[P any] struct {
 	runs bumpArena[Entry[P]]
 	dirs bumpArena[snapChunk[P]]
-	gen  uint64 // current generation id (block mark namespace)
-	n    int    // publishes in the current generation
+	n    int // publishes in the current generation
 
 	cur    *genSentinel // open generation's sentinel (nil between generations)
 	curSet *pinSet[P]
@@ -366,11 +379,10 @@ func (a *snapArena[P]) pinned(lo, hi uint64) bool {
 	return false
 }
 
-// drain releases the blocks of generations reported dead since the last
-// publish, recycling their sets. The writer swaps the dead list out under
-// the mutex — bumping each set's incarnation there, so a straggling backstop
-// cleanup cannot re-kill the recycled set — and does the release work
-// outside it.
+// drain recycles the pin sets of generations reported dead since the last
+// publish. The writer swaps the dead list out under the mutex — bumping each
+// set's incarnation there, so a straggling backstop cleanup cannot re-kill the
+// recycled set — and does the rest outside it.
 func (a *snapArena[P]) drain() {
 	a.deadMu.Lock()
 	if len(a.dead) == 0 {
@@ -387,16 +399,6 @@ func (a *snapArena[P]) drain() {
 	for i, set := range dead {
 		set.stop.Stop()
 		a.open = slices.DeleteFunc(a.open, func(o *pinSet[P]) bool { return o == set })
-		for _, b := range set.runs {
-			b.release()
-		}
-		clear(set.runs)
-		set.runs = set.runs[:0]
-		for _, b := range set.dirs {
-			b.release()
-		}
-		clear(set.dirs)
-		set.dirs = set.dirs[:0]
 		a.freeSets = append(a.freeSets, set)
 		dead[i] = nil
 	}
@@ -404,17 +406,14 @@ func (a *snapArena[P]) drain() {
 }
 
 // publish enrolls s, the relation's seq-th snapshot, in the current generation
-// — opening one if needed, pinning each block of s not already pinned by this
-// generation, setting s's live bit with one reference held by the
-// publishing relation — and then drops the writer reference on blocks
-// retired while building s. The order matters: retired blocks may hold runs
-// that belong to s. Every genSpan publishes the generation closes: the
+// — opening one if needed, setting s's live bit with one reference held by the
+// publishing relation — stamps the blocks s reads, and retires the blocks no
+// later snapshot can read. Every genSpan publishes the generation closes: the
 // backstop cleanup is armed on the sentinel and the writer's live stake is
 // dropped, after which the generation dies with its last snapshot.
 func (a *snapArena[P]) publish(s *RelationSnapshot[P], seq uint64) {
 	a.drain()
 	if a.cur == nil {
-		a.gen++
 		a.cur = &genSentinel{}
 		a.curSet = a.takeSet(seq)
 	}
@@ -424,18 +423,9 @@ func (a *snapArena[P]) publish(s *RelationSnapshot[P], seq uint64) {
 	s.refs.Store(1) // the relation's own reference, dropped at the next publish
 	a.curSet.live.Add(s.bit)
 	for i := range s.chunks {
-		b := s.chunks[i].blk
-		if b != nil && b.mark != a.gen {
-			b.mark = a.gen
-			b.rc++
-			a.curSet.runs = append(a.curSet.runs, b)
-		}
+		s.chunks[i].blk.read(seq)
 	}
-	if b := s.dirBlk; b != nil && b.mark != a.gen {
-		b.mark = a.gen
-		b.rc++
-		a.curSet.dirs = append(a.curSet.dirs, b)
-	}
+	s.dirBlk.read(seq)
 	a.n++
 	if a.n >= genSpan {
 		set := a.curSet
@@ -445,8 +435,8 @@ func (a *snapArena[P]) publish(s *RelationSnapshot[P], seq uint64) {
 			a.reportDead(set)
 		}
 	}
-	a.runs.releasePending()
-	a.dirs.releasePending()
+	a.runs.retire(seq, a.pinned)
+	a.dirs.retire(seq, a.pinned)
 }
 
 // Retain adds a reference to the snapshot, for handing it to an additional
@@ -460,11 +450,11 @@ func (s *RelationSnapshot[P]) Retain() {
 	}
 }
 
-// Release drops one reference to the snapshot. Dropping the last reference
-// of the last snapshot of a publish generation returns the generation's
-// storage to the relation's arena at its next publish — the deterministic
-// reclamation path high-rate publish loops need (see the package comment) —
-// and the snapshot struct itself, scribbled, for the relation's next publish.
+// Release drops one reference to the snapshot. Dropping the last one lets the
+// relation's next publish give the arena blocks the snapshot reads, and no
+// unreleased snapshot else, back to its arena — the deterministic reclamation
+// path high-rate publish loops need (see the package comment) — and gives the
+// snapshot struct itself, scribbled, to the relation's next publish.
 // Releasing is optional for correctness: unreleased snapshots are reclaimed
 // by the GC backstop once unreachable, never recycled. Safe from any
 // goroutine; releasing more times than retained corrupts the count.

@@ -1,8 +1,11 @@
 package data
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -55,8 +58,8 @@ func TestArenaRecyclingPreservesPinnedSnapshots(t *testing.T) {
 }
 
 // TestArenaRecyclesReleased pins the deterministic reclamation contract:
-// when every published snapshot is Released, generations die and their
-// blocks return to the freelists without any garbage collection at all.
+// when every published snapshot is Released, blocks return to the freelists
+// and generations' pin sets are recycled without any garbage collection at all.
 func TestArenaRecyclesReleased(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	r := NewRelation[int64](ring.Int{}, NewSchema("A", "B"))
@@ -66,7 +69,7 @@ func TestArenaRecyclesReleased(t *testing.T) {
 	r.Snapshot().Release()
 	// Publish far more than one refresh lap (chunk count) plus one
 	// generation span, so carried-over chunks rotate off their original
-	// blocks and those blocks' generations all die explicitly.
+	// blocks, those blocks retire and the generations all die explicitly.
 	for i := 0; i < 2000; i++ {
 		r.Merge(Ints(int64(rng.Intn(600)), int64(rng.Intn(7))), int64(rng.Intn(9)-4))
 		r.Snapshot().Release()
@@ -142,6 +145,140 @@ func TestArenaRecyclesBlocks(t *testing.T) {
 	}
 }
 
+// blocksOf returns the distinct arena blocks s reads: its runs' and its
+// directory's.
+func blocksOf(s *RelationSnapshot[float64]) map[any]bool {
+	bs := map[any]bool{}
+	for _, c := range s.chunks {
+		if c.blk != nil {
+			bs[c.blk] = true
+		}
+	}
+	if s.dirBlk != nil {
+		bs[s.dirBlk] = true
+	}
+	return bs
+}
+
+// TestArenaHoldsWhatItsSnapshotsRead: an arena block waits for the snapshots
+// that read it and for no others. A 1 200-key float relation dirties every
+// chunk on every publish and each snapshot is released at once: the arena
+// holds at most the blocks of the latest two (the relation keeps the previous
+// one until the next publish) and the two it fills. A reader that pins an
+// epoch across 3·genSpan publishes reads it bit for bit (poisoned blocks
+// would show) and holds its own blocks on top of that, no others — on
+// generation-held blocks it would hold two generations' worth — and its
+// blocks are back on the freelists one publish after its Release. A snapshot
+// nobody releases holds its own blocks until the collector's backstop reports
+// it, and then gives them back.
+func TestArenaHoldsWhatItsSnapshotsRead(t *testing.T) {
+	const keys = 1200
+	r := NewRelation[float64](ring.Float{}, NewSchema("A"))
+	for k := range keys {
+		r.Merge(Ints(int64(k)), 1)
+	}
+	r.Snapshot().Release()
+	a := &r.snap.arena
+	round, prev := 0, map[*Entry[float64]]bool{}
+	// publish merges into every eighth key, a different eighth each round, and
+	// publishes; every chunk is rewritten.
+	publish := func() *RelationSnapshot[float64] {
+		for k := round % 8; k < keys; k += 8 {
+			r.Merge(Ints(int64(k)), 1)
+		}
+		round++
+		s := r.Snapshot()
+		runs := map[*Entry[float64]]bool{}
+		for _, c := range s.chunks {
+			if runs[&c.es[0]] = true; prev[&c.es[0]] {
+				t.Fatalf("round %d: a chunk of %d entries is shared with the previous snapshot", round, len(c.es))
+			}
+		}
+		prev = runs
+		return s
+	}
+	// step publishes and releases, checking the arena holds no more than the
+	// latest two snapshots' blocks, those of held and the two it fills.
+	last, peak := 0, 0
+	step := func(held map[any]bool) {
+		t.Helper()
+		s := publish()
+		n := len(blocksOf(s))
+		s.Release()
+		as := r.PoolStats().Arena
+		if as.BlocksLive > n+last+len(held)+2 {
+			t.Fatalf("round %d: %+v, want at most %d+%d blocks of the latest two snapshots, %d held, and 2",
+				round, as, n, last, len(held))
+		}
+		last, peak = n, max(peak, as.BlocksLive)
+	}
+	freed := func(bs map[any]bool) bool {
+		for b := range bs {
+			switch b := b.(type) {
+			case *bumpBlock[Entry[float64]]:
+				if !slices.Contains(a.runs.free, b) {
+					return false
+				}
+			case *bumpBlock[snapChunk[float64]]:
+				if !slices.Contains(a.dirs.free, b) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+
+	for range 3 * genSpan {
+		step(nil)
+	}
+
+	k := publish()
+	type row struct {
+		tuple Tuple
+		bits  uint64
+	}
+	want := map[string]row{}
+	k.IterateEntries(func(e *Entry[float64]) bool {
+		want[strings.Clone(e.key)] = row{slices.Clone(e.Tuple), math.Float64bits(e.Payload)}
+		return true
+	})
+	pinned := blocksOf(k)
+	for range 3*genSpan + 5 {
+		step(pinned)
+		n := 0
+		k.IterateEntries(func(e *Entry[float64]) bool {
+			n++
+			if w, ok := want[e.key]; !ok || !slices.Equal(e.Tuple, w.tuple) || math.Float64bits(e.Payload) != w.bits {
+				t.Fatalf("round %d: the pinned epoch reads %v = %v under %q, read %+v when pinned", round, e.Tuple, e.Payload, e.key, w)
+			}
+			return true
+		})
+		if n != len(want) {
+			t.Fatalf("round %d: the pinned epoch has %d keys, had %d when pinned", round, n, len(want))
+		}
+	}
+	k.Release()
+	step(nil)
+	if !freed(pinned) {
+		t.Fatalf("round %d: a block the released epoch read is not free one publish later: %+v", round, r.PoolStats().Arena)
+	}
+
+	// Nobody releases this one; only the collector can say it is gone.
+	forgotten := blocksOf(publish())
+	for try := 0; r.PoolStats().Arena.BackstopReclaims == 0; try++ {
+		if try == 200 {
+			t.Fatalf("%+v: the forgotten snapshot was never reported", r.PoolStats().Arena)
+		}
+		runtime.GC()
+		step(forgotten)
+	}
+	step(nil) // drains the report
+	if !freed(forgotten) {
+		t.Fatalf("a block the forgotten snapshot read is not free once the backstop reported it: %+v", r.PoolStats().Arena)
+	}
+	t.Logf("%d publishes, %d blocks a snapshot, at most %d live", round, last, peak)
+}
+
 // TestArenaOversizeRunsBypassBlocks pins the fallback contract: runs larger
 // than a block are plain allocations with no block attribution, and still
 // read back correctly.
@@ -166,8 +303,8 @@ func TestArenaOversizeRunsBypassBlocks(t *testing.T) {
 }
 
 // TestArenaDirectoryBlocksRecycle covers the directory arena the same way:
-// chunk directories are arena runs too, pinned by the snapshot's dirBlk and
-// released by the sweep.
+// chunk directories are arena runs too, stamped through the snapshot's dirBlk
+// and freed by the sweep.
 func TestArenaDirectoryBlocksRecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	r := NewRelation[int64](ring.Int{}, NewSchema("A", "B"))

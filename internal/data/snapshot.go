@@ -38,23 +38,26 @@ const (
 //
 // A snapshot is a lease: the publishing relation holds one reference while it
 // is the latest and every Relation.Snapshot call one more (Retain adds one
-// for another owner). Release is optional — a forgotten snapshot stays
-// readable while reachable and is reclaimed by a GC backstop, counted in
-// ArenaStats.BackstopReclaims — but a high-rate publish loop that skips it
-// waits on full collection cycles and loses the arena's recycling entirely.
-// The last Release also gives this struct back: the relation builds a later
-// snapshot in it, so nothing of a released snapshot may be read, not even Len.
+// for another owner). The arena blocks it reads wait for its last Release,
+// and those of older snapshots only if it reads them too: a held epoch holds
+// its own storage, no other (ArenaStats.BlocksRetired). Release is optional —
+// a forgotten snapshot stays readable while reachable and is reclaimed by a
+// GC backstop, counted in ArenaStats.BackstopReclaims — but a high-rate
+// publish loop that skips it waits on full collection cycles and loses the
+// arena's recycling entirely. The last Release also gives this struct back:
+// the relation builds a later snapshot in it, so nothing of a released
+// snapshot may be read, not even Len.
 type RelationSnapshot[P any] struct {
 	schema Schema
 	ring   ring.Ring[P]
 	n      int
 	chunks []snapChunk[P]
 	// dirBlk is the arena block the chunks directory itself lives in (nil
-	// for plain allocations); publication pins it like the run blocks.
+	// for plain allocations); publication stamps it like the run blocks.
 	dirBlk *bumpBlock[snapChunk[P]]
 	// keep anchors the publish generation this snapshot belongs to: while
 	// any snapshot of the generation is reachable, so is the sentinel, and
-	// the arena keeps the generation's blocks pinned (see snaparena.go).
+	// the GC backstop cannot report the generation dead (see snaparena.go).
 	keep *genSentinel
 	// refs counts the snapshot's owners (the publishing relation plus one
 	// per handle returned by Snapshot); set is the publish generation's pin
@@ -67,8 +70,8 @@ type RelationSnapshot[P any] struct {
 }
 
 // snapChunk is one sorted chunk of a snapshot: an entry run plus the arena
-// block it lives in (nil for plain allocations), which publication uses to
-// pin the run's storage for the snapshot's lifetime (see snaparena.go).
+// block it lives in (nil for plain allocations), which publication stamps
+// with the snapshot's number so the block waits for it (see snaparena.go).
 type snapChunk[P any] struct {
 	es  []Entry[P]
 	blk *bumpBlock[Entry[P]]
@@ -95,13 +98,13 @@ type snapState[P any] struct {
 	// refresh is the round-robin chunk-refresh cursor: each patch copies the
 	// chunk at this index into a fresh arena run even when it is clean, so
 	// every chunk's storage is rewritten at least once per len(chunks)
-	// publishes. Without it, one long-clean chunk pins its whole arena block
-	// — and each block holds many publishes' runs — so steady-state arena
-	// footprint would grow with key-range staleness instead of staying
-	// proportional to the relation (observed as unbounded heap growth under
-	// a cycling update stream). With it, a block stops collecting new
-	// generation pins once the cursor has lapped it and is reclaimed as
-	// those generations die.
+	// publishes. Without it, one long-clean chunk keeps its whole arena block
+	// read by every snapshot — and each block holds many publishes' runs —
+	// so steady-state arena footprint would grow with key-range staleness
+	// instead of staying proportional to the relation (observed as unbounded
+	// heap growth under a cycling update stream). With it, the latest
+	// snapshot stops reading a block once the cursor has lapped it, and the
+	// block retires.
 	refresh int
 	// gen is the publish generation, bumped after every published snapshot:
 	// the sequence number the next snapshot will carry. An entry whose gen is
@@ -321,7 +324,7 @@ func (r *Relation[P]) Snapshot() *RelationSnapshot[P] {
 			next = s.last.patch(r, s.dirtyKeys)
 			s.dirtyKeys = s.dirtyKeys[:0]
 		}
-		// Publish (pinning the blocks next shares with the previous
+		// Publish (stamping the blocks next shares with the previous
 		// snapshot) before dropping the relation's reference on it.
 		s.arena.publish(next, s.gen)
 		s.last.Release()
@@ -428,7 +431,7 @@ func (prev *RelationSnapshot[P]) patch(r *Relation[P], keys []string) *RelationS
 		if lo == ki {
 			if ci == cursor && c.blk != nil {
 				// Refresh turn: rewrite the clean chunk into a fresh run so
-				// its old block can eventually drain (see snapState.refresh).
+				// its old block can retire (see snapState.refresh).
 				run, blk := arena.runs.alloc(len(c.es))
 				run = append(run, c.es...)
 				out = appendChunked(out, run, blk)

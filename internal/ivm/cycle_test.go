@@ -90,12 +90,26 @@ func TestAllocGuardCycle(t *testing.T) {
 		}
 		return top, holds(), bytes
 	}
+	// The runtime allocates on its own now and then (starting a thread, say):
+	// a measured cycle runs three times, holding the same storage each time,
+	// and the least it allocated is the engine's.
+	least := func(c int) (top, bottom held, bytes uint64) {
+		bytes = ^uint64(0)
+		for run := range 3 {
+			t1, b1, n := cycle()
+			if run > 0 && (t1 != top || b1 != bottom) {
+				t.Errorf("cycle %d holds other storage run to run:\n top    %+v\n was    %+v\n bottom %+v\n was    %+v", c, t1, top, b1, bottom)
+			}
+			top, bottom, bytes = t1, b1, min(bytes, n)
+		}
+		return top, bottom, bytes
+	}
 	_, _, first := cycle()
 	// The retract half buys too (a dimension retracted against the full
 	// Inventory is the largest step output there is): what a full cycle has
 	// bought is what the second cycle holds.
 	bought := e.PoolStats()
-	top2, bottom2, second := cycle()
+	top2, bottom2, second := least(2)
 	if top2.pool.TableBytes == 0 || top2.pool.SlabChunks == 0 || bottom2.pool.Free == 0 {
 		t.Fatalf("fixture: no index bucket, slab chunk or pooled entry after two cycles: %+v, %+v", top2.pool, bottom2.pool)
 	}
@@ -103,13 +117,13 @@ func TestAllocGuardCycle(t *testing.T) {
 		t.Errorf("cycle 2 allocated %d bytes (the first: %d), want 0", second, first)
 	}
 	// The counters behind the rows: none bought, every one re-created in a
-	// reused entry — as many as the cycle removed.
+	// reused entry — as many as the cycles removed.
 	if ps := e.PoolStats(); ps.TuplesCopied != bought.TuplesCopied || ps.RowsReused-bought.RowsReused != ps.Reclaimed-bought.Reclaimed {
 		t.Errorf("cycle 2 bought %d rows and reused %d for %d it removed, want none bought and all reused",
 			ps.TuplesCopied-bought.TuplesCopied, ps.RowsReused-bought.RowsReused, ps.Reclaimed-bought.Reclaimed)
 	}
 	for c := 3; c <= 6; c++ {
-		top, bottom, bytes := cycle()
+		top, bottom, bytes := least(c)
 		if bytes != 0 {
 			t.Errorf("cycle %d allocated %d bytes, want 0", c, bytes)
 		}

@@ -404,7 +404,9 @@ func TestPoolRespectsPinnedEpochs(t *testing.T) {
 	// to the end, and the last three of the second hold 155 rows retired; the
 	// inserts that would have reused them bought theirs (200 rows bought, 376
 	// re-created in reused entries), and a removed key's payload storage waits
-	// with its row instead of coming back as a spare.
+	// with its row instead of coming back as a spare. An arena block waits the
+	// same way, for the held epochs that read it: one does (BlocksRetired), the
+	// rest of the 11 are the blocks the views' latest snapshots read or fill.
 	h := ps.Arena.Headers
 	ps.Arena.Headers = data.Recycled{}
 	if ps.TableBytes == 0 {
@@ -412,7 +414,7 @@ func TestPoolRespectsPinnedEpochs(t *testing.T) {
 	}
 	ps.TableBytes = 0 // which buckets need a class at once follows the process's hash seed
 	if want := (data.PoolStats{Free: 164, Reclaimed: 540, RowsRetired: 155, RowsReused: 376, KeyBytes: 8376, TupleBytes: 15360,
-		SlabChunks: 18, TuplesCopied: 200, Arena: data.ArenaStats{BlocksLive: 11, GenerationsOpen: 11, PayloadsReused: 374}}); ps != want {
+		SlabChunks: 18, TuplesCopied: 200, Arena: data.ArenaStats{BlocksLive: 11, BlocksRetired: 1, GenerationsOpen: 11, PayloadsReused: 374}}); ps != want {
 		t.Errorf("pool stats %+v, want %+v", ps, want)
 	}
 	// The epochs of the first half stay pinned and so do their headers; the

@@ -285,6 +285,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, e *db.Epoch
 		SlabChunks        int    `json:"slab_chunks"`
 		ArenaBlocks       int    `json:"arena_blocks"`
 		ArenaFree         int    `json:"arena_free"`
+		ArenaRetired      int    `json:"arena_retired"`
 		BackstopReclaims  uint64 `json:"backstop_reclaims"`
 		PayloadsReused    uint64 `json:"payloads_reused"`
 		PayloadsDropped   uint64 `json:"payloads_dropped"`
@@ -297,7 +298,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, e *db.Epoch
 			PoolFree: st.PoolFree, Reclaimed: st.Reclaimed, RowsRetired: st.RowsRetired, RowsReused: st.RowsReused,
 			ScratchKeyBytes: st.ScratchKeyBytes, ScratchTupleBytes: st.ScratchTupleBytes,
 			TuplesCopied: st.TuplesCopied, IndexTableBytes: st.IndexTableBytes, SlabChunks: st.SlabChunks,
-			ArenaBlocks: st.Arena.BlocksLive, ArenaFree: st.Arena.BlocksFree,
+			ArenaBlocks: st.Arena.BlocksLive, ArenaFree: st.Arena.BlocksFree, ArenaRetired: st.Arena.BlocksRetired,
 			BackstopReclaims: st.Arena.BackstopReclaims,
 			PayloadsReused:   st.Arena.PayloadsReused, PayloadsDropped: st.Arena.PayloadsDropped}
 	}

@@ -234,7 +234,7 @@ func TestServeLookupScanHeaders(t *testing.T) {
 	postJSON(t, ts.URL+"/apply", applyBody("R", 1, []any{2, 1000}), http.StatusOK)
 	m, _ = getJSON(t, ts.URL+"/stats", http.StatusOK)
 	st, _ = m["view_stats"].(map[string]any)["sums"].(map[string]any)
-	if st["backstop_reclaims"] != float64(0) || st["arena_blocks"].(float64) < 1 || st["arena_free"] == nil {
+	if st["backstop_reclaims"] != float64(0) || st["arena_blocks"].(float64) < 1 || st["arena_free"] == nil || st["arena_retired"] == nil {
 		t.Fatalf("stats view_stats after 200 reads: %v", st)
 	}
 	// A float view has no payload storage to retire: both counters stay zero.
