@@ -218,11 +218,10 @@ func replCommand(d *db.DB, out io.Writer, line string, stream []datasets.Batch, 
 		}
 		for _, name := range names {
 			st := d.ViewStatsOf(name)
-			fmt.Fprintf(out, "  %-16s %d inner views, %s, %d batches, %d keys published, maintain %v; pool %d free, %d reclaimed, scratch keys %s, tuples %s; arena %d blocks, %d free, %d generations open, %d forgotten leases, payloads %d reused, %d dropped\n",
+			fmt.Fprintf(out, "  %-16s %d inner views, %s, %d batches, %d keys published, maintain %v; pool %d free, %d reclaimed, scratch keys %s, tuples %s; arena %d blocks, %d free, %d generations open, %d forgotten leases\n",
 				name, st.ViewCount, fmtBytes(st.MemoryBytes), st.Batches, st.PublishedKeys, st.Maintain.Round(time.Microsecond),
 				st.PoolFree, st.Reclaimed, fmtBytes(st.ScratchKeyBytes), fmtBytes(st.ScratchTupleBytes),
-				st.Arena.BlocksLive, st.Arena.BlocksFree, st.Arena.GenerationsOpen, st.Arena.BackstopReclaims,
-				st.Arena.PayloadsReused, st.Arena.PayloadsDropped)
+				st.Arena.BlocksLive, st.Arena.BlocksFree, st.Arena.GenerationsOpen, st.Arena.BackstopReclaims)
 		}
 		showStorage(d, out)
 	case ".show":

@@ -3,6 +3,7 @@ package data
 import (
 	"iter"
 	"math/bits"
+	"slices"
 	"unsafe"
 )
 
@@ -72,18 +73,26 @@ func (s *EntrySet[P]) release() {
 // remove deletes e if present.
 func (s *EntrySet[P]) remove(e *Entry[P]) {
 	if s.tab.ctrl == nil {
-		for i, o := range s.small {
-			if o == e {
-				last := len(s.small) - 1
-				s.small[i] = s.small[last]
-				s.small[last] = nil
-				s.small = s.small[:last]
-				return
-			}
+		if i := slices.Index(s.small, e); i >= 0 {
+			last := len(s.small) - 1
+			s.small[i] = s.small[last]
+			s.small[last] = nil
+			s.small = s.small[:last]
 		}
 		return
 	}
 	s.tab.del(e) // del compares pointer identity, so h2 collisions are safe
+}
+
+// replace puts en, which carries e's key hash, where e is, if present.
+func (s *EntrySet[P]) replace(e, en *Entry[P]) {
+	if s.tab.ctrl == nil {
+		if i := slices.Index(s.small, e); i >= 0 {
+			s.small[i] = en
+		}
+		return
+	}
+	s.tab.replace(e, en)
 }
 
 // All returns an iterator over the set's entries, in unspecified order. It

@@ -66,8 +66,7 @@ func (ix *Index[P]) Add(e *Entry[P]) {
 
 // Remove records that entry e is gone from the relation.
 func (ix *Index[P]) Remove(e *Entry[P]) {
-	ix.keyBuf = ix.proj.AppendKey(ix.keyBuf[:0], e.Tuple)
-	node := ix.dir.getBytes(hashBytes(ix.keyBuf), ix.keyBuf)
+	node := ix.node(e)
 	if node == nil {
 		return
 	}
@@ -77,6 +76,20 @@ func (ix *Index[P]) Remove(e *Entry[P]) {
 		node.Payload.release()
 		ix.free = append(ix.free, node)
 	}
+}
+
+// replace records that entry e gave its place to en, a copy under the same
+// key (Relation.replace).
+func (ix *Index[P]) replace(e, en *Entry[P]) {
+	if node := ix.node(e); node != nil {
+		node.Payload.replace(e, en)
+	}
+}
+
+// node returns the directory node of e's bucket, or nil.
+func (ix *Index[P]) node(e *Entry[P]) *Entry[*EntrySet[P]] {
+	ix.keyBuf = ix.proj.AppendKey(ix.keyBuf[:0], e.Tuple)
+	return ix.dir.getBytes(hashBytes(ix.keyBuf), ix.keyBuf)
 }
 
 // Probe returns the bucket of entries whose projection matches the encoded
@@ -102,8 +115,9 @@ func (ix *Index[P]) ProbeBytes(key []byte) *EntrySet[P] {
 func (ix *Index[P]) Len() int { return ix.dir.len() }
 
 // IndexedRelation wraps a Relation with incrementally maintained secondary
-// indexes. Mutations must go through MergeIndexed (or Rebuild after bulk
-// loads) so the indexes stay consistent.
+// indexes. Mutations must go through MergeIndexed, MergeAllIndexed or Set so
+// the indexes stay consistent: in a publishing relation even a merge onto a
+// stored key can replace its entry.
 type IndexedRelation[P any] struct {
 	*Relation[P]
 	indexes map[string]*Index[P]
@@ -145,22 +159,32 @@ func (ir *IndexedRelation[P]) Lookup(on Schema) *Index[P] {
 }
 
 // MergeIndexed merges payload p under tuple t and keeps all indexes
-// consistent with key appearance and disappearance.
+// consistent with key appearance, disappearance and replacement.
 func (ir *IndexedRelation[P]) MergeIndexed(t Tuple, p P) {
 	ir.reindex(ir.mergeEntry(t, p))
 }
 
-// reindex applies a merge's presence transition to every index. A removed
-// entry is parked by then but intact: Remove still reads its tuple.
-func (ir *IndexedRelation[P]) reindex(en *Entry[P], existed, exists bool) {
-	switch {
-	case !existed && exists:
-		for _, ix := range ir.indexes {
+// Set is Relation.Set, keeping all indexes consistent.
+func (ir *IndexedRelation[P]) Set(t Tuple, p P) {
+	ir.reindex(ir.setEntry(t, p))
+}
+
+// reindex follows a merge from old, the entry stored under its key before, to
+// en, the one after (nil: none) in every index. A removed or replaced entry is
+// parked or retired by then but intact: Remove and replace still read its
+// tuple.
+func (ir *IndexedRelation[P]) reindex(old, en *Entry[P]) {
+	if old == en {
+		return
+	}
+	for _, ix := range ir.indexes {
+		switch {
+		case old == nil:
 			ix.Add(en)
-		}
-	case existed && !exists:
-		for _, ix := range ir.indexes {
-			ix.Remove(en)
+		case en == nil:
+			ix.Remove(old)
+		default: // replaced
+			ix.replace(old, en)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package data
 
 import (
+	"maps"
 	"math"
 	"runtime"
 	"slices"
@@ -24,17 +25,25 @@ func sameBits(a, b ring.Triple) bool {
 }
 
 // TestPayloadsRespectPinnedEpochs: a cofactor relation whose every key is
-// merged into, overwritten (Set) or deleted and re-inserted in every epoch,
-// under three kinds of reader at once — one that pins an epoch for 3·genSpan
+// merged into, overwritten (Set) or deleted and re-inserted in every epoch —
+// each a replacement of the entry, its first touch after a publish — under
+// three kinds of reader at once: one that pins an epoch for 3·genSpan
 // publishes, one that takes every epoch and releases it two publishes later,
 // one that forgets every seventh. The pinned epoch must read, bit for bit, the
 // deep copy made when it was pinned, and no live entry may sit in storage it
 // reads; the live relation must equal a model kept with the immutable ring;
-// what the relation retains is bounded. After the pin's release every key's
-// next move lands in storage that was seen before, and a reader that releases
-// nothing at all costs correctness nothing, only dropped payloads.
+// every row that waits is one an unreleased epoch reads. After the pin's
+// release every key's next move lands in storage seen before — at 4 keys and at
+// 300, more than the 256 payloads a separate spare list once held — and when
+// nobody releases anything the rows that wait are exactly those the reachable
+// epochs read and the relation no longer stores.
 func TestPayloadsRespectPinnedEpochs(t *testing.T) {
-	const keys = 4
+	for _, keys := range []int64{4, 300} {
+		t.Run(strconv.FormatInt(keys, 10)+"keys", func(t *testing.T) { payloadsRespectPinnedEpochs(t, keys) })
+	}
+}
+
+func payloadsRespectPinnedEpochs(t *testing.T, keys int64) {
 	cf := ring.Cofactor{}
 	r := NewRelation[ring.Triple](cf, NewSchema("A"))
 	r.Reclaim()
@@ -45,15 +54,13 @@ func TestPayloadsRespectPinnedEpochs(t *testing.T) {
 	round := func(i int) {
 		for k := int64(0); k < keys; k++ {
 			old, stored := model[k]
-			e, _ := r.EntryKey(Ints(k).Key())
 			switch {
 			case !stored:
 				model[k] = triple(0, 1, 2)
 				r.Merge(Ints(k), triple(0, 1, 2))
-				e, _ = r.EntryKey(Ints(k).Key())
 			case (i+int(k))%5 == 0:
 				delete(model, k)
-				r.Merge(Ints(k), cf.Neg(old)) // e is parked, intact until Reclaim
+				r.Merge(Ints(k), cf.Neg(old)) // the entry is parked, intact until Reclaim
 			case (i+int(k))%5 == 1:
 				model[k] = cf.Add(triple(0, 1, 2), triple(0, 1, 2))
 				r.Set(Ints(k), model[k])
@@ -61,10 +68,21 @@ func TestPayloadsRespectPinnedEpochs(t *testing.T) {
 				model[k] = cf.Add(old, triple(0, 1, 2))
 				r.Merge(Ints(k), triple(0, 1, 2))
 			}
-			seen[&e.Payload.S[0]] = true
+			if e, ok := r.EntryKey(Ints(k).Key()); ok {
+				seen[&e.Payload.S[0]] = true
+			}
 		}
 	}
-	check := func(i int, pinned map[*float64]bool) {
+	type pin struct {
+		snap    *RelationSnapshot[ring.Triple]
+		want    map[string]ring.Triple
+		storage map[*float64]bool
+	}
+	// check compares the relation with the model and asserts that no live entry
+	// sits in storage one of pins reads and that every row that waits is one of
+	// them reads. A pin whose snapshot was forgotten (nil) may be collected
+	// already: it only accounts for rows that wait.
+	check := func(i int, pins ...pin) {
 		t.Helper()
 		if r.Len() != len(model) {
 			t.Fatalf("round %d: %d keys stored, model has %d", i, r.Len(), len(model))
@@ -74,18 +92,22 @@ func TestPayloadsRespectPinnedEpochs(t *testing.T) {
 			if !ok || !sameBits(e.Payload, want) {
 				t.Fatalf("round %d: key %d holds %v, model %v", i, k, e, want)
 			}
-			if pinned[&e.Payload.S[0]] {
-				t.Fatalf("round %d: key %d lives in storage a pinned epoch reads", i, k)
+			for _, p := range pins {
+				if p.snap != nil && p.storage[&e.Payload.S[0]] {
+					t.Fatalf("round %d: key %d lives in storage a pinned epoch reads", i, k)
+				}
 			}
 		}
-		if s := r.snap; len(s.retired) > payloadsMax || len(s.spares) > payloadsMax {
-			t.Fatalf("round %d: %d retired, %d spare payloads, bound %d", i, len(s.retired), len(s.spares), payloadsMax)
+		r.PoolStats() // frees the rows released epochs gave back
+		for _, e := range r.pool[r.free:r.ret] {
+			read := false
+			for _, p := range pins {
+				read = read || p.storage[&e.Payload.S[0]]
+			}
+			if !read {
+				t.Fatalf("round %d: a row waits that no unreleased epoch reads: %v", i, e.Payload)
+			}
 		}
-	}
-	type pin struct {
-		snap    *RelationSnapshot[ring.Triple]
-		want    map[string]ring.Triple
-		storage map[*float64]bool
 	}
 	pinNow := func() pin {
 		p := pin{r.Snapshot(), map[string]ring.Triple{}, map[*float64]bool{}}
@@ -114,57 +136,184 @@ func TestPayloadsRespectPinnedEpochs(t *testing.T) {
 		round(i)
 		r.Snapshot().Release()
 		r.Reclaim()
-		check(i, nil)
+		check(i)
 	}
 	k := pinNow()
-	var held []*RelationSnapshot[ring.Triple]
+	var held, forgotten []pin // forgotten: the storage alone, the snapshot unreachable
 	for i := 8; i < 8+3*genSpan+5; i++ {
 		round(i)
-		if s := r.Snapshot(); i%7 != 3 { // else forgotten
-			held = append(held, s)
+		check(i, append(append([]pin{k}, held...), forgotten...)...)
+		verify(i, k)
+		if p := pinNow(); i%7 != 3 {
+			held = append(held, p)
+		} else {
+			forgotten = append(forgotten, pin{storage: p.storage})
 		}
 		r.Reclaim()
 		if len(held) > 2 {
-			held[0].Release()
+			held[0].snap.Release()
 			held = held[1:]
 		}
-		check(i, k.storage)
-		verify(i, k)
 	}
 	k.snap.Release()
-	for _, s := range held {
-		s.Release()
+	for _, p := range held {
+		p.snap.Release()
 	}
-	r.Snapshot().Release()
-	// A key inserted again lands in a row a released epoch gave back, with the
-	// payload storage that row kept; every other key moves into a spare.
-	ps := r.PoolStats()
-	before, known := ps.Arena.PayloadsReused+ps.RowsReused, len(seen)
+	// Every key's next move takes a row a released epoch gave back — a key
+	// merged into, Set or cancelled as much as one inserted again — with the
+	// cells and payload storage that row kept.
+	latest := pinNow()
+	before, known := r.PoolStats(), len(seen)
 	round(100)
-	check(100, nil)
-	if ps := r.PoolStats(); len(seen) != known || ps.Arena.PayloadsReused+ps.RowsReused != before+keys {
-		t.Fatalf("after the pin's release %d keys moved into new storage; pool %+v, %d payloads and rows reused before",
-			len(seen)-known, ps, before)
+	check(100, append(forgotten, latest)...)
+	if ps := r.PoolStats(); len(seen) != known || ps.TuplesCopied != before.TuplesCopied || ps.RowsReused != before.RowsReused+uint64(keys) {
+		t.Fatalf("after the pin's release %d keys moved into new storage: pool %+v, was %+v", len(seen)-known, ps, before)
 	}
-	r.Snapshot().Release()
-	r.Reclaim()
+	latest.snap.Release()
 
-	// Nobody releases anything (the snapshots stay reachable: no backstop).
-	var forgotten []pin
-	for i := 200; i < 200+2*payloadsMax/keys+genSpan; i++ {
-		round(i)
-		if len(forgotten) > 0 {
-			check(i, forgotten[len(forgotten)-1].storage)
+	// Nobody releases anything (the snapshots stay reachable: no backstop),
+	// once the forgotten epochs above are gone through the collector's.
+	for i := 101; r.PoolStats().RowsRetired > 0; i++ {
+		if i == 300 {
+			t.Fatalf("%+v: rows still retired with every epoch released or collected", r.PoolStats())
 		}
-		forgotten = append(forgotten, pinNow())
+		runtime.GC()
+		round(i)
+		r.Snapshot().Release()
 		r.Reclaim()
 	}
-	for i, p := range forgotten {
+	reachable := []pin{pinNow()}
+	for i := 300; i < 300+genSpan+5; i++ {
+		round(i)
+		check(i, reachable...)
+		reachable = append(reachable, pinNow())
+		r.Reclaim()
+	}
+	for i, p := range reachable {
 		verify(i, p)
 	}
-	if as := r.PoolStats().Arena; as.PayloadsDropped == 0 {
-		t.Fatalf("arena %+v: %d epochs forgotten and no payload dropped", as, len(forgotten))
+	// The rows that wait are exactly those the reachable epochs read and the
+	// relation no longer stores: none for a bound to drop.
+	want := map[*float64]bool{}
+	for _, p := range reachable {
+		maps.Copy(want, p.storage)
 	}
+	r.IterateEntries(func(e *Entry[ring.Triple]) bool {
+		delete(want, &e.Payload.S[0])
+		return true
+	})
+	ps := r.PoolStats()
+	got := map[*float64]bool{}
+	for _, e := range r.pool[r.free:r.ret] {
+		got[&e.Payload.S[0]] = true
+	}
+	if !maps.Equal(got, want) || ps.RowsRetired != len(want) {
+		t.Fatalf("%+v: %d rows wait, want the %d the reachable epochs read and the relation no longer stores", ps, len(got), len(want))
+	}
+}
+
+// TestIndexBucketsFollowReplacedEntries: an indexed cofactor relation that
+// publishes every round, indexed on a key prefix (buckets of 40, past the
+// slice-to-table promotion) and on its second column (buckets of 3), whose keys
+// are merged into, Set, cancelled to zero on their first touch after a publish
+// and inserted again, while one epoch stays pinned. After every round each
+// index holds exactly the entries the primary table does, each in its own
+// bucket and no retired or free one anywhere, and the pinned epoch reads its
+// entries bit for bit.
+func TestIndexBucketsFollowReplacedEntries(t *testing.T) {
+	const keys = 120
+	cf := ring.Cofactor{}
+	ir := NewIndexedRelation(NewRelation[ring.Triple](cf, NewSchema("A", "B")))
+	ir.Reclaim()
+	indexes := []*Index[ring.Triple]{ir.EnsureIndex(NewSchema("A")), ir.EnsureIndex(NewSchema("B"))}
+	tup := func(k int) Tuple { return Ints(int64(k/40), int64(k%40)) }
+	model := map[int]ring.Triple{}
+	round := func(i int) {
+		for k := 0; k < keys; k++ {
+			old, stored := model[k]
+			switch {
+			case !stored:
+				model[k] = triple(0, 1)
+				ir.MergeIndexed(tup(k), triple(0, 1))
+			case (i+k)%4 == 0:
+				delete(model, k)
+				ir.MergeIndexed(tup(k), cf.Neg(old))
+			case (i+k)%4 == 1:
+				model[k] = cf.Add(old, old)
+				ir.Set(tup(k), model[k])
+			default:
+				model[k] = cf.Add(old, triple(0, 1))
+				ir.MergeIndexed(tup(k), triple(0, 1))
+			}
+		}
+	}
+	check := func(i int) {
+		t.Helper()
+		stored := map[*Entry[ring.Triple]]bool{}
+		ir.IterateEntries(func(e *Entry[ring.Triple]) bool {
+			if want, ok := model[int(e.Tuple[0].AsInt()*40+e.Tuple[1].AsInt())]; !ok || !sameBits(e.Payload, want) {
+				t.Fatalf("round %d: %v holds %v, model %v", i, e.Tuple, e.Payload, want)
+			}
+			stored[e] = true
+			return true
+		})
+		if len(stored) != len(model) {
+			t.Fatalf("round %d: %d keys stored, model has %d", i, len(stored), len(model))
+		}
+		for _, e := range ir.pool {
+			if stored[e] {
+				t.Fatalf("round %d: %v is stored and in the pool", i, e.Tuple)
+			}
+		}
+		for _, ix := range indexes {
+			n := 0
+			ix.dir.all(func(node *Entry[*EntrySet[ring.Triple]]) bool {
+				for e := range node.Payload.All() {
+					if n++; !stored[e] {
+						t.Fatalf("round %d: index on %v holds %p (%v), which the table does not", i, ix.On(), e, e.Tuple)
+					}
+					if string(ix.proj.AppendKey(nil, e.Tuple)) != node.key {
+						t.Fatalf("round %d: index on %v holds %v in bucket %q", i, ix.On(), e.Tuple, node.key)
+					}
+				}
+				return true
+			})
+			if n != len(stored) {
+				t.Fatalf("round %d: index on %v holds %d entries, the table %d", i, ix.On(), n, len(stored))
+			}
+		}
+	}
+	var pinned *RelationSnapshot[ring.Triple]
+	want := map[string]ring.Triple{}
+	for i := 0; i < 3*genSpan; i++ {
+		round(i)
+		check(i)
+		if s := ir.Snapshot(); i == 2 {
+			pinned = s
+			s.IterateEntries(func(e *Entry[ring.Triple]) bool {
+				want[strings.Clone(e.key)] = cloneTriple(e.Payload)
+				return true
+			})
+		} else {
+			s.Release()
+		}
+		ir.Reclaim()
+		check(i)
+		if pinned == nil {
+			continue
+		}
+		n := 0
+		pinned.IterateEntries(func(e *Entry[ring.Triple]) bool {
+			if n++; !sameBits(e.Payload, want[e.key]) || e.Tuple.Key() != e.key {
+				t.Fatalf("round %d: pinned epoch reads %v under %q, read %v when pinned", i, e.Payload, e.key, want[e.key])
+			}
+			return true
+		})
+		if n != len(want) {
+			t.Fatalf("round %d: pinned epoch has %d keys, had %d when pinned", i, n, len(want))
+		}
+	}
+	pinned.Release()
 }
 
 // TestRowsRespectPinnedEpochs: a pooled relation that publishes, whose writer
@@ -362,8 +511,8 @@ func TestAllocGuardPlainTouchPublish(t *testing.T) {
 
 // TestAllocGuardCofactorRootPublish: a one-key cofactor root over 43 variables
 // (15 KB of S and Q) that merges and publishes, every epoch released when the
-// next one is out, moves between the storages two released epochs gave up: a
-// publish's own objects, no payload bytes.
+// next one is out, replaces its entry by the one the last merge replaced, even
+// with no reclaim point: a publish's own objects, no payload bytes.
 func TestAllocGuardCofactorRootPublish(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc guards run in the non-race pass")
@@ -390,7 +539,9 @@ func TestAllocGuardCofactorRootPublish(t *testing.T) {
 	if allocs > 2 || perOp > 512 {
 		t.Errorf("merge and publish: %.2f allocs/op, %d B/op, want <= 2 and no payload storage (%d B)", allocs, perOp, 8*(43+43*43))
 	}
-	if as := r.PoolStats().Arena; as.PayloadsReused < runs || as.PayloadsDropped != 0 {
-		t.Errorf("arena %+v, want every move into reused storage", as)
+	// No reclaim point: the root is two entries, the one stored and the one the
+	// last merge replaced, which the next merge takes back.
+	if ps := r.PoolStats(); ps.Free != 1 || ps.RowsRetired != 0 {
+		t.Errorf("pool %+v, want the replaced entry free for the next merge", ps)
 	}
 }

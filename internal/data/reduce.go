@@ -39,8 +39,12 @@ func ReduceSealed[P any](rg ring.Ring[P], schema Schema, parts []*Relation[P]) *
 			c.Tuple = cells[len(cells)-len(e.Tuple) : len(cells) : len(cells)]
 			es = append(es, c)
 			if mut != nil {
+				// A deep copy in storage of its own, never e's: zero first, so
+				// CopyInto does not write into the storage c shares.
+				p := &es[len(es)-1].Payload
 				var none P
-				copyFresh(mut, &es[len(es)-1].Payload, none, e.Payload)
+				*p = none
+				mut.CopyInto(p, e.Payload)
 			}
 			return true
 		})

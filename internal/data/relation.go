@@ -19,12 +19,13 @@ type Entry[P any] struct {
 	hash    uint64
 	Tuple   Tuple
 	Payload P
-	// gen guards snapshot sharing of mutable payload storage: when it is
-	// older than the relation's publish generation, the storage is shared
-	// with the snapshots published since and the entry must leave it before
-	// the next in-place mutation (see Relation.touchEntry). born is the first
-	// snapshot that reads the entry's key bytes and tuple; once it is removed,
-	// gen is the last (park). Both zero on relations never snapshotted.
+	// gen is the publish generation the entry was last marked dirty in: when
+	// it is older than the relation's, the snapshots published since read the
+	// entry — key bytes, cells, payload storage — and in a relation whose
+	// payload storage they share, the next in-place mutation replaces the
+	// entry instead of writing into it (Relation.touchEntry). born is the first
+	// snapshot that reads the entry; once it is removed or replaced, gen is the
+	// last (park, replace). Both zero on relations never snapshotted.
 	gen, born uint64
 }
 
@@ -91,14 +92,16 @@ func keyView(key string) []byte { return unsafe.Slice(unsafe.StringData(key), le
 //	each batch end)  cells and payload     key that fits        reused entry keeps
 //	                                                            them (the arity is
 //	                                                            fixed: they fit)
-//	publishing       as pooled, but a      as pooled            as pooled           as pooled; what pinned epochs
-//	pooled (Snapshot removed entry is                                               read of a live entry is retired
-//	was called)      retired, whole, at                                             when the entry leaves it (touch,
-//	                 the reclaim point                                              Set) and written again only after
-//	                 and free only after                                            their last Release
-//	                 the last Release of
-//	                 every epoch that
-//	                 could read it
+//	publishing       as pooled, but a      as pooled            as pooled           as pooled, but never written once
+//	pooled (Snapshot removed entry is                                               published: the first touch after a
+//	was called)      retired, whole, at                                             publish (merge, Set) copies the
+//	                 the reclaim point,                                             entry — key, cells, payload — into
+//	                 a replaced one at                                              a free one that takes its place,
+//	                 once, and free only                                            and retires the old one whole; a
+//	                 after the last                                                 payload sealed by value (Int,
+//	                 Release of every                                               Float, an immutable ring's) is
+//	                 epoch that could                                               assigned in place
+//	                 read it
 //	scratch          relation; reusable    relation's slab,     relation's slab     as pooled: overwritten by
 //	(RecycleCleared, after the next Clear  rewound by Clear     when the relation   the next batch's inserts
 //	Clear per batch)                                            projected it, the
@@ -115,9 +118,12 @@ func keyView(key string) []byte { return unsafe.Slice(unsafe.StringData(key), le
 // mutable-ring payload read through one, past the owner's reclaim point (work
 // items, index buckets and iterators all die with the batch); what must live
 // longer is copied (LiftFrom, Clone, MergeAll, ReduceSealed do) or read through
-// a snapshot, which holds it until its last Release. Every insert copies its
-// key into the entry (setKey), and a pooled relation its tuple too, so no such
-// relation holds another's bytes. Nothing a scratch relation made survives its
+// a snapshot, which holds it until its last Release. An *Entry held across a
+// merge into its own relation sees the old version once the merge replaced it
+// (no work item does this: a delta plan merges into a view only after the step
+// that probes it). Every insert copies its key into the entry (setKey), and a
+// pooled relation its tuple too, so no such relation holds another's bytes.
+// Nothing a scratch relation made survives its
 // next Clear: consumers copy the payloads they keep, and the tuples too once
 // the relation has projected one into its slab, or was handed one of a
 // volatile batch, since its last Clear (the test is per relation, not per
@@ -137,8 +143,9 @@ type Relation[P any] struct {
 	// above). pooled is set once the owner has a reclaim point; removed
 	// entries then wait at the end of pool, parked, until it (Reclaim for
 	// views, Clear for scratch relations) makes them pool[:free], which
-	// insertEntry hands out again — or, in a publishing relation,
-	// pool[free:ret], retired, until sweep finds no epoch that can read them.
+	// takeEntry hands out again — or, in a publishing relation,
+	// pool[free:ret], retired, until sweepRows finds no epoch that can read
+	// them; an entry replaced (touchEntry) retires at once, pooled or not.
 	// One list: reclaiming and sweeping move marks, not the entries.
 	pooled    bool
 	pool      []*Entry[P]
@@ -438,14 +445,26 @@ func (r *Relation[P]) ownTuple(dst, t Tuple) Tuple {
 }
 
 // insertEntry stores a fresh entry under a copy of key (which must be absent
-// and must be the key whose hash a lookup just left in keyHash), reusing a
-// free entry — struct, key bytes, cells, payload storage — when available.
-// The caller must set Payload (reused entries may hold stale payloads whose
+// and must be the key whose hash a lookup just left in keyHash) and t. The
+// caller must set Payload (reused entries may hold stale payloads whose
 // storage CopyInto/MulInto reuse).
 func (r *Relation[P]) insertEntry(key []byte, t Tuple) *Entry[P] {
-	s := r.snap
-	if s != nil {
-		r.sweep()
+	e := r.takeEntry(key, r.keyHash, t)
+	r.entries.insert(e)
+	r.noteInsert(e.Tuple)
+	r.markInserted(e)
+	return e
+}
+
+// takeEntry returns an entry holding a copy of key (hash h) and t — its own
+// cells, in a relation that owns its rows — not yet stored: a free one, which
+// keeps its struct, key storage, cells and payload storage, or a new one. A
+// publishing relation first frees, once an epoch, the retired rows no
+// unreleased snapshot reads (sweepRows).
+func (r *Relation[P]) takeEntry(key []byte, h uint64, t Tuple) *Entry[P] {
+	if s := r.snap; s != nil && s.swept != s.gen {
+		s.swept = s.gen
+		r.sweepRows()
 	}
 	var e *Entry[P]
 	if r.free > 0 {
@@ -463,20 +482,22 @@ func (r *Relation[P]) insertEntry(key []byte, t Tuple) *Entry[P] {
 		if r.scratch { // bought with its place in the pool: Clear parks every entry and never grows the list
 			r.pool = slices.Grow(r.pool, r.entries.len()+1)
 		}
-		if s != nil && s.shares {
-			e.Payload = s.spare()
-		}
 	}
 	r.setKey(e, key)
 	if r.ownsRows() {
 		t = r.ownTuple(e.Tuple, t)
 	}
-	e.Tuple = t
-	e.hash = r.keyHash
-	r.entries.insert(e)
-	r.noteInsert(t)
-	r.markInserted(e)
+	e.Tuple, e.hash = t, h
 	return e
+}
+
+// retireEntry puts an entry that left the table at the end of the retired
+// segment, pool[free:ret], for sweepRows to free.
+func (r *Relation[P]) retireEntry(e *Entry[P]) {
+	r.pool = append(r.pool, e)
+	last := len(r.pool) - 1
+	r.pool[r.ret], r.pool[last] = e, r.pool[r.ret]
+	r.ret++
 }
 
 // lookup returns the entry stored under tuple t, encoding the key into the
@@ -554,30 +575,32 @@ func (r *Relation[P]) ContainsKey(key string) bool {
 }
 
 // Set assigns payload p to tuple t, deleting the key if p is zero.
-func (r *Relation[P]) Set(t Tuple, p P) {
-	if e := r.lookup(t); e != nil {
-		if r.ring.IsZero(p) {
+func (r *Relation[P]) Set(t Tuple, p P) { r.setEntry(t, p) }
+
+// setEntry is Set, reporting the entries stored under t before and after like
+// mergeEntry.
+func (r *Relation[P]) setEntry(t Tuple, p P) (old, en *Entry[P]) {
+	e := r.lookup(t)
+	switch {
+	case r.ring.IsZero(p):
+		if e != nil {
 			r.removeEntry(e)
-			return
 		}
-		switch s := r.snap; {
-		case r.mut == nil:
-			e.Payload = p
-		case s != nil && s.shares && e.gen != s.gen:
-			// Storage shared with a snapshot: overwrite into other storage
-			// (no point copying the old payload out just to discard it).
-			r.unshare(e, p)
-		default:
-			r.mut.CopyInto(&e.Payload, p) // the entry's own storage, or none outside it
-		}
+		return e, nil
+	case e == nil:
+		// lookup left t's encoding in the scratch buffer
+		en = r.insertEntry(r.keyBuf, t)
+		r.setPayload(en, p)
+		return nil, en
+	case r.mut == nil:
 		r.markEntry(e)
-		return
+		e.Payload = p
+		return e, e
 	}
-	if r.ring.IsZero(p) {
-		return
+	if en = r.touchEntry(e, p); en == e {
+		r.mut.CopyInto(&e.Payload, p) // the entry's own storage, or none outside it
 	}
-	// lookup left t's encoding in the scratch buffer
-	r.setPayload(r.insertEntry(r.keyBuf, t), p)
+	return e, r.settle(e, en)
 }
 
 // setPayload assigns p to a freshly inserted entry, deep-copying into the
@@ -591,37 +614,53 @@ func (r *Relation[P]) setPayload(e *Entry[P], p P) {
 }
 
 // addInto accumulates p into stored entry e — in place when the ring allows
-// it — and removes e when the sum vanishes. It reports whether e is still
-// stored. Every sum merged onto an existing key ends here, every product in
-// mulAddInto; an entry-resident source is passed as src.Payload (a header
-// copy: see ring.Mutable).
-func (r *Relation[P]) addInto(e *Entry[P], p P) bool {
+// it — and removes e when the sum vanishes. It returns the entry stored under
+// e's key after: e, the copy that replaced it (touchEntry), or nil. Every sum
+// merged onto an existing key ends here, every product in mulAddInto; an
+// entry-resident source is passed as src.Payload (a header copy: see
+// ring.Mutable).
+func (r *Relation[P]) addInto(e *Entry[P], p P) *Entry[P] {
 	if r.mut != nil {
-		r.touchEntry(e)
-		r.mut.AddInto(&e.Payload, p)
-		if !r.ring.IsZero(e.Payload) {
-			return true
-		}
-	} else {
-		s := r.ring.Add(e.Payload, p)
-		if !r.ring.IsZero(s) {
-			r.markEntry(e)
-			e.Payload = s
-			return true
-		}
+		en := r.touchEntry(e, e.Payload)
+		r.mut.AddInto(&en.Payload, p)
+		return r.settle(e, en)
 	}
-	r.removeEntry(e)
-	return false
+	s := r.ring.Add(e.Payload, p)
+	if r.ring.IsZero(s) {
+		r.removeEntry(e)
+		return nil
+	}
+	r.markEntry(e)
+	e.Payload = s
+	return e
 }
 
 // mulAddInto accumulates (*a)*(*b) into stored entry e, removing it when the
 // sum vanishes. Requires r.mut != nil.
 func (r *Relation[P]) mulAddInto(e *Entry[P], a, b *P) {
-	r.touchEntry(e)
-	r.mut.MulAddInto(&e.Payload, a, b)
-	if r.ring.IsZero(e.Payload) {
+	en := r.touchEntry(e, e.Payload)
+	r.mut.MulAddInto(&en.Payload, a, b)
+	r.settle(e, en)
+}
+
+// settle ends an in-place mutation of stored entry e written into en
+// (touchEntry) and returns the entry stored under e's key after. A zero
+// payload removes e, like any deletion, and en, a copy never stored, goes
+// straight back to the free list; otherwise a copy takes e's place (replace).
+func (r *Relation[P]) settle(e, en *Entry[P]) *Entry[P] {
+	if r.ring.IsZero(en.Payload) {
+		if en != e { // freed where sweepRows frees: moved from retired to pool[free]
+			r.retireEntry(en)
+			r.pool[r.free], r.pool[r.ret-1] = en, r.pool[r.free]
+			r.freeEntry(en)
+		}
 		r.removeEntry(e)
+		return nil
 	}
+	if en != e {
+		r.replace(e, en)
+	}
+	return en
 }
 
 // insertMul stores (*a)*(*b) under the key encoded in the scratch buffer,
@@ -635,31 +674,31 @@ func (r *Relation[P]) insertMul(t Tuple, a, b *P) {
 	}
 }
 
-// mergeEntry adds p to the payload of tuple t and reports the affected entry
-// together with its presence transition (existed before, exists after), so
-// index maintenance can react to appearance and disappearance.
-func (r *Relation[P]) mergeEntry(t Tuple, p P) (en *Entry[P], existed, exists bool) {
+// mergeEntry adds p to the payload of tuple t and reports the entry stored
+// under t before and after (nil: none), so index maintenance can follow
+// appearance, disappearance and replacement (IndexedRelation.reindex).
+func (r *Relation[P]) mergeEntry(t Tuple, p P) (old, en *Entry[P]) {
 	if e := r.lookup(t); e != nil {
-		return e, true, r.addInto(e, p)
+		return e, r.addInto(e, p)
 	}
 	if r.ring.IsZero(p) {
-		return nil, false, false
+		return nil, nil
 	}
-	e := r.insertEntry(r.keyBuf, t) // lookup left t's encoding in the scratch buffer
-	r.setPayload(e, p)
-	return e, false, true
+	en = r.insertEntry(r.keyBuf, t) // lookup left t's encoding in the scratch buffer
+	r.setPayload(en, p)
+	return nil, en
 }
 
 // Merge adds p to the payload of tuple t (the pointwise union operator ⊎
 // applied to a single key), deleting the key if the sum vanishes. It returns
 // the new payload.
 func (r *Relation[P]) Merge(t Tuple, p P) P {
-	en, _, exists := r.mergeEntry(t, p)
-	if exists {
+	old, en := r.mergeEntry(t, p)
+	if en != nil {
 		return en.Payload
 	}
 	var zero P
-	if en != nil {
+	if old != nil {
 		return zero // cancelled to zero
 	}
 	return p // zero merge into absent key
@@ -727,20 +766,20 @@ func (r *Relation[P]) mergeKeyed(key []byte, h uint64, t Tuple, volTuple bool, p
 
 // mergeFrom merges a source entry — another relation's, same schema — by
 // the key and hash it already carries (no re-encoding, no re-hashing) and
-// reports the presence transition like mergeEntry. On insert the key is
+// reports the entries before and after like mergeEntry. On insert the key is
 // copied like any other and the tuple shared with the source, or copied when
 // it may be the source's own (volTuple: see VolatileTuples).
-func (r *Relation[P]) mergeFrom(src *Entry[P], volTuple bool) (en *Entry[P], existed, exists bool) {
+func (r *Relation[P]) mergeFrom(src *Entry[P], volTuple bool) (old, en *Entry[P]) {
 	r.keyHash = src.hash
 	if e := r.entries.getString(src.hash, src.key); e != nil {
-		return e, true, r.addInto(e, src.Payload)
+		return e, r.addInto(e, src.Payload)
 	}
 	if r.ring.IsZero(src.Payload) {
-		return nil, false, false
+		return nil, nil
 	}
-	e := r.insertEntry(keyView(src.key), r.keepTuple(src.Tuple, volTuple))
-	r.setPayload(e, src.Payload)
-	return e, false, true
+	en = r.insertEntry(keyView(src.key), r.keepTuple(src.Tuple, volTuple))
+	r.setPayload(en, src.Payload)
+	return nil, en
 }
 
 // MergeAll merges every entry of o into r: r := r ⊎ o. The relations must
@@ -819,16 +858,17 @@ func (r *Relation[P]) cloneWith(set func(dst, src *Entry[P])) *Relation[P] {
 
 // PoolStats is a relation's retained-but-free storage: Free entries parked,
 // retired or reusable, Reclaimed entries ever handed back for reuse,
-// RowsRetired the removed entries that wait for an epoch to be released (a
-// reader that pins shows as this climbing), KeyBytes kept for the next keys (a
-// scratch relation's key slab, by capacity, or the key storage free entries of
-// a pooled relation hold), TupleBytes of the tuple slab (capacity), SlabChunks
-// the chunks the two slabs hold, and the snapshot arena once the relation
-// publishes. TuplesCopied counts the rows whose cells were bought new so far
-// (0 a cycle once a pool is warm), RowsReused those written into cells a
-// reused entry kept. TableBytes is the bucket storage of an IndexedRelation's
-// indexes, in buckets or in stock (tableStock): what MemoryBytes does not
-// charge. Bytes and chunks stop moving after a workload's first full cycle.
+// RowsRetired the removed or replaced entries that wait for an epoch to be
+// released (a reader that pins shows as this climbing), KeyBytes kept for the
+// next keys (a scratch relation's key slab, by capacity, or the key storage
+// free entries of a pooled relation hold), TupleBytes of the tuple slab
+// (capacity), SlabChunks the chunks the two slabs hold, and the snapshot arena
+// once the relation publishes. TuplesCopied counts the rows whose cells were
+// bought new so far (0 a cycle once a pool is warm), RowsReused those written
+// into cells a reused entry kept, by an insert or a replacement (touchEntry).
+// TableBytes is the bucket storage of an IndexedRelation's indexes, in buckets
+// or in stock (tableStock): what MemoryBytes does not charge. Bytes and chunks
+// stop moving after a workload's first full cycle.
 type PoolStats struct {
 	Free         int
 	Reclaimed    uint64
@@ -864,8 +904,6 @@ func (s *PoolStats) Add(o PoolStats) {
 	s.Arena.BlocksRetired += o.Arena.BlocksRetired
 	s.Arena.GenerationsOpen += o.Arena.GenerationsOpen
 	s.Arena.BackstopReclaims += o.Arena.BackstopReclaims
-	s.Arena.PayloadsReused += o.Arena.PayloadsReused
-	s.Arena.PayloadsDropped += o.Arena.PayloadsDropped
 	s.Arena.Headers.Reused += o.Arena.Headers.Reused
 	s.Arena.Headers.Allocated += o.Arena.Headers.Allocated
 }
@@ -884,8 +922,7 @@ const valueBytes = int(unsafe.Sizeof(Value{}))
 
 // MemoryBytes estimates the heap bytes the relation holds: flatBytes plus
 // the payload storage outside the entries (ring.Sized), which it walks every
-// entry — stored, parked or free — and a publishing relation's spare and
-// retired payloads to sum. Tuples shared with another
+// entry — stored, parked, retired or free — to sum. Tuples shared with another
 // relation are charged to each holder; secondary indexes are not charged
 // here but reported: PoolStats.TableBytes of the IndexedRelation.
 func (r *Relation[P]) MemoryBytes() int {
@@ -901,14 +938,6 @@ func (r *Relation[P]) MemoryBytes() int {
 	r.entries.all(charge)
 	for _, e := range r.pool {
 		charge(e)
-	}
-	if s := r.snap; s != nil { // storage kept for reuse, or for pinned epochs to read
-		for _, p := range s.spares {
-			total += sized.Bytes(p)
-		}
-		for _, rp := range s.retired {
-			total += sized.Bytes(rp.p)
-		}
 	}
 	return total
 }

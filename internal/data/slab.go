@@ -151,14 +151,8 @@ func poisonEntry[P any](e *Entry[P], ownTuple bool) {
 	} else {
 		e.Tuple = poisonTuple
 	}
-	poisonPayload(&e.Payload)
-}
-
-// poisonPayload NaN-fills payload storage kept for reuse: an entry's at
-// reclaim, a publishing relation's spare once no unreleased snapshot reads it.
-func poisonPayload[P any](p *P) {
 	nan := math.NaN()
-	switch p := any(p).(type) {
+	switch p := any(&e.Payload).(type) {
 	case *float64:
 		*p = nan
 	case *ring.Triple:

@@ -101,15 +101,11 @@ type bumpBlock[T any] struct {
 // shows as this climbing, like PoolStats.RowsRetired), publish generations not
 // yet drained, and generations whose death the GC backstop reported instead of
 // Release — each of those is a lease somebody forgot.
-// PayloadsReused counts the payload storages released epochs gave up that the
-// writer wrote into again, PayloadsDropped those the collector got because the
-// retired list was full (snapState.retire): look for a reader that pins.
 // Headers counts the structs of the relation's snapshots — and, summed in by
 // their publishers, of the epochs that carry them — as recycled or new.
 type ArenaStats struct {
 	BlocksLive, BlocksFree, BlocksRetired, GenerationsOpen int
 	BackstopReclaims                                       uint64
-	PayloadsReused, PayloadsDropped                        uint64
 	Headers                                                Recycled
 }
 
@@ -124,7 +120,7 @@ func (r *Relation[P]) arenaStats() ArenaStats {
 	backstops := a.backstops
 	a.deadMu.Unlock()
 	return ArenaStats{a.runs.live + a.dirs.live, len(a.runs.free) + len(a.dirs.free), len(a.runs.retired) + len(a.dirs.retired),
-		len(a.open), backstops, r.snap.reused, r.snap.dropped, a.headers.Stats()}
+		len(a.open), backstops, a.headers.Stats()}
 }
 
 // bumpArena bump-allocates fixed-capacity runs of T out of recycled blocks.
@@ -263,8 +259,8 @@ type pinSet[P any] struct {
 	// generation cannot be reclaimed: bit i while snapshot base+i has
 	// references left, writerStake while the generation is open. Whoever
 	// clears the last bit reports the generation dead (any goroutine); the
-	// writer reads them to learn who may still read a retired block, row or
-	// payload (pinned).
+	// writer reads them to learn who may still read a retired block or row
+	// (pinned).
 	base uint64
 	live atomic.Uint32
 	// genID distinguishes incarnations of a recycled set, so a backstop

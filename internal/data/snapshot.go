@@ -108,90 +108,25 @@ type snapState[P any] struct {
 	refresh int
 	// gen is the publish generation, bumped after every published snapshot:
 	// the sequence number the next snapshot will carry. An entry whose gen is
-	// current has already been recorded dirty this epoch and (for mutable
-	// rings) owns private payload storage; an older gen means the entry is
-	// untouched since the last publish and the snapshots numbered e.gen to
-	// gen-1 read its payload storage, so publishing never deep-copies payloads
-	// — the first re-touch of a sealed key moves the entry to other storage
-	// (unshare), and keys written once are never copied (insert-heavy streams
-	// publish with no payload copying).
+	// current has already been recorded dirty this epoch and is the writer's
+	// alone until the next publish; an older gen means the entry is untouched
+	// since the last publish and the snapshots numbered born to gen-1 read
+	// it, so publishing never deep-copies payloads and keys written once are
+	// never copied (insert-heavy streams publish with no payload copying).
 	gen uint64
-	// The relation owns the payload storage its snapshots share. shares: there
-	// is such storage — the ring accumulates in place and a P is not just a
-	// number, whose sealed copy is the whole payload; nothing below is used
-	// otherwise. Storage the writer moved a live entry out of waits in
-	// retired (a removed entry keeps its own), with the snapshot numbers that
-	// can reach it, until none of those has references left; sweep — once an
-	// epoch: swept is the gen it last ran in — then makes it a spare, which the
-	// next unshare or new entry writes into. A reader that pins an epoch delays
-	// this, one that never releases defeats it: the writer allocates as if
-	// there were no spares and retired, being bounded, overflows to the collector.
-	shares          bool
-	spares          []P
-	retired         []retiredPayload[P]
-	swept           uint64
-	reused, dropped uint64
-}
-
-// retiredPayload is payload storage the live relation has left, which the
-// snapshots numbered lo to hi still read (none, if lo > hi).
-type retiredPayload[P any] struct {
-	p      P
-	lo, hi uint64
-}
-
-// payloadsMax bounds snapState.retired and snapState.spares, each: whatever
-// its readers do, a relation retains a constant number of payloads for reuse.
-const payloadsMax = 256
-
-// retire takes payload storage the live relation no longer uses, last made
-// private in epoch lo. When the list is full its older half — whatever a
-// long-pinned epoch holds is there — goes to the collector: forgetting a
-// retired payload is always safe, handing one back early never is.
-func (s *snapState[P]) retire(p P, lo uint64) {
-	if len(s.retired) == payloadsMax {
-		s.retired = append(s.retired[:0], s.retired[payloadsMax/2:]...)
-		clear(s.retired[len(s.retired):payloadsMax])
-		s.dropped += payloadsMax / 2
-	}
-	s.retired = append(s.retired, retiredPayload[P]{p, lo, s.gen - 1})
-}
-
-// sweep turns the retired storage no unreleased snapshot reads into spares,
-// NaN-filled under the poison hook so that a read through a released snapshot
-// fails loudly.
-func (s *snapState[P]) sweep() {
-	keep := s.retired[:0]
-	for _, rp := range s.retired {
-		switch {
-		case rp.lo <= rp.hi && s.arena.pinned(rp.lo, rp.hi):
-			keep = append(keep, rp)
-		case len(s.spares) < payloadsMax:
-			s.spares = append(s.spares, rp.p)
-			if poison {
-				poisonPayload(&s.spares[len(s.spares)-1])
-			}
-		}
-	}
-	clear(s.retired[len(keep):])
-	s.retired = keep
-}
-
-// sweep runs once an epoch, before its first insert or unshare takes storage:
-// retired payloads no unreleased snapshot reads become spares, and retired
-// rows free ones (sweepRows).
-func (r *Relation[P]) sweep() {
-	if s := r.snap; s.swept != s.gen {
-		s.swept = s.gen
-		s.sweep()
-		r.sweepRows()
-	}
+	// shares: the snapshots share the entries' payload storage — the ring
+	// accumulates in place and a P is not just a number, whose sealed copy is
+	// the whole payload. The first in-place touch of a sealed entry then
+	// replaces it (touchEntry, replace); a number is written where it is.
+	// swept is the gen takeEntry last freed the retired rows in (sweepRows).
+	shares bool
+	swept  uint64
 }
 
 // sweepRows frees the retired rows — pool[free:ret] — that no unreleased
 // snapshot reads: all of them in a relation that never published, otherwise
-// those no snapshot numbered born to gen (park) still pins, moved to the
-// front. So a pinned epoch holds only rows it reads, at most its own size.
+// those no snapshot numbered born to gen (park, replace) still pins, moved to
+// the front. So a pinned epoch holds only rows it reads, at most its own size.
 func (r *Relation[P]) sweepRows() {
 	for n := r.free; n < r.ret; n++ {
 		if e := r.pool[n]; r.snap == nil || e.born > e.gen || !r.snap.arena.pinned(e.born, e.gen) {
@@ -201,65 +136,41 @@ func (r *Relation[P]) sweepRows() {
 	}
 }
 
-// spare returns payload storage to write into — capacity only, the contents
-// are dead — or the zero P when no released epoch has given any up.
-func (s *snapState[P]) spare() (p P) {
-	if n := len(s.spares); n > 0 {
-		var zero P
-		p, s.spares[n-1] = s.spares[n-1], zero
-		s.spares = s.spares[:n-1]
-		s.reused++
-	}
-	return p
-}
-
-// copyFresh sets *dst to a deep copy of src in storage of its own — spare's
-// where it fits, new otherwise — never what *dst held, which a snapshot may
-// read: the one way published payload storage is replaced. dst must be heap-
-// resident (an entry's field); the address of a local escapes through the
-// interface call, a heap cell per copy.
-func copyFresh[P any](mut ring.Mutable[P], dst *P, spare, src P) {
-	*dst = spare
-	mut.CopyInto(dst, src)
-}
-
-// unshare points stored entry e, whose payload storage snapshots read, at
-// storage they do not — holding a deep copy of src — and retires the old.
-func (r *Relation[P]) unshare(e *Entry[P], src P) {
-	s := r.snap
-	r.sweep()
-	old := e.Payload
-	copyFresh(r.mut, &e.Payload, s.spare(), src)
-	s.retire(old, e.gen)
-}
-
 // sealed returns the snapshot-owned copy of a live entry: the entry value
-// sharing key bytes, tuple and payload (a removed entry is retired whole). For
-// rings with in-place accumulation the shared payload storage is protected by
-// the entry's generation — the live side leaves it on the next touch
-// (touchEntry) and writes into it again only after the snapshot's last Release
-// — so sealing is O(1) regardless of payload size, and entry values land
-// directly in arena runs instead of individual heap allocations.
+// sharing key bytes, tuple and payload storage, which the writer never writes
+// again while a snapshot that reads them is held — a removed entry is retired
+// whole, and so is one whose first touch after the publish replaced it
+// (touchEntry) — so sealing is O(1) regardless of payload size, and entry
+// values land directly in arena runs instead of individual heap allocations.
 func sealed[P any](e *Entry[P]) Entry[P] {
 	return Entry[P]{key: e.key, hash: e.hash, Tuple: e.Tuple, Payload: e.Payload}
 }
 
-// touchEntry prepares a stored entry for an in-place payload mutation: on
-// its first touch per publish epoch it records the key in the dirty list
-// and, for rings with in-place accumulation, moves the payload out of storage
-// shared with published snapshots (a number shares none). Later touches
-// in the same epoch cost one comparison; relations never snapshotted pay a nil
-// check.
-func (r *Relation[P]) touchEntry(e *Entry[P]) {
-	s := r.snap
-	if s == nil || e.gen == s.gen {
-		return
+// touchEntry prepares stored entry e for an in-place payload mutation and
+// returns the entry to write: e itself, recorded dirty on its first touch per
+// publish epoch, or — on that first touch, when snapshots share the payload
+// storage — a copy of e holding src as its payload, not yet stored, which
+// settle swaps in for e or frees. Later touches in the same epoch cost one
+// comparison; relations never snapshotted pay a nil check.
+func (r *Relation[P]) touchEntry(e *Entry[P], src P) *Entry[P] {
+	if s := r.snap; s != nil && e.gen != s.gen && s.shares {
+		en := r.takeEntry(keyView(e.key), e.hash, e.Tuple)
+		r.mut.CopyInto(&en.Payload, src)
+		return en
 	}
-	if s.shares {
-		r.unshare(e, e.Payload)
-	}
-	e.gen = s.gen
-	s.dirtyKeys = append(s.dirtyKeys, e.key)
+	r.markEntry(e)
+	return e
+}
+
+// replace stores en, touchEntry's copy of stored entry e, in e's place — the
+// primary table here, the index buckets in IndexedRelation.reindex — and
+// retires e whole: the snapshots numbered born to gen-1, the latest included,
+// read it, so sweepRows frees it by the rows' test, pooled relation or not.
+func (r *Relation[P]) replace(e, en *Entry[P]) {
+	r.entries.replace(e, en)
+	r.markInserted(en)
+	e.gen = r.snap.gen - 1
+	r.retireEntry(e)
 }
 
 // markEntry records an entry's key in the dirty list without touching its

@@ -184,33 +184,47 @@ func (t *entryTable[P]) setCtrl(g uint64, i int, v uint8) {
 // cut short) and a tombstone otherwise — until the last entry goes: the
 // tombstones of an empty table cut no chain, and all become empty.
 func (t *entryTable[P]) del(e *Entry[P]) {
+	slot := t.locate(e)
+	if slot < 0 {
+		return // not stored; tolerated for robustness
+	}
+	g, i := uint64(slot/groupSlots), slot%groupSlots
+	t.slots[slot] = nil
+	t.live--
+	if matchEmpty(t.ctrl[g]) != 0 {
+		t.setCtrl(g, i, ctrlEmpty)
+	} else {
+		t.setCtrl(g, i, ctrlDeleted)
+		t.dead++
+	}
+	if t.live == 0 && t.dead > 0 {
+		fill(t.ctrl, emptyWord)
+		t.dead = 0
+	}
+}
+
+// replace puts en, which must carry e's hash, in the slot of stored entry e.
+func (t *entryTable[P]) replace(e, en *Entry[P]) {
+	if slot := t.locate(e); slot >= 0 {
+		t.slots[slot] = en
+	}
+}
+
+// locate returns the slot holding e, by pointer identity (h2 collisions are
+// safe), or -1.
+func (t *entryTable[P]) locate(e *Entry[P]) int {
 	mask := uint64(len(t.ctrl) - 1)
 	g := h1(e.hash) & mask
 	hb := h2(e.hash)
 	for step := uint64(1); ; step++ {
 		w := t.ctrl[g]
 		for m := matchByte(w, hb); m != 0; m = m.next() {
-			i := m.first()
-			slot := int(g)*groupSlots + i
-			if t.slots[slot] != e {
-				continue
+			if slot := int(g)*groupSlots + m.first(); t.slots[slot] == e {
+				return slot
 			}
-			t.slots[slot] = nil
-			t.live--
-			if matchEmpty(w) != 0 {
-				t.setCtrl(g, i, ctrlEmpty)
-			} else {
-				t.setCtrl(g, i, ctrlDeleted)
-				t.dead++
-			}
-			if t.live == 0 && t.dead > 0 {
-				fill(t.ctrl, emptyWord)
-				t.dead = 0
-			}
-			return
 		}
 		if matchEmpty(w) != 0 {
-			return // not stored; tolerated for robustness
+			return -1
 		}
 		g = (g + step) & mask
 	}

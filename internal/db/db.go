@@ -285,8 +285,9 @@ type ViewStats struct {
 	// entries handed back for reuse so far, the key-slab bytes of the scratch
 	// relations that feed it and that its delta plans fill, and the tuple-slab
 	// bytes of those and of its views' rows. TuplesCopied counts the rows its
-	// views bought cells for, RowsReused those written into a reused entry's,
-	// RowsRetired the removed rows waiting for an epoch a reader still holds.
+	// views bought cells for, RowsReused those written into a reused entry's
+	// (by an insert or a replacement), RowsRetired the removed or replaced rows
+	// waiting for an epoch a reader still holds.
 	// IndexTableBytes is the bucket storage of its secondary indexes, held or
 	// in stock, and SlabChunks the chunks behind the slabs: bought in the
 	// first cycle of a workload, constant after it.
@@ -301,9 +302,7 @@ type ViewStats struct {
 	IndexTableBytes   int
 	SlabChunks        int
 	// Arena is the snapshot arena of the relations the view publishes, as of
-	// its last batch; Arena.BackstopReclaims counts forgotten leases,
-	// Arena.PayloadsDropped the payload storage the collector got because a
-	// reader held or forgot an epoch, Arena.PayloadsReused what came back.
+	// its last batch; Arena.BackstopReclaims counts forgotten leases.
 	Arena data.ArenaStats
 	// ViewCount and MemoryBytes describe the materialized state. MemoryBytes
 	// walks it, so only ViewStatsOf fills it in.

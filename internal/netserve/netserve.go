@@ -287,8 +287,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, e *db.Epoch
 		ArenaFree         int    `json:"arena_free"`
 		ArenaRetired      int    `json:"arena_retired"`
 		BackstopReclaims  uint64 `json:"backstop_reclaims"`
-		PayloadsReused    uint64 `json:"payloads_reused"`
-		PayloadsDropped   uint64 `json:"payloads_dropped"`
 	}
 	names := e.Views()
 	perView := make(map[string]viewStats, len(names))
@@ -299,8 +297,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, e *db.Epoch
 			ScratchKeyBytes: st.ScratchKeyBytes, ScratchTupleBytes: st.ScratchTupleBytes,
 			TuplesCopied: st.TuplesCopied, IndexTableBytes: st.IndexTableBytes, SlabChunks: st.SlabChunks,
 			ArenaBlocks: st.Arena.BlocksLive, ArenaFree: st.Arena.BlocksFree, ArenaRetired: st.Arena.BlocksRetired,
-			BackstopReclaims: st.Arena.BackstopReclaims,
-			PayloadsReused:   st.Arena.PayloadsReused, PayloadsDropped: st.Arena.PayloadsDropped}
+			BackstopReclaims: st.Arena.BackstopReclaims}
 	}
 	// The shared base store, from the same epoch: what the live rows and the
 	// pool behind them hold, relation by relation.

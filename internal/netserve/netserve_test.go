@@ -237,9 +237,9 @@ func TestServeLookupScanHeaders(t *testing.T) {
 	if st["backstop_reclaims"] != float64(0) || st["arena_blocks"].(float64) < 1 || st["arena_free"] == nil || st["arena_retired"] == nil {
 		t.Fatalf("stats view_stats after 200 reads: %v", st)
 	}
-	// A float view has no payload storage to retire: both counters stay zero.
-	if st["payloads_reused"] != float64(0) || st["payloads_dropped"] != float64(0) {
-		t.Fatalf("stats view_stats payload counters of a float view: %v", st)
+	// Payload storage retires with its row: the rows' counters are the only ones.
+	if st["rows_retired"] == nil || st["rows_reused"] == nil || st["payloads_reused"] != nil || st["payloads_dropped"] != nil {
+		t.Fatalf("stats view_stats row and payload counters: %v", st)
 	}
 }
 

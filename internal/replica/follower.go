@@ -162,8 +162,8 @@ func (f *Follower) stream(ctx context.Context) {
 		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
 			return
 		}
-		raw := make([]byte, binary.LittleEndian.Uint32(lenBuf[:]))
-		if _, err := io.ReadFull(conn, raw); err != nil {
+		raw, err := readBody(conn, nil, int(binary.LittleEndian.Uint32(lenBuf[:])))
+		if err != nil {
 			return
 		}
 		if d, err = f.rebootstrap(raw); err != nil {

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 const (
@@ -38,6 +39,11 @@ const (
 
 	// maxFrameBytes mirrors the WAL's own record bound.
 	maxFrameBytes = 1 << 30
+
+	// readStep is the most readBody grows a buffer by ahead of the bytes that
+	// fill it: a length a peer declares and does not send costs about this
+	// much, not the length.
+	readStep = 64 << 10
 )
 
 // writeHandshake sends the follower's resume position.
@@ -62,24 +68,36 @@ func readHandshake(r io.Reader) (lastLSN uint64, err error) {
 }
 
 // readFrame reads one framed WAL record (header + body) into buf, growing
-// it as needed, and returns the filled slice.
+// it as the body arrives (readBody), and returns the filled slice.
 func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	buf = slices.Grow(buf[:0], 8)[:8]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return buf, err
 	}
-	ln := binary.LittleEndian.Uint32(hdr[:4])
+	ln := binary.LittleEndian.Uint32(buf)
 	if ln == 0 || ln > maxFrameBytes {
 		return buf, fmt.Errorf("replica: implausible frame length %d", ln)
 	}
-	need := 8 + int(ln)
-	if cap(buf) < need {
-		buf = make([]byte, need)
-	}
-	buf = buf[:need]
-	copy(buf, hdr[:])
-	if _, err := io.ReadFull(r, buf[8:]); err != nil {
-		return buf, err
+	return readBody(r, buf, int(ln))
+}
+
+// readBody appends n bytes read from r to buf. Capacity buf already has is
+// filled at once; past it the buffer grows by at most readStep ahead of the
+// bytes that arrived, so a length a peer declares is never allocated on its
+// word alone. A body cut short is io.ErrUnexpectedEOF.
+func readBody(r io.Reader, buf []byte, n int) ([]byte, error) {
+	for n > 0 {
+		step := min(n, max(cap(buf)-len(buf), readStep))
+		buf = slices.Grow(buf, step)
+		got, err := io.ReadFull(r, buf[len(buf):len(buf)+step])
+		buf = buf[:len(buf)+got]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return buf, err
+		}
+		n -= step
 	}
 	return buf, nil
 }
