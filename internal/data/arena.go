@@ -7,7 +7,8 @@ package data
 // owns, applies the batch and rewinds, so a stream of batches allocates no
 // tuple. Updates built by Update carry the arena as their mark: every
 // consumer copies what outlives the batch (the volatile-batch row of
-// Relation's ownership table). String values stay ordinary heap strings.
+// Relation's ownership table). String values stay ordinary heap strings, and
+// so do relation names (Name), which outlive the batch.
 //
 // A nil *BatchArena is the heap — garbage-collected storage, unmarked updates
 // — so one decoder serves both. An arena belongs to one goroutine at a time.
@@ -15,6 +16,25 @@ type BatchArena struct {
 	cells   slab[Value]
 	tuples  slab[Tuple]
 	updates slab[BaseUpdate]
+	names   []string // what Name keeps, across Rewind
+}
+
+// Name returns a string equal to b that never aliases it. A stream of batches
+// names the same few relations: the first 16 distinct names of at most 64
+// bytes are kept and come back without allocating.
+func (a *BatchArena) Name(b []byte) string {
+	if a != nil {
+		for _, s := range a.names {
+			if s == string(b) {
+				return s
+			}
+		}
+		if len(a.names) < 16 && len(b) <= 64 {
+			a.names = append(a.names, string(b))
+			return a.names[len(a.names)-1]
+		}
+	}
+	return string(b)
 }
 
 // Tuple returns a fresh tuple of arity cells for the caller to fill.

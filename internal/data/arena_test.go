@@ -1,6 +1,10 @@
 package data
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+	"unsafe"
+)
 
 // fillArena builds one batch of n two-column inserts in a and returns it.
 func fillArena(a *BatchArena, n int) []BaseUpdate {
@@ -46,5 +50,49 @@ func TestBatchArenaRewind(t *testing.T) {
 	})
 	if a.Bytes() != size {
 		t.Fatalf("the arena grew from %d to %d bytes over batches of one shape", size, a.Bytes())
+	}
+}
+
+var nameSink string
+
+// TestBatchArenaNames: a relation name is not batch storage. Name copies the
+// bytes it is given — they may be overwritten at once — and keeps the first 16
+// short names across Rewind, handing back the same string without allocating;
+// a 17th name, a name over 64 bytes and every name of the heap arena are
+// copied afresh each time.
+func TestBatchArenaNames(t *testing.T) {
+	var a BatchArena
+	b := []byte("Inventory")
+	name := a.Name(b)
+	copy(b, "XXXXXXXXX")
+	a.Rewind()
+	if name != "Inventory" || unsafe.StringData(a.Name([]byte("Inventory"))) != unsafe.StringData(name) {
+		t.Fatalf("Name gave %q, then another copy of it", name)
+	}
+	for i := 1; i < 16; i++ {
+		a.Name([]byte{'R', byte('a' + i)})
+	}
+	long := bytes.Repeat([]byte{'L'}, 65)
+	for _, c := range []struct {
+		what   string
+		a      *BatchArena
+		name   []byte
+		allocs float64
+	}{
+		{"a kept name", &a, []byte("Inventory"), 0},
+		{"the 16th name", &a, []byte("Rp"), 0},
+		{"a 17th name", &a, []byte("Sx"), 1},
+		{"a 65-byte name", &a, long, 1},
+		{"a name on the heap arena", nil, []byte("Inventory"), 1},
+	} {
+		if got := c.a.Name(c.name); got != string(c.name) {
+			t.Fatalf("%s: Name gave %q", c.what, got)
+		}
+		if raceEnabled {
+			continue // race instrumentation allocates
+		}
+		if allocs := testing.AllocsPerRun(100, func() { nameSink = c.a.Name(c.name) }); allocs != c.allocs {
+			t.Errorf("%s: %.1f allocs per Name, want %.0f", c.what, allocs, c.allocs)
+		}
 	}
 }

@@ -53,8 +53,9 @@ func (*reusedBody) Close() error { return nil }
 // TestAllocGuardApply: the benchmark's request — 100 inserts and 100 deletes
 // of arity 4 — through Server.Handler() with a reused request and recorder,
 // two join views maintained, pools warm. What is left per POST is the HTTP
-// reply, the queue hand-off and the epochs; nothing per tuple, so a request
-// four times the size costs the same.
+// reply, the queue hand-off and the epochs: the body is decoded without
+// allocating (TestAllocGuardApplyDecode) and nothing is bought per tuple, so a
+// request four times the size costs the same.
 func TestAllocGuardApply(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc guards run in the non-race pass")
@@ -118,8 +119,39 @@ func TestAllocGuardApply(t *testing.T) {
 	}
 	small, large := perPost(100), perPost(400)
 	t.Logf("%d B per POST of 200 tuples, %d B per POST of 800", small, large)
-	if large > small+256 || small > 3350+3350/3 { // re-measured 3350 and 3357; the parent reads 41 024 and 156 505
+	if large > small+256 || small > 645+645/3 { // re-measured 643 to 647; encoding/json's envelope decoder read 1 066 to 1 072
 		t.Errorf("POST /apply allocates %d B at 200 tuples and %d B at 800: something is allocated per tuple", small, large)
+	}
+}
+
+// TestAllocGuardApplyDecode: decoding the benchmark's request body into a
+// warm applyState — envelope, relation names, tuples and their values — and
+// rewinding it allocates nothing (encoding/json's envelope decoder read 9
+// objects here).
+func TestAllocGuardApplyDecode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc guards run in the non-race pass")
+	}
+	bodies := make([][]byte, 4)
+	for i := range bodies {
+		bodies[i] = windowBody(i+1, 100)
+	}
+	st := new(applyState)
+	var body bytes.Reader
+	b := 0
+	decode := func() {
+		body.Reset(bodies[b%len(bodies)])
+		b++
+		if batch, tuples, err := st.decode(&body); err != nil || len(batch) != 2 || tuples != 200 {
+			t.Fatalf("decoded %d updates of %d tuples: %v", len(batch), tuples, err)
+		}
+		st.reset()
+	}
+	for range bodies { // the body buffer, the arena and the scratch reach their size
+		decode()
+	}
+	if allocs := testing.AllocsPerRun(100, decode); allocs != 0 {
+		t.Errorf("decoding a POST /apply body of 200 tuples: %.1f allocs, want 0", allocs)
 	}
 }
 
@@ -222,6 +254,49 @@ func TestServeApplyLimits(t *testing.T) {
 	}
 }
 
+// spaces is an endless request body of white space that counts what is read.
+type spaces struct{ read *int64 }
+
+func (s spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	*s.read += int64(len(p))
+	return len(p), nil
+}
+
+// TestApplyBodyDeclaredLength: a POST /apply whose Content-Length is over the
+// 32 MiB cap is 413 before a byte of its body is read, and a chunked one (no
+// declared length) is 413 once it passes the cap, read no further.
+func TestApplyBodyDeclaredLength(t *testing.T) {
+	d, err := db.Open(testCatalog(), db.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := db.NewApplyQueue(d, 8)
+	defer func() { q.Close(); d.Close() }()
+	s, err := New(Config{DB: func() *db.DB { return d }, Queue: q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name            string
+		length, maxRead int64
+	}{
+		{"a declared length over the cap", maxApplyBody + 1, 0},
+		{"a chunked body over the cap", -1, maxApplyBody + 1},
+	} {
+		var read int64
+		req := httptest.NewRequest("POST", "/apply", nil)
+		req.Body, req.ContentLength = io.NopCloser(spaces{&read}), c.length
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge || read > c.maxRead {
+			t.Errorf("%s: status %d after reading %d bytes of the body", c.name, rec.Code, read)
+		}
+	}
+}
+
 // oracleTuples is the decoder of the "tuples" member that POST /apply had
 // before it scanned into an arena (netserve.wireTuples as PR 14 left it),
 // kept as the oracle of FuzzApplyBody: exactly-sized heap tuples.
@@ -244,6 +319,15 @@ func (ts *oracleTuples) UnmarshalJSON(b []byte) error {
 	}
 	*ts = out
 	return nil
+}
+
+// nextElem skips the white space and the comma before an array element (or
+// the closing bracket) of valid JSON text.
+func nextElem(b []byte, i int) int {
+	for b[i] <= ' ' || b[i] == ',' {
+		i++
+	}
+	return i
 }
 
 func oracleTuple(b []byte, i int) (data.Tuple, int, error) {
@@ -337,7 +421,40 @@ func FuzzApplyBody(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	st := newApplyState()
+	// The one-pass scan's parity points with encoding/json. Member names, exact,
+	// folded, escaped, and duplicated (the later wins):
+	u := func(members string) string { return `{"updates":[{` + members + `}]}` }
+	deep := func(n int) string { // the object and n arrays: nesting n+1 deep
+		return `{"x":` + strings.Repeat("[", n) + strings.Repeat("]", n) + `,"updates":[{"rel":"R","tuples":[[1]]}]}`
+	}
+	for _, seed := range []string{
+		u(`"rel":"R","tuples":[[1]]`), u(`"REL":"R","tuples":[[1]]`), u(`"Mult":-1,"tuples":[[1]]`), u(`"tupleſ":[[1]]`),
+		u(`"rel":"R","Rel":"S"`), u(`"REL":"S","rel":"R"`), u(`"rel":"R","tupleſ":[[1]],"mult":2`),
+		`{"UPDATEſ":[{"rel":"R"}],"updates":[{"rel":"S"}]}`,
+		// mult is what strconv.ParseInt takes; null leaves a member as it was:
+		u(`"mult":1.0`), u(`"mult":1e2`), u(`"mult":-0`), u(`"mult":9223372036854775808`), u(`"mult":-9223372036854775808`),
+		u(`"mult":null`), u(`"mult":"1"`), u(`"rel":null`), u(`"mult":2,"mult":null`), u(`"rel":"R","rel":null`), u(`"rel":"R","tuples":null`),
+		// unknown members are skipped but validated:
+		u(`"x":{"a":{"b":[1,{"c":null}]},"d":true},"rel":"R","tuples":[[1]]`), u(`"x":[{"a":1},{"a":[]}],"rel":"R"`),
+		"{\"x\":\"\xff\",\"updates\":[{\"rel\":\"\xfe\"}]}", u("\"x\":\"a\x01b\""), u("\"rel\":\"a\x1fb\""), u(`"x":"\x"`), u(`"x":"\u12"`),
+		u(`"x":"\ud800","rel":"\ud800é\/\b\f\n\r\t"`), u(`"x":tru`), u(`"x":nul`), u(`"x":[true,false,null]`), u(`"x" "rel"`), u(`"x":1,}`),
+		u(`"x":{"a" 1}`), u(`"x":{"a":1,}`), u(`"x":{1:1}`), u(`"x":[1,]`), u(`"x":[,1]`), u(`"x":-0.5e+3`), u(`"x":1E-2`),
+		// numbers encoding/json refuses, in a tuple and in an unknown member:
+		u(`"tuples":[[01]]`), u(`"tuples":[[-]]`), u(`"tuples":[[1.]]`), u(`"tuples":[[.5]]`), u(`"tuples":[[1e]]`), u(`"tuples":[[+1]]`),
+		u(`"x":01`), u(`"x":-`), u(`"x":1.`), u(`"x":.5`), u(`"x":1e+`),
+		// one value, and only white space after it:
+		`{"updates":[]}{"updates":[]}`, `{"updates":[]} {"updates":[]}`, `null null`, "{}\x00", "\t{}\r\n",
+		// an "updates" element decodes over what an earlier "updates" left
+		// there, unless null or [] came between:
+		`{"updates":[{"rel":"a"},{"rel":"b","tuples":[[1]]}],"updates":[{}],"updates":[{"mult":2},{}]}`,
+		`{"updates":[{"rel":"a"}],"updates":[],"updates":[{}]}`, `{"updates":[{"rel":"a"}],"updates":null,"updates":[{}]}`,
+		`{"updates":[{"rel":"a","mult":3,"tuples":[[1]]}],"updates":[null]}`,
+		// nesting 10 000 deep is the limit:
+		deep(9999), deep(10000),
+	} {
+		f.Add([]byte(seed))
+	}
+	st := new(applyState)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		want, wantErr := applyBodyOracle(body)
 		got, tuples, gotErr := st.decode(bytes.NewReader(body))

@@ -160,173 +160,330 @@ var (
 	errStringTooLong = fmt.Errorf("string value longer than %d bytes", maxApplyStringBytes)
 )
 
-// applyReq is the body of POST /apply as encoding/json sees it: the envelope
-// is decoded by reflection, the tuple arrays by wireTuples.
-type applyReq struct {
-	Updates []applyUpdate `json:"updates"`
-}
-
-type applyUpdate struct {
-	Rel    string     `json:"rel"`
-	Mult   int64      `json:"mult"`
-	Tuples wireTuples `json:"tuples"`
-}
-
-// wireTuples is the "tuples" member of a POST /apply update, scanned from the
-// array text (encoding/json hands UnmarshalJSON syntactically valid text
-// only) straight into the arena its request primed it with. Unmarshal decodes
-// into the elements a slice already has without zeroing them, which is how
-// the arena gets here; an element Unmarshal had to grow the slice for has
-// none and scans into heap tuples (a nil arena), correct all the same.
-type wireTuples struct {
-	ts    []data.Tuple
-	arena *data.BatchArena
-}
-
-func (w *wireTuples) UnmarshalJSON(b []byte) error {
-	if string(b) == "null" {
-		return nil
-	}
-	ts, err := scanTuples(b, w.arena)
-	if err == nil {
-		w.ts = ts
-	}
-	return err
-}
-
 // applyState is what one POST /apply decodes into, pooled by the server: the
-// body bytes, the envelope and the arena holding the batch's updates, tuple
-// lists and tuples until the batch is applied.
+// body, the scratch the batch is built in and the arena of its tuples.
 type applyState struct {
 	body  bytes.Buffer
-	req   applyReq
 	arena data.BatchArena
-	out   []byte // the reply
+	s     jsonScan
+	ups   []db.Update  // every "updates" element decoded; the batch is a prefix
+	ts    []data.Tuple // the tuple list being scanned
+	vals  []data.Value // the tuple being scanned
+	out   []byte       // the reply
 }
 
-func newApplyState() *applyState {
-	st := &applyState{req: applyReq{Updates: make([]applyUpdate, 0, 4)}}
-	st.reset()
-	return st
-}
-
-// reset rewinds the arena — the batch is applied, or was never queued — and
-// primes every element the envelope's slice has room for.
+// reset rewinds the arena: the batch is applied, or was never queued.
 func (st *applyState) reset() {
 	st.arena.Rewind()
-	us := st.req.Updates[:cap(st.req.Updates)]
-	for i := range us {
-		us[i] = applyUpdate{Tuples: wireTuples{arena: &st.arena}}
-	}
-	st.req.Updates = us[:0]
+	st.ups = st.ups[:0]
 }
 
 // decode reads one request body and returns its batch, built in the arena,
-// and the number of tuples in it.
+// and the number of tuples in it. The body is scanned once, from the buffer
+// into the arena, accepting and refusing exactly what encoding/json does when
+// it decodes into struct{ Updates []struct{ Rel string; Mult int64; Tuples
+// [][]any } } with tuples of numbers and strings (FuzzApplyBody holds the scan
+// to that). So it validates as it goes: a member name matches exactly or by
+// case folding, escaped or not; a later duplicate member wins, null leaves one
+// as it was; mult is what strconv.ParseInt takes; unknown members are skipped
+// but validated; nesting deeper than 10 000 and trailing non-space are errors.
 func (st *applyState) decode(body io.Reader) ([]db.Update, int, error) {
 	st.body.Reset()
 	if _, err := st.body.ReadFrom(body); err != nil {
 		return nil, 0, err
 	}
-	if err := json.Unmarshal(st.body.Bytes(), &st.req); err != nil {
-		return nil, 0, err
-	}
-	batch, tuples := st.arena.Updates(len(st.req.Updates)), 0
-	for i := range st.req.Updates {
-		u := &st.req.Updates[i]
-		if tuples += len(u.Tuples.ts); tuples > maxApplyTuples {
-			return nil, 0, errTooManyTuples
+	s, n := &st.s, 0
+	*s = jsonScan{b: st.body.Bytes()}
+	if !s.lit("null") {
+		s.open('{')
+		for i := 0; s.next('}', i); i++ {
+			if named(s.name, "updates") {
+				n = st.updates()
+			} else {
+				s.skip()
+			}
 		}
-		batch = append(batch, u.Tuples.arena.Update(u.Rel, u.Mult, u.Tuples.ts))
+	}
+	if s.ws(); s.i < len(s.b) {
+		s.fail("nothing after the value")
+	}
+	batch, tuples := st.ups[:n], 0
+	for _, u := range batch {
+		tuples += len(u.Tuples)
+	}
+	if tuples > maxApplyTuples {
+		s.stop(errTooManyTuples)
+	}
+	if s.err != nil {
+		return nil, 0, s.err
 	}
 	return batch, tuples, nil
 }
 
-// scanTuples parses the text of a JSON array of key tuples — arrays of
-// numbers and strings; a null tuple is an empty one — into tuples taken from
-// a. Numbers become int64 when they parse exactly and float64 otherwise,
-// strings stay (heap) strings, anything else is an error. b is syntactically
-// valid JSON, so the scan never runs off its end.
-func scanTuples(b []byte, a *data.BatchArena) ([]data.Tuple, error) {
-	if b[0] != '[' {
-		return nil, fmt.Errorf("tuples %.20q is not an array", b)
-	}
-	// Every tuple opens a bracket; brackets inside strings only overestimate.
-	out := a.Tuples(min(bytes.Count(b, []byte{'['})-1, maxApplyTuples))
-	var buf [16]data.Value
-	for i := nextElem(b, 1); b[i] != ']'; i = nextElem(b, i) {
-		if len(out) == maxApplyTuples {
-			return nil, errTooManyTuples
-		}
-		if b[i] == 'n' {
-			out, i = append(out, nil), i+len("null")
-			continue
-		}
-		if b[i] != '[' {
-			return nil, fmt.Errorf("tuple %.20q is not an array", b[i:])
-		}
-		vals := buf[:0]
-		for i = nextElem(b, i+1); b[i] != ']'; i = nextElem(b, i) {
-			v, end, err := scanValue(b, i)
-			if err != nil {
-				return nil, err
+// updates decodes the "updates" array at the cursor into st.ups as encoding/json
+// decodes into a slice, and returns its length: element i decodes over what
+// element i of an earlier "updates" left there; null or [] forgets them all.
+func (st *applyState) updates() (n int) {
+	s := &st.s
+	if !s.lit("null") {
+		s.open('[')
+		for ; s.next(']', n); n++ {
+			if n == len(st.ups) {
+				st.ups = append(st.ups, st.arena.Update("", 0, nil))
 			}
-			vals, i = append(vals, v), end
-		}
-		t := a.Tuple(len(vals))
-		copy(t, vals)
-		out, i = append(out, t), i+1
-	}
-	return out, nil
-}
-
-// nextElem skips the white space and the comma before an array element (or
-// the closing bracket).
-func nextElem(b []byte, i int) int {
-	for b[i] <= ' ' || b[i] == ',' {
-		i++
-	}
-	return i
-}
-
-// scanValue parses the JSON number or string at b[i] and returns the index
-// just past it.
-func scanValue(b []byte, i int) (data.Value, int, error) {
-	j := i + 1
-	switch c := b[i]; {
-	case c == '"':
-		plain := true // no escape: the text between the quotes is the value
-		for ; b[j] != '"'; j++ {
-			if b[j] == '\\' {
-				plain = false
-				j++
+			if !s.lit("null") {
+				s.open('{')
+				st.update(&st.ups[n])
 			}
 		}
-		j++
-		var s string
-		if plain && utf8.Valid(b[i+1:j-1]) {
-			s = string(b[i+1 : j-1])
-		} else if err := json.Unmarshal(b[i:j], &s); err != nil {
-			return data.Value{}, i, err
-		}
-		if len(s) > maxApplyStringBytes {
-			return data.Value{}, i, errStringTooLong
-		}
-		return data.String(s), j, nil
-	case c == '-' || '0' <= c && c <= '9':
-		for b[j] > ' ' && b[j] != ',' && b[j] != ']' {
-			j++
-		}
-		if n, err := strconv.ParseInt(string(b[i:j]), 10, 64); err == nil {
-			return data.Int(n), j, nil
-		}
-		f, err := strconv.ParseFloat(string(b[i:j]), 64)
-		if err != nil {
-			return data.Value{}, i, fmt.Errorf("bad number %q: %w", b[i:j], err)
-		}
-		return data.Float(f), j, nil
 	}
-	return data.Value{}, i, fmt.Errorf("unsupported key value %.20q (want number or string)", b[i:])
+	if n == 0 {
+		st.ups = st.ups[:0]
+	}
+	return n
+}
+
+// update decodes the members of the object just opened into u.
+func (st *applyState) update(u *db.Update) {
+	s := &st.s
+	for i := 0; s.next('}', i); i++ {
+		switch {
+		case s.lit("null"):
+		case named(s.name, "rel"):
+			if b := s.str(); s.err == nil {
+				u.Rel = st.arena.Name(b)
+			}
+		case named(s.name, "mult"):
+			v := s.num()
+			if u.Mult = v.AsInt(); v.Kind() != data.KindInt {
+				s.stop(fmt.Errorf("mult %v is not an int64", v))
+			}
+		case named(s.name, "tuples"):
+			u.Tuples = st.tuples()
+		default:
+			s.skip()
+		}
+	}
+}
+
+// tuples scans the array of key tuples at the cursor — arrays of numbers and
+// strings; a null tuple is an empty one — into tuples taken from the arena.
+func (st *applyState) tuples() []data.Tuple {
+	s, ts := &st.s, st.ts[:0]
+	s.open('[')
+	for s.next(']', len(ts)) {
+		switch {
+		case len(ts) == maxApplyTuples:
+			s.stop(errTooManyTuples)
+		case s.lit("null"):
+			ts = append(ts, nil)
+		default: // a tuple of numbers (see num) and heap strings
+			s.open('[')
+			vals := st.vals[:0]
+			for s.next(']', len(vals)) {
+				if s.ws() != '"' {
+					vals = append(vals, s.num())
+				} else if v := s.str(); len(v) > maxApplyStringBytes {
+					s.stop(errStringTooLong)
+				} else {
+					vals = append(vals, data.String(string(v)))
+				}
+			}
+			t := st.arena.Tuple(len(vals))
+			copy(t, vals)
+			ts, st.vals = append(ts, t), vals
+		}
+	}
+	st.ts = ts
+	return append(st.arena.Tuples(len(ts)), ts...)
+}
+
+// named reports whether a member name selects a field as encoding/json matches
+// them: exactly or, what includes it, by case folding ("tupleſ" is tuples).
+func named(name []byte, field string) bool { return bytes.EqualFold(name, []byte(field)) }
+
+// jsonScan is a cursor that validates JSON text as encoding/json's scanner
+// does. Its first error stops it: the cursor jumps to the end of the text.
+type jsonScan struct {
+	b     []byte
+	i     int
+	depth int    // the containers open around the cursor
+	name  []byte // the member name next stepped past
+	err   error
+}
+
+// stop ends the scan with err, unless an error ended it first.
+func (s *jsonScan) stop(err error) {
+	if s.err == nil {
+		s.err = err
+	}
+	s.i = len(s.b)
+}
+
+// fail stops the scan: the text at the cursor is not what was wanted.
+func (s *jsonScan) fail(want string) {
+	if s.err == nil {
+		s.err = fmt.Errorf("invalid JSON at offset %d (%.12q): want %s", s.i, s.b[s.i:], want)
+	}
+	s.i = len(s.b)
+}
+
+// ws steps past white space and returns the byte at the cursor, 0 at the end.
+func (s *jsonScan) ws() byte {
+	for ; s.i < len(s.b); s.i++ {
+		if c := s.b[s.i]; c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+			return c
+		}
+	}
+	return 0
+}
+
+// eat steps past the byte c, if it is at the cursor.
+func (s *jsonScan) eat(c byte) bool {
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// lit steps past white space and the literal word, if that is what follows.
+func (s *jsonScan) lit(word string) bool {
+	s.ws()
+	if len(s.b)-s.i < len(word) || string(s.b[s.i:s.i+len(word)]) != word {
+		return false
+	}
+	s.i += len(word)
+	return true
+}
+
+// open steps into the '{' or '[' that must be at the cursor, 10 000 deep at most.
+func (s *jsonScan) open(c byte) {
+	if s.depth++; s.ws() != c || s.depth > 10000 {
+		s.fail("'" + string(c) + "' nested at most 10000 deep")
+		return
+	}
+	s.i++
+}
+
+// next steps to element n of the innermost open container — past the comma
+// unless n is 0 and, in an object, past the member's name (into s.name) and
+// colon — and reports true, or past the container's closing bracket.
+func (s *jsonScan) next(close byte, n int) bool {
+	switch c := s.ws(); {
+	case c == close:
+		s.i++
+		s.depth--
+		return false
+	case n > 0 && !s.eat(','):
+		s.fail("',' or '" + string(close) + "'")
+	case close == '}':
+		if s.name = s.str(); s.ws() == ':' {
+			s.i++
+		} else {
+			s.fail("':'")
+		}
+	}
+	return s.err == nil
+}
+
+// skip validates the value at the cursor and steps past it.
+func (s *jsonScan) skip() {
+	switch c := s.ws(); c {
+	case '{', '[':
+		s.open(c)
+		for n := 0; s.next(c+2, n); n++ { // '{'+2 is '}', '['+2 is ']'
+			s.skip()
+		}
+	case '"':
+		s.str()
+	default:
+		if !s.lit("true") && !s.lit("false") && !s.lit("null") {
+			s.number()
+		}
+	}
+}
+
+// str steps past the string at the cursor and returns its value: the text
+// between the quotes or, when that has an escape or is not valid UTF-8, what
+// encoding/json unquotes it to (a bad byte or a lone surrogate is U+FFFD).
+func (s *jsonScan) str() []byte {
+	if s.ws() != '"' {
+		s.fail("a string")
+		return nil
+	}
+	start, plain := s.i, true
+	for s.i++; s.i < len(s.b); s.i++ {
+		switch c := s.b[s.i]; {
+		case c == '"':
+			s.i++
+			if raw := s.b[start:s.i]; !plain || !utf8.Valid(raw) {
+				var v string
+				_ = json.Unmarshal(raw, &v) // valid by now: it cannot fail
+				return []byte(v)
+			}
+			return s.b[start+1 : s.i-1]
+		case c < ' ':
+			s.fail("no control character in a string")
+			return nil
+		case c == '\\':
+			plain = false
+			if s.i++; s.i+4 < len(s.b) && s.b[s.i] == 'u' && len(bytes.Trim(s.b[s.i+1:s.i+5], "0123456789abcdefABCDEF")) == 0 {
+				s.i += 4
+			} else if s.i == len(s.b) || strings.IndexByte(`"\/bfnrt`, s.b[s.i]) < 0 {
+				s.fail("an escape")
+				return nil
+			}
+		}
+	}
+	s.fail(`'"'`)
+	return nil
+}
+
+// number steps past the number at the cursor and returns its text.
+func (s *jsonScan) number() []byte {
+	start := s.i
+	s.eat('-')
+	if !s.eat('0') {
+		s.digits()
+	}
+	if s.eat('.') {
+		s.digits()
+	}
+	if s.eat('e') || s.eat('E') {
+		_ = s.eat('+') || s.eat('-')
+		s.digits()
+	}
+	if s.err != nil {
+		return nil
+	}
+	return s.b[start:s.i]
+}
+
+// digits steps past the run of digits that must be at the cursor.
+func (s *jsonScan) digits() {
+	start := s.i
+	for s.i < len(s.b) && '0' <= s.b[s.i] && s.b[s.i] <= '9' {
+		s.i++
+	}
+	if s.i == start {
+		s.fail("a digit")
+	}
+}
+
+// num scans the number at the cursor: an int64 when strconv.ParseInt takes
+// it, as encoding/json decodes an int64, and a float64 otherwise.
+func (s *jsonScan) num() data.Value {
+	s.ws()
+	text := s.number()
+	if n, err := strconv.ParseInt(string(text), 10, 64); err == nil {
+		return data.Int(n)
+	}
+	f, err := strconv.ParseFloat(string(text), 64)
+	if err != nil {
+		s.stop(fmt.Errorf("bad number %q: %w", text, err))
+	}
+	return data.Float(f)
 }
 
 // The reply side appends, into the request's pooled buffer, the bytes

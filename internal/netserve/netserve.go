@@ -29,7 +29,9 @@
 // the first insert into the header map, the header clone at WriteHeader)
 // plus the X-Fivm-Lag string. The query is parsed in one pass into a pooled
 // per-request struct, the reply appended into its buffer, and the epoch's
-// header values are formatted once per epoch.
+// header values are formatted once per epoch. Beyond applying its batch, a
+// POST /apply allocates what net/http does plus the epoch headers: its body is
+// scanned in one pass into pooled storage, relation names included.
 package netserve
 
 import (
@@ -48,6 +50,7 @@ import (
 	"fivm/internal/data"
 	"fivm/internal/db"
 	"fivm/internal/serve"
+	"fivm/internal/wal"
 )
 
 // Config configures a Server.
@@ -88,7 +91,7 @@ type Server struct {
 	hs     *http.Server
 	selSeq atomic.Uint64
 	// applyStates pools what POST /apply decodes into (*applyState): body
-	// buffer, envelope and batch arena, taken per request and given back,
+	// buffer, batch arena and scratch, taken per request and given back,
 	// rewound, once the batch is applied.
 	applyStates sync.Pool
 	// readStates pools the *readState of the read routes and /select.
@@ -110,6 +113,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{cfg: cfg}
 	s.readStates.New = func() any { return new(readState).reset() }
+	s.applyStates.New = func() any { return new(applyState) }
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.read(s.handleHealthz))
 	mux.HandleFunc("GET /stats", s.read(s.handleStats))
@@ -263,7 +267,13 @@ func badBody(w http.ResponseWriter, err error) {
 
 // --- read path ------------------------------------------------------------
 
+// handleHealthz answers 200, or 503 "degraded" while the WAL is poisoned: the
+// server still serves reads, and refuses writes.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, e *db.Epoch, _ *readState) {
+	if l := s.cfg.DB().WAL(); l != nil && l.Failure() != nil {
+		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "degraded", "epoch": e.Seq, "wal": l.Failure().Error()})
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "epoch": e.Seq})
 }
 
@@ -428,6 +438,7 @@ func (s *Server) requireQueue(w http.ResponseWriter) bool {
 }
 
 func (s *Server) writeError(w http.ResponseWriter, err error) {
+	l := s.cfg.DB().WAL()
 	switch {
 	case errors.Is(err, db.ErrQueueFull):
 		w.Header().Set("Retry-After", strconv.Itoa(int(max(1, s.cfg.RetryAfter/time.Second))))
@@ -436,6 +447,9 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		httpError(w, http.StatusForbidden, "%v", err)
 	case errors.Is(err, db.ErrQueueClosed):
 		httpError(w, http.StatusServiceUnavailable, "server shutting down")
+	case errors.Is(err, wal.ErrClosed), l != nil && errors.Is(err, l.Failure()): // a nil Failure matches no error
+		// The log refuses appends, poisoned or closed: the server's fault.
+		httpError(w, http.StatusServiceUnavailable, "%v", err)
 	default:
 		httpError(w, http.StatusUnprocessableEntity, "%v", err)
 	}
@@ -445,18 +459,25 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	if !s.requireQueue(w) {
 		return
 	}
+	// A declared length is all net/http's body reader gives: one over the cap
+	// is refused unread, and only a chunked body needs a MaxBytesReader.
+	body := r.Body
+	switch {
+	case r.ContentLength > maxApplyBody:
+		badBody(w, &http.MaxBytesError{Limit: maxApplyBody})
+		return
+	case r.ContentLength < 0:
+		body = http.MaxBytesReader(w, r.Body, maxApplyBody)
+	}
 	// The batch lives in the request's arena: TryApply returns once it is
 	// applied and its epoch published, by when the store and the views have
 	// copied what they keep, and the deferred reset rewinds it.
-	st, _ := s.applyStates.Get().(*applyState)
-	if st == nil {
-		st = newApplyState()
-	}
+	st := s.applyStates.Get().(*applyState)
 	defer func() {
 		st.reset()
 		s.applyStates.Put(st)
 	}()
-	batch, tuples, err := st.decode(http.MaxBytesReader(w, r.Body, maxApplyBody))
+	batch, tuples, err := st.decode(body)
 	if err != nil {
 		badBody(w, err)
 		return

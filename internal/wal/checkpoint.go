@@ -215,7 +215,7 @@ func decodeCheckpoint(b []byte) (*Checkpoint, error) {
 	}
 	for i := uint64(0); i < nRels; i++ {
 		var t BaseTable
-		if t.Rel, err = r.str(); err != nil {
+		if t.Rel, err = r.str(nil); err != nil {
 			return nil, err
 		}
 		arity, err := r.uvarint()
@@ -227,7 +227,7 @@ func decodeCheckpoint(b []byte) (*Checkpoint, error) {
 		}
 		t.Schema = make(data.Schema, arity)
 		for j := range t.Schema {
-			if t.Schema[j], err = r.str(); err != nil {
+			if t.Schema[j], err = r.str(nil); err != nil {
 				return nil, err
 			}
 		}
@@ -304,8 +304,7 @@ func (l *Log) WriteCheckpoint(ck *Checkpoint) error {
 	// Start a fresh segment so every earlier one holds only covered
 	// records, then prune them along with superseded checkpoints.
 	if err := l.rotate(); err != nil {
-		l.failed = err
-		return err
+		return l.fail(err)
 	}
 	l.prune(ck.LSN)
 	w.st.Duration = l.opts.now().Sub(start)

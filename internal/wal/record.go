@@ -204,7 +204,7 @@ func (r *recordReader) varint() (int64, error) {
 	return v, nil
 }
 
-func (r *recordReader) str() (string, error) {
+func (r *recordReader) str(a *data.BatchArena) (string, error) {
 	n, err := r.uvarint()
 	if err != nil {
 		return "", err
@@ -212,7 +212,7 @@ func (r *recordReader) str() (string, error) {
 	if n > uint64(len(r.b)-r.at) {
 		return "", fmt.Errorf("wal: string of %d bytes with %d remaining", n, len(r.b)-r.at)
 	}
-	s := string(r.b[r.at : r.at+int(n)])
+	s := a.Name(r.b[r.at : r.at+int(n)])
 	r.at += int(n)
 	return s, nil
 }
@@ -277,7 +277,7 @@ func decodeRecord(b []byte, a *data.BatchArena) (Record, int, error) {
 		}
 		rec.Batch = a.Updates(int(nUpd))
 		for i := uint64(0); i < nUpd; i++ {
-			rel, err := r.str()
+			rel, err := r.str(a)
 			if err != nil {
 				return Record{}, 0, err
 			}
@@ -314,10 +314,10 @@ func decodeRecord(b []byte, a *data.BatchArena) (Record, int, error) {
 		}
 	case recCreateView:
 		def := &ViewDef{}
-		if def.Name, err = r.str(); err != nil {
+		if def.Name, err = r.str(nil); err != nil {
 			return Record{}, 0, err
 		}
-		if def.SQL, err = r.str(); err != nil {
+		if def.SQL, err = r.str(nil); err != nil {
 			return Record{}, 0, err
 		}
 		w, err := r.uvarint()
@@ -335,7 +335,7 @@ func decodeRecord(b []byte, a *data.BatchArena) (Record, int, error) {
 		def.AutoReoptimize = flags&4 != 0
 		rec.Create = def
 	case recDropView:
-		if rec.Drop, err = r.str(); err != nil {
+		if rec.Drop, err = r.str(nil); err != nil {
 			return Record{}, 0, err
 		}
 	default:

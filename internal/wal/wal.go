@@ -6,6 +6,7 @@ import (
 	"path"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fivm/internal/data"
@@ -143,7 +144,7 @@ type Log struct {
 	ckptFlush int
 	lastCkpt  CheckpointStats
 	lastSync  time.Time
-	failed    error // sticky append failure
+	failed    atomic.Value // the sticky append failure, an error stored once (fail)
 	closed    bool
 
 	// Live frame subscribers (stream.go). subMu alone guards them and the free
@@ -332,41 +333,44 @@ func (l *Log) Dir() string { return l.dir }
 func (l *Log) append(body []byte) error {
 	l.frame = appendFrame(l.frame[:0], body)
 	if _, err := l.seg.Write(l.frame); err != nil {
-		l.failed = err
-		return fmt.Errorf("wal: append: %w", err)
+		return fmt.Errorf("wal: append: %w", l.fail(err))
 	}
 	l.segSize += int64(len(l.frame))
 	switch l.opts.Fsync {
 	case FsyncAlways:
 		if err := l.seg.Sync(); err != nil {
-			l.failed = err
-			return fmt.Errorf("wal: sync: %w", err)
+			return fmt.Errorf("wal: sync: %w", l.fail(err))
 		}
 	case FsyncInterval:
 		if now := l.opts.now(); now.Sub(l.lastSync) >= l.opts.SyncInterval {
 			if err := l.seg.Sync(); err != nil {
-				l.failed = err
-				return fmt.Errorf("wal: sync: %w", err)
+				return fmt.Errorf("wal: sync: %w", l.fail(err))
 			}
 			l.lastSync = now
 		}
 	}
 	if l.segSize >= l.opts.SegmentBytes {
 		if err := l.rotate(); err != nil {
-			l.failed = err
-			return err
+			return l.fail(err)
 		}
 	}
 	return nil
 }
+
+// fail poisons the log with err and returns it: only the first failure gets
+// here, as every append, Sync and checkpoint asks usable first.
+func (l *Log) fail(err error) error { l.failed.Store(err); return err }
+
+// Failure returns the error that poisoned the log, or nil. Any goroutine may ask.
+func (l *Log) Failure() error { err, _ := l.failed.Load().(error); return err }
 
 // usable reports whether the log accepts appends.
 func (l *Log) usable() error {
 	if l.closed {
 		return ErrClosed
 	}
-	if l.failed != nil {
-		return fmt.Errorf("%w (after earlier failure: %v)", ErrClosed, l.failed)
+	if err := l.Failure(); err != nil {
+		return fmt.Errorf("%w (after earlier failure: %v)", ErrClosed, err)
 	}
 	return nil
 }
@@ -427,8 +431,7 @@ func (l *Log) Sync() error {
 		return err
 	}
 	if err := l.seg.Sync(); err != nil {
-		l.failed = err
-		return fmt.Errorf("wal: sync: %w", err)
+		return fmt.Errorf("wal: sync: %w", l.fail(err))
 	}
 	l.lastSync = l.opts.now()
 	return nil
@@ -446,7 +449,7 @@ func (l *Log) Close() error {
 		return nil
 	}
 	var err error
-	if l.failed == nil {
+	if l.Failure() == nil {
 		err = l.seg.Sync()
 	}
 	if cerr := l.seg.Close(); err == nil {
