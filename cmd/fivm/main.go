@@ -13,6 +13,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"fivm/internal/bench"
@@ -63,6 +65,18 @@ Flags:
 	flag.PrintDefaults()
 }
 
+var (
+	figDatasets = []string{"retailer", "housing"}
+	allDatasets = []string{"retailer", "housing", "twitter"}
+	// datasetsOf lists the -dataset names each command takes; a command not
+	// listed ignores the flag.
+	datasetsOf = map[string][]string{
+		"fig7": figDatasets, "fig8": figDatasets,
+		"explain": allDatasets, "views": allDatasets, "repl": allDatasets,
+		"serve": allDatasets, "follow": allDatasets, "sql": allDatasets,
+	}
+)
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
@@ -70,7 +84,7 @@ func main() {
 	}
 	cmd := os.Args[1]
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	dataset := fs.String("dataset", "retailer", "dataset for fig7/fig8: retailer or housing")
+	dataset := fs.String("dataset", "retailer", "dataset: retailer, housing or twitter (fig7 and fig8: retailer or housing)")
 	batch := fs.Int("batch", 1000, "update batch size")
 	group := fs.Int("group", 1, "stream batches applied per batched ApplyDeltas call")
 	workers := fs.Int("workers", 1, "shard/worker count for parallel maintenance (fig7, fig13)")
@@ -87,6 +101,11 @@ func main() {
 	catalogSpec := fs.String("catalog", "", `base relations as "R(A,B);S(A,C)" (serve, follow); default: the -dataset's catalog`)
 	queueDepth := fs.Int("queue-depth", 256, "bounded ingest queue depth; a full queue returns 429 (serve)")
 	fs.Parse(os.Args[2:])
+
+	if names, takes := datasetsOf[cmd]; takes && !slices.Contains(names, *dataset) {
+		fmt.Fprintf(os.Stderr, "%s: -dataset %q is not one of %s\n", cmd, *dataset, strings.Join(names, ", "))
+		os.Exit(2)
+	}
 
 	fsync, err := wal.ParseFsync(*fsyncName)
 	if err != nil {
@@ -235,7 +254,7 @@ func main() {
 		}
 	case "sql":
 		if fs.NArg() < 1 {
-			fmt.Fprintln(os.Stderr, `usage: fivm sql [-dataset retailer|housing] "SELECT ..."`)
+			fmt.Fprintln(os.Stderr, `usage: fivm sql [-dataset retailer|housing|twitter] "SELECT ..."`)
 			os.Exit(2)
 		}
 		ds := pickDataset(*dataset, retailer, housing, twitter)

@@ -86,6 +86,7 @@ func ExampleViewReader() {
 	if err != nil {
 		panic(err)
 	}
+	defer rd.Close() // gives the pinned epoch back
 	sum, ok := rd.Lookup(fivm.Tuple{fivm.Int(1)})
 	fmt.Println(sum, ok)
 	// Output: 15 true

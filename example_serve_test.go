@@ -1,6 +1,7 @@
 package fivm_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -30,14 +31,23 @@ func ExampleNewHTTPServer() {
 	if err != nil {
 		panic(err)
 	}
-	go srv.Serve(l)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(l) }()
+	defer func() {
+		srv.Shutdown(context.Background()) // drains requests and closes l
+		<-served
+	}()
 	base := "http://" + l.Addr().String()
 
 	// DDL and ingest over the wire; the epoch headers on the ingest
 	// response name the batch that made these writes visible.
-	http.Post(base+"/exec", "application/json", strings.NewReader(
+	resp, err := http.Post(base+"/exec", "application/json", strings.NewReader(
 		`{"sql":"CREATE VIEW sums AS SELECT A, SUM(B * C) FROM R NATURAL JOIN S GROUP BY A"}`))
-	resp, err := http.Post(base+"/apply", "application/json", strings.NewReader(
+	if err != nil {
+		panic(err)
+	}
+	resp.Body.Close()
+	resp, err = http.Post(base+"/apply", "application/json", strings.NewReader(
 		`{"updates":[
 			{"rel":"R","mult":1,"tuples":[[1,3]]},
 			{"rel":"S","mult":1,"tuples":[[1,5]]}]}`))

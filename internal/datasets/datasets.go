@@ -98,39 +98,5 @@ func SingleRelationStream(d *Dataset, rel string, batchSize int) []Batch {
 	return out
 }
 
-// WindowedStream turns one relation's tuples into a sliding-window stream:
-// each batch inserts fresh tuples and, once the window is full, deletes the
-// oldest ones. Delete is signalled on the returned batches. It exercises
-// the deletion path on realistic data (the ring-payload encoding of deletes
-// as negative payloads is the paper's Section 2 design point).
-func WindowedStream(d *Dataset, rel string, window, batchSize int) []WindowedBatch {
-	ts := d.Tuples[rel]
-	var out []WindowedBatch
-	for off := 0; off < len(ts); off += batchSize {
-		end := off + batchSize
-		if end > len(ts) {
-			end = len(ts)
-		}
-		out = append(out, WindowedBatch{Batch: Batch{Rel: rel, Tuples: ts[off:end]}})
-		if expireEnd := end - window; expireEnd > 0 {
-			expireStart := off - window
-			if expireStart < 0 {
-				expireStart = 0
-			}
-			out = append(out, WindowedBatch{
-				Batch:  Batch{Rel: rel, Tuples: ts[expireStart:expireEnd]},
-				Delete: true,
-			})
-		}
-	}
-	return out
-}
-
-// WindowedBatch is a stream batch that either inserts or deletes.
-type WindowedBatch struct {
-	Batch
-	Delete bool
-}
-
 // ri returns a random integer value in [0, n).
 func ri(rng *rand.Rand, n int) data.Value { return data.Int(int64(rng.Intn(n))) }

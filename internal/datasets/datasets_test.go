@@ -207,45 +207,3 @@ func TestTriangleOrderValid(t *testing.T) {
 	}
 	var _ data.Schema = q.Vars()
 }
-
-func TestWindowedStream(t *testing.T) {
-	ds := GenHousing(HousingConfig{Postcodes: 20, Scale: 5, Seed: 5}) // 100 House tuples
-	window, batch := 30, 10
-	stream := WindowedStream(ds, "House", window, batch)
-
-	live := map[string]int{}
-	maxLive := 0
-	for _, b := range stream {
-		for _, tup := range b.Tuples {
-			if b.Delete {
-				live[tup.Key()]--
-				if live[tup.Key()] == 0 {
-					delete(live, tup.Key())
-				}
-			} else {
-				live[tup.Key()]++
-			}
-		}
-		n := 0
-		for _, c := range live {
-			n += c
-		}
-		if n > maxLive {
-			maxLive = n
-		}
-		if n > window+batch {
-			t.Fatalf("live tuples %d exceed window+batch %d", n, window+batch)
-		}
-	}
-	if maxLive < window {
-		t.Errorf("window never filled: max live %d < %d", maxLive, window)
-	}
-	// Everything inserted is eventually deleted except the last window.
-	total := 0
-	for _, c := range live {
-		total += c
-	}
-	if total != window {
-		t.Errorf("final live tuples = %d, want %d", total, window)
-	}
-}

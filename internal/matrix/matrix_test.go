@@ -191,25 +191,3 @@ func TestNormAndEqualApprox(t *testing.T) {
 		t.Error("shape mismatch should not be equal")
 	}
 }
-
-func TestStrassenMatchesClassical(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{1, 2, 7, 64, 130, 257} {
-		a := Random(n, n, rng)
-		b := Random(n, n, rng)
-		got := a.MulStrassen(b)
-		want := a.Mul(b)
-		if !got.EqualApprox(want, 1e-7*float64(n)) {
-			t.Fatalf("n=%d: Strassen diff %g", n, got.MaxAbsDiff(want))
-		}
-	}
-}
-
-func TestStrassenShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("non-square Strassen should panic")
-		}
-	}()
-	NewDense(2, 3).MulStrassen(NewDense(3, 2))
-}

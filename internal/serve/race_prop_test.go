@@ -183,7 +183,7 @@ func runConcurrentReaderProperty[P any](t *testing.T, mk func() (ivm.Maintainer[
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			rd := NewReader[P](serving)
+			rd := NewReaderAt[P](serving, nil)
 			defer rd.Close()
 			last := uint64(0)
 			checks := 0

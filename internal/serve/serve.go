@@ -44,25 +44,19 @@ type Reader[P any] struct {
 	keyBuf []byte
 }
 
-// NewReader pins the source's current epoch and returns a reader over it.
-// Publication must already be enabled on the source (the maintenance side
-// calls Snapshot once after Init); NewReader itself may then be called from
-// any goroutine.
-func NewReader[P any](src Source[P]) *Reader[P] {
-	return &Reader[P]{src: src, snap: src.Snapshot()}
-}
-
-// NewReaderAt pins a reader to an explicitly chosen epoch of the source
-// instead of its latest one. This is how cross-view consistent read sets are
-// assembled: a coordinator that owns several sources (db.DB) captures one
-// snapshot per view at the same applied batch and hands each out via
-// NewReaderAt, so every reader of the set observes the same prefix of the
-// update stream. Refresh still advances through the live source (and never
-// regresses). A nil snapshot falls back to the source's current epoch. The
-// reader retains snap; the caller keeps (and releases) its own reference.
+// NewReaderAt pins a reader to an explicitly chosen epoch of the source.
+// This is how cross-view consistent read sets are assembled: a coordinator
+// that owns several sources (db.DB) captures one snapshot per view at the
+// same applied batch and hands each out via NewReaderAt, so every reader of
+// the set observes the same prefix of the update stream. Refresh still
+// advances through the live source (and never regresses). The reader
+// retains snap; the caller keeps (and releases) its own reference. A nil
+// snapshot pins the source's current epoch: publication must then already
+// be enabled on the source (the maintenance side calls Snapshot once after
+// Init), and the call may come from any goroutine.
 func NewReaderAt[P any](src Source[P], snap *ivm.ViewSnapshot[P]) *Reader[P] {
 	if snap == nil {
-		return NewReader(src)
+		return &Reader[P]{src: src, snap: src.Snapshot()}
 	}
 	snap.Retain()
 	return &Reader[P]{src: src, snap: snap}

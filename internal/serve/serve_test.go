@@ -58,7 +58,7 @@ func delta(schema data.Schema, tuples ...data.Tuple) *data.Relation[int64] {
 // maintainer advances; Refresh moves it forward, never backwards.
 func TestReaderPinsEpoch(t *testing.T) {
 	eng := testEngine(t)
-	rd := NewReader[int64](eng)
+	rd := NewReaderAt[int64](eng, nil)
 	if rd.Epoch() != 0 {
 		t.Fatalf("initial epoch = %d, want 0", rd.Epoch())
 	}
@@ -92,7 +92,7 @@ func TestReaderPinsEpoch(t *testing.T) {
 // group-by variable.
 func TestReaderScanPrefix(t *testing.T) {
 	eng := testEngine(t)
-	rd := NewReader[int64](eng)
+	rd := NewReaderAt[int64](eng, nil)
 	got := map[string]int64{}
 	rd.Scan(data.Ints(2), func(tu data.Tuple, p int64) bool {
 		if tu[0].AsInt() != 2 {
@@ -118,8 +118,8 @@ func TestReaderScanPrefix(t *testing.T) {
 // with no help from the collector's backstop.
 func TestReaderOwnsOneLease(t *testing.T) {
 	eng := testEngine(t)
-	old := NewReader[int64](eng) // stays on epoch 0
-	rd := NewReader[int64](eng)  // follows the stream
+	old := NewReaderAt[int64](eng, nil) // stays on epoch 0
+	rd := NewReaderAt[int64](eng, nil)  // follows the stream
 	pinned := NewPinned(rd.Snapshot())
 	open := func() int { return eng.PoolStats().Arena.GenerationsOpen }
 	for b := int64(0); b < 48; b++ { // three publish generations
