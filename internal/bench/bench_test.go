@@ -1,11 +1,16 @@
 package bench
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"fivm/internal/data"
 	"fivm/internal/datasets"
+	"fivm/internal/ivm"
+	"fivm/internal/ring"
 )
 
 // The experiment functions are exercised at tiny scale so `go test ./...`
@@ -208,6 +213,42 @@ func TestFig7AutoOrderRuns(t *testing.T) {
 	// The optimizer reproduces the paper's 9-view order on Retailer.
 	if views["F-IVM"] != "9" {
 		t.Errorf("auto-order F-IVM views = %s, want 9", views["F-IVM"])
+	}
+}
+
+// statsBits renders what a collector gives the optimizer, per relation:
+// cardinality, delta count and each column's distinct estimate, bit for bit.
+func statsBits(st *data.Stats) string {
+	var b strings.Builder
+	for _, rel := range st.Relations() {
+		rs := st.Lookup(rel)
+		fmt.Fprintf(&b, "%s live=%d deltas=%d", rel, rs.Live, rs.DeltaTuples)
+		for _, col := range rs.Schema {
+			fmt.Fprintf(&b, " %s=%x", col, math.Float64bits(rs.Distinct(col)))
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+// TestAutoOrderScenarioLeavesAnalyzeAlone: the auto-order F-IVM scenario,
+// sharded over two workers, plans from the ANALYZE collector and writes
+// nothing into it, so the scenarios after it (F-IVM ONE clones it) plan from
+// the statistics analyze computed, whatever ran before them.
+func TestAutoOrderScenarioLeavesAnalyzeAlone(t *testing.T) {
+	ds := datasets.GenRetailer(tinyRetailer())
+	cs := newCofactorStrategies(ds.Query)
+	cs.stats = analyze(ds)
+	want := statsBits(cs.stats)
+	stream := datasets.RoundRobinStream(ds, ds.Query.RelNames(), 20)[:10]
+	sc := strategy("F-IVM", ds, ring.Cofactor{}, 2,
+		func() (ivm.Maintainer[ring.Triple], error) { return cs.FIVM(nil, nil) }, tripleDelta(ds.Query), stream)
+	res := runScenarios([]scenario{sc}, RunOptions{Timeout: 2 * time.Second})
+	if res[0].Status() != "ok" || res[0].Tuples == 0 {
+		t.Fatalf("scenario ran %d tuples, status %s", res[0].Tuples, res[0].Status())
+	}
+	if got := statsBits(cs.stats); got != want {
+		t.Errorf("the run wrote the ANALYZE collector:\n got  %s want %s", got, want)
 	}
 }
 

@@ -110,8 +110,8 @@ type cofactorStrategies struct {
 	q    query.Query
 	vars data.Schema
 	// stats, when set, is cloned into every engine built with a nil order so
-	// it can self-plan from dataset statistics (the -auto-order path). Each
-	// engine gets its own clone: collectors are single-owner.
+	// it can self-plan from dataset statistics (the -auto-order path). Only
+	// analyze writes it: each engine plans from its own clone.
 	stats *data.Stats
 }
 
@@ -195,10 +195,8 @@ func runScenarios(scs []scenario, opts RunOptions) []RunResult {
 // maintainer; workers > 1 shards it (ivm.NewParallel calls mk once per shard,
 // partitioning the database by the best-covered join variable). Every
 // relation of ds the stream does not deliver is loaded before Init: none for
-// a full stream, all but one in the ONE scenarios. routerStats, when set, is
-// fed by a parallel maintainer's routing path, so the ANALYZE collector's
-// delta rates stay current across the run.
-func strategy[P any](name string, ds *datasets.Dataset, r ring.Ring[P], workers int, routerStats *data.Stats,
+// a full stream, all but one in the ONE scenarios.
+func strategy[P any](name string, ds *datasets.Dataset, r ring.Ring[P], workers int,
 	mk func() (ivm.Maintainer[P], error), toDelta func(b datasets.Batch) *data.Relation[P],
 	stream []datasets.Batch) scenario {
 	streamed := make(map[string]bool)
@@ -217,9 +215,6 @@ func strategy[P any](name string, ds *datasets.Dataset, r ring.Ring[P], workers 
 			p, err := ivm.NewParallel[P](ds.Query, r, workers, mk)
 			if err != nil {
 				return nil, nil, err
-			}
-			if routerStats != nil {
-				p.CollectStats(routerStats)
 			}
 			m, stop = p, func() { p.Close() }
 		}

@@ -60,20 +60,20 @@ func Fig13(cfg Fig13Config) []*Table {
 	// Only the two cofactor-ring strategies shard; the scalar competitors and
 	// the ONE variant run sequentially whatever cfg.Workers says.
 	scs := []scenario{
-		strategy("F-IVM", ds, ring.Cofactor{}, w, cs.stats,
+		strategy("F-IVM", ds, ring.Cofactor{}, w,
 			func() (ivm.Maintainer[ring.Triple], error) { return cs.FIVM(ord(), nil) }, triple, stream),
-		strategy("DBT-RING", ds, ring.Cofactor{}, w, nil,
+		strategy("DBT-RING", ds, ring.Cofactor{}, w,
 			func() (ivm.Maintainer[ring.Triple], error) { return cs.DBTRing(nil) }, triple, stream),
 	}
 	if cfg.IncludeScalar {
 		scs = append(scs,
-			strategy("DBT", ds, ring.Float{}, 1, nil,
+			strategy("DBT", ds, ring.Float{}, 1,
 				func() (ivm.Maintainer[float64], error) { return cs.DBTScalar(nil) }, float, stream),
-			strategy("1-IVM", ds, ring.Float{}, 1, nil,
+			strategy("1-IVM", ds, ring.Float{}, 1,
 				func() (ivm.Maintainer[float64], error) { return cs.FirstOrderScalar(ord()) }, float, stream))
 	}
 	scs = append(scs,
-		strategy("F-IVM ONE", ds, ring.Cofactor{}, 1, nil,
+		strategy("F-IVM ONE", ds, ring.Cofactor{}, 1,
 			func() (ivm.Maintainer[ring.Triple], error) { return cs.FIVM(ord(), []string{"R"}) }, triple, oneStream))
 	results := runScenarios(scs, RunOptions{Timeout: cfg.Timeout})
 

@@ -80,30 +80,30 @@ func Fig7(cfg Fig7Config) []*Table {
 
 	scs := []scenario{
 		// F-IVM: one view tree, cofactor-ring payloads.
-		strategy("F-IVM", ds, ring.Cofactor{}, w, cs.stats,
+		strategy("F-IVM", ds, ring.Cofactor{}, w,
 			func() (ivm.Maintainer[ring.Triple], error) { return cs.FIVM(ord(), nil) }, triple, stream),
 		// SQL-OPT: same views, degree-indexed aggregate encoding.
-		strategy("SQL-OPT", ds, ring.DegreeMap{}, w, nil,
+		strategy("SQL-OPT", ds, ring.DegreeMap{}, w,
 			func() (ivm.Maintainer[ring.DegMap], error) { return cs.SQLOPT(ord(), nil) }, degMap, stream),
 		// DBT-RING: recursive hierarchies, cofactor-ring payloads.
-		strategy("DBT-RING", ds, ring.Cofactor{}, w, nil,
+		strategy("DBT-RING", ds, ring.Cofactor{}, w,
 			func() (ivm.Maintainer[ring.Triple], error) { return cs.DBTRing(nil) }, triple, stream),
 	}
 	if cfg.IncludeScalar {
 		scs = append(scs,
 			// DBT: one scalar hierarchy per aggregate, no sharing.
-			strategy("DBT", ds, ring.Float{}, w, nil,
+			strategy("DBT", ds, ring.Float{}, w,
 				func() (ivm.Maintainer[float64], error) { return cs.DBTScalar(nil) }, float, stream),
 			// 1-IVM: one delta query per aggregate per update.
-			strategy("1-IVM", ds, ring.Float{}, w, nil,
+			strategy("1-IVM", ds, ring.Float{}, w,
 				func() (ivm.Maintainer[float64], error) { return cs.FirstOrderScalar(ord()) }, float, stream))
 	}
 	scs = append(scs,
-		strategy("F-IVM ONE", ds, ring.Cofactor{}, w, nil,
+		strategy("F-IVM ONE", ds, ring.Cofactor{}, w,
 			func() (ivm.Maintainer[ring.Triple], error) { return cs.FIVM(ord(), largest) }, triple, oneStream),
-		strategy("SQL-OPT ONE", ds, ring.DegreeMap{}, w, nil,
+		strategy("SQL-OPT ONE", ds, ring.DegreeMap{}, w,
 			func() (ivm.Maintainer[ring.DegMap], error) { return cs.SQLOPT(ord(), largest) }, degMap, oneStream),
-		strategy("DBT-RING ONE", ds, ring.Cofactor{}, w, nil,
+		strategy("DBT-RING ONE", ds, ring.Cofactor{}, w,
 			func() (ivm.Maintainer[ring.Triple], error) { return cs.DBTRing(largest) }, triple, oneStream))
 	results := runScenarios(scs, RunOptions{Timeout: cfg.Timeout, Group: cfg.Group})
 

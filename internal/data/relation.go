@@ -171,9 +171,6 @@ type Relation[P any] struct {
 	// into the cells of a reused entry.
 	handedVolatile     bool
 	copied, rowsReused uint64
-	// stats, when non-nil, receives every insert/delete transition; see
-	// CollectStats.
-	stats *RelStats
 	// snap, when non-nil, tracks the keys dirtied since the last published
 	// snapshot; see Snapshot.
 	snap *snapState[P]
@@ -214,9 +211,6 @@ func (r *Relation[P]) Clear() {
 	} else {
 		r.keyBytes = 0
 	}
-	if r.stats != nil {
-		r.stats.Live -= r.entries.len()
-	}
 	if r.snap != nil {
 		// Wholesale invalidation: the next publish rebuilds from scratch.
 		r.snap.fullDirty = true
@@ -255,34 +249,6 @@ func (r *Relation[P]) projApply(proj Projector, t Tuple) Tuple {
 		dst = make(Tuple, proj.Len())
 	}
 	return proj.AppendTo(dst[:0], t)
-}
-
-// CollectStats attaches a statistics collector: from now on every insert
-// transition (key appearing with non-zero payload) and delete transition
-// (payload cancelling to zero) is reported to rs, keeping its cardinality
-// exact and its per-column sketches current. Existing contents are not
-// re-counted — seed rs first (ObserveRelation) when attaching to a populated
-// relation. The overhead is one nil check on unhooked relations and one
-// counter-plus-sketch update per transition otherwise. Pass nil to detach.
-func (r *Relation[P]) CollectStats(rs *RelStats) {
-	r.stats = rs
-	if rs != nil {
-		rs.exact = true
-	}
-}
-
-// noteInsert and noteDelete report presence transitions to the attached
-// statistics collector, if any.
-func (r *Relation[P]) noteInsert(t Tuple) {
-	if r.stats != nil {
-		r.stats.ObserveInsert(t)
-	}
-}
-
-func (r *Relation[P]) noteDelete() {
-	if r.stats != nil {
-		r.stats.ObserveDelete()
-	}
 }
 
 // RecycleCleared declares the relation delta scratch: a relation refilled
@@ -361,13 +327,12 @@ func (r *Relation[P]) park(e *Entry[P]) {
 	r.pool = append(r.pool, e)
 }
 
-// removeEntry deletes an entry, reports the transition to the statistics
-// collector and the snapshot dirty list, and parks the struct for reuse
-// after the owner's reclaim point. Until then its fields stay intact: index
-// maintenance and work items of the running batch may still read them.
+// removeEntry deletes an entry, records its key in the snapshot dirty list,
+// and parks the struct for reuse after the owner's reclaim point. Until
+// then its fields stay intact: index maintenance and work items of the
+// running batch may still read them.
 func (r *Relation[P]) removeEntry(e *Entry[P]) {
 	r.entries.del(e)
-	r.noteDelete()
 	if s := r.snap; s != nil && e.gen != s.gen {
 		s.dirtyKeys = append(s.dirtyKeys, e.key)
 	}
@@ -451,7 +416,6 @@ func (r *Relation[P]) ownTuple(dst, t Tuple) Tuple {
 func (r *Relation[P]) insertEntry(key []byte, t Tuple) *Entry[P] {
 	e := r.takeEntry(key, r.keyHash, t)
 	r.entries.insert(e)
-	r.noteInsert(e.Tuple)
 	r.markInserted(e)
 	return e
 }

@@ -16,7 +16,6 @@ import (
 type Sharded[P any] struct {
 	idx    int // position of the shard column in the schema
 	shards []*Relation[P]
-	stats  *RelStats
 }
 
 // NewSharded creates an empty n-way sharded relation partitioned on column
@@ -47,19 +46,8 @@ func (s *Sharded[P]) ShardOf(t Tuple) int {
 	return int(t[s.idx].Hash() % uint64(len(s.shards)))
 }
 
-// CollectStats attaches a statistics collector to the routing path: every
-// tuple merged through Sharded.Merge is observed as a delta event with its
-// column values (ObserveRouted). Cardinality transitions happen inside the
-// worker-owned shards and are not tracked here; the collector's Live count
-// therefore stays approximate. Must only be attached when Merge is called
-// from a single goroutine (true for the parallel maintainer's router).
-func (s *Sharded[P]) CollectStats(rs *RelStats) { s.stats = rs }
-
 // Merge routes tuple t to its shard and merges payload p there.
 func (s *Sharded[P]) Merge(t Tuple, p P) {
-	if s.stats != nil {
-		s.stats.ObserveRouted(t)
-	}
 	s.shards[s.ShardOf(t)].Merge(t, p)
 }
 

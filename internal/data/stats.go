@@ -45,26 +45,20 @@ func (s *VarSketch) Distinct() float64 {
 	}
 }
 
-// RelStats tracks one relation's statistics: its live cardinality, the
-// cumulative number of delta tuples it has received (the update-rate
-// signal), and one distinct-count sketch per column. A RelStats is either
-// exact — attached to a Relation via CollectStats, which reports every
-// insert/delete transition — or approximate, fed whole deltas where each
-// entry counts as a net insert.
+// RelStats tracks one relation's statistics: its cardinality, the cumulative
+// number of delta tuples it has received (the update-rate signal), and one
+// distinct-count sketch per column. Like the Stats it belongs to, it has one
+// writer.
 type RelStats struct {
 	Schema Schema
-	// Live is the current number of keys with non-zero payloads. Exact when
-	// a Relation collects into this; otherwise an upper-bound approximation
-	// (deletions encoded as negative-payload delta entries still count +1).
+	// Live is the estimated number of keys: exact after an ANALYZE pass,
+	// approximate once deltas are observed (an insert of a present key counts
+	// again).
 	Live int
-	// Inserted is the cumulative number of insert transitions (or observed
-	// delta entries, when approximate).
-	Inserted int64
 	// DeltaTuples is the cumulative number of delta entries routed at this
 	// relation — the optimizer's per-relation update-rate signal.
 	DeltaTuples int64
 
-	exact    bool
 	sketches []VarSketch
 }
 
@@ -73,27 +67,10 @@ func NewRelStats(schema Schema) *RelStats {
 	return &RelStats{Schema: schema, sketches: make([]VarSketch, len(schema))}
 }
 
-// Exact reports whether a Relation maintains these statistics transition-
-// exactly.
-func (rs *RelStats) Exact() bool { return rs.exact }
-
-// ObserveInsert records an insert transition: a key appearing with non-zero
-// payload. The tuple's values feed the per-column sketches.
+// ObserveInsert records a key appearing with non-zero payload. The tuple's
+// values feed the per-column sketches.
 func (rs *RelStats) ObserveInsert(t Tuple) {
 	rs.Live++
-	rs.Inserted++
-	rs.observeValues(t)
-}
-
-// ObserveDelete records a delete transition: a key's payload cancelling to
-// zero. Sketches are monotone and unaffected.
-func (rs *RelStats) ObserveDelete() { rs.Live-- }
-
-// ObserveRouted records one delta tuple passing through a routing path
-// (Sharded.Merge): an update-rate event plus sketch observations, without a
-// cardinality transition (the destination shard reports that).
-func (rs *RelStats) ObserveRouted(t Tuple) {
-	rs.DeltaTuples++
 	rs.observeValues(t)
 }
 
@@ -122,9 +99,11 @@ func (rs *RelStats) Distinct(v string) float64 {
 
 // Stats is a database-wide statistics collector: one RelStats per relation.
 // It is the optimizer's input — per-relation cardinalities, per-variable
-// distinct counts, and observed delta rates — and is maintained incrementally
-// by the relations and engines it is attached to. Not safe for concurrent
-// mutation; parallel maintainers keep per-shard collectors.
+// distinct counts, and observed delta rates. A collector has one writer: an
+// ANALYZE pass (ObserveRelation, or a caller's own), or a db.DB's ingest
+// (ObserveDeltaTuples). An engine reads one only when it plans, and never
+// writes to it; to seed several maintainers from one pass, give each a Clone.
+// Not safe for concurrent use while it is written.
 type Stats struct {
 	rels map[string]*RelStats
 }
@@ -178,41 +157,19 @@ func (st *Stats) TotalDeltaTuples() int64 {
 func ObserveRelation[P any](st *Stats, name string, r *Relation[P]) {
 	rs := st.Rel(name, r.Schema())
 	r.Iterate(func(t Tuple, _ P) bool {
-		rs.Live++
-		rs.Inserted++
-		rs.observeValues(t)
+		rs.ObserveInsert(t)
 		return true
 	})
 }
 
-// ObserveDeltaRelation records a delta arriving at the named relation: every
-// entry counts toward the update rate, and — for relations without an exact
-// transition feed — toward cardinality and the sketches too.
-func ObserveDeltaRelation[P any](st *Stats, name string, schema Schema, d *Relation[P]) {
-	rs := st.Rel(name, schema)
-	rs.DeltaTuples += int64(d.Len())
-	if rs.exact {
-		return
-	}
-	d.Iterate(func(t Tuple, _ P) bool {
-		rs.Live++
-		rs.Inserted++
-		rs.observeValues(t)
-		return true
-	})
-}
-
-// ObserveDeltaTuples is ObserveDeltaRelation for a raw (uncoalesced) tuple
-// slice with a known signed multiplicity — the form the db.DB's shared
-// ingest path observes, one pass for every view. Unlike coalesced deltas,
-// the sign is visible here, so deletions decrement the cardinality
-// approximation instead of inflating it.
+// ObserveDeltaTuples records a raw (uncoalesced) tuple slice arriving at the
+// named relation with a known signed multiplicity — the form the db.DB's
+// shared ingest path observes, one pass for every view. Every tuple counts
+// toward the update rate; an insert counts toward cardinality and the
+// sketches, a deletion decrements the cardinality.
 func ObserveDeltaTuples(st *Stats, name string, schema Schema, tuples []Tuple, mult int64) {
 	rs := st.Rel(name, schema)
 	rs.DeltaTuples += int64(len(tuples))
-	if rs.exact {
-		return
-	}
 	if mult < 0 {
 		rs.Live -= len(tuples)
 		if rs.Live < 0 {
@@ -221,15 +178,12 @@ func ObserveDeltaTuples(st *Stats, name string, schema Schema, tuples []Tuple, m
 		return
 	}
 	for _, t := range tuples {
-		rs.Live++
-		rs.Inserted++
-		rs.observeValues(t)
+		rs.ObserveInsert(t)
 	}
 }
 
-// Clone deep-copies the collector, sketches included. Clones start detached
-// (not exact): each engine or shard owns and updates its own copy, so one
-// ANALYZE pass can seed many concurrently running maintainers.
+// Clone deep-copies the collector, sketches included, so one ANALYZE pass can
+// seed many maintainers, each planning from its own copy.
 func (st *Stats) Clone() *Stats {
 	if st == nil {
 		return nil
@@ -237,60 +191,8 @@ func (st *Stats) Clone() *Stats {
 	out := NewStats()
 	for name, rs := range st.rels {
 		c := *rs
-		c.exact = false
 		c.sketches = append([]VarSketch(nil), rs.sketches...)
 		out.rels[name] = &c
 	}
 	return out
-}
-
-// Snapshot captures the per-relation cardinalities and delta-rate shares at
-// one instant, the baseline the drift test compares against.
-type StatsSnapshot struct {
-	Card       map[string]float64
-	DeltaShare map[string]float64
-}
-
-// Snapshot captures the collector's current state.
-func (st *Stats) Snapshot() StatsSnapshot {
-	snap := StatsSnapshot{
-		Card:       make(map[string]float64, len(st.rels)),
-		DeltaShare: make(map[string]float64, len(st.rels)),
-	}
-	total := float64(st.TotalDeltaTuples())
-	for name, rs := range st.rels {
-		snap.Card[name] = rs.Card()
-		if total > 0 {
-			snap.DeltaShare[name] = float64(rs.DeltaTuples) / total
-		}
-	}
-	return snap
-}
-
-// DriftFrom compares the current state against a snapshot and returns the
-// largest per-relation cardinality growth/shrink factor (always >= 1) and
-// the largest absolute shift in delta-rate share (in [0, 1]). The adaptive
-// engine re-plans when either exceeds its threshold.
-func (st *Stats) DriftFrom(snap StatsSnapshot) (cardFactor, shareDelta float64) {
-	cardFactor = 1
-	total := float64(st.TotalDeltaTuples())
-	for name, rs := range st.rels {
-		// Additive smoothing keeps tiny relations from reporting huge
-		// factors on their first few tuples.
-		now, then := rs.Card()+16, snap.Card[name]+16
-		f := now / then
-		if f < 1 {
-			f = 1 / f
-		}
-		if f > cardFactor {
-			cardFactor = f
-		}
-		if total > 0 {
-			share := float64(rs.DeltaTuples) / total
-			if d := math.Abs(share - snap.DeltaShare[name]); d > shareDelta {
-				shareDelta = d
-			}
-		}
-	}
-	return cardFactor, shareDelta
 }

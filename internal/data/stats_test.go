@@ -39,74 +39,9 @@ func TestVarSketchSaturates(t *testing.T) {
 	}
 }
 
-func TestRelationCollectStatsTransitions(t *testing.T) {
-	r := NewRelation[int64](ring.Int{}, NewSchema("A", "B"))
-	st := NewStats()
-	rs := st.Rel("R", r.Schema())
-	r.CollectStats(rs)
-	if !rs.Exact() {
-		t.Fatal("attached collector should be exact")
-	}
-
-	r.Merge(Ints(1, 2), 1)
-	r.Merge(Ints(1, 3), 1)
-	r.Merge(Ints(1, 2), 2) // existing key: no transition
-	if rs.Live != 2 || rs.Inserted != 2 {
-		t.Fatalf("live=%d inserted=%d after inserts", rs.Live, rs.Inserted)
-	}
-	r.Merge(Ints(1, 2), -3) // cancels to zero: delete transition
-	if rs.Live != 1 {
-		t.Fatalf("live=%d after cancellation", rs.Live)
-	}
-	r.Set(Ints(9, 9), 5)
-	r.Set(Ints(9, 9), 0) // Set to zero deletes
-	if rs.Live != 1 {
-		t.Fatalf("live=%d after set/unset", rs.Live)
-	}
-	if got := rs.Distinct("A"); got < 1 || got > 4 {
-		t.Fatalf("distinct(A)=%v", got)
-	}
-	r.Clear()
-	if rs.Live != 0 {
-		t.Fatalf("live=%d after Clear", rs.Live)
-	}
-}
-
-func TestRelationStatsThroughProjectedAndFusedMerges(t *testing.T) {
-	r := NewRelation[int64](ring.Int{}, NewSchema("A"))
-	rs := NewRelStats(r.Schema())
-	r.CollectStats(rs)
-	proj := MustProjector(NewSchema("A", "B"), NewSchema("A"))
-	r.MergeProjected(proj, Ints(1, 7), 1)
-	r.MergeProjected(proj, Ints(2, 7), 1)
-	a, b := int64(1), int64(-1)
-	r.MergeMul(Ints(1), &a, &b) // 1 + (1 * -1) = 0: delete
-	if rs.Live != 1 {
-		t.Fatalf("live=%d after projected+fused merges", rs.Live)
-	}
-	var zero int64
-	r.MergeMul(Ints(5), &zero, &a) // fresh zero product: insert then drop
-	if rs.Live != 1 {
-		t.Fatalf("live=%d after zero fused merge", rs.Live)
-	}
-}
-
-func TestIndexedRelationStats(t *testing.T) {
-	ir := NewIndexedRelation(NewRelation[int64](ring.Int{}, NewSchema("A", "B")))
-	rs := NewRelStats(ir.Schema())
-	ir.CollectStats(rs)
-	d := NewRelation[int64](ring.Int{}, NewSchema("B", "A")) // permuted schema
-	d.Merge(Ints(2, 1), 1)
-	ir.MergeAllIndexed(d)
-	if rs.Live != 1 {
-		t.Fatalf("live=%d after projected indexed merge", rs.Live)
-	}
-	ir.MergeAllIndexed(d.Negate())
-	if rs.Live != 0 {
-		t.Fatalf("live=%d after cancelling indexed merge", rs.Live)
-	}
-}
-
+// TestObserveRelationAndDeltas covers the two writers a collector has: an
+// ANALYZE pass (ObserveRelation) and a db.DB's ingest (ObserveDeltaTuples),
+// an insert batch and then its deletion.
 func TestObserveRelationAndDeltas(t *testing.T) {
 	st := NewStats()
 	r := NewRelation[int64](ring.Int{}, NewSchema("A", "B"))
@@ -115,68 +50,35 @@ func TestObserveRelationAndDeltas(t *testing.T) {
 	}
 	ObserveRelation(st, "R", r)
 	rs := st.Lookup("R")
-	if rs == nil || rs.Live != 10 {
-		t.Fatalf("seeded live = %+v", rs)
+	if rs == nil || rs.Live != 10 || rs.DeltaTuples != 0 {
+		t.Fatalf("seeded stats = %+v", rs)
 	}
 	if d := rs.Distinct("A"); d < 2 || d > 5 {
 		t.Fatalf("distinct(A)=%v, want ~3", d)
 	}
 
-	d := NewRelation[int64](ring.Int{}, NewSchema("A", "B"))
-	d.Merge(Ints(7, 7), 1)
-	ObserveDeltaRelation(st, "R", r.Schema(), d)
-	if rs.DeltaTuples != 1 {
-		t.Fatalf("delta tuples = %d", rs.DeltaTuples)
+	ins := []Tuple{Ints(7, 7), Ints(8, 7), Ints(9, 7)}
+	ObserveDeltaTuples(st, "R", r.Schema(), ins, 1)
+	if rs.Live != 13 || rs.DeltaTuples != 3 {
+		t.Fatalf("after inserts live=%d deltas=%d, want 13 and 3", rs.Live, rs.DeltaTuples)
 	}
-	// Approximate (non-exact) relations also bump Live per delta entry.
-	if rs.Live != 11 {
-		t.Fatalf("approximate live = %d", rs.Live)
+	if d := rs.Distinct("A"); d < 5 || d > 8 {
+		t.Fatalf("distinct(A)=%v after inserts, want ~6", d)
 	}
-	// Exact relations leave cardinality to the transition feed.
-	r.CollectStats(rs)
-	ObserveDeltaRelation(st, "R", r.Schema(), d)
-	if rs.Live != 11 || rs.DeltaTuples != 2 {
-		t.Fatalf("exact live=%d deltas=%d", rs.Live, rs.DeltaTuples)
+	if st.TotalDeltaTuples() != 3 {
+		t.Fatalf("total delta tuples = %d", st.TotalDeltaTuples())
 	}
-}
-
-func TestShardedCollectStats(t *testing.T) {
-	s, err := NewSharded[int64](ring.Int{}, NewSchema("A", "B"), "A", 4)
-	if err != nil {
-		t.Fatal(err)
+	before := rs.Distinct("A")
+	ObserveDeltaTuples(st, "R", r.Schema(), ins[:2], -1)
+	if rs.Live != 11 || rs.DeltaTuples != 5 {
+		t.Fatalf("after deletes live=%d deltas=%d, want 11 and 5", rs.Live, rs.DeltaTuples)
 	}
-	rs := NewRelStats(NewSchema("A", "B"))
-	s.CollectStats(rs)
-	for i := 0; i < 8; i++ {
-		s.Merge(Ints(int64(i), int64(i)), 1)
+	if got := rs.Distinct("A"); got != before {
+		t.Fatalf("a deletion moved the monotone sketch: %v -> %v", before, got)
 	}
-	if rs.DeltaTuples != 8 {
-		t.Fatalf("routed deltas = %d", rs.DeltaTuples)
-	}
-	if d := rs.Distinct("A"); d < 6 || d > 10 {
-		t.Fatalf("distinct(A)=%v", d)
-	}
-}
-
-func TestStatsSnapshotDrift(t *testing.T) {
-	st := NewStats()
-	ra := st.Rel("R", NewSchema("A"))
-	rb := st.Rel("S", NewSchema("B"))
-	ra.Live, ra.DeltaTuples = 100, 100
-	rb.Live, rb.DeltaTuples = 100, 100
-	snap := st.Snapshot()
-
-	cf, sd := st.DriftFrom(snap)
-	if cf != 1 || sd != 0 {
-		t.Fatalf("no-change drift = %v, %v", cf, sd)
-	}
-	ra.Live = 800
-	ra.DeltaTuples = 900
-	cf, sd = st.DriftFrom(snap)
-	if cf < 4 {
-		t.Fatalf("card factor %v after 8x growth", cf)
-	}
-	if sd < 0.3 {
-		t.Fatalf("share delta %v after rate skew", sd)
+	// Deleting more than was ever seen floors the cardinality at zero.
+	ObserveDeltaTuples(st, "R", r.Schema(), make([]Tuple, 20), -1)
+	if rs.Live != 0 {
+		t.Fatalf("live=%d after over-deletion", rs.Live)
 	}
 }

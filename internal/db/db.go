@@ -47,9 +47,9 @@ type Catalog = sqlparse.Catalog
 type Options struct {
 	// DisableStats turns off the shared statistics collector. Views created
 	// without an explicit variable order then plan from structural defaults
-	// instead of observed cardinalities, and AutoReoptimize views start
-	// cold. The collector costs one observation per stored base tuple per
-	// batch; leave it on unless ingest is the only thing that matters.
+	// instead of observed cardinalities. The collector costs one observation
+	// per stored base tuple per batch; leave it on unless ingest is the only
+	// thing that matters.
 	DisableStats bool
 	// Durability, when non-nil, enables the write-ahead log: batches are
 	// logged before they advance any in-memory state, SQL views persist in
@@ -245,8 +245,9 @@ func (d *DB) Schema(rel string) (data.Schema, bool) { return d.store.Schema(rel)
 // of the rows it deletes — and never to mutate.
 func (d *DB) Base(rel string) *data.Relation[int64] { return d.store.Base(rel) }
 
-// Stats returns the shared statistics collector (nil when disabled). Owned
-// by the maintenance goroutine.
+// Stats returns the shared statistics collector (nil when disabled): Apply
+// is its one writer, and a view created later plans from a clone of it.
+// Owned by the maintenance goroutine.
 func (d *DB) Stats() *data.Stats { return d.stats }
 
 // Views returns the registered view names in creation order.

@@ -192,7 +192,6 @@ func viewOptionsOf(def wal.ViewDef) ViewOptions {
 		Workers:         def.Workers,
 		ComposeChains:   def.ComposeChains,
 		CostMaterialize: def.CostMaterialize,
-		AutoReoptimize:  def.AutoReoptimize,
 	}
 }
 
@@ -203,6 +202,5 @@ func viewDefOf(name, sql string, opts ViewOptions) wal.ViewDef {
 		Workers:         opts.Workers,
 		ComposeChains:   opts.ComposeChains,
 		CostMaterialize: opts.CostMaterialize,
-		AutoReoptimize:  opts.AutoReoptimize,
 	}
 }

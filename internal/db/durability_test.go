@@ -1,8 +1,10 @@
 package db
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"testing"
 
 	"fivm/internal/data"
@@ -105,6 +107,77 @@ func TestDurableRestartRoundTrip(t *testing.T) {
 	}
 	if got, want := viewFP(t, d2, "cnt"), viewFP(t, ref, "cnt"); got != want {
 		t.Fatalf("post-recovery stream diverges:\n got  %s\n want %s", got, want)
+	}
+}
+
+// A create-view record as earlier versions wrote it for ComposeChains,
+// CostMaterialize and AutoReoptimize has flags 0b111. It still recovers, to
+// the contents of the view the first two options create today.
+func TestRecoverCreateViewFlagsOfEarlierVersions(t *testing.T) {
+	fs := wal.NewMemFS()
+	opts := ViewOptions{ComposeChains: true, CostMaterialize: true}
+	d, err := Open(testCatalog(), Options{Durability: durOpts(fs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CreateViewSQL(d, "cnt", durSQL, opts); err != nil {
+		t.Fatal(err)
+	}
+	applyN(t, d, durBatches())
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The create-view record is the segment's first frame (length, CRC, body)
+	// and its flags byte the body's last: set bit 2 and re-seal the CRC.
+	const seg = "wal/wal-00000001.seg"
+	b, err := fs.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := int(wal.RecordBoundaries(b)[0])
+	start := 0
+	for int(binary.LittleEndian.Uint32(b[start:])) != end-start-8 {
+		start++
+	}
+	body := b[start+8 : end]
+	if body[len(body)-1] != 0b011 {
+		t.Fatalf("create-view flags %03b, want 011", body[len(body)-1])
+	}
+	body[len(body)-1] = 0b111
+	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	if bounds := wal.RecordBoundaries(b); len(bounds) != 1+len(durBatches()) || int(bounds[0]) != end {
+		t.Fatalf("patched segment frames at %v", bounds)
+	}
+	f, err := fs.Create(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	f.Sync()
+	f.Close()
+
+	d2, err := Open(testCatalog(), Options{Durability: durOpts(fs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if !d2.HasView("cnt") {
+		t.Fatal("view not recovered")
+	}
+	fresh, err := Open(testCatalog(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	applyN(t, fresh, durBatches())
+	if _, err := CreateViewSQL(fresh, "cnt", durSQL, opts); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := viewFP(t, d2, "cnt"), viewFP(t, fresh, "cnt"); got != want {
+		t.Fatalf("recovered view diverges from a fresh one:\n got  %s\n want %s", got, want)
 	}
 }
 

@@ -28,11 +28,10 @@ type ViewOptions struct {
 	// Updatable restricts which base relations this view expects deltas
 	// from (ivm.Options.Updatable); empty means all of the query's.
 	Updatable []string
-	// ComposeChains, CostMaterialize, and AutoReoptimize are the engine's
-	// corresponding options.
+	// ComposeChains and CostMaterialize are the engine's corresponding
+	// options.
 	ComposeChains   bool
 	CostMaterialize bool
-	AutoReoptimize  bool
 }
 
 // View is the typed handle of one registered view: its maintainer plus the
@@ -123,15 +122,11 @@ func CreateView[P any](d *DB, name string, q query.Query, r ring.Ring[P], lift d
 			Updatable:       opts.Updatable,
 			ComposeChains:   opts.ComposeChains,
 			CostMaterialize: opts.CostMaterialize,
-			AutoReoptimize:  opts.AutoReoptimize,
-			// The DB observes the coalesced stream once for every view, so
-			// per-view engines plan from it and then stop collecting
-			// (unless adaptive re-optimization needs a live feed).
-			NoLiveStats: !opts.AutoReoptimize,
 		}
 		if d.stats != nil {
 			// Seed self-planning and the cost policies from the DB's shared
-			// collector; every maintainer instance owns its clone.
+			// collector, which only ingest writes: every maintainer instance
+			// plans from its own clone, frozen at creation time.
 			eopts.Stats = d.stats.Clone()
 		}
 		return ivm.New[P](q, o, r, lift, eopts)

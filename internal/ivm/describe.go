@@ -49,9 +49,6 @@ func (e *Engine[P]) Explain() string {
 	fmt.Fprintf(&b, "order: %s\n", e.order.String())
 	fmt.Fprintf(&b, "width: %d\n", e.order.Width(e.q))
 	fmt.Fprintf(&b, "estimated cost: %s\n", m.Cost(e.order))
-	if e.replans > 0 {
-		fmt.Fprintf(&b, "replans: %d\n", e.replans)
-	}
 	b.WriteString("views (* = materialized, est -> actual entries):\n")
 	var rec func(n *viewtree.Node, depth int)
 	rec = func(n *viewtree.Node, depth int) {

@@ -79,8 +79,10 @@ type Options[P any] struct {
 
 	// Stats supplies pre-collected statistics (the ANALYZE path) for
 	// self-planning and the cost policies. When nil and an optimizer feature
-	// is in use, the engine owns a fresh collector, seeds it from loaded
-	// relations at Init, and keeps it current from the update stream.
+	// is in use, the engine owns a fresh collector and seeds it from loaded
+	// relations at Init. Either way the engine reads it only to plan, and
+	// never writes to it afterwards: Explain reports the estimates the order
+	// was chosen from.
 	Stats *data.Stats
 	// CostMaterialize replaces the structural materialization rule with the
 	// cost-based policy: a probed view whose estimated footprint and merge
@@ -88,19 +90,9 @@ type Options[P any] struct {
 	// (viewtree.CostMaterialize). Ignored when MaterializeAll or a payload
 	// transform demands the full hierarchy.
 	CostMaterialize bool
-	// AutoReoptimize enables adaptive re-optimization: when observed
-	// statistics drift past the thresholds mid-stream, the engine re-plans
-	// and migrates, rebuilding only views whose definitions changed and
-	// reusing matching materialized relations. It forces every leaf to be
-	// materialized (migration rebuilds from leaf contents) and is
-	// incompatible with Indicators and PayloadTransform.
-	AutoReoptimize bool
-	// NoLiveStats plans from the supplied (or Init-seeded) statistics and
-	// then stops collecting: no leaf transition feeds, no per-delta rate
-	// observations. Set it when statistics are maintained centrally — a
-	// db.DB observes the coalesced stream once for all of its views, so
-	// per-view collection would be redundant work. Incompatible with
-	// AutoReoptimize, which needs a live collector to detect drift.
+	// NoLiveStats has no effect: an engine never writes statistics. It stays
+	// only because the benchmark module sets it, and ROADMAP ground rule (c)
+	// pins what the benchmark calls; ROADMAP item 1 deletes it.
 	NoLiveStats bool
 }
 
@@ -124,8 +116,7 @@ type Engine[P any] struct {
 	plans     map[*viewtree.Node]*deltaPlan[P]
 	// Stable view names. catalog is set by the first Catalog call: epochs
 	// then carry every materialized view, not just the root. catNames caches
-	// the sorted catalogue across epochs; plan drops it (a replan renames
-	// views), and a length mismatch rebuilds it.
+	// the sorted catalogue across epochs; a length mismatch rebuilds it.
 	names    map[*viewtree.Node]string
 	byName   map[string]*viewtree.Node
 	catalog  bool
@@ -138,14 +129,10 @@ type Engine[P any] struct {
 	ownedBases map[string]bool              // bases transferred via LoadOwned (adopted, not cloned)
 	ready      bool
 
-	// optimizer state
+	// optimizer state: the collector planning read, frozen from then on
 	stats        *data.Stats
-	ownStats     bool          // stats created (and seeded) by the engine, not the caller
-	pendingPlan  bool          // planning deferred to Init, after loaded data seeds the stats
+	pendingPlan  bool          // engine-owned stats: seeded and planned at Init, from the loaded data
 	pendingOrder *vorder.Order // explicit order awaiting deferred planning (nil: choose)
-	planSnap     data.StatsSnapshot
-	ticks        int
-	replans      int
 }
 
 // New builds an F-IVM engine for the query over the given variable order.
@@ -154,8 +141,7 @@ type Engine[P any] struct {
 // cost-based optimizer (vorder.Choose). With opts.Stats set, planning
 // happens immediately; otherwise it is deferred to Init, after the loaded
 // relations have seeded the engine's own statistics collector (an engine
-// that starts empty plans from structural defaults and can later correct
-// itself via AutoReoptimize).
+// that starts empty plans from structural defaults).
 func New[P any](q query.Query, o *vorder.Order, r ring.Ring[P], lift data.LiftFunc[P], opts Options[P]) (*Engine[P], error) {
 	e := &Engine[P]{
 		q:         q,
@@ -178,21 +164,12 @@ func New[P any](q query.Query, o *vorder.Order, r ring.Ring[P], lift data.LiftFu
 	}
 	e.updList = upd
 
-	if opts.AutoReoptimize && (opts.Indicators || opts.PayloadTransform != nil) {
-		return nil, fmt.Errorf("ivm: AutoReoptimize is incompatible with Indicators and PayloadTransform")
-	}
-	if opts.AutoReoptimize && opts.NoLiveStats {
-		return nil, fmt.Errorf("ivm: AutoReoptimize needs live statistics (NoLiveStats set)")
-	}
 	e.stats = opts.Stats
-	if e.stats == nil && (o == nil || opts.AutoReoptimize || opts.CostMaterialize) {
-		e.stats = data.NewStats()
-		e.ownStats = true
-	}
-	if opts.Stats == nil && (o == nil || opts.CostMaterialize) {
-		// The engine-owned collector is still empty: defer planning to Init
+	if e.stats == nil && (o == nil || opts.CostMaterialize) {
+		// The engine owns a collector, still empty: defer planning to Init
 		// so order choice and the cost-based materialization decision see
 		// the loaded data instead of structural defaults.
+		e.stats = data.NewStats()
 		e.pendingOrder = o
 		e.pendingPlan = true
 		return e, nil
@@ -221,8 +198,7 @@ func (e *Engine[P]) chooseOrder() (*vorder.Order, error) {
 
 // plan compiles the engine's static machinery for a prepared-or-fresh
 // variable order: the view tree, indicator extensions, the materialization
-// decision, and one delta plan per updatable leaf. Any previous machinery is
-// discarded (replan rebuilds the view contents afterwards).
+// decision, and one delta plan per updatable leaf.
 func (e *Engine[P]) plan(o *vorder.Order) error {
 	if err := o.Prepare(e.q); err != nil {
 		return err
@@ -252,7 +228,6 @@ func (e *Engine[P]) plan(o *vorder.Order) error {
 
 	e.mat = e.materialization()
 	e.nameViews()
-	e.catNames = nil
 	// Build delta plans for every leaf that can emit deltas.
 	for _, leaf := range root.Leaves() {
 		if !e.updatable[leaf.Rel] {
@@ -318,15 +293,6 @@ func (e *Engine[P]) materialization() map[*viewtree.Node]bool {
 			mat[leaf] = true
 		}
 	}
-	// Adaptive engines keep every leaf: migration rebuilds changed views
-	// bottom-up from leaf contents.
-	if e.opts.AutoReoptimize {
-		for _, leaf := range e.root.Leaves() {
-			if !leaf.Indicator {
-				mat[leaf] = true
-			}
-		}
-	}
 	// Cost-based refinement: demote probed views whose storage costs more
 	// than inline computation from their children (delta plans expand such
 	// siblings in place). The full-hierarchy modes must keep every view.
@@ -338,6 +304,10 @@ func (e *Engine[P]) materialization() map[*viewtree.Node]bool {
 
 // Tree returns the engine's view tree.
 func (e *Engine[P]) Tree() *viewtree.Node { return e.root }
+
+// Order returns the engine's (prepared) variable order, or nil before a
+// deferred self-planning Init.
+func (e *Engine[P]) Order() *vorder.Order { return e.order }
 
 // ViewOf returns the materialized contents of a view, or nil. The returned
 // relation is a live handle that delta propagation keeps mutating: it is not
@@ -384,10 +354,9 @@ func (e *Engine[P]) LoadOwned(rel string, r *data.Relation[P]) error {
 // nil order and no pre-collected statistics plans here, after seeding its
 // collector from the loaded contents.
 func (e *Engine[P]) Init() error {
-	if e.ownStats {
+	if e.pendingPlan {
 		// Seed the engine-owned collector from the loaded contents, in each
-		// relation's canonical column order so sketches line up with the
-		// leaf views that keep them current afterwards.
+		// relation's canonical column order, then plan from it.
 		for rel, base := range e.bases {
 			rd, _ := e.q.Rel(rel)
 			if !base.Schema().Equal(rd.Schema) {
@@ -395,8 +364,6 @@ func (e *Engine[P]) Init() error {
 			}
 			data.ObserveRelation(e.stats, rel, base)
 		}
-	}
-	if e.pendingPlan {
 		o := e.pendingOrder
 		if o == nil {
 			var err error
@@ -440,36 +407,10 @@ func (e *Engine[P]) Init() error {
 	for _, plan := range e.plans {
 		plan.bind()
 	}
-	if e.opts.NoLiveStats {
-		// Planning is done; a centrally collected feed (the DB's) replaces
-		// per-engine observation, so drop the collector from the hot path.
-		e.stats = nil
-	}
-	e.attachLeafStats()
-	if e.stats != nil {
-		e.planSnap = e.stats.Snapshot()
-	}
 	e.bases = nil
 	e.ownedBases = nil
 	e.ready = true
 	return nil
-}
-
-// attachLeafStats hooks the statistics collector into every stored leaf
-// relation, so cardinality transitions and value sketches stay exact on the
-// merge path at one nil-check of overhead.
-func (e *Engine[P]) attachLeafStats() {
-	if e.stats == nil {
-		return
-	}
-	for _, leaf := range e.root.Leaves() {
-		if leaf.Indicator {
-			continue
-		}
-		if v := e.views[leaf]; v != nil {
-			v.CollectStats(e.stats.Rel(leaf.Rel, leaf.Keys))
-		}
-	}
 }
 
 // evalFromChildren computes a view's contents from its children via the
@@ -568,7 +509,7 @@ func (e *Engine[P]) PoolStats() data.PoolStats {
 	return ps
 }
 
-// newView wraps a relation Init or a replan evaluated as a materialized view,
+// newView wraps a relation Init evaluated as a materialized view,
 // declaring its reclaim point, and with it its own rows, before any insert.
 func newView[P any](rel *data.Relation[P]) *data.IndexedRelation[P] {
 	ir := data.NewIndexedRelation(rel)
@@ -609,12 +550,6 @@ func (e *Engine[P]) applyDelta(rel string, delta *data.Relation[P]) error {
 	// against the pre-merge leaf view when the leaf is stored).
 	indDeltas := e.indicatorDeltas(rel, delta)
 
-	if e.stats != nil {
-		// Update-rate signal (and, for unstored leaves, approximate
-		// cardinality): stored leaves report exact transitions themselves.
-		data.ObserveDeltaRelation(e.stats, rel, leaf.Keys, delta)
-	}
-
 	if err := plan.run(e, delta); err != nil {
 		return err
 	}
@@ -622,9 +557,6 @@ func (e *Engine[P]) applyDelta(rel string, delta *data.Relation[P]) error {
 		if err := id.plan.run(e, id.delta); err != nil {
 			return err
 		}
-	}
-	if e.opts.AutoReoptimize {
-		return e.maybeReoptimize()
 	}
 	return nil
 }

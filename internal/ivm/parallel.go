@@ -66,34 +66,9 @@ type Parallel[P any] struct {
 	batches [][]NamedDelta[P]
 	errs    []error
 
-	// stats, when attached via CollectStats, observes the routing path:
-	// partitioned deltas through the Sharded routing relations, broadcast
-	// deltas directly. Router-owned (same goroutine as ApplyDeltas).
-	stats *data.Stats
-
 	// reduceParts is the reusable shard-result list handed to
 	// data.ReduceSealed per publish.
 	reduceParts []*data.Relation[P]
-}
-
-// CollectStats attaches a statistics collector to the router: every delta
-// tuple routed through the maintainer is observed (update rates and value
-// sketches) before it is dispatched, via Sharded.CollectStats for
-// partitioned relations. The per-shard inner maintainers keep their own
-// collectors; this one sees the undivided stream and is what ANALYZE-seeded
-// benchmark collectors pass to keep delta rates current. Must be called
-// from the goroutine that applies deltas.
-func (p *Parallel[P]) CollectStats(st *data.Stats) {
-	p.stats = st
-	for rel, route := range p.routes {
-		// Only where the collector's column order matches: a relation it first
-		// saw under a permuted schema keeps that registration, and mismatched
-		// sketches would misalign.
-		sch := route.Shard(0).Schema()
-		if rs := st.Rel(rel, sch); rs.Schema.Equal(sch) {
-			route.CollectStats(rs)
-		}
-	}
 }
 
 // pickShardVar returns the query variable contained in the most relation
@@ -319,9 +294,6 @@ func (p *Parallel[P]) route(rel string, d *data.Relation[P]) error {
 	}
 	route := p.routes[rel]
 	if route == nil {
-		if p.stats != nil {
-			data.ObserveDeltaRelation(p.stats, rel, d.Schema(), d)
-		}
 		for s := range p.batches {
 			p.batches[s] = append(p.batches[s], NamedDelta[P]{Rel: rel, Delta: d})
 		}

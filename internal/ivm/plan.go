@@ -100,8 +100,8 @@ type margVar struct {
 type joinSibling[P any] struct {
 	name string // for Describe and bind's panic
 	keys data.Schema
-	// stored resolves the sibling's storage; bind calls it, so a view that is
-	// built (Init) or replaced (a replan) after compile is picked up there.
+	// stored resolves the sibling's storage; bind calls it, so a view that
+	// Init builds after compile is picked up there.
 	stored func() *data.IndexedRelation[P]
 	view   *data.IndexedRelation[P]
 	index  *data.Index[P] // on common; nil when full

@@ -26,7 +26,8 @@ import (
 //	            uvarint nTuples | tuples (data value codec, back to back)
 //
 // CreateView payload: uvarint lsn | str name | str sql | uvarint workers |
-// flags byte (bit0 ComposeChains, bit1 CostMaterialize, bit2 AutoReoptimize).
+// flags byte (bit0 ComposeChains, bit1 CostMaterialize, bit2: written by
+// earlier versions, ignored).
 // DropView payload: uvarint lsn | str name.
 
 const (
@@ -60,7 +61,6 @@ type ViewDef struct {
 	Workers         int
 	ComposeChains   bool
 	CostMaterialize bool
-	AutoReoptimize  bool
 }
 
 // appendFrame wraps body (type byte already included) in the length+CRC
@@ -146,9 +146,6 @@ func encodeCreateViewBody(b []byte, lsn uint64, def ViewDef) []byte {
 	}
 	if def.CostMaterialize {
 		flags |= 2
-	}
-	if def.AutoReoptimize {
-		flags |= 4
 	}
 	return append(b, flags)
 }
@@ -332,7 +329,6 @@ func decodeRecord(b []byte, a *data.BatchArena) (Record, int, error) {
 		r.at++
 		def.ComposeChains = flags&1 != 0
 		def.CostMaterialize = flags&2 != 0
-		def.AutoReoptimize = flags&4 != 0
 		rec.Create = def
 	case recDropView:
 		if rec.Drop, err = r.str(nil); err != nil {

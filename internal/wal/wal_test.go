@@ -30,9 +30,14 @@ func TestAppendAndReplayRoundTrip(t *testing.T) {
 	if rec.Checkpoint != nil || len(rec.Records) != 0 {
 		t.Fatalf("fresh log reported recovery state: %+v", rec)
 	}
-	if err := l.AppendCreateView(ViewDef{Name: "v", SQL: "SELECT ...", Workers: 3, AutoReoptimize: true}); err != nil {
+	// The create-view record as earlier versions wrote it for ComposeChains,
+	// CostMaterialize and AutoReoptimize: flags 0b111, whose bit 2 is ignored.
+	create := encodeCreateViewBody(nil, 1, ViewDef{Name: "v", SQL: "SELECT ...", Workers: 3})
+	create[len(create)-1] = 0b111
+	if err := l.append(create); err != nil {
 		t.Fatal(err)
 	}
+	l.lsn = 1
 	for i := int64(1); i <= 5; i++ {
 		if err := l.AppendBatch(uint64(i), testBatch(i)); err != nil {
 			t.Fatal(err)
@@ -51,9 +56,12 @@ func TestAppendAndReplayRoundTrip(t *testing.T) {
 		t.Fatalf("recovered %d records, want 7", len(rec2.Records))
 	}
 	if rec2.Records[0].Type != recCreateView || rec2.Records[0].Create.Name != "v" ||
-		rec2.Records[0].Create.Workers != 3 || !rec2.Records[0].Create.AutoReoptimize ||
-		rec2.Records[0].Create.ComposeChains {
+		rec2.Records[0].Create.Workers != 3 || !rec2.Records[0].Create.ComposeChains ||
+		!rec2.Records[0].Create.CostMaterialize {
 		t.Errorf("create record mismatch: %+v", rec2.Records[0].Create)
+	}
+	if again := encodeCreateViewBody(nil, 1, *rec2.Records[0].Create); again[len(again)-1] != 0b011 {
+		t.Errorf("create record re-encodes with flags %03b, want 011", again[len(again)-1])
 	}
 	for i := 1; i <= 5; i++ {
 		r := rec2.Records[i]
