@@ -219,14 +219,14 @@ func benchFig7(b *testing.B, ds *datasets.Dataset) {
 		benchCofactorUpdates[ring.Triple](b, m, ds, tripleDeltaOf, 100)
 	})
 	b.Run("DBT-scalar", func(b *testing.B) {
-		m, err := ivm.NewMultiRecursive(ds.Query, ivm.CofactorAggSpecs(vars), nil)
+		m, err := ivm.NewMultiRecursive(ds.Query, ring.Float{}, ivm.CofactorAggSpecs(vars), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		benchCofactorUpdates[float64](b, m, ds, floatDeltaOf, 100)
 	})
 	b.Run("1-IVM-scalar", func(b *testing.B) {
-		m, err := ivm.NewMultiFirstOrder(ds.Query, ds.NewOrder(), ivm.CofactorAggSpecs(vars))
+		m, err := ivm.NewMultiFirstOrder(ds.Query, ds.NewOrder(), ring.Float{}, ivm.CofactorAggSpecs(vars))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -357,7 +357,7 @@ func BenchmarkFig13Triangle(b *testing.B) {
 		benchCofactorUpdates[ring.Triple](b, m, ds, tripleDeltaOf, 100)
 	})
 	b.Run("1-IVM-scalar", func(b *testing.B) {
-		m, err := ivm.NewMultiFirstOrder(ds.Query, ds.NewOrder(), ivm.CofactorAggSpecs(vars))
+		m, err := ivm.NewMultiFirstOrder(ds.Query, ds.NewOrder(), ring.Float{}, ivm.CofactorAggSpecs(vars))
 		if err != nil {
 			b.Fatal(err)
 		}

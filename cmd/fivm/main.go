@@ -1,12 +1,13 @@
 // Command fivm regenerates the paper's evaluation tables and figures
-// (Section 7 and Appendix C) on scaled-down synthetic workloads.
+// (Section 7 and Appendix C) on scaled-down synthetic workloads, as counted
+// work: views, ring multiplications and floats per tuple, and state.
 //
 // Usage:
 //
 //	fivm <experiment> [flags]
 //
 // Experiments: fig6left, fig6right, fig7, fig8, fig11, fig12, fig13,
-// triangle-indicator, all.
+// triangle-indicator, autoorder, all.
 package main
 
 import (
@@ -15,10 +16,8 @@ import (
 	"os"
 	"slices"
 	"strings"
-	"time"
 
 	"fivm/internal/bench"
-	"fivm/internal/datasets"
 	"fivm/internal/db"
 	"fivm/internal/wal"
 )
@@ -28,17 +27,20 @@ func usage() {
 
 Usage: fivm <experiment> [flags]
 
-Experiments (paper artifact each regenerates):
-  fig6left            matrix chain, one-row updates (Figure 6 left)
+Experiments (paper artifact each regenerates). Each prints counted work,
+which reads the same on every machine: views, ring multiplications (Mul) and
+floats touched per tuple, and state, plus one wall-clock column, "elapsed
+(not bounded)". There is no timeout: the scalar DBT and 1-IVM and the
+re-evaluations run the first 6 round-robin batches of 50 tuples.
+  fig6left            matrix chain, dense rank-1 updates, factored vs
+                      listed (Figure 6 left)
   fig6right           matrix chain, rank-r updates (Figure 6 right)
-  fig7                cofactor maintenance, throughput + memory (Figure 7)
-  fig8                join result representations (Figure 8)
-  fig11               SUM-aggregate throughput table (Appendix C)
-  fig12               batch size sweep (Figure 12)
+  fig7                cofactor maintenance (Figure 7)
+  fig8                join result representations, result size (Figure 8)
+  fig11               SUM-aggregate maintenance (Appendix C)
+  fig12               batch size sweep, Mul per tuple (Figure 12)
   fig13               cofactor over the triangle query (Figure 13)
   triangle-indicator  indicator projections on the triangle (Appendix B)
-  ablations           engine design-choice ablations (chain composition,
-                      materialization rule, payload encoding)
   autoorder           optimizer ablation: handpicked vs cost-chosen orders
                       (and cost-based materialization) on fig7/fig13 queries
   explain             print the optimizer's plan for a dataset: chosen
@@ -58,7 +60,7 @@ Experiments (paper artifact each regenerates):
   follow              read replica: streams a primary's WAL
                       (-primary host:port), serves read-only HTTP
                       (-listen); -wal-dir makes it durable across restarts
-  all                 everything above at default scale
+  all                 every figure above at default scale
 
 Flags:
 `)
@@ -88,7 +90,6 @@ func main() {
 	batch := fs.Int("batch", 1000, "update batch size")
 	group := fs.Int("group", 1, "stream batches applied per batched ApplyDeltas call")
 	workers := fs.Int("workers", 1, "shard/worker count for parallel maintenance (fig7, fig13)")
-	timeout := fs.Duration("timeout", 10*time.Second, "per-strategy timeout (the paper's 1h limit, scaled)")
 	scale := fs.Int("scale", 1, "dataset scale multiplier")
 	noScalar := fs.Bool("no-scalar", false, "skip the per-aggregate scalar competitors (DBT, 1-IVM)")
 	autoOrder := fs.Bool("auto-order", false, "let the cost-based optimizer choose variable orders (fig7, fig13, explain) instead of the handpicked ones")
@@ -118,107 +119,63 @@ func main() {
 		durability = &db.DurabilityOptions{Dir: *walDir, Fsync: fsync, CheckpointEvery: *ckptEvery}
 	}
 
-	retailer := datasets.DefaultRetailer()
-	retailer.Dates *= *scale
-	housing := datasets.DefaultHousing()
-	housing.Scale *= *scale
-	twitter := datasets.DefaultTwitter()
-	twitter.Edges *= *scale
+	cfg := bench.DefaultConfig()
+	cfg.Retailer.Dates *= *scale
+	cfg.Housing.Scale *= *scale
+	cfg.Twitter.Edges *= *scale
+	cfg.BatchSize, cfg.Group, cfg.Workers = *batch, *group, *workers
+	cfg.Scalar, cfg.AutoOrder = !*noScalar, *autoOrder
+	for i := range cfg.Ns {
+		cfg.Ns[i] *= *scale
+	}
+	cfg.N *= *scale
+	retailer, housing, twitter := cfg.Retailer, cfg.Housing, cfg.Twitter
 
 	print := func(ts ...*bench.Table) {
 		for _, t := range ts {
 			fmt.Println(t.Format())
 		}
 	}
-
-	runFig7 := func(ds string) {
-		cfg := bench.DefaultFig7(ds)
-		cfg.BatchSize = *batch
-		cfg.Timeout = *timeout
-		cfg.Group = *group
-		cfg.Workers = *workers
-		cfg.Retailer = retailer
-		cfg.Housing = housing
-		cfg.IncludeScalar = !*noScalar
-		cfg.AutoOrder = *autoOrder
-		print(bench.Fig7(cfg)...)
-	}
-	runFig8 := func(ds string) {
-		cfg := bench.DefaultFig8(ds)
-		cfg.BatchSize = *batch
-		cfg.Timeout = *timeout
-		cfg.Retailer = retailer
+	fig8 := func(ds string) {
 		if ds == "housing" {
 			print(bench.Fig8Housing(cfg))
 		} else {
-			print(bench.Fig8Retailer(cfg)...)
+			print(bench.Fig8Retailer(cfg))
 		}
 	}
 
 	switch cmd {
 	case "fig6left":
-		cfg := bench.DefaultFig6()
-		if *scale > 1 {
-			cfg.Ns = append(cfg.Ns, 128**scale, 256**scale)
-		}
 		print(bench.Fig6Left(cfg))
 	case "fig6right":
-		cfg := bench.DefaultFig6()
-		cfg.N *= *scale
 		print(bench.Fig6Right(cfg))
 	case "fig7":
-		runFig7(*dataset)
+		print(bench.Fig7(cfg, *dataset))
 	case "fig8":
-		runFig8(*dataset)
+		fig8(*dataset)
 	case "fig11":
-		cfg := bench.DefaultFig11()
-		cfg.BatchSize = *batch
-		cfg.Timeout = *timeout
-		cfg.Retailer = retailer
-		cfg.Housing = housing
-		print(bench.Fig11(cfg))
+		print(bench.Fig11(cfg)...)
 	case "fig12":
-		cfg := bench.DefaultFig12()
-		cfg.Timeout = *timeout
-		cfg.Retailer = retailer
-		cfg.Housing = housing
-		cfg.Twitter = twitter
 		print(bench.Fig12(cfg))
 	case "fig13":
-		cfg := bench.DefaultFig13()
-		cfg.BatchSize = *batch
-		cfg.Timeout = *timeout
-		cfg.Workers = *workers
-		cfg.Twitter = twitter
-		cfg.AutoOrder = *autoOrder
-		cfg.IncludeScalar = !*noScalar
-		print(bench.Fig13(cfg)...)
+		print(bench.Fig13(cfg))
 	case "triangle-indicator":
-		cfg := bench.DefaultFig13()
-		cfg.BatchSize = *batch
-		cfg.Timeout = *timeout
-		cfg.Twitter = twitter
 		print(bench.TriangleIndicator(cfg))
-	case "ablations":
-		cfg := bench.DefaultAblation()
-		cfg.Timeout = *timeout
-		cfg.Retailer = retailer
-		print(bench.Ablations(cfg))
 	case "autoorder":
-		cfg := bench.DefaultAutoOrder()
-		cfg.BatchSize = *batch
-		cfg.Timeout = *timeout
-		cfg.Retailer = retailer
-		cfg.Housing = housing
-		cfg.Twitter = twitter
 		print(bench.AutoOrder(cfg)...)
 	case "explain":
 		ds := pickDataset(*dataset, retailer, housing, twitter)
 		fmt.Print(bench.ExplainReport(ds, *autoOrder))
 	case "views":
 		ds := pickDataset(*dataset, retailer, housing, twitter)
-		print(bench.ViewTreeReport(ds, nil))
-		print(bench.ViewTreeReport(ds, []string{ds.Largest}))
+		for _, upd := range [][]string{nil, {ds.Largest}} {
+			t, err := viewTreeReport(ds, upd)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
+			print(t)
+		}
 	case "repl":
 		ds := pickDataset(*dataset, retailer, housing, twitter)
 		if err := repl(ds, os.Stdin, os.Stdout, *batch, *workers, durability); err != nil {
@@ -263,22 +220,11 @@ func main() {
 			os.Exit(1)
 		}
 	case "all":
-		print(bench.Fig6Left(bench.DefaultFig6()))
-		print(bench.Fig6Right(bench.DefaultFig6()))
-		runFig7("retailer")
-		runFig7("housing")
-		runFig8("retailer")
-		runFig8("housing")
-		cfg11 := bench.DefaultFig11()
-		cfg11.Timeout = *timeout
-		print(bench.Fig11(cfg11))
-		cfg12 := bench.DefaultFig12()
-		cfg12.Timeout = *timeout
-		print(bench.Fig12(cfg12))
-		cfg13 := bench.DefaultFig13()
-		cfg13.Timeout = *timeout
-		print(bench.Fig13(cfg13)...)
-		print(bench.TriangleIndicator(bench.DefaultFig13()))
+		print(bench.Fig6Left(cfg), bench.Fig6Right(cfg), bench.Fig7(cfg, "retailer"), bench.Fig7(cfg, "housing"))
+		fig8("retailer")
+		fig8("housing")
+		print(bench.Fig11(cfg)...)
+		print(bench.Fig12(cfg), bench.Fig13(cfg), bench.TriangleIndicator(cfg))
 	case "-h", "--help", "help":
 		usage()
 	default:

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"fivm/internal/datasets"
 	"fivm/internal/ivm"
@@ -10,37 +9,13 @@ import (
 	"fivm/internal/vorder"
 )
 
-// AutoOrderConfig scales the optimizer ablation.
-type AutoOrderConfig struct {
-	BatchSize int
-	Timeout   time.Duration
-	Retailer  datasets.RetailerConfig
-	Housing   datasets.HousingConfig
-	Twitter   datasets.TwitterConfig
-}
-
-// DefaultAutoOrder is a laptop-scale configuration.
-func DefaultAutoOrder() AutoOrderConfig {
-	return AutoOrderConfig{
-		BatchSize: 1000,
-		Timeout:   10 * time.Second,
-		Retailer:  datasets.DefaultRetailer(),
-		Housing:   datasets.DefaultHousing(),
-		Twitter:   datasets.DefaultTwitter(),
-	}
-}
-
-// AutoOrder runs the optimizer ablation on the fig7/fig13 benchmark
-// queries: for each dataset, the F-IVM engine under (a) the paper's
-// handpicked variable order, (b) the cost-based optimizer's chosen order
-// (Order: nil, dataset statistics), and (c) the optimizer's order plus
-// cost-based materialization. Reported per variant: the model's estimated
-// cost, view count, measured throughput, and peak memory. Expected shape:
-// the optimizer reproduces the handpicked orders on the acyclic snowflake
-// and star schemas (identical cost and throughput within noise), and on the
-// cyclic triangle the cost policy trades the quadratic pairwise view for
-// inline probes, cutting peak memory.
-func AutoOrder(cfg AutoOrderConfig) []*Table {
+// AutoOrder runs the optimizer ablation: per dataset, F-IVM under the
+// paper's handpicked order, under the cost-based optimizer's (Order: nil,
+// dataset statistics), and under that plus cost-based materialization.
+// Expected shape: the optimizer reproduces the handpicked orders (the same
+// cost, views and work), and on the triangle the cost policy trades the
+// quadratic pairwise view for inline probes, cutting state.
+func AutoOrder(cfg Config) []*Table {
 	var tables []*Table
 	for _, ds := range []*datasets.Dataset{
 		datasets.GenRetailer(cfg.Retailer),
@@ -52,63 +27,41 @@ func AutoOrder(cfg AutoOrderConfig) []*Table {
 	return tables
 }
 
-func autoOrderOne(cfg AutoOrderConfig, ds *datasets.Dataset) *Table {
+func autoOrderOne(cfg Config, ds *datasets.Dataset) *Table {
 	st := analyze(ds)
 	m := vorder.NewCostModel(ds.Query, st, nil)
-	cs := newCofactorStrategies(ds.Query)
-	cs.stats = st
-
 	hand := ds.NewOrder()
 	must(hand.Prepare(ds.Query))
 	chosen, err := vorder.Choose(ds.Query, vorder.ChooseOptions{Model: m})
 	must(err)
 	must(chosen.Prepare(ds.Query))
-
-	t := &Table{
-		Title: "Optimizer ablation: handpicked vs chosen order, " + ds.Name,
-		Note: fmt.Sprintf("handpicked %s\nchosen     %s",
-			hand.String(), chosen.String()),
-		Header: []string{"variant", "width", "est cost", "views", "throughput", "peak mem", "status"},
+	stream := datasets.RoundRobinStream(ds, ds.Query.RelNames(), cfg.BatchSize)
+	variant := func(name string, o *vorder.Order, costMat bool) scenario {
+		return strategy(name, ds, ring.Cofactor{}, 1, nil, func(r ring.Ring[ring.Triple]) (ivm.Maintainer[ring.Triple], error) {
+			return ivm.New(ds.Query, o, r, liftOf(ds.Query.Vars(), ring.LiftValue),
+				ivm.Options[ring.Triple]{ComposeChains: true, Stats: st.Clone(), CostMaterialize: costMat})
+		}, stream)
 	}
-	run := func(name string, o *vorder.Order, cost vorder.OrderCost, costMat bool) {
-		eng, err := ivm.New[ring.Triple](ds.Query, o, ring.Cofactor{}, tripleLift(ds.Query.Vars()),
-			ivm.Options[ring.Triple]{
-				ComposeChains:   true,
-				Stats:           st.Clone(),
-				CostMaterialize: costMat,
-			})
-		must(err)
-		must(eng.Init())
-		stream := datasets.RoundRobinStream(ds, ds.Query.RelNames(), cfg.BatchSize)
-		res := RunStream(name, Adapt[ring.Triple](eng, tripleDelta(ds.Query)), stream,
-			RunOptions{Timeout: cfg.Timeout})
-		width := eng.Order().Width(ds.Query)
-		t.AddRow(name, width, fmt.Sprintf("%.2f", cost.Total()), res.Views,
-			fmtTput(res.Throughput), fmtMem(res.PeakMem), res.Status())
-	}
-	run("handpicked", hand, m.Cost(hand), false)
-	run("optimizer", nil, m.Cost(chosen), false)
-	run("optimizer+costmat", nil, m.Cost(chosen), true)
-	return t
+	results := runScenarios(1, variant("handpicked", hand, false), variant("optimizer", nil, false),
+		variant("optimizer+costmat", nil, true))
+	return workTable("Optimizer ablation: handpicked vs chosen order, "+ds.Name, fmt.Sprintf(
+		"handpicked %s (est cost %.2f)\nchosen     %s (est cost %.2f)",
+		hand, m.Cost(hand).Total(), chosen, m.Cost(chosen).Total()), results)
 }
 
-// ExplainReport builds the F-IVM cofactor engine for a dataset — under the
-// handpicked order or, with auto, the optimizer's choice — preloads the
-// generated contents, and renders the engine's Explain output: chosen
-// order, width, estimated cost, and per-view estimated vs actual sizes with
-// materialization decisions.
+// ExplainReport renders Explain for the F-IVM cofactor engine over a
+// dataset's contents, under the handpicked order or, with auto, the
+// optimizer's: order, width, estimated cost, per-view estimated vs actual
+// sizes and materialization decisions.
 func ExplainReport(ds *datasets.Dataset, auto bool) string {
-	st := analyze(ds)
-	var o *vorder.Order
-	variant := "optimizer-chosen"
-	if !auto {
-		o = ds.NewOrder()
-		variant = "handpicked"
+	o, variant := ds.NewOrder(), "handpicked"
+	if auto {
+		o, variant = nil, "optimizer-chosen"
 	}
-	eng, err := ivm.New[ring.Triple](ds.Query, o, ring.Cofactor{}, tripleLift(ds.Query.Vars()),
-		ivm.Options[ring.Triple]{ComposeChains: true, Stats: st})
+	eng, err := ivm.New(ds.Query, o, ring.Cofactor{}, liftOf(ds.Query.Vars(), ring.LiftValue),
+		ivm.Options[ring.Triple]{ComposeChains: true, Stats: analyze(ds)})
 	must(err)
-	toDelta := tripleDelta(ds.Query)
+	toDelta := deltaOf[ring.Triple](ds.Query, ring.Cofactor{})
 	for rel, ts := range ds.Tuples {
 		must(eng.Load(rel, toDelta(datasets.Batch{Rel: rel, Tuples: ts})))
 	}

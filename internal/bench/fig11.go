@@ -2,86 +2,52 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
+	"fivm/internal/data"
 	"fivm/internal/datasets"
 	"fivm/internal/ivm"
 	"fivm/internal/ring"
 )
 
-// Fig11Config scales the sum-aggregate table (Appendix C, Figure 11).
-type Fig11Config struct {
-	BatchSize int
-	Timeout   time.Duration
-	Retailer  datasets.RetailerConfig
-	Housing   datasets.HousingConfig
-}
-
-// DefaultFig11 is a laptop-scale configuration.
-func DefaultFig11() Fig11Config {
-	return Fig11Config{
-		BatchSize: 1000,
-		Timeout:   5 * time.Second,
-		Retailer:  datasets.DefaultRetailer(),
-		Housing:   datasets.DefaultHousing(),
-	}
-}
-
-// Fig11 regenerates the Appendix C table: average throughput of maintaining
-// a SUM aggregate over the natural join, for F-IVM, DBT, 1-IVM, F-RE
-// (factorized re-evaluation), and DBT-RE (unfactorized re-evaluation), with
-// updates to all relations. Expected shape: F-IVM highest; DBT close behind
-// (same pre-aggregated views on Housing's star join); 1-IVM slower; both
-// re-evaluation strategies orders of magnitude behind, with DBT-RE worst
-// (timeouts marked *).
-func Fig11(cfg Fig11Config) *Table {
-	t := &Table{
-		Title:  "Figure 11 (Appendix C): SUM-aggregate maintenance throughput (tuples/sec)",
-		Note:   "* = hit the scaled-down timeout; ! = aborted by a maintenance error; throughput over the processed prefix",
-		Header: []string{"dataset", "F-IVM", "DBT", "1-IVM", "F-RE", "DBT-RE"},
-	}
-	for _, name := range []string{"retailer", "housing"} {
-		var ds *datasets.Dataset
-		var sumVar string
-		if name == "retailer" {
-			ds = datasets.GenRetailer(cfg.Retailer)
-			sumVar = "inventoryunits"
-		} else {
-			ds = datasets.GenHousing(cfg.Housing)
-			sumVar = "postcode"
+// Fig11 regenerates the Appendix C table: a SUM over the natural join under
+// updates to all relations, by F-IVM, DBT, 1-IVM, F-RE (factorized
+// re-evaluation) and DBT-RE (unfactorized). Expected shape: F-IVM does the
+// least work per tuple, tied with DBT on Housing's star join; a
+// re-evaluation's work per tuple grows with the database, which the scalar
+// prefix keeps small.
+func Fig11(cfg Config) []*Table {
+	var tables []*Table
+	for _, ds := range []*datasets.Dataset{datasets.GenRetailer(cfg.Retailer), datasets.GenHousing(cfg.Housing)} {
+		sumVar := map[string]string{"retailer": "inventoryunits", "housing": "postcode"}[ds.Name]
+		lift := func(v string, x data.Value) float64 {
+			if v == sumVar {
+				return x.AsFloat()
+			}
+			return 1
 		}
-		lift := sumLift(sumVar)
-		stream := datasets.RoundRobinStream(ds, ds.Query.RelNames(), cfg.BatchSize)
-		opts := RunOptions{Timeout: cfg.Timeout}
-		cell := fmtTputRes
-
-		fivm, err := ivm.New[float64](ds.Query, ds.NewOrder(), ring.Float{}, lift,
-			ivm.Options[float64]{ComposeChains: true})
-		must(err)
-		must(fivm.Init())
-		rFIVM := RunStream("F-IVM", Adapt[float64](fivm, floatDelta(ds.Query)), stream, opts)
-
-		dbt, err := ivm.NewRecursive[float64](ds.Query, ring.Float{}, lift, nil)
-		must(err)
-		must(dbt.Init())
-		rDBT := RunStream("DBT", Adapt[float64](dbt, floatDelta(ds.Query)), stream, opts)
-
-		first, err := ivm.NewFirstOrder[float64](ds.Query, ds.NewOrder(), ring.Float{}, lift)
-		must(err)
-		must(first.Init())
-		r1 := RunStream("1-IVM", Adapt[float64](first, floatDelta(ds.Query)), stream, opts)
-
-		fre, err := ivm.NewReEval[float64](ds.Query, ds.NewOrder(), ring.Float{}, lift)
-		must(err)
-		must(fre.Init())
-		rFRE := RunStream("F-RE", Adapt[float64](fre, floatDelta(ds.Query)), stream, opts)
-
-		dre := ivm.NewNaiveReEval[float64](ds.Query, ring.Float{}, lift)
-		must(dre.Init())
-		rDRE := RunStream("DBT-RE", Adapt[float64](dre, floatDelta(ds.Query)), stream, opts)
-
-		t.AddRow(fmt.Sprintf("%s (SUM(%s))", name, sumVar),
-			cell(rFIVM), cell(rDBT), cell(r1), cell(rFRE), cell(rDRE))
+		q, o := ds.Query, ds.NewOrder
+		stream := datasets.RoundRobinStream(ds, q.RelNames(), cfg.BatchSize)
+		sum := func(name string, stream []datasets.Batch, mk func(r ring.Ring[float64]) (ivm.Maintainer[float64], error)) scenario {
+			return strategy(name, ds, ring.Float{}, 1, nil, mk, stream)
+		}
+		results := runScenarios(1,
+			sum("F-IVM", stream, func(r ring.Ring[float64]) (ivm.Maintainer[float64], error) {
+				return ivm.New(q, o(), r, lift, ivm.Options[float64]{ComposeChains: true})
+			}),
+			sum("DBT", stream, func(r ring.Ring[float64]) (ivm.Maintainer[float64], error) {
+				return ivm.NewRecursive(q, r, lift, nil)
+			}),
+			sum("1-IVM", stream, func(r ring.Ring[float64]) (ivm.Maintainer[float64], error) {
+				return ivm.NewFirstOrder(q, o(), r, lift)
+			}),
+			sum("F-RE", scalarStream(ds), func(r ring.Ring[float64]) (ivm.Maintainer[float64], error) {
+				return ivm.NewReEval(q, o(), r, lift)
+			}),
+			sum("DBT-RE", scalarStream(ds), func(r ring.Ring[float64]) (ivm.Maintainer[float64], error) {
+				return ivm.NewNaiveReEval(q, r, lift), nil
+			}))
+		tables = append(tables, workTable(fmt.Sprintf("Figure 11 (Appendix C): SUM(%s) over %s", sumVar, ds.Name),
+			scalarNote(true, "F-RE and DBT-RE"), results))
 	}
-	return t
+	return tables
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -9,197 +10,106 @@ import (
 	"fivm/internal/matrix"
 	"fivm/internal/mcm"
 	"fivm/internal/ring"
+	"fivm/internal/ring/ringtest"
 )
 
-// Fig6Config scales the matrix chain experiments (Figure 6).
-type Fig6Config struct {
-	// Ns are the matrix dimensions for the row-update sweep (paper: 256 to
-	// 16384; scaled default: 16 to 128).
-	Ns []int
-	// N is the dimension for the rank-r sweep (paper: 4096).
-	N int
-	// Ranks are the tensor ranks for the rank-r sweep (paper: 1 to 256).
-	Ranks []int
-	// Updates is the number of timed updates per configuration.
-	Updates int
-	Seed    int64
-}
+// fig6Strategies maintain A = A1·A2·A3 under updates to A2: F-IVM with the
+// update as factors (Engine.ApplyFactoredDelta, paper Section 5), and F-IVM,
+// 1-IVM and re-evaluation with the same update listed as an n×n delta.
+var fig6Strategies = []string{"F-IVM", "F-IVM listed", "1-IVM", "RE-EVAL"}
 
-// DefaultFig6 is a laptop-scale configuration.
-func DefaultFig6() Fig6Config {
-	return Fig6Config{
-		Ns:      []int{16, 32, 64, 128},
-		N:       96,
-		Ranks:   []int{1, 2, 4, 8, 16, 32, 64},
-		Updates: 3,
-		Seed:    1,
-	}
-}
-
-// timeIt runs f n times and returns the average seconds per run.
-func timeIt(n int, f func()) float64 {
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		f()
-	}
-	return time.Since(start).Seconds() / float64(n)
-}
-
-// randomRow draws a random row index and row values.
-func randomRow(rng *rand.Rand, n int) (int, []float64) {
-	i := rng.Intn(n)
-	row := make([]float64, n)
-	for j := range row {
-		row[j] = rng.Float64()*2 - 1
-	}
-	return i, row
-}
-
-// hashChainBaseline builds a 1-IVM or RE-EVAL maintainer over the 3-chain
-// query with the matrices loaded as relations.
-func hashChainBaseline(kind string, ms []*matrix.Dense) ivm.Maintainer[float64] {
-	q := mcm.ChainQuery(3)
+// fig6Mul returns the ring multiplications one update Σ u_k v_kᵀ to A2 costs
+// the named strategy over the chain of ms, and the update's wall-clock time.
+func fig6Mul(name string, ms []*matrix.Dense, terms []matrix.RankOne) (int64, time.Duration) {
+	var c ringtest.Counter
+	r := ringtest.Wrap[float64](ring.Float{}, &c)
+	q, o, one := mcm.ChainQuery(3), mcm.ChainOrder(3), func(string, data.Value) float64 { return 1 }
 	var m ivm.Maintainer[float64]
 	var err error
-	lift := func(string, data.Value) float64 { return 1 }
-	switch kind {
+	switch name {
 	case "1-IVM":
-		m, err = ivm.NewFirstOrder[float64](q, mcm.ChainOrder(3), ring.Float{}, lift)
+		m, err = ivm.NewFirstOrder(q, o, r, one)
 	case "RE-EVAL":
-		m, err = ivm.NewReEval[float64](q, mcm.ChainOrder(3), ring.Float{}, lift)
+		m, err = ivm.NewReEval(q, o, r, one)
+	default:
+		m, err = ivm.New(q, o, r, one, ivm.Options[float64]{Updatable: []string{"A2"}})
 	}
-	if err != nil {
-		panic(err)
+	must(err)
+	for i, a := range ms {
+		must(m.Load(mcm.MatName(i+1), matrixRel(r, i+1, a)))
 	}
-	for i := 1; i <= 3; i++ {
-		rel := mcm.MatrixToRelation(ms[i-1], mcm.VarName(i), mcm.VarName(i+1))
-		if err := m.Load(mcm.MatName(i), rel); err != nil {
-			panic(err)
+	must(m.Init())
+	before := c.Load()
+	el := elapsed(func() {
+		if name != "F-IVM" {
+			must(m.ApplyDelta("A2", matrixRel(r, 2, matrix.Recompose(terms, ms[1].Rows, ms[1].Cols))))
+			return
 		}
-	}
-	if err := m.Init(); err != nil {
-		panic(err)
-	}
-	return m
+		for _, t := range terms {
+			fd := ivm.FactoredDelta[float64]{Factors: []*data.Relation[float64]{vectorRel(r, 2, t.U), vectorRel(r, 3, t.V)}}
+			must(m.(*ivm.Engine[float64]).ApplyFactoredDelta("A2", fd))
+		}
+	})
+	return c.Load().Sub(before).Mul, el
 }
 
-// Fig6Left regenerates Figure 6 (left): average time per one-row update to
-// A2 in A = A1·A2·A3, for the hash (DBToaster-style) and dense (Octave
-// stand-in) backends and the three strategies. Expected shape: F-IVM's
-// advantage over 1-IVM and RE-EVAL grows with n (O(n²) vs O(n³)).
-func Fig6Left(cfg Fig6Config) *Table {
-	t := &Table{
-		Title:  "Figure 6 (left): matrix chain, one-row updates to A2",
-		Note:   "seconds per update; lower is better",
-		Header: []string{"n", "F-IVM", "1-IVM", "RE-EVAL", "dense F-IVM", "dense 1-IVM", "dense RE-EVAL"},
+// matrixRel is the matrix over ring r as A_i[X_i, X_i+1], zeros left out.
+func matrixRel(r ring.Ring[float64], i int, a *matrix.Dense) *data.Relation[float64] {
+	rel := data.NewRelation(r, data.NewSchema(mcm.VarName(i), mcm.VarName(i+1)))
+	for x := 0; x < a.Rows; x++ {
+		for y := 0; y < a.Cols; y++ {
+			if v := a.At(x, y); v != 0 {
+				rel.Set(data.Ints(int64(x), int64(y)), v)
+			}
+		}
 	}
-	for _, n := range cfg.Ns {
-		rng := rand.New(rand.NewSource(cfg.Seed))
+	return rel
+}
+
+// vectorRel is the vector over ring r as a factor over X_i, zeros left out.
+func vectorRel(r ring.Ring[float64], i int, u []float64) *data.Relation[float64] {
+	rel := data.NewRelation(r, data.NewSchema(mcm.VarName(i)))
+	for x, v := range u {
+		if v != 0 {
+			rel.Set(data.Ints(int64(x)), v)
+		}
+	}
+	return rel
+}
+
+// Fig6Left regenerates Figure 6 (left): a dense rank-1 update u vᵀ to A2 for
+// each n of cfg.Ns. Expected shape: factored it costs O(n²) ring
+// multiplications, listed O(n³), so F-IVM's advantage grows linearly with n.
+// (Listed, the paper's one-row update costs O(n²) too, so it shows no gap.)
+func Fig6Left(cfg Config) *Table {
+	return fig6("Figure 6 (left): matrix chain, dense rank-1 updates to A2", "n", cfg.Ns,
+		func(n int) (int, int) { return n, 1 })
+}
+
+// Fig6Right regenerates Figure 6 (right): a rank-r update to A2 for each r of
+// cfg.Ranks at n = cfg.N. Expected shape: factored it grows linearly in r,
+// listed it does not depend on r; they cross where r is about n.
+func Fig6Right(cfg Config) *Table {
+	return fig6(fmt.Sprintf("Figure 6 (right): matrix chain, rank-r updates to A2, n = %d", cfg.N), "rank", cfg.Ranks,
+		func(r int) (int, int) { return cfg.N, r })
+}
+
+// fig6 runs every strategy on one update per label: a random rank-r update
+// to a random n×n chain, where (n, r) = at(label).
+func fig6(title, first string, labels []int, at func(label int) (n, rank int)) *Table {
+	t := &Table{Title: title, Note: "ring multiplications per update; lower is better",
+		Header: append(append([]string{first}, fig6Strategies...), "elapsed (not bounded)")}
+	rng := rand.New(rand.NewSource(1))
+	for _, label := range labels {
+		n, rank := at(label)
 		ms := []*matrix.Dense{matrix.Random(n, n, rng), matrix.Random(n, n, rng), matrix.Random(n, n, rng)}
-
-		hc, err := mcm.NewHashChain(3, 2, ms)
-		if err != nil {
-			panic(err)
+		_, terms := matrix.RandomRank(n, n, rank, rng)
+		row, total := []any{label}, time.Duration(0)
+		for _, s := range fig6Strategies {
+			mul, el := fig6Mul(s, ms, terms)
+			row, total = append(row, mul), total+el
 		}
-		first := hashChainBaseline("1-IVM", ms)
-		re := hashChainBaseline("RE-EVAL", ms)
-		dfivm, _ := mcm.NewDenseChain(2, ms)
-		dfirst, _ := mcm.NewDenseChain(2, ms)
-		dre, _ := mcm.NewDenseChain(2, ms)
-
-		tFIVM := timeIt(cfg.Updates, func() {
-			i, row := randomRow(rng, n)
-			_, r1 := mcm.RowUpdate(n, i, row)
-			if err := hc.ApplyRank1(r1.U, r1.V); err != nil {
-				panic(err)
-			}
-		})
-		rowDelta := func() ivm.NamedDelta[float64] {
-			i, row := randomRow(rng, n)
-			d, _ := mcm.RowUpdate(n, i, row)
-			return ivm.NamedDelta[float64]{
-				Rel:   mcm.MatName(2),
-				Delta: mcm.MatrixToRelation(d, mcm.VarName(2), mcm.VarName(3)),
-			}
-		}
-		t1IVM := timeIt(cfg.Updates, func() {
-			if err := first.ApplyDeltas([]ivm.NamedDelta[float64]{rowDelta()}); err != nil {
-				panic(err)
-			}
-		})
-		tRE := timeIt(cfg.Updates, func() {
-			if err := re.ApplyDeltas([]ivm.NamedDelta[float64]{rowDelta()}); err != nil {
-				panic(err)
-			}
-		})
-		tDF := timeIt(cfg.Updates, func() {
-			i, row := randomRow(rng, n)
-			_, r1 := mcm.RowUpdate(n, i, row)
-			dfivm.ApplyRank1FIVM(r1.U, r1.V)
-		})
-		tD1 := timeIt(cfg.Updates, func() {
-			i, row := randomRow(rng, n)
-			d, _ := mcm.RowUpdate(n, i, row)
-			dfirst.ApplyFirstOrder(d)
-		})
-		tDR := timeIt(cfg.Updates, func() {
-			i, row := randomRow(rng, n)
-			d, _ := mcm.RowUpdate(n, i, row)
-			dre.ApplyReEval(d)
-		})
-		t.AddRow(n, fmtDur(tFIVM), fmtDur(t1IVM), fmtDur(tRE), fmtDur(tDF), fmtDur(tD1), fmtDur(tDR))
-	}
-	return t
-}
-
-// Fig6Right regenerates Figure 6 (right): average time per rank-r update to
-// A2 for growing tensor rank r, against re-evaluation (whose cost is
-// rank-independent). Expected shape: F-IVM grows linearly in r and crosses
-// re-evaluation at some rank (paper: r ≈ 96 at n = 4096).
-func Fig6Right(cfg Fig6Config) *Table {
-	n := cfg.N
-	t := &Table{
-		Title:  "Figure 6 (right): matrix chain, rank-r updates to A2",
-		Note:   "seconds per rank-r update; RE-EVAL is rank-independent",
-		Header: []string{"rank", "F-IVM", "RE-EVAL", "dense F-IVM", "dense RE-EVAL"},
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	ms := []*matrix.Dense{matrix.Random(n, n, rng), matrix.Random(n, n, rng), matrix.Random(n, n, rng)}
-
-	for _, r := range cfg.Ranks {
-		hc, err := mcm.NewHashChain(3, 2, ms)
-		if err != nil {
-			panic(err)
-		}
-		re := hashChainBaseline("RE-EVAL", ms)
-		dfivm, _ := mcm.NewDenseChain(2, ms)
-		dre, _ := mcm.NewDenseChain(2, ms)
-
-		tF := timeIt(cfg.Updates, func() {
-			_, terms := matrix.RandomRank(n, n, r, rng)
-			if err := hc.ApplyRankR(terms); err != nil {
-				panic(err)
-			}
-		})
-		tR := timeIt(cfg.Updates, func() {
-			d, _ := matrix.RandomRank(n, n, r, rng)
-			batch := []ivm.NamedDelta[float64]{{
-				Rel:   mcm.MatName(2),
-				Delta: mcm.MatrixToRelation(d, mcm.VarName(2), mcm.VarName(3)),
-			}}
-			if err := re.ApplyDeltas(batch); err != nil {
-				panic(err)
-			}
-		})
-		tDF := timeIt(cfg.Updates, func() {
-			_, terms := matrix.RandomRank(n, n, r, rng)
-			dfivm.ApplyRankRFIVM(terms)
-		})
-		tDR := timeIt(cfg.Updates, func() {
-			d, _ := matrix.RandomRank(n, n, r, rng)
-			dre.ApplyReEval(d)
-		})
-		t.AddRow(r, fmtDur(tF), fmtDur(tR), fmtDur(tDF), fmtDur(tDR))
+		t.AddRow(append(row, total)...)
 	}
 	return t
 }

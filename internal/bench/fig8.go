@@ -2,141 +2,69 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
-	"fivm/internal/data"
 	"fivm/internal/datasets"
 	"fivm/internal/factorized"
 	"fivm/internal/query"
+	"fivm/internal/ring"
 )
 
-// Fig8Config scales the result-representation experiments (Figure 8).
-type Fig8Config struct {
-	Dataset   string // "retailer" or "housing"
-	BatchSize int
-	Timeout   time.Duration
-	Retailer  datasets.RetailerConfig
-	Housing   datasets.HousingConfig
-	// Scales is the Housing scale sweep (paper: 1..20).
-	Scales []int
-}
+// fig8Modes are Figure 8's representations, in its legend's order.
+var fig8Modes = []factorized.Mode{factorized.FactPayloads, factorized.ListPayloads, factorized.ListKeys}
 
-// DefaultFig8 is a laptop-scale configuration.
-func DefaultFig8(dataset string) Fig8Config {
-	return Fig8Config{
-		Dataset:   dataset,
-		BatchSize: 1000,
-		Timeout:   10 * time.Second,
-		Retailer:  datasets.DefaultRetailer(),
-		Housing:   datasets.HousingConfig{Postcodes: 200, Scale: 1, Seed: 2},
-		Scales:    []int{1, 2, 3, 4, 5, 6, 8, 10},
-	}
-}
-
-// fullJoinQuery returns the dataset's natural join with every variable in
-// the output (the conjunctive query whose result Figure 8 maintains).
-func fullJoinQuery(q query.Query) query.Query {
-	return query.MustNew(q.Name+"_join", q.Vars(), q.Rels...)
-}
-
-// resultLoader adapts factorized.Result to the harness Loader.
-type resultLoader struct {
-	r  *factorized.Result
-	to func(b datasets.Batch) *data.Relation[int64]
-}
-
-func (l resultLoader) ApplyBatches(bs []datasets.Batch) error {
-	for _, b := range bs {
-		if err := l.r.ApplyDelta(b.Rel, l.to(b)); err != nil {
-			return err
+// fig8Run maintains the dataset's natural join, every variable free, in one
+// representation over the stream, the relations outside updatable preloaded
+// (nil: none), and returns the result (SizeValues: its size) and its time.
+func fig8Run(mode factorized.Mode, ds *datasets.Dataset, updatable []string, stream []datasets.Batch) (*factorized.Result, time.Duration) {
+	jq := query.MustNew(ds.Query.Name+"_join", ds.Query.Vars(), ds.Query.Rels...)
+	r, err := factorized.New(mode, jq, ds.NewOrder(), updatable)
+	must(err)
+	toDelta := deltaOf[int64](jq, ring.Int{})
+	for rel, tuples := range ds.Tuples {
+		if updatable != nil && !slices.Contains(updatable, rel) {
+			must(r.Load(rel, toDelta(datasets.Batch{Rel: rel, Tuples: tuples})))
 		}
 	}
-	return nil
+	must(r.Init())
+	return r, elapsed(func() {
+		for _, b := range stream {
+			must(r.ApplyDelta(b.Rel, toDelta(b)))
+		}
+	})
 }
-func (l resultLoader) ViewCount() int   { return l.r.ViewCount() }
-func (l resultLoader) MemoryBytes() int { return l.r.MemoryBytes() }
 
-// Fig8Retailer regenerates Figure 8 (left): maintaining the Retailer
-// natural join under updates to the largest relation, with the three result
-// representations. Expected shape: factorized payloads beat both listing
-// encodings in throughput and memory by significant factors.
-func Fig8Retailer(cfg Fig8Config) []*Table {
+// Fig8Retailer regenerates Figure 8 (left): the Retailer join under updates
+// to its largest relation, in the three representations. Expected shape: the
+// factorized payloads hold it in far fewer values and bytes than a listing.
+func Fig8Retailer(cfg Config) *Table {
 	ds := datasets.GenRetailer(cfg.Retailer)
-	jq := fullJoinQuery(ds.Query)
-	stream := datasets.SingleRelationStream(ds, ds.Largest, cfg.BatchSize)
-	skip := map[string]bool{ds.Largest: true}
-
-	var results []RunResult
-	for _, mode := range []factorized.Mode{factorized.FactPayloads, factorized.ListPayloads, factorized.ListKeys} {
-		r, err := factorized.New(mode, jq, ds.NewOrder(), []string{ds.Largest})
-		if err != nil {
-			panic(err)
-		}
-		for rel, tuples := range ds.Tuples {
-			if skip[rel] {
-				continue
-			}
-			must(r.Load(rel, intBatch(jq, rel, tuples)))
-		}
-		must(r.Init())
-		results = append(results, RunStream(mode.String(), resultLoader{r: r, to: intDelta(jq)}, stream, RunOptions{Timeout: cfg.Timeout}))
-	}
-	return fig7Tables(fmt.Sprintf("Figure 8 (left): %s natural join, updates to %s, batches of %d", ds.Name, ds.Largest, cfg.BatchSize), results)
-}
-
-// Fig8Housing regenerates Figure 8 (right): the Housing natural join across
-// scale factors, updates to all relations. Expected shape: listing time and
-// memory grow cubically with the scale (three relations grow linearly each),
-// factorized stays near-linear, with orders-of-magnitude gaps at the top of
-// the sweep.
-func Fig8Housing(cfg Fig8Config) *Table {
-	t := &Table{
-		Title:  "Figure 8 (right): Housing natural join across scale factors",
-		Note:   "total maintenance time and final memory per representation; * = timeout, ! = error",
-		Header: []string{"scale", "Fact time", "List-payload time", "List-key time", "Fact mem", "List-payload mem", "List-key mem"},
-	}
-	for _, scale := range cfg.Scales {
-		h := cfg.Housing
-		h.Scale = scale
-		ds := datasets.GenHousing(h)
-		jq := fullJoinQuery(ds.Query)
-		stream := datasets.RoundRobinStream(ds, ds.Query.RelNames(), cfg.BatchSize)
-
-		times := make(map[factorized.Mode]float64)
-		mems := make(map[factorized.Mode]int)
-		failed := make(map[factorized.Mode]bool)
-		for _, mode := range []factorized.Mode{factorized.FactPayloads, factorized.ListPayloads, factorized.ListKeys} {
-			r, err := factorized.New(mode, jq, ds.NewOrder(), nil)
-			if err != nil {
-				panic(err)
-			}
-			must(r.Init())
-			res := RunStream(mode.String(), resultLoader{r: r, to: intDelta(jq)}, stream, RunOptions{Timeout: cfg.Timeout})
-			times[mode] = res.Elapsed.Seconds()
-			mems[mode] = res.PeakMem
-			failed[mode] = res.Err != nil
-			if res.TimedOut {
-				times[mode] = -times[mode] // mark timeouts with a sign
-			}
-		}
-		fmtT := func(m factorized.Mode) string {
-			s := times[m]
-			out := fmtDur(s)
-			if s < 0 {
-				out = fmtDur(-s) + "*"
-			}
-			if failed[m] {
-				out += "!"
-			}
-			return out
-		}
-		t.AddRow(scale, fmtT(factorized.FactPayloads), fmtT(factorized.ListPayloads), fmtT(factorized.ListKeys),
-			fmtMem(mems[factorized.FactPayloads]), fmtMem(mems[factorized.ListPayloads]), fmtMem(mems[factorized.ListKeys]))
+	t := &Table{Title: fmt.Sprintf("Figure 8 (left): %s natural join, updates to %s, batches of %d", ds.Name, ds.Largest, cfg.BatchSize),
+		Header: []string{"representation", "views", "result size (values)", "state KiB", "elapsed (not bounded)"}}
+	for _, mode := range fig8Modes {
+		r, el := fig8Run(mode, ds, []string{ds.Largest}, datasets.SingleRelationStream(ds, ds.Largest, cfg.BatchSize))
+		t.AddRow(mode.String(), r.ViewCount(), r.SizeValues(), oneDecimal(float64(r.MemoryBytes())/1024), el)
 	}
 	return t
 }
 
-// intBatch builds a multiplicity relation for a relation's tuples.
-func intBatch(q query.Query, rel string, tuples []data.Tuple) *data.Relation[int64] {
-	return intDelta(q)(datasets.Batch{Rel: rel, Tuples: tuples})
+// Fig8Housing regenerates Figure 8 (right): the Housing join across
+// cfg.Scales. Expected shape, as datasets.HousingConfig documents: the
+// listings grow cubically with the scale, the factorized payloads linearly.
+func Fig8Housing(cfg Config) *Table {
+	t := &Table{Title: "Figure 8 (right): Housing natural join across scale factors, result size in values",
+		Header: []string{"scale", "Fact payloads", "List payloads", "List keys", "elapsed (not bounded)"}}
+	for _, scale := range cfg.Scales {
+		h := cfg.Housing
+		h.Scale = scale
+		ds := datasets.GenHousing(h)
+		row, total := []any{scale}, time.Duration(0)
+		for _, mode := range fig8Modes {
+			r, el := fig8Run(mode, ds, nil, datasets.RoundRobinStream(ds, ds.Query.RelNames(), cfg.BatchSize))
+			row, total = append(row, r.SizeValues()), total+el
+		}
+		t.AddRow(append(row, total)...)
+	}
+	return t
 }

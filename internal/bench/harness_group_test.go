@@ -1,24 +1,23 @@
 package bench
 
 import (
-	"errors"
+	"strings"
 	"testing"
 
 	"fivm/internal/data"
 	"fivm/internal/datasets"
 	"fivm/internal/ivm"
 	"fivm/internal/ring"
+	"fivm/internal/ring/ringtest"
 )
 
 func countLiftInt(string, data.Value) int64 { return 1 }
 
-// TestAdaptGroupedMatchesSequential drives the same stream through the
-// adapter with group sizes 1, 3, and 7 (multiple ApplyBatches calls each, so
-// adapter scratch state carries across calls) and demands identical final
-// results. Regression test: a stale per-relation scratch entry once caused
-// every group after the first call to be dropped silently.
+// TestAdaptGroupedMatchesSequential drives the same stream with group sizes
+// 1, 3, and 7 (several ApplyDeltas calls each) and demands identical final
+// results and the same tuples applied.
 func TestAdaptGroupedMatchesSequential(t *testing.T) {
-	ds := datasets.GenRetailer(tinyRetailer())
+	ds := datasets.GenRetailer(tiny().Retailer)
 	stream := datasets.RoundRobinStream(ds, ds.Query.RelNames(), 10)
 	if len(stream) < 8 {
 		t.Fatalf("stream too short (%d batches) to exercise grouping", len(stream))
@@ -27,15 +26,16 @@ func TestAdaptGroupedMatchesSequential(t *testing.T) {
 	results := map[int]string{}
 	tuples := map[int]int{}
 	for _, group := range []int{1, 3, 7} {
-		m, err := ivm.New[int64](ds.Query, ds.NewOrder(), ring.Int{}, countLiftInt, ivm.Options[int64]{})
+		var c ringtest.Counter
+		r := ringtest.Wrap[int64](ring.Int{}, &c)
+		m, err := ivm.New(ds.Query, ds.NewOrder(), r, countLiftInt, ivm.Options[int64]{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Init(); err != nil {
 			t.Fatal(err)
 		}
-		l := Adapt[int64](m, intDelta(ds.Query))
-		res := RunStream("group", l, stream, RunOptions{Group: group})
+		res := RunStream("group", m, deltaOf(ds.Query, r), &c, stream, group)
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
@@ -52,28 +52,27 @@ func TestAdaptGroupedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRunStreamPropagatesError checks that a failing maintainer surfaces the
-// error in RunResult instead of panicking.
+// TestRunStreamPropagatesError checks that a maintenance error stops the run
+// and surfaces in RunResult, with the tuples applied before it kept.
 func TestRunStreamPropagatesError(t *testing.T) {
-	ds := datasets.GenRetailer(tinyRetailer())
+	ds := datasets.GenRetailer(tiny().Retailer)
 	stream := datasets.RoundRobinStream(ds, ds.Query.RelNames(), 10)
-	boom := errors.New("boom")
-	calls := 0
-	l := loaderFunc{apply: func(b datasets.Batch) error {
-		calls++
-		if calls > 2 {
-			return boom
-		}
-		return nil
-	}}
-	res := RunStream("failing", l, stream, RunOptions{})
-	if res.Err == nil || !errors.Is(res.Err, boom) {
-		t.Fatalf("Err = %v, want wrapped boom", res.Err)
+	var c ringtest.Counter
+	r := ringtest.Wrap[int64](ring.Int{}, &c)
+	// Only the first relation of the round robin is updatable: its batch
+	// applies, the next one is refused.
+	m, err := ivm.New(ds.Query, ds.NewOrder(), r, countLiftInt, ivm.Options[int64]{Updatable: []string{stream[0].Rel}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Status() == "ok" {
-		t.Error("Status should reflect the failure")
+	if err := m.Init(); err != nil {
+		t.Fatal(err)
 	}
-	if res.Tuples == 0 {
-		t.Error("prefix stats should be kept")
+	res := RunStream("failing", m, deltaOf(ds.Query, r), &c, stream, 1)
+	if res.Err == nil || !strings.Contains(res.Err.Error(), "not updatable") {
+		t.Fatalf("Err = %v, want a refused relation", res.Err)
+	}
+	if res.Tuples != len(stream[0].Tuples) {
+		t.Errorf("tuples = %d, want the first batch's %d", res.Tuples, len(stream[0].Tuples))
 	}
 }

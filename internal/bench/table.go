@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"strings"
+	"text/tabwriter"
 )
 
 // Table is a formatted experiment result: a titled grid of cells.
@@ -13,18 +14,11 @@ type Table struct {
 	Rows   [][]string
 }
 
-// AddRow appends a row of stringified cells.
+// AddRow appends a row of cells, each rendered with fmt.Sprint.
 func (t *Table) AddRow(cells ...any) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
-		switch v := c.(type) {
-		case string:
-			row[i] = v
-		case float64:
-			row[i] = fmt.Sprintf("%.4g", v)
-		default:
-			row[i] = fmt.Sprint(v)
-		}
+		row[i] = fmt.Sprint(c)
 	}
 	t.Rows = append(t.Rows, row)
 }
@@ -34,38 +28,12 @@ func (t *Table) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s ==\n", t.Title)
 	if t.Note != "" {
-		fmt.Fprintf(&b, "%s\n", t.Note)
+		fmt.Fprintln(&b, t.Note)
 	}
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
+	w := tabwriter.NewWriter(&b, 0, 0, 2, ' ', 0)
+	for _, row := range append([][]string{t.Header}, t.Rows...) {
+		fmt.Fprintln(w, strings.Join(row, "\t"))
 	}
-	for _, row := range t.Rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteString("\n")
-	}
-	line(t.Header)
-	for i, w := range widths {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(strings.Repeat("-", w))
-	}
-	b.WriteString("\n")
-	for _, row := range t.Rows {
-		line(row)
-	}
+	w.Flush()
 	return b.String()
 }

@@ -287,10 +287,12 @@ func LiftFrom[P any](dst *Relation[P], src *Relation[int64], lift func(n int64) 
 }
 
 // Rows returns rel's rows in encoded-key order — the deterministic order a
-// checkpoint is written in — as a sequence over the live entries: nothing is
-// copied. Ranging over it sorts a store-owned scratch of entry pointers, so
-// it must finish before the next ApplyBatch or Rows call; the row count up
-// front is Base(rel).Len().
+// checkpoint is written in — as a sequence over the live entries: no row is
+// copied. Ranging over it sorts a store-owned scratch of entry pointers (8
+// bytes per row, made at the first checkpoint and kept, cleared, between
+// checkpoints; it is remade only when the relation outgrows it), so it must
+// finish before the next ApplyBatch or Rows call; the row count up front is
+// Base(rel).Len().
 func (s *BaseStore) Rows(rel string) iter.Seq2[Tuple, int64] {
 	return func(yield func(Tuple, int64) bool) {
 		r := s.rels[rel]

@@ -67,9 +67,10 @@ func (d *DB) WALStats() (lsn uint64, enabled bool) {
 // Checkpoint serializes the current base relations and the persisted SQL
 // view catalog into a checkpoint file, then prunes the WAL records it
 // covers. The rows are streamed from the live relations in encoded-key order
-// (data.BaseStore.Rows) — nothing is copied or materialized for the file — so
-// the DB must be at a batch boundary (maintenance goroutine). Recovery after
-// a checkpoint loads it and replays only the tail.
+// (data.BaseStore.Rows): no row is copied or materialized for the file, and
+// the sort runs over a kept scratch of 8-byte entry pointers, one per row.
+// So the DB must be at a batch boundary (maintenance goroutine). Recovery
+// after a checkpoint loads it and replays only the tail.
 func (d *DB) Checkpoint() error {
 	if d.log == nil {
 		return fmt.Errorf("db: durability not enabled")

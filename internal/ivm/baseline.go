@@ -85,12 +85,13 @@ func NewReEval[P any](q query.Query, o *vorder.Order, r ring.Ring[P], lift data.
 // a single shared copy of the base relations. It models the paper's 1-IVM
 // competitor for cofactor matrices (995 views for 990 aggregates on
 // Retailer). Result is the first aggregate (the count), Results all of them.
-func NewMultiFirstOrder(q query.Query, o *vorder.Order, specs []AggSpec) (*Baseline[float64], error) {
+// r is the scalar ring: ring.Float{}, or a wrapper that counts its work.
+func NewMultiFirstOrder(q query.Query, o *vorder.Order, r ring.Ring[float64], specs []AggSpec) (*Baseline[float64], error) {
 	lifts := make([]data.LiftFunc[float64], len(specs))
 	for i, s := range specs {
 		lifts[i] = s.Lift
 	}
-	return newTreeBaseline[float64](q, o, ring.Float{}, lifts, true)
+	return newTreeBaseline(q, o, r, lifts, true)
 }
 
 // NewNaiveReEval builds unfactorized re-evaluation (the paper's DBT-RE): it

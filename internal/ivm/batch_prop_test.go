@@ -217,10 +217,10 @@ func contractStrategies(q query.Query) map[string]func() (Maintainer[float64], e
 			return NewNaiveReEval[float64](q, ring.Float{}, one), nil
 		},
 		"MULTI-1-IVM": func() (Maintainer[float64], error) {
-			return NewMultiFirstOrder(q, paperOrder(), specs)
+			return NewMultiFirstOrder(q, paperOrder(), ring.Float{}, specs)
 		},
 		"MULTI-DBT": func() (Maintainer[float64], error) {
-			return NewMultiRecursive(q, specs, nil)
+			return NewMultiRecursive(q, ring.Float{}, specs, nil)
 		},
 		"PARALLEL": func() (Maintainer[float64], error) {
 			return NewParallel[float64](q, ring.Float{}, 3, engine)

@@ -35,11 +35,11 @@ func TestMultiStrategiesAgree(t *testing.T) {
 	}
 	specs := CofactorAggSpecs(vars)
 
-	mfo, err := NewMultiFirstOrder(q, paperOrder(), specs)
+	mfo, err := NewMultiFirstOrder(q, paperOrder(), ring.Float{}, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mrec, err := NewMultiRecursive(q, specs, nil)
+	mrec, err := NewMultiRecursive(q, ring.Float{}, specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

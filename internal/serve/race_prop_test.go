@@ -309,7 +309,7 @@ func TestConcurrentReadersRecursiveCofactor(t *testing.T) {
 func TestConcurrentReadersMultiFirstOrder(t *testing.T) {
 	q := propQuery()
 	runConcurrentReaderProperty[float64](t, func() (ivm.Maintainer[float64], error) {
-		return ivm.NewMultiFirstOrder(q, mustOrder(), ivm.CofactorAggSpecs(q.Vars()))
+		return ivm.NewMultiFirstOrder(q, mustOrder(), ring.Float{}, ivm.CofactorAggSpecs(q.Vars()))
 	}, 1, func(p float64) float64 { return -p })
 }
 
