@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -112,7 +111,7 @@ func serveCmd(listen, replListen string, cat db.Catalog, dur *db.DurabilityOptio
 	fmt.Println("\nshutting down: draining requests, syncing WAL")
 	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil && err != http.ErrServerClosed {
+	if err := srv.Shutdown(sctx); err != nil {
 		fmt.Fprintln(os.Stderr, "drain:", err)
 	}
 	if prim != nil {
@@ -165,7 +164,7 @@ func followCmd(primary, listen string, cat db.Catalog, dur *db.DurabilityOptions
 	fmt.Println("\nshutting down: draining requests, syncing WAL")
 	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil && err != http.ErrServerClosed {
+	if err := srv.Shutdown(sctx); err != nil {
 		fmt.Fprintln(os.Stderr, "drain:", err)
 	}
 	<-runDone

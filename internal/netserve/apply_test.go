@@ -195,10 +195,10 @@ func TestServeApplyLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.hs.ReadTimeout != readTimeout || readTimeout <= readHeaderTimeout {
-		t.Fatalf("server read timeout %v, header timeout %v", s.hs.ReadTimeout, readHeaderTimeout)
+	if s.readTimeout != readTimeout || readTimeout <= readHeaderTimeout {
+		t.Fatalf("server read timeout %v, header timeout %v", s.readTimeout, readHeaderTimeout)
 	}
-	s.hs.ReadTimeout = 200 * time.Millisecond // the constant is a minute: too long for a test to wait out
+	s.readTimeout = 200 * time.Millisecond // the constant is a minute: too long for a test to wait out
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

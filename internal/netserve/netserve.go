@@ -18,24 +18,24 @@
 // a pooled data.BatchArena, which is rewound as soon as the queue reports the
 // batch applied — the store and the views have copied what they keep by then.
 //
-// Connections are stateful only as an optimization: each accepted
-// connection carries reusable serve.Reader handles (key-encoding scratch
-// kept warm across requests) re-pinned to the request's epoch. A request
-// releases its epoch, and the reader's pin with it, before it returns: an
-// idle connection holds no snapshot storage.
+// Connections: Serve speaks HTTP/1.x itself (conn.go), a goroutine per
+// connection parsing requests with http.ReadRequest and routing them through
+// the mux Handler() returns. Each connection keeps a response writer and
+// serve.Reader handles (key-encoding scratch) re-pinned to each request's
+// epoch. A request releases its epoch, and the reader's pin with it, before
+// it returns: an idle connection holds no snapshot storage.
 //
-// Allocation: a lookup or a scan allocates what net/http allocates for any
-// request that sets a response header (about 2.2 KiB: reading the request,
-// the first insert into the header map, the header clone at WriteHeader)
-// plus the X-Fivm-Lag string. The query is parsed in one pass into a pooled
-// per-request struct, the reply appended into its buffer, and the epoch's
-// header values are formatted once per epoch. Beyond applying its batch, a
-// POST /apply allocates what net/http does plus the epoch headers: its body is
-// scanned in one pass into pooled storage, relation names included.
+// Allocation: a lookup or a scan allocates what http.ReadRequest does to
+// parse it (about 0.95 KiB: header map, Request, URL, request line), the
+// mux's path match and the X-Fivm-Lag string. The query is parsed in one pass
+// into a pooled struct and the reply appended into its buffer; the writer
+// reuses its header map and body buffer and appends the status line, Date,
+// Content-Length and the epoch's numbers itself. Beyond applying its batch, a
+// POST /apply allocates the same: its body is scanned in one pass into pooled
+// storage, relation names included.
 package netserve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -72,24 +72,18 @@ type Config struct {
 	MaxScan int
 }
 
-// Connection limits, fixed: a client gets readHeaderTimeout to finish sending
-// a request's headers, readTimeout to finish sending the whole request — a
-// body is capped in bytes (maxApplyBody) and, by this, in time — and a
-// kept-alive connection idleTimeout to send the next request, after which the
-// server closes it. Nothing bounds a response, whose size varies by orders of
-// magnitude.
-const (
-	readHeaderTimeout = 10 * time.Second
-	readTimeout       = time.Minute
-	idleTimeout       = 2 * time.Minute
-)
-
 // Server is the HTTP server. Create with New, start with Serve, stop with
 // Shutdown (which drains in-flight requests before returning).
 type Server struct {
 	cfg    Config
-	hs     *http.Server
+	mux    *http.ServeMux
 	selSeq atomic.Uint64
+	// The connection limits: the constants, which a test shortens.
+	readHeaderTimeout, readTimeout, idleTimeout time.Duration
+	mu                                          sync.Mutex                // guards listeners and conns
+	listeners                                   map[net.Listener]struct{} // every one Serve took, for Shutdown to close
+	conns                                       map[*conn]struct{}        // the connections being served
+	closing                                     atomic.Bool               // Shutdown was called
 	// applyStates pools what POST /apply decodes into (*applyState): body
 	// buffer, batch arena and scratch, taken per request and given back,
 	// rewound, once the batch is applied.
@@ -111,10 +105,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxScan <= 0 {
 		cfg.MaxScan = 10000
 	}
-	s := &Server{cfg: cfg}
+	s := &Server{cfg: cfg, mux: http.NewServeMux(), readHeaderTimeout: readHeaderTimeout, readTimeout: readTimeout,
+		idleTimeout: idleTimeout, listeners: map[net.Listener]struct{}{}, conns: map[*conn]struct{}{}}
 	s.readStates.New = func() any { return new(readState).reset() }
 	s.applyStates.New = func() any { return new(applyState) }
-	mux := http.NewServeMux()
+	mux := s.mux
 	mux.HandleFunc("GET /healthz", s.read(s.handleHealthz))
 	mux.HandleFunc("GET /stats", s.read(s.handleStats))
 	mux.HandleFunc("GET /views", s.read(s.handleViews))
@@ -123,48 +118,31 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("POST /exec", s.handleExec)
 	mux.HandleFunc("POST /select", s.handleSelect)
 	mux.HandleFunc("POST /apply", s.handleApply)
-	s.hs = &http.Server{
-		Handler:           mux,
-		ReadHeaderTimeout: readHeaderTimeout,
-		ReadTimeout:       readTimeout,
-		IdleTimeout:       idleTimeout,
-		// Each accepted connection gets its own reader cache; see readersOf.
-		ConnContext: func(ctx context.Context, _ net.Conn) context.Context {
-			return context.WithValue(ctx, readersKey{}, &connReaders{})
-		},
-	}
 	return s, nil
 }
 
-// Handler exposes the route table (tests and in-process embedding).
-// Served this way, requests lack the per-connection reader cache and fall
-// back to per-request readers.
-func (s *Server) Handler() http.Handler { return s.hs.Handler }
-
-// Serve accepts connections on l until Shutdown. Like http.Server.Serve it
-// always returns a non-nil error; after Shutdown it is http.ErrServerClosed.
-func (s *Server) Serve(l net.Listener) error { return s.hs.Serve(l) }
-
-// Shutdown gracefully drains the server: it stops accepting connections and
-// waits for in-flight requests to finish (bounded by ctx).
-func (s *Server) Shutdown(ctx context.Context) error { return s.hs.Shutdown(ctx) }
+// Handler exposes the routes Serve uses, for tests and embedding. A request
+// served this way gets its own readers and the cached epoch header strings.
+func (s *Server) Handler() http.Handler { return s.mux }
 
 // connReaders is the per-connection serve.Reader cache: one reader per
-// payload type, pinned to a request's epoch for the request only. The mutex
-// is for the HTTP/2 case where one connection multiplexes concurrent requests.
+// payload type, pinned to a request's epoch for the request only.
 type connReaders struct {
-	mu sync.Mutex
-	f  serve.Reader[float64]
-	i  serve.Reader[int64]
+	f serve.Reader[float64]
+	i serve.Reader[int64]
 }
 
+// readersKey carries a reader cache in a Handler() request's context (tests).
 type readersKey struct{}
 
-func readersOf(r *http.Request) *connReaders {
+func readersOf(w http.ResponseWriter, r *http.Request) *connReaders {
+	if rw, ok := w.(*response); ok {
+		return &rw.readers
+	}
 	if cr, ok := r.Context().Value(readersKey{}).(*connReaders); ok {
 		return cr
 	}
-	return &connReaders{} // no ConnContext (embedded handler): per-request
+	return &connReaders{}
 }
 
 // --- request plumbing -----------------------------------------------------
@@ -192,14 +170,19 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 // epochHeaders holds the X-Fivm-Epoch and X-Fivm-Applied values of one epoch,
-// formatted once and shared by every response from it. The numbers are the
-// key, so a follower's swapped DB cannot be served another's.
+// formatted once and shared by every response from it that goes through
+// Handler() (Serve's writer appends them as digits). The numbers are the key,
+// so a follower's swapped DB cannot be served another's.
 type epochHeaders struct {
 	seq, applied         uint64
 	seqText, appliedText []string
 }
 
 func (s *Server) setEpochHeaders(w http.ResponseWriter, e *db.Epoch) {
+	if rw, ok := w.(*response); ok {
+		rw.epoch, rw.seq, rw.applied, rw.lag = true, e.Seq, e.Applied, time.Since(e.At)
+		return
+	}
 	c := s.hdrs.Load()
 	if c == nil || c.seq != e.Seq || c.applied != e.Applied {
 		c = &epochHeaders{e.Seq, e.Applied,
@@ -383,9 +366,7 @@ func (s *Server) handleView(scan bool) func(http.ResponseWriter, *http.Request, 
 			}
 			limit = min(limit, n)
 		}
-		cr := readersOf(r)
-		cr.mu.Lock()
-		defer cr.mu.Unlock()
+		cr := readersOf(w, r)
 		var err error
 		if sf := db.SnapshotOf[float64](e, name); sf != nil {
 			cr.f.PinAt(sf)

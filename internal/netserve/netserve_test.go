@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"runtime"
 	"strconv"
@@ -36,22 +35,50 @@ func testCatalog() db.Catalog {
 	}
 }
 
-// newTestServer returns a primary DB behind a netserve handler plus its
-// ingest queue, all torn down with the test.
-func newTestServer(t *testing.T, depth int) (*db.DB, *db.ApplyQueue, *httptest.Server) {
+// newTestServer returns a primary DB served by netserve on a loopback
+// listener plus its ingest queue, all torn down with the test.
+func newTestServer(t *testing.T, depth int) (*db.DB, *db.ApplyQueue, *testServer) {
 	t.Helper()
 	d, err := db.Open(testCatalog(), db.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := db.NewApplyQueue(d, depth)
+	t.Cleanup(func() { q.Close(); d.Close() })
 	s, err := New(Config{DB: func() *db.DB { return d }, Queue: q, RetryAfter: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() { ts.Close(); q.Close(); d.Close() })
-	return d, q, ts
+	return d, q, serveLoopback(t, s)
+}
+
+// testServer is a Server and where serveLoopback serves it.
+type testServer struct {
+	s         *Server
+	URL, addr string
+}
+
+// serveLoopback runs s.Serve, the production path, on a loopback listener
+// until the test ends, and checks that Shutdown drains it.
+func serveLoopback(t *testing.T, s *Server) *testServer {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(l) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+		if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+			t.Errorf("Serve returned %v", err)
+		}
+	})
+	return &testServer{s: s, URL: "http://" + l.Addr().String(), addr: l.Addr().String()}
 }
 
 func getJSON(t *testing.T, url string, wantStatus int) (map[string]any, http.Header) {
@@ -252,12 +279,12 @@ func TestServeStatsCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := db.NewApplyQueue(d, 8)
+	t.Cleanup(func() { q.Close(); d.Close() })
 	s, err := New(Config{DB: func() *db.DB { return d }, Queue: q})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
-	defer func() { ts.Close(); q.Close(); d.Close() }()
+	ts := serveLoopback(t, s)
 	m, _ := getJSON(t, ts.URL+"/stats", http.StatusOK)
 	if ck, _ := m["checkpoint"].(map[string]any); ck == nil || ck["writes"] != float64(0) {
 		t.Fatalf("stats checkpoint before any: %v", m["checkpoint"])
@@ -286,12 +313,12 @@ func TestServeWALFailureIsUnavailable(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := db.NewApplyQueue(d, 8)
+	t.Cleanup(func() { q.Close(); d.Close() })
 	s, err := New(Config{DB: func() *db.DB { return d }, Queue: q})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
-	defer func() { ts.Close(); q.Close(); d.Close() }()
+	ts := serveLoopback(t, s)
 	postJSON(t, ts.URL+"/exec", map[string]string{"sql": "CREATE VIEW sums AS SELECT A, SUM(B) FROM R GROUP BY A"}, http.StatusOK)
 	postJSON(t, ts.URL+"/apply", applyBody("R", 1, []any{1, 2}), http.StatusOK)
 	if m, _ := getJSON(t, ts.URL+"/healthz", http.StatusOK); m["status"] != "ok" || m["wal"] != nil {
@@ -323,10 +350,10 @@ func TestServeClosesUnfinishedHeaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.hs.ReadHeaderTimeout != readHeaderTimeout || s.hs.IdleTimeout != idleTimeout || readHeaderTimeout <= 0 || idleTimeout <= 0 {
-		t.Fatalf("server timeouts: header %v, idle %v", s.hs.ReadHeaderTimeout, s.hs.IdleTimeout)
+	if s.readHeaderTimeout != readHeaderTimeout || s.idleTimeout != idleTimeout || readHeaderTimeout <= 0 || idleTimeout <= 0 {
+		t.Fatalf("server timeouts: header %v, idle %v", s.readHeaderTimeout, s.idleTimeout)
 	}
-	s.hs.ReadHeaderTimeout = 50 * time.Millisecond // the constant is seconds: too long for a test to wait out
+	s.readHeaderTimeout = 50 * time.Millisecond // the constant is seconds: too long for a test to wait out
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -549,7 +576,7 @@ func TestServeReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
+	t.Cleanup(func() { d.Close() })
 	if err := d.Apply([]db.Update{db.Insert("R", data.Tuple{data.Int(1), data.Int(7)})}); err != nil {
 		t.Fatal(err)
 	}
@@ -557,8 +584,7 @@ func TestServeReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	ts := serveLoopback(t, s)
 
 	postJSON(t, ts.URL+"/apply", applyBody("R", 1, []any{2, 2}), http.StatusForbidden)
 	postJSON(t, ts.URL+"/exec", map[string]string{"sql": "DROP VIEW x"}, http.StatusForbidden)
@@ -569,7 +595,7 @@ func TestServeReadOnly(t *testing.T) {
 	}
 }
 
-// Serve over a real listener exercises ConnContext reader reuse and the
+// Serve over a real listener exercises the connection's reader reuse and the
 // graceful Shutdown path.
 func TestServeRealListenerAndShutdown(t *testing.T) {
 	d, err := db.Open(testCatalog(), db.Options{})
