@@ -11,6 +11,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/url"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -52,6 +53,13 @@ type conn struct {
 	active atomic.Bool
 	w      response
 	body   requestBody
+	// What parseHead fills, cleared for each request: the request, its URL,
+	// header map and the header values' backing array, and its body.
+	req    http.Request
+	url    url.URL
+	hdr    http.Header
+	vals   [len(headNames)]string
+	length lengthBody
 }
 
 // response is a connection's http.ResponseWriter. Its header map is cleared and
@@ -91,7 +99,7 @@ func (w *response) reset() {
 // refused unread is never sent; the rest tells the connection what is left.
 type requestBody struct {
 	c            *conn
-	r            io.Reader // the body as http.ReadRequest framed it
+	r            io.Reader // the body as it was framed
 	expect, owed bool      // the client asked for a 100 Continue; not sent yet
 	left         int64     // declared bytes unread; -1 when chunked
 	eof          bool
@@ -181,7 +189,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 func (s *Server) newConn(nc net.Conn) *conn {
-	c := &conn{s: s, nc: nc, in: io.LimitedReader{R: nc, N: math.MaxInt64}, w: response{h: http.Header{}}}
+	c := &conn{s: s, nc: nc, in: io.LimitedReader{R: nc, N: math.MaxInt64}, w: response{h: http.Header{}}, hdr: http.Header{}}
 	c.br, c.bw, c.body.c = bufio.NewReader(&c.in), bufio.NewWriter(nc), c
 	return c
 }
@@ -219,7 +227,10 @@ func (c *conn) serveRequest() (keep bool) {
 	start := time.Now()
 	c.nc.SetReadDeadline(start.Add(c.s.readHeaderTimeout))
 	c.in.N = maxHeaderBytes - int64(c.br.Buffered()) // the request's first bytes are in already
-	req, err := http.ReadRequest(c.br)
+	req, err := c.parseHead(), error(nil)
+	if req == nil {
+		req, err = http.ReadRequest(c.br)
+	}
 	tooLarge := c.in.N <= 0
 	c.in.N = math.MaxInt64
 	if err != nil {

@@ -19,20 +19,24 @@
 // batch applied — the store and the views have copied what they keep by then.
 //
 // Connections: Serve speaks HTTP/1.x itself (conn.go), a goroutine per
-// connection parsing requests with http.ReadRequest and routing them through
-// the mux Handler() returns. Each connection keeps a response writer and
+// connection routing requests through the mux Handler() returns. A request
+// whose head is already buffered whole and has the common shape (request.go:
+// GET, POST or HEAD of a plain path, HTTP/1.1 or 1.0, the few headers curl, Go's
+// client and the benchmark send) is parsed by parseHead; every other is left
+// to http.ReadRequest, so that every refusal and unusual form is net/http's.
+// Each connection keeps the request parseHead fills, a response writer and
 // serve.Reader handles (key-encoding scratch) re-pinned to each request's
 // epoch. A request releases its epoch, and the reader's pin with it, before
 // it returns: an idle connection holds no snapshot storage.
 //
-// Allocation: a lookup or a scan allocates what http.ReadRequest does to
-// parse it (about 0.95 KiB: header map, Request, URL, request line), the
-// mux's path match and the X-Fivm-Lag string. The query is parsed in one pass
-// into a pooled struct and the reply appended into its buffer; the writer
-// reuses its header map and body buffer and appends the status line, Date,
+// Allocation: a lookup or a scan parseHead takes allocates its head as one
+// string and the mux's {name} match, two objects (http.ReadRequest's Request,
+// URL and header map, about 0.9 KiB, on a head it leaves). The query is parsed in one pass into a
+// pooled struct and the reply appended into its buffer; the writer reuses its
+// header map and body buffer and appends the status line, Date,
 // Content-Length and the epoch's numbers itself. Beyond applying its batch, a
-// POST /apply allocates the same: its body is scanned in one pass into pooled
-// storage, relation names included.
+// POST /apply allocates only its head string: its body is scanned in one pass
+// into pooled storage, relation names included.
 package netserve
 
 import (
@@ -440,8 +444,9 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	if !s.requireQueue(w) {
 		return
 	}
-	// A declared length is all net/http's body reader gives: one over the cap
-	// is refused unread, and only a chunked body needs a MaxBytesReader.
+	// Both body readers, parseHead's and net/http's, stop at a declared
+	// length: one over the cap is refused unread, and only a chunked body
+	// (net/http's alone) needs a MaxBytesReader.
 	body := r.Body
 	switch {
 	case r.ContentLength > maxApplyBody:
