@@ -273,19 +273,6 @@ func MergeUpdate[P any](dst *Relation[P], u BaseUpdate, p P) {
 	}
 }
 
-// LiftFrom fills dst with src's tuples, each mapped through lift from its
-// multiplicity. It merges by the key and hash src's entries carry (no
-// re-encoding, no re-hashing); key bytes and tuples are copied, like
-// everything read out of a base-store relation and kept — src overwrites both
-// when it reuses the entry. dst should be empty and share src's schema.
-func LiftFrom[P any](dst *Relation[P], src *Relation[int64], lift func(n int64) P) {
-	volTuple := src.VolatileTuples()
-	src.entries.all(func(e *Entry[int64]) bool {
-		dst.mergeKeyed(keyView(e.key), e.hash, e.Tuple, volTuple, lift(e.Payload))
-		return true
-	})
-}
-
 // Rows returns rel's rows in encoded-key order — the deterministic order a
 // checkpoint is written in — as a sequence over the live entries: no row is
 // copied. Ranging over it sorts a store-owned scratch of entry pointers (8

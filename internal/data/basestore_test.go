@@ -108,20 +108,6 @@ func TestBaseStoreErrors(t *testing.T) {
 	}
 }
 
-func TestLiftFrom(t *testing.T) {
-	src := NewRelation[int64](ring.Int{}, NewSchema("A"))
-	src.Merge(bsTuple(1), 2)
-	src.Merge(bsTuple(2), -1)
-	dst := NewRelation[float64](ring.Float{}, NewSchema("A"))
-	LiftFrom(dst, src, func(n int64) float64 { return float64(n) })
-	if got, _ := dst.Get(bsTuple(1)); got != 2 {
-		t.Errorf("dst[1] = %g", got)
-	}
-	if got, _ := dst.Get(bsTuple(2)); got != -1 {
-		t.Errorf("dst[2] = %g", got)
-	}
-}
-
 // slideWindow applies one step of a sliding window over R(A,B): insert the
 // 100 rows after hi, delete the 100 oldest.
 func slideWindow(t *testing.T, s *BaseStore, lo, hi *int64) {
@@ -190,9 +176,9 @@ func TestBaseStoreMemoryFollowsState(t *testing.T) {
 
 // TestBaseStoreOwnsItsTuples: the store keeps no tuple it is handed. A caller
 // that overwrites its tuples after ApplyBatch — a heap batch, or an arena
-// rewound (and poisoned) — changes nothing in the store, in a view fed from
-// the conversion scratch, or in a lifted copy; and the cells of a deleted row
-// serve the next insert.
+// rewound (and poisoned) — changes nothing in the store or in a view fed from
+// the conversion scratch; and the cells of a deleted row serve the next
+// insert.
 func TestBaseStoreOwnsItsTuples(t *testing.T) {
 	sch := NewSchema("A", "B")
 	s := NewBaseStore()
@@ -212,9 +198,7 @@ func TestBaseStoreOwnsItsTuples(t *testing.T) {
 	})
 	check := func(what string, want int) {
 		t.Helper()
-		lifted := NewRelation[float64](ring.Float{}, sch)
-		LiftFrom(lifted, s.Base("R"), func(n int64) float64 { return float64(n) })
-		for name, n := range map[string]int{"store": s.Base("R").Len(), "view": view.Len(), "lifted copy": lifted.Len()} {
+		for name, n := range map[string]int{"store": s.Base("R").Len(), "view": view.Len()} {
 			if n != want {
 				t.Fatalf("%s: the %s holds %d rows, want %d", what, name, n, want)
 			}
@@ -228,12 +212,11 @@ func TestBaseStoreOwnsItsTuples(t *testing.T) {
 		}
 		s.Base("R").IterateEntries(func(e *Entry[int64]) bool { ok("store")(e.Tuple, e.Key()); return true })
 		view.IterateEntries(func(e *Entry[float64]) bool { ok("view")(e.Tuple, e.Key()); return true })
-		lifted.IterateEntries(func(e *Entry[float64]) bool { ok("lifted copy")(e.Tuple, e.Key()); return true })
 	}
 
 	// A heap batch whose caller scribbles over its tuples afterwards. The
-	// view shares a heap batch's tuples by contract, so only the store and
-	// what is lifted from it are checked against that caller.
+	// view shares a heap batch's tuples by contract, so only the store is
+	// checked against that caller.
 	hs := NewBaseStore()
 	hs.Register("R", sch)
 	heap := []Tuple{bsTuple(1, 10), bsTuple(2, 20)}

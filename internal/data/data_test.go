@@ -246,7 +246,8 @@ func TestMarginalizeVarsMultiple(t *testing.T) {
 		Entry[int64]{Tuple: Ints(1, 2, 3), Payload: 1},
 		Entry[int64]{Tuple: Ints(1, 4, 5), Payload: 1})
 	lift := func(v string, x Value) int64 { return x.AsInt() }
-	m := MarginalizeVars(r, NewSchema("B", "C"), lift)
+	m := NewRelation[int64](ring.Int{}, NewSchema("A"))
+	MarginalizeInto(m, r, NewSchema("B", "C"), lift)
 	if !m.Schema().Equal(NewSchema("A")) {
 		t.Fatalf("schema = %v", m.Schema())
 	}

@@ -1,6 +1,10 @@
 package data
 
-import "fmt"
+import (
+	"fmt"
+
+	"fivm/internal/ring"
+)
 
 // LiftFunc maps a value of a named variable into the payload ring: the
 // paper's lifting functions g_X : Dom(X) -> D. Marginalizing a variable X
@@ -80,42 +84,39 @@ func JoinAll[P any](rels ...*Relation[P]) *Relation[P] {
 // X-value and summed per remaining key. The result schema is r's schema
 // without X.
 func Marginalize[P any](r *Relation[P], x string, lift LiftFunc[P]) *Relation[P] {
-	return MarginalizeVars(r, Schema{x}, lift)
+	out := NewRelation(r.ring, r.schema.Minus(Schema{x}))
+	MarginalizeInto(out, r, Schema{x}, lift)
+	return out
 }
 
-// MarginalizeVars marginalizes several variables at once, applying the
-// lifting function of each: ⊕_{X1} ... ⊕_{Xk} r. Marginalizing multiple
-// variables in one pass implements the paper's composition of long view
-// chains into a single view.
-func MarginalizeVars[P any](r *Relation[P], vars Schema, lift LiftFunc[P]) *Relation[P] {
-	for _, x := range vars {
-		if !r.schema.Contains(x) {
+// MarginalizeInto merges ⊕_{X1} ... ⊕_{Xk} r into out, whose schema holds r's
+// other variables in any order: one pass, applying the lifting of every
+// marginalized variable and merging straight under out's key, so neither a
+// chain of marginalizations nor a change of column order costs a copy.
+func MarginalizeInto[P any](out, r *Relation[P], vars Schema, lift LiftFunc[P]) {
+	idx := make([]int, len(vars))
+	for i, x := range vars {
+		if idx[i] = r.schema.IndexOf(x); idx[i] < 0 {
 			panic(fmt.Sprintf("data: marginalized variable %q not in schema %v", x, r.schema))
 		}
 	}
-	outSchema := r.schema.Minus(vars)
-	out := NewRelation(r.ring, outSchema)
-	proj := MustProjector(r.schema, outSchema)
-	idx := make([]int, len(vars))
-	for i, x := range vars {
-		idx[i] = r.schema.IndexOf(x)
-	}
+	proj := MustProjector(r.schema, out.schema)
+	lp := new(P) // one heap cell for every row's lifting product
 	r.entries.all(func(e *Entry[P]) bool {
 		// Combine the liftings first: they are small ring elements, while
 		// the payload may be large, so it joins the product once — directly
 		// inside the output's stored payload for mutable rings.
-		if len(vars) > 0 {
-			lp := lift(vars[0], e.Tuple[idx[0]])
-			for i, x := range vars[1:] {
-				lp = r.ring.Mul(lp, lift(x, e.Tuple[idx[i+1]]))
-			}
-			out.MergeMulProjected(proj, e.Tuple, &e.Payload, &lp)
-		} else {
+		if len(vars) == 0 {
 			out.MergeProjected(proj, e.Tuple, e.Payload)
+			return true
 		}
+		*lp = lift(vars[0], e.Tuple[idx[0]])
+		for i, x := range vars[1:] {
+			*lp = r.ring.Mul(*lp, lift(x, e.Tuple[idx[i+1]]))
+		}
+		out.MergeMulProjected(proj, e.Tuple, &e.Payload, lp)
 		return true
 	})
-	return out
 }
 
 // Project returns the relation keyed by the target schema with payloads of
@@ -136,4 +137,27 @@ func Project[P any](r *Relation[P], target Schema) *Relation[P] {
 func LiftOne[P any](r interface{ One() P }) LiftFunc[P] {
 	one := r.One()
 	return func(string, Value) P { return one }
+}
+
+// Mult returns n·1 in the ring, a base multiplicity lifted into payloads: by
+// binary doubling on Add, so high multiplicities cost O(log n) ring
+// operations.
+func Mult[P any](r ring.Ring[P], n int64) P {
+	u := uint64(n)
+	if n < 0 {
+		u = -u
+	}
+	acc, pow := r.Zero(), r.One() // pow = 2^i · 1
+	for ; u > 0; u >>= 1 {
+		if u&1 == 1 {
+			acc = r.Add(acc, pow)
+		}
+		if u > 1 {
+			pow = r.Add(pow, pow)
+		}
+	}
+	if n < 0 {
+		acc = r.Neg(acc)
+	}
+	return acc
 }

@@ -468,8 +468,8 @@ func TestScratchTuplesRewind(t *testing.T) {
 // owns, and the same broken consumer: a key string kept from a pooled relation
 // that publishes nothing — an internal view, a base-store relation — reads
 // poison (the next key the entry holds, in production) past the owner's
-// reclaim point, while MergeAll, MergeAllIndexed, Clone, Negate and LiftFrom
-// copied theirs and a snapshotting relation never reuses the bytes its pinned
+// reclaim point, while MergeAll, MergeAllIndexed, Clone and Negate copied
+// theirs and a snapshotting relation never reuses the bytes its pinned
 // epochs read.
 func TestRecycledKeysDieAtReclaim(t *testing.T) {
 	sch := NewSchema("A", "B")
@@ -503,8 +503,6 @@ func TestRecycledKeysDieAtReclaim(t *testing.T) {
 	ir.EnsureIndex(NewSchema("A"))
 	ir.MergeAllIndexed(view)
 	clone, neg := view.Clone(), view.Negate()
-	lifted := NewRelation[int64](ring.Int{}, sch)
-	LiftFrom(lifted, store.Base("R"), func(n int64) int64 { return n })
 	root := NewRelation[int64](ring.Int{}, sch)
 	root.Reclaim()
 	root.MergeAll(view)
@@ -534,7 +532,7 @@ func TestRecycledKeysDieAtReclaim(t *testing.T) {
 		t.Fatalf("keys retained across the reclaim point still read their old bytes: %q, %q", keptView, keptBase)
 	}
 	for name, r := range map[string]*Relation[int64]{"MergeAll": plain, "MergeAllIndexed": ir.Relation,
-		"Clone": clone, "Negate": neg, "LiftFrom": lifted, "the reusing view": view, "the base store": store.Base("R")} {
+		"Clone": clone, "Negate": neg, "the reusing view": view, "the base store": store.Base("R")} {
 		if r.Len() != len(tups) {
 			t.Fatalf("%s: %d entries", name, r.Len())
 		}

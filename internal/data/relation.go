@@ -117,7 +117,7 @@ func keyView(key string) []byte { return unsafe.Slice(unsafe.StringData(key), le
 // Who may retain what: nobody retains an *Entry, or a key, a tuple or a
 // mutable-ring payload read through one, past the owner's reclaim point (work
 // items, index buckets and iterators all die with the batch); what must live
-// longer is copied (LiftFrom, Clone, MergeAll, ReduceSealed do) or read through
+// longer is copied (Clone, MergeAll, ReduceSealed do) or read through
 // a snapshot, which holds it until its last Release. An *Entry held across a
 // merge into its own relation sees the old version once the merge replaced it
 // (no work item does this: a delta plan merges into a view only after the step
@@ -715,8 +715,8 @@ func (r *Relation[P]) MergeMulProjected(proj Projector, t Tuple, a, b *P) {
 
 // mergeKeyed is Merge for a caller-encoded key and its hash: key must be t's
 // encoding (Tuple.AppendKey) and h its hashBytes. Whoever encodes a tuple
-// once for several relations — the base store for itself and its observers,
-// LiftFrom through a source entry — merges into each of them this way. The
+// once for several relations — the base store for itself and its observers
+// — merges into each of them this way. The
 // key bytes are copied on insert; t is stored as given, or copied when it may
 // die before r's entry does (volTuple: keepTuple).
 func (r *Relation[P]) mergeKeyed(key []byte, h uint64, t Tuple, volTuple bool, p P) {

@@ -58,7 +58,7 @@ func (o *oracle[P]) apply(t *testing.T, ups []Update) {
 		}
 		d := data.NewRelation[P](o.ring, src.Schema())
 		src.Iterate(func(tp data.Tuple, n int64) bool {
-			d.Set(tp, scalePayload(o.ring, n))
+			d.Set(tp, data.Mult(o.ring, n))
 			return true
 		})
 		batch = append(batch, ivm.NamedDelta[P]{Rel: rel, Delta: d})

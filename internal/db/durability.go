@@ -178,8 +178,9 @@ func (d *DB) recoverFrom(rec *wal.Recovery) error {
 
 // recoverView re-creates one persisted SQL view. CreateViewSQL re-parses the
 // stored statement against the live catalog and backfills from the current
-// base relations — the same LoadOwned path a mid-stream CreateView takes, so
-// the recovered contents equal an uninterrupted run's.
+// base relations — the engine reading the base store's multiplicities in
+// place, as a mid-stream CreateView does — so the recovered contents equal an
+// uninterrupted run's.
 func (d *DB) recoverView(def wal.ViewDef) error {
 	_, err := CreateViewSQL(d, def.Name, def.SQL, viewOptionsOf(def))
 	return err

@@ -307,10 +307,11 @@ func checkOwnKeys[P any](t testing.TB, what string, r *data.Relation[P]) {
 	})
 }
 
-// TestBackfillOwnsItsKeys: what a view backfill (and a one-shot SELECT, which
-// is one) lifts out of a base relation keeps its own copy of every key and
-// tuple, so the base store reusing the entries of deleted rows — poisoned here
-// — does not reach it.
+// TestBackfillOwnsItsKeys: a view backfill (and a one-shot SELECT, which is
+// one) reads the base store's rows in place, but keeps its own copy of every
+// key and tuple it stores, so the base store reusing the entries of deleted
+// rows — poisoned here — does not reach it: an epoch pinned before the swap
+// still reads the rows the view was backfilled with.
 func TestBackfillOwnsItsKeys(t *testing.T) {
 	d, err := Open(testCatalog(), Options{})
 	if err != nil {
@@ -324,8 +325,13 @@ func TestBackfillOwnsItsKeys(t *testing.T) {
 	if err := d.Apply([]Update{Insert("S", rows...)}); err != nil {
 		t.Fatal(err)
 	}
-	lifted := data.NewRelation[float64](ring.Float{}, d.Base("S").Schema())
-	fillLifted(lifted, d.Base("S"), ring.Float{})
+	v, err := CreateViewSQL(d, "byAC", "SELECT A, C, SUM(1) FROM S GROUP BY A, C", ViewOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := d.Epoch()
+	pinned := SnapshotOf[float64](e, "byAC").Result()
+	want := fpEntries(pinned.SortedEntries())
 	kept := d.Base("S").Entries()[0] // the bug: a base entry's key and tuple kept across Apply
 	was := string(kept.Tuple.AppendKey(nil))
 	if err := d.Apply([]Update{Delete("S", rows...), Insert("S", other...)}); err != nil {
@@ -334,10 +340,14 @@ func TestBackfillOwnsItsKeys(t *testing.T) {
 	if kept.Key() == was || string(kept.Tuple.AppendKey(nil)) == was {
 		t.Fatal("a base key and tuple retained across Apply still read the old row: the store did not reuse the entry")
 	}
-	if lifted.Len() != len(rows) {
-		t.Fatalf("lifted %d rows, want %d", lifted.Len(), len(rows))
+	if pinned.Len() != len(rows) {
+		t.Fatalf("backfilled %d rows, want %d", pinned.Len(), len(rows))
 	}
-	checkOwnKeys(t, "backfilled delta", lifted)
+	if got := fpEntries(pinned.SortedEntries()); got != want {
+		t.Fatalf("the pinned backfill reads %s after the store reused its rows, want %s", got, want)
+	}
+	e.Release()
+	checkOwnKeys(t, "backfilled view", v.Maintainer().Result())
 	checkOwnKeys(t, "base S", d.Base("S"))
 	if st := d.store.Stats("S"); st.Tuples != len(other) || st.Reclaimed != uint64(len(rows)) {
 		t.Fatalf("base S after the swap: %+v", st)

@@ -46,7 +46,6 @@ type View[P any] struct {
 	m    ivm.Maintainer[P]
 
 	ringKey any      // conversion-sharing identity: the ring value, or a per-view sentinel
-	rels    []string // the query's relations (backfill set)
 	updRels []string // relations observed for deltas (Updatable or all)
 	scratch []ivm.NamedDelta[P]
 	seen    map[string]bool // per-observe relation dedup, reused across batches
@@ -113,7 +112,7 @@ func CreateView[P any](d *DB, name string, q query.Query, r ring.Ring[P], lift d
 		}
 	}
 
-	factory := func() (ivm.Maintainer[P], error) {
+	newEngine := func() (*ivm.Engine[P], error) {
 		var o *vorder.Order
 		if opts.Order != nil {
 			o = opts.Order()
@@ -131,12 +130,15 @@ func CreateView[P any](d *DB, name string, q query.Query, r ring.Ring[P], lift d
 		}
 		return ivm.New[P](q, o, r, lift, eopts)
 	}
-	var m ivm.Maintainer[P]
+	var m interface {
+		ivm.Maintainer[P]
+		LoadCounts(rel string, r *data.Relation[int64]) error
+	}
 	var err error
 	if opts.Workers > 1 {
-		m, err = ivm.NewParallel[P](q, r, opts.Workers, factory)
+		m, err = ivm.NewParallel[P](q, r, opts.Workers, func() (ivm.Maintainer[P], error) { return newEngine() })
 	} else {
-		m, err = factory()
+		m, err = newEngine()
 	}
 	if err != nil {
 		return nil, err
@@ -148,7 +150,6 @@ func CreateView[P any](d *DB, name string, q query.Query, r ring.Ring[P], lift d
 		q:       q,
 		ring:    r,
 		m:       m,
-		rels:    q.RelNames(),
 		updRels: q.RelNames(),
 	}
 	if rt := reflect.TypeOf(r); rt != nil && rt.Comparable() {
@@ -160,21 +161,14 @@ func CreateView[P any](d *DB, name string, q query.Query, r ring.Ring[P], lift d
 		v.updRels = opts.Updatable
 	}
 
-	// Backfill from the shared base store: lift each base relation's
-	// multiplicities into the view's ring and hand the fresh relation over
-	// owned, so Init adopts it without another copy: pooled from the start.
-	for _, rel := range v.rels {
-		base := d.store.Base(rel)
-		if base == nil || base.Len() == 0 {
-			continue
-		}
-		conv := data.NewRelation[P](r, base.Schema())
-		conv.Reclaim()
-		conv.Reserve(base.Len())
-		fillLifted(conv, base, r)
-		if err := ivm.LoadOwned(m, rel, conv); err != nil {
-			closeMaintainer(m)
-			return nil, err
+	// Backfill from the shared base store: the engine reads its relations in
+	// place, lifting each multiplicity into the view's ring as it goes.
+	for _, rel := range q.RelNames() {
+		if base := d.store.Base(rel); base != nil && base.Len() > 0 {
+			if err := m.LoadCounts(rel, base); err != nil {
+				closeMaintainer(m)
+				return nil, err
+			}
 		}
 	}
 	if err := m.Init(); err != nil {
@@ -193,52 +187,6 @@ func closeMaintainer(m any) {
 	if c, ok := m.(interface{ Close() error }); ok {
 		c.Close()
 	}
-}
-
-// fillLifted writes src's tuples into dst with payload n·1 in dst's ring,
-// probing by the keys and hashes src's entries carry (no re-encoding on the
-// backfill path); dst gets its own copy of every key and tuple it stores.
-func fillLifted[P any](dst *data.Relation[P], src *data.Relation[int64], r ring.Ring[P]) {
-	one := r.One()
-	negOne := r.Neg(one)
-	data.LiftFrom(dst, src, func(n int64) P {
-		switch n {
-		case 1:
-			return one
-		case -1:
-			return negOne
-		default:
-			return scalePayload(r, n)
-		}
-	})
-}
-
-// scalePayload returns n·1 in the ring (n != 0), by binary doubling on Add
-// so high multiplicities cost O(log n) ring operations.
-func scalePayload[P any](r ring.Ring[P], n int64) P {
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var acc P
-	have := false
-	pow := r.One() // 2^i · 1
-	for n > 0 {
-		if n&1 == 1 {
-			if have {
-				acc = r.Add(acc, pow)
-			} else {
-				acc, have = pow, true
-			}
-		}
-		if n >>= 1; n > 0 {
-			pow = r.Add(pow, pow)
-		}
-	}
-	if neg {
-		acc = r.Neg(acc)
-	}
-	return acc
 }
 
 // --- the ring-erased side the DB drives -------------------------------------
@@ -350,7 +298,7 @@ func (v *View[P]) convert(rel string, batch []data.BaseUpdate) *data.Relation[P]
 		case -1:
 			p = negOne
 		default:
-			p = scalePayload(v.ring, u.Mult)
+			p = data.Mult(v.ring, u.Mult)
 		}
 		data.MergeUpdate(out, u, p)
 	}

@@ -54,10 +54,16 @@ func newTreeBaseline[P any](q query.Query, o *vorder.Order, r ring.Ring[P], lift
 		return nil, err
 	}
 	m := newBaseline(q, r, root.Keys, len(lifts))
-	m.eval = func(i int) *data.Relation[P] { return evalTree(root, q, r, lifts[i], m.bases) }
+	base := func(rel string) *data.Relation[P] { return m.bases[rel] }
+	m.eval = func(i int) *data.Relation[P] { return newEvaluator(r, lifts[i], base).eval(root) }
 	if firstOrder {
 		m.delta = func(i int, rel string, d *data.Relation[P]) *data.Relation[P] {
-			return evalTreeSubst(root, q, r, lifts[i], m.bases, rel, d)
+			return newEvaluator(r, lifts[i], func(x string) *data.Relation[P] {
+				if x == rel {
+					return d
+				}
+				return m.bases[x]
+			}).eval(root)
 		}
 	}
 	return m, nil
@@ -106,8 +112,9 @@ func NewNaiveReEval[P any](q query.Query, r ring.Ring[P], lift data.LiftFunc[P])
 			rels = append(rels, m.bases[rd.Name])
 		}
 		joined := data.JoinAll(rels...)
-		agg := data.MarginalizeVars(joined, joined.Schema().Minus(q.Free), lift)
-		return data.Project(agg, q.Free)
+		out := data.NewRelation(r, q.Free)
+		data.MarginalizeInto(out, joined, joined.Schema().Minus(q.Free), lift)
+		return out
 	}
 	return m
 }

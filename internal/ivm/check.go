@@ -13,25 +13,15 @@ import (
 // incremental state must equal the non-incremental one (Section 4's
 // correctness invariant).
 func (e *Engine[P]) CheckConsistency(bases map[string]*data.Relation[P], eq func(a, b P) bool) error {
-	// Rebuild trackers' state is not needed: indicator contents derive from
-	// bases directly during evaluation.
-	saved := e.bases
-	e.bases = bases
-	defer func() { e.bases = saved }()
-
 	var errs []error
-	var eval func(n *viewtree.Node) *data.Relation[P]
-	eval = func(n *viewtree.Node) *data.Relation[P] {
-		fresh := e.evalFromChildren(n, eval)
-		if v, ok := e.views[n]; ok {
-			if !v.Relation.Equal(fresh, eq) {
-				errs = append(errs, fmt.Errorf("view %s inconsistent:\n incremental %v\n fresh       %v",
-					n.Name(), v.Relation, fresh))
-			}
+	ev := e.evaluator(bases, nil)
+	ev.done = func(n *viewtree.Node, fresh *data.Relation[P]) {
+		if v := e.views[n]; !v.Relation.Equal(fresh, eq) {
+			errs = append(errs, fmt.Errorf("view %s inconsistent:\n incremental %v\n fresh       %v",
+				n.Name(), v.Relation, fresh))
 		}
-		return fresh
 	}
-	eval(e.root)
+	ev.eval(e.root)
 	if len(errs) > 0 {
 		return fmt.Errorf("ivm: %d inconsistent views; first: %w", len(errs), errs[0])
 	}

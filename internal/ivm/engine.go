@@ -125,9 +125,10 @@ type Engine[P any] struct {
 	indLeaves map[string][]*viewtree.Node // base relation -> indicator leaves
 	trackers  map[*viewtree.Node]*viewtree.IndicatorTracker
 
-	bases      map[string]*data.Relation[P] // initial contents, dropped after Init
-	ownedBases map[string]bool              // bases transferred via LoadOwned (adopted, not cloned)
-	ready      bool
+	// Initial contents, dropped after Init: Load's, or LoadCounts'.
+	bases  map[string]*data.Relation[P]
+	counts map[string]*data.Relation[int64]
+	ready  bool
 
 	// optimizer state: the collector planning read, frozen from then on
 	stats        *data.Stats
@@ -150,6 +151,7 @@ func New[P any](q query.Query, o *vorder.Order, r ring.Ring[P], lift data.LiftFu
 		opts:      opts,
 		updatable: make(map[string]bool),
 		bases:     make(map[string]*data.Relation[P]),
+		counts:    make(map[string]*data.Relation[int64]),
 	}
 	e.driver = driver[P]{check: e.check, apply: e.applyDelta, epoch: e.epoch, reclaim: e.reclaim}
 	upd := opts.Updatable
@@ -320,49 +322,46 @@ func (e *Engine[P]) ViewOf(n *viewtree.Node) *data.Relation[P] {
 	return nil
 }
 
-// Load installs the initial contents of a relation (before Init). The
-// relation's schema must match the query's definition. The relation stays
-// owned by the caller: Init copies it into the leaf view.
+// Load installs the initial contents of a relation (before Init), its schema
+// the query's in any column order. It stays the caller's and must not change
+// until Init returns: Init reads it in place and copies only the rows of a
+// leaf the tree stores.
 func (e *Engine[P]) Load(rel string, r *data.Relation[P]) error {
 	if _, err := checkRel(e.q, rel, r); err != nil {
 		return err
 	}
+	delete(e.counts, rel)
 	e.bases[rel] = r
 	return nil
 }
 
-// LoadOwned is Load with ownership transfer: the engine adopts the relation
-// as the leaf view's backing storage instead of cloning it at Init (when its
-// column order already matches the query's declared schema), so externally
-// assembled bases — e.g. a db.DB backfilling a late-created view — are
-// ingested without a second copy. The caller must not touch the relation
-// afterwards.
-func (e *Engine[P]) LoadOwned(rel string, r *data.Relation[P]) error {
-	if err := e.Load(rel, r); err != nil {
+// LoadCounts is Load for rows with integer multiplicities, as a
+// data.BaseStore keeps them: Init lifts each n into the ring (n·1) as it
+// reads it, and copies only a leaf the tree stores or joins with others.
+func (e *Engine[P]) LoadCounts(rel string, r *data.Relation[int64]) error {
+	if _, err := checkRel(e.q, rel, r); err != nil {
 		return err
 	}
-	if e.ownedBases == nil {
-		e.ownedBases = make(map[string]bool)
-	}
-	e.ownedBases[rel] = true
+	delete(e.bases, rel)
+	e.counts[rel] = r
 	return nil
 }
 
-// Init evaluates all materialized views bottom-up from the loaded
-// relations (missing relations are empty) and registers the secondary
-// indexes that delta propagation will probe. An engine constructed with a
-// nil order and no pre-collected statistics plans here, after seeding its
-// collector from the loaded contents.
+// Init computes each view the tree stores, in one pass from its nearest
+// stored descendants or from the loaded rows (missing relations are empty;
+// evaluator), and registers the indexes delta propagation will probe. An
+// engine constructed with a nil order and no pre-collected statistics plans
+// here, after seeding its collector from the loaded contents.
 func (e *Engine[P]) Init() error {
+	ev := e.evaluator(e.bases, e.counts)
 	if e.pendingPlan {
 		// Seed the engine-owned collector from the loaded contents, in each
-		// relation's canonical column order, then plan from it.
-		for rel, base := range e.bases {
-			rd, _ := e.q.Rel(rel)
-			if !base.Schema().Equal(rd.Schema) {
-				base = data.Project(base, rd.Schema)
+		// relation's declared column order, then plan from it.
+		for _, rd := range e.q.Rels {
+			if sch, each := ev.source(rd.Name); sch != nil {
+				rs, proj, row := e.stats.Rel(rd.Name, rd.Schema), data.MustProjector(sch, rd.Schema), data.Tuple(nil)
+				each(func(t data.Tuple, _ *P) { row = proj.AppendTo(row[:0], t); rs.ObserveInsert(row) })
 			}
-			data.ObserveRelation(e.stats, rel, base)
 		}
 		o := e.pendingOrder
 		if o == nil {
@@ -377,29 +376,20 @@ func (e *Engine[P]) Init() error {
 		e.pendingPlan = false
 		e.pendingOrder = nil
 	}
+	ev.done = func(n *viewtree.Node, rel *data.Relation[P]) { e.views[n] = data.NewIndexedRelation(rel) }
+	ev.eval(e.root)
 
-	var build func(n *viewtree.Node) *data.Relation[P]
-	build = func(n *viewtree.Node) *data.Relation[P] {
-		rel := e.evalFromChildren(n, build)
-		if e.mat[n] {
-			e.views[n] = newView(rel)
-		}
-		return rel
-	}
-	build(e.root)
-
-	// Seed indicator trackers from loaded base contents.
+	// Seed indicator trackers from loaded base contents, in declared order.
 	for rel, leaves := range e.indLeaves {
-		base := e.bases[rel]
-		if base == nil {
+		sch, each := ev.source(rel)
+		if sch == nil {
 			continue
 		}
+		rd, _ := e.q.Rel(rel)
+		proj := data.MustProjector(sch, rd.Schema)
 		for _, leaf := range leaves {
 			tr := e.trackers[leaf]
-			base.Iterate(func(t data.Tuple, _ P) bool {
-				tr.Update(t, 1)
-				return true
-			})
+			each(func(t data.Tuple, _ *P) { tr.Update(proj.Apply(t), 1) })
 		}
 	}
 
@@ -407,51 +397,20 @@ func (e *Engine[P]) Init() error {
 	for _, plan := range e.plans {
 		plan.bind()
 	}
-	e.bases = nil
-	e.ownedBases = nil
+	e.bases, e.counts = nil, nil
 	e.ready = true
 	return nil
 }
 
-// evalFromChildren computes a view's contents from its children via the
-// supplied recursive evaluator.
-func (e *Engine[P]) evalFromChildren(n *viewtree.Node, eval func(*viewtree.Node) *data.Relation[P]) *data.Relation[P] {
-	if n.IsLeaf() {
-		if n.Indicator {
-			return indicatorContents(e.ring, n.Keys, e.bases[n.Rel])
-		}
-		if base, ok := e.bases[n.Rel]; ok {
-			// Normalize to the declared schema order.
-			rd, _ := e.q.Rel(n.Rel)
-			if base.Schema().Equal(rd.Schema) {
-				if e.ownedBases[n.Rel] {
-					// Ownership was transferred via LoadOwned: adopt the
-					// relation as the leaf's backing storage, no copy.
-					return base
-				}
-				return base.Clone()
-			}
-			return data.Project(base, rd.Schema)
-		}
-		rd, _ := e.q.Rel(n.Rel)
-		return data.NewRelation(e.ring, rd.Schema)
-	}
-	rels := make([]*data.Relation[P], 0, len(n.Children))
-	for _, c := range n.Children {
-		rels = append(rels, eval(c))
-	}
-	joined := data.JoinAll(rels...)
-	agg := data.MarginalizeVars(joined, joined.Schema().Intersect(n.Marg), e.lift)
-	out := data.Project(agg, n.Keys)
-	if e.opts.PayloadTransform != nil {
-		xf := data.NewRelation(e.ring, n.Keys)
-		out.Iterate(func(t data.Tuple, p P) bool {
-			xf.Merge(t, e.opts.PayloadTransform(n, p))
-			return true
-		})
-		out = xf
-	}
-	return out
+// evaluator returns the engine's bottom-up evaluator over the given initial
+// contents: it folds the views µ does not store, and applies the payload
+// transform.
+func (e *Engine[P]) evaluator(bases map[string]*data.Relation[P], counts map[string]*data.Relation[int64]) *evaluator[P] {
+	ev := newEvaluator(e.ring, e.lift, func(rel string) *data.Relation[P] { return bases[rel] })
+	ev.counts, ev.lean = counts, true
+	ev.xform = e.opts.PayloadTransform
+	ev.stored = func(n *viewtree.Node) bool { return e.mat[n] }
+	return ev
 }
 
 // Result returns the root view: the maintained query result, as a live
@@ -507,14 +466,6 @@ func (e *Engine[P]) PoolStats() data.PoolStats {
 		}
 	}
 	return ps
-}
-
-// newView wraps a relation Init evaluated as a materialized view,
-// declaring its reclaim point, and with it its own rows, before any insert.
-func newView[P any](rel *data.Relation[P]) *data.IndexedRelation[P] {
-	ir := data.NewIndexedRelation(rel)
-	ir.Reclaim()
-	return ir
 }
 
 // reclaim is the engine's end-of-batch hook, after the epoch is published:

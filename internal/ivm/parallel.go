@@ -214,59 +214,45 @@ func (p *Parallel[P]) allShards() []int {
 // the caller's relation — so per-relation scratch state never crosses
 // goroutines and later caller-side mutations of r cannot skew one shard's
 // snapshot against the others'.
-func (p *Parallel[P]) Load(rel string, r *data.Relation[P]) error { return p.load(rel, r, false) }
-
-// LoadOwned is Load with ownership transfer (see Engine.LoadOwned). Shard
-// partitions are fresh relations and are always handed over owned; broadcast
-// relations give the original to the first shard and owned clones to the
-// rest, so no shard re-copies at Init. Inner maintainers that do not adopt
-// bases fall back to plain Load.
-func (p *Parallel[P]) LoadOwned(rel string, r *data.Relation[P]) error { return p.load(rel, r, true) }
-
-func (p *Parallel[P]) load(rel string, r *data.Relation[P], owned bool) error {
-	give := Maintainer[P].Load
-	if owned {
-		give = LoadOwned[P]
-	}
+func (p *Parallel[P]) Load(rel string, r *data.Relation[P]) error {
 	if r.Schema().Contains(p.shardVar) {
 		parts, err := data.Split(r, p.shardVar, len(p.shards))
 		if err != nil {
 			return err
 		}
 		for s, part := range parts {
-			if err := give(p.shards[s], rel, part); err != nil {
+			if err := p.shards[s].Load(rel, part); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	for s := range p.shards {
-		part := r
-		if s > 0 || !owned {
-			part = r.Clone()
-		}
-		if err := give(p.shards[s], rel, part); err != nil {
+	for _, m := range p.shards {
+		if err := m.Load(rel, r.Clone()); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// BaseAdopter is the optional Maintainer extension for ownership-transfer
-// loading: LoadOwned adopts the relation as view backing storage instead of
-// copying it, and the caller must not touch it afterwards. Engine and
-// Parallel implement it; LoadOwned probes for it.
-type BaseAdopter[P any] interface {
-	LoadOwned(rel string, r *data.Relation[P]) error
-}
-
-// LoadOwned hands a relation to a maintainer with ownership transfer when it
-// is a BaseAdopter, through plain Load otherwise.
-func LoadOwned[P any](m Maintainer[P], rel string, r *data.Relation[P]) error {
-	if a, ok := m.(BaseAdopter[P]); ok {
-		return a.LoadOwned(rel, r)
+// LoadCounts is Engine.LoadCounts for shards that are engines (it panics
+// otherwise): a relation that carries the shard variable is split, one
+// without it is handed to every shard, which at Init only iterate its
+// entries.
+func (p *Parallel[P]) LoadCounts(rel string, r *data.Relation[int64]) error {
+	parts := []*data.Relation[int64]{r}
+	if r.Schema().Contains(p.shardVar) {
+		var err error
+		if parts, err = data.Split(r, p.shardVar, len(p.shards)); err != nil {
+			return err
+		}
 	}
-	return m.Load(rel, r)
+	for s, m := range p.shards {
+		if err := m.(*Engine[P]).LoadCounts(rel, parts[min(s, len(parts)-1)]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Init initializes every shard in parallel.

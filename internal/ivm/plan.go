@@ -279,6 +279,48 @@ type workItem[P any] struct {
 // subslices of delta's tuples (the caller knows every sibling is full, outProj
 // a prefix and delta's tuples durable).
 func (st *joinStep[P]) exec(delta *data.Relation[P], share bool) *data.Relation[P] {
+	items := st.join(delta)
+
+	// Reserve only on first use: Clear retains the map's capacity, which a
+	// subsequent Reserve would throw away by allocating a fresh table. The
+	// output is recycling scratch: its entries live only until the next exec
+	// of this step, and every consumer copies what it keeps.
+	if st.out == nil {
+		st.out = data.NewRelation(st.ring, st.keys)
+		st.out.RecycleCleared()
+		st.out.Reserve(len(items))
+	} else {
+		st.out.Clear()
+	}
+	out := st.out
+	out.ShareProjectedTuples(share)
+	for _, it := range items {
+		st.merge(out, it.t, it.p, st.liftProduct(it.t))
+	}
+	return out
+}
+
+// merge adds one joined row to out: t's payload *p times the product of its
+// liftings *lp (nil: none), transformed, under out's keys — the payload joins
+// that product once, inside out's stored payload for mutable rings.
+func (st *joinStep[P]) merge(out *data.Relation[P], t data.Tuple, p, lp *P) {
+	switch {
+	case st.xform != nil:
+		v := *p
+		if lp != nil {
+			v = st.ring.Mul(v, *lp)
+		}
+		out.MergeProjected(st.outProj, t, st.xform(v))
+	case lp == nil:
+		out.MergeProjected(st.outProj, t, *p)
+	default:
+		out.MergeMulProjected(st.outProj, t, p, lp)
+	}
+}
+
+// join joins delta's entries with the sibling views by lookups and index
+// probes: the step's work items, valid until its next join.
+func (st *joinStep[P]) join(delta *data.Relation[P]) []workItem[P] {
 	items := st.items[:0]
 	delta.IterateEntries(func(en *data.Entry[P]) bool {
 		items = append(items, workItem[P]{t: en.Tuple, p: &en.Payload})
@@ -321,51 +363,18 @@ func (st *joinStep[P]) exec(delta *data.Relation[P], share bool) *data.Relation[
 		st.items, st.spare = spare, items
 	}
 	st.tupArena = arena
-
-	// Reserve only on first use: Clear retains the map's capacity, which a
-	// subsequent Reserve would throw away by allocating a fresh table. The
-	// output is recycling scratch: its entries live only until the next exec
-	// of this step, and every consumer copies what it keeps.
-	if st.out == nil {
-		st.out = data.NewRelation(st.ring, st.keys)
-		st.out.RecycleCleared()
-		st.out.Reserve(len(items))
-	} else {
-		st.out.Clear()
-	}
-	out := st.out
-	out.ShareProjectedTuples(share)
-	for _, it := range items {
-		// Multiply the liftings together first: lift values are small ring
-		// elements, while the accumulated payload can be large (a wide
-		// cofactor triple or a relational payload), so the payload joins the
-		// product once instead of once per variable — and, for rings with
-		// in-place accumulation, directly inside the output's stored payload
-		// via the fused multiply-merge (zero allocations on existing keys).
-		if len(st.margVars) > 0 {
-			lp := st.liftProduct(it.t)
-			if st.xform != nil {
-				out.MergeProjected(st.outProj, it.t, st.xform(st.ring.Mul(*it.p, *lp)))
-			} else {
-				out.MergeMulProjected(st.outProj, it.t, it.p, lp)
-			}
-			continue
-		}
-		p := *it.p
-		if st.xform != nil {
-			p = st.xform(p)
-		}
-		out.MergeProjected(st.outProj, it.t, p)
-	}
-	return out
+	return items
 }
 
 // liftProduct returns the product of the step's lifting functions applied to
-// the marginalized values of t, memoized in the step's lift-product cache
-// (lifting functions are pure, and marginalized variables range over small
-// domains). The returned pointer is read-only and valid until the cache is
-// reset.
+// the marginalized values of t (nil: none), memoized in the step's
+// lift-product cache (lifting functions are pure, and marginalized variables
+// range over small domains). The returned pointer is read-only and valid
+// until the cache is reset.
 func (st *joinStep[P]) liftProduct(t data.Tuple) *P {
+	if len(st.margVars) == 0 {
+		return nil
+	}
 	st.liftKey = st.margProj.AppendKey(st.liftKey[:0], t)
 	lp, ok := st.liftCache[string(st.liftKey)]
 	if !ok {

@@ -210,8 +210,8 @@ func (m *Recursive[P]) Init() error {
 			inputs = append(inputs, base)
 		}
 		joined := data.JoinAll(inputs...)
-		agg := data.MarginalizeVars(joined, vars.Minus(v.free), m.lift)
-		v.rel.MergeAllIndexed(data.Project(agg, v.free))
+		// Straight into the view: no index exists before bind.
+		data.MarginalizeInto(v.rel.Relation, joined, vars.Minus(v.free), m.lift)
 	}
 	for _, v := range m.order {
 		for _, d := range v.deltas {

@@ -117,8 +117,11 @@ func TestAllocGuardApply(t *testing.T) {
 		}
 		return (after.TotalAlloc - before.TotalAlloc) / measured
 	}
-	small, large := perPost(100), perPost(400)
-	t.Logf("%d B per POST of 200 tuples, %d B per POST of 800", small, large)
+	// The least of three runs of each: a runtime thread start or a GC assist
+	// lands in one run, not in all three (one read 3 535 B at 800 tuples).
+	least := func(half int) uint64 { return min(perPost(half), perPost(half), perPost(half)) }
+	small, large := least(100), least(400)
+	t.Logf("%d B per POST of 200 tuples, %d B per POST of 800 (the least of three runs each)", small, large)
 	if large > small+256 || small > 645+645/3 { // re-measured 643 to 647; encoding/json's envelope decoder read 1 066 to 1 072
 		t.Errorf("POST /apply allocates %d B at 200 tuples and %d B at 800: something is allocated per tuple", small, large)
 	}

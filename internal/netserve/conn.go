@@ -43,11 +43,12 @@ const (
 
 // conn is one accepted connection and what it reuses across its requests.
 type conn struct {
-	s  *Server
-	nc net.Conn
-	in io.LimitedReader // cut at maxHeaderBytes while a header is read
-	br *bufio.Reader
-	bw *bufio.Writer
+	s   *Server
+	nc  net.Conn
+	in  io.LimitedReader // cut at maxHeaderBytes while a header is read
+	tap headTap          // under in: the head http.ReadRequest parses
+	br  *bufio.Reader
+	bw  *bufio.Writer
 	// active is set while a request is served. Shutdown sets it on an idle
 	// connection, one waiting for a request's first byte, to close it.
 	active atomic.Bool
@@ -60,6 +61,26 @@ type conn struct {
 	hdr    http.Header
 	vals   [len(headNames)]string
 	length lengthBody
+	// hasHost records whether the head had a Host line: a server refuses an
+	// HTTP/1.1 request without one, whatever host its target names, and
+	// takes an empty one.
+	hasHost bool
+}
+
+// headTap records what the connection reads while on, so that the head
+// http.ReadRequest parsed can be read again: it drops the Host lines.
+type headTap struct {
+	r   io.Reader
+	buf []byte
+	on  bool
+}
+
+func (t *headTap) Read(p []byte) (int, error) {
+	n, err := t.r.Read(p)
+	if t.on {
+		t.buf = append(t.buf, p[:n]...)
+	}
+	return n, err
 }
 
 // response is a connection's http.ResponseWriter. Its header map is cleared and
@@ -189,7 +210,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 func (s *Server) newConn(nc net.Conn) *conn {
-	c := &conn{s: s, nc: nc, in: io.LimitedReader{R: nc, N: math.MaxInt64}, w: response{h: http.Header{}}, hdr: http.Header{}}
+	c := &conn{s: s, nc: nc, tap: headTap{r: nc}, w: response{h: http.Header{}}, hdr: http.Header{}}
+	c.in = io.LimitedReader{R: &c.tap, N: math.MaxInt64}
 	c.br, c.bw, c.body.c = bufio.NewReader(&c.in), bufio.NewWriter(nc), c
 	return c
 }
@@ -229,7 +251,11 @@ func (c *conn) serveRequest() (keep bool) {
 	c.in.N = maxHeaderBytes - int64(c.br.Buffered()) // the request's first bytes are in already
 	req, err := c.parseHead(), error(nil)
 	if req == nil {
+		buffered, _ := c.br.Peek(c.br.Buffered())
+		c.tap.buf, c.tap.on = append(c.tap.buf[:0], buffered...), true
 		req, err = http.ReadRequest(c.br)
+		c.tap.on = false
+		c.hasHost = hasHostLine(c.tap.buf[:len(c.tap.buf)-c.br.Buffered()])
 	}
 	tooLarge := c.in.N <= 0
 	c.in.N = math.MaxInt64
@@ -246,7 +272,7 @@ func (c *conn) serveRequest() (keep bool) {
 	switch {
 	case req.ProtoMajor != 1:
 		return c.refuse(http.StatusHTTPVersionNotSupported, false)
-	case req.ProtoAtLeast(1, 1) && req.Host == "": // ReadRequest leaves the check to its server
+	case req.ProtoAtLeast(1, 1) && !c.hasHost: // ReadRequest leaves the check to its server
 		return c.refuse(http.StatusBadRequest, false)
 	}
 	b := &c.body

@@ -53,6 +53,8 @@ func framingCases() []framingCase {
 		{"HTTP/1.0 with keep-alive", "GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n" + get, false, []int{200, 200}, ok},
 		{"Connection: close", "GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n" + get, false, []int{200}, closed},
 		{"HTTP/1.1 without Host", "GET /healthz HTTP/1.1\r\n\r\n", false, []int{400}, closed},
+		{"an absolute-form target without Host", "GET http://x/healthz HTTP/1.1\r\n\r\n", false, []int{400}, closed},
+		{"an empty Host", "GET /healthz HTTP/1.1\r\nHost:\r\n\r\n" + get, false, []int{200, 200}, ok},
 		{"a duplicate Content-Length", post(cl+cl, batch), false, []int{200}, ok},
 		{"conflicting Content-Lengths", post(cl+"Content-Length: 3\r\n", batch), false, []int{400}, closed},
 		{"Content-Length with Transfer-Encoding", post("Content-Length: 3\r\nTransfer-Encoding: chunked\r\n",

@@ -48,6 +48,7 @@ func (c *conn) parseHead() *http.Request {
 		return nil
 	}
 	clear(c.hdr)
+	c.hasHost = false
 	var host, connection string
 	var length int64
 	for seen := 0; rest != ""; {
@@ -61,7 +62,7 @@ func (c *conn) parseHead() *http.Request {
 		v = strings.Trim(v, " \t")
 		switch headNames[i] {
 		case "Host":
-			host = v
+			host, c.hasHost = v, true
 			continue // http.ReadRequest moves it to Request.Host
 		case "Content-Length":
 			if v == "" || len(v) > 15 || strings.ContainsFunc(v, func(r rune) bool { return r < '0' || r > '9' }) {
@@ -100,6 +101,17 @@ func headName(name string) int {
 // then not its own escaping, and RawPath would be set.
 func notPathByte(r rune) bool {
 	return !('a' <= r && r <= 'z' || 'A' <= r && r <= 'Z' || '0' <= r && r <= '9' || strings.ContainsRune("-_.~$&+,/:;=@", r))
+}
+
+// hasHostLine reports whether a request head has a Host line.
+func hasHostLine(head []byte) bool {
+	_, rest, _ := bytes.Cut(head, []byte("\n")) // the request line
+	for line := []byte(nil); len(rest) > 0; {
+		if line, rest, _ = bytes.Cut(rest, []byte("\n")); len(line) >= 5 && bytes.EqualFold(line[:5], []byte("host:")) {
+			return true
+		}
+	}
+	return false
 }
 
 // notValueByte is true of a byte other than VCHAR, SP and HTAB.
