@@ -87,11 +87,10 @@ type BaseStore struct {
 
 	obs []baseObserver
 
-	// Scratch reused across calls: the batch's keys and hashes, per-observer
-	// filtered views of the batch, and the entry pointers Rows sorts.
+	// Scratch reused across calls: the batch's keys and hashes, and
+	// per-observer filtered views of the batch.
 	keyed      batchKeys
 	obsScratch []BaseUpdate
-	sorted     []*Entry[int64]
 }
 
 type baseObserver struct {
@@ -136,20 +135,45 @@ func (s *BaseStore) Schema(rel string) (Schema, bool) {
 // included, of the rows it cancels — and must never mutate it.
 func (s *BaseStore) Base(rel string) *Relation[int64] { return s.rels[rel] }
 
-// Restore fills a registered, still empty relation with decoded checkpoint
-// rows and their multiplicities — the recovery path. The store copies the
-// rows like any it keeps; the schema must equal the registered one.
-func (s *BaseStore) Restore(rel string, schema Schema, rows []Tuple, mults []int64) error {
+// Restore fills a registered, still empty relation with exactly n
+// checkpoint rows and their multiplicities — the recovery path. It encodes
+// and hashes each row's key into store scratch, so rows may yield one reused
+// tuple, and buys the entries and key bytes in bulk and the cells from the
+// relation's tuple slab: nothing per row but the string of a string cell. A
+// schema unlike the registered one, a row of another arity, a key seen
+// twice, a zero multiplicity or a count other than n is refused, and the
+// store, then partly restored, must be discarded.
+func (s *BaseStore) Restore(rel string, schema Schema, n int, rows iter.Seq2[Tuple, int64]) error {
 	r, ok := s.rels[rel]
-	if !ok {
+	switch {
+	case !ok:
 		return fmt.Errorf("data: base relation %q not registered", rel)
-	}
-	if !r.schema.Equal(schema) {
+	case !r.schema.Equal(schema):
 		return fmt.Errorf("data: restore %q: schema %v does not match registered %v", rel, schema, r.schema)
+	case r.Len() != 0:
+		return fmt.Errorf("data: restore %q: the relation already holds %d rows", rel, r.Len())
 	}
-	r.Reserve(len(rows))
-	for i, row := range rows {
-		r.Merge(row, mults[i])
+	r.Reserve(n)
+	es, keys, k := make([]Entry[int64], n), []byte(nil), &s.keyed
+	for row, m := range rows {
+		k.bytes = row.AppendKey(k.bytes[:0])
+		h, kc := hashBytes(k.bytes), keyCap(len(k.bytes))
+		switch {
+		case len(es) == 0 || len(row) != len(schema) || m == 0:
+			return fmt.Errorf("data: restore %q: row %v, multiplicity %d: not one of %d rows of %v", rel, row, m, n, schema)
+		case r.entries.getBytes(h, k.bytes) != nil:
+			return fmt.Errorf("data: restore %q: row %v twice", rel, row)
+		case len(keys) < kc: // a chunk for the rows left, at this row's key size
+			keys = make([]byte, max(kc, min(len(es)*kc, 1<<20)))
+		}
+		e := &es[0]
+		copy(keys, k.bytes)
+		e.key, e.Tuple, e.hash, e.Payload = unsafe.String(unsafe.SliceData(keys), len(k.bytes)), r.ownTuple(nil, row), h, m
+		r.entries.insert(e)
+		es, keys, r.keyBytes = es[1:], keys[kc:], r.keyBytes+kc
+	}
+	if len(es) != 0 {
+		return fmt.Errorf("data: restore %q: %d rows announced, %d read", rel, n, n-len(es))
 	}
 	return nil
 }
@@ -275,26 +299,18 @@ func MergeUpdate[P any](dst *Relation[P], u BaseUpdate, p P) {
 
 // Rows returns rel's rows in encoded-key order — the deterministic order a
 // checkpoint is written in — as a sequence over the live entries: no row is
-// copied. Ranging over it sorts a store-owned scratch of entry pointers (8
-// bytes per row, made at the first checkpoint and kept, cleared, between
-// checkpoints; it is remade only when the relation outgrows it), so it must
-// finish before the next ApplyBatch or Rows call; the row count up front is
-// Base(rel).Len().
+// copied and nothing is allocated. Ranging over it packs the entry table's
+// pointers at the front of its own slots and radix-sorts them there; when the
+// range ends, however it ends, every entry is seated again by its cached
+// hash. Until then the relation answers no lookup, so the range must finish
+// before the next ApplyBatch, Base read or Rows call; the row count up front
+// is Base(rel).Len().
 func (s *BaseStore) Rows(rel string) iter.Seq2[Tuple, int64] {
 	return func(yield func(Tuple, int64) bool) {
-		r := s.rels[rel]
-		es := s.sorted[:0]
-		if cap(es) < r.Len() {
-			// At once, with room: a store that grew a little must not re-make it every checkpoint.
-			es = make([]*Entry[int64], 0, max(r.Len(), 2*cap(es)))
-		}
-		r.entries.all(func(e *Entry[int64]) bool {
-			es = append(es, e)
-			return true
-		})
+		t := &s.rels[rel].entries
+		es := t.pack()
+		defer t.unpack(len(es))
 		radixSortEntryPtrs(es)
-		s.sorted = es
-		defer clear(es) // the scratch pins no entry between checkpoints
 		for _, e := range es {
 			if !yield(e.Tuple, e.Payload) {
 				return
@@ -339,10 +355,10 @@ func (s *BaseStore) Stats(rel string) BaseStats {
 }
 
 // MemoryBytes estimates the bytes held by the stored base relations and the
-// store's per-batch and checkpoint scratch; O(relations).
+// store's per-batch scratch; O(relations).
 func (s *BaseStore) MemoryBytes() int {
 	total := cap(s.keyed.bytes) + 8*(cap(s.keyed.ends)+cap(s.keyed.hashes)) +
-		cap(s.obsScratch)*int(unsafe.Sizeof(BaseUpdate{})) + 8*cap(s.sorted)
+		cap(s.obsScratch)*int(unsafe.Sizeof(BaseUpdate{}))
 	for _, r := range s.rels {
 		total += r.flatBytes()
 	}

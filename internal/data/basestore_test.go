@@ -2,6 +2,8 @@ package data
 
 import (
 	"errors"
+	"fmt"
+	"iter"
 	"testing"
 
 	"fivm/internal/ring"
@@ -301,5 +303,154 @@ func TestAllocGuardBaseStoreChurn(t *testing.T) {
 	})
 	if s.Tuples() != 0 || delta.Len() != len(tups) {
 		t.Fatalf("%d rows left, delta of %d", s.Tuples(), delta.Len())
+	}
+}
+
+// churnedStore is a store whose R(A,B,C) — an int, a float and a string
+// column — holds the survivors of 4 000 inserts after every third was
+// deleted again, so its table has tombstones, and the model of what it holds.
+func churnedStore(t *testing.T) (*BaseStore, map[string]int64) {
+	t.Helper()
+	s := NewBaseStore()
+	if err := s.Register("R", NewSchema("A", "B", "C")); err != nil {
+		t.Fatal(err)
+	}
+	row := func(i int) Tuple {
+		return Tuple{Int(int64(i % 97)), Float(float64(i) / 8), String(fmt.Sprint("s", i%5))}
+	}
+	var ins, del []Tuple
+	for i := range 4000 {
+		ins = append(ins, row(i))
+		if i%3 == 0 {
+			del = append(del, row(i))
+		}
+	}
+	if err := s.ApplyBatch([]BaseUpdate{{Rel: "R", Tuples: ins, Mult: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ApplyBatch([]BaseUpdate{{Rel: "R", Tuples: del, Mult: -2}}); err != nil {
+		t.Fatal(err)
+	}
+	model := map[string]int64{}
+	for i, r := range ins {
+		if i%3 != 0 {
+			model[string(r.AppendKey(nil))] = 2
+		}
+	}
+	return s, model
+}
+
+// checkStore asserts that every row of the model is found by its key with its
+// multiplicity, and that the store holds nothing else.
+func checkStore(t *testing.T, s *BaseStore, model map[string]int64) {
+	t.Helper()
+	r := s.Base("R")
+	if r.Len() != len(model) {
+		t.Fatalf("store holds %d rows, model %d", r.Len(), len(model))
+	}
+	for k, m := range model {
+		if got, ok := r.GetKey(k); !ok || got != m {
+			t.Fatalf("key %q: %d (found %v), want %d", k, got, ok, m)
+		}
+	}
+}
+
+// TestBaseStoreRowsKeepsTheTable: Rows sorts the relation inside its own
+// entry table, so the range must leave the table whole — every key found,
+// later inserts and deletes applied — whether it runs to the end or the
+// consumer stops early (a writer that fails mid-stream stops the same way).
+func TestBaseStoreRowsKeepsTheTable(t *testing.T) {
+	for _, stop := range []int{-1, 0, 1, 700} {
+		s, model := churnedStore(t)
+		var prev string
+		seen := 0
+		for row, m := range s.Rows("R") {
+			k := string(row.AppendKey(nil))
+			if seen > 0 && k <= prev {
+				t.Fatalf("stop %d: row %d out of key order", stop, seen)
+			}
+			if model[k] != m {
+				t.Fatalf("stop %d: row %v yielded with %d, want %d", stop, row, m, model[k])
+			}
+			prev = k
+			if seen++; seen == stop+1 {
+				break
+			}
+		}
+		if stop < 0 && seen != len(model) {
+			t.Fatalf("Rows yielded %d rows, want %d", seen, len(model))
+		}
+		checkStore(t, s, model)
+		ins := Tuple{Int(1000), Float(0), String("new")}
+		del := s.Base("R").SortedEntries()[0].Tuple.Clone()
+		if err := s.ApplyBatch([]BaseUpdate{{Rel: "R", Tuples: []Tuple{ins}, Mult: 1}, {Rel: "R", Tuples: []Tuple{del}, Mult: -2}}); err != nil {
+			t.Fatal(err)
+		}
+		model[string(ins.AppendKey(nil))] = 1
+		delete(model, string(del.AppendKey(nil)))
+		checkStore(t, s, model)
+	}
+}
+
+// TestBaseStoreRestoreContract: Restore fills an empty relation with exactly
+// the rows announced and refuses whatever a valid checkpoint cannot hold.
+func TestBaseStoreRestoreContract(t *testing.T) {
+	seq := func(rows []Tuple, mults []int64) iter.Seq2[Tuple, int64] {
+		return func(yield func(Tuple, int64) bool) {
+			for i, r := range rows {
+				if !yield(r, mults[i]) {
+					return
+				}
+			}
+		}
+	}
+	sch := NewSchema("A", "B")
+	rows, mults := []Tuple{bsTuple(1, 2), bsTuple(3, 4), bsTuple(5, 6)}, []int64{1, -3, 2}
+	for _, tc := range []struct {
+		name  string
+		rel   string
+		sch   Schema
+		n     int
+		rows  []Tuple
+		mults []int64
+	}{
+		{"unknown relation", "Z", sch, 3, rows, mults},
+		{"other schema", "R", NewSchema("A", "C"), 3, rows, mults},
+		{"a key twice", "R", sch, 3, []Tuple{bsTuple(1, 2), bsTuple(3, 4), bsTuple(1, 2)}, mults},
+		{"zero multiplicity", "R", sch, 3, rows, []int64{1, 0, 2}},
+		{"another arity", "R", sch, 3, []Tuple{bsTuple(1, 2), bsTuple(3), bsTuple(5, 6)}, mults},
+		{"fewer rows than announced", "R", sch, 4, rows, mults},
+		{"more rows than announced", "R", sch, 2, rows, mults},
+	} {
+		s := NewBaseStore()
+		if err := s.Register("R", sch); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Restore(tc.rel, tc.sch, tc.n, seq(tc.rows, tc.mults)); err == nil {
+			t.Errorf("%s: restored", tc.name)
+		}
+	}
+	s := NewBaseStore()
+	if err := s.Register("R", sch); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Restore("R", sch, 3, seq(rows, mults)); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rows {
+		if got, _ := s.Base("R").Get(r); got != mults[i] {
+			t.Errorf("row %v restored with %d, want %d", r, got, mults[i])
+		}
+	}
+	if err := s.Restore("R", sch, 1, seq([]Tuple{bsTuple(9, 9)}, []int64{1})); err == nil {
+		t.Error("a relation that holds rows was restored again")
+	}
+	// A restored row is the store's like any other: deleted, its entry and
+	// cells serve the next insert, and the rest stay where they were.
+	if err := s.ApplyBatch([]BaseUpdate{{Rel: "R", Tuples: []Tuple{bsTuple(1, 2)}, Mult: -1}, {Rel: "R", Tuples: []Tuple{bsTuple(7, 8)}}}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := s.Base("R").Get(bsTuple(7, 8)); got != 1 || s.Base("R").Len() != 3 || s.Base("R").Contains(bsTuple(1, 2)) {
+		t.Errorf("after a delete and an insert: [7 8] = %d, %d rows", got, s.Base("R").Len())
 	}
 }

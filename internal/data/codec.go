@@ -20,32 +20,45 @@ func AppendValue(b []byte, v Value) []byte { return v.appendKey(b) }
 // the number of bytes consumed. Truncated or malformed input is an error,
 // never a panic: persisted bytes may be torn at any offset.
 func DecodeValue(b []byte) (Value, int, error) {
-	if len(b) == 0 {
-		return Value{}, 0, fmt.Errorf("data: decode value: empty input")
+	n, err := ValueLen(b)
+	if err != nil {
+		return Value{}, 0, err
 	}
 	switch Kind(b[0]) {
 	case KindInt:
-		if len(b) < 9 {
-			return Value{}, 0, fmt.Errorf("data: decode int: %d of 9 bytes", len(b))
-		}
 		return Value{kind: KindInt, num: binary.BigEndian.Uint64(b[1:9]) ^ (1 << 63)}, 9, nil
 	case KindFloat:
-		if len(b) < 9 {
-			return Value{}, 0, fmt.Errorf("data: decode float: %d of 9 bytes", len(b))
-		}
 		return Value{kind: KindFloat, num: binary.BigEndian.Uint64(b[1:9])}, 9, nil
+	default:
+		_, used := binary.Uvarint(b[1:])
+		return Value{kind: KindString, str: string(b[1+used : n])}, n, nil
+	}
+}
+
+// ValueLen checks the value at the front of b as DecodeValue does and
+// returns the bytes it takes, without building it: a string is not copied.
+func ValueLen(b []byte) (int, error) {
+	if len(b) == 0 {
+		return 0, fmt.Errorf("data: decode value: empty input")
+	}
+	switch Kind(b[0]) {
+	case KindInt, KindFloat:
+		if len(b) < 9 {
+			return 0, fmt.Errorf("data: decode number: %d of 9 bytes", len(b))
+		}
+		return 9, nil
 	case KindString:
 		n, used := binary.Uvarint(b[1:])
 		if used <= 0 {
-			return Value{}, 0, fmt.Errorf("data: decode string length")
+			return 0, fmt.Errorf("data: decode string length")
 		}
 		start := 1 + used
 		if n > uint64(len(b)-start) {
-			return Value{}, 0, fmt.Errorf("data: decode string: %d bytes declared, %d available", n, len(b)-start)
+			return 0, fmt.Errorf("data: decode string: %d bytes declared, %d available", n, len(b)-start)
 		}
-		return Value{kind: KindString, str: string(b[start : start+int(n)])}, start + int(n), nil
+		return start + int(n), nil
 	default:
-		return Value{}, 0, fmt.Errorf("data: decode value: unknown kind %d", b[0])
+		return 0, fmt.Errorf("data: decode value: unknown kind %d", b[0])
 	}
 }
 

@@ -135,6 +135,7 @@ type Relation[P any] struct {
 	mut     ring.Mutable[P] // non-nil when the ring supports in-place accumulation
 	entries entryTable[P]
 	keyBuf  []byte
+	rowBuf  Tuple // a projected row that an owning relation's insert copies (projApply)
 	// keyHash is the hash of the key most recently encoded into keyBuf (or
 	// looked up by string); insertEntry stores it into the fresh entry, so a
 	// probe-then-insert pair hashes the key exactly once.
@@ -236,19 +237,21 @@ func (r *Relation[P]) Clear() {
 // or of a delta plan's join arena does not.
 func (r *Relation[P]) ShareProjectedTuples(on bool) { r.shareProjected = on }
 
-// projApply materializes the projection of t for storage: shared with t, or
-// copied into the relation's tuple slab (scratch) or a heap tuple.
+// projApply materializes the projection of t for storage: shared with t,
+// copied into the relation's tuple slab (scratch), into its reused row buffer
+// (a relation that owns its rows, whose insert copies it into the row's
+// cells), or into a heap tuple.
 func (r *Relation[P]) projApply(proj Projector, t Tuple) Tuple {
-	if r.shareProjected {
+	switch {
+	case r.shareProjected:
 		return proj.SharedApply(t)
+	case r.scratch:
+		return proj.AppendTo(r.tuples.take(proj.Len())[:0], t)
+	case r.ownsRows():
+		r.rowBuf = proj.AppendTo(r.rowBuf[:0], t)
+		return r.rowBuf
 	}
-	var dst Tuple
-	if r.scratch {
-		dst = r.tuples.take(proj.Len())
-	} else {
-		dst = make(Tuple, proj.Len())
-	}
-	return proj.AppendTo(dst[:0], t)
+	return proj.AppendTo(make(Tuple, 0, proj.Len()), t)
 }
 
 // RecycleCleared declares the relation delta scratch: a relation refilled

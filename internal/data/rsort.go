@@ -14,8 +14,9 @@ package data
 //   - Counts live in per-level stack arrays ([257]int, ~2 KiB) instead of a
 //     heap scratch struct, and the permutation is in place, so sorting needs
 //     no auxiliary storage at any size. Long shared prefixes do not deepen
-//     the recursion either: a level whose keys all continue with the same
-//     byte advances the depth iteratively.
+//     the recursion either: msdKeys advances the depth iteratively while a
+//     level's keys all continue with one byte, and msdBy skips the bytes a
+//     run's keys all share in one pass.
 //   - Runs at or below radixSortCutoff fall back to insertion sort on the
 //     key suffixes (every key in a bucket shares the first depth bytes), the
 //     usual MSD base case where distribution overhead exceeds comparison.
@@ -175,69 +176,68 @@ func radixSortEntries[P any](es []Entry[P]) {
 }
 
 // radixSortEntryPtrs is radixSortEntries for entries left in place and
-// ordered through their pointers (the base store's checkpoint order).
+// ordered through their pointers (the base store's checkpoint order, sorted
+// in the entry table's own slots).
 func radixSortEntryPtrs[P any](es []*Entry[P]) {
 	msdBy(es, func(e **Entry[P]) string { return (*e).key }, 0)
 }
 
+// msdBy is msdKeys for elements that carry their key. A run first skips, in
+// one pass, the bytes every key in it shares, rather than one counting pass
+// per shared byte: fixed-width keys of small numbers share most of theirs.
 func msdBy[T any](es []T, key func(*T) string, depth int) {
-	for {
-		n := len(es)
-		if n < 2 {
-			return
-		}
-		if n <= radixSortCutoff {
-			insertionBy(es, key, depth)
-			return
-		}
-		var counts [257]int
-		for i := range es {
-			counts[keyBucket(key(&es[i]), depth)]++
-		}
-		if counts[0] == n {
-			return // relation keys are unique, but equal runs are sorted anyway
-		}
-		if counts[0] == 0 {
-			single := false
-			for b := 1; b <= 256; b++ {
-				if counts[b] == n {
-					single = true
-					break
-				}
-				if counts[b] != 0 {
-					break
-				}
+	n := len(es)
+	if n < 2 {
+		return
+	}
+	if n <= radixSortCutoff {
+		insertionBy(es, key, depth)
+		return
+	}
+	k0 := key(&es[0])
+	p := len(k0)
+	for i := 1; i < n && p > depth; i++ {
+		k := key(&es[i])
+		p = min(p, len(k))
+		if k[depth:p] != k0[depth:p] {
+			j := depth
+			for k[j] == k0[j] {
+				j++
 			}
-			if single {
-				depth++
+			p = j
+		}
+	}
+	depth = p
+	var counts [257]int
+	for i := range es {
+		counts[keyBucket(key(&es[i]), depth)]++
+	}
+	if counts[0] == n {
+		return // relation keys are unique, but equal runs are sorted anyway
+	}
+	var pos, ends [257]int
+	at := 0
+	for b := 0; b <= 256; b++ {
+		pos[b] = at
+		at += counts[b]
+		ends[b] = at
+	}
+	starts := pos
+	for b := 0; b <= 256; b++ {
+		for pos[b] < ends[b] {
+			bb := keyBucket(key(&es[pos[b]]), depth)
+			if bb == b {
+				pos[b]++
 				continue
 			}
+			es[pos[b]], es[pos[bb]] = es[pos[bb]], es[pos[b]]
+			pos[bb]++
 		}
-		var pos, ends [257]int
-		at := 0
-		for b := 0; b <= 256; b++ {
-			pos[b] = at
-			at += counts[b]
-			ends[b] = at
+	}
+	for b := 1; b <= 256; b++ {
+		if ends[b]-starts[b] > 1 {
+			msdBy(es[starts[b]:ends[b]], key, depth+1)
 		}
-		starts := pos
-		for b := 0; b <= 256; b++ {
-			for pos[b] < ends[b] {
-				bb := keyBucket(key(&es[pos[b]]), depth)
-				if bb == b {
-					pos[b]++
-					continue
-				}
-				es[pos[b]], es[pos[bb]] = es[pos[bb]], es[pos[b]]
-				pos[bb]++
-			}
-		}
-		for b := 1; b <= 256; b++ {
-			if ends[b]-starts[b] > 1 {
-				msdBy(es[starts[b]:ends[b]], key, depth+1)
-			}
-		}
-		return
 	}
 }
 

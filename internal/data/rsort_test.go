@@ -47,6 +47,28 @@ var rsortCases = []struct {
 		}
 		return out
 	}},
+	{"nested_long_prefix", func(rng *rand.Rand, n int) []string {
+		// Every key is a prefix of the longest: a long shared run, then
+		// keys exhausted at every depth past it.
+		full := strings.Repeat("\x80\x00", 60) + strings.Repeat("\x00\x01", 40)
+		out := make([]string, n)
+		for i := range out {
+			out[i] = full[:100+rng.Intn(len(full)-99)]
+		}
+		return out
+	}},
+	{"late_difference", func(rng *rand.Rand, n int) []string {
+		// Keys agree on their first hundred-odd bytes and differ at one
+		// random late byte, the first key among them.
+		base := []byte(strings.Repeat("\x81\x00\x00\x07", 40))
+		out := make([]string, n)
+		for i := range out {
+			b := slices.Clone(base)
+			b[120+rng.Intn(40)] = byte(rng.Intn(256))
+			out[i] = string(b[:len(b)-rng.Intn(3)])
+		}
+		return out
+	}},
 	{"prefix_staircase", func(rng *rand.Rand, n int) []string {
 		full := strings.Repeat("ab\x00", 30)
 		out := make([]string, n)

@@ -288,6 +288,12 @@ func (t *entryTable[P]) compact() {
 		full := ^w & msbWord
 		t.ctrl[g] = w&msbWord | (full|(full-full>>7))&^(full>>7) // full -> 0xFE, rest -> 0x80
 	}
+	t.settle()
+}
+
+// settle moves each pending entry (ctrlDeleted, pointer kept) to where an
+// insert would put it, the rest being empty or settled; see compact.
+func (t *entryTable[P]) settle() {
 	mask := uint64(len(t.ctrl) - 1)
 	for i := range t.slots {
 		g, j := uint64(i/groupSlots), i%groupSlots
@@ -333,6 +339,29 @@ func (t *entryTable[P]) clear() {
 	clear(t.slots)
 	t.live = 0
 	t.dead = 0
+}
+
+// pack moves every stored entry to the front of slots and returns them there
+// for the caller to reorder: no lookup works until unpack(len) seats them.
+func (t *entryTable[P]) pack() []*Entry[P] {
+	n := 0
+	for i, e := range t.slots {
+		if e != nil {
+			t.slots[i], t.slots[n] = nil, e
+			n++
+		}
+	}
+	return t.slots[:n]
+}
+
+// unpack seats the n entries pack left at the front, in any order, by their
+// cached hashes: pending, then settled as compact does, tombstones gone.
+func (t *entryTable[P]) unpack(n int) {
+	fill(t.ctrl, emptyWord)
+	for i := range n {
+		t.setCtrl(uint64(i/groupSlots), i%groupSlots, ctrlDeleted)
+	}
+	t.settle()
 }
 
 // all calls f for each stored entry until f returns false. Iteration order

@@ -153,9 +153,10 @@ func openTest(t *testing.T) *DB {
 
 // TestAllocGuardBackfill: creating a SQL view over a preloaded relation
 // allocates in proportion to the rows the view stores, not to the base rows
-// it reads, which the engine lifts in place. Measured: about 655 objects over
+// it reads, which the engine lifts in place. Measured: about 550 objects over
 // 3 000 and over 30 000 rows into 100 groups (within ±15 of each other), and
-// 3.2 more per group at 1 000 groups. When every base row cost a lifted copy
+// 2.2 more per group at 1 000 groups — 3.2 while a projected insert built a
+// heap tuple for the view to copy. When every base row cost a lifted copy
 // and a relation per view-tree node, the same three read 30 076, 291 822 and
 // 297 244.
 func TestAllocGuardBackfill(t *testing.T) {
@@ -192,7 +193,7 @@ func TestAllocGuardBackfill(t *testing.T) {
 	}
 	small, large, wide := objects(3000, 100), objects(30000, 100), objects(30000, 1000)
 	t.Logf("objects per backfill: %.0f over 3 000 rows into 100 groups, %.0f over 30 000 rows into 100, %.0f over 30 000 into 1 000", small, large, wide)
-	if large > small+64 || wide > large+4*900 {
+	if large > small+64 || wide > large+3*900 {
 		t.Errorf("backfill allocates %.0f objects over 3 000 rows, %.0f over 30 000 into 100 groups, %.0f into 1 000: more than the view's rows", small, large, wide)
 	}
 }

@@ -63,7 +63,8 @@ type Options struct {
 	Follower bool
 	// Bootstrap seeds an in-memory follower from a transferred primary
 	// checkpoint (Durability must be nil; durable followers materialize the
-	// shipped checkpoint file into their WAL directory instead).
+	// shipped checkpoint file into their WAL directory instead). Open reads
+	// its rows into the store and keeps no reference to it.
 	Bootstrap *wal.Checkpoint
 }
 
@@ -221,6 +222,7 @@ func Open(cat Catalog, opts Options) (*DB, error) {
 				return nil, err
 			}
 			d.replLSN.Store(opts.Bootstrap.LSN)
+			d.opts.Bootstrap = nil // the rows are the store's now: the DB keeps no hold on the file bytes
 		} else if d.log != nil {
 			// A restarted durable follower resumes at its local log position;
 			// local LSNs mirror the primary's (each shipped record is re-logged

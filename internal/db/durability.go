@@ -68,9 +68,10 @@ func (d *DB) WALStats() (lsn uint64, enabled bool) {
 // view catalog into a checkpoint file, then prunes the WAL records it
 // covers. The rows are streamed from the live relations in encoded-key order
 // (data.BaseStore.Rows): no row is copied or materialized for the file, and
-// the sort runs over a kept scratch of 8-byte entry pointers, one per row.
-// So the DB must be at a batch boundary (maintenance goroutine). Recovery
-// after a checkpoint loads it and replays only the tail.
+// the sort runs in each relation's own entry table, which is seated again
+// when its rows are written — nothing is allocated per row. So the DB must
+// be at a batch boundary (maintenance goroutine). Recovery after a checkpoint
+// restores its rows straight from the file bytes and replays only the tail.
 func (d *DB) Checkpoint() error {
 	if d.log == nil {
 		return fmt.Errorf("db: durability not enabled")
@@ -121,7 +122,7 @@ func (d *DB) recoverFrom(rec *wal.Recovery) error {
 		info.FromCheckpoint = true
 		info.CheckpointApplied = ck.Applied
 		for _, t := range ck.Bases {
-			if err := d.store.Restore(t.Rel, t.Schema, t.Rows, t.Mults); err != nil {
+			if err := d.store.Restore(t.Rel, t.Schema, t.Len, t.All); err != nil {
 				return fmt.Errorf("db: recover checkpoint: %w", err)
 			}
 		}

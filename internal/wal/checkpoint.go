@@ -29,35 +29,17 @@ const (
 	ckptFlushBytes = 64 << 10
 )
 
-// BaseTable is one base relation's serialized contents: rows with signed
-// multiplicities, ordered by encoded key so identical states produce
-// identical files.
+// BaseTable is one base relation's contents: exactly Len rows with signed
+// multiplicities, in encoded-key order so identical states produce identical
+// files. All yields them from wherever they live — the live store for the
+// writer (data.BaseStore.Rows), the file bytes for a decoded checkpoint, which
+// decodes each row into one tuple it reuses — so neither side materializes a
+// row.
 type BaseTable struct {
 	Rel    string
 	Schema data.Schema
-	// Rows and Mults are the decoded contents; a decoded checkpoint has
-	// nothing else.
-	Rows  []data.Tuple
-	Mults []int64
-	// Len and All are what WriteCheckpoint streams in their place when All is
-	// set: exactly Len rows, in encoded-key order, read from wherever they
-	// live — nothing is materialized for the writer.
-	Len int
-	All iter.Seq2[data.Tuple, int64]
-}
-
-// rows returns the table's row count and rows for the writer.
-func (t *BaseTable) rows() (int, iter.Seq2[data.Tuple, int64]) {
-	if t.All != nil {
-		return t.Len, t.All
-	}
-	return len(t.Rows), func(yield func(data.Tuple, int64) bool) {
-		for i, row := range t.Rows {
-			if !yield(row, t.Mults[i]) {
-				return
-			}
-		}
-	}
+	Len    int
+	All    iter.Seq2[data.Tuple, int64]
 }
 
 // Checkpoint is the decoded (or to-be-written) checkpoint state.
@@ -141,10 +123,9 @@ func (w *ckptWriter) encode(ck *Checkpoint, b []byte) ([]byte, error) {
 		for _, attr := range t.Schema {
 			b = appendString(b, attr)
 		}
-		n, rows := t.rows()
-		b = appendUvarint(b, uint64(n))
+		b = appendUvarint(b, uint64(t.Len))
 		seen := 0
-		for row, mult := range rows {
+		for row, mult := range t.All {
 			b = appendVarint(b, mult)
 			for _, v := range row {
 				b = data.AppendValue(b, v)
@@ -157,10 +138,10 @@ func (w *ckptWriter) encode(ck *Checkpoint, b []byte) ([]byte, error) {
 				}
 			}
 		}
-		if seen != n {
-			return b, fmt.Errorf("wal: checkpoint table %q announced %d rows and yielded %d", t.Rel, n, seen)
+		if seen != t.Len {
+			return b, fmt.Errorf("wal: checkpoint table %q announced %d rows and yielded %d", t.Rel, t.Len, seen)
 		}
-		w.st.Rows += n
+		w.st.Rows += t.Len
 	}
 	return w.flush(b, true)
 }
@@ -238,26 +219,42 @@ func decodeCheckpoint(b []byte) (*Checkpoint, error) {
 		if nRows > uint64(len(body)-r.at)/(1+2*arity) { // a multiplicity byte and two per value at least
 			return nil, fmt.Errorf("wal: implausible row count %d", nRows)
 		}
-		t.Rows = make([]data.Tuple, 0, nRows)
-		t.Mults = make([]int64, 0, nRows)
+		// Every row is checked here and built only when All yields it.
+		rows := r.at
 		for j := uint64(0); j < nRows; j++ {
-			m, err := r.varint()
-			if err != nil {
+			if _, err := r.varint(); err != nil {
 				return nil, err
 			}
-			row := make(data.Tuple, arity)
-			if err := r.tuple(row); err != nil {
-				return nil, err
+			for range arity {
+				n, err := data.ValueLen(r.b[r.at:])
+				if err != nil {
+					return nil, err
+				}
+				r.at += n
 			}
-			t.Rows = append(t.Rows, row)
-			t.Mults = append(t.Mults, m)
 		}
+		t.Len, t.All = int(nRows), decodedRows(r.b[rows:r.at], len(t.Schema))
 		ck.Bases = append(ck.Bases, t)
 	}
 	if err := r.done(); err != nil {
 		return nil, err
 	}
 	return ck, nil
+}
+
+// decodedRows yields the rows of checked table bytes b, each decoded into the
+// one tuple of arity cells it reuses; a string cell is a fresh string.
+func decodedRows(b []byte, arity int) iter.Seq2[data.Tuple, int64] {
+	return func(yield func(data.Tuple, int64) bool) {
+		r := recordReader{b: b}
+		row := make(data.Tuple, arity)
+		for r.at < len(b) {
+			m, _ := r.varint()
+			if r.tuple(row) != nil || !yield(row, m) {
+				return
+			}
+		}
+	}
 }
 
 // WriteCheckpoint persists ck (stamping it with the log's current LSN),

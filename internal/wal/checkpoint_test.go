@@ -3,10 +3,13 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"iter"
-	"reflect"
+	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"fivm/internal/data"
@@ -36,9 +39,9 @@ func encodeCheckpointRef(ck *Checkpoint) []byte {
 		for _, attr := range t.Schema {
 			b = appendString(b, attr)
 		}
-		b = appendUvarint(b, uint64(len(t.Rows)))
-		for i, row := range t.Rows {
-			b = appendVarint(b, t.Mults[i])
+		b = appendUvarint(b, uint64(t.Len))
+		for row, mult := range t.All {
+			b = appendVarint(b, mult)
 			for _, v := range row {
 				b = data.AppendValue(b, v)
 			}
@@ -49,11 +52,28 @@ func encodeCheckpointRef(ck *Checkpoint) []byte {
 	return append(b, crc[:]...)
 }
 
+// table is a BaseTable over rows a test holds in slices.
+func table(rel string, schema data.Schema, rows []data.Tuple, mults []int64) BaseTable {
+	return BaseTable{Rel: rel, Schema: schema, Len: len(rows), All: func(yield func(data.Tuple, int64) bool) {
+		for i, row := range rows {
+			if !yield(row, mults[i]) {
+				return
+			}
+		}
+	}}
+}
+
 // fixtureCheckpoint is the state TestCheckpointRoundTripAndPruning writes,
 // with base R widened to n rows so a lowered flush limit cuts it into many
 // writes.
 func fixtureCheckpoint(applied uint64, n int) *Checkpoint {
-	ck := &Checkpoint{
+	var rows []data.Tuple
+	var mults []int64
+	for i := 0; i < n; i++ {
+		rows = append(rows, data.Ints(int64(i), int64(applied)))
+		mults = append(mults, int64(i%3)-5)
+	}
+	return &Checkpoint{
 		Applied: applied,
 		Seq:     3 * applied,
 		Views: []ViewDef{
@@ -61,68 +81,41 @@ func fixtureCheckpoint(applied uint64, n int) *Checkpoint {
 			{Name: "v2", SQL: "SELECT SUM(B) FROM R", CostMaterialize: true},
 		},
 		Bases: []BaseTable{
-			{Rel: "R", Schema: data.NewSchema("A", "B")},
-			{Rel: "S", Schema: data.NewSchema("A", "C"),
-				Rows:  []data.Tuple{{data.Int(1), data.String("x")}},
-				Mults: []int64{1}},
+			table("R", data.NewSchema("A", "B"), rows, mults),
+			table("S", data.NewSchema("A", "C"), []data.Tuple{{data.Int(1), data.String("x")}}, []int64{1}),
 		},
 	}
-	for i := 0; i < n; i++ {
-		ck.Bases[0].Rows = append(ck.Bases[0].Rows, data.Ints(int64(i), int64(applied)))
-		ck.Bases[0].Mults = append(ck.Bases[0].Mults, int64(i%3)-5)
-	}
-	return ck
-}
-
-// streamed returns ck with every table handed to the writer the way the DB
-// hands its own: a row count and a sequence, no Rows or Mults.
-func streamed(ck *Checkpoint) *Checkpoint {
-	out := *ck
-	out.Bases = make([]BaseTable, len(ck.Bases))
-	for i, t := range ck.Bases {
-		n, rows := t.rows()
-		out.Bases[i] = BaseTable{Rel: t.Rel, Schema: t.Schema, Len: n, All: rows}
-	}
-	return &out
 }
 
 // TestStreamedCheckpointIsByteIdentical pins the streamed file against the
-// buffered encoder's output for the same state: written from Rows/Mults or
-// from sequences, in one write or in many.
+// buffered encoder's output for the same state, in one write or in many.
 func TestStreamedCheckpointIsByteIdentical(t *testing.T) {
 	for _, rows := range []int{2, 500} {
 		for _, flush := range []int{ckptFlushBytes, 64} {
-			for _, seqs := range []bool{false, true} {
-				fs := NewMemFS()
-				l, _ := openMem(t, fs, FsyncNever)
-				l.ckptFlush = flush
-				for i := int64(1); i <= 3; i++ {
-					l.AppendBatch(uint64(i), testBatch(i))
-				}
-				ck := fixtureCheckpoint(3, rows)
-				in := ck
-				if seqs {
-					in = streamed(ck)
-				}
-				if err := l.WriteCheckpoint(in); err != nil {
-					t.Fatal(err)
-				}
-				ck.LSN = in.LSN
-				got, err := fs.ReadFile("wal/" + ckptFileName(ck.LSN))
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := encodeCheckpointRef(ck)
-				if !bytes.Equal(got, want) {
-					t.Fatalf("%d rows, flush at %d, sequences %v: streamed file (%d bytes) differs from the reference (%d bytes)",
-						rows, flush, seqs, len(got), len(want))
-				}
-				st := l.LastCheckpoint()
-				if st.LSN != 3 || st.Rows != rows+1 || st.Bytes != int64(len(want)) || st.Writes < 1 || (flush == 64 && st.Writes < rows/8) {
-					t.Errorf("LastCheckpoint %+v for a file of %d bytes, %d rows", st, len(want), rows+1)
-				}
-				l.Close()
+			fs := NewMemFS()
+			l, _ := openMem(t, fs, FsyncNever)
+			l.ckptFlush = flush
+			for i := int64(1); i <= 3; i++ {
+				l.AppendBatch(uint64(i), testBatch(i))
 			}
+			ck := fixtureCheckpoint(3, rows)
+			if err := l.WriteCheckpoint(ck); err != nil {
+				t.Fatal(err)
+			}
+			got, err := fs.ReadFile("wal/" + ckptFileName(ck.LSN))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := encodeCheckpointRef(ck)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%d rows, flush at %d: streamed file (%d bytes) differs from the reference (%d bytes)",
+					rows, flush, len(got), len(want))
+			}
+			st := l.LastCheckpoint()
+			if st.LSN != 3 || st.Rows != rows+1 || st.Bytes != int64(len(want)) || st.Writes < 1 || (flush == 64 && st.Writes < rows/8) {
+				t.Errorf("LastCheckpoint %+v for a file of %d bytes, %d rows", st, len(want), rows+1)
+			}
+			l.Close()
 		}
 	}
 	// A table that yields fewer rows than it announced is refused before
@@ -130,7 +123,7 @@ func TestStreamedCheckpointIsByteIdentical(t *testing.T) {
 	fs := NewMemFS()
 	l, _ := openMem(t, fs, FsyncNever)
 	defer l.Close()
-	short := streamed(fixtureCheckpoint(1, 10))
+	short := fixtureCheckpoint(1, 10)
 	short.Bases[0].Len++
 	if err := l.WriteCheckpoint(short); err == nil {
 		t.Fatal("WriteCheckpoint accepted a table shorter than announced")
@@ -161,7 +154,7 @@ func TestCheckpointTornAtEveryByte(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := l.WriteCheckpoint(streamed(ck1)); err != nil {
+		if err := l.WriteCheckpoint(ck1); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.AppendBatch(3, testBatch(3)); err != nil {
@@ -170,7 +163,7 @@ func TestCheckpointTornAtEveryByte(t *testing.T) {
 		if cut >= 0 {
 			ffs.CrashAfterBytes(cut)
 		}
-		err = l.WriteCheckpoint(streamed(ck2))
+		err = l.WriteCheckpoint(ck2)
 		if l.LastCheckpoint().Writes < 5 && err == nil {
 			t.Fatalf("the second checkpoint took %d writes: nothing to tear", l.LastCheckpoint().Writes)
 		}
@@ -201,8 +194,8 @@ func TestCheckpointTornAtEveryByte(t *testing.T) {
 			t.Fatalf("cut %d: WriteCheckpoint succeeded and recovery found applied=%d", cut, got.Applied)
 		}
 		want.LSN = want.Applied
-		if dec, err := decodeCheckpoint(encodeCheckpointRef(want)); err != nil || !reflect.DeepEqual(got, dec) {
-			t.Fatalf("cut %d: recovered checkpoint %+v, want %+v (%v)", cut, got, dec, err)
+		if !bytes.Equal(encodeCheckpointRef(got), encodeCheckpointRef(want)) {
+			t.Fatalf("cut %d: recovered checkpoint %+v, want %+v", cut, got, want)
 		}
 		if tail := len(rec.Records); tail != int(3-got.Applied) {
 			t.Fatalf("cut %d: checkpoint applied=%d with a tail of %d records", cut, got.Applied, tail)
@@ -213,9 +206,11 @@ func TestCheckpointTornAtEveryByte(t *testing.T) {
 // FuzzDecodeCheckpoint: arbitrary bytes — as they come, and again with a
 // valid checksum sealed over them, which is what gets a mutation past the
 // first check and into the decoder — decode to an error or to a checkpoint
-// that survives re-encoding: never a panic, and never more rows than the
-// input has bytes for (the caps that keep a hostile count from sizing an
-// allocation).
+// that survives re-encoding byte for byte (a decoded table is a sequence over
+// the file bytes, so it is compared by what it encodes to): never a panic,
+// and never more rows than the input has bytes for (the caps that keep a
+// hostile count from sizing an allocation). Every decoded table restores into
+// a fresh store as exactly its rows or as an error, never a panic.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	real := encodeCheckpointRef(fixtureCheckpoint(7, 20))
 	f.Add(real)
@@ -232,17 +227,24 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			}
 			rows := 0
 			for _, tab := range ck.Bases {
-				rows += len(tab.Rows)
-				if len(tab.Rows) != len(tab.Mults) {
-					t.Fatalf("table %q: %d rows, %d multiplicities", tab.Rel, len(tab.Rows), len(tab.Mults))
-				}
+				rows += tab.Len
 			}
 			if rows > len(in) || len(ck.Views) > len(in) || len(ck.Bases) > len(in) {
 				t.Fatalf("%d bytes decoded to %d rows, %d views, %d tables", len(in), rows, len(ck.Views), len(ck.Bases))
 			}
-			again, err := decodeCheckpoint(encodeCheckpointRef(ck))
-			if err != nil || !reflect.DeepEqual(ck, again) {
+			enc := encodeCheckpointRef(ck)
+			again, err := decodeCheckpoint(enc)
+			if err != nil || !bytes.Equal(encodeCheckpointRef(again), enc) {
 				t.Fatalf("decoded checkpoint does not survive re-encoding: %v", err)
+			}
+			for _, tab := range ck.Bases {
+				store := data.NewBaseStore()
+				if err := store.Register(tab.Rel, tab.Schema); err != nil {
+					t.Fatal(err)
+				}
+				if err := store.Restore(tab.Rel, tab.Schema, tab.Len, tab.All); err == nil && store.Base(tab.Rel).Len() != tab.Len {
+					t.Fatalf("table %q of %d rows restored as %d", tab.Rel, tab.Len, store.Base(tab.Rel).Len())
+				}
 			}
 		}
 	})
@@ -353,5 +355,130 @@ func TestAllocGuardCheckpoint(t *testing.T) {
 			}
 		}
 		l.Close()
+	}
+}
+
+// storeCheckpoint writes every relation of store as a checkpoint, the way
+// the DB does (BaseStore.Rows), into a fresh log and returns the file.
+func storeCheckpoint(t *testing.T, store *data.BaseStore) []byte {
+	t.Helper()
+	fs := NewMemFS()
+	l, _ := openMem(t, fs, FsyncNever)
+	defer l.Close()
+	ck := &Checkpoint{Applied: 1}
+	for _, rel := range store.Relations() {
+		sch, _ := store.Schema(rel)
+		ck.Bases = append(ck.Bases, BaseTable{Rel: rel, Schema: sch, Len: store.Base(rel).Len(), All: store.Rows(rel)})
+	}
+	if err := l.WriteCheckpoint(ck); err != nil {
+		t.Fatal(err)
+	}
+	b, err := fs.ReadFile("wal/" + ckptFileName(ck.LSN))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestCheckpointRestoreRoundTrip: a checkpoint restored into a fresh store
+// and checkpointed again is the same file, byte for byte — over random
+// stores of zero to three relations, empty ones included, with int, float
+// and string columns and negative multiplicities.
+func TestCheckpointRestoreRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	value := func(kind int) data.Value {
+		switch kind {
+		case 0:
+			return data.Int(rng.Int63n(200) - 100)
+		case 1:
+			return data.Float(rng.NormFloat64() * 1e3)
+		default:
+			return data.String(strings.Repeat("s", rng.Intn(4)) + fmt.Sprint(rng.Intn(50)))
+		}
+	}
+	for trial := range 40 {
+		store := data.NewBaseStore()
+		for r := range rng.Intn(4) {
+			kinds := make([]int, 1+rng.Intn(3))
+			attrs := make([]string, len(kinds))
+			for i := range kinds {
+				kinds[i], attrs[i] = rng.Intn(3), fmt.Sprint("A", i)
+			}
+			rel := fmt.Sprint("R", r)
+			if err := store.Register(rel, data.NewSchema(attrs...)); err != nil {
+				t.Fatal(err)
+			}
+			for range rng.Intn(4) { // zero batches leave the relation empty
+				rows := make([]data.Tuple, rng.Intn(300))
+				for i := range rows {
+					rows[i] = make(data.Tuple, len(kinds))
+					for j, k := range kinds {
+						rows[i][j] = value(k)
+					}
+				}
+				if err := store.ApplyBatch([]data.BaseUpdate{{Rel: rel, Tuples: rows, Mult: rng.Int63n(7) - 3}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		first := storeCheckpoint(t, store)
+		ck, err := decodeCheckpoint(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again := data.NewBaseStore()
+		for _, tab := range ck.Bases {
+			if err := again.Register(tab.Rel, tab.Schema); err != nil {
+				t.Fatal(err)
+			}
+			if err := again.Restore(tab.Rel, tab.Schema, tab.Len, tab.All); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+		}
+		if second := storeCheckpoint(t, again); !bytes.Equal(first, second) {
+			t.Fatalf("trial %d: the restored store checkpoints to %d bytes that differ from the %d it was restored from", trial, len(second), len(first))
+		}
+	}
+}
+
+// TestCheckpointWriterFailureKeepsStore: a checkpoint whose file fails
+// mid-stream stops ranging over the store's rows, and the store's table,
+// which Rows sorted in place, is whole again: every row found, and inserts
+// and deletes applied after.
+func TestCheckpointWriterFailureKeepsStore(t *testing.T) {
+	store := data.NewBaseStore()
+	if err := store.Register("R", data.NewSchema("A", "B")); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]data.Tuple, 5000)
+	for i := range rows {
+		rows[i] = data.Tuple{data.Int(int64(i)), data.String(fmt.Sprint(i % 7))}
+	}
+	if err := store.ApplyBatch([]data.BaseUpdate{{Rel: "R", Tuples: rows, Mult: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	ffs := NewFaultFS(NewMemFS())
+	l, _, err := Open(Options{Dir: "wal", FS: ffs, Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	l.ckptFlush = 256
+	ffs.CrashAfterBytes(4096)
+	ck := &Checkpoint{Bases: []BaseTable{{Rel: "R", Schema: data.NewSchema("A", "B"), Len: 5000, All: store.Rows("R")}}}
+	if err := l.WriteCheckpoint(ck); !errors.Is(err, ErrInjected) {
+		t.Fatalf("WriteCheckpoint over a crashing file: %v", err)
+	}
+	base := store.Base("R")
+	for _, r := range rows {
+		if m, ok := base.Get(r); !ok || m != 1 {
+			t.Fatalf("row %v: %d (found %v) after the failed checkpoint", r, m, ok)
+		}
+	}
+	if err := store.ApplyBatch([]data.BaseUpdate{{Rel: "R", Tuples: rows[:100], Mult: -1}, {Rel: "R", Tuples: []data.Tuple{data.Ints(9999, 1)}, Mult: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if base.Len() != 4901 || base.Contains(rows[0]) || !base.Contains(data.Ints(9999, 1)) || !base.Contains(rows[100]) {
+		t.Fatalf("after deletes and an insert the store holds %d rows", base.Len())
 	}
 }

@@ -299,9 +299,9 @@ func DecodeFrameInto(b []byte, a *data.BatchArena) (Record, int, error) {
 }
 
 // LatestCheckpointBytes returns the newest valid checkpoint's raw file bytes
-// and decoded form, or (nil, nil, nil) when the directory holds none. The
-// raw bytes are what a primary ships to a follower that is too far behind
-// for frame catch-up.
+// and decoded form, whose tables read their rows from those bytes, or
+// (nil, nil, nil) when the directory holds none. The raw bytes are what a
+// primary ships to a follower that is too far behind for frame catch-up.
 func LatestCheckpointBytes(fs VFS, dir string) ([]byte, *Checkpoint, error) {
 	names, err := fs.ReadDir(dir)
 	if err != nil {

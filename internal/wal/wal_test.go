@@ -387,12 +387,8 @@ func TestCheckpointRoundTripAndPruning(t *testing.T) {
 			{Name: "v2", SQL: "SELECT SUM(B) FROM R", CostMaterialize: true},
 		},
 		Bases: []BaseTable{
-			{Rel: "R", Schema: data.NewSchema("A", "B"),
-				Rows:  []data.Tuple{data.Ints(1, 2), data.Ints(3, 4)},
-				Mults: []int64{5, -1}},
-			{Rel: "S", Schema: data.NewSchema("A", "C"),
-				Rows:  []data.Tuple{{data.Int(1), data.String("x")}},
-				Mults: []int64{1}},
+			table("R", data.NewSchema("A", "B"), []data.Tuple{data.Ints(1, 2), data.Ints(3, 4)}, []int64{5, -1}),
+			table("S", data.NewSchema("A", "C"), []data.Tuple{{data.Int(1), data.String("x")}}, []int64{1}),
 		},
 	}
 	if err := l.WriteCheckpoint(ck); err != nil {
@@ -427,10 +423,16 @@ func TestCheckpointRoundTripAndPruning(t *testing.T) {
 	if len(got.Bases) != 2 || got.Bases[0].Rel != "R" || !got.Bases[0].Schema.Equal(ck.Bases[0].Schema) {
 		t.Fatalf("bases %+v", got.Bases)
 	}
-	for i, row := range got.Bases[0].Rows {
-		if !row.Equal(ck.Bases[0].Rows[i]) || got.Bases[0].Mults[i] != ck.Bases[0].Mults[i] {
-			t.Errorf("base R row %d: %v/%d", i, row, got.Bases[0].Mults[i])
+	wantRows, wantMults := []data.Tuple{data.Ints(1, 2), data.Ints(3, 4)}, []int64{5, -1}
+	i := 0
+	for row, mult := range got.Bases[0].All {
+		if i >= len(wantRows) || !row.Equal(wantRows[i]) || mult != wantMults[i] {
+			t.Errorf("base R row %d: %v/%d", i, row, mult)
 		}
+		i++
+	}
+	if i != len(wantRows) || got.Bases[0].Len != len(wantRows) {
+		t.Errorf("base R: %d rows read, Len %d, want %d", i, got.Bases[0].Len, len(wantRows))
 	}
 	// Only the tail after the checkpoint replays.
 	if len(rec.Records) != 2 || rec.Records[0].Applied != 4 || rec.Records[1].Applied != 5 {
