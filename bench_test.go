@@ -165,8 +165,15 @@ func BenchmarkFig6RightRankUpdate(b *testing.B) {
 
 // --- Figure 7: cofactor maintenance ---------------------------------------------
 
+// maintainer is what the figure benchmarks drive: an F-IVM engine or a
+// competitor.
+type maintainer[P any] interface {
+	Init() error
+	ApplyDelta(rel string, delta *data.Relation[P]) error
+}
+
 // benchCofactorUpdates measures batch application against a warm strategy.
-func benchCofactorUpdates[P any](b *testing.B, m ivm.Maintainer[P], ds *datasets.Dataset,
+func benchCofactorUpdates[P any](b *testing.B, m maintainer[P], ds *datasets.Dataset,
 	toDelta func(q query.Query, bt datasets.Batch) *data.Relation[P], batchSize int) {
 	b.Helper()
 	stream := datasets.RoundRobinStream(ds, ds.Query.RelNames(), batchSize)
@@ -278,8 +285,8 @@ func BenchmarkFig11Sum(b *testing.B) {
 		}
 		return 1
 	}
-	mk := map[string]func() ivm.Maintainer[float64]{
-		"F-IVM": func() ivm.Maintainer[float64] {
+	mk := map[string]func() maintainer[float64]{
+		"F-IVM": func() maintainer[float64] {
 			m, err := ivm.New[float64](ds.Query, ds.NewOrder(), ring.Float{}, lift,
 				ivm.Options[float64]{ComposeChains: true})
 			if err != nil {
@@ -287,28 +294,28 @@ func BenchmarkFig11Sum(b *testing.B) {
 			}
 			return m
 		},
-		"DBT": func() ivm.Maintainer[float64] {
+		"DBT": func() maintainer[float64] {
 			m, err := ivm.NewRecursive[float64](ds.Query, ring.Float{}, lift, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
 			return m
 		},
-		"1-IVM": func() ivm.Maintainer[float64] {
+		"1-IVM": func() maintainer[float64] {
 			m, err := ivm.NewFirstOrder[float64](ds.Query, ds.NewOrder(), ring.Float{}, lift)
 			if err != nil {
 				b.Fatal(err)
 			}
 			return m
 		},
-		"F-RE": func() ivm.Maintainer[float64] {
+		"F-RE": func() maintainer[float64] {
 			m, err := ivm.NewReEval[float64](ds.Query, ds.NewOrder(), ring.Float{}, lift)
 			if err != nil {
 				b.Fatal(err)
 			}
 			return m
 		},
-		"DBT-RE": func() ivm.Maintainer[float64] {
+		"DBT-RE": func() maintainer[float64] {
 			return ivm.NewNaiveReEval[float64](ds.Query, ring.Float{}, lift)
 		},
 	}

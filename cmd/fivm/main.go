@@ -89,7 +89,7 @@ func main() {
 	dataset := fs.String("dataset", "retailer", "dataset: retailer, housing or twitter (fig7 and fig8: retailer or housing)")
 	batch := fs.Int("batch", 1000, "update batch size")
 	group := fs.Int("group", 1, "stream batches applied per batched ApplyDeltas call")
-	workers := fs.Int("workers", 1, "shard/worker count for parallel maintenance (fig7, fig13)")
+	workers := fs.Int("workers", 1, "shard/worker count for parallel maintenance: the F-IVM and SQL-OPT rows of fig7 and fig13 (the competitors run unsharded), and repl's views")
 	scale := fs.Int("scale", 1, "dataset scale multiplier")
 	noScalar := fs.Bool("no-scalar", false, "skip the per-aggregate scalar competitors (DBT, 1-IVM)")
 	autoOrder := fs.Bool("auto-order", false, "let the cost-based optimizer choose variable orders (fig7, fig13, explain) instead of the handpicked ones")

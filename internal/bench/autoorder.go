@@ -37,7 +37,7 @@ func autoOrderOne(cfg Config, ds *datasets.Dataset) *Table {
 	must(chosen.Prepare(ds.Query))
 	stream := datasets.RoundRobinStream(ds, ds.Query.RelNames(), cfg.BatchSize)
 	variant := func(name string, o *vorder.Order, costMat bool) scenario {
-		return strategy(name, ds, ring.Cofactor{}, 1, nil, func(r ring.Ring[ring.Triple]) (ivm.Maintainer[ring.Triple], error) {
+		return strategy(name, ds, ring.Cofactor{}, nil, func(r ring.Ring[ring.Triple]) (Maintainer[ring.Triple], error) {
 			return ivm.New(ds.Query, o, r, liftOf(ds.Query.Vars(), ring.LiftValue),
 				ivm.Options[ring.Triple]{ComposeChains: true, Stats: st.Clone(), CostMaterialize: costMat})
 		}, stream)

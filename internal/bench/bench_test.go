@@ -230,6 +230,46 @@ func TestFig13Runs(t *testing.T) {
 	}
 }
 
+// TestWorkersShardOnlyEngines: cfg.Workers shards the engine rows and no
+// other. Every competitor row of Figures 7 and 13 reads the same views,
+// tuples, counted work and state at two workers as at one, and the F-IVM
+// row, the same views and tuples in a state that now holds two shards.
+func TestWorkersShardOnlyEngines(t *testing.T) {
+	for _, fig := range []struct {
+		name string
+		runs func(cfg Config) []RunResult
+	}{
+		// Figure 13 runs the scalar rows, through the same scenarios as
+		// Figure 7's.
+		{"fig7", func(cfg Config) []RunResult {
+			cfg.Scalar = false
+			return fig7Runs(cfg, datasets.GenRetailer(cfg.Retailer))
+		}},
+		{"fig13", func(cfg Config) []RunResult { return fig13Runs(cfg, datasets.GenTwitter(cfg.Twitter)) }},
+	} {
+		cfg := tiny()
+		one := byName(fig.runs(cfg))
+		cfg.Workers = 2
+		two := byName(fig.runs(cfg))
+		for name, a := range one {
+			b := two[name]
+			if a.Err != nil || b.Err != nil {
+				t.Fatalf("%s %s: %v, %v", fig.name, name, a.Err, b.Err)
+			}
+			if a.Views != b.Views || a.Tuples != b.Tuples {
+				t.Errorf("%s %s: %d views over %d tuples at one worker, %d over %d at two", fig.name, name, a.Views, a.Tuples, b.Views, b.Tuples)
+			}
+			engine := strings.HasPrefix(name, "F-IVM") || strings.HasPrefix(name, "SQL-OPT")
+			switch {
+			case engine && name == "F-IVM" && a.StateBytes == b.StateBytes:
+				t.Errorf("%s F-IVM: %d state bytes at one worker and at two: not sharded", fig.name, a.StateBytes)
+			case !engine && (a.Work != b.Work || a.StateBytes != b.StateBytes):
+				t.Errorf("%s %s: work %+v and %d state bytes at one worker, %+v and %d at two", fig.name, name, a.Work, a.StateBytes, b.Work, b.StateBytes)
+			}
+		}
+	}
+}
+
 // TestTriangleIndicatorShape: without indicators the view at C grows with the
 // pairs of S ⋈ T; with ∃_{A,B} R below it, it stays within |R|. Both count
 // the same triangles.

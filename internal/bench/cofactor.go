@@ -56,6 +56,7 @@ func newCofactorStrategies(ds *datasets.Dataset, auto bool) cofactorStrategies {
 // (one view tree, cofactor ring), SQL-OPT (degree-map payloads), DBT-RING
 // (recursive hierarchies), or DBT and 1-IVM (per aggregate, over scalarStream
 // instead). " ONE" updates only the largest relation, the others preloaded.
+// workers > 1 shards the engine rows, F-IVM and SQL-OPT, and no other.
 func (c cofactorStrategies) scenario(name string, workers int, stream []datasets.Batch) scenario {
 	q, vars := c.ds.Query, c.ds.Query.Vars()
 	var upd []string
@@ -64,25 +65,25 @@ func (c cofactorStrategies) scenario(name string, workers int, stream []datasets
 	}
 	switch strings.TrimSuffix(name, " ONE") {
 	case "F-IVM":
-		return strategy(name, c.ds, ring.Cofactor{}, workers, upd, func(r ring.Ring[ring.Triple]) (ivm.Maintainer[ring.Triple], error) {
+		return strategy(name, c.ds, ring.Cofactor{}, upd, sharded(q, workers, func(r ring.Ring[ring.Triple]) (*ivm.Engine[ring.Triple], error) {
 			return ivm.New(q, c.order(), r, liftOf(vars, ring.LiftValue),
 				ivm.Options[ring.Triple]{Updatable: upd, ComposeChains: true, Stats: c.stats.Clone()})
-		}, stream)
+		}), stream)
 	case "SQL-OPT":
-		return strategy(name, c.ds, ring.DegreeMap{}, workers, upd, func(r ring.Ring[ring.DegMap]) (ivm.Maintainer[ring.DegMap], error) {
+		return strategy(name, c.ds, ring.DegreeMap{}, upd, sharded(q, workers, func(r ring.Ring[ring.DegMap]) (*ivm.Engine[ring.DegMap], error) {
 			return ivm.New(q, c.order(), r, liftOf(vars, ring.LiftDegMap),
 				ivm.Options[ring.DegMap]{Updatable: upd, ComposeChains: true, Stats: c.stats.Clone()})
-		}, stream)
+		}), stream)
 	case "DBT-RING":
-		return strategy(name, c.ds, ring.Cofactor{}, workers, upd, func(r ring.Ring[ring.Triple]) (ivm.Maintainer[ring.Triple], error) {
+		return strategy(name, c.ds, ring.Cofactor{}, upd, func(r ring.Ring[ring.Triple]) (Maintainer[ring.Triple], error) {
 			return ivm.NewRecursive(q, r, liftOf(vars, ring.LiftValue), upd)
 		}, stream)
 	case "DBT":
-		return strategy(name, c.ds, ring.Float{}, workers, upd, func(r ring.Ring[float64]) (ivm.Maintainer[float64], error) {
+		return strategy(name, c.ds, ring.Float{}, upd, func(r ring.Ring[float64]) (Maintainer[float64], error) {
 			return ivm.NewMultiRecursive(q, r, ivm.CofactorAggSpecs(vars), upd)
 		}, scalarStream(c.ds))
 	case "1-IVM":
-		return strategy(name, c.ds, ring.Float{}, workers, upd, func(r ring.Ring[float64]) (ivm.Maintainer[float64], error) {
+		return strategy(name, c.ds, ring.Float{}, upd, func(r ring.Ring[float64]) (Maintainer[float64], error) {
 			return ivm.NewMultiFirstOrder(q, c.order(), r, ivm.CofactorAggSpecs(vars))
 		}, scalarStream(c.ds))
 	}
@@ -186,18 +187,23 @@ func fig12Runs(ds *datasets.Dataset, name string, batchSizes []int) []RunResult 
 // (all three pairwise joins) hold quadratic state, DBT-RING the most; F-IVM
 // ONE (updates to R only) does the least work per tuple.
 func Fig13(cfg Config) *Table {
-	ds := datasets.GenTwitter(cfg.Twitter)
+	return workTable(cfg.title("Figure 13: cofactor over the triangle query (Twitter)"),
+		scalarNote(cfg.Scalar, "DBT and 1-IVM"), fig13Runs(cfg, datasets.GenTwitter(cfg.Twitter)))
+}
+
+// fig13Runs runs Figure 13's scenarios on the dataset.
+func fig13Runs(cfg Config, ds *datasets.Dataset) []RunResult {
 	cs := newCofactorStrategies(ds, cfg.AutoOrder)
 	stream := datasets.RoundRobinStream(ds, ds.Query.RelNames(), cfg.BatchSize)
-	// Only the two cofactor-ring strategies shard; the scalar competitors and
-	// the ONE variant run sequentially whatever cfg.Workers says.
-	scs := []scenario{cs.scenario("F-IVM", cfg.Workers, stream), cs.scenario("DBT-RING", cfg.Workers, stream)}
+	// cfg.Workers shards the F-IVM rows; scenario runs the competitors
+	// unsharded.
+	w := cfg.Workers
+	scs := []scenario{cs.scenario("F-IVM", w, stream), cs.scenario("DBT-RING", w, stream)}
 	if cfg.Scalar {
-		scs = append(scs, cs.scenario("DBT", 1, stream), cs.scenario("1-IVM", 1, stream))
+		scs = append(scs, cs.scenario("DBT", w, stream), cs.scenario("1-IVM", w, stream))
 	}
-	scs = append(scs, cs.scenario("F-IVM ONE", 1, datasets.SingleRelationStream(ds, ds.Largest, cfg.BatchSize)))
-	return workTable(cfg.title("Figure 13: cofactor over the triangle query (Twitter)"),
-		scalarNote(cfg.Scalar, "DBT and 1-IVM"), runScenarios(1, scs...))
+	scs = append(scs, cs.scenario("F-IVM ONE", w, datasets.SingleRelationStream(ds, ds.Largest, cfg.BatchSize)))
+	return runScenarios(1, scs...)
 }
 
 // triangleRun is one run of the triangle count: the count, the size of the
@@ -213,7 +219,7 @@ type triangleRun struct {
 func runTriangle(tw datasets.TwitterConfig, batch int, indicators bool) triangleRun {
 	ds := datasets.GenTwitter(tw)
 	var e *ivm.Engine[int64]
-	sc := strategy("triangle", ds, ring.Int{}, 1, nil, func(r ring.Ring[int64]) (ivm.Maintainer[int64], error) {
+	sc := strategy("triangle", ds, ring.Int{}, nil, func(r ring.Ring[int64]) (Maintainer[int64], error) {
 		var err error
 		e, err = ivm.New(ds.Query, ds.NewOrder(), r, func(string, data.Value) int64 { return 1 }, ivm.Options[int64]{Indicators: indicators})
 		return e, err

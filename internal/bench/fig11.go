@@ -27,23 +27,23 @@ func Fig11(cfg Config) []*Table {
 		}
 		q, o := ds.Query, ds.NewOrder
 		stream := datasets.RoundRobinStream(ds, q.RelNames(), cfg.BatchSize)
-		sum := func(name string, stream []datasets.Batch, mk func(r ring.Ring[float64]) (ivm.Maintainer[float64], error)) scenario {
-			return strategy(name, ds, ring.Float{}, 1, nil, mk, stream)
+		sum := func(name string, stream []datasets.Batch, mk func(r ring.Ring[float64]) (Maintainer[float64], error)) scenario {
+			return strategy(name, ds, ring.Float{}, nil, mk, stream)
 		}
 		results := runScenarios(1,
-			sum("F-IVM", stream, func(r ring.Ring[float64]) (ivm.Maintainer[float64], error) {
+			sum("F-IVM", stream, func(r ring.Ring[float64]) (Maintainer[float64], error) {
 				return ivm.New(q, o(), r, lift, ivm.Options[float64]{ComposeChains: true})
 			}),
-			sum("DBT", stream, func(r ring.Ring[float64]) (ivm.Maintainer[float64], error) {
+			sum("DBT", stream, func(r ring.Ring[float64]) (Maintainer[float64], error) {
 				return ivm.NewRecursive(q, r, lift, nil)
 			}),
-			sum("1-IVM", stream, func(r ring.Ring[float64]) (ivm.Maintainer[float64], error) {
+			sum("1-IVM", stream, func(r ring.Ring[float64]) (Maintainer[float64], error) {
 				return ivm.NewFirstOrder(q, o(), r, lift)
 			}),
-			sum("F-RE", scalarStream(ds), func(r ring.Ring[float64]) (ivm.Maintainer[float64], error) {
+			sum("F-RE", scalarStream(ds), func(r ring.Ring[float64]) (Maintainer[float64], error) {
 				return ivm.NewReEval(q, o(), r, lift)
 			}),
-			sum("DBT-RE", scalarStream(ds), func(r ring.Ring[float64]) (ivm.Maintainer[float64], error) {
+			sum("DBT-RE", scalarStream(ds), func(r ring.Ring[float64]) (Maintainer[float64], error) {
 				return ivm.NewNaiveReEval(q, r, lift), nil
 			}))
 		tables = append(tables, workTable(fmt.Sprintf("Figure 11 (Appendix C): SUM(%s) over %s", sumVar, ds.Name),

@@ -24,7 +24,7 @@ func fig6Mul(name string, ms []*matrix.Dense, terms []matrix.RankOne) (int64, ti
 	var c ringtest.Counter
 	r := ringtest.Wrap[float64](ring.Float{}, &c)
 	q, o, one := mcm.ChainQuery(3), mcm.ChainOrder(3), func(string, data.Value) float64 { return 1 }
-	var m ivm.Maintainer[float64]
+	var m Maintainer[float64]
 	var err error
 	switch name {
 	case "1-IVM":
@@ -42,7 +42,7 @@ func fig6Mul(name string, ms []*matrix.Dense, terms []matrix.RankOne) (int64, ti
 	before := c.Load()
 	el := elapsed(func() {
 		if name != "F-IVM" {
-			must(m.ApplyDelta("A2", matrixRel(r, 2, matrix.Recompose(terms, ms[1].Rows, ms[1].Cols))))
+			must(m.ApplyDeltas([]ivm.NamedDelta[float64]{{Rel: "A2", Delta: matrixRel(r, 2, matrix.Recompose(terms, ms[1].Rows, ms[1].Cols))}}))
 			return
 		}
 		for _, t := range terms {

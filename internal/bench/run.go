@@ -27,7 +27,9 @@ type Config struct {
 	// BatchSize is the update batch size, Group the stream batches applied
 	// per ApplyDeltas call (Figure 7), whose deltas to a relation coalesce.
 	BatchSize, Group int
-	// Workers > 1 shards the cofactor strategies of Figures 7 and 13.
+	// Workers > 1 shards the engine rows of Figures 7 and 13 (F-IVM, SQL-OPT
+	// and their ONE rows); the competitors always run unsharded, as the
+	// paper has no parallel competitor.
 	Workers int
 	// Scalar adds the per-aggregate DBT and 1-IVM to Figures 7 and 13, and
 	// AutoOrder lets their engines choose variable orders from statistics.
@@ -81,11 +83,21 @@ func (r RunResult) PerTuple() (mul, floats float64) {
 	return float64(r.Work.Mul) / n, float64(r.Work.Floats) / n
 }
 
+// Maintainer is what a figure drives: an ivm.Engine, a Parallel of engines,
+// or one of the competitors, which offer this surface and publish nothing.
+type Maintainer[P any] interface {
+	Load(rel string, r *data.Relation[P]) error
+	Init() error
+	ApplyDeltas(batch []ivm.NamedDelta[P]) error
+	ViewCount() int
+	MemoryBytes() int
+}
+
 // RunStream drives m through the stream, group batches (at least one) per
 // ApplyDeltas call, one delta per batch built by toDelta, and returns the
 // work counted into c meanwhile, the deltas' own merges included. A
 // maintenance error stops the run.
-func RunStream[P any](name string, m ivm.Maintainer[P], toDelta func(datasets.Batch) *data.Relation[P],
+func RunStream[P any](name string, m Maintainer[P], toDelta func(datasets.Batch) *data.Relation[P],
 	c *ringtest.Counter, stream []datasets.Batch, group int) RunResult {
 	group = max(group, 1)
 	res, before := RunResult{Name: name}, c.Load()
@@ -122,24 +134,17 @@ func runScenarios(group int, scs ...scenario) []RunResult {
 }
 
 // strategy is the scenario of a maintainer over payload P, which mk builds
-// over r counted; workers > 1 shards it (ivm.NewParallel calls mk once per
-// shard). A nil updatable streams into an empty database; otherwise every
-// relation outside it is loaded before Init, as in the ONE scenarios.
-func strategy[P any](name string, ds *datasets.Dataset, r ring.Ring[P], workers int, updatable []string,
-	mk func(r ring.Ring[P]) (ivm.Maintainer[P], error), stream []datasets.Batch) scenario {
+// over r counted. A nil updatable streams into an empty database; otherwise
+// every relation outside it is loaded before Init, as in the ONE scenarios.
+func strategy[P any](name string, ds *datasets.Dataset, r ring.Ring[P], updatable []string,
+	mk func(r ring.Ring[P]) (Maintainer[P], error), stream []datasets.Batch) scenario {
 	return func(group int) RunResult {
 		var c ringtest.Counter
 		r := ringtest.Wrap(r, &c)
-		var m ivm.Maintainer[P]
-		if workers > 1 {
-			p, err := ivm.NewParallel(ds.Query, r, workers, func() (ivm.Maintainer[P], error) { return mk(r) })
-			must(err)
+		m, err := mk(r)
+		must(err)
+		if p, ok := m.(*ivm.Parallel[P]); ok {
 			defer p.Close()
-			m = p
-		} else {
-			var err error
-			m, err = mk(r)
-			must(err)
 		}
 		toDelta := deltaOf(ds.Query, r)
 		for rel, tuples := range ds.Tuples {
@@ -149,6 +154,17 @@ func strategy[P any](name string, ds *datasets.Dataset, r ring.Ring[P], workers 
 		}
 		must(m.Init())
 		return RunStream(name, m, toDelta, &c, stream, group)
+	}
+}
+
+// sharded builds mk's engine, or with workers > 1 a Parallel of them over q
+// (ivm.NewParallel calls mk once per shard).
+func sharded[P any](q query.Query, workers int, mk func(r ring.Ring[P]) (*ivm.Engine[P], error)) func(r ring.Ring[P]) (Maintainer[P], error) {
+	return func(r ring.Ring[P]) (Maintainer[P], error) {
+		if workers > 1 {
+			return ivm.NewParallel(q, r, workers, func() (*ivm.Engine[P], error) { return mk(r) })
+		}
+		return mk(r)
 	}
 }
 

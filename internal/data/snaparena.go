@@ -439,7 +439,7 @@ func (a *snapArena[P]) publish(s *RelationSnapshot[P], seq uint64) {
 // independent owner; each owner must balance its reference with Release. The
 // caller must hold a reference itself: a count found at zero is a snapshot
 // already given back, and panics. Snapshots not backed by the publish arena
-// (Seal, ReduceSealed) need no lifetime management and ignore both calls.
+// (ReduceSealed) need no lifetime management and ignore both calls.
 func (s *RelationSnapshot[P]) Retain() {
 	if s != nil && s.set != nil && s.refs.Add(1) == 1 {
 		panic("data: Retain on a RelationSnapshot whose last reference was released")

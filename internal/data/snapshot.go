@@ -62,8 +62,8 @@ type RelationSnapshot[P any] struct {
 	// refs counts the snapshot's owners (the publishing relation plus one
 	// per handle returned by Snapshot); set is the publish generation's pin
 	// set and bit the snapshot's bit of set.live, which the last Release
-	// clears. All nil/unused for snapshots not backed by the arena (Seal,
-	// ReduceSealed).
+	// clears. All nil/unused for snapshots not backed by the arena
+	// (ReduceSealed).
 	refs atomic.Int32
 	bit  uint32
 	set  *pinSet[P]
@@ -247,44 +247,23 @@ func (r *Relation[P]) Snapshot() *RelationSnapshot[P] {
 	return last
 }
 
-// Seal wraps a relation that will never be mutated again into a snapshot,
-// copying its entry values (but not tuples or payload storage) into sorted
-// chunks. It is the cheap publication path for results rebuilt wholesale per
-// batch (re-evaluation). Mutating the relation after Seal corrupts the
-// snapshot, and so does a pooled relation's reclaim point: reuse overwrites
-// the keys and tuples it shares (ReduceSealed copies them).
-func (r *Relation[P]) Seal() *RelationSnapshot[P] {
-	return r.buildSnapshot()
-}
-
-// buildSnapshot constructs a snapshot from the full live contents, radix-
-// sorting the sealed entry values into one run.
+// buildSnapshot constructs a snapshot from the full live contents in the
+// relation's arena, radix-sorting the sealed entry values into one run.
 func (r *Relation[P]) buildSnapshot() *RelationSnapshot[P] {
-	var es []Entry[P]
-	var blk *bumpBlock[Entry[P]]
-	if r.snap != nil {
-		es, blk = r.snap.arena.runs.alloc(r.entries.len())
-	} else {
-		es = make([]Entry[P], 0, r.entries.len())
-	}
+	es, blk := r.snap.arena.runs.alloc(r.entries.len())
 	r.entries.all(func(e *Entry[P]) bool {
 		es = append(es, sealed(e))
 		return true
 	})
 	radixSortEntries(es)
-	if r.snap == nil {
-		s := newSnapshot(nil, r.schema, r.ring, len(es))
-		s.chunks = appendChunked(nil, es, blk)
-		return s
-	}
 	s := newSnapshot(&r.snap.arena.headers, r.schema, r.ring, len(es))
 	r.finishDir(s, appendChunked(r.snap.dirScratch[:0], es, blk))
 	return s
 }
 
 // newSnapshot is where every snapshot header comes from: one a last Release
-// gave back to the relation's arena or, none there or no arena (Seal,
-// ReduceSealed), a new one.
+// gave back to the relation's arena or, none there or no arena
+// (ReduceSealed), a new one.
 func newSnapshot[P any](from *Recycler[RelationSnapshot[P]], schema Schema, rg ring.Ring[P], n int) *RelationSnapshot[P] {
 	s := from.Take()
 	if s == nil {

@@ -221,21 +221,6 @@ func TestSnapshotAfterClear(t *testing.T) {
 	}
 }
 
-// TestSealSharesEntries checks the one-shot Seal path.
-func TestSealSharesEntries(t *testing.T) {
-	r := NewRelation[int64](ring.Int{}, NewSchema("A", "B"))
-	for i := int64(0); i < 200; i++ {
-		r.Merge(Ints(i%17, i), 1)
-	}
-	s := r.Seal()
-	if got, want := snapFingerprint(s), relFingerprint(r); got != want {
-		t.Fatalf("sealed snapshot diverges")
-	}
-	if p, ok := s.Get(Ints(3, 3)); !ok || p != 1 {
-		t.Fatalf("sealed Get = %d,%v", p, ok)
-	}
-}
-
 // BenchmarkSnapshotPublish measures the incremental publish cost: a large
 // relation with a small per-epoch change set.
 func BenchmarkSnapshotPublish(b *testing.B) {

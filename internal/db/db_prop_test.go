@@ -17,12 +17,17 @@ import (
 // parallel-8} × views over the {Int, Cofactor} (and Float) rings, with
 // inserts and deletes; run under -race in CI.
 
-// oracle pairs an independent maintainer with the delta builder replicating
-// the DB's multiplicity lifting for its ring.
+// oracle pairs an independent maintainer — an engine, a Parallel, or the
+// re-evaluation fixture — with the delta builder replicating the DB's
+// multiplicity lifting for its ring.
 type oracle[P any] struct {
-	m    ivm.Maintainer[P]
-	q    query.Query
-	ring ring.Ring[P]
+	m interface {
+		ApplyDeltas(batch []ivm.NamedDelta[P]) error
+	}
+	// entries reads m's result, key-sorted.
+	entries func() []data.Entry[P]
+	q       query.Query
+	ring    ring.Ring[P]
 }
 
 func (o *oracle[P]) apply(t *testing.T, ups []Update) {
@@ -161,7 +166,7 @@ func TestDBMatchesIndependentEngines(t *testing.T) {
 
 func newOracle[P any](t *testing.T, q query.Query, r ring.Ring[P], lift data.LiftFunc[P], workers int) *oracle[P] {
 	t.Helper()
-	factory := func() (ivm.Maintainer[P], error) {
+	factory := func() (*ivm.Engine[P], error) {
 		return ivm.New[P](q, nil, r, lift, ivm.Options[P]{Stats: data.NewStats().Clone()})
 	}
 	var m ivm.Maintainer[P]
@@ -178,7 +183,8 @@ func newOracle[P any](t *testing.T, q query.Query, r ring.Ring[P], lift data.Lif
 		t.Fatal(err)
 	}
 	m.Snapshot()
-	return &oracle[P]{m: m, q: q, ring: r}
+	entries := func() []data.Entry[P] { return m.Snapshot().Result().SortedEntries() }
+	return &oracle[P]{m: m, entries: entries, q: q, ring: r}
 }
 
 func checkView[P any](t *testing.T, step int, name string, snap *ivm.ViewSnapshot[P], o *oracle[P]) {
@@ -187,7 +193,7 @@ func checkView[P any](t *testing.T, step int, name string, snap *ivm.ViewSnapsho
 		t.Fatalf("step %d: no snapshot for %s", step, name)
 	}
 	got := fpEntries(snap.Result().SortedEntries())
-	want := fpEntries(o.m.Snapshot().Result().SortedEntries())
+	want := fpEntries(o.entries())
 	if got != want {
 		t.Fatalf("step %d view %s:\n db    %s\n solo  %s", step, name, got, want)
 	}

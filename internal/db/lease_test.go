@@ -112,32 +112,15 @@ func TestLeasesUnderChurn(t *testing.T) {
 	if _, err := CreateView[float64](d, "sum", qSum, ring.Float{}, propSumLift, ViewOptions{Order: order}); err != nil {
 		t.Fatal(err)
 	}
-	reCnt, err := ivm.NewReEval[int64](qCnt, order(), ring.Int{}, countLift)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reSum, err := ivm.NewReEval[float64](qSum, order(), ring.Float{}, propSumLift)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The cofactor view is the one whose payloads live outside their entries:
 	// what its released epochs give up the writer writes into again.
 	qCof := testQuery("cof", "A")
 	if _, err := CreateView[ring.Triple](d, "cof", qCof, ring.Cofactor{}, propCofLift, ViewOptions{Order: order}); err != nil {
 		t.Fatal(err)
 	}
-	reCof, err := ivm.NewReEval[ring.Triple](qCof, order(), ring.Cofactor{}, propCofLift)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oCnt := &oracle[int64]{m: reCnt, q: qCnt, ring: ring.Int{}}
-	oSum := &oracle[float64]{m: reSum, q: qSum, ring: ring.Float{}}
-	oCof := &oracle[ring.Triple]{m: reCof, q: qCof, ring: ring.Cofactor{}}
-	for _, m := range []interface{ Init() error }{reCnt, reSum, reCof} {
-		if err := m.Init(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	oCnt := reEvalOracle(t, qCnt, order(), ring.Int{}, countLift)
+	oSum := reEvalOracle(t, qSum, order(), ring.Float{}, propSumLift)
+	oCof := reEvalOracle(t, qCof, order(), ring.Cofactor{}, propCofLift)
 	// fpCof renders triples in the dense form, whatever variables each covers.
 	fpCof := func(es []data.Entry[ring.Triple]) string {
 		var b strings.Builder
@@ -228,8 +211,7 @@ func TestLeasesUnderChurn(t *testing.T) {
 		oCnt.apply(t, ups)
 		oSum.apply(t, ups)
 		oCof.apply(t, ups)
-		w := [3]string{fpEntries(reCnt.Result().Seal().SortedEntries()), fpEntries(reSum.Result().Seal().SortedEntries()),
-			fpCof(reCof.Result().Seal().SortedEntries())}
+		w := [3]string{fpEntries(oCnt.entries()), fpEntries(oSum.entries()), fpCof(oCof.entries())}
 		mu.Lock()
 		wants[d.Applied()+1] = w
 		mu.Unlock()
@@ -347,7 +329,7 @@ func TestBackfillOwnsItsKeys(t *testing.T) {
 		t.Fatalf("the pinned backfill reads %s after the store reused its rows, want %s", got, want)
 	}
 	e.Release()
-	checkOwnKeys(t, "backfilled view", v.Maintainer().Result())
+	checkOwnKeys(t, "backfilled view", v.Maintainer().(*ivm.Engine[float64]).Result())
 	checkOwnKeys(t, "base S", d.Base("S"))
 	if st := d.store.Stats("S"); st.Tuples != len(other) || st.Reclaimed != uint64(len(rows)) {
 		t.Fatalf("base S after the swap: %+v", st)

@@ -52,7 +52,7 @@ func TestAllocGuardDashboardCycle(t *testing.T) {
 		ins, del = append(ins, []Update{Insert(b.Rel, b.Tuples...)}), append(del, []Update{Delete(b.Rel, b.Tuples...)})
 	}
 	pool := func(v *View[float64]) data.PoolStats {
-		return v.m.(interface{ PoolStats() data.PoolStats }).PoolStats()
+		return v.m.PoolStats()
 	}
 	// patches counts the publishes that patch a view's result, each epoch the
 	// view published since the last call seen once.

@@ -130,13 +130,10 @@ func CreateView[P any](d *DB, name string, q query.Query, r ring.Ring[P], lift d
 		}
 		return ivm.New[P](q, o, r, lift, eopts)
 	}
-	var m interface {
-		ivm.Maintainer[P]
-		LoadCounts(rel string, r *data.Relation[int64]) error
-	}
+	var m ivm.Maintainer[P]
 	var err error
 	if opts.Workers > 1 {
-		m, err = ivm.NewParallel[P](q, r, opts.Workers, func() (ivm.Maintainer[P], error) { return newEngine() })
+		m, err = ivm.NewParallel[P](q, r, opts.Workers, newEngine)
 	} else {
 		m, err = newEngine()
 	}
@@ -236,18 +233,16 @@ func (v *View[P]) observe(batch []data.BaseUpdate) error {
 	v.vstats.Maintain += s.At.Sub(start)
 	v.vstats.PublishedKeys += uint64(s.Patched)
 	s.Release()
-	if pr, ok := v.m.(interface{ PoolStats() data.PoolStats }); ok {
-		ps := pr.PoolStats()
-		for _, nd := range v.scratch {
-			ps.AddSlabs(nd.Delta.PoolStats())
-		}
-		v.vstats.PoolFree, v.vstats.Reclaimed = ps.Free, ps.Reclaimed
-		v.vstats.RowsRetired, v.vstats.RowsReused = ps.RowsRetired, ps.RowsReused
-		v.vstats.ScratchKeyBytes, v.vstats.ScratchTupleBytes = ps.KeyBytes, ps.TupleBytes
-		v.vstats.TuplesCopied = ps.TuplesCopied
-		v.vstats.IndexTableBytes, v.vstats.SlabChunks = ps.TableBytes, ps.SlabChunks
-		v.vstats.Arena = ps.Arena
+	ps := v.m.PoolStats()
+	for _, nd := range v.scratch {
+		ps.AddSlabs(nd.Delta.PoolStats())
 	}
+	v.vstats.PoolFree, v.vstats.Reclaimed = ps.Free, ps.Reclaimed
+	v.vstats.RowsRetired, v.vstats.RowsReused = ps.RowsRetired, ps.RowsReused
+	v.vstats.ScratchKeyBytes, v.vstats.ScratchTupleBytes = ps.KeyBytes, ps.TupleBytes
+	v.vstats.TuplesCopied = ps.TuplesCopied
+	v.vstats.IndexTableBytes, v.vstats.SlabChunks = ps.TableBytes, ps.SlabChunks
+	v.vstats.Arena = ps.Arena
 	return nil
 }
 

@@ -36,8 +36,7 @@ func reEvalOracle[P any](t *testing.T, q query.Query, o *vorder.Order, r ring.Ri
 	if err := m.Init(); err != nil {
 		t.Fatal(err)
 	}
-	m.Snapshot().Release()
-	return &oracle[P]{m: m, q: q, ring: r}
+	return &oracle[P]{m: m, entries: func() []data.Entry[P] { return m.Result().SortedEntries() }, q: q, ring: r}
 }
 
 // checkEngineViews checks every materialized view of an engine-backed view —

@@ -15,23 +15,23 @@ import (
 
 // autoStrategies pairs, per strategy, a maintainer over the handpicked
 // order with one that self-plans (Order nil).
-func autoStrategies[P any](q query.Query, hand func() *vorder.Order, r ring.Ring[P], lift data.LiftFunc[P]) map[string][2]func() (Maintainer[P], error) {
-	return map[string][2]func() (Maintainer[P], error){
+func autoStrategies[P any](q query.Query, hand func() *vorder.Order, r ring.Ring[P], lift data.LiftFunc[P]) map[string][2]func() (strategy[P], error) {
+	return map[string][2]func() (strategy[P], error){
 		"F-IVM": {
-			func() (Maintainer[P], error) { return New[P](q, hand(), r, lift, Options[P]{}) },
-			func() (Maintainer[P], error) { return New[P](q, nil, r, lift, Options[P]{}) },
+			func() (strategy[P], error) { return New[P](q, hand(), r, lift, Options[P]{}) },
+			func() (strategy[P], error) { return New[P](q, nil, r, lift, Options[P]{}) },
 		},
 		"1-IVM": {
-			func() (Maintainer[P], error) { return NewFirstOrder[P](q, hand(), r, lift) },
-			func() (Maintainer[P], error) { return NewFirstOrder[P](q, nil, r, lift) },
+			func() (strategy[P], error) { return NewFirstOrder[P](q, hand(), r, lift) },
+			func() (strategy[P], error) { return NewFirstOrder[P](q, nil, r, lift) },
 		},
 		"DBT": {
-			func() (Maintainer[P], error) { return NewRecursive[P](q, r, lift, nil) },
-			func() (Maintainer[P], error) { return NewRecursive[P](q, r, lift, nil) },
+			func() (strategy[P], error) { return NewRecursive[P](q, r, lift, nil) },
+			func() (strategy[P], error) { return NewRecursive[P](q, r, lift, nil) },
 		},
 		"RE-EVAL": {
-			func() (Maintainer[P], error) { return NewReEval[P](q, hand(), r, lift) },
-			func() (Maintainer[P], error) { return NewReEval[P](q, nil, r, lift) },
+			func() (strategy[P], error) { return NewReEval[P](q, hand(), r, lift) },
+			func() (strategy[P], error) { return NewReEval[P](q, nil, r, lift) },
 		},
 	}
 }
@@ -63,7 +63,7 @@ func runAutoOrderEquivalence[P any](t *testing.T, q query.Query, hand func() *vo
 					t.Fatal(err)
 				}
 			}
-			for _, m := range []Maintainer[P]{ref, auto} {
+			for _, m := range []strategy[P]{ref, auto} {
 				if err := m.Init(); err != nil {
 					t.Fatal(err)
 				}
@@ -169,7 +169,7 @@ func runParallelAutoEquivalence[P any](t *testing.T, r ring.Ring[P], lift data.L
 	q := paperQuery("A")
 	rng := rand.New(rand.NewSource(4242))
 	par, err := NewParallel[P](q, r, 8,
-		func() (Maintainer[P], error) { return New[P](q, nil, r, lift, Options[P]{}) })
+		func() (*Engine[P], error) { return New[P](q, nil, r, lift, Options[P]{}) })
 	if err != nil {
 		t.Fatal(err)
 	}

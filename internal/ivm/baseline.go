@@ -13,9 +13,10 @@ import (
 // themselves and no auxiliary view: first-order IVM (1-IVM), factorized and
 // naive re-evaluation, and 1-IVM over k scalar aggregates. All of them keep
 // one copy of the base relations and k results; they differ in two functions.
-// They are the figures' comparators and the tests' oracles.
+// They are the figures' comparators and the tests' oracles, and publish
+// nothing.
 type Baseline[P any] struct {
-	driver[P] // ApplyDelta, ApplyDeltas, Snapshot over check, apply, epoch and seal
+	driver[P] // ApplyDelta, ApplyDeltas over check, apply and seal
 
 	q       query.Query
 	bases   map[string]*data.Relation[P]
@@ -24,7 +25,7 @@ type Baseline[P any] struct {
 	// first-order delta query: the change of result i under update d to rel,
 	// evaluated before d reaches the bases and merged into the result in
 	// place. A nil delta is re-evaluation: updates only reach the bases, and
-	// every result is recomputed once per batch and published sealed.
+	// every result is recomputed once per batch.
 	eval  func(i int) *data.Relation[P]
 	delta func(i int, rel string, d *data.Relation[P]) *data.Relation[P]
 }
@@ -40,7 +41,7 @@ func newBaseline[P any](q query.Query, r ring.Ring[P], keys data.Schema, k int) 
 	for i := 0; i < k; i++ {
 		m.results = append(m.results, data.NewRelation(r, keys))
 	}
-	m.driver = driver[P]{check: m.check, apply: m.apply, epoch: m.epoch, seal: m.seal}
+	m.driver = driver[P]{check: m.check, apply: m.apply, end: m.seal}
 	return m
 }
 
@@ -190,8 +191,8 @@ func (m *Baseline[P]) apply(rel string, d *data.Relation[P]) error {
 	return nil
 }
 
-// seal re-evaluates at the end of a batch, before its epoch, when there is no
-// delta query to have kept the results current.
+// seal re-evaluates at the end of a batch when there is no delta query to
+// have kept the results current.
 func (m *Baseline[P]) seal() error {
 	if m.delta == nil {
 		m.reeval()
@@ -199,18 +200,8 @@ func (m *Baseline[P]) seal() error {
 	return nil
 }
 
-// epoch publishes the first result: patched where it is maintained in place,
-// sealed where each batch replaces it.
-func (m *Baseline[P]) epoch(s *ViewSnapshot[P]) {
-	if m.delta == nil {
-		s.sealed(m.Result().Seal())
-	} else {
-		s.live(m.Result())
-	}
-}
-
-// Result returns the (first) maintained result as a live handle; see the
-// Maintainer contract — concurrent readers must go through Snapshot.
+// Result returns the (first) maintained result: the relation apply and seal
+// keep current, not safe to read while a batch is applied.
 func (m *Baseline[P]) Result() *data.Relation[P] { return m.results[0] }
 
 // Results returns every aggregate's result, indexed like the specs.

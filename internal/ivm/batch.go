@@ -81,32 +81,25 @@ func coalesceBatch[P any](batch []NamedDelta[P]) []NamedDelta[P] {
 	return out
 }
 
-// driver is the strategy-independent half of the Maintainer contract,
-// written once and embedded by every strategy: a single delta is a batch of
-// one, a batch is coalesced per relation, checked as a whole, applied delta by
-// delta, then closed, and one epoch is published for all of it. What differs
-// between F-IVM, 1-IVM, DBT, re-evaluation and the sharded Parallel is the
-// update rule, which the strategy supplies at construction.
+// driver is the strategy-independent half of maintenance, written once and
+// embedded by every strategy: a single delta is a batch of one, a batch is
+// coalesced per relation, checked as a whole, applied delta by delta, then
+// closed. What differs between F-IVM, 1-IVM, DBT, re-evaluation and the
+// sharded Parallel is the update rule, which the strategy supplies at
+// construction. Only Engine and Parallel publish epochs, through publishing.
 type driver[P any] struct {
-	pub publisher[P]
 	// check is the admission rule: whether rel names a relation the strategy
 	// takes deltas for, in a state that takes them, and delta covers its
 	// schema. It changes nothing; a batch one of whose deltas fails it is
 	// rejected before any of them is applied.
 	check func(rel string, delta *data.Relation[P]) error
 	// apply is the update rule: how one checked delta changes the stored
-	// state. It publishes nothing.
+	// state.
 	apply func(rel string, delta *data.Relation[P]) error
-	// epoch snapshots the result for publication, into the header it is given.
-	epoch func(*ViewSnapshot[P])
-	// At most one end-of-batch hook, and on which side of the publication
-	// matters. seal runs before: a re-evaluating strategy recomputes the
-	// result its epoch then carries, Parallel runs the shards on what apply
-	// routed; a batch whose seal fails publishes nothing. reclaim runs after:
-	// the engine hands removed entries back for reuse, which overwrites key
-	// bytes the publication still reads through the dirty-key list.
-	seal    func() error
-	reclaim func()
+	// end, when set, closes every applied batch: a re-evaluating strategy
+	// recomputes its results, Parallel runs the shards on what apply routed
+	// and publishes, the engine publishes and reclaims.
+	end func() error
 }
 
 // ApplyDelta maintains the result under an update to one relation, a batch
@@ -127,7 +120,7 @@ func (d *driver[P]) ApplyDelta(rel string, delta *data.Relation[P]) error {
 // relation costs one propagation instead of k. The batch is all or nothing
 // as far as check can tell: one bad delta rejects it before anything is
 // applied. An empty or all-nil batch changes nothing and is still a batch:
-// with publication enabled, exactly one epoch is published per call.
+// a publishing maintainer publishes exactly one epoch per call.
 func (d *driver[P]) ApplyDeltas(batch []NamedDelta[P]) error {
 	batch = coalesceBatch(batch)
 	for _, nd := range batch {
@@ -143,22 +136,10 @@ func (d *driver[P]) ApplyDeltas(batch []NamedDelta[P]) error {
 	return d.endBatch()
 }
 
-// endBatch closes an applied batch: seal, publish if anyone ever asked for a
-// snapshot, reclaim.
+// endBatch closes an applied batch.
 func (d *driver[P]) endBatch() error {
-	if d.seal != nil {
-		if err := d.seal(); err != nil {
-			return err
-		}
+	if d.end == nil {
+		return nil
 	}
-	d.pub.next(d.epoch)
-	if d.reclaim != nil {
-		d.reclaim()
-	}
-	return nil
+	return d.end()
 }
-
-// Snapshot returns a lease (see ViewSnapshot) on the latest published epoch
-// of the result, enabling publication on first use; see publisher for the
-// concurrency contract.
-func (d *driver[P]) Snapshot() *ViewSnapshot[P] { return d.pub.snapshot(d.epoch) }

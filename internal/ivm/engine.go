@@ -1,10 +1,13 @@
-// Package ivm implements incremental view maintenance strategies over view
-// trees: the paper's F-IVM engine (factorized higher-order IVM), plus the
-// competitors it is evaluated against — first-order IVM (1-IVM), fully
-// recursive higher-order IVM (DBToaster-style), and full re-evaluation.
+// Package ivm implements incremental view maintenance over view trees: the
+// paper's F-IVM engine (factorized higher-order IVM) and Parallel, which
+// shards engines, plus the competitors the engine is evaluated against —
+// first-order IVM (1-IVM), fully recursive higher-order IVM
+// (DBToaster-style), and full re-evaluation.
 //
-// All strategies implement the Maintainer interface, so the benchmark
-// harness and the differential tests drive them uniformly.
+// Only Engine and Parallel publish epochs and implement Maintainer, the
+// contract a database view drives. The competitors are figure fixtures and
+// test oracles: they load, initialize, apply deltas through the same batch
+// driver, and report their result, views and memory, and nothing else.
 package ivm
 
 import (
@@ -17,42 +20,33 @@ import (
 	"fivm/internal/vorder"
 )
 
-// Maintainer is a strategy that maintains a query result under updates.
+// Maintainer is what a database view drives: an Engine, or a Parallel of
+// engines.
 type Maintainer[P any] interface {
-	// Load installs initial contents for a relation; must precede Init.
-	Load(rel string, r *data.Relation[P]) error
-	// Init computes the initial state from loaded relations.
+	// LoadCounts installs the initial rows of a relation with their integer
+	// multiplicities; must precede Init.
+	LoadCounts(rel string, r *data.Relation[int64]) error
+	// Init computes the initial state from the loaded rows.
 	Init() error
-	// ApplyDelta maintains the result under an update to one relation.
-	// Deletions are encoded as entries with additively inverted payloads.
-	ApplyDelta(rel string, delta *data.Relation[P]) error
 	// ApplyDeltas maintains the result under a batch of updates to any mix
-	// of relations, equivalent to applying them in order via ApplyDelta but
-	// traversing each maintenance path once per batch.
+	// of relations, traversing each maintenance path once per batch.
+	// Deletions are encoded as entries with additively inverted payloads.
 	ApplyDeltas(batch []NamedDelta[P]) error
-	// Result returns the maintained query result as a live handle: the
-	// relation the strategy keeps updating in place. It is NOT safe to read
-	// while another goroutine runs ApplyDelta/ApplyDeltas, and reads
-	// interleaved with updates on one goroutine may observe each batch's
-	// effects only as a whole.
-	//
-	// Deprecated: the live handle is a footgun outside the maintenance
-	// goroutine. Read through Snapshot (or a serve.Reader pinned on one),
-	// which is race-free and observes only whole applied batches. Result
-	// remains for quiescent single-goroutine use and internal reductions.
-	Result() *data.Relation[P]
 	// Snapshot returns the latest published consistent snapshot of the
 	// result: its state after some whole applied batch, never mid-batch.
-	// Only the result is published — whatever else the strategy stores is
-	// maintenance state (Engine.Catalog adds an engine's views on request).
-	// The first call enables publication and must come from the maintenance
-	// goroutine (typically right after Init); afterwards every applied batch
-	// publishes a fresh epoch and Snapshot is safe from any goroutine.
+	// Only the result is published (Engine.Catalog adds an engine's views on
+	// request). The first call enables publication and must come from the
+	// maintenance goroutine (typically right after Init); afterwards every
+	// applied batch publishes a fresh epoch and Snapshot is safe from any
+	// goroutine.
 	Snapshot() *ViewSnapshot[P]
-	// ViewCount reports how many views the strategy materializes.
+	// ViewCount reports how many views the maintainer materializes.
 	ViewCount() int
 	// MemoryBytes estimates the bytes held by materialized state.
 	MemoryBytes() int
+	// PoolStats reports the storage retained for reuse. Maintenance
+	// goroutine only, between batches.
+	PoolStats() data.PoolStats
 }
 
 // Options configures an F-IVM engine.
@@ -100,7 +94,7 @@ type Options[P any] struct {
 // views materialized according to µ(τ, U) and deltas propagated along
 // leaf-to-root paths with factorized (aggregate-pushing) computation.
 type Engine[P any] struct {
-	driver[P] // ApplyDelta, ApplyDeltas, Snapshot over check, applyDelta, epoch and reclaim
+	publishing[P] // ApplyDelta, ApplyDeltas, Snapshot over check, applyDelta, publishThenReclaim and epoch
 
 	q    query.Query
 	ring ring.Ring[P]
@@ -153,7 +147,7 @@ func New[P any](q query.Query, o *vorder.Order, r ring.Ring[P], lift data.LiftFu
 		bases:     make(map[string]*data.Relation[P]),
 		counts:    make(map[string]*data.Relation[int64]),
 	}
-	e.driver = driver[P]{check: e.check, apply: e.applyDelta, epoch: e.epoch, reclaim: e.reclaim}
+	e.publishing = publishing[P]{driver: driver[P]{check: e.check, apply: e.applyDelta, end: e.publishThenReclaim}, epoch: e.epoch}
 	upd := opts.Updatable
 	if len(upd) == 0 {
 		upd = q.RelNames()
@@ -468,13 +462,17 @@ func (e *Engine[P]) PoolStats() data.PoolStats {
 	return ps
 }
 
-// reclaim is the engine's end-of-batch hook, after the epoch is published:
-// the batch's work items and index probes all being dead, every view reclaims
-// the entries the batch removed (data.Relation.Reclaim).
-func (e *Engine[P]) reclaim() {
+// publishThenReclaim closes an applied batch: it publishes the batch's epoch
+// if publication is enabled, then — the batch's work items and index probes
+// all being dead, and the publication done reading the dirty keys — every
+// view reclaims the entries the batch removed (data.Relation.Reclaim), which
+// overwrites their key bytes.
+func (e *Engine[P]) publishThenReclaim() error {
+	e.pub.next(e.epoch)
 	for _, v := range e.views {
 		v.Reclaim()
 	}
+	return nil
 }
 
 // check is the engine's admission rule (checkUpdate).

@@ -467,7 +467,7 @@ func TestStepOutputOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []Maintainer[int64]{e, oracle} {
+	for _, m := range []strategy[int64]{e, oracle} {
 		if err := m.Init(); err != nil {
 			t.Fatal(err)
 		}
@@ -534,7 +534,7 @@ func TestStepOutputOwnership(t *testing.T) {
 			})
 			batch = append(batch, NamedDelta[int64]{Rel: rd.Name, Delta: feed})
 		}
-		for _, m := range []Maintainer[int64]{e, oracle} {
+		for _, m := range []strategy[int64]{e, oracle} {
 			if err := m.ApplyDeltas(batch); err != nil {
 				t.Fatal(err)
 			}

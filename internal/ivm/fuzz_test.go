@@ -69,7 +69,7 @@ func TestFuzzRandomQueries(t *testing.T) {
 			return o
 		}
 
-		engines := map[string]Maintainer[int64]{}
+		engines := map[string]strategy[int64]{}
 		var err error
 		if engines["fivm"], err = New[int64](q, mkOrder(), ring.Int{}, countLift, Options[int64]{}); err != nil {
 			t.Fatalf("trial %d: fivm: %v\nquery: %+v", trial, err, q)

@@ -67,11 +67,14 @@ func runInitDifferential[P any](t *testing.T, c initCase[P], seeds int) {
 				})
 				bases[rel] = b
 			}
-			build := func() Maintainer[P] {
-				factory := func() (Maintainer[P], error) { return New(c.q, c.order(), c.r, c.lift, c.opts) }
-				m, err := factory()
+			build := func() strategy[P] {
+				factory := func() (*Engine[P], error) { return New(c.q, c.order(), c.r, c.lift, c.opts) }
+				var m strategy[P]
+				var err error
 				if c.workers > 1 {
 					m, err = NewParallel(c.q, c.r, c.workers, factory)
+				} else {
+					m, err = factory()
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -90,23 +93,18 @@ func runInitDifferential[P any](t *testing.T, c initCase[P], seeds int) {
 			var batch []NamedDelta[P]
 			for _, rd := range c.q.Rels {
 				must(t, loaded.Load(rd.Name, bases[rd.Name]))
-				switch m := counted.(type) {
-				case *Engine[P]:
-					must(t, m.LoadCounts(rd.Name, counts[rd.Name]))
-				case *Parallel[P]:
-					must(t, m.LoadCounts(rd.Name, counts[rd.Name]))
-				}
+				must(t, counted.(Maintainer[P]).LoadCounts(rd.Name, counts[rd.Name]))
 				if updatable(rd.Name) {
 					batch = append(batch, NamedDelta[P]{Rel: rd.Name, Delta: bases[rd.Name]})
 				} else {
 					must(t, fed.Load(rd.Name, bases[rd.Name]))
 				}
 			}
-			for _, m := range []Maintainer[P]{loaded, counted, fed} {
+			for _, m := range []strategy[P]{loaded, counted, fed} {
 				must(t, m.Init())
 			}
 			must(t, fed.ApplyDeltas(batch))
-			for name, m := range map[string]Maintainer[P]{"Load": loaded, "LoadCounts": counted} {
+			for name, m := range map[string]strategy[P]{"Load": loaded, "LoadCounts": counted} {
 				if !m.Result().Equal(fed.Result(), c.eq) {
 					t.Fatalf("seed %d: Init after %s reads\n%v\nthe same rows as deltas\n%v", seed, name, m.Result(), fed.Result())
 				}
@@ -132,7 +130,7 @@ func runInitDifferential[P any](t *testing.T, c initCase[P], seeds int) {
 					t.Fatalf("seed %d: Init reads\n%v\nNewReEval\n%v", seed, loaded.Result(), re.Result())
 				}
 			}
-			for _, m := range []Maintainer[P]{loaded, counted, fed} {
+			for _, m := range []strategy[P]{loaded, counted, fed} {
 				if p, ok := m.(*Parallel[P]); ok {
 					p.Close()
 				}

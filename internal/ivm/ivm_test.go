@@ -101,24 +101,24 @@ func TestExample41(t *testing.T) {
 
 type strategyFactory struct {
 	name string
-	make func(q query.Query, o func() *vorder.Order, lift data.LiftFunc[int64], upd []string) (Maintainer[int64], error)
+	make func(q query.Query, o func() *vorder.Order, lift data.LiftFunc[int64], upd []string) (strategy[int64], error)
 }
 
 func intStrategies() []strategyFactory {
 	return []strategyFactory{
-		{"F-IVM", func(q query.Query, o func() *vorder.Order, lift data.LiftFunc[int64], upd []string) (Maintainer[int64], error) {
+		{"F-IVM", func(q query.Query, o func() *vorder.Order, lift data.LiftFunc[int64], upd []string) (strategy[int64], error) {
 			return New[int64](q, o(), ring.Int{}, lift, Options[int64]{Updatable: upd})
 		}},
-		{"F-IVM-composed", func(q query.Query, o func() *vorder.Order, lift data.LiftFunc[int64], upd []string) (Maintainer[int64], error) {
+		{"F-IVM-composed", func(q query.Query, o func() *vorder.Order, lift data.LiftFunc[int64], upd []string) (strategy[int64], error) {
 			return New[int64](q, o(), ring.Int{}, lift, Options[int64]{Updatable: upd, ComposeChains: true})
 		}},
-		{"1-IVM", func(q query.Query, o func() *vorder.Order, lift data.LiftFunc[int64], upd []string) (Maintainer[int64], error) {
+		{"1-IVM", func(q query.Query, o func() *vorder.Order, lift data.LiftFunc[int64], upd []string) (strategy[int64], error) {
 			return NewFirstOrder[int64](q, o(), ring.Int{}, lift)
 		}},
-		{"DBT", func(q query.Query, o func() *vorder.Order, lift data.LiftFunc[int64], upd []string) (Maintainer[int64], error) {
+		{"DBT", func(q query.Query, o func() *vorder.Order, lift data.LiftFunc[int64], upd []string) (strategy[int64], error) {
 			return NewRecursive[int64](q, ring.Int{}, lift, upd)
 		}},
-		{"RE-EVAL", func(q query.Query, o func() *vorder.Order, lift data.LiftFunc[int64], upd []string) (Maintainer[int64], error) {
+		{"RE-EVAL", func(q query.Query, o func() *vorder.Order, lift data.LiftFunc[int64], upd []string) (strategy[int64], error) {
 			return NewReEval[int64](q, o(), ring.Int{}, lift)
 		}},
 	}
@@ -130,7 +130,7 @@ func runDifferential(t *testing.T, q query.Query, mkOrder func() *vorder.Order, 
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 
-	var ms []Maintainer[int64]
+	var ms []strategy[int64]
 	var names []string
 	for _, f := range intStrategies() {
 		m, err := f.make(q, mkOrder, lift, upd)

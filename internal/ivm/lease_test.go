@@ -216,14 +216,14 @@ func TestLeasesUnderChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	// par reduces three shard results into a sealed epoch per batch.
-	par, err := NewParallel[ring.Triple](q, cf, 3, func() (Maintainer[ring.Triple], error) {
+	par, err := NewParallel[ring.Triple](q, cf, 3, func() (*Engine[ring.Triple], error) {
 		return New[ring.Triple](q, paperOrder(), cf, cofactorLift, Options[ring.Triple]{})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer par.Close()
-	maintainers := []Maintainer[ring.Triple]{e, oracle, par}
+	maintainers := []strategy[ring.Triple]{e, oracle, par}
 	for _, m := range maintainers {
 		if err := m.Init(); err != nil {
 			t.Fatal(err)

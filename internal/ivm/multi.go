@@ -54,7 +54,7 @@ func CofactorAggSpecs(vars data.Schema) []AggSpec {
 // some identical auxiliary views across aggregates; this simulation does not,
 // so its view count is an upper bound with the same growth behaviour.
 type MultiRecursive struct {
-	driver[float64] // one batch, one epoch (of the first aggregate) for all hierarchies
+	driver[float64] // one batch for all hierarchies
 
 	instances []*Recursive[float64]
 }
@@ -67,7 +67,6 @@ func NewMultiRecursive(q query.Query, r ring.Ring[float64], specs []AggSpec, upd
 		// Every hierarchy is over the same query: the first one's verdict is all of theirs.
 		check: func(rel string, d *data.Relation[float64]) error { return m.instances[0].check(rel, d) },
 		apply: m.applyDelta,
-		epoch: func(s *ViewSnapshot[float64]) { s.live(m.Result()) },
 	}
 	for _, s := range specs {
 		inst, err := NewRecursive(q, r, s.Lift, updatable)

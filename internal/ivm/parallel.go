@@ -12,7 +12,7 @@ import (
 
 // Parallel is a sharded parallel maintainer: it hash-partitions the
 // database by one join variable — the shard variable — and runs one
-// independent inner maintainer per shard on a fixed worker pool.
+// independent F-IVM engine per shard on a fixed worker pool.
 //
 // Correctness rests on partition-plus-broadcast join distribution. Let X be
 // the shard variable and h the shard assignment on its values. Relations
@@ -22,7 +22,7 @@ import (
 // join (they disagree on X), and every join output binds X, so the full
 // join is the disjoint union of the per-shard joins; marginalization
 // distributes over that union. The maintained query result is therefore the
-// key-wise payload sum of the shard results, which Result materializes:
+// key-wise payload sum of the shard results, which every epoch publishes:
 // disjoint key union when X is free in the query, a payload reduction when
 // X is aggregated away (the empty-key root of Figure 7's cofactor queries).
 //
@@ -30,25 +30,25 @@ import (
 // schemas (the root of the paper's variable orders for the snowflake and
 // star workloads). One shard is not a mode: workers <= 1, or a query with no
 // variable to shard on, is a Parallel of one shard that routes, propagates
-// and reduces like any other. A caller that wants the bare maintainer builds
-// it itself.
+// and reduces like any other. A caller that wants the bare engine builds it
+// itself.
 //
-// Parallel is an update rule under the common driver: apply routes a delta
-// into per-shard scratch, seal runs every shard with work on its batch behind
-// a barrier, and the epoch is the key-wise reduction of the shard results.
+// Parallel is an update rule under the common driver: check is the engines'
+// own admission rule, apply routes a delta into per-shard scratch, the end of
+// a batch runs every shard with work on its batch behind a barrier, and the
+// epoch is the key-wise reduction of the shard results.
 //
-// Floating-point caveat: shard results are reduced key-wise (Result in
-// fixed shard order, published snapshots in sorted-entry encounter order),
-// and either order differs from sequential update order, so non-integral
-// float payloads may round differently than a single-threaded run. Integer
-// and integral-float workloads (and the paper's benchmarks) are exact.
+// Floating-point caveat: shard results are reduced key-wise, in sorted-entry
+// encounter order, which differs from sequential update order, so
+// non-integral float payloads may round differently than a single-threaded
+// run. Integer and integral-float workloads (and the paper's benchmarks) are
+// exact.
 type Parallel[P any] struct {
-	driver[P] // ApplyDelta, ApplyDeltas, Snapshot over check, route, propagate and epoch
+	publishing[P] // ApplyDelta, ApplyDeltas, Snapshot over check, route, propagate and epoch
 
-	q        query.Query
 	ring     ring.Ring[P]
 	shardVar string
-	shards   []Maintainer[P]
+	shards   []*Engine[P]
 
 	jobs   chan func()
 	closed bool
@@ -91,11 +91,11 @@ func pickShardVar(q query.Query) string {
 }
 
 // NewParallel builds a sharded parallel maintainer over workers shards,
-// each an independent maintainer built by factory (strategies hold
-// per-instance state, so every shard needs its own). workers <= 1 is one
-// shard, and so is a query with nothing to shard on: every delta of it is a
-// broadcast, and n shards that all hold everything would sum n copies of the
-// result.
+// each an independent engine built by factory (an engine holds per-instance
+// state, so every shard needs its own; all are built alike). workers <= 1 is
+// one shard, and so is a query with nothing to shard on: every delta of it is
+// a broadcast, and n shards that all hold everything would sum n copies of
+// the result.
 //
 // The shard count is NOT clamped to the host's core count at construction:
 // partitioning is a data layout decision that must stay stable for the
@@ -104,18 +104,18 @@ func pickShardVar(q query.Query) string {
 // Instead, dispatch caps the shards propagating concurrently at the
 // GOMAXPROCS value in effect for each batch, so an 8-shard maintainer on a
 // 4-core budget runs 4 shards at a time rather than thrashing 8.
-func NewParallel[P any](q query.Query, r ring.Ring[P], workers int, factory func() (Maintainer[P], error)) (*Parallel[P], error) {
+func NewParallel[P any](q query.Query, r ring.Ring[P], workers int, factory func() (*Engine[P], error)) (*Parallel[P], error) {
 	shardVar := pickShardVar(q)
 	if workers < 1 || shardVar == "" {
 		workers = 1
 	}
 	p := &Parallel[P]{
-		q: q, ring: r, shardVar: shardVar,
+		ring: r, shardVar: shardVar,
 		routes:  make(map[string]*data.Sharded[P]),
 		batches: make([][]NamedDelta[P], workers),
 		errs:    make([]error, workers),
 	}
-	p.driver = driver[P]{check: p.check, apply: p.route, seal: p.propagate, epoch: p.epoch}
+	p.publishing = publishing[P]{driver: driver[P]{check: p.check, apply: p.route, end: p.propagate}, epoch: p.epoch}
 	for _, rd := range q.Rels {
 		if !rd.Schema.Contains(shardVar) {
 			continue
@@ -235,10 +235,9 @@ func (p *Parallel[P]) Load(rel string, r *data.Relation[P]) error {
 	return nil
 }
 
-// LoadCounts is Engine.LoadCounts for shards that are engines (it panics
-// otherwise): a relation that carries the shard variable is split, one
-// without it is handed to every shard, which at Init only iterate its
-// entries.
+// LoadCounts is Engine.LoadCounts, sharded: a relation that carries the
+// shard variable is split, one without it is handed to every shard, which at
+// Init only iterate its entries.
 func (p *Parallel[P]) LoadCounts(rel string, r *data.Relation[int64]) error {
 	parts := []*data.Relation[int64]{r}
 	if r.Schema().Contains(p.shardVar) {
@@ -248,7 +247,7 @@ func (p *Parallel[P]) LoadCounts(rel string, r *data.Relation[int64]) error {
 		}
 	}
 	for s, m := range p.shards {
-		if err := m.(*Engine[P]).LoadCounts(rel, parts[min(s, len(parts)-1)]); err != nil {
+		if err := m.LoadCounts(rel, parts[min(s, len(parts)-1)]); err != nil {
 			return err
 		}
 	}
@@ -260,13 +259,13 @@ func (p *Parallel[P]) Init() error {
 	return p.dispatch(p.allShards(), func(s int) error { return p.shards[s].Init() })
 }
 
-// check is the admission rule, run at the router so that no shard ever sees
-// a relation the query does not have or a delta over other variables. What
-// only the inner strategy knows (an updatable set) its own check rejects, in
-// every shard alike and before any of them applies anything.
+// check is the engines' own admission rule (checkUpdate: initialized, a
+// relation of the query, over its variables, updatable), run at the router,
+// so that a batch a shard would refuse is refused before any delta is routed
+// and no shard applies a part of it. The shards are built alike: the first
+// one's verdict is all of theirs.
 func (p *Parallel[P]) check(rel string, delta *data.Relation[P]) error {
-	_, err := checkRel(p.q, rel, delta)
-	return err
+	return p.shards[0].check(rel, delta)
 }
 
 // route is the update rule's first half: a delta of a shard-variable
@@ -302,12 +301,12 @@ func (p *Parallel[P]) route(rel string, d *data.Relation[P]) error {
 	return nil
 }
 
-// propagate is the second half, the driver's seal: it completes the per-shard
-// batches from the routed relations, runs every shard with work on its batch
-// concurrently on the worker pool, and empties the routing scratch whatever
-// came of it — a failed batch leaves nothing behind for the next. The epoch
-// the driver publishes afterwards, on the routing goroutine, reflects the
-// whole batch across every shard.
+// propagate is the second half, the end of the batch: it completes the
+// per-shard batches from the routed relations, runs every shard with work on
+// its batch concurrently on the worker pool, and empties the routing scratch
+// whatever came of it — a failed batch leaves nothing behind for the next and
+// publishes nothing. The epoch it publishes otherwise, on the routing
+// goroutine, reflects the whole batch across every shard.
 func (p *Parallel[P]) propagate() error {
 	var idx [64]int
 	work := idx[:0]
@@ -329,22 +328,11 @@ func (p *Parallel[P]) propagate() error {
 	for s := range p.batches {
 		p.batches[s] = p.batches[s][:0]
 	}
-	return err
-}
-
-// Result merges the shard results key-wise: the disjoint union of shard
-// outputs when the shard variable is free, the payload sum when it is
-// aggregated away. The merge reads every shard's live result, so it must
-// not race ApplyDeltas; concurrent readers go through Snapshot: the driver
-// publishes epoch, the same reduction sealed, after each batch.
-func (p *Parallel[P]) Result() *data.Relation[P] {
-	first := p.shards[0].Result()
-	out := data.NewRelation(p.ring, first.Schema())
-	out.Reserve(first.Len())
-	for _, m := range p.shards {
-		out.MergeAll(m.Result())
+	if err != nil {
+		return err
 	}
-	return out
+	p.pub.next(p.epoch)
+	return nil
 }
 
 // ViewCount reports the logical view count (every shard materializes the
@@ -357,9 +345,7 @@ func (p *Parallel[P]) PoolStats() data.PoolStats {
 	var ps data.PoolStats
 	ps.Arena.Headers = p.pub.free.Stats()
 	for _, m := range p.shards {
-		if r, ok := m.(interface{ PoolStats() data.PoolStats }); ok {
-			ps.Add(r.PoolStats())
-		}
+		ps.Add(m.PoolStats())
 	}
 	for _, route := range p.routes {
 		for s := 0; s < route.N(); s++ {

@@ -11,39 +11,39 @@ import (
 	"fivm/internal/ring"
 )
 
-// parallelStrategies enumerates the maintainer factories the parallel
-// wrapper is differentially tested over.
-func parallelStrategies[P any](t *testing.T, q query.Query, r ring.Ring[P], lift data.LiftFunc[P]) map[string]func() (Maintainer[P], error) {
+// parallelStrategies enumerates the sequential strategies the sharded
+// engine is differentially tested against.
+func parallelStrategies[P any](t *testing.T, q query.Query, r ring.Ring[P], lift data.LiftFunc[P]) map[string]func() (strategy[P], error) {
 	t.Helper()
-	return map[string]func() (Maintainer[P], error){
-		"F-IVM": func() (Maintainer[P], error) {
+	return map[string]func() (strategy[P], error){
+		"F-IVM": func() (strategy[P], error) {
 			return New[P](q, paperOrder(), r, lift, Options[P]{})
 		},
-		"1-IVM": func() (Maintainer[P], error) {
+		"1-IVM": func() (strategy[P], error) {
 			return NewFirstOrder[P](q, paperOrder(), r, lift)
 		},
-		"DBT": func() (Maintainer[P], error) {
+		"DBT": func() (strategy[P], error) {
 			return NewRecursive[P](q, r, lift, nil)
 		},
-		"RE-EVAL": func() (Maintainer[P], error) {
+		"RE-EVAL": func() (strategy[P], error) {
 			return NewReEval[P](q, paperOrder(), r, lift)
 		},
 	}
 }
 
-// runParallelEquivalence drives a sharded parallel maintainer (workers in
-// {1, 2, 8}) and a sequential instance of each strategy through identical
-// random batches — mixing sharded and broadcast relations, inserts and
-// deletes, and preloaded contents — and demands byte-identical rendered
-// results after every batch.
+// runParallelEquivalence drives a sharded engine (workers in {1, 2, 8}) and
+// a sequential instance of each strategy through identical random batches —
+// mixing sharded and broadcast relations, inserts and deletes, and preloaded
+// contents — and demands byte-identical rendered results after every batch.
 func runParallelEquivalence[P any](t *testing.T, q query.Query, r ring.Ring[P], lift data.LiftFunc[P],
 	mkDelta func(rng *rand.Rand, schema data.Schema) *data.Relation[P]) {
 	t.Helper()
+	engine := func() (*Engine[P], error) { return New[P](q, paperOrder(), r, lift, Options[P]{}) }
 	for name, mk := range parallelStrategies(t, q, r, lift) {
 		for _, workers := range []int{1, 2, 8} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(len(name))*313 + int64(workers)))
-				par, err := NewParallel[P](q, r, workers, mk)
+				par, err := NewParallel[P](q, r, workers, engine)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -67,7 +67,7 @@ func runParallelEquivalence[P any](t *testing.T, q query.Query, r ring.Ring[P], 
 						t.Fatal(err)
 					}
 				}
-				for _, m := range []Maintainer[P]{par, seq} {
+				for _, m := range []strategy[P]{par, seq} {
 					if err := m.Init(); err != nil {
 						t.Fatal(err)
 					}
@@ -101,8 +101,8 @@ func runParallelEquivalence[P any](t *testing.T, q query.Query, r ring.Ring[P], 
 	}
 }
 
-// TestParallelMatchesSequentialInt checks the sharded parallel maintainer
-// over the Z ring for all four strategies.
+// TestParallelMatchesSequentialInt checks the sharded engine over the Z ring
+// against all four strategies.
 func TestParallelMatchesSequentialInt(t *testing.T) {
 	q := paperQuery("A")
 	runParallelEquivalence[int64](t, q, ring.Int{}, valueLift,
@@ -176,7 +176,7 @@ func TestParallelMatchesSequentialCofactor(t *testing.T) {
 func TestParallelAggregateRoot(t *testing.T) {
 	q := paperQuery() // no free variables
 	rng := rand.New(rand.NewSource(77))
-	mk := func() (Maintainer[int64], error) {
+	mk := func() (*Engine[int64], error) {
 		return New[int64](q, paperOrder(), ring.Int{}, countLift, Options[int64]{})
 	}
 	par, err := NewParallel[int64](q, ring.Int{}, 4, mk)
@@ -185,7 +185,7 @@ func TestParallelAggregateRoot(t *testing.T) {
 	}
 	defer par.Close()
 	seq, _ := mk()
-	for _, m := range []Maintainer[int64]{par, seq} {
+	for _, m := range []strategy[int64]{par, seq} {
 		if err := m.Init(); err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestParallelShardVar(t *testing.T) {
 // batch.
 func TestParallelSequentialFallback(t *testing.T) {
 	q := paperQuery("A")
-	mk := func() (Maintainer[int64], error) {
+	mk := func() (*Engine[int64], error) {
 		return New[int64](q, paperOrder(), ring.Int{}, countLift, Options[int64]{})
 	}
 	par, err := NewParallel[int64](q, ring.Int{}, 1, mk)
@@ -236,7 +236,7 @@ func TestParallelSequentialFallback(t *testing.T) {
 	for _, rd := range q.Rels {
 		batch = append(batch, NamedDelta[int64]{Rel: rd.Name, Delta: randomDelta(rng, rd.Schema, 3, 4)})
 	}
-	for _, m := range []Maintainer[int64]{par, bare} {
+	for _, m := range []strategy[int64]{par, bare} {
 		if err := m.Init(); err != nil {
 			t.Fatal(err)
 		}
@@ -249,15 +249,18 @@ func TestParallelSequentialFallback(t *testing.T) {
 	}
 }
 
-// TestParallelRejectedBatchLeavesNoRoutes: a batch the router rejects, and one
-// the shards reject after it was routed, leave no routed tuples behind — the
-// next good batch brings the result to exactly the sequential oracle's.
+// TestParallelRejectedBatchLeavesNoRoutes: a batch the router rejects leaves
+// no routed tuples behind and changes nothing — not the result, and not the
+// next good batch, which brings the result to exactly the sequential
+// oracle's. The router runs the engines' own admission rule, so this holds
+// also for what only an engine knows, its updatable set: a delta to a
+// non-updatable relation, broadcast or sharded, is refused before any shard
+// applies the rest of the batch.
 func TestParallelRejectedBatchLeavesNoRoutes(t *testing.T) {
 	q := paperQuery("A")
-	mk := func() (Maintainer[int64], error) {
-		// T is not updatable: only the shards know, so its delta is routed
-		// (T carries no A: broadcast) next to R's before they reject it.
-		return New[int64](q, paperOrder(), ring.Int{}, countLift, Options[int64]{Updatable: []string{"R", "S"}})
+	mk := func() (*Engine[int64], error) {
+		// Only R is updatable: S carries the shard variable A, T does not.
+		return New[int64](q, paperOrder(), ring.Int{}, countLift, Options[int64]{Updatable: []string{"R"}})
 	}
 	par, err := NewParallel[int64](q, ring.Int{}, 3, mk)
 	if err != nil {
@@ -270,8 +273,19 @@ func TestParallelRejectedBatchLeavesNoRoutes(t *testing.T) {
 		rd, _ := q.Rel(rel)
 		return NamedDelta[int64]{Rel: rel, Delta: randomDelta(rng, rd.Schema, 3, 6)}
 	}
-	loadT, first := delta("T").Delta, []NamedDelta[int64]{delta("R"), delta("S")}
-	for _, m := range []Maintainer[int64]{par, seq} {
+	// spread is a delta to R over twelve values of A, which reaches every
+	// shard; oneS is one tuple of S, which reaches one.
+	spread := data.NewRelation[int64](ring.Int{}, data.NewSchema("A", "B"))
+	for a := int64(0); a < 12; a++ {
+		spread.Merge(data.Ints(a, a), 1)
+	}
+	oneS := data.NewRelation[int64](ring.Int{}, data.NewSchema("A", "C", "E"))
+	oneS.Merge(data.Ints(1, 1, 1), 1)
+	loadS, loadT, first := delta("S").Delta, delta("T").Delta, []NamedDelta[int64]{delta("R")}
+	for _, m := range []strategy[int64]{par, seq} {
+		if err := m.Load("S", loadS); err != nil {
+			t.Fatal(err)
+		}
 		if err := m.Load("T", loadT); err != nil {
 			t.Fatal(err)
 		}
@@ -284,18 +298,19 @@ func TestParallelRejectedBatchLeavesNoRoutes(t *testing.T) {
 	}
 	before := par.Result().String()
 	for _, bad := range [][]NamedDelta[int64]{
-		{delta("R"), {Rel: "nope", Delta: delta("S").Delta}}, // rejected at the router
-		{delta("R"), delta("S"), delta("T")},                 // rejected by every shard
+		{delta("R"), {Rel: "nope", Delta: delta("S").Delta}}, // unknown relation
+		{delta("R"), delta("T")},                             // not updatable, broadcast
+		{{Rel: "R", Delta: spread}, {Rel: "S", Delta: oneS}}, // not updatable, sharded to one shard
 	} {
 		if err := par.ApplyDeltas(bad); err == nil {
 			t.Fatalf("batch with %q accepted", bad[len(bad)-1].Rel)
 		}
 		if got := par.Result().String(); got != before {
-			t.Fatalf("rejected batch changed the result: %s vs %s", got, before)
+			t.Fatalf("batch with %q rejected, yet it changed the result: %s vs %s", bad[len(bad)-1].Rel, got, before)
 		}
 	}
-	good := []NamedDelta[int64]{delta("S"), delta("R")}
-	for _, m := range []Maintainer[int64]{par, seq} {
+	good := []NamedDelta[int64]{delta("R"), {Rel: "R", Delta: spread}}
+	for _, m := range []strategy[int64]{par, seq} {
 		if err := m.ApplyDeltas(good); err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +328,7 @@ func TestParallelRejectedBatchLeavesNoRoutes(t *testing.T) {
 // its payload as published: the reduction owns what it sealed.
 func TestParallelEpochOutlivesShardReuse(t *testing.T) {
 	q := paperQuery("A")
-	par, err := NewParallel[int64](q, ring.Int{}, 3, func() (Maintainer[int64], error) {
+	par, err := NewParallel[int64](q, ring.Int{}, 3, func() (*Engine[int64], error) {
 		return New[int64](q, paperOrder(), ring.Int{}, countLift, Options[int64]{})
 	})
 	if err != nil {

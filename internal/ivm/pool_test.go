@@ -228,7 +228,7 @@ func TestPoolRespectsPinnedEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []Maintainer[ring.Triple]{e, oracle} {
+	for _, m := range []strategy[ring.Triple]{e, oracle} {
 		if err := m.Init(); err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +307,7 @@ func TestPoolRespectsPinnedEpochs(t *testing.T) {
 	e.Snapshot()
 	apply := func(batch []NamedDelta[ring.Triple]) {
 		t.Helper()
-		for _, m := range []Maintainer[ring.Triple]{e, oracle} {
+		for _, m := range []strategy[ring.Triple]{e, oracle} {
 			if err := m.ApplyDeltas(batch); err != nil {
 				t.Fatal(err)
 			}

@@ -19,7 +19,7 @@ import (
 // per relation — typically many more views than F-IVM's single view tree,
 // which is the space/time gap the paper measures.
 type Recursive[P any] struct {
-	driver[P] // ApplyDelta, ApplyDeltas, Snapshot over check and applyDelta
+	driver[P] // ApplyDelta, ApplyDeltas over check and applyDelta
 
 	q         query.Query
 	ring      ring.Ring[P]
@@ -59,7 +59,7 @@ func NewRecursive[P any](q query.Query, r ring.Ring[P], lift data.LiftFunc[P], u
 		affected:  make(map[string][]*recView[P]),
 		bases:     make(map[string]*data.Relation[P]),
 	}
-	m.driver = driver[P]{check: m.check, apply: m.applyDelta, epoch: func(s *ViewSnapshot[P]) { s.live(m.Result()) }}
+	m.driver = driver[P]{check: m.check, apply: m.applyDelta}
 	if len(updatable) == 0 {
 		updatable = q.RelNames()
 	}
@@ -242,8 +242,7 @@ func (m *Recursive[P]) applyDelta(rel string, delta *data.Relation[P]) error {
 	return nil
 }
 
-// Result returns the root view as a live handle; see the Maintainer
-// contract — concurrent readers must go through Snapshot.
+// Result returns the root view, which every batch updates in place.
 func (m *Recursive[P]) Result() *data.Relation[P] { return m.root.rel.Relation }
 
 // ViewCount reports the number of materialized views in the hierarchy.

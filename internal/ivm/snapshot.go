@@ -10,8 +10,8 @@ import (
 	"fivm/internal/viewtree"
 )
 
-// ViewSnapshot is one published epoch of a maintainer's state, taken after
-// some whole applied batch, never mid-batch. An epoch carries exactly what a
+// ViewSnapshot is one published epoch of an Engine's or a Parallel's state,
+// taken after some whole applied batch, never mid-batch. An epoch carries exactly what a
 // reader can name:
 //
 //   - the query result, always;
@@ -46,8 +46,7 @@ type ViewSnapshot[P any] struct {
 	// staleness).
 	At time.Time
 	// Patched is the publish work this epoch cost: the dirty keys patched
-	// into its relation snapshots (every key, for a result resealed
-	// wholesale).
+	// into its relation snapshots (every key, for a Parallel's reduction).
 	Patched int
 
 	lease      Lease
@@ -134,26 +133,31 @@ func (s *ViewSnapshot[P]) Views() []string { return s.names }
 // enumerates through it.
 func (s *ViewSnapshot[P]) ViewOf(n *viewtree.Node) *data.RelationSnapshot[P] { return s.byNode[n] }
 
-// live fills an epoch from a result relation maintained in place: its
-// incremental snapshot, O(keys changed since the last one).
-func (s *ViewSnapshot[P]) live(r *data.Relation[P]) {
-	s.Patched, _ = r.DirtyKeys()
-	s.result = r.Snapshot()
+// publishing is the driver of the maintainers that publish epochs, Engine and
+// Parallel: the batch driver plus the publisher, and Snapshot. The figures'
+// competitors embed the bare driver and publish nothing.
+type publishing[P any] struct {
+	driver[P]
+	pub publisher[P]
+	// epoch snapshots the result for publication, into the header it is given.
+	epoch func(*ViewSnapshot[P])
 }
 
-// sealed fills an epoch from a result rebuilt wholesale per batch.
-func (s *ViewSnapshot[P]) sealed(rs *data.RelationSnapshot[P]) { s.Patched, s.result = rs.Len(), rs }
+// Snapshot returns a lease (see ViewSnapshot) on the latest published epoch
+// of the result, enabling publication on first use; see publisher for the
+// concurrency contract.
+func (p *publishing[P]) Snapshot() *ViewSnapshot[P] { return p.pub.snapshot(p.epoch) }
 
-// publisher is the epoch machinery every maintainer holds through its
-// driver: an atomic pointer to the latest published snapshot. A nil pointer
-// means publication is not enabled; the first Snapshot call on a maintainer
-// enables it.
+// publisher is the epoch machinery an Engine or a Parallel holds through
+// publishing: an atomic pointer to the latest published snapshot. A nil
+// pointer means publication is not enabled; the first Snapshot call enables
+// it.
 //
-// The publication contract, shared by every maintainer:
+// The publication contract:
 //
-//   - An epoch carries the result. Nothing else a maintainer stores — base
-//     copies, per-aggregate results, shard-local or internal views — is
-//     published; only Engine can add its view catalogue, on request.
+//   - An epoch carries the result. Nothing else the maintainer stores —
+//     shard-local or internal views — is published; only Engine can add its
+//     view catalogue, on request.
 //   - The first Snapshot call must not race ApplyDelta/ApplyDeltas: call it
 //     once from the maintenance goroutine (typically right after Init) to
 //     enable publication.
@@ -201,10 +205,8 @@ func (p *publisher[P]) install(s *ViewSnapshot[P]) {
 	}
 }
 
-// snapshot is every maintainer's Snapshot: a lease on the latest epoch, or —
-// the call that enables publication — on a first one built by fill. Results
-// maintained in place publish their incremental snapshot (live), results
-// replaced per batch a sealed one (sealed).
+// snapshot is Snapshot: a lease on the latest epoch, or — the call that
+// enables publication — on a first one built by fill.
 func (p *publisher[P]) snapshot(fill func(*ViewSnapshot[P])) *ViewSnapshot[P] {
 	for {
 		s := p.cur.Load()
@@ -249,12 +251,14 @@ func (e *Engine[P]) Catalog() *ViewSnapshot[P] {
 	return e.Snapshot()
 }
 
-// epoch snapshots the root view (O(changed keys), via relation dirty
-// tracking) — plus every other materialized view once the catalogue was
-// requested — into the next epoch.
+// epoch snapshots the root view, maintained in place (O(changed keys), via
+// relation dirty tracking) — plus every other materialized view once the
+// catalogue was requested — into the next epoch.
 func (e *Engine[P]) epoch(s *ViewSnapshot[P]) {
 	// Before Init, Result is an empty relation: a well-formed empty epoch.
-	s.live(e.Result())
+	r := e.Result()
+	s.Patched, _ = r.DirtyKeys()
+	s.result = r.Snapshot()
 	if e.catalog {
 		e.fillCatalog(s)
 	}
@@ -343,5 +347,6 @@ func (p *Parallel[P]) epoch(s *ViewSnapshot[P]) {
 	for _, m := range p.shards {
 		p.reduceParts = append(p.reduceParts, m.Result())
 	}
-	s.sealed(data.ReduceSealed(p.ring, p.reduceParts[0].Schema(), p.reduceParts))
+	s.result = data.ReduceSealed(p.ring, p.reduceParts[0].Schema(), p.reduceParts)
+	s.Patched = s.result.Len()
 }

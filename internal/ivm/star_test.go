@@ -40,7 +40,7 @@ func TestStarQueryMultiSiblingStages(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, m := range []Maintainer[int64]{eng, ref} {
+			for _, m := range []strategy[int64]{eng, ref} {
 				if err := m.Init(); err != nil {
 					t.Fatal(err)
 				}
@@ -80,7 +80,7 @@ func TestStarQueryMultiSiblingStages(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, m := range []Maintainer[ring.Triple]{eng, ref} {
+			for _, m := range []strategy[ring.Triple]{eng, ref} {
 				if err := m.Init(); err != nil {
 					t.Fatal(err)
 				}

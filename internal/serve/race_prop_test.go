@@ -19,8 +19,8 @@ import (
 // must each observe, at every refresh, a state byte-identical to the
 // sequential oracle after some whole batch prefix — identified exactly by
 // the snapshot epoch — and epochs must never regress within one reader.
-// Exercised for F-IVM, 1-IVM, and RE-EVAL over the Z and cofactor rings,
-// plus the 8-worker sharded parallel maintainer. Run under -race in CI.
+// Exercised for the F-IVM engine and the 8-worker Parallel of engines over
+// the Z and cofactor rings. Run under -race in CI.
 
 // propQuery is R(A,B) ⋈ S(A,C) ⋈ T(C,D) with free [A]: a join with both a
 // shardable variable (A covers R and S; T is broadcast) and a non-trivial
@@ -97,12 +97,12 @@ func ringFor[P any]() ring.Ring[P] {
 	panic("unsupported payload")
 }
 
-// runConcurrentReaderProperty drives two identical maintainers — a
-// sequential oracle recording the state fingerprint after every batch
-// prefix, and a serving instance streamed concurrently with K readers — and
-// checks every reader observation against the oracle prefix its epoch
-// names.
-func runConcurrentReaderProperty[P any](t *testing.T, mk func() (ivm.Maintainer[P], error), one P, neg func(P) P) {
+// runConcurrentReaderProperty drives two maintainers — a sequential engine
+// built by mk, the oracle recording the state fingerprint after every batch
+// prefix, and a serving instance streamed concurrently with K readers, the
+// same engine or, with workers > 1, a Parallel of them — and checks every
+// reader observation against the oracle prefix its epoch names.
+func runConcurrentReaderProperty[P any](t *testing.T, workers int, mk func() (*ivm.Engine[P], error), one P, neg func(P) P) {
 	t.Helper()
 	const (
 		nBatches = 60
@@ -127,8 +127,22 @@ func runConcurrentReaderProperty[P any](t *testing.T, mk func() (ivm.Maintainer[
 		bases[rd.Name] = b
 	}
 
-	build := func() ivm.Maintainer[P] {
-		m, err := mk()
+	// build returns the engine mk builds or, with workers > 1, a Parallel of
+	// them, loaded and initialized.
+	build := func(workers int) interface {
+		ivm.Maintainer[P]
+		Load(rel string, r *data.Relation[P]) error
+	} {
+		var m interface {
+			ivm.Maintainer[P]
+			Load(rel string, r *data.Relation[P]) error
+		}
+		var err error
+		if workers > 1 {
+			m, err = ivm.NewParallel[P](q, ringFor[P](), workers, mk)
+		} else {
+			m, err = mk()
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +158,7 @@ func runConcurrentReaderProperty[P any](t *testing.T, mk func() (ivm.Maintainer[
 	}
 
 	// Sequential oracle: fingerprint after Init and after each batch prefix.
-	oracle := build()
+	oracle := build(1).(*ivm.Engine[P])
 	fps := make([]string, nBatches+1)
 	fps[0] = fpRel(oracle.Result())
 	for k, b := range batches {
@@ -156,7 +170,7 @@ func runConcurrentReaderProperty[P any](t *testing.T, mk func() (ivm.Maintainer[
 
 	// Serving instance: enable publication from the maintenance goroutine,
 	// then stream with concurrent readers.
-	serving := build()
+	serving := build(workers)
 	if c, ok := any(serving).(interface{ Close() error }); ok {
 		defer c.Close()
 	}
@@ -239,10 +253,8 @@ func runConcurrentReaderProperty[P any](t *testing.T, mk func() (ivm.Maintainer[
 	// the collector's backstop to find.
 	runtime.GC()
 	runtime.GC()
-	if ps, ok := any(serving).(interface{ PoolStats() data.PoolStats }); ok {
-		if as := ps.PoolStats().Arena; as.BackstopReclaims != 0 {
-			t.Fatalf("arena %+v: a reader forgot a lease", as)
-		}
+	if as := serving.PoolStats().Arena; as.BackstopReclaims != 0 {
+		t.Fatalf("arena %+v: a reader forgot a lease", as)
 	}
 }
 
@@ -251,84 +263,29 @@ func negInt(p int64) int64 { return -p }
 func negTriple(p ring.Triple) ring.Triple { return ring.Cofactor{}.Neg(p) }
 
 func TestConcurrentReadersFIVMInt(t *testing.T) {
-	runConcurrentReaderProperty[int64](t, func() (ivm.Maintainer[int64], error) {
-		return ivm.New[int64](propQuery(), mustOrder(), ring.Int{}, intLift, ivm.Options[int64]{})
-	}, 1, negInt)
+	runConcurrentReaderProperty[int64](t, 1, intEngine, 1, negInt)
 }
 
 func TestConcurrentReadersFIVMCofactor(t *testing.T) {
-	q := propQuery()
-	lift := cofLift(q.Vars())
-	runConcurrentReaderProperty[ring.Triple](t, func() (ivm.Maintainer[ring.Triple], error) {
-		return ivm.New[ring.Triple](propQuery(), mustOrder(), ring.Cofactor{}, lift, ivm.Options[ring.Triple]{})
-	}, ring.Cofactor{}.One(), negTriple)
-}
-
-func TestConcurrentReadersFirstOrderInt(t *testing.T) {
-	runConcurrentReaderProperty[int64](t, func() (ivm.Maintainer[int64], error) {
-		return ivm.NewFirstOrder[int64](propQuery(), mustOrder(), ring.Int{}, intLift)
-	}, 1, negInt)
-}
-
-func TestConcurrentReadersFirstOrderCofactor(t *testing.T) {
-	q := propQuery()
-	lift := cofLift(q.Vars())
-	runConcurrentReaderProperty[ring.Triple](t, func() (ivm.Maintainer[ring.Triple], error) {
-		return ivm.NewFirstOrder[ring.Triple](propQuery(), mustOrder(), ring.Cofactor{}, lift)
-	}, ring.Cofactor{}.One(), negTriple)
-}
-
-func TestConcurrentReadersReEvalInt(t *testing.T) {
-	runConcurrentReaderProperty[int64](t, func() (ivm.Maintainer[int64], error) {
-		return ivm.NewReEval[int64](propQuery(), mustOrder(), ring.Int{}, intLift)
-	}, 1, negInt)
-}
-
-func TestConcurrentReadersReEvalCofactor(t *testing.T) {
-	q := propQuery()
-	lift := cofLift(q.Vars())
-	runConcurrentReaderProperty[ring.Triple](t, func() (ivm.Maintainer[ring.Triple], error) {
-		return ivm.NewReEval[ring.Triple](propQuery(), mustOrder(), ring.Cofactor{}, lift)
-	}, ring.Cofactor{}.One(), negTriple)
-}
-
-func TestConcurrentReadersRecursiveInt(t *testing.T) {
-	runConcurrentReaderProperty[int64](t, func() (ivm.Maintainer[int64], error) {
-		return ivm.NewRecursive[int64](propQuery(), ring.Int{}, intLift, nil)
-	}, 1, negInt)
-}
-
-func TestConcurrentReadersRecursiveCofactor(t *testing.T) {
-	q := propQuery()
-	lift := cofLift(q.Vars())
-	runConcurrentReaderProperty[ring.Triple](t, func() (ivm.Maintainer[ring.Triple], error) {
-		return ivm.NewRecursive[ring.Triple](propQuery(), ring.Cofactor{}, lift, nil)
-	}, ring.Cofactor{}.One(), negTriple)
-}
-
-func TestConcurrentReadersMultiFirstOrder(t *testing.T) {
-	q := propQuery()
-	runConcurrentReaderProperty[float64](t, func() (ivm.Maintainer[float64], error) {
-		return ivm.NewMultiFirstOrder(q, mustOrder(), ring.Float{}, ivm.CofactorAggSpecs(q.Vars()))
-	}, 1, func(p float64) float64 { return -p })
+	runConcurrentReaderProperty[ring.Triple](t, 1, cofEngine, ring.Cofactor{}.One(), negTriple)
 }
 
 func TestConcurrentReadersParallelInt(t *testing.T) {
-	runConcurrentReaderProperty[int64](t, func() (ivm.Maintainer[int64], error) {
-		return ivm.NewParallel[int64](propQuery(), ring.Int{}, 8, func() (ivm.Maintainer[int64], error) {
-			return ivm.New[int64](propQuery(), mustOrder(), ring.Int{}, intLift, ivm.Options[int64]{})
-		})
-	}, 1, negInt)
+	runConcurrentReaderProperty[int64](t, 8, intEngine, 1, negInt)
 }
 
 func TestConcurrentReadersParallelCofactor(t *testing.T) {
-	q := propQuery()
-	lift := cofLift(q.Vars())
-	runConcurrentReaderProperty[ring.Triple](t, func() (ivm.Maintainer[ring.Triple], error) {
-		return ivm.NewParallel[ring.Triple](propQuery(), ring.Cofactor{}, 8, func() (ivm.Maintainer[ring.Triple], error) {
-			return ivm.New[ring.Triple](propQuery(), mustOrder(), ring.Cofactor{}, lift, ivm.Options[ring.Triple]{})
-		})
-	}, ring.Cofactor{}.One(), negTriple)
+	runConcurrentReaderProperty[ring.Triple](t, 8, cofEngine, ring.Cofactor{}.One(), negTriple)
+}
+
+// intEngine and cofEngine are the F-IVM engines over propQuery the property
+// runs: counting over Z, and the regression lifting over the cofactor ring.
+func intEngine() (*ivm.Engine[int64], error) {
+	return ivm.New[int64](propQuery(), mustOrder(), ring.Int{}, intLift, ivm.Options[int64]{})
+}
+
+func cofEngine() (*ivm.Engine[ring.Triple], error) {
+	return ivm.New[ring.Triple](propQuery(), mustOrder(), ring.Cofactor{}, cofLift(propQuery().Vars()), ivm.Options[ring.Triple]{})
 }
 
 // mustOrder builds the heuristic order for propQuery (panicking variant for

@@ -1,10 +1,10 @@
 // Package serve is the read path over live-maintained views: epoch-pinned
 // reader handles with snapshot isolation.
 //
-// The maintenance strategies in internal/ivm keep their results continuously
-// up to date, but their Result accessors hand out live relations that are
-// unsafe to read while deltas stream in. serve closes that gap: once a
-// maintainer's snapshot publication is enabled (one Snapshot call from the
+// The F-IVM engine in internal/ivm, and the Parallel that shards it, keep
+// their results continuously up to date, but the engine's Result accessor
+// hands out a live relation that is unsafe to read while deltas stream in.
+// serve closes that gap: once a maintainer's snapshot publication is enabled (one Snapshot call from the
 // maintenance goroutine, typically right after Init), every applied batch
 // publishes an immutable ViewSnapshot of the result with an atomic pointer
 // swap, and any number of Reader goroutines can pin an epoch and read it
