@@ -486,6 +486,96 @@ func TestRelRingAxiomsOnFixedSchema(t *testing.T) {
 	}
 }
 
+// TestRelRingInPlaceMatchesImmutable mirrors ring's
+// checkMutableMatchesImmutable for F[Z] over random multisets on one schema:
+// each in-place operation equals its immutable counterpart, and leaves *dst
+// sharing no rows map with an operand — a further AddInto on *dst changes
+// none of them, though Add and a product by the nullary unit return an
+// operand itself.
+func TestRelRingInPlaceMatchesImmutable(t *testing.T) {
+	rr := RelRing{}
+	x := NewSchema("X")
+	gen := func(rng *rand.Rand) *Multiset {
+		m := NewMultiset(x)
+		for i := 0; i < rng.Intn(5); i++ {
+			m.add(Ints(int64(rng.Intn(4))), int64(rng.Intn(5)-2))
+		}
+		return m
+	}
+	bump := MultisetOf(x, Ints(0), Ints(1), Ints(2), Ints(3)) // touches every key gen makes
+	same := func(op string, got, want *Multiset) {
+		t.Helper()
+		if !eq2(got, want) {
+			t.Fatalf("%s = %v, want %v", op, got, want)
+		}
+	}
+	apart := func(op string, dst **Multiset, operands ...*Multiset) {
+		t.Helper()
+		before := make([]string, len(operands))
+		for i, o := range operands {
+			before[i] = o.String()
+		}
+		rr.AddInto(dst, bump)
+		for i, o := range operands {
+			if got := o.String(); got != before[i] {
+				t.Fatalf("%s: AddInto on *dst changed operand %d from %s to %s", op, i, before[i], got)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 300; i++ {
+		a, b, c := gen(rng), gen(rng), gen(rng)
+		unit := rr.One()
+		if !rr.IsOne(&unit) {
+			t.Fatal("IsOne(One()) = false")
+		}
+
+		var cp *Multiset
+		rr.CopyInto(&cp, a)
+		same("CopyInto", cp, a)
+		apart("CopyInto", &cp, a)
+
+		rr.CopyInto(&cp, a) // into the dirty storage
+		rr.AddInto(&cp, b)
+		same("AddInto", cp, rr.Add(a, b))
+		apart("AddInto", &cp, a, b)
+
+		var mp *Multiset
+		rr.MulInto(&mp, &a, &b)
+		same("MulInto", mp, rr.Mul(a, b))
+		apart("MulInto", &mp, a, b)
+		rr.MulInto(&mp, &unit, &b) // Mul returns b itself
+		same("MulInto by one", mp, b)
+		apart("MulInto by one", &mp, unit, b)
+
+		var acc *Multiset
+		rr.CopyInto(&acc, c)
+		rr.MulAddInto(&acc, &a, &b)
+		same("MulAddInto", acc, rr.Add(c, rr.Mul(a, b)))
+		apart("MulAddInto", &acc, c, a, b)
+
+		// An empty *dst, nil or not, takes its rows from the operand.
+		var empty *Multiset
+		rr.AddInto(&empty, a)
+		same("AddInto onto nil", empty, a)
+		apart("AddInto onto nil", &empty, a)
+		empty = NewMultiset(x)
+		rr.MulAddInto(&empty, &b, &unit)
+		same("MulAddInto onto empty", empty, b)
+		apart("MulAddInto onto empty", &empty, b, unit)
+
+		var chain *Multiset
+		rr.CopyInto(&chain, rr.Zero())
+		want := rr.Zero()
+		for j := 0; j < 6; j++ {
+			y, z := gen(rng), gen(rng)
+			rr.MulAddInto(&chain, &y, &z)
+			want = rr.Add(want, rr.Mul(y, z))
+		}
+		same("MulAddInto chain", chain, want)
+	}
+}
+
 // eq2 compares multisets over the same schema set.
 func eq2(a, b *Multiset) bool {
 	if a.Len() != b.Len() {

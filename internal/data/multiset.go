@@ -2,6 +2,7 @@ package data
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -10,7 +11,9 @@ import (
 // integer multiplicities. It is the element type of the relational data ring
 // F[Z] (paper Definition 6.4), which lets view payloads carry entire
 // relations — the listing or factorized representation of conjunctive query
-// results. Multisets are immutable once published as payloads.
+// results. A relation owns the multisets it stores and accumulates into them
+// in place (RelRing's AddInto and MulAddInto); the immutable operations never
+// write one, and a published one is never written again.
 type Multiset struct {
 	schema Schema
 	rows   map[string]msRow
@@ -144,7 +147,7 @@ func (m *Multiset) SortedTuples() []Tuple {
 }
 
 // scale returns the multiset with every multiplicity multiplied by k;
-// multisets are immutable, so k == 1 may share the receiver.
+// k == 1 returns the receiver itself, as Mul may return an operand.
 func (m *Multiset) scale(k int64) *Multiset {
 	if k == 0 || m.Len() == 0 {
 		return nil
@@ -300,6 +303,59 @@ func (RelRing) Mul(a, b *Multiset) *Multiset {
 		return nil
 	}
 	return out
+}
+
+// AddInto merges src's rows into *dst: *dst += src. *dst keeps its rows map
+// (or gets one of its own) and takes src's tuples, which nobody writes.
+func (RelRing) AddInto(dst **Multiset, src *Multiset) {
+	if src.Len() == 0 {
+		return
+	}
+	d := *dst
+	switch {
+	case d == nil:
+		d = NewMultiset(src.schema)
+		*dst = d
+	case len(d.rows) == 0:
+		d.schema = src.schema
+	case !d.schema.SameSet(src.schema):
+		panic(fmt.Sprintf("data: relational ring sum of schemas %v and %v", d.schema, src.schema))
+	}
+	proj := MustProjector(src.schema, d.schema)
+	for _, r := range src.rows {
+		d.add(proj.Apply(r.tuple), r.mult)
+	}
+}
+
+// MulInto sets *dst = *a * *b: Mul's fresh result, or a copy of it where Mul
+// returned an operand (a product by a nullary unit).
+func (g RelRing) MulInto(dst, a, b **Multiset) {
+	p := g.Mul(*a, *b)
+	if p == *a || p == *b {
+		g.CopyInto(dst, p)
+		return
+	}
+	*dst = p
+}
+
+// MulAddInto accumulates *dst += *a * *b.
+func (g RelRing) MulAddInto(dst, a, b **Multiset) { g.AddInto(dst, g.Mul(*a, *b)) }
+
+// CopyInto sets *dst to a copy of src's rows in *dst's own map.
+func (RelRing) CopyInto(dst **Multiset, src *Multiset) {
+	if *dst == nil || *dst == src {
+		*dst = NewMultiset(nil)
+	}
+	d := *dst
+	clear(d.rows)
+	if d.schema = src.Schema(); src != nil {
+		maps.Copy(d.rows, src.rows)
+	}
+}
+
+// IsOne reports whether *a is {() -> 1}.
+func (RelRing) IsOne(a **Multiset) bool {
+	return (*a).Len() == 1 && len((*a).schema) == 0 && (*a).rows[""].mult == 1
 }
 
 // Bytes estimates the heap footprint of a multiset payload.

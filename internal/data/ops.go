@@ -105,7 +105,7 @@ func MarginalizeInto[P any](out, r *Relation[P], vars Schema, lift LiftFunc[P]) 
 	r.entries.all(func(e *Entry[P]) bool {
 		// Combine the liftings first: they are small ring elements, while
 		// the payload may be large, so it joins the product once — directly
-		// inside the output's stored payload for mutable rings.
+		// inside the output's stored payload.
 		if len(vars) == 0 {
 			out.MergeProjected(proj, e.Tuple, e.Payload)
 			return true

@@ -14,8 +14,8 @@ import "fivm/internal/ring"
 //
 // The inputs must share a schema (same variables in the same order, so equal
 // tuples have equal encoded keys) and stay unmodified for the duration of
-// the call only: entry values are copied out, payloads of rings with in-place
-// accumulation are deep-copied and so are every key and tuple — a pooled
+// the call only: entry values are copied out, payloads are deep-copied and so
+// are every key and tuple — a pooled
 // input overwrites both when it reuses an entry — so later mutation of the
 // inputs never bleeds into the returned snapshot. Keys whose payloads sum to zero
 // are dropped, matching Relation.Merge semantics. Where payloads are summed,
@@ -23,7 +23,6 @@ import "fivm/internal/ring"
 // any sequential update order — non-integral float payloads may round
 // differently than an unsharded run (see Parallel's floating-point caveat).
 func ReduceSealed[P any](rg ring.Ring[P], schema Schema, parts []*Relation[P]) *RelationSnapshot[P] {
-	mut := ring.MutableOf(rg)
 	total := 0
 	for _, p := range parts {
 		total += p.Len()
@@ -33,19 +32,10 @@ func ReduceSealed[P any](rg ring.Ring[P], schema Schema, parts []*Relation[P]) *
 	cells := make(Tuple, 0, total*len(schema))
 	for _, p := range parts {
 		p.entries.all(func(e *Entry[P]) bool {
-			c := sealed(e)
-			c.key = internKey(&keys, e.key)
 			cells = append(cells, e.Tuple...)
-			c.Tuple = cells[len(cells)-len(e.Tuple) : len(cells) : len(cells)]
-			es = append(es, c)
-			if mut != nil {
-				// A deep copy in storage of its own, never e's: zero first, so
-				// CopyInto does not write into the storage c shares.
-				p := &es[len(es)-1].Payload
-				var none P
-				*p = none
-				mut.CopyInto(p, e.Payload)
-			}
+			es = append(es, Entry[P]{key: internKey(&keys, e.key), hash: e.hash,
+				Tuple: cells[len(cells)-len(e.Tuple) : len(cells) : len(cells)]})
+			rg.CopyInto(&es[len(es)-1].Payload, e.Payload) // in storage of its own, never e's
 			return true
 		})
 	}
@@ -54,11 +44,7 @@ func ReduceSealed[P any](rg ring.Ring[P], schema Schema, parts []*Relation[P]) *
 	for i := 0; i < len(es); {
 		j := i + 1
 		for j < len(es) && es[j].key == es[i].key {
-			if mut != nil {
-				mut.AddInto(&es[i].Payload, es[j].Payload)
-			} else {
-				es[i].Payload = rg.Add(es[i].Payload, es[j].Payload)
-			}
+			rg.AddInto(&es[i].Payload, es[j].Payload)
 			j++
 		}
 		if j == i+1 || !rg.IsZero(es[i].Payload) {

@@ -68,11 +68,10 @@ func keyView(key string) []byte { return unsafe.Slice(unsafe.StringData(key), le
 // IterateEntries, MergeAll's source side — does not touch the scratch and
 // may be shared read-only across goroutines).
 //
-// When the payload ring implements ring.Mutable, the relation switches to
-// owned accumulation: payloads are deep-copied on first store and mutated in
-// place by later merges, so steady-state payload accumulation does zero
-// allocations. Payloads read out of such a relation are snapshots only
-// until its next update.
+// Payloads are owned: deep-copied on first store (CopyInto) and mutated in
+// place by later merges (AddInto, MulAddInto), so steady-state payload
+// accumulation does zero allocations. Payloads read out of a relation are
+// snapshots only until its next update.
 //
 // For concurrent readers, Snapshot publishes an immutable RelationSnapshot
 // of the current contents at O(changed-since-last-snapshot) cost; sealed
@@ -99,8 +98,8 @@ func keyView(key string) []byte { return unsafe.Slice(unsafe.StringData(key), le
 //	                 a replaced one at                                              a free one that takes its place,
 //	                 once, and free only                                            and retires the old one whole; a
 //	                 after the last                                                 payload sealed by value (Int,
-//	                 Release of every                                               Float, an immutable ring's) is
-//	                 epoch that could                                               assigned in place
+//	                 Release of every                                               Float) is
+//	                 epoch that could                                               written in place
 //	                 read it
 //	scratch          relation; reusable    relation's slab,     relation's slab     as pooled: overwritten by
 //	(RecycleCleared, after the next Clear  rewound by Clear     when the relation   the next batch's inserts
@@ -115,7 +114,7 @@ func keyView(key string) []byte { return unsafe.Slice(unsafe.StringData(key), le
 //	                                                            volatile
 //
 // Who may retain what: nobody retains an *Entry, or a key, a tuple or a
-// mutable-ring payload read through one, past the owner's reclaim point (work
+// payload read through one, past the owner's reclaim point (work
 // items, index buckets and iterators all die with the batch); what must live
 // longer is copied (Clone, MergeAll, ReduceSealed do) or read through
 // a snapshot, which holds it until its last Release. An *Entry held across a
@@ -132,7 +131,6 @@ func keyView(key string) []byte { return unsafe.Slice(unsafe.StringData(key), le
 type Relation[P any] struct {
 	schema  Schema
 	ring    ring.Ring[P]
-	mut     ring.Mutable[P] // non-nil when the ring supports in-place accumulation
 	entries entryTable[P]
 	keyBuf  []byte
 	rowBuf  Tuple // a projected row that an owning relation's insert copies (projApply)
@@ -179,7 +177,7 @@ type Relation[P any] struct {
 
 // NewRelation creates an empty relation over the given ring and schema.
 func NewRelation[P any](r ring.Ring[P], schema Schema) *Relation[P] {
-	return &Relation[P]{schema: schema, ring: r, mut: ring.MutableOf(r)}
+	return &Relation[P]{schema: schema, ring: r}
 }
 
 // Schema returns the relation's schema.
@@ -306,15 +304,11 @@ func (r *Relation[P]) reclaim() {
 }
 
 // freeEntry makes e, at pool[free], free: it keeps its key bytes for the next
-// insert to overwrite (setKey), its cells (ownTuple) and, when the ring
-// accumulates in place, its payload storage (CopyInto/MulInto reuse
-// destination capacity). Under the poison hook all of it is scribbled.
+// insert to overwrite (setKey), its cells (ownTuple) and its payload storage
+// (CopyInto/MulInto reuse destination capacity). Under the poison hook all of
+// it is scribbled.
 func (r *Relation[P]) freeEntry(e *Entry[P]) {
 	r.freeKeyBytes += keyCap(len(e.key))
-	if r.mut == nil {
-		var zero P
-		e.Payload = zero
-	}
 	if poison {
 		poisonEntry(e, r.ownsRows())
 	}
@@ -557,56 +551,31 @@ func (r *Relation[P]) setEntry(t Tuple, p P) (old, en *Entry[P]) {
 	case e == nil:
 		// lookup left t's encoding in the scratch buffer
 		en = r.insertEntry(r.keyBuf, t)
-		r.setPayload(en, p)
+		r.ring.CopyInto(&en.Payload, p) // into the entry's (possibly reclaimed) storage
 		return nil, en
-	case r.mut == nil:
-		r.markEntry(e)
-		e.Payload = p
-		return e, e
 	}
 	if en = r.touchEntry(e, p); en == e {
-		r.mut.CopyInto(&e.Payload, p) // the entry's own storage, or none outside it
+		r.ring.CopyInto(&e.Payload, p) // the entry's own storage, or none outside it
 	}
 	return e, r.settle(e, en)
 }
 
-// setPayload assigns p to a freshly inserted entry, deep-copying into the
-// entry's (possibly reclaimed) storage for rings with in-place accumulation.
-func (r *Relation[P]) setPayload(e *Entry[P], p P) {
-	if r.mut != nil {
-		r.mut.CopyInto(&e.Payload, p)
-		return
-	}
-	e.Payload = p
-}
-
-// addInto accumulates p into stored entry e — in place when the ring allows
-// it — and removes e when the sum vanishes. It returns the entry stored under
-// e's key after: e, the copy that replaced it (touchEntry), or nil. Every sum
-// merged onto an existing key ends here, every product in mulAddInto; an
-// entry-resident source is passed as src.Payload (a header copy: see
-// ring.Mutable).
+// addInto accumulates p into stored entry e in place and removes e when the
+// sum vanishes. It returns the entry stored under e's key after: e, the copy
+// that replaced it (touchEntry), or nil. Every sum merged onto an existing key
+// ends here, every product in mulAddInto; an entry-resident source is passed
+// as src.Payload (a header copy: see ring.Mutable).
 func (r *Relation[P]) addInto(e *Entry[P], p P) *Entry[P] {
-	if r.mut != nil {
-		en := r.touchEntry(e, e.Payload)
-		r.mut.AddInto(&en.Payload, p)
-		return r.settle(e, en)
-	}
-	s := r.ring.Add(e.Payload, p)
-	if r.ring.IsZero(s) {
-		r.removeEntry(e)
-		return nil
-	}
-	r.markEntry(e)
-	e.Payload = s
-	return e
+	en := r.touchEntry(e, e.Payload)
+	r.ring.AddInto(&en.Payload, p)
+	return r.settle(e, en)
 }
 
 // mulAddInto accumulates (*a)*(*b) into stored entry e, removing it when the
-// sum vanishes. Requires r.mut != nil.
+// sum vanishes.
 func (r *Relation[P]) mulAddInto(e *Entry[P], a, b *P) {
 	en := r.touchEntry(e, e.Payload)
-	r.mut.MulAddInto(&en.Payload, a, b)
+	r.ring.MulAddInto(&en.Payload, a, b)
 	r.settle(e, en)
 }
 
@@ -632,10 +601,10 @@ func (r *Relation[P]) settle(e, en *Entry[P]) *Entry[P] {
 
 // insertMul stores (*a)*(*b) under the key encoded in the scratch buffer,
 // computing the product directly into the entry's storage; a zero product is
-// removed again (and parked like any removal). Requires r.mut != nil.
+// removed again (and parked like any removal).
 func (r *Relation[P]) insertMul(t Tuple, a, b *P) {
 	e := r.insertEntry(r.keyBuf, t)
-	r.mut.MulInto(&e.Payload, a, b)
+	r.ring.MulInto(&e.Payload, a, b)
 	if r.ring.IsZero(e.Payload) {
 		r.removeEntry(e)
 	}
@@ -652,7 +621,7 @@ func (r *Relation[P]) mergeEntry(t Tuple, p P) (old, en *Entry[P]) {
 		return nil, nil
 	}
 	en = r.insertEntry(r.keyBuf, t) // lookup left t's encoding in the scratch buffer
-	r.setPayload(en, p)
+	r.ring.CopyInto(&en.Payload, p)
 	return nil, en
 }
 
@@ -680,18 +649,15 @@ func (r *Relation[P]) MergeProjected(proj Projector, t Tuple, p P) {
 	if e := r.lookupScratch(); e != nil {
 		r.addInto(e, p)
 	} else if !r.ring.IsZero(p) {
-		r.setPayload(r.insertEntry(r.keyBuf, r.projApply(proj, t)), p)
+		r.ring.CopyInto(&r.insertEntry(r.keyBuf, r.projApply(proj, t)).Payload, p)
 	}
 }
 
-// MergeMul merges the product (*a)*(*b) under tuple t. For rings with
-// in-place accumulation the product is computed directly into the stored
-// payload (zero allocations for existing keys); otherwise it falls back to
-// Merge(t, a*b). The operands are only read.
+// MergeMul merges the product (*a)*(*b) under tuple t, computed directly
+// into the stored payload (zero allocations for existing keys). The operands
+// are only read.
 func (r *Relation[P]) MergeMul(t Tuple, a, b *P) {
-	if r.mut == nil {
-		r.Merge(t, r.ring.Mul(*a, *b))
-	} else if e := r.lookup(t); e != nil {
+	if e := r.lookup(t); e != nil {
 		r.mulAddInto(e, a, b)
 	} else {
 		r.insertMul(t, a, b)
@@ -700,14 +666,9 @@ func (r *Relation[P]) MergeMul(t Tuple, a, b *P) {
 
 // MergeMulProjected merges the product (*a)*(*b) under the projection of t
 // by proj: out[π(t)] += a*b, the innermost operation of delta propagation.
-// For rings with in-place accumulation the product lands directly in the
-// stored payload, so merges onto existing keys do zero allocations. The
-// operands are only read.
+// The product lands directly in the stored payload, so merges onto existing
+// keys do zero allocations. The operands are only read.
 func (r *Relation[P]) MergeMulProjected(proj Projector, t Tuple, a, b *P) {
-	if r.mut == nil {
-		r.MergeProjected(proj, t, r.ring.Mul(*a, *b))
-		return
-	}
 	r.keyBuf = proj.AppendKey(r.keyBuf[:0], t)
 	if e := r.lookupScratch(); e != nil {
 		r.mulAddInto(e, a, b)
@@ -727,7 +688,7 @@ func (r *Relation[P]) mergeKeyed(key []byte, h uint64, t Tuple, volTuple bool, p
 	if e := r.entries.getBytes(h, key); e != nil {
 		r.addInto(e, p)
 	} else if !r.ring.IsZero(p) {
-		r.setPayload(r.insertEntry(key, r.keepTuple(t, volTuple)), p)
+		r.ring.CopyInto(&r.insertEntry(key, r.keepTuple(t, volTuple)).Payload, p)
 	}
 }
 
@@ -745,7 +706,7 @@ func (r *Relation[P]) mergeFrom(src *Entry[P], volTuple bool) (old, en *Entry[P]
 		return nil, nil
 	}
 	en = r.insertEntry(keyView(src.key), r.keepTuple(src.Tuple, volTuple))
-	r.setPayload(en, src.Payload)
+	r.ring.CopyInto(&en.Payload, src.Payload)
 	return nil, en
 }
 
@@ -793,11 +754,10 @@ func (r *Relation[P]) SortedEntries() []Entry[P] {
 
 // Clone returns a copy sharing tuples (copies, where r is VolatileTuples:
 // keepTuple) but no key bytes, entry or table structure. Payloads are
-// shared for immutable rings and deep-copied for rings with in-place
-// accumulation, so later merges into either relation never bleed into the
+// deep-copied, so later merges into either relation never bleed into the
 // other.
 func (r *Relation[P]) Clone() *Relation[P] {
-	return r.cloneWith(func(dst, src *Entry[P]) { r.setPayload(dst, src.Payload) })
+	return r.cloneWith(func(dst, src *Entry[P]) { r.ring.CopyInto(&dst.Payload, src.Payload) })
 }
 
 // Negate returns a relation mapping every key of r to the additive inverse
@@ -810,7 +770,7 @@ func (r *Relation[P]) Negate() *Relation[P] {
 // cloneWith copies r entry by entry — own key bytes, cached hash, kept tuple
 // — leaving the payload to set.
 func (r *Relation[P]) cloneWith(set func(dst, src *Entry[P])) *Relation[P] {
-	out := &Relation[P]{schema: r.schema, ring: r.ring, mut: r.mut}
+	out := &Relation[P]{schema: r.schema, ring: r.ring}
 	out.entries.reserve(r.entries.len())
 	volTuple := r.VolatileTuples()
 	r.entries.all(func(e *Entry[P]) bool {
@@ -888,18 +848,14 @@ func (r *Relation[P]) PoolStats() PoolStats {
 const valueBytes = int(unsafe.Sizeof(Value{}))
 
 // MemoryBytes estimates the heap bytes the relation holds: flatBytes plus
-// the payload storage outside the entries (ring.Sized), which it walks every
-// entry — stored, parked, retired or free — to sum. Tuples shared with another
-// relation are charged to each holder; secondary indexes are not charged
-// here but reported: PoolStats.TableBytes of the IndexedRelation.
+// the payload storage outside the entries (the ring's Bytes), which it walks
+// every entry — stored, parked, retired or free — to sum. Tuples shared with
+// another relation are charged to each holder; secondary indexes are not
+// charged here but reported: PoolStats.TableBytes of the IndexedRelation.
 func (r *Relation[P]) MemoryBytes() int {
 	total := r.flatBytes()
-	sized, ok := r.ring.(ring.Sized[P])
-	if !ok {
-		return total
-	}
 	charge := func(e *Entry[P]) bool {
-		total += sized.Bytes(e.Payload) - int(unsafe.Sizeof(e.Payload))
+		total += r.ring.Bytes(e.Payload) - int(unsafe.Sizeof(e.Payload))
 		return true
 	}
 	r.entries.all(charge)

@@ -85,8 +85,8 @@ func TestValueHashStability(t *testing.T) {
 	}
 }
 
-// TestOwnedAccumulationIsolation checks the ownership guarantees the
-// in-place accumulation path must provide: stored payloads never alias the
+// TestOwnedAccumulationIsolation checks the ownership guarantees in-place
+// accumulation must provide: stored payloads never alias the
 // caller's values, and clones never alias the original.
 func TestOwnedAccumulationIsolation(t *testing.T) {
 	cf := ring.Cofactor{}
@@ -115,7 +115,7 @@ func TestOwnedAccumulationIsolation(t *testing.T) {
 }
 
 // TestMergeMulProjected checks the fused multiply-merge against the
-// two-step equivalent, for both a mutable and an immutable-only ring path.
+// two-step equivalent.
 func TestMergeMulProjected(t *testing.T) {
 	cf := ring.Cofactor{}
 	from := NewSchema("A", "B")

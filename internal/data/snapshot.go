@@ -114,10 +114,10 @@ type snapState[P any] struct {
 	// it, so publishing never deep-copies payloads and keys written once are
 	// never copied (insert-heavy streams publish with no payload copying).
 	gen uint64
-	// shares: the snapshots share the entries' payload storage — the ring
-	// accumulates in place and a P is not just a number, whose sealed copy is
-	// the whole payload. The first in-place touch of a sealed entry then
-	// replaces it (touchEntry, replace); a number is written where it is.
+	// shares: the snapshots share the entries' payload storage — a P is not
+	// just a number, whose sealed copy is the whole payload. The first
+	// in-place touch of a sealed entry then replaces it (touchEntry, replace);
+	// a number is written where it is.
 	// swept is the gen takeEntry last freed the retired rows in (sweepRows).
 	shares bool
 	swept  uint64
@@ -155,7 +155,7 @@ func sealed[P any](e *Entry[P]) Entry[P] {
 func (r *Relation[P]) touchEntry(e *Entry[P], src P) *Entry[P] {
 	if s := r.snap; s != nil && e.gen != s.gen && s.shares {
 		en := r.takeEntry(keyView(e.key), e.hash, e.Tuple)
-		r.mut.CopyInto(&en.Payload, src)
+		r.ring.CopyInto(&en.Payload, src)
 		return en
 	}
 	r.markEntry(e)
@@ -220,7 +220,7 @@ func (r *Relation[P]) DirtyKeys() (n int, tracking bool) {
 func (r *Relation[P]) Snapshot() *RelationSnapshot[P] {
 	if r.snap == nil {
 		k := reflect.TypeFor[P]().Kind()
-		r.snap = &snapState[P]{gen: 1, shares: r.mut != nil && (k < reflect.Bool || k > reflect.Complex128)}
+		r.snap = &snapState[P]{gen: 1, shares: k < reflect.Bool || k > reflect.Complex128}
 		r.snap.arena.init()
 		r.snap.last = r.buildSnapshot()
 		r.snap.arena.publish(r.snap.last, 1)

@@ -64,12 +64,17 @@ func TestSnapshotMatchesRelation(t *testing.T) {
 }
 
 // TestSnapshotMutableRingIsolation checks that snapshots of relations with
-// in-place payload accumulation (owned triples) deep-copy changed payloads:
-// later merges must not bleed into a pinned snapshot.
+// payloads held outside the entry (owned triples, F[Z] multisets) never see a
+// later merge: the first in-place touch after a publish replaces the entry
+// (touchEntry), so a pinned snapshot keeps reading the storage it sealed.
 func TestSnapshotMutableRingIsolation(t *testing.T) {
-	cf := ring.Cofactor{}
-	r := NewRelation[ring.Triple](cf, NewSchema("A"))
-	one := ring.LiftValue(0, 2)
+	checkSnapshotIsolation[ring.Triple](t, ring.Cofactor{}, ring.LiftValue(0, 2))
+	checkSnapshotIsolation[*Multiset](t, RelRing{}, SingletonMultiset("B", Int(2)))
+}
+
+func checkSnapshotIsolation[P any](t *testing.T, rg ring.Ring[P], one P) {
+	t.Helper()
+	r := NewRelation(rg, NewSchema("A"))
 	r.Merge(Ints(1), one)
 	s1 := r.Snapshot()
 	fp1 := snapFingerprint(s1)
@@ -78,13 +83,13 @@ func TestSnapshotMutableRingIsolation(t *testing.T) {
 	}
 	s2 := r.Snapshot()
 	if got := snapFingerprint(s1); got != fp1 {
-		t.Fatalf("pinned snapshot mutated by in-place accumulation:\n got %s\nwant %s", got, fp1)
+		t.Fatalf("%T: pinned snapshot mutated by in-place accumulation:\n got %s\nwant %s", rg, got, fp1)
 	}
 	if snapFingerprint(s2) == fp1 {
-		t.Fatalf("second snapshot did not observe the merges")
+		t.Fatalf("%T: second snapshot did not observe the merges", rg)
 	}
 	if got, want := snapFingerprint(s2), relFingerprint(r); got != want {
-		t.Fatalf("snapshot diverges: got %s want %s", got, want)
+		t.Fatalf("%T: snapshot diverges: got %s want %s", rg, got, want)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 // are read; only a leaf the tree stores or joins is copied.
 type evaluator[P any] struct {
 	ring   ring.Ring[P]
-	mut    ring.Mutable[P]
 	lift   data.LiftFunc[P]
 	xform  func(*viewtree.Node, P) P
 	stored func(*viewtree.Node) bool               // the views the tree keeps
@@ -35,7 +34,7 @@ type evaluator[P any] struct {
 }
 
 func newEvaluator[P any](r ring.Ring[P], lift data.LiftFunc[P], base func(string) *data.Relation[P]) *evaluator[P] {
-	return &evaluator[P]{ring: r, mut: ring.MutableOf(r), lift: lift, base: base, one: r.One(),
+	return &evaluator[P]{ring: r, lift: lift, base: base, one: r.One(),
 		stored: func(*viewtree.Node) bool { return false }}
 }
 
@@ -140,7 +139,7 @@ func (ev *evaluator[P]) liftOf(vars []margVar, t data.Tuple) *P {
 	for _, v := range vars {
 		ev.factor = ev.lift(v.name, t[v.idx])
 		switch {
-		case ev.lean && ev.isOne(&ev.factor):
+		case ev.lean && ev.ring.IsOne(&ev.factor):
 		case lp == nil:
 			ev.lp, lp = ev.factor, &ev.lp
 		default:
@@ -149,8 +148,6 @@ func (ev *evaluator[P]) liftOf(vars []margVar, t data.Tuple) *P {
 	}
 	return lp
 }
-
-func (ev *evaluator[P]) isOne(p *P) bool { return ev.mut != nil && ev.mut.IsOne(p) }
 
 // source returns rel's initial rows: their column order (nil: none) and an
 // iteration over each with its payload in the ring — a loaded relation's

@@ -302,7 +302,7 @@ func (st *joinStep[P]) exec(delta *data.Relation[P], share bool) *data.Relation[
 
 // merge adds one joined row to out: t's payload *p times the product of its
 // liftings *lp (nil: none), transformed, under out's keys — the payload joins
-// that product once, inside out's stored payload for mutable rings.
+// that product once, inside out's stored payload.
 func (st *joinStep[P]) merge(out *data.Relation[P], t data.Tuple, p, lp *P) {
 	switch {
 	case st.xform != nil:

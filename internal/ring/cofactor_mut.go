@@ -1,6 +1,6 @@
 package ring
 
-// In-place triple arithmetic: the Mutable extension of the Cofactor ring.
+// In-place triple arithmetic: the Cofactor ring's operations of ring.Mutable.
 //
 // The immutable Add/Mul allocate fresh Vars/S/Q slices on every call, which
 // dominates the allocation profile of cofactor maintenance (every payload
@@ -143,7 +143,7 @@ func (d *Triple) MulAddInto(a, b *Triple) {
 	}
 }
 
-// AddInto accumulates src into *dst: the Mutable extension of Cofactor.
+// AddInto accumulates src into *dst in place.
 func (Cofactor) AddInto(dst *Triple, src Triple) { dst.AddInto(&src) }
 
 // MulInto sets *dst = *a * *b, reusing dst's storage.

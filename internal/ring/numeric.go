@@ -40,10 +40,14 @@ func (Int) CopyInto(dst *int64, src int64) { *dst = src }
 // IsOne reports *a == 1.
 func (Int) IsOne(a *int64) bool { return *a == 1 }
 
-// Float is the ring R of float64 values with the usual arithmetic. Strictly
-// a ring only up to floating-point rounding; the engine relies on exact
-// cancellation only for payloads produced by matching insert/delete pairs,
-// which cancel exactly in IEEE 754.
+// Float is the ring R of float64 values with the usual arithmetic, a ring
+// only up to floating-point rounding. A relation drops a key only when its
+// float sum is exactly 0 (IsZero), and summation order can prevent that: the
+// deletes of a key's rows, summed in another order than their inserts, may
+// leave a residue, and the key stays stored with no row to support it.
+// ROADMAP item 11 measured this (1 349 residual keys of 2 000 after one round
+// of shuffled deletes, 4 058 after three) and plans to decide a key's death
+// by an exact count instead.
 type Float struct{}
 
 // Zero returns 0.

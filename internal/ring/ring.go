@@ -17,11 +17,10 @@
 // The relational data ring F[Z] (paper Definition 6.4) lives in package
 // internal/data because its elements are relations.
 //
-// A payload reaches a stored entry through one of two tiers: the immutable
-// operations of Ring, which every ring has and oracles, initial evaluation
-// and tests use, and the in-place operations of Mutable, which relations
-// and delta plans use when the ring offers them. Sized is orthogonal: memory
-// accounting only.
+// Every ring implements one interface, Ring: the immutable operations, which
+// oracles, tests and lifting products use, the in-place ones of Mutable, with
+// which relations and delta plans accumulate into the payloads they own, and
+// Bytes for memory accounting.
 package ring
 
 // Ring is a commutative-enough ring over payload type T. Implementations
@@ -30,10 +29,9 @@ package ring
 // additive inverses). Mul need not be commutative (the matrix ring is not in
 // general), but all rings used by the engine are.
 //
-// Implementations must treat payload values as immutable: Add, Mul, and Neg
-// must not modify their arguments, because views share payload values. Rings
-// may additionally implement Mutable for in-place accumulation; those
-// operations mutate only a destination the caller exclusively owns.
+// Add, Mul and Neg must not modify their arguments, because views share
+// payload values; they may return one of them. The in-place operations
+// (Mutable) mutate only a destination the caller exclusively owns.
 type Ring[T any] interface {
 	// Zero returns the additive identity.
 	Zero() T
@@ -48,21 +46,21 @@ type Ring[T any] interface {
 	// IsZero reports whether a equals the additive identity. Relations use
 	// it to drop keys whose payloads vanish, keeping supports finite.
 	IsZero(a T) bool
+	// Bytes returns an estimate of the heap bytes held by the payload.
+	Bytes(a T) int
+	Mutable[T]
 }
 
-// Mutable is the second and last tier of the ring contract (Ring's
-// immutable operations are the first): in-place accumulation for the hot
+// Mutable is the in-place half of Ring: accumulation for the hot
 // maintenance paths, where a fresh slice or map per payload merge is what
-// Add and Mul would cost. Every ring in this package implements it; a ring
-// that does not is driven through Ring alone.
+// Add and Mul would cost.
 //
 // Contract: *dst must be exclusively owned by the caller (no other live
 // value shares its backing storage), and after the call *dst still shares no
-// storage with src, a, or b. Relations detect Mutable at construction and
-// switch to owned accumulation: stored payloads are deep copies (CopyInto)
-// mutated in place by later merges (AddInto/MulAddInto), so payloads read
-// out of a relation are snapshots only until its next update. Operands are
-// never written through — only *dst is.
+// storage with src, a, or b. Relations store payloads as deep copies
+// (CopyInto) mutated in place by later merges (AddInto/MulAddInto), so
+// payloads read out of a relation are snapshots only until its next update.
+// Operands are never written through — only *dst is.
 //
 // The sources of AddInto and CopyInto are passed by value, the operands of
 // the products by pointer. By value, because a merge source is as often a
@@ -90,16 +88,8 @@ type Mutable[T any] interface {
 	IsOne(a *T) bool
 }
 
-// MutableOf returns the ring's Mutable extension, or nil if the ring only
-// supports immutable operations.
-func MutableOf[T any](r Ring[T]) Mutable[T] {
-	m, _ := r.(Mutable[T])
-	return m
-}
-
-// Sized is implemented by rings that can estimate the in-memory footprint of
-// a payload. The benchmark harness uses it for memory accounting.
-type Sized[T any] interface {
-	// Bytes returns an estimate of the heap bytes held by the payload.
-	Bytes(a T) int
-}
+// MutableOf returns r: every ring is Mutable.
+//
+// Deprecated: call the ring's own methods. Only benchmark/inproc.go still
+// calls it; ROADMAP item 1 removes those calls and this function.
+func MutableOf[T any](r Ring[T]) Mutable[T] { return r }

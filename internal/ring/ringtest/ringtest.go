@@ -18,7 +18,6 @@ package ringtest
 
 import (
 	"sync/atomic"
-	"unsafe"
 
 	"fivm/internal/ring"
 )
@@ -43,34 +42,14 @@ func (c Counts) Sub(d Counts) Counts {
 	return Counts{Add: c.Add - d.Add, Mul: c.Mul - d.Mul, Floats: c.Floats - d.Floats}
 }
 
-// Counted is a ring.Ring that counts its operations into a Counter. It is
-// ring.Sized: over a ring that is not, Bytes reports a payload's inline size,
-// which data.Relation.MemoryBytes charges as nothing, as it does for an
-// unsized ring.
+// Counted is a ring.Ring that counts its operations into a Counter.
 type Counted[P any] struct {
 	inner ring.Ring[P]
-	sized ring.Sized[P]
 	c     *Counter
 }
 
-// CountedMutable is Counted over a ring.Mutable ring: it forwards the
-// in-place operations, counting AddInto, MulInto and MulAddInto.
-type CountedMutable[P any] struct {
-	Counted[P]
-	mut ring.Mutable[P]
-}
-
-// Wrap returns r counting into c. It is a CountedMutable exactly when r is
-// ring.Mutable, so relations and delta plans, which pick their path through
-// ring.MutableOf, take the same path over the wrapper as over r.
-func Wrap[P any](r ring.Ring[P], c *Counter) ring.Ring[P] {
-	sized, _ := r.(ring.Sized[P])
-	cr := Counted[P]{inner: r, sized: sized, c: c}
-	if m := ring.MutableOf(r); m != nil {
-		return CountedMutable[P]{Counted: cr, mut: m}
-	}
-	return cr
-}
+// Wrap returns r counting into c.
+func Wrap[P any](r ring.Ring[P], c *Counter) ring.Ring[P] { return Counted[P]{inner: r, c: c} }
 
 // Zero returns the inner ring's zero.
 func (c Counted[P]) Zero() P { return c.inner.Zero() }
@@ -98,37 +77,32 @@ func (c Counted[P]) Mul(a, b P) P {
 	return p
 }
 
-// Bytes is the inner ring's estimate, or a's inline size.
-func (c Counted[P]) Bytes(a P) int {
-	if c.sized == nil {
-		return int(unsafe.Sizeof(a))
-	}
-	return c.sized.Bytes(a)
-}
+// Bytes is the inner ring's estimate.
+func (c Counted[P]) Bytes(a P) int { return c.inner.Bytes(a) }
 
 // AddInto accumulates *dst += src, counted.
-func (c CountedMutable[P]) AddInto(dst *P, src P) {
-	c.mut.AddInto(dst, src)
+func (c Counted[P]) AddInto(dst *P, src P) {
+	c.inner.AddInto(dst, src)
 	c.count(&c.c.add, dst)
 }
 
 // MulInto sets *dst = *a * *b, counted.
-func (c CountedMutable[P]) MulInto(dst, a, b *P) {
-	c.mut.MulInto(dst, a, b)
+func (c Counted[P]) MulInto(dst, a, b *P) {
+	c.inner.MulInto(dst, a, b)
 	c.count(&c.c.mul, dst)
 }
 
 // MulAddInto accumulates *dst += *a * *b, counted as one Mul.
-func (c CountedMutable[P]) MulAddInto(dst, a, b *P) {
-	c.mut.MulAddInto(dst, a, b)
+func (c Counted[P]) MulAddInto(dst, a, b *P) {
+	c.inner.MulAddInto(dst, a, b)
 	c.count(&c.c.mul, dst)
 }
 
 // CopyInto sets *dst to a deep copy of src; not counted.
-func (c CountedMutable[P]) CopyInto(dst *P, src P) { c.mut.CopyInto(dst, src) }
+func (c Counted[P]) CopyInto(dst *P, src P) { c.inner.CopyInto(dst, src) }
 
 // IsOne reports whether *a is one; not counted.
-func (c CountedMutable[P]) IsOne(a *P) bool { return c.mut.IsOne(a) }
+func (c Counted[P]) IsOne(a *P) bool { return c.inner.IsOne(a) }
 
 // count adds one to the operation's count and the result's floats to floats.
 func (c Counted[P]) count(op *atomic.Int64, result *P) {
