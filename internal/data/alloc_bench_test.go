@@ -71,8 +71,9 @@ func BenchmarkRelationGet(b *testing.B) {
 // the walk over its bucket (~8 entries each).
 func BenchmarkIndexProbe(b *testing.B) {
 	ir := NewIndexedRelation(NewRelation[int64](ring.Int{}, NewSchema("A", "B")))
+	merge := indexedMerge(ir)
 	for i := 0; i < 4096; i++ {
-		ir.MergeIndexed(Ints(int64(i%509), int64(i)), 1)
+		merge(Ints(int64(i%509), int64(i)), 1)
 	}
 	ix := ir.EnsureIndex(NewSchema("A"))
 	var buf []byte
@@ -93,9 +94,9 @@ func BenchmarkIndexProbe(b *testing.B) {
 }
 
 // BenchmarkRadixSortKeys measures the MSD radix sort on encoded tuple keys —
-// the comparison-free sort every snapshot path (dirty lists, full builds,
-// shard reduction) runs on. The workload is 4096 encoded (A, B) keys in a
-// fixed shuffled order, re-copied into a reusable scratch each iteration; the
+// the comparison-free, deduplicating sort a snapshot patch runs on its dirty
+// keys. The workload is 4096 distinct encoded (A, B) keys in a fixed shuffled
+// order, re-copied into a reusable scratch each iteration; the
 // copy is a flat memmove dwarfed by the sort.
 func BenchmarkRadixSortKeys(b *testing.B) {
 	base := make([]string, 4096)
@@ -109,6 +110,6 @@ func BenchmarkRadixSortKeys(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(scratch, base)
-		RadixSortKeys(scratch)
+		radixSortKeysDedup(scratch)
 	}
 }

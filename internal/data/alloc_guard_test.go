@@ -88,9 +88,9 @@ func TestAllocGuardRadixSortKeys(t *testing.T) {
 	for i := range keys {
 		keys[i] = string(Ints(int64(i*37%512), int64(i%7)).AppendKey(nil))
 	}
-	guardZeroAllocs(t, "RadixSortKeys", func() {
+	guardZeroAllocs(t, "radixSortKeysDedup", func() {
 		copy(scratch, keys)
-		RadixSortKeys(scratch)
+		radixSortKeysDedup(scratch)
 	})
 }
 

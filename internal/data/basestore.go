@@ -209,15 +209,6 @@ func (s *BaseStore) Detach(id string) {
 	}
 }
 
-// Observers returns the attached observer ids in attach order.
-func (s *BaseStore) Observers() []string {
-	out := make([]string, len(s.obs))
-	for i, o := range s.obs {
-		out[i] = o.id
-	}
-	return out
-}
-
 // ApplyBatch advances the store by one batch of per-relation updates — each
 // tuple merged in place into its relation under a key encoded and hashed
 // once — and fans the batch, keys included, out to every attached observer.
@@ -317,15 +308,6 @@ func (s *BaseStore) Rows(rel string) iter.Seq2[Tuple, int64] {
 			}
 		}
 	}
-}
-
-// Tuples reports the total number of distinct tuples currently stored.
-func (s *BaseStore) Tuples() int {
-	n := 0
-	for _, r := range s.rels {
-		n += r.Len()
-	}
-	return n
 }
 
 // BaseStats is one base relation's storage, from counters alone: live rows,

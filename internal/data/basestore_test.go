@@ -17,6 +17,15 @@ func bsTuple(vals ...int64) Tuple {
 	return t
 }
 
+// storedRows is the number of distinct rows s stores, over every relation.
+func storedRows(s *BaseStore) int {
+	n := 0
+	for _, rel := range s.Relations() {
+		n += s.Base(rel).Len()
+	}
+	return n
+}
+
 func TestBaseStoreApplyAndObserve(t *testing.T) {
 	s := NewBaseStore()
 	if err := s.Register("R", NewSchema("A", "B")); err != nil {
@@ -70,8 +79,8 @@ func TestBaseStoreApplyAndObserve(t *testing.T) {
 	if s.Base("R").Contains(bsTuple(1, 2)) {
 		t.Error("deleted key still present")
 	}
-	if s.Tuples() != 2 {
-		t.Errorf("Tuples() = %d, want 2", s.Tuples())
+	if storedRows(s) != 2 {
+		t.Errorf("%d rows stored, want 2", storedRows(s))
 	}
 
 	// Detach stops delivery.
@@ -85,8 +94,8 @@ func TestBaseStoreApplyAndObserve(t *testing.T) {
 	if sawR != before {
 		t.Error("detached observer still delivered")
 	}
-	if got := s.Observers(); len(got) != 1 || got[0] != "all" {
-		t.Errorf("observers = %v", got)
+	if len(s.obs) != 1 || s.obs[0].id != "all" {
+		t.Errorf("observers = %+v", s.obs)
 	}
 }
 
@@ -228,7 +237,7 @@ func TestBaseStoreOwnsItsTuples(t *testing.T) {
 	for _, tu := range heap {
 		tu[0], tu[1] = String("scribbled"), Int(-1)
 	}
-	if e, _ := hs.Base("R").EntryKey(bsTuple(1, 10).Key()); e == nil || e.Tuple[0] != Int(1) {
+	if e := hs.Base("R").lookup(bsTuple(1, 10)); e == nil || e.Tuple[0] != Int(1) {
 		t.Fatal("the store kept the tuple it was handed")
 	}
 
@@ -261,11 +270,11 @@ func TestBaseStoreOwnsItsTuples(t *testing.T) {
 	check("after two arena inserts", 2)
 
 	// The cells of a deleted row serve the next insert.
-	e, _ := s.Base("R").EntryKey(bsTuple(3, 30).Key())
+	e := s.Base("R").lookup(bsTuple(3, 30))
 	cells := &e.Tuple[0]
 	apply(-1, [2]int64{3, 30})
 	apply(1, [2]int64{5, 50})
-	if e, _ := s.Base("R").EntryKey(bsTuple(5, 50).Key()); e == nil || &e.Tuple[0] != cells {
+	if e := s.Base("R").lookup(bsTuple(5, 50)); e == nil || &e.Tuple[0] != cells {
 		t.Fatal("the insert after a delete did not reuse the deleted row's tuple cells")
 	}
 	check("after the swap", 2)
@@ -301,8 +310,8 @@ func TestAllocGuardBaseStoreChurn(t *testing.T) {
 			t.Fatal("ApplyBatch failed")
 		}
 	})
-	if s.Tuples() != 0 || delta.Len() != len(tups) {
-		t.Fatalf("%d rows left, delta of %d", s.Tuples(), delta.Len())
+	if storedRows(s) != 0 || delta.Len() != len(tups) {
+		t.Fatalf("%d rows left, delta of %d", storedRows(s), delta.Len())
 	}
 }
 
@@ -349,8 +358,8 @@ func checkStore(t *testing.T, s *BaseStore, model map[string]int64) {
 		t.Fatalf("store holds %d rows, model %d", r.Len(), len(model))
 	}
 	for k, m := range model {
-		if got, ok := r.GetKey(k); !ok || got != m {
-			t.Fatalf("key %q: %d (found %v), want %d", k, got, ok, m)
+		if e := r.lookupString(k); e == nil || e.Payload != m {
+			t.Fatalf("key %q: %v, want %d", k, e, m)
 		}
 	}
 }

@@ -135,6 +135,7 @@ func bucketSlots[P any](ix *Index[P]) (slots, entries int) {
 // cycle on, with at most two slots to an entry at the top.
 func TestIndexBucketTablesBySize(t *testing.T) {
 	ir := NewIndexedRelation(NewRelation[int64](ring.Int{}, NewSchema("A", "B")))
+	merge := indexedMerge(ir)
 	ix := ir.EnsureIndex(NewSchema("A"))
 	ir.Reclaim()
 	key := func(a int64) []byte { return Ints(a).AppendKey(nil) }
@@ -148,9 +149,9 @@ func TestIndexBucketTablesBySize(t *testing.T) {
 			// The large key goes first on the way out, so on the way in the
 			// small one takes the node it left.
 			for i := int64(0); i < 2000; i++ {
-				ir.MergeIndexed(Ints(large, i), mult)
+				merge(Ints(large, i), mult)
 				if i < 20 {
-					ir.MergeIndexed(Ints(small, i), mult)
+					merge(Ints(small, i), mult)
 				}
 			}
 			if mult == 1 {
@@ -196,7 +197,7 @@ func TestIndexBucketTablesBySize(t *testing.T) {
 		runtime.ReadMemStats(&m0)
 		for _, mult := range []int64{1, -1} {
 			for i, row := range rows {
-				ir.MergeIndexed(row, mult)
+				merge(row, mult)
 				if i%100 == 99 {
 					ir.Reclaim()
 				}

@@ -15,18 +15,17 @@ func TestRelationAccessors(t *testing.T) {
 	if r.Ring() == nil {
 		t.Error("Ring accessor")
 	}
-	key := Ints(1, 2).Key()
-	if p, ok := r.GetKey(key); !ok || p != 5 {
-		t.Errorf("GetKey = %v,%v", p, ok)
+	if p, ok := r.Get(Ints(1, 2)); !ok || p != 5 {
+		t.Errorf("Get = %v,%v", p, ok)
 	}
-	if _, ok := r.GetKey("nope"); ok {
-		t.Error("GetKey on absent key")
+	if _, ok := r.Get(Ints(2, 1)); ok {
+		t.Error("Get on absent key")
 	}
-	if e, ok := r.EntryKey(key); !ok || !e.Tuple.Equal(Ints(1, 2)) || e.Payload != 5 {
-		t.Errorf("EntryKey = %+v,%v", e, ok)
+	if e := r.lookup(Ints(1, 2)); e == nil || !e.Tuple.Equal(Ints(1, 2)) || e.Payload != 5 || e.Key() != Ints(1, 2).Key() {
+		t.Errorf("lookup = %+v", e)
 	}
-	if !r.ContainsKey(key) || r.ContainsKey("nope") {
-		t.Error("ContainsKey")
+	if !r.Contains(Ints(1, 2)) || r.Contains(Ints(2, 1)) {
+		t.Error("Contains")
 	}
 	if got := len(r.Entries()); got != 2 {
 		t.Errorf("Entries = %d", got)
@@ -48,16 +47,16 @@ func TestRelationAccessors(t *testing.T) {
 }
 
 func TestMergeAllAndSingleton(t *testing.T) {
-	a := Singleton[int64](ring.Int{}, NewSchema("A"), Ints(1), 2)
-	b := Singleton[int64](ring.Int{}, NewSchema("A"), Ints(1), 3)
+	a := fromEntries[int64](ring.Int{}, NewSchema("A"), Entry[int64]{Tuple: Ints(1), Payload: 2})
+	b := fromEntries[int64](ring.Int{}, NewSchema("A"), Entry[int64]{Tuple: Ints(1), Payload: 3})
 	a.MergeAll(b)
 	if p, _ := a.Get(Ints(1)); p != 5 {
 		t.Errorf("MergeAll sum = %v", p)
 	}
-	c := FromEntries[int64](ring.Int{}, NewSchema("A"),
+	c := fromEntries[int64](ring.Int{}, NewSchema("A"),
 		Entry[int64]{Tuple: Ints(1), Payload: 1}, Entry[int64]{Tuple: Ints(1), Payload: 1})
 	if p, _ := c.Get(Ints(1)); p != 2 {
-		t.Errorf("FromEntries dedup = %v", p)
+		t.Errorf("fromEntries dedup = %v", p)
 	}
 }
 
@@ -73,7 +72,7 @@ func TestIterateEarlyStop(t *testing.T) {
 }
 
 func TestJoinAllSingleAndPanic(t *testing.T) {
-	a := Singleton[int64](ring.Int{}, NewSchema("A"), Ints(1), 2)
+	a := fromEntries[int64](ring.Int{}, NewSchema("A"), Entry[int64]{Tuple: Ints(1), Payload: 2})
 	if JoinAll(a) != a {
 		t.Error("JoinAll of one relation should return it")
 	}
@@ -85,31 +84,34 @@ func TestJoinAllSingleAndPanic(t *testing.T) {
 	JoinAll[int64]()
 }
 
+// TestLiftOne: marginalizing with a lifting that maps every value to the
+// ring's One computes plain aggregation over the payloads.
 func TestLiftOne(t *testing.T) {
-	lift := LiftOne[int64](ring.Int{})
-	if lift("X", Int(42)) != 1 {
-		t.Error("LiftOne should always return One")
+	one := func(string, Value) int64 { return ring.Int{}.One() }
+	r := fromEntries[int64](ring.Int{}, NewSchema("A", "X"),
+		Entry[int64]{Tuple: Ints(1, 42), Payload: 2}, Entry[int64]{Tuple: Ints(1, 7), Payload: 3},
+		Entry[int64]{Tuple: Ints(2, 42), Payload: 4})
+	m := Marginalize(r, "X", one)
+	if p, _ := m.Get(Ints(1)); p != 5 || m.Len() != 2 {
+		t.Errorf("⊕X with g_X = 1: %v", m)
 	}
 }
 
 func TestIndexAccessors(t *testing.T) {
 	ir := NewIndexedRelation(NewRelation[int64](ring.Int{}, NewSchema("A", "B")))
-	ir.MergeIndexed(Ints(1, 2), 1)
+	merge := indexedMerge(ir)
+	merge(Ints(1, 2), 1)
 	ix := ir.EnsureIndex(NewSchema("A"))
-	if !ix.On().Equal(NewSchema("A")) {
-		t.Error("On")
-	}
 	if ix.Len() != 1 {
 		t.Errorf("Len = %d", ix.Len())
 	}
-	if ir.Lookup(NewSchema("A")) != ix {
-		t.Error("Lookup should return the same index")
+	// A later merge reaches the index; EnsureIndex twice returns the same
+	// instance and builds no other.
+	merge(Ints(2, 2), 1)
+	if ix.Len() != 2 {
+		t.Errorf("Len = %d after a merge", ix.Len())
 	}
-	if ir.Lookup(NewSchema("B")) != nil {
-		t.Error("Lookup of absent index")
-	}
-	// EnsureIndex twice returns the same instance.
-	if ir.EnsureIndex(NewSchema("A")) != ix {
+	if ir.EnsureIndex(NewSchema("A")) != ix || len(ir.indexes) != 1 {
 		t.Error("EnsureIndex not idempotent")
 	}
 }
@@ -125,11 +127,11 @@ func TestMergeAllIndexedSchemaPermutation(t *testing.T) {
 }
 
 func TestMultisetAccessors(t *testing.T) {
-	m := MultisetOf(NewSchema("X"), Ints(1), Ints(1), Ints(2))
+	m := multisetOf(NewSchema("X"), Ints(1), Ints(1), Ints(2))
 	if m.TotalMult() != 3 {
 		t.Errorf("TotalMult = %d", m.TotalMult())
 	}
-	if m.Mult(Ints(1)) != 2 || m.Mult(Ints(9)) != 0 {
+	if multOf(m, Ints(1)) != 2 || multOf(m, Ints(9)) != 0 {
 		t.Error("Mult")
 	}
 	if got := m.SortedTuples(); len(got) != 2 || !got[0].Equal(Ints(1)) {
@@ -147,7 +149,7 @@ func TestMultisetAccessors(t *testing.T) {
 		t.Error("nil projection")
 	}
 	u := UnitMultisetTimes(3)
-	if u.Mult(Tuple{}) != 3 {
+	if multOf(u, Tuple{}) != 3 {
 		t.Errorf("UnitMultisetTimes = %v", u)
 	}
 	if UnitMultisetTimes(0) != nil {
@@ -161,13 +163,13 @@ func TestMultisetAccessors(t *testing.T) {
 
 func TestRelRingScaleFastPath(t *testing.T) {
 	rr := RelRing{}
-	a := MultisetOf(NewSchema("X"), Ints(1), Ints(2))
+	a := multisetOf(NewSchema("X"), Ints(1), Ints(2))
 	two := UnitMultisetTimes(2)
 	p := rr.Mul(two, a)
-	if p.Mult(Ints(1)) != 2 || p.Mult(Ints(2)) != 2 {
+	if multOf(p, Ints(1)) != 2 || multOf(p, Ints(2)) != 2 {
 		t.Errorf("scale by 2 = %v", p)
 	}
-	if q := rr.Mul(a, two); q.Mult(Ints(1)) != 2 {
+	if q := rr.Mul(a, two); multOf(q, Ints(1)) != 2 {
 		t.Errorf("right scale = %v", q)
 	}
 	// Scaling by the unit shares the operand (immutability makes it safe).
@@ -210,11 +212,11 @@ func TestValueEqualAcrossKinds(t *testing.T) {
 func TestUnionPanicsOnSchemaMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Union of different schemas should panic")
+			t.Error("MergeAllIndexed of different schemas should panic")
 		}
 	}()
-	Union(NewRelation[int64](ring.Int{}, NewSchema("A")),
-		NewRelation[int64](ring.Int{}, NewSchema("B")))
+	ir := NewIndexedRelation(NewRelation[int64](ring.Int{}, NewSchema("A")))
+	ir.MergeAllIndexed(NewRelation[int64](ring.Int{}, NewSchema("B")))
 }
 
 func TestMarginalizePanicsOnMissingVar(t *testing.T) {

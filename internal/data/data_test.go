@@ -132,6 +132,28 @@ func TestProjector(t *testing.T) {
 
 // --- Relation ------------------------------------------------------------
 
+// fromEntries builds a relation from tuple/payload pairs, merging duplicate
+// keys.
+func fromEntries[P any](r ring.Ring[P], schema Schema, entries ...Entry[P]) *Relation[P] {
+	rel := NewRelation(r, schema)
+	for _, e := range entries {
+		rel.Merge(e.Tuple, e.Payload)
+	}
+	return rel
+}
+
+// union is a ⊎ b, the key-wise payload sum in a's variable order (b's
+// schema must hold the same variables).
+func union[P any](a, b *Relation[P]) *Relation[P] {
+	out := a.Clone()
+	proj := MustProjector(b.Schema(), a.Schema())
+	b.Iterate(func(t Tuple, p P) bool {
+		out.MergeProjected(proj, t, p)
+		return true
+	})
+	return out
+}
+
 func intRel(schema Schema, rows ...[2]any) *Relation[int64] {
 	r := NewRelation[int64](ring.Int{}, schema)
 	for _, row := range rows {
@@ -165,7 +187,7 @@ func TestRelationSetGetNegate(t *testing.T) {
 	if p, _ := n.Get(Ints(1, 2)); p != -3 {
 		t.Errorf("Negate payload = %v", p)
 	}
-	u := Union(r, n)
+	u := union(r, n)
 	if u.Len() != 0 {
 		t.Errorf("r ⊎ -r has %d keys", u.Len())
 	}
@@ -181,14 +203,14 @@ func TestRelationSetGetNegate(t *testing.T) {
 func TestExample21(t *testing.T) {
 	rg := ring.Int{}
 	r1, r2, s1, s2, t1, t2 := int64(2), int64(3), int64(5), int64(7), int64(11), int64(13)
-	R := FromEntries[int64](rg, NewSchema("A", "B"),
+	R := fromEntries[int64](rg, NewSchema("A", "B"),
 		Entry[int64]{Tuple: Ints(1, 1), Payload: r1}, Entry[int64]{Tuple: Ints(2, 1), Payload: r2})
-	S := FromEntries[int64](rg, NewSchema("A", "B"),
+	S := fromEntries[int64](rg, NewSchema("A", "B"),
 		Entry[int64]{Tuple: Ints(2, 1), Payload: s1}, Entry[int64]{Tuple: Ints(3, 2), Payload: s2})
-	T := FromEntries[int64](rg, NewSchema("B", "C"),
+	T := fromEntries[int64](rg, NewSchema("B", "C"),
 		Entry[int64]{Tuple: Ints(1, 1), Payload: t1}, Entry[int64]{Tuple: Ints(2, 2), Payload: t2})
 
-	u := Union(R, S)
+	u := union(R, S)
 	if p, _ := u.Get(Ints(2, 1)); p != r2+s1 {
 		t.Errorf("(R⊎S)[a2,b1] = %v, want %v", p, r2+s1)
 	}
@@ -223,8 +245,8 @@ func TestExample21(t *testing.T) {
 
 func TestJoinPayloadOrderAndSchema(t *testing.T) {
 	rg := ring.Int{}
-	a := FromEntries[int64](rg, NewSchema("A", "B"), Entry[int64]{Tuple: Ints(1, 2), Payload: 5})
-	b := FromEntries[int64](rg, NewSchema("B", "C"), Entry[int64]{Tuple: Ints(2, 3), Payload: 7})
+	a := fromEntries[int64](rg, NewSchema("A", "B"), Entry[int64]{Tuple: Ints(1, 2), Payload: 5})
+	b := fromEntries[int64](rg, NewSchema("B", "C"), Entry[int64]{Tuple: Ints(2, 3), Payload: 7})
 	j := Join(a, b)
 	if !j.Schema().Equal(NewSchema("A", "B", "C")) {
 		t.Errorf("schema = %v", j.Schema())
@@ -233,7 +255,7 @@ func TestJoinPayloadOrderAndSchema(t *testing.T) {
 		t.Errorf("payload = %v", p)
 	}
 	// Disjoint schemas: Cartesian product.
-	c := FromEntries[int64](rg, NewSchema("D"), Entry[int64]{Tuple: Ints(9), Payload: 2}, Entry[int64]{Tuple: Ints(8), Payload: 3})
+	c := fromEntries[int64](rg, NewSchema("D"), Entry[int64]{Tuple: Ints(9), Payload: 2}, Entry[int64]{Tuple: Ints(8), Payload: 3})
 	x := Join(a, c)
 	if x.Len() != 2 {
 		t.Errorf("Cartesian len = %d", x.Len())
@@ -242,7 +264,7 @@ func TestJoinPayloadOrderAndSchema(t *testing.T) {
 
 func TestMarginalizeVarsMultiple(t *testing.T) {
 	rg := ring.Int{}
-	r := FromEntries[int64](rg, NewSchema("A", "B", "C"),
+	r := fromEntries[int64](rg, NewSchema("A", "B", "C"),
 		Entry[int64]{Tuple: Ints(1, 2, 3), Payload: 1},
 		Entry[int64]{Tuple: Ints(1, 4, 5), Payload: 1})
 	lift := func(v string, x Value) int64 { return x.AsInt() }
@@ -258,7 +280,7 @@ func TestMarginalizeVarsMultiple(t *testing.T) {
 
 func TestProjectSums(t *testing.T) {
 	rg := ring.Int{}
-	r := FromEntries[int64](rg, NewSchema("A", "B"),
+	r := fromEntries[int64](rg, NewSchema("A", "B"),
 		Entry[int64]{Tuple: Ints(1, 1), Payload: 2}, Entry[int64]{Tuple: Ints(1, 2), Payload: 3})
 	p := Project(r, NewSchema("A"))
 	if got, _ := p.Get(Ints(1)); got != 5 {
@@ -283,10 +305,10 @@ func TestUnionQuickAssocComm(t *testing.T) {
 	}
 	if err := quick.Check(func(s1, s2, s3 int64) bool {
 		a, b, c := gen(s1), gen(s2), gen(s3)
-		if !eq(Union(a, b), Union(b, a)) {
+		if !eq(union(a, b), union(b, a)) {
 			return false
 		}
-		return eq(Union(Union(a, b), c), Union(a, Union(b, c)))
+		return eq(union(union(a, b), c), union(a, union(b, c)))
 	}, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +333,7 @@ func TestJoinDistributesOverUnion(t *testing.T) {
 	if err := quick.Check(func(s1, s2, s3 int64) bool {
 		a, b := gen(s1, sAB), gen(s2, sAB)
 		c := gen(s3, sBC)
-		return eq(Join(Union(a, b), c), Union(Join(a, c), Join(b, c)))
+		return eq(Join(union(a, b), c), union(Join(a, c), Join(b, c)))
 	}, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
@@ -335,8 +357,8 @@ func TestMarginalizeCommutesWithUnion(t *testing.T) {
 	}
 	if err := quick.Check(func(s1, s2 int64) bool {
 		a, b := gen(s1), gen(s2)
-		return eq(Marginalize(Union(a, b), "B", lift),
-			Union(Marginalize(a, "B", lift), Marginalize(b, "B", lift)))
+		return eq(Marginalize(union(a, b), "B", lift),
+			union(Marginalize(a, "B", lift), Marginalize(b, "B", lift)))
 	}, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
@@ -344,31 +366,45 @@ func TestMarginalizeCommutesWithUnion(t *testing.T) {
 
 // --- Index / IndexedRelation ---------------------------------------------
 
+// indexedMerge returns a function that merges one row into ir through
+// MergeAllIndexed, the merge the plans run, as a one-row delta in a scratch
+// relation it reuses, so a merge allocates nothing the index does not.
+func indexedMerge[P any](ir *IndexedRelation[P]) func(Tuple, P) {
+	d := NewRelation(ir.Ring(), ir.Schema())
+	d.RecycleCleared()
+	return func(t Tuple, p P) {
+		d.Merge(t, p)
+		ir.MergeAllIndexed(d)
+		d.Clear()
+	}
+}
+
 func TestIndexedRelationMaintainsIndexes(t *testing.T) {
 	rg := ring.Int{}
 	schema := NewSchema("A", "B")
 	ir := NewIndexedRelation(NewRelation[int64](rg, schema))
-	ir.MergeIndexed(Ints(1, 10), 1)
-	ir.MergeIndexed(Ints(1, 20), 1)
-	ir.MergeIndexed(Ints(2, 30), 1)
+	merge := indexedMerge(ir)
+	merge(Ints(1, 10), 1)
+	merge(Ints(1, 20), 1)
+	merge(Ints(2, 30), 1)
 
 	ix := ir.EnsureIndex(NewSchema("A"))
-	if got := ix.Probe(Ints(1).Key()).Len(); got != 2 {
+	if got := ix.ProbeBytes(Ints(1).AppendKey(nil)).Len(); got != 2 {
 		t.Errorf("Probe(A=1) = %d keys, want 2", got)
 	}
 	// Updates after index creation are reflected.
-	ir.MergeIndexed(Ints(1, 40), 1)
-	if got := ix.Probe(Ints(1).Key()).Len(); got != 3 {
+	merge(Ints(1, 40), 1)
+	if got := ix.ProbeBytes(Ints(1).AppendKey(nil)).Len(); got != 3 {
 		t.Errorf("Probe(A=1) = %d keys after insert, want 3", got)
 	}
 	// Deletion through cancellation removes from the index.
-	ir.MergeIndexed(Ints(1, 10), -1)
-	if got := ix.Probe(Ints(1).Key()).Len(); got != 2 {
+	merge(Ints(1, 10), -1)
+	if got := ix.ProbeBytes(Ints(1).AppendKey(nil)).Len(); got != 2 {
 		t.Errorf("Probe(A=1) = %d keys after delete, want 2", got)
 	}
 	// Payload updates that do not change presence keep the index stable.
-	ir.MergeIndexed(Ints(1, 20), 5)
-	if got := ix.Probe(Ints(1).Key()).Len(); got != 2 {
+	merge(Ints(1, 20), 5)
+	if got := ix.ProbeBytes(Ints(1).AppendKey(nil)).Len(); got != 2 {
 		t.Errorf("Probe(A=1) = %d keys after payload change, want 2", got)
 	}
 }
@@ -376,26 +412,44 @@ func TestIndexedRelationMaintainsIndexes(t *testing.T) {
 func TestIndexEmptySchemaActsAsScan(t *testing.T) {
 	rg := ring.Int{}
 	ir := NewIndexedRelation(NewRelation[int64](rg, NewSchema("A")))
-	ir.MergeIndexed(Ints(1), 1)
-	ir.MergeIndexed(Ints(2), 1)
+	merge := indexedMerge(ir)
+	merge(Ints(1), 1)
+	merge(Ints(2), 1)
 	ix := ir.EnsureIndex(Schema{})
-	if got := ix.Probe("").Len(); got != 2 {
+	if got := ix.ProbeBytes(nil).Len(); got != 2 {
 		t.Errorf("empty-schema probe = %d, want 2", got)
 	}
 }
 
 // --- Multiset / relational ring -------------------------------------------
 
+// multisetOf builds a multiset from tuples all with multiplicity 1.
+func multisetOf(schema Schema, tuples ...Tuple) *Multiset {
+	m := NewMultiset(schema)
+	for _, t := range tuples {
+		m.add(t, 1)
+	}
+	return m
+}
+
+// multOf is the multiplicity of tuple t in m.
+func multOf(m *Multiset, t Tuple) int64 {
+	if m == nil {
+		return 0
+	}
+	return m.rows[t.Key()].mult
+}
+
 func TestRelRingIdentities(t *testing.T) {
 	rr := RelRing{}
 	one := rr.One()
-	if one.Len() != 1 || one.Mult(Tuple{}) != 1 {
+	if one.Len() != 1 || multOf(one, Tuple{}) != 1 {
 		t.Fatalf("One = %v", one)
 	}
 	if !rr.IsZero(rr.Zero()) || !rr.IsZero(nil) {
 		t.Error("Zero should be zero")
 	}
-	a := MultisetOf(NewSchema("X"), Ints(1), Ints(2))
+	a := multisetOf(NewSchema("X"), Ints(1), Ints(2))
 	if got := rr.Mul(one, a); got.Len() != 2 || !got.Schema().SameSet(NewSchema("X")) {
 		t.Errorf("1*a = %v", got)
 	}
@@ -409,8 +463,8 @@ func TestRelRingIdentities(t *testing.T) {
 
 func TestRelRingMulIsCartesianOnDisjoint(t *testing.T) {
 	rr := RelRing{}
-	a := MultisetOf(NewSchema("X"), Ints(1), Ints(2))
-	b := MultisetOf(NewSchema("Y"), Ints(7), Ints(8), Ints(9))
+	a := multisetOf(NewSchema("X"), Ints(1), Ints(2))
+	b := multisetOf(NewSchema("Y"), Ints(7), Ints(8), Ints(9))
 	p := rr.Mul(a, b)
 	if p.Len() != 6 {
 		t.Errorf("|a×b| = %d, want 6", p.Len())
@@ -418,20 +472,20 @@ func TestRelRingMulIsCartesianOnDisjoint(t *testing.T) {
 	if !p.Schema().SameSet(NewSchema("X", "Y")) {
 		t.Errorf("schema = %v", p.Schema())
 	}
-	if p.Mult(Ints(1, 7)) != 1 {
+	if multOf(p, Ints(1, 7)) != 1 {
 		t.Error("missing pair (1,7)")
 	}
 }
 
 func TestRelRingMulNaturalJoin(t *testing.T) {
 	rr := RelRing{}
-	a := MultisetOf(NewSchema("X", "Y"), Ints(1, 1), Ints(2, 1))
-	b := MultisetOf(NewSchema("Y", "Z"), Ints(1, 5))
+	a := multisetOf(NewSchema("X", "Y"), Ints(1, 1), Ints(2, 1))
+	b := multisetOf(NewSchema("Y", "Z"), Ints(1, 5))
 	p := rr.Mul(a, b)
 	if p.Len() != 2 {
 		t.Errorf("|a⋈b| = %d, want 2", p.Len())
 	}
-	if p.Mult(Ints(1, 1, 5)) != 1 || p.Mult(Ints(2, 1, 5)) != 1 {
+	if multOf(p, Ints(1, 1, 5)) != 1 || multOf(p, Ints(2, 1, 5)) != 1 {
 		t.Errorf("join contents wrong: %v", p)
 	}
 }
@@ -458,7 +512,7 @@ func TestRelRingAxiomsOnFixedSchema(t *testing.T) {
 		equal := true
 		a.Iterate(func(t Tuple, m int64) bool {
 			// Compare via projection since schemas may be ordered alike here.
-			if b.Mult(t) != m {
+			if multOf(b, t) != m {
 				equal = false
 				return false
 			}
@@ -479,7 +533,7 @@ func TestRelRingAxiomsOnFixedSchema(t *testing.T) {
 			t.Fatalf("no additive inverse")
 		}
 		// Distributivity with a disjoint-schema multiplier.
-		d := MultisetOf(NewSchema("Y"), Ints(9))
+		d := multisetOf(NewSchema("Y"), Ints(9))
 		if !eq2(rr.Mul(rr.Add(a, b), d), rr.Add(rr.Mul(a, d), rr.Mul(b, d))) {
 			t.Fatalf("Mul does not distribute over Add")
 		}
@@ -502,7 +556,7 @@ func TestRelRingInPlaceMatchesImmutable(t *testing.T) {
 		}
 		return m
 	}
-	bump := MultisetOf(x, Ints(0), Ints(1), Ints(2), Ints(3)) // touches every key gen makes
+	bump := multisetOf(x, Ints(0), Ints(1), Ints(2), Ints(3)) // touches every key gen makes
 	same := func(op string, got, want *Multiset) {
 		t.Helper()
 		if !eq2(got, want) {
@@ -587,7 +641,7 @@ func eq2(a, b *Multiset) bool {
 	proj := MustProjector(b.Schema(), a.Schema())
 	equal := true
 	b.Iterate(func(t Tuple, m int64) bool {
-		if a.Mult(proj.Apply(t)) != m {
+		if multOf(a, proj.Apply(t)) != m {
 			equal = false
 			return false
 		}
@@ -597,25 +651,25 @@ func eq2(a, b *Multiset) bool {
 }
 
 func TestMultisetProjectOnto(t *testing.T) {
-	m := MultisetOf(NewSchema("X", "Y"), Ints(1, 1), Ints(1, 2), Ints(2, 1))
+	m := multisetOf(NewSchema("X", "Y"), Ints(1, 1), Ints(1, 2), Ints(2, 1))
 	p := m.ProjectOnto(NewSchema("X"))
 	if p.Len() != 2 {
 		t.Errorf("|proj| = %d, want 2", p.Len())
 	}
-	if p.Mult(Ints(1)) != 2 || p.Mult(Ints(2)) != 1 {
+	if multOf(p, Ints(1)) != 2 || multOf(p, Ints(2)) != 1 {
 		t.Errorf("proj = %v", p)
 	}
 	// Projection onto the empty schema sums everything.
 	e := m.ProjectOnto(Schema{})
-	if e.Mult(Tuple{}) != 3 {
-		t.Errorf("total = %d", e.Mult(Tuple{}))
+	if multOf(e, Tuple{}) != 3 {
+		t.Errorf("total = %d", multOf(e, Tuple{}))
 	}
 }
 
 func TestMultisetCancellation(t *testing.T) {
 	rr := RelRing{}
-	a := MultisetOf(NewSchema("X"), Ints(1))
-	b := rr.Neg(MultisetOf(NewSchema("X"), Ints(1)))
+	a := multisetOf(NewSchema("X"), Ints(1))
+	b := rr.Neg(multisetOf(NewSchema("X"), Ints(1)))
 	if got := rr.Add(a, b); !rr.IsZero(got) {
 		t.Errorf("a - a = %v", got)
 	}

@@ -32,16 +32,16 @@ func TestGetAndMergeProjected(t *testing.T) {
 	if p, ok := r.Get(Ints(2, 1)); !ok || p != 5 {
 		t.Fatalf("MergeProjected stored %v/%v", p, ok)
 	}
-	if p, ok := r.GetProjected(proj, wide); !ok || p != 5 {
-		t.Fatalf("GetProjected = %v/%v", p, ok)
+	if e := r.LookupProjected(proj, wide); e == nil || e.Payload != 5 {
+		t.Fatalf("LookupProjected = %v", e)
 	}
 	// Merging the additive inverse deletes the key.
 	r.MergeProjected(proj, wide, -5)
 	if r.Len() != 0 {
 		t.Error("cancelled entry not deleted")
 	}
-	if _, ok := r.GetProjected(proj, wide); ok {
-		t.Error("GetProjected found deleted key")
+	if r.LookupProjected(proj, wide) != nil {
+		t.Error("LookupProjected found deleted key")
 	}
 }
 
@@ -74,9 +74,10 @@ func TestProjectorAppendTo(t *testing.T) {
 
 func TestIndexProbeYieldsEntries(t *testing.T) {
 	ir := NewIndexedRelation(NewRelation[int64](ring.Int{}, NewSchema("A", "B")))
-	ir.MergeIndexed(Ints(1, 10), 2)
-	ir.MergeIndexed(Ints(1, 20), 3)
-	ir.MergeIndexed(Ints(2, 30), 4)
+	merge := indexedMerge(ir)
+	merge(Ints(1, 10), 2)
+	merge(Ints(1, 20), 3)
+	merge(Ints(2, 30), 4)
 	ix := ir.EnsureIndex(NewSchema("A"))
 
 	var buf []byte
@@ -92,7 +93,7 @@ func TestIndexProbeYieldsEntries(t *testing.T) {
 		t.Errorf("probed payload sum = %d, want 5", sum)
 	}
 	// Payload updates are visible through the index without re-adding.
-	ir.MergeIndexed(Ints(1, 10), 5)
+	merge(Ints(1, 10), 5)
 	sum = 0
 	for en := range ix.ProbeBytes(buf).All() {
 		sum += en.Payload

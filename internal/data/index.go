@@ -20,10 +20,9 @@ import (
 // key that appears; the bucket's storage goes to stock, by size class, for
 // whichever bucket next needs that much (tableStock), so a table is sized for
 // its bucket, not for the largest one its node ever hosted. Nothing outside
-// the index holds either, and a bucket handed out by Probe is only valid until
-// the relation's next mutation anyway, so reuse is immediate.
+// the index holds either, and a bucket handed out by ProbeBytes is only valid
+// until the relation's next mutation anyway, so reuse is immediate.
 type Index[P any] struct {
-	on     Schema
 	proj   Projector
 	dir    entryTable[*EntrySet[P]]
 	free   []*Entry[*EntrySet[P]]
@@ -34,14 +33,8 @@ type Index[P any] struct {
 // NewIndex creates an empty index over the given relation schema, keyed by
 // the on-variables.
 func NewIndex[P any](relSchema, on Schema) *Index[P] {
-	return &Index[P]{
-		on:   on,
-		proj: MustProjector(relSchema, on),
-	}
+	return &Index[P]{proj: MustProjector(relSchema, on)}
 }
-
-// On returns the index key schema.
-func (ix *Index[P]) On() Schema { return ix.on }
 
 // Add records that entry e is present in the relation.
 func (ix *Index[P]) Add(e *Entry[P]) {
@@ -92,18 +85,10 @@ func (ix *Index[P]) node(e *Entry[P]) *Entry[*EntrySet[P]] {
 	return ix.dir.getBytes(hashBytes(ix.keyBuf), ix.keyBuf)
 }
 
-// Probe returns the bucket of entries whose projection matches the encoded
-// key; a miss returns nil, which iterates and counts as an empty set. The
-// bucket is owned by the index and must not be modified.
-func (ix *Index[P]) Probe(key string) *EntrySet[P] {
-	if node := ix.dir.getString(hashString(key), key); node != nil {
-		return node.Payload
-	}
-	return nil
-}
-
-// ProbeBytes is Probe for a key encoded in a caller-owned scratch buffer;
-// the lookup does not allocate.
+// ProbeBytes returns the bucket of entries whose projection matches the key
+// encoded in a caller-owned scratch buffer, without allocating; a miss
+// returns nil, which iterates and counts as an empty set. The bucket is owned
+// by the index and must not be modified.
 func (ix *Index[P]) ProbeBytes(key []byte) *EntrySet[P] {
 	if node := ix.dir.getBytes(hashBytes(key), key); node != nil {
 		return node.Payload
@@ -115,9 +100,9 @@ func (ix *Index[P]) ProbeBytes(key []byte) *EntrySet[P] {
 func (ix *Index[P]) Len() int { return ix.dir.len() }
 
 // IndexedRelation wraps a Relation with incrementally maintained secondary
-// indexes. Mutations must go through MergeIndexed, MergeAllIndexed or Set so
-// the indexes stay consistent: in a publishing relation even a merge onto a
-// stored key can replace its entry.
+// indexes. Mutations must go through MergeAllIndexed so the indexes stay
+// consistent with key appearance, disappearance and replacement: in a
+// publishing relation even a merge onto a stored key can replace its entry.
 type IndexedRelation[P any] struct {
 	*Relation[P]
 	indexes map[string]*Index[P]
@@ -151,22 +136,6 @@ func (ir *IndexedRelation[P]) PoolStats() PoolStats {
 		ps.TableBytes += ix.stock.ctrl.bytes + ix.stock.slots.bytes
 	}
 	return ps
-}
-
-// Lookup returns the index on the given variables, or nil if absent.
-func (ir *IndexedRelation[P]) Lookup(on Schema) *Index[P] {
-	return ir.indexes[on.String()]
-}
-
-// MergeIndexed merges payload p under tuple t and keeps all indexes
-// consistent with key appearance, disappearance and replacement.
-func (ir *IndexedRelation[P]) MergeIndexed(t Tuple, p P) {
-	ir.reindex(ir.mergeEntry(t, p))
-}
-
-// Set is Relation.Set, keeping all indexes consistent.
-func (ir *IndexedRelation[P]) Set(t Tuple, p P) {
-	ir.reindex(ir.setEntry(t, p))
 }
 
 // reindex follows a merge from old, the entry stored under its key before, to

@@ -29,15 +29,6 @@ func NewMultiset(schema Schema) *Multiset {
 	return &Multiset{schema: schema, rows: make(map[string]msRow)}
 }
 
-// MultisetOf builds a multiset from tuples all with multiplicity 1.
-func MultisetOf(schema Schema, tuples ...Tuple) *Multiset {
-	m := NewMultiset(schema)
-	for _, t := range tuples {
-		m.add(t, 1)
-	}
-	return m
-}
-
 // UnitMultiset returns {() -> 1}, the identity of the relational ring.
 func UnitMultiset() *Multiset {
 	m := NewMultiset(nil)
@@ -107,14 +98,6 @@ func (m *Multiset) TotalMult() int64 {
 		n += r.mult
 	}
 	return n
-}
-
-// Mult returns the multiplicity of tuple t.
-func (m *Multiset) Mult(t Tuple) int64 {
-	if m == nil {
-		return 0
-	}
-	return m.rows[t.Key()].mult
 }
 
 // Iterate calls f for each tuple/multiplicity pair until f returns false.

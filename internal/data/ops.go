@@ -12,21 +12,6 @@ import (
 // aggregating X away.
 type LiftFunc[P any] func(variable string, v Value) P
 
-// Union returns a ⊎ b, the key-wise payload sum. The schemas must contain
-// the same variables; the result uses a's variable order.
-func Union[P any](a, b *Relation[P]) *Relation[P] {
-	if !a.schema.SameSet(b.schema) {
-		panic(fmt.Sprintf("data: union of incompatible schemas %v and %v", a.schema, b.schema))
-	}
-	out := a.Clone()
-	proj := MustProjector(b.schema, a.schema)
-	b.entries.all(func(e *Entry[P]) bool {
-		out.MergeProjected(proj, e.Tuple, e.Payload)
-		return true
-	})
-	return out
-}
-
 // Join returns the natural join a ⊗ b: for every pair of tuples agreeing on
 // the shared variables, the concatenated key maps to the payload product
 // (a's payload on the left). The result schema is a.schema followed by b's
@@ -129,14 +114,6 @@ func Project[P any](r *Relation[P], target Schema) *Relation[P] {
 		return true
 	})
 	return out
-}
-
-// LiftOne returns a lifting that maps every value of every variable to the
-// ring's multiplicative identity; marginalizing with it computes plain
-// aggregation (COUNT-style) over the payloads.
-func LiftOne[P any](r interface{ One() P }) LiftFunc[P] {
-	one := r.One()
-	return func(string, Value) P { return one }
 }
 
 // Mult returns n·1 in the ring, a base multiplicity lifted into payloads: by

@@ -68,7 +68,7 @@ func payloadsRespectPinnedEpochs(t *testing.T, keys int64) {
 				model[k] = cf.Add(old, triple(0, 1, 2))
 				r.Merge(Ints(k), triple(0, 1, 2))
 			}
-			if e, ok := r.EntryKey(Ints(k).Key()); ok {
+			if e := r.lookup(Ints(k)); e != nil {
 				seen[&e.Payload.S[0]] = true
 			}
 		}
@@ -88,8 +88,8 @@ func payloadsRespectPinnedEpochs(t *testing.T, keys int64) {
 			t.Fatalf("round %d: %d keys stored, model has %d", i, r.Len(), len(model))
 		}
 		for k, want := range model {
-			e, ok := r.EntryKey(Ints(k).Key())
-			if !ok || !sameBits(e.Payload, want) {
+			e := r.lookup(Ints(k))
+			if e == nil || !sameBits(e.Payload, want) {
 				t.Fatalf("round %d: key %d holds %v, model %v", i, k, e, want)
 			}
 			for _, p := range pins {
@@ -215,15 +215,16 @@ func payloadsRespectPinnedEpochs(t *testing.T, keys int64) {
 // TestIndexBucketsFollowReplacedEntries: an indexed cofactor relation that
 // publishes every round, indexed on a key prefix (buckets of 40, past the
 // slice-to-table promotion) and on its second column (buckets of 3), whose keys
-// are merged into, Set, cancelled to zero on their first touch after a publish
-// and inserted again, while one epoch stays pinned. After every round each
-// index holds exactly the entries the primary table does, each in its own
-// bucket and no retired or free one anywhere, and the pinned epoch reads its
-// entries bit for bit.
+// are merged into, doubled, cancelled to zero on their first touch after a
+// publish and inserted again, every merge through MergeAllIndexed, while one
+// epoch stays pinned. After every round each index holds exactly the entries
+// the primary table does, each in its own bucket and no retired or free one
+// anywhere, and the pinned epoch reads its entries bit for bit.
 func TestIndexBucketsFollowReplacedEntries(t *testing.T) {
 	const keys = 120
 	cf := ring.Cofactor{}
 	ir := NewIndexedRelation(NewRelation[ring.Triple](cf, NewSchema("A", "B")))
+	merge := indexedMerge(ir)
 	ir.Reclaim()
 	indexes := []*Index[ring.Triple]{ir.EnsureIndex(NewSchema("A")), ir.EnsureIndex(NewSchema("B"))}
 	tup := func(k int) Tuple { return Ints(int64(k/40), int64(k%40)) }
@@ -234,16 +235,16 @@ func TestIndexBucketsFollowReplacedEntries(t *testing.T) {
 			switch {
 			case !stored:
 				model[k] = triple(0, 1)
-				ir.MergeIndexed(tup(k), triple(0, 1))
+				merge(tup(k), triple(0, 1))
 			case (i+k)%4 == 0:
 				delete(model, k)
-				ir.MergeIndexed(tup(k), cf.Neg(old))
+				merge(tup(k), cf.Neg(old))
 			case (i+k)%4 == 1:
 				model[k] = cf.Add(old, old)
-				ir.Set(tup(k), model[k])
+				merge(tup(k), old)
 			default:
 				model[k] = cf.Add(old, triple(0, 1))
-				ir.MergeIndexed(tup(k), triple(0, 1))
+				merge(tup(k), triple(0, 1))
 			}
 		}
 	}
@@ -265,21 +266,21 @@ func TestIndexBucketsFollowReplacedEntries(t *testing.T) {
 				t.Fatalf("round %d: %v is stored and in the pool", i, e.Tuple)
 			}
 		}
-		for _, ix := range indexes {
+		for j, ix := range indexes {
 			n := 0
 			ix.dir.all(func(node *Entry[*EntrySet[ring.Triple]]) bool {
 				for e := range node.Payload.All() {
 					if n++; !stored[e] {
-						t.Fatalf("round %d: index on %v holds %p (%v), which the table does not", i, ix.On(), e, e.Tuple)
+						t.Fatalf("round %d: index %d holds %p (%v), which the table does not", i, j, e, e.Tuple)
 					}
 					if string(ix.proj.AppendKey(nil, e.Tuple)) != node.key {
-						t.Fatalf("round %d: index on %v holds %v in bucket %q", i, ix.On(), e.Tuple, node.key)
+						t.Fatalf("round %d: index %d holds %v in bucket %q", i, j, e.Tuple, node.key)
 					}
 				}
 				return true
 			})
 			if n != len(stored) {
-				t.Fatalf("round %d: index on %v holds %d entries, the table %d", i, ix.On(), n, len(stored))
+				t.Fatalf("round %d: index %d holds %d entries, the table %d", i, j, n, len(stored))
 			}
 		}
 	}

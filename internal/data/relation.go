@@ -492,18 +492,6 @@ func (r *Relation[P]) Get(t Tuple) (P, bool) {
 	return zero, false
 }
 
-// GetProjected returns the payload stored under the projection of t by
-// proj (which must target r's schema), without materializing the projected
-// tuple or its key.
-func (r *Relation[P]) GetProjected(proj Projector, t Tuple) (P, bool) {
-	r.keyBuf = proj.AppendKey(r.keyBuf[:0], t)
-	if e := r.lookupScratch(); e != nil {
-		return e.Payload, true
-	}
-	var zero P
-	return zero, false
-}
-
 // LookupProjected returns the entry stored under the projection of t by
 // proj, or nil. Hot paths use it to reach payloads without copying them;
 // the entry is owned by the relation and must not be mutated.
@@ -512,28 +500,8 @@ func (r *Relation[P]) LookupProjected(proj Projector, t Tuple) *Entry[P] {
 	return r.lookupScratch()
 }
 
-// GetKey returns the payload stored under an encoded key.
-func (r *Relation[P]) GetKey(key string) (P, bool) {
-	if e := r.lookupString(key); e != nil {
-		return e.Payload, true
-	}
-	var zero P
-	return zero, false
-}
-
-// EntryKey returns the full entry stored under an encoded key.
-func (r *Relation[P]) EntryKey(key string) (*Entry[P], bool) {
-	e := r.lookupString(key)
-	return e, e != nil
-}
-
 // Contains reports whether tuple t has a non-zero payload.
 func (r *Relation[P]) Contains(t Tuple) bool { return r.lookup(t) != nil }
-
-// ContainsKey reports whether the encoded key has a non-zero payload.
-func (r *Relation[P]) ContainsKey(key string) bool {
-	return r.lookupString(key) != nil
-}
 
 // Set assigns payload p to tuple t, deleting the key if p is zero.
 func (r *Relation[P]) Set(t Tuple, p P) { r.setEntry(t, p) }
@@ -915,21 +883,4 @@ func (r *Relation[P]) String() string {
 	}
 	b.WriteString("}")
 	return b.String()
-}
-
-// FromEntries builds a relation from tuple/payload pairs, merging duplicate
-// keys.
-func FromEntries[P any](r ring.Ring[P], schema Schema, entries ...Entry[P]) *Relation[P] {
-	rel := NewRelation(r, schema)
-	for _, e := range entries {
-		rel.Merge(e.Tuple, e.Payload)
-	}
-	return rel
-}
-
-// Singleton builds a relation holding one tuple with the given payload.
-func Singleton[P any](r ring.Ring[P], schema Schema, t Tuple, p P) *Relation[P] {
-	rel := NewRelation(r, schema)
-	rel.Set(t, p)
-	return rel
 }

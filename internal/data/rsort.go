@@ -23,24 +23,20 @@ package data
 //
 // Bucket 0 holds the keys exhausted at the current depth (len == depth);
 // they sort before every continuing key, matching byte-string order where a
-// prefix precedes its extensions. The dedup variant exploits that exhausted
-// keys within one bucket are all equal: the dirty-key path drops duplicates
+// prefix precedes its extensions. The key sort exploits that exhausted keys
+// within one bucket are all equal: the dirty-key path drops duplicates
 // during the distribution passes instead of a separate sort+compact loop.
 
 // radixSortCutoff is the run length at or below which insertion sort beats
 // another distribution pass.
 const radixSortCutoff = 32
 
-// RadixSortKeys sorts encoded tuple keys in place into byte-lexicographic
-// order, equivalent to sort.Strings but comparator-free and allocation-free.
-func RadixSortKeys(keys []string) {
-	msdKeys(keys, 0, false)
-}
-
-// radixSortKeysDedup sorts keys in place and drops duplicates during the
-// distribution passes, returning the sorted unique prefix of the slice.
+// radixSortKeysDedup sorts encoded tuple keys in place into
+// byte-lexicographic order, comparator-free and allocation-free, and drops
+// duplicates during the distribution passes, returning the sorted unique
+// prefix of the slice.
 func radixSortKeysDedup(keys []string) []string {
-	return keys[:msdKeys(keys, 0, true)]
+	return keys[:msdKeys(keys, 0)]
 }
 
 // keyBucket maps a key to its distribution bucket at the given depth:
@@ -52,17 +48,16 @@ func keyBucket(k string, depth int) int {
 	return 1 + int(k[depth])
 }
 
-// msdKeys sorts keys[.] by their suffixes from depth and returns the number
-// of keys kept (all of them, or the unique count when dedup is set, in which
-// case the kept keys are compacted to the front).
-func msdKeys(keys []string, depth int, dedup bool) int {
+// msdKeys sorts keys[.] by their suffixes from depth, compacts the unique
+// ones to the front and returns their count.
+func msdKeys(keys []string, depth int) int {
 	for {
 		n := len(keys)
 		if n < 2 {
 			return n
 		}
 		if n <= radixSortCutoff {
-			return insertionKeys(keys, depth, dedup)
+			return insertionKeys(keys, depth)
 		}
 		var counts [257]int
 		for _, k := range keys {
@@ -70,10 +65,7 @@ func msdKeys(keys []string, depth int, dedup bool) int {
 		}
 		if counts[0] == n {
 			// Every key ends here, so all n are equal.
-			if dedup {
-				return 1
-			}
-			return n
+			return 1
 		}
 		if counts[0] == 0 {
 			// Shared-prefix fast path: all keys continue with one byte —
@@ -118,15 +110,7 @@ func msdKeys(keys []string, depth int, dedup bool) int {
 				pos[bb]++
 			}
 		}
-		if !dedup {
-			for b := 1; b <= 256; b++ {
-				if ends[b]-starts[b] > 1 {
-					msdKeys(keys[starts[b]:ends[b]], depth+1, false)
-				}
-			}
-			return n
-		}
-		// Dedup compaction: the exhausted bucket's keys are all equal (one
+		// Compaction: the exhausted bucket's keys are all equal (one
 		// survives), each byte bucket dedups recursively and its survivors
 		// shift left over the dropped slots.
 		w := counts[0]
@@ -135,7 +119,7 @@ func msdKeys(keys []string, depth int, dedup bool) int {
 		}
 		for b := 1; b <= 256; b++ {
 			sub := keys[starts[b]:ends[b]]
-			m := msdKeys(sub, depth+1, true)
+			m := msdKeys(sub, depth+1)
 			copy(keys[w:w+m], sub[:m])
 			w += m
 		}
@@ -144,9 +128,9 @@ func msdKeys(keys []string, depth int, dedup bool) int {
 }
 
 // insertionKeys is the insertion-sort base case on key suffixes from depth;
-// with dedup set, an element equal to one already placed is dropped during
-// its insertion scan. Returns the number of keys kept (compacted in front).
-func insertionKeys(keys []string, depth int, dedup bool) int {
+// an element equal to one already placed is dropped during its insertion
+// scan. Returns the number of keys kept (compacted in front).
+func insertionKeys(keys []string, depth int) int {
 	w := 1
 	for i := 1; i < len(keys); i++ {
 		k := keys[i]
@@ -155,21 +139,18 @@ func insertionKeys(keys []string, depth int, dedup bool) int {
 		for j > 0 && keys[j-1][depth:] > ks {
 			j--
 		}
-		if dedup && j > 0 && keys[j-1][depth:] == ks {
+		if j > 0 && keys[j-1][depth:] == ks {
 			continue
 		}
 		copy(keys[j+1:w+1], keys[j:w])
 		keys[j] = k
 		w++
 	}
-	if !dedup {
-		return len(keys)
-	}
 	return w
 }
 
 // radixSortEntries sorts an entry run in place by encoded key, the same
-// order RadixSortKeys produces. Entries move by value, so the sort is
+// order radixSortKeysDedup produces. Entries move by value, so the sort is
 // allocation-free and leaves the run ready for snapshot chunking.
 func radixSortEntries[P any](es []Entry[P]) {
 	msdBy(es, func(e *Entry[P]) string { return e.key }, 0)

@@ -99,17 +99,23 @@ var rsortCases = []struct {
 // first distribution pass, and deep multi-level recursion.
 var rsortSizes = []int{0, 1, 2, radixSortCutoff - 1, radixSortCutoff, radixSortCutoff + 1, 500, 4000}
 
-// TestRadixSortKeysMatchesSortStrings is the core equivalence property:
-// RadixSortKeys must order any byte-string set exactly as sort.Strings does.
+// TestRadixSortKeysMatchesSortStrings is the core equivalence property: the
+// key sort must order any set of distinct byte strings exactly as
+// sort.Strings does, and keep every one of them.
 func TestRadixSortKeysMatchesSortStrings(t *testing.T) {
 	for _, tc := range rsortCases {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			for _, n := range rsortSizes {
-				keys := tc.gen(rng, n)
+				seen := map[string]bool{}
+				keys := slices.DeleteFunc(tc.gen(rng, n), func(k string) bool {
+					dup := seen[k]
+					seen[k] = true
+					return dup
+				})
 				want := slices.Clone(keys)
 				sort.Strings(want)
-				RadixSortKeys(keys)
+				keys = radixSortKeysDedup(keys)
 				if !slices.Equal(keys, want) {
 					t.Fatalf("n=%d: radix order diverges from sort.Strings\n got %q\nwant %q", n, keys, want)
 				}
@@ -118,8 +124,8 @@ func TestRadixSortKeysMatchesSortStrings(t *testing.T) {
 	}
 }
 
-// TestRadixSortKeysDedupMatchesCompact checks the in-pass dedup variant
-// against the reference sort-then-compact pipeline.
+// TestRadixSortKeysDedupMatchesCompact checks the in-pass dedup against the
+// reference sort-then-compact pipeline.
 func TestRadixSortKeysDedupMatchesCompact(t *testing.T) {
 	for _, tc := range rsortCases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -449,20 +449,6 @@ func (s *RelationSnapshot[P]) Get(t Tuple) (P, bool) {
 	return zero, false
 }
 
-// GetKey returns the payload stored under a pre-encoded key.
-func (s *RelationSnapshot[P]) GetKey(key string) (P, bool) {
-	var zero P
-	if len(s.chunks) == 0 {
-		return zero, false
-	}
-	c := s.chunks[s.findChunk([]byte(key))].es
-	i := sort.Search(len(c), func(i int) bool { return c[i].key >= key })
-	if i < len(c) && c[i].key == key {
-		return c[i].Payload, true
-	}
-	return zero, false
-}
-
 // ScanPrefix visits, in encoded-key order, every entry whose key starts with
 // the given encoded prefix, until f returns false. A prefix is the encoding
 // of values for a leading subset of the schema's variables (Tuple.AppendKey

@@ -204,9 +204,6 @@ func (m *Baseline[P]) seal() error {
 // keep current, not safe to read while a batch is applied.
 func (m *Baseline[P]) Result() *data.Relation[P] { return m.results[0] }
 
-// Results returns every aggregate's result, indexed like the specs.
-func (m *Baseline[P]) Results() []*data.Relation[P] { return m.results }
-
 // ViewCount reports the stored relations plus one view per result.
 func (m *Baseline[P]) ViewCount() int { return len(m.bases) + len(m.results) }
 

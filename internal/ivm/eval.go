@@ -9,8 +9,8 @@ import (
 )
 
 // evaluator is the one bottom-up evaluation of a view tree (Section 3), for
-// Engine.Init, CheckConsistency and the re-evaluation and first-order
-// baselines. A node takes one pass over its inputs — its nearest leaves,
+// Engine.Init, the re-evaluation and first-order baselines and the tests'
+// consistency check. A node takes one pass over its inputs — its nearest leaves,
 // stored views and joins of their own, as an unstored view folds into its
 // parent (⊕_X ⊕_Y R = ⊕_{X,Y} R, buildPlan's expand) — scanning the largest,
 // probing the others (joinStep.join) and merging each lifted row straight

@@ -1,14 +1,16 @@
 package ivm
 
 import (
+	"fmt"
 	"testing"
 
 	"fivm/internal/data"
+	"fivm/internal/viewtree"
 )
 
 // strategy is what every maintainer of this package offers a test: the
-// competitors' fixture surface, which Engine and Parallel share (Parallel's
-// Result below is test-only).
+// competitors' fixture surface, which Engine and Parallel share (the
+// Result methods below are test-only).
 type strategy[P any] interface {
 	Load(rel string, r *data.Relation[P]) error
 	Init() error
@@ -32,6 +34,32 @@ func (p *Parallel[P]) Result() *data.Relation[P] {
 		out.MergeAll(m.Result())
 	}
 	return out
+}
+
+// Result returns the root view, which every batch updates in place.
+func (m *Recursive[P]) Result() *data.Relation[P] { return m.root.rel.Relation }
+
+// Result returns the first aggregate's result.
+func (m *MultiRecursive) Result() *data.Relation[float64] { return m.instances[0].Result() }
+
+// CheckConsistency verifies every materialized view against a from-scratch
+// evaluation over the given base relation contents, comparing payloads with
+// eq: after any sequence of updates, the incremental state must equal the
+// non-incremental one (Section 4's correctness invariant).
+func (e *Engine[P]) CheckConsistency(bases map[string]*data.Relation[P], eq func(a, b P) bool) error {
+	var errs []error
+	ev := e.evaluator(bases, nil)
+	ev.done = func(n *viewtree.Node, fresh *data.Relation[P]) {
+		if v := e.views[n]; !v.Relation.Equal(fresh, eq) {
+			errs = append(errs, fmt.Errorf("view %s inconsistent:\n incremental %v\n fresh       %v",
+				n.Name(), v.Relation, fresh))
+		}
+	}
+	ev.eval(e.root)
+	if len(errs) > 0 {
+		return fmt.Errorf("ivm: %d inconsistent views; first: %w", len(errs), errs[0])
+	}
+	return nil
 }
 
 // checkViewTuples asserts, for every entry of every materialized view of an

@@ -2,6 +2,7 @@ package ivm
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fivm/internal/data"
@@ -78,6 +79,36 @@ func TestExample41(t *testing.T) {
 		data.Ints(1, 1), data.Ints(2, 2), data.Ints(2, 3), data.Ints(3, 4))
 	if err := e.Init(); err != nil {
 		t.Fatal(err)
+	}
+
+	// The compiled plan for T is the delta tree of Figure 4: δT flows
+	// bottom-up through δV@D and δV@C to δV@A, joining the stored V@E at C
+	// and V@B at A, and each step marginalizes its own variable.
+	var plan *deltaPlan[int64]
+	for leaf, p := range e.plans {
+		if leaf.Rel == "T" {
+			plan = p
+		}
+	}
+	if plan == nil {
+		t.Fatal("no delta plan for T")
+	}
+	want := []struct{ node, sibling, marg string }{{"D", "", "D"}, {"C", "V@E[A,C]", "C"}, {"A", "V@B[A]", "A"}}
+	if len(plan.steps) != len(want) {
+		t.Fatalf("the plan for T has %d steps, want %d:\n%s", len(plan.steps), len(want), e.Describe())
+	}
+	for i, st := range plan.steps {
+		var sibs, margs []string
+		for _, sib := range st.siblings {
+			sibs = append(sibs, sib.name)
+		}
+		for _, mv := range st.margVars {
+			margs = append(margs, mv.name)
+		}
+		if w := want[i]; st.node.Var != w.node || strings.Join(sibs, ",") != w.sibling || strings.Join(margs, ",") != w.marg {
+			t.Errorf("step %d at %s joins %v and marginalizes %v, want the step at %s to join [%s] and marginalize [%s]:\n%s",
+				i, st.node.Var, sibs, margs, w.node, w.sibling, w.marg, e.Describe())
+		}
 	}
 
 	// Figure 2d: the COUNT over D is 10.

@@ -229,8 +229,8 @@ func TestLeasesUnderChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if par.Workers() != 3 {
-		t.Fatalf("fixture: the parallel maintainer has %d shards, want 3", par.Workers())
+	if len(par.shards) != 3 {
+		t.Fatalf("fixture: the parallel maintainer has %d shards, want 3", len(par.shards))
 	}
 	par.Snapshot().Release()
 	slice := func(rd string, a int) *data.Relation[ring.Triple] {

@@ -109,18 +109,6 @@ func (m *MultiRecursive) applyDelta(rel string, delta *data.Relation[float64]) e
 	return nil
 }
 
-// Result returns the first aggregate's result; use Results for all.
-func (m *MultiRecursive) Result() *data.Relation[float64] { return m.instances[0].Result() }
-
-// Results returns every aggregate's result.
-func (m *MultiRecursive) Results() []*data.Relation[float64] {
-	out := make([]*data.Relation[float64], len(m.instances))
-	for i, inst := range m.instances {
-		out[i] = inst.Result()
-	}
-	return out
-}
-
 // ViewCount sums the views of all hierarchies.
 func (m *MultiRecursive) ViewCount() int {
 	n := 0

@@ -91,10 +91,10 @@ func TestMultiStrategiesAgree(t *testing.T) {
 			default:
 				want = tr.QuadOf(idx[degVars[0]], idx[degVars[1]])
 			}
-			for name, results := range map[string][]*data.Relation[float64]{
-				"1-IVM": mfo.Results(), "DBT": mrec.Results(),
+			for name, result := range map[string]*data.Relation[float64]{
+				"1-IVM": mfo.results[i], "DBT": mrec.instances[i].Result(),
 			} {
-				got, _ := results[i].Get(data.Tuple{})
+				got, _ := result.Get(data.Tuple{})
 				if math.Abs(got-want) > 1e-6 {
 					t.Fatalf("step %d %s agg %v: %v, want %v", step, name, s.Degrees, got, want)
 				}

@@ -149,9 +149,6 @@ func NewParallel[P any](q query.Query, r ring.Ring[P], workers int, factory func
 	return p, nil
 }
 
-// Workers returns the number of shards.
-func (p *Parallel[P]) Workers() int { return len(p.shards) }
-
 // Close stops the worker pool. The maintainer must not be used afterwards.
 func (p *Parallel[P]) Close() error {
 	if !p.closed {

@@ -52,8 +52,8 @@ func runParallelEquivalence[P any](t *testing.T, q query.Query, r ring.Ring[P], 
 				if err != nil {
 					t.Fatal(err)
 				}
-				if par.Workers() != workers {
-					t.Fatalf("Workers() = %d, want %d", par.Workers(), workers)
+				if len(par.shards) != workers {
+					t.Fatalf("%d shards, want %d", len(par.shards), workers)
 				}
 
 				// Preload some contents so Init's split/replicate path is
@@ -227,8 +227,8 @@ func TestParallelSequentialFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer par.Close()
-	if par.Workers() != 1 {
-		t.Fatalf("Workers() = %d, want 1", par.Workers())
+	if len(par.shards) != 1 {
+		t.Fatalf("%d shards, want 1", len(par.shards))
 	}
 	bare, _ := mk()
 	rng := rand.New(rand.NewSource(3))

@@ -242,9 +242,6 @@ func (m *Recursive[P]) applyDelta(rel string, delta *data.Relation[P]) error {
 	return nil
 }
 
-// Result returns the root view, which every batch updates in place.
-func (m *Recursive[P]) Result() *data.Relation[P] { return m.root.rel.Relation }
-
 // ViewCount reports the number of materialized views in the hierarchy.
 func (m *Recursive[P]) ViewCount() int { return len(m.views) }
 

@@ -75,9 +75,6 @@ func (q Query) Vars() data.Schema {
 	return out
 }
 
-// Bound returns the variables not in Free.
-func (q Query) Bound() data.Schema { return q.Vars().Minus(q.Free) }
-
 // Rel returns the definition of the named relation.
 func (q Query) Rel(name string) (RelDef, bool) {
 	for _, r := range q.Rels {
@@ -106,24 +103,4 @@ func (q Query) RelsWith(v string) []string {
 		}
 	}
 	return out
-}
-
-// IsFree reports whether v is a group-by variable.
-func (q Query) IsFree(v string) bool { return q.Free.Contains(v) }
-
-// Restrict returns the query over a subset of the relations, keeping as
-// free the given variables (used by the recursive-IVM baseline to define
-// delta subqueries over relation subsets).
-func (q Query) Restrict(name string, relNames []string, free data.Schema) Query {
-	sub := Query{Name: name, Free: free}
-	keep := make(map[string]bool, len(relNames))
-	for _, n := range relNames {
-		keep[n] = true
-	}
-	for _, r := range q.Rels {
-		if keep[r.Name] {
-			sub.Rels = append(sub.Rels, r)
-		}
-	}
-	return sub
 }

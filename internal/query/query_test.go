@@ -24,8 +24,8 @@ func TestVarsAndBound(t *testing.T) {
 	if !q.Vars().SameSet(data.NewSchema("A", "B", "C", "D", "E")) {
 		t.Errorf("Vars = %v", q.Vars())
 	}
-	if !q.Bound().SameSet(data.NewSchema("B", "D", "E")) {
-		t.Errorf("Bound = %v", q.Bound())
+	if bound := q.Vars().Minus(q.Free); !bound.SameSet(data.NewSchema("B", "D", "E")) {
+		t.Errorf("bound = %v", bound)
 	}
 }
 
@@ -43,8 +43,8 @@ func TestRelLookups(t *testing.T) {
 	if got := q.RelsWith("C"); len(got) != 2 {
 		t.Errorf("RelsWith(C) = %v", got)
 	}
-	if !q.IsFree("A") || q.IsFree("B") {
-		t.Error("IsFree")
+	if !q.Free.Contains("A") || q.Free.Contains("B") {
+		t.Errorf("Free = %v", q.Free)
 	}
 }
 
@@ -69,18 +69,4 @@ func TestMustNewPanics(t *testing.T) {
 		}
 	}()
 	MustNew("bad", data.NewSchema("Z"), RelDef{Name: "R", Schema: data.NewSchema("A")})
-}
-
-func TestRestrict(t *testing.T) {
-	q := testQuery(t)
-	sub := q.Restrict("sub", []string{"S", "T"}, data.NewSchema("A"))
-	if len(sub.Rels) != 2 {
-		t.Fatalf("Rels = %v", sub.Rels)
-	}
-	if !sub.Vars().SameSet(data.NewSchema("A", "C", "D", "E")) {
-		t.Errorf("Vars = %v", sub.Vars())
-	}
-	if !sub.Free.Equal(data.NewSchema("A")) {
-		t.Errorf("Free = %v", sub.Free)
-	}
 }

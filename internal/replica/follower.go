@@ -143,7 +143,9 @@ func (f *Follower) stream(ctx context.Context) {
 		return
 	}
 	defer conn.Close()
-	if !f.setConn(conn) {
+	// A cancel before setConn found no connection for Run's AfterFunc to
+	// drop, so it is checked once the connection is registered.
+	if !f.setConn(conn) || ctx.Err() != nil {
 		return
 	}
 	defer f.setConn(nil)

@@ -13,8 +13,8 @@ type Catalog map[string]data.Schema
 
 // ParseError is a parse failure with its position: the byte offset into the
 // input and the token the parser was looking at. Every error returned by
-// Parse, ParseStatement, and the lexer is (or wraps) one, so callers can
-// point at the offending spot.
+// ParseStatement and the lexer is (or wraps) one, so callers can point at
+// the offending spot.
 type ParseError struct {
 	// Msg describes the failure.
 	Msg string
@@ -48,23 +48,6 @@ type Parsed struct {
 	// Constant is the literal factor inside SUM (1 unless written
 	// otherwise, e.g. SUM(2*B)).
 	Constant float64
-}
-
-// LiftInt returns the Z-ring lifting realizing the aggregate: a bound
-// variable contributes its value if it appears in SUM, else 1. The constant
-// factor is folded into the first summed variable; for pure COUNT queries
-// it must be 1.
-func (p Parsed) LiftInt() data.LiftFunc[int64] {
-	in := make(map[string]bool, len(p.SumVars))
-	for _, v := range p.SumVars {
-		in[v] = true
-	}
-	return func(v string, x data.Value) int64 {
-		if in[v] {
-			return x.AsInt()
-		}
-		return 1
-	}
 }
 
 // LiftFloat returns the R-ring lifting realizing the aggregate.
@@ -158,23 +141,6 @@ func (p *parser) end() error {
 		return errAt(t, "trailing input %s", t)
 	}
 	return nil
-}
-
-// Parse parses one query of the dialect against the catalog.
-func Parse(sql string, cat Catalog) (Parsed, error) {
-	toks, err := lex(sql)
-	if err != nil {
-		return Parsed{}, err
-	}
-	p := &parser{toks: toks, cat: cat}
-	out, err := p.parseSelect("sql")
-	if err != nil {
-		return Parsed{}, err
-	}
-	if err := p.end(); err != nil {
-		return Parsed{}, err
-	}
-	return out, nil
 }
 
 // parseSelect parses SELECT ... [GROUP BY ...] from the current position,

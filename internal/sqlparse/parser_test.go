@@ -19,9 +19,15 @@ func cat() Catalog {
 	}
 }
 
+// parse parses one SELECT query through ParseStatement.
+func parse(sql string, cat Catalog) (Parsed, error) {
+	st, err := ParseStatement(sql, cat)
+	return st.Select, err
+}
+
 func TestParsePaperQuery(t *testing.T) {
 	// Example 1.1 verbatim.
-	p, err := Parse(`SELECT S.A, S.C, SUM(R.B * T.D * S.E)
+	p, err := parse(`SELECT S.A, S.C, SUM(R.B * T.D * S.E)
 		FROM R NATURAL JOIN S NATURAL JOIN T
 		GROUP BY S.A, S.C;`, cat())
 	if err != nil {
@@ -47,7 +53,7 @@ func TestParseCountQuery(t *testing.T) {
 		"SELECT SUM(1) FROM R NATURAL JOIN S NATURAL JOIN T;",
 		"SELECT COUNT(*) FROM R NATURAL JOIN S NATURAL JOIN T",
 	} {
-		p, err := Parse(sql, cat())
+		p, err := parse(sql, cat())
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
@@ -58,7 +64,7 @@ func TestParseCountQuery(t *testing.T) {
 }
 
 func TestParseUnqualifiedColumns(t *testing.T) {
-	p, err := Parse("SELECT A, SUM(B) FROM R NATURAL JOIN S GROUP BY A", cat())
+	p, err := parse("SELECT A, SUM(B) FROM R NATURAL JOIN S GROUP BY A", cat())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +74,7 @@ func TestParseUnqualifiedColumns(t *testing.T) {
 }
 
 func TestParseConstantFactor(t *testing.T) {
-	p, err := Parse("SELECT SUM(2 * B) FROM R", cat())
+	p, err := parse("SELECT SUM(2 * B) FROM R", cat())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +111,7 @@ func TestParseErrors(t *testing.T) {
 		{"SELECT SUM(#) FROM R", "unexpected character"},
 	}
 	for _, c := range cases {
-		_, err := Parse(c.sql, cat())
+		_, err := parse(c.sql, cat())
 		if err == nil {
 			t.Errorf("%q: expected error", c.sql)
 			continue
@@ -117,13 +123,13 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestParseCaseInsensitiveKeywords(t *testing.T) {
-	if _, err := Parse("select sum(1) from R natural join S group by A, C;", Catalog{
+	if _, err := parse("select sum(1) from R natural join S group by A, C;", Catalog{
 		"R": data.NewSchema("A", "B"),
 		"S": data.NewSchema("A", "C"),
 	}); err == nil {
 		t.Error("plain columns absent from select list should still fail the GROUP BY check")
 	}
-	p, err := Parse("select A, C, sum(B) from R natural join S group by A, C;", Catalog{
+	p, err := parse("select A, C, sum(B) from R natural join S group by A, C;", Catalog{
 		"R": data.NewSchema("A", "B"),
 		"S": data.NewSchema("A", "C"),
 	})
@@ -138,7 +144,7 @@ func TestParseCaseInsensitiveKeywords(t *testing.T) {
 // TestParsedQueryEndToEnd drives a parsed query through the engine and
 // checks the aggregate against a brute-force computation.
 func TestParsedQueryEndToEnd(t *testing.T) {
-	p, err := Parse(`SELECT S.A, S.C, SUM(R.B * T.D * S.E)
+	p, err := parse(`SELECT S.A, S.C, SUM(R.B * T.D * S.E)
 		FROM R NATURAL JOIN S NATURAL JOIN T GROUP BY S.A, S.C`, cat())
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +153,7 @@ func TestParsedQueryEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := ivm.New[int64](p.Query, o, ring.Int{}, p.LiftInt(), ivm.Options[int64]{})
+	eng, err := ivm.New[float64](p.Query, o, ring.Float{}, p.LiftFloat(), ivm.Options[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +164,7 @@ func TestParsedQueryEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var rTuples, sTuples, tTuples []map[string]int64
 	insert := func(rel string, schema data.Schema, store *[]map[string]int64) {
-		d := data.NewRelation[int64](ring.Int{}, schema)
+		d := data.NewRelation[float64](ring.Float{}, schema)
 		m := map[string]int64{}
 		tup := make(data.Tuple, len(schema))
 		for i, v := range schema {
@@ -192,8 +198,8 @@ func TestParsedQueryEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	got := map[[2]int64]int64{}
-	eng.Result().Iterate(func(tup data.Tuple, pay int64) bool {
+	got := map[[2]int64]float64{}
+	eng.Result().Iterate(func(tup data.Tuple, pay float64) bool {
 		ai := eng.Result().Schema().IndexOf("A")
 		ci := eng.Result().Schema().IndexOf("C")
 		got[[2]int64{tup[ai].AsInt(), tup[ci].AsInt()}] = pay
@@ -203,13 +209,13 @@ func TestParsedQueryEndToEnd(t *testing.T) {
 		if v == 0 {
 			continue
 		}
-		if got[k] != v {
-			t.Fatalf("group %v: %d, want %d", k, got[k], v)
+		if got[k] != float64(v) {
+			t.Fatalf("group %v: %v, want %d", k, got[k], v)
 		}
 	}
 	for k, v := range got {
-		if want[k] != v {
-			t.Fatalf("unexpected group %v = %d", k, v)
+		if float64(want[k]) != v {
+			t.Fatalf("unexpected group %v = %v", k, v)
 		}
 	}
 }

@@ -36,8 +36,8 @@ type Statement struct {
 
 // ParseStatement parses one statement of the dialect: a SELECT query,
 // CREATE VIEW <name> AS SELECT ..., or DROP VIEW <name>. SELECT bodies are
-// validated against the catalog exactly as Parse does; view names share the
-// identifier syntax of relation names.
+// validated against the catalog; view names share the identifier syntax of
+// relation names.
 func ParseStatement(sql string, cat Catalog) (Statement, error) {
 	toks, err := lex(sql)
 	if err != nil {

@@ -63,7 +63,7 @@ func TestParseErrorPositions(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := Parse(c.sql, cat())
+			_, err := parse(c.sql, cat())
 			if err == nil {
 				t.Fatalf("%q: expected error", c.sql)
 			}

@@ -82,7 +82,6 @@ func AddIndicators(root *Node, q query.Query) []*Node {
 // project onto it (paper Example B.2); the indicator's delta is non-empty
 // only when a count crosses zero, so |δ(∃_A R)| ≤ |δR|.
 type IndicatorTracker struct {
-	keys   data.Schema
 	proj   data.Projector
 	counts map[string]int64
 	tuples map[string]data.Tuple
@@ -92,15 +91,11 @@ type IndicatorTracker struct {
 // relSchema onto the indicator keys.
 func NewIndicatorTracker(relSchema, keys data.Schema) *IndicatorTracker {
 	return &IndicatorTracker{
-		keys:   keys,
 		proj:   data.MustProjector(relSchema, keys),
 		counts: make(map[string]int64),
 		tuples: make(map[string]data.Tuple),
 	}
 }
-
-// Keys returns the indicator's key schema.
-func (tr *IndicatorTracker) Keys() data.Schema { return tr.keys }
 
 // Len returns the number of live indicator keys.
 func (tr *IndicatorTracker) Len() int { return len(tr.counts) }

@@ -144,15 +144,3 @@ func demoteWins(n *Node, updatable map[string]bool, m *vorder.CostModel) bool {
 // demoteMinFootprint is the minimum amortized footprint (in per-update ops)
 // a view must carry before demotion is considered.
 const demoteMinFootprint = 0.05
-
-// MaterializedCount returns how many views µ marks for materialization —
-// the paper compares strategies by this count.
-func MaterializedCount(m map[*Node]bool) int {
-	n := 0
-	for _, v := range m {
-		if v {
-			n++
-		}
-	}
-	return n
-}

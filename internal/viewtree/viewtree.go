@@ -5,8 +5,9 @@
 // the variable is bound — marginalizing it with a lifting function. The view
 // at the root is the query result. The package also implements the
 // materialization decision µ(τ, U) (Figure 5), chain composition for wide
-// relations, indicator projections for cyclic queries (Figure 10), and the
-// static delta plans that the IVM engine executes for updates (Figure 4).
+// relations and indicator projections for cyclic queries (Figure 10). The
+// delta plans the IVM engine executes for updates (Figure 4) are compiled
+// from these trees in internal/ivm.
 package viewtree
 
 import (
@@ -58,16 +59,6 @@ func (n *Node) Name() string {
 		return n.Rel
 	}
 	return "V@" + n.Var + n.Keys.String()
-}
-
-// HasRel reports whether relation name occurs in the subtree.
-func (n *Node) HasRel(name string) bool {
-	for _, r := range n.Rels {
-		if r == name {
-			return true
-		}
-	}
-	return false
 }
 
 // Walk visits the subtree in depth-first preorder.

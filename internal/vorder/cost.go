@@ -222,19 +222,15 @@ func (m *CostModel) varFanout(v string) float64 {
 	return f
 }
 
-// DeltaSize estimates the number of entries in the delta of a view with the
-// given keys caused by a single-tuple update to a relation with schema
-// relSchema: one entry per combination of key variables the update does not
-// bind, each weighted by its join fanout, capped by the view size. This is
-// the quantity the paper's O(1)-vs-O(N) update-cost distinction measures —
-// orders that keep an updatable relation's variables covering its path have
-// DeltaSize 1 all the way to the root.
-func (m *CostModel) DeltaSize(keys data.Schema, relSchema data.Schema) float64 {
-	return m.DeltaSizeOver(keys, relSchema, nil)
-}
-
-// DeltaSizeOver is DeltaSize with the view's defining relations known, so
-// the view-size cap is not polluted by unrelated covering relations.
+// DeltaSizeOver estimates the number of entries in the delta of a view with
+// the given keys, defined over the named relations (nil: all), caused by a
+// single-tuple update to a relation with schema relSchema: one entry per
+// combination of key variables the update does not bind, each weighted by
+// its join fanout, capped by the view size over rels, so the cap is not
+// polluted by unrelated covering relations. This is the quantity the paper's
+// O(1)-vs-O(N) update-cost distinction measures — orders that keep an
+// updatable relation's variables covering its path have a delta size of 1 all
+// the way to the root.
 func (m *CostModel) DeltaSizeOver(keys, relSchema data.Schema, rels []string) float64 {
 	size := 1.0
 	for _, v := range keys {

@@ -72,12 +72,12 @@ func TestCostModelDeltaSize(t *testing.T) {
 	keys := data.NewSchema("A", "B")
 	// An update binding every key variable has delta size 1 (the paper's
 	// O(1) single-tuple maintenance).
-	if d := m.DeltaSize(keys, data.NewSchema("A", "B")); d != 1 {
-		t.Fatalf("fully-bound DeltaSize = %v", d)
+	if d := m.DeltaSizeOver(keys, data.NewSchema("A", "B"), nil); d != 1 {
+		t.Fatalf("fully-bound delta size = %v", d)
 	}
 	// Unbound key variables inflate the delta.
-	if d := m.DeltaSize(keys, data.NewSchema("B", "C")); d <= 1 {
-		t.Fatalf("unbound DeltaSize = %v, want > 1", d)
+	if d := m.DeltaSizeOver(keys, data.NewSchema("B", "C"), nil); d <= 1 {
+		t.Fatalf("unbound delta size = %v, want > 1", d)
 	}
 }
 
@@ -193,10 +193,9 @@ func TestChooseFreeVariablesStayAboveBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := o.NodeOf("A")
-	for p := n.Parent(); p != nil; p = p.Parent() {
-		if !q.Free.Contains(p.Var) {
-			t.Fatalf("free variable A below bound %s in %s", p.Var, o.String())
+	for _, a := range o.Ancestors(o.nodes["A"]) {
+		if !q.Free.Contains(a) {
+			t.Fatalf("free variable A below bound %s in %s", a, o.String())
 		}
 	}
 }

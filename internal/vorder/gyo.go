@@ -118,6 +118,3 @@ func GYO(edges []Hyperedge) []Hyperedge {
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
-
-// IsAcyclic reports whether the hypergraph is α-acyclic.
-func IsAcyclic(edges []Hyperedge) bool { return len(GYO(edges)) == 0 }

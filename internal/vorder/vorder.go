@@ -38,9 +38,6 @@ type Order struct {
 	nodes map[string]*Node
 }
 
-// Parent returns the node's parent, or nil for roots.
-func (n *Node) Parent() *Node { return n.parent }
-
 // New assembles an order from its roots, wiring parent pointers and
 // checking that variable names are unique.
 func New(roots ...*Node) (*Order, error) {
@@ -96,9 +93,6 @@ func Chain(vars ...string) *Node {
 	}
 	return root
 }
-
-// NodeOf returns the node of a variable, or nil.
-func (o *Order) NodeOf(v string) *Node { return o.nodes[v] }
 
 // Vars returns all variables in depth-first order.
 func (o *Order) Vars() []string {
