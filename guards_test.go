@@ -1,15 +1,70 @@
 package fivm_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// tree is a set of parsed Go files.
+type tree struct {
+	fset  *token.FileSet
+	files []goFile
+}
+
+// goFile is one parsed Go file.
+type goFile struct {
+	path string // slash-separated, from the repository root
+	test bool
+	ast  *ast.File
+}
+
+// repoTree parses every Go file of the repository once, test files and
+// benchmark/ included, for the guards in this file to share.
+var repoTree = sync.OnceValues(func() (tree, error) {
+	tr := tree{fset: token.NewFileSet()}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(tr.fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		tr.files = append(tr.files, goFile{filepath.ToSlash(p), strings.HasSuffix(p, "_test.go"), f})
+		return nil
+	})
+	return tr, err
+})
+
+// loadRepo returns the shared parse of the repository, failing t if it failed.
+func loadRepo(t *testing.T) tree {
+	t.Helper()
+	tr, err := repoTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
 
 // implicitMethods are method names a type can carry for a standard-library
 // interface it satisfies without any caller naming the method.
@@ -47,45 +102,27 @@ func TestNoTestOnlyExports(t *testing.T) {
 	type fn struct{ path, name string }
 	used := map[string]bool{}
 	var exported []fn
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
+	for _, f := range loadRepo(t).files {
+		if f.test {
+			continue
 		}
 		decl := map[*ast.Ident]bool{}
-		for _, dcl := range f.Decls {
+		for _, dcl := range f.ast.Decls {
 			fd, ok := dcl.(*ast.FuncDecl)
 			if !ok {
 				continue
 			}
 			decl[fd.Name] = true
-			if fd.Name.IsExported() && strings.HasPrefix(path, "internal"+string(filepath.Separator)) {
-				exported = append(exported, fn{filepath.ToSlash(path), qualified(fd)})
+			if fd.Name.IsExported() && strings.HasPrefix(f.path, "internal/") {
+				exported = append(exported, fn{f.path, qualified(fd)})
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
+		ast.Inspect(f.ast, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok && !decl[id] {
 				used[id.Name] = true
 			}
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	matched := make([]bool, len(testOnlyAllowed))
@@ -97,7 +134,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 		allowed := false
 		for i, row := range testOnlyAllowed {
-			if (row.path == "" || row.path == f.path || row.path == filepath.ToSlash(filepath.Dir(f.path))) &&
+			if (row.path == "" || row.path == f.path || row.path == path.Dir(f.path)) &&
 				(row.name == "" || row.name == f.name || row.name == bare) {
 				matched[i], allowed = true, true
 			}
@@ -136,4 +173,413 @@ func qualified(fd *ast.FuncDecl) string {
 		return id.Name + "." + fd.Name.Name
 	}
 	return fd.Name.Name
+}
+
+// removal is one row of removals: a mechanism the project deleted, which
+// must not come back into the row's scope, and the replacement that must stay
+// there. A form is a Go expression, or a func or type declaration without its body,
+// matched against the syntax tree (see like); a comment or a string literal
+// holding the same text neither trips a row nor hides a use.
+type removal struct {
+	had    string   // the commit just before the removal: the step's rows fail there
+	step   string   // the removal the row guards
+	in     []string // directories (dir/... takes in subdirectories), .go files, or "..." for the repository
+	tests  bool     // _test.go files are in scope
+	bench  bool     // a "..." scope takes in benchmark/
+	forbid []string // forms that must not occur
+	only   string   // if set, the forbidden forms may occur inside this func (name or Type.Method)
+	n      int      // if set, the forbidden forms occur exactly n times; none means the row is stale
+	keep   []string // the replacement: forms that must each occur
+}
+
+var (
+	ivmPkg  = []string{"internal/ivm"}
+	dataPkg = []string{"internal/data"}
+	netPkg  = []string{"internal/netserve"}
+	repo    = []string{"..."}
+)
+
+// removals keeps each removal removed (ROADMAP rule (h)): a change that
+// deletes a mechanism adds its rows here, naming its parent commit, and shows
+// that they fail there.
+var removals = []removal{
+	{had: "4172560", step: "Nothing times itself: the one clock read under internal/ivm, data and ring is the epoch stamp",
+		in: []string{"internal/ivm/...", "internal/data/...", "internal/ring/..."}, forbid: []string{"time.Now", "time.Since"}, only: "publisher.publish", n: 1},
+	{had: "ae76ddc", step: "Two ring tiers: no pointer-source twin of AddInto/CopyInto/IsZero",
+		in: repo, tests: true, bench: true, forbid: []string{"MutableRef_", "_IntoRef", "IsZeroRef"}},
+	{had: "e33d197", step: "One δ-join, one driver: internal/ivm defines ApplyDeltas once",
+		in: ivmPkg, forbid: []string{"func ApplyDeltas()"}, n: 1},
+	{had: "e33d197", step: "One δ-join, one driver: internal/ivm defines Snapshot() *ViewSnapshot once",
+		in: ivmPkg, forbid: []string{"func Snapshot() *ViewSnapshot[_]"}, n: 1},
+	{had: "e33d197", step: "One δ-join, one driver: no Sharded() mode, no recDelta/recComp copy of the plan step",
+		in: ivmPkg, forbid: []string{"func Sharded()", "_.Sharded()", "recDelta", "recComp"}},
+	{had: "8b9b1c4", step: "One way in for an epoch header: db.Epoch is allocated only in DB.header",
+		in: []string{"internal/db"}, forbid: []string{"&Epoch{}"}, only: "DB.header", n: 1},
+	{had: "8b9b1c4", step: "One way in for an epoch header: ivm.ViewSnapshot is allocated only in publisher.header",
+		in: ivmPkg, forbid: []string{"&ViewSnapshot[_]{}"}, only: "publisher.header", n: 1},
+	{had: "8b9b1c4", step: "One way in for an epoch header: data.RelationSnapshot is allocated only in newSnapshot",
+		in: dataPkg, forbid: []string{"&RelationSnapshot[_]{}"}, only: "newSnapshot", n: 1},
+	{had: "d9f8224", step: "One rule for arena blocks: a block is freed by the span of snapshots that read it, with no reference count or pending list",
+		in: dataPkg, forbid: []string{"releasePending", "struct{ rc int }", "struct{ runs []*bumpBlock[_] }", "struct{ dirs []*bumpBlock[_] }"},
+		keep: []string{"pinned(_.born, _.last)"}},
+	{had: "498c673", step: "One rule for payload storage: an entry touched first after a publish is replaced whole, with no payload retire or spare list",
+		in: dataPkg, forbid: []string{"retiredPayload", "payloadsMax", "copyFresh", "struct{ spares _ }"},
+		keep: []string{"func (_ *entryTable[_]) replace()", "func (_ *EntrySet[_]) replace()", "func (_ *Index[_]) replace()", "ix.replace(old, en)", "r.entries.replace(e, en)"}},
+	{had: "e337e2a", step: "POST /apply decodes without reflection, and relation names come from BatchArena.Name",
+		in: netPkg, forbid: []string{"UnmarshalJSON", "applyReq", "json.Unmarshal(st._)", "json.Unmarshal(st._._())", "json.Unmarshal(_, &st._)"}, keep: []string{"_.arena.Name()"}},
+	{had: "e337e2a", step: "POST /apply decodes without reflection, and relation names come from BatchArena.Name",
+		in: []string{"internal/wal"}, keep: []string{"a.Name()"}},
+	{had: "126cf9d", step: "One public API: fivm.go re-exports fivm.DB, with no per-engine constructor, options, delta batch, parallel engine, source reader, optimizer, sharding or ring tier",
+		in: []string{"fivm.go"}, forbid: []string{"ivm.New_", "ivm.Options_", "ivm.Maintainer_", "ivm.NamedDelta_", "ivm.Parallel_", "serve.NewReader_",
+			"vorder.Choose_", "vorder.NewCostModel_", "data.Split_", "data.NewSharded_", "ring.Mutable_"}, keep: []string{"db.Open"}},
+	{had: "3642180", step: "Statistics have one writer: no adaptive re-optimization, drift test or live feed outside benchmark/",
+		in: repo, forbid: []string{"AutoReoptimize", "DriftFrom", "maybeReoptimize", "ObserveRouted", "ObserveDeltaRelation", "CollectStats"}},
+	{had: "3642180", step: "Statistics have one writer: the DB's ingest writes the collector",
+		in: []string{"internal/db"}, keep: []string{"data.ObserveDeltaTuples()"}},
+	{had: "e68febd", step: "Figures count work: internal/bench reads the clock only in elapsed, has no timeout and counts through ring/ringtest",
+		in: []string{"internal/bench"}, forbid: []string{"time.Now", "time.Since", "_Timeout_"}, only: "elapsed", keep: []string{`"fivm/internal/ring/ringtest"`}},
+	{had: "e68febd", step: "Figures count work: internal/bench/elapsed.go holds the one elapsed-column helper",
+		in: []string{"internal/bench/elapsed.go"}, forbid: []string{"func _()"}, n: 1},
+	{had: "e68febd", step: "Figures count work: cmd/fivm has no ablations command",
+		in: []string{"cmd/fivm"}, tests: true, forbid: []string{`"ablations"`}},
+	{had: "b9786d7", step: "netserve answers its own connections: no http.Server or ConnContext, and parseHead parses the common request head",
+		in: netPkg, forbid: []string{"http.Server{}", "ConnContext"}, keep: []string{"func (_ *conn) parseHead()"}},
+	{had: "b9786d7", step: "netserve answers its own connections: http.ReadRequest, the fallback, has one site",
+		in: netPkg, forbid: []string{"http.ReadRequest"}, n: 1},
+	{had: "890805e", step: "One evaluator, and backfill reads the base store in place: no lifted-copy backfill path",
+		in: repo, bench: true, forbid: []string{"BaseAdopter", "LoadOwned", "fillLifted"}},
+	{had: "890805e", step: "One evaluator: internal/ivm marginalizes straight into a view's keys",
+		in: ivmPkg, forbid: []string{"MarginalizeVars"}},
+	{had: "890805e", step: "One evaluator: it builds no relation only for data.Project to reorder",
+		in: []string{"internal/ivm/eval.go"}, forbid: []string{"data.Project"}, keep: []string{"func (_ *evaluator[_]) eval()"}},
+	{had: "37f71b1", step: "Checkpoints sort in place: the base store keeps no sort scratch",
+		in: []string{"internal/data/basestore.go"}, forbid: []string{"struct{ sorted _ }", "make([]*Entry[_])"}, keep: []string{"t.pack()", "t.unpack()"}},
+	{had: "37f71b1", step: "Checkpoints sort in place in the entry table",
+		in: []string{"internal/data/swiss.go"}, keep: []string{"func (_ *entryTable[_]) pack()", "func (_ *entryTable[_]) unpack()"}},
+	{had: "37f71b1", step: "Checkpoints read rows in place: only decodedRows builds a row tuple",
+		in: []string{"internal/wal/checkpoint.go"}, forbid: []string{"make(data.Tuple)"}, only: "decodedRows"},
+	{had: "b42d401", step: "Only F-IVM publishes: data.Relation has no Seal",
+		in: dataPkg, forbid: []string{"func (_ *Relation[_]) Seal()"}},
+	{had: "b42d401", step: "Only F-IVM publishes: the competitors have no ViewSnapshot or epoch hook",
+		in: []string{"internal/ivm/baseline.go", "internal/ivm/recursive.go", "internal/ivm/multi.go"}, forbid: []string{"ViewSnapshot", "_{epoch: _}"}},
+	{had: "b42d401", step: "Only F-IVM publishes: NewParallel shards engines, and nothing probes for a shard or maintainer that is not one",
+		in: []string{"internal/ivm/parallel.go", "internal/db/view.go"}, forbid: []string{"func NewParallel(func() Maintainer[_])", "_.(*Engine[_])", "_.(*ivm.Engine[_])", "interface{ PoolStats() }"},
+		keep: []string{"func NewParallel()"}},
+	{had: "a67cb3b", step: "One ring interface: no Sized or CountedMutable, and no probe for a ring tier",
+		in: repo, tests: true, bench: true, forbid: []string{"ring.Sized", "type Sized _", "CountedMutable",
+			"_.(Mutable[_])", "_.(ring.Mutable[_])", "_.(Sized[_])", "_.(ring.Sized[_])"}},
+	{had: "a67cb3b", step: "One ring interface: ring.Ring embeds Mutable, which declares AddInto",
+		in: []string{"internal/ring/ring.go"}, keep: []string{"type Ring[_ any] interface{ Mutable[_] }", "type Mutable[_ any] interface{ AddInto() }"}},
+	{had: "a67cb3b", step: "One ring interface: ring.MutableOf is called only by the benchmark",
+		in: repo, forbid: []string{"MutableOf"}, only: "MutableOf"},
+	{had: "a67cb3b", step: "One ring interface: no ring.Mutable field in internal/data or internal/ivm",
+		in: []string{"internal/data/...", "internal/ivm/..."}, tests: true, forbid: []string{"ring.Mutable[_]"}},
+}
+
+// TestRemovalGuards fails on every removal row whose forbidden forms are
+// back, and on every row whose replacement is gone (the row is stale).
+func TestRemovalGuards(t *testing.T) {
+	tr := loadRepo(t)
+	for _, r := range removals {
+		for _, msg := range r.check(tr) {
+			t.Errorf("%s (removed after %s): %s", r.step, r.had, msg)
+		}
+	}
+}
+
+// check returns what is wrong with row r over tr: each forbidden site, or
+// why the row is stale.
+func (r removal) check(tr tree) []string {
+	forbid, err := parseForms(r.forbid)
+	if err != nil {
+		return []string{err.Error()}
+	}
+	keep, err := parseForms(r.keep)
+	if err != nil {
+		return []string{err.Error()}
+	}
+	var bad, sites []string
+	seen, kept := make([]bool, len(r.in)), make([]bool, len(keep))
+	for _, f := range tr.files {
+		i := r.scope(f)
+		if i < 0 {
+			continue
+		}
+		seen[i] = true
+		for _, d := range f.ast.Decls {
+			fn := ""
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				fn = qualified(fd)
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				for j, p := range forbid {
+					if matches(p, n) {
+						site := fmt.Sprintf("%s: %s", tr.fset.Position(n.Pos()), r.forbid[j])
+						sites = append(sites, site)
+						if r.only != "" && fn != r.only {
+							bad = append(bad, site+" outside func "+r.only)
+						} else if r.only == "" && r.n == 0 {
+							bad = append(bad, site)
+						}
+					}
+				}
+				for j, p := range keep {
+					kept[j] = kept[j] || matches(p, n)
+				}
+				return true
+			})
+		}
+	}
+	for i, in := range r.in {
+		if !seen[i] {
+			bad = append(bad, fmt.Sprintf("%s holds no Go file in scope: the row is stale", in))
+		}
+	}
+	if r.n > 0 && len(sites) == 0 {
+		bad = append(bad, fmt.Sprintf("no %s in %s: the replacement is gone, so the row is stale", strings.Join(r.forbid, " or "), strings.Join(r.in, ", ")))
+	} else if r.n > 0 && len(sites) != r.n {
+		bad = append(bad, fmt.Sprintf("want exactly %d of %s, found %d: %s", r.n, strings.Join(r.forbid, " or "), len(sites), strings.Join(sites, "; ")))
+	}
+	for j, ok := range kept {
+		if !ok {
+			bad = append(bad, fmt.Sprintf("no %s in %s: the replacement is gone, so the row is stale", r.keep[j], strings.Join(r.in, ", ")))
+		}
+	}
+	return bad
+}
+
+// scope returns the index of the entry of r.in that takes in f, or -1.
+func (r removal) scope(f goFile) int {
+	if f.test && !r.tests {
+		return -1
+	}
+	for i, in := range r.in {
+		dir, sub := strings.CutSuffix(in, "/...")
+		switch {
+		case in == "...":
+			if r.bench || !strings.HasPrefix(f.path, "benchmark/") {
+				return i
+			}
+		case sub:
+			if strings.HasPrefix(f.path, dir+"/") {
+				return i
+			}
+		case f.path == in || path.Dir(f.path) == in:
+			return i
+		}
+	}
+	return -1
+}
+
+// parseForms parses forms: each a Go expression, or a func or type
+// declaration whose body is left out.
+func parseForms(forms []string) ([]ast.Node, error) {
+	nodes := make([]ast.Node, len(forms))
+	for i, src := range forms {
+		var err error
+		if strings.HasPrefix(src, "func ") || strings.HasPrefix(src, "type ") {
+			var f *ast.File
+			if f, err = parser.ParseFile(token.NewFileSet(), "", "package p\n"+src, parser.SkipObjectResolution); err == nil {
+				nodes[i] = f.Decls[0]
+				if g, ok := f.Decls[0].(*ast.GenDecl); ok {
+					nodes[i] = g.Specs[0]
+				}
+			}
+		} else {
+			nodes[i], err = parser.ParseExprFrom(token.NewFileSet(), "", src, parser.SkipObjectResolution)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("form %q does not parse: %v", src, err)
+		}
+	}
+	return nodes, nil
+}
+
+// matches reports whether node n has the shape of form p.
+func matches(p, n ast.Node) bool {
+	if n == nil || reflect.TypeOf(p) != reflect.TypeOf(n) {
+		return false
+	}
+	return like(reflect.ValueOf(p), reflect.ValueOf(n))
+}
+
+// ignored are the node fields a form does not constrain.
+var ignored = map[reflect.Type]bool{
+	reflect.TypeOf(token.NoPos):              true,
+	reflect.TypeOf((*ast.CommentGroup)(nil)): true,
+	reflect.TypeOf((*ast.Object)(nil)):       true,
+}
+
+// like reports whether syntax c has the shape of form p. A part p leaves out
+// matches anything, `_` matches any expression and, inside a name, any run
+// of characters (ivm.New_ matches ivm.NewParallel), a list in p matches any
+// list that holds its elements in order, and a string literal matches the
+// same string however it is quoted.
+func like(p, c reflect.Value) bool {
+	if p.Kind() == reflect.Interface {
+		if p.IsNil() {
+			return true
+		}
+		if c.IsNil() {
+			return false
+		}
+		p, c = p.Elem(), c.Elem()
+	}
+	if id, ok := p.Interface().(*ast.Ident); ok && id != nil && id.Name == "_" {
+		return true
+	}
+	if p.Type() != c.Type() {
+		return false
+	}
+	switch p.Kind() {
+	case reflect.Pointer:
+		if p.IsNil() {
+			return true
+		}
+		if c.IsNil() {
+			return false
+		}
+		switch x := p.Interface().(type) {
+		case *ast.Ident:
+			ok, _ := path.Match(strings.ReplaceAll(x.Name, "_", "*"), c.Interface().(*ast.Ident).Name)
+			return ok
+		case *ast.BasicLit:
+			y := c.Interface().(*ast.BasicLit)
+			return x.Kind == y.Kind && unquote(x.Value) == unquote(y.Value)
+		}
+		return like(p.Elem(), c.Elem())
+	case reflect.Struct:
+		for i := range p.NumField() {
+			if !ignored[p.Type().Field(i).Type] && !like(p.Field(i), c.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice:
+		j := 0
+		for i := range p.Len() {
+			for j < c.Len() && !like(p.Index(i), c.Index(j)) {
+				j++
+			}
+			if j == c.Len() {
+				return false
+			}
+			j++
+		}
+		return true
+	}
+	return p.Equal(c)
+}
+
+func unquote(lit string) string {
+	if s, err := strconv.Unquote(lit); err == nil {
+		return s
+	}
+	return lit
+}
+
+// TestRemovalGuardForms checks the removal rows' matcher on small sources:
+// each kind of form is flagged in code and not in a comment or a string,
+// honours only and n, and a row whose replacement is gone reports itself
+// stale.
+func TestRemovalGuardForms(t *testing.T) {
+	cases := []struct{ form, code, fn string }{
+		{"recDelta", "func f() { recDelta() }", "f"},
+		{"_IntoRef", "func f() { r.AddIntoRef(x) }", "f"},
+		{"time.Now", "func f() { _ = time.Now() }", "f"},
+		{"ivm.New_", "func f() { _ = ivm.NewParallel }", "f"},
+		{"&Epoch{}", "func f() { _ = &Epoch{home: nil} }", "f"},
+		{"_{epoch: _}", "func f() { _ = engine{apply: a, epoch: e} }", "f"},
+		{"http.Server{}", "func f() { _ = &http.Server{Handler: h} }", "f"},
+		{"make([]*Entry[_])", "func f() { _ = make([]*Entry[P], 0, n) }", "f"},
+		{"json.Unmarshal(st._)", "func f() { _ = json.Unmarshal(st.body, &st.req) }", "f"},
+		{"pinned(_.born, _.last)", "func f() { _ = pinned(b.born, b.last) }", "f"},
+		{"_.Sharded()", "func f() { _ = p.Sharded() }", "f"},
+		{"_.(ring.Sized[_])", "func f() { _, _ = r.(ring.Sized[T]) }", "f"},
+		{"struct{ rc int }", "func f() { type block struct{ mark, rc int } }", "f"},
+		{"interface{ PoolStats() }", "func f() { _, _ = m.(interface{ PoolStats() data.PoolStats }) }", "f"},
+		{`"ablations"`, `func f() { switch cmd { case "ablations": } }`, "f"},
+		{`"fivm/internal/ring/ringtest"`, `import "fivm/internal/ring/ringtest"`, ""},
+		{"type Sized _", "func f() { type Sized[T any] interface{ Bytes(T) int } }", "f"},
+		{"type Ring[_ any] interface{ Mutable[_] }", "type Ring[T any] interface { Zero() T; Mutable[T] }", ""},
+		{"func (_ *conn) parseHead()", "func (c *conn) parseHead(b []byte) bool { return false }", "conn.parseHead"},
+		{"func Snapshot() *ViewSnapshot[_]", "func (p *publishing[P]) Snapshot() *ViewSnapshot[P] { return nil }", "publishing.Snapshot"},
+		{"func NewParallel(func() Maintainer[_])", "func NewParallel[P any](q Query, workers int, factory func() (Maintainer[P], error)) {}", "NewParallel"},
+	}
+	for _, c := range cases {
+		code := "package p\n\n" + c.code + "\n"
+		text := "package p\n\n// " + c.code + "\nvar s = `" + c.code + "`\n"
+		row := removal{step: c.form, in: []string{"p"}, forbid: []string{c.form}}
+		one := parseSources(t, "p/a.go", code, "p/text.go", text)
+		two := parseSources(t, "p/a.go", code, "p/b.go", code)
+		none := parseSources(t, "p/text.go", text)
+
+		if got := row.check(one); len(got) != 1 || !strings.HasPrefix(got[0], "p/a.go:3:") {
+			t.Errorf("%s: want one site in p/a.go, got %q", c.form, got)
+		}
+		if got := row.check(none); len(got) != 0 {
+			t.Errorf("%s: a comment or a string tripped the row: %q", c.form, got)
+		}
+		only := row
+		if only.only = c.fn; c.fn != "" {
+			if got := only.check(two); len(got) != 0 {
+				t.Errorf("%s: only %s: sites inside it tripped the row: %q", c.form, c.fn, got)
+			}
+		}
+		if only.only = "elsewhere"; len(only.check(two)) != 2 {
+			t.Errorf("%s: only elsewhere: want both sites flagged, got %q", c.form, only.check(two))
+		}
+		exact := row
+		exact.n = 1
+		if got := exact.check(one); len(got) != 0 {
+			t.Errorf("%s: n 1 over one site: %q", c.form, got)
+		}
+		if got := exact.check(two); len(got) != 1 || !strings.Contains(got[0], "want exactly 1") || !strings.Contains(got[0], "found 2") {
+			t.Errorf("%s: n 1 over two sites: %q", c.form, got)
+		}
+		if got := exact.check(none); len(got) != 1 || !strings.HasSuffix(got[0], "the row is stale") {
+			t.Errorf("%s: n 1 over no site is not stale: %q", c.form, got)
+		}
+		keep := removal{step: c.form, in: []string{"p"}, keep: []string{c.form}}
+		if got := keep.check(one); len(got) != 0 {
+			t.Errorf("%s: kept form present, yet %q", c.form, got)
+		}
+		if got := keep.check(none); len(got) != 1 || !strings.HasSuffix(got[0], "the row is stale") {
+			t.Errorf("%s: kept form absent is not stale: %q", c.form, got)
+		}
+	}
+
+	// Scope: test files and benchmark/ count only where the row says so, and
+	// an entry that holds no file makes the row stale.
+	tr := parseSources(t, "p/c.go", "package p", "p/a_test.go", "package p\nvar _ = recDelta", "benchmark/b.go", "package b\nvar _ = recDelta\nvar _ = `ablations`")
+	for _, c := range []struct {
+		row  removal
+		want int
+	}{
+		{removal{in: []string{"..."}, forbid: []string{"recDelta"}}, 0},
+		{removal{in: []string{"..."}, tests: true, forbid: []string{"recDelta"}}, 1},
+		{removal{in: []string{"..."}, bench: true, forbid: []string{"recDelta"}}, 1},
+		{removal{in: []string{"p/..."}, tests: true, bench: true, forbid: []string{"recDelta"}}, 1},
+		{removal{in: []string{"q"}, forbid: []string{"recDelta"}}, 1},
+		{removal{in: repo, forbid: []string{"recDelta("}}, 1},
+		{removal{in: repo, bench: true, forbid: []string{`"ablations"`}}, 1},
+	} {
+		if got := c.row.check(tr); len(got) != c.want {
+			t.Errorf("%+v: want %d messages, got %q", c.row, c.want, got)
+		}
+	}
+}
+
+// parseSources parses in-memory files given as path, source pairs.
+func parseSources(t *testing.T, pathSrc ...string) tree {
+	t.Helper()
+	tr := tree{fset: token.NewFileSet()}
+	for i := 0; i < len(pathSrc); i += 2 {
+		f, err := parser.ParseFile(tr.fset, pathSrc[i], pathSrc[i+1], parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.files = append(tr.files, goFile{pathSrc[i], strings.HasSuffix(pathSrc[i], "_test.go"), f})
+	}
+	return tr
 }

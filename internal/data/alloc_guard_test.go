@@ -24,6 +24,8 @@ func guardZeroAllocs(t *testing.T, name string, f func()) {
 	}
 }
 
+// TestAllocGuardTupleAppendKey bounds encoding a four-value tuple's key into a
+// reused buffer at zero allocations.
 func TestAllocGuardTupleAppendKey(t *testing.T) {
 	tup := Tuple{Int(123456), Float(3.5), String("key"), Int(-9)}
 	buf := make([]byte, 0, 64)
@@ -32,6 +34,8 @@ func TestAllocGuardTupleAppendKey(t *testing.T) {
 	})
 }
 
+// TestAllocGuardRelationGet bounds a point lookup of a stored key at zero
+// allocations.
 func TestAllocGuardRelationGet(t *testing.T) {
 	r := NewRelation[int64](ring.Int{}, NewSchema("A", "B"))
 	tups := make([]Tuple, 512)
@@ -48,6 +52,8 @@ func TestAllocGuardRelationGet(t *testing.T) {
 	})
 }
 
+// TestAllocGuardRelationMergeSteady bounds merging an integer payload into a
+// key already stored at zero allocations.
 func TestAllocGuardRelationMergeSteady(t *testing.T) {
 	r := NewRelation[int64](ring.Int{}, NewSchema("A", "B"))
 	tups := make([]Tuple, 512)
@@ -62,6 +68,8 @@ func TestAllocGuardRelationMergeSteady(t *testing.T) {
 	})
 }
 
+// TestAllocGuardTripleMergeSteady bounds merging a cofactor payload into a key
+// already stored at zero allocations.
 func TestAllocGuardTripleMergeSteady(t *testing.T) {
 	cf := ring.Cofactor{}
 	r := NewRelation[ring.Triple](cf, NewSchema("A"))
@@ -73,6 +81,8 @@ func TestAllocGuardTripleMergeSteady(t *testing.T) {
 	})
 }
 
+// TestAllocGuardTripleAddInto bounds adding one cofactor triple into another
+// in place at zero allocations.
 func TestAllocGuardTripleAddInto(t *testing.T) {
 	cf := ring.Cofactor{}
 	acc := cf.Mul(ring.LiftValue(0, 2), cf.Mul(ring.LiftValue(1, 3), ring.LiftValue(2, 4)))
@@ -82,6 +92,8 @@ func TestAllocGuardTripleAddInto(t *testing.T) {
 	})
 }
 
+// TestAllocGuardRadixSortKeys bounds radix-sorting and deduplicating 512 keys
+// in place at zero allocations.
 func TestAllocGuardRadixSortKeys(t *testing.T) {
 	keys := make([]string, 512)
 	scratch := make([]string, len(keys))

@@ -99,6 +99,8 @@ func TestCompactInPlace(t *testing.T) {
 	}
 }
 
+// TestAllocGuardTableChurn bounds deleting one entry from an entry table and
+// inserting another at constant size at zero allocations.
 func TestAllocGuardTableChurn(t *testing.T) {
 	var tab entryTable[int64]
 	es := make([]*Entry[int64], 4096)
