@@ -246,6 +246,8 @@ var removals = []removal{
 		in: netPkg, forbid: []string{"http.Server{}", "ConnContext"}, keep: []string{"func (_ *conn) parseHead()"}},
 	{had: "b9786d7", step: "netserve answers its own connections: http.ReadRequest, the fallback, has one site",
 		in: netPkg, forbid: []string{"http.ReadRequest"}, n: 1},
+	{had: "1f62482", step: "netserve routes its own eight paths: no http.ServeMux, and a view route gets its name as an argument, not from PathValue",
+		in: netPkg, forbid: []string{"http.NewServeMux", "_.PathValue(_)"}, keep: []string{"func (_ *Server) ServeHTTP()", "func (_ *route) match()"}},
 	{had: "890805e", step: "One evaluator, and backfill reads the base store in place: no lifted-copy backfill path",
 		in: repo, bench: true, forbid: []string{"BaseAdopter", "LoadOwned", "fillLifted"}},
 	{had: "890805e", step: "One evaluator: internal/ivm marginalizes straight into a view's keys",

@@ -1,8 +1,10 @@
 package data
 
 import (
+	"cmp"
 	"fmt"
 	"iter"
+	"slices"
 	"unsafe"
 
 	"fivm/internal/ring"
@@ -91,6 +93,7 @@ type BaseStore struct {
 	// per-observer filtered views of the batch.
 	keyed      batchKeys
 	obsScratch []BaseUpdate
+	pending    map[string]*Relation[int64] // Check's running counts per relation
 }
 
 type baseObserver struct {
@@ -101,7 +104,7 @@ type baseObserver struct {
 
 // NewBaseStore creates an empty store; relations are added with Register.
 func NewBaseStore() *BaseStore {
-	return &BaseStore{rels: make(map[string]*Relation[int64])}
+	return &BaseStore{rels: make(map[string]*Relation[int64]), pending: make(map[string]*Relation[int64])}
 }
 
 // Register adds a base relation with its schema. Registering the same name
@@ -207,6 +210,49 @@ func (s *BaseStore) Detach(id string) {
 			return
 		}
 	}
+}
+
+// Check refuses a batch that would leave a stored row at a negative
+// multiplicity, counting the store and the batch's own earlier updates, with
+// an error naming the relation and the row; it changes nothing. A batch with
+// no negative Mult passes unread. The running counts are store-owned scratch
+// relations, so a warm check allocates nothing.
+func (s *BaseStore) Check(batch []BaseUpdate) error {
+	if !slices.ContainsFunc(batch, func(u BaseUpdate) bool { return u.Mult < 0 }) {
+		return nil
+	}
+	defer func() {
+		for _, p := range s.pending {
+			p.Clear()
+		}
+	}()
+	k := &s.keyed
+	for _, u := range batch {
+		r, p := s.rels[u.Rel], s.pending[u.Rel]
+		if r == nil {
+			continue // ApplyBatch refuses it
+		} else if p == nil {
+			p = NewRelation[int64](ring.Int{}, r.schema)
+			p.RecycleCleared()
+			s.pending[u.Rel] = p
+		}
+		mult := cmp.Or(u.Mult, 1)
+		for _, t := range u.Tuples {
+			k.bytes = t.AppendKey(k.bytes[:0])
+			h, n := hashBytes(k.bytes), int64(0)
+			p.mergeKeyed(k.bytes, h, t, false, mult)
+			if e := r.entries.getBytes(h, k.bytes); e != nil {
+				n = e.Payload
+			}
+			if e := p.entries.getBytes(h, k.bytes); e != nil {
+				n += e.Payload
+			}
+			if n < 0 {
+				return fmt.Errorf("data: %q row %v: a delete would leave it at multiplicity %d", u.Rel, t, n)
+			}
+		}
+	}
+	return nil
 }
 
 // ApplyBatch advances the store by one batch of per-relation updates — each

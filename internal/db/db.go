@@ -355,6 +355,15 @@ func (d *DB) MemoryBytes() int {
 // is published at the end. It is the DB's only write path; deletions are
 // updates with negative Mult.
 //
+// Multiplicities stay non-negative: a batch that would leave any stored row
+// at a negative multiplicity — counting the store and the batch's own earlier
+// updates, so a delete of an absent row — is refused whole, before the WAL
+// append, with an error naming the relation and the row. A batch of inserts
+// only is not checked. Replay, in recovery and on a follower, applies a
+// logged batch as it was logged: a log written before this rule may hold
+// such a delete, and replay leaves the row at the negative count it was
+// applied with then.
+//
 // Failure atomicity: on any error the applied counter, the statistics, and
 // the published epoch are untouched — a reader on serve.Reader can never
 // observe a half-applied epoch. A WAL append error additionally poisons the
@@ -383,6 +392,9 @@ func (d *DB) Apply(batch []Update) error {
 			}
 		}
 		d.baseBatch = append(d.baseBatch, u) // the arena mark travels with it
+	}
+	if err := d.store.Check(d.baseBatch); err != nil {
+		return err
 	}
 	return d.applyBase(d.baseBatch, true)
 }

@@ -53,6 +53,7 @@ func parseValue(s string) (data.Value, error) {
 // its reply in, pooled by the server: with at most eight keys and no escaped
 // pair, nothing in it is allocated per request.
 type readState struct {
+	view            string     // the view route's {name}
 	key             data.Tuple // the key= values in order; bindKey adds those given by column name
 	keyErr          error      // the first key= value parseValue refused
 	named           []param    // every pair with another name, in order
@@ -70,8 +71,8 @@ type readState struct {
 
 type param struct{ name, value string }
 
-// reset drops what the last request left (key strings point into its URL) and
-// keeps the reply buffers.
+// reset drops what the last request left (the view name and key strings point
+// into its head) and keeps the reply buffers.
 func (q *readState) reset() *readState {
 	*q = readState{buf: q.buf[:0], rows: q.rows[:0]}
 	q.key, q.named = q.vals[:0], q.pairs[:0]

@@ -41,6 +41,10 @@ const (
 	lingerTimeout = 500 * time.Millisecond
 )
 
+// poisonHeads, set by tests, fills a connection's head buffer with 0xFF after
+// every response: a request's string read past its handler reads garbage.
+var poisonHeads bool
+
 // conn is one accepted connection and what it reuses across its requests.
 type conn struct {
 	s   *Server
@@ -54,8 +58,10 @@ type conn struct {
 	active atomic.Bool
 	w      response
 	body   requestBody
-	// What parseHead fills, cleared for each request: the request, its URL,
-	// header map and the header values' backing array, and its body.
+	// What parseHead fills, cleared for each request: the head its strings
+	// are cut from (kept: it is never longer than br's 4 KiB buffer), the
+	// request, its URL, header map, the header values' array, and its body.
+	head   []byte
 	req    http.Request
 	url    url.URL
 	hdr    http.Header
@@ -250,7 +256,10 @@ func (c *conn) serveRequest() (keep bool) {
 	c.nc.SetReadDeadline(start.Add(c.s.readHeaderTimeout))
 	c.in.N = maxHeaderBytes - int64(c.br.Buffered()) // the request's first bytes are in already
 	req, err := c.parseHead(), error(nil)
-	if req == nil {
+	if req != nil {
+		c.s.headsParsed.Add(1)
+	} else {
+		c.s.headsRead.Add(1)
 		buffered, _ := c.br.Peek(c.br.Buffered())
 		c.tap.buf, c.tap.on = append(c.tap.buf[:0], buffered...), true
 		req, err = http.ReadRequest(c.br)
@@ -288,7 +297,7 @@ func (c *conn) serveRequest() (keep bool) {
 		req.Body = b
 	}
 	c.nc.SetReadDeadline(start.Add(c.s.readTimeout))
-	c.s.mux.ServeHTTP(&c.w, req)
+	c.s.ServeHTTP(&c.w, req)
 	keep, linger := !req.Close && !c.s.closing.Load(), false
 	if !b.eof {
 		switch {
@@ -352,6 +361,11 @@ func (c *conn) respond(http11, head, keep, linger bool) {
 	}
 	c.bw.Flush() // a client that has gone fails the next read
 	w.reset()
+	if h := c.head[:cap(c.head)]; poisonHeads { // the request's strings are dead: tests show it
+		for i := range h {
+			h[i] = 0xFF
+		}
+	}
 	if cw, ok := c.nc.(interface{ CloseWrite() error }); linger && ok && cw.CloseWrite() == nil {
 		c.nc.SetReadDeadline(time.Now().Add(lingerTimeout))
 		io.Copy(io.Discard, c.nc)

@@ -319,11 +319,11 @@ func digits(b []byte) (n int) {
 }
 
 // TestAllocGuardServe: lookups, scans and POST /apply through Serve on one
-// kept-alive loopback connection allocate, server and raw client together, at
-// most two objects per read (the head string and the mux's {name} match) and
-// one per POST (the head string) — parseHead fills the connection's request,
-// the response, its headers and the connection's state are reused — and
-// nothing per row or per tuple.
+// kept-alive loopback connection allocate nothing, server and raw client
+// together: parseHead copies the head into the connection's buffer and fills
+// the connection's request from it, the router hands the view its name as a
+// segment of the path, and the response, its headers and the connection's
+// state are reused.
 func TestAllocGuardServe(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc guards run in the non-race pass")
@@ -367,11 +367,8 @@ func TestAllocGuardServe(t *testing.T) {
 	small, large := postObjects(t, 100), postObjects(t, 400)
 	t.Logf("objects per request: lookup %.0f, scan of 60 rows %.0f, of 240 %.0f; POST of 200 tuples %.0f, of 800 %.0f",
 		lookup, scan60, scan240, small, large)
-	if lookup > 2 || scan60 > 2 || small > 1 {
-		t.Errorf("a read allocates more than two objects, or a POST more than one")
-	}
-	if scan240 > scan60 || large > small {
-		t.Errorf("a scan allocates more for more rows, or a POST for more tuples")
+	if max(lookup, scan60, scan240, small, large) > 0 {
+		t.Errorf("a request allocates")
 	}
 }
 

@@ -19,24 +19,28 @@
 // batch applied — the store and the views have copied what they keep by then.
 //
 // Connections: Serve speaks HTTP/1.x itself (conn.go), a goroutine per
-// connection routing requests through the mux Handler() returns. A request
-// whose head is already buffered whole and has the common shape (request.go:
-// GET, POST or HEAD of a plain path, HTTP/1.1 or 1.0, the few headers curl, Go's
-// client and the benchmark send) is parsed by parseHead; every other is left
-// to http.ReadRequest, so that every refusal and unusual form is net/http's.
-// Each connection keeps the request parseHead fills, a response writer and
-// serve.Reader handles (key-encoding scratch) re-pinned to each request's
-// epoch. A request releases its epoch, and the reader's pin with it, before
-// it returns: an idle connection holds no snapshot storage.
+// connection routing requests through ServeHTTP. A request whose head is
+// already buffered whole and has the common shape (request.go: GET, POST or
+// HEAD of a plain path, HTTP/1.1 or 1.0, the few headers curl, Go's client and
+// the benchmark send) is parsed by parseHead; every other is left to
+// http.ReadRequest, so that every refusal and unusual form is net/http's. Each
+// connection keeps the head parseHead copies and the request it fills, a
+// response writer and serve.Reader handles (key-encoding scratch) re-pinned to
+// each request's epoch. A request releases its epoch, and the reader's pin
+// with it, before it returns: an idle connection holds no snapshot storage.
 //
-// Allocation: a lookup or a scan parseHead takes allocates its head as one
-// string and the mux's {name} match, two objects (http.ReadRequest's Request,
-// URL and header map, about 0.9 KiB, on a head it leaves). The query is parsed in one pass into a
-// pooled struct and the reply appended into its buffer; the writer reuses its
-// header map and body buffer and appends the status line, Date,
-// Content-Length and the epoch's numbers itself. Beyond applying its batch, a
-// POST /apply allocates only its head string: its body is scanned in one pass
-// into pooled storage, relation names included.
+// Lifetime: a string of a request parseHead fills (method, target, header
+// values, the view name and the query's values) is cut from the connection's
+// head buffer with unsafe.String and is valid until the handler returns, as a
+// fasthttp RequestCtx's; the next head overwrites it. No handler keeps one.
+//
+// Allocation: a request parseHead takes allocates nothing here (a head left to
+// http.ReadRequest costs its Request, URL and header map, about 0.9 KiB).
+// ServeHTTP matches the routes' path segments and hands a view route its name.
+// The query is parsed in one pass into a pooled struct and the reply appended
+// into its buffer; the writer reuses its header map and body buffer and
+// appends the status line, Date, Content-Length and the epoch's numbers
+// itself. A POST /apply scans its body in one pass into pooled storage.
 package netserve
 
 import (
@@ -46,7 +50,10 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
+	pathpkg "path"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,8 +87,10 @@ type Config struct {
 // Shutdown (which drains in-flight requests before returning).
 type Server struct {
 	cfg    Config
-	mux    *http.ServeMux
+	routes [8]route
 	selSeq atomic.Uint64
+	// Requests whose head parseHead took, and those left to http.ReadRequest.
+	headsParsed, headsRead atomic.Uint64
 	// The connection limits: the constants, which a test shortens.
 	readHeaderTimeout, readTimeout, idleTimeout time.Duration
 	mu                                          sync.Mutex                // guards listeners and conns
@@ -109,25 +118,109 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxScan <= 0 {
 		cfg.MaxScan = 10000
 	}
-	s := &Server{cfg: cfg, mux: http.NewServeMux(), readHeaderTimeout: readHeaderTimeout, readTimeout: readTimeout,
+	s := &Server{cfg: cfg, readHeaderTimeout: readHeaderTimeout, readTimeout: readTimeout,
 		idleTimeout: idleTimeout, listeners: map[net.Listener]struct{}{}, conns: map[*conn]struct{}{}}
 	s.readStates.New = func() any { return new(readState).reset() }
 	s.applyStates.New = func() any { return new(applyState) }
-	mux := s.mux
-	mux.HandleFunc("GET /healthz", s.read(s.handleHealthz))
-	mux.HandleFunc("GET /stats", s.read(s.handleStats))
-	mux.HandleFunc("GET /views", s.read(s.handleViews))
-	mux.HandleFunc("GET /view/{name}/lookup", s.read(s.handleView(false)))
-	mux.HandleFunc("GET /view/{name}/scan", s.read(s.handleView(true)))
-	mux.HandleFunc("POST /exec", s.handleExec)
-	mux.HandleFunc("POST /select", s.handleSelect)
-	mux.HandleFunc("POST /apply", s.handleApply)
+	s.routes = [...]route{
+		{http.MethodGet, []string{"healthz"}, s.read(s.handleHealthz)},
+		{http.MethodGet, []string{"stats"}, s.read(s.handleStats)},
+		{http.MethodGet, []string{"views"}, s.read(s.handleViews)},
+		{http.MethodGet, []string{"view", "", "lookup"}, s.read(s.handleView(false))},
+		{http.MethodGet, []string{"view", "", "scan"}, s.read(s.handleView(true))},
+		{http.MethodPost, []string{"exec"}, s.handleExec},
+		{http.MethodPost, []string{"select"}, s.handleSelect},
+		{http.MethodPost, []string{"apply"}, s.handleApply},
+	}
 	return s, nil
 }
 
-// Handler exposes the routes Serve uses, for tests and embedding. A request
+// Handler exposes the router Serve uses, for tests and embedding. A request
 // served this way gets its own readers and the cached epoch header strings.
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return s }
+
+// route is one of the eight routes: its method, its path's segments ("" is a
+// view's {name}) and its handler, which gets the view's name.
+type route struct {
+	method string
+	segs   []string
+	h      func(w http.ResponseWriter, r *http.Request, view string)
+}
+
+// allow is the Allow header of a 405, by the route's method.
+var allow = map[string]string{http.MethodGet: "GET, HEAD", http.MethodPost: "POST"}
+
+// ServeHTTP routes a request as an http.ServeMux over the routes' patterns
+// ("GET /view/{name}/lookup", ...) did: 400 for a target of "*", 301 to the
+// cleaned path for an unclean one but a CONNECT's, a GET route's handler for
+// HEAD too, 405 with Allow for another method and 404 for a path no route has.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	path := r.URL.EscapedPath()
+	if r.RequestURI == "*" {
+		if r.ProtoAtLeast(1, 1) {
+			w.Header().Set("Connection", "close")
+		}
+		w.WriteHeader(http.StatusBadRequest)
+	} else if clean := cleanPath(path); clean != path && r.Method != http.MethodConnect {
+		http.Redirect(w, r, (&url.URL{Path: clean, RawQuery: r.URL.RawQuery}).String(), http.StatusMovedPermanently)
+	} else if rt, view := s.route(path); rt == nil {
+		http.NotFound(w, r)
+	} else if r.Method == rt.method || r.Method == http.MethodHead && rt.method == http.MethodGet {
+		rt.h(w, r, view)
+	} else {
+		w.Header().Set("Allow", allow[rt.method])
+		http.Error(w, http.StatusText(http.StatusMethodNotAllowed), http.StatusMethodNotAllowed)
+	}
+}
+
+// route returns the route of an escaped path and the view name it gives, or
+// nil. A path ending in '/' is no route's.
+func (s *Server) route(path string) (*route, string) {
+	rest, ok := strings.CutPrefix(path, "/")
+	if !ok || strings.HasSuffix(path, "/") {
+		return nil, ""
+	}
+	for i := range s.routes {
+		if view, ok := s.routes[i].match(rest); ok {
+			return &s.routes[i], view
+		}
+	}
+	return nil, ""
+}
+
+// match reports whether a path, its leading '/' cut, is the route's, and the
+// view name it gives. Segments are compared unescaped, and a name of "%2F" is
+// none: as a trailing slash it matches no {name}.
+func (rt *route) match(path string) (view string, ok bool) {
+	if strings.Count(path, "/") != len(rt.segs)-1 {
+		return "", false
+	}
+	for _, want := range rt.segs {
+		seg, rest, _ := strings.Cut(path, "/")
+		if u, err := url.PathUnescape(seg); err == nil {
+			seg = u
+		}
+		if want == "" && seg != "/" {
+			view = seg
+		} else if seg != want {
+			return "", false
+		}
+		path = rest
+	}
+	return view, true
+}
+
+// cleanPath is net/http's: path.Clean rooted at '/', keeping a trailing slash.
+func cleanPath(p string) string {
+	if !strings.HasPrefix(p, "/") {
+		p = "/" + p
+	}
+	np := pathpkg.Clean(p)
+	if np != "/" && strings.HasSuffix(p, "/") {
+		np += "/"
+	}
+	return np
+}
 
 // connReaders is the per-connection serve.Reader cache: one reader per
 // payload type, pinned to a request's epoch for the request only.
@@ -200,14 +293,16 @@ func (s *Server) setEpochHeaders(w http.ResponseWriter, e *db.Epoch) {
 
 // read wraps a read handler: the request leases the current epoch — stamped
 // on the consistency headers and checked against ?min_epoch — and a readState
-// holding its parsed query for exactly as long as the handler runs.
-func (s *Server) read(h func(http.ResponseWriter, *http.Request, *db.Epoch, *readState)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
+// holding its view name and parsed query for exactly as long as the handler
+// runs.
+func (s *Server) read(h func(http.ResponseWriter, *http.Request, *db.Epoch, *readState)) func(http.ResponseWriter, *http.Request, string) {
+	return func(w http.ResponseWriter, r *http.Request, view string) {
 		e := s.cfg.DB().Epoch()
 		defer e.Release()
 		q := s.readStates.Get().(*readState)
 		defer func() { s.readStates.Put(q.reset()) }()
 		s.setEpochHeaders(w, e)
+		q.view = view
 		q.parse(r.URL.RawQuery)
 		if q.minEpoch != "" {
 			min, err := strconv.ParseUint(q.minEpoch, 10, 64)
@@ -318,6 +413,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, e *db.Epoch
 		"ingest":     e.Ingest,
 		"recycled":   e.Recycled, // epoch headers: allocated climbing means a reader pins or forgets leases
 		"follower":   d.Follower(),
+		// Heads parseHead took, which allocate nothing, and heads left to http.ReadRequest.
+		"netserve": map[string]uint64{"parse_head": s.headsParsed.Load(), "read_request": s.headsRead.Load()},
 	}
 	if d.Follower() {
 		resp["repl_lsn"] = d.ReplLSN()
@@ -356,7 +453,7 @@ func (s *Server) handleViews(w http.ResponseWriter, r *http.Request, e *db.Epoch
 // scan (a key prefix) of a scalar view from the request's epoch.
 func (s *Server) handleView(scan bool) func(http.ResponseWriter, *http.Request, *db.Epoch, *readState) {
 	return func(w http.ResponseWriter, r *http.Request, e *db.Epoch, q *readState) {
-		name := r.PathValue("name")
+		name := q.view
 		if q.keyErr != nil {
 			httpError(w, http.StatusBadRequest, "%v", q.keyErr)
 			return
@@ -440,7 +537,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	}
 }
 
-func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleApply(w http.ResponseWriter, r *http.Request, _ string) {
 	if !s.requireQueue(w) {
 		return
 	}
@@ -486,7 +583,7 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, st.out)
 }
 
-func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleExec(w http.ResponseWriter, r *http.Request, _ string) {
 	if !s.requireQueue(w) {
 		return
 	}
@@ -521,7 +618,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 // through the normal backfill path), its first snapshot is captured, and
 // the view is dropped — all before other queued writes interleave. The
 // rows come from that single consistent snapshot.
-func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request, _ string) {
 	if !s.requireQueue(w) {
 		return
 	}

@@ -22,9 +22,11 @@ import (
 )
 
 // TestMain runs the package under data's poison hook (data.PoisonReclaimed):
-// a read through a released epoch fails the suite loudly.
+// a read through a released epoch fails the suite loudly; and under
+// poisonHeads: a string of a request read past its handler reads 0xFF bytes.
 func TestMain(m *testing.M) {
 	data.PoisonReclaimed(true)
+	poisonHeads = true
 	os.Exit(m.Run())
 }
 
@@ -271,7 +273,7 @@ func TestServeLookupScanHeaders(t *testing.T) {
 }
 
 // TestServeStatsCheckpoint: a durable DB reports its last checkpoint with the
-// epoch published after it.
+// epoch published after it, and the server how many heads parseHead took.
 func TestServeStatsCheckpoint(t *testing.T) {
 	d, err := db.Open(testCatalog(), db.Options{Durability: &db.DurabilityOptions{
 		Dir: "wal", FS: wal.NewMemFS(), Fsync: wal.FsyncNever, CheckpointEvery: 2}})
@@ -299,6 +301,26 @@ func TestServeStatsCheckpoint(t *testing.T) {
 	}
 	if ck["duration_ns"].(float64) <= 0 {
 		t.Fatalf("checkpoint duration: %v", ck)
+	}
+	// Every head so far had the common shape; one with another header is
+	// left to http.ReadRequest.
+	if status, _ := dialRaw(t, ts.addr).do([]byte("GET /healthz HTTP/1.1\r\nHost: x\r\nX-Other: y\r\n\r\n")); status != http.StatusOK {
+		t.Fatalf("healthz with another header: %d", status)
+	}
+	m, _ = getJSON(t, ts.URL+"/stats", http.StatusOK)
+	if ns, _ := m["netserve"].(map[string]any); ns["parse_head"] != float64(6) || ns["read_request"] != float64(1) {
+		t.Fatalf("stats netserve: %v, want 6 heads parsed and 1 read by http.ReadRequest", m["netserve"])
+	}
+}
+
+// TestServeApplyRefusesNegativeMultiplicity: a batch the DB refuses because
+// it would leave a row below zero is 422, naming the relation and the row.
+func TestServeApplyRefusesNegativeMultiplicity(t *testing.T) {
+	_, _, ts := newTestServer(t, 8)
+	postJSON(t, ts.URL+"/apply", applyBody("R", 1, []any{1, 2}), http.StatusOK)
+	m, _ := postJSON(t, ts.URL+"/apply", applyBody("R", -1, []any{1, 2}, []any{4, 5}), http.StatusUnprocessableEntity)
+	if msg, _ := m["error"].(string); !strings.Contains(msg, `"R" row (4,5)`) {
+		t.Fatalf("refusal: %q, want it to name R and the row", msg)
 	}
 }
 

@@ -149,8 +149,8 @@ func TestServeConcurrentReadsShareHeaders(t *testing.T) {
 
 // TestAllocGuardRead: a lookup and a scan through Server.Handler() with a
 // reused request (its context carrying the connection's readers) and a reused
-// recorder. What is left is the mux's path match, the X-Fivm-Lag string and
-// its one-element slice — nothing per key, per row or per byte of the reply.
+// recorder. What is left is the X-Fivm-Lag string and its one-element slice —
+// nothing per key, per row or per byte of the reply.
 func TestAllocGuardRead(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc guards run in the non-race pass")

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // headNames are the header names parseHead takes, canonical: those curl, Go's
@@ -28,17 +29,19 @@ var endOfHead = []byte("\r\n\r\n")
 // query is non-empty and printable without a '?', each name is one of
 // headNames in any case and appears once, each value is printable (SP and HTAB
 // too), Content-Length is 1–15 digits and Connection is close or keep-alive.
-// It fills the connection's request, URL and header map, every string of them
-// cut from one conversion of the head, and consumes the head. Any other head,
-// or one not all buffered yet, it leaves unread and returns nil, so that every
-// refusal and every unusual form is net/http's.
+// It copies the head into the connection's head buffer, fills the
+// connection's request, URL and header map with strings cut from that buffer
+// (valid until the handler returns: see the package doc), and consumes the
+// head. Any other head, or one not all buffered yet, it leaves unread and
+// returns nil, so that every refusal and every unusual form is net/http's.
 func (c *conn) parseHead() *http.Request {
 	buf, _ := c.br.Peek(c.br.Buffered())
 	end := bytes.Index(buf, endOfHead)
 	if end < 0 {
 		return nil
 	}
-	line, rest, _ := strings.Cut(string(buf[:end+2]), "\r\n") // every line keeps its CRLF
+	c.head = append(c.head[:0], buf[:end+2]...)
+	line, rest, _ := strings.Cut(unsafe.String(unsafe.SliceData(c.head), len(c.head)), "\r\n") // every line keeps its CRLF
 	method, line, _ := strings.Cut(line, " ")
 	target, proto, _ := strings.Cut(line, " ")
 	path, query, hasQuery := strings.Cut(target, "?")
