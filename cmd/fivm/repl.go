@@ -218,10 +218,10 @@ func replCommand(d *db.DB, out io.Writer, line string, stream []datasets.Batch, 
 		}
 		for _, name := range names {
 			st := d.ViewStatsOf(name)
-			fmt.Fprintf(out, "  %-16s %d inner views, %s, %d batches, %d keys published, maintain %v; pool %d free, %d reclaimed, scratch keys %s, tuples %s; arena %d blocks, %d free, %d generations open, %d forgotten leases\n",
+			fmt.Fprintf(out, "  %-16s %d inner views, %s, %d batches, %d keys published, maintain %v; pool %d free, %d reclaimed, scratch keys %s, tuples %s; arena %d chunk arrays, %d free, %d generations open, %d forgotten leases\n",
 				name, st.ViewCount, fmtBytes(st.MemoryBytes), st.Batches, st.PublishedKeys, st.Maintain.Round(time.Microsecond),
 				st.PoolFree, st.Reclaimed, fmtBytes(st.ScratchKeyBytes), fmtBytes(st.ScratchTupleBytes),
-				st.Arena.BlocksLive, st.Arena.BlocksFree, st.Arena.GenerationsOpen, st.Arena.BackstopReclaims)
+				st.Arena.ChunksLive, st.Arena.ChunksFree, st.Arena.GenerationsOpen, st.Arena.BackstopReclaims)
 		}
 		showStorage(d, out)
 	case ".show":
@@ -291,8 +291,8 @@ func showStorage(d *db.DB, out io.Writer) {
 	}
 	for _, name := range e.Views() {
 		st, _ := e.Stats(name)
-		fmt.Fprintf(out, "  view %-12s rows %d bought, %d reused, %d retired, arena blocks %d retired (climbing: a reader pins epochs); index tables %s, %d slab chunks (both constant after a workload's first cycle)\n",
-			name, st.TuplesCopied, st.RowsReused, st.RowsRetired, st.Arena.BlocksRetired, fmtBytes(st.IndexTableBytes), st.SlabChunks)
+		fmt.Fprintf(out, "  view %-12s rows %d bought, %d reused, %d retired, arena chunk arrays %d retired (climbing: a reader pins epochs); index tables %s, %d slab chunks (both constant after a workload's first cycle)\n",
+			name, st.TuplesCopied, st.RowsReused, st.RowsRetired, st.Arena.ChunksRetired, fmtBytes(st.IndexTableBytes), st.SlabChunks)
 	}
 	fmt.Fprintf(out, "  ingest: last batch arena %s; frames leased %d, allocated %d\n",
 		fmtBytes(e.Ingest.ArenaBytes), e.Ingest.FramesLeased, e.Ingest.FramesAllocated)

@@ -6,9 +6,11 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -221,7 +223,7 @@ var removals = []removal{
 		in: dataPkg, forbid: []string{"&RelationSnapshot[_]{}"}, only: "newSnapshot", n: 1},
 	{had: "d9f8224", step: "One rule for arena blocks: a block is freed by the span of snapshots that read it, with no reference count or pending list",
 		in: dataPkg, forbid: []string{"releasePending", "struct{ rc int }", "struct{ runs []*bumpBlock[_] }", "struct{ dirs []*bumpBlock[_] }"},
-		keep: []string{"pinned(_.born, _.last)"}},
+		keep: []string{"_.pinned(_.born, _.last)"}},
 	{had: "498c673", step: "One rule for payload storage: an entry touched first after a publish is replaced whole, with no payload retire or spare list",
 		in: dataPkg, forbid: []string{"retiredPayload", "payloadsMax", "copyFresh", "struct{ spares _ }"},
 		keep: []string{"func (_ *entryTable[_]) replace()", "func (_ *EntrySet[_]) replace()", "func (_ *Index[_]) replace()", "ix.replace(old, en)", "r.entries.replace(e, en)"}},
@@ -276,6 +278,9 @@ var removals = []removal{
 		in: repo, forbid: []string{"MutableOf"}, only: "MutableOf"},
 	{had: "a67cb3b", step: "One ring interface: no ring.Mutable field in internal/data or internal/ivm",
 		in: []string{"internal/data/...", "internal/ivm/..."}, tests: true, forbid: []string{"ring.Mutable[_]"}},
+	{had: "df99b46", step: "Snapshots point at their rows: no snapshot block arena, refresh cursor or by-value entry copy, and one copy-on-touch rule for every ring",
+		in: dataPkg, forbid: []string{"type bumpArena _", "type bumpBlock _", "struct{ refresh _ }", "struct{ shares _ }", "struct{ dirBlk _ }", "func sealed()"},
+		keep: []string{"func (_ *snapArena[_]) chunk()", "struct{ free, retired []*snapChunk[_] }", "func (_ *Relation[_]) touchEntry()"}},
 }
 
 // TestRemovalGuards fails on every removal row whose forbidden forms are
@@ -503,6 +508,7 @@ func TestRemovalGuardForms(t *testing.T) {
 		{`"ablations"`, `func f() { switch cmd { case "ablations": } }`, "f"},
 		{`"fivm/internal/ring/ringtest"`, `import "fivm/internal/ring/ringtest"`, ""},
 		{"type Sized _", "func f() { type Sized[T any] interface{ Bytes(T) int } }", "f"},
+		{"struct{ shares _ }", "func f() { type s struct{ gen, born uint64; shares bool } }", "f"},
 		{"type Ring[_ any] interface{ Mutable[_] }", "type Ring[T any] interface { Zero() T; Mutable[T] }", ""},
 		{"func (_ *conn) parseHead()", "func (c *conn) parseHead(b []byte) bool { return false }", "conn.parseHead"},
 		{"func Snapshot() *ViewSnapshot[_]", "func (p *publishing[P]) Snapshot() *ViewSnapshot[P] { return nil }", "publishing.Snapshot"},
@@ -584,4 +590,70 @@ func parseSources(t *testing.T, pathSrc ...string) tree {
 		tr.files = append(tr.files, goFile{pathSrc[i], strings.HasSuffix(pathSrc[i], "_test.go"), f})
 	}
 	return tr
+}
+
+// ciFlag matches a -run, -bench or -fuzz flag of a go test command line and
+// its pattern, quoted or bare.
+var ciFlag = regexp.MustCompile(`(?:^|\s)-(run|bench|fuzz)[ =]('[^']*'|"[^"]*"|\S+)`)
+
+// ciNames returns the named alternatives of the -run, -bench and -fuzz
+// patterns in workflow text, each with the function prefix its flag selects
+// (Test, Benchmark or Fuzz). An alternative anchored with $ keeps the $; one
+// that is not a plain name (^$, .) names nothing.
+func ciNames(workflow string) (names [][2]string) {
+	kind := map[string]string{"run": "Test", "bench": "Benchmark", "fuzz": "Fuzz"}
+	for _, m := range ciFlag.FindAllStringSubmatch(workflow, -1) {
+		for _, alt := range strings.Split(strings.Trim(m[2], `'"`), "|") {
+			alt = strings.TrimPrefix(alt, "^")
+			if name := strings.TrimSuffix(alt, "$"); token.IsIdentifier(name) {
+				names = append(names, [2]string{kind[m[1]], alt})
+			}
+		}
+	}
+	return names
+}
+
+// TestCINamesExist fails on a test, benchmark or fuzz target that CI's
+// workflow selects by name and no _test.go file defines: every named
+// alternative must be a prefix of a function of its flag's kind (exactly its
+// name, when anchored with $), so a test that is renamed or deleted cannot
+// silently drop out of a CI step.
+func TestCINamesExist(t *testing.T) {
+	const workflow = ".github/workflows/ci.yml"
+	src, err := os.ReadFile(workflow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var funcs []string
+	for _, f := range loadRepo(t).files {
+		for _, d := range f.ast.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && f.test && fd.Recv == nil {
+				funcs = append(funcs, fd.Name.Name)
+			}
+		}
+	}
+	selects := func(kind, alt string) bool {
+		name, exact := strings.CutSuffix(alt, "$")
+		for _, fn := range funcs {
+			if strings.HasPrefix(name, kind) && (fn == name || !exact && strings.HasPrefix(fn, name)) {
+				return true
+			}
+		}
+		return false
+	}
+	names := ciNames(string(src))
+	for _, n := range names {
+		if !selects(n[0], n[1]) {
+			t.Errorf("%s selects %q, which names no %s function in a _test.go file", workflow, n[1], n[0])
+		}
+	}
+	if len(names) == 0 {
+		t.Errorf("%s names no test: the guard reads nothing", workflow)
+	}
+	// The reader itself: a renamed test shows up, an anchored prefix does not pass.
+	if got := ciNames(`go test -run 'TestNoSuchThing|^$' -bench BenchmarkApplyDelta$ -fuzz=FuzzX .`); len(got) != 3 ||
+		selects(got[0][0], got[0][1]) || got[1] != [2]string{"Benchmark", "BenchmarkApplyDelta$"} || selects("Benchmark", "BenchmarkApplyDel$") {
+		t.Errorf("ciNames read %q", got)
+	}
+	t.Logf("%d names in %s, each defined", len(names), workflow)
 }

@@ -110,9 +110,9 @@ func TestAllocGuardRadixSortKeys(t *testing.T) {
 // a steady-state publish+release cycle must cost at most 2 allocations —
 // the snapshot struct itself plus the amortized remainder (generation
 // sentinel and backstop registration every genSpan publishes, occasional
-// block growth), which AllocsPerRun averages to well under one. Everything
-// else (dirty list, entry runs, chunk directory, pin bookkeeping) must come
-// from recycled arena storage.
+// free-list growth), which AllocsPerRun averages to well under one.
+// Everything else (dirty list, touched entries' copies, chunk arrays, chunk
+// directory, pin bookkeeping) must come from recycled storage.
 func TestAllocGuardSnapshotPublish(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc guards run in the non-race pass")
@@ -124,8 +124,8 @@ func TestAllocGuardSnapshotPublish(t *testing.T) {
 		r.Merge(tups[i], int64(i)+1)
 	}
 	r.Snapshot().Release()
-	// Warm the arena freelists through a full refresh lap so the guarded
-	// window measures steady state, not first-lap block growth.
+	// Warm the entry pool and the chunk free list so the guarded window
+	// measures steady state, not their growth.
 	for i := 0; i < 400; i++ {
 		r.Merge(tups[i%len(tups)], 1)
 		r.Snapshot().Release()

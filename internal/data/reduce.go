@@ -8,9 +8,10 @@ import "fivm/internal/ring"
 // parallel maintainer — shard results partition the keyspace when the shard
 // variable is free (pure concatenation after sorting) and collapse onto the
 // same keys when it is aggregated away (payload summation) — and replaces
-// the merge-into-a-fresh-hash-relation reduce with one radix sort over the
-// gathered entry values: no intermediate relation, no per-key hashing, no
-// per-entry allocations: the run, its tuple cells and a slab of its keys.
+// the merge-into-a-fresh-hash-relation reduce with one radix sort over
+// pointers to the gathered entries: no intermediate relation, no per-key
+// hashing, no per-entry allocations: the entries, their tuple cells, a slab
+// of their keys, the pointers and the chunks.
 //
 // The inputs must share a schema (same variables in the same order, so equal
 // tuples have equal encoded keys) and stay unmodified for the duration of
@@ -39,22 +40,25 @@ func ReduceSealed[P any](rg ring.Ring[P], schema Schema, parts []*Relation[P]) *
 			return true
 		})
 	}
-	radixSortEntries(es)
+	run := make([]*Entry[P], len(es))
+	for i := range es {
+		run[i] = &es[i]
+	}
+	radixSortEntryPtrs(run)
 	w := 0
-	for i := 0; i < len(es); {
+	for i := 0; i < len(run); {
 		j := i + 1
-		for j < len(es) && es[j].key == es[i].key {
-			rg.AddInto(&es[i].Payload, es[j].Payload)
+		for j < len(run) && run[j].key == run[i].key {
+			rg.AddInto(&run[i].Payload, run[j].Payload)
 			j++
 		}
-		if j == i+1 || !rg.IsZero(es[i].Payload) {
-			es[w] = es[i]
+		if j == i+1 || !rg.IsZero(run[i].Payload) {
+			run[w] = run[i]
 			w++
 		}
 		i = j
 	}
-	es = es[:w]
-	s := newSnapshot(nil, schema, rg, len(es))
-	s.chunks = appendChunked(nil, es, nil)
+	s := newSnapshot(nil, schema, rg, w)
+	s.chunks = (*snapArena[P])(nil).appendChunked(nil, run[:w], 0)
 	return s
 }

@@ -19,13 +19,13 @@ type Entry[P any] struct {
 	hash    uint64
 	Tuple   Tuple
 	Payload P
-	// gen is the publish generation the entry was last marked dirty in: when
-	// it is older than the relation's, the snapshots published since read the
-	// entry — key bytes, cells, payload storage — and in a relation whose
-	// payload storage they share, the next in-place mutation replaces the
-	// entry instead of writing into it (Relation.touchEntry). born is the first
-	// snapshot that reads the entry; once it is removed or replaced, gen is the
-	// last (park, replace). Both zero on relations never snapshotted.
+	// gen is the publish generation the entry was stored in: when it is older
+	// than the relation's, the snapshots published since point at the entry —
+	// key bytes, cells, payload storage — and the next in-place mutation
+	// replaces the entry instead of writing into it (Relation.touchEntry). born
+	// is the first snapshot that reads the entry; once it is removed or
+	// replaced, gen is the last (park, replace). Both zero on relations never
+	// snapshotted.
 	gen, born uint64
 }
 
@@ -74,9 +74,9 @@ func keyView(key string) []byte { return unsafe.Slice(unsafe.StringData(key), le
 // snapshots only until its next update.
 //
 // For concurrent readers, Snapshot publishes an immutable RelationSnapshot
-// of the current contents at O(changed-since-last-snapshot) cost; sealed
-// snapshot entries are never mutated in place, so pinned snapshots stay
-// valid while the live relation keeps changing.
+// of the current contents at O(changed-since-last-snapshot) cost; it points
+// at the relation's entries, which are never mutated once published, so
+// pinned snapshots stay valid while the live relation keeps changing.
 //
 // Ownership. Storage has one owner and one reclaim point; a relation whose
 // owner has none (nobody calls Reclaim or RecycleCleared) never reuses
@@ -96,10 +96,10 @@ func keyView(key string) []byte { return unsafe.Slice(unsafe.StringData(key), le
 //	was called)      retired, whole, at                                             publish (merge, Set) copies the
 //	                 the reclaim point,                                             entry — key, cells, payload — into
 //	                 a replaced one at                                              a free one that takes its place,
-//	                 once, and free only                                            and retires the old one whole; a
-//	                 after the last                                                 payload sealed by value (Int,
-//	                 Release of every                                               Float) is
-//	                 epoch that could                                               written in place
+//	                 once, and free only                                            and retires the old one whole,
+//	                 after the last                                                 whatever the ring
+//	                 Release of every
+//	                 epoch that could
 //	                 read it
 //	scratch          relation; reusable    relation's slab,     relation's slab     as pooled: overwritten by
 //	(RecycleCleared, after the next Clear  rewound by Clear     when the relation   the next batch's inserts
@@ -167,9 +167,10 @@ type Relation[P any] struct {
 	// handedVolatile marks a scratch relation handed a tuple of a volatile
 	// batch since its last Clear (MarkVolatile). copied counts the rows whose
 	// cells were bought new (ownTuple, keepTuple), rowsReused those written
-	// into the cells of a reused entry.
-	handedVolatile     bool
-	copied, rowsReused uint64
+	// into the cells of a reused entry, touchCopies the entries copied on a
+	// first touch after a publish (touchEntry).
+	handedVolatile                  bool
+	copied, rowsReused, touchCopies uint64
 	// snap, when non-nil, tracks the keys dirtied since the last published
 	// snapshot; see Snapshot.
 	snap *snapState[P]
@@ -272,7 +273,8 @@ func (r *Relation[P]) RecycleCleared() { r.pooled, r.scratch = true, true }
 // ownership of the rows: the tuples stored so far, which may be shared with
 // whoever handed them in, are copied into cells of the relation's own, so no
 // reuse ever writes into a tuple the relation was handed. Declaring it before
-// the first insert costs nothing.
+// the first insert costs nothing; it must come before the first Snapshot,
+// whose readers point at the entries it rewrites.
 func (r *Relation[P]) Reclaim() {
 	if !r.pooled {
 		r.pooled = true
@@ -760,7 +762,9 @@ func (r *Relation[P]) cloneWith(set func(dst, src *Entry[P])) *Relation[P] {
 // (capacity), SlabChunks the chunks the two slabs hold, and the snapshot arena
 // once the relation publishes. TuplesCopied counts the rows whose cells were
 // bought new so far (0 a cycle once a pool is warm), RowsReused those written
-// into cells a reused entry kept, by an insert or a replacement (touchEntry).
+// into cells a reused entry kept, by an insert or a copy: TouchCopies counts
+// the entries a first touch after a publish copied (touchEntry), to replace
+// the entry or, where the touch cancelled it, to give straight back.
 // TableBytes is the bucket storage of an IndexedRelation's indexes, in buckets
 // or in stock (tableStock): what MemoryBytes does not charge. Bytes and chunks
 // stop moving after a workload's first full cycle.
@@ -774,6 +778,7 @@ type PoolStats struct {
 	SlabChunks   int
 	TableBytes   int
 	TuplesCopied uint64
+	TouchCopies  uint64
 	Arena        ArenaStats
 }
 
@@ -792,11 +797,12 @@ func (s *PoolStats) Add(o PoolStats) {
 	s.RowsRetired += o.RowsRetired
 	s.RowsReused += o.RowsReused
 	s.TuplesCopied += o.TuplesCopied
+	s.TouchCopies += o.TouchCopies
 	s.TableBytes += o.TableBytes
 	s.AddSlabs(o)
-	s.Arena.BlocksLive += o.Arena.BlocksLive
-	s.Arena.BlocksFree += o.Arena.BlocksFree
-	s.Arena.BlocksRetired += o.Arena.BlocksRetired
+	s.Arena.ChunksLive += o.Arena.ChunksLive
+	s.Arena.ChunksFree += o.Arena.ChunksFree
+	s.Arena.ChunksRetired += o.Arena.ChunksRetired
 	s.Arena.GenerationsOpen += o.Arena.GenerationsOpen
 	s.Arena.BackstopReclaims += o.Arena.BackstopReclaims
 	s.Arena.Headers.Reused += o.Arena.Headers.Reused
@@ -808,7 +814,7 @@ func (s *PoolStats) Add(o PoolStats) {
 func (r *Relation[P]) PoolStats() PoolStats {
 	r.sweepRows()
 	return PoolStats{Free: len(r.pool), Reclaimed: r.reclaimed, RowsRetired: r.ret - r.free, RowsReused: r.rowsReused,
-		KeyBytes: r.keys.bytes() + r.freeKeyBytes, TupleBytes: r.tuples.bytes(), TuplesCopied: r.copied,
+		KeyBytes: r.keys.bytes() + r.freeKeyBytes, TupleBytes: r.tuples.bytes(), TuplesCopied: r.copied, TouchCopies: r.touchCopies,
 		SlabChunks: len(r.keys.chunks) + len(r.tuples.chunks), Arena: r.arenaStats()}
 }
 

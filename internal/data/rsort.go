@@ -151,14 +151,14 @@ func insertionKeys(keys []string, depth int) int {
 
 // radixSortEntries sorts an entry run in place by encoded key, the same
 // order radixSortKeysDedup produces. Entries move by value, so the sort is
-// allocation-free and leaves the run ready for snapshot chunking.
+// allocation-free.
 func radixSortEntries[P any](es []Entry[P]) {
 	msdBy(es, func(e *Entry[P]) string { return e.key }, 0)
 }
 
 // radixSortEntryPtrs is radixSortEntries for entries left in place and
-// ordered through their pointers (the base store's checkpoint order, sorted
-// in the entry table's own slots).
+// ordered through their pointers: a snapshot's run, ReduceSealed's, and the
+// base store's checkpoint order, sorted in the entry table's own slots.
 func radixSortEntryPtrs[P any](es []*Entry[P]) {
 	msdBy(es, func(e **Entry[P]) string { return (*e).key }, 0)
 }

@@ -109,9 +109,10 @@ func (s *slab[T]) bytes() int {
 // fails the test suites loudly: freed entries get their tuple scribbled (a
 // pooled relation's cells filled with the poison value), the key storage they
 // keep filled with 0xFF and the payload storage they keep NaN-filled, rewound
-// key slabs are filled with 0xFF and rewound tuple slabs with the poison value, and a snapshot arena block no
-// unreleased snapshot reads any more has its sealed entries overwritten (a read through
-// a Released snapshot). Test hook, off in production.
+// key slabs are filled with 0xFF and rewound tuple slabs with the poison value.
+// A snapshot chunk no unreleased snapshot reads any more is cleared with or
+// without the hook, so a read through a Released snapshot panics. Test hook,
+// off in production.
 var poison bool
 
 // PoisonReclaimed switches the poison hook; tests call it from TestMain
@@ -121,24 +122,6 @@ func PoisonReclaimed(on bool) { poison = on }
 const poisonKey = "\xff<reclaimed>"
 
 var poisonTuple = Tuple{String(poisonKey)}
-
-// poisonRun scribbles the sealed entries of an arena block nobody pins any
-// more. Only the entry VALUES are overwritten: the payload storage a sealed
-// entry points at is shared with the live relation under the gen rule.
-func poisonRun[P any](es []Entry[P]) {
-	var dead P
-	switch p := any(&dead).(type) {
-	case *float64:
-		*p = math.NaN()
-	case *int64:
-		*p = math.MinInt64
-	case *ring.Triple:
-		p.C = math.NaN()
-	}
-	for i := range es {
-		es[i] = Entry[P]{key: poisonKey, Tuple: poisonTuple, Payload: dead}
-	}
-}
 
 // poisonEntry scribbles a reclaimed entry. What a later insert overwrites
 // anyway (setKey, CopyInto, MulInto) may hold anything: the key storage the

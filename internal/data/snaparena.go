@@ -7,27 +7,21 @@ import (
 	"sync/atomic"
 )
 
-// Snapshot arena: steady-state publishing produces one entry run per dirty
-// chunk plus one chunk directory per epoch, and under a continuous update
-// stream those die a few epochs later when the snapshots referencing them
-// are dropped — a textbook arena workload. The arena bump-allocates both
-// (entry runs and directories are separate typed arenas of the same shape)
-// out of fixed-size blocks and recycles a block onto a freelist once no
-// snapshot that reads it has references left, so steady-state Snapshot()
-// publishing hands the garbage collector almost nothing: the snapshot struct
-// itself comes back too.
+// Snapshot arena: a published snapshot is a directory of chunks, each a fixed
+// array of snapChunkMax pointers to the relation's own entries in key order,
+// and under a continuous update stream the chunks covering changed keys die a
+// few epochs after a publish replaced them, when the snapshots that read them
+// are dropped. The arena keeps those arrays on a per-relation free list, the
+// directories in the snapshot headers it recycles, so steady-state Snapshot()
+// publishing hands the garbage collector almost nothing.
 //
-// A block retires like a row (sweepRows): by span. The snapshots that read a
-// block are numbered born to last — a patch never reads a superseded run
-// again, so once the latest snapshot reads nothing in a block the writer has
-// stopped filling, no later one will, and the span is contiguous or wider than
-// the true set, which is safe. Each publish stamps last on the blocks the new
-// snapshot reads and retires the others (one nothing ever read goes straight
-// back); a retired block goes back at the first publish that finds no
-// snapshot numbered born to last pinned. So a reader that pins an epoch holds
-// the blocks that epoch reads and no others, and the refresh cursor
-// (snapState.refresh) keeps one long-clean chunk from holding its block's
-// span open for ever.
+// A chunk retires like a row (sweepRows): by span. The snapshots that read a
+// chunk are numbered born, the publish that filled it, to last, the one before
+// the publish that dropped it from the directory — a patch never takes a
+// dropped chunk back, so the span is contiguous. A dropped chunk waits on the
+// retired list and goes back at the first publish that finds no snapshot
+// numbered born to last pinned. So a reader that pins an epoch holds the rows
+// and chunks that epoch reads and no others.
 //
 // Snapshot lifetime is reader-controlled — a pinned reader may hold an old
 // snapshot arbitrarily long (see serve.Reader) — so which numbers are pinned
@@ -39,16 +33,16 @@ import (
 //   - Explicitly: every snapshot carries a reference count and the last
 //     Release clears its live bit. The publishing relation itself holds (and
 //     releases, at the next publish) a reference on its previous snapshot, so
-//     a steady publish loop whose consumers Release gets each block back
-//     within a publish of its last reader — deterministically, with no
+//     a steady publish loop whose consumers Release gets each chunk and row
+//     back within a publish of its last reader — deterministically, with no
 //     garbage collector involvement.
 //   - As a GC backstop: when a generation closes, a runtime.AddCleanup on a
 //     sentinel object (strongly referenced by every snapshot of the
 //     generation) reports it dead once all its unreleased snapshots are
 //     collected; the writer then stops reading its bits. Snapshots that are
 //     never Released are therefore safe — merely slow to reclaim, because
-//     cleanup latency is a full GC cycle, and dead-but-unreclaimed blocks
-//     inflate the collector's heap target, which grows the cycle further: a
+//     cleanup latency is a full GC cycle, and dead-but-unreclaimed storage
+//     inflates the collector's heap target, which grows the cycle further: a
 //     high-rate publish loop relying on the backstop degenerates to plain
 //     allocation with extra steps. Release is the fast path, not a nicety.
 //
@@ -62,49 +56,33 @@ import (
 // exactly the benchmark this arena exists for). Cleanups run strictly after
 // the GC has proven death, so they cannot resurrect anything.
 //
-// A relation that stops publishing retains its retired blocks until it
-// publishes again or becomes unreachable itself. Blocks and freelists are
+// A relation that stops publishing retains its retired chunks until it
+// publishes again or becomes unreachable itself. Chunks and lists are
 // writer-goroutine-only (no atomics, no locks); the only cross-goroutine
 // state is the snapshot reference counts, the live bits and the dead list
 // guarded by deadMu.
 const (
-	// runBlockCap is the entry-run block size in entries. Runs larger than a
-	// block — wholesale rebuilds, huge dirty ranges — fall back to plain GC
-	// allocations with a nil block. Sized so a block of small-payload entries
-	// stays under the runtime's 32KB large-object threshold: large objects
-	// are zeroed eagerly on allocation, and that memclr dominates the publish
-	// profile whenever a fresh block is needed.
-	runBlockCap = 512
-	// dirBlockCap is the directory block size in chunk descriptors.
-	dirBlockCap = 512
-	// arenaFreeMax caps each freelist; blocks beyond it go back to the GC.
-	// Released snapshots give their blocks back a publish later, so the
-	// freelist stays small in steady state; the cap only matters when the GC
+	// chunkFreeMax caps the chunk free list; arrays beyond it go back to the
+	// GC. Released snapshots give their chunks back a publish later, so the
+	// list stays small in steady state; the cap only matters when the GC
 	// backstop reclaims a burst of generations leaked by callers that never
 	// Release.
-	arenaFreeMax = 256
+	chunkFreeMax = 256
 	// genSpan is the number of publishes grouped under one liveness sentinel.
 	genSpan = 16
 )
 
-// bumpBlock is one fixed-capacity allocation block of a bumpArena: the
-// snapshots numbered born to last read runs in buf (born 0: none yet).
-// Writer-goroutine owned.
-type bumpBlock[T any] struct {
-	born, last uint64
-	buf        []T
-}
-
 // ArenaStats is a snapshotting relation's arena accounting (PoolStats.Arena):
-// blocks taken (the retired ones included) and blocks parked for reuse, blocks
-// retired that wait for a pinned epoch that reads them (a reader that pins
-// shows as this climbing, like PoolStats.RowsRetired), publish generations not
-// yet drained, and generations whose death the GC backstop reported instead of
-// Release — each of those is a lease somebody forgot.
-// Headers counts the structs of the relation's snapshots — and, summed in by
-// their publishers, of the epochs that carry them — as recycled or new.
+// chunk arrays taken (the retired ones included) and arrays parked for reuse,
+// chunks dropped from the latest directory that wait for a pinned epoch that
+// reads them (a reader that pins shows as this climbing, like
+// PoolStats.RowsRetired), publish generations not yet drained, and
+// generations whose death the GC backstop reported instead of Release — each
+// of those is a lease somebody forgot. Headers counts the structs of the
+// relation's snapshots — and, summed in by their publishers, of the epochs
+// that carry them — as recycled or new.
 type ArenaStats struct {
-	BlocksLive, BlocksFree, BlocksRetired, GenerationsOpen int
+	ChunksLive, ChunksFree, ChunksRetired, GenerationsOpen int
 	BackstopReclaims                                       uint64
 	Headers                                                Recycled
 }
@@ -119,120 +97,49 @@ func (r *Relation[P]) arenaStats() ArenaStats {
 	a.deadMu.Lock()
 	backstops := a.backstops
 	a.deadMu.Unlock()
-	return ArenaStats{a.runs.live + a.dirs.live, len(a.runs.free) + len(a.dirs.free), len(a.runs.retired) + len(a.dirs.retired),
-		len(a.open), backstops, a.headers.Stats()}
+	return ArenaStats{a.live, len(a.free), len(a.retired), len(a.open), backstops, a.headers.Stats()}
 }
 
-// bumpArena bump-allocates fixed-capacity runs of T out of recycled blocks.
-type bumpArena[T any] struct {
-	blockCap int
-	cur      *bumpBlock[T]
-	// held lists the blocks taken and not retired: cur, those filled since the
-	// last publish and those the latest snapshot reads; retired, those a
-	// snapshot that reads them may still pin.
-	held, retired []*bumpBlock[T]
-	// lastBlk/lastStart remember the most recent allocation so trim can give
-	// unused capacity back to the bump pointer.
-	lastBlk   *bumpBlock[T]
-	lastStart int
-	free      []*bumpBlock[T]
-	// live counts blocks taken and not yet given back; scribble (set under
-	// PoisonReclaimed only) overwrites a dead block's contents.
-	live     int
-	scribble func([]T)
-}
-
-// alloc returns an empty run with the given strict capacity bound and the
-// block it lives in (nil for zero-size and oversize runs, which are plain
-// allocations). Callers must never append beyond the capacity — that would
-// silently move the run out of the block and break its span.
-func (a *bumpArena[T]) alloc(capacity int) ([]T, *bumpBlock[T]) {
-	if capacity == 0 || capacity > a.blockCap {
-		return make([]T, 0, capacity), nil
-	}
-	b := a.cur
-	if b == nil || len(b.buf)+capacity > cap(b.buf) {
-		b = a.take()
-		a.cur = b
-	}
-	start := len(b.buf)
-	b.buf = b.buf[:start+capacity]
-	a.lastBlk, a.lastStart = b, start
-	return b.buf[start : start : start+capacity], b
-}
-
-// trim gives the unused capacity of the most recent allocation back to the
-// block, so a run that ended shorter than its bound does not waste space.
-func (a *bumpArena[T]) trim(run []T, blk *bumpBlock[T]) {
-	if blk != nil && blk == a.lastBlk {
-		blk.buf = blk.buf[:a.lastStart+len(run)]
-	}
-	a.lastBlk = nil
-}
-
-// take pops a recycled block or allocates a fresh one, held.
-func (a *bumpArena[T]) take() *bumpBlock[T] {
-	var b *bumpBlock[T]
-	if n := len(a.free); n > 0 {
-		b = a.free[n-1]
-		a.free[n-1] = nil
-		a.free = a.free[:n-1]
-	} else {
-		b = &bumpBlock[T]{buf: make([]T, 0, a.blockCap)}
-	}
-	a.live++
-	a.held = append(a.held, b)
-	return b
-}
-
-// put returns a block no snapshot reads to the freelist. The buffer is NOT
-// wiped: a recycled block is overwritten as it is reused and a discarded one
-// is garbage wholesale, so the only cost of keeping the stale contents is that
-// a block parked on the freelist retains references to the keys and payloads
-// of its dead runs until reuse — bounded by arenaFreeMax blocks of entries
-// that in steady state mostly still live in the relation anyway.
-func (a *bumpArena[T]) put(b *bumpBlock[T]) {
-	if a.scribble != nil {
-		a.scribble(b.buf)
-	}
-	b.buf, b.born, b.last = b.buf[:0], 0, 0
-	a.live--
-	if len(a.free) < arenaFreeMax {
-		a.free = append(a.free, b)
-	}
-}
-
-// read records that snapshot seq reads a run in b (nil: a plain allocation).
-func (b *bumpBlock[T]) read(seq uint64) {
-	if b != nil {
-		if b.born == 0 {
-			b.born = seq
+// chunk returns an empty chunk array that snapshot seq is the first to read:
+// a free one or, none there or no arena (ReduceSealed), a new one.
+func (a *snapArena[P]) chunk(seq uint64) *snapChunk[P] {
+	var c *snapChunk[P]
+	if a != nil {
+		if n := len(a.free); n > 0 {
+			c = a.free[n-1]
+			a.free[n-1] = nil
+			a.free = a.free[:n-1]
 		}
-		b.last = seq
+		a.live++
 	}
+	if c == nil {
+		c = new(snapChunk[P])
+	}
+	c.born, c.n = seq, 0
+	return c
 }
 
-// retire runs at the publish of snapshot seq, once its blocks are read: a held
-// block seq does not read, other than cur, retires, and the retired blocks no
-// snapshot numbered born to last pins go back — one nothing ever read (0 to 0)
-// at once.
-func (a *bumpArena[T]) retire(seq uint64, pinned func(lo, hi uint64) bool) {
-	held := a.held[:0]
-	for _, b := range a.held {
-		if b == a.cur || b.last == seq {
-			held = append(held, b)
-		} else {
-			a.retired = append(a.retired, b)
-		}
-	}
-	clear(a.held[len(held):])
-	a.held = held
+// retire records that the directory of snapshot seq dropped c: the snapshots
+// numbered c.born to seq-1 read it.
+func (a *snapArena[P]) retire(c *snapChunk[P], seq uint64) {
+	c.last = seq - 1
+	a.retired = append(a.retired, c)
+}
+
+// sweep gives back the retired chunks no snapshot numbered born to last pins,
+// cleared: a read through a released snapshot panics instead of reading
+// another epoch's rows, and a parked array keeps no entry reachable.
+func (a *snapArena[P]) sweep() {
 	retired := a.retired[:0]
-	for _, b := range a.retired {
-		if pinned(b.born, b.last) {
-			retired = append(retired, b)
-		} else {
-			a.put(b)
+	for _, c := range a.retired {
+		if a.pinned(c.born, c.last) {
+			retired = append(retired, c)
+			continue
+		}
+		clear(c.es[:c.n])
+		a.live--
+		if len(a.free) < chunkFreeMax {
+			a.free = append(a.free, c)
 		}
 	}
 	clear(a.retired[len(retired):])
@@ -259,7 +166,7 @@ type pinSet[P any] struct {
 	// generation cannot be reclaimed: bit i while snapshot base+i has
 	// references left, writerStake while the generation is open. Whoever
 	// clears the last bit reports the generation dead (any goroutine); the
-	// writer reads them to learn who may still read a retired block or row
+	// writer reads them to learn who may still read a retired chunk or row
 	// (pinned).
 	base uint64
 	live atomic.Uint32
@@ -281,13 +188,16 @@ type deadNote[P any] struct {
 	gen uint64
 }
 
-// snapArena allocates snapshot storage for one relation: entry runs, chunk
-// directories, and the generation bookkeeping that says which snapshots are
-// still pinned. Writer-goroutine only, except the dead list (see deadMu).
+// snapArena allocates snapshot storage for one relation: chunk arrays,
+// snapshot headers, and the generation bookkeeping that says which snapshots
+// are still pinned. Writer-goroutine only, except the dead list (see deadMu).
 type snapArena[P any] struct {
-	runs bumpArena[Entry[P]]
-	dirs bumpArena[snapChunk[P]]
-	n    int // publishes in the current generation
+	// free holds the chunk arrays no snapshot reads, retired those the latest
+	// directory dropped that a pinned snapshot may still read; live counts the
+	// arrays taken and not given back.
+	free, retired []*snapChunk[P]
+	live          int
+	n             int // publishes in the current generation
 
 	cur    *genSentinel // open generation's sentinel (nil between generations)
 	curSet *pinSet[P]
@@ -313,12 +223,6 @@ type snapArena[P any] struct {
 const writerStake = 1 << genSpan
 
 func (a *snapArena[P]) init() {
-	a.runs.blockCap = runBlockCap
-	a.dirs.blockCap = dirBlockCap
-	if poison {
-		a.runs.scribble = poisonRun[P]
-		a.dirs.scribble = func(cs []snapChunk[P]) { clear(cs) } // Lookup and ScanPrefix panic
-	}
 	a.onDead = func(n deadNote[P]) {
 		a.deadMu.Lock()
 		if n.set.genID == n.gen && !n.set.dead {
@@ -403,8 +307,8 @@ func (a *snapArena[P]) drain() {
 
 // publish enrolls s, the relation's seq-th snapshot, in the current generation
 // — opening one if needed, setting s's live bit with one reference held by the
-// publishing relation — stamps the blocks s reads, and retires the blocks no
-// later snapshot can read. Every genSpan publishes the generation closes: the
+// publishing relation — and gives back the retired chunks no pinned snapshot
+// reads. Every genSpan publishes the generation closes: the
 // backstop cleanup is armed on the sentinel and the writer's live stake is
 // dropped, after which the generation dies with its last snapshot.
 func (a *snapArena[P]) publish(s *RelationSnapshot[P], seq uint64) {
@@ -418,10 +322,6 @@ func (a *snapArena[P]) publish(s *RelationSnapshot[P], seq uint64) {
 	s.bit = 1 << a.n
 	s.refs.Store(1) // the relation's own reference, dropped at the next publish
 	a.curSet.live.Add(s.bit)
-	for i := range s.chunks {
-		s.chunks[i].blk.read(seq)
-	}
-	s.dirBlk.read(seq)
 	a.n++
 	if a.n >= genSpan {
 		set := a.curSet
@@ -431,8 +331,7 @@ func (a *snapArena[P]) publish(s *RelationSnapshot[P], seq uint64) {
 			a.reportDead(set)
 		}
 	}
-	a.runs.retire(seq, a.pinned)
-	a.dirs.retire(seq, a.pinned)
+	a.sweep()
 }
 
 // Retain adds a reference to the snapshot, for handing it to an additional
@@ -447,8 +346,8 @@ func (s *RelationSnapshot[P]) Retain() {
 }
 
 // Release drops one reference to the snapshot. Dropping the last one lets the
-// relation's next publish give the arena blocks the snapshot reads, and no
-// unreleased snapshot else, back to its arena — the deterministic reclamation
+// relation's next publish give the rows and chunks the snapshot reads, and no
+// unreleased snapshot else, back to its pools — the deterministic reclamation
 // path high-rate publish loops need (see the package comment) — and gives the
 // snapshot struct itself, scribbled, to the relation's next publish.
 // Releasing is optional for correctness: unreleased snapshots are reclaimed
@@ -466,7 +365,8 @@ func (s *RelationSnapshot[P]) Release() {
 	if set.live.Add(-s.bit) == 0 {
 		a.reportDead(set)
 	}
-	// A parked header must not keep its generation's sentinel from the backstop.
-	s.chunks, s.dirBlk, s.keep, s.n = nil, nil, nil, -1
+	// A parked header must not keep its generation's sentinel from the
+	// backstop; its directory keeps its capacity for the next publish.
+	s.chunks, s.keep, s.n = s.chunks[:0], nil, -1
 	a.headers.Put(s)
 }

@@ -24,9 +24,9 @@ func churnAndPublish(rng *rand.Rand, r *Relation[int64], n int) *RelationSnapsho
 
 // TestArenaRecyclingPreservesPinnedSnapshots churns a relation through many
 // epochs while most snapshots are dropped and collected (so the publish-path
-// sweep releases their blocks), with a few pinned: the pinned epochs must
-// keep serving their exact published contents even as the blocks around them
-// are wiped and reused, and the freshest snapshot must always equal the
+// sweep releases their chunks and rows), with a few pinned: the pinned epochs
+// must keep serving their exact published contents even as the storage around
+// them is wiped and reused, and the freshest snapshot must always equal the
 // relation.
 func TestArenaRecyclingPreservesPinnedSnapshots(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
@@ -58,8 +58,9 @@ func TestArenaRecyclingPreservesPinnedSnapshots(t *testing.T) {
 }
 
 // TestArenaRecyclesReleased pins the deterministic reclamation contract:
-// when every published snapshot is Released, blocks return to the freelists
-// and generations' pin sets are recycled without any garbage collection at all.
+// when every published snapshot is Released, chunk arrays return to the free
+// list and generations' pin sets are recycled without any garbage collection
+// at all.
 func TestArenaRecyclesReleased(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	r := NewRelation[int64](ring.Int{}, NewSchema("A", "B"))
@@ -67,19 +68,15 @@ func TestArenaRecyclesReleased(t *testing.T) {
 		r.Merge(Ints(int64(rng.Intn(600)), int64(rng.Intn(7))), int64(rng.Intn(9)-4))
 	}
 	r.Snapshot().Release()
-	// Publish far more than one refresh lap (chunk count) plus one
-	// generation span, so carried-over chunks rotate off their original
-	// blocks, those blocks retire and the generations all die explicitly.
+	// Publish far more than one generation span, so the generations all die
+	// explicitly.
 	for i := 0; i < 2000; i++ {
 		r.Merge(Ints(int64(rng.Intn(600)), int64(rng.Intn(7))), int64(rng.Intn(9)-4))
 		r.Snapshot().Release()
 	}
 	a := &r.snap.arena
-	if len(a.runs.free) == 0 {
-		t.Error("no run block recycled despite every snapshot being released")
-	}
-	if len(a.dirs.free) == 0 {
-		t.Error("no directory block recycled despite every snapshot being released")
+	if len(a.free) == 0 {
+		t.Error("no chunk array recycled despite every snapshot being released")
 	}
 	if len(a.freeSets) == 0 {
 		t.Error("no generation pin set recycled despite every snapshot being released")
@@ -120,8 +117,8 @@ func TestArenaConcurrentRelease(t *testing.T) {
 // TestArenaRecyclesBlocks checks the GC backstop completes the cycle for
 // snapshots that are dropped without Release: once the garbage collector
 // proves them dead, their generations' cleanups fire and the next publish
-// returns the blocks to the freelist for reuse. GC completion timing is not
-// synchronous, so the test churns and polls under a deadline.
+// returns the chunk arrays to the free list for reuse. GC completion timing
+// is not synchronous, so the test churns and polls under a deadline.
 func TestArenaRecyclesBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	r := NewRelation[int64](ring.Int{}, NewSchema("A", "B"))
@@ -129,48 +126,41 @@ func TestArenaRecyclesBlocks(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		// Keep publishing so filled blocks retire and later sweeps run; every
-		// snapshot is dropped immediately.
+		// Keep publishing so replaced chunks retire and later sweeps run;
+		// every snapshot is dropped immediately.
 		for i := 0; i < 40; i++ {
 			churnAndPublish(rng, r, 120)
 		}
 		runtime.GC()
 		churnAndPublish(rng, r, 1) // one more publish to sweep after the GC
-		if len(r.snap.arena.runs.free) > 0 || len(r.snap.arena.freeSets) > 0 {
+		if len(r.snap.arena.free) > 0 || len(r.snap.arena.freeSets) > 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("no arena block was ever recycled onto the freelist")
+			t.Fatal("no chunk array was ever recycled onto the free list")
 		}
 	}
 }
 
-// blocksOf returns the distinct arena blocks s reads: its runs' and its
-// directory's.
-func blocksOf(s *RelationSnapshot[float64]) map[any]bool {
-	bs := map[any]bool{}
+// chunksOf returns the chunk arrays s reads.
+func chunksOf(s *RelationSnapshot[float64]) map[*snapChunk[float64]]bool {
+	cs := map[*snapChunk[float64]]bool{}
 	for _, c := range s.chunks {
-		if c.blk != nil {
-			bs[c.blk] = true
-		}
+		cs[c] = true
 	}
-	if s.dirBlk != nil {
-		bs[s.dirBlk] = true
-	}
-	return bs
+	return cs
 }
 
-// TestArenaHoldsWhatItsSnapshotsRead: an arena block waits for the snapshots
+// TestArenaHoldsWhatItsSnapshotsRead: a chunk array waits for the snapshots
 // that read it and for no others. A 1 200-key float relation dirties every
 // chunk on every publish and each snapshot is released at once: the arena
-// holds at most the blocks of the latest two (the relation keeps the previous
-// one until the next publish) and the two it fills. A reader that pins an
-// epoch across 3·genSpan publishes reads it bit for bit (poisoned blocks
-// would show) and holds its own blocks on top of that, no others — on
-// generation-held blocks it would hold two generations' worth — and its
-// blocks are back on the freelists one publish after its Release. A snapshot
-// nobody releases holds its own blocks until the collector's backstop reports
-// it, and then gives them back.
+// holds exactly the chunks of the latest two (the relation keeps the previous
+// one until the next publish). A reader that pins an epoch across 3·genSpan
+// publishes reads it bit for bit (poisoned rows would show) and holds its own
+// chunks on top of that, no others — on generation-held storage it would hold
+// two generations' worth — and its chunks are back on the free list one
+// publish after its Release. A snapshot nobody releases holds its own chunks
+// until the collector's backstop reports it, and then gives them back.
 func TestArenaHoldsWhatItsSnapshotsRead(t *testing.T) {
 	const keys = 1200
 	r := NewRelation[float64](ring.Float{}, NewSchema("A"))
@@ -179,7 +169,7 @@ func TestArenaHoldsWhatItsSnapshotsRead(t *testing.T) {
 	}
 	r.Snapshot().Release()
 	a := &r.snap.arena
-	round, prev := 0, map[*Entry[float64]]bool{}
+	round, prev := 0, map[*snapChunk[float64]]bool{}
 	// publish merges into every eighth key, a different eighth each round, and
 	// publishes; every chunk is rewritten.
 	publish := func() *RelationSnapshot[float64] {
@@ -188,41 +178,34 @@ func TestArenaHoldsWhatItsSnapshotsRead(t *testing.T) {
 		}
 		round++
 		s := r.Snapshot()
-		runs := map[*Entry[float64]]bool{}
-		for _, c := range s.chunks {
-			if runs[&c.es[0]] = true; prev[&c.es[0]] {
-				t.Fatalf("round %d: a chunk of %d entries is shared with the previous snapshot", round, len(c.es))
+		cs := chunksOf(s)
+		for c := range cs {
+			if prev[c] {
+				t.Fatalf("round %d: a chunk of %d entries is shared with the previous snapshot", round, c.n)
 			}
 		}
-		prev = runs
+		prev = cs
 		return s
 	}
 	// step publishes and releases, checking the arena holds no more than the
-	// latest two snapshots' blocks, those of held and the two it fills.
-	last, peak := 0, 0
-	step := func(held map[any]bool) {
+	// latest two snapshots' chunks and those of held.
+	last, peak := len(r.snap.last.chunks), 0
+	step := func(held map[*snapChunk[float64]]bool) {
 		t.Helper()
 		s := publish()
-		n := len(blocksOf(s))
+		n := len(s.chunks)
 		s.Release()
 		as := r.PoolStats().Arena
-		if as.BlocksLive > n+last+len(held)+2 {
-			t.Fatalf("round %d: %+v, want at most %d+%d blocks of the latest two snapshots, %d held, and 2",
+		if as.ChunksLive > n+last+len(held) {
+			t.Fatalf("round %d: %+v, want at most %d+%d chunks of the latest two snapshots and %d held",
 				round, as, n, last, len(held))
 		}
-		last, peak = n, max(peak, as.BlocksLive)
+		last, peak = n, max(peak, as.ChunksLive)
 	}
-	freed := func(bs map[any]bool) bool {
-		for b := range bs {
-			switch b := b.(type) {
-			case *bumpBlock[Entry[float64]]:
-				if !slices.Contains(a.runs.free, b) {
-					return false
-				}
-			case *bumpBlock[snapChunk[float64]]:
-				if !slices.Contains(a.dirs.free, b) {
-					return false
-				}
+	freed := func(cs map[*snapChunk[float64]]bool) bool {
+		for c := range cs {
+			if !slices.Contains(a.free, c) {
+				return false
 			}
 		}
 		return true
@@ -242,7 +225,7 @@ func TestArenaHoldsWhatItsSnapshotsRead(t *testing.T) {
 		want[strings.Clone(e.key)] = row{slices.Clone(e.Tuple), math.Float64bits(e.Payload)}
 		return true
 	})
-	pinned := blocksOf(k)
+	pinned := chunksOf(k)
 	for range 3*genSpan + 5 {
 		step(pinned)
 		n := 0
@@ -260,11 +243,11 @@ func TestArenaHoldsWhatItsSnapshotsRead(t *testing.T) {
 	k.Release()
 	step(nil)
 	if !freed(pinned) {
-		t.Fatalf("round %d: a block the released epoch read is not free one publish later: %+v", round, r.PoolStats().Arena)
+		t.Fatalf("round %d: a chunk the released epoch read is not free one publish later: %+v", round, r.PoolStats().Arena)
 	}
 
 	// Nobody releases this one; only the collector can say it is gone.
-	forgotten := blocksOf(publish())
+	forgotten := chunksOf(publish())
 	for try := 0; r.PoolStats().Arena.BackstopReclaims == 0; try++ {
 		if try == 200 {
 			t.Fatalf("%+v: the forgotten snapshot was never reported", r.PoolStats().Arena)
@@ -274,56 +257,7 @@ func TestArenaHoldsWhatItsSnapshotsRead(t *testing.T) {
 	}
 	step(nil) // drains the report
 	if !freed(forgotten) {
-		t.Fatalf("a block the forgotten snapshot read is not free once the backstop reported it: %+v", r.PoolStats().Arena)
+		t.Fatalf("a chunk the forgotten snapshot read is not free once the backstop reported it: %+v", r.PoolStats().Arena)
 	}
-	t.Logf("%d publishes, %d blocks a snapshot, at most %d live", round, last, peak)
-}
-
-// TestArenaOversizeRunsBypassBlocks pins the fallback contract: runs larger
-// than a block are plain allocations with no block attribution, and still
-// read back correctly.
-func TestArenaOversizeRunsBypassBlocks(t *testing.T) {
-	var a snapArena[int64]
-	a.init()
-	run, blk := a.runs.alloc(runBlockCap + 1)
-	if blk != nil {
-		t.Fatal("oversize run attributed to a block")
-	}
-	if cap(run) != runBlockCap+1 || len(run) != 0 {
-		t.Fatalf("oversize run cap %d len %d", cap(run), len(run))
-	}
-	run2, blk2 := a.runs.alloc(16)
-	if blk2 == nil || len(run2) != 0 {
-		t.Fatal("small run not block-allocated")
-	}
-	a.runs.trim(run2[:4], blk2)
-	if got := len(blk2.buf); got != 4 {
-		t.Fatalf("trim left block at %d entries, want 4", got)
-	}
-}
-
-// TestArenaDirectoryBlocksRecycle covers the directory arena the same way:
-// chunk directories are arena runs too, stamped through the snapshot's dirBlk
-// and freed by the sweep.
-func TestArenaDirectoryBlocksRecycle(t *testing.T) {
-	rng := rand.New(rand.NewSource(93))
-	r := NewRelation[int64](ring.Int{}, NewSchema("A", "B"))
-	s := churnAndPublish(rng, r, 3000)
-	if s.dirBlk == nil {
-		t.Fatal("published directory not arena-allocated")
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		for i := 0; i < 40; i++ {
-			churnAndPublish(rng, r, 120)
-		}
-		runtime.GC()
-		churnAndPublish(rng, r, 1)
-		if len(r.snap.arena.dirs.free) > 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no directory block was ever recycled onto the freelist")
-		}
-	}
+	t.Logf("%d publishes, %d chunks a snapshot, at most %d live", round, last, peak)
 }

@@ -63,13 +63,141 @@ func TestSnapshotMatchesRelation(t *testing.T) {
 	}
 }
 
-// TestSnapshotMutableRingIsolation checks that snapshots of relations with
-// payloads held outside the entry (owned triples, F[Z] multisets) never see a
-// later merge: the first in-place touch after a publish replaces the entry
-// (touchEntry), so a pinned snapshot keeps reading the storage it sealed.
+// TestSnapshotMutableRingIsolation checks that a snapshot never sees a later
+// write, whatever the ring: the first in-place touch after a publish replaces
+// the entry (touchEntry), so a pinned snapshot keeps reading the entries it
+// points at — for payloads held outside the entry (owned triples, F[Z]
+// multisets) as for those held inside it (Int, Float), and in an
+// IndexedRelation, whose buckets follow each replacement.
 func TestSnapshotMutableRingIsolation(t *testing.T) {
 	checkSnapshotIsolation[ring.Triple](t, ring.Cofactor{}, ring.LiftValue(0, 2))
 	checkSnapshotIsolation[*Multiset](t, RelRing{}, SingletonMultiset("B", Int(2)))
+
+	sch := NewSchema("A", "B")
+	ints := NewRelation[int64](ring.Int{}, sch)
+	checkPinnedIsolation(t, "Int", ints, func(t Tuple, p int64) { ints.Merge(t, p) }, ints.Set, func(i int) int64 { return int64(i) }, nil)
+	floats := NewRelation[float64](ring.Float{}, sch)
+	checkPinnedIsolation(t, "Float", floats, func(t Tuple, p float64) { floats.Merge(t, p) }, floats.Set, func(i int) float64 { return float64(i) / 4 }, nil)
+	ir := NewIndexedRelation(NewRelation[float64](ring.Float{}, sch))
+	merge := indexedMerge(ir)
+	set := func(tup Tuple, p float64) { // through the indexes: merge the difference
+		cur, _ := ir.Get(tup)
+		merge(tup, p-cur)
+	}
+	checkPinnedIsolation(t, "IndexedRelation", ir.Relation, merge, set, func(i int) float64 { return float64(i) / 4 }, ir.EnsureIndex(NewSchema("A")))
+}
+
+// checkPinnedIsolation drives pooled relation r over keys (a, b), a < 4,
+// b < 4, for 100 publishes: every key is merged into, Set, deleted, or
+// deleted and inserted again in one epoch, in turn, and r reclaims after
+// every publish. The epoch published first stays pinned throughout, and every
+// tenth one for five publishes: each must keep reading its own values through
+// Lookup, ScanPrefix and IterateEntries (a reused entry reads poison), the
+// latest must equal r, and ix, if set, must hold exactly r's entries.
+func checkPinnedIsolation[P any](t *testing.T, name string, r *Relation[P], merge, set func(Tuple, P), val func(int) P, ix *Index[P]) {
+	t.Helper()
+	const side = 4
+	r.Reclaim()
+	tup := func(k int) Tuple { return Ints(int64(k/side), int64(k%side)) }
+	render := func(e *Entry[P]) string {
+		if e == nil {
+			return "absent"
+		}
+		if e.Key() != e.Tuple.Key() {
+			return fmt.Sprintf("%v under %q", e.Tuple, e.Key())
+		}
+		return fmt.Sprintf("%v=%v", e.Tuple, e.Payload)
+	}
+	// read renders everything a reader can see of s.
+	read := func(s *RelationSnapshot[P]) string {
+		var b strings.Builder
+		for k := range side * side {
+			b.WriteString(render(s.Lookup(tup(k).AppendKey(nil))) + ";")
+		}
+		for a := range side {
+			s.ScanPrefix(Ints(int64(a)).AppendKey(nil), func(e *Entry[P]) bool {
+				b.WriteString(render(e) + ",")
+				return true
+			})
+			b.WriteString("|")
+		}
+		s.IterateEntries(func(e *Entry[P]) bool {
+			b.WriteString(render(e) + " ")
+			return true
+		})
+		return b.String()
+	}
+	type pin struct {
+		snap *RelationSnapshot[P]
+		want string
+		at   int
+	}
+	pinNow := func(i int) pin {
+		s := r.Snapshot()
+		return pin{s, read(s), i}
+	}
+	rg := r.Ring()
+	for k := range side * side {
+		merge(tup(k), val(k+1))
+	}
+	first := pinNow(0)
+	var held []pin
+	for i := 1; i <= 100; i++ {
+		for k := range side * side {
+			cur, stored := r.Get(tup(k))
+			switch (i + k) % 4 {
+			case 0:
+				merge(tup(k), val(i))
+			case 1:
+				set(tup(k), val(i+k+1))
+			case 2:
+				if stored {
+					merge(tup(k), rg.Neg(cur))
+				}
+			case 3:
+				if stored {
+					merge(tup(k), rg.Neg(cur))
+				}
+				merge(tup(k), val(k+2))
+			}
+		}
+		s := r.Snapshot()
+		if got, want := snapFingerprint(s), relFingerprint(r); got != want {
+			t.Fatalf("%s, publish %d: the snapshot reads %s, the relation holds %s", name, i, got, want)
+		}
+		if i%10 == 0 {
+			held = append(held, pin{s, read(s), i})
+		} else {
+			s.Release()
+		}
+		r.Reclaim()
+		if len(held) > 0 && held[0].at+5 <= i {
+			held[0].snap.Release()
+			held = held[1:]
+		}
+		for _, p := range append(held, first) {
+			if got := read(p.snap); got != p.want {
+				t.Fatalf("%s, publish %d: the epoch pinned at publish %d reads\n%s\nread\n%s", name, i, p.at, got, p.want)
+			}
+		}
+		if ix != nil {
+			n := 0
+			for a := range side {
+				bucket := ix.ProbeBytes(Ints(int64(a)).AppendKey(nil))
+				for e := range bucket.All() {
+					if n++; r.lookup(e.Tuple) != e {
+						t.Fatalf("%s, publish %d: index bucket %d holds %s, which the table does not", name, i, a, render(e))
+					}
+				}
+			}
+			if n != r.Len() {
+				t.Fatalf("%s, publish %d: the index holds %d entries, the table %d", name, i, n, r.Len())
+			}
+		}
+	}
+	for _, p := range append(held, first) {
+		p.snap.Release()
+	}
 }
 
 func checkSnapshotIsolation[P any](t *testing.T, rg ring.Ring[P], one P) {
@@ -255,7 +383,7 @@ func TestSnapshotHeaderComesBack(t *testing.T) {
 	r.Merge(Ints(2), 1)
 	s2 := r.Snapshot() // held from here on
 	want2 := snapFingerprint(s2)
-	if s1.n != -1 || s1.chunks != nil || s1.keep != nil {
+	if s1.n != -1 || len(s1.chunks) != 0 || s1.keep != nil {
 		t.Fatalf("released snapshot still reads: n %d, %d chunks", s1.n, len(s1.chunks))
 	}
 	func() {

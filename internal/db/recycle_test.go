@@ -41,10 +41,11 @@ func dashboard(t testing.TB, d *DB) {
 // closure and its heap cell inside runtime.AddCleanup: 3 objects per publishing
 // relation and data's genSpan = 16 publishes. The epoch, its view snapshots and
 // their relation snapshots are the structs the released ones gave back. A
-// reader that pins one epoch for 1 000 batches costs a constant — the headers
-// it holds and the arena blocks its generations keep, once — and when it lets
-// go the guard reads as before (a return list is eight slots, and the stand-ins
-// for the pinned headers are the only ones ever allocated again).
+// reader that pins one epoch costs the same over 1 008 batches as over 2 000 —
+// the headers and chunks it holds, and a replacement for each row it reads,
+// once — and when it lets go the guard reads as before (a return list is
+// eight slots, and the stand-ins for the pinned headers are the only ones ever
+// allocated again).
 func TestAllocGuardPublish(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc guards run in the non-race pass")
@@ -93,11 +94,22 @@ func TestAllocGuardPublish(t *testing.T) {
 	}
 	pinned := d.Epoch()
 	was := pinned.Recycled
-	if got := extra(1000); got > 64 {
-		t.Errorf("1000 batches under a pinned epoch allocate %d objects beyond the arenas' generations, want a constant under 64", got)
+	// The pin holds the rows it reads, and the next batches replace each of
+	// them (touchEntry) with an entry and key bytes bought once: two objects a
+	// row, on top of the constant under 64 the headers and the chunks take.
+	held := 0
+	for _, name := range d.Views() {
+		held += SnapshotOf[float64](pinned, name).Result().Len()
 	}
-	if pinned.Seq != d.seq-1000 || SnapshotOf[float64](pinned, "v_by_a").Result().Len() != keys {
-		t.Errorf("the pinned epoch moved: it reads seq %d, 1000 epochs after it the DB is at %d", pinned.Seq, d.seq)
+	first := extra(1008) // whole generations: extra's count is exact
+	total := first + extra(992)
+	t.Logf("a pinned epoch reading %d rows: %d objects over 1008 batches, %d over 2000", held, first, total)
+	if held > keys*views || first > 64+2*held || total > first+4 {
+		t.Errorf("1008 and 2000 batches under a pinned epoch allocate %d and %d objects beyond the arenas' generations, "+
+			"want the same, under 64 and two per row it reads (%d, at most keys·views = %d)", first, total, held, keys*views)
+	}
+	if pinned.Seq != d.seq-2000 || SnapshotOf[float64](pinned, "v_by_a").Result().Len() != keys {
+		t.Errorf("the pinned epoch moved: it reads seq %d, 2000 epochs after it the DB is at %d", pinned.Seq, d.seq)
 	}
 	pinned.Release()
 	extra(100)
@@ -108,7 +120,7 @@ func TestAllocGuardPublish(t *testing.T) {
 	defer e.Release()
 	// One header of each kind stood in for the pinned one's: an epoch, a view
 	// snapshot and a relation snapshot per view.
-	if now := e.Recycled; now.Allocated-was.Allocated != 1+2*views || now.Reused-was.Reused != 2699*(1+2*views) {
+	if now := e.Recycled; now.Allocated-was.Allocated != 1+2*views || now.Reused-was.Reused != 3699*(1+2*views) {
 		t.Errorf("headers %+v before the pin, %+v after it: want %d allocated for the pinned epoch's and all others reused",
 			was, now, 1+2*views)
 	}

@@ -90,10 +90,10 @@ func TestPublishLoopRecyclesArena(t *testing.T) {
 		as := e.PoolStats().Arena
 		t.Logf("hold=%v: %d B per batch; arena %+v", hold, perBatch, as)
 		if perBatch > bound {
-			t.Errorf("hold=%v: %d B allocated per batch, want at most %d: epochs do not give their blocks back", hold, perBatch, bound)
+			t.Errorf("hold=%v: %d B allocated per batch, want at most %d: epochs do not give their storage back", hold, perBatch, bound)
 		}
-		if as.BackstopReclaims != 0 || as.BlocksFree == 0 {
-			t.Errorf("hold=%v: arena %+v, want recycled blocks and no backstop reclaim", hold, as)
+		if as.BackstopReclaims != 0 || as.ChunksFree == 0 {
+			t.Errorf("hold=%v: arena %+v, want recycled chunks and no backstop reclaim", hold, as)
 		}
 	}
 }
@@ -101,7 +101,7 @@ func TestPublishLoopRecyclesArena(t *testing.T) {
 // TestForgottenLeaseFallsBackToCollector: a handle nobody releases stays
 // readable for as long as it is reachable, however many publishes go by; once
 // dropped, the collector's cleanup reports its generation (and is counted, as
-// the one forgotten lease) and the next publish takes the blocks back.
+// the one forgotten lease) and the next publish takes its chunks and rows back.
 func TestForgottenLeaseFallsBackToCollector(t *testing.T) {
 	const keys = 4096
 	e := countByA(t, keys)
@@ -143,9 +143,10 @@ func TestForgottenLeaseFallsBackToCollector(t *testing.T) {
 
 // TestReadAfterReleaseIsPoisoned is the deliberately broken reader: it keeps
 // reading a result after releasing its lease. Within two generation spans of
-// publishes the epoch's blocks go back to the arena, and under the poison
-// hook (see TestMain) the stale snapshot then reads scribbled entries — not
-// the plausible ones of whichever epoch took the storage over.
+// publishes the epoch's chunks and rows go back to the writer, and under the
+// poison hook (see TestMain) the stale snapshot then reads scribbled rows or a
+// cleared chunk — not the plausible ones of whichever epoch took the storage
+// over.
 func TestReadAfterReleaseIsPoisoned(t *testing.T) {
 	const keys, lap = 4096, 4096 / 64
 	e := countByA(t, keys)
@@ -157,19 +158,19 @@ func TestReadAfterReleaseIsPoisoned(t *testing.T) {
 		}
 		e.Snapshot().Release()
 	}
-	for b := 0; b < 2*lap; b++ { // until every chunk lives in an arena block
+	for b := 0; b < 2*lap; b++ { // until every chunk was rebuilt since the first publish
 		publish(b)
 	}
 	s := e.Snapshot()
 	stale := s.Result()
 	s.Release()
 	caughtAt := -1
-	for b := 0; b < 2*16+lap && caughtAt < 0; b++ { // 2×genSpan, plus a refresh lap
+	for b := 0; b < 2*16+lap && caughtAt < 0; b++ { // 2×genSpan, and a lap to spare
 		publish(2*lap + b)
 		func() {
 			defer func() {
 				if recover() != nil {
-					caughtAt = b // Lookup through a scribbled chunk directory
+					caughtAt = b // a row through a cleared chunk
 				}
 			}()
 			seen := 0
@@ -182,7 +183,7 @@ func TestReadAfterReleaseIsPoisoned(t *testing.T) {
 				return caughtAt < 0
 			})
 			if seen != stale.Len() {
-				caughtAt = b // a scribbled directory iterates nothing
+				caughtAt = b // a recycled header iterates another epoch
 			}
 		}()
 	}

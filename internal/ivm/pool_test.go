@@ -404,10 +404,14 @@ func TestPoolRespectsPinnedEpochs(t *testing.T) {
 	// to the end, and the last three of the second hold 281 rows retired,
 	// removed (149) or replaced by the copy a key's first touch after a publish
 	// wrote (132), each whole with its payload storage; the inserts and
-	// replacements that would have reused them bought theirs (335 rows bought,
-	// 911 written into reused entries). An arena block waits the same way, for
-	// the held epochs that read it: one does (BlocksRetired), the rest of the 11
-	// are the blocks the views' latest snapshots read or fill.
+	// copies that would have reused them bought theirs (335 rows bought, 911
+	// written into reused entries; 670 first-touch copies, each replacing its
+	// entry or, where the touch cancelled the key, given straight back). A
+	// chunk array waits the same way, for the held epochs
+	// that read it: 85 do (ChunksRetired) — the root's of batches 0 to 19, all
+	// five views' of batches 20 to 29 and of batches 56 to 58 (56's lease went
+	// after the last publish, which alone gives chunks back) — and 5 more are
+	// the views' latest directories.
 	h := ps.Arena.Headers
 	ps.Arena.Headers = data.Recycled{}
 	if ps.TableBytes == 0 {
@@ -415,7 +419,7 @@ func TestPoolRespectsPinnedEpochs(t *testing.T) {
 	}
 	ps.TableBytes = 0 // which buckets need a class at once follows the process's hash seed
 	if want := (data.PoolStats{Free: 299, Reclaimed: 540, RowsRetired: 281, RowsReused: 911, KeyBytes: 8528, TupleBytes: 21504,
-		SlabChunks: 20, TuplesCopied: 335, Arena: data.ArenaStats{BlocksLive: 11, BlocksRetired: 1, GenerationsOpen: 11}}); ps != want {
+		SlabChunks: 20, TuplesCopied: 335, TouchCopies: 670, Arena: data.ArenaStats{ChunksLive: 90, ChunksFree: 5, ChunksRetired: 85, GenerationsOpen: 11}}); ps != want {
 		t.Errorf("pool stats %+v, want %+v", ps, want)
 	}
 	// The epochs of the first half stay pinned and so do their headers; the

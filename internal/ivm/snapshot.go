@@ -28,12 +28,12 @@ import (
 //
 // An epoch is a lease. The publication pointer holds one reference while the
 // epoch is current and every handle from Snapshot or Catalog one more; the
-// last Release returns the epoch's arena blocks at the writer's next publish,
-// lets the writer reuse the rows only this epoch still read, and gives this
+// last Release returns the rows and chunks only this epoch still read to the
+// writer at its next publish, and gives this
 // struct back for a later epoch to be built in: after it not even Epoch may be
 // read. Release is optional: a forgotten handle stays readable while
 // reachable, is collected, not recycled, at the cost of a full GC cycle, and
-// the rows and blocks it reads wait for that collection
+// the rows and chunks it reads wait for that collection
 // (data.ArenaStats.BackstopReclaims counts those). An
 // *Entry or an in-place ring's payload read from the epoch is valid until
 // that Release, not merely "while reachable".

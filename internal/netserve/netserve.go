@@ -75,13 +75,14 @@ type Config struct {
 	// goroutine. nil makes the server read-only (the follower shape):
 	// POST /apply, /exec, and /select answer 403.
 	Queue *db.ApplyQueue
-
-	// RetryAfter is the hint sent with 429 responses (default 1s).
-	RetryAfter time.Duration
-
-	// MaxScan caps rows returned by one scan or SELECT (default 10000).
-	MaxScan int
 }
+
+const (
+	// retryAfter is the hint sent with 429 responses.
+	retryAfter = time.Second
+	// maxScan caps the rows one scan or SELECT returns.
+	maxScan = 10000
+)
 
 // Server is the HTTP server. Create with New, start with Serve, stop with
 // Shutdown (which drains in-flight requests before returning).
@@ -91,6 +92,8 @@ type Server struct {
 	selSeq atomic.Uint64
 	// Requests whose head parseHead took, and those left to http.ReadRequest.
 	headsParsed, headsRead atomic.Uint64
+	// retryAfter is the 429 hint: the constant, which a test lengthens.
+	retryAfter time.Duration
 	// The connection limits: the constants, which a test shortens.
 	readHeaderTimeout, readTimeout, idleTimeout time.Duration
 	mu                                          sync.Mutex                // guards listeners and conns
@@ -112,14 +115,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DB == nil {
 		return nil, errors.New("netserve: Config.DB is required")
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
-	if cfg.MaxScan <= 0 {
-		cfg.MaxScan = 10000
-	}
 	s := &Server{cfg: cfg, readHeaderTimeout: readHeaderTimeout, readTimeout: readTimeout,
-		idleTimeout: idleTimeout, listeners: map[net.Listener]struct{}{}, conns: map[*conn]struct{}{}}
+		idleTimeout: idleTimeout, retryAfter: retryAfter, listeners: map[net.Listener]struct{}{}, conns: map[*conn]struct{}{}}
 	s.readStates.New = func() any { return new(readState).reset() }
 	s.applyStates.New = func() any { return new(applyState) }
 	s.routes = [...]route{
@@ -375,7 +372,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, e *db.Epoch
 		TuplesCopied      uint64 `json:"tuples_copied"`
 		IndexTableBytes   int    `json:"index_table_bytes"`
 		SlabChunks        int    `json:"slab_chunks"`
-		ArenaBlocks       int    `json:"arena_blocks"`
+		ArenaChunks       int    `json:"arena_chunks"`
 		ArenaFree         int    `json:"arena_free"`
 		ArenaRetired      int    `json:"arena_retired"`
 		BackstopReclaims  uint64 `json:"backstop_reclaims"`
@@ -388,7 +385,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, e *db.Epoch
 			PoolFree: st.PoolFree, Reclaimed: st.Reclaimed, RowsRetired: st.RowsRetired, RowsReused: st.RowsReused,
 			ScratchKeyBytes: st.ScratchKeyBytes, ScratchTupleBytes: st.ScratchTupleBytes,
 			TuplesCopied: st.TuplesCopied, IndexTableBytes: st.IndexTableBytes, SlabChunks: st.SlabChunks,
-			ArenaBlocks: st.Arena.BlocksLive, ArenaFree: st.Arena.BlocksFree, ArenaRetired: st.Arena.BlocksRetired,
+			ArenaChunks: st.Arena.ChunksLive, ArenaFree: st.Arena.ChunksFree, ArenaRetired: st.Arena.ChunksRetired,
 			BackstopReclaims: st.Arena.BackstopReclaims}
 	}
 	// The shared base store, from the same epoch: what the live rows and the
@@ -458,7 +455,7 @@ func (s *Server) handleView(scan bool) func(http.ResponseWriter, *http.Request, 
 			httpError(w, http.StatusBadRequest, "%v", q.keyErr)
 			return
 		}
-		limit := s.cfg.MaxScan
+		limit := maxScan
 		if scan && q.limit != "" {
 			n, err := strconv.Atoi(q.limit)
 			if err != nil || n < 1 {
@@ -523,7 +520,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	l := s.cfg.DB().WAL()
 	switch {
 	case errors.Is(err, db.ErrQueueFull):
-		w.Header().Set("Retry-After", strconv.Itoa(int(max(1, s.cfg.RetryAfter/time.Second))))
+		w.Header().Set("Retry-After", strconv.Itoa(int(max(1, s.retryAfter/time.Second))))
 		httpError(w, http.StatusTooManyRequests, "ingest queue full, retry later")
 	case errors.Is(err, db.ErrFollower):
 		httpError(w, http.StatusForbidden, "%v", err)
@@ -633,7 +630,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request, _ string) 
 		httpError(w, http.StatusBadRequest, "missing sql")
 		return
 	}
-	limit := s.cfg.MaxScan
+	limit := maxScan
 	if req.Limit > 0 && req.Limit < limit {
 		limit = req.Limit
 	}

@@ -29,8 +29,6 @@ type FollowerConfig struct {
 	// locally and resumes the stream where it stopped. nil keeps the
 	// follower in memory (restart = full re-sync via checkpoint transfer).
 	Durability *db.DurabilityOptions
-	// RedialWait spaces reconnect attempts (default 250ms).
-	RedialWait time.Duration
 	// Dial overrides the dialer (tests); nil uses net.Dialer.
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
 	// OnApply, when set, is called on the stream goroutine after every
@@ -41,6 +39,9 @@ type FollowerConfig struct {
 	OnApply func(e *db.Epoch)
 }
 
+// redialWait spaces a follower's reconnect attempts.
+const redialWait = 250 * time.Millisecond
+
 // Follower is a read replica: a follower-mode db.DB kept in sync by
 // streaming the primary's WAL. Reads go through the ordinary epoch read
 // path on DB(); the handle is swapped atomically when a checkpoint
@@ -48,6 +49,9 @@ type FollowerConfig struct {
 type Follower struct {
 	cfg FollowerConfig
 	cur atomic.Pointer[db.DB]
+	// redialWait spaces reconnect attempts: the constant, which a test
+	// shortens.
+	redialWait time.Duration
 
 	mu     sync.Mutex
 	conn   net.Conn
@@ -63,14 +67,11 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.Primary == "" {
 		return nil, fmt.Errorf("replica: FollowerConfig.Primary is required")
 	}
-	if cfg.RedialWait <= 0 {
-		cfg.RedialWait = 250 * time.Millisecond
-	}
 	d, err := db.Open(cfg.Catalog, db.Options{Follower: true, Durability: cfg.Durability})
 	if err != nil {
 		return nil, err
 	}
-	f := &Follower{cfg: cfg}
+	f := &Follower{cfg: cfg, redialWait: redialWait}
 	f.cur.Store(d)
 	return f, nil
 }
@@ -93,7 +94,7 @@ func (f *Follower) Run(ctx context.Context) error {
 		select {
 		case <-ctx.Done():
 			return nil
-		case <-time.After(f.cfg.RedialWait):
+		case <-time.After(f.redialWait):
 		}
 	}
 }

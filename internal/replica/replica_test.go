@@ -68,13 +68,11 @@ func startFollower(t *testing.T, cfg FollowerConfig) (*Follower, context.CancelF
 	if cfg.Catalog == nil {
 		cfg.Catalog = testCatalog()
 	}
-	if cfg.RedialWait == 0 {
-		cfg.RedialWait = 10 * time.Millisecond
-	}
 	f, err := NewFollower(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.redialWait = 10 * time.Millisecond // the constant is a quarter second: too long for a test to wait out
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { defer close(done); f.Run(ctx) }()
@@ -123,8 +121,8 @@ func assertNoForgottenLeases(t *testing.T, p *db.DB, f *Follower) {
 	for side, d := range map[string]*db.DB{"primary": p, "follower": f.DB()} {
 		e := d.Epoch()
 		for _, name := range e.Views() {
-			if st, _ := e.Stats(name); st.Arena.BackstopReclaims != 0 || st.Arena.BlocksLive == 0 {
-				t.Errorf("%s view %s: arena %+v, want live blocks and no backstop reclaim", side, name, st.Arena)
+			if st, _ := e.Stats(name); st.Arena.BackstopReclaims != 0 || st.Arena.ChunksLive == 0 {
+				t.Errorf("%s view %s: arena %+v, want live chunks and no backstop reclaim", side, name, st.Arena)
 			}
 		}
 		e.Release()

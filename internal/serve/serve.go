@@ -16,8 +16,8 @@
 //
 // Readers never block maintenance and maintenance never blocks readers; the
 // only coordination is the lease a Reader owns on the epoch it pins (see
-// ivm.ViewSnapshot): Refresh, PinAt and Close give it back, which returns its
-// arena blocks at the writer's next publish. Closing is optional — a dropped
+// ivm.ViewSnapshot): Refresh, PinAt and Close give it back, which returns the
+// rows and chunks only it reads at the writer's next publish. Closing is optional — a dropped
 // reader leaves its epoch to the garbage collector, a full cycle later — but
 // an *Entry or an in-place ring's payload read through the reader is valid
 // only until the pin moves. Freshness is the reader's choice of when to
