@@ -37,8 +37,8 @@ func ExampleCreateView() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(v.Name(), d.Views())
-	// Output: byA [byA]
+	fmt.Println(d.Views(), v.Query().Name)
+	// Output: [byA] byA
 }
 
 func ExampleDB_Apply() {

@@ -178,9 +178,11 @@ func TestCQResultFlow(t *testing.T) {
 	if err := r.ApplyDelta("R", d); err != nil {
 		t.Fatal(err)
 	}
-	if r.Count() != 2 {
-		t.Errorf("Count = %d", r.Count())
+	s := r.Snapshot()
+	if n := s.Count(); n != 2 {
+		t.Errorf("Count = %d", n)
 	}
+	s.Release()
 	seen := 0
 	r.Enumerate(func(fivm.Tuple) bool { seen++; return true })
 	if seen != 2 {
@@ -298,7 +300,7 @@ func TestServingReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rd.Close()
-	pinned := rd.Epoch()
+	pinned := rd.Snapshot().Epoch
 	if p, ok := rd.Lookup(fivm.Ints(3)); !ok || p != 1 {
 		t.Fatalf("Lookup(3) = %d,%v, want 1", p, ok)
 	}
@@ -308,8 +310,8 @@ func TestServingReads(t *testing.T) {
 	if p, _ := rd.Lookup(fivm.Ints(3)); p != 1 {
 		t.Fatalf("pinned reader moved: %d", p)
 	}
-	if !rd.Refresh() || rd.Epoch() != pinned+1 {
-		t.Fatalf("Refresh: epoch = %d, want %d", rd.Epoch(), pinned+1)
+	if !rd.Refresh() || rd.Snapshot().Epoch != pinned+1 {
+		t.Fatalf("Refresh: epoch = %d, want %d", rd.Snapshot().Epoch, pinned+1)
 	}
 	if p, _ := rd.Lookup(fivm.Ints(3)); p != 2 {
 		t.Fatalf("Lookup(3) after refresh = %d, want 2", p)
@@ -318,8 +320,8 @@ func TestServingReads(t *testing.T) {
 	// Scans and the view catalog round-trip through the facade types.
 	var scanned int
 	rd.Scan(nil, func(fivm.Tuple, int64) bool { scanned++; return true })
-	if scanned != rd.Len() {
-		t.Fatalf("scan visited %d of %d", scanned, rd.Len())
+	if scanned != rd.Result().Len() {
+		t.Fatalf("scan visited %d of %d", scanned, rd.Result().Len())
 	}
 	var snap *fivm.ViewSnapshot[int64] = rd.Snapshot()
 	if len(snap.Views()) != 0 {
@@ -330,8 +332,8 @@ func TestServingReads(t *testing.T) {
 	eng := v.Maintainer().(*ivm.Engine[int64])
 	snap = eng.Catalog()
 	defer snap.Release()
-	if snap.Epoch != rd.Epoch() || snap.Result() != rd.Result() {
-		t.Fatalf("Catalog moved the epoch: %d vs %d", snap.Epoch, rd.Epoch())
+	if snap.Epoch != rd.Snapshot().Epoch || snap.Result() != rd.Result() {
+		t.Fatalf("Catalog moved the epoch: %d vs %d", snap.Epoch, rd.Snapshot().Epoch)
 	}
 	for _, name := range snap.Views() {
 		if snap.View(name) == nil || eng.ViewByName(name) == nil {

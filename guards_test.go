@@ -3,8 +3,11 @@ package fivm_test
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
@@ -29,6 +32,7 @@ type goFile struct {
 	path string // slash-separated, from the repository root
 	test bool
 	ast  *ast.File
+	off  bool // a build constraint leaves the file out of the default build
 }
 
 // repoTree parses every Go file of the repository once, test files and
@@ -52,7 +56,11 @@ var repoTree = sync.OnceValues(func() (tree, error) {
 		if err != nil {
 			return err
 		}
-		tr.files = append(tr.files, goFile{filepath.ToSlash(p), strings.HasSuffix(p, "_test.go"), f})
+		on, err := build.Default.MatchFile(filepath.Dir(p), d.Name())
+		if err != nil {
+			return err
+		}
+		tr.files = append(tr.files, goFile{filepath.ToSlash(p), strings.HasSuffix(p, "_test.go"), f, !on})
 		return nil
 	})
 	return tr, err
@@ -69,11 +77,11 @@ func loadRepo(t *testing.T) tree {
 }
 
 // implicitMethods are method names a type can carry for a standard-library
-// interface it satisfies without any caller naming the method.
+// interface that the library finds by itself, through a type assertion no
+// code of the repository writes or names (fmt's Stringer and Formatter,
+// encoding/json's Marshaler, errors' Unwrap).
 var implicitMethods = map[string]bool{
-	"String": true, "GoString": true, "Format": true, "Error": true, "Unwrap": true,
-	"Read": true, "Write": true, "Close": true, "ServeHTTP": true,
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	"String": true, "GoString": true, "Format": true, "Unwrap": true,
 	"MarshalJSON": true, "UnmarshalJSON": true,
 }
 
@@ -94,46 +102,133 @@ var testOnlyAllowed = []struct{ path, name, reason string }{
 	{name: "Relation.Negate", reason: "tests in two packages build retractions with it"},
 	{name: "Engine.Describe", reason: "item 3's EXPLAIN prints it"},
 	{name: "Engine.ViewByName", reason: "the snapshot-against-live tests in internal/ivm and the root read views by name"},
+	{name: "ViewSnapshot.View", reason: "the catalogue tests in internal/ivm, internal/factorized and the root read an epoch's views by name"},
+	{name: "ViewSnapshot.Views", reason: "the catalogue tests in internal/ivm, internal/factorized and the root list an epoch's views"},
+	{name: "Relation.Equal", reason: "item 4's oracle: the tests of internal/data and internal/ivm compare results with the re-evaluation oracle through it"},
+	{name: "Entry.Key", reason: "the poisoning checks in internal/data, internal/db and internal/ivm compare an entry's key with its tuple's encoding"},
+	{name: "RelationSnapshot.IterateEntries", reason: "the pinned-epoch tests in internal/data and internal/ivm read the entries an epoch holds"},
+}
+
+// typeCheck type-checks the non-test files of every package of tr,
+// benchmark/ included, into one types.Info, so that an object the benchmark
+// module uses is the object the module declares. A directory's import path
+// is fivm/ and the directory. The standard library is checked from source
+// without function bodies.
+func typeCheck(tr tree) (*types.Info, error) {
+	im := &repoImporter{
+		std:   importer.ForCompiler(tr.fset, "source", nil),
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
+		fset:  tr.fset,
+	}
+	for _, f := range tr.files {
+		if !f.test && !f.off {
+			p := path.Join("fivm", path.Dir(f.path))
+			im.files[p] = append(im.files[p], f.ast)
+		}
+	}
+	for p := range im.files {
+		if _, err := im.Import(p); err != nil {
+			return nil, err
+		}
+	}
+	return im.info, nil
+}
+
+// typedRepo is typeCheck of the repository, done once.
+var typedRepo = sync.OnceValues(func() (*types.Info, error) {
+	tr, err := repoTree()
+	if err != nil {
+		return nil, err
+	}
+	return typeCheck(tr)
+})
+
+// repoImporter type-checks the repository's packages from their parsed
+// files, function bodies included, and hands every other import to std.
+type repoImporter struct {
+	std   types.Importer
+	files map[string][]*ast.File // by import path
+	pkgs  map[string]*types.Package
+	info  *types.Info
+	fset  *token.FileSet
+}
+
+func (im *repoImporter) Import(p string) (*types.Package, error) {
+	if pkg, ok := im.pkgs[p]; ok {
+		return pkg, nil
+	}
+	files, ok := im.files[p]
+	if !ok {
+		return im.std.Import(p)
+	}
+	conf := types.Config{Importer: im}
+	pkg, err := conf.Check(p, im.fset, files, im.info)
+	if err != nil {
+		return nil, fmt.Errorf("type-checking %s: %v", p, err)
+	}
+	im.pkgs[p] = pkg
+	return pkg, nil
+}
+
+// exportedFunc is an exported function or method declared under internal/.
+type exportedFunc struct{ path, name string }
+
+// testOnlyExports returns the exported functions and methods under
+// internal/ in tr that no non-test code uses, by info (typeCheck of tr).
+// Uses are go/types objects, so a method is not used because another type's
+// method shares its name, and a comment or a string neither uses nor hides
+// one. A method also counts as used when it implements a method of an
+// interface that non-test code names, converts to or calls through, or is
+// one of implicitMethods.
+func testOnlyExports(tr tree, info *types.Info) []exportedFunc {
+	used := map[*types.Func]bool{}
+	ifaces := map[types.Type]bool{}
+	for _, obj := range info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			used[fn.Origin()] = true
+		}
+		if obj != nil {
+			interfacesIn(obj.Type(), ifaces)
+		}
+	}
+	for _, tv := range info.Types {
+		interfacesIn(tv.Type, ifaces)
+	}
+	var unused []exportedFunc
+	for _, f := range tr.files {
+		if f.test || f.off || !strings.HasPrefix(f.path, "internal/") {
+			continue
+		}
+		for _, dcl := range f.ast.Decls {
+			fd, ok := dcl.(*ast.FuncDecl)
+			if !ok || !fd.Name.IsExported() {
+				continue
+			}
+			obj := info.Defs[fd.Name].(*types.Func)
+			if used[obj] || (fd.Recv != nil && (implicitMethods[obj.Name()] || implementsUsed(obj, ifaces))) {
+				continue
+			}
+			unused = append(unused, exportedFunc{f.path, qualified(fd)})
+		}
+	}
+	return unused
 }
 
 // TestNoTestOnlyExports fails on an exported function or method under
 // internal/ that no non-test Go file in the repository, benchmark/ included,
-// names: code only tests call belongs in a _test.go file. Names are matched
-// in the syntax tree, so a comment or a string neither uses nor hides one.
+// uses (see testOnlyExports): code only tests call belongs in a _test.go
+// file.
 func TestNoTestOnlyExports(t *testing.T) {
-	type fn struct{ path, name string }
-	used := map[string]bool{}
-	var exported []fn
-	for _, f := range loadRepo(t).files {
-		if f.test {
-			continue
-		}
-		decl := map[*ast.Ident]bool{}
-		for _, dcl := range f.ast.Decls {
-			fd, ok := dcl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			decl[fd.Name] = true
-			if fd.Name.IsExported() && strings.HasPrefix(f.path, "internal/") {
-				exported = append(exported, fn{f.path, qualified(fd)})
-			}
-		}
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !decl[id] {
-				used[id.Name] = true
-			}
-			return true
-		})
+	info, err := typedRepo()
+	if err != nil {
+		t.Fatal(err)
 	}
-
 	matched := make([]bool, len(testOnlyAllowed))
 	var unused []string
-	for _, f := range exported {
+	for _, f := range testOnlyExports(loadRepo(t), info) {
 		bare := f.name[strings.LastIndexByte(f.name, '.')+1:]
-		if used[bare] || (bare != f.name && implicitMethods[bare]) {
-			continue
-		}
 		allowed := false
 		for i, row := range testOnlyAllowed {
 			if (row.path == "" || row.path == f.path || row.path == path.Dir(f.path)) &&
@@ -147,13 +242,117 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	sort.Strings(unused)
 	for _, u := range unused {
-		t.Errorf("%s is exported but only tests call it: delete it or move it into a _test.go file", u)
+		t.Errorf("%s is exported but only tests use it: delete it or move it into a _test.go file", u)
 	}
 	for i, row := range testOnlyAllowed {
 		if !matched[i] {
 			t.Errorf("allowlist row {path: %q, name: %q} matches no test-only export: the row is stale", row.path, row.name)
 		}
 	}
+}
+
+// TestNoTestOnlyExportsReader checks testOnlyExports on small sources: a
+// method is not used by another type's method of the same name, is used
+// through an interface non-test code calls or converts to (generic ones
+// too), and a use in a test file or a comment does not count.
+func TestNoTestOnlyExportsReader(t *testing.T) {
+	tr := parseSources(t,
+		"internal/p/p.go", `package p
+
+type A struct{}
+type B struct{}
+type C struct{}
+type G[T any] struct{}
+
+func (A) Len() int   { return 0 }
+func (B) Len() int   { return 0 }
+func (C) Put(int)    {}
+func (G[T]) Get() T  { var t T; return t }
+func (A) Stray()     {}
+
+type Putter interface{ Put(int) }
+type Getter[T any] interface{ Get() T }
+
+func Use(p Putter, g Getter[int]) int { p.Put(1); return A{}.Len() + g.Get() } // B{}.Len()
+`,
+		"internal/p/p_test.go", "package p\n\nfunc use() { B{}.Len(); A{}.Stray() }\n",
+		"cmd/q/main.go", `package main
+
+import "fivm/internal/p"
+
+func main() { p.Use(p.C{}, p.G[int]{}) }
+`)
+	info, err := typeCheck(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []exportedFunc{{"internal/p/p.go", "B.Len"}, {"internal/p/p.go", "A.Stray"}}
+	if got := testOnlyExports(tr, info); !reflect.DeepEqual(got, want) {
+		t.Errorf("test-only exports %v, want %v", got, want)
+	}
+}
+
+// interfacesIn adds to set t, if t is an interface with methods, and the
+// interfaces among the parameters and results of t, if t is a signature: an
+// argument passed to such a parameter is converted to the interface.
+func interfacesIn(t types.Type, set map[types.Type]bool) {
+	if sig, ok := t.(*types.Signature); ok {
+		for _, vs := range []*types.Tuple{sig.Params(), sig.Results()} {
+			for v := range vs.Variables() {
+				interfacesIn(v.Type(), set)
+			}
+		}
+		return
+	}
+	if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+		set[t] = true
+	}
+}
+
+// implementsUsed reports whether method m's receiver type implements an
+// interface of ifaces that declares m's name. Where the receiver type or the
+// interface is generic, implementing means carrying every method the
+// interface names, as type arguments are not resolved here.
+func implementsUsed(m *types.Func, ifaces map[types.Type]bool) bool {
+	recv := m.Signature().Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	named, ok := recv.(*types.Named)
+	if !ok {
+		return false
+	}
+	ptr := types.NewPointer(named)
+	for t := range ifaces {
+		it := t.Underlying().(*types.Interface)
+		if obj, _, _ := types.LookupFieldOrMethod(it, false, m.Pkg(), m.Name()); obj == nil {
+			continue
+		}
+		if !generic(named) && !generic(t) {
+			if types.Implements(ptr, it) {
+				return true
+			}
+			continue
+		}
+		all := true
+		for im := range it.Methods() {
+			if obj, _, _ := types.LookupFieldOrMethod(ptr, false, im.Pkg(), im.Name()); obj == nil {
+				all = false
+				break
+			}
+		}
+		if all {
+			return true
+		}
+	}
+	return false
+}
+
+// generic reports whether t is a generic named type or one instantiated
+// with type arguments.
+func generic(t types.Type) bool {
+	n, ok := t.(*types.Named)
+	return ok && (n.TypeParams().Len() > 0 || n.TypeArgs().Len() > 0)
 }
 
 // qualified is a function's name, or Type.Method for a method.
@@ -281,6 +480,9 @@ var removals = []removal{
 	{had: "df99b46", step: "Snapshots point at their rows: no snapshot block arena, refresh cursor or by-value entry copy, and one copy-on-touch rule for every ring",
 		in: dataPkg, forbid: []string{"type bumpArena _", "type bumpBlock _", "struct{ refresh _ }", "struct{ shares _ }", "struct{ dirBlk _ }", "func sealed()"},
 		keep: []string{"func (_ *snapArena[_]) chunk()", "struct{ free, retired []*snapChunk[_] }", "func (_ *Relation[_]) touchEntry()"}},
+	{had: "6514359", step: "Key order is Go's string order: no MSD radix sort or byte-loop key compare; the standard library sorts and compares keys",
+		in: dataPkg, tests: true, forbid: []string{"msdBy", "msdKeys", "insertionKeys", "insertionBy", "keyBucket", "radixSortCutoff", "radixSort_", "cmpKey"},
+		keep: []string{"slices.SortFunc", "strings.Compare"}},
 }
 
 // TestRemovalGuards fails on every removal row whose forbidden forms are
@@ -587,7 +789,7 @@ func parseSources(t *testing.T, pathSrc ...string) tree {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr.files = append(tr.files, goFile{pathSrc[i], strings.HasSuffix(pathSrc[i], "_test.go"), f})
+		tr.files = append(tr.files, goFile{pathSrc[i], strings.HasSuffix(pathSrc[i], "_test.go"), f, false})
 	}
 	return tr
 }

@@ -1,7 +1,6 @@
 package data
 
 import (
-	"math/rand"
 	"testing"
 
 	"fivm/internal/ring"
@@ -91,25 +90,4 @@ func BenchmarkIndexProbe(b *testing.B) {
 		}
 	}
 	_ = sum
-}
-
-// BenchmarkRadixSortKeys measures the MSD radix sort on encoded tuple keys —
-// the comparison-free, deduplicating sort a snapshot patch runs on its dirty
-// keys. The workload is 4096 distinct encoded (A, B) keys in a fixed shuffled
-// order, re-copied into a reusable scratch each iteration; the
-// copy is a flat memmove dwarfed by the sort.
-func BenchmarkRadixSortKeys(b *testing.B) {
-	base := make([]string, 4096)
-	for i := range base {
-		base[i] = string(Ints(int64(i), int64(i%251)).AppendKey(nil))
-	}
-	rng := rand.New(rand.NewSource(8))
-	rng.Shuffle(len(base), func(i, j int) { base[i], base[j] = base[j], base[i] })
-	scratch := make([]string, len(base))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(scratch, base)
-		radixSortKeysDedup(scratch)
-	}
 }

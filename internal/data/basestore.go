@@ -337,7 +337,7 @@ func MergeUpdate[P any](dst *Relation[P], u BaseUpdate, p P) {
 // Rows returns rel's rows in encoded-key order — the deterministic order a
 // checkpoint is written in — as a sequence over the live entries: no row is
 // copied and nothing is allocated. Ranging over it packs the entry table's
-// pointers at the front of its own slots and radix-sorts them there; when the
+// pointers at the front of its own slots and sorts them there; when the
 // range ends, however it ends, every entry is seated again by its cached
 // hash. Until then the relation answers no lookup, so the range must finish
 // before the next ApplyBatch, Base read or Rows call; the row count up front
@@ -347,7 +347,7 @@ func (s *BaseStore) Rows(rel string) iter.Seq2[Tuple, int64] {
 		t := &s.rels[rel].entries
 		es := t.pack()
 		defer t.unpack(len(es))
-		radixSortEntryPtrs(es)
+		slices.SortFunc(es, byKey[int64])
 		for _, e := range es {
 			if !yield(e.Tuple, e.Payload) {
 				return

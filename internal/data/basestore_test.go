@@ -76,7 +76,7 @@ func TestBaseStoreApplyAndObserve(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Base("R").Contains(bsTuple(1, 2)) {
+	if has(s.Base("R"), bsTuple(1, 2)) {
 		t.Error("deleted key still present")
 	}
 	if storedRows(s) != 2 {
@@ -459,7 +459,7 @@ func TestBaseStoreRestoreContract(t *testing.T) {
 	if err := s.ApplyBatch([]BaseUpdate{{Rel: "R", Tuples: []Tuple{bsTuple(1, 2)}, Mult: -1}, {Rel: "R", Tuples: []Tuple{bsTuple(7, 8)}}}); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := s.Base("R").Get(bsTuple(7, 8)); got != 1 || s.Base("R").Len() != 3 || s.Base("R").Contains(bsTuple(1, 2)) {
+	if got, _ := s.Base("R").Get(bsTuple(7, 8)); got != 1 || s.Base("R").Len() != 3 || has(s.Base("R"), bsTuple(1, 2)) {
 		t.Errorf("after a delete and an insert: [7 8] = %d, %d rows", got, s.Base("R").Len())
 	}
 }

@@ -2,6 +2,7 @@ package data
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -22,7 +23,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		if n != len(enc) {
 			t.Errorf("%v: consumed %d of %d bytes", tup, n, len(enc))
 		}
-		if !got.Equal(tup) {
+		if !slices.Equal(got, tup) {
 			t.Errorf("round trip %v -> %v", tup, got)
 		}
 		// Decoded tuples re-encode to identical bytes (keys survive a

@@ -1,6 +1,7 @@
 package data
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,11 +22,8 @@ func TestRelationAccessors(t *testing.T) {
 	if _, ok := r.Get(Ints(2, 1)); ok {
 		t.Error("Get on absent key")
 	}
-	if e := r.lookup(Ints(1, 2)); e == nil || !e.Tuple.Equal(Ints(1, 2)) || e.Payload != 5 || e.Key() != Ints(1, 2).Key() {
+	if e := r.lookup(Ints(1, 2)); e == nil || !slices.Equal(e.Tuple, Ints(1, 2)) || e.Payload != 5 || e.Key() != Ints(1, 2).Key() {
 		t.Errorf("lookup = %+v", e)
-	}
-	if !r.Contains(Ints(1, 2)) || r.Contains(Ints(2, 1)) {
-		t.Error("Contains")
 	}
 	if got := len(r.Entries()); got != 2 {
 		t.Errorf("Entries = %d", got)
@@ -35,7 +33,7 @@ func TestRelationAccessors(t *testing.T) {
 		t.Fatalf("SortedEntries = %d", len(se))
 	}
 	// Sorted by encoded key: (1,2) before (3,4) for int encodings.
-	if !se[0].Tuple.Equal(Ints(1, 2)) {
+	if !slices.Equal(se[0].Tuple, Ints(1, 2)) {
 		t.Errorf("sorted order: %v first", se[0].Tuple)
 	}
 	s := r.String()
@@ -134,7 +132,7 @@ func TestMultisetAccessors(t *testing.T) {
 	if multOf(m, Ints(1)) != 2 || multOf(m, Ints(9)) != 0 {
 		t.Error("Mult")
 	}
-	if got := m.SortedTuples(); len(got) != 2 || !got[0].Equal(Ints(1)) {
+	if got := m.SortedTuples(); len(got) != 2 || !slices.Equal(got[0], Ints(1)) {
 		t.Errorf("SortedTuples = %v", got)
 	}
 	s := m.String()
@@ -204,9 +202,6 @@ func TestValueEqualAcrossKinds(t *testing.T) {
 	if Int(1) != Int(1) {
 		t.Error("equal ints must compare equal")
 	}
-	if (Tuple{Int(1)}).Equal(Tuple{Int(1), Int(2)}) {
-		t.Error("length mismatch")
-	}
 }
 
 func TestUnionPanicsOnSchemaMismatch(t *testing.T) {
@@ -227,4 +222,24 @@ func TestMarginalizePanicsOnMissingVar(t *testing.T) {
 	}()
 	Marginalize(NewRelation[int64](ring.Int{}, NewSchema("A")), "Z",
 		func(string, Value) int64 { return 1 })
+}
+
+// The accessors below only tests read.
+
+// has reports whether r stores tuple t (under a non-zero payload).
+func has[P any](r *Relation[P], t Tuple) bool {
+	_, ok := r.Get(t)
+	return ok
+}
+
+// Len returns the number of distinct index keys.
+func (ix *Index[P]) Len() int { return ix.dir.len() }
+
+// Len returns the total number of entries across shards.
+func (s *Sharded[P]) Len() int {
+	n := 0
+	for _, sh := range s.shards {
+		n += sh.Len()
+	}
+	return n
 }

@@ -2,6 +2,7 @@ package data
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -47,7 +48,7 @@ func TestTupleKeyInjective(t *testing.T) {
 		}
 		k := tup.Key()
 		if prev, ok := seen[k]; ok {
-			if !prev.Equal(tup) {
+			if !slices.Equal(prev, tup) {
 				t.Fatalf("key collision: %v vs %v", prev, tup)
 			}
 		}
@@ -71,7 +72,7 @@ func TestTupleKeyDistinguishesKinds(t *testing.T) {
 func TestConcatAndClone(t *testing.T) {
 	a, b := Ints(1, 2), Ints(3)
 	c := Concat(a, b)
-	if !c.Equal(Ints(1, 2, 3)) {
+	if !slices.Equal(c, Ints(1, 2, 3)) {
 		t.Fatalf("Concat = %v", c)
 	}
 	cl := a.Clone()
@@ -119,7 +120,7 @@ func TestProjector(t *testing.T) {
 	from := NewSchema("A", "B", "C")
 	p := MustProjector(from, NewSchema("C", "A"))
 	got := p.Apply(Ints(1, 2, 3))
-	if !got.Equal(Ints(3, 1)) {
+	if !slices.Equal(got, Ints(3, 1)) {
 		t.Fatalf("Apply = %v", got)
 	}
 	if p.Key(Ints(1, 2, 3)) != Ints(3, 1).Key() {
@@ -169,7 +170,7 @@ func TestRelationMergeCancellation(t *testing.T) {
 	if r.Len() != 0 {
 		t.Errorf("Len = %d after cancellation, want 0", r.Len())
 	}
-	if r.Contains(Ints(1)) {
+	if has(r, Ints(1)) {
 		t.Error("cancelled key still present")
 	}
 	r.Merge(Ints(1), 0)

@@ -1,6 +1,7 @@
 package data
 
 import (
+	"slices"
 	"testing"
 
 	"fivm/internal/ring"
@@ -67,7 +68,7 @@ func TestProjectorAppendTo(t *testing.T) {
 	proj := MustProjector(NewSchema("A", "B", "C"), NewSchema("C", "A"))
 	dst := Ints(9)
 	dst = proj.AppendTo(dst, Ints(1, 2, 3))
-	if !dst.Equal(Ints(9, 3, 1)) {
+	if !slices.Equal(dst, Ints(9, 3, 1)) {
 		t.Errorf("AppendTo = %v", dst)
 	}
 }

@@ -96,9 +96,6 @@ func (ix *Index[P]) ProbeBytes(key []byte) *EntrySet[P] {
 	return nil
 }
 
-// Len returns the number of distinct index keys.
-func (ix *Index[P]) Len() int { return ix.dir.len() }
-
 // IndexedRelation wraps a Relation with incrementally maintained secondary
 // indexes. Mutations must go through MergeAllIndexed so the indexes stay
 // consistent with key appearance, disappearance and replacement: in a

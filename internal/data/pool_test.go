@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -161,7 +162,7 @@ func TestPoolReusesOnlyAfterReclaim(t *testing.T) {
 		t.Fatal("not removed")
 	}
 	// Mid-batch: the removed entry is intact and is not handed out.
-	if e.Key() != Ints(1).Key() || !e.Tuple.Equal(Ints(1)) {
+	if e.Key() != Ints(1).Key() || !slices.Equal(e.Tuple, Ints(1)) {
 		t.Fatalf("parked entry scribbled before the reclaim point: %q %v", e.Key(), e.Tuple)
 	}
 	r.Merge(Ints(2), 7)
@@ -385,7 +386,7 @@ func TestScratchTuplesRewind(t *testing.T) {
 	}
 	e0 := s.lookup(Ints(5, 5))
 	kept := e0.Tuple // the bug: a slab tuple retained across Clear
-	if !kept.Equal(Ints(5, 5)) {
+	if !slices.Equal(kept, Ints(5, 5)) {
 		t.Fatalf("projected tuple %v", kept)
 	}
 
@@ -409,7 +410,7 @@ func TestScratchTuplesRewind(t *testing.T) {
 	}
 	fill(1000)
 	scratch.Clear()
-	if kept.Equal(Ints(5, 5)) {
+	if slices.Equal(kept, Ints(5, 5)) {
 		t.Fatal("a tuple retained across Clear still reads its old values: the slab was not rewound")
 	}
 	for name, r := range map[string]*Relation[int64]{"MergeAll": plain, "MergeAllIndexed": ir.Relation,

@@ -1,6 +1,10 @@
 package data
 
-import "fivm/internal/ring"
+import (
+	"slices"
+
+	"fivm/internal/ring"
+)
 
 // ReduceSealed reduces several relations key-wise into one sealed snapshot:
 // the disjoint union of their keys where keys do not repeat, the ring sum of
@@ -8,8 +12,8 @@ import "fivm/internal/ring"
 // parallel maintainer — shard results partition the keyspace when the shard
 // variable is free (pure concatenation after sorting) and collapse onto the
 // same keys when it is aggregated away (payload summation) — and replaces
-// the merge-into-a-fresh-hash-relation reduce with one radix sort over
-// pointers to the gathered entries: no intermediate relation, no per-key
+// the merge-into-a-fresh-hash-relation reduce with one sort over pointers
+// to the gathered entries: no intermediate relation, no per-key
 // hashing, no per-entry allocations: the entries, their tuple cells, a slab
 // of their keys, the pointers and the chunks.
 //
@@ -44,7 +48,7 @@ func ReduceSealed[P any](rg ring.Ring[P], schema Schema, parts []*Relation[P]) *
 	for i := range es {
 		run[i] = &es[i]
 	}
-	radixSortEntryPtrs(run)
+	slices.SortFunc(run, byKey[P])
 	w := 0
 	for i := 0; i < len(run); {
 		j := i + 1

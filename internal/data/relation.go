@@ -53,6 +53,10 @@ func (e *Entry[P]) keyStore() []byte {
 // written through.
 func keyView(key string) []byte { return unsafe.Slice(unsafe.StringData(key), len(key)) }
 
+// keyString is keyView in reverse: a probe's key bytes read as a string,
+// without copying, for the duration of the probe only.
+func keyString(key []byte) string { return unsafe.String(unsafe.SliceData(key), len(key)) }
+
 // Relation is a finite-support function from tuples over a schema to
 // payloads in a ring D: the paper's relations R : Dom(S) -> D. Keys with
 // payload 0 are not stored, so Len is the paper's |R|.
@@ -502,9 +506,6 @@ func (r *Relation[P]) LookupProjected(proj Projector, t Tuple) *Entry[P] {
 	return r.lookupScratch()
 }
 
-// Contains reports whether tuple t has a non-zero payload.
-func (r *Relation[P]) Contains(t Tuple) bool { return r.lookup(t) != nil }
-
 // Set assigns payload p to tuple t, deleting the key if p is zero.
 func (r *Relation[P]) Set(t Tuple, p P) { r.setEntry(t, p) }
 
@@ -718,7 +719,7 @@ func (r *Relation[P]) Entries() []Entry[P] {
 // deterministic output in tests and tools.
 func (r *Relation[P]) SortedEntries() []Entry[P] {
 	out := r.Entries()
-	radixSortEntries(out)
+	slices.SortFunc(out, func(a, b Entry[P]) int { return byKey(&a, &b) })
 	return out
 }
 

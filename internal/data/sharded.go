@@ -51,15 +51,6 @@ func (s *Sharded[P]) Merge(t Tuple, p P) {
 	s.shards[s.ShardOf(t)].Merge(t, p)
 }
 
-// Len returns the total number of entries across shards.
-func (s *Sharded[P]) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.Len()
-	}
-	return n
-}
-
 // Clear empties every shard, retaining table capacity for reuse as routing
 // scratch.
 func (s *Sharded[P]) Clear() {

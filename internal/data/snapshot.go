@@ -1,7 +1,9 @@
 package data
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 
 	"fivm/internal/ring"
@@ -85,7 +87,7 @@ func (c *snapChunk[P]) entries() []*Entry[P] { return c.es[:c.n] }
 type snapState[P any] struct {
 	// dirtyKeys lists the keys changed since the last publish, deduplicated
 	// on the hot path by entry generation (one compare per touch) and again
-	// during the publish radix sort; the slice is reset (capacity kept) per
+	// after the publish sorts them; the slice is reset (capacity kept) per
 	// publish, so steady-state dirty tracking does not allocate or hash.
 	dirtyKeys []string
 	// fullDirty marks wholesale invalidation (Clear): the next publish
@@ -210,7 +212,7 @@ func (r *Relation[P]) Snapshot() *RelationSnapshot[P] {
 }
 
 // buildSnapshot constructs a snapshot from the full live contents, pointers
-// to the entries radix-sorted into one run, and retires every chunk of prev.
+// to the entries sorted by key into one run, and retires every chunk of prev.
 func (r *Relation[P]) buildSnapshot(prev *RelationSnapshot[P]) *RelationSnapshot[P] {
 	a, seq := &r.snap.arena, r.snap.gen
 	run := r.snap.run[:0]
@@ -218,7 +220,7 @@ func (r *Relation[P]) buildSnapshot(prev *RelationSnapshot[P]) *RelationSnapshot
 		run = append(run, e)
 		return true
 	})
-	radixSortEntryPtrs(run)
+	slices.SortFunc(run, byKey[P])
 	r.snap.run = run
 	if prev != nil {
 		for _, c := range prev.chunks {
@@ -244,11 +246,12 @@ func newSnapshot[P any](from *Recycler[RelationSnapshot[P]], schema Schema, rg r
 
 // patch publishes the next snapshot from the previous one: chunks covering
 // no dirty key are shared, chunks covering dirty keys are re-merged against
-// the live contents and retired. The dirty list is radix-sorted with
-// duplicates dropped during the distribution passes (delete-then-reinsert
-// within one epoch records a key twice; the merge below must see it once).
+// the live contents and retired. The dirty list is sorted and its duplicates
+// dropped (delete-then-reinsert within one epoch records a key twice; the
+// merge below must see it once).
 func (prev *RelationSnapshot[P]) patch(r *Relation[P], keys []string) *RelationSnapshot[P] {
-	keys = radixSortKeysDedup(keys)
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
 	a, seq := &r.snap.arena, r.snap.gen
 	next := newSnapshot(&a.headers, prev.schema, prev.ring, r.entries.len())
 	if len(prev.chunks) == 0 {
@@ -324,36 +327,17 @@ func (s *RelationSnapshot[P]) Ring() ring.Ring[P] { return s.ring }
 // Len returns the number of keys with non-zero payloads at publication time.
 func (s *RelationSnapshot[P]) Len() int { return s.n }
 
-// cmpKey compares an encoded key held as a string with one held as bytes,
-// byte-wise, without converting (and therefore without allocating).
-func cmpKey(a string, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
-}
+// byKey orders entries by encoded key. Key order is Go's string order (the
+// key codec preserves tuple order), for snapshots, checkpoints and the
+// readers' binary searches alike.
+func byKey[P any](a, b *Entry[P]) int { return strings.Compare(a.key, b.key) }
 
 // findChunk returns the index of the chunk whose key range contains key:
 // the last chunk whose first key is <= key (the first chunk also covers
 // smaller keys). Only valid when the snapshot has chunks.
-func (s *RelationSnapshot[P]) findChunk(key []byte) int {
+func (s *RelationSnapshot[P]) findChunk(key string) int {
 	i := sort.Search(len(s.chunks), func(i int) bool {
-		return cmpKey(s.chunks[i].es[0].key, key) > 0
+		return s.chunks[i].es[0].key > key
 	})
 	if i > 0 {
 		i--
@@ -369,9 +353,10 @@ func (s *RelationSnapshot[P]) Lookup(key []byte) *Entry[P] {
 	if len(s.chunks) == 0 {
 		return nil
 	}
-	c := s.chunks[s.findChunk(key)].entries()
-	i := sort.Search(len(c), func(i int) bool { return cmpKey(c[i].key, key) >= 0 })
-	if i < len(c) && cmpKey(c[i].key, key) == 0 {
+	k := keyString(key)
+	c := s.chunks[s.findChunk(k)].entries()
+	i := sort.Search(len(c), func(i int) bool { return c[i].key >= k })
+	if i < len(c) && c[i].key == k {
 		return c[i]
 	}
 	return nil
@@ -398,14 +383,15 @@ func (s *RelationSnapshot[P]) ScanPrefix(prefix []byte, f func(e *Entry[P]) bool
 	if len(s.chunks) == 0 {
 		return
 	}
-	ci := s.findChunk(prefix)
+	p := keyString(prefix)
+	ci := s.findChunk(p)
 	c := s.chunks[ci].entries()
-	i := sort.Search(len(c), func(i int) bool { return cmpKey(c[i].key, prefix) >= 0 })
+	i := sort.Search(len(c), func(i int) bool { return c[i].key >= p })
 	for ; ci < len(s.chunks); ci++ {
 		c = s.chunks[ci].entries()
 		for ; i < len(c); i++ {
 			e := c[i]
-			if len(e.key) < len(prefix) || e.key[:len(prefix)] != string(prefix) {
+			if !strings.HasPrefix(e.key, p) {
 				return
 			}
 			if !f(e) {

@@ -22,43 +22,117 @@ func snapFingerprint[P any](s *RelationSnapshot[P]) string { return fingerprint(
 
 func relFingerprint[P any](r *Relation[P]) string { return fingerprint(r.SortedEntries()) }
 
-// TestSnapshotMatchesRelation drives a relation through random merges and
-// deletions, publishing snapshots along the way: every snapshot must equal
-// the relation's state at publication, and previously pinned snapshots must
-// not change as the relation keeps mutating.
-func TestSnapshotMatchesRelation(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	r := NewRelation[int64](ring.Int{}, NewSchema("A", "B"))
+// snapshotInputs are the tuples TestSnapshotMatchesRelation merges: small
+// integer pairs, and String cells built against key order's edges — the
+// boundary bytes 0x00/0x01/0xFE/0xFF, a long prefix every key shares, a
+// staircase of lengths where each key is a prefix of the next, and a handful
+// of values drawn so often that one epoch's dirty list repeats its keys
+// (every delete-then-reinsert records a key again).
+var snapshotInputs = []struct {
+	name  string
+	tuple func(rng *rand.Rand) Tuple
+}{
+	{"ints", func(rng *rand.Rand) Tuple { return Ints(int64(rng.Intn(20)), int64(rng.Intn(5))) }},
+	{"boundary_bytes", func(rng *rand.Rand) Tuple {
+		b := make([]byte, rng.Intn(4))
+		for i := range b {
+			b[i] = []byte{0x00, 0x01, 0xFE, 0xFF}[rng.Intn(4)]
+		}
+		return Tuple{String(string(b)), Int(int64(rng.Intn(2)))}
+	}},
+	{"shared_prefix", func(rng *rand.Rand) Tuple {
+		return Tuple{String(strings.Repeat("\x00p\xffq", 40) + fmt.Sprint(rng.Intn(200))), Int(int64(rng.Intn(2)))}
+	}},
+	{"prefix_staircase", func(rng *rand.Rand) Tuple {
+		full := strings.Repeat("ab\x00", 30)
+		return Tuple{String(full[:rng.Intn(len(full)+1)]), String(full[:rng.Intn(3)])}
+	}},
+	{"heavy_dups", func(rng *rand.Rand) Tuple {
+		distinct := []string{"", "\x00", "\x00\x00", "a", "aa", "ab", "\xff", "\xff\xff"}
+		return Tuple{String(distinct[rng.Intn(len(distinct))]), Int(int64(rng.Intn(2)))}
+	}},
+}
 
-	type pinned struct {
-		snap *RelationSnapshot[int64]
-		fp   string
-	}
-	var pins []pinned
-	for round := 0; round < 50; round++ {
-		for i := 0; i < 40; i++ {
-			tup := Ints(int64(rng.Intn(20)), int64(rng.Intn(5)))
-			if rng.Intn(3) == 0 {
-				if p, ok := r.Get(tup); ok {
-					r.Merge(tup, -p) // cancel to zero: delete
-					continue
+// TestSnapshotMatchesRelation drives a relation through random merges and
+// deletions of each of snapshotInputs, publishing snapshots along the way:
+// every snapshot must equal the relation's state at publication, in strictly
+// increasing key order, answer Lookup for each key and ScanPrefix for each
+// leading cell, and previously pinned snapshots must not change as the
+// relation keeps mutating.
+func TestSnapshotMatchesRelation(t *testing.T) {
+	for _, in := range snapshotInputs {
+		t.Run(in.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			r := NewRelation[int64](ring.Int{}, NewSchema("A", "B"))
+
+			type pinned struct {
+				snap *RelationSnapshot[int64]
+				fp   string
+			}
+			var pins []pinned
+			for round := 0; round < 50; round++ {
+				for i := 0; i < 40; i++ {
+					tup := in.tuple(rng)
+					if rng.Intn(3) == 0 {
+						if p, ok := r.Get(tup); ok {
+							r.Merge(tup, -p) // cancel to zero: delete
+							continue
+						}
+					}
+					r.Merge(tup, int64(rng.Intn(5)+1))
+				}
+				s := r.Snapshot()
+				if got, want := snapFingerprint(s), relFingerprint(r); got != want {
+					t.Fatalf("round %d: snapshot diverges from relation:\n got %s\nwant %s", round, got, want)
+				}
+				if s.Len() != r.Len() {
+					t.Fatalf("round %d: snapshot Len %d != relation Len %d", round, s.Len(), r.Len())
+				}
+				checkSnapshotReads(t, s, r)
+				pins = append(pins, pinned{snap: s, fp: snapFingerprint(s)})
+				// Every pinned snapshot must still read exactly as published.
+				for i, p := range pins {
+					if got := snapFingerprint(p.snap); got != p.fp {
+						t.Fatalf("round %d: pinned snapshot %d changed", round, i)
+					}
 				}
 			}
-			r.Merge(tup, int64(rng.Intn(5)+1))
+		})
+	}
+}
+
+// checkSnapshotReads checks snapshot s of relation r through its read paths:
+// IterateEntries visits keys in strictly increasing byte order, Lookup finds
+// every live key with its payload, and ScanPrefix of each key's leading cell
+// visits exactly the live entries that share it.
+func checkSnapshotReads(t *testing.T, s *RelationSnapshot[int64], r *Relation[int64]) {
+	t.Helper()
+	prev := ""
+	s.IterateEntries(func(e *Entry[int64]) bool {
+		if prev != "" && e.key <= prev {
+			t.Fatalf("key %q follows %q", e.key, prev)
 		}
-		s := r.Snapshot()
-		if got, want := snapFingerprint(s), relFingerprint(r); got != want {
-			t.Fatalf("round %d: snapshot diverges from relation:\n got %s\nwant %s", round, got, want)
+		prev = e.key
+		return true
+	})
+	byCell := map[string]int{}
+	for _, e := range r.Entries() {
+		if got := s.Lookup([]byte(e.key)); got == nil || got.Payload != e.Payload {
+			t.Fatalf("Lookup %v: got %v, want payload %d", e.Tuple, got, e.Payload)
 		}
-		if s.Len() != r.Len() {
-			t.Fatalf("round %d: snapshot Len %d != relation Len %d", round, s.Len(), r.Len())
-		}
-		pins = append(pins, pinned{snap: s, fp: snapFingerprint(s)})
-		// Every pinned snapshot must still read exactly as published.
-		for i, p := range pins {
-			if got := snapFingerprint(p.snap); got != p.fp {
-				t.Fatalf("round %d: pinned snapshot %d changed", round, i)
+		byCell[e.Tuple[:1].Key()]++
+	}
+	for cell, want := range byCell {
+		got := 0
+		s.ScanPrefix([]byte(cell), func(e *Entry[int64]) bool {
+			if !strings.HasPrefix(e.key, cell) {
+				t.Fatalf("ScanPrefix %q visited %q", cell, e.key)
 			}
+			got++
+			return true
+		})
+		if got != want {
+			t.Fatalf("ScanPrefix %q visited %d entries, want %d", cell, got, want)
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package data
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // sketchBits is the bitmap size of a VarSketch. 4096 bits (512 bytes) keeps
 // linear counting within a few percent up to ~10k distinct values and
@@ -128,16 +125,6 @@ func (st *Stats) Lookup(name string) *RelStats {
 		return nil
 	}
 	return st.rels[name]
-}
-
-// Relations returns the tracked relation names, sorted.
-func (st *Stats) Relations() []string {
-	out := make([]string, 0, len(st.rels))
-	for name := range st.rels {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // TotalDeltaTuples sums the observed delta tuples across relations.

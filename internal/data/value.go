@@ -158,19 +158,6 @@ func (t Tuple) Key() string {
 	return string(t.AppendKey(make([]byte, 0, 9*len(t))))
 }
 
-// Equal reports value-wise equality.
-func (t Tuple) Equal(o Tuple) bool {
-	if len(t) != len(o) {
-		return false
-	}
-	for i := range t {
-		if t[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns a copy of the tuple that shares no backing storage.
 func (t Tuple) Clone() Tuple {
 	out := make(Tuple, len(t))

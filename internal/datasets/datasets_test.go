@@ -1,6 +1,7 @@
 package datasets
 
 import (
+	"slices"
 	"testing"
 
 	"fivm/internal/data"
@@ -122,7 +123,7 @@ func TestGenRetailerDeterministic(t *testing.T) {
 			t.Fatalf("%s: nondeterministic size", rel)
 		}
 		for i := range a.Tuples[rel] {
-			if !a.Tuples[rel][i].Equal(b.Tuples[rel][i]) {
+			if !slices.Equal(a.Tuples[rel][i], b.Tuples[rel][i]) {
 				t.Fatalf("%s[%d]: nondeterministic tuple", rel, i)
 			}
 		}

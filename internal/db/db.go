@@ -247,11 +247,6 @@ func (d *DB) Schema(rel string) (data.Schema, bool) { return d.store.Schema(rel)
 // of the rows it deletes — and never to mutate.
 func (d *DB) Base(rel string) *data.Relation[int64] { return d.store.Base(rel) }
 
-// Stats returns the shared statistics collector (nil when disabled): Apply
-// is its one writer, and a view created later plans from a clone of it.
-// Owned by the maintenance goroutine.
-func (d *DB) Stats() *data.Stats { return d.stats }
-
 // Views returns the registered view names in creation order.
 func (d *DB) Views() []string {
 	d.mu.RLock()

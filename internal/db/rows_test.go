@@ -121,7 +121,7 @@ func TestAllocGuardDashboardCycle(t *testing.T) {
 		copies := ps.TouchCopies - before[i].TouchCopies
 		if bought != 0 || reused != reclaimed+copies || reclaimed == 0 || copies == 0 || ps.RowsRetired != 0 {
 			t.Errorf("view %s: %d rows bought, %d reused for %d reclaimed and %d copied on a first touch, %d retired; want none bought, all reused, none retired",
-				v.Name(), bought, reused, reclaimed, copies, ps.RowsRetired)
+				v.name, bought, reused, reclaimed, copies, ps.RowsRetired)
 		}
 	}
 
@@ -142,7 +142,7 @@ func TestAllocGuardDashboardCycle(t *testing.T) {
 	half(del, false)
 	for _, v := range views {
 		if ps := pool(v); ps.RowsRetired != 0 {
-			t.Errorf("view %s: %d rows still retired after the reader let go", v.Name(), ps.RowsRetired)
+			t.Errorf("view %s: %d rows still retired after the reader let go", v.name, ps.RowsRetired)
 		}
 	}
 	t.Logf("%d tuples in %d batches a half; %d patching publishes a cycle; %d rows retired under the pinned epoch",

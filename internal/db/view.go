@@ -303,9 +303,6 @@ func (v *View[P]) convert(rel string, batch []data.BaseUpdate) *data.Relation[P]
 
 // --- typed reads -------------------------------------------------------------
 
-// Name returns the view's registered name.
-func (v *View[P]) Name() string { return v.name }
-
 // Query returns the view's defining query.
 func (v *View[P]) Query() query.Query { return v.q }
 

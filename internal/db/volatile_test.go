@@ -49,7 +49,7 @@ func checkEngineViews[P any](t *testing.T, what string, v *View[P]) {
 		return // a Parallel keeps its shards to itself; its results are checked
 	}
 	for _, name := range e.ViewNames() {
-		checkOwnKeys(t, what+": view "+v.Name()+"/"+name, e.ViewByName(name))
+		checkOwnKeys(t, what+": view "+v.name+"/"+name, e.ViewByName(name))
 	}
 }
 

@@ -155,24 +155,6 @@ func (r *Result) ApplyDelta(rel string, d *data.Relation[int64]) error {
 	return r.relEng.ApplyDelta(rel, multDelta(d))
 }
 
-// Count returns the total number of result tuples, with multiplicities.
-func (r *Result) Count() int64 {
-	if r.keysEng != nil {
-		var n int64
-		r.keysEng.Result().Iterate(func(_ data.Tuple, m int64) bool {
-			n += m
-			return true
-		})
-		return n
-	}
-	var n int64
-	r.relEng.Result().Iterate(func(_ data.Tuple, p *data.Multiset) bool {
-		n += p.TotalMult()
-		return true
-	})
-	return n
-}
-
 // DistinctCount returns the number of distinct result tuples. For
 // FactPayloads it enumerates the factorization.
 func (r *Result) DistinctCount() int64 {
@@ -401,14 +383,6 @@ func (r *Result) Snapshot() *ResultSnapshot {
 func (s *ResultSnapshot) Release() {
 	s.keys.Release()
 	s.rel.Release()
-}
-
-// Epoch returns the pinned epoch number.
-func (s *ResultSnapshot) Epoch() uint64 {
-	if s.keys != nil {
-		return s.keys.Epoch
-	}
-	return s.rel.Epoch
 }
 
 // Count returns the total number of result tuples, with multiplicities, in

@@ -513,3 +513,29 @@ func TestCatalogueUpgradeMatchesLive(t *testing.T) {
 		<-done
 	}
 }
+
+// Epoch returns the pinned epoch number.
+func (s *ResultSnapshot) Epoch() uint64 {
+	if s.keys != nil {
+		return s.keys.Epoch
+	}
+	return s.rel.Epoch
+}
+
+// Count returns the total number of result tuples, with multiplicities.
+func (r *Result) Count() int64 {
+	if r.keysEng != nil {
+		var n int64
+		r.keysEng.Result().Iterate(func(_ data.Tuple, m int64) bool {
+			n += m
+			return true
+		})
+		return n
+	}
+	var n int64
+	r.relEng.Result().Iterate(func(_ data.Tuple, p *data.Multiset) bool {
+		n += p.TotalMult()
+		return true
+	})
+	return n
+}

@@ -404,10 +404,15 @@ func TestPoolRespectsPinnedEpochs(t *testing.T) {
 	// to the end, and the last three of the second hold 281 rows retired,
 	// removed (149) or replaced by the copy a key's first touch after a publish
 	// wrote (132), each whole with its payload storage; the inserts and
-	// copies that would have reused them bought theirs (335 rows bought, 911
-	// written into reused entries; 670 first-touch copies, each replacing its
-	// entry or, where the touch cancelled the key, given straight back). A
-	// chunk array waits the same way, for the held epochs
+	// copies that would have reused them bought theirs (some 335 rows bought,
+	// 911 written into reused entries; 670 first-touch copies, each replacing
+	// its entry or, where the touch cancelled the key, given straight back).
+	// Which free entry a batch's merges meet first follows the table's hash
+	// seed, so a row or two can move from reused to bought and from the free
+	// list into use (297, 913 and 333 in some 1 process in 200), each taking
+	// the 16 key bytes it kept while free: Free+RowsReused,
+	// TuplesCopied+RowsReused and KeyBytes-16·Free are fixed, the four figures
+	// alone are not. A chunk array waits the same way, for the held epochs
 	// that read it: 85 do (ChunksRetired) — the root's of batches 0 to 19, all
 	// five views' of batches 20 to 29 and of batches 56 to 58 (56's lease went
 	// after the last publish, which alone gives chunks back) — and 5 more are
@@ -418,8 +423,12 @@ func TestPoolRespectsPinnedEpochs(t *testing.T) {
 		t.Errorf("no index bucket storage reported: %+v", ps)
 	}
 	ps.TableBytes = 0 // which buckets need a class at once follows the process's hash seed
-	if want := (data.PoolStats{Free: 299, Reclaimed: 540, RowsRetired: 281, RowsReused: 911, KeyBytes: 8528, TupleBytes: 21504,
-		SlabChunks: 20, TuplesCopied: 335, TouchCopies: 670, Arena: data.ArenaStats{ChunksLive: 90, ChunksFree: 5, ChunksRetired: 85, GenerationsOpen: 11}}); ps != want {
+	if free, copied, keys := uint64(ps.Free)+ps.RowsReused, ps.TuplesCopied+ps.RowsReused, ps.KeyBytes-16*ps.Free; free != 1210 || copied != 1246 || keys != 3744 {
+		t.Errorf("Free+RowsReused %d, TuplesCopied+RowsReused %d, KeyBytes-16·Free %d, want 1210, 1246 and 3744: %+v", free, copied, keys, ps)
+	}
+	ps.Free, ps.RowsReused, ps.TuplesCopied, ps.KeyBytes = 0, 0, 0, 0
+	if want := (data.PoolStats{Reclaimed: 540, RowsRetired: 281, TupleBytes: 21504,
+		SlabChunks: 20, TouchCopies: 670, Arena: data.ArenaStats{ChunksLive: 90, ChunksFree: 5, ChunksRetired: 85, GenerationsOpen: 11}}); ps != want {
 		t.Errorf("pool stats %+v, want %+v", ps, want)
 	}
 	// The epochs of the first half stay pinned and so do their headers; the

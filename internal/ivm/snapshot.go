@@ -339,10 +339,10 @@ func (e *Engine[P]) ViewByName(name string) *data.Relation[P] {
 // epoch is what a Parallel publishes: the shard results reduced key-wise and
 // sealed.
 func (p *Parallel[P]) epoch(s *ViewSnapshot[P]) {
-	// Reduce straight into a sealed snapshot: one radix sort over the
-	// gathered shard entries instead of a merge through a fresh hash
-	// relation (payloads are copied, so the live shard results stay free to
-	// mutate in later batches).
+	// Reduce straight into a sealed snapshot: one sort over the gathered
+	// shard entries instead of a merge through a fresh hash relation
+	// (payloads are copied, so the live shard results stay free to mutate in
+	// later batches).
 	p.reduceParts = p.reduceParts[:0]
 	for _, m := range p.shards {
 		p.reduceParts = append(p.reduceParts, m.Result())

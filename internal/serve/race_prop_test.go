@@ -204,7 +204,7 @@ func runConcurrentReaderProperty[P any](t *testing.T, workers int, mk func() (*i
 			for {
 				finished := done.Load()
 				rd.Refresh()
-				e := rd.Epoch()
+				e := rd.Snapshot().Epoch
 				if e < last {
 					fail(fmt.Sprintf("reader %d: epoch regressed %d -> %d", id, last, e))
 					return

@@ -62,14 +62,14 @@ func TestReaderOverRecoveredDB(t *testing.T) {
 	if !ok1 || !ok2 {
 		t.Fatalf("pre-crash lookups missing: %v %v", ok1, ok2)
 	}
-	preEpoch := r1.Epoch()
+	preEpoch := r1.Snapshot().Epoch
 
 	// Crash. The pinned reader keeps serving its immutable snapshot.
 	fs.Crash()
 	if got, ok := r1.Lookup(recTup(1)); !ok || got != want1 {
 		t.Fatalf("pinned reader lost its snapshot after crash: %v %v", got, ok)
 	}
-	if r1.Epoch() != preEpoch {
+	if r1.Snapshot().Epoch != preEpoch {
 		t.Fatal("pinned reader's epoch moved")
 	}
 
@@ -107,7 +107,7 @@ func TestReaderOverRecoveredDB(t *testing.T) {
 	// Scan consistency on the recovered epoch.
 	n := 0
 	r2.Scan(nil, func(tp data.Tuple, p float64) bool { n++; return true })
-	if n != r2.Len() {
-		t.Fatalf("scan visited %d of %d entries", n, r2.Len())
+	if n != r2.Result().Len() {
+		t.Fatalf("scan visited %d of %d entries", n, r2.Result().Len())
 	}
 }

@@ -90,10 +90,6 @@ func (r *Reader[P]) Close() {
 	r.snap = nil
 }
 
-// Epoch returns the pinned epoch number. Epochs are strictly monotonic per
-// source; within one Reader they never regress.
-func (r *Reader[P]) Epoch() uint64 { return r.snap.Epoch }
-
 // Snapshot returns the pinned snapshot itself: the reader's lease, not a new one.
 func (r *Reader[P]) Snapshot() *ivm.ViewSnapshot[P] { return r.snap }
 
@@ -139,6 +135,3 @@ func (r *Reader[P]) Scan(prefix data.Tuple, f func(t data.Tuple, p P) bool) {
 		return f(e.Tuple, e.Payload)
 	})
 }
-
-// Len returns the number of result groups in the pinned epoch.
-func (r *Reader[P]) Len() int { return r.snap.Result().Len() }

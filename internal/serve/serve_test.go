@@ -59,8 +59,8 @@ func delta(schema data.Schema, tuples ...data.Tuple) *data.Relation[int64] {
 func TestReaderPinsEpoch(t *testing.T) {
 	eng := testEngine(t)
 	rd := NewReaderAt[int64](eng, nil)
-	if rd.Epoch() != 0 {
-		t.Fatalf("initial epoch = %d, want 0", rd.Epoch())
+	if rd.Snapshot().Epoch != 0 {
+		t.Fatalf("initial epoch = %d, want 0", rd.Snapshot().Epoch)
 	}
 	before, ok := rd.Lookup(data.Ints(1, 1))
 	if !ok || before != 1 {
@@ -77,8 +77,8 @@ func TestReaderPinsEpoch(t *testing.T) {
 	if !rd.Refresh() {
 		t.Fatalf("Refresh did not advance")
 	}
-	if rd.Epoch() != 1 {
-		t.Fatalf("epoch after refresh = %d, want 1", rd.Epoch())
+	if rd.Snapshot().Epoch != 1 {
+		t.Fatalf("epoch after refresh = %d, want 1", rd.Snapshot().Epoch)
 	}
 	if p, _ := rd.Lookup(data.Ints(1, 1)); p != 2 {
 		t.Fatalf("refreshed reader Lookup = %d, want 2", p)
@@ -107,8 +107,8 @@ func TestReaderScanPrefix(t *testing.T) {
 	// Empty prefix = full result scan.
 	n := 0
 	rd.Scan(nil, func(data.Tuple, int64) bool { n++; return true })
-	if n != rd.Len() || n != 12 {
-		t.Fatalf("full scan visited %d, Len=%d, want 12", n, rd.Len())
+	if n != rd.Result().Len() || n != 12 {
+		t.Fatalf("full scan visited %d, Len=%d, want 12", n, rd.Result().Len())
 	}
 }
 
@@ -124,16 +124,16 @@ func TestReaderOwnsOneLease(t *testing.T) {
 	open := func() int { return eng.PoolStats().Arena.GenerationsOpen }
 	for b := int64(0); b < 48; b++ { // three publish generations
 		must(t, eng.ApplyDelta("R", delta(data.NewSchema("A", "B"), data.Ints(b%4, b%3))))
-		if !rd.Refresh() || rd.Epoch() != uint64(b+1) {
-			t.Fatalf("batch %d: reader at epoch %d", b, rd.Epoch())
+		if !rd.Refresh() || rd.Snapshot().Epoch != uint64(b+1) {
+			t.Fatalf("batch %d: reader at epoch %d", b, rd.Snapshot().Epoch)
 		}
 		if rd.Refresh() {
 			t.Fatalf("batch %d: idle Refresh advanced", b)
 		}
 		pinned.PinAt(rd.Snapshot())
 	}
-	if p, _ := old.Lookup(data.Ints(1, 1)); p != 1 || old.Epoch() != 0 {
-		t.Fatalf("epoch-0 reader reads %d at epoch %d", p, old.Epoch())
+	if p, _ := old.Lookup(data.Ints(1, 1)); p != 1 || old.Snapshot().Epoch != 0 {
+		t.Fatalf("epoch-0 reader reads %d at epoch %d", p, old.Snapshot().Epoch)
 	}
 	if n := open(); n < 3 {
 		t.Fatalf("%d generations open with epoch 0 pinned, want the first one kept", n)

@@ -97,9 +97,6 @@ func NewIndicatorTracker(relSchema, keys data.Schema) *IndicatorTracker {
 	}
 }
 
-// Len returns the number of live indicator keys.
-func (tr *IndicatorTracker) Len() int { return len(tr.counts) }
-
 // Update records that the base tuple t appeared (delta +1) or disappeared
 // (delta -1) and returns the indicator delta payload: +1 when the projected
 // key becomes live, -1 when it dies, 0 otherwise.

@@ -323,12 +323,12 @@ func TestIndicatorTrackerExampleB2(t *testing.T) {
 	}
 	// Removing (a1,b1) drops the count to 0: delta {(a1) -> -1}.
 	pt, flip := tr.Update(data.Ints(1, 1), -1)
-	if flip != -1 || !pt.Equal(data.Ints(1)) {
+	if flip != -1 || !slices.Equal(pt, data.Ints(1)) {
 		t.Errorf("flip = %d at %v, want -1 at (1)", flip, pt)
 	}
 	// Inserting a fresh a3 creates {(a3) -> +1}.
 	pt, flip = tr.Update(data.Ints(3, 9), 1)
-	if flip != 1 || !pt.Equal(data.Ints(3)) {
+	if flip != 1 || !slices.Equal(pt, data.Ints(3)) {
 		t.Errorf("flip = %d at %v, want +1 at (3)", flip, pt)
 	}
 }
@@ -348,3 +348,6 @@ func TestNodeHelpers(t *testing.T) {
 		t.Errorf("String() = %q", s)
 	}
 }
+
+// Len returns the number of live indicator keys.
+func (tr *IndicatorTracker) Len() int { return len(tr.counts) }

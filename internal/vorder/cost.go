@@ -2,6 +2,7 @@ package vorder
 
 import (
 	"fmt"
+	"slices"
 
 	"fivm/internal/data"
 	"fivm/internal/query"
@@ -169,7 +170,7 @@ func (m *CostModel) ViewSizeOver(keys data.Schema, rels []string) float64 {
 		size *= m.Distinct(v)
 	}
 	for _, rd := range m.q.Rels {
-		if rels != nil && !containsStr(rels, rd.Name) {
+		if rels != nil && !slices.Contains(rels, rd.Name) {
 			continue
 		}
 		if rd.Schema.ContainsAll(keys) {
@@ -186,15 +187,6 @@ func (m *CostModel) ViewSizeOver(keys data.Schema, rels []string) float64 {
 
 // ViewSize is ViewSizeOver across all query relations.
 func (m *CostModel) ViewSize(keys data.Schema) float64 { return m.ViewSizeOver(keys, nil) }
-
-func containsStr(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
 
 // varFanout estimates how many values of v join with one already-bound
 // tuple: the per-tuple degree of v's most selective relation, capped by v's

@@ -94,13 +94,6 @@ func Chain(vars ...string) *Node {
 	return root
 }
 
-// Vars returns all variables in depth-first order.
-func (o *Order) Vars() []string {
-	var out []string
-	o.Walk(func(n *Node) { out = append(out, n.Var) })
-	return out
-}
-
 // Walk visits every node in depth-first preorder.
 func (o *Order) Walk(f func(n *Node)) {
 	var rec func(n *Node)

@@ -106,27 +106,27 @@ func (w *ckptWriter) encode(ck *Checkpoint, b []byte) ([]byte, error) {
 	copy(hdr[:8], ckptMagic)
 	hdr[8] = segVersion
 	b = append(b[:0], hdr[:]...)
-	b = appendUvarint(b, ck.LSN)
-	b = appendUvarint(b, ck.Applied)
-	b = appendUvarint(b, ck.Seq)
-	b = appendUvarint(b, uint64(len(ck.Views)))
+	b = binary.AppendUvarint(b, ck.LSN)
+	b = binary.AppendUvarint(b, ck.Applied)
+	b = binary.AppendUvarint(b, ck.Seq)
+	b = binary.AppendUvarint(b, uint64(len(ck.Views)))
 	for _, def := range ck.Views {
 		// Reuse the record body encoding (type byte + dummy LSN included)
 		// so the two formats cannot drift apart.
 		b = appendFrame(b, encodeCreateViewBody(nil, 0, def))
 	}
-	b = appendUvarint(b, uint64(len(ck.Bases)))
+	b = binary.AppendUvarint(b, uint64(len(ck.Bases)))
 	for i := range ck.Bases {
 		t := &ck.Bases[i]
 		b = appendString(b, t.Rel)
-		b = appendUvarint(b, uint64(len(t.Schema)))
+		b = binary.AppendUvarint(b, uint64(len(t.Schema)))
 		for _, attr := range t.Schema {
 			b = appendString(b, attr)
 		}
-		b = appendUvarint(b, uint64(t.Len))
+		b = binary.AppendUvarint(b, uint64(t.Len))
 		seen := 0
 		for row, mult := range t.All {
-			b = appendVarint(b, mult)
+			b = binary.AppendVarint(b, mult)
 			for _, v := range row {
 				b = data.AppendValue(b, v)
 			}

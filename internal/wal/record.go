@@ -73,18 +73,8 @@ func appendFrame(b, body []byte) []byte {
 	return append(b, body...)
 }
 
-func appendUvarint(b []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	return append(b, tmp[:binary.PutUvarint(tmp[:], v)]...)
-}
-
-func appendVarint(b []byte, v int64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	return append(b, tmp[:binary.PutVarint(tmp[:], v)]...)
-}
-
 func appendString(b []byte, s string) []byte {
-	b = appendUvarint(b, uint64(len(s)))
+	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
 
@@ -94,22 +84,22 @@ func appendString(b []byte, s string) []byte {
 // once.
 func encodeBatchBody(b []byte, lsn, applied uint64, batch []data.BaseUpdate) []byte {
 	b = append(b, recBatch)
-	b = appendUvarint(b, lsn)
-	b = appendUvarint(b, applied)
-	b = appendUvarint(b, uint64(len(batch)))
+	b = binary.AppendUvarint(b, lsn)
+	b = binary.AppendUvarint(b, applied)
+	b = binary.AppendUvarint(b, uint64(len(batch)))
 	for _, u := range batch {
 		b = appendString(b, u.Rel)
 		mult := u.Mult
 		if mult == 0 {
 			mult = 1
 		}
-		b = appendVarint(b, mult)
+		b = binary.AppendVarint(b, mult)
 		arity := 0
 		if len(u.Tuples) > 0 {
 			arity = len(u.Tuples[0])
 		}
-		b = appendUvarint(b, uint64(arity))
-		b = appendUvarint(b, uint64(len(u.Tuples)))
+		b = binary.AppendUvarint(b, uint64(arity))
+		b = binary.AppendUvarint(b, uint64(len(u.Tuples)))
 		for _, t := range u.Tuples {
 			for _, v := range t {
 				b = data.AppendValue(b, v)
@@ -136,10 +126,10 @@ func checkArity(batch []data.BaseUpdate) error {
 
 func encodeCreateViewBody(b []byte, lsn uint64, def ViewDef) []byte {
 	b = append(b, recCreateView)
-	b = appendUvarint(b, lsn)
+	b = binary.AppendUvarint(b, lsn)
 	b = appendString(b, def.Name)
 	b = appendString(b, def.SQL)
-	b = appendUvarint(b, uint64(def.Workers))
+	b = binary.AppendUvarint(b, uint64(def.Workers))
 	var flags byte
 	if def.ComposeChains {
 		flags |= 1
@@ -152,7 +142,7 @@ func encodeCreateViewBody(b []byte, lsn uint64, def ViewDef) []byte {
 
 func encodeDropViewBody(b []byte, lsn uint64, name string) []byte {
 	b = append(b, recDropView)
-	b = appendUvarint(b, lsn)
+	b = binary.AppendUvarint(b, lsn)
 	return appendString(b, name)
 }
 

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"runtime"
 	"strings"
@@ -19,13 +20,13 @@ func batchFrame(lsn, applied uint64, batch []data.BaseUpdate) []byte {
 // given shape, followed by pad bytes of payload.
 func hostileUpdate(arity, nTup uint64, pad int) []byte {
 	b := []byte{recBatch}
-	b = appendUvarint(b, 1) // lsn
-	b = appendUvarint(b, 1) // applied
-	b = appendUvarint(b, 1) // one update
+	b = binary.AppendUvarint(b, 1) // lsn
+	b = binary.AppendUvarint(b, 1) // applied
+	b = binary.AppendUvarint(b, 1) // one update
 	b = appendString(b, "R")
-	b = appendVarint(b, 1)
-	b = appendUvarint(b, arity)
-	b = appendUvarint(b, nTup)
+	b = binary.AppendVarint(b, 1)
+	b = binary.AppendUvarint(b, arity)
+	b = binary.AppendUvarint(b, nTup)
 	return append(b, make([]byte, pad)...)
 }
 
@@ -37,9 +38,9 @@ func hostileUpdate(arity, nTup uint64, pad int) []byte {
 // declares — and the tightest legal record still decodes.
 func TestDecodeRecordCapsCounts(t *testing.T) {
 	manyUpdates := []byte{recBatch}
-	manyUpdates = appendUvarint(manyUpdates, 1)
-	manyUpdates = appendUvarint(manyUpdates, 1)
-	manyUpdates = appendUvarint(manyUpdates, 1<<20)
+	manyUpdates = binary.AppendUvarint(manyUpdates, 1)
+	manyUpdates = binary.AppendUvarint(manyUpdates, 1)
+	manyUpdates = binary.AppendUvarint(manyUpdates, 1<<20)
 	manyUpdates = append(manyUpdates, make([]byte, 1<<20)...) // 1 MiB cannot hold 1 Mi updates of 4 bytes
 	multZero := hostileUpdate(0, 0, 0)
 	multZero[6] = 0 // the varint after the relation name
@@ -53,7 +54,7 @@ func TestDecodeRecordCapsCounts(t *testing.T) {
 		"an arity declared for no tuples":         hostileUpdate(3, 0, 0),
 		"a tuple count with nothing behind it":    hostileUpdate(1, 1, 0),
 		"a count that overflows int":              hostileUpdate(1, 1<<63, 64),
-		"an update count that overflows int":      append([]byte{recBatch, 1, 1}, appendUvarint(nil, 1<<63)...),
+		"an update count that overflows int":      append([]byte{recBatch, 1, 1}, binary.AppendUvarint(nil, 1<<63)...),
 		"a claimed gigabyte of two-byte values":   hostileUpdate(1<<16, 1<<13, 1<<20),
 	} {
 		var arena data.BatchArena

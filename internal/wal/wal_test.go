@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -78,7 +79,7 @@ func TestAppendAndReplayRoundTrip(t *testing.T) {
 				t.Fatalf("record %d update %d: %+v want %+v", i, j, u, w)
 			}
 			for k := range u.Tuples {
-				if !u.Tuples[k].Equal(w.Tuples[k]) {
+				if !slices.Equal(u.Tuples[k], w.Tuples[k]) {
 					t.Errorf("record %d update %d tuple %d: %v want %v", i, j, k, u.Tuples[k], w.Tuples[k])
 				}
 			}
@@ -426,7 +427,7 @@ func TestCheckpointRoundTripAndPruning(t *testing.T) {
 	wantRows, wantMults := []data.Tuple{data.Ints(1, 2), data.Ints(3, 4)}, []int64{5, -1}
 	i := 0
 	for row, mult := range got.Bases[0].All {
-		if i >= len(wantRows) || !row.Equal(wantRows[i]) || mult != wantMults[i] {
+		if i >= len(wantRows) || !slices.Equal(row, wantRows[i]) || mult != wantMults[i] {
 			t.Errorf("base R row %d: %v/%d", i, row, mult)
 		}
 		i++
