@@ -483,6 +483,12 @@ var removals = []removal{
 	{had: "6514359", step: "Key order is Go's string order: no MSD radix sort or byte-loop key compare; the standard library sorts and compares keys",
 		in: dataPkg, tests: true, forbid: []string{"msdBy", "msdKeys", "insertionKeys", "insertionBy", "keyBucket", "radixSortCutoff", "radixSort_", "cmpKey"},
 		keep: []string{"slices.SortFunc", "strings.Compare"}},
+	{had: "19d1a69", step: "Each ring operation has one implementation: Cofactor's Add, Mul and Neg run the in-place kernels on a fresh triple, Triple exports no in-place method, and no purego kernel build",
+		in: []string{"internal/ring"}, tests: true, forbid: []string{"scaleTriple", "scatterAdd", "mergeVars", "pureGoKernels",
+			"func (_ *Triple) Reset()", "func (_ *Triple) CopyFrom()", "func (_ *Triple) AddInto()", "func (_ *Triple) MulAddInto()"},
+		keep: []string{"out.mulAddInto(&a, &b)", "out.addInto(&b)"}},
+	{had: "19d1a69", step: "Each ring operation has one implementation: the scalar reference kernels are the tests' oracle, not production code",
+		in: []string{"internal/ring"}, forbid: []string{"_Ref"}, keep: []string{"func rank1SymUpdate()"}},
 }
 
 // TestRemovalGuards fails on every removal row whose forbidden forms are
@@ -523,7 +529,7 @@ func (r removal) check(tr tree) []string {
 			ast.Inspect(d, func(n ast.Node) bool {
 				for j, p := range forbid {
 					if matches(p, n) {
-						site := fmt.Sprintf("%s: %s", tr.fset.Position(n.Pos()), r.forbid[j])
+						site := fmt.Sprintf("%s: %s", tr.fset.Position(at(p, n)), r.forbid[j])
 						sites = append(sites, site)
 						if r.only != "" && fn != r.only {
 							bad = append(bad, site+" outside func "+r.only)
@@ -555,6 +561,19 @@ func (r removal) check(tr tree) []string {
 		}
 	}
 	return bad
+}
+
+// at returns where form p matched node n: for a struct form, the first field
+// of n that matches the form's first field, otherwise n itself.
+func at(p, n ast.Node) token.Pos {
+	if st, ok := p.(*ast.StructType); ok && len(st.Fields.List) > 0 {
+		for _, f := range n.(*ast.StructType).Fields.List {
+			if like(reflect.ValueOf(st.Fields.List[0]), reflect.ValueOf(f)) {
+				return f.Pos()
+			}
+		}
+	}
+	return n.Pos()
 }
 
 // scope returns the index of the entry of r.in that takes in f, or -1.
@@ -757,6 +776,13 @@ func TestRemovalGuardForms(t *testing.T) {
 		if got := keep.check(none); len(got) != 1 || !strings.HasSuffix(got[0], "the row is stale") {
 			t.Errorf("%s: kept form absent is not stale: %q", c.form, got)
 		}
+	}
+
+	// A struct form reports the line of the field it matched.
+	field := removal{in: []string{"p"}, forbid: []string{"struct{ rc int }"}}
+	src := "package p\n\ntype block struct {\n\tmark int\n\n\trc int\n}\n"
+	if got := field.check(parseSources(t, "p/a.go", src)); len(got) != 1 || !strings.HasPrefix(got[0], "p/a.go:6:") {
+		t.Errorf("struct{ rc int }: want one site at p/a.go:6, got %q", got)
 	}
 
 	// Scope: test files and benchmark/ count only where the row says so, and

@@ -87,9 +87,9 @@ func TestAllocGuardTripleMergeSteady(t *testing.T) {
 func TestAllocGuardTripleAddInto(t *testing.T) {
 	cf := ring.Cofactor{}
 	acc := cf.Mul(ring.LiftValue(0, 2), cf.Mul(ring.LiftValue(1, 3), ring.LiftValue(2, 4)))
-	d := acc
-	guardZeroAllocs(t, "Triple.AddInto", func() {
-		acc.AddInto(&d)
+	d := cf.Neg(acc)
+	guardZeroAllocs(t, "Cofactor.AddInto", func() {
+		cf.AddInto(&acc, d)
 	})
 }
 

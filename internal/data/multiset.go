@@ -214,24 +214,16 @@ func (RelRing) Neg(a *Multiset) *Multiset {
 
 // Add returns the multiset union (multiplicities summed). Operand schemas
 // must contain the same variables.
-func (RelRing) Add(a, b *Multiset) *Multiset {
+func (g RelRing) Add(a, b *Multiset) *Multiset {
 	if a.Len() == 0 {
 		return b
 	}
 	if b.Len() == 0 {
 		return a
 	}
-	if !a.schema.SameSet(b.schema) {
-		panic(fmt.Sprintf("data: relational ring sum of schemas %v and %v", a.schema, b.schema))
-	}
-	out := NewMultiset(a.schema)
-	for k, r := range a.rows {
-		out.rows[k] = r
-	}
-	proj := MustProjector(b.schema, a.schema)
-	for _, r := range b.rows {
-		out.add(proj.Apply(r.tuple), r.mult)
-	}
+	var out *Multiset
+	g.CopyInto(&out, a)
+	g.AddInto(&out, b)
 	if len(out.rows) == 0 {
 		return nil
 	}

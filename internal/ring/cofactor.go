@@ -13,7 +13,9 @@ package ring
 // exactly once, so payloads stay small in the leaves and grow toward the
 // root, where they cover all m variables.
 //
-// Triples are immutable: ring operations return fresh values.
+// Triples are values: Add, Mul and Neg build a fresh triple and never write
+// an operand. Only the in-place operations of Mutable write, and only into a
+// destination the caller owns.
 type Triple struct {
 	// C is the scalar count aggregate.
 	C float64
@@ -61,46 +63,25 @@ func (Cofactor) IsZero(a Triple) bool {
 
 // Neg returns the additive inverse, negating every component.
 func (Cofactor) Neg(a Triple) Triple {
-	out := Triple{C: -a.C, Vars: a.Vars}
-	out.S, out.Q = newSQ(len(a.Vars))
-	for i, v := range a.S {
-		out.S[i] = -v
-	}
-	for i, v := range a.Q {
-		out.Q[i] = -v
-	}
+	out := covering(a.Vars, nil)
+	out.C = -a.C
+	out.scaleScatterAdd(&a, -1)
 	return out
 }
 
 // Add returns the component-wise sum of two triples, aligning their sparse
 // variable sets.
 func (Cofactor) Add(a, b Triple) Triple {
-	// Fast paths: a zero operand contributes nothing; triples are immutable
-	// so sharing the other operand is safe.
+	// A zero operand contributes nothing: the other is returned whole.
 	if a.C == 0 && len(a.Vars) == 0 {
 		return b
 	}
 	if b.C == 0 && len(b.Vars) == 0 {
 		return a
 	}
-	if sameVars(a.Vars, b.Vars) {
-		k := len(a.Vars)
-		out := Triple{C: a.C + b.C, Vars: a.Vars}
-		out.S, out.Q = newSQ(k)
-		for i := range out.S {
-			out.S[i] = a.S[i] + b.S[i]
-		}
-		for i := range out.Q {
-			out.Q[i] = a.Q[i] + b.Q[i]
-		}
-		return out
-	}
-	vars, ia, ib := mergeVars(a.Vars, b.Vars)
-	k := len(vars)
-	out := Triple{C: a.C + b.C, Vars: vars}
-	out.S, out.Q = newSQ(k)
-	scatterAdd(&out, a, ia, 1)
-	scatterAdd(&out, b, ib, 1)
+	out := covering(a.Vars, b.Vars)
+	out.addInto(&a)
+	out.addInto(&b)
 	return out
 }
 
@@ -110,47 +91,43 @@ func (Cofactor) Add(a, b Triple) Triple {
 //	s  = cb*sa + ca*sb
 //	Q  = cb*Qa + ca*Qb + sa sbᵀ + sb saᵀ
 //
-// computed in the merged sparse variable space. In view trees the operand
-// variable sets are disjoint (each variable is lifted once), but Mul handles
-// overlap correctly as required by the ring axioms.
-func (Cofactor) Mul(a, b Triple) Triple {
-	// Fast paths for scalar-only operands, which are the overwhelmingly
-	// common case at the leaves of a view tree.
-	if len(a.Vars) == 0 {
-		if a.C == 1 {
-			return b
-		}
-		return scaleTriple(b, a.C)
+// accumulated by mulAddInto into a zero triple over the merged variables. In
+// view trees the operand variable sets are disjoint (each variable is lifted
+// once), but Mul handles overlap correctly as required by the ring axioms.
+func (cf Cofactor) Mul(a, b Triple) Triple {
+	// Scalar operands are the overwhelmingly common case at the leaves of a
+	// view tree: a unit returns the other operand, a zero the zero triple.
+	switch {
+	case cf.IsOne(&a):
+		return b
+	case cf.IsOne(&b):
+		return a
+	case a.C == 0 && len(a.Vars) == 0, b.C == 0 && len(b.Vars) == 0:
+		return Triple{}
 	}
-	if len(b.Vars) == 0 {
-		if b.C == 1 {
-			return a
-		}
-		return scaleTriple(a, b.C)
+	out := covering(a.Vars, b.Vars)
+	out.mulAddInto(&a, &b)
+	return out
+}
+
+// covering returns a zero triple over the union of the sorted variable lists
+// av and bv, with S and Q of its own. Its Vars is av or bv itself when that
+// list already covers the other, as a triple never writes the Vars of an
+// operand; only a union that neither covers is allocated.
+func covering(av, bv []int32) Triple {
+	vars := av
+	switch {
+	case containsVars(av, bv):
+	case containsVars(bv, av):
+		vars = bv
+	default:
+		vars = unionInto(make([]int32, 0, len(av)+len(bv)), av, bv)
 	}
-	vars, ia, ib := mergeVars(a.Vars, b.Vars)
-	k := len(vars)
-	out := Triple{C: a.C * b.C, Vars: vars}
-	out.S, out.Q = newSQ(k)
-	// Scale-and-scatter the linear and quadratic blocks.
-	scatterAdd(&out, a, ia, b.C)
-	scatterAdd(&out, b, ib, a.C)
-	// Outer products sa sbᵀ + sb saᵀ in the merged space.
-	for i, si := range a.S {
-		if si == 0 {
-			continue
-		}
-		ri := ia[i]
-		for j, sj := range b.S {
-			if sj == 0 {
-				continue
-			}
-			rj := ib[j]
-			p := si * sj
-			out.Q[ri*k+rj] += p
-			out.Q[rj*k+ri] += p
-		}
+	if len(vars) == 0 {
+		return Triple{}
 	}
+	out := Triple{Vars: vars}
+	out.S, out.Q = newSQ(len(vars))
 	return out
 }
 
@@ -214,33 +191,6 @@ func (a Triple) ExpandQ(m int) []float64 {
 	return out
 }
 
-func scaleTriple(a Triple, c float64) Triple {
-	if c == 0 {
-		return Triple{}
-	}
-	out := Triple{C: a.C * c, Vars: a.Vars}
-	out.S, out.Q = newSQ(len(a.Vars))
-	for i, v := range a.S {
-		out.S[i] = v * c
-	}
-	for i, v := range a.Q {
-		out.Q[i] = v * c
-	}
-	return out
-}
-
-// scatterAdd adds scale*src into dst, mapping src row i to dst row idx[i].
-func scatterAdd(dst *Triple, src Triple, idx []int, scale float64) {
-	k := len(dst.Vars)
-	ks := len(src.Vars)
-	for i := 0; i < ks; i++ {
-		dst.S[idx[i]] += scale * src.S[i]
-		for j := 0; j < ks; j++ {
-			dst.Q[idx[i]*k+idx[j]] += scale * src.Q[i*ks+j]
-		}
-	}
-}
-
 func sameVars(a, b []int32) bool {
 	if len(a) != len(b) {
 		return false
@@ -254,35 +204,6 @@ func sameVars(a, b []int32) bool {
 		}
 	}
 	return true
-}
-
-// mergeVars merges two sorted variable index lists and returns the merged
-// list plus, for each input, the mapping from input positions to merged
-// positions.
-func mergeVars(a, b []int32) (merged []int32, ia, ib []int) {
-	merged = make([]int32, 0, len(a)+len(b))
-	ia = make([]int, len(a))
-	ib = make([]int, len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j >= len(b) || (i < len(a) && a[i] < b[j]):
-			ia[i] = len(merged)
-			merged = append(merged, a[i])
-			i++
-		case i >= len(a) || b[j] < a[i]:
-			ib[j] = len(merged)
-			merged = append(merged, b[j])
-			j++
-		default: // equal
-			ia[i] = len(merged)
-			ib[j] = len(merged)
-			merged = append(merged, a[i])
-			i++
-			j++
-		}
-	}
-	return merged, ia, ib
 }
 
 func findVar(vars []int32, v int32) int {

@@ -16,8 +16,8 @@ func benchTriple(k int) Triple {
 	return t
 }
 
-// BenchmarkTripleAdd measures the immutable payload sum on 16-variable
-// triples: the pre-optimization accumulation cost (fresh S and Q per call).
+// BenchmarkTripleAdd measures Add on 16-variable triples: the in-place sum
+// run into a fresh triple (one S and Q array per call).
 func BenchmarkTripleAdd(b *testing.B) {
 	cf := Cofactor{}
 	acc, d := benchTriple(16), benchTriple(16)
@@ -34,13 +34,13 @@ func BenchmarkTripleAddInto(b *testing.B) {
 	acc, d := benchTriple(16), benchTriple(16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		acc.AddInto(&d)
+		acc.addInto(&d)
 	}
 }
 
-// BenchmarkTripleMul measures the immutable ring product of an 8-variable
-// payload with a 1-variable lifting, the dominant product shape on delta
-// paths.
+// BenchmarkTripleMul measures Mul, the ring product into a fresh triple, of
+// an 8-variable payload with a 1-variable lifting, the dominant product shape
+// on delta paths.
 func BenchmarkTripleMul(b *testing.B) {
 	cf := Cofactor{}
 	p, l := benchTriple(8), LiftValue(9, 3)
@@ -70,10 +70,10 @@ func BenchmarkTripleMulInto(b *testing.B) {
 func BenchmarkTripleMulAddInto(b *testing.B) {
 	p, l := benchTriple(8), LiftValue(9, 3)
 	var dst Triple
-	dst.MulAddInto(&p, &l) // warm coverage
+	dst.mulAddInto(&p, &l) // warm coverage
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		dst.MulAddInto(&p, &l)
+		dst.mulAddInto(&p, &l)
 	}
 }
 

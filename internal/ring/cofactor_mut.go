@@ -1,60 +1,26 @@
 package ring
 
-// In-place triple arithmetic: the Cofactor ring's operations of ring.Mutable.
+// In-place triple arithmetic: the Cofactor ring's operations of ring.Mutable,
+// and the kernels under Add, Mul and Neg, which run them on a fresh triple.
 //
-// The immutable Add/Mul allocate fresh Vars/S/Q slices on every call, which
-// dominates the allocation profile of cofactor maintenance (every payload
-// merge on every view of every delta path). The In-place forms below mutate
-// a destination triple the caller exclusively owns, growing its sparse
-// variable coverage monotonically; once a destination has seen the variable
-// set of its view (after the first few merges), accumulation is
-// allocation-free.
-
-// Reset sets the triple to zero, keeping the slice capacity for reuse.
-func (a *Triple) Reset() {
-	a.C = 0
-	a.Vars = a.Vars[:0]
-	a.S = a.S[:0]
-	a.Q = a.Q[:0]
-}
-
-// CopyFrom sets a to a deep copy of src, reusing a's storage. a must not
-// share storage with any live triple other than src itself.
-func (a *Triple) CopyFrom(src *Triple) {
-	a.C = src.C
-	a.Vars = append(a.Vars[:0], src.Vars...)
-	k := len(src.Vars)
-	if cap(a.S) < k || cap(a.Q) < k*k {
-		a.allocSQ(k)
-	} else {
-		a.S = a.S[:k]
-		a.Q = a.Q[:k*k]
-	}
-	copy(a.S, src.S)
-	copy(a.Q, src.Q)
-}
-
-// allocSQ allocates the linear and quadratic blocks for k variables as one
-// backing array (S capped at k so appends never bleed into Q), halving the
-// allocation count of fresh triples.
-func (a *Triple) allocSQ(k int) {
-	buf := make([]float64, k+k*k)
-	a.S = buf[:k:k]
-	a.Q = buf[k:]
-}
+// The operations below mutate a destination triple the caller exclusively
+// owns, growing its sparse variable coverage monotonically; once a
+// destination has seen the variable set of its view (after the first few
+// merges), accumulation is allocation-free.
 
 // newSQ returns zeroed k-length and k²-length blocks sharing one backing
-// array, for freshly built triples.
+// array (S capped at k so appends never bleed into Q), halving the
+// allocation count of fresh triples.
 func newSQ(k int) (s, q []float64) {
 	buf := make([]float64, k+k*k)
 	return buf[:k:k], buf[k:]
 }
 
-// AddInto accumulates b into a in place: a += b. a must be exclusively
+// addInto accumulates b into a in place: a += b. a must be exclusively
 // owned by the caller. When a already covers b's variables — the steady
 // state for a payload accumulating deltas of a fixed view — no allocation
 // occurs.
-func (a *Triple) AddInto(b *Triple) {
+func (a *Triple) addInto(b *Triple) {
 	a.C += b.C
 	if len(b.Vars) == 0 {
 		return
@@ -100,11 +66,11 @@ func (a *Triple) AddInto(b *Triple) {
 	a.scaleScatterAdd(b, 1)
 }
 
-// MulAddInto accumulates a product into d in place: d += a * b, with the
+// mulAddInto accumulates a product into d in place: d += a * b, with the
 // ring product of Definition 6.2 computed directly in d's sparse variable
 // space. Once d covers the union of a's and b's variables the operation is
 // allocation-free.
-func (d *Triple) MulAddInto(a, b *Triple) {
+func (d *Triple) mulAddInto(a, b *Triple) {
 	switch {
 	case len(a.Vars) == 0:
 		if a.C == 0 {
@@ -144,19 +110,30 @@ func (d *Triple) MulAddInto(a, b *Triple) {
 }
 
 // AddInto accumulates src into *dst in place.
-func (Cofactor) AddInto(dst *Triple, src Triple) { dst.AddInto(&src) }
+func (Cofactor) AddInto(dst *Triple, src Triple) { dst.addInto(&src) }
 
 // MulInto sets *dst = *a * *b, reusing dst's storage.
 func (Cofactor) MulInto(dst, a, b *Triple) {
-	dst.Reset()
-	dst.MulAddInto(a, b)
+	dst.C, dst.Vars, dst.S, dst.Q = 0, dst.Vars[:0], dst.S[:0], dst.Q[:0]
+	dst.mulAddInto(a, b)
 }
 
 // MulAddInto accumulates *dst += *a * *b.
-func (Cofactor) MulAddInto(dst, a, b *Triple) { dst.MulAddInto(a, b) }
+func (Cofactor) MulAddInto(dst, a, b *Triple) { dst.mulAddInto(a, b) }
 
-// CopyInto sets *dst to a deep copy of src.
-func (Cofactor) CopyInto(dst *Triple, src Triple) { dst.CopyFrom(&src) }
+// CopyInto sets *dst to a deep copy of src, reusing dst's storage.
+func (Cofactor) CopyInto(dst *Triple, src Triple) {
+	dst.C = src.C
+	dst.Vars = append(dst.Vars[:0], src.Vars...)
+	k := len(src.Vars)
+	if cap(dst.S) < k || cap(dst.Q) < k*k {
+		dst.S, dst.Q = newSQ(k)
+	} else {
+		dst.S, dst.Q = dst.S[:k], dst.Q[:k*k]
+	}
+	copy(dst.S, src.S)
+	copy(dst.Q, src.Q)
+}
 
 // IsOne reports whether *a is the multiplicative identity (1, 0, 0).
 func (Cofactor) IsOne(a *Triple) bool { return a.C == 1 && len(a.Vars) == 0 }
@@ -245,7 +222,7 @@ func (d *Triple) ensureVars(av, bv []int32) {
 		d.Vars = unionInto(d.Vars[:0], av, bv)
 		k := len(d.Vars)
 		if cap(d.S) < k || cap(d.Q) < k*k {
-			d.allocSQ(k)
+			d.S, d.Q = newSQ(k)
 			return
 		}
 		d.S = zeroedFloats(d.S, k)

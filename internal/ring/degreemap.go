@@ -89,7 +89,7 @@ func (DegreeMap) One() DegMap { return DegMap{CountDeg: 1} }
 func (DegreeMap) IsZero(a DegMap) bool { return len(a) == 0 }
 
 // Add returns the entry-wise sum; entries canceling to zero are dropped.
-func (DegreeMap) Add(a, b DegMap) DegMap {
+func (r DegreeMap) Add(a, b DegMap) DegMap {
 	if len(a) == 0 {
 		return b
 	}
@@ -97,17 +97,8 @@ func (DegreeMap) Add(a, b DegMap) DegMap {
 		return a
 	}
 	out := make(DegMap, len(a)+len(b))
-	for k, v := range a {
-		out[k] = v
-	}
-	for k, v := range b {
-		s := out[k] + v
-		if s == 0 {
-			delete(out, k)
-		} else {
-			out[k] = s
-		}
-	}
+	r.AddInto(&out, a)
+	r.AddInto(&out, b)
 	return out
 }
 
@@ -122,25 +113,12 @@ func (DegreeMap) Neg(a DegMap) DegMap {
 
 // Mul multiplies the aggregate maps as formal sums of degree terms,
 // truncating products above degree two (see Degree.combine).
-func (DegreeMap) Mul(a, b DegMap) DegMap {
+func (r DegreeMap) Mul(a, b DegMap) DegMap {
 	if len(a) == 0 || len(b) == 0 {
 		return nil
 	}
 	out := make(DegMap, len(a)+len(b))
-	for ka, va := range a {
-		for kb, vb := range b {
-			k, ok := ka.combine(kb)
-			if !ok {
-				continue
-			}
-			s := out[k] + va*vb
-			if s == 0 {
-				delete(out, k)
-			} else {
-				out[k] = s
-			}
-		}
-	}
+	r.MulAddInto(&out, &a, &b)
 	return out
 }
 

@@ -1,18 +1,12 @@
-//go:build !purego
-
 package ring
 
-// Optimized dense kernels for the cofactor inner loops: 4-wide manual
-// unrolling, slice-length hoisting so the compiler can eliminate bounds
-// checks, row-slice hoisting in the matrix updates, and a half+mirror
-// traversal for the symmetric rank-1 update. Every kernel is bit-identical
-// to its reference in kernels_ref.go — same per-element expression shapes,
+// Dense kernels for the cofactor inner loops: 4-wide manual unrolling,
+// slice-length hoisting so the compiler can eliminate bounds checks,
+// row-slice hoisting in the matrix updates, and a half+mirror traversal for
+// the symmetric rank-1 update. Every kernel is bit-identical to its scalar
+// reference in kernels_ref_test.go — same per-element expression shapes,
 // same per-element accumulation order, same zero-skip rules — which the
-// property tests verify byte for byte. Build with `-tags purego` to select
-// the reference implementations instead.
-
-// pureGoKernels reports which kernel set this binary runs.
-const pureGoKernels = false
+// property tests in kernels_test.go verify byte for byte.
 
 // addTo accumulates src into dst elementwise: dst[i] += src[i].
 func addTo(dst, src []float64) {

@@ -1,14 +1,13 @@
 package ring
 
-// Scalar reference kernels for the dense cofactor inner loops.
+// Scalar reference kernels for the dense cofactor inner loops: the test
+// oracle for kernels.go.
 //
-// These are the semantic ground truth: the optimized variants in kernels.go
-// must produce bit-identical float64 results, including the zero-skip rules
-// of the rank-1 updates (skipping a zero operand also skips the Inf/NaN it
-// would otherwise spread through the product). The reference forms are always
-// compiled — under the `purego` build tag they are also the production
-// kernels, and the property tests in kernels_test.go diff the two builds'
-// outputs byte for byte.
+// These are the semantic ground truth: the unrolled kernels must produce
+// bit-identical float64 results, including the zero-skip rules of the rank-1
+// updates (skipping a zero operand also skips the Inf/NaN it would otherwise
+// spread through the product). The property tests in kernels_test.go diff
+// the two byte for byte.
 
 // addToRef accumulates src into dst elementwise: dst[i] += src[i].
 // len(dst) must be >= len(src).

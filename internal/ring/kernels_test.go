@@ -6,10 +6,8 @@ import (
 	"testing"
 )
 
-// Property tests diffing the build's kernels against the scalar reference
-// forms in kernels_ref.go, byte for byte. Under the default build this
-// verifies the unrolled/half-mirror kernels; under -tags purego the kernels
-// ARE the references and the tests pin the wrappers to them.
+// Property tests diffing the unrolled and half+mirror kernels of kernels.go
+// against the scalar reference forms in kernels_ref_test.go, byte for byte.
 
 // kernelWidths covers the dispatch boundaries: the tiny inline paths (0-3),
 // the unroll tail cases, both sides of scatterBufLen (48), and a width large
@@ -338,12 +336,12 @@ func TestTripleOpsMatchReference(t *testing.T) {
 				b := genKTriple(rng, wd, uni, mode)
 
 				got, want := cloneTriple(d0), cloneTriple(d0)
-				got.AddInto(&a)
+				got.addInto(&a)
 				refAddInto(&want, &a)
 				tripleBitsEqual(t, "AddInto", got, want)
 
 				got, want = cloneTriple(d0), cloneTriple(d0)
-				got.MulAddInto(&a, &b)
+				got.mulAddInto(&a, &b)
 				refMulAddInto(&want, &a, &b)
 				tripleBitsEqual(t, "MulAddInto", got, want)
 			}
@@ -363,7 +361,7 @@ func TestMulAddIntoWideOperand(t *testing.T) {
 	b := genKTriple(rng, scatterBufLen+12, uni, "random")
 
 	got, want := cloneTriple(d), cloneTriple(d)
-	got.MulAddInto(&a, &b)
+	got.mulAddInto(&a, &b)
 	refMulAddInto(&want, &a, &b)
 	tripleBitsEqual(t, "wide MulAddInto", got, want)
 
@@ -373,7 +371,7 @@ func TestMulAddIntoWideOperand(t *testing.T) {
 	// more means payload storage is being reallocated per call.
 	acc := cloneTriple(d)
 	allocs := testing.AllocsPerRun(50, func() {
-		acc.MulAddInto(&a, &b)
+		acc.mulAddInto(&a, &b)
 	})
 	if allocs > 4 {
 		t.Errorf("wide MulAddInto allocs/op = %v, want <= 4 (index slices only)", allocs)
@@ -383,9 +381,9 @@ func TestMulAddIntoWideOperand(t *testing.T) {
 	aN := genKTriple(rng, scatterBufLen, uni, "random")
 	bN := genKTriple(rng, scatterBufLen, uni, "random")
 	acc2 := cloneTriple(d)
-	acc2.MulAddInto(&aN, &bN)
+	acc2.mulAddInto(&aN, &bN)
 	narrow := testing.AllocsPerRun(50, func() {
-		acc2.MulAddInto(&aN, &bN)
+		acc2.mulAddInto(&aN, &bN)
 	})
 	if narrow != 0 {
 		t.Errorf("width-%d MulAddInto allocs/op = %v, want 0", scatterBufLen, narrow)

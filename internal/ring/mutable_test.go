@@ -22,9 +22,11 @@ func TestMutableOf(t *testing.T) {
 }
 
 // checkMutableMatchesImmutable drives the in-place operations of a ring
-// against their immutable counterparts on random values, including repeated
-// accumulation into one destination (the steady-state pattern of view
-// payload maintenance).
+// against Add and Mul on random values, including repeated accumulation into
+// one destination (the steady-state pattern of view payload maintenance).
+// Where Add and Mul run the in-place operations on a fresh payload, this
+// checks the accumulation and reuse of a destination; the dense oracle in
+// TestCofactorMulMatchesDefinition checks the operations themselves.
 func checkMutableMatchesImmutable[T any](t *testing.T, r Ring[T], gen func(*rand.Rand) T, eq func(a, b T) bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(99))
@@ -66,8 +68,8 @@ func checkMutableMatchesImmutable[T any](t *testing.T, r Ring[T], gen func(*rand
 			t.Fatalf("MulAddInto(%v; %v, %v) = %v, want %v", c, a, b, acc, want)
 		}
 
-		// A long accumulation chain into one destination matches the
-		// immutable fold.
+		// A long accumulation chain into one destination matches the fold
+		// of Add and Mul.
 		var chain T
 		z := r.Zero()
 		r.CopyInto(&chain, z)
@@ -132,12 +134,12 @@ func TestTripleAddIntoSteadyStateNoAlloc(t *testing.T) {
 	cf := Cofactor{}
 	acc := cf.Zero()
 	b := cf.Mul(LiftValue(0, 2), cf.Mul(LiftValue(1, 3), LiftValue(2, 4)))
-	acc.AddInto(&b) // warm: acc now covers b's variables
-	if n := testing.AllocsPerRun(100, func() { acc.AddInto(&b) }); n != 0 {
+	acc.addInto(&b) // warm: acc now covers b's variables
+	if n := testing.AllocsPerRun(100, func() { acc.addInto(&b) }); n != 0 {
 		t.Errorf("steady-state AddInto allocates %.1f/op", n)
 	}
 	x, y := LiftValue(0, 2), cf.Mul(LiftValue(1, 3), LiftValue(2, 4))
-	if n := testing.AllocsPerRun(100, func() { acc.MulAddInto(&x, &y) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { acc.mulAddInto(&x, &y) }); n != 0 {
 		t.Errorf("steady-state MulAddInto allocates %.1f/op", n)
 	}
 	var dst Triple

@@ -17,10 +17,13 @@
 // The relational data ring F[Z] (paper Definition 6.4) lives in package
 // internal/data because its elements are relations.
 //
-// Every ring implements one interface, Ring: the immutable operations, which
-// oracles, tests and lifting products use, the in-place ones of Mutable, with
-// which relations and delta plans accumulate into the payloads they own, and
-// Bytes for memory accounting.
+// Every ring implements one interface, Ring: the in-place operations of
+// Mutable, with which relations and delta plans accumulate into the payloads
+// they own; Add, Mul and Neg, which return a fresh payload for lifting
+// products and for values that must not change; and Bytes for memory
+// accounting. Each operation has one implementation, so the two forms cannot
+// disagree: Cofactor's and DegreeMap's Add and Mul run AddInto and MulAddInto
+// on a fresh payload.
 package ring
 
 // Ring is a commutative-enough ring over payload type T. Implementations
@@ -30,8 +33,9 @@ package ring
 // general), but all rings used by the engine are.
 //
 // Add, Mul and Neg must not modify their arguments, because views share
-// payload values; they may return one of them. The in-place operations
-// (Mutable) mutate only a destination the caller exclusively owns.
+// payload values; they may return one of them, and otherwise return a fresh
+// payload that the in-place operations (Mutable) filled. Those mutate only a
+// destination the caller exclusively owns.
 type Ring[T any] interface {
 	// Zero returns the additive identity.
 	Zero() T

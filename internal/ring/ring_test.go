@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -187,6 +188,132 @@ func TestCofactorMulMatchesDefinition(t *testing.T) {
 	if got.QuadOf(0, 1) != 25 || got.QuadOf(1, 0) != 25 {
 		t.Errorf("Q(0,1)/Q(1,0) = %v/%v, want 25/25", got.QuadOf(0, 1), got.QuadOf(1, 0))
 	}
+
+	// The same definition as a property: Add, Neg and Mul equal a dense
+	// m-vector / m×m evaluation over random pairs. Entries are small
+	// integers, so every float operation on both sides is exact.
+	rng := rand.New(rand.NewSource(62))
+	var pairs [][2]Triple
+	for i := 0; i < 200; i++ {
+		pairs = append(pairs, [2]Triple{genTriple(rng), genTriple(rng)})
+	}
+	for _, vs := range [][2][]int32{
+		{{0, 2, 4}, {1, 3, 5}},                   // disjoint
+		{{0, 1, 2, 7}, {2, 7, 9}},                // overlapping
+		{{3, 5, 8}, {3, 5, 8}},                   // equal
+		{{}, {1, 6}},                             // scalar and variables
+		{{2, 9}, {}},                             // variables and scalar
+		{seqVars(0, 30), seqVars(30, 60)},        // union of 60 > scatterBufLen
+		{seqVars(0, 40), seqVars(20, 64)},        // overlapping union of 64
+		{seqVars(10, 60), seqVars(10, 60)},       // equal, wider than the buffers
+		{seqVars(0, 50), []int32{3, 49, 63}},     // one covers most of the other
+		{[]int32{60}, seqVars(0, scatterBufLen)}, // a lift beside a full buffer
+	} {
+		for i := 0; i < 20; i++ {
+			pairs = append(pairs, [2]Triple{intTriple(rng, vs[0]), intTriple(rng, vs[1])})
+		}
+	}
+	const m = 64
+	for i, p := range pairs {
+		a, b := p[0], p[1]
+		da, db := denseOf(a, m), denseOf(b, m)
+		checkDense(t, i, "Add", cf.Add(a, b), da.add(db), m)
+		checkDense(t, i, "Neg", cf.Neg(a), da.neg(), m)
+		checkDense(t, i, "Mul", cf.Mul(a, b), da.mul(db, m), m)
+	}
+}
+
+// denseTriple is a triple expanded over all m variables: the form in which
+// Definition 6.2 states the ring operations.
+type denseTriple struct {
+	c    float64
+	s, q []float64
+}
+
+func denseOf(a Triple, m int) denseTriple {
+	return denseTriple{a.C, a.ExpandSum(m), a.ExpandQ(m)}
+}
+
+func (a denseTriple) add(b denseTriple) denseTriple {
+	out := denseTriple{a.c + b.c, make([]float64, len(a.s)), make([]float64, len(a.q))}
+	for i := range a.s {
+		out.s[i] = a.s[i] + b.s[i]
+	}
+	for i := range a.q {
+		out.q[i] = a.q[i] + b.q[i]
+	}
+	return out
+}
+
+func (a denseTriple) neg() denseTriple {
+	out := denseTriple{-a.c, make([]float64, len(a.s)), make([]float64, len(a.q))}
+	for i := range a.s {
+		out.s[i] = -a.s[i]
+	}
+	for i := range a.q {
+		out.q[i] = -a.q[i]
+	}
+	return out
+}
+
+// mul is Definition 6.2: (ca*cb, cb*sa + ca*sb, cb*Qa + ca*Qb + sa sbᵀ + sb saᵀ).
+func (a denseTriple) mul(b denseTriple, m int) denseTriple {
+	out := denseTriple{a.c * b.c, make([]float64, m), make([]float64, m*m)}
+	for i := 0; i < m; i++ {
+		out.s[i] = b.c*a.s[i] + a.c*b.s[i]
+		for j := 0; j < m; j++ {
+			out.q[i*m+j] = b.c*a.q[i*m+j] + a.c*b.q[i*m+j] + a.s[i]*b.s[j] + b.s[i]*a.s[j]
+		}
+	}
+	return out
+}
+
+// checkDense fails unless got is a well-formed triple (sorted distinct Vars,
+// k-length S, k²-length Q) whose dense form equals want exactly.
+func checkDense(t *testing.T, pair int, op string, got Triple, want denseTriple, m int) {
+	t.Helper()
+	k := len(got.Vars)
+	for i := 1; i < k; i++ {
+		if got.Vars[i-1] >= got.Vars[i] {
+			t.Fatalf("pair %d: %s: Vars %v not sorted and distinct", pair, op, got.Vars)
+		}
+	}
+	if len(got.S) != k || len(got.Q) != k*k {
+		t.Fatalf("pair %d: %s: %d variables with len(S) %d, len(Q) %d", pair, op, k, len(got.S), len(got.Q))
+	}
+	if d := denseOf(got, m); d.c != want.c || !slices.Equal(d.s, want.s) || !slices.Equal(d.q, want.q) {
+		t.Fatalf("pair %d: %s = %v, not Definition 6.2's (c %v, s %v)", pair, op, got, want.c, want.s)
+	}
+}
+
+// seqVars returns the variables lo..hi-1.
+func seqVars(lo, hi int32) []int32 {
+	var vs []int32
+	for v := lo; v < hi; v++ {
+		vs = append(vs, v)
+	}
+	return vs
+}
+
+// intTriple builds a triple over vars with small integer entries, about a
+// quarter of them zero, and a symmetric Q.
+func intTriple(rng *rand.Rand, vars []int32) Triple {
+	k := len(vars)
+	small := func() float64 {
+		if rng.Intn(4) == 0 {
+			return 0
+		}
+		return float64(rng.Intn(11) - 5)
+	}
+	a := Triple{C: small(), Vars: vars, S: make([]float64, k), Q: make([]float64, k*k)}
+	for i := 0; i < k; i++ {
+		a.S[i] = small()
+		for j := i; j < k; j++ {
+			a.Q[i*k+j] = small()
+			a.Q[j*k+i] = a.Q[i*k+j]
+		}
+	}
+	return a
 }
 
 func TestCofactorSymmetry(t *testing.T) {
