@@ -89,7 +89,6 @@ func main() {
 	dataset := fs.String("dataset", "retailer", "dataset: retailer, housing or twitter (fig7 and fig8: retailer or housing)")
 	batch := fs.Int("batch", 1000, "update batch size")
 	group := fs.Int("group", 1, "stream batches applied per batched ApplyDeltas call")
-	workers := fs.Int("workers", 1, "shard/worker count for parallel maintenance: the F-IVM and SQL-OPT rows of fig7 and fig13 (the competitors run unsharded), and repl's views")
 	scale := fs.Int("scale", 1, "dataset scale multiplier")
 	noScalar := fs.Bool("no-scalar", false, "skip the per-aggregate scalar competitors (DBT, 1-IVM)")
 	autoOrder := fs.Bool("auto-order", false, "let the cost-based optimizer choose variable orders (fig7, fig13, explain) instead of the handpicked ones")
@@ -123,7 +122,7 @@ func main() {
 	cfg.Retailer.Dates *= *scale
 	cfg.Housing.Scale *= *scale
 	cfg.Twitter.Edges *= *scale
-	cfg.BatchSize, cfg.Group, cfg.Workers = *batch, *group, *workers
+	cfg.BatchSize, cfg.Group = *batch, *group
 	cfg.Scalar, cfg.AutoOrder = !*noScalar, *autoOrder
 	for i := range cfg.Ns {
 		cfg.Ns[i] *= *scale
@@ -178,7 +177,7 @@ func main() {
 		}
 	case "repl":
 		ds := pickDataset(*dataset, retailer, housing, twitter)
-		if err := repl(ds, os.Stdin, os.Stdout, *batch, *workers, durability); err != nil {
+		if err := repl(ds, os.Stdin, os.Stdout, *batch, durability); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

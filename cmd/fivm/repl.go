@@ -22,7 +22,7 @@ import (
 // catalog, view DDL (CREATE VIEW / DROP VIEW / one-shot SELECT) driving the
 // maintenance machinery, and dot-commands to play the dataset's update
 // stream and inspect views between batches.
-func repl(ds *datasets.Dataset, in io.Reader, out io.Writer, batchSize, workers int, dur *db.DurabilityOptions) error {
+func repl(ds *datasets.Dataset, in io.Reader, out io.Writer, batchSize int, dur *db.DurabilityOptions) error {
 	cat := db.Catalog{}
 	for _, rd := range ds.Query.Rels {
 		cat[rd.Name] = rd.Schema
@@ -68,7 +68,6 @@ func repl(ds *datasets.Dataset, in io.Reader, out io.Writer, batchSize, workers 
 	// batches left off, so .play continues rather than re-applies.
 	at := min(int(d.Applied()), len(stream))
 	tempViews := 0
-	vopts := db.ViewOptions{Workers: workers}
 
 	if ri := d.Recovery(); ri != nil {
 		fmt.Fprintf(out, "recovered %d applied batches from %s", d.Applied(), dur.Dir)
@@ -119,7 +118,7 @@ func repl(ds *datasets.Dataset, in io.Reader, out io.Writer, batchSize, workers 
 		pending.Reset()
 		if sql != "" {
 			acquire()
-			replSQL(d, out, sql, vopts, &tempViews)
+			replSQL(d, out, sql, &tempViews)
 			if stopped.Load() {
 				return nil
 			}
@@ -132,7 +131,7 @@ func repl(ds *datasets.Dataset, in io.Reader, out io.Writer, batchSize, workers 
 }
 
 // replSQL executes one SQL statement against the DB.
-func replSQL(d *db.DB, out io.Writer, sql string, vopts db.ViewOptions, tempViews *int) {
+func replSQL(d *db.DB, out io.Writer, sql string, tempViews *int) {
 	st, err := sqlparse.ParseStatement(sql, replCatalog(d))
 	if err != nil {
 		fmt.Fprintln(out, err)
@@ -141,7 +140,7 @@ func replSQL(d *db.DB, out io.Writer, sql string, vopts db.ViewOptions, tempView
 	switch st.Kind {
 	case sqlparse.StmtCreateView:
 		start := time.Now()
-		if _, err := db.CreateViewSQL(d, "", sql, vopts); err != nil {
+		if _, err := db.CreateViewSQL(d, "", sql, db.ViewOptions{}); err != nil {
 			fmt.Fprintln(out, err)
 			return
 		}
@@ -157,7 +156,7 @@ func replSQL(d *db.DB, out io.Writer, sql string, vopts db.ViewOptions, tempView
 		// bases answers it, then retires.
 		*tempViews++
 		name := fmt.Sprintf("q#%d", *tempViews)
-		v, err := db.CreateViewSQL(d, name, sql, vopts)
+		v, err := db.CreateViewSQL(d, name, sql, db.ViewOptions{})
 		if err != nil {
 			fmt.Fprintln(out, err)
 			return

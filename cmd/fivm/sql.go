@@ -6,7 +6,6 @@ import (
 
 	"fivm/internal/datasets"
 	"fivm/internal/db"
-	"fivm/internal/ivm"
 )
 
 func pickDataset(name string, retailer datasets.RetailerConfig, housing datasets.HousingConfig, twitter datasets.TwitterConfig) *datasets.Dataset {
@@ -37,7 +36,7 @@ func runSQL(ds *datasets.Dataset, sql string, batchSize, group int) error {
 	if err != nil {
 		return err
 	}
-	order := v.Maintainer().(*ivm.Engine[float64]).Order() // chosen by the optimizer
+	order := v.Maintainer().Order() // chosen by the optimizer
 	fmt.Printf("variable order: %v (width %d)\n", order, order.Width(v.Query()))
 
 	if group <= 0 {

@@ -164,8 +164,7 @@ type DB = db.DB
 type DBOptions = db.Options
 
 // ViewOptions configures one registered view: its variable order (nil uses
-// the cost-based optimizer), Workers for sharded parallel maintenance, and
-// the engine's optimizer flags.
+// the cost-based optimizer) and the engine's optimizer flags.
 type ViewOptions = db.ViewOptions
 
 // View is the typed handle CreateView returns: Snapshot/Reader for reads,

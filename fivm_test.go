@@ -13,7 +13,6 @@ import (
 	"fivm"
 	"fivm/internal/data"
 	"fivm/internal/datasets"
-	"fivm/internal/ivm"
 	"fivm/internal/vorder"
 )
 
@@ -235,7 +234,7 @@ func TestNilOrderFacade(t *testing.T) {
 	if len(want) != 1 || !maps.Equal(got, want) {
 		t.Errorf("self-planned %v vs explicit %v", got, want)
 	}
-	eng := auto.Maintainer().(*ivm.Engine[int64])
+	eng := auto.Maintainer()
 	if eng.Order() == nil {
 		t.Error("no order chosen")
 	}
@@ -329,7 +328,7 @@ func TestServingReads(t *testing.T) {
 	}
 	// Asking is the switch: the current epoch is republished with every
 	// materialized view in it.
-	eng := v.Maintainer().(*ivm.Engine[int64])
+	eng := v.Maintainer()
 	snap = eng.Catalog()
 	defer snap.Release()
 	if snap.Epoch != rd.Snapshot().Epoch || snap.Result() != rd.Result() {

@@ -465,9 +465,8 @@ var removals = []removal{
 		in: dataPkg, forbid: []string{"func (_ *Relation[_]) Seal()"}},
 	{had: "b42d401", step: "Only F-IVM publishes: the competitors have no ViewSnapshot or epoch hook",
 		in: []string{"internal/ivm/baseline.go", "internal/ivm/recursive.go", "internal/ivm/multi.go"}, forbid: []string{"ViewSnapshot", "_{epoch: _}"}},
-	{had: "b42d401", step: "Only F-IVM publishes: NewParallel shards engines, and nothing probes for a shard or maintainer that is not one",
-		in: []string{"internal/ivm/parallel.go", "internal/db/view.go"}, forbid: []string{"func NewParallel(func() Maintainer[_])", "_.(*Engine[_])", "_.(*ivm.Engine[_])", "interface{ PoolStats() }"},
-		keep: []string{"func NewParallel()"}},
+	{had: "b42d401", step: "Only F-IVM publishes: nothing probes for a maintainer that is not an engine",
+		in: []string{"internal/db/view.go"}, forbid: []string{"_.(*ivm.Engine[_])", "interface{ PoolStats() }"}},
 	{had: "a67cb3b", step: "One ring interface: no Sized or CountedMutable, and no probe for a ring tier",
 		in: repo, tests: true, bench: true, forbid: []string{"ring.Sized", "type Sized _", "CountedMutable",
 			"_.(Mutable[_])", "_.(ring.Mutable[_])", "_.(Sized[_])", "_.(ring.Sized[_])"}},
@@ -489,6 +488,10 @@ var removals = []removal{
 		keep: []string{"out.mulAddInto(&a, &b)", "out.addInto(&b)"}},
 	{had: "19d1a69", step: "Each ring operation has one implementation: the scalar reference kernels are the tests' oracle, not production code",
 		in: []string{"internal/ring"}, forbid: []string{"_Ref"}, keep: []string{"func rank1SymUpdate()"}},
+	{had: "62e875c", step: "One engine per view: no Parallel, sharded relation, Split or sealed reduction, and a view holds an *ivm.Engine",
+		in: repo, tests: true, forbid: []string{"NewParallel", "type Parallel _", "Parallel[_]", "ivm.Parallel[_]", "pickShardVar",
+			"type Sharded _", "Sharded[_]", "data.Sharded[_]", "NewSharded", "func Split()", "data.Split", "ReduceSealed", "closeMaintainer"},
+		keep: []string{"struct{ m *ivm.Engine[_] }"}},
 }
 
 // TestRemovalGuards fails on every removal row whose forbidden forms are

@@ -88,7 +88,7 @@ func TestFig7RetailerShape(t *testing.T) {
 	cfg := tiny()
 	cfg.Scalar = false
 	ds := datasets.GenRetailer(cfg.Retailer)
-	oneIVM := newCofactorStrategies(ds, false).scenario("1-IVM", 1, nil)(1) // over scalarStream
+	oneIVM := newCofactorStrategies(ds, false).scenario("1-IVM", nil)(1) // over scalarStream
 	runs := byName(append(fig7Runs(cfg, ds), oneIVM))
 	dbt, err := ivm.NewMultiRecursive(ds.Query, ring.Float{}, ivm.CofactorAggSpecs(ds.Query.Vars()), nil)
 	if err != nil {
@@ -201,7 +201,7 @@ func TestFig12BatchesShareWork(t *testing.T) {
 	cs := newCofactorStrategies(ds, false)
 	var mul [2]int64
 	for i, bs := range []int{1, 1000} {
-		mul[i] = runScenarios(1, cs.scenario("F-IVM ONE", 1, datasets.SingleRelationStream(ds, ds.Largest, bs)))[0].Work.Mul
+		mul[i] = runScenarios(1, cs.scenario("F-IVM ONE", datasets.SingleRelationStream(ds, ds.Largest, bs)))[0].Work.Mul
 	}
 	if mul[1] >= mul[0] {
 		t.Errorf("House alone: %d Mul at batch 1000, %d at batch 1; want fewer", mul[1], mul[0])
@@ -217,7 +217,7 @@ func TestQHierarchicalConstantWork(t *testing.T) {
 	for _, scale := range []int{1, 4} {
 		ds := datasets.GenHousing(datasets.HousingConfig{Postcodes: 30, Scale: scale, Seed: 2})
 		cs := newCofactorStrategies(ds, false)
-		r := runScenarios(1, cs.scenario("F-IVM ONE", 1, datasets.SingleRelationStream(ds, ds.Largest, 1)))[0]
+		r := runScenarios(1, cs.scenario("F-IVM ONE", datasets.SingleRelationStream(ds, ds.Largest, 1)))[0]
 		if r.Tuples != 30*scale || r.Work.Mul != int64(16*r.Tuples) {
 			t.Errorf("scale %d: %d Mul over %d single-tuple updates, want 16 each", scale, r.Work.Mul, r.Tuples)
 		}
@@ -227,46 +227,6 @@ func TestQHierarchicalConstantWork(t *testing.T) {
 func TestFig13Runs(t *testing.T) {
 	if tb := Fig13(tiny()); len(tb.Rows) != 5 {
 		t.Fatalf("strategies = %d, want 5", len(tb.Rows))
-	}
-}
-
-// TestWorkersShardOnlyEngines: cfg.Workers shards the engine rows and no
-// other. Every competitor row of Figures 7 and 13 reads the same views,
-// tuples, counted work and state at two workers as at one, and the F-IVM
-// row, the same views and tuples in a state that now holds two shards.
-func TestWorkersShardOnlyEngines(t *testing.T) {
-	for _, fig := range []struct {
-		name string
-		runs func(cfg Config) []RunResult
-	}{
-		// Figure 13 runs the scalar rows, through the same scenarios as
-		// Figure 7's.
-		{"fig7", func(cfg Config) []RunResult {
-			cfg.Scalar = false
-			return fig7Runs(cfg, datasets.GenRetailer(cfg.Retailer))
-		}},
-		{"fig13", func(cfg Config) []RunResult { return fig13Runs(cfg, datasets.GenTwitter(cfg.Twitter)) }},
-	} {
-		cfg := tiny()
-		one := byName(fig.runs(cfg))
-		cfg.Workers = 2
-		two := byName(fig.runs(cfg))
-		for name, a := range one {
-			b := two[name]
-			if a.Err != nil || b.Err != nil {
-				t.Fatalf("%s %s: %v, %v", fig.name, name, a.Err, b.Err)
-			}
-			if a.Views != b.Views || a.Tuples != b.Tuples {
-				t.Errorf("%s %s: %d views over %d tuples at one worker, %d over %d at two", fig.name, name, a.Views, a.Tuples, b.Views, b.Tuples)
-			}
-			engine := strings.HasPrefix(name, "F-IVM") || strings.HasPrefix(name, "SQL-OPT")
-			switch {
-			case engine && name == "F-IVM" && a.StateBytes == b.StateBytes:
-				t.Errorf("%s F-IVM: %d state bytes at one worker and at two: not sharded", fig.name, a.StateBytes)
-			case !engine && (a.Work != b.Work || a.StateBytes != b.StateBytes):
-				t.Errorf("%s %s: work %+v and %d state bytes at one worker, %+v and %d at two", fig.name, name, a.Work, a.StateBytes, b.Work, b.StateBytes)
-			}
-		}
 	}
 }
 
@@ -345,9 +305,8 @@ func statsBits(st *data.Stats, rels []string) string {
 	return b.String()
 }
 
-// TestAutoOrderScenarioLeavesAnalyzeAlone: the auto-order F-IVM scenario,
-// sharded over two workers, plans from the ANALYZE collector and writes
-// nothing into it, so the scenarios after it (F-IVM ONE clones it) plan from
+// TestAutoOrderScenarioLeavesAnalyzeAlone: the auto-order F-IVM scenario
+// plans from the ANALYZE collector and writes nothing into it, so the scenarios after it (F-IVM ONE clones it) plan from
 // the statistics analyze computed, whatever ran before them.
 func TestAutoOrderScenarioLeavesAnalyzeAlone(t *testing.T) {
 	cfg := tiny()
@@ -355,7 +314,7 @@ func TestAutoOrderScenarioLeavesAnalyzeAlone(t *testing.T) {
 	cs := newCofactorStrategies(ds, true)
 	want := statsBits(cs.stats, ds.Query.RelNames())
 	stream := datasets.RoundRobinStream(ds, ds.Query.RelNames(), 20)[:10]
-	res := runScenarios(1, cs.scenario("F-IVM", 2, stream))[0]
+	res := runScenarios(1, cs.scenario("F-IVM", stream))[0]
 	if res.Err != nil || res.Tuples == 0 {
 		t.Fatalf("scenario ran %d tuples, error %v", res.Tuples, res.Err)
 	}

@@ -56,8 +56,7 @@ func newCofactorStrategies(ds *datasets.Dataset, auto bool) cofactorStrategies {
 // (one view tree, cofactor ring), SQL-OPT (degree-map payloads), DBT-RING
 // (recursive hierarchies), or DBT and 1-IVM (per aggregate, over scalarStream
 // instead). " ONE" updates only the largest relation, the others preloaded.
-// workers > 1 shards the engine rows, F-IVM and SQL-OPT, and no other.
-func (c cofactorStrategies) scenario(name string, workers int, stream []datasets.Batch) scenario {
+func (c cofactorStrategies) scenario(name string, stream []datasets.Batch) scenario {
 	q, vars := c.ds.Query, c.ds.Query.Vars()
 	var upd []string
 	if strings.HasSuffix(name, " ONE") {
@@ -65,15 +64,15 @@ func (c cofactorStrategies) scenario(name string, workers int, stream []datasets
 	}
 	switch strings.TrimSuffix(name, " ONE") {
 	case "F-IVM":
-		return strategy(name, c.ds, ring.Cofactor{}, upd, sharded(q, workers, func(r ring.Ring[ring.Triple]) (*ivm.Engine[ring.Triple], error) {
+		return strategy(name, c.ds, ring.Cofactor{}, upd, func(r ring.Ring[ring.Triple]) (Maintainer[ring.Triple], error) {
 			return ivm.New(q, c.order(), r, liftOf(vars, ring.LiftValue),
 				ivm.Options[ring.Triple]{Updatable: upd, ComposeChains: true, Stats: c.stats.Clone()})
-		}), stream)
+		}, stream)
 	case "SQL-OPT":
-		return strategy(name, c.ds, ring.DegreeMap{}, upd, sharded(q, workers, func(r ring.Ring[ring.DegMap]) (*ivm.Engine[ring.DegMap], error) {
+		return strategy(name, c.ds, ring.DegreeMap{}, upd, func(r ring.Ring[ring.DegMap]) (Maintainer[ring.DegMap], error) {
 			return ivm.New(q, c.order(), r, liftOf(vars, ring.LiftDegMap),
 				ivm.Options[ring.DegMap]{Updatable: upd, ComposeChains: true, Stats: c.stats.Clone()})
-		}), stream)
+		}, stream)
 	case "DBT-RING":
 		return strategy(name, c.ds, ring.Cofactor{}, upd, func(r ring.Ring[ring.Triple]) (Maintainer[ring.Triple], error) {
 			return ivm.NewRecursive(q, r, liftOf(vars, ring.LiftValue), upd)
@@ -124,15 +123,15 @@ func Fig7(cfg Config, dataset string) *Table {
 
 // fig7Runs runs Figure 7's scenarios on the dataset.
 func fig7Runs(cfg Config, ds *datasets.Dataset) []RunResult {
-	cs, w := newCofactorStrategies(ds, cfg.AutoOrder), cfg.Workers
+	cs := newCofactorStrategies(ds, cfg.AutoOrder)
 	stream := datasets.RoundRobinStream(ds, ds.Query.RelNames(), cfg.BatchSize)
-	scs := []scenario{cs.scenario("F-IVM", w, stream), cs.scenario("SQL-OPT", w, stream), cs.scenario("DBT-RING", w, stream)}
+	scs := []scenario{cs.scenario("F-IVM", stream), cs.scenario("SQL-OPT", stream), cs.scenario("DBT-RING", stream)}
 	if cfg.Scalar {
-		scs = append(scs, cs.scenario("DBT", w, stream), cs.scenario("1-IVM", w, stream))
+		scs = append(scs, cs.scenario("DBT", stream), cs.scenario("1-IVM", stream))
 	}
 	one := datasets.SingleRelationStream(ds, ds.Largest, cfg.BatchSize)
 	for _, name := range []string{"F-IVM ONE", "SQL-OPT ONE", "DBT-RING ONE"} {
-		scs = append(scs, cs.scenario(name, w, one))
+		scs = append(scs, cs.scenario(name, one))
 	}
 	return runScenarios(cfg.Group, scs...)
 }
@@ -177,7 +176,7 @@ func fig12Runs(ds *datasets.Dataset, name string, batchSizes []int) []RunResult 
 	cs := newCofactorStrategies(ds, false)
 	var out []RunResult
 	for _, bs := range batchSizes {
-		out = append(out, runScenarios(1, cs.scenario(name, 1, datasets.RoundRobinStream(ds, ds.Query.RelNames(), bs)))...)
+		out = append(out, runScenarios(1, cs.scenario(name, datasets.RoundRobinStream(ds, ds.Query.RelNames(), bs)))...)
 	}
 	return out
 }
@@ -195,14 +194,11 @@ func Fig13(cfg Config) *Table {
 func fig13Runs(cfg Config, ds *datasets.Dataset) []RunResult {
 	cs := newCofactorStrategies(ds, cfg.AutoOrder)
 	stream := datasets.RoundRobinStream(ds, ds.Query.RelNames(), cfg.BatchSize)
-	// cfg.Workers shards the F-IVM rows; scenario runs the competitors
-	// unsharded.
-	w := cfg.Workers
-	scs := []scenario{cs.scenario("F-IVM", w, stream), cs.scenario("DBT-RING", w, stream)}
+	scs := []scenario{cs.scenario("F-IVM", stream), cs.scenario("DBT-RING", stream)}
 	if cfg.Scalar {
-		scs = append(scs, cs.scenario("DBT", w, stream), cs.scenario("1-IVM", w, stream))
+		scs = append(scs, cs.scenario("DBT", stream), cs.scenario("1-IVM", stream))
 	}
-	scs = append(scs, cs.scenario("F-IVM ONE", w, datasets.SingleRelationStream(ds, ds.Largest, cfg.BatchSize)))
+	scs = append(scs, cs.scenario("F-IVM ONE", datasets.SingleRelationStream(ds, ds.Largest, cfg.BatchSize)))
 	return runScenarios(1, scs...)
 }
 

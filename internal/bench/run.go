@@ -27,10 +27,6 @@ type Config struct {
 	// BatchSize is the update batch size, Group the stream batches applied
 	// per ApplyDeltas call (Figure 7), whose deltas to a relation coalesce.
 	BatchSize, Group int
-	// Workers > 1 shards the engine rows of Figures 7 and 13 (F-IVM, SQL-OPT
-	// and their ONE rows); the competitors always run unsharded, as the
-	// paper has no parallel competitor.
-	Workers int
 	// Scalar adds the per-aggregate DBT and 1-IVM to Figures 7 and 13, and
 	// AutoOrder lets their engines choose variable orders from statistics.
 	Scalar, AutoOrder bool
@@ -51,13 +47,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// title annotates a figure's title with the run's order choice and workers.
+// title annotates a figure's title with the run's order choice.
 func (cfg Config) title(base string) string {
 	if cfg.AutoOrder {
 		base += ", auto-order"
-	}
-	if cfg.Workers > 1 {
-		base += fmt.Sprintf(", %d workers", cfg.Workers)
 	}
 	return base
 }
@@ -83,8 +76,8 @@ func (r RunResult) PerTuple() (mul, floats float64) {
 	return float64(r.Work.Mul) / n, float64(r.Work.Floats) / n
 }
 
-// Maintainer is what a figure drives: an ivm.Engine, a Parallel of engines,
-// or one of the competitors, which offer this surface and publish nothing.
+// Maintainer is what a figure drives: an ivm.Engine or one of the
+// competitors, which offer this surface and publish nothing.
 type Maintainer[P any] interface {
 	Load(rel string, r *data.Relation[P]) error
 	Init() error
@@ -143,9 +136,6 @@ func strategy[P any](name string, ds *datasets.Dataset, r ring.Ring[P], updatabl
 		r := ringtest.Wrap(r, &c)
 		m, err := mk(r)
 		must(err)
-		if p, ok := m.(*ivm.Parallel[P]); ok {
-			defer p.Close()
-		}
 		toDelta := deltaOf(ds.Query, r)
 		for rel, tuples := range ds.Tuples {
 			if updatable != nil && !slices.Contains(updatable, rel) {
@@ -154,17 +144,6 @@ func strategy[P any](name string, ds *datasets.Dataset, r ring.Ring[P], updatabl
 		}
 		must(m.Init())
 		return RunStream(name, m, toDelta, &c, stream, group)
-	}
-}
-
-// sharded builds mk's engine, or with workers > 1 a Parallel of them over q
-// (ivm.NewParallel calls mk once per shard).
-func sharded[P any](q query.Query, workers int, mk func(r ring.Ring[P]) (*ivm.Engine[P], error)) func(r ring.Ring[P]) (Maintainer[P], error) {
-	return func(r ring.Ring[P]) (Maintainer[P], error) {
-		if workers > 1 {
-			return ivm.NewParallel(q, r, workers, func() (*ivm.Engine[P], error) { return mk(r) })
-		}
-		return mk(r)
 	}
 }
 

@@ -52,6 +52,22 @@ func BenchmarkRelationMerge(b *testing.B) {
 	}
 }
 
+// BenchmarkRelationMergeTripleSteady measures payload accumulation onto an
+// existing key for the cofactor ring — the operation the in-place path
+// makes allocation-free.
+func BenchmarkRelationMergeTripleSteady(b *testing.B) {
+	cf := ring.Cofactor{}
+	r := NewRelation[ring.Triple](cf, NewSchema("A"))
+	tup := Ints(1)
+	d := cf.Mul(ring.LiftValue(0, 2), cf.Mul(ring.LiftValue(1, 3), ring.LiftValue(2, 4)))
+	r.Merge(tup, d)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Merge(tup, d)
+	}
+}
+
 // BenchmarkRelationGet measures point lookups by tuple.
 func BenchmarkRelationGet(b *testing.B) {
 	r := NewRelation[int64](ring.Int{}, NewSchema("A", "B", "C"))

@@ -234,12 +234,3 @@ func has[P any](r *Relation[P], t Tuple) bool {
 
 // Len returns the number of distinct index keys.
 func (ix *Index[P]) Len() int { return ix.dir.len() }
-
-// Len returns the total number of entries across shards.
-func (s *Sharded[P]) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.Len()
-	}
-	return n
-}

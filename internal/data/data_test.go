@@ -29,6 +29,26 @@ func TestValueKinds(t *testing.T) {
 	}
 }
 
+// TestValueHashStability pins a few properties of the hash the statistics
+// sketch buckets values by (VarSketch.Observe): a changed hash silently
+// changes every distinct-count estimate.
+func TestValueHashStability(t *testing.T) {
+	if Int(7).Hash() != Int(7).Hash() {
+		t.Fatal("hash not deterministic")
+	}
+	if Int(7).Hash() == Int(8).Hash() {
+		t.Fatal("suspicious collision between adjacent ints")
+	}
+	if String("x").Hash() == String("y").Hash() {
+		t.Fatal("suspicious collision between short strings")
+	}
+	// Int and Float hashes differ even for equal numeric values: kinds are
+	// part of the key encoding, so they must hash apart too.
+	if Int(1).Hash() == Float(1).Hash() {
+		t.Fatal("Int and Float hash alike")
+	}
+}
+
 func TestTupleKeyInjective(t *testing.T) {
 	// Distinct tuples must have distinct keys; equal tuples equal keys.
 	seen := make(map[string]Tuple)
@@ -176,6 +196,35 @@ func TestRelationMergeCancellation(t *testing.T) {
 	r.Merge(Ints(1), 0)
 	if r.Len() != 0 {
 		t.Error("zero merge created a key")
+	}
+}
+
+// TestOwnedAccumulationIsolation checks the ownership guarantees in-place
+// accumulation must provide: stored payloads never alias the
+// caller's values, and clones never alias the original.
+func TestOwnedAccumulationIsolation(t *testing.T) {
+	cf := ring.Cofactor{}
+	schema := NewSchema("A")
+	r := NewRelation[ring.Triple](cf, schema)
+
+	// The caller's payload must not be mutated by later merges onto the
+	// same key.
+	mine := ring.LiftValue(0, 2)
+	r.Merge(Ints(1), mine)
+	r.Merge(Ints(1), ring.LiftValue(0, 3))
+	if mine.S[0] != 2 || mine.Q[0] != 4 {
+		t.Fatalf("caller payload mutated: %+v", mine)
+	}
+
+	// A clone must not see subsequent merges into the original (and vice
+	// versa).
+	c := r.Clone()
+	before, _ := c.Get(Ints(1))
+	beforeS := before.S[0]
+	r.Merge(Ints(1), ring.LiftValue(0, 10))
+	after, _ := c.Get(Ints(1))
+	if after.S[0] != beforeS {
+		t.Fatalf("clone payload mutated through original: %v -> %v", beforeS, after.S[0])
 	}
 }
 

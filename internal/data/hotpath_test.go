@@ -1,6 +1,7 @@
 package data
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -43,6 +44,45 @@ func TestGetAndMergeProjected(t *testing.T) {
 	}
 	if r.LookupProjected(proj, wide) != nil {
 		t.Error("LookupProjected found deleted key")
+	}
+}
+
+// TestMergeMulProjected checks the fused multiply-merge against the
+// two-step equivalent.
+func TestMergeMulProjected(t *testing.T) {
+	cf := ring.Cofactor{}
+	from := NewSchema("A", "B")
+	to := NewSchema("A")
+	proj := MustProjector(from, to)
+
+	fused := NewRelation[ring.Triple](cf, to)
+	plain := NewRelation[ring.Triple](cf, to)
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 50; i++ {
+		tup := Ints(int64(rng.Intn(4)), int64(rng.Intn(4)))
+		a := ring.LiftValue(0, float64(rng.Intn(5)-2))
+		b := ring.LiftValue(1, float64(rng.Intn(5)-2))
+		fused.MergeMulProjected(proj, tup, &a, &b)
+		plain.MergeProjected(proj, tup, cf.Mul(a, b))
+	}
+	eq := func(x, y ring.Triple) bool {
+		if x.Count() != y.Count() {
+			return false
+		}
+		for j := 0; j < 2; j++ {
+			if x.SumOf(j) != y.SumOf(j) {
+				return false
+			}
+			for k := 0; k < 2; k++ {
+				if x.QuadOf(j, k) != y.QuadOf(j, k) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if !fused.Equal(plain, eq) {
+		t.Fatalf("fused %v != plain %v", fused, plain)
 	}
 }
 

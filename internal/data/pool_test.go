@@ -567,42 +567,6 @@ func TestRecycledKeysDieAtReclaim(t *testing.T) {
 	}
 }
 
-// TestReduceSealedOwnsRecycledKeys: the sealed reduction of pooled relations
-// (Parallel's per-batch publication over its shards' results) outlives the
-// batch that built it, so it copies the keys of inputs that reuse theirs.
-func TestReduceSealedOwnsRecycledKeys(t *testing.T) {
-	sch := NewSchema("A")
-	parts := []*Relation[int64]{NewRelation[int64](ring.Int{}, sch), NewRelation[int64](ring.Int{}, sch)}
-	for i, p := range parts {
-		p.Reclaim()
-		for k := int64(0); k < 50; k++ {
-			p.Merge(Ints(2*k+int64(i)), 1)
-		}
-	}
-	sealed := ReduceSealed[int64](ring.Int{}, sch, parts)
-	for i, p := range parts {
-		for k := int64(0); k < 50; k++ {
-			p.Merge(Ints(2*k+int64(i)), -1)
-		}
-		p.Reclaim()
-		for k := int64(0); k < 50; k++ {
-			p.Merge(Ints(1000+2*k+int64(i)), 1)
-		}
-	}
-	if sealed.Len() != 100 {
-		t.Fatalf("sealed %d keys", sealed.Len())
-	}
-	sealed.IterateEntries(func(e *Entry[int64]) bool {
-		if e.Key() != e.Tuple.Key() {
-			t.Fatalf("published reduction reads reused key bytes: %q for %v", e.Key(), e.Tuple)
-		}
-		return true
-	})
-	if p, ok := sealed.Get(Ints(7)); !ok || p != 1 {
-		t.Fatalf("published reduction lost key 7: %v %v", p, ok)
-	}
-}
-
 // TestAllocGuardProjectedRefill: a scratch relation refilled through each of
 // the two projecting merges, with a projector that is no prefix, allocates
 // nothing once its slabs have their size (the first refill grows them, the

@@ -8,7 +8,7 @@ import "sync/atomic"
 // next epoch and allocates only when there is none. Eight slots: in steady
 // state one header is out per reader plus the current one, and what does not
 // fit goes to the collector — as does a header whose lease is forgotten, which
-// is never Put. The zero Recycler is ready; a nil one is empty, counts nothing.
+// is never Put. The zero Recycler is ready.
 type Recycler[T any] struct {
 	slots [8]atomic.Pointer[T]
 	stats Recycled // the publisher's goroutine only
@@ -34,9 +34,6 @@ func (r *Recycler[T]) Put(x *T) {
 // Take returns a header to build in, its fields as Put left them, or nil: the
 // caller allocates.
 func (r *Recycler[T]) Take() *T {
-	if r == nil {
-		return nil
-	}
 	for i := range r.slots {
 		if x := r.slots[i].Swap(nil); x != nil {
 			r.stats.Reused++

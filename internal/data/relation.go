@@ -120,7 +120,7 @@ func keyString(key []byte) string { return unsafe.String(unsafe.SliceData(key), 
 // Who may retain what: nobody retains an *Entry, or a key, a tuple or a
 // payload read through one, past the owner's reclaim point (work
 // items, index buckets and iterators all die with the batch); what must live
-// longer is copied (Clone, MergeAll, ReduceSealed do) or read through
+// longer is copied (Clone and MergeAll do) or read through
 // a snapshot, which holds it until its last Release. An *Entry held across a
 // merge into its own relation sees the old version once the merge replaced it
 // (no work item does this: a delta plan merges into a view only after the step

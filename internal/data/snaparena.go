@@ -101,20 +101,17 @@ func (r *Relation[P]) arenaStats() ArenaStats {
 }
 
 // chunk returns an empty chunk array that snapshot seq is the first to read:
-// a free one or, none there or no arena (ReduceSealed), a new one.
+// a free one or, none there, a new one.
 func (a *snapArena[P]) chunk(seq uint64) *snapChunk[P] {
 	var c *snapChunk[P]
-	if a != nil {
-		if n := len(a.free); n > 0 {
-			c = a.free[n-1]
-			a.free[n-1] = nil
-			a.free = a.free[:n-1]
-		}
-		a.live++
-	}
-	if c == nil {
+	if n := len(a.free); n > 0 {
+		c = a.free[n-1]
+		a.free[n-1] = nil
+		a.free = a.free[:n-1]
+	} else {
 		c = new(snapChunk[P])
 	}
+	a.live++
 	c.born, c.n = seq, 0
 	return c
 }
@@ -337,10 +334,9 @@ func (a *snapArena[P]) publish(s *RelationSnapshot[P], seq uint64) {
 // Retain adds a reference to the snapshot, for handing it to an additional
 // independent owner; each owner must balance its reference with Release. The
 // caller must hold a reference itself: a count found at zero is a snapshot
-// already given back, and panics. Snapshots not backed by the publish arena
-// (ReduceSealed) need no lifetime management and ignore both calls.
+// already given back, and panics.
 func (s *RelationSnapshot[P]) Retain() {
-	if s != nil && s.set != nil && s.refs.Add(1) == 1 {
+	if s != nil && s.refs.Add(1) == 1 {
 		panic("data: Retain on a RelationSnapshot whose last reference was released")
 	}
 }
@@ -354,7 +350,7 @@ func (s *RelationSnapshot[P]) Retain() {
 // by the GC backstop once unreachable, never recycled. Safe from any
 // goroutine; releasing more times than retained corrupts the count.
 func (s *RelationSnapshot[P]) Release() {
-	if s == nil || s.set == nil {
+	if s == nil {
 		return
 	}
 	if s.refs.Add(-1) != 0 {

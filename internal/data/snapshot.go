@@ -63,8 +63,7 @@ type RelationSnapshot[P any] struct {
 	// refs counts the snapshot's owners (the publishing relation plus one
 	// per handle returned by Snapshot); set is the publish generation's pin
 	// set and bit the snapshot's bit of set.live, which the last Release
-	// clears. All nil/unused for snapshots not backed by the arena
-	// (ReduceSealed).
+	// clears.
 	refs atomic.Int32
 	bit  uint32
 	set  *pinSet[P]
@@ -233,8 +232,7 @@ func (r *Relation[P]) buildSnapshot(prev *RelationSnapshot[P]) *RelationSnapshot
 }
 
 // newSnapshot is where every snapshot header comes from: one a last Release
-// gave back to the relation's arena or, none there or no arena
-// (ReduceSealed), a new one.
+// gave back to the relation's arena or, none there, a new one.
 func newSnapshot[P any](from *Recycler[RelationSnapshot[P]], schema Schema, rg ring.Ring[P], n int) *RelationSnapshot[P] {
 	s := from.Take()
 	if s == nil {

@@ -90,8 +90,7 @@ func (v Value) String() string {
 }
 
 // Hash returns a 64-bit FNV-1a hash of the value, stable across processes.
-// Shard routing uses it, so partition assignment is deterministic for a
-// given shard count.
+// The statistics sketch buckets values by it.
 func (v Value) Hash() uint64 {
 	const (
 		offset64 = 14695981039346656037

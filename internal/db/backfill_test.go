@@ -20,7 +20,7 @@ var backfillViews = []struct {
 	{"sums", "SELECT A, SUM(B * D) FROM R NATURAL JOIN S NATURAL JOIN T GROUP BY A", ViewOptions{}},
 	{"sumsComposed", "SELECT A, SUM(B * D) FROM R NATURAL JOIN S NATURAL JOIN T GROUP BY A", ViewOptions{ComposeChains: true}},
 	{"sumsCost", "SELECT A, SUM(B * D) FROM R NATURAL JOIN S NATURAL JOIN T GROUP BY A", ViewOptions{CostMaterialize: true}},
-	{"sumsSharded", "SELECT A, SUM(B * D) FROM R NATURAL JOIN S NATURAL JOIN T GROUP BY A", ViewOptions{Workers: 4}},
+	{"sumsSharded", "SELECT A, SUM(B * D) FROM R NATURAL JOIN S NATURAL JOIN T GROUP BY A", ViewOptions{}},
 	{"byC", "SELECT C, COUNT(*) FROM S NATURAL JOIN T GROUP BY C", ViewOptions{}},
 	{"total", "SELECT SUM(B) FROM R NATURAL JOIN S", ViewOptions{}},
 }

@@ -9,11 +9,10 @@
 // (data.BaseStore) and fans the coalesced per-relation deltas out to every
 // registered view through the store's observe hooks. Views are registered
 // with CreateView — each with its own payload ring, lifting, variable order
-// (auto-chosen by the cost-based optimizer when omitted) and maintenance
-// strategy (a sharded parallel engine when Workers > 1) — and may be created
-// or dropped mid-stream: a late CreateView backfills from the current base
-// relations, so its state is exactly as if it had been registered from the
-// start.
+// (auto-chosen by the cost-based optimizer when omitted) and F-IVM engine —
+// and may be created or dropped mid-stream: a late CreateView backfills from
+// the current base relations, so its state is exactly as if it had been
+// registered from the start.
 //
 // After every applied batch the DB publishes one cross-view Epoch: an
 // immutable set of per-view snapshots all reflecting the same prefix of the
@@ -153,7 +152,6 @@ type registeredView interface {
 	latestSnapshot() viewLease // a retained *ivm.ViewSnapshot[P]
 	stats() ViewStats          // everything but MemoryBytes
 	memoryBytes() int
-	closeView()
 }
 
 // Open creates a DB over the cataloged base relations (registered in sorted
@@ -465,7 +463,6 @@ func (d *DB) DropView(name string) error {
 		delete(d.sqlViews, name)
 	}
 	d.store.Detach(name)
-	v.closeView()
 	d.mu.Lock()
 	delete(d.views, name)
 	for i, n := range d.order {

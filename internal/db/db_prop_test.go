@@ -1,7 +1,6 @@
 package db
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -13,12 +12,12 @@ import (
 
 // The DB property: a DB with K registered views over one shared update
 // stream must be byte-identical, per view and per epoch, to K independently
-// built engines fed the same batches. Exercised for {sequential engine,
-// parallel-8} × views over the {Int, Cofactor} (and Float) rings, with
-// inserts and deletes; run under -race in CI.
+// built engines fed the same batches. Exercised for views over the {Int,
+// Cofactor} (and Float) rings, with inserts and deletes; run under -race in
+// CI.
 
-// oracle pairs an independent maintainer — an engine, a Parallel, or the
-// re-evaluation fixture — with the delta builder replicating the DB's
+// oracle pairs an independent maintainer — an engine or the re-evaluation
+// fixture — with the delta builder replicating the DB's
 // multiplicity lifting for its ring.
 type oracle[P any] struct {
 	m interface {
@@ -111,71 +110,53 @@ func randomUpdates(rng *rand.Rand, live map[string][]data.Tuple) []Update {
 }
 
 func TestDBMatchesIndependentEngines(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			d, err := Open(testCatalog(), Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer d.Close()
+	d, err := Open(testCatalog(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
 
-			vopts := ViewOptions{Workers: workers}
+	// Three views of different rings and group-bys over one stream.
+	qCnt, qCof, qSum := testQuery("cnt", "A"), testQuery("cof"), testQuery("sum", "C")
+	if _, err := CreateView[int64](d, "cnt", qCnt, ring.Int{}, countLift, ViewOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CreateView[ring.Triple](d, "cof", qCof, ring.Cofactor{}, propCofLift, ViewOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CreateView[float64](d, "sum", qSum, ring.Float{}, propSumLift, ViewOptions{}); err != nil {
+		t.Fatal(err)
+	}
 
-			// Three views of different rings and group-bys over one stream.
-			qCnt, qCof, qSum := testQuery("cnt", "A"), testQuery("cof"), testQuery("sum", "C")
-			if _, err := CreateView[int64](d, "cnt", qCnt, ring.Int{}, countLift, vopts); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := CreateView[ring.Triple](d, "cof", qCof, ring.Cofactor{}, propCofLift, vopts); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := CreateView[float64](d, "sum", qSum, ring.Float{}, propSumLift, vopts); err != nil {
-				t.Fatal(err)
-			}
+	// Independent engines with identical configurations.
+	oCnt := newOracle[int64](t, qCnt, ring.Int{}, countLift)
+	oCof := newOracle[ring.Triple](t, qCof, ring.Cofactor{}, propCofLift)
+	oSum := newOracle[float64](t, qSum, ring.Float{}, propSumLift)
 
-			// Independent engines with identical configurations.
-			oCnt := newOracle[int64](t, qCnt, ring.Int{}, countLift, workers)
-			defer closeMaintainer(oCnt.m)
-			oCof := newOracle[ring.Triple](t, qCof, ring.Cofactor{}, propCofLift, workers)
-			defer closeMaintainer(oCof.m)
-			oSum := newOracle[float64](t, qSum, ring.Float{}, propSumLift, workers)
-			defer closeMaintainer(oSum.m)
+	rng := rand.New(rand.NewSource(7919))
+	live := map[string][]data.Tuple{}
+	for step := 0; step < 40; step++ {
+		ups := randomUpdates(rng, live)
+		if err := d.Apply(ups); err != nil {
+			t.Fatal(err)
+		}
+		oCnt.apply(t, ups)
+		oCof.apply(t, ups)
+		oSum.apply(t, ups)
 
-			rng := rand.New(rand.NewSource(int64(workers) * 7919))
-			live := map[string][]data.Tuple{}
-			for step := 0; step < 40; step++ {
-				ups := randomUpdates(rng, live)
-				if err := d.Apply(ups); err != nil {
-					t.Fatal(err)
-				}
-				oCnt.apply(t, ups)
-				oCof.apply(t, ups)
-				oSum.apply(t, ups)
-
-				e := d.Epoch()
-				if e.Applied != uint64(step+1) {
-					t.Fatalf("epoch applied = %d at step %d", e.Applied, step)
-				}
-				checkView(t, step, "cnt", SnapshotOf[int64](e, "cnt"), oCnt)
-				checkView(t, step, "cof", SnapshotOf[ring.Triple](e, "cof"), oCof)
-				checkView(t, step, "sum", SnapshotOf[float64](e, "sum"), oSum)
-			}
-		})
+		e := d.Epoch()
+		if e.Applied != uint64(step+1) {
+			t.Fatalf("epoch applied = %d at step %d", e.Applied, step)
+		}
+		checkView(t, step, "cnt", SnapshotOf[int64](e, "cnt"), oCnt)
+		checkView(t, step, "cof", SnapshotOf[ring.Triple](e, "cof"), oCof)
+		checkView(t, step, "sum", SnapshotOf[float64](e, "sum"), oSum)
 	}
 }
 
-func newOracle[P any](t *testing.T, q query.Query, r ring.Ring[P], lift data.LiftFunc[P], workers int) *oracle[P] {
+func newOracle[P any](t *testing.T, q query.Query, r ring.Ring[P], lift data.LiftFunc[P]) *oracle[P] {
 	t.Helper()
-	factory := func() (*ivm.Engine[P], error) {
-		return ivm.New[P](q, nil, r, lift, ivm.Options[P]{Stats: data.NewStats().Clone()})
-	}
-	var m ivm.Maintainer[P]
-	var err error
-	if workers > 1 {
-		m, err = ivm.NewParallel[P](q, r, workers, factory)
-	} else {
-		m, err = factory()
-	}
+	m, err := ivm.New[P](q, nil, r, lift, ivm.Options[P]{Stats: data.NewStats().Clone()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,48 +183,43 @@ func checkView[P any](t *testing.T, step int, name string, snap *ivm.ViewSnapsho
 // TestDBBackfillMidStream: a view created after a stream prefix must be
 // byte-identical, from its first epoch on, to one registered from the start.
 func TestDBBackfillMidStream(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			d, err := Open(testCatalog(), Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer d.Close()
+	d, err := Open(testCatalog(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
 
-			q := testQuery("late", "A")
-			o := newOracle[int64](t, q, ring.Int{}, countLift, workers)
-			defer closeMaintainer(o.m)
+	q := testQuery("late", "A")
+	o := newOracle[int64](t, q, ring.Int{}, countLift)
 
-			rng := rand.New(rand.NewSource(42))
-			live := map[string][]data.Tuple{}
-			var batches [][]Update
-			for i := 0; i < 30; i++ {
-				batches = append(batches, randomUpdates(rng, live))
-			}
+	rng := rand.New(rand.NewSource(42))
+	live := map[string][]data.Tuple{}
+	var batches [][]Update
+	for i := 0; i < 30; i++ {
+		batches = append(batches, randomUpdates(rng, live))
+	}
 
-			// First half: only the oracle maintains the view; the DB just
-			// ingests (no views registered at all).
-			for _, ups := range batches[:15] {
-				if err := d.Apply(ups); err != nil {
-					t.Fatal(err)
-				}
-				o.apply(t, ups)
-			}
+	// First half: only the oracle maintains the view; the DB just
+	// ingests (no views registered at all).
+	for _, ups := range batches[:15] {
+		if err := d.Apply(ups); err != nil {
+			t.Fatal(err)
+		}
+		o.apply(t, ups)
+	}
 
-			// Mid-stream registration backfills from the shared bases.
-			if _, err := CreateView[int64](d, "late", q, ring.Int{}, countLift, ViewOptions{Workers: workers}); err != nil {
-				t.Fatal(err)
-			}
-			checkView(t, 15, "late(backfill)", SnapshotOf[int64](d.Epoch(), "late"), o)
+	// Mid-stream registration backfills from the shared bases.
+	if _, err := CreateView[int64](d, "late", q, ring.Int{}, countLift, ViewOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	checkView(t, 15, "late(backfill)", SnapshotOf[int64](d.Epoch(), "late"), o)
 
-			// Second half: both maintain; identical at every epoch.
-			for i, ups := range batches[15:] {
-				if err := d.Apply(ups); err != nil {
-					t.Fatal(err)
-				}
-				o.apply(t, ups)
-				checkView(t, 15+i, "late", SnapshotOf[int64](d.Epoch(), "late"), o)
-			}
-		})
+	// Second half: both maintain; identical at every epoch.
+	for i, ups := range batches[15:] {
+		if err := d.Apply(ups); err != nil {
+			t.Fatal(err)
+		}
+		o.apply(t, ups)
+		checkView(t, 15+i, "late", SnapshotOf[int64](d.Epoch(), "late"), o)
 	}
 }

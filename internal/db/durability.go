@@ -192,7 +192,6 @@ func (d *DB) recoverView(def wal.ViewDef) error {
 // (Order, Updatable) a SQL-created view leaves at its default.
 func viewOptionsOf(def wal.ViewDef) ViewOptions {
 	return ViewOptions{
-		Workers:         def.Workers,
 		ComposeChains:   def.ComposeChains,
 		CostMaterialize: def.CostMaterialize,
 	}
@@ -202,7 +201,6 @@ func viewDefOf(name, sql string, opts ViewOptions) wal.ViewDef {
 	return wal.ViewDef{
 		Name:            name,
 		SQL:             sql,
-		Workers:         opts.Workers,
 		ComposeChains:   opts.ComposeChains,
 		CostMaterialize: opts.CostMaterialize,
 	}

@@ -111,7 +111,8 @@ func TestDurableRestartRoundTrip(t *testing.T) {
 }
 
 // A create-view record as earlier versions wrote it for ComposeChains,
-// CostMaterialize and AutoReoptimize has flags 0b111. It still recovers, to
+// CostMaterialize and AutoReoptimize has flags 0b111, and one of a view
+// they sharded over four workers a workers field of 4. It still recovers, to
 // the contents of the view the first two options create today.
 func TestRecoverCreateViewFlagsOfEarlierVersions(t *testing.T) {
 	fs := wal.NewMemFS()
@@ -128,8 +129,9 @@ func TestRecoverCreateViewFlagsOfEarlierVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The create-view record is the segment's first frame (length, CRC, body)
-	// and its flags byte the body's last: set bit 2 and re-seal the CRC.
+	// The create-view record is the segment's first frame (length, CRC, body),
+	// its flags byte the body's last and its workers uvarint the one before:
+	// set bit 2, set workers to 4 and re-seal the CRC.
 	const seg = "wal/wal-00000001.seg"
 	b, err := fs.ReadFile(seg)
 	if err != nil {
@@ -141,10 +143,10 @@ func TestRecoverCreateViewFlagsOfEarlierVersions(t *testing.T) {
 		start++
 	}
 	body := b[start+8 : end]
-	if body[len(body)-1] != 0b011 {
-		t.Fatalf("create-view flags %03b, want 011", body[len(body)-1])
+	if body[len(body)-2] != 0 || body[len(body)-1] != 0b011 {
+		t.Fatalf("create-view workers %d, flags %03b, want 0, 011", body[len(body)-2], body[len(body)-1])
 	}
-	body[len(body)-1] = 0b111
+	body[len(body)-2], body[len(body)-1] = 4, 0b111
 	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
 	if bounds := wal.RecordBoundaries(b); len(bounds) != 1+len(durBatches()) || int(bounds[0]) != end {
 		t.Fatalf("patched segment frames at %v", bounds)

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -53,6 +54,9 @@ func TestDBEpochCrossViewConsistency(t *testing.T) {
 					errs <- "twin views diverged within one epoch: " + ga + " vs " + gb
 					return
 				}
+				// The epoch is never released: it is readable while reachable,
+				// and the copied entries read its rows up to here.
+				runtime.KeepAlive(e)
 			}
 		}()
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"fivm/internal/data"
-	"fivm/internal/ivm"
 	"fivm/internal/query"
 	"fivm/internal/ring"
 	"fivm/internal/vorder"
@@ -329,7 +328,7 @@ func TestBackfillOwnsItsKeys(t *testing.T) {
 		t.Fatalf("the pinned backfill reads %s after the store reused its rows, want %s", got, want)
 	}
 	e.Release()
-	checkOwnKeys(t, "backfilled view", v.Maintainer().(*ivm.Engine[float64]).Result())
+	checkOwnKeys(t, "backfilled view", v.Maintainer().Result())
 	checkOwnKeys(t, "base S", d.Base("S"))
 	if st := d.store.Stats("S"); st.Tuples != len(other) || st.Reclaimed != uint64(len(rows)) {
 		t.Fatalf("base S after the swap: %+v", st)

@@ -15,15 +15,13 @@ import (
 
 // ViewOptions configures one registered view.
 type ViewOptions struct {
-	// Order supplies a fresh variable order per maintainer instance (orders
-	// hold per-query state; with Workers > 1 every shard needs its own).
-	// Nil lets the cost-based optimizer choose, seeded from the DB's shared
-	// statistics at creation time.
+	// Order supplies a fresh variable order for the view's engine (orders
+	// hold per-query state). Nil lets the cost-based optimizer choose,
+	// seeded from the DB's shared statistics at creation time.
 	Order func() *vorder.Order
-	// Workers > 1 maintains the view with the sharded parallel engine over
-	// that many shards — as asked, not clamped to the host's cores: a batch
-	// runs at most GOMAXPROCS of them at a time. Otherwise the view's
-	// maintainer is the bare engine.
+	// Workers has no effect: a view is maintained by one engine. It stays
+	// only because the benchmark module sets it, and ROADMAP ground rule (c)
+	// pins what the benchmark calls; ROADMAP item 1 deletes it.
 	Workers int
 	// Updatable restricts which base relations this view expects deltas
 	// from (ivm.Options.Updatable); empty means all of the query's.
@@ -34,7 +32,7 @@ type ViewOptions struct {
 	CostMaterialize bool
 }
 
-// View is the typed handle of one registered view: its maintainer plus the
+// View is the typed handle of one registered view: its engine plus the
 // conversion machinery that turns shared base deltas into ring payloads.
 // Reads go through Snapshot/Reader (any goroutine); everything else is
 // maintenance-goroutine only.
@@ -43,7 +41,7 @@ type View[P any] struct {
 	name string
 	q    query.Query
 	ring ring.Ring[P]
-	m    ivm.Maintainer[P]
+	m    *ivm.Engine[P]
 
 	ringKey any      // conversion-sharing identity: the ring value, or a per-view sentinel
 	updRels []string // relations observed for deltas (Updatable or all)
@@ -112,31 +110,22 @@ func CreateView[P any](d *DB, name string, q query.Query, r ring.Ring[P], lift d
 		}
 	}
 
-	newEngine := func() (*ivm.Engine[P], error) {
-		var o *vorder.Order
-		if opts.Order != nil {
-			o = opts.Order()
-		}
-		eopts := ivm.Options[P]{
-			Updatable:       opts.Updatable,
-			ComposeChains:   opts.ComposeChains,
-			CostMaterialize: opts.CostMaterialize,
-		}
-		if d.stats != nil {
-			// Seed self-planning and the cost policies from the DB's shared
-			// collector, which only ingest writes: every maintainer instance
-			// plans from its own clone, frozen at creation time.
-			eopts.Stats = d.stats.Clone()
-		}
-		return ivm.New[P](q, o, r, lift, eopts)
+	var o *vorder.Order
+	if opts.Order != nil {
+		o = opts.Order()
 	}
-	var m ivm.Maintainer[P]
-	var err error
-	if opts.Workers > 1 {
-		m, err = ivm.NewParallel[P](q, r, opts.Workers, newEngine)
-	} else {
-		m, err = newEngine()
+	eopts := ivm.Options[P]{
+		Updatable:       opts.Updatable,
+		ComposeChains:   opts.ComposeChains,
+		CostMaterialize: opts.CostMaterialize,
 	}
+	if d.stats != nil {
+		// Seed self-planning and the cost policies from the DB's shared
+		// collector, which only ingest writes: the engine plans from its own
+		// clone, frozen at creation time.
+		eopts.Stats = d.stats.Clone()
+	}
+	m, err := ivm.New[P](q, o, r, lift, eopts)
 	if err != nil {
 		return nil, err
 	}
@@ -163,13 +152,11 @@ func CreateView[P any](d *DB, name string, q query.Query, r ring.Ring[P], lift d
 	for _, rel := range q.RelNames() {
 		if base := d.store.Base(rel); base != nil && base.Len() > 0 {
 			if err := m.LoadCounts(rel, base); err != nil {
-				closeMaintainer(m)
 				return nil, err
 			}
 		}
 	}
 	if err := m.Init(); err != nil {
-		closeMaintainer(m)
 		return nil, err
 	}
 	// Enable snapshot publication: every applied batch now publishes an
@@ -178,12 +165,6 @@ func CreateView[P any](d *DB, name string, q query.Query, r ring.Ring[P], lift d
 
 	d.registerView(v)
 	return v, nil
-}
-
-func closeMaintainer(m any) {
-	if c, ok := m.(interface{ Close() error }); ok {
-		c.Close()
-	}
 }
 
 // --- the ring-erased side the DB drives -------------------------------------
@@ -198,11 +179,9 @@ func (v *View[P]) stats() ViewStats {
 	return st
 }
 
-func (v *View[P]) closeView() { closeMaintainer(v.m) }
-
 // observe is the view's base-store hook: lift the batch's raw updates into
 // this ring — once per distinct ring across all of the DB's views, via the
-// shared conversion cache — and drive the maintainer once.
+// shared conversion cache — and drive the engine once.
 func (v *View[P]) observe(batch []data.BaseUpdate) error {
 	start := time.Now()
 	v.scratch = v.scratch[:0]
@@ -306,9 +285,9 @@ func (v *View[P]) convert(rel string, batch []data.BaseUpdate) *data.Relation[P]
 // Query returns the view's defining query.
 func (v *View[P]) Query() query.Query { return v.q }
 
-// Maintainer exposes the underlying maintenance strategy (for Explain-style
-// introspection). Maintenance-goroutine only.
-func (v *View[P]) Maintainer() ivm.Maintainer[P] { return v.m }
+// Maintainer exposes the view's engine (for Explain-style introspection).
+// Maintenance-goroutine only.
+func (v *View[P]) Maintainer() *ivm.Engine[P] { return v.m }
 
 // Snapshot returns a lease on the view's latest published snapshot (safe
 // from any goroutine; Release it when done). For a set of views consistent

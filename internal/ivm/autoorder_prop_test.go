@@ -160,83 +160,6 @@ func TestAutoOrderMatchesHandpicked(t *testing.T) {
 	}
 }
 
-// runParallelAutoEquivalence drives an 8-worker sharded wrapper whose
-// shards all self-plan (Order nil) against a sequential handpicked engine:
-// the reduced result must match byte for byte.
-func runParallelAutoEquivalence[P any](t *testing.T, r ring.Ring[P], lift data.LiftFunc[P],
-	mkDelta func(rng *rand.Rand, schema data.Schema) *data.Relation[P]) {
-	t.Helper()
-	q := paperQuery("A")
-	rng := rand.New(rand.NewSource(4242))
-	par, err := NewParallel[P](q, r, 8,
-		func() (*Engine[P], error) { return New[P](q, nil, r, lift, Options[P]{}) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer par.Close()
-	seq, err := New[P](q, paperOrder(), r, lift, Options[P]{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rd := range q.Rels {
-		base := mkDelta(rng, rd.Schema)
-		if err := par.Load(rd.Name, base.Clone()); err != nil {
-			t.Fatal(err)
-		}
-		if err := seq.Load(rd.Name, base.Clone()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := par.Init(); err != nil {
-		t.Fatal(err)
-	}
-	if err := seq.Init(); err != nil {
-		t.Fatal(err)
-	}
-	rels := q.RelNames()
-	for step := 0; step < 10; step++ {
-		batch := make([]NamedDelta[P], 0, 4)
-		for i, n := 0, 1+rng.Intn(4); i < n; i++ {
-			rel := rels[rng.Intn(len(rels))]
-			rd, _ := q.Rel(rel)
-			batch = append(batch, NamedDelta[P]{Rel: rel, Delta: mkDelta(rng, rd.Schema)})
-		}
-		if err := par.ApplyDeltas(batch); err != nil {
-			t.Fatal(err)
-		}
-		if err := seq.ApplyDeltas(batch); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := par.Result().String(), seq.Result().String(); got != want {
-			t.Fatalf("step %d: parallel-auto %s vs sequential-handpicked %s", step, got, want)
-		}
-	}
-}
-
-// TestAutoOrderMatchesHandpickedParallel repeats the optimizer-equivalence
-// property under the sharded parallel wrapper at 8 workers for the Z, R,
-// and cofactor rings.
-func TestAutoOrderMatchesHandpickedParallel(t *testing.T) {
-	q := paperQuery("A")
-	vars := q.Vars()
-	idx := make(map[string]int, len(vars))
-	for i, v := range vars {
-		idx[v] = i
-	}
-	t.Run("int", func(t *testing.T) {
-		runParallelAutoEquivalence[int64](t, ring.Int{}, valueLift, intDeltaGen)
-	})
-	t.Run("float", func(t *testing.T) {
-		runParallelAutoEquivalence[float64](t, ring.Float{},
-			func(v string, x data.Value) float64 { return x.AsFloat() + 1 }, floatDeltaGen)
-	})
-	t.Run("cofactor", func(t *testing.T) {
-		runParallelAutoEquivalence[ring.Triple](t, ring.Cofactor{},
-			func(v string, x data.Value) ring.Triple { return ring.LiftValue(idx[v], x.AsFloat()) },
-			tripleDeltaGen)
-	})
-}
-
 // statsBits renders every figure a collector gives the optimizer —
 // cardinality, delta count and each column's distinct estimate, the latter
 // bit for bit — per relation of rels, and the delta count over all relations.

@@ -84,9 +84,9 @@ func coalesceBatch[P any](batch []NamedDelta[P]) []NamedDelta[P] {
 // driver is the strategy-independent half of maintenance, written once and
 // embedded by every strategy: a single delta is a batch of one, a batch is
 // coalesced per relation, checked as a whole, applied delta by delta, then
-// closed. What differs between F-IVM, 1-IVM, DBT, re-evaluation and the
-// sharded Parallel is the update rule, which the strategy supplies at
-// construction. Only Engine and Parallel publish epochs, through publishing.
+// closed. What differs between F-IVM, 1-IVM, DBT and re-evaluation is the
+// update rule, which the strategy supplies at construction. Only Engine
+// publishes epochs, through its publisher.
 type driver[P any] struct {
 	// check is the admission rule: whether rel names a relation the strategy
 	// takes deltas for, in a state that takes them, and delta covers its
@@ -97,8 +97,7 @@ type driver[P any] struct {
 	// state.
 	apply func(rel string, delta *data.Relation[P]) error
 	// end, when set, closes every applied batch: a re-evaluating strategy
-	// recomputes its results, Parallel runs the shards on what apply routed
-	// and publishes, the engine publishes and reclaims.
+	// recomputes its results, the engine publishes and reclaims.
 	end func() error
 }
 

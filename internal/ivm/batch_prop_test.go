@@ -192,16 +192,15 @@ func TestCoalesceBatchCopyOnWrite(t *testing.T) {
 }
 
 // contractStrategies is every way this package builds a maintainer — the
-// seven constructors, plus Parallel over the engine at three shards and at
-// one — at float payloads (the per-aggregate strategies have no other).
+// seven constructors — at float payloads (the per-aggregate strategies have
+// no other).
 func contractStrategies(q query.Query) map[string]func() (strategy[float64], error) {
 	one := func(string, data.Value) float64 { return 1 }
 	specs := CofactorAggSpecs(data.NewSchema("B"))
-	engine := func() (*Engine[float64], error) {
-		return New[float64](q, paperOrder(), ring.Float{}, one, Options[float64]{})
-	}
 	return map[string]func() (strategy[float64], error){
-		"F-IVM": func() (strategy[float64], error) { return engine() },
+		"F-IVM": func() (strategy[float64], error) {
+			return New[float64](q, paperOrder(), ring.Float{}, one, Options[float64]{})
+		},
 		"DBT": func() (strategy[float64], error) {
 			return NewRecursive[float64](q, ring.Float{}, one, nil)
 		},
@@ -220,12 +219,6 @@ func contractStrategies(q query.Query) map[string]func() (strategy[float64], err
 		"MULTI-DBT": func() (strategy[float64], error) {
 			return NewMultiRecursive(q, ring.Float{}, specs, nil)
 		},
-		"PARALLEL": func() (strategy[float64], error) {
-			return NewParallel[float64](q, ring.Float{}, 3, engine)
-		},
-		"PARALLEL/1": func() (strategy[float64], error) {
-			return NewParallel[float64](q, ring.Float{}, 1, engine)
-		},
 	}
 }
 
@@ -242,7 +235,7 @@ func renderEntries[P any](es []data.Entry[P]) string {
 // TestMaintainerContract is the strategy-independent half of maintenance,
 // one table over every strategy: what is rejected (and leaves the state
 // alone) and what an empty batch is; and, for the maintainers that publish
-// (Engine and Parallel, the Maintainer contract), what Snapshot shows when.
+// (Engine, the Maintainer contract), what Snapshot shows when.
 func TestMaintainerContract(t *testing.T) {
 	q := paperQuery("A")
 	rng := rand.New(rand.NewSource(11))
@@ -375,19 +368,15 @@ func TestMaintainerContract(t *testing.T) {
 			}
 		}},
 	}
-	publishes := map[string]bool{"F-IVM": true, "PARALLEL": true, "PARALLEL/1": true}
 	for name, mk := range contractStrategies(q) {
 		for _, row := range rows {
-			if row.epochs && !publishes[name] {
+			if row.epochs && name != "F-IVM" {
 				continue
 			}
 			t.Run(name+"/"+row.name, func(t *testing.T) {
 				m, err := mk()
 				if err != nil {
 					t.Fatal(err)
-				}
-				if c, ok := m.(interface{ Close() error }); ok {
-					defer c.Close() // Parallel's workers
 				}
 				for rel, r := range loaded {
 					if err := m.Load(rel, r.Clone()); err != nil {

@@ -1,11 +1,10 @@
 // Package ivm implements incremental view maintenance over view trees: the
-// paper's F-IVM engine (factorized higher-order IVM) and Parallel, which
-// shards engines, plus the competitors the engine is evaluated against —
-// first-order IVM (1-IVM), fully recursive higher-order IVM
-// (DBToaster-style), and full re-evaluation.
+// paper's F-IVM engine (factorized higher-order IVM), plus the competitors
+// the engine is evaluated against — first-order IVM (1-IVM), fully recursive
+// higher-order IVM (DBToaster-style), and full re-evaluation.
 //
-// Only Engine and Parallel publish epochs and implement Maintainer, the
-// contract a database view drives. The competitors are figure fixtures and
+// Only Engine publishes epochs and implements Maintainer, the contract a
+// database view drives. The competitors are figure fixtures and
 // test oracles: they load, initialize, apply deltas through the same batch
 // driver, and report their result, views and memory, and nothing else.
 package ivm
@@ -20,8 +19,9 @@ import (
 	"fivm/internal/vorder"
 )
 
-// Maintainer is what a database view drives: an Engine, or a Parallel of
-// engines.
+// Maintainer is the surface of a maintainer that publishes epochs, which a
+// database view drives: the Engine. The tests tell it by this interface from
+// the competitors, which publish nothing.
 type Maintainer[P any] interface {
 	// LoadCounts installs the initial rows of a relation with their integer
 	// multiplicities; must precede Init.
@@ -94,7 +94,8 @@ type Options[P any] struct {
 // views materialized according to µ(τ, U) and deltas propagated along
 // leaf-to-root paths with factorized (aggregate-pushing) computation.
 type Engine[P any] struct {
-	publishing[P] // ApplyDelta, ApplyDeltas, Snapshot over check, applyDelta, publishThenReclaim and epoch
+	driver[P] // ApplyDelta, ApplyDeltas over check, applyDelta and publishThenReclaim
+	pub       publisher[P]
 
 	q    query.Query
 	ring ring.Ring[P]
@@ -147,7 +148,7 @@ func New[P any](q query.Query, o *vorder.Order, r ring.Ring[P], lift data.LiftFu
 		bases:     make(map[string]*data.Relation[P]),
 		counts:    make(map[string]*data.Relation[int64]),
 	}
-	e.publishing = publishing[P]{driver: driver[P]{check: e.check, apply: e.applyDelta, end: e.publishThenReclaim}, epoch: e.epoch}
+	e.driver = driver[P]{check: e.check, apply: e.applyDelta, end: e.publishThenReclaim}
 	upd := opts.Updatable
 	if len(upd) == 0 {
 		upd = q.RelNames()

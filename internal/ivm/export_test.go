@@ -9,8 +9,8 @@ import (
 )
 
 // strategy is what every maintainer of this package offers a test: the
-// competitors' fixture surface, which Engine and Parallel share (the
-// Result methods below are test-only).
+// competitors' fixture surface, which Engine shares (the Result methods
+// below are test-only).
 type strategy[P any] interface {
 	Load(rel string, r *data.Relation[P]) error
 	Init() error
@@ -19,21 +19,6 @@ type strategy[P any] interface {
 	Result() *data.Relation[P]
 	ViewCount() int
 	MemoryBytes() int
-}
-
-// Result merges a Parallel's shard results key-wise into a fresh relation:
-// the disjoint union of shard outputs when the shard variable is free, the
-// payload sum when it is aggregated away. It reads every shard's live
-// result, so it must not race ApplyDeltas; readers go through Snapshot,
-// which publishes the same reduction sealed.
-func (p *Parallel[P]) Result() *data.Relation[P] {
-	first := p.shards[0].Result()
-	out := data.NewRelation(p.ring, first.Schema())
-	out.Reserve(first.Len())
-	for _, m := range p.shards {
-		out.MergeAll(m.Result())
-	}
-	return out
 }
 
 // Result returns the root view, which every batch updates in place.
@@ -63,7 +48,7 @@ func (e *Engine[P]) CheckConsistency(bases map[string]*data.Relation[P], eq func
 }
 
 // checkViewTuples asserts, for every entry of every materialized view of an
-// engine (of every shard, for a Parallel) and of every base-relation copy the
+// engine and of every base-relation copy the
 // other strategies keep, that the tuple still encodes to the entry's key —
 // what a view that adopted a scratch relation's own tuple without copying it
 // breaks first, one Clear later, and what a relation that stored another's
@@ -84,10 +69,6 @@ func checkViewTuples[P any](t testing.TB, what string, m strategy[P]) {
 		}
 	}
 	switch m := m.(type) {
-	case *Parallel[P]:
-		for _, s := range m.shards {
-			checkViewTuples(t, what, s)
-		}
 	case *Engine[P]:
 		for node, v := range m.views {
 			check("view "+node.Name(), v.Relation)

@@ -15,14 +15,13 @@ import (
 
 // initCase is one configuration of the Init differential.
 type initCase[P any] struct {
-	name    string
-	q       query.Query
-	order   func() *vorder.Order
-	r       ring.Ring[P]
-	lift    data.LiftFunc[P]
-	opts    Options[P]
-	workers int // > 1: a Parallel of that many engines
-	eq      func(a, b P) bool
+	name  string
+	q     query.Query
+	order func() *vorder.Order
+	r     ring.Ring[P]
+	lift  data.LiftFunc[P]
+	opts  Options[P]
+	eq    func(a, b P) bool
 }
 
 // randomCounts builds a base relation as a data.BaseStore keeps it: every
@@ -67,19 +66,10 @@ func runInitDifferential[P any](t *testing.T, c initCase[P], seeds int) {
 				})
 				bases[rel] = b
 			}
-			build := func() strategy[P] {
-				factory := func() (*Engine[P], error) { return New(c.q, c.order(), c.r, c.lift, c.opts) }
-				var m strategy[P]
-				var err error
-				if c.workers > 1 {
-					m, err = NewParallel(c.q, c.r, c.workers, factory)
-				} else {
-					m, err = factory()
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				return m
+			build := func() *Engine[P] {
+				e, err := New(c.q, c.order(), c.r, c.lift, c.opts)
+				must(t, err)
+				return e
 			}
 			updatable := func(rel string) bool {
 				for _, u := range c.opts.Updatable {
@@ -93,31 +83,27 @@ func runInitDifferential[P any](t *testing.T, c initCase[P], seeds int) {
 			var batch []NamedDelta[P]
 			for _, rd := range c.q.Rels {
 				must(t, loaded.Load(rd.Name, bases[rd.Name]))
-				must(t, counted.(Maintainer[P]).LoadCounts(rd.Name, counts[rd.Name]))
+				must(t, counted.LoadCounts(rd.Name, counts[rd.Name]))
 				if updatable(rd.Name) {
 					batch = append(batch, NamedDelta[P]{Rel: rd.Name, Delta: bases[rd.Name]})
 				} else {
 					must(t, fed.Load(rd.Name, bases[rd.Name]))
 				}
 			}
-			for _, m := range []strategy[P]{loaded, counted, fed} {
-				must(t, m.Init())
+			for _, e := range []*Engine[P]{loaded, counted, fed} {
+				must(t, e.Init())
 			}
 			must(t, fed.ApplyDeltas(batch))
-			for name, m := range map[string]strategy[P]{"Load": loaded, "LoadCounts": counted} {
-				if !m.Result().Equal(fed.Result(), c.eq) {
-					t.Fatalf("seed %d: Init after %s reads\n%v\nthe same rows as deltas\n%v", seed, name, m.Result(), fed.Result())
+			for name, e := range map[string]*Engine[P]{"Load": loaded, "LoadCounts": counted} {
+				if !e.Result().Equal(fed.Result(), c.eq) {
+					t.Fatalf("seed %d: Init after %s reads\n%v\nthe same rows as deltas\n%v", seed, name, e.Result(), fed.Result())
 				}
-				if e, ok := m.(*Engine[P]); ok {
-					if err := e.CheckConsistency(bases, c.eq); err != nil {
-						t.Fatalf("seed %d: Init after %s: %v", seed, name, err)
-					}
+				if err := e.CheckConsistency(bases, c.eq); err != nil {
+					t.Fatalf("seed %d: Init after %s: %v", seed, name, err)
 				}
 			}
-			if e, ok := fed.(*Engine[P]); ok {
-				if err := e.CheckConsistency(bases, c.eq); err != nil {
-					t.Fatalf("seed %d: the same rows as deltas: %v", seed, err)
-				}
+			if err := fed.CheckConsistency(bases, c.eq); err != nil {
+				t.Fatalf("seed %d: the same rows as deltas: %v", seed, err)
 			}
 			if c.opts.PayloadTransform == nil {
 				re, err := NewReEval(c.q, c.order(), c.r, c.lift)
@@ -128,11 +114,6 @@ func runInitDifferential[P any](t *testing.T, c initCase[P], seeds int) {
 				must(t, re.Init())
 				if !loaded.Result().Equal(re.Result(), c.eq) {
 					t.Fatalf("seed %d: Init reads\n%v\nNewReEval\n%v", seed, loaded.Result(), re.Result())
-				}
-			}
-			for _, m := range []strategy[P]{loaded, counted, fed} {
-				if p, ok := m.(*Parallel[P]); ok {
-					p.Close()
 				}
 			}
 		}
@@ -160,8 +141,8 @@ func sameDegMap(a, b ring.DegMap) bool {
 
 // TestInitMatchesDeltas runs the Init differential over the Int, Float,
 // cofactor and degree-map rings; with chains composed or not, the cost-based
-// materialization, indicators (the triangle), a payload transform, an
-// updatable subset, and four shards.
+// materialization, indicators (the triangle), a payload transform and an
+// updatable subset.
 func TestInitMatchesDeltas(t *testing.T) {
 	q := paperQuery()
 	chain := query.MustNew("chain", nil,
@@ -184,8 +165,6 @@ func TestInitMatchesDeltas(t *testing.T) {
 		{name: "Int transformed, all stored", q: chain, order: chainOrder, r: ring.Int{}, lift: valueLift,
 			opts: Options[int64]{PayloadTransform: double, MaterializeAll: true}},
 		{name: "Int triangle with indicators", q: triangleQuery(), order: triangleOrder, r: ring.Int{}, lift: countLift, opts: Options[int64]{Indicators: true}},
-		{name: "Int on 4 shards", q: q, order: paperOrder, r: ring.Int{}, lift: valueLift, workers: 4},
-		{name: "Int chain on 4 shards", q: chain, order: chainOrder, r: ring.Int{}, lift: valueLift, workers: 4},
 	} {
 		c.eq = eqInt
 		runInitDifferential(t, c, 12)
@@ -195,8 +174,6 @@ func TestInitMatchesDeltas(t *testing.T) {
 	runInitDifferential(t, initCase[float64]{name: "Float chain composed", q: chain, order: chainOrder, r: ring.Float{}, lift: floatLift,
 		opts: Options[float64]{ComposeChains: true}, eq: func(a, b float64) bool { return a == b }}, 12)
 	runInitDifferential(t, initCase[ring.Triple]{name: "Cofactor", q: q, order: paperOrder, r: ring.Cofactor{}, lift: cofactorLift, eq: sameTriple}, 8)
-	runInitDifferential(t, initCase[ring.Triple]{name: "Cofactor on 4 shards", q: q, order: paperOrder, r: ring.Cofactor{}, lift: cofactorLift,
-		workers: 4, eq: sameTriple}, 4)
 	degLift := func(v string, x data.Value) ring.DegMap { return ring.LiftDegMap(paperVars[v], x.AsFloat()) }
 	runInitDifferential(t, initCase[ring.DegMap]{name: "DegMap", q: q, order: paperOrder, r: ring.DegreeMap{}, lift: degLift, eq: sameDegMap}, 8)
 }

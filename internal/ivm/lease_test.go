@@ -125,6 +125,7 @@ func TestForgottenLeaseFallsBackToCollector(t *testing.T) {
 	if as := e.PoolStats().Arena; as.BackstopReclaims != 0 || as.GenerationsOpen < 2 {
 		t.Fatalf("arena %+v while the lease is held, want its generation open and no backstop reclaim", as)
 	}
+	runtime.KeepAlive(forgotten) // held up to here: the collector may not take it during the check
 	forgotten = nil
 	deadline := time.Now().Add(10 * time.Second)
 	for b := 200; ; b++ {
@@ -198,8 +199,7 @@ func TestReadAfterReleaseIsPoisoned(t *testing.T) {
 // release it — except a random tenth, which they forget — while the writer
 // deletes and re-inserts the very groups those epochs pin. Every read of
 // every held epoch, root and (after Catalog) internal views alike, must equal
-// what the ReEval oracle and the live views held at that epoch's batch — and
-// so must the epoch a three-shard Parallel reduces from the same batches —
+// what the ReEval oracle and the live views held at that epoch's batch —
 // while the rows the released epochs gave up, payload storage included, are
 // written into again. The rows the epochs hold bound the pool: it never holds
 // more than a lease window's removals and replacements, and with every lease
@@ -216,24 +216,12 @@ func TestLeasesUnderChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// par reduces three shard results into a sealed epoch per batch.
-	par, err := NewParallel[ring.Triple](q, cf, 3, func() (*Engine[ring.Triple], error) {
-		return New[ring.Triple](q, paperOrder(), cf, cofactorLift, Options[ring.Triple]{})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer par.Close()
-	maintainers := []strategy[ring.Triple]{e, oracle, par}
+	maintainers := []strategy[ring.Triple]{e, oracle}
 	for _, m := range maintainers {
 		if err := m.Init(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(par.shards) != 3 {
-		t.Fatalf("fixture: the parallel maintainer has %d shards, want 3", len(par.shards))
-	}
-	par.Snapshot().Release()
 	slice := func(rd string, a int) *data.Relation[ring.Triple] {
 		sch, _ := q.Rel(rd)
 		d := data.NewRelation[ring.Triple](cf, sch.Schema)
@@ -348,11 +336,6 @@ func TestLeasesUnderChurn(t *testing.T) {
 		checkViewTuples[ring.Triple](t, "after a batch", e)
 		s := e.Snapshot()
 		w := expect{result: copyDump(dumpResult(oracle.Result(), cf))}
-		ps := par.Snapshot()
-		if !sameDump(dumpSnapshot(ps.Result(), cf), w.result, sameTriple) {
-			t.Errorf("shard reduction of epoch %d differs from the oracle", ps.Epoch)
-		}
-		ps.Release()
 		if len(s.Views()) > 0 {
 			w.views = map[string]map[string]ring.Triple{}
 			for _, name := range s.Views() {

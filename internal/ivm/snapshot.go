@@ -10,8 +10,8 @@ import (
 	"fivm/internal/viewtree"
 )
 
-// ViewSnapshot is one published epoch of an Engine's or a Parallel's state,
-// taken after some whole applied batch, never mid-batch. An epoch carries exactly what a
+// ViewSnapshot is one published epoch of an Engine's state, taken after some
+// whole applied batch, never mid-batch. An epoch carries exactly what a
 // reader can name:
 //
 //   - the query result, always;
@@ -46,7 +46,7 @@ type ViewSnapshot[P any] struct {
 	// staleness).
 	At time.Time
 	// Patched is the publish work this epoch cost: the dirty keys patched
-	// into its relation snapshots (every key, for a Parallel's reduction).
+	// into its relation snapshots.
 	Patched int
 
 	lease      Lease
@@ -133,31 +133,14 @@ func (s *ViewSnapshot[P]) Views() []string { return s.names }
 // enumerates through it.
 func (s *ViewSnapshot[P]) ViewOf(n *viewtree.Node) *data.RelationSnapshot[P] { return s.byNode[n] }
 
-// publishing is the driver of the maintainers that publish epochs, Engine and
-// Parallel: the batch driver plus the publisher, and Snapshot. The figures'
-// competitors embed the bare driver and publish nothing.
-type publishing[P any] struct {
-	driver[P]
-	pub publisher[P]
-	// epoch snapshots the result for publication, into the header it is given.
-	epoch func(*ViewSnapshot[P])
-}
-
-// Snapshot returns a lease (see ViewSnapshot) on the latest published epoch
-// of the result, enabling publication on first use; see publisher for the
-// concurrency contract.
-func (p *publishing[P]) Snapshot() *ViewSnapshot[P] { return p.pub.snapshot(p.epoch) }
-
-// publisher is the epoch machinery an Engine or a Parallel holds through
-// publishing: an atomic pointer to the latest published snapshot. A nil
-// pointer means publication is not enabled; the first Snapshot call enables
-// it.
+// publisher is the epoch machinery an Engine holds: an atomic pointer to the
+// latest published snapshot. A nil pointer means publication is not enabled;
+// the first Snapshot call enables it.
 //
 // The publication contract:
 //
-//   - An epoch carries the result. Nothing else the maintainer stores —
-//     shard-local or internal views — is published; only Engine can add its
-//     view catalogue, on request.
+//   - An epoch carries the result. Nothing else the engine stores is
+//     published unless it is asked for its view catalogue.
 //   - The first Snapshot call must not race ApplyDelta/ApplyDeltas: call it
 //     once from the maintenance goroutine (typically right after Init) to
 //     enable publication.
@@ -227,6 +210,11 @@ func (p *publisher[P]) next(fill func(*ViewSnapshot[P])) {
 }
 
 // --- engine ------------------------------------------------------------------
+
+// Snapshot returns a lease (see ViewSnapshot) on the latest published epoch
+// of the result, enabling publication on first use; see publisher for the
+// concurrency contract.
+func (e *Engine[P]) Snapshot() *ViewSnapshot[P] { return e.pub.snapshot(e.epoch) }
 
 // Catalog returns the latest published snapshot with the catalogue of every
 // materialized view in it. The first call is the request: like the first
@@ -332,21 +320,4 @@ func (e *Engine[P]) ViewByName(name string) *data.Relation[P] {
 		return nil
 	}
 	return e.ViewOf(node)
-}
-
-// --- parallel ----------------------------------------------------------------
-
-// epoch is what a Parallel publishes: the shard results reduced key-wise and
-// sealed.
-func (p *Parallel[P]) epoch(s *ViewSnapshot[P]) {
-	// Reduce straight into a sealed snapshot: one sort over the gathered
-	// shard entries instead of a merge through a fresh hash relation
-	// (payloads are copied, so the live shard results stay free to mutate in
-	// later batches).
-	p.reduceParts = p.reduceParts[:0]
-	for _, m := range p.shards {
-		p.reduceParts = append(p.reduceParts, m.Result())
-	}
-	s.result = data.ReduceSealed(p.ring, p.reduceParts[0].Schema(), p.reduceParts)
-	s.Patched = s.result.Len()
 }

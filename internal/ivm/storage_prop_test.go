@@ -2,7 +2,6 @@ package ivm
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"fivm/internal/data"
@@ -13,7 +12,7 @@ import (
 // must honor: every maintenance strategy (F-IVM, 1-IVM, DBT, RE-EVAL) over
 // every ring stores byte-identical results — same serialized keys, same
 // payloads — no matter how its relations hash, probe, grow, or tombstone
-// internally, including under 8-way sharding and across snapshot epochs.
+// internally, and across snapshot epochs.
 // They double as the regression net for future storage-layer changes: run
 // them under -race before trusting a new backend.
 
@@ -56,9 +55,7 @@ func sameDump[P any](a, b map[string]P, eq func(a, b P) bool) bool {
 }
 
 // storageStrategies builds one maintainer per strategy family, all over the
-// paper query. The parallel entry wraps the factored engine in an 8-shard
-// Parallel regardless of GOMAXPROCS — the scheduling cap must not change
-// results.
+// paper query.
 func storageStrategies[P any](t *testing.T, rg ring.Ring[P], lift data.LiftFunc[P]) (e *Engine[P], names []string, ms []strategy[P]) {
 	t.Helper()
 	q := paperQuery()
@@ -83,10 +80,6 @@ func storageStrategies[P any](t *testing.T, rg ring.Ring[P], lift data.LiftFunc[
 	rec, err := NewRecursive[P](q, rg, lift, nil)
 	add("DBT", rec, err)
 	add("RE-EVAL", NewNaiveReEval[P](q, rg, lift), nil)
-	par, err := NewParallel[P](q, rg, 8, func() (*Engine[P], error) {
-		return New[P](q, paperOrder(), rg, lift, Options[P]{})
-	})
-	add("F-IVM x8", par, err)
 	return e, names, ms
 }
 
@@ -195,16 +188,4 @@ func TestStorageDropInCofactorRing(t *testing.T) {
 	}
 	eqTriple := func(a, b ring.Triple) bool { return cf.IsZero(cf.Add(a, cf.Neg(b))) }
 	driveStorageProperty[ring.Triple](t, cf, lift, toTriple, eqTriple, 62)
-}
-
-// TestParallelDispatchUnderGOMAXPROCSCap pins the scheduling/layout split:
-// an 8-shard parallel engine constructed while GOMAXPROCS is capped at 2
-// keeps all 8 shards (data layout is config, not hardware) but gates
-// in-flight shard work to the cap at Apply time — and produces the same
-// bytes as every sequential strategy.
-func TestParallelDispatchUnderGOMAXPROCSCap(t *testing.T) {
-	old := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(old)
-	ident := func(d *data.Relation[int64]) *data.Relation[int64] { return d }
-	driveStorageProperty[int64](t, ring.Int{}, valueLift, ident, eqInt, 63)
 }

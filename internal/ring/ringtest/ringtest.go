@@ -16,19 +16,15 @@
 // copy, not an addition. That is a suspect, not verified.
 package ringtest
 
-import (
-	"sync/atomic"
+import "fivm/internal/ring"
 
-	"fivm/internal/ring"
-)
-
-// Counter counts the work done through a counted ring. Its counts are
-// atomic, so the shards of a parallel maintainer may share one.
-type Counter struct{ add, mul, floats atomic.Int64 }
+// Counter counts the work done through a counted ring, driven by one
+// goroutine.
+type Counter struct{ add, mul, floats int64 }
 
 // Load reads the counter.
 func (c *Counter) Load() Counts {
-	return Counts{Add: c.add.Load(), Mul: c.mul.Load(), Floats: c.floats.Load()}
+	return Counts{Add: c.add, Mul: c.mul, Floats: c.floats}
 }
 
 // Counts is a reading of a Counter. Add counts Add and AddInto calls, Mul
@@ -105,8 +101,8 @@ func (c Counted[P]) CopyInto(dst *P, src P) { c.inner.CopyInto(dst, src) }
 func (c Counted[P]) IsOne(a *P) bool { return c.inner.IsOne(a) }
 
 // count adds one to the operation's count and the result's floats to floats.
-func (c Counted[P]) count(op *atomic.Int64, result *P) {
-	op.Add(1)
+func (c Counted[P]) count(op *int64, result *P) {
+	*op++
 	n := 1
 	switch v := any(result).(type) {
 	case *ring.Triple:
@@ -114,5 +110,5 @@ func (c Counted[P]) count(op *atomic.Int64, result *P) {
 	case *ring.DegMap:
 		n = len(*v)
 	}
-	c.c.floats.Add(int64(n))
+	c.c.floats += int64(n)
 }

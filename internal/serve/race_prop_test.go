@@ -19,12 +19,11 @@ import (
 // must each observe, at every refresh, a state byte-identical to the
 // sequential oracle after some whole batch prefix — identified exactly by
 // the snapshot epoch — and epochs must never regress within one reader.
-// Exercised for the F-IVM engine and the 8-worker Parallel of engines over
-// the Z and cofactor rings. Run under -race in CI.
+// Exercised for the F-IVM engine over the Z and cofactor rings. Run under
+// -race in CI.
 
-// propQuery is R(A,B) ⋈ S(A,C) ⋈ T(C,D) with free [A]: a join with both a
-// shardable variable (A covers R and S; T is broadcast) and a non-trivial
-// group-by result.
+// propQuery is R(A,B) ⋈ S(A,C) ⋈ T(C,D) with free [A]: a join with a
+// non-trivial group-by result.
 func propQuery() query.Query {
 	return query.MustNew("Q", data.NewSchema("A"),
 		query.RelDef{Name: "R", Schema: data.NewSchema("A", "B")},
@@ -47,7 +46,7 @@ func fpSnap[P any](s *data.RelationSnapshot[P]) string { return fpEntries(s.Sort
 
 // intLift counts; cofLift is the regression lifting over the query's four
 // variables (integral inputs keep float arithmetic exact, so rendered
-// states are bit-stable across maintainers and shard reductions).
+// states are bit-stable across engines).
 func intLift(string, data.Value) int64 { return 1 }
 
 func cofLift(vars data.Schema) data.LiftFunc[ring.Triple] {
@@ -97,12 +96,11 @@ func ringFor[P any]() ring.Ring[P] {
 	panic("unsupported payload")
 }
 
-// runConcurrentReaderProperty drives two maintainers — a sequential engine
-// built by mk, the oracle recording the state fingerprint after every batch
-// prefix, and a serving instance streamed concurrently with K readers, the
-// same engine or, with workers > 1, a Parallel of them — and checks every
-// reader observation against the oracle prefix its epoch names.
-func runConcurrentReaderProperty[P any](t *testing.T, workers int, mk func() (*ivm.Engine[P], error), one P, neg func(P) P) {
+// runConcurrentReaderProperty drives two engines built by mk — the oracle,
+// recording the state fingerprint after every batch prefix, and a serving
+// instance streamed concurrently with K readers — and checks every reader
+// observation against the oracle prefix its epoch names.
+func runConcurrentReaderProperty[P any](t *testing.T, mk func() (*ivm.Engine[P], error), one P, neg func(P) P) {
 	t.Helper()
 	const (
 		nBatches = 60
@@ -127,22 +125,9 @@ func runConcurrentReaderProperty[P any](t *testing.T, workers int, mk func() (*i
 		bases[rd.Name] = b
 	}
 
-	// build returns the engine mk builds or, with workers > 1, a Parallel of
-	// them, loaded and initialized.
-	build := func(workers int) interface {
-		ivm.Maintainer[P]
-		Load(rel string, r *data.Relation[P]) error
-	} {
-		var m interface {
-			ivm.Maintainer[P]
-			Load(rel string, r *data.Relation[P]) error
-		}
-		var err error
-		if workers > 1 {
-			m, err = ivm.NewParallel[P](q, ringFor[P](), workers, mk)
-		} else {
-			m, err = mk()
-		}
+	// build returns the engine mk builds, loaded and initialized.
+	build := func() *ivm.Engine[P] {
+		m, err := mk()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +143,7 @@ func runConcurrentReaderProperty[P any](t *testing.T, workers int, mk func() (*i
 	}
 
 	// Sequential oracle: fingerprint after Init and after each batch prefix.
-	oracle := build(1).(*ivm.Engine[P])
+	oracle := build()
 	fps := make([]string, nBatches+1)
 	fps[0] = fpRel(oracle.Result())
 	for k, b := range batches {
@@ -170,10 +155,7 @@ func runConcurrentReaderProperty[P any](t *testing.T, workers int, mk func() (*i
 
 	// Serving instance: enable publication from the maintenance goroutine,
 	// then stream with concurrent readers.
-	serving := build(workers)
-	if c, ok := any(serving).(interface{ Close() error }); ok {
-		defer c.Close()
-	}
+	serving := build()
 	first := serving.Snapshot()
 	if first.Epoch != 0 {
 		t.Fatalf("epoch after enable = %d, want 0", first.Epoch)
@@ -263,19 +245,11 @@ func negInt(p int64) int64 { return -p }
 func negTriple(p ring.Triple) ring.Triple { return ring.Cofactor{}.Neg(p) }
 
 func TestConcurrentReadersFIVMInt(t *testing.T) {
-	runConcurrentReaderProperty[int64](t, 1, intEngine, 1, negInt)
+	runConcurrentReaderProperty[int64](t, intEngine, 1, negInt)
 }
 
 func TestConcurrentReadersFIVMCofactor(t *testing.T) {
-	runConcurrentReaderProperty[ring.Triple](t, 1, cofEngine, ring.Cofactor{}.One(), negTriple)
-}
-
-func TestConcurrentReadersParallelInt(t *testing.T) {
-	runConcurrentReaderProperty[int64](t, 8, intEngine, 1, negInt)
-}
-
-func TestConcurrentReadersParallelCofactor(t *testing.T) {
-	runConcurrentReaderProperty[ring.Triple](t, 8, cofEngine, ring.Cofactor{}.One(), negTriple)
+	runConcurrentReaderProperty[ring.Triple](t, cofEngine, ring.Cofactor{}.One(), negTriple)
 }
 
 // intEngine and cofEngine are the F-IVM engines over propQuery the property

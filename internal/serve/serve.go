@@ -1,8 +1,8 @@
 // Package serve is the read path over live-maintained views: epoch-pinned
 // reader handles with snapshot isolation.
 //
-// The F-IVM engine in internal/ivm, and the Parallel that shards it, keep
-// their results continuously up to date, but the engine's Result accessor
+// The F-IVM engine in internal/ivm keeps its result continuously up to date,
+// but the engine's Result accessor
 // hands out a live relation that is unsafe to read while deltas stream in.
 // serve closes that gap: once a maintainer's snapshot publication is enabled (one Snapshot call from the
 // maintenance goroutine, typically right after Init), every applied batch

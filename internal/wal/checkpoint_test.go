@@ -77,7 +77,7 @@ func fixtureCheckpoint(applied uint64, n int) *Checkpoint {
 		Applied: applied,
 		Seq:     3 * applied,
 		Views: []ViewDef{
-			{Name: "v1", SQL: "SELECT A, SUM(B) FROM R GROUP BY A", Workers: 2, ComposeChains: true},
+			{Name: "v1", SQL: "SELECT A, SUM(B) FROM R GROUP BY A", ComposeChains: true},
 			{Name: "v2", SQL: "SELECT SUM(B) FROM R", CostMaterialize: true},
 		},
 		Bases: []BaseTable{

@@ -25,7 +25,8 @@ import (
 //	per update: uvarint len(rel) rel | varint mult | uvarint arity |
 //	            uvarint nTuples | tuples (data value codec, back to back)
 //
-// CreateView payload: uvarint lsn | str name | str sql | uvarint workers |
+// CreateView payload: uvarint lsn | str name | str sql | uvarint workers
+// (a shard count earlier versions wrote; written 0, read and ignored) |
 // flags byte (bit0 ComposeChains, bit1 CostMaterialize, bit2: written by
 // earlier versions, ignored).
 // DropView payload: uvarint lsn | str name.
@@ -58,7 +59,6 @@ type Record struct {
 type ViewDef struct {
 	Name            string
 	SQL             string
-	Workers         int
 	ComposeChains   bool
 	CostMaterialize bool
 }
@@ -129,7 +129,7 @@ func encodeCreateViewBody(b []byte, lsn uint64, def ViewDef) []byte {
 	b = binary.AppendUvarint(b, lsn)
 	b = appendString(b, def.Name)
 	b = appendString(b, def.SQL)
-	b = binary.AppendUvarint(b, uint64(def.Workers))
+	b = binary.AppendUvarint(b, 0) // workers, which earlier versions wrote
 	var flags byte
 	if def.ComposeChains {
 		flags |= 1
@@ -307,11 +307,9 @@ func decodeRecord(b []byte, a *data.BatchArena) (Record, int, error) {
 		if def.SQL, err = r.str(nil); err != nil {
 			return Record{}, 0, err
 		}
-		w, err := r.uvarint()
-		if err != nil {
+		if _, err := r.uvarint(); err != nil { // workers: ignored
 			return Record{}, 0, err
 		}
-		def.Workers = int(w)
 		if r.at >= len(r.b) {
 			return Record{}, 0, fmt.Errorf("wal: create-view record missing flags")
 		}

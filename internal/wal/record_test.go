@@ -122,7 +122,8 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add(real)
 	f.Add(real[8:]) // a body: framed by the target
 	f.Add(real[:len(real)/2])
-	create := encodeCreateViewBody(nil, 3, ViewDef{Name: "v", SQL: "SELECT 1", Workers: 2})
+	create := encodeCreateViewBody(nil, 3, ViewDef{Name: "v", SQL: "SELECT 1"})
+	create[len(create)-2] = 2  // workers: written by earlier versions, ignored
 	create[len(create)-1] |= 4 // bit 2: written by earlier versions, ignored
 	f.Add(appendFrame(nil, create))
 	f.Add(appendFrame(nil, encodeDropViewBody(nil, 4, "v")))

@@ -32,9 +32,10 @@ func TestAppendAndReplayRoundTrip(t *testing.T) {
 		t.Fatalf("fresh log reported recovery state: %+v", rec)
 	}
 	// The create-view record as earlier versions wrote it for ComposeChains,
-	// CostMaterialize and AutoReoptimize: flags 0b111, whose bit 2 is ignored.
-	create := encodeCreateViewBody(nil, 1, ViewDef{Name: "v", SQL: "SELECT ...", Workers: 3})
-	create[len(create)-1] = 0b111
+	// CostMaterialize and AutoReoptimize over four workers: workers 4 and
+	// flags 0b111, of which the workers and bit 2 are ignored.
+	create := encodeCreateViewBody(nil, 1, ViewDef{Name: "v", SQL: "SELECT ..."})
+	create[len(create)-2], create[len(create)-1] = 4, 0b111
 	if err := l.append(create); err != nil {
 		t.Fatal(err)
 	}
@@ -57,12 +58,12 @@ func TestAppendAndReplayRoundTrip(t *testing.T) {
 		t.Fatalf("recovered %d records, want 7", len(rec2.Records))
 	}
 	if rec2.Records[0].Type != recCreateView || rec2.Records[0].Create.Name != "v" ||
-		rec2.Records[0].Create.Workers != 3 || !rec2.Records[0].Create.ComposeChains ||
+		!rec2.Records[0].Create.ComposeChains ||
 		!rec2.Records[0].Create.CostMaterialize {
 		t.Errorf("create record mismatch: %+v", rec2.Records[0].Create)
 	}
-	if again := encodeCreateViewBody(nil, 1, *rec2.Records[0].Create); again[len(again)-1] != 0b011 {
-		t.Errorf("create record re-encodes with flags %03b, want 011", again[len(again)-1])
+	if again := encodeCreateViewBody(nil, 1, *rec2.Records[0].Create); again[len(again)-2] != 0 || again[len(again)-1] != 0b011 {
+		t.Errorf("create record re-encodes with workers %d, flags %03b, want 0, 011", again[len(again)-2], again[len(again)-1])
 	}
 	for i := 1; i <= 5; i++ {
 		r := rec2.Records[i]
@@ -384,7 +385,7 @@ func TestCheckpointRoundTripAndPruning(t *testing.T) {
 		Applied: 3,
 		Seq:     9,
 		Views: []ViewDef{
-			{Name: "v1", SQL: "SELECT A, SUM(B) FROM R GROUP BY A", Workers: 2, ComposeChains: true},
+			{Name: "v1", SQL: "SELECT A, SUM(B) FROM R GROUP BY A", ComposeChains: true},
 			{Name: "v2", SQL: "SELECT SUM(B) FROM R", CostMaterialize: true},
 		},
 		Bases: []BaseTable{
