@@ -109,7 +109,12 @@ func randomUpdates(rng *rand.Rand, live map[string][]data.Tuple) []Update {
 	return out
 }
 
+// The single case keeps the name workers=1: one engine maintains each view.
 func TestDBMatchesIndependentEngines(t *testing.T) {
+	t.Run("workers=1", dbMatchesIndependentEngines)
+}
+
+func dbMatchesIndependentEngines(t *testing.T) {
 	d, err := Open(testCatalog(), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -183,6 +188,10 @@ func checkView[P any](t *testing.T, step int, name string, snap *ivm.ViewSnapsho
 // TestDBBackfillMidStream: a view created after a stream prefix must be
 // byte-identical, from its first epoch on, to one registered from the start.
 func TestDBBackfillMidStream(t *testing.T) {
+	t.Run("workers=1", dbBackfillMidStream)
+}
+
+func dbBackfillMidStream(t *testing.T) {
 	d, err := Open(testCatalog(), Options{})
 	if err != nil {
 		t.Fatal(err)

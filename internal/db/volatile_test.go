@@ -61,8 +61,13 @@ func checkEngineViews[P any](t *testing.T, what string, v *View[P]) {
 // store, and one-shot SELECTs (create, read the epoch, drop). After every
 // batch every entry of every view and base relation must hold the tuple of
 // its key, and every published result must equal re-evaluation; the tuples
-// the arena handed out read poison.
+// the arena handed out read poison. The single case keeps the name
+// workers=1: one engine maintains each view.
 func TestVolatileBatchDiesWithApply(t *testing.T) {
+	t.Run("workers=1", volatileBatchDiesWithApply)
+}
+
+func volatileBatchDiesWithApply(t *testing.T) {
 	cat := Catalog{
 		"R": data.NewSchema("Z", "A", "B"),
 		"S": data.NewSchema("A", "C"),
