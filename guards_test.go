@@ -492,6 +492,8 @@ var removals = []removal{
 		in: repo, tests: true, forbid: []string{"NewParallel", "type Parallel _", "Parallel[_]", "ivm.Parallel[_]", "pickShardVar",
 			"type Sharded _", "Sharded[_]", "data.Sharded[_]", "NewSharded", "func Split()", "data.Split", "ReduceSealed", "closeMaintainer"},
 		keep: []string{"struct{ m *ivm.Engine[_] }"}},
+	{had: "1fa29f8", step: "ivm.Maintainer is a test fixture: only the tests declare it (export_test.go), to tell the engine from the competitors",
+		in: ivmPkg, forbid: []string{"type Maintainer _"}},
 }
 
 // TestRemovalGuards fails on every removal row whose forbidden forms are

@@ -261,3 +261,74 @@ func TestArenaHoldsWhatItsSnapshotsRead(t *testing.T) {
 	}
 	t.Logf("%d publishes, %d chunks a snapshot, at most %d live", round, last, peak)
 }
+
+// TestSnapshotWalkKeepsItsSnapshot walks a forgotten snapshot (never
+// Released: readable while reachable), which the test holds no reference to
+// past the call, and at its first row collects until the GC backstop reports
+// a generation dead and publishes a change, which frees the rows and chunks
+// that generation alone read. The walk must go on reading the snapshot's own
+// rows: a walk keeps its snapshot reachable until it returns.
+func TestSnapshotWalkKeepsItsSnapshot(t *testing.T) {
+	for _, w := range []struct {
+		name string
+		walk func(s *RelationSnapshot[float64], f func(e *Entry[float64]) bool)
+	}{
+		{"IterateEntries", (*RelationSnapshot[float64]).IterateEntries},
+		{"ScanPrefix", func(s *RelationSnapshot[float64], f func(e *Entry[float64]) bool) { s.ScanPrefix(nil, f) }},
+		{"Iterate", func(s *RelationSnapshot[float64], f func(e *Entry[float64]) bool) {
+			s.Iterate(func(t Tuple, p float64) bool { return f(&Entry[float64]{Tuple: t, Payload: p}) })
+		}},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			r := NewRelation[float64](ring.Float{}, NewSchema("A"))
+			for i := range 1000 {
+				r.Set(Ints(int64(i)), 1)
+			}
+			s := r.Snapshot()
+			type row struct {
+				tuple Tuple
+				p     float64
+			}
+			var want []row
+			s.IterateEntries(func(e *Entry[float64]) bool {
+				want = append(want, row{slices.Clone(e.Tuple), e.Payload})
+				return true
+			})
+			// Replace every row and close s's generation; every later
+			// snapshot is released, so only s can be forgotten.
+			for range 2 * genSpan {
+				for i := range 1000 {
+					r.Merge(Ints(int64(i)), 1)
+				}
+				r.Snapshot().Release()
+			}
+			before := r.PoolStats().Arena.BackstopReclaims
+			n := 0
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("row %d: the walk panicked: %v", n, p)
+				}
+			}()
+			w.walk(s, func(e *Entry[float64]) bool {
+				if n == 0 {
+					for try := 0; try < 20 && r.PoolStats().Arena.BackstopReclaims == before; try++ {
+						runtime.GC()
+						r.Merge(Ints(0), 1)
+						r.Snapshot().Release()
+					}
+					r.Merge(Ints(0), 1)
+					r.Snapshot().Release()
+				}
+				if n >= len(want) || e == nil || !slices.Equal(e.Tuple, want[n].tuple) || e.Payload != want[n].p {
+					t.Fatalf("row %d: the walk read %+v, want %+v (backstop reports %d → %d)",
+						n, e, want[min(n, len(want)-1)], before, r.PoolStats().Arena.BackstopReclaims)
+				}
+				n++
+				return true
+			})
+			if n != len(want) {
+				t.Fatalf("the walk read %d rows, want %d", n, len(want))
+			}
+		})
+	}
+}

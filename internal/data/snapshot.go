@@ -1,6 +1,7 @@
 package data
 
 import (
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -45,11 +46,12 @@ const (
 // and those of older snapshots only if it reads them too: a held epoch holds
 // its own storage, no other (PoolStats.RowsRetired, ArenaStats.ChunksRetired).
 // Release is optional — a forgotten snapshot stays readable while reachable
-// and is reclaimed by a GC backstop, counted in ArenaStats.BackstopReclaims —
-// but a high-rate publish loop that skips it waits on full collection cycles
-// and loses the recycling entirely. The last Release also gives this struct
-// back: the relation builds a later snapshot in it, so nothing of a released
-// snapshot may be read, not even Len.
+// (a walk keeps it reachable until the walk returns) and is reclaimed by a
+// GC backstop, counted in ArenaStats.BackstopReclaims — but a high-rate
+// publish loop that skips it waits on full collection cycles and loses the
+// recycling entirely. The last Release also gives this struct back: the
+// relation builds a later snapshot in it, so nothing of a released snapshot
+// may be read, not even Len.
 type RelationSnapshot[P any] struct {
 	schema Schema
 	ring   ring.Ring[P]
@@ -348,6 +350,7 @@ func (s *RelationSnapshot[P]) findChunk(key string) int {
 // allocate or retain them. The returned entry is valid until the snapshot is
 // Released; copy it out first.
 func (s *RelationSnapshot[P]) Lookup(key []byte) *Entry[P] {
+	defer runtime.KeepAlive(s)
 	if len(s.chunks) == 0 {
 		return nil
 	}
@@ -378,6 +381,7 @@ func (s *RelationSnapshot[P]) Get(t Tuple) (P, bool) {
 // leading-variable value match. Entries passed to f are valid until the
 // snapshot is Released.
 func (s *RelationSnapshot[P]) ScanPrefix(prefix []byte, f func(e *Entry[P]) bool) {
+	defer runtime.KeepAlive(s)
 	if len(s.chunks) == 0 {
 		return
 	}
@@ -402,6 +406,7 @@ func (s *RelationSnapshot[P]) ScanPrefix(prefix []byte, f func(e *Entry[P]) bool
 
 // Iterate calls f for each entry in encoded-key order until f returns false.
 func (s *RelationSnapshot[P]) Iterate(f func(t Tuple, p P) bool) {
+	defer runtime.KeepAlive(s)
 	for _, c := range s.chunks {
 		for _, e := range c.entries() {
 			if !f(e.Tuple, e.Payload) {
@@ -415,6 +420,7 @@ func (s *RelationSnapshot[P]) Iterate(f func(t Tuple, p P) bool) {
 // false. Entries are immutable, must not be modified, and are valid until the
 // snapshot is Released.
 func (s *RelationSnapshot[P]) IterateEntries(f func(e *Entry[P]) bool) {
+	defer runtime.KeepAlive(s)
 	for _, c := range s.chunks {
 		for _, e := range c.entries() {
 			if !f(e) {
@@ -427,6 +433,7 @@ func (s *RelationSnapshot[P]) IterateEntries(f func(e *Entry[P]) bool) {
 // SortedEntries returns copies of the entries in encoded-key order, for
 // deterministic comparison in tests and tools.
 func (s *RelationSnapshot[P]) SortedEntries() []Entry[P] {
+	defer runtime.KeepAlive(s)
 	out := make([]Entry[P], 0, s.n)
 	for _, c := range s.chunks {
 		for _, e := range c.entries() { // the fields a reader may read: the writer still stamps gen

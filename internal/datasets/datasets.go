@@ -15,6 +15,13 @@
 //
 // It also synthesizes the update streams: insertions interleaved across
 // relations in round-robin fashion and grouped into fixed-size batches.
+//
+// A generator sizes each relation from its config and cuts the relation's
+// tuples from one block of cells, so it buys a fixed number of objects
+// however many tuples it makes. The tuples share that block and are
+// capacity-capped: a reader may keep them, and an append copies one, but
+// nobody may write a generated tuple's cells in place. A stream's batches are
+// sub-slices of the relations and copy nothing.
 package datasets
 
 import (
@@ -57,45 +64,45 @@ type Batch struct {
 // RoundRobinStream interleaves the dataset's tuples into a stream of
 // batches of the given size, cycling through the relations in name order as
 // the paper's stream synthesis does. Relations exhaust at different times;
-// the stream continues with the remaining ones.
+// the stream continues with the remaining ones. relNames names each relation
+// once.
 func RoundRobinStream(d *Dataset, relNames []string, batchSize int) []Batch {
-	offsets := make(map[string]int, len(relNames))
-	var out []Batch
-	for {
-		progressed := false
+	n := 0
+	for _, rel := range relNames {
+		n += (len(d.Tuples[rel]) + batchSize - 1) / batchSize
+	}
+	out := make([]Batch, 0, n)
+	for off := 0; len(out) < n; off += batchSize {
 		for _, rel := range relNames {
-			ts := d.Tuples[rel]
-			off := offsets[rel]
-			if off >= len(ts) {
-				continue
+			if ts := d.Tuples[rel]; off < len(ts) {
+				out = append(out, Batch{Rel: rel, Tuples: ts[off:min(off+batchSize, len(ts))]})
 			}
-			end := off + batchSize
-			if end > len(ts) {
-				end = len(ts)
-			}
-			out = append(out, Batch{Rel: rel, Tuples: ts[off:end]})
-			offsets[rel] = end
-			progressed = true
-		}
-		if !progressed {
-			return out
 		}
 	}
+	return out
 }
 
 // SingleRelationStream batches only one relation's tuples (the ONE
 // scenario: a stream over the largest relation with all others static).
 func SingleRelationStream(d *Dataset, rel string, batchSize int) []Batch {
 	ts := d.Tuples[rel]
-	var out []Batch
+	out := make([]Batch, 0, (len(ts)+batchSize-1)/batchSize)
 	for off := 0; off < len(ts); off += batchSize {
-		end := off + batchSize
-		if end > len(ts) {
-			end = len(ts)
-		}
-		out = append(out, Batch{Rel: rel, Tuples: ts[off:end]})
+		out = append(out, Batch{Rel: rel, Tuples: ts[off:min(off+batchSize, len(ts))]})
 	}
 	return out
+}
+
+// carve returns n tuples of the given arity, cut from one block of cells.
+// Each is capacity-capped, so an append to one copies it instead of writing
+// into its neighbour.
+func carve(n, arity int) []data.Tuple {
+	cells := make([]data.Value, n*arity)
+	ts := make([]data.Tuple, n)
+	for i := range ts {
+		ts[i] = cells[i*arity : (i+1)*arity : (i+1)*arity]
+	}
+	return ts
 }
 
 // ri returns a random integer value in [0, n).

@@ -1,6 +1,10 @@
 package datasets
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"maps"
 	"slices"
 	"testing"
 
@@ -207,4 +211,87 @@ func TestTriangleOrderValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	var _ data.Schema = q.Vars()
+}
+
+// datasetHash is the SHA-256 of every relation in name order: its name and
+// tuple count, then each tuple's AppendKey, len and cap.
+func datasetHash(d *Dataset) string {
+	h := sha256.New()
+	var buf []byte
+	for _, rel := range slices.Sorted(maps.Keys(d.Tuples)) {
+		buf = binary.AppendUvarint(append(buf[:0], rel...), uint64(len(d.Tuples[rel])))
+		h.Write(buf)
+		for _, t := range d.Tuples[rel] {
+			buf = binary.AppendUvarint(binary.AppendUvarint(t.AppendKey(buf[:0]), uint64(len(t))), uint64(cap(t)))
+			h.Write(buf)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGeneratorsGolden pins each generator's output, value for value and in
+// order, at two configurations each: a generator may change how it lays out
+// its tuples, never what it draws.
+func TestGeneratorsGolden(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		gen  func() *Dataset
+		want string
+	}{
+		{"retailer/default", func() *Dataset { return GenRetailer(DefaultRetailer()) },
+			"5fe1ceb9f40615bb66d14aea190994752d5bbd6f458559a865c3c583f9f3962c"},
+		{"retailer/small", func() *Dataset {
+			return GenRetailer(RetailerConfig{Locations: 7, Dates: 13, Items: 31, ItemsPerLocDate: 5, Seed: 9})
+		},
+			"b4a355b6f3ac897b17c0ca5257ac596c67c8d3cdb750ea07cc30339ea32c996f"},
+		{"housing/default", func() *Dataset { return GenHousing(DefaultHousing()) },
+			"cac5fb75574aab65c6ca2aeda065fc44d1b7fff79ab6df2b2375c7a2ef0a0370"},
+		{"housing/small", func() *Dataset { return GenHousing(HousingConfig{Postcodes: 37, Scale: 3, Seed: 5}) },
+			"b03141ddb4b932ceffea301918eda485e6a1ac61058709600403dab5fa59972f"},
+		{"twitter/default", func() *Dataset { return GenTwitter(DefaultTwitter()) },
+			"09f180d42a071a283e68b431124243587b3e503d0dddaf0fe61742406be4218c"},
+		{"twitter/small", func() *Dataset { return GenTwitter(TwitterConfig{Users: 50, Edges: 301, Seed: 4}) },
+			"5b9ceca0a1629f5042fc3ef098cfca751826906cd5b1d22f6477f91e34f8633b"},
+	} {
+		if got := datasetHash(c.gen()); got != c.want {
+			t.Errorf("%s: hash %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestAllocGuardGenerators checks that a generator buys a fixed number of
+// objects however many tuples it makes: each relation's tuples are cut from
+// one block of cells, so a fourfold scale costs no object more.
+func TestAllocGuardGenerators(t *testing.T) {
+	allocs := func(gen func()) float64 { return testing.AllocsPerRun(3, gen) }
+	for _, c := range []struct {
+		name       string
+		small, big func()
+	}{
+		{"retailer",
+			func() { GenRetailer(RetailerConfig{Locations: 10, Dates: 20, Items: 50, ItemsPerLocDate: 10, Seed: 1}) },
+			func() { GenRetailer(RetailerConfig{Locations: 10, Dates: 80, Items: 50, ItemsPerLocDate: 10, Seed: 1}) }},
+		{"housing",
+			func() { GenHousing(HousingConfig{Postcodes: 100, Scale: 2, Seed: 2}) },
+			func() { GenHousing(HousingConfig{Postcodes: 400, Scale: 2, Seed: 2}) }},
+		{"twitter",
+			func() { GenTwitter(TwitterConfig{Users: 400, Edges: 2000, Seed: 3}) },
+			func() { GenTwitter(TwitterConfig{Users: 400, Edges: 8000, Seed: 3}) }},
+	} {
+		small, big := allocs(c.small), allocs(c.big)
+		t.Logf("%s: %.0f objects at 1x, %.0f at 4x", c.name, small, big)
+		if small != big {
+			t.Errorf("%s: %.0f objects at 1x but %.0f at 4x; a generator must not buy an object per tuple", c.name, small, big)
+		}
+	}
+}
+
+// BenchmarkGenRetailer generates the default Retailer dataset, the set-up of
+// every in-process benchmark workload; allocs/op is the generator's fixed
+// object count (TestAllocGuardGenerators).
+func BenchmarkGenRetailer(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		GenRetailer(DefaultRetailer())
+	}
 }

@@ -86,20 +86,18 @@ func GenHousing(cfg HousingConfig) *Dataset {
 		Name:     "housing",
 		Query:    HousingQuery(),
 		NewOrder: HousingOrder,
-		Tuples:   make(map[string][]data.Tuple),
+		Tuples:   make(map[string][]data.Tuple, 6),
 		Largest:  "House",
 	}
 	gen := func(rel string, schema data.Schema, perPostcode int) {
-		for pc := 0; pc < cfg.Postcodes; pc++ {
-			for i := 0; i < perPostcode; i++ {
-				t := make(data.Tuple, len(schema))
-				t[0] = data.Int(int64(pc))
-				for j := 1; j < len(t); j++ {
-					t[j] = ri(rng, 100)
-				}
-				d.Tuples[rel] = append(d.Tuples[rel], t)
+		ts := carve(cfg.Postcodes*perPostcode, len(schema))
+		for i, t := range ts {
+			t[0] = data.Int(int64(i / perPostcode))
+			for j := 1; j < len(t); j++ {
+				t[j] = ri(rng, 100)
 			}
 		}
+		d.Tuples[rel] = ts
 	}
 	// Three relations grow with the scale factor (driving the cubic listing
 	// growth); the other three stay at one tuple per postcode.

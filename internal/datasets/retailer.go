@@ -96,59 +96,55 @@ func RetailerOrder() *vorder.Order {
 // GenRetailer synthesizes the dataset.
 func GenRetailer(cfg RetailerConfig) *Dataset {
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	// Dimension hierarchies. One zip per few locations, as in a real
+	// store/zip mapping.
+	zips := cfg.Locations/2 + 1
 	d := &Dataset{
 		Name:     "retailer",
 		Query:    RetailerQuery(),
 		NewOrder: RetailerOrder,
-		Tuples:   make(map[string][]data.Tuple),
-		Largest:  "Inventory",
+		Tuples: map[string][]data.Tuple{
+			"Location":  carve(cfg.Locations, len(retLocation)),
+			"Census":    carve(zips, len(retCensus)),
+			"Item":      carve(cfg.Items, len(retItem)),
+			"Weather":   carve(cfg.Locations*cfg.Dates, len(retWeather)),
+			"Inventory": carve(cfg.Locations*cfg.Dates*cfg.ItemsPerLocDate, len(retInventory)),
+		},
+		Largest: "Inventory",
 	}
 
-	// Dimension hierarchies. One zip per few locations, as in a real
-	// store/zip mapping.
-	zips := cfg.Locations/2 + 1
-	for l := 0; l < cfg.Locations; l++ {
-		t := data.Tuple{
+	for l, t := range d.Tuples["Location"] {
+		copy(t, data.Tuple{
 			data.Int(int64(l)), data.Int(int64(l % zips)),
 			ri(rng, 10), ri(rng, 8), ri(rng, 100000), ri(rng, 50000), ri(rng, 90000),
 			ri(rng, 40), ri(rng, 60), ri(rng, 40), ri(rng, 60), ri(rng, 40), ri(rng, 60),
 			ri(rng, 40), ri(rng, 60),
-		}
-		d.Tuples["Location"] = append(d.Tuples["Location"], t)
+		})
 	}
-	for z := 0; z < zips; z++ {
-		t := make(data.Tuple, len(retCensus))
+	for z, t := range d.Tuples["Census"] {
 		t[0] = data.Int(int64(z))
 		for i := 1; i < len(t); i++ {
 			t[i] = ri(rng, 10000)
 		}
-		d.Tuples["Census"] = append(d.Tuples["Census"], t)
 	}
-	for k := 0; k < cfg.Items; k++ {
-		t := data.Tuple{
+	for k, t := range d.Tuples["Item"] {
+		copy(t, data.Tuple{
 			data.Int(int64(k)), ri(rng, 20), ri(rng, 8), ri(rng, 4), ri(rng, 500),
-		}
-		d.Tuples["Item"] = append(d.Tuples["Item"], t)
+		})
 	}
-	for l := 0; l < cfg.Locations; l++ {
-		for dt := 0; dt < cfg.Dates; dt++ {
-			t := data.Tuple{
-				data.Int(int64(l)), data.Int(int64(dt)),
-				ri(rng, 2), ri(rng, 2), ri(rng, 40), ri(rng, 20), ri(rng, 30), ri(rng, 2),
-			}
-			d.Tuples["Weather"] = append(d.Tuples["Weather"], t)
-		}
+	// Weather has one tuple per (location, date), Inventory (the fact
+	// relation, by far the largest) ItemsPerLocDate, both in that order.
+	for i, t := range d.Tuples["Weather"] {
+		copy(t, data.Tuple{
+			data.Int(int64(i / cfg.Dates)), data.Int(int64(i % cfg.Dates)),
+			ri(rng, 2), ri(rng, 2), ri(rng, 40), ri(rng, 20), ri(rng, 30), ri(rng, 2),
+		})
 	}
-	// Inventory: the fact relation, by far the largest.
-	for l := 0; l < cfg.Locations; l++ {
-		for dt := 0; dt < cfg.Dates; dt++ {
-			for i := 0; i < cfg.ItemsPerLocDate; i++ {
-				t := data.Tuple{
-					data.Int(int64(l)), data.Int(int64(dt)), ri(rng, cfg.Items), ri(rng, 200),
-				}
-				d.Tuples["Inventory"] = append(d.Tuples["Inventory"], t)
-			}
-		}
+	for i, t := range d.Tuples["Inventory"] {
+		ld := i / cfg.ItemsPerLocDate
+		copy(t, data.Tuple{
+			data.Int(int64(ld / cfg.Dates)), data.Int(int64(ld % cfg.Dates)), ri(rng, cfg.Items), ri(rng, 200),
+		})
 	}
 	return d
 }

@@ -1,6 +1,7 @@
 package datasets
 
 import (
+	"math/bits"
 	"math/rand"
 
 	"fivm/internal/data"
@@ -41,13 +42,6 @@ func TriangleOrder() *vorder.Order {
 // 3M Higgs Twitter records the same way.
 func GenTwitter(cfg TwitterConfig) *Dataset {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	d := &Dataset{
-		Name:     "twitter",
-		Query:    TriangleQuery(),
-		NewOrder: TriangleOrder,
-		Tuples:   make(map[string][]data.Tuple),
-		Largest:  "R",
-	}
 	// Preferential attachment: sample endpoints from the multiset of
 	// previous endpoints with probability 1/2, else uniformly.
 	pool := make([]int64, 0, 2*cfg.Edges)
@@ -57,33 +51,45 @@ func GenTwitter(cfg TwitterConfig) *Dataset {
 		}
 		return int64(rng.Intn(cfg.Users))
 	}
-	seen := make(map[[2]int64]bool, cfg.Edges)
-	edges := make([][2]int64, 0, cfg.Edges)
-	for len(edges) < cfg.Edges {
+	// seen is an open-addressing set of the edges drawn so far, keyed
+	// a·Users+b+1 (0 marks a free slot) and never more than half full.
+	l := bits.Len(uint(cfg.Edges))
+	seen := make([]uint64, 2<<l)
+	slot := func(a, b int64) (*uint64, uint64) {
+		k := uint64(a*int64(cfg.Users)+b) + 1
+		for i := k * 0x9E3779B97F4A7C15 >> (63 - l); ; i = (i + 1) % uint64(len(seen)) {
+			if seen[i] == 0 || seen[i] == k {
+				return &seen[i], k
+			}
+		}
+	}
+	edges := carve(cfg.Edges, 2)
+	for n := 0; n < len(edges); {
 		a, b := pick(), pick()
-		if a == b || seen[[2]int64{a, b}] {
+		s, k := slot(a, b)
+		if a == b || *s != 0 {
 			// Degenerate or duplicate; draw fresh uniform endpoints to
 			// guarantee progress.
 			a, b = int64(rng.Intn(cfg.Users)), int64(rng.Intn(cfg.Users))
-			if a == b || seen[[2]int64{a, b}] {
+			if s, k = slot(a, b); a == b || *s != 0 {
 				continue
 			}
 		}
-		seen[[2]int64{a, b}] = true
-		edges = append(edges, [2]int64{a, b})
+		*s = k
+		edges[n][0], edges[n][1] = data.Int(a), data.Int(b)
+		n++
 		pool = append(pool, a, b)
 	}
 	third := len(edges) / 3
-	for i, e := range edges {
-		t := data.Ints(e[0], e[1])
-		switch {
-		case i < third:
-			d.Tuples["R"] = append(d.Tuples["R"], t)
-		case i < 2*third:
-			d.Tuples["S"] = append(d.Tuples["S"], t)
-		default:
-			d.Tuples["T"] = append(d.Tuples["T"], t)
-		}
+	return &Dataset{
+		Name:     "twitter",
+		Query:    TriangleQuery(),
+		NewOrder: TriangleOrder,
+		Tuples: map[string][]data.Tuple{
+			"R": edges[:third:third],
+			"S": edges[third : 2*third : 2*third],
+			"T": edges[2*third:],
+		},
+		Largest: "R",
 	}
-	return d
 }

@@ -3,10 +3,10 @@
 // the engine is evaluated against — first-order IVM (1-IVM), fully recursive
 // higher-order IVM (DBToaster-style), and full re-evaluation.
 //
-// Only Engine publishes epochs and implements Maintainer, the contract a
-// database view drives. The competitors are figure fixtures and
-// test oracles: they load, initialize, apply deltas through the same batch
-// driver, and report their result, views and memory, and nothing else.
+// Only Engine publishes epochs; a database view drives one. The competitors
+// are figure fixtures and test oracles: they load, initialize, apply deltas
+// through the same batch driver, and report their result, views and memory,
+// and nothing else.
 package ivm
 
 import (
@@ -18,36 +18,6 @@ import (
 	"fivm/internal/viewtree"
 	"fivm/internal/vorder"
 )
-
-// Maintainer is the surface of a maintainer that publishes epochs, which a
-// database view drives: the Engine. The tests tell it by this interface from
-// the competitors, which publish nothing.
-type Maintainer[P any] interface {
-	// LoadCounts installs the initial rows of a relation with their integer
-	// multiplicities; must precede Init.
-	LoadCounts(rel string, r *data.Relation[int64]) error
-	// Init computes the initial state from the loaded rows.
-	Init() error
-	// ApplyDeltas maintains the result under a batch of updates to any mix
-	// of relations, traversing each maintenance path once per batch.
-	// Deletions are encoded as entries with additively inverted payloads.
-	ApplyDeltas(batch []NamedDelta[P]) error
-	// Snapshot returns the latest published consistent snapshot of the
-	// result: its state after some whole applied batch, never mid-batch.
-	// Only the result is published (Engine.Catalog adds an engine's views on
-	// request). The first call enables publication and must come from the
-	// maintenance goroutine (typically right after Init); afterwards every
-	// applied batch publishes a fresh epoch and Snapshot is safe from any
-	// goroutine.
-	Snapshot() *ViewSnapshot[P]
-	// ViewCount reports how many views the maintainer materializes.
-	ViewCount() int
-	// MemoryBytes estimates the bytes held by materialized state.
-	MemoryBytes() int
-	// PoolStats reports the storage retained for reuse. Maintenance
-	// goroutine only, between batches.
-	PoolStats() data.PoolStats
-}
 
 // Options configures an F-IVM engine.
 type Options[P any] struct {

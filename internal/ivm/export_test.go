@@ -21,6 +21,36 @@ type strategy[P any] interface {
 	MemoryBytes() int
 }
 
+// Maintainer is the surface of a maintainer that publishes epochs, which a
+// database view drives: the Engine. The tests tell it by this interface from
+// the competitors, which publish nothing.
+type Maintainer[P any] interface {
+	// LoadCounts installs the initial rows of a relation with their integer
+	// multiplicities; must precede Init.
+	LoadCounts(rel string, r *data.Relation[int64]) error
+	// Init computes the initial state from the loaded rows.
+	Init() error
+	// ApplyDeltas maintains the result under a batch of updates to any mix
+	// of relations, traversing each maintenance path once per batch.
+	// Deletions are encoded as entries with additively inverted payloads.
+	ApplyDeltas(batch []NamedDelta[P]) error
+	// Snapshot returns the latest published consistent snapshot of the
+	// result: its state after some whole applied batch, never mid-batch.
+	// Only the result is published (Engine.Catalog adds an engine's views on
+	// request). The first call enables publication and must come from the
+	// maintenance goroutine (typically right after Init); afterwards every
+	// applied batch publishes a fresh epoch and Snapshot is safe from any
+	// goroutine.
+	Snapshot() *ViewSnapshot[P]
+	// ViewCount reports how many views the maintainer materializes.
+	ViewCount() int
+	// MemoryBytes estimates the bytes held by materialized state.
+	MemoryBytes() int
+	// PoolStats reports the storage retained for reuse. Maintenance
+	// goroutine only, between batches.
+	PoolStats() data.PoolStats
+}
+
 // Result returns the root view, which every batch updates in place.
 func (m *Recursive[P]) Result() *data.Relation[P] { return m.root.rel.Relation }
 

@@ -80,7 +80,17 @@ func (Cofactor) Add(a, b Triple) Triple {
 		return a
 	}
 	out := covering(a.Vars, b.Vars)
-	out.addInto(&a)
+	if len(b.Vars) == len(out.Vars) {
+		a, b = b, a // exact: a float sum of two terms commutes
+	}
+	if len(a.Vars) == len(out.Vars) {
+		// a covers b: out starts as a copy of a, and b is summed in once.
+		out.C = a.C
+		copy(out.S, a.S)
+		copy(out.Q, a.Q)
+	} else {
+		out.addInto(&a)
+	}
 	out.addInto(&b)
 	return out
 }

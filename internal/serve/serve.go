@@ -29,7 +29,7 @@ import (
 	"fivm/internal/ivm"
 )
 
-// Source publishes view snapshots; every ivm.Maintainer is a Source.
+// Source publishes view snapshots; an ivm.Engine is a Source.
 type Source[P any] interface {
 	Snapshot() *ivm.ViewSnapshot[P]
 }
