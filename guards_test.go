@@ -98,7 +98,6 @@ var testOnlyAllowed = []struct{ path, name, reason string }{
 	{path: "internal/wal/memvfs.go", reason: "crash seam: other packages' crash tests run on the in-memory file system"},
 	{name: "RecordBoundaries", reason: "crash seam: other packages' crash tests tear the log at record boundaries"},
 	{name: "PoisonReclaimed", reason: "the poisoning switch every pooled package's TestMain sets"},
-	{name: "ObserveRelation", reason: "the ANALYZE pass tests in three packages run"},
 	{name: "Relation.Negate", reason: "tests in two packages build retractions with it"},
 	{name: "Engine.Describe", reason: "item 3's EXPLAIN prints it"},
 	{name: "Engine.ViewByName", reason: "the snapshot-against-live tests in internal/ivm and the root read views by name"},
@@ -435,8 +434,10 @@ var removals = []removal{
 			"vorder.Choose_", "vorder.NewCostModel_", "data.Split_", "data.NewSharded_", "ring.Mutable_"}, keep: []string{"db.Open"}},
 	{had: "3642180", step: "Statistics have one writer: no adaptive re-optimization, drift test or live feed outside benchmark/",
 		in: repo, forbid: []string{"AutoReoptimize", "DriftFrom", "maybeReoptimize", "ObserveRouted", "ObserveDeltaRelation", "CollectStats"}},
-	{had: "3642180", step: "Statistics have one writer: the DB's ingest writes the collector",
-		in: []string{"internal/db"}, keep: []string{"data.ObserveDeltaTuples()"}},
+	{had: "194335c", step: "Views plan from the rows they are built over: nothing feeds a collector from ingest, and an engine ANALYZEs the rows it loads",
+		in: repo, tests: true, bench: true, forbid: []string{"ObserveDeltaTuples"}, keep: []string{"data.ObserveRelation(e.stats, _, _)"}},
+	{had: "194335c", step: "Views plan from the rows they are built over: the DB keeps no statistics collector, and a view's engine plans from its backfill",
+		in: []string{"internal/db"}, forbid: []string{"data.NewStats", "data.Stats", "_.stats.Clone()"}, keep: []string{"m.LoadCounts(_, _)"}},
 	{had: "e68febd", step: "Figures count work: internal/bench reads the clock only in elapsed, has no timeout and counts through ring/ringtest",
 		in: []string{"internal/bench"}, forbid: []string{"time.Now", "time.Since", "_Timeout_"}, only: "elapsed", keep: []string{`"fivm/internal/ring/ringtest"`}},
 	{had: "e68febd", step: "Figures count work: internal/bench/elapsed.go holds the one elapsed-column helper",

@@ -62,8 +62,8 @@ type BaseObserver func(batch []BaseUpdate) error
 // BaseStore is the shared base-relation store: the canonical multiplicity
 // contents (the Z-ring multiset) of every registered base relation,
 // advanced exactly once per applied batch, with attach/detach hooks through
-// which any number of downstream consumers — maintained views, statistics
-// collectors — observe each batch.
+// which any number of downstream consumers — the maintained views — observe
+// each batch.
 //
 // This inverts the pre-DB data ownership: instead of every maintainer
 // privately ingesting and copying the same update stream, the store ingests

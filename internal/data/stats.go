@@ -42,18 +42,17 @@ func (s *VarSketch) Distinct() float64 {
 	}
 }
 
-// RelStats tracks one relation's statistics: its cardinality, the cumulative
-// number of delta tuples it has received (the update-rate signal), and one
+// RelStats tracks one relation's statistics: its cardinality, the number of
+// delta tuples expected at it (the update-rate signal), and one
 // distinct-count sketch per column. Like the Stats it belongs to, it has one
 // writer.
 type RelStats struct {
 	Schema Schema
-	// Live is the estimated number of keys: exact after an ANALYZE pass,
-	// approximate once deltas are observed (an insert of a present key counts
-	// again).
+	// Live is the number of keys an ANALYZE pass observed.
 	Live int
-	// DeltaTuples is the cumulative number of delta entries routed at this
-	// relation — the optimizer's per-relation update-rate signal.
+	// DeltaTuples is the number of delta entries the caller expects at this
+	// relation — the optimizer's per-relation update-rate signal. Only a
+	// caller's own ANALYZE sets it; ObserveRelation leaves it alone.
 	DeltaTuples int64
 
 	sketches []VarSketch
@@ -96,11 +95,12 @@ func (rs *RelStats) Distinct(v string) float64 {
 
 // Stats is a database-wide statistics collector: one RelStats per relation.
 // It is the optimizer's input — per-relation cardinalities, per-variable
-// distinct counts, and observed delta rates. A collector has one writer: an
-// ANALYZE pass (ObserveRelation, or a caller's own), or a db.DB's ingest
-// (ObserveDeltaTuples). An engine reads one only when it plans, and never
-// writes to it; to seed several maintainers from one pass, give each a Clone.
-// Not safe for concurrent use while it is written.
+// distinct counts, and expected delta rates. A collector has one writer, an
+// ANALYZE pass over stored rows (ObserveRelation, or a caller's own): an
+// engine runs one over the rows it loads when it plans for itself. An engine
+// reads a collector only when it plans, and never writes to it; to seed
+// several maintainers from one pass, give each a Clone. Not safe for
+// concurrent use while it is written.
 type Stats struct {
 	rels map[string]*RelStats
 }
@@ -147,26 +147,6 @@ func ObserveRelation[P any](st *Stats, name string, r *Relation[P]) {
 		rs.ObserveInsert(t)
 		return true
 	})
-}
-
-// ObserveDeltaTuples records a raw (uncoalesced) tuple slice arriving at the
-// named relation with a known signed multiplicity — the form the db.DB's
-// shared ingest path observes, one pass for every view. Every tuple counts
-// toward the update rate; an insert counts toward cardinality and the
-// sketches, a deletion decrements the cardinality.
-func ObserveDeltaTuples(st *Stats, name string, schema Schema, tuples []Tuple, mult int64) {
-	rs := st.Rel(name, schema)
-	rs.DeltaTuples += int64(len(tuples))
-	if mult < 0 {
-		rs.Live -= len(tuples)
-		if rs.Live < 0 {
-			rs.Live = 0
-		}
-		return
-	}
-	for _, t := range tuples {
-		rs.ObserveInsert(t)
-	}
 }
 
 // Clone deep-copies the collector, sketches included, so one ANALYZE pass can

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fivm/internal/data"
+	"fivm/internal/datasets"
 	"fivm/internal/wal"
 )
 
@@ -195,5 +196,38 @@ func TestAllocGuardBackfill(t *testing.T) {
 	t.Logf("objects per backfill: %.0f over 3 000 rows into 100 groups, %.0f over 30 000 rows into 100, %.0f over 30 000 into 1 000", small, large, wide)
 	if large > small+64 || wide > large+3*900 {
 		t.Errorf("backfill allocates %.0f objects over 3 000 rows, %.0f over 30 000 into 100 groups, %.0f into 1 000: more than the view's rows", small, large, wide)
+	}
+}
+
+// BenchmarkCreateViewLoaded is what CREATE VIEW costs over a loaded store: a
+// five-way SQL view without an order over DefaultRetailer, which ANALYZEs the
+// five stored relations, plans, and backfills from them.
+func BenchmarkCreateViewLoaded(b *testing.B) {
+	ds := datasets.GenRetailer(datasets.DefaultRetailer())
+	cat := Catalog{}
+	var batch []Update
+	for _, rd := range ds.Query.Rels {
+		cat[rd.Name] = rd.Schema
+		batch = append(batch, Insert(rd.Name, ds.Tuples[rd.Name]...))
+	}
+	d, err := Open(cat, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.Apply(batch); err != nil {
+		b.Fatal(err)
+	}
+	const sql = "SELECT locn, SUM(inventoryunits) FROM Inventory NATURAL JOIN Item NATURAL JOIN Weather NATURAL JOIN Location NATURAL JOIN Census GROUP BY locn"
+	b.ResetTimer()
+	for range b.N {
+		if _, err := CreateViewSQL(d, "v", sql, ViewOptions{}); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := d.DropView("v"); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }

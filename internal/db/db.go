@@ -44,11 +44,11 @@ type Catalog = sqlparse.Catalog
 
 // Options configures a DB.
 type Options struct {
-	// DisableStats turns off the shared statistics collector. Views created
-	// without an explicit variable order then plan from structural defaults
-	// instead of observed cardinalities. The collector costs one observation
-	// per stored base tuple per batch; leave it on unless ingest is the only
-	// thing that matters.
+	// DisableStats has no effect: a DB keeps no statistics, and a view
+	// created without a variable order plans from an ANALYZE of the stored
+	// rows it backfills from. It stays only because the benchmark module sets
+	// it, and ROADMAP ground rule (c) pins what the benchmark calls; ROADMAP
+	// item 1 deletes it.
 	DisableStats bool
 	// Durability, when non-nil, enables the write-ahead log: batches are
 	// logged before they advance any in-memory state, SQL views persist in
@@ -92,7 +92,6 @@ func Delete(rel string, tuples ...data.Tuple) Update {
 type DB struct {
 	opts  Options
 	store *data.BaseStore
-	stats *data.Stats
 
 	// registry of views; mu guards it for cross-goroutine readers
 	// (ReaderFor), while all mutations stay on the maintenance goroutine.
@@ -185,11 +184,6 @@ func Open(cat Catalog, opts Options) (*DB, error) {
 		if err := d.store.Register(name, cat[name]); err != nil {
 			return nil, err
 		}
-	}
-	if !opts.DisableStats {
-		// Cardinalities, sketches, and delta rates are observed from the
-		// batch stream in Apply, after the whole batch has succeeded.
-		d.stats = data.NewStats()
 	}
 	d.publish(time.Now())
 	if du := opts.Durability; du != nil {
@@ -357,11 +351,11 @@ func (d *DB) MemoryBytes() int {
 // such a delete, and replay leaves the row at the negative count it was
 // applied with then.
 //
-// Failure atomicity: on any error the applied counter, the statistics, and
-// the published epoch are untouched — a reader on serve.Reader can never
-// observe a half-applied epoch. A WAL append error additionally poisons the
-// log (ErrClosed on further appends): the on-disk tail is no longer trusted,
-// and the caller should close and re-open to recover. A view-maintenance
+// Failure atomicity: on any error the applied counter and the published
+// epoch are untouched — a reader on serve.Reader can never observe a
+// half-applied epoch. A WAL append error additionally poisons the log
+// (ErrClosed on further appends): the on-disk tail is no longer trusted, and
+// the caller should close and re-open to recover. A view-maintenance
 // error mid-fan-out leaves the *unpublished* view states torn (some views
 // ahead of others); treat it as fatal and rebuild from the log.
 func (d *DB) Apply(batch []Update) error {
@@ -377,8 +371,8 @@ func (d *DB) Apply(batch []Update) error {
 		if !ok {
 			return fmt.Errorf("db: unknown relation %q", u.Rel)
 		}
-		// Validate arity up front, so a rejected batch leaves the log, the
-		// applied counter, and the statistics untouched.
+		// Validate arity up front, so a rejected batch leaves the log and the
+		// applied counter untouched.
 		for _, t := range u.Tuples {
 			if len(t) != len(sch) {
 				return fmt.Errorf("db: %q tuple %v does not match schema %v", u.Rel, t, sch)
@@ -393,8 +387,8 @@ func (d *DB) Apply(batch []Update) error {
 }
 
 // applyBase is the shared tail of Apply and WAL replay: log (optional), fan
-// out, then — only after full success — advance the counters, observe the
-// statistics, and publish the next epoch.
+// out, then — only after full success — advance the counters and publish the
+// next epoch.
 func (d *DB) applyBase(batch []data.BaseUpdate, logIt bool) error {
 	if logIt && d.log != nil {
 		if err := d.log.AppendBatch(d.applied+1, batch); err != nil {
@@ -411,16 +405,6 @@ func (d *DB) applyBase(batch []data.BaseUpdate, logIt bool) error {
 		return err
 	}
 	d.applied++
-	if d.stats != nil {
-		for _, u := range batch {
-			sch, _ := d.store.Schema(u.Rel)
-			mult := u.Mult
-			if mult == 0 {
-				mult = 1
-			}
-			data.ObserveDeltaTuples(d.stats, u.Rel, sch, u.Tuples, mult)
-		}
-	}
 	// One clock reading per batch: the last view to publish stamped it.
 	at := d.stamp
 	if at.IsZero() {

@@ -25,7 +25,7 @@ func TestPublishLoopRecyclesArena(t *testing.T) {
 	const keys, warm, batches, bound = 4096, 200, 300, 8 << 10
 	sch := data.NewSchema("A", "B")
 	for _, hold := range []bool{false, true} {
-		d, err := Open(Catalog{"R": sch}, Options{DisableStats: true})
+		d, err := Open(Catalog{"R": sch}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

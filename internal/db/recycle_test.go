@@ -139,7 +139,7 @@ func TestAllocGuardPublish(t *testing.T) {
 func TestEpochRecycleReaders(t *testing.T) {
 	const epochs, rows, readers = 50000, 3, 8
 	sch := data.NewSchema("A", "B")
-	d, err := Open(Catalog{"R": sch}, Options{DisableStats: true})
+	d, err := Open(Catalog{"R": sch}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

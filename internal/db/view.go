@@ -16,8 +16,8 @@ import (
 // ViewOptions configures one registered view.
 type ViewOptions struct {
 	// Order supplies a fresh variable order for the view's engine (orders
-	// hold per-query state). Nil lets the cost-based optimizer choose,
-	// seeded from the DB's shared statistics at creation time.
+	// hold per-query state). Nil lets the cost-based optimizer choose, from
+	// an ANALYZE of the stored rows the view is backfilled from.
 	Order func() *vorder.Order
 	// Workers has no effect: a view is maintained by one engine. It stays
 	// only because the benchmark module sets it, and ROADMAP ground rule (c)
@@ -114,18 +114,13 @@ func CreateView[P any](d *DB, name string, q query.Query, r ring.Ring[P], lift d
 	if opts.Order != nil {
 		o = opts.Order()
 	}
-	eopts := ivm.Options[P]{
+	// Without statistics of its own, an engine that chooses its order or
+	// materializes by cost plans at Init, from the rows LoadCounts hands it.
+	m, err := ivm.New[P](q, o, r, lift, ivm.Options[P]{
 		Updatable:       opts.Updatable,
 		ComposeChains:   opts.ComposeChains,
 		CostMaterialize: opts.CostMaterialize,
-	}
-	if d.stats != nil {
-		// Seed self-planning and the cost policies from the DB's shared
-		// collector, which only ingest writes: the engine plans from its own
-		// clone, frozen at creation time.
-		eopts.Stats = d.stats.Clone()
-	}
-	m, err := ivm.New[P](q, o, r, lift, eopts)
+	})
 	if err != nil {
 		return nil, err
 	}

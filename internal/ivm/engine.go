@@ -43,10 +43,10 @@ type Options[P any] struct {
 
 	// Stats supplies pre-collected statistics (the ANALYZE path) for
 	// self-planning and the cost policies. When nil and an optimizer feature
-	// is in use, the engine owns a fresh collector and seeds it from loaded
-	// relations at Init. Either way the engine reads it only to plan, and
-	// never writes to it afterwards: Explain reports the estimates the order
-	// was chosen from.
+	// is in use, the engine ANALYZEs the loaded relations into a collector of
+	// its own at Init, as every db.DB view does. Either way the engine reads
+	// it only to plan and never writes to it: Explain reports the estimates
+	// the order was chosen from.
 	Stats *data.Stats
 	// CostMaterialize replaces the structural materialization rule with the
 	// cost-based policy: a probed view whose estimated footprint and merge
@@ -320,13 +320,13 @@ func (e *Engine[P]) LoadCounts(rel string, r *data.Relation[int64]) error {
 func (e *Engine[P]) Init() error {
 	ev := e.evaluator(e.bases, e.counts)
 	if e.pendingPlan {
-		// Seed the engine-owned collector from the loaded contents, in each
-		// relation's declared column order, then plan from it.
-		for _, rd := range e.q.Rels {
-			if sch, each := ev.source(rd.Name); sch != nil {
-				rs, proj, row := e.stats.Rel(rd.Name, rd.Schema), data.MustProjector(sch, rd.Schema), data.Tuple(nil)
-				each(func(t data.Tuple, _ *P) { row = proj.AppendTo(row[:0], t); rs.ObserveInsert(row) })
-			}
+		// ANALYZE the loaded contents into the engine-owned collector (estimates
+		// look columns up by name, in any column order), then plan from it.
+		for rel, r := range e.bases {
+			data.ObserveRelation(e.stats, rel, r)
+		}
+		for rel, r := range e.counts {
+			data.ObserveRelation(e.stats, rel, r)
 		}
 		o := e.pendingOrder
 		if o == nil {

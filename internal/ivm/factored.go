@@ -47,7 +47,8 @@ func (fd FactoredDelta[P]) Expand(schema data.Schema) *data.Relation[P] {
 //
 // For the matrix chain A1·A2·A3 under a rank-1 change to A2 this yields the
 // paper's O(n²) update (versus O(n³) for first-order IVM): the deltas stay
-// products of vectors until the O(n²) merge into the root.
+// products of vectors until the O(n²) merge into the root. Like ApplyDelta,
+// it is one batch: it ends by publishing one epoch, then reclaiming.
 func (e *Engine[P]) ApplyFactoredDelta(rel string, fd FactoredDelta[P]) error {
 	if !e.ready {
 		return fmt.Errorf("ivm: ApplyFactoredDelta before Init")
@@ -99,10 +100,10 @@ func (e *Engine[P]) ApplyFactoredDelta(rel string, fd FactoredDelta[P]) error {
 		}
 		// Drop factors that became scalars of value One? They still carry
 		// payload; keep them. Drop only empty factors: an empty factor
-		// annihilates the whole delta.
+		// annihilates the rest of the delta, and the batch ends here.
 		for _, f := range factors {
 			if f.Len() == 0 {
-				return nil
+				return e.publishThenReclaim()
 			}
 		}
 		factors = normalizeFactors(e, factors)
@@ -120,7 +121,7 @@ func (e *Engine[P]) ApplyFactoredDelta(rel string, fd FactoredDelta[P]) error {
 			v.MergeAllIndexed(expanded)
 		}
 	}
-	return nil
+	return e.publishThenReclaim()
 }
 
 // joinSiblingFactored joins a sibling view into the factor list: the factors

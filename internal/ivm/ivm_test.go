@@ -418,9 +418,12 @@ func viewSizeAt(e *Engine[int64], varName string) int {
 
 // --- factored deltas ----------------------------------------------------------
 
-// TestFactoredDeltaMatrixChain checks Section 5 / Example 6.1: rank-1
-// factored updates produce the same result as their expansion.
-func TestFactoredDeltaMatrixChain(t *testing.T) {
+const chainN = 5
+
+// matrixChain builds the 3-matrix chain A1·A2·A3 over 5×5 random matrices,
+// A2 updatable: an engine and a re-evaluating reference, both initialized.
+func matrixChain(t *testing.T, rng *rand.Rand) (*Engine[int64], *Baseline[int64]) {
+	t.Helper()
 	q := query.MustNew("chain", data.NewSchema("X1", "X4"),
 		query.RelDef{Name: "A1", Schema: data.NewSchema("X1", "X2")},
 		query.RelDef{Name: "A2", Schema: data.NewSchema("X2", "X3")},
@@ -429,23 +432,19 @@ func TestFactoredDeltaMatrixChain(t *testing.T) {
 	mkOrder := func() *vorder.Order {
 		return vorder.MustNew(vorder.V("X1", vorder.V("X4", vorder.V("X3", vorder.V("X2")))))
 	}
-	rng := rand.New(rand.NewSource(10))
-	lift := countLift
-
-	e, err := New[int64](q, mkOrder(), ring.Int{}, lift, Options[int64]{Updatable: []string{"A2"}})
+	e, err := New[int64](q, mkOrder(), ring.Int{}, countLift, Options[int64]{Updatable: []string{"A2"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewReEval[int64](q, mkOrder(), ring.Int{}, lift)
+	ref, err := NewReEval[int64](q, mkOrder(), ring.Int{}, countLift)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 5
 	for _, name := range []string{"A1", "A2", "A3"} {
 		rd, _ := q.Rel(name)
 		m := data.NewRelation[int64](ring.Int{}, rd.Schema)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
+		for i := 0; i < chainN; i++ {
+			for j := 0; j < chainN; j++ {
 				m.Merge(data.Ints(int64(i), int64(j)), int64(rng.Intn(5)-2))
 			}
 		}
@@ -458,16 +457,27 @@ func TestFactoredDeltaMatrixChain(t *testing.T) {
 	if err := ref.Init(); err != nil {
 		t.Fatal(err)
 	}
+	return e, ref
+}
 
+// rank1 is a random rank-1 update to A2: u over X2 times v over X3.
+func rank1(rng *rand.Rand) FactoredDelta[int64] {
+	u := data.NewRelation[int64](ring.Int{}, data.NewSchema("X2"))
+	u.Merge(data.Ints(int64(rng.Intn(chainN))), int64(1+rng.Intn(3)))
+	v := data.NewRelation[int64](ring.Int{}, data.NewSchema("X3"))
+	for j := 0; j < chainN; j++ {
+		v.Merge(data.Ints(int64(j)), int64(rng.Intn(5)-2))
+	}
+	return FactoredDelta[int64]{Factors: []*data.Relation[int64]{u, v}}
+}
+
+// TestFactoredDeltaMatrixChain checks Section 5 / Example 6.1: rank-1
+// factored updates produce the same result as their expansion.
+func TestFactoredDeltaMatrixChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	e, ref := matrixChain(t, rng)
 	for step := 0; step < 20; step++ {
-		// Rank-1 update: u over X2 times v over X3.
-		u := data.NewRelation[int64](ring.Int{}, data.NewSchema("X2"))
-		u.Merge(data.Ints(int64(rng.Intn(n))), int64(1+rng.Intn(3)))
-		v := data.NewRelation[int64](ring.Int{}, data.NewSchema("X3"))
-		for j := 0; j < n; j++ {
-			v.Merge(data.Ints(int64(j)), int64(rng.Intn(5)-2))
-		}
-		fd := FactoredDelta[int64]{Factors: []*data.Relation[int64]{u, v}}
+		fd := rank1(rng)
 		if err := e.ApplyFactoredDelta("A2", fd); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -477,6 +487,41 @@ func TestFactoredDeltaMatrixChain(t *testing.T) {
 		if !e.Result().Equal(ref.Result(), eqInt) {
 			t.Fatalf("step %d: factored delta diverged", step)
 		}
+	}
+}
+
+// TestFactoredDeltaPublishes: a factored delta is one batch, as ApplyDelta's
+// is, whether it reaches the root or an empty factor ends it on the way: the
+// epoch advances by one, to a snapshot equal to the live result.
+func TestFactoredDeltaPublishes(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	e, _ := matrixChain(t, rng)
+	s := e.Snapshot()
+	epoch := s.Epoch
+	s.Release()
+	for step := 0; step < 6; step++ {
+		fd := rank1(rng)
+		if step%3 == 2 {
+			fd.Factors[0] = data.NewRelation[int64](ring.Int{}, data.NewSchema("X2"))
+		}
+		if err := e.ApplyFactoredDelta("A2", fd); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		s := e.Snapshot()
+		if epoch++; s.Epoch != epoch {
+			t.Fatalf("step %d: epoch %d, want %d", step, s.Epoch, epoch)
+		}
+		live := e.Result()
+		if s.Result().Len() != live.Len() {
+			t.Fatalf("step %d: snapshot holds %d keys, the live result %d", step, s.Result().Len(), live.Len())
+		}
+		s.Result().Iterate(func(tu data.Tuple, p int64) bool {
+			if lp, ok := live.Get(tu); !ok || lp != p {
+				t.Fatalf("step %d: %v reads %d in the snapshot, %d,%v live", step, tu, p, lp, ok)
+			}
+			return true
+		})
+		s.Release()
 	}
 }
 
