@@ -253,7 +253,7 @@ func TestChooseOrderFacade(t *testing.T) {
 		r.Merge(fivm.Ints(i%5, i), 1)
 	}
 	data.ObserveRelation(st, "R", r)
-	o, err := vorder.Choose(q, vorder.ChooseOptions{Stats: st})
+	o, err := vorder.Choose(q, vorder.NewCostModel(q, st, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -495,6 +495,9 @@ var removals = []removal{
 		keep: []string{"struct{ m *ivm.Engine[_] }"}},
 	{had: "1fa29f8", step: "ivm.Maintainer is a test fixture: only the tests declare it (export_test.go), to tell the engine from the competitors",
 		in: ivmPkg, forbid: []string{"type Maintainer _"}},
+	{had: "bad82df", step: "Scratch tuples live for their batch: no volatile-tuple flag or per-run share switch, and a scratch relation shares every prefix projection",
+		in: repo, tests: true, bench: true, forbid: []string{"MarkVolatile", "handedVolatile", "VolatileTuples", "ShareProjectedTuples", "shareProjected", "shareOut"},
+		keep: []string{"r.scratch && proj.IsPrefix()"}},
 }
 
 // TestRemovalGuards fails on every removal row whose forbidden forms are

@@ -32,7 +32,7 @@ func autoOrderOne(cfg Config, ds *datasets.Dataset) *Table {
 	m := vorder.NewCostModel(ds.Query, st, nil)
 	hand := ds.NewOrder()
 	must(hand.Prepare(ds.Query))
-	chosen, err := vorder.Choose(ds.Query, vorder.ChooseOptions{Model: m})
+	chosen, err := vorder.Choose(ds.Query, m)
 	must(err)
 	must(chosen.Prepare(ds.Query))
 	stream := datasets.RoundRobinStream(ds, ds.Query.RelNames(), cfg.BatchSize)

@@ -270,7 +270,7 @@ func TestAutoOrderAblationShape(t *testing.T) {
 	// The optimizer chooses the paper's handpicked orders.
 	cfg := tiny()
 	for _, ds := range []*datasets.Dataset{datasets.GenRetailer(cfg.Retailer), datasets.GenHousing(cfg.Housing), datasets.GenTwitter(cfg.Twitter)} {
-		chosen, err := vorder.Choose(ds.Query, vorder.ChooseOptions{Model: vorder.NewCostModel(ds.Query, analyze(ds), nil)})
+		chosen, err := vorder.Choose(ds.Query, vorder.NewCostModel(ds.Query, analyze(ds), nil))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,13 +5,14 @@ package data
 // from three slabs and given back at once by Rewind. A decoder of wire
 // batches — POST /apply, a replication follower — decodes into an arena it
 // owns, applies the batch and rewinds, so a stream of batches allocates no
-// tuple. Updates built by Update carry the arena as their mark: every
-// consumer copies what outlives the batch (the volatile-batch row of
-// Relation's ownership table). String values stay ordinary heap strings, and
-// so do relation names (Name), which outlive the batch.
+// tuple. Its tuples live as long as any batch's do (Relation's ownership
+// rule: whoever keeps a row past the batch copies it); updates built by Update
+// carry the arena only so that ArenaBytes can size it. String values stay
+// ordinary heap strings, and so do relation names (Name), which outlive the
+// batch.
 //
-// A nil *BatchArena is the heap — garbage-collected storage, unmarked updates
-// — so one decoder serves both. An arena belongs to one goroutine at a time.
+// A nil *BatchArena is the heap — garbage-collected storage — so one decoder
+// serves both. An arena belongs to one goroutine at a time.
 type BatchArena struct {
 	cells   slab[Value]
 	tuples  slab[Tuple]

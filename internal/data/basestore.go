@@ -29,8 +29,8 @@ type BaseUpdate struct {
 	// merge by them (MergeUpdate) instead of encoding every tuple again.
 	keyed *batchKeys
 	first int
-	// arena, set by BatchArena.Update, marks the tuples as dying with the
-	// batch: the arena they, Tuples and the batch slice itself live in.
+	// arena, set by BatchArena.Update, is where the tuples, Tuples and the
+	// batch slice itself live: ArenaBytes sizes it.
 	arena *BatchArena
 }
 
@@ -54,9 +54,9 @@ func (k *batchKeys) key(i int) []byte {
 // BaseObserver receives, once per applied batch, the batch's updates
 // restricted to the relations the observer registered for. Updates are
 // shared and read-only; observers must not retain the slice, or the keys the
-// updates carry, beyond the call. A tuple they keep stays the caller's,
-// immutable — the store shares none — unless the batch is volatile (built in
-// a BatchArena): MergeUpdate then marks its destination, whose consumers copy.
+// updates carry, beyond the call. The tuples are the caller's — the store
+// shares none — and valid until the batch ends (a BatchArena's die at its
+// Rewind), so whoever keeps one past the call copies it.
 type BaseObserver func(batch []BaseUpdate) error
 
 // BaseStore is the shared base-relation store: the canonical multiplicity
@@ -240,7 +240,7 @@ func (s *BaseStore) Check(batch []BaseUpdate) error {
 		for _, t := range u.Tuples {
 			k.bytes = t.AppendKey(k.bytes[:0])
 			h, n := hashBytes(k.bytes), int64(0)
-			p.mergeKeyed(k.bytes, h, t, false, mult)
+			p.mergeKeyed(k.bytes, h, t, mult)
 			if e := r.entries.getBytes(h, k.bytes); e != nil {
 				n = e.Payload
 			}
@@ -293,7 +293,7 @@ func (s *BaseStore) ApplyBatch(batch []BaseUpdate) error {
 			k.bytes = t.AppendKey(k.bytes)
 			h := hashBytes(k.bytes[start:])
 			k.ends, k.hashes = append(k.ends, len(k.bytes)), append(k.hashes, h)
-			m.mergeKeyed(k.bytes[start:], h, t, false, u.Mult) // insertEntry copies t (ownTuple)
+			m.mergeKeyed(k.bytes[start:], h, t, u.Mult) // insertEntry copies t (ownTuple)
 		}
 		// Nothing outside this loop held an entry: the rows the update
 		// cancelled are reusable from here on.
@@ -323,14 +323,11 @@ func (s *BaseStore) ApplyBatch(batch []BaseUpdate) error {
 // MergeUpdate merges every tuple of u — an update as a BaseObserver receives
 // it — into dst with payload p, under the key and hash the store computed:
 // no re-encoding, no re-hashing. dst must have the base relation's schema; it
-// stores the tuples as given, and when they are a BatchArena's it is marked
-// (MarkVolatile: dst is then the per-batch scratch its consumers copy from).
+// stores the tuples as given, so it must not keep them past the batch — a
+// scratch relation (RecycleCleared), which its consumers copy from.
 func MergeUpdate[P any](dst *Relation[P], u BaseUpdate, p P) {
-	if u.arena != nil {
-		dst.MarkVolatile()
-	}
 	for i, t := range u.Tuples {
-		dst.mergeKeyed(u.keyed.key(u.first+i), u.keyed.hashes[u.first+i], t, false, p)
+		dst.mergeKeyed(u.keyed.key(u.first+i), u.keyed.hashes[u.first+i], t, p)
 	}
 }
 

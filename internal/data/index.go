@@ -166,9 +166,8 @@ func (ir *IndexedRelation[P]) MergeAllIndexed(o *Relation[P]) {
 		}
 		o = Project(o, ir.Schema())
 	}
-	volTuple := o.VolatileTuples()
 	o.entries.all(func(e *Entry[P]) bool {
-		ir.reindex(ir.mergeFrom(e, volTuple))
+		ir.reindex(ir.mergeFrom(e, o.pooled))
 		return true
 	})
 }

@@ -355,11 +355,13 @@ func TestScratchKeysRewind(t *testing.T) {
 }
 
 // TestScratchTuplesRewind is the same contract for tuples, and the same
-// broken consumer: a tuple a scratch relation projected for itself lives in
-// its tuple slab and reads poison (the next batch's values, in production)
-// once kept across Clear, while MergeAll, MergeAllIndexed, Clone and Negate
-// copied theirs — and a tuple the relation was handed is the supplier's, is
-// stored as given and is copied by nobody.
+// broken consumer: a tuple a scratch relation projected into its tuple slab
+// (any projection but a prefix) reads poison (the next batch's values, in
+// production) once kept across Clear, while MergeAll, MergeAllIndexed, Clone
+// and Negate into relations that are not pooled copied theirs. A tuple the
+// relation was handed is stored as given, and a prefix projection is a
+// subslice of its source, with no switch: both stay the supplier's, valid for
+// the batch, and an unpooled taker copies them.
 func TestScratchTuplesRewind(t *testing.T) {
 	from, sch := NewSchema("X", "A", "B"), NewSchema("B", "A")
 	proj := MustProjector(from, sch) // not a prefix: nothing to share
@@ -381,9 +383,6 @@ func TestScratchTuplesRewind(t *testing.T) {
 		}
 	}
 	fill(0)
-	if !s.VolatileTuples() {
-		t.Fatal("a scratch relation that projected reports durable tuples")
-	}
 	e0 := s.lookup(Ints(5, 5))
 	kept := e0.Tuple // the bug: a slab tuple retained across Clear
 	if !slices.Equal(kept, Ints(5, 5)) {
@@ -397,9 +396,9 @@ func TestScratchTuplesRewind(t *testing.T) {
 	ir.MergeAllIndexed(s)
 	scratch := NewRelation[int64](ring.Int{}, sch)
 	scratch.RecycleCleared()
-	scratch.MergeAll(s) // copies into its own slab, and says so
-	if !scratch.VolatileTuples() {
-		t.Fatal("a scratch relation that adopted slab tuples reports durable tuples")
+	scratch.MergeAll(s) // stores them as given: they live as long as it does
+	if se := scratch.lookup(Ints(5, 5)); &se.Tuple[0] != &kept[0] || scratch.PoolStats().TupleBytes != 0 {
+		t.Fatalf("a scratch adopter copied a scratch relation's tuple: %+v", scratch.PoolStats())
 	}
 	fromScratch := scratch.Clone()
 	clone, neg := s.Clone(), s.Negate()
@@ -432,32 +431,36 @@ func TestScratchTuplesRewind(t *testing.T) {
 		t.Errorf("tuple slab grew from %d to %d bytes over same-size refills", slab, got)
 	}
 
-	// Handed tuples: stored as given, shared by consumers, never in the slab.
+	// Handed tuples: stored as given, never in the slab, copied by an
+	// unpooled taker, which keeps rows past the batch.
 	h := NewRelation[int64](ring.Int{}, sch)
 	h.RecycleCleared()
 	given := Ints(1, 2)
 	h.Merge(given, 1)
-	h.mergeKeyed([]byte(Ints(3, 4).Key()), hashString(Ints(3, 4).Key()), Ints(3, 4), false, 1)
+	h.mergeKeyed([]byte(Ints(3, 4).Key()), hashString(Ints(3, 4).Key()), Ints(3, 4), 1)
 	taker := NewRelation[int64](ring.Int{}, sch)
 	taker.MergeAll(h)
 	he := h.lookup(given)
 	te := taker.lookup(given)
-	if &he.Tuple[0] != &given[0] || &te.Tuple[0] != &given[0] {
-		t.Error("a handed tuple was copied")
+	if &he.Tuple[0] != &given[0] {
+		t.Error("a scratch relation copied the tuple it was handed")
 	}
-	if h.VolatileTuples() || h.PoolStats().TupleBytes != 0 {
+	if &te.Tuple[0] == &given[0] || !slices.Equal(te.Tuple, given) || taker.PoolStats().TuplesCopied != 2 {
+		t.Errorf("an unpooled taker shares a scratch relation's tuples: %v, %+v", te.Tuple, taker.PoolStats())
+	}
+	if h.PoolStats().TupleBytes != 0 {
 		t.Errorf("handed tuples touched the slab: %+v", h.PoolStats())
 	}
 
-	// Sharing: prefix subslices of the source, no slab; anything else panics.
+	// Sharing: a prefix projection is a subslice of the source, no slab;
+	// SharedApply of anything else panics.
 	sh := NewRelation[int64](ring.Int{}, NewSchema("X", "A"))
 	sh.RecycleCleared()
-	sh.ShareProjectedTuples(true)
 	src := Ints(7, 8, 9)
 	sh.MergeProjected(MustProjector(from, sh.Schema()), src, 1)
 	se := sh.lookup(Ints(7, 8))
-	if &se.Tuple[0] != &src[0] || cap(se.Tuple) != 2 || sh.VolatileTuples() {
-		t.Errorf("shared projection %v (cap %d), volatile %v", se.Tuple, cap(se.Tuple), sh.VolatileTuples())
+	if &se.Tuple[0] != &src[0] || cap(se.Tuple) != 2 || sh.PoolStats().TupleBytes != 0 {
+		t.Errorf("prefix projection %v (cap %d) not shared: %+v", se.Tuple, cap(se.Tuple), sh.PoolStats())
 	}
 	func() {
 		defer func() {

@@ -105,17 +105,14 @@ func keyString(key []byte) string { return unsafe.String(unsafe.SliceData(key), 
 //	                 Release of every
 //	                 epoch that could
 //	                 read it
-//	scratch          relation; reusable    relation's slab,     relation's slab     as pooled: overwritten by
-//	(RecycleCleared, after the next Clear  rewound by Clear     when the relation   the next batch's inserts
-//	Clear per batch)                                            projected it, the
-//	                                                            supplier's otherwise
-//	volatile batch   —                     —                    the BatchArena's,   —
-//	(BaseUpdate from                                            dead at its Rewind:
-//	a BatchArena)                                               a pooled relation
-//	                                                            copies as always, a
-//	                                                            scratch relation
-//	                                                            handed one reports
-//	                                                            volatile
+//	scratch          relation; reusable    relation's slab,     the supplier's: a   as pooled: overwritten by
+//	(RecycleCleared, after the next Clear  rewound by Clear     handed tuple as     the next batch's inserts
+//	Clear per batch)                                            given, a prefix
+//	                                                            projection a
+//	                                                            subslice of its
+//	                                                            source; any other
+//	                                                            projection the
+//	                                                            relation's slab
 //
 // Who may retain what: nobody retains an *Entry, or a key, a tuple or a
 // payload read through one, past the owner's reclaim point (work
@@ -125,13 +122,14 @@ func keyString(key []byte) string { return unsafe.String(unsafe.SliceData(key), 
 // merge into its own relation sees the old version once the merge replaced it
 // (no work item does this: a delta plan merges into a view only after the step
 // that probes it). Every insert copies its key into the entry (setKey), and a
-// pooled relation its tuple too, so no such relation holds another's bytes.
-// Nothing a scratch relation made survives its
-// next Clear: consumers copy the payloads they keep, and the tuples too once
-// the relation has projected one into its slab, or was handed one of a
-// volatile batch, since its last Clear (the test is per relation, not per
-// entry: VolatileTuples). A tuple a scratch or unpooled relation was handed is
-// stored as given and stays the supplier's: never written again.
+// relation that owns its rows its tuple too, so no such relation holds
+// another's bytes. A scratch relation's tuples, whether handed to it or
+// projected, are valid until the batch that filled it ends (the supplier's
+// batch arena rewinds, a plan step's join arena is refilled, Clear rewinds the
+// slab), and whoever keeps a row past that copies it: a pooled relation copies
+// every row it stores, an unpooled one every tuple it adopts from a pooled
+// relation (keepTuple). A tuple a scratch or unpooled relation was handed is
+// stored as given and never written through.
 type Relation[P any] struct {
 	schema  Schema
 	ring    ring.Ring[P]
@@ -165,15 +163,10 @@ type Relation[P any] struct {
 	scratch bool
 	keys    slab[byte]
 	tuples  slab[Value]
-	// shareProjected lets projected merges store prefix subslices of the
-	// source tuple instead of copies; see ShareProjectedTuples.
-	shareProjected bool
-	// handedVolatile marks a scratch relation handed a tuple of a volatile
-	// batch since its last Clear (MarkVolatile). copied counts the rows whose
-	// cells were bought new (ownTuple, keepTuple), rowsReused those written
-	// into the cells of a reused entry, touchCopies the entries copied on a
-	// first touch after a publish (touchEntry).
-	handedVolatile                  bool
+	// copied counts the rows whose cells were bought new (ownTuple,
+	// keepTuple), rowsReused those written into the cells of a reused entry,
+	// touchCopies the entries copied on a first touch after a publish
+	// (touchEntry).
 	copied, rowsReused, touchCopies uint64
 	// snap, when non-nil, tracks the keys dirtied since the last published
 	// snapshot; see Snapshot.
@@ -222,31 +215,21 @@ func (r *Relation[P]) Clear() {
 	}
 	r.entries.clear()
 	if r.scratch {
-		r.handedVolatile = false
 		r.reclaim()
 		r.keys.rewind(0xFF)
 		r.tuples.rewind(poisonTuple[0])
 	}
 }
 
-// ShareProjectedTuples makes the projecting merges (MergeProjected,
-// MergeMulProjected) store a subslice of the source tuple
-// instead of a copy, until it is switched off again (a plan step decides per
-// run, on a cleared relation). Every projector must then be a prefix
-// projection (Projector.IsPrefix; SharedApply panics otherwise), and every
-// source tuple must be durable — immutable and never reused — because
-// consumers keep a shared tuple without copying it: a tuple of a caller's heap
-// batch qualifies, a tuple of a BatchArena, of another scratch relation's slab
-// or of a delta plan's join arena does not.
-func (r *Relation[P]) ShareProjectedTuples(on bool) { r.shareProjected = on }
-
-// projApply materializes the projection of t for storage: shared with t,
-// copied into the relation's tuple slab (scratch), into its reused row buffer
-// (a relation that owns its rows, whose insert copies it into the row's
-// cells), or into a heap tuple.
+// projApply materializes the projection of t for storage: in a scratch
+// relation, a prefix projection is a subslice of t, which lives as long as the
+// relation's tuples must (the batch), and any other goes into the relation's
+// tuple slab; a relation that owns its rows projects into its reused row
+// buffer, whose insert copies it into the row's cells; any other relation
+// into a heap tuple.
 func (r *Relation[P]) projApply(proj Projector, t Tuple) Tuple {
 	switch {
-	case r.shareProjected:
+	case r.scratch && proj.IsPrefix():
 		return proj.SharedApply(t)
 	case r.scratch:
 		return proj.AppendTo(r.tuples.take(proj.Len())[:0], t)
@@ -260,12 +243,11 @@ func (r *Relation[P]) projApply(proj Projector, t Tuple) Tuple {
 // RecycleCleared declares the relation delta scratch: a relation refilled
 // per batch whose owner calls Clear before each refill (the scratch row of
 // the ownership table). Clear then recycles entry structs, mutable payload
-// storage, key bytes and the tuples the relation projected for itself, so a
-// steady-state refill allocates nothing; the price is that consumers must
-// copy what they keep past the next Clear — MergeAll, MergeAllIndexed, Clone
-// and Negate do: keys and payloads always, tuples once the relation has
-// projected one since its last Clear. Tuples it was handed are stored as
-// given and never reused.
+// storage, key bytes and the tuples the relation projected into its slab, so
+// a steady-state refill allocates nothing; the price is that consumers must
+// copy what they keep past the batch — MergeAll, MergeAllIndexed, Clone and
+// Negate copy keys and payloads always, and tuples into any relation that is
+// not pooled. Tuples it was handed are stored as given and never reused.
 func (r *Relation[P]) RecycleCleared() { r.pooled, r.scratch = true, true }
 
 // Reclaim is the reclaim point of a relation that lives across batches (a
@@ -366,35 +348,18 @@ func (r *Relation[P]) setKey(e *Entry[P], key []byte) {
 	e.key = unsafe.String(unsafe.SliceData(buf), len(key))
 }
 
-// keepTuple returns a tuple a source entry carries in a form r may store:
-// shared, unless the source relation is VolatileTuples, whose tuples die
-// before r's do — or as it is to a pooled r, whose insert copies it anyway.
-func (r *Relation[P]) keepTuple(t Tuple, volatile bool) Tuple {
-	if !volatile || r.ownsRows() {
+// keepTuple returns a tuple a source entry carries in a form r may store: a
+// copy when the source is pooled — its tuples die at its reclaim point, a
+// scratch relation's with its batch — and r is not, so keeps rows past that;
+// as it is otherwise (a pooled r copies it on insert, or, scratch, keeps it no
+// longer than the batch).
+func (r *Relation[P]) keepTuple(t Tuple, srcPooled bool) Tuple {
+	if !srcPooled || r.pooled {
 		return t
 	}
 	r.copied++
-	if r.scratch {
-		c := Tuple(r.tuples.take(len(t)))
-		copy(c, t)
-		return c
-	}
 	return t.Clone()
 }
-
-// VolatileTuples reports whether consumers must copy the tuples they keep: r
-// is pooled, and overwrites a removed row's cells on reuse, or r is scratch
-// and since its last Clear has put a tuple into its slab or was handed one of
-// a volatile batch (MarkVolatile). The test is per relation — a durable tuple
-// stored beside a volatile one is copied with it.
-func (r *Relation[P]) VolatileTuples() bool {
-	return r.ownsRows() || r.scratch && (r.handedVolatile || r.tuples.used())
-}
-
-// MarkVolatile declares that a tuple handed to scratch relation r since its
-// last Clear dies with its batch (a BatchArena's, or another volatile
-// relation's stored as given), so r reports VolatileTuples until then.
-func (r *Relation[P]) MarkVolatile() { r.handedVolatile = true }
 
 // ownTuple copies t into cells of the relation's own: dst, the cells a reused
 // entry kept from its last row — a relation's arity is fixed, so they fit —
@@ -652,14 +617,13 @@ func (r *Relation[P]) MergeMulProjected(proj Projector, t Tuple, a, b *P) {
 // encoding (Tuple.AppendKey) and h its hashBytes. Whoever encodes a tuple
 // once for several relations — the base store for itself and its observers
 // — merges into each of them this way. The
-// key bytes are copied on insert; t is stored as given, or copied when it may
-// die before r's entry does (volTuple: keepTuple).
-func (r *Relation[P]) mergeKeyed(key []byte, h uint64, t Tuple, volTuple bool, p P) {
+// key bytes are copied on insert; t is stored as given.
+func (r *Relation[P]) mergeKeyed(key []byte, h uint64, t Tuple, p P) {
 	r.keyHash = h
 	if e := r.entries.getBytes(h, key); e != nil {
 		r.addInto(e, p)
 	} else if !r.ring.IsZero(p) {
-		r.ring.CopyInto(&r.insertEntry(key, r.keepTuple(t, volTuple)).Payload, p)
+		r.ring.CopyInto(&r.insertEntry(key, t).Payload, p)
 	}
 }
 
@@ -667,8 +631,8 @@ func (r *Relation[P]) mergeKeyed(key []byte, h uint64, t Tuple, volTuple bool, p
 // the key and hash it already carries (no re-encoding, no re-hashing) and
 // reports the entries before and after like mergeEntry. On insert the key is
 // copied like any other and the tuple shared with the source, or copied when
-// it may be the source's own (volTuple: see VolatileTuples).
-func (r *Relation[P]) mergeFrom(src *Entry[P], volTuple bool) (old, en *Entry[P]) {
+// the source is pooled (keepTuple).
+func (r *Relation[P]) mergeFrom(src *Entry[P], srcPooled bool) (old, en *Entry[P]) {
 	r.keyHash = src.hash
 	if e := r.entries.getString(src.hash, src.key); e != nil {
 		return e, r.addInto(e, src.Payload)
@@ -676,7 +640,7 @@ func (r *Relation[P]) mergeFrom(src *Entry[P], volTuple bool) (old, en *Entry[P]
 	if r.ring.IsZero(src.Payload) {
 		return nil, nil
 	}
-	en = r.insertEntry(keyView(src.key), r.keepTuple(src.Tuple, volTuple))
+	en = r.insertEntry(keyView(src.key), r.keepTuple(src.Tuple, srcPooled))
 	r.ring.CopyInto(&en.Payload, src.Payload)
 	return nil, en
 }
@@ -684,9 +648,8 @@ func (r *Relation[P]) mergeFrom(src *Entry[P], volTuple bool) (old, en *Entry[P]
 // MergeAll merges every entry of o into r: r := r ⊎ o. The relations must
 // share a schema (same variables in the same order).
 func (r *Relation[P]) MergeAll(o *Relation[P]) {
-	volTuple := o.VolatileTuples()
 	o.entries.all(func(e *Entry[P]) bool {
-		r.mergeFrom(e, volTuple)
+		r.mergeFrom(e, o.pooled)
 		return true
 	})
 }
@@ -723,8 +686,8 @@ func (r *Relation[P]) SortedEntries() []Entry[P] {
 	return out
 }
 
-// Clone returns a copy sharing tuples (copies, where r is VolatileTuples:
-// keepTuple) but no key bytes, entry or table structure. Payloads are
+// Clone returns a copy sharing tuples (copies, where r is pooled: keepTuple)
+// but no key bytes, entry or table structure. Payloads are
 // deep-copied, so later merges into either relation never bleed into the
 // other.
 func (r *Relation[P]) Clone() *Relation[P] {
@@ -743,9 +706,8 @@ func (r *Relation[P]) Negate() *Relation[P] {
 func (r *Relation[P]) cloneWith(set func(dst, src *Entry[P])) *Relation[P] {
 	out := &Relation[P]{schema: r.schema, ring: r.ring}
 	out.entries.reserve(r.entries.len())
-	volTuple := r.VolatileTuples()
 	r.entries.all(func(e *Entry[P]) bool {
-		c := &Entry[P]{hash: e.hash, Tuple: out.keepTuple(e.Tuple, volTuple)}
+		c := &Entry[P]{hash: e.hash, Tuple: out.keepTuple(e.Tuple, r.pooled)}
 		out.setKey(c, keyView(e.key))
 		set(c, e)
 		out.entries.insert(c)

@@ -33,7 +33,7 @@ func TestChosenOrderNoWorseThanHandpicked(t *testing.T) {
 	} {
 		st := statsOf(d)
 		m := vorder.NewCostModel(d.Query, st, nil)
-		chosen, err := vorder.Choose(d.Query, vorder.ChooseOptions{Model: m})
+		chosen, err := vorder.Choose(d.Query, m)
 		if err != nil {
 			t.Fatalf("%s: %v", d.Name, err)
 		}

@@ -69,12 +69,10 @@ type Options struct {
 
 // Update is one element of an applied batch: tuples of a base relation
 // (Rel, Tuples) with a signed multiplicity (Mult: negative deletes, zero
-// defaults to +1). The shared store copies the rows it keeps, but the views
-// keep the caller's tuples for the keys they adopt, so callers must not mutate
-// tuples (or reuse their backing arrays) after Apply. The exception is a
-// batch decoded into a data.BatchArena (POST /apply, a follower's shipped
-// frames): its updates carry the arena's mark, every consumer copies what
-// outlives the batch, and the arena is rewound once Apply has returned.
+// defaults to +1). The shared store and the views copy the rows they keep,
+// and nothing else holds a batch's tuples past Apply, so a caller may reuse
+// them once Apply has returned: a batch decoded into a data.BatchArena (POST
+// /apply, a follower's shipped frames) is rewound then.
 type Update = data.BaseUpdate
 
 // Insert builds an insertion update.
@@ -378,7 +376,7 @@ func (d *DB) Apply(batch []Update) error {
 				return fmt.Errorf("db: %q tuple %v does not match schema %v", u.Rel, t, sch)
 			}
 		}
-		d.baseBatch = append(d.baseBatch, u) // the arena mark travels with it
+		d.baseBatch = append(d.baseBatch, u) // its arena travels with it, for ArenaBytes
 	}
 	if err := d.store.Check(d.baseBatch); err != nil {
 		return err

@@ -223,10 +223,10 @@ func (v *View[P]) observe(batch []data.BaseUpdate) error {
 // convert lifts one relation's updates of the batch into the view's ring —
 // merging by the keys and hashes the base store computed for the batch, not
 // encoding the tuples again — and shares the result with every other view
-// over the same ring type via the DB's conversion cache. The delta stores the
-// batch's tuples as handed and, for a batch built in a data.BatchArena,
-// reports them volatile: the engines then copy the tuples of the keys they
-// adopt and their plan steps share none.
+// over the same ring type via the DB's conversion cache. The delta is scratch
+// and stores the batch's tuples as handed, valid until the batch ends (a
+// data.BatchArena's are rewound then): the engines' views copy the rows they
+// adopt, and their plan steps share prefixes of the tuples.
 func (v *View[P]) convert(rel string, batch []data.BaseUpdate) *data.Relation[P] {
 	if v.db.conv.m == nil {
 		v.db.conv.m = make(map[convKey]*convEntry)

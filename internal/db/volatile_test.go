@@ -56,7 +56,7 @@ func checkEngineViews[P any](t *testing.T, what string, v *View[P]) {
 // churn batches (groups run empty and come back, so views keep adopting keys)
 // go through (i) a view that stores every tuple of R in its leaf and its
 // root, (ii) the R ⋈ S ⋈ U plan of ivm.TestStepOutputOwnership, whose path of
-// R starts with a step that shares a durable delta's tuples, (iii) a relation
+// R starts with a step that shares the arena's tuples, (iii) a relation
 // keyed by strings, (iv) a view created mid-stream, backfilled from the base
 // store, and one-shot SELECTs (create, read the epoch, drop). After every
 // batch every entry of every view and base relation must hold the tuple of

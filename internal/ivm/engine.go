@@ -160,7 +160,7 @@ func (e *Engine[P]) costModel() *vorder.CostModel {
 
 // chooseOrder runs the optimizer over the current statistics.
 func (e *Engine[P]) chooseOrder() (*vorder.Order, error) {
-	return vorder.Choose(e.q, vorder.ChooseOptions{Model: e.costModel()})
+	return vorder.Choose(e.q, e.costModel())
 }
 
 // plan compiles the engine's static machinery for a prepared-or-fresh

@@ -439,17 +439,16 @@ func TestMemoryBytesGrowsWithData(t *testing.T) {
 }
 
 // TestStepOutputOwnership drives a plan whose steps, along the path of R,
-// alternate the three ways a step output holds its tuples — sharing the leaf
-// delta's (V@B: no sibling, a prefix projection), projecting into its own slab
-// (V@A: a sibling probed by part of its key, so join tuples live in the step's
-// arena), and copying into its slab what it could have shared had its input
-// been durable (V@Z: full-key sibling, prefix projection, slab-backed input) —
-// through 60 churn batches fed the way db.View feeds an engine, from refilled
-// scratch relations (every fourth batch from ones that hold copies of the
-// tuples in their own slabs, every fourth from ones handed the tuples of a
-// batch arena rewound right after), against the ReEval oracle. After every batch every view
-// entry must still hold the tuple of its key: a view that adopted a step
-// output's tuple without copying it reads the next batch's values here.
+// alternate the ways a step output holds its tuples — sharing the leaf delta's
+// (V@B: no sibling, a prefix projection), projecting into its own slab (V@A:
+// not a prefix projection), and sharing the previous step's slab tuples (V@Z:
+// a prefix projection of a slab-backed input) — through 60 churn batches fed
+// the way db.View feeds an engine, from refilled scratch relations (every
+// fourth batch from ones that hold copies of the tuples in their own slabs,
+// every fourth from ones handed the tuples of a batch arena rewound right
+// after), against the ReEval oracle. After every batch every view entry must
+// still hold the tuple of its key: a view that adopted a step output's tuple
+// without copying it reads the next batch's values here.
 func TestStepOutputOwnership(t *testing.T) {
 	q := query.MustNew("Q", data.NewSchema("Z", "C"),
 		query.RelDef{Name: "R", Schema: data.NewSchema("Z", "A", "B")},
@@ -474,18 +473,12 @@ func TestStepOutputOwnership(t *testing.T) {
 	}
 	e.Snapshot().Release()
 
-	steps := e.plans[e.root.LeafOf("R")].steps
-	var shares, couldShare []bool
-	for _, st := range steps {
-		full := true
-		for _, sib := range st.siblings {
-			full = full && sib.full
-		}
-		shares = append(shares, st.shareOut)
-		couldShare = append(couldShare, full && st.outProj.IsPrefix())
+	var shares []bool
+	for _, st := range e.plans[e.root.LeafOf("R")].steps {
+		shares = append(shares, st.outProj.IsPrefix())
 	}
-	if want := []bool{true, false, false}; !slices.Equal(shares, want) || !slices.Equal(couldShare, []bool{true, false, true}) {
-		t.Fatalf("plan of R: steps share %v (want %v), could share on durable input %v\n%s", shares, want, couldShare, e.Tree())
+	if want := []bool{true, false, true}; !slices.Equal(shares, want) {
+		t.Fatalf("plan of R: steps share %v (want %v)\n%s", shares, want, e.Tree())
 	}
 
 	rng := rand.New(rand.NewSource(29))
@@ -514,19 +507,17 @@ func TestStepOutputOwnership(t *testing.T) {
 				feeds[rd.Name] = feed
 			}
 			feed.Clear()
-			ident := data.MustProjector(rd.Schema, rd.Schema)
+			drop := data.MustProjector(append(data.NewSchema("_"), rd.Schema...), rd.Schema) // not a prefix
 			d.Iterate(func(tu data.Tuple, p int64) bool {
 				switch b % 4 {
 				case 3:
-					// A feed that projected its own tuples: not even the leaf
-					// delta's outlive the batch, and the plan run must notice.
-					feed.MergeProjected(ident, tu, p)
+					// A feed that projected its tuples into its own slab:
+					// rewound, with every step output, at the next batch.
+					feed.MergeProjected(drop, append(data.Tuple{data.Int(0)}, tu...), p)
 				case 2:
 					// A feed handed the tuples of a batch arena, as db.View's
-					// conversion is by POST /apply: marked, and dead at the
-					// rewind below.
+					// conversion is by POST /apply: dead at the rewind below.
 					feed.Merge(append(arena.Tuple(len(tu))[:0], tu...), p)
-					feed.MarkVolatile()
 				default:
 					feed.Merge(tu, p)
 				}

@@ -205,7 +205,7 @@ func buildTree(q query.Query, o *vorder.Order, compose bool) (*viewtree.Node, er
 		// Self-plan: no statistics are available at this layer, so the
 		// optimizer ranks candidates structurally (see vorder.Choose).
 		var err error
-		if o, err = vorder.Choose(q, vorder.ChooseOptions{}); err != nil {
+		if o, err = vorder.Choose(q, nil); err != nil {
 			return nil, err
 		}
 	}

@@ -21,16 +21,6 @@ type deltaPlan[P any] struct {
 // around the δ-join that computes the view's delta.
 type planStep[P any] struct {
 	node *viewtree.Node
-	// shareOut marks the steps whose output may store prefix subslices of the
-	// input delta's tuples instead of projecting into its own tuple slab
-	// (data.Relation.ShareProjectedTuples). Decided by buildPlan: every
-	// sibling is probed by full key, so work items keep the input's stored
-	// tuples; outProj is a prefix projection; and the input is the leaf delta
-	// or the output of a step that shares. Whether a run does share is up to
-	// the leaf delta it is given (deltaPlan.run): a volatile one lends
-	// nothing. Any other step's output is slab-backed and dies with its next
-	// exec.
-	shareOut bool
 	joinStep[P]
 }
 
@@ -59,9 +49,10 @@ type joinStep[P any] struct {
 	// per step. Steps are owned by one maintainer and single-threaded; the
 	// output relation is consumed (merged and iterated) before the next exec
 	// of the same step, and nothing it made outlives that: it is delta scratch
-	// (data.Relation.RecycleCleared), so views copy the keys and payloads
-	// they adopt from it, and the tuples too unless the step shares its
-	// input's (exec's share).
+	// (data.Relation.RecycleCleared), so views copy the keys, tuples and
+	// payloads they adopt from it. Under a prefix outProj its tuples are
+	// subslices of the join tuples — the input's, or tupArena's — which live
+	// as long.
 	items, spare []workItem[P]
 	keyBuf       []byte
 	out          *data.Relation[P]
@@ -73,8 +64,8 @@ type joinStep[P any] struct {
 	// stays valid for the whole call; see prodBuf.
 	prods prodBuf[P]
 	// tupArena backs the tuples of join-extended work items: slices into one
-	// growing buffer reused across execs (work items never outlive the next
-	// exec, and everything stored durably is copied by projection first).
+	// growing buffer reused across execs (work items and the output never
+	// outlive the next exec, and the views copy what they store).
 	tupArena data.Tuple
 
 	// Lift-product cache: lifting functions are pure (a paper invariant),
@@ -180,10 +171,6 @@ func (st *joinStep[P]) bind() {
 func (e *Engine[P]) buildPlan(leaf *viewtree.Node) (*deltaPlan[P], error) {
 	plan := &deltaPlan[P]{leaf: leaf}
 	cur := leaf
-	// Whether the tuples of the delta a step consumes can outlive the batch:
-	// the leaf delta's may (run asks it), a step output's only when the step
-	// shared them.
-	durable := true
 	for node := cur.Parent(); node != nil; node = node.Parent() {
 		st := &planStep[P]{node: node, joinStep: joinStep[P]{ring: e.ring, lift: e.lift, keys: node.Keys}}
 		if xf := e.opts.PayloadTransform; xf != nil {
@@ -219,11 +206,6 @@ func (e *Engine[P]) buildPlan(leaf *viewtree.Node) (*deltaPlan[P], error) {
 		if err := st.compile(cur.Keys, allMarg); err != nil {
 			return nil, fmt.Errorf("ivm: %s: %v", node.Name(), err)
 		}
-		st.shareOut = durable && st.outProj.IsPrefix()
-		for _, sib := range st.siblings {
-			st.shareOut = st.shareOut && sib.full
-		}
-		durable = st.shareOut
 		plan.steps = append(plan.steps, st)
 		cur = node
 	}
@@ -243,14 +225,11 @@ func (p *deltaPlan[P]) run(e *Engine[P], delta *data.Relation[P]) error {
 	if v := e.views[p.leaf]; v != nil {
 		v.MergeAllIndexed(delta)
 	}
-	// A delta whose tuples die with its batch — a BatchArena's, handed through
-	// the conversion scratch, or a scratch relation's own — lends none to the
-	// step outputs: every step of this run projects into its slab. The views
-	// copy every row they adopt, from anywhere, into cells of their own.
-	durable := !delta.VolatileTuples()
+	// Each step output is consumed here before its step runs again; the views
+	// copy every row they adopt into cells of their own.
 	cur := delta
 	for _, st := range p.steps {
-		next := st.exec(cur, st.shareOut && durable)
+		next := st.exec(cur)
 		if v := e.views[st.node]; v != nil {
 			v.MergeAllIndexed(next)
 		}
@@ -275,10 +254,8 @@ type workItem[P any] struct {
 // index probes, lifts and marginalizes the bound variables, and projects onto
 // the view's keys. Work-item slices and the probe-key buffer are reused across
 // calls, and index probes yield entries directly, so the steady-state join
-// allocates nothing per tuple. share says whether this run's output stores
-// subslices of delta's tuples (the caller knows every sibling is full, outProj
-// a prefix and delta's tuples durable).
-func (st *joinStep[P]) exec(delta *data.Relation[P], share bool) *data.Relation[P] {
+// allocates nothing per tuple.
+func (st *joinStep[P]) exec(delta *data.Relation[P]) *data.Relation[P] {
 	items := st.join(delta)
 
 	// Reserve only on first use: Clear retains the map's capacity, which a
@@ -293,7 +270,6 @@ func (st *joinStep[P]) exec(delta *data.Relation[P], share bool) *data.Relation[
 		st.out.Clear()
 	}
 	out := st.out
-	out.ShareProjectedTuples(share)
 	for _, it := range items {
 		st.merge(out, it.t, it.p, st.liftProduct(it.t))
 	}

@@ -237,7 +237,7 @@ func (m *Recursive[P]) applyDelta(rel string, delta *data.Relation[P]) error {
 		delta = data.Project(delta, rd.Schema)
 	}
 	for _, v := range m.affected[rel] {
-		v.rel.MergeAllIndexed(v.deltas[rel].exec(delta, false))
+		v.rel.MergeAllIndexed(v.deltas[rel].exec(delta))
 	}
 	return nil
 }

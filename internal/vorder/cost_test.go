@@ -128,7 +128,7 @@ func TestChooseMatchesHandpickedShapeOnPaperWorkloads(t *testing.T) {
 		query.RelDef{Name: "S", Schema: data.NewSchema("K", "b1")},
 		query.RelDef{Name: "T", Schema: data.NewSchema("K", "c1", "c2")},
 	)
-	o, err := Choose(q, ChooseOptions{})
+	o, err := Choose(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestChooseTriangleRanksRotationsByStats(t *testing.T) {
 	// variables [A,B].
 	st := seedStats(t, q, map[string]int{"R": 2000, "S": 2000, "T": 2000},
 		map[string][]int{"R": {50, 60}, "S": {60, 1000}, "T": {1000, 50}})
-	o, err := Choose(q, ChooseOptions{Stats: st})
+	o, err := Choose(q, NewCostModel(q, st, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestChooseFreeVariablesStayAboveBound(t *testing.T) {
 		query.RelDef{Name: "R", Schema: data.NewSchema("A", "B")},
 		query.RelDef{Name: "S", Schema: data.NewSchema("B", "C")},
 	)
-	o, err := Choose(q, ChooseOptions{})
+	o, err := Choose(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestChooseFreeVariablesStayAboveBound(t *testing.T) {
 
 func TestChooseBudgetFallsBackToGreedy(t *testing.T) {
 	q := triQuery()
-	o, err := Choose(q, ChooseOptions{Budget: 1})
+	o, err := choose(q, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestChooseNeverWorseThanGreedy(t *testing.T) {
 		}
 		st := seedStats(t, q, cards, nil)
 		m := NewCostModel(q, st, nil)
-		chosen, err := Choose(q, ChooseOptions{Model: m})
+		chosen, err := Choose(q, m)
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}

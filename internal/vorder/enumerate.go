@@ -9,26 +9,11 @@ import (
 	"fivm/internal/query"
 )
 
-// ChooseOptions configures the cost-based order search.
-type ChooseOptions struct {
-	// Stats supplies cardinalities, distinct counts, and delta rates; nil
-	// falls back to structural defaults.
-	Stats *data.Stats
-	// Updatable lists the relations that receive deltas (nil/empty = all);
-	// only their maintenance paths contribute update cost.
-	Updatable []string
-	// Model overrides the cost model built from Stats/Updatable (used to
-	// share one model across repeated calls).
-	Model *CostModel
-	// Budget caps the number of distinct subproblems the enumerator expands
-	// (default 20000); on exhaustion Choose falls back to the greedy Build
-	// heuristic.
-	Budget int
-}
-
-// defaultChooseBudget bounds the memoized search; realistic queries have a
-// handful of join variables and use a tiny fraction of it.
-const defaultChooseBudget = 20000
+// chooseBudget caps the number of distinct subproblems Choose's enumerator
+// expands; on exhaustion it falls back to the greedy Build heuristic.
+// Realistic queries have a handful of join variables and use a tiny fraction
+// of it.
+const chooseBudget = 20000
 
 var errBudget = errors.New("vorder: enumeration budget exhausted")
 
@@ -48,12 +33,16 @@ var errBudget = errors.New("vorder: enumeration budget exhausted")
 // variables already removed from its component's relations), so shared
 // sub-orders are solved once and reused across candidates.
 //
-// The returned order is prepared for q. Choose never returns an order that
-// the model ranks worse than the greedy Build heuristic.
-func Choose(q query.Query, opts ChooseOptions) (*Order, error) {
-	m := opts.Model
+// Candidates are ranked by m; nil means the structural model,
+// NewCostModel(q, nil, nil). The returned order is prepared for q. Choose
+// never returns an order that the model ranks worse than the greedy Build
+// heuristic.
+func Choose(q query.Query, m *CostModel) (*Order, error) { return choose(q, m, chooseBudget) }
+
+// choose is Choose with budget as its enumeration budget.
+func choose(q query.Query, m *CostModel, budget int) (*Order, error) {
 	if m == nil {
-		m = NewCostModel(q, opts.Stats, opts.Updatable)
+		m = NewCostModel(q, nil, nil)
 	}
 	greedy, gerr := Build(q)
 	if len(q.Rels) == 0 {
@@ -63,11 +52,8 @@ func Choose(q query.Query, opts ChooseOptions) (*Order, error) {
 	en := &enumerator{
 		m:      m,
 		free:   q.Free,
-		budget: opts.Budget,
+		budget: budget,
 		memo:   make(map[string]memoEntry),
-	}
-	if en.budget <= 0 {
-		en.budget = defaultChooseBudget
 	}
 
 	edges := make([]hedge, 0, len(q.Rels))

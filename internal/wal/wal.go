@@ -45,8 +45,11 @@ const (
 	// survives any crash.
 	FsyncAlways FsyncPolicy = iota
 	// FsyncInterval syncs at most once per SyncInterval, amortizing the
-	// sync cost; a crash can lose up to one interval of acknowledged
-	// batches (but never tears one — recovery truncates to a record
+	// sync cost. The interval is checked only when a record is appended: an
+	// append syncs when SyncInterval has passed since the last sync, so the
+	// tail of a burst stays unsynced until the next such append, a Sync or
+	// Close, however long that takes. A crash loses the acknowledged batches
+	// of that tail (but never tears one — recovery truncates to a record
 	// boundary).
 	FsyncInterval
 	// FsyncNever leaves syncing to the OS; a crash may lose any batch not

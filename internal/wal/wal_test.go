@@ -286,7 +286,21 @@ func TestFsyncPolicies(t *testing.T) {
 	if got := fs.SyncCount() - base; got != 1 {
 		t.Errorf("fsync=interval after interval: %d syncs, want 1", got)
 	}
-	l.Close()
+	// The interval is checked only on append: a burst's tail appended
+	// within it stays unsynced however long no append follows, and a crash
+	// loses it.
+	l.AppendBatch(5, testBatch(5))
+	l.AppendBatch(6, testBatch(6))
+	now = now.Add(time.Hour)
+	if got := fs.SyncCount() - base; got != 1 {
+		t.Errorf("fsync=interval: %d syncs an hour after the burst, want 1", got)
+	}
+	fs.Crash()
+	l2, rec := openMem(t, fs, FsyncNever)
+	l2.Close()
+	if len(rec.Records) != 4 || rec.Records[3].Applied != 4 {
+		t.Fatalf("fsync=interval: recovered %d records after the crash, want the 4 synced ones", len(rec.Records))
+	}
 }
 
 // Unsynced appends under fsync=never are lost on crash but never torn:
