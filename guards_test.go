@@ -498,6 +498,9 @@ var removals = []removal{
 	{had: "bad82df", step: "Scratch tuples live for their batch: no volatile-tuple flag or per-run share switch, and a scratch relation shares every prefix projection",
 		in: repo, tests: true, bench: true, forbid: []string{"MarkVolatile", "handedVolatile", "VolatileTuples", "ShareProjectedTuples", "shareProjected", "shareOut"},
 		keep: []string{"r.scratch && proj.IsPrefix()"}},
+	{had: "f800527", step: "Rows follow their snapshot chunks: no entry generations or per-epoch row sweep, and the chunk sweep frees a retired row with its last count",
+		in: dataPkg, tests: true, forbid: []string{"sweepRows", "retireEntry", "type Entry[_ any] struct{ gen _ }", "type Entry[_ any] struct{ born _ }"},
+		keep: []string{"_.chunks == 0 && _.retired"}},
 }
 
 // TestRemovalGuards fails on every removal row whose forbidden forms are
@@ -740,6 +743,7 @@ func TestRemovalGuardForms(t *testing.T) {
 		{"type Sized _", "func f() { type Sized[T any] interface{ Bytes(T) int } }", "f"},
 		{"struct{ shares _ }", "func f() { type s struct{ gen, born uint64; shares bool } }", "f"},
 		{"type Ring[_ any] interface{ Mutable[_] }", "type Ring[T any] interface { Zero() T; Mutable[T] }", ""},
+		{"type Entry[_ any] struct{ born _ }", "type Entry[P any] struct { key string; gen, born uint64 }", ""},
 		{"func (_ *conn) parseHead()", "func (c *conn) parseHead(b []byte) bool { return false }", "conn.parseHead"},
 		{"func Snapshot() *ViewSnapshot[_]", "func (p *publishing[P]) Snapshot() *ViewSnapshot[P] { return nil }", "publishing.Snapshot"},
 		{"func NewParallel(func() Maintainer[_])", "func NewParallel[P any](q Query, workers int, factory func() (Maintainer[P], error)) {}", "NewParallel"},

@@ -24,6 +24,23 @@ func sameBits(a, b ring.Triple) bool {
 	return math.Float64bits(a.C) == math.Float64bits(b.C) && slices.Equal(a.Vars, b.Vars) && eq(a.S, b.S) && eq(a.Q, b.Q)
 }
 
+// retiredRows returns the rows r retired that wait for an epoch: out of the
+// table and the pool, reached only through the chunks that point at them — the
+// latest directory's or the retired ones.
+func retiredRows[P any](r *Relation[P]) []*Entry[P] {
+	var out []*Entry[P]
+	seen := map[*Entry[P]]bool{}
+	for _, c := range append(slices.Clone(r.snap.arena.retired), r.snap.last.chunks...) {
+		for _, e := range c.entries() {
+			if e.retired && !seen[e] {
+				seen[e] = true
+				out = append(out, e)
+			}
+		}
+	}
+	return out
+}
+
 // TestPayloadsRespectPinnedEpochs: a cofactor relation whose every key is
 // merged into, overwritten (Set) or deleted and re-inserted in every epoch —
 // each a replacement of the entry, its first touch after a publish — under
@@ -99,7 +116,7 @@ func payloadsRespectPinnedEpochs(t *testing.T, keys int64) {
 			}
 		}
 		r.PoolStats() // frees the rows released epochs gave back
-		for _, e := range r.pool[r.free:r.ret] {
+		for _, e := range retiredRows(r) {
 			read := false
 			for _, p := range pins {
 				read = read || p.storage[&e.Payload.S[0]]
@@ -204,7 +221,7 @@ func payloadsRespectPinnedEpochs(t *testing.T, keys int64) {
 	})
 	ps := r.PoolStats()
 	got := map[*float64]bool{}
-	for _, e := range r.pool[r.free:r.ret] {
+	for _, e := range retiredRows(r) {
 		got[&e.Payload.S[0]] = true
 	}
 	if !maps.Equal(got, want) || ps.RowsRetired != len(want) {
@@ -441,7 +458,7 @@ func TestRowsRespectPinnedEpochs(t *testing.T) {
 	// epoch or a forgotten one the collector has not reported yet reads.
 	ps := r.PoolStats()
 	retired := map[*Value]bool{}
-	for _, e := range r.pool[r.free:r.ret] {
+	for _, e := range retiredRows(r) {
 		retired[&e.Tuple[0]] = true
 		read := forgotten[&e.Tuple[0]]
 		for _, p := range append([]pin{k}, held...) {

@@ -672,6 +672,43 @@ func TestMemoryBytesCountsPool(t *testing.T) {
 		t.Errorf("free entries hold %d key bytes, want %d", ps.KeyBytes, 1000*keyCap(9))
 	}
 
+	// A cofactor relation whose every row was replaced under a held epoch
+	// holds both generations' S and Q storage, the retired rows' out of the
+	// pool; and a retired row costs what it costs once free, where nobody
+	// holds the epoch.
+	replaced := func(hold bool) (*Relation[ring.Triple], *RelationSnapshot[ring.Triple]) {
+		c := NewRelation[ring.Triple](ring.Cofactor{}, NewSchema("A"))
+		c.Reclaim()
+		var held *RelationSnapshot[ring.Triple]
+		for round := range 2 {
+			for i := range int64(100) {
+				c.Merge(Ints(i), triple(0, 1, 2))
+			}
+			if s := c.Snapshot(); hold && round == 0 {
+				held = s
+			} else {
+				s.Release()
+			}
+			c.Reclaim()
+		}
+		return c, held
+	}
+	c, held := replaced(true)
+	sq := 0
+	for _, walk := range []func(func(*Entry[ring.Triple]) bool){held.IterateEntries, c.IterateEntries} {
+		walk(func(e *Entry[ring.Triple]) bool {
+			sq += ring.Cofactor{}.Bytes(e.Payload) - int(unsafe.Sizeof(e.Payload))
+			return true
+		})
+	}
+	if got := c.MemoryBytes() - c.flatBytes(); c.PoolStats().RowsRetired != 100 || got != sq {
+		t.Errorf("%+v: %d payload bytes beside the entry structs, want both generations' %d", c.PoolStats(), got, sq)
+	}
+	if free, _ := replaced(false); c.MemoryBytes()-8*cap(c.pool) != free.MemoryBytes()-8*cap(free.pool) {
+		t.Errorf("100 rows retired under a held epoch: %d bytes beside the pool list, %d once free", c.MemoryBytes()-8*cap(c.pool), free.MemoryBytes()-8*cap(free.pool))
+	}
+	held.Release()
+
 	// A scratch relation charges the tuples it projected once, through the
 	// slab's capacity: a second relation holding the same entries with handed
 	// tuples costs the slab less and a tuple per entry more.

@@ -19,14 +19,15 @@ type Entry[P any] struct {
 	hash    uint64
 	Tuple   Tuple
 	Payload P
-	// gen is the publish generation the entry was stored in: when it is older
-	// than the relation's, the snapshots published since point at the entry —
-	// key bytes, cells, payload storage — and the next in-place mutation
-	// replaces the entry instead of writing into it (Relation.touchEntry). born
-	// is the first snapshot that reads the entry; once it is removed or
-	// replaced, gen is the last (park, replace). Both zero on relations never
-	// snapshotted.
-	gen, born uint64
+	// chunks counts the snapshot chunks that point at the entry (appendChunked
+	// raises it, snapArena.sweep lowers it): while it is above zero a snapshot
+	// reads the entry — key bytes, cells, payload storage — and the next
+	// in-place mutation replaces the entry instead of writing into it
+	// (Relation.touchEntry). retired marks an entry out of the table and out of
+	// the pool, which its last count frees. Writer-only; zero and false on
+	// relations never snapshotted.
+	chunks  int32
+	retired bool
 }
 
 // Key returns the entry's encoded tuple key. The bytes are the entry's own
@@ -96,15 +97,14 @@ func keyString(key []byte) string { return unsafe.String(unsafe.SliceData(key), 
 //	                                                            them (the arity is
 //	                                                            fixed: they fit)
 //	publishing       as pooled, but a      as pooled            as pooled           as pooled, but never written once
-//	pooled (Snapshot removed entry is                                               published: the first touch after a
-//	was called)      retired, whole, at                                             publish (merge, Set) copies the
-//	                 the reclaim point,                                             entry — key, cells, payload — into
-//	                 a replaced one at                                              a free one that takes its place,
-//	                 once, and free only                                            and retires the old one whole,
-//	                 after the last                                                 whatever the ring
-//	                 Release of every
-//	                 epoch that could
-//	                 read it
+//	pooled (Snapshot removed entry a                                                published: the first touch after a
+//	was called)      chunk points at is                                             publish (merge, Set) copies the
+//	                 retired, whole, at                                             entry — key, cells, payload — into
+//	                 the reclaim point,                                             a free one that takes its place,
+//	                 a replaced one at                                              and retires the old one whole,
+//	                 once, and free when                                            whatever the ring
+//	                 the last chunk that
+//	                 points at it goes
 //	scratch          relation; reusable    relation's slab,     the supplier's: a   as pooled: overwritten by
 //	(RecycleCleared, after the next Clear  rewound by Clear     handed tuple as     the next batch's inserts
 //	Clear per batch)                                            given, a prefix
@@ -144,14 +144,15 @@ type Relation[P any] struct {
 	// above). pooled is set once the owner has a reclaim point; removed
 	// entries then wait at the end of pool, parked, until it (Reclaim for
 	// views, Clear for scratch relations) makes them pool[:free], which
-	// takeEntry hands out again — or, in a publishing relation,
-	// pool[free:ret], retired, until sweepRows finds no epoch that can read
-	// them; an entry replaced (touchEntry) retires at once, pooled or not.
-	// One list: reclaiming and sweeping move marks, not the entries.
-	pooled    bool
-	pool      []*Entry[P]
-	free, ret int
-	reclaimed uint64
+	// takeEntry hands out again — or, where a snapshot chunk points at one,
+	// retired: out of the pool until the chunk sweep drops its last count
+	// (snapArena.sweep). An entry replaced (touchEntry) retires at once,
+	// pooled or not. retired counts the retired entries, retiredBytes their
+	// payload storage outside the entries.
+	pooled                      bool
+	pool                        []*Entry[P]
+	free, retired, retiredBytes int
+	reclaimed                   uint64
 	// keyBytes is the key storage the entries own — stored, parked or free —
 	// outside the slab; freeKeyBytes the part of it free entries hold for the
 	// next insert. Counted where storage is allocated or dropped, so
@@ -202,7 +203,7 @@ func (r *Relation[P]) Reserve(n int) {
 func (r *Relation[P]) Clear() {
 	if r.pooled {
 		r.entries.all(func(e *Entry[P]) bool {
-			r.park(e)
+			r.pool = append(r.pool, e)
 			return true
 		})
 	} else {
@@ -277,25 +278,40 @@ func (r *Relation[P]) Reclaim() {
 // own (ownTuple): a pooled relation that is not scratch.
 func (r *Relation[P]) ownsRows() bool { return r.pooled && !r.scratch }
 
-// reclaim hands the parked entries back: free at once where no epoch can read
-// them — a scratch relation's give up key and tuple, the slab's or the
-// supplier's — and retired in a publishing relation until none does.
+// reclaim hands the parked entries back: free at once where no snapshot chunk
+// points at them — a scratch relation's give up key and tuple, the slab's or
+// the supplier's — and retired otherwise; then sweeps the chunks released
+// epochs read, which frees the retired entries only they pointed at.
 func (r *Relation[P]) reclaim() {
-	for _, e := range r.pool[r.ret:] {
+	parked := r.pool[r.free:]
+	r.reclaimed += uint64(len(parked))
+	r.pool = r.pool[:r.free] // freeEntry appends over the parked entries already read
+	for _, e := range parked {
 		if r.scratch {
 			e.key, e.Tuple = "", nil
 		}
+		if e.chunks > 0 {
+			r.retire(e, 1)
+		} else {
+			r.freeEntry(e)
+		}
 	}
-	r.reclaimed += uint64(len(r.pool) - r.ret)
-	r.ret = len(r.pool)
-	r.sweepRows()
+	if s := r.snap; s != nil {
+		s.arena.sweep(r)
+	}
 }
 
-// freeEntry makes e, at pool[free], free: it keeps its key bytes for the next
-// insert to overwrite (setKey), its cells (ownTuple) and its payload storage
+// freeEntry makes e, out of the pool, free at pool[free] (the first parked
+// entry moves to the end): it keeps its key bytes for the next insert to
+// overwrite (setKey), its cells (ownTuple) and its payload storage
 // (CopyInto/MulInto reuse destination capacity). Under the poison hook all of
 // it is scribbled.
 func (r *Relation[P]) freeEntry(e *Entry[P]) {
+	if e.retired {
+		r.retire(e, -1)
+	}
+	r.pool = append(r.pool, e)
+	r.pool[r.free], r.pool[len(r.pool)-1] = e, r.pool[r.free]
 	r.freeKeyBytes += keyCap(len(e.key))
 	if poison {
 		poisonEntry(e, r.ownsRows())
@@ -303,13 +319,13 @@ func (r *Relation[P]) freeEntry(e *Entry[P]) {
 	r.free++
 }
 
-// park puts a removed entry at the end of the pool; in a publishing relation
-// its gen becomes the last snapshot that can read it.
-func (r *Relation[P]) park(e *Entry[P]) {
-	if s := r.snap; s != nil {
-		e.gen = s.gen - 1
-	}
-	r.pool = append(r.pool, e)
+// retire (n 1) takes e, out of the table with a snapshot chunk pointing at it,
+// out of the pool too, for the chunk sweep to free with its last count
+// (freeEntry, n -1).
+func (r *Relation[P]) retire(e *Entry[P], n int) {
+	e.retired = n > 0
+	r.retired += n
+	r.retiredBytes += n * (r.ring.Bytes(e.Payload) - int(unsafe.Sizeof(e.Payload)))
 }
 
 // removeEntry deletes an entry, records its key in the snapshot dirty list,
@@ -318,11 +334,11 @@ func (r *Relation[P]) park(e *Entry[P]) {
 // running batch may still read them.
 func (r *Relation[P]) removeEntry(e *Entry[P]) {
 	r.entries.del(e)
-	if s := r.snap; s != nil && e.gen != s.gen {
-		s.dirtyKeys = append(s.dirtyKeys, e.key)
+	if e.chunks > 0 { // published: an entry stored since is in no chunk, its key dirty already
+		r.snap.dirtyKeys = append(r.snap.dirtyKeys, e.key)
 	}
 	if r.pooled {
-		r.park(e)
+		r.pool = append(r.pool, e)
 	} else if !r.scratch {
 		r.keyBytes -= keyCap(len(e.key)) // the entry is the collector's now, key intact
 	}
@@ -391,22 +407,20 @@ func (r *Relation[P]) insertEntry(key []byte, t Tuple) *Entry[P] {
 // takeEntry returns an entry holding a copy of key (hash h) and t — its own
 // cells, in a relation that owns its rows — not yet stored: a free one, which
 // keeps its struct, key storage, cells and payload storage, or a new one. A
-// publishing relation first frees, once an epoch, the retired rows no
-// unreleased snapshot reads (sweepRows).
+// publishing relation first sweeps, once an epoch, the chunks released epochs
+// read, which frees the retired rows only they pointed at.
 func (r *Relation[P]) takeEntry(key []byte, h uint64, t Tuple) *Entry[P] {
 	if s := r.snap; s != nil && s.swept != s.gen {
 		s.swept = s.gen
-		r.sweepRows()
+		s.arena.sweep(r)
 	}
 	var e *Entry[P]
 	if r.free > 0 {
-		// The last free entry leaves the list: a retired entry moves into its
-		// slot and the last parked one into the retired entry's.
+		// The last free entry leaves, and the last parked one takes its slot.
 		r.free--
-		r.ret--
 		last := len(r.pool) - 1
-		e, r.pool[r.free] = r.pool[r.free], r.pool[r.ret]
-		r.pool[r.ret], r.pool[last] = r.pool[last], nil
+		e, r.pool[r.free] = r.pool[r.free], r.pool[last]
+		r.pool[last] = nil
 		r.pool = r.pool[:last]
 		r.freeKeyBytes -= len(e.keyStore())
 	} else {
@@ -421,15 +435,6 @@ func (r *Relation[P]) takeEntry(key []byte, h uint64, t Tuple) *Entry[P] {
 	}
 	e.Tuple, e.hash = t, h
 	return e
-}
-
-// retireEntry puts an entry that left the table at the end of the retired
-// segment, pool[free:ret], for sweepRows to free.
-func (r *Relation[P]) retireEntry(e *Entry[P]) {
-	r.pool = append(r.pool, e)
-	last := len(r.pool) - 1
-	r.pool[r.ret], r.pool[last] = e, r.pool[r.ret]
-	r.ret++
 }
 
 // lookup returns the entry stored under tuple t, encoding the key into the
@@ -521,9 +526,7 @@ func (r *Relation[P]) mulAddInto(e *Entry[P], a, b *P) {
 // straight back to the free list; otherwise a copy takes e's place (replace).
 func (r *Relation[P]) settle(e, en *Entry[P]) *Entry[P] {
 	if r.ring.IsZero(en.Payload) {
-		if en != e { // freed where sweepRows frees: moved from retired to pool[free]
-			r.retireEntry(en)
-			r.pool[r.free], r.pool[r.ret-1] = en, r.pool[r.free]
+		if en != e { // in no chunk: free at once
 			r.freeEntry(en)
 		}
 		r.removeEntry(e)
@@ -718,10 +721,10 @@ func (r *Relation[P]) cloneWith(set func(dst, src *Entry[P])) *Relation[P] {
 
 // PoolStats is a relation's retained-but-free storage: Free entries parked,
 // retired or reusable, Reclaimed entries ever handed back for reuse,
-// RowsRetired the removed or replaced entries that wait for an epoch to be
-// released (a reader that pins shows as this climbing), KeyBytes kept for the
-// next keys (a scratch relation's key slab, by capacity, or the key storage
-// free entries of a pooled relation hold), TupleBytes of the tuple slab
+// RowsRetired the removed or replaced entries a snapshot chunk still points at
+// (a reader that pins shows as this climbing), KeyBytes kept for the next keys
+// (a scratch relation's key slab, by capacity, or the key storage free
+// entries of a pooled relation hold), TupleBytes of the tuple slab
 // (capacity), SlabChunks the chunks the two slabs hold, and the snapshot arena
 // once the relation publishes. TuplesCopied counts the rows whose cells were
 // bought new so far (0 a cycle once a pool is warm), RowsReused those written
@@ -773,10 +776,12 @@ func (s *PoolStats) Add(o PoolStats) {
 }
 
 // PoolStats reports the relation's pool, slabs and snapshot arena, after
-// freeing the retired rows released epochs gave back (writer goroutine).
+// sweeping the chunks released epochs gave back (writer goroutine).
 func (r *Relation[P]) PoolStats() PoolStats {
-	r.sweepRows()
-	return PoolStats{Free: len(r.pool), Reclaimed: r.reclaimed, RowsRetired: r.ret - r.free, RowsReused: r.rowsReused,
+	if s := r.snap; s != nil {
+		s.arena.sweep(r)
+	}
+	return PoolStats{Free: len(r.pool) + r.retired, Reclaimed: r.reclaimed, RowsRetired: r.retired, RowsReused: r.rowsReused,
 		KeyBytes: r.keys.bytes() + r.freeKeyBytes, TupleBytes: r.tuples.bytes(), TuplesCopied: r.copied, TouchCopies: r.touchCopies,
 		SlabChunks: len(r.keys.chunks) + len(r.tuples.chunks), Arena: r.arenaStats()}
 }
@@ -786,11 +791,12 @@ const valueBytes = int(unsafe.Sizeof(Value{}))
 
 // MemoryBytes estimates the heap bytes the relation holds: flatBytes plus
 // the payload storage outside the entries (the ring's Bytes), which it walks
-// every entry — stored, parked, retired or free — to sum. Tuples shared with
-// another relation are charged to each holder; secondary indexes are not
-// charged here but reported: PoolStats.TableBytes of the IndexedRelation.
+// every entry — stored, parked or free — to sum, the retired ones' counted as
+// they retire (retiredBytes). Tuples shared with another relation are charged
+// to each holder; secondary indexes are not charged here but reported:
+// PoolStats.TableBytes of the IndexedRelation.
 func (r *Relation[P]) MemoryBytes() int {
-	total := r.flatBytes()
+	total := r.flatBytes() + r.retiredBytes
 	charge := func(e *Entry[P]) bool {
 		total += r.ring.Bytes(e.Payload) - int(unsafe.Sizeof(e.Payload))
 		return true
@@ -812,7 +818,7 @@ func (r *Relation[P]) MemoryBytes() int {
 // (the base store's).
 func (r *Relation[P]) flatBytes() int {
 	total := int(unsafe.Sizeof(*r)) + 8*(len(r.entries.ctrl)+len(r.entries.slots)+cap(r.pool)) +
-		(r.entries.len()+len(r.pool))*int(unsafe.Sizeof(Entry[P]{})) + r.keyBytes + r.keys.bytes() + r.tuples.bytes()
+		(r.entries.len()+len(r.pool)+r.retired)*int(unsafe.Sizeof(Entry[P]{})) + r.keyBytes + r.keys.bytes() + r.tuples.bytes()
 	if !r.tuples.used() {
 		total += r.entries.len() * len(r.schema) * valueBytes
 	}

@@ -15,13 +15,14 @@ import (
 // directories in the snapshot headers it recycles, so steady-state Snapshot()
 // publishing hands the garbage collector almost nothing.
 //
-// A chunk retires like a row (sweepRows): by span. The snapshots that read a
-// chunk are numbered born, the publish that filled it, to last, the one before
-// the publish that dropped it from the directory — a patch never takes a
-// dropped chunk back, so the span is contiguous. A dropped chunk waits on the
-// retired list and goes back at the first publish that finds no snapshot
-// numbered born to last pinned. So a reader that pins an epoch holds the rows
-// and chunks that epoch reads and no others.
+// A chunk retires by span. The snapshots that read a chunk are numbered born,
+// the publish that filled it, to last, the one before the publish that dropped
+// it from the directory — a patch never takes a dropped chunk back, so the span
+// is contiguous. A dropped chunk waits on the retired list and goes back at the
+// first sweep that finds no snapshot numbered born to last pinned. A row
+// follows its chunks: each entry counts the chunks that point at it, and one
+// out of the table goes back to the free list with its last count. So a reader
+// that pins an epoch holds the rows and chunks that epoch reads and no others.
 //
 // Snapshot lifetime is reader-controlled — a pinned reader may hold an old
 // snapshot arbitrarily long (see serve.Reader) — so which numbers are pinned
@@ -125,13 +126,19 @@ func (a *snapArena[P]) retire(c *snapChunk[P], seq uint64) {
 
 // sweep gives back the retired chunks no snapshot numbered born to last pins,
 // cleared: a read through a released snapshot panics instead of reading
-// another epoch's rows, and a parked array keeps no entry reachable.
-func (a *snapArena[P]) sweep() {
+// another epoch's rows, and a parked array keeps no entry reachable. Each of
+// their entries loses a count, and r frees a retired one that loses its last.
+func (a *snapArena[P]) sweep(r *Relation[P]) {
 	retired := a.retired[:0]
 	for _, c := range a.retired {
 		if a.pinned(c.born, c.last) {
 			retired = append(retired, c)
 			continue
+		}
+		for _, e := range c.entries() {
+			if e.chunks--; e.chunks == 0 && e.retired {
+				r.freeEntry(e)
+			}
 		}
 		clear(c.es[:c.n])
 		a.live--
@@ -163,8 +170,8 @@ type pinSet[P any] struct {
 	// generation cannot be reclaimed: bit i while snapshot base+i has
 	// references left, writerStake while the generation is open. Whoever
 	// clears the last bit reports the generation dead (any goroutine); the
-	// writer reads them to learn who may still read a retired chunk or row
-	// (pinned).
+	// writer reads them to learn who may still read a retired chunk, and so
+	// the rows it points at (pinned).
 	base uint64
 	live atomic.Uint32
 	// genID distinguishes incarnations of a recycled set, so a backstop
@@ -304,8 +311,7 @@ func (a *snapArena[P]) drain() {
 
 // publish enrolls s, the relation's seq-th snapshot, in the current generation
 // — opening one if needed, setting s's live bit with one reference held by the
-// publishing relation — and gives back the retired chunks no pinned snapshot
-// reads. Every genSpan publishes the generation closes: the
+// publishing relation. Every genSpan publishes the generation closes: the
 // backstop cleanup is armed on the sentinel and the writer's live stake is
 // dropped, after which the generation dies with its last snapshot.
 func (a *snapArena[P]) publish(s *RelationSnapshot[P], seq uint64) {
@@ -328,7 +334,6 @@ func (a *snapArena[P]) publish(s *RelationSnapshot[P], seq uint64) {
 			a.reportDead(set)
 		}
 	}
-	a.sweep()
 }
 
 // Retain adds a reference to the snapshot, for handing it to an additional
@@ -342,7 +347,7 @@ func (s *RelationSnapshot[P]) Retain() {
 }
 
 // Release drops one reference to the snapshot. Dropping the last one lets the
-// relation's next publish give the rows and chunks the snapshot reads, and no
+// relation's next sweep give the rows and chunks the snapshot reads, and no
 // unreleased snapshot else, back to its pools — the deterministic reclamation
 // path high-rate publish loops need (see the package comment) — and gives the
 // snapshot struct itself, scribbled, to the relation's next publish.

@@ -58,9 +58,10 @@ func TestArenaRecyclingPreservesPinnedSnapshots(t *testing.T) {
 }
 
 // TestArenaRecyclesReleased pins the deterministic reclamation contract:
-// when every published snapshot is Released, chunk arrays return to the free
-// list and generations' pin sets are recycled without any garbage collection
-// at all.
+// when every published snapshot is Released, every chunk array but the latest
+// snapshot's is given back (the next publish takes it from the free list
+// again) and generations' pin sets are recycled without any garbage
+// collection at all.
 func TestArenaRecyclesReleased(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	r := NewRelation[int64](ring.Int{}, NewSchema("A", "B"))
@@ -75,8 +76,8 @@ func TestArenaRecyclesReleased(t *testing.T) {
 		r.Snapshot().Release()
 	}
 	a := &r.snap.arena
-	if len(a.free) == 0 {
-		t.Error("no chunk array recycled despite every snapshot being released")
+	if as, n := r.PoolStats().Arena, len(r.snap.last.chunks); as.ChunksLive != n || as.ChunksRetired != 0 {
+		t.Errorf("%+v: want only the latest snapshot's %d chunks live despite every snapshot being released", as, n)
 	}
 	if len(a.freeSets) == 0 {
 		t.Error("no generation pin set recycled despite every snapshot being released")
@@ -142,11 +143,12 @@ func TestArenaRecyclesBlocks(t *testing.T) {
 	}
 }
 
-// chunksOf returns the chunk arrays s reads.
-func chunksOf(s *RelationSnapshot[float64]) map[*snapChunk[float64]]bool {
-	cs := map[*snapChunk[float64]]bool{}
+// chunksOf returns the chunk arrays s reads, each with the first snapshot
+// that read it.
+func chunksOf(s *RelationSnapshot[float64]) map[*snapChunk[float64]]uint64 {
+	cs := map[*snapChunk[float64]]uint64{}
 	for _, c := range s.chunks {
-		cs[c] = true
+		cs[c] = c.born
 	}
 	return cs
 }
@@ -158,9 +160,9 @@ func chunksOf(s *RelationSnapshot[float64]) map[*snapChunk[float64]]bool {
 // one until the next publish). A reader that pins an epoch across 3·genSpan
 // publishes reads it bit for bit (poisoned rows would show) and holds its own
 // chunks on top of that, no others — on generation-held storage it would hold
-// two generations' worth — and its chunks are back on the free list one
-// publish after its Release. A snapshot nobody releases holds its own chunks
-// until the collector's backstop reports it, and then gives them back.
+// two generations' worth — and its chunks are given back one publish after its
+// Release, leaving no chunk retired. A snapshot nobody releases holds its own
+// chunks until the collector's backstop reports it, and then gives them back.
 func TestArenaHoldsWhatItsSnapshotsRead(t *testing.T) {
 	const keys = 1200
 	r := NewRelation[float64](ring.Float{}, NewSchema("A"))
@@ -169,7 +171,7 @@ func TestArenaHoldsWhatItsSnapshotsRead(t *testing.T) {
 	}
 	r.Snapshot().Release()
 	a := &r.snap.arena
-	round, prev := 0, map[*snapChunk[float64]]bool{}
+	round, prev := 0, map[*snapChunk[float64]]uint64{}
 	// publish merges into every eighth key, a different eighth each round, and
 	// publishes; every chunk is rewritten.
 	publish := func() *RelationSnapshot[float64] {
@@ -180,7 +182,7 @@ func TestArenaHoldsWhatItsSnapshotsRead(t *testing.T) {
 		s := r.Snapshot()
 		cs := chunksOf(s)
 		for c := range cs {
-			if prev[c] {
+			if _, ok := prev[c]; ok {
 				t.Fatalf("round %d: a chunk of %d entries is shared with the previous snapshot", round, c.n)
 			}
 		}
@@ -190,7 +192,7 @@ func TestArenaHoldsWhatItsSnapshotsRead(t *testing.T) {
 	// step publishes and releases, checking the arena holds no more than the
 	// latest two snapshots' chunks and those of held.
 	last, peak := len(r.snap.last.chunks), 0
-	step := func(held map[*snapChunk[float64]]bool) {
+	step := func(held map[*snapChunk[float64]]uint64) {
 		t.Helper()
 		s := publish()
 		n := len(s.chunks)
@@ -202,9 +204,12 @@ func TestArenaHoldsWhatItsSnapshotsRead(t *testing.T) {
 		}
 		last, peak = n, max(peak, as.ChunksLive)
 	}
-	freed := func(cs map[*snapChunk[float64]]bool) bool {
-		for c := range cs {
-			if !slices.Contains(a.free, c) {
+	// freed reports whether every chunk of cs is given back: on the free
+	// list, or taken from it again by a later publish, which the chunk's first
+	// reader tells.
+	freed := func(cs map[*snapChunk[float64]]uint64) bool {
+		for c, born := range cs {
+			if c.born == born && !slices.Contains(a.free, c) {
 				return false
 			}
 		}
@@ -242,8 +247,8 @@ func TestArenaHoldsWhatItsSnapshotsRead(t *testing.T) {
 	}
 	k.Release()
 	step(nil)
-	if !freed(pinned) {
-		t.Fatalf("round %d: a chunk the released epoch read is not free one publish later: %+v", round, r.PoolStats().Arena)
+	if as := r.PoolStats().Arena; !freed(pinned) || as.ChunksRetired != 0 {
+		t.Fatalf("round %d: a chunk the released epoch read is not given back one publish later: %+v", round, as)
 	}
 
 	// Nobody releases this one; only the collector can say it is gone.

@@ -42,9 +42,10 @@ const (
 //
 // A snapshot is a lease: the publishing relation holds one reference while it
 // is the latest and every Relation.Snapshot call one more (Retain adds one
-// for another owner). The rows and chunks it reads wait for its last Release,
-// and those of older snapshots only if it reads them too: a held epoch holds
-// its own storage, no other (PoolStats.RowsRetired, ArenaStats.ChunksRetired).
+// for another owner). The chunks it reads wait for its last Release, and
+// those of older snapshots only if it reads them too, and a row waits for the
+// last chunk that points at it: a held epoch holds its own storage, no other
+// (PoolStats.RowsRetired, ArenaStats.ChunksRetired).
 // Release is optional — a forgotten snapshot stays readable while reachable
 // (a walk keeps it reachable until the walk returns) and is reclaimed by a
 // GC backstop, counted in ArenaStats.BackstopReclaims — but a high-rate
@@ -87,9 +88,9 @@ func (c *snapChunk[P]) entries() []*Entry[P] { return c.es[:c.n] }
 // and the last published snapshot, which the next publish patches.
 type snapState[P any] struct {
 	// dirtyKeys lists the keys changed since the last publish, deduplicated
-	// on the hot path by entry generation (one compare per touch) and again
-	// after the publish sorts them; the slice is reset (capacity kept) per
-	// publish, so steady-state dirty tracking does not allocate or hash.
+	// on the hot path by the entry's chunk count (one compare per touch) and
+	// again after the publish sorts them; the slice is reset (capacity kept)
+	// per publish, so steady-state dirty tracking does not allocate or hash.
 	dirtyKeys []string
 	// fullDirty marks wholesale invalidation (Clear): the next publish
 	// rebuilds from the live contents instead of patching.
@@ -100,36 +101,20 @@ type snapState[P any] struct {
 	arena snapArena[P]
 	run   []*Entry[P]
 	// gen is the publish generation, bumped after every published snapshot:
-	// the sequence number the next snapshot will carry. An entry whose gen is
-	// current was stored this epoch and is the writer's alone until the next
-	// publish; an older gen means the entry is untouched since the last
-	// publish and the snapshots numbered born to gen-1 read it, so its first
-	// touch copies it (touchEntry) and publishing never copies anything.
-	// swept is the gen takeEntry last freed the retired rows in (sweepRows).
+	// the sequence number the next snapshot will carry. swept is the gen
+	// takeEntry last swept the chunks in (snapArena.sweep).
 	gen, swept uint64
-}
-
-// sweepRows frees the retired rows — pool[free:ret] — that no unreleased
-// snapshot reads: all of them in a relation that never published, otherwise
-// those no snapshot numbered born to gen (park, replace) still pins, moved to
-// the front. So a pinned epoch holds only rows it reads, at most its own size.
-func (r *Relation[P]) sweepRows() {
-	for n := r.free; n < r.ret; n++ {
-		if e := r.pool[n]; r.snap == nil || e.born > e.gen || !r.snap.arena.pinned(e.born, e.gen) {
-			r.pool[n], r.pool[r.free] = r.pool[r.free], e
-			r.freeEntry(e)
-		}
-	}
 }
 
 // touchEntry prepares stored entry e for an in-place payload mutation and
 // returns the entry to write: e itself when no snapshot reads it, or — on
-// e's first touch after a publish, which reads its key, cells and payload — a
-// copy of e holding src as its payload, not yet stored, which settle swaps in
-// for e or frees. Later touches in the same epoch cost one comparison;
-// relations never snapshotted pay a nil check.
+// e's first touch after a publish, whose chunks point at its key, cells and
+// payload — a copy of e holding src as its payload, not yet stored, which
+// settle swaps in for e or frees. Every touch costs one comparison: an entry
+// stored since the last publish is in no chunk, so publishing never copies
+// anything.
 func (r *Relation[P]) touchEntry(e *Entry[P], src P) *Entry[P] {
-	if s := r.snap; s != nil && e.gen != s.gen {
+	if e.chunks > 0 {
 		en := r.takeEntry(keyView(e.key), e.hash, e.Tuple)
 		r.ring.CopyInto(&en.Payload, src)
 		r.touchCopies++
@@ -140,22 +125,18 @@ func (r *Relation[P]) touchEntry(e *Entry[P], src P) *Entry[P] {
 
 // replace stores en, touchEntry's copy of stored entry e, in e's place — the
 // primary table here, the index buckets in IndexedRelation.reindex — and
-// retires e whole: the snapshots numbered born to gen-1, the latest included,
-// read it, so sweepRows frees it by the rows' test, pooled relation or not.
+// retires e whole: the latest snapshot's chunks point at it, so the chunk
+// sweep frees it once no held epoch reads it, pooled relation or not.
 func (r *Relation[P]) replace(e, en *Entry[P]) {
 	r.entries.replace(e, en)
 	r.markInserted(en)
-	e.gen = r.snap.gen - 1
-	r.retireEntry(e)
+	r.retire(e, 1)
 }
 
-// markInserted records a freshly inserted entry: its key goes in the dirty
-// list unconditionally (a recycled entry struct may carry a current gen for
-// a different key) and its generation is made current — the entry is
-// writer-owned until the next publish, the first to read it (born).
+// markInserted puts a freshly inserted entry's key in the dirty list: the
+// entry is in no chunk, writer-owned, until the next publish.
 func (r *Relation[P]) markInserted(e *Entry[P]) {
 	if s := r.snap; s != nil {
-		e.gen, e.born = s.gen, s.gen
 		s.dirtyKeys = append(s.dirtyKeys, e.key)
 	}
 }
@@ -200,9 +181,10 @@ func (r *Relation[P]) Snapshot() *RelationSnapshot[P] {
 			next = s.last.patch(r, s.dirtyKeys)
 			s.dirtyKeys = s.dirtyKeys[:0]
 		}
-		// Publish (giving back what no pinned snapshot reads) before
+		// Publish and give back what no pinned snapshot reads before
 		// dropping the relation's reference on the previous snapshot.
 		s.arena.publish(next, s.gen)
+		s.arena.sweep(r)
 		s.last.Release()
 		s.last = next
 		s.gen++
@@ -302,7 +284,8 @@ func (r *Relation[P]) mergeChunk(c []*Entry[P], keys []string) []*Entry[P] {
 
 // appendChunked appends a sorted entry run to a directory, in chunk arrays
 // snapshot seq is the first to read, splitting runs longer than snapChunkMax
-// into snapChunkTarget-sized chunks, and clears the run.
+// into snapChunkTarget-sized chunks, counts each chunk in its entries, and
+// clears the run.
 func (a *snapArena[P]) appendChunked(dir []*snapChunk[P], run []*Entry[P], seq uint64) []*snapChunk[P] {
 	for es := run; len(es) > 0; {
 		c := a.chunk(seq)
@@ -310,6 +293,9 @@ func (a *snapArena[P]) appendChunked(dir []*snapChunk[P], run []*Entry[P], seq u
 			c.n = copy(c.es[:snapChunkTarget], es)
 		} else {
 			c.n = copy(c.es[:], es)
+		}
+		for _, e := range c.entries() {
+			e.chunks++
 		}
 		dir = append(dir, c)
 		es = es[c.n:]
@@ -436,7 +422,7 @@ func (s *RelationSnapshot[P]) SortedEntries() []Entry[P] {
 	defer runtime.KeepAlive(s)
 	out := make([]Entry[P], 0, s.n)
 	for _, c := range s.chunks {
-		for _, e := range c.entries() { // the fields a reader may read: the writer still stamps gen
+		for _, e := range c.entries() { // the fields a reader may read: the writer still counts chunks
 			out = append(out, Entry[P]{key: e.key, hash: e.hash, Tuple: e.Tuple, Payload: e.Payload})
 		}
 	}

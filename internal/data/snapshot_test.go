@@ -446,6 +446,51 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshotPublishHeldEpochs measures a batch under epochs readers
+// hold: a 2 400-key float relation whose batches merge 100 random keys,
+// publish and reclaim. During 1 000 warm-up batches one epoch in 16 is held,
+// one per generation, so 64 generations stay open; the timed batches hold
+// none. A batch should cost what its delta touches, whatever the held epochs
+// read; rows_retired is what they hold, gens_open the generations a sweep
+// tests. Reported, never gated.
+func BenchmarkSnapshotPublishHeldEpochs(b *testing.B) {
+	const keys, batch, warm = 2400, 100, 1000
+	rng := rand.New(rand.NewSource(55))
+	r := NewRelation[float64](ring.Float{}, NewSchema("A", "B"))
+	r.Reclaim()
+	step := func() *RelationSnapshot[float64] {
+		for range batch {
+			k := int64(rng.Intn(keys))
+			r.Merge(Ints(k/48, k%48), 1)
+		}
+		s := r.Snapshot()
+		r.Reclaim()
+		return s
+	}
+	for k := range int64(keys) {
+		r.Merge(Ints(k/48, k%48), 1)
+	}
+	var held []*RelationSnapshot[float64]
+	for i := range warm {
+		if s := step(); i%genSpan == 0 {
+			held = append(held, s)
+		} else {
+			s.Release()
+		}
+	}
+	b.ResetTimer()
+	for range b.N {
+		step().Release()
+	}
+	b.StopTimer()
+	ps := r.PoolStats()
+	b.ReportMetric(float64(ps.RowsRetired), "rows_retired")
+	b.ReportMetric(float64(ps.Arena.GenerationsOpen), "gens_open")
+	for _, s := range held {
+		s.Release()
+	}
+}
+
 // TestSnapshotHeaderComesBack: the struct of a snapshot whose last reference
 // is gone is scribbled, refuses Retain, and is what a later publish is built
 // in; one somebody still holds is left alone.

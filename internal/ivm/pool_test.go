@@ -413,10 +413,10 @@ func TestPoolRespectsPinnedEpochs(t *testing.T) {
 	// the 16 key bytes it kept while free: Free+RowsReused,
 	// TuplesCopied+RowsReused and KeyBytes-16·Free are fixed, the four figures
 	// alone are not. A chunk array waits the same way, for the held epochs
-	// that read it: 85 do (ChunksRetired) — the root's of batches 0 to 19, all
-	// five views' of batches 20 to 29 and of batches 56 to 58 (56's lease went
-	// after the last publish, which alone gives chunks back) — and 5 more are
-	// the views' latest directories. TupleBytes and SlabChunks are the views'
+	// that read it: 80 do (ChunksRetired) — the root's of batches 0 to 19, all
+	// five views' of batches 20 to 29 and of batches 57 and 58 (56's lease
+	// went after the last publish; PoolStats sweeps, and gives its chunks
+	// back) — and 5 more are the views' latest directories. TupleBytes and SlabChunks are the views'
 	// cells and the step outputs' slabs: a step whose keys are a prefix of its
 	// join tuple points into it instead.
 	h := ps.Arena.Headers
@@ -430,7 +430,7 @@ func TestPoolRespectsPinnedEpochs(t *testing.T) {
 	}
 	ps.Free, ps.RowsReused, ps.TuplesCopied, ps.KeyBytes = 0, 0, 0, 0
 	if want := (data.PoolStats{Reclaimed: 540, RowsRetired: 281, TupleBytes: 20480,
-		SlabChunks: 19, TouchCopies: 670, Arena: data.ArenaStats{ChunksLive: 90, ChunksFree: 5, ChunksRetired: 85, GenerationsOpen: 11}}); ps != want {
+		SlabChunks: 19, TouchCopies: 670, Arena: data.ArenaStats{ChunksLive: 85, ChunksFree: 5, ChunksRetired: 80, GenerationsOpen: 11}}); ps != want {
 		t.Errorf("pool stats %+v, want %+v", ps, want)
 	}
 	// The epochs of the first half stay pinned and so do their headers; the
