@@ -93,7 +93,7 @@ func main() {
 	noScalar := fs.Bool("no-scalar", false, "skip the per-aggregate scalar competitors (DBT, 1-IVM)")
 	autoOrder := fs.Bool("auto-order", false, "let the cost-based optimizer choose variable orders (fig7, fig13, explain) instead of the handpicked ones")
 	walDir := fs.String("wal-dir", "", "enable durability: segmented WAL and checkpoints in this directory, recovered on start (repl)")
-	fsyncName := fs.String("fsync", "never", "WAL fsync policy: always, interval, or never")
+	fsyncName := fs.String("fsync", "never", "WAL fsync policy: always (one sync per applied group of queued batches) or never (left to the OS)")
 	ckptEvery := fs.Uint64("checkpoint-every", 0, "write an automatic checkpoint every N applied batches (repl; 0 = manual .checkpoint only)")
 	listen := fs.String("listen", "127.0.0.1:8080", "HTTP listen address (serve, follow)")
 	replListen := fs.String("replication-listen", "", "replication listener address for followers (serve; requires -wal-dir)")

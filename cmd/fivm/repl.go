@@ -34,7 +34,7 @@ func repl(ds *datasets.Dataset, in io.Reader, out io.Writer, batchSize int, dur 
 	defer d.Close()
 
 	// Ctrl-C (or SIGTERM) must not lose the WAL tail buffered under
-	// fsync=interval/never: the session always exits through d.Close (final
+	// fsync=never: the session always exits through d.Close (final
 	// sync included). The busy/stopped pair decides who closes: a signal at
 	// the idle prompt lets the handler close directly; mid-operation it only
 	// requests a stop, and the loop exits through the deferred Close once

@@ -236,11 +236,11 @@ type DurabilityOptions = db.DurabilityOptions
 // FsyncPolicy controls when logged batches are forced to stable storage.
 type FsyncPolicy = wal.FsyncPolicy
 
-// Fsync policies: every record, at most once per interval, or left to the OS.
+// Fsync policies: every record (an ApplyQueue group is one), or left to the
+// OS.
 const (
-	FsyncAlways   = wal.FsyncAlways
-	FsyncInterval = wal.FsyncInterval
-	FsyncNever    = wal.FsyncNever
+	FsyncAlways = wal.FsyncAlways
+	FsyncNever  = wal.FsyncNever
 )
 
 // WALFS is the filesystem interface the WAL writes through

@@ -501,6 +501,13 @@ var removals = []removal{
 	{had: "f800527", step: "Rows follow their snapshot chunks: no entry generations or per-epoch row sweep, and the chunk sweep frees a retired row with its last count",
 		in: dataPkg, tests: true, forbid: []string{"sweepRows", "retireEntry", "type Entry[_ any] struct{ gen _ }", "type Entry[_ any] struct{ born _ }"},
 		keep: []string{"_.chunks == 0 && _.retired"}},
+	{had: "e3f237a", step: "One durable write path: the apply queue commits in groups, so no interval fsync policy or sync interval is left",
+		in: repo, tests: true, bench: true, forbid: []string{"FsyncInterval", "SyncInterval", "lastSync"},
+		keep: []string{"func (_ *DB) applyGroup()", "q.d.applyGroup(q.batches, q.errs)"}},
+	{had: "e3f237a", step: "One durable write path: the WAL has no injectable clock",
+		in: []string{"internal/wal"}, tests: true, forbid: []string{"struct{ now _ }", "_.opts.now"}},
+	{had: "e3f237a", step: "A db view takes every delta its query reads: no ViewOptions.Updatable",
+		in: []string{"internal/db", "fivm.go"}, tests: true, forbid: []string{"Updatable"}, keep: []string{"v.q.RelNames()"}},
 }
 
 // TestRemovalGuards fails on every removal row whose forbidden forms are

@@ -79,13 +79,15 @@ func (a *BatchArena) Rewind() {
 	a.updates.rewind(BaseUpdate{Rel: poisonKey})
 }
 
-// ArenaBytes is the size of the arena behind a batch (0 for heap tuples):
-// ingest.arena_bytes in GET /stats.
+// ArenaBytes is the size of the arenas behind a batch (0 for heap tuples),
+// each counted where its run of updates starts — a group's members follow
+// one another: ingest.arena_bytes in GET /stats.
 func ArenaBytes(batch []BaseUpdate) int {
-	for _, u := range batch {
-		if u.arena != nil {
-			return u.arena.Bytes()
+	n := 0
+	for i, u := range batch {
+		if u.arena != nil && (i == 0 || u.arena != batch[i-1].arena) {
+			n += u.arena.Bytes()
 		}
 	}
-	return 0
+	return n
 }

@@ -212,47 +212,99 @@ func (s *BaseStore) Detach(id string) {
 	}
 }
 
-// Check refuses a batch that would leave a stored row at a negative
-// multiplicity, counting the store and the batch's own earlier updates, with
-// an error naming the relation and the row; it changes nothing. A batch with
-// no negative Mult passes unread. The running counts are store-owned scratch
-// relations, so a warm check allocates nothing.
-func (s *BaseStore) Check(batch []BaseUpdate) error {
-	if !slices.ContainsFunc(batch, func(u BaseUpdate) bool { return u.Mult < 0 }) {
-		return nil
+// Check validates each member of a group alone: errs[i] gets member i's
+// refusal — an unknown relation, a tuple of the wrong arity, or a delete that
+// would leave a stored row at a negative multiplicity, counting the store,
+// the members before it that passed and its own earlier updates (the error
+// names the relation and the row). batch holds the members' updates back to
+// back, member i's ending at ends[i]; a member whose errs entry is already
+// set is skipped, and neither it nor a refused member counts for the ones
+// after it. Check changes nothing else, and counts only in a group with a
+// negative Mult. The running counts are store-owned scratch relations, so a
+// warm check allocates nothing.
+func (s *BaseStore) Check(batch []BaseUpdate, ends []int, errs []error) {
+	counting := slices.ContainsFunc(batch, func(u BaseUpdate) bool { return u.Mult < 0 })
+	start := 0
+	for i, end := range ends {
+		if errs[i] == nil {
+			errs[i] = s.check(batch[start:end], counting)
+		}
+		start = end
 	}
-	defer func() {
+	if counting {
 		for _, p := range s.pending {
 			p.Clear()
 		}
-	}()
-	k := &s.keyed
-	for _, u := range batch {
-		r, p := s.rels[u.Rel], s.pending[u.Rel]
-		if r == nil {
-			continue // ApplyBatch refuses it
-		} else if p == nil {
-			p = NewRelation[int64](ring.Int{}, r.schema)
-			p.RecycleCleared()
-			s.pending[u.Rel] = p
+	}
+}
+
+// check validates one member and, counting, adds its updates to the running
+// counts; a member refused at a row has its counts taken back.
+func (s *BaseStore) check(member []BaseUpdate, counting bool) error {
+	for _, u := range member {
+		if err := s.valid(u); err != nil {
+			return err
 		}
-		mult := cmp.Or(u.Mult, 1)
-		for _, t := range u.Tuples {
-			k.bytes = t.AppendKey(k.bytes[:0])
-			h, n := hashBytes(k.bytes), int64(0)
-			p.mergeKeyed(k.bytes, h, t, mult)
-			if e := r.entries.getBytes(h, k.bytes); e != nil {
-				n = e.Payload
+	}
+	if !counting {
+		return nil
+	}
+	for i, u := range member {
+		if j, n := s.count(u, 1); n < 0 {
+			for _, v := range append(member[:i:i], BaseUpdate{Rel: u.Rel, Tuples: u.Tuples[:j], Mult: u.Mult}) {
+				s.count(v, -1)
 			}
-			if e := p.entries.getBytes(h, k.bytes); e != nil {
-				n += e.Payload
-			}
-			if n < 0 {
-				return fmt.Errorf("data: %q row %v: a delete would leave it at multiplicity %d", u.Rel, t, n)
-			}
+			return fmt.Errorf("data: %q row %v: a delete would leave it at multiplicity %d", u.Rel, u.Tuples[j-1], n)
 		}
 	}
 	return nil
+}
+
+// valid refuses an update of an unknown relation or with a tuple of the
+// wrong arity.
+func (s *BaseStore) valid(u BaseUpdate) error {
+	r := s.rels[u.Rel]
+	if r == nil {
+		return fmt.Errorf("data: unknown relation %q", u.Rel)
+	}
+	for _, t := range u.Tuples {
+		if len(t) != len(r.schema) {
+			return fmt.Errorf("data: %q tuple %v does not match schema %v", u.Rel, t, r.schema)
+		}
+	}
+	return nil
+}
+
+// count adds sign × u's multiplicity to the running counts of u's rows. Adding
+// (sign 1), it stops at the first row the store and the counts leave
+// negative: it returns the rows counted and, if it stopped, that row's
+// multiplicity.
+func (s *BaseStore) count(u BaseUpdate, sign int64) (int, int64) {
+	r, p := s.rels[u.Rel], s.pending[u.Rel]
+	if p == nil {
+		p = NewRelation[int64](ring.Int{}, r.schema)
+		p.RecycleCleared()
+		s.pending[u.Rel] = p
+	}
+	k := &s.keyed
+	for i, t := range u.Tuples {
+		k.bytes = t.AppendKey(k.bytes[:0])
+		h, n := hashBytes(k.bytes), int64(0)
+		p.mergeKeyed(k.bytes, h, t, sign*cmp.Or(u.Mult, 1))
+		if sign < 0 {
+			continue
+		}
+		if e := r.entries.getBytes(h, k.bytes); e != nil {
+			n = e.Payload
+		}
+		if e := p.entries.getBytes(h, k.bytes); e != nil {
+			n += e.Payload
+		}
+		if n < 0 {
+			return i + 1, n
+		}
+	}
+	return len(u.Tuples), 0
 }
 
 // ApplyBatch advances the store by one batch of per-relation updates — each
@@ -268,19 +320,10 @@ func (s *BaseStore) Check(batch []BaseUpdate) error {
 // or rebuild the failed consumer.
 func (s *BaseStore) ApplyBatch(batch []BaseUpdate) error {
 	for i := range batch {
-		u := &batch[i]
-		sch, ok := s.Schema(u.Rel)
-		if !ok {
-			return fmt.Errorf("data: base relation %q not registered", u.Rel)
+		if err := s.valid(batch[i]); err != nil {
+			return err
 		}
-		for _, t := range u.Tuples {
-			if len(t) != len(sch) {
-				return fmt.Errorf("data: %q tuple %v does not match schema %v", u.Rel, t, sch)
-			}
-		}
-		if u.Mult == 0 {
-			u.Mult = 1
-		}
+		batch[i].Mult = cmp.Or(batch[i].Mult, 1)
 	}
 	k := &s.keyed
 	k.bytes, k.ends, k.hashes = k.bytes[:0], k.ends[:0], k.hashes[:0]

@@ -180,3 +180,100 @@ func TestCrashRecoveryEveryRecordBoundary(t *testing.T) {
 		d2.Close()
 	}
 }
+
+// TestCrashEveryByteOfAGroup cuts the power at every byte of a group's WAL
+// record. After recovery every batch acknowledged with nil is present, a
+// refused member never is, and an unacknowledged group is wholly present or
+// wholly absent: its members share one record.
+func TestCrashEveryByteOfAGroup(t *testing.T) {
+	prefix := durBatches()[:3]
+	members, refusal := groupMembers()
+	drive := func(fs wal.VFS) (acked int, errs []error) {
+		errs = make([]error, len(members))
+		d, err := Open(testCatalog(), Options{Durability: crashDurOpts(fs)})
+		if err != nil {
+			return 0, nil
+		}
+		defer d.Close()
+		if _, err := CreateViewSQL(d, "sql", durSQL, ViewOptions{}); err != nil {
+			return 0, nil
+		}
+		for _, b := range prefix {
+			if err := d.Apply(b); err != nil {
+				return acked, nil
+			}
+			acked++
+		}
+		d.applyGroup(members, errs)
+		return acked, errs
+	}
+	state := func(d *DB) string { return viewFP(t, d, "sql") + "|" + baseFP(d) }
+
+	// The states before and after the group: the prefix, then the valid
+	// members one by one.
+	oracle, err := Open(testCatalog(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oracle.Close()
+	if _, err := CreateViewSQL(oracle, "sql", durSQL, ViewOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	applyN(t, oracle, prefix)
+	before := state(oracle)
+	for i, m := range members {
+		if refusal[i] == "" {
+			if err := oracle.Apply(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	after := state(oracle)
+
+	ref := wal.NewMemFS()
+	if acked, errs := drive(ref); acked != len(prefix) || errs == nil {
+		t.Fatalf("reference run acknowledged %d of %d batches", acked, len(prefix))
+	}
+	seg, err := ref.ReadFile("wal/wal-00000001.seg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := wal.RecordBoundaries(seg)
+	// 1 create-view record, the prefix's records, and one for the group.
+	if len(bounds) != len(prefix)+2 {
+		t.Fatalf("reference segment has %d records, want %d", len(bounds), len(prefix)+2)
+	}
+	start, end := bounds[len(bounds)-2], bounds[len(bounds)-1]
+
+	for cut := start; cut <= end; cut++ {
+		mem := wal.NewMemFS()
+		ffs := wal.NewFaultFS(mem)
+		ffs.CrashAfterBytes(cut)
+		acked, errs := drive(ffs)
+		mem.Crash()
+		if acked != len(prefix) || errs == nil {
+			t.Fatalf("cut %d: the prefix before the group's record was not acknowledged", cut)
+		}
+		d, err := Open(testCatalog(), Options{Durability: crashDurOpts(mem)})
+		if err != nil {
+			t.Fatalf("cut %d: recovery: %v", cut, err)
+		}
+		got, applied := state(d), d.Applied()
+		d.Close()
+		present := applied == uint64(len(prefix)+1)
+		ackedAll := true
+		for i, err := range errs {
+			if refusal[i] == "" && err != nil {
+				ackedAll = false
+			} else if refusal[i] != "" && !refused(err, refusal[i]) {
+				t.Fatalf("cut %d: member %d answered %v, want refusal %q", cut, i, err, refusal[i])
+			}
+		}
+		switch {
+		case ackedAll && (!present || got != after):
+			t.Fatalf("cut %d: the group was acknowledged, recovery holds applied %d:\n got  %s\n want %s", cut, applied, got, after)
+		case present && got != after, !present && (got != before || applied != uint64(len(prefix))):
+			t.Fatalf("cut %d: the group is torn (present %v):\n got    %s\n before %s\n after  %s", cut, present, got, before, after)
+		}
+	}
+}

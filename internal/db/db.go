@@ -106,17 +106,14 @@ type DB struct {
 	cur     atomic.Pointer[Epoch]
 	free    data.Recycler[Epoch] // epoch structs whose last Release has come
 	seq     uint64               // published epochs (bumped by Apply and view DDL)
-	applied uint64               // applied update batches
+	applied uint64               // applied update batches (a group counts as one)
 
 	conv convCache
-	// convSeq tags conversion-cache entries per fan-out attempt. It is
-	// deliberately independent of the applied counter: a batch that fails
-	// mid-fan-out does not advance applied, and a retry must not reuse the
-	// failed attempt's cached conversions.
-	convSeq uint64
 
-	// Apply scratch, reused across calls (the store copies what it keeps).
+	// Apply scratch, reused across calls (the store copies what it keeps):
+	// a group's updates back to back, member i's ending at ends[i].
 	baseBatch []data.BaseUpdate
+	ends      []int
 	// ingest is the intake accounting the next epoch carries (publish).
 	ingest IngestStats
 
@@ -191,7 +188,6 @@ func Open(cat Catalog, opts Options) (*DB, error) {
 			Dir:          du.Dir,
 			FS:           du.FS,
 			Fsync:        du.Fsync,
-			SyncInterval: du.SyncInterval,
 			SegmentBytes: du.SegmentBytes,
 		})
 		if err != nil {
@@ -328,23 +324,23 @@ func (d *DB) MemoryBytes() int {
 	return total
 }
 
-// Apply ingests one batch of updates: it is validated, logged to the WAL
-// (when durability is enabled — before any in-memory state advances, so a
-// failed or torn append changes nothing and recovery never sees a state the
-// log does not), merged in place into the shared base store exactly once
-// (each tuple's key encoded and hashed once; an inserted row is copied into
-// the entry, key bytes and tuple cells a deleted row left behind, so the
-// store's memory follows its contents and it keeps no caller's tuple), fanned
-// out with those keys to every registered view — which lift it into their
-// rings once per distinct ring, not once per view — and one cross-view Epoch
-// is published at the end. It is the DB's only write path; deletions are
-// updates with negative Mult.
+// Apply ingests one batch of updates as a group of one (applyGroup, the DB's
+// only write path; deletions are updates with negative Mult): it is
+// validated, logged to the WAL (when durability is enabled — before any
+// in-memory state advances, so a failed or torn append changes nothing and
+// recovery never sees a state the log does not), merged in place into the
+// shared base store exactly once (each tuple's key encoded and hashed once; an
+// inserted row is copied into the entry, key bytes and tuple cells a deleted
+// row left behind, so the store's memory follows its contents and it keeps no
+// caller's tuple), fanned out with those keys to every registered view — which
+// lift it into their rings once per distinct ring, not once per view — and one
+// cross-view Epoch is published at the end.
 //
 // Multiplicities stay non-negative: a batch that would leave any stored row
 // at a negative multiplicity — counting the store and the batch's own earlier
 // updates, so a delete of an absent row — is refused whole, before the WAL
 // append, with an error naming the relation and the row. A batch of inserts
-// only is not checked. Replay, in recovery and on a follower, applies a
+// only is not counted. Replay, in recovery and on a follower, applies a
 // logged batch as it was logged: a log written before this rule may hold
 // such a delete, and replay leaves the row at the negative count it was
 // applied with then.
@@ -357,31 +353,49 @@ func (d *DB) MemoryBytes() int {
 // error mid-fan-out leaves the *unpublished* view states torn (some views
 // ahead of others); treat it as fatal and rebuild from the log.
 func (d *DB) Apply(batch []Update) error {
-	if err := d.writable(); err != nil {
-		return err
-	}
-	d.baseBatch = d.baseBatch[:0]
-	for _, u := range batch {
-		if len(u.Tuples) == 0 {
-			continue
-		}
-		sch, ok := d.store.Schema(u.Rel)
-		if !ok {
-			return fmt.Errorf("db: unknown relation %q", u.Rel)
-		}
-		// Validate arity up front, so a rejected batch leaves the log and the
-		// applied counter untouched.
-		for _, t := range u.Tuples {
-			if len(t) != len(sch) {
-				return fmt.Errorf("db: %q tuple %v does not match schema %v", u.Rel, t, sch)
+	group, errs := [1][]Update{batch}, [1]error{}
+	d.applyGroup(group[:], errs[:])
+	return errs[0]
+}
+
+// applyGroup applies the batches of one ApplyQueue group as one batch and
+// puts each member's answer in errs. Each member is validated alone, as Apply
+// validates a batch, against the store plus the members ahead of it that
+// passed (data.BaseStore.Check); a refused member gets its own error and
+// leaves the group. The survivors' updates, in member order, are one WAL
+// record, one sync under wal.FsyncAlways, one store pass, one delta pass per
+// view and one epoch, so they count as one applied batch, and each survivor's
+// answer is the group's.
+func (d *DB) applyGroup(batches [][]Update, errs []error) {
+	err := d.writable()
+	d.baseBatch, d.ends = d.baseBatch[:0], d.ends[:0]
+	for i, batch := range batches {
+		errs[i] = err
+		for _, u := range batch {
+			if len(u.Tuples) > 0 {
+				d.baseBatch = append(d.baseBatch, u) // its arena travels with it, for ArenaBytes
 			}
 		}
-		d.baseBatch = append(d.baseBatch, u) // its arena travels with it, for ArenaBytes
+		d.ends = append(d.ends, len(d.baseBatch))
 	}
-	if err := d.store.Check(d.baseBatch); err != nil {
-		return err
+	d.store.Check(d.baseBatch, d.ends, errs)
+	n, start, live := 0, 0, false
+	for i, end := range d.ends {
+		if errs[i] == nil {
+			n += copy(d.baseBatch[n:], d.baseBatch[start:end])
+			live = true
+		}
+		start = end
 	}
-	return d.applyBase(d.baseBatch, true)
+	if !live {
+		return
+	}
+	err = d.applyBase(d.baseBatch[:n], true)
+	for i := range errs {
+		if errs[i] == nil {
+			errs[i] = err
+		}
+	}
 }
 
 // applyBase is the shared tail of Apply and WAL replay: log (optional), fan
@@ -393,8 +407,7 @@ func (d *DB) applyBase(batch []data.BaseUpdate, logIt bool) error {
 			return fmt.Errorf("db: wal append: %w", err)
 		}
 	}
-	d.convSeq++
-	d.conv.seq = d.convSeq
+	d.conv.seq++
 	d.stamp = time.Time{}
 	d.ingest.ArenaBytes = data.ArenaBytes(batch)
 	// Advance the shared store once, then fan out to the views through the
@@ -421,9 +434,9 @@ func (d *DB) applyBase(batch []data.BaseUpdate, logIt bool) error {
 	return nil
 }
 
-// DropView unregisters a view: it is detached from the base stream, its
-// worker pool (if any) is stopped, and the next published Epoch no longer
-// carries it. Readers pinned on earlier epochs keep reading their snapshots.
+// DropView unregisters a view: it is detached from the base stream and the
+// next published Epoch no longer carries it. Readers pinned on earlier epochs
+// keep reading their snapshots.
 func (d *DB) DropView(name string) error {
 	if !d.closing {
 		if err := d.writable(); err != nil {
@@ -459,8 +472,8 @@ func (d *DB) DropView(name string) error {
 	return nil
 }
 
-// Close drops every view (stopping worker pools) without logging the drops
-// — the catalog survives restart — and closes the WAL (final sync included).
+// Close drops every view without logging the drops — the catalog survives
+// restart — and closes the WAL (final sync included).
 // The DB must not be used afterwards.
 func (d *DB) Close() error {
 	d.closing = true
@@ -565,7 +578,8 @@ func (d *DB) Epoch() *Epoch {
 type Epoch struct {
 	// Seq counts published epochs (Apply and view DDL each publish one).
 	Seq uint64
-	// Applied is the number of update batches this epoch reflects.
+	// Applied is the number of update batches this epoch reflects; an
+	// ApplyQueue group, committed as one batch, counts as one.
 	Applied uint64
 	// At is the publication wall time.
 	At time.Time
@@ -598,7 +612,7 @@ type epochCatalog struct {
 }
 
 // IngestStats is how batches reach the DB, carried on the epoch like the
-// base-store counters: ArenaBytes is the size of the data.BatchArena the last
+// base-store counters: ArenaBytes is the size of the data.BatchArenas the last
 // applied batch was decoded into (0 when it came as heap tuples); FramesLeased
 // and FramesAllocated count the WAL frames handed to live subscribers in a
 // buffer from the log's free list and in a fresh one (wal.Log.FrameStats).

@@ -232,3 +232,74 @@ func dbBackfillMidStream(t *testing.T) {
 		checkView(t, 15+i, "late", SnapshotOf[int64](d.Epoch(), "late"), o)
 	}
 }
+
+// randomMember is one member of a random group: mostly a batch of
+// randomUpdates, sometimes one the DB refuses — a tuple of the wrong arity,
+// an unknown relation, or a delete of a row no one inserted after its valid
+// updates.
+func randomMember(rng *rand.Rand, live map[string][]data.Tuple) []Update {
+	ups := randomUpdates(rng, live)
+	switch rng.Intn(8) {
+	case 0:
+		return append(ups, Insert("R", tup(1, 2, 3)))
+	case 1:
+		return append(ups, Insert("Nope", tup(1)))
+	case 2:
+		return append(ups, Delete("S", tup(99, int64(rng.Intn(2)))))
+	}
+	return ups
+}
+
+// TestGroupMatchesSequentialApply: a group of batches applied as one gives
+// each member the answer Apply gives it alone, in order, and leaves the store
+// and every view exactly as applying the members one by one does.
+func TestGroupMatchesSequentialApply(t *testing.T) {
+	open := func() *DB {
+		d, err := Open(testCatalog(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := CreateView[int64](d, "cnt", testQuery("cnt", "A"), ring.Int{}, countLift, ViewOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := CreateView[ring.Triple](d, "cof", testQuery("cof"), ring.Cofactor{}, propCofLift, ViewOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := CreateViewSQL(d, "sql", durSQL, ViewOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	grouped, seq := open(), open()
+	defer grouped.Close()
+	defer seq.Close()
+
+	rng := rand.New(rand.NewSource(2718))
+	live := map[string][]data.Tuple{}
+	for g := 0; g < 40; g++ {
+		members := make([][]Update, 1+rng.Intn(6))
+		for i := range members {
+			members[i] = randomMember(rng, live)
+			// Now and then a member deletes a row only the member before
+			// it inserts.
+			if i > 0 && rng.Intn(3) == 0 {
+				fresh := tup(int64(1000+g), int64(i))
+				members[i-1] = append(members[i-1], Insert("T", fresh))
+				members[i] = append(members[i], Delete("T", fresh))
+			}
+		}
+		errs := make([]error, len(members))
+		grouped.applyGroup(members, errs)
+		for i, m := range members {
+			if err := seq.Apply(m); (err == nil) != (errs[i] == nil) {
+				t.Fatalf("group %d member %d: grouped %v, alone %v", g, i, errs[i], err)
+			}
+		}
+		if got, want := epochFP(t, grouped), epochFP(t, seq); got != want {
+			t.Fatalf("group %d: views diverge:\n grouped %s\n alone   %s", g, got, want)
+		}
+		if got, want := baseFP(grouped), baseFP(seq); got != want {
+			t.Fatalf("group %d: stores diverge:\n grouped %s\n alone   %s", g, got, want)
+		}
+	}
+}

@@ -19,13 +19,13 @@ type DurabilityOptions struct {
 	// means the real one.
 	FS wal.VFS
 	// Fsync is the sync policy for logged batches (see wal.FsyncPolicy).
+	// Under wal.FsyncAlways an ApplyQueue group is one record and one sync.
 	Fsync wal.FsyncPolicy
-	// SyncInterval spaces syncs under wal.FsyncInterval (default 50ms).
-	SyncInterval time.Duration
 	// SegmentBytes caps a log segment before rotation (default 64 MiB).
 	SegmentBytes int64
 	// CheckpointEvery writes an automatic checkpoint after that many
-	// applied batches (0 = manual Checkpoint calls only).
+	// applied batches, an ApplyQueue group counting as one (0 = manual
+	// Checkpoint calls only).
 	CheckpointEvery uint64
 }
 
@@ -189,7 +189,7 @@ func (d *DB) recoverView(def wal.ViewDef) error {
 
 // viewOptionsOf and viewDefOf are the one mapping between a SQL view's
 // options and its persisted catalog entry: what a ViewDef does not carry
-// (Order, Updatable) a SQL-created view leaves at its default.
+// (Order) a SQL-created view leaves at its default.
 func viewOptionsOf(def wal.ViewDef) ViewOptions {
 	return ViewOptions{
 		ComposeChains:   def.ComposeChains,

@@ -77,8 +77,8 @@ func (d *DB) ApplyReplicated(rec wal.Record) error {
 	return nil
 }
 
-// Sync forces any WAL tail buffered under fsync=interval/never to stable
-// storage (a no-op without durability). Graceful shutdown calls it before
+// Sync forces any WAL tail buffered under fsync=never to stable storage (a
+// no-op without durability). Graceful shutdown calls it before
 // Close so an acknowledged batch survives the exit.
 func (d *DB) Sync() error {
 	if d.log == nil {

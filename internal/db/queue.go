@@ -2,9 +2,7 @@ package db
 
 import (
 	"errors"
-	"fmt"
 	"sync"
-	"time"
 )
 
 // ErrQueueFull is returned by ApplyQueue.TryApply when the bounded queue is
@@ -21,10 +19,13 @@ var ErrQueueClosed = errors.New("db: apply queue closed")
 // backpressure mechanism — when the maintenance goroutine cannot keep up,
 // TryApply fails fast with ErrQueueFull instead of queueing unbounded work.
 //
-// Each enqueued operation carries a result channel; the producer blocks
-// until its operation has been applied (or rejected), so a nil return means
-// the batch is applied, its epoch published, and — with durability — logged
-// per the fsync policy.
+// The maintenance goroutine commits in groups: the first queued batch and,
+// without waiting for more, every batch already queued behind it, up to
+// groupTuples tuples; a Do item ends the group. A refused batch gets its own
+// error, the rest are applied as one (DB.applyGroup: one WAL record, one sync,
+// one delta pass per view, one epoch; one in Epoch.Applied). A producer blocks
+// until its operation has been applied or refused: a nil return means the
+// batch is applied, its epoch published and logged per the fsync policy.
 type ApplyQueue struct {
 	d     *DB
 	items chan queueItem
@@ -34,7 +35,17 @@ type ApplyQueue struct {
 	mu     sync.RWMutex
 	closed bool
 	done   chan struct{}
+
+	// The group being committed (maintenance goroutine only), reused: each
+	// member's batch, answer and reply channel.
+	batches [][]Update
+	errs    []error
+	replies []chan error
 }
+
+// groupTuples caps the tuples of a group: a batch that would take the group
+// past it waits for the next one (a single batch over it is a group alone).
+const groupTuples = 1 << 16
 
 type queueItem struct {
 	batch []Update
@@ -59,89 +70,92 @@ func NewApplyQueue(d *DB, depth int) *ApplyQueue {
 }
 
 // run is the maintenance goroutine: it drains the queue in order, so every
-// DB write happens here and nowhere else.
+// DB write happens here and nowhere else. A Do item runs alone; a batch starts
+// a group, which takes every batch queued behind it, without waiting, up to
+// groupTuples tuples, and ends at a Do item or an empty queue.
 func (q *ApplyQueue) run() {
 	defer close(q.done)
-	for it := range q.items {
-		var err error
+	it, ok := <-q.items
+	for ok {
 		if it.fn != nil {
-			err = it.fn(q.d)
-		} else {
-			err = q.d.Apply(it.batch)
+			it.res <- it.fn(q.d)
+			it, ok = <-q.items
+			continue
 		}
-		it.res <- err
-	}
-}
-
-// enqueue places one item without blocking; ErrQueueFull when at capacity.
-func (q *ApplyQueue) enqueue(it queueItem) error {
-	q.mu.RLock()
-	defer q.mu.RUnlock()
-	if q.closed {
-		return ErrQueueClosed
-	}
-	select {
-	case q.items <- it:
-		return nil
-	default:
-		return ErrQueueFull
+		for tuples := 0; ok && it.fn == nil; {
+			n := 0
+			for _, u := range it.batch {
+				n += len(u.Tuples)
+			}
+			if len(q.batches) > 0 && tuples+n > groupTuples {
+				break
+			}
+			tuples += n
+			q.batches, q.errs, q.replies = append(q.batches, it.batch), append(q.errs, nil), append(q.replies, it.res)
+			select {
+			case it, ok = <-q.items:
+			default:
+				ok = false
+			}
+		}
+		q.d.applyGroup(q.batches, q.errs)
+		for i, res := range q.replies {
+			res <- q.errs[i]
+		}
+		clear(q.batches) // the batches' arenas are rewound once their callers return
+		q.batches, q.errs, q.replies = q.batches[:0], q.errs[:0], q.replies[:0]
+		if !ok { // the queue ran empty (or closed): wait for the next item
+			it, ok = <-q.items
+		}
 	}
 }
 
 // replies holds the items' reply channels: one goes back only once its one
-// reply was received (await), or unused when its item was refused.
+// reply was received, or unused when its item was refused.
 var replies = sync.Pool{New: func() any { return make(chan error, 1) }}
 
-func await(it queueItem) error {
-	err := <-it.res
+// send enqueues it — waiting for room if block is set, ErrQueueFull otherwise
+// — and then waits for its answer. A blocked send holds mu shared, so Close
+// waits for the maintenance goroutine to take the item.
+func (q *ApplyQueue) send(it queueItem, block bool) error {
+	it.res = replies.Get().(chan error)
+	q.mu.RLock()
+	var err error
+	switch {
+	case q.closed:
+		err = ErrQueueClosed
+	case block:
+		q.items <- it
+	default:
+		select {
+		case q.items <- it:
+		default:
+			err = ErrQueueFull
+		}
+	}
+	q.mu.RUnlock()
+	if err != nil {
+		replies.Put(it.res)
+		return err
+	}
+	err = <-it.res
 	replies.Put(it.res)
 	return err
 }
 
 // TryApply enqueues a batch if the queue has room — ErrQueueFull otherwise —
 // and waits for it to be applied. This is the backpressure write path.
-func (q *ApplyQueue) TryApply(batch []Update) error {
-	it := queueItem{batch: batch, res: replies.Get().(chan error)}
-	if err := q.enqueue(it); err != nil {
-		replies.Put(it.res)
-		return err
-	}
-	return await(it)
-}
+func (q *ApplyQueue) TryApply(batch []Update) error { return q.send(queueItem{batch: batch}, false) }
 
 // Apply enqueues a batch, waiting for room if the queue is full, and then
 // for the batch to be applied. Use TryApply to shed load instead.
-func (q *ApplyQueue) Apply(batch []Update) error {
-	return q.wait(queueItem{batch: batch, res: replies.Get().(chan error)})
-}
+func (q *ApplyQueue) Apply(batch []Update) error { return q.send(queueItem{batch: batch}, true) }
 
 // Do runs fn on the maintenance goroutine, after everything enqueued before
 // it — the path for DDL (Exec, CreateView, DropView) and any other
 // single-writer operation (checkpoints, one-shot SELECT views). fn's
 // side effects are visible to the caller when Do returns.
-func (q *ApplyQueue) Do(fn func(*DB) error) error {
-	return q.wait(queueItem{fn: fn, res: replies.Get().(chan error)})
-}
-
-// wait enqueues blocking-ly: it retries with a small backoff rather than
-// holding the closed-check lock across a blocked channel send (which would
-// deadlock Close).
-func (q *ApplyQueue) wait(it queueItem) error {
-	for backoff := 50 * time.Microsecond; ; {
-		err := q.enqueue(it)
-		if err == nil {
-			return await(it)
-		}
-		if err != ErrQueueFull {
-			replies.Put(it.res)
-			return err
-		}
-		time.Sleep(backoff)
-		if backoff < 2*time.Millisecond {
-			backoff *= 2
-		}
-	}
-}
+func (q *ApplyQueue) Do(fn func(*DB) error) error { return q.send(queueItem{fn: fn}, true) }
 
 // Len reports the operations currently queued (monitoring).
 func (q *ApplyQueue) Len() int { return len(q.items) }
@@ -164,9 +178,4 @@ func (q *ApplyQueue) Close() error {
 	close(q.items)
 	<-q.done
 	return nil
-}
-
-// String describes the queue state (diagnostics).
-func (q *ApplyQueue) String() string {
-	return fmt.Sprintf("ApplyQueue(%d/%d)", q.Len(), q.Cap())
 }

@@ -56,7 +56,8 @@ func CreateViewSQL(d *DB, name, sql string, opts ViewOptions) (*View[float64], e
 // DROP VIEW ... — against the DB and returns a short status line. Bare
 // SELECTs are rejected (they carry no view name); use CreateViewSQL.
 // SQL-created views use default ViewOptions; register via CreateView /
-// CreateViewSQL directly to configure workers or the optimizer flags.
+// CreateViewSQL directly to configure the variable order or the optimizer
+// flags.
 func (d *DB) Exec(sql string) (string, error) {
 	st, err := sqlparse.ParseStatement(sql, d.catalog())
 	if err != nil {

@@ -23,9 +23,6 @@ type ViewOptions struct {
 	// only because the benchmark module sets it, and ROADMAP ground rule (c)
 	// pins what the benchmark calls; ROADMAP item 1 deletes it.
 	Workers int
-	// Updatable restricts which base relations this view expects deltas
-	// from (ivm.Options.Updatable); empty means all of the query's.
-	Updatable []string
 	// ComposeChains and CostMaterialize are the engine's corresponding
 	// options.
 	ComposeChains   bool
@@ -43,8 +40,7 @@ type View[P any] struct {
 	ring ring.Ring[P]
 	m    *ivm.Engine[P]
 
-	ringKey any      // conversion-sharing identity: the ring value, or a per-view sentinel
-	updRels []string // relations observed for deltas (Updatable or all)
+	ringKey any // conversion-sharing identity: the ring value, or a per-view sentinel
 	scratch []ivm.NamedDelta[P]
 	seen    map[string]bool // per-observe relation dedup, reused across batches
 
@@ -56,8 +52,10 @@ type View[P any] struct {
 // relation for a given base relation, so the conversion (coalescing under the
 // keys the base store encoded, payload lifting) runs once per (ring, relation)
 // instead of once per view.
-// Entries persist across batches as cleared scratch; seq tags which batch a
-// conversion belongs to.
+// Entries persist across batches as cleared scratch; seq tags which fan-out
+// attempt a conversion belongs to. It is not the applied counter: a batch
+// that fails mid-fan-out does not advance applied, and a retry must not
+// reuse the failed attempt's conversions.
 type convCache struct {
 	m   map[convKey]*convEntry
 	seq uint64
@@ -117,7 +115,6 @@ func CreateView[P any](d *DB, name string, q query.Query, r ring.Ring[P], lift d
 	// Without statistics of its own, an engine that chooses its order or
 	// materializes by cost plans at Init, from the rows LoadCounts hands it.
 	m, err := ivm.New[P](q, o, r, lift, ivm.Options[P]{
-		Updatable:       opts.Updatable,
 		ComposeChains:   opts.ComposeChains,
 		CostMaterialize: opts.CostMaterialize,
 	})
@@ -126,20 +123,16 @@ func CreateView[P any](d *DB, name string, q query.Query, r ring.Ring[P], lift d
 	}
 
 	v := &View[P]{
-		db:      d,
-		name:    name,
-		q:       q,
-		ring:    r,
-		m:       m,
-		updRels: q.RelNames(),
+		db:   d,
+		name: name,
+		q:    q,
+		ring: r,
+		m:    m,
 	}
 	if rt := reflect.TypeOf(r); rt != nil && rt.Comparable() {
 		v.ringKey = r
 	} else {
 		v.ringKey = v // unique sentinel: no cross-view sharing for this ring
-	}
-	if len(opts.Updatable) > 0 {
-		v.updRels = opts.Updatable
 	}
 
 	// Backfill from the shared base store: the engine reads its relations in
@@ -165,7 +158,7 @@ func CreateView[P any](d *DB, name string, q query.Query, r ring.Ring[P], lift d
 // --- the ring-erased side the DB drives -------------------------------------
 
 func (v *View[P]) viewName() string    { return v.name }
-func (v *View[P]) queryRels() []string { return v.updRels }
+func (v *View[P]) queryRels() []string { return v.q.RelNames() }
 func (v *View[P]) memoryBytes() int    { return v.m.MemoryBytes() }
 
 func (v *View[P]) stats() ViewStats {

@@ -266,7 +266,7 @@ func (l *Log) WriteCheckpoint(ck *Checkpoint) error {
 	if err := l.usable(); err != nil {
 		return err
 	}
-	start := l.opts.now()
+	start := time.Now()
 	ck.LSN = l.lsn
 	// Everything covered must be durable before the checkpoint claims it.
 	if err := l.Sync(); err != nil {
@@ -304,7 +304,7 @@ func (l *Log) WriteCheckpoint(ck *Checkpoint) error {
 		return l.fail(err)
 	}
 	l.prune(ck.LSN)
-	w.st.Duration = l.opts.now().Sub(start)
+	w.st.Duration = time.Now().Sub(start)
 	l.lastCkpt = w.st
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"fivm/internal/data"
 )
@@ -42,16 +41,9 @@ type FsyncPolicy int
 
 const (
 	// FsyncAlways syncs after every appended record: an acknowledged batch
-	// survives any crash.
+	// survives any crash. The DB's apply queue commits the batches queued
+	// together as one record, so concurrent writers share a sync.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncInterval syncs at most once per SyncInterval, amortizing the
-	// sync cost. The interval is checked only when a record is appended: an
-	// append syncs when SyncInterval has passed since the last sync, so the
-	// tail of a burst stays unsynced until the next such append, a Sync or
-	// Close, however long that takes. A crash loses the acknowledged batches
-	// of that tail (but never tears one — recovery truncates to a record
-	// boundary).
-	FsyncInterval
 	// FsyncNever leaves syncing to the OS; a crash may lose any batch not
 	// yet flushed. Contents remain consistent — recovery still replays a
 	// clean prefix.
@@ -62,8 +54,6 @@ func (p FsyncPolicy) String() string {
 	switch p {
 	case FsyncAlways:
 		return "always"
-	case FsyncInterval:
-		return "interval"
 	case FsyncNever:
 		return "never"
 	default:
@@ -76,12 +66,10 @@ func ParseFsync(s string) (FsyncPolicy, error) {
 	switch strings.ToLower(s) {
 	case "always":
 		return FsyncAlways, nil
-	case "interval":
-		return FsyncInterval, nil
 	case "never", "":
 		return FsyncNever, nil
 	default:
-		return 0, fmt.Errorf("wal: unknown fsync policy %q (want always, interval, or never)", s)
+		return 0, fmt.Errorf("wal: unknown fsync policy %q (want always or never)", s)
 	}
 }
 
@@ -93,28 +81,17 @@ type Options struct {
 	FS VFS
 	// Fsync is the sync policy for appended records.
 	Fsync FsyncPolicy
-	// SyncInterval is the minimum spacing between syncs under
-	// FsyncInterval (default 50ms).
-	SyncInterval time.Duration
 	// SegmentBytes rotates to a new segment once the current one exceeds
 	// this size (default 64 MiB). Rotation happens between records.
 	SegmentBytes int64
-	// now is injectable for interval-policy tests.
-	now func() time.Time
 }
 
 func (o *Options) fill() {
 	if o.FS == nil {
 		o.FS = OSFS{}
 	}
-	if o.SyncInterval <= 0 {
-		o.SyncInterval = 50 * time.Millisecond
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 64 << 20
-	}
-	if o.now == nil {
-		o.now = time.Now
 	}
 }
 
@@ -146,7 +123,6 @@ type Log struct {
 	ckptBuf   []byte
 	ckptFlush int
 	lastCkpt  CheckpointStats
-	lastSync  time.Time
 	failed    atomic.Value // the sticky append failure, an error stored once (fail)
 	closed    bool
 
@@ -330,26 +306,19 @@ func (l *Log) LSN() uint64 { return l.lsn }
 // Dir returns the WAL directory.
 func (l *Log) Dir() string { return l.dir }
 
-// append frames and writes one record body, applying the fsync policy. On
-// any write error the log is poisoned: the tail may hold torn bytes, so
-// further appends fail with ErrClosed wrapping the original failure.
-func (l *Log) append(body []byte) error {
-	l.frame = appendFrame(l.frame[:0], body)
+// append frames and writes the record body in l.body under the next LSN,
+// applying the fsync policy, then hands the frame to the subscribers. On any
+// write error the log is poisoned: the tail may hold torn bytes, so further
+// appends fail with ErrClosed wrapping the original failure.
+func (l *Log) append() error {
+	l.frame = appendFrame(l.frame[:0], l.body)
 	if _, err := l.seg.Write(l.frame); err != nil {
 		return fmt.Errorf("wal: append: %w", l.fail(err))
 	}
 	l.segSize += int64(len(l.frame))
-	switch l.opts.Fsync {
-	case FsyncAlways:
+	if l.opts.Fsync == FsyncAlways {
 		if err := l.seg.Sync(); err != nil {
 			return fmt.Errorf("wal: sync: %w", l.fail(err))
-		}
-	case FsyncInterval:
-		if now := l.opts.now(); now.Sub(l.lastSync) >= l.opts.SyncInterval {
-			if err := l.seg.Sync(); err != nil {
-				return fmt.Errorf("wal: sync: %w", l.fail(err))
-			}
-			l.lastSync = now
 		}
 	}
 	if l.segSize >= l.opts.SegmentBytes {
@@ -357,6 +326,8 @@ func (l *Log) append(body []byte) error {
 			return l.fail(err)
 		}
 	}
+	l.lsn++
+	l.notify(l.lsn)
 	return nil
 }
 
@@ -388,14 +359,8 @@ func (l *Log) AppendBatch(applied uint64, batch []data.BaseUpdate) error {
 	if err := checkArity(batch); err != nil {
 		return err
 	}
-	lsn := l.lsn + 1
-	l.body = encodeBatchBody(l.body[:0], lsn, applied, batch)
-	if err := l.append(l.body); err != nil {
-		return err
-	}
-	l.lsn = lsn
-	l.notify(lsn)
-	return nil
+	l.body = encodeBatchBody(l.body[:0], l.lsn+1, applied, batch)
+	return l.append()
 }
 
 // AppendCreateView logs a view-catalog addition.
@@ -403,14 +368,8 @@ func (l *Log) AppendCreateView(def ViewDef) error {
 	if err := l.usable(); err != nil {
 		return err
 	}
-	lsn := l.lsn + 1
-	l.body = encodeCreateViewBody(l.body[:0], lsn, def)
-	if err := l.append(l.body); err != nil {
-		return err
-	}
-	l.lsn = lsn
-	l.notify(lsn)
-	return nil
+	l.body = encodeCreateViewBody(l.body[:0], l.lsn+1, def)
+	return l.append()
 }
 
 // AppendDropView logs a view-catalog removal.
@@ -418,14 +377,8 @@ func (l *Log) AppendDropView(name string) error {
 	if err := l.usable(); err != nil {
 		return err
 	}
-	lsn := l.lsn + 1
-	l.body = encodeDropViewBody(l.body[:0], lsn, name)
-	if err := l.append(l.body); err != nil {
-		return err
-	}
-	l.lsn = lsn
-	l.notify(lsn)
-	return nil
+	l.body = encodeDropViewBody(l.body[:0], l.lsn+1, name)
+	return l.append()
 }
 
 // Sync forces buffered records to stable storage regardless of policy.
@@ -436,7 +389,6 @@ func (l *Log) Sync() error {
 	if err := l.seg.Sync(); err != nil {
 		return fmt.Errorf("wal: sync: %w", l.fail(err))
 	}
-	l.lastSync = l.opts.now()
 	return nil
 }
 

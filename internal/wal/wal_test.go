@@ -3,8 +3,8 @@ package wal
 import (
 	"errors"
 	"slices"
+	"strings"
 	"testing"
-	"time"
 
 	"fivm/internal/data"
 )
@@ -36,10 +36,9 @@ func TestAppendAndReplayRoundTrip(t *testing.T) {
 	// flags 0b111, of which the workers and bit 2 are ignored.
 	create := encodeCreateViewBody(nil, 1, ViewDef{Name: "v", SQL: "SELECT ..."})
 	create[len(create)-2], create[len(create)-1] = 4, 0b111
-	if err := l.append(create); err != nil {
-		t.Fatal(err)
+	if l.body = create; l.append() != nil {
+		t.Fatal("append failed")
 	}
-	l.lsn = 1
 	for i := int64(1); i <= 5; i++ {
 		if err := l.AppendBatch(uint64(i), testBatch(i)); err != nil {
 			t.Fatal(err)
@@ -261,45 +260,40 @@ func TestFsyncPolicies(t *testing.T) {
 		t.Errorf("fsync=never: %d syncs for 4 appends", got)
 	}
 	l.Close()
+}
 
-	// interval: syncs only once the injected clock passes the interval.
-	fs = NewMemFS()
-	now := time.Unix(1000, 0)
-	l, _, err := Open(Options{
-		Dir: "wal", FS: fs, Fsync: FsyncInterval, SyncInterval: time.Second,
-		now: func() time.Time { return now },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First append: lastSync is zero, so the elapsed check fires once,
-	// then holds until the clock advances.
-	l.AppendBatch(1, testBatch(1))
-	base = fs.SyncCount()
-	l.AppendBatch(2, testBatch(2))
-	l.AppendBatch(3, testBatch(3))
-	if got := fs.SyncCount() - base; got != 0 {
-		t.Errorf("fsync=interval within interval: %d syncs", got)
-	}
-	now = now.Add(2 * time.Second)
-	l.AppendBatch(4, testBatch(4))
-	if got := fs.SyncCount() - base; got != 1 {
-		t.Errorf("fsync=interval after interval: %d syncs, want 1", got)
-	}
-	// The interval is checked only on append: a burst's tail appended
-	// within it stays unsynced however long no append follows, and a crash
-	// loses it.
-	l.AppendBatch(5, testBatch(5))
-	l.AppendBatch(6, testBatch(6))
-	now = now.Add(time.Hour)
-	if got := fs.SyncCount() - base; got != 1 {
-		t.Errorf("fsync=interval: %d syncs an hour after the burst, want 1", got)
-	}
-	fs.Crash()
-	l2, rec := openMem(t, fs, FsyncNever)
-	l2.Close()
-	if len(rec.Records) != 4 || rec.Records[3].Applied != 4 {
-		t.Fatalf("fsync=interval: recovered %d records after the crash, want the 4 synced ones", len(rec.Records))
+// ParseFsync accepts exactly the names String prints, and "" for the
+// default; anything else, the removed "interval" included, is refused with
+// the accepted names.
+func TestParseFsync(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want FsyncPolicy
+		err  bool
+	}{
+		{in: "always", want: FsyncAlways},
+		{in: "never", want: FsyncNever},
+		{in: "", want: FsyncNever},
+		{in: "ALWAYS", want: FsyncAlways},
+		{in: "interval", err: true},
+		{in: "sometimes", err: true},
+	} {
+		p, err := ParseFsync(c.in)
+		if c.err {
+			if err == nil || !strings.Contains(err.Error(), "want always or never") {
+				t.Errorf("ParseFsync(%q) = %v, %v: want an error naming always and never", c.in, p, err)
+			}
+			continue
+		}
+		if err != nil || p != c.want {
+			t.Errorf("ParseFsync(%q) = %v, %v: want %v", c.in, p, err, c.want)
+		}
+		if c.in != "" && c.in == strings.ToLower(c.in) && p.String() != c.in {
+			t.Errorf("ParseFsync(%q).String() = %q", c.in, p.String())
+		}
+		if back, err := ParseFsync(p.String()); err != nil || back != p {
+			t.Errorf("ParseFsync(%q) round trip: %v, %v", p.String(), back, err)
+		}
 	}
 }
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Loopback end-to-end smoke test for `fivm serve` / `fivm follow`:
 # two real processes over TCP — a durable primary shipping its WAL and a
-# durable follower serving read-only HTTP. Asserts epoch convergence,
-# byte-identical lookups, follower restart mid-stream, and graceful
-# signal shutdown on both sides. Run from the repo root; CI runs it after
+# durable follower serving read-only HTTP. The primary syncs every record
+# (-fsync always), so concurrent writers commit in groups. Asserts epoch
+# convergence, byte-identical lookups, concurrent writes that all land,
+# follower restart mid-stream, and graceful signal shutdown on both sides. Run from the repo root; CI runs it after
 # the unit tests.
 set -euo pipefail
 
@@ -61,7 +62,7 @@ start_follower() {
 
 echo "--- starting primary"
 "$BIN" serve -listen "127.0.0.1:$HTTP_P" -replication-listen "127.0.0.1:$REPL" \
-  -wal-dir "$WORK/primary" -catalog "$CATALOG" &
+  -wal-dir "$WORK/primary" -fsync always -catalog "$CATALOG" &
 PRIMARY_PID=$!
 wait_healthy "$P"
 
@@ -81,6 +82,26 @@ PV=$(curl -sf "$P/view/sums/lookup?key=1")
 FV=$(curl -sf "$F/view/sums/lookup?key=1")
 [ "$PV" = "$FV" ] || { echo "FAIL: lookup mismatch: primary=$PV follower=$FV" >&2; exit 1; }
 echo "$PV" | grep -q '"value":20' || { echo "FAIL: wrong value: $PV" >&2; exit 1; }
+
+echo "--- 8 concurrent writers on disjoint keys"
+# Each inserts R(50, i); S(50, 10) is there first, so sums[50] = 10 * (1+...+8).
+# Only the outcome is asserted: how the queue groups the writes is timing.
+curl -sf -X POST -d '{"updates":[{"rel":"S","mult":1,"tuples":[[50,10]]}]}' "$P/apply" >/dev/null
+PIDS=()
+for i in $(seq 1 8); do
+  curl -s -o /dev/null -w '%{http_code}' -X POST \
+    -d "{\"updates\":[{\"rel\":\"R\",\"mult\":1,\"tuples\":[[50,$i]]}]}" "$P/apply" >"$WORK/post-$i" &
+  PIDS+=($!)
+done
+for pid in "${PIDS[@]}"; do wait "$pid"; done
+for i in $(seq 1 8); do
+  [ "$(cat "$WORK/post-$i")" = "200" ] || { echo "FAIL: concurrent POST $i returned $(cat "$WORK/post-$i")" >&2; exit 1; }
+done
+wait_converged "$F" "$(applied_of "$P")"
+PV=$(curl -sf "$P/view/sums/lookup?key=50")
+FV=$(curl -sf "$F/view/sums/lookup?key=50")
+[ "$PV" = "$FV" ] || { echo "FAIL: lookup mismatch after concurrent writes: primary=$PV follower=$FV" >&2; exit 1; }
+echo "$PV" | grep -q '"value":360' || { echo "FAIL: wrong value after concurrent writes: $PV" >&2; exit 1; }
 
 echo "--- follower writes are rejected"
 CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST -d '{"updates":[{"rel":"R","tuples":[[9,9]]}]}' "$F/apply")
