@@ -109,6 +109,11 @@ type DB struct {
 	applied uint64               // applied update batches (a group counts as one)
 
 	conv convCache
+	// convSeq tags conversion-cache entries per fan-out attempt. It is
+	// deliberately independent of the applied counter: a batch that fails
+	// mid-fan-out does not advance applied, and a retry must not reuse the
+	// failed attempt's cached conversions.
+	convSeq uint64
 
 	// Apply scratch, reused across calls (the store copies what it keeps):
 	// a group's updates back to back, member i's ending at ends[i].
@@ -407,7 +412,8 @@ func (d *DB) applyBase(batch []data.BaseUpdate, logIt bool) error {
 			return fmt.Errorf("db: wal append: %w", err)
 		}
 	}
-	d.conv.seq++
+	d.convSeq++
+	d.conv.seq = d.convSeq
 	d.stamp = time.Time{}
 	d.ingest.ArenaBytes = data.ArenaBytes(batch)
 	// Advance the shared store once, then fan out to the views through the

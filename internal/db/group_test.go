@@ -332,15 +332,16 @@ func TestAllocGuardGroup(t *testing.T) {
 	}
 }
 
-// A batch that would take a group past groupTuples starts the next group.
-func TestGroupCapsTuples(t *testing.T) {
-	d, err := Open(testCatalog(), Options{})
+// A batch that would take a group's record past the queue's byte bound
+// starts the next group: the members' sizes sum past the bound, so three
+// batches make two records, both of which recovery reads back.
+func TestGroupCapsRecordBytes(t *testing.T) {
+	fs := wal.NewMemFS()
+	d, err := Open(testCatalog(), Options{Durability: durOpts(fs)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	q := NewApplyQueue(d, 8)
-	defer q.Close()
+	defer func() { d.Close() }()
 	rows := func(from, n int) []Update {
 		ts := make([]data.Tuple, n)
 		for i := range ts {
@@ -348,8 +349,10 @@ func TestGroupCapsTuples(t *testing.T) {
 		}
 		return []Update{Insert("R", ts...)}
 	}
+	batches := [][]Update{rows(0, 30), rows(100, 20), rows(200, 5)}
+	q := NewApplyQueue(d, 8)
+	q.maxBytes = wal.BatchBytes(batches[1]) + wal.BatchBytes(batches[2]) // not the first two
 	release, blocked := holdQueue(q)
-	batches := [][]Update{rows(0, groupTuples-10), rows(groupTuples, 20), rows(2*groupTuples, 5)}
 	done := make(chan error, len(batches))
 	for i, b := range batches {
 		go func() { done <- q.TryApply(b) }()
@@ -362,10 +365,55 @@ func TestGroupCapsTuples(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := d.Epoch().Applied; got != 2 {
-		t.Fatalf("applied %d groups, want 2: the first batch alone, then the other two", got)
+	q.Close()
+	if lsn, _ := d.WALStats(); lsn != 2 || d.Epoch().Applied != 2 {
+		t.Fatalf("%d records, %d applied; want 2 groups: the first batch alone, then the other two", lsn, d.Epoch().Applied)
 	}
-	if got, want := d.Base("R").Len(), groupTuples+15; got != want {
-		t.Fatalf("R holds %d rows, want %d", got, want)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
 	}
+	if d, err = Open(testCatalog(), Options{Durability: durOpts(fs)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Base("R").Len(); got != 55 {
+		t.Fatalf("R holds %d rows after recovery, want 55", got)
+	}
+}
+
+// BenchmarkConcurrentDurableApply: eight writers apply two-tuple batches
+// through the queue to a DB that logs to files under b.TempDir with
+// wal.FsyncAlways. It reports WAL records — one sync each under that policy —
+// per acknowledged batch, and batches per second. Reported, never gated.
+func BenchmarkConcurrentDurableApply(b *testing.B) {
+	d, err := Open(testCatalog(), Options{Durability: &DurabilityOptions{Dir: b.TempDir(), Fsync: wal.FsyncAlways}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	if _, err := CreateViewSQL(d, "sql", durSQL, ViewOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	q := NewApplyQueue(d, 64)
+	defer q.Close()
+	lsn0, _ := d.WALStats()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1); i <= int64(b.N); i = next.Add(1) {
+				if err := q.Apply([]Update{Insert("R", tup(i, 1)), Insert("S", tup(i, 10))}); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	lsn, _ := d.WALStats()
+	b.ReportMetric(float64(lsn-lsn0)/float64(b.N), "records/batch")
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "batches/s")
 }

@@ -2,7 +2,11 @@ package db
 
 import (
 	"errors"
+	"fmt"
 	"sync"
+	"time"
+
+	"fivm/internal/wal"
 )
 
 // ErrQueueFull is returned by ApplyQueue.TryApply when the bounded queue is
@@ -20,12 +24,13 @@ var ErrQueueClosed = errors.New("db: apply queue closed")
 // TryApply fails fast with ErrQueueFull instead of queueing unbounded work.
 //
 // The maintenance goroutine commits in groups: the first queued batch and,
-// without waiting for more, every batch already queued behind it, up to
-// groupTuples tuples; a Do item ends the group. A refused batch gets its own
-// error, the rest are applied as one (DB.applyGroup: one WAL record, one sync,
-// one delta pass per view, one epoch; one in Epoch.Applied). A producer blocks
-// until its operation has been applied or refused: a nil return means the
-// batch is applied, its epoch published and logged per the fsync policy.
+// without waiting for more, every batch already queued behind it that still
+// fits one WAL record (wal.MaxBatchBytes); a Do item ends the group. A
+// refused batch gets its own error, the rest are applied as one
+// (DB.applyGroup: one WAL record, one sync, one delta pass per view, one
+// epoch; one in Epoch.Applied). A producer blocks until its operation has
+// been applied or refused: a nil return means the batch is applied, its epoch
+// published and logged per the fsync policy.
 type ApplyQueue struct {
 	d     *DB
 	items chan queueItem
@@ -41,11 +46,12 @@ type ApplyQueue struct {
 	batches [][]Update
 	errs    []error
 	replies []chan error
+	// maxBytes bounds a group's wal.BatchBytes, so that its record stays
+	// within the log's record bound: a batch that would take the group past
+	// it starts the next group, and one over it alone is a group of one,
+	// which the log refuses.
+	maxBytes int
 }
-
-// groupTuples caps the tuples of a group: a batch that would take the group
-// past it waits for the next one (a single batch over it is a group alone).
-const groupTuples = 1 << 16
 
 type queueItem struct {
 	batch []Update
@@ -61,9 +67,10 @@ func NewApplyQueue(d *DB, depth int) *ApplyQueue {
 		depth = 1
 	}
 	q := &ApplyQueue{
-		d:     d,
-		items: make(chan queueItem, depth),
-		done:  make(chan struct{}),
+		d:        d,
+		items:    make(chan queueItem, depth),
+		done:     make(chan struct{}),
+		maxBytes: wal.MaxBatchBytes(),
 	}
 	go q.run()
 	return q
@@ -72,7 +79,7 @@ func NewApplyQueue(d *DB, depth int) *ApplyQueue {
 // run is the maintenance goroutine: it drains the queue in order, so every
 // DB write happens here and nowhere else. A Do item runs alone; a batch starts
 // a group, which takes every batch queued behind it, without waiting, up to
-// groupTuples tuples, and ends at a Do item or an empty queue.
+// maxBytes, and ends at a Do item or an empty queue.
 func (q *ApplyQueue) run() {
 	defer close(q.done)
 	it, ok := <-q.items
@@ -82,15 +89,12 @@ func (q *ApplyQueue) run() {
 			it, ok = <-q.items
 			continue
 		}
-		for tuples := 0; ok && it.fn == nil; {
-			n := 0
-			for _, u := range it.batch {
-				n += len(u.Tuples)
-			}
-			if len(q.batches) > 0 && tuples+n > groupTuples {
+		for size := 0; ok && it.fn == nil; {
+			n := wal.BatchBytes(it.batch)
+			if len(q.batches) > 0 && size+n > q.maxBytes {
 				break
 			}
-			tuples += n
+			size += n
 			q.batches, q.errs, q.replies = append(q.batches, it.batch), append(q.errs, nil), append(q.replies, it.res)
 			select {
 			case it, ok = <-q.items:
@@ -110,52 +114,75 @@ func (q *ApplyQueue) run() {
 	}
 }
 
+// enqueue places one item without blocking; ErrQueueFull when at capacity.
+func (q *ApplyQueue) enqueue(it queueItem) error {
+	q.mu.RLock()
+	defer q.mu.RUnlock()
+	if q.closed {
+		return ErrQueueClosed
+	}
+	select {
+	case q.items <- it:
+		return nil
+	default:
+		return ErrQueueFull
+	}
+}
+
 // replies holds the items' reply channels: one goes back only once its one
-// reply was received, or unused when its item was refused.
+// reply was received (await), or unused when its item was refused.
 var replies = sync.Pool{New: func() any { return make(chan error, 1) }}
 
-// send enqueues it — waiting for room if block is set, ErrQueueFull otherwise
-// — and then waits for its answer. A blocked send holds mu shared, so Close
-// waits for the maintenance goroutine to take the item.
-func (q *ApplyQueue) send(it queueItem, block bool) error {
-	it.res = replies.Get().(chan error)
-	q.mu.RLock()
-	var err error
-	switch {
-	case q.closed:
-		err = ErrQueueClosed
-	case block:
-		q.items <- it
-	default:
-		select {
-		case q.items <- it:
-		default:
-			err = ErrQueueFull
-		}
-	}
-	q.mu.RUnlock()
-	if err != nil {
-		replies.Put(it.res)
-		return err
-	}
-	err = <-it.res
+func await(it queueItem) error {
+	err := <-it.res
 	replies.Put(it.res)
 	return err
 }
 
 // TryApply enqueues a batch if the queue has room — ErrQueueFull otherwise —
 // and waits for it to be applied. This is the backpressure write path.
-func (q *ApplyQueue) TryApply(batch []Update) error { return q.send(queueItem{batch: batch}, false) }
+func (q *ApplyQueue) TryApply(batch []Update) error {
+	it := queueItem{batch: batch, res: replies.Get().(chan error)}
+	if err := q.enqueue(it); err != nil {
+		replies.Put(it.res)
+		return err
+	}
+	return await(it)
+}
 
 // Apply enqueues a batch, waiting for room if the queue is full, and then
 // for the batch to be applied. Use TryApply to shed load instead.
-func (q *ApplyQueue) Apply(batch []Update) error { return q.send(queueItem{batch: batch}, true) }
+func (q *ApplyQueue) Apply(batch []Update) error {
+	return q.wait(queueItem{batch: batch, res: replies.Get().(chan error)})
+}
 
 // Do runs fn on the maintenance goroutine, after everything enqueued before
 // it — the path for DDL (Exec, CreateView, DropView) and any other
 // single-writer operation (checkpoints, one-shot SELECT views). fn's
 // side effects are visible to the caller when Do returns.
-func (q *ApplyQueue) Do(fn func(*DB) error) error { return q.send(queueItem{fn: fn}, true) }
+func (q *ApplyQueue) Do(fn func(*DB) error) error {
+	return q.wait(queueItem{fn: fn, res: replies.Get().(chan error)})
+}
+
+// wait enqueues blocking-ly: it retries with a small backoff rather than
+// holding the closed-check lock across a blocked channel send (which would
+// deadlock Close).
+func (q *ApplyQueue) wait(it queueItem) error {
+	for backoff := 50 * time.Microsecond; ; {
+		err := q.enqueue(it)
+		if err == nil {
+			return await(it)
+		}
+		if err != ErrQueueFull {
+			replies.Put(it.res)
+			return err
+		}
+		time.Sleep(backoff)
+		if backoff < 2*time.Millisecond {
+			backoff *= 2
+		}
+	}
+}
 
 // Len reports the operations currently queued (monitoring).
 func (q *ApplyQueue) Len() int { return len(q.items) }
@@ -178,4 +205,9 @@ func (q *ApplyQueue) Close() error {
 	close(q.items)
 	<-q.done
 	return nil
+}
+
+// String describes the queue state (diagnostics).
+func (q *ApplyQueue) String() string {
+	return fmt.Sprintf("ApplyQueue(%d/%d)", q.Len(), q.Cap())
 }

@@ -52,10 +52,8 @@ type View[P any] struct {
 // relation for a given base relation, so the conversion (coalescing under the
 // keys the base store encoded, payload lifting) runs once per (ring, relation)
 // instead of once per view.
-// Entries persist across batches as cleared scratch; seq tags which fan-out
-// attempt a conversion belongs to. It is not the applied counter: a batch
-// that fails mid-fan-out does not advance applied, and a retry must not
-// reuse the failed attempt's conversions.
+// Entries persist across batches as cleared scratch; seq tags which batch a
+// conversion belongs to.
 type convCache struct {
 	m   map[convKey]*convEntry
 	seq uint64

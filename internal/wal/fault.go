@@ -20,6 +20,7 @@ var ErrInjected = errors.New("wal: injected fault")
 //     every record boundary and mid-record offset.
 //   - FailNthSync(n): the n-th Sync call (1-based) fails.
 //   - FailNthCreate(n): the n-th Create call fails.
+//   - FailNextClose(): the next Close call fails.
 type FaultFS struct {
 	inner VFS
 
@@ -28,6 +29,7 @@ type FaultFS struct {
 	crashed    bool
 	failSync   int // countdown; fails when it reaches 0 on a Sync
 	failCreate int
+	failClose  bool
 }
 
 // NewFaultFS wraps inner with no faults armed.
@@ -43,6 +45,13 @@ func (f *FaultFS) CrashAfterBytes(n int64) {
 	f.crashAt = n
 }
 
+// Crashed reports whether the armed crash has triggered.
+func (f *FaultFS) Crashed() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.crashed
+}
+
 // FailNthSync arms the n-th (1-based) subsequent Sync call to fail.
 func (f *FaultFS) FailNthSync(n int) {
 	f.mu.Lock()
@@ -55,6 +64,13 @@ func (f *FaultFS) FailNthCreate(n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.failCreate = n
+}
+
+// FailNextClose arms the next Close call to fail.
+func (f *FaultFS) FailNextClose() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.failClose = true
 }
 
 func (f *FaultFS) gate() error {
@@ -183,6 +199,11 @@ func (ff *faultFile) Sync() error {
 func (ff *faultFile) Close() error {
 	f := ff.fs
 	f.mu.Lock()
+	if f.failClose {
+		f.failClose = false
+		f.mu.Unlock()
+		return ErrInjected
+	}
 	crashed := f.crashed
 	f.mu.Unlock()
 	if crashed {

@@ -109,6 +109,25 @@ func encodeBatchBody(b []byte, lsn, applied uint64, batch []data.BaseUpdate) []b
 	return b
 }
 
+// BatchBytes bounds the bytes batch's updates take in the record
+// encodeBatchBody writes for it, which adds its type byte and three uvarints.
+func BatchBytes(batch []data.BaseUpdate) int {
+	n := 0
+	for _, u := range batch {
+		n += len(u.Rel) + 4*binary.MaxVarintLen64 // and mult, arity, tuple count
+		for _, t := range u.Tuples {
+			for _, v := range t {
+				n += 1 + binary.MaxVarintLen64 + len(v.AsString()) // a number takes 9
+			}
+		}
+	}
+	return n
+}
+
+// MaxBatchBytes is the largest BatchBytes whose record stays within the
+// log's record bound.
+func MaxBatchBytes() int { return maxRecordBytes - 1 - 3*binary.MaxVarintLen64 }
+
 // checkArity rejects a batch the record format cannot frame: an update whose
 // tuples disagree with the arity its first one declares would decode as
 // garbage, if at all, and tuples of no columns take no bytes a decoder could
@@ -234,7 +253,7 @@ func decodeRecord(b []byte, a *data.BatchArena) (Record, int, error) {
 	}
 	n := binary.LittleEndian.Uint32(b[0:4])
 	crc := binary.LittleEndian.Uint32(b[4:8])
-	if n == 0 || n > maxRecordBytes {
+	if n == 0 || int(n) > maxRecordBytes {
 		return Record{}, 0, fmt.Errorf("wal: implausible record length %d", n)
 	}
 	if uint32(len(b)-8) < n {

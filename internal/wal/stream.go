@@ -202,7 +202,7 @@ func peekFrame(b []byte) (lsn uint64, n int, err error) {
 	}
 	ln := binary.LittleEndian.Uint32(b[0:4])
 	crc := binary.LittleEndian.Uint32(b[4:8])
-	if ln == 0 || ln > maxRecordBytes {
+	if ln == 0 || int(ln) > maxRecordBytes {
 		return 0, 0, fmt.Errorf("wal: implausible record length %d", ln)
 	}
 	if uint32(len(b)-8) < ln {

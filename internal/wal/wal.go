@@ -21,11 +21,12 @@ const (
 	segMagic   = "FIVMWAL1"
 	segVersion = 1
 	segHdrLen  = 16
-
-	// maxRecordBytes bounds a single record frame; larger lengths are
-	// treated as corruption rather than allocated.
-	maxRecordBytes = 1 << 30
 )
+
+// maxRecordBytes bounds a record's body: append refuses a longer one, and
+// readers take a longer length for corruption rather than allocate it. A
+// variable only so that tests can lower it.
+var maxRecordBytes = 1 << 30
 
 var (
 	errTorn   = errors.New("wal: torn record")
@@ -306,12 +307,16 @@ func (l *Log) LSN() uint64 { return l.lsn }
 // Dir returns the WAL directory.
 func (l *Log) Dir() string { return l.dir }
 
-// append frames and writes the record body in l.body under the next LSN,
-// applying the fsync policy, then hands the frame to the subscribers. On any
-// write error the log is poisoned: the tail may hold torn bytes, so further
-// appends fail with ErrClosed wrapping the original failure.
-func (l *Log) append() error {
-	l.frame = appendFrame(l.frame[:0], l.body)
+// append frames and writes one record body, applying the fsync policy. A
+// body over maxRecordBytes, which no reader would accept, is refused before
+// anything is written and leaves the log usable. On any write error the log
+// is poisoned: the tail may hold torn bytes, so further appends fail with
+// ErrClosed wrapping the original failure.
+func (l *Log) append(body []byte) error {
+	if len(body) > maxRecordBytes {
+		return fmt.Errorf("wal: record of %d bytes is over the %d-byte bound", len(body), maxRecordBytes)
+	}
+	l.frame = appendFrame(l.frame[:0], body)
 	if _, err := l.seg.Write(l.frame); err != nil {
 		return fmt.Errorf("wal: append: %w", l.fail(err))
 	}
@@ -326,8 +331,6 @@ func (l *Log) append() error {
 			return l.fail(err)
 		}
 	}
-	l.lsn++
-	l.notify(l.lsn)
 	return nil
 }
 
@@ -350,8 +353,9 @@ func (l *Log) usable() error {
 }
 
 // AppendBatch logs one applied batch. The record is durable per the fsync
-// policy when this returns nil; on error nothing was acknowledged and the
-// log refuses further appends.
+// policy when this returns nil; on error nothing was acknowledged, and after
+// a write or sync error the log refuses further appends (a record over the
+// bound is refused before it is written and poisons nothing).
 func (l *Log) AppendBatch(applied uint64, batch []data.BaseUpdate) error {
 	if err := l.usable(); err != nil {
 		return err
@@ -359,8 +363,14 @@ func (l *Log) AppendBatch(applied uint64, batch []data.BaseUpdate) error {
 	if err := checkArity(batch); err != nil {
 		return err
 	}
-	l.body = encodeBatchBody(l.body[:0], l.lsn+1, applied, batch)
-	return l.append()
+	lsn := l.lsn + 1
+	l.body = encodeBatchBody(l.body[:0], lsn, applied, batch)
+	if err := l.append(l.body); err != nil {
+		return err
+	}
+	l.lsn = lsn
+	l.notify(lsn)
+	return nil
 }
 
 // AppendCreateView logs a view-catalog addition.
@@ -368,8 +378,14 @@ func (l *Log) AppendCreateView(def ViewDef) error {
 	if err := l.usable(); err != nil {
 		return err
 	}
-	l.body = encodeCreateViewBody(l.body[:0], l.lsn+1, def)
-	return l.append()
+	lsn := l.lsn + 1
+	l.body = encodeCreateViewBody(l.body[:0], lsn, def)
+	if err := l.append(l.body); err != nil {
+		return err
+	}
+	l.lsn = lsn
+	l.notify(lsn)
+	return nil
 }
 
 // AppendDropView logs a view-catalog removal.
@@ -377,8 +393,14 @@ func (l *Log) AppendDropView(name string) error {
 	if err := l.usable(); err != nil {
 		return err
 	}
-	l.body = encodeDropViewBody(l.body[:0], l.lsn+1, name)
-	return l.append()
+	lsn := l.lsn + 1
+	l.body = encodeDropViewBody(l.body[:0], lsn, name)
+	if err := l.append(l.body); err != nil {
+		return err
+	}
+	l.lsn = lsn
+	l.notify(lsn)
+	return nil
 }
 
 // Sync forces buffered records to stable storage regardless of policy.

@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -36,9 +38,10 @@ func TestAppendAndReplayRoundTrip(t *testing.T) {
 	// flags 0b111, of which the workers and bit 2 are ignored.
 	create := encodeCreateViewBody(nil, 1, ViewDef{Name: "v", SQL: "SELECT ..."})
 	create[len(create)-2], create[len(create)-1] = 4, 0b111
-	if l.body = create; l.append() != nil {
-		t.Fatal("append failed")
+	if err := l.append(create); err != nil {
+		t.Fatal(err)
 	}
+	l.lsn = 1
 	for i := int64(1); i <= 5; i++ {
 		if err := l.AppendBatch(uint64(i), testBatch(i)); err != nil {
 			t.Fatal(err)
@@ -380,6 +383,57 @@ func TestInjectedCreateFailure(t *testing.T) {
 	ffs.FailNthCreate(1)
 	if _, _, err := Open(Options{Dir: "wal", FS: ffs, Fsync: FsyncNever}); !errors.Is(err, ErrInjected) {
 		t.Fatalf("Open with failing create returned %v", err)
+	}
+}
+
+// A record over maxRecordBytes is refused before anything is written: the
+// log stays usable, and recovery reads the records around it.
+func TestAppendRefusesRecordOverBound(t *testing.T) {
+	defer func(n int) { maxRecordBytes = n }(maxRecordBytes)
+	fs := NewMemFS()
+	l, _ := openMem(t, fs, FsyncAlways)
+	if err := l.AppendBatch(1, testBatch(1)); err != nil {
+		t.Fatal(err)
+	}
+	big := testBatch(2)
+	big[1].Tuples = append(big[1].Tuples, data.Tuple{data.String(strings.Repeat("x", 200)), data.Float(1)})
+	maxRecordBytes = len(encodeBatchBody(nil, 2, 2, big)) - 1
+	err := l.AppendBatch(2, big)
+	if err == nil || !strings.Contains(err.Error(), "bound") {
+		t.Fatalf("append of a record over the bound: %v", err)
+	}
+	if l.Failure() != nil || l.LSN() != 1 {
+		t.Fatalf("a refused record poisoned the log (%v) or took an LSN (%d)", l.Failure(), l.LSN())
+	}
+	if err := l.AppendBatch(2, testBatch(3)); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	l2, rec := openMem(t, fs, FsyncAlways)
+	defer l2.Close()
+	if len(rec.Records) != 2 || rec.Records[1].LSN != 2 || len(rec.Records[1].Batch[0].Tuples) != 2 {
+		t.Fatalf("recovered %+v, want the two records around the refused one", rec.Records)
+	}
+}
+
+// BatchBytes bounds a batch record: even with the longest LSN and applied
+// count, the record is its type byte, three uvarints and at most BatchBytes
+// of updates — so updates within MaxBatchBytes make a record within
+// maxRecordBytes.
+func TestBatchBytesBoundsRecord(t *testing.T) {
+	long := data.String(strings.Repeat("y", 300))
+	batches := [][]data.BaseUpdate{
+		nil,
+		testBatch(1),
+		{{Rel: "R", Tuples: []data.Tuple{data.Ints(1, 2)}}}, // Mult 0 is written as 1
+		{{Rel: strings.Repeat("r", 130), Tuples: []data.Tuple{{long, data.Int(-1)}, {data.String(""), data.Float(0)}}, Mult: -70}},
+		{{Rel: "E", Mult: 1 << 40}},
+	}
+	for _, b := range batches {
+		body := len(encodeBatchBody(nil, math.MaxUint64, math.MaxUint64, b))
+		if head := 1 + 3*binary.MaxVarintLen64; body > head+BatchBytes(b) {
+			t.Errorf("%v: a %d-byte record, over its header %d + BatchBytes %d", b, body, head, BatchBytes(b))
+		}
 	}
 }
 

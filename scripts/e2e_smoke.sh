@@ -4,8 +4,8 @@
 # durable follower serving read-only HTTP. The primary syncs every record
 # (-fsync always), so concurrent writers commit in groups. Asserts epoch
 # convergence, byte-identical lookups, concurrent writes that all land,
-# follower restart mid-stream, and graceful signal shutdown on both sides. Run from the repo root; CI runs it after
-# the unit tests.
+# follower restart mid-stream, and graceful signal shutdown on both sides.
+# Run from the repo root; CI runs it after the unit tests.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
