@@ -94,8 +94,9 @@ var testOnlyAllowed = []struct{ path, name, reason string }{
 	{path: "internal/mcm", reason: "item 8 replaces the matrix-chain wrappers whole"},
 	{path: "internal/regression", reason: "item 12 turns regression into a view"},
 	{path: "internal/factorized", name: "DistinctCount", reason: "item 12 turns the factorized result into a view"},
-	{path: "internal/wal/fault.go", reason: "crash seam: other packages' crash tests inject faults through it"},
-	{path: "internal/wal/memvfs.go", reason: "crash seam: other packages' crash tests run on the in-memory file system"},
+	{path: "internal/wal/fault.go", name: "NewFaultFS", reason: "crash seam: the crash tests of internal/db and internal/netserve inject faults through it"},
+	{path: "internal/wal/fault.go", name: "FaultFS.CrashAfterBytes", reason: "crash seam: the crash tests of internal/db and internal/netserve tear a write at a byte budget"},
+	{path: "internal/wal/memvfs.go", name: "MemVFS.Crash", reason: "crash seam: the crash tests of internal/db, serve and the root roll the in-memory file system back to its synced bytes"},
 	{name: "RecordBoundaries", reason: "crash seam: other packages' crash tests tear the log at record boundaries"},
 	{name: "PoisonReclaimed", reason: "the poisoning switch every pooled package's TestMain sets"},
 	{name: "Relation.Negate", reason: "tests in two packages build retractions with it"},
@@ -508,6 +509,15 @@ var removals = []removal{
 		in: []string{"internal/wal"}, tests: true, forbid: []string{"struct{ now _ }", "_.opts.now"}},
 	{had: "e3f237a", step: "A db view takes every delta its query reads: no ViewOptions.Updatable",
 		in: []string{"internal/db", "fivm.go"}, tests: true, forbid: []string{"Updatable"}, keep: []string{"v.q.RelNames()"}},
+	{had: "33e3bca", step: "One log reader: Open, ScanFramesAfter and RecordBoundaries walk segments with walkSegment, frames are checked by checkFrame, and wal.Recovery holds no records",
+		in: []string{"internal/wal"}, tests: true, forbid: []string{"peekFrame", "loadLatestCheckpoint", "scanSegment", "type Recovery struct{ Records _ }"},
+		keep: []string{"func walkSegment()", "func checkFrame()"}},
+	{had: "33e3bca", step: "One replay path: recovery and ApplyReplicated apply a record through DB.applyRecord, the one switch over record kinds in internal/db",
+		in: []string{"internal/db"}, forbid: []string{"_.Create != nil", `_.Drop != ""`}, only: "DB.applyRecord", n: 2,
+		keep: []string{"d.applyRecord(r, false)", "d.applyRecord(rec, true)"}},
+	{had: "33e3bca", step: "One replay path: records apply below the follower guard, so no recovering, replicating or closing flag is left",
+		in: []string{"internal/db"}, tests: true, forbid: []string{"_.recovering", "_.replicating", "_.closing"},
+		keep: []string{"func (_ *DB) dropView()", "func createViewSQL()"}},
 }
 
 // TestRemovalGuards fails on every removal row whose forbidden forms are

@@ -128,18 +128,10 @@ type DB struct {
 	sinceCkpt uint64
 	sqlViews  map[string]wal.ViewDef // persisted catalog: SQL-defined views
 	recovery  *RecoveryInfo
-	// recovering suppresses WAL writes while Open replays the log (replayed
-	// operations are already in it); closing suppresses drop logging while
-	// Close tears views down (they must survive restart).
-	recovering bool
-	closing    bool
 
-	// Follower-mode state: replicating lifts the read-only guard while
-	// ApplyReplicated drives a shipped record through the normal write paths
-	// (maintenance goroutine only); replLSN is the last replicated LSN,
-	// readable from any goroutine (the replication handshake reports it).
-	replicating bool
-	replLSN     atomic.Uint64
+	// replLSN is a follower's last replicated LSN, readable from any
+	// goroutine (the replication handshake reports it).
+	replLSN atomic.Uint64
 }
 
 // registeredView is the ring-erased handle the DB keeps per view; the typed
@@ -160,8 +152,8 @@ type registeredView interface {
 // With Options.Durability set, Open also opens the write-ahead log and
 // recovers whatever the directory holds: the latest valid checkpoint seeds
 // the base relations, persisted SQL views are re-created through the
-// ordinary backfill path, and the WAL tail replays batch-by-batch — so the
-// recovered epochs are exactly the uninterrupted run's. Recovery() reports
+// ordinary backfill path, and the WAL tail replays as a follower's records
+// do — so the recovered epochs are exactly the uninterrupted run's. Recovery() reports
 // what was restored.
 func Open(cat Catalog, opts Options) (*DB, error) {
 	if len(cat) == 0 {
@@ -403,9 +395,9 @@ func (d *DB) applyGroup(batches [][]Update, errs []error) {
 	}
 }
 
-// applyBase is the shared tail of Apply and WAL replay: log (optional), fan
-// out, then — only after full success — advance the counters and publish the
-// next epoch.
+// applyBase is the shared tail of Apply and of a logged batch's replay
+// (applyRecord): log (when logIt), fan out, then — only after full success —
+// advance the counters and publish the next epoch.
 func (d *DB) applyBase(batch []data.BaseUpdate, logIt bool) error {
 	if logIt && d.log != nil {
 		if err := d.log.AppendBatch(d.applied+1, batch); err != nil {
@@ -428,7 +420,7 @@ func (d *DB) applyBase(batch []data.BaseUpdate, logIt bool) error {
 		at = time.Now()
 	}
 	d.publish(at)
-	if d.ckptEvery > 0 && !d.recovering {
+	if logIt && d.ckptEvery > 0 {
 		// The batch above is applied and durable regardless: a checkpoint
 		// failure here reports the checkpoint's error, not the batch's.
 		if d.sinceCkpt++; d.sinceCkpt >= d.ckptEvery {
@@ -442,26 +434,34 @@ func (d *DB) applyBase(batch []data.BaseUpdate, logIt bool) error {
 
 // DropView unregisters a view: it is detached from the base stream and the
 // next published Epoch no longer carries it. Readers pinned on earlier epochs
-// keep reading their snapshots.
+// keep reading their snapshots. A typed view's drop, like its creation, is
+// not logged.
 func (d *DB) DropView(name string) error {
-	if !d.closing {
-		if err := d.writable(); err != nil {
-			return err
-		}
+	if err := d.writable(); err != nil {
+		return err
 	}
-	d.mu.RLock()
-	v := d.views[name]
-	d.mu.RUnlock()
-	if v == nil {
+	if !d.HasView(name) {
 		return fmt.Errorf("db: unknown view %q", name)
 	}
-	if d.log != nil && !d.recovering && !d.closing {
+	_, logged := d.sqlViews[name]
+	return d.dropView(name, logged)
+}
+
+// dropView is DropView below the follower guard (applyRecord replays
+// through it): it logs the drop when logIt on a durable DB, then unregisters
+// the view if there is one — an older log drops typed views no record
+// created.
+func (d *DB) dropView(name string, logIt bool) error {
+	if logIt && d.log != nil {
 		// Log the drop before tearing down, so a crash between the two
 		// re-creates and immediately drops rather than resurrecting.
 		if err := d.log.AppendDropView(name); err != nil {
 			return fmt.Errorf("db: wal append: %w", err)
 		}
-		delete(d.sqlViews, name)
+	}
+	delete(d.sqlViews, name)
+	if !d.HasView(name) {
+		return nil
 	}
 	d.store.Detach(name)
 	d.mu.Lock()
@@ -482,9 +482,8 @@ func (d *DB) DropView(name string) error {
 // restart — and closes the WAL (final sync included).
 // The DB must not be used afterwards.
 func (d *DB) Close() error {
-	d.closing = true
 	for _, name := range d.Views() {
-		if err := d.DropView(name); err != nil {
+		if err := d.dropView(name, false); err != nil {
 			return err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"fivm/internal/data"
 	"fivm/internal/wal"
 )
 
@@ -108,67 +109,55 @@ func (d *DB) sqlViewDefs() []wal.ViewDef {
 	return defs
 }
 
-// recover seeds the DB from what wal.Open found: adopt the checkpoint's
+// recoverFrom seeds the DB from what wal.Open found: adopt the checkpoint's
 // base relations, re-create its SQL views (each backfills from the adopted
-// bases), then replay the WAL tail batch-by-batch, interleaving the DDL
-// records at their logged positions. Runs inside Open, before the DB is
-// returned.
+// bases), then replay the records after it as a follower applies shipped
+// ones: ScanFramesAfter from the checkpoint's LSN, each frame decoded into one
+// arena, applied by applyRecord without logging and rewound. A gap in the
+// LSNs is an error. Runs inside Open (an in-memory follower's Bootstrap is a
+// checkpoint alone), before the DB is returned.
 func (d *DB) recoverFrom(rec *wal.Recovery) error {
 	info := &RecoveryInfo{TornBytes: rec.Truncated}
-	d.recovering = true
-	defer func() { d.recovering = false }()
-
+	after := uint64(0)
 	if ck := rec.Checkpoint; ck != nil {
-		info.FromCheckpoint = true
-		info.CheckpointApplied = ck.Applied
+		info.FromCheckpoint, info.CheckpointApplied = true, ck.Applied
 		for _, t := range ck.Bases {
 			if err := d.store.Restore(t.Rel, t.Schema, t.Len, t.All); err != nil {
 				return fmt.Errorf("db: recover checkpoint: %w", err)
 			}
 		}
-		d.applied = ck.Applied
-		d.seq = ck.Seq
+		d.applied, d.seq = ck.Applied, ck.Seq
 		d.publish(time.Now()) // re-seed the epoch at the recovered applied count
 		for _, def := range ck.Views {
-			if err := d.recoverView(def); err != nil {
+			if _, err := createViewSQL(d, def.Name, def.SQL, viewOptionsOf(def), false); err != nil {
 				return fmt.Errorf("db: recover view %q: %w", def.Name, err)
 			}
-			info.Views = append(info.Views, def.Name)
 		}
+		after = ck.LSN
 	}
 
-	for _, r := range rec.Records {
-		switch {
-		case r.Create != nil:
-			if err := d.recoverView(*r.Create); err != nil {
-				return fmt.Errorf("db: recover view %q: %w", r.Create.Name, err)
+	if d.log != nil {
+		var arena data.BatchArena
+		records, from := 0, d.applied
+		last, gap, err := wal.ScanFramesAfter(d.log.FS(), d.log.Dir(), after, func(_ uint64, frame []byte) error {
+			defer arena.Rewind()
+			r, _, err := wal.DecodeFrameInto(frame, &arena)
+			if err == nil {
+				err = d.applyRecord(r, false)
 			}
-			info.Views = append(info.Views, r.Create.Name)
-			info.ReplayedDDL++
-		case r.Drop != "":
-			// A drop may name a typed view that was never persisted; those
-			// are already absent.
-			if d.HasView(r.Drop) {
-				if err := d.DropView(r.Drop); err != nil {
-					return fmt.Errorf("db: recover drop %q: %w", r.Drop, err)
-				}
-			}
-			for i, n := range info.Views {
-				if n == r.Drop {
-					info.Views = append(info.Views[:i], info.Views[i+1:]...)
-					break
-				}
-			}
-			info.ReplayedDDL++
-		default:
-			if r.Applied != d.applied+1 {
-				return fmt.Errorf("db: recover: batch record applied=%d, expected %d", r.Applied, d.applied+1)
-			}
-			if err := d.applyBase(r.Batch, false); err != nil {
-				return fmt.Errorf("db: recover: replay batch %d: %w", r.Applied, err)
-			}
-			info.ReplayedBatches++
+			records++
+			return err
+		})
+		if gap {
+			return fmt.Errorf("db: recover: the log skips from LSN %d", last)
+		} else if err != nil {
+			return fmt.Errorf("db: recover: replay LSN %d: %w", last+1, err)
 		}
+		info.ReplayedBatches = int(d.applied - from)
+		info.ReplayedDDL = records - info.ReplayedBatches
+	}
+	if len(d.order) > 0 { // no typed view exists before Open returns
+		info.Views = d.Views()
 	}
 
 	if info.FromCheckpoint || info.ReplayedBatches > 0 || info.ReplayedDDL > 0 || info.TornBytes > 0 {
@@ -177,14 +166,25 @@ func (d *DB) recoverFrom(rec *wal.Recovery) error {
 	return nil
 }
 
-// recoverView re-creates one persisted SQL view. CreateViewSQL re-parses the
-// stored statement against the live catalog and backfills from the current
-// base relations — the engine reading the base store's multiplicities in
-// place, as a mid-stream CreateView does — so the recovered contents equal an
-// uninterrupted run's.
-func (d *DB) recoverView(def wal.ViewDef) error {
-	_, err := CreateViewSQL(d, def.Name, def.SQL, viewOptionsOf(def))
-	return err
+// applyRecord applies one logged record — a batch, a SQL view's creation, a
+// view's drop — below the follower guard: recovery replays the local log
+// through it and ApplyReplicated a primary's shipped records, and logIt (a
+// durable follower re-logs) is the only difference. A re-created view
+// backfills from the current base relations, so it equals an uninterrupted
+// run's.
+func (d *DB) applyRecord(rec wal.Record, logIt bool) error {
+	switch {
+	case rec.Create != nil:
+		_, err := createViewSQL(d, rec.Create.Name, rec.Create.SQL, viewOptionsOf(*rec.Create), logIt)
+		return err
+	case rec.Drop != "":
+		return d.dropView(rec.Drop, logIt)
+	default:
+		if rec.Applied != d.applied+1 {
+			return fmt.Errorf("db: batch record applied=%d, expected %d", rec.Applied, d.applied+1)
+		}
+		return d.applyBase(rec.Batch, logIt)
+	}
 }
 
 // viewOptionsOf and viewDefOf are the one mapping between a SQL view's

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"strings"
 	"testing"
 
 	"fivm/internal/data"
@@ -428,6 +429,10 @@ func TestApplyWALFailureConsistency(t *testing.T) {
 	if err := d.Apply([]Update{Insert("R", tup(9, 9))}); !errors.Is(err, wal.ErrClosed) {
 		t.Fatalf("Apply after WAL failure returned %v, want ErrClosed", err)
 	}
+	// A view whose creation cannot be logged is not kept either.
+	if _, err := CreateViewSQL(d, "late", durSQL, ViewOptions{}); !errors.Is(err, wal.ErrClosed) || d.HasView("late") {
+		t.Fatalf("CreateViewSQL after WAL failure returned %v and kept the view: %v", err, d.HasView("late"))
+	}
 
 	// Recovery from the survivor bytes: only the two acknowledged batches.
 	mem.Crash()
@@ -441,6 +446,39 @@ func TestApplyWALFailureConsistency(t *testing.T) {
 	}
 	if got := viewFP(t, d2, "cnt"); got != preFP {
 		t.Fatalf("recovered view diverges:\n got  %s\n want %s", got, preFP)
+	}
+}
+
+// Recovery replays the log from its checkpoint's LSN and refuses a gap: with
+// the checkpoint gone, the records it covered are pruned, and the tail alone
+// (here one CREATE VIEW) would recover a view over an empty store.
+func TestRecoveryRefusesGap(t *testing.T) {
+	fs := wal.NewMemFS()
+	d, err := Open(testCatalog(), Options{Durability: durOpts(fs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyN(t, d, durBatches()[:2])
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CreateViewSQL(d, "cnt", durSQL, ViewOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	names, _ := fs.ReadDir("wal")
+	for _, n := range names {
+		if strings.HasPrefix(n, "ckpt-") {
+			if err := fs.Remove("wal/" + n); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if d, err := Open(testCatalog(), Options{Durability: durOpts(fs)}); err == nil {
+		d.Close()
+		t.Fatal("recovered across a gap in the log")
+	} else if !strings.Contains(err.Error(), "skips from LSN 0") {
+		t.Fatalf("recovery error %v, want the gap after LSN 0", err)
 	}
 }
 

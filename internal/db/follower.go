@@ -8,20 +8,20 @@ import (
 
 // Follower mode: a DB whose only write path is ApplyReplicated, fed with
 // records shipped from a primary's WAL (internal/replica is the transport).
-// The records drive the same applyBase / CreateViewSQL / DropView machinery
-// an uninterrupted primary runs, so the follower publishes the same epoch
-// sequence — its snapshots are byte-identical to the primary's at the same
-// applied count — and serves them through the ordinary Epoch / serve.Reader
-// read path.
+// The records go through applyRecord, the path recovery replays the local
+// log's tail through, and on into the same applyBase / createViewSQL /
+// dropView machinery an uninterrupted primary runs, so the follower
+// publishes the same epoch sequence — its snapshots are byte-identical to the
+// primary's at the same applied count — and serves them through the ordinary
+// Epoch / serve.Reader read path.
 
 // ErrFollower is wrapped by every write rejected on a follower.
 var ErrFollower = fmt.Errorf("db: follower is read-only (writes arrive via replication)")
 
 // writable rejects direct writes on a follower. Replication and recovery
-// temporarily lift the guard: they are the paths writes legitimately arrive
-// through.
+// apply records through applyRecord, below the guard.
 func (d *DB) writable() error {
-	if d.opts.Follower && !d.replicating && !d.recovering {
+	if d.opts.Follower {
 		return ErrFollower
 	}
 	return nil
@@ -40,8 +40,9 @@ func (d *DB) ReplLSN() uint64 { return d.replLSN.Load() }
 // suffix), a gap is an error — the caller reconnects and the handshake
 // falls back to checkpoint transfer.
 //
-// A durable follower re-logs the record to its own WAL before in-memory
-// state advances, under the same LSN the primary assigned, so a restarted
+// The record goes through applyRecord, as recovery's do, except that a
+// durable follower re-logs it (a drop of a typed view an older primary logged
+// included) under the primary's LSN before state advances, so a restarted
 // follower recovers locally and resumes the stream where it left off.
 func (d *DB) ApplyReplicated(rec wal.Record) error {
 	if !d.opts.Follower {
@@ -54,24 +55,8 @@ func (d *DB) ApplyReplicated(rec wal.Record) error {
 	if rec.LSN != last+1 {
 		return fmt.Errorf("db: replication gap: record LSN %d after %d", rec.LSN, last)
 	}
-	d.replicating = true
-	defer func() { d.replicating = false }()
-	switch {
-	case rec.Create != nil:
-		if _, err := CreateViewSQL(d, rec.Create.Name, rec.Create.SQL, viewOptionsOf(*rec.Create)); err != nil {
-			return err
-		}
-	case rec.Drop != "":
-		if err := d.DropView(rec.Drop); err != nil {
-			return err
-		}
-	default:
-		if rec.Applied != d.applied+1 {
-			return fmt.Errorf("db: replication: batch record applied=%d, expected %d", rec.Applied, d.applied+1)
-		}
-		if err := d.applyBase(rec.Batch, true); err != nil {
-			return err
-		}
+	if err := d.applyRecord(rec, true); err != nil {
+		return err
 	}
 	d.replLSN.Store(rec.LSN)
 	return nil

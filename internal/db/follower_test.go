@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fivm/internal/data"
+	"fivm/internal/ring"
 	"fivm/internal/wal"
 )
 
@@ -61,7 +62,9 @@ func TestFollowerRejectsDirectWrites(t *testing.T) {
 }
 
 // A follower fed the primary's WAL records — batches, CREATE VIEW, DROP VIEW
-// — converges to byte-identical view contents at the same applied count.
+// — converges to byte-identical view contents at the same applied count. A
+// typed view the primary creates and drops is in none of them; a drop of one
+// that an older primary logged is skipped.
 func TestFollowerMirrorsPrimary(t *testing.T) {
 	p, pfs, f := followerPair(t)
 
@@ -71,7 +74,19 @@ func TestFollowerMirrorsPrimary(t *testing.T) {
 	if _, err := p.Exec("CREATE VIEW sums AS SELECT A, SUM(B * C) FROM R NATURAL JOIN S GROUP BY A"); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := CreateView[int64](p, "cnt", testQuery("cnt", "A"), ring.Int{}, countLift, ViewOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	if err := p.Apply([]Update{Insert("S", tup(3, 5)), Delete("R", tup(1, 2))}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.DropView("cnt"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WAL().AppendDropView("typed"); err != nil { // as an older primary logged a typed view's drop
+		t.Fatal(err)
+	}
+	if err := p.Apply([]Update{Insert("R", tup(3, 1))}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -193,8 +208,9 @@ func TestFollowerBootstrapFromCheckpoint(t *testing.T) {
 	}
 }
 
-// A durable follower re-logs shipped records under the primary's LSNs, so a
-// restart recovers locally and resumes exactly where it stopped.
+// A durable follower re-logs shipped records under the primary's LSNs — a
+// drop of a view it does not hold included — so a restart recovers locally
+// and resumes exactly where it stopped.
 func TestFollowerDurableRestartResumes(t *testing.T) {
 	p, pfs, _ := followerPair(t)
 	ffs := wal.NewMemFS()
@@ -208,6 +224,9 @@ func TestFollowerDurableRestartResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := p.Exec("CREATE VIEW sums AS SELECT A, SUM(B * C) FROM R NATURAL JOIN S GROUP BY A"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WAL().AppendDropView("typed"); err != nil { // as an older primary logged a typed view's drop
 		t.Fatal(err)
 	}
 	shipAll(t, pfs, f)

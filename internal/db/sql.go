@@ -15,6 +15,15 @@ import (
 // exactly like a CreateView-registered view: backfilled, epoch-published,
 // droppable.
 func CreateViewSQL(d *DB, name, sql string, opts ViewOptions) (*View[float64], error) {
+	if err := d.writable(); err != nil {
+		return nil, err
+	}
+	return createViewSQL(d, name, sql, opts, true)
+}
+
+// createViewSQL is CreateViewSQL below the follower guard (applyRecord and
+// recovery replay through it); logIt logs the creation on a durable DB.
+func createViewSQL(d *DB, name, sql string, opts ViewOptions, logIt bool) (*View[float64], error) {
 	st, err := sqlparse.ParseStatement(sql, d.catalog())
 	if err != nil {
 		return nil, err
@@ -33,17 +42,17 @@ func CreateViewSQL(d *DB, name, sql string, opts ViewOptions) (*View[float64], e
 	default:
 		return nil, fmt.Errorf("db: %s is not a view definition", st.Kind)
 	}
-	v, err := CreateView[float64](d, name, st.Select.Query, ring.Float{}, st.Select.LiftFloat(), opts)
+	v, err := createView[float64](d, name, st.Select.Query, ring.Float{}, st.Select.LiftFloat(), opts)
 	if err != nil {
 		return nil, err
 	}
 	if d.log != nil {
 		def := viewDefOf(name, sql, opts)
-		if !d.recovering {
+		if logIt {
 			// Log the creation; if the append fails the view cannot be made
 			// durable, so undo it rather than let memory and log diverge.
 			if err := d.log.AppendCreateView(def); err != nil {
-				_ = d.DropView(name)
+				_ = d.dropView(name, false)
 				return nil, fmt.Errorf("db: wal append: %w", err)
 			}
 		}

@@ -83,11 +83,16 @@ type convEntry struct {
 // CreateView is a package function rather than a method because each view
 // carries its own payload type (Go methods cannot add type parameters).
 func CreateView[P any](d *DB, name string, q query.Query, r ring.Ring[P], lift data.LiftFunc[P], opts ViewOptions) (*View[P], error) {
-	if name == "" {
-		return nil, fmt.Errorf("db: empty view name")
-	}
 	if err := d.writable(); err != nil {
 		return nil, err
+	}
+	return createView(d, name, q, r, lift, opts)
+}
+
+// createView is CreateView below the follower guard (createViewSQL).
+func createView[P any](d *DB, name string, q query.Query, r ring.Ring[P], lift data.LiftFunc[P], opts ViewOptions) (*View[P], error) {
+	if name == "" {
+		return nil, fmt.Errorf("db: empty view name")
 	}
 	if d.HasView(name) {
 		return nil, fmt.Errorf("db: view %q already exists", name)

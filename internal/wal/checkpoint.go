@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"iter"
 	"path"
-	"sort"
 	"strings"
 	"time"
 
@@ -341,29 +340,4 @@ func parseCkptName(name string) (uint64, bool) {
 		return 0, false
 	}
 	return lsn, true
-}
-
-// loadLatestCheckpoint returns the newest readable checkpoint among names
-// (nil if none exists). Unreadable or corrupt candidates are skipped in
-// favor of older ones — a torn temp file must never block recovery.
-func loadLatestCheckpoint(fs VFS, dir string, names []string) (*Checkpoint, error) {
-	var cks []string
-	for _, n := range names {
-		if strings.HasPrefix(n, "ckpt-") && strings.HasSuffix(n, ".ck") {
-			cks = append(cks, n)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.StringSlice(cks)))
-	for _, n := range cks {
-		b, err := fs.ReadFile(path.Join(dir, n))
-		if err != nil {
-			continue
-		}
-		ck, err := decodeCheckpoint(b)
-		if err != nil {
-			continue
-		}
-		return ck, nil
-	}
-	return nil, nil
 }

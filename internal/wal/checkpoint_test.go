@@ -197,8 +197,8 @@ func TestCheckpointTornAtEveryByte(t *testing.T) {
 		if !bytes.Equal(encodeCheckpointRef(got), encodeCheckpointRef(want)) {
 			t.Fatalf("cut %d: recovered checkpoint %+v, want %+v", cut, got, want)
 		}
-		if tail := len(rec.Records); tail != int(3-got.Applied) {
-			t.Fatalf("cut %d: checkpoint applied=%d with a tail of %d records", cut, got.Applied, tail)
+		if n := len(tail(t, mem, rec)); n != int(3-got.Applied) {
+			t.Fatalf("cut %d: checkpoint applied=%d with a tail of %d records", cut, got.Applied, n)
 		}
 	}
 }

@@ -18,9 +18,8 @@ var ErrInjected = errors.New("wal: injected fault")
 //     ErrInjected. Combined with MemVFS.Crash this reproduces a power cut at
 //     an exact byte offset, which is how the recovery property test visits
 //     every record boundary and mid-record offset.
-//   - FailNthSync(n): the n-th Sync call (1-based) fails.
-//   - FailNthCreate(n): the n-th Create call fails.
-//   - FailNextClose(): the next Close call fails.
+//   - FailNthSync(n) and FailNthCreate(n), which this package's own tests
+//     arm (fault_test.go): the n-th Sync or Create call (1-based) fails.
 type FaultFS struct {
 	inner VFS
 
@@ -29,7 +28,6 @@ type FaultFS struct {
 	crashed    bool
 	failSync   int // countdown; fails when it reaches 0 on a Sync
 	failCreate int
-	failClose  bool
 }
 
 // NewFaultFS wraps inner with no faults armed.
@@ -43,34 +41,6 @@ func (f *FaultFS) CrashAfterBytes(n int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.crashAt = n
-}
-
-// Crashed reports whether the armed crash has triggered.
-func (f *FaultFS) Crashed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.crashed
-}
-
-// FailNthSync arms the n-th (1-based) subsequent Sync call to fail.
-func (f *FaultFS) FailNthSync(n int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.failSync = n
-}
-
-// FailNthCreate arms the n-th (1-based) subsequent Create call to fail.
-func (f *FaultFS) FailNthCreate(n int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.failCreate = n
-}
-
-// FailNextClose arms the next Close call to fail.
-func (f *FaultFS) FailNextClose() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.failClose = true
 }
 
 func (f *FaultFS) gate() error {
@@ -199,11 +169,6 @@ func (ff *faultFile) Sync() error {
 func (ff *faultFile) Close() error {
 	f := ff.fs
 	f.mu.Lock()
-	if f.failClose {
-		f.failClose = false
-		f.mu.Unlock()
-		return ErrInjected
-	}
 	crashed := f.crashed
 	f.mu.Unlock()
 	if crashed {

@@ -53,25 +53,6 @@ func (m *MemVFS) Crash() {
 	}
 }
 
-// SyncCount returns the total number of Sync calls observed.
-func (m *MemVFS) SyncCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.syncs
-}
-
-// FileSize returns the current written size of a file (for tests that
-// compute crash boundaries), or -1 if it does not exist.
-func (m *MemVFS) FileSize(name string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, ok := m.files[name]
-	if !ok {
-		return -1
-	}
-	return int64(len(f.data))
-}
-
 func (m *MemVFS) MkdirAll(dir string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

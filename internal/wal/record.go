@@ -165,27 +165,6 @@ func encodeDropViewBody(b []byte, lsn uint64, name string) []byte {
 	return appendString(b, name)
 }
 
-// RecordBoundaries returns the file offset at which each complete record of
-// a segment ends, in order. Crash tests use it to aim byte-budget faults at
-// exact record boundaries. Scanning stops at the first torn or corrupt
-// frame.
-func RecordBoundaries(seg []byte) []int64 {
-	if len(seg) < segHdrLen || string(seg[:8]) != segMagic {
-		return nil
-	}
-	var bounds []int64
-	at := segHdrLen
-	for at < len(seg) {
-		_, n, err := decodeRecord(seg[at:], nil)
-		if err != nil {
-			break
-		}
-		at += n
-		bounds = append(bounds, int64(at))
-	}
-	return bounds
-}
-
 // recordReader decodes sequential fields from a record payload.
 type recordReader struct {
 	b  []byte
@@ -237,35 +216,46 @@ func (r *recordReader) done() error {
 	return nil
 }
 
-// decodeRecord decodes one framed record from the front of b. It returns the
-// record, the total bytes consumed, and an error. A frame that extends past
-// the end of b (or an incomplete header) reports errTorn — the caller decides
-// whether that is a legitimate torn tail or mid-log corruption.
+// checkFrame checks the frame at the front of b — a plausible length, all of
+// it present, and its CRC — and returns its body and framed length. A frame
+// that extends past the end of b (or an incomplete header) reports errTorn
+// and a checksum mismatch errBadCRC: the caller decides whether that is a
+// legitimate torn tail or mid-log corruption. decodeRecord and walkSegment
+// share it.
+func checkFrame(b []byte) ([]byte, int, error) {
+	if len(b) < 8 {
+		return nil, 0, errTorn
+	}
+	n := binary.LittleEndian.Uint32(b[0:4])
+	if n == 0 || int(n) > maxRecordBytes {
+		return nil, 0, fmt.Errorf("wal: implausible record length %d", n)
+	}
+	if uint32(len(b)-8) < n {
+		return nil, 0, errTorn
+	}
+	body := b[8 : 8+n]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(b[4:8]) {
+		return nil, 0, errBadCRC
+	}
+	return body, 8 + int(n), nil
+}
+
+// decodeRecord decodes one framed record from the front of b (checkFrame
+// first), returning the record and the total bytes consumed.
 //
 // A batch record's updates, tuple lists and tuples are taken from a: the
-// caller's per-batch arena, or the heap when a is nil (recovery, which keeps
-// many records at once). Either way nothing is allocated on a count the frame
+// caller's per-batch arena — recovery's and a follower's, rewound once the
+// record is applied — or the heap when a is nil (DecodeFrame, for a caller
+// that keeps the record). Either way nothing is allocated on a count the frame
 // merely claims: the bytes that remain bound every one (an update takes at
 // least 4, a value at least 2).
 func decodeRecord(b []byte, a *data.BatchArena) (Record, int, error) {
-	if len(b) < 8 {
-		return Record{}, 0, errTorn
-	}
-	n := binary.LittleEndian.Uint32(b[0:4])
-	crc := binary.LittleEndian.Uint32(b[4:8])
-	if n == 0 || int(n) > maxRecordBytes {
-		return Record{}, 0, fmt.Errorf("wal: implausible record length %d", n)
-	}
-	if uint32(len(b)-8) < n {
-		return Record{}, 0, errTorn
-	}
-	body := b[8 : 8+n]
-	if crc32.Checksum(body, castagnoli) != crc {
-		return Record{}, 0, errBadCRC
+	body, n, err := checkFrame(b)
+	if err != nil {
+		return Record{}, 0, err
 	}
 	rec := Record{Type: body[0]}
 	r := recordReader{b: body, at: 1}
-	var err error
 	if rec.LSN, err = r.uvarint(); err != nil {
 		return Record{}, 0, err
 	}
@@ -347,5 +337,5 @@ func decodeRecord(b []byte, a *data.BatchArena) (Record, int, error) {
 	if err := r.done(); err != nil {
 		return Record{}, 0, err
 	}
-	return rec, 8 + int(n), nil
+	return rec, n, nil
 }

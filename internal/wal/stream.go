@@ -1,9 +1,6 @@
 package wal
 
 import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"path"
 	"sort"
 	"strings"
@@ -193,41 +190,13 @@ func (l *Log) closeSubs() {
 // reads segments back through it).
 func (l *Log) FS() VFS { return l.opts.FS }
 
-// peekFrame validates one frame at the front of b — length plausibility and
-// body CRC — and returns its LSN and total framed length without decoding
-// the payload.
-func peekFrame(b []byte) (lsn uint64, n int, err error) {
-	if len(b) < 8 {
-		return 0, 0, errTorn
-	}
-	ln := binary.LittleEndian.Uint32(b[0:4])
-	crc := binary.LittleEndian.Uint32(b[4:8])
-	if ln == 0 || int(ln) > maxRecordBytes {
-		return 0, 0, fmt.Errorf("wal: implausible record length %d", ln)
-	}
-	if uint32(len(b)-8) < ln {
-		return 0, 0, errTorn
-	}
-	body := b[8 : 8+ln]
-	if crc32.Checksum(body, castagnoli) != crc {
-		return 0, 0, errBadCRC
-	}
-	if len(body) < 2 {
-		return 0, 0, errBadCRC
-	}
-	lsn, vn := binary.Uvarint(body[1:])
-	if vn <= 0 {
-		return 0, 0, fmt.Errorf("wal: truncated record LSN")
-	}
-	return lsn, 8 + int(ln), nil
-}
-
 // ScanFramesAfter reads the WAL directory's segments in order and calls fn
 // with each durable frame whose LSN exceeds afterLSN, in LSN order. It
 // returns the last LSN emitted (afterLSN when nothing was) and whether a gap
 // was hit: the next available LSN did not directly follow — the records in
 // between were pruned by a checkpoint, so the caller must restart from a
-// checkpoint instead.
+// checkpoint instead. Replication ships the frames it reads and recovery
+// replays them; both walk the segments with walkSegment, as Open does.
 //
 // The scan tolerates the races of reading a live log: a torn or partially
 // written frame at the tail simply ends the scan (those bytes arrive later,
@@ -243,14 +212,7 @@ func ScanFramesAfter(fs VFS, dir string, afterLSN uint64, fn func(lsn uint64, fr
 		}
 		return last, false, err
 	}
-	var segs []string
-	for _, n := range names {
-		if strings.HasPrefix(n, "wal-") && strings.HasSuffix(n, ".seg") {
-			segs = append(segs, n)
-		}
-	}
-	sort.Strings(segs)
-	for _, name := range segs {
+	for _, name := range segments(names) {
 		b, err := fs.ReadFile(path.Join(dir, name))
 		if err != nil {
 			if isNotExist(err) {
@@ -258,28 +220,31 @@ func ScanFramesAfter(fs VFS, dir string, afterLSN uint64, fn func(lsn uint64, fr
 			}
 			return last, false, err
 		}
-		if len(b) < segHdrLen || string(b[:8]) != segMagic {
-			continue // header still being written
-		}
-		at := segHdrLen
-		for at < len(b) {
-			lsn, n, err := peekFrame(b[at:])
-			if err != nil {
-				// Torn tail of the active segment (or bytes not yet fully
-				// visible through the VFS): stop here; the rest arrives live.
-				return last, false, nil
+		var fnErr error
+		end, err := walkSegment(b, func(lsn uint64, frame []byte) error {
+			if lsn <= last {
+				return nil
 			}
-			if lsn > last {
-				if lsn != last+1 {
-					return last, true, nil
-				}
-				if err := fn(lsn, b[at:at+n]); err != nil {
-					return last, false, err
-				}
-				last = lsn
+			if lsn != last+1 {
+				return errGap
 			}
-			at += n
+			if fnErr = fn(lsn, frame); fnErr != nil {
+				return fnErr
+			}
+			last = lsn
+			return nil
+		})
+		switch {
+		case err == errGap:
+			return last, true, nil
+		case fnErr != nil:
+			return last, false, fnErr
+		case err != nil && end > 0:
+			// Torn tail of the active segment (or bytes not yet fully
+			// visible through the VFS): stop here; the rest arrives live.
+			return last, false, nil
 		}
+		// A header still being written (end 0) holds no frame yet.
 	}
 	return last, false, nil
 }

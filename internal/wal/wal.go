@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"path"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -31,6 +33,7 @@ var maxRecordBytes = 1 << 30
 var (
 	errTorn   = errors.New("wal: torn record")
 	errBadCRC = errors.New("wal: record CRC mismatch")
+	errGap    = errors.New("wal: LSN gap")
 
 	// ErrClosed is returned by appends after Close or after a prior append
 	// failure poisoned the log (the on-disk tail is no longer trusted).
@@ -97,12 +100,14 @@ func (o *Options) fill() {
 }
 
 // Recovery is what Open found on disk: the latest valid checkpoint (nil if
-// none) and the WAL records after it, in LSN order, ready to replay.
+// none) and the size of the torn tail it cut off. The records after the
+// checkpoint stay in the segments, which Open has checked: the DB replays
+// them frame by frame the way a follower applies shipped ones —
+// ScanFramesAfter from the checkpoint's LSN, each frame decoded by
+// DecodeFrameInto into one arena that is rewound once the record is applied —
+// so no more of the tail is held at once than one segment's bytes.
 type Recovery struct {
 	Checkpoint *Checkpoint
-	// Records are the surviving log records with LSN greater than the
-	// checkpoint's (all of them when Checkpoint is nil).
-	Records []Record
 	// Truncated reports how many torn tail bytes were discarded on open.
 	Truncated int64
 }
@@ -139,10 +144,14 @@ type Log struct {
 	framesLeased, framesAllocated uint64
 }
 
-// Open opens (creating if needed) the WAL in opts.Dir, scans all segments —
-// validating CRCs, truncating a torn tail in the final segment only — loads
-// the latest valid checkpoint, and returns the log (positioned on a fresh
-// segment) plus everything recovery needs to replay.
+// Open opens (creating if needed) the WAL in opts.Dir, finds the latest
+// valid checkpoint (LatestCheckpointBytes) and walks every segment
+// (walkSegment): it refuses a torn or corrupt frame anywhere but at the end
+// of the final segment, a segment with a bad header, and an LSN after the
+// checkpoint's that does not exceed the one before it; a torn tail of the
+// final segment is cut off on disk and counted in Recovery.Truncated. The
+// log is returned positioned on a fresh segment, with what recovery needs to
+// replay the records after the checkpoint from disk.
 func Open(opts Options) (*Log, *Recovery, error) {
 	opts.fill()
 	if opts.Dir == "" {
@@ -155,52 +164,55 @@ func Open(opts Options) (*Log, *Recovery, error) {
 	if err != nil && !isNotExist(err) {
 		return nil, nil, fmt.Errorf("wal: read dir: %w", err)
 	}
-
-	var segs []string
-	for _, n := range names {
-		if strings.HasPrefix(n, "wal-") && strings.HasSuffix(n, ".seg") {
-			segs = append(segs, n)
-		}
-	}
-	// ReadDir returns sorted names and segment numbers are zero-padded, so
-	// segs is already in sequence order.
-
-	rec := &Recovery{}
-	ck, err := loadLatestCheckpoint(opts.FS, opts.Dir, names)
+	_, ck, err := LatestCheckpointBytes(opts.FS, opts.Dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	rec.Checkpoint = ck
+	rec := &Recovery{Checkpoint: ck}
 	afterLSN := uint64(0)
 	if ck != nil {
 		afterLSN = ck.LSN
 	}
 
-	maxSeq := uint64(0)
-	lastLSN := afterLSN
+	maxSeq, lastLSN := uint64(0), afterLSN
+	segs := segments(names)
 	for i, name := range segs {
 		seq, ok := parseSegName(name)
 		if !ok {
 			return nil, nil, fmt.Errorf("wal: malformed segment name %q", name)
 		}
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-		final := i == len(segs)-1
-		recs, truncated, err := scanSegment(opts.FS, path.Join(opts.Dir, name), final)
+		maxSeq = max(maxSeq, seq)
+		file := path.Join(opts.Dir, name)
+		b, err := opts.FS.ReadFile(file)
 		if err != nil {
 			return nil, nil, fmt.Errorf("wal: segment %s: %w", name, err)
 		}
-		rec.Truncated += truncated
-		for _, r := range recs {
-			if r.LSN <= afterLSN {
-				continue // covered by the checkpoint
+		end, err := walkSegment(b, func(lsn uint64, _ []byte) error {
+			if lsn <= afterLSN {
+				return nil // covered by the checkpoint
 			}
-			if r.LSN <= lastLSN {
-				return nil, nil, fmt.Errorf("wal: segment %s: LSN %d out of order (last %d)", name, r.LSN, lastLSN)
+			if lsn <= lastLSN {
+				return fmt.Errorf("wal: LSN %d out of order (last %d)", lsn, lastLSN)
 			}
-			lastLSN = r.LSN
-			rec.Records = append(rec.Records, r)
+			lastLSN = lsn
+			return nil
+		})
+		if err == nil {
+			continue
+		}
+		if i < len(segs)-1 || !(errors.Is(err, errTorn) || errors.Is(err, errBadCRC)) {
+			return nil, nil, fmt.Errorf("wal: segment %s at offset %d: %w", name, end, err)
+		}
+		// Torn tail: discard it on disk so the file is clean. A segment
+		// whose header never made it whole holds no record and goes.
+		rec.Truncated = int64(len(b) - end)
+		if end == 0 {
+			err = opts.FS.Remove(file)
+		} else {
+			err = opts.FS.Truncate(file, int64(end))
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("wal: truncate torn tail: %w", err)
 		}
 	}
 
@@ -213,9 +225,6 @@ func Open(opts Options) (*Log, *Recovery, error) {
 		body:   make([]byte, 0, 64<<10),
 
 		ckptFlush: ckptFlushBytes,
-	}
-	if ck != nil && ck.LSN > l.lsn {
-		l.lsn = ck.LSN
 	}
 	// Fresh segment per open: no appending to a possibly-torn tail.
 	if err := l.rotate(); err != nil {
@@ -234,43 +243,67 @@ func parseSegName(name string) (uint64, bool) {
 	return seq, true
 }
 
-// scanSegment reads and validates one segment. In the final segment a torn
-// tail (incomplete frame, or a CRC mismatch from a half-written record) is
-// truncated away; anywhere else it is corruption and an error.
-func scanSegment(fs VFS, name string, final bool) ([]Record, int64, error) {
-	b, err := fs.ReadFile(name)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(b) < segHdrLen {
-		if final {
-			// A segment header torn mid-write: nothing recoverable here.
-			return nil, int64(len(b)), nil
+// segments picks the segment files out of a directory listing, in sequence
+// order (their numbers are zero-padded).
+func segments(names []string) []string {
+	var segs []string
+	for _, n := range names {
+		if strings.HasPrefix(n, "wal-") && strings.HasSuffix(n, ".seg") {
+			segs = append(segs, n)
 		}
-		return nil, 0, fmt.Errorf("truncated header (%d bytes)", len(b))
 	}
-	if string(b[:8]) != segMagic {
-		return nil, 0, fmt.Errorf("bad magic %q", b[:8])
+	sort.Strings(segs)
+	return segs
+}
+
+// walkSegment is the one reader of a segment file's bytes: Open validates
+// and truncates with it, ScanFramesAfter ships with it and RecordBoundaries
+// finds record ends with it. It checks the header, then each frame's length
+// and CRC (checkFrame), and calls fn with every whole frame and its LSN in
+// file order. It returns the offset at which the frames it passed end and
+// why it stopped short of len(seg): errTorn or errBadCRC for a frame cut
+// short or failing its checksum (a torn tail at the end of the segment being
+// written, corruption anywhere else), another error for a frame no writer
+// produces, or fn's error. A short header is errTorn and a wrong magic an
+// error, both at offset 0.
+func walkSegment(seg []byte, fn func(lsn uint64, frame []byte) error) (int, error) {
+	if len(seg) < segHdrLen {
+		return 0, errTorn
 	}
-	var recs []Record
+	if string(seg[:8]) != segMagic {
+		return 0, fmt.Errorf("bad magic %q", seg[:8])
+	}
 	at := segHdrLen
-	for at < len(b) {
-		r, n, err := decodeRecord(b[at:], nil)
+	for at < len(seg) {
+		body, n, err := checkFrame(seg[at:])
 		if err != nil {
-			if final && (errors.Is(err, errTorn) || errors.Is(err, errBadCRC)) {
-				// Torn tail: discard it on disk so the file is clean.
-				torn := int64(len(b) - at)
-				if terr := fs.Truncate(name, int64(at)); terr != nil {
-					return nil, 0, fmt.Errorf("truncate torn tail: %w", terr)
-				}
-				return recs, torn, nil
-			}
-			return nil, 0, fmt.Errorf("record at offset %d: %w", at, err)
+			return at, err
 		}
-		recs = append(recs, r)
+		lsn, vn := binary.Uvarint(body[1:])
+		if vn <= 0 {
+			return at, fmt.Errorf("wal: truncated record LSN")
+		}
+		if err := fn(lsn, seg[at:at+n]); err != nil {
+			return at, err
+		}
 		at += n
 	}
-	return recs, 0, nil
+	return at, nil
+}
+
+// RecordBoundaries returns the file offset at which each complete record of
+// a segment ends, in order. Crash tests use it to aim byte-budget faults at
+// exact record boundaries. Scanning stops at the first torn or corrupt
+// frame.
+func RecordBoundaries(seg []byte) []int64 {
+	var bounds []int64
+	at := int64(segHdrLen)
+	walkSegment(seg, func(_ uint64, frame []byte) error {
+		at += int64(len(frame))
+		bounds = append(bounds, at)
+		return nil
+	})
+	return bounds
 }
 
 // rotate closes the current segment (if any) and starts a fresh one.

@@ -27,10 +27,31 @@ func openMem(t *testing.T, fs VFS, policy FsyncPolicy) (*Log, *Recovery) {
 	return l, rec
 }
 
+// tail reads the records after rec's checkpoint the way recovery replays
+// them: ScanFramesAfter from the checkpoint's LSN, one frame at a time —
+// decoded onto the heap here, as the tests keep them. A gap fails the test.
+func tail(t *testing.T, fs VFS, rec *Recovery) []Record {
+	t.Helper()
+	after := uint64(0)
+	if rec.Checkpoint != nil {
+		after = rec.Checkpoint.LSN
+	}
+	var recs []Record
+	_, gap, err := ScanFramesAfter(fs, "wal", after, func(_ uint64, frame []byte) error {
+		r, _, err := DecodeFrame(slices.Clone(frame))
+		recs = append(recs, r)
+		return err
+	})
+	if err != nil || gap {
+		t.Fatalf("reading the tail after LSN %d: err=%v gap=%v", after, err, gap)
+	}
+	return recs
+}
+
 func TestAppendAndReplayRoundTrip(t *testing.T) {
 	fs := NewMemFS()
 	l, rec := openMem(t, fs, FsyncAlways)
-	if rec.Checkpoint != nil || len(rec.Records) != 0 {
+	if rec.Checkpoint != nil || len(tail(t, fs, rec)) != 0 {
 		t.Fatalf("fresh log reported recovery state: %+v", rec)
 	}
 	// The create-view record as earlier versions wrote it for ComposeChains,
@@ -56,19 +77,20 @@ func TestAppendAndReplayRoundTrip(t *testing.T) {
 
 	l2, rec2 := openMem(t, fs, FsyncAlways)
 	defer l2.Close()
-	if len(rec2.Records) != 7 {
-		t.Fatalf("recovered %d records, want 7", len(rec2.Records))
+	recs := tail(t, fs, rec2)
+	if len(recs) != 7 {
+		t.Fatalf("recovered %d records, want 7", len(recs))
 	}
-	if rec2.Records[0].Type != recCreateView || rec2.Records[0].Create.Name != "v" ||
-		!rec2.Records[0].Create.ComposeChains ||
-		!rec2.Records[0].Create.CostMaterialize {
-		t.Errorf("create record mismatch: %+v", rec2.Records[0].Create)
+	if recs[0].Type != recCreateView || recs[0].Create.Name != "v" ||
+		!recs[0].Create.ComposeChains ||
+		!recs[0].Create.CostMaterialize {
+		t.Errorf("create record mismatch: %+v", recs[0].Create)
 	}
-	if again := encodeCreateViewBody(nil, 1, *rec2.Records[0].Create); again[len(again)-2] != 0 || again[len(again)-1] != 0b011 {
+	if again := encodeCreateViewBody(nil, 1, *recs[0].Create); again[len(again)-2] != 0 || again[len(again)-1] != 0b011 {
 		t.Errorf("create record re-encodes with workers %d, flags %03b, want 0, 011", again[len(again)-2], again[len(again)-1])
 	}
 	for i := 1; i <= 5; i++ {
-		r := rec2.Records[i]
+		r := recs[i]
 		if r.Type != recBatch || r.Applied != uint64(i) {
 			t.Fatalf("record %d: type %d applied %d", i, r.Type, r.Applied)
 		}
@@ -88,17 +110,17 @@ func TestAppendAndReplayRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if rec2.Records[6].Type != recDropView || rec2.Records[6].Drop != "v" {
-		t.Errorf("drop record mismatch: %+v", rec2.Records[6])
+	if recs[6].Type != recDropView || recs[6].Drop != "v" {
+		t.Errorf("drop record mismatch: %+v", recs[6])
 	}
 	// LSNs strictly increase and the reopened log continues past them.
-	for i := 1; i < len(rec2.Records); i++ {
-		if rec2.Records[i].LSN <= rec2.Records[i-1].LSN {
+	for i := 1; i < len(recs); i++ {
+		if recs[i].LSN <= recs[i-1].LSN {
 			t.Fatal("LSNs not strictly increasing")
 		}
 	}
-	if l2.LSN() != rec2.Records[6].LSN {
-		t.Errorf("reopened LSN %d, want %d", l2.LSN(), rec2.Records[6].LSN)
+	if l2.LSN() != recs[6].LSN {
+		t.Errorf("reopened LSN %d, want %d", l2.LSN(), recs[6].LSN)
 	}
 }
 
@@ -156,8 +178,8 @@ func TestTornTailTruncationEveryOffset(t *testing.T) {
 				want++
 			}
 		}
-		if len(rec.Records) != want {
-			t.Fatalf("cut at %d: recovered %d records, want %d", cut, len(rec.Records), want)
+		if got := len(tail(t, fs, rec)); got != want {
+			t.Fatalf("cut at %d: recovered %d records, want %d", cut, got, want)
 		}
 		wantTorn := int64(0)
 		if cut < segHdrLen {
@@ -175,6 +197,33 @@ func TestTornTailTruncationEveryOffset(t *testing.T) {
 		if rec.Truncated != wantTorn {
 			t.Errorf("cut at %d: truncated %d bytes, want %d", cut, rec.Truncated, wantTorn)
 		}
+	}
+}
+
+// A final segment whose header never made it whole (a crash right after an
+// Open started it) holds no record: Open counts its bytes as torn and removes
+// it, so the next Open does not find it mid-log.
+func TestTornSegmentHeaderReopens(t *testing.T) {
+	fs := NewMemFS()
+	l, _ := openMem(t, fs, FsyncNever)
+	if err := l.AppendBatch(1, testBatch(1)); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	l, _ = openMem(t, fs, FsyncNever) // starts segment 2
+	l.Close()
+	if err := fs.Truncate("wal/"+segFileName(2), 5); err != nil {
+		t.Fatal(err)
+	}
+	l, rec := openMem(t, fs, FsyncNever)
+	l.Close()
+	if rec.Truncated != 5 {
+		t.Errorf("truncated %d bytes, want the 5 of the torn header", rec.Truncated)
+	}
+	l, rec = openMem(t, fs, FsyncNever)
+	l.Close()
+	if recs := tail(t, fs, rec); len(recs) != 1 || recs[0].Applied != 1 {
+		t.Fatalf("recovered %+v, want batch 1", recs)
 	}
 }
 
@@ -229,10 +278,11 @@ func TestSegmentRotationAndOrder(t *testing.T) {
 	}
 	l2, rec := openMem(t, fs, FsyncNever)
 	l2.Close()
-	if len(rec.Records) != n {
-		t.Fatalf("recovered %d records across segments, want %d", len(rec.Records), n)
+	recs := tail(t, fs, rec)
+	if len(recs) != n {
+		t.Fatalf("recovered %d records across segments, want %d", len(recs), n)
 	}
-	for i, r := range rec.Records {
+	for i, r := range recs {
 		if r.Applied != uint64(i+1) {
 			t.Fatalf("record %d applied %d", i, r.Applied)
 		}
@@ -318,10 +368,11 @@ func TestCrashLosesOnlyUnsyncedTail(t *testing.T) {
 
 	l2, rec := openMem(t, fs, FsyncNever)
 	l2.Close()
-	if len(rec.Records) != 3 {
-		t.Fatalf("recovered %d records, want the 3 synced ones", len(rec.Records))
+	recs := tail(t, fs, rec)
+	if len(recs) != 3 {
+		t.Fatalf("recovered %d records, want the 3 synced ones", len(recs))
 	}
-	for i, r := range rec.Records {
+	for i, r := range recs {
 		if r.Applied != uint64(i+1) {
 			t.Errorf("record %d applied %d", i, r.Applied)
 		}
@@ -354,8 +405,8 @@ func TestInjectedWriteFailurePoisonsLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2.Close()
-	if len(rec.Records) != 1 || rec.Records[0].Applied != 1 {
-		t.Fatalf("recovered %+v, want just batch 1", rec.Records)
+	if recs := tail(t, mem, rec); len(recs) != 1 || recs[0].Applied != 1 {
+		t.Fatalf("recovered %+v, want just batch 1", recs)
 	}
 	if rec.Truncated != 10 {
 		t.Errorf("truncated %d bytes, want 10", rec.Truncated)
@@ -411,8 +462,8 @@ func TestAppendRefusesRecordOverBound(t *testing.T) {
 	l.Close()
 	l2, rec := openMem(t, fs, FsyncAlways)
 	defer l2.Close()
-	if len(rec.Records) != 2 || rec.Records[1].LSN != 2 || len(rec.Records[1].Batch[0].Tuples) != 2 {
-		t.Fatalf("recovered %+v, want the two records around the refused one", rec.Records)
+	if recs := tail(t, fs, rec); len(recs) != 2 || recs[1].LSN != 2 || len(recs[1].Batch[0].Tuples) != 2 {
+		t.Fatalf("recovered %+v, want the two records around the refused one", recs)
 	}
 }
 
@@ -499,8 +550,8 @@ func TestCheckpointRoundTripAndPruning(t *testing.T) {
 		t.Errorf("base R: %d rows read, Len %d, want %d", i, got.Bases[0].Len, len(wantRows))
 	}
 	// Only the tail after the checkpoint replays.
-	if len(rec.Records) != 2 || rec.Records[0].Applied != 4 || rec.Records[1].Applied != 5 {
-		t.Fatalf("replay tail %+v, want batches 4 and 5", rec.Records)
+	if recs := tail(t, fs, rec); len(recs) != 2 || recs[0].Applied != 4 || recs[1].Applied != 5 {
+		t.Fatalf("replay tail %+v, want batches 4 and 5", recs)
 	}
 }
 
@@ -532,8 +583,8 @@ func TestCheckpointSupersedesOlder(t *testing.T) {
 	if rec.Checkpoint == nil || rec.Checkpoint.Applied != 2 {
 		t.Fatalf("recovered checkpoint %+v, want applied=2", rec.Checkpoint)
 	}
-	if len(rec.Records) != 0 {
-		t.Errorf("replay tail %+v, want empty", rec.Records)
+	if recs := tail(t, fs, rec); len(recs) != 0 {
+		t.Errorf("replay tail %+v, want empty", recs)
 	}
 }
 

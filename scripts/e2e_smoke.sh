@@ -4,7 +4,9 @@
 # durable follower serving read-only HTTP. The primary syncs every record
 # (-fsync always), so concurrent writers commit in groups. Asserts epoch
 # convergence, byte-identical lookups, concurrent writes that all land,
-# follower restart mid-stream, and graceful signal shutdown on both sides.
+# follower restart mid-stream, graceful signal shutdown on both sides, and a
+# primary restarted on its WAL directory (recovery in its own process) that
+# answers as before and that the follower reconnects to.
 # Run from the repo root; CI runs it after the unit tests.
 set -euo pipefail
 
@@ -60,11 +62,15 @@ start_follower() {
   wait_healthy "$F"
 }
 
+start_primary() {
+  "$BIN" serve -listen "127.0.0.1:$HTTP_P" -replication-listen "127.0.0.1:$REPL" \
+    -wal-dir "$WORK/primary" -fsync always -catalog "$CATALOG" &
+  PRIMARY_PID=$!
+  wait_healthy "$P"
+}
+
 echo "--- starting primary"
-"$BIN" serve -listen "127.0.0.1:$HTTP_P" -replication-listen "127.0.0.1:$REPL" \
-  -wal-dir "$WORK/primary" -fsync always -catalog "$CATALOG" &
-PRIMARY_PID=$!
-wait_healthy "$P"
+start_primary
 
 echo "--- starting follower"
 start_follower
@@ -119,6 +125,25 @@ PV=$(curl -sf "$P/view/sums/lookup?key=3")
 FV=$(curl -sf "$F/view/sums/lookup?key=3")
 [ "$PV" = "$FV" ] || { echo "FAIL: post-restart lookup mismatch: primary=$PV follower=$FV" >&2; exit 1; }
 echo "$PV" | grep -q '"value":35' || { echo "FAIL: wrong post-restart value: $PV" >&2; exit 1; }
+
+echo "--- graceful primary shutdown, then restart on its WAL directory"
+APPLIED_BEFORE=$(applied_of "$P")
+PV_BEFORE=$(curl -sf "$P/view/sums/lookup?key=3")
+kill -TERM "$PRIMARY_PID"
+wait "$PRIMARY_PID" || { echo "FAIL: primary did not exit cleanly on SIGTERM" >&2; exit 1; }
+PRIMARY_PID=""
+start_primary
+[ "$(applied_of "$P")" = "$APPLIED_BEFORE" ] || { echo "FAIL: recovered primary at applied=$(applied_of "$P"), want $APPLIED_BEFORE" >&2; exit 1; }
+PV=$(curl -sf "$P/view/sums/lookup?key=3")
+[ "$PV" = "$PV_BEFORE" ] || { echo "FAIL: recovered lookup $PV, want $PV_BEFORE" >&2; exit 1; }
+
+echo "--- follower reconnects to the recovered primary and converges"
+curl -sf -X POST -d '{"updates":[{"rel":"R","mult":1,"tuples":[[3,1]]}]}' "$P/apply" >/dev/null
+wait_converged "$F" "$(applied_of "$P")"
+PV=$(curl -sf "$P/view/sums/lookup?key=3")
+FV=$(curl -sf "$F/view/sums/lookup?key=3")
+[ "$PV" = "$FV" ] || { echo "FAIL: lookup mismatch after primary restart: primary=$PV follower=$FV" >&2; exit 1; }
+echo "$PV" | grep -q '"value":42' || { echo "FAIL: wrong value after primary restart: $PV" >&2; exit 1; }
 
 echo "--- graceful shutdown"
 kill -TERM "$FOLLOWER_PID"
